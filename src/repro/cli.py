@@ -262,12 +262,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             renderer = LiveRenderer(progress, detector).start()
 
     try:
-        if args.engine == "serial":
-            res = engine.run_serial(job, barrier, obs=obs)
-        elif args.engine == "process":
-            res = engine.run_processes(job, barrier, obs=obs)
-        else:
-            res = engine.run_threaded(job, barrier, obs=obs)
+        res = engine.run(job, barrier, mode=args.engine, obs=obs)
     finally:
         if detector is not None:
             detector.stop_ticker()

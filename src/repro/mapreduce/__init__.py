@@ -14,9 +14,9 @@ execution.  The two MapReduce guarantees of §2.3 hold by construction:
 The barrier is pluggable (:class:`~repro.mapreduce.engine.BarrierPolicy`):
 ``GlobalBarrier`` is stock Hadoop (Figure 4 left); ``DependencyBarrier``
 consumes a SIDR dependency map and lets each reduce task fire as soon as
-the maps in its I_l have completed (Figure 4 right).  The threaded engine
-records an execution trace so tests can verify that reduce tasks really
-do start early — and never before their dependencies are met.
+the maps in its I_l have completed (Figure 4 right).  The engine records
+an execution trace in every mode so tests can verify that reduce tasks
+really do start early — and never before their dependencies are met.
 
 Map output files carry the ⟨k,v⟩-count annotation of §3.2.1 (approach 2),
 which the engine validates whenever a reduce fires.

@@ -297,11 +297,6 @@ def run_columnar_map(
     counters.increment("plane.fallback.instances", fallback)
     if masker is not None:
         counters.increment("pushdown.rows.masked", masked)
-    if obs.enabled:
-        obs.metrics.counter("plane.batched.instances").inc(batched)
-        obs.metrics.counter("plane.fallback.instances").inc(fallback)
-        if masker is not None:
-            obs.metrics.counter("pushdown.rows.masked").inc(masked)
 
     with obs.phase("map.spill", task_span):
         files: list[ColumnarMapOutput] = []

@@ -10,6 +10,21 @@ from __future__ import annotations
 import threading
 from collections import Counter as _Counter
 
+#: Counter names the observability layer also reports.  ``Counters`` is
+#: the one ledger (worker processes ferry only it); the engine copies
+#: these into the run's ``MetricsRegistry`` once, when the job finishes.
+METRIC_MIRRORED = (
+    "plane.batched.instances",
+    "plane.fallback.instances",
+    "pushdown.rows.masked",
+    "plan.splits.pruned",
+    "plan.keys.synthesized",
+    "barrier.early.starts",
+    "task.cancelled",
+    "recovery.maps_reexecuted",
+    "job.deadline.expired",
+)
+
 
 class Counters:
     """Thread-safe named counters grouped Hadoop-style.

@@ -1,28 +1,39 @@
 """LocalEngine: executes MapReduce jobs for real, with pluggable barriers.
 
-Three execution modes, a ladder of increasing parallelism with
-byte-identical outputs (the verify fuzzer holds all three against the
-brute-force oracle):
+There is **one orchestration loop** (:meth:`LocalEngine._run_job`): it
+submits every map, and each time a map commits it fires — outside the
+run lock — every reduce whose barrier is now satisfied (paper Fig. 4b).
+A mode name selects the only two things that differ between runs:
 
-* **serial** — deterministic single-threaded execution.  Maps run in
-  split order; after each map commits, any reduce whose barrier is now
-  satisfied runs immediately.  The logical event order in the trace shows
-  exactly which reduces fired before which maps — the paper's Figure 4
-  as a trace.
-* **threaded** — maps run on a map pool (default 4 workers per the
-  paper's 4 map slots) and reduces on a reduce pool (3 workers);
-  wall-clock timestamps in the trace let integration tests observe
-  genuine overlap of reduce execution with map execution under the
-  dependency barrier.
-* **process** (``run_processes``) — the same orchestration, but task
-  *bodies* execute in a pool of worker processes
-  (:mod:`repro.mapreduce.procpool`) and the shuffle moves by **file
-  handoff**: map spills become on-disk segment files
-  (:mod:`repro.mapreduce.spillfiles`), the parent's store tracks only
-  manifests, and reduce workers ``mmap`` the segments they fetch.  The
-  control plane — barriers, commit gate, races, retries, recovery,
-  deadlines — stays in the parent, so every invariant the threaded
-  engine enforces holds unchanged.
+* an **executor** — where the loop's task callables run.  The inline
+  executor runs each on the submitting thread, so maps execute in split
+  order and a fired reduce runs to completion before the next map
+  starts: the deterministic *serial* mode, whose trace shows exactly
+  which reduces fired before which maps.  A map pool plus a reduce
+  pool of threads (4 + 3 workers by default, the paper's slot counts)
+  give genuine wall-clock overlap of reduces with still-running maps.
+* a **task-body runner** (:class:`TaskRunner`) — where an attempt's
+  body executes.  In-thread, or
+  :class:`~repro.mapreduce.procpool.ProcessRunner`: forked workers with
+  the shuffle moved by **file handoff**
+  (:mod:`repro.mapreduce.spillfiles`) while the parent's store tracks
+  only manifests.
+
+========  ==============  ================
+mode      executor        runner
+========  ==============  ================
+serial    inline          in-thread
+threaded  thread pools    in-thread
+process   thread pools    worker processes
+========  ==============  ================
+
+Barriers, the commit gate, retries, recovery, speculation, deadlines and
+result assembly are the loop's and therefore identical in every mode;
+outputs are byte-identical (the verify fuzzer holds all three against
+the brute-force oracle).  Two things follow from the executor alone:
+the inline executor has no pool to race a backup attempt on, and it
+surfaces a failing task's own exception where the pooled modes raise
+:class:`~repro.errors.JobFailedError` with every collected error.
 
 The engine enforces, not merely assumes, the barrier: a reduce task's
 fetch set is checked against completed maps and a
@@ -39,18 +50,18 @@ budget).  Faults can be injected deterministically via an
 modes (:class:`~repro.faults.RecoveryModel`), a reduce failure after
 fetch triggers re-execution of the producing maps — *only* its
 dependency set I_l under ``REEXECUTE_DEPS``, which is the paper's §6
-proposal running for real.  A failing threaded run cancels undispatched
-work and raises :class:`~repro.errors.JobFailedError` carrying every
-collected task error.  See ``docs/FAULT_TOLERANCE.md``.
+proposal running for real.  A failing run cancels undispatched work.
+See ``docs/FAULT_TOLERANCE.md``.
 
 Speculative execution (structure-aware): constructing the engine with a
 :class:`~repro.spec.SpeculationPolicy` attaches heartbeats, a
 :class:`~repro.spec.HangDetector`, and a mitigation runtime to every
 run.  Hang-flagged (stale-heartbeat) and straggler-flagged attempts are
-hedged with a racing backup attempt (threaded maps) or cooperatively
-cancelled and retried in place (serial engine, reduce tasks); the
-shuffle store's commit gate guarantees at most one racing attempt ever
-publishes output, so the loser's spill can never serve a fetch.  Backup
+hedged with a racing backup attempt (maps on a pooled executor) or
+cooperatively cancelled and retried in place (inline executor, reduce
+tasks); the shuffle store's commit gate guarantees at most one racing
+attempt ever publishes output, so the loser's spill can never serve a
+fetch.  Backup
 candidates are ranked by structural criticality — how many pending
 reduces' I_l sets the task blocks (``SIDRPlan.deps``).  A
 ``JobConf.deadline`` arms a watchdog that cancels every in-flight
@@ -65,7 +76,7 @@ import random
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
@@ -76,32 +87,30 @@ from repro.errors import (
     InjectedFaultError,
     JobConfigError,
     JobFailedError,
-    ShuffleError,
     TaskCancelledError,
 )
 from repro.faults import BoundFaults, InjectionPlan, RecoveryModel, WHEN_AFTER_FETCH
 from repro.mapreduce.columnar import run_columnar_map, run_columnar_reduce
-from repro.mapreduce.counters import Counters
+from repro.mapreduce.counters import METRIC_MIRRORED, Counters
 from repro.mapreduce.job import JobConf
-from repro.mapreduce.shuffle import MapOutputFile, ShuffleStore
-from repro.mapreduce.sortmerge import group_sorted, merge_segments, sort_records
-from repro.mapreduce.types import KeyValue, MapTaskId
-from repro.obs import (
-    COUNT_BUCKETS,
-    JobObservability,
-    RATE_BUCKETS,
-    TIME_BUCKETS,
+from repro.mapreduce.record import run_record_map, run_record_reduce
+from repro.mapreduce.shuffle import ShuffleStore
+from repro.mapreduce.types import KeyValue
+from repro.obs import JobObservability, TIME_BUCKETS
+from repro.obs.live.bus import EventBus
+from repro.obs.trace import (  # noqa: F401  (re-exported)
+    EngineTrace,
+    LogicalClock,
+    TraceEvent,
 )
-from repro.obs.live.bus import EV_TASK_HANG, EV_TASK_STRAGGLER, Event, EventBus
 from repro.spec import (
     REASON_DEADLINE,
-    REASON_HANG,
     REASON_SUPERSEDED,
     CancelToken,
-    HangDetector,
+    DeadlineWatchdog,
     Heartbeat,
     SpeculationPolicy,
-    structural_priority,
+    SpeculationRuntime,
 )
 
 #: Errors that retrying can never fix: the job itself is misconfigured
@@ -114,6 +123,9 @@ _NON_RETRYABLE = (JobConfigError, BarrierViolationError)
 #: of its own, but the task needs no further work (and must not be
 #: reported done a second time by the caller).
 _LOST_RACE = object()
+
+#: ``on_reduce_complete(partition, records)``.
+ReduceCallback = Callable[[int, list[KeyValue]], None]
 
 
 # --------------------------------------------------------------------- #
@@ -207,12 +219,12 @@ HOOK_POINTS = (
 
 
 class TaskRunner(Protocol):
-    """Where task *bodies* execute (the process engine's seam).
-
-    When a run installs a runner, ``_run_map``/``_run_reduce`` delegate
-    the attempt body to it instead of executing inline; everything
-    around the body — retry loops, races, barriers, recovery — is
-    untouched.  See :class:`repro.mapreduce.procpool.ProcessRunner`.
+    """Where task *bodies* execute: one attempt of one task, start to
+    commit.  Every run has exactly one (``_RunState.runner``);
+    everything around the body — retry loops, races, barriers, recovery
+    — is the engine's and does not know which.  In-thread is
+    :class:`_InThreadRunner`; out-of-process is
+    :class:`repro.mapreduce.procpool.ProcessRunner`.
     """
 
     def run_map(
@@ -242,6 +254,10 @@ class TaskRunner(Protocol):
         faults: "BoundFaults | None",
         cancel: "CancelToken | None",
     ) -> list[KeyValue]: ...
+
+    def close(self) -> None:
+        """Release whatever the runner holds; runs on every exit path."""
+        ...
 
 
 class SchedulerHook(Protocol):
@@ -339,9 +355,9 @@ class _RunState:
         #: that reached the shuffle store's gate first (latched once).
         self.races: dict[tuple[str, int], dict[str, Any]] = {}
         self.deadline_expired = False
-        #: Installed by ``run_processes``: task bodies execute through
-        #: this instead of inline (None = in-thread execution).
-        self.runner: TaskRunner | None = None
+        #: Where attempt bodies execute; installed by the run before any
+        #: task starts (it needs ``faults`` below, hence not passed in).
+        self.runner: TaskRunner
         self.faults: BoundFaults | None = None
         if engine.faults is not None:
             self.faults = engine.faults.bind(
@@ -449,259 +465,6 @@ class _RunState:
                 return None
             self.deadline_expired = True
             return list(self.tokens.values())
-
-
-# --------------------------------------------------------------------- #
-# Speculation runtime & deadline watchdog
-# --------------------------------------------------------------------- #
-class _SpeculationRuntime:
-    """Per-run mitigation brain: turns hang/straggler flags into action.
-
-    Listens on the run's event bus (flags arrive from the detector's
-    ticker thread or from whichever task thread triggered a check).
-    For a flagged **map** with a backup launcher available (threaded
-    runs), it hedges: opens a race and submits a backup attempt, ranked
-    by structural criticality — how many pending reduces' I_l sets the
-    map blocks.  For everything else — serial runs, reduce tasks, or a
-    blown backup budget — a *hang* is mitigated by cancelling the
-    flagged attempt so the retry loop re-runs it in place, while a mere
-    straggler is left alone (it is still making progress; cancelling it
-    would lose work).
-    """
-
-    def __init__(
-        self,
-        policy: SpeculationPolicy,
-        state: _RunState,
-        job: JobConf,
-        barrier: BarrierPolicy,
-        obs: JobObservability,
-        *,
-        launch_backup: Callable[[int, int, float], None] | None = None,
-    ) -> None:
-        self.policy = policy
-        self.state = state
-        self.obs = obs
-        self.barrier = barrier
-        self.total_maps = job.num_map_tasks
-        plan = job.context.get("sidr_plan")
-        self.deps = getattr(plan, "deps", None)
-        self.weights = getattr(plan, "priorities", None)
-        #: ``launch_backup(index, of_attempt, priority)`` submits a
-        #: racing backup map attempt; None = cancel-retry only.
-        self.launch_backup = launch_backup
-        #: Thread-safe snapshot of still-pending reduce partitions,
-        #: installed by the run mode (drives structural priority).
-        self.pending_partitions: Callable[[], tuple[int, ...]] = tuple
-        self._lock = threading.Lock()
-        self._backups = 0
-        self._active_backup: set[int] = set()
-        self.detector = HangDetector(
-            obs.bus,
-            hang_timeout=policy.hang_timeout,
-            metrics=obs.metrics if obs.enabled else None,
-            tracer=obs.tracer if obs.enabled else None,
-            parent_span=obs.job_span,
-            k=policy.straggler_k,
-            min_samples=policy.min_samples,
-            min_seconds=policy.min_seconds,
-            rank=self.priority_of,
-        )
-        obs.bus.attach(self.on_event)
-
-    def priority_of(self, kind: str, index: int) -> float:
-        """Structural criticality of a flagged task (maps only)."""
-        if kind != "map":
-            return 0.0
-        try:
-            pending = tuple(self.pending_partitions())
-        except RuntimeError:
-            # Raced a bare set mutation (serial pending snapshot);
-            # next tick will see a consistent view.
-            return 1.0
-        return structural_priority(
-            index,
-            pending=pending,
-            deps=self.deps,
-            weights=self.weights,
-            barrier=self.barrier,
-            total_maps=self.total_maps,
-        )
-
-    def on_event(self, ev: Event) -> None:
-        if ev.type == EV_TASK_HANG:
-            self._mitigate(ev.kind, ev.index, ev.attempt, hang=True)
-        elif ev.type == EV_TASK_STRAGGLER and self.policy.speculate_stragglers:
-            self._mitigate(ev.kind, ev.index, ev.attempt, hang=False)
-
-    def _mitigate(self, kind: str, index: int, attempt: int, *, hang: bool) -> None:
-        tok = self.state.token_of(kind, index, attempt)
-        if tok is None or tok.cancelled:
-            return  # attempt already finished, or already being handled
-        priority = self.priority_of(kind, index)
-        if kind == "map" and self.launch_backup is not None:
-            with self._lock:
-                in_budget = (
-                    index not in self._active_backup
-                    and (
-                        self.policy.max_backups is None
-                        or self._backups < self.policy.max_backups
-                    )
-                )
-                if in_budget:
-                    self._backups += 1
-                    self._active_backup.add(index)
-                elif index in self._active_backup:
-                    return  # one racing backup per task at a time
-            if in_budget:
-                self.state.begin_race(kind, index)
-                self.launch_backup(index, attempt, priority)
-                return
-            # Backup budget blown: hangs still need releasing below.
-        if not hang:
-            return  # slow but alive — leave it running
-        if tok.cancel(REASON_HANG):
-            self.obs.task_speculate(
-                kind, index, attempt,
-                of_attempt=attempt, priority=priority, mode="cancel-retry",
-            )
-
-    def backup_done(self, index: int, *, failed: bool = False) -> None:
-        with self._lock:
-            self._active_backup.discard(index)
-        if failed:
-            # The backup died without resolving the race; release any
-            # still-blocked primary so the retry loop re-runs it in
-            # place (otherwise a hung primary would wait forever on a
-            # backup that no longer exists).
-            for a in self.state.active_attempts("map", index):
-                tok = self.state.token_of("map", index, a)
-                if tok is not None:
-                    tok.cancel(REASON_HANG)
-
-    def close(self) -> None:
-        self.obs.bus.detach(self.on_event)
-        self.detector.close()
-
-
-class _DeadlineWatchdog:
-    """Daemon timer firing ``on_expire`` once the job's wall-clock
-    budget elapses (unless stopped first)."""
-
-    def __init__(self, seconds: float, on_expire: Callable[[], None]) -> None:
-        self._stop = threading.Event()
-        self._seconds = seconds
-        self._on_expire = on_expire
-        self._thread = threading.Thread(
-            target=self._run, name="job-deadline", daemon=True
-        )
-
-    def start(self) -> "_DeadlineWatchdog":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        if not self._stop.wait(self._seconds):
-            self._on_expire()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-
-# --------------------------------------------------------------------- #
-# Trace
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class TraceEvent:
-    """One engine event: logical sequence + wall clock + task identity."""
-
-    seq: int
-    wall: float
-    kind: str          # "map" | "reduce"
-    event: str         # "start" | "finish"
-    index: int
-
-
-class LogicalClock:
-    """Deterministic monotonic counter usable as an ``EngineTrace`` clock.
-
-    Each call advances by ``step`` — replacing wall time with logical
-    time makes trace ``wall`` fields bit-stable run-to-run, which is
-    what the verification explorer's replay comparisons need.
-    """
-
-    def __init__(self, step: float = 1.0) -> None:
-        self._lock = threading.Lock()
-        self._now = 0.0
-        self._step = step
-
-    def __call__(self) -> float:
-        with self._lock:
-            self._now += self._step
-            return self._now
-
-
-class EngineTrace:
-    """Append-only, thread-safe event log.
-
-    Since the span layer landed (:mod:`repro.obs`) this is a
-    *compatibility bridge*: the engine's task spans feed it start/finish
-    events via :meth:`JobObservability.task`, so every historical
-    consumer (tests, figures, ``reduce_starts_before_last_map``) keeps
-    working while rich traces come from ``JobResult.obs``.
-
-    ``clock`` defaults to wall time; passing a :class:`LogicalClock`
-    (or any zero-arg float callable) makes recorded timestamps
-    deterministic.
-    """
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._lock = threading.Lock()
-        self._events: list[TraceEvent] = []
-        self._first_seq: dict[tuple[str, str, int], int] = {}
-        self._seq = 0
-        self._clock = clock or time.perf_counter
-        self._t0 = self._clock()
-
-    def record(self, kind: str, event: str, index: int) -> TraceEvent:
-        with self._lock:
-            ev = TraceEvent(
-                seq=self._seq,
-                wall=self._clock() - self._t0,
-                kind=kind,
-                event=event,
-                index=index,
-            )
-            self._events.append(ev)
-            self._first_seq.setdefault((kind, event, index), self._seq)
-            self._seq += 1
-            return ev
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        with self._lock:
-            return list(self._events)
-
-    def seq_of(self, kind: str, event: str, index: int) -> int:
-        """Logical sequence number of the first matching event (-1 if
-        absent) — an O(1) index lookup, not a scan."""
-        with self._lock:
-            return self._first_seq.get((kind, event, index), -1)
-
-    def reduce_starts_before_last_map(self) -> int:
-        """Number of reduce tasks that started before the final map
-        finished — the early-start count Figures 9-11 are built on."""
-        events = self.events
-        map_finishes = [e.seq for e in events if e.kind == "map" and e.event == "finish"]
-        if not map_finishes:
-            return 0
-        last_map = max(map_finishes)
-        return sum(
-            1
-            for e in events
-            if e.kind == "reduce" and e.event == "start" and e.seq < last_map
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -823,14 +586,9 @@ class LocalEngine:
         attempt: int = 0,
         faults: BoundFaults | None = None,
         cancel: CancelToken | None = None,
-        runner: TaskRunner | None = None,
     ) -> None:
-        if runner is not None:
-            runner.run_map(
-                job, split_index, store, counters, obs,
-                attempt=attempt, faults=faults, cancel=cancel,
-            )
-            return
+        """One map attempt, body in-thread (the in-thread
+        :class:`TaskRunner`'s ``run_map``)."""
         hb = Heartbeat(obs.bus, "map", split_index, attempt, self._hb_interval)
         with obs.task("map", split_index, attempt) as task_span:
             if faults is not None:
@@ -838,14 +596,11 @@ class LocalEngine:
             corrupt = faults is not None and faults.should_corrupt(
                 "map", split_index, attempt
             )
-            if job.data_plane == "columnar":
-                run_columnar_map(
-                    job, split_index, store, counters, obs, task_span,
-                    attempt=attempt, corrupt=corrupt,
-                    cancel=cancel, heartbeat=hb,
-                )
-                return
-            run_record_map(
+            body = (
+                run_columnar_map if job.data_plane == "columnar"
+                else run_record_map
+            )
+            body(
                 job, split_index, store, counters, obs, task_span,
                 attempt=attempt, corrupt=corrupt,
                 cancel=cancel, heartbeat=hb,
@@ -883,9 +638,8 @@ class LocalEngine:
             )
         )
 
-    def _seed_prune_counters(
-        self, job: JobConf, counters: Counters, obs: JobObservability
-    ) -> None:
+    @staticmethod
+    def _seed_prune_counters(job: JobConf, counters: Counters) -> None:
         """Surface the planner's pruning decision once per run (not per
         reduce attempt, so retries cannot inflate the counts)."""
         stats = job.context.get("prune_stats")
@@ -893,13 +647,87 @@ class LocalEngine:
             return
         counters.increment("plan.splits.pruned", stats["splits_pruned"])
         counters.increment("plan.keys.synthesized", stats["keys_synthesized"])
-        if obs.enabled:
-            obs.metrics.counter("plan.splits.pruned").inc(
-                stats["splits_pruned"]
+
+    def _fetch_reduce_inputs(
+        self,
+        job: JobConf,
+        partition: int,
+        barrier: BarrierPolicy,
+        store: ShuffleStore,
+        counters: Counters,
+        obs: JobObservability,
+        completed_at_start: frozenset[int],
+        task_span: Any,
+        hb: Heartbeat,
+        *,
+        attempt: int,
+        faults: BoundFaults | None,
+        cancel: CancelToken | None,
+    ) -> list:
+        """Everything a reduce attempt does before its body — the same
+        for every :class:`TaskRunner`, and always in the parent, which
+        owns the store: reduce-start hook, barrier enforcement, the
+        count-annotation validator, the fetch loop, and both fault
+        points.  Returns the non-empty fetched spills in map order."""
+        self._hook_event(
+            HOOK_REDUCE_START, "reduce", partition, attempt,
+            completed=tuple(sorted(completed_at_start)),
+        )
+        if faults is not None:
+            faults.fire("reduce", partition, attempt, cancel=cancel)
+        total = job.num_map_tasks
+        if not barrier.ready(partition, completed_at_start, total):
+            raise BarrierViolationError(
+                f"reduce {partition} scheduled before barrier satisfied"
             )
-            obs.metrics.counter("plan.keys.synthesized").inc(
-                stats["keys_synthesized"]
+        fetch_from = barrier.fetch_set(partition, total)
+        if job.contact_all_maps:
+            fetch_from = frozenset(range(total))
+        missing = fetch_from - completed_at_start
+        if missing:
+            raise BarrierViolationError(
+                f"reduce {partition} would fetch from unfinished maps {sorted(missing)}"
             )
+        with obs.phase("reduce.fetch", task_span) as fetch_span:
+            validator = job.context.get("reduce_start_validator")
+            if validator is not None:
+                tally = store.total_source_records(
+                    barrier.fetch_set(partition, total), partition
+                )
+                validator.validate(partition, tally)
+
+            files = []
+            shuffled_records = 0
+            shuffled_bytes = 0
+            for m in sorted(fetch_from):
+                # Per-fetch checkpoint: fetches are the reduce's
+                # longest pre-merge stretch.
+                if cancel is not None:
+                    cancel.check()
+                hb.beat()
+                f = store.fetch(m, partition)
+                if f is not None and f.num_records:
+                    files.append(f)
+                    shuffled_records += f.num_records
+                    shuffled_bytes += f.approx_serialized_bytes
+        # ``shuffle.records`` is the record count this counter
+        # historically (and misleadingly) reported as "bytes";
+        # ``shuffle.bytes`` is now a real serialized-size estimate.
+        counters.increment("shuffle.records", shuffled_records)
+        counters.increment("shuffle.bytes", shuffled_bytes)
+        if obs.enabled and fetch_span is not None:
+            obs.metrics.histogram(
+                "shuffle.fetch.seconds", TIME_BUCKETS
+            ).observe(fetch_span.duration)
+        if faults is not None:
+            # Post-fetch injection point: the attempt has consumed
+            # its shuffle input, so failing here is what forces the
+            # no-persist modes to re-execute producing maps.
+            faults.fire(
+                "reduce", partition, attempt, WHEN_AFTER_FETCH,
+                cancel=cancel,
+            )
+        return files
 
     def _run_reduce(
         self,
@@ -914,89 +742,24 @@ class LocalEngine:
         attempt: int = 0,
         faults: BoundFaults | None = None,
         cancel: CancelToken | None = None,
-        runner: TaskRunner | None = None,
     ) -> list[KeyValue]:
-        if runner is not None:
-            return runner.run_reduce(
-                job, partition, barrier, store, counters, obs,
-                completed_at_start,
-                attempt=attempt, faults=faults, cancel=cancel,
-            )
+        """One reduce attempt, body in-thread (the in-thread
+        :class:`TaskRunner`'s ``run_reduce``)."""
         hb = Heartbeat(obs.bus, "reduce", partition, attempt, self._hb_interval)
         with obs.task("reduce", partition, attempt) as task_span:
-            self._hook_event(
-                HOOK_REDUCE_START, "reduce", partition, attempt,
-                completed=tuple(sorted(completed_at_start)),
+            files = self._fetch_reduce_inputs(
+                job, partition, barrier, store, counters, obs,
+                completed_at_start, task_span, hb,
+                attempt=attempt, faults=faults, cancel=cancel,
             )
-            if faults is not None:
-                faults.fire("reduce", partition, attempt, cancel=cancel)
-            total = job.num_map_tasks
-            if not barrier.ready(partition, completed_at_start, total):
-                raise BarrierViolationError(
-                    f"reduce {partition} scheduled before barrier satisfied"
-                )
-            fetch_from = barrier.fetch_set(partition, total)
-            if job.contact_all_maps:
-                fetch_from = frozenset(range(total))
-            missing = fetch_from - completed_at_start
-            if missing:
-                raise BarrierViolationError(
-                    f"reduce {partition} would fetch from unfinished maps {sorted(missing)}"
-                )
-            with obs.phase("reduce.fetch", task_span) as fetch_span:
-                validator = job.context.get("reduce_start_validator")
-                if validator is not None:
-                    tally = store.total_source_records(
-                        barrier.fetch_set(partition, total), partition
-                    )
-                    validator.validate(partition, tally)
-
-                files = []
-                shuffled_records = 0
-                shuffled_bytes = 0
-                for m in sorted(fetch_from):
-                    # Per-fetch checkpoint: fetches are the reduce's
-                    # longest pre-merge stretch.
-                    if cancel is not None:
-                        cancel.check()
-                    hb.beat()
-                    f = store.fetch(m, partition)
-                    if f is not None and f.num_records:
-                        files.append(f)
-                        shuffled_records += f.num_records
-                        shuffled_bytes += f.approx_serialized_bytes
-            # ``shuffle.records`` is the record count this counter
-            # historically (and misleadingly) reported as "bytes";
-            # ``shuffle.bytes`` is now a real serialized-size estimate.
-            counters.increment("shuffle.records", shuffled_records)
-            counters.increment("shuffle.bytes", shuffled_bytes)
-            if obs.enabled and fetch_span is not None:
-                obs.metrics.histogram(
-                    "shuffle.fetch.seconds", TIME_BUCKETS
-                ).observe(fetch_span.duration)
-            if faults is not None:
-                # Post-fetch injection point: the attempt has consumed
-                # its shuffle input, so failing here is what forces the
-                # no-persist modes to re-execute producing maps.
-                faults.fire(
-                    "reduce", partition, attempt, WHEN_AFTER_FETCH,
-                    cancel=cancel,
-                )
-
-            if job.data_plane == "columnar":
-                return self._with_synth_records(
-                    job,
-                    partition,
-                    run_columnar_reduce(
-                        job, files, counters, obs, task_span,
-                        cancel=cancel, heartbeat=hb,
-                    ),
-                )
-
+            body = (
+                run_columnar_reduce if job.data_plane == "columnar"
+                else run_record_reduce
+            )
             return self._with_synth_records(
                 job,
                 partition,
-                run_record_reduce(
+                body(
                     job, files, counters, obs, task_span,
                     cancel=cancel, heartbeat=hb,
                 ),
@@ -1111,10 +874,9 @@ class LocalEngine:
     ) -> Any:
         return self._execute_with_retry(
             "map", i, state, counters, obs,
-            lambda attempt, cancel: self._run_map(
+            lambda attempt, cancel: state.runner.run_map(
                 job, i, store, counters, obs,
                 attempt=attempt, faults=state.faults, cancel=cancel,
-                runner=state.runner,
             ),
         )
 
@@ -1148,10 +910,9 @@ class LocalEngine:
                 of_attempt=of_attempt, priority=priority, mode="race",
             )
             counters.increment("task.speculations")
-            return self._run_map(
+            return state.runner.run_map(
                 job, i, store, counters, obs,
                 attempt=attempt, faults=state.faults, cancel=cancel,
-                runner=state.runner,
             )
 
         return self._execute_with_retry("map", i, state, counters, obs, body)
@@ -1180,10 +941,9 @@ class LocalEngine:
                 )
             first_attempt = False
             store.begin_reduce_attempt(p)
-            out = self._run_reduce(
+            out = state.runner.run_reduce(
                 job, p, barrier, store, counters, obs, snapshot,
                 attempt=attempt, faults=state.faults, cancel=cancel,
-                runner=state.runner,
             )
             # Attempt-aware invalidation: if any map we fetched from was
             # re-executed while we ran, our input is superseded — raise
@@ -1260,17 +1020,6 @@ class LocalEngine:
             guard=lambda index, attempt: self._commit_gate(state, index, attempt),
         )
 
-    def _spec_runtime(
-        self,
-        job: JobConf,
-        barrier: BarrierPolicy,
-        state: _RunState,
-        obs: JobObservability,
-    ) -> _SpeculationRuntime | None:
-        if self.speculation is None:
-            return None
-        return _SpeculationRuntime(self.speculation, state, job, barrier, obs)
-
     def _expire_deadline(
         self,
         job: JobConf,
@@ -1289,7 +1038,7 @@ class LocalEngine:
             tok.cancel(REASON_DEADLINE)
 
     # ------------------------------------------------------------------ #
-    # Mode dispatch
+    # Running a job: mode name -> (executor, runner) -> the one loop
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -1297,245 +1046,94 @@ class LocalEngine:
         barrier: BarrierPolicy | None = None,
         *,
         mode: str = "threaded",
-        on_reduce_complete: Callable[[int, list[KeyValue]], None] | None = None,
+        on_reduce_complete: ReduceCallback | None = None,
         obs: JobObservability | None = None,
     ) -> JobResult:
-        """Dispatch to :meth:`run_serial` / :meth:`run_threaded` /
-        :meth:`run_processes` by name — the seam callers with a
-        string-valued engine knob (CLI ``--engine``, the resident
-        service's per-request engine field) use instead of an
-        ``if``-ladder."""
-        if mode == "serial":
-            return self.run_serial(
-                job, barrier, on_reduce_complete=on_reduce_complete, obs=obs
-            )
-        if mode == "threaded":
-            return self.run_threaded(
-                job, barrier, on_reduce_complete=on_reduce_complete, obs=obs
-            )
-        if mode == "process":
-            return self.run_processes(
-                job, barrier, on_reduce_complete=on_reduce_complete, obs=obs
-            )
-        raise JobConfigError(
-            f"unknown engine mode {mode!r}; expected serial|threaded|process"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Serial execution
-    # ------------------------------------------------------------------ #
-    def run_serial(
-        self,
-        job: JobConf,
-        barrier: BarrierPolicy | None = None,
-        *,
-        on_reduce_complete: Callable[[int, list[KeyValue]], None] | None = None,
-        obs: JobObservability | None = None,
-    ) -> JobResult:
-        """Deterministic execution: maps in split order, each reduce fires
-        at the earliest logical point its barrier allows.
+        """Run ``job`` under ``barrier`` (default: the global barrier) in
+        the named mode — ``serial``, ``threaded`` or ``process``; see the
+        module docstring for what each name selects.
 
         ``on_reduce_complete(partition, records)`` fires the moment a
-        reduce task commits — *during* the run, possibly before later
-        maps execute.  This is the hook pipelined consumers use to start
-        downstream work on early results (paper §6).
+        reduce task commits — *during* the run, on the thread that ran
+        the reduce, possibly before later maps execute.  Pipelined
+        consumers start downstream work on early results through it
+        (paper §6); results delivered this way are never retracted.
+
+        A task that exhausts its retries (or the failure budget) fails
+        the run fast: undispatched work is cancelled, no further reduce
+        fires, in-flight tasks drain.  ``serial`` then raises the task's
+        own exception; the pooled modes raise :class:`JobFailedError`
+        carrying **all** collected task errors.  The process runner's
+        spill directory is removed on every exit path.
         """
-        barrier = barrier or GlobalBarrier()
-        obs = self._make_obs(job, obs)
-        obs.job_started(job.num_map_tasks, job.num_reduce_tasks)
-        state = _RunState(self, job)
-        store = self._new_store(obs, state)
-        counters = Counters()
-        self._seed_prune_counters(job, counters, obs)
-        total_maps = job.num_map_tasks
-        outputs: dict[int, list[KeyValue]] = {}
-        pending = set(range(job.num_reduce_tasks))
-        completed: set[int] = set()
-        last_map_done = False
-        deadline_exc: DeadlineExceededError | None = None
-
-        with ExitStack() as stack:
-            spec_rt = self._spec_runtime(job, barrier, state, obs)
-            if spec_rt is not None:
-                # Serial mode has no pool to race a backup on; hangs are
-                # mitigated by cancel-and-retry-in-place instead.
-                spec_rt.pending_partitions = lambda: tuple(pending)
-                stack.callback(spec_rt.close)
-                stack.enter_context(
-                    spec_rt.detector.ticker(self.speculation.effective_tick)
-                )
-            if job.deadline is not None:
-                watchdog = _DeadlineWatchdog(
-                    job.deadline,
-                    lambda: self._expire_deadline(job, state, obs, counters),
-                ).start()
-                stack.callback(watchdog.stop)
-            try:
-                for i in range(total_maps):
-                    self._map_with_retry(job, i, store, counters, obs, state)
-                    completed.add(i)
-                    last_map_done = len(completed) == total_maps
-                    fired = [
-                        p
-                        for p in sorted(pending)
-                        if barrier.ready(p, frozenset(completed), total_maps)
-                    ]
-                    for p in fired:
-                        pending.discard(p)
-                        self._hook_event(
-                            HOOK_BARRIER_READY, "reduce", p,
-                            completed=tuple(sorted(completed)),
-                        )
-                        obs.barrier_wait(p)
-                        if not last_map_done:
-                            self._note_early_start(obs, counters, p, len(completed))
-                        outputs[p] = self._reduce_with_recovery(
-                            job, p, barrier, store, counters, obs, state,
-                            frozenset(completed),
-                        )
-                        if on_reduce_complete is not None:
-                            on_reduce_complete(p, outputs[p])
-            except DeadlineExceededError as exc:
-                deadline_exc = exc
-
-        if deadline_exc is not None:
-            obs.finish(deadline="expired")
-            if job.on_deadline == "partial":
-                return JobResult(
-                    job_name=job.name,
-                    outputs=outputs,
-                    counters=counters,
-                    trace=obs.trace,
-                    shuffle_connections=store.connections,
-                    empty_fetches=store.empty_fetches,
-                    obs=obs,
-                    attempts=tuple(state.attempt_log),
-                    partial=True,
-                )
-            raise JobFailedError.from_errors(job.name, [deadline_exc])
-        if pending:
-            raise BarrierViolationError(
-                f"reduces {sorted(pending)} never became ready; dependency "
-                "map must be incomplete"
-            )
-        obs.finish()
-        return JobResult(
-            job_name=job.name,
-            outputs=outputs,
-            counters=counters,
-            trace=obs.trace,
-            shuffle_connections=store.connections,
-            empty_fetches=store.empty_fetches,
-            obs=obs,
-            attempts=tuple(state.attempt_log),
+        try:
+            executors, make_runner = _MODES[mode]
+        except KeyError:
+            raise JobConfigError(
+                f"unknown engine mode {mode!r}; expected {'|'.join(_MODES)}"
+            ) from None
+        return self._run_job(
+            job, barrier or GlobalBarrier(), executors, make_runner,
+            on_reduce_complete, obs,
         )
 
-    def _note_early_start(
-        self,
-        obs: JobObservability,
-        counters: Counters,
-        partition: int,
-        maps_done: int,
-    ) -> None:
-        """A reduce fired while maps are still outstanding (Figure 4b)."""
-        counters.increment("barrier.early.starts")
-        if obs.enabled:
-            obs.metrics.counter("barrier.early.starts").inc()
-            obs.tracer.instant(
-                "reduce.early_start",
-                parent=obs.job_span,
-                track=f"reduce {partition}",
-                args={"index": partition, "maps_done": maps_done},
-            )
-
-    # ------------------------------------------------------------------ #
-    # Threaded execution
-    # ------------------------------------------------------------------ #
-    def run_threaded(
-        self,
-        job: JobConf,
-        barrier: BarrierPolicy | None = None,
-        *,
-        on_reduce_complete: Callable[[int, list[KeyValue]], None] | None = None,
+    def run_serial(
+        self, job: JobConf, barrier: BarrierPolicy | None = None, *,
+        on_reduce_complete: ReduceCallback | None = None,
         obs: JobObservability | None = None,
     ) -> JobResult:
-        """Concurrent execution with separate map and reduce pools.
-
-        Reduce tasks are submitted the moment their barrier is satisfied,
-        so under a :class:`DependencyBarrier` they genuinely overlap with
-        still-running maps — the wall-clock counterpart of Figure 4(b).
-        ``on_reduce_complete`` fires on the reduce worker thread as each
-        partition commits.
-
-        Failure semantics: when a task exhausts its retries (or the
-        failure budget), the run *fails fast* — every undispatched
-        future is cancelled, no further reduces are submitted, in-flight
-        tasks drain, and a :class:`JobFailedError` carrying **all**
-        collected task errors is raised.  Reduce results already
-        delivered through ``on_reduce_complete`` are never retracted.
-        """
-        return self._run_pooled(
-            job, barrier,
+        """:meth:`run` with ``mode="serial"``."""
+        return self.run(
+            job, barrier, mode="serial",
             on_reduce_complete=on_reduce_complete, obs=obs,
-            runner_factory=None,
+        )
+
+    def run_threaded(
+        self, job: JobConf, barrier: BarrierPolicy | None = None, *,
+        on_reduce_complete: ReduceCallback | None = None,
+        obs: JobObservability | None = None,
+    ) -> JobResult:
+        """:meth:`run` with ``mode="threaded"``."""
+        return self.run(
+            job, barrier, mode="threaded",
+            on_reduce_complete=on_reduce_complete, obs=obs,
         )
 
     def run_processes(
-        self,
-        job: JobConf,
-        barrier: BarrierPolicy | None = None,
-        *,
-        on_reduce_complete: Callable[[int, list[KeyValue]], None] | None = None,
+        self, job: JobConf, barrier: BarrierPolicy | None = None, *,
+        on_reduce_complete: ReduceCallback | None = None,
         obs: JobObservability | None = None,
     ) -> JobResult:
-        """Concurrent execution with task bodies in worker *processes*.
-
-        Orchestration is identical to :meth:`run_threaded` (same pools,
-        same barrier/retry/race/deadline machinery, same fail-fast
-        semantics); only the task bodies move: map and reduce attempts
-        execute in a pool of forked workers
-        (:class:`~repro.mapreduce.procpool.WorkerPool`), and the shuffle
-        travels as on-disk segment files instead of in-memory objects
-        (:mod:`repro.mapreduce.spillfiles`).  A worker that dies
-        mid-attempt surfaces as a retryable
-        :class:`~repro.errors.WorkerCrashError` — the paper's lost
-        tasktracker.  The per-job spill directory (rooted at
-        ``$REPRO_SPILL_DIR`` when set) is removed on every exit path:
-        success, :class:`JobFailedError`, and deadline-partial alike.
-        """
-        from repro.mapreduce.procpool import ProcessRunner
-
-        def runner_factory(state: _RunState, run_obs: JobObservability):
-            return ProcessRunner(self, job, state, run_obs)
-
-        return self._run_pooled(
-            job, barrier,
+        """:meth:`run` with ``mode="process"``."""
+        return self.run(
+            job, barrier, mode="process",
             on_reduce_complete=on_reduce_complete, obs=obs,
-            runner_factory=runner_factory,
         )
 
-    def _run_pooled(
+    def _run_job(
         self,
         job: JobConf,
-        barrier: BarrierPolicy | None,
-        *,
-        on_reduce_complete: Callable[[int, list[KeyValue]], None] | None,
+        barrier: BarrierPolicy,
+        executors: Callable[["LocalEngine"], tuple[Executor, Executor]],
+        make_runner: Callable[..., TaskRunner],
+        on_reduce_complete: ReduceCallback | None,
         obs: JobObservability | None,
-        runner_factory: Callable[
-            ["_RunState", JobObservability], Any
-        ] | None,
     ) -> JobResult:
-        """Shared pooled-run structure behind ``run_threaded`` and
-        ``run_processes``: thread pools drive the orchestration either
-        way; ``runner_factory`` (when given) installs a
-        :class:`TaskRunner` that moves the task bodies out-of-process."""
-        barrier = barrier or GlobalBarrier()
+        """The orchestration loop — the only one.
+
+        Locking rule: nothing is submitted while ``lock`` is held — the
+        inline executor runs the submitted task, which takes ``lock``
+        itself, before ``submit`` returns.  (``launch_backup`` may: it
+        is only ever installed over a thread pool.)  Scheduler hooks and
+        bus events fire outside it too, so a stalled hook stalls one
+        thread, not the run.
+        """
         obs = self._make_obs(job, obs)
         obs.job_started(job.num_map_tasks, job.num_reduce_tasks)
         state = _RunState(self, job)
         store = self._new_store(obs, state)
         counters = Counters()
-        self._seed_prune_counters(job, counters, obs)
+        self._seed_prune_counters(job, counters)
         total_maps = job.num_map_tasks
         outputs: dict[int, list[KeyValue]] = {}
         lock = threading.Lock()
@@ -1544,28 +1142,18 @@ class LocalEngine:
         pending = set(range(job.num_reduce_tasks))
         errors: list[BaseException] = []
         deadline_errors: list[BaseException] = []
-        map_futures: list = []
-        reduce_futures: list = []
+        map_futures: list[Future] = []
+        reduce_futures: list[Future] = []
 
         def record_error(exc: BaseException) -> None:
-            """Collect the error and fail fast: cancel undispatched work."""
+            """Collect the error and fail fast: cancel undispatched work.
+            Deadline expiry is not a task failure — it is collected
+            apart so fail/partial semantics apply at the end."""
+            expired = isinstance(exc, DeadlineExceededError)
             with lock:
-                errors.append(exc)
+                (deadline_errors if expired else errors).append(exc)
                 abort.set()
-                for f in map_futures:
-                    f.cancel()
-                for f in reduce_futures:
-                    f.cancel()
-
-        def note_deadline(exc: BaseException) -> None:
-            """Deadline expiry is not a task failure: collect it apart so
-            the run can apply fail/partial semantics afterwards."""
-            with lock:
-                deadline_errors.append(exc)
-                abort.set()
-                for f in map_futures:
-                    f.cancel()
-                for f in reduce_futures:
+                for f in map_futures + reduce_futures:
                     f.cancel()
 
         def pending_snapshot() -> tuple[int, ...]:
@@ -1573,27 +1161,29 @@ class LocalEngine:
                 return tuple(pending)
 
         with ExitStack() as stack:
-            if runner_factory is not None:
-                # Fork the worker pool before any run thread starts, so
-                # the children inherit a quiescent parent; close() runs
-                # after the task pools drain (LIFO), tearing down the
-                # workers and the spill directory on every exit path —
-                # including the JobFailedError raised below.
-                state.runner = runner_factory(state, obs)
-                stack.callback(state.runner.close)
-            spec_rt = self._spec_runtime(job, barrier, state, obs)
-            if spec_rt is not None:
-                spec_rt.pending_partitions = pending_snapshot
+            # The runner first, before any run thread starts: a process
+            # runner forks from a quiescent parent, and its close() —
+            # workers and spill directory — runs last (LIFO), after the
+            # executors drain, on every exit path.
+            state.runner = make_runner(self, job, state, obs)
+            stack.callback(state.runner.close)
+            spec_rt = None
+            if self.speculation is not None:
+                spec_rt = SpeculationRuntime(
+                    self.speculation, state, job, barrier, obs,
+                    pending_partitions=pending_snapshot,
+                )
                 stack.callback(spec_rt.close)
             if job.deadline is not None:
-                watchdog = _DeadlineWatchdog(
+                watchdog = DeadlineWatchdog(
                     job.deadline,
                     lambda: self._expire_deadline(job, state, obs, counters),
                 ).start()
                 stack.callback(watchdog.stop)
 
-            with ThreadPoolExecutor(max_workers=self.map_workers) as map_pool, \
-                    ThreadPoolExecutor(max_workers=self.reduce_workers) as reduce_pool:
+            map_pool, reduce_pool = executors(self)
+            inline = isinstance(map_pool, _InlineExecutor)
+            with map_pool, reduce_pool:
 
                 def reduce_job(p: int, snapshot: frozenset[int]) -> None:
                     if abort.is_set():
@@ -1606,12 +1196,12 @@ class LocalEngine:
                             outputs[p] = out
                         if on_reduce_complete is not None:
                             on_reduce_complete(p, out)
-                    except DeadlineExceededError as exc:
-                        note_deadline(exc)
                     except BaseException as exc:  # propagate to caller
                         record_error(exc)
 
                 def on_map_done(i: int) -> None:
+                    """Map ``i`` committed: fire every reduce whose
+                    barrier that satisfies (paper Fig. 4b)."""
                     with lock:
                         if abort.is_set():
                             return
@@ -1622,18 +1212,20 @@ class LocalEngine:
                             for p in sorted(pending)
                             if barrier.ready(p, snapshot, total_maps)
                         ]
-                        for p in fired:
-                            pending.discard(p)
-                            self._hook_event(
-                                HOOK_BARRIER_READY, "reduce", p,
-                                completed=tuple(sorted(snapshot)),
-                            )
-                            obs.barrier_wait(p)
-                            if len(snapshot) < total_maps:
-                                self._note_early_start(obs, counters, p, len(snapshot))
-                            reduce_futures.append(
-                                reduce_pool.submit(reduce_job, p, snapshot)
-                            )
+                        pending.difference_update(fired)
+                    done = tuple(sorted(snapshot)) if fired else ()
+                    for p in fired:
+                        if abort.is_set():
+                            return  # an earlier fired reduce failed the job
+                        self._hook_event(
+                            HOOK_BARRIER_READY, "reduce", p, completed=done
+                        )
+                        obs.barrier_wait(p)
+                        if len(snapshot) < total_maps:
+                            self._note_early_start(obs, counters, p, len(snapshot))
+                        future = reduce_pool.submit(reduce_job, p, snapshot)
+                        with lock:
+                            reduce_futures.append(future)
 
                 def map_job(i: int) -> None:
                     if abort.is_set():
@@ -1646,8 +1238,6 @@ class LocalEngine:
                         # and already reported it done.
                         if out is not _LOST_RACE:
                             on_map_done(i)
-                    except DeadlineExceededError as exc:
-                        note_deadline(exc)
                     except BaseException as exc:
                         record_error(exc)
 
@@ -1659,7 +1249,7 @@ class LocalEngine:
                         )
                     except DeadlineExceededError as exc:
                         spec_rt.backup_done(i)
-                        note_deadline(exc)
+                        record_error(exc)
                     except BaseException:
                         # A failed backup must not fail the job — the
                         # primary may still win (backup_done revives it
@@ -1680,15 +1270,19 @@ class LocalEngine:
                         )
 
                 if spec_rt is not None:
-                    spec_rt.launch_backup = launch_backup
+                    if not inline:
+                        # The inline executor has no pool to race a
+                        # backup on: hangs are cancelled and retried in
+                        # place instead.
+                        spec_rt.launch_backup = launch_backup
                     stack.enter_context(
                         spec_rt.detector.ticker(self.speculation.effective_tick)
                     )
 
-                with lock:
-                    map_futures.extend(
-                        map_pool.submit(map_job, i) for i in range(total_maps)
-                    )
+                for i in range(total_maps):
+                    future = map_pool.submit(map_job, i)
+                    with lock:
+                        map_futures.append(future)
                 # Speculative backups append to map_futures while we
                 # wait, so re-wait until the list stops growing.
                 while True:
@@ -1699,40 +1293,36 @@ class LocalEngine:
                         if len(map_futures) == len(fs):
                             break
                 with lock:
-                    still_pending = set(pending)
-                if still_pending and not errors and not abort.is_set():
-                    with lock:
+                    if pending and not abort.is_set():
                         errors.append(
                             BarrierViolationError(
-                                f"reduces {sorted(still_pending)} never ready"
+                                f"reduces {sorted(pending)} never became "
+                                "ready; dependency map must be incomplete"
                             )
                         )
-                # No new reduce submissions can happen past this point (all
-                # map threads are done), so the snapshot is final.
-                with lock:
+                    # No new reduce submissions can happen past this
+                    # point (every map callable has returned), so the
+                    # snapshot is final.
                     reduce_snapshot = list(reduce_futures)
                 wait(reduce_snapshot)
 
-        if deadline_errors and not errors:
-            obs.finish(deadline="expired")
-        else:
-            obs.finish()
+        # The single finish site: every outcome — success, task failure,
+        # deadline — closes the job span and publishes ``job.finish``.
+        expired = bool(deadline_errors) and not errors
+        if obs.enabled:
+            tallies = counters.as_dict()
+            for name in METRIC_MIRRORED:
+                if name in tallies:
+                    obs.metrics.counter(name).inc(tallies[name])
+        obs.finish(**({"deadline": "expired"} if expired else {}))
+        if errors and inline:
+            # The inline executor stopped at the first error, so there
+            # is exactly one: surface it as the task raised it.
+            raise errors[0]
         if errors:
             raise JobFailedError.from_errors(job.name, errors)
-        if deadline_errors:
-            if job.on_deadline != "partial":
-                raise JobFailedError.from_errors(job.name, deadline_errors)
-            return JobResult(
-                job_name=job.name,
-                outputs=outputs,
-                counters=counters,
-                trace=obs.trace,
-                shuffle_connections=store.connections,
-                empty_fetches=store.empty_fetches,
-                obs=obs,
-                attempts=tuple(state.attempt_log),
-                partial=True,
-            )
+        if expired and job.on_deadline != "partial":
+            raise JobFailedError.from_errors(job.name, deadline_errors)
         return JobResult(
             job_name=job.name,
             outputs=outputs,
@@ -1742,180 +1332,77 @@ class LocalEngine:
             empty_fetches=store.empty_fetches,
             obs=obs,
             attempts=tuple(state.attempt_log),
+            partial=expired,
         )
 
-
-def run_record_map(
-    job: JobConf,
-    split_index: int,
-    store: ShuffleStore,
-    counters: Counters,
-    obs: JobObservability,
-    task_span: Any,
-    *,
-    attempt: int = 0,
-    corrupt: bool = False,
-    cancel: CancelToken | None = None,
-    heartbeat: Heartbeat | None = None,
-) -> None:
-    """Record-plane map-task body (read → partition → combine → spill).
-
-    A module-level function (mirroring :func:`run_columnar_map`) so the
-    process engine's workers can execute the identical body against a
-    sink store; the engine's ``_run_map`` wraps it in the task span,
-    fault injection, and heartbeat plumbing.
-    """
-    split = job.splits[split_index]
-    mapper = job.mapper_factory()
-    mapper.setup()
-    # Partition intermediate records as they are produced — Hadoop
-    # partitions in-line with map execution (§4.5).
-    buckets: dict[int, list[KeyValue]] = {}
-    n = job.num_reduce_tasks
-    records_in = 0
-    records_out = 0
-
-    def consume(kv_iter) -> None:
-        nonlocal records_out
-        for k2, v2 in kv_iter:
-            p = job.partitioner.partition(k2, n)
-            if not (0 <= p < n):
-                raise ShuffleError(
-                    f"partitioner returned {p} for {n} reduce tasks"
-                )
-            buckets.setdefault(p, []).append((k2, v2))
-            records_out += 1
-
-    # The reader streams into the mapper, so reading and mapping
-    # share one phase span (see docs/OBSERVABILITY.md).
-    with obs.phase("map.read", task_span) as read_span:
-        for k, v in job.reader_factory(split):
-            # Per-record cancellation/liveness checkpoint: a
-            # latched-Event probe plus a modulo-gated heartbeat,
-            # cheap enough for the record hot path.
-            if cancel is not None:
-                cancel.check()
-            if heartbeat is not None:
-                heartbeat.beat()
-            records_in += 1
-            consume(mapper.map(k, v))
-        consume(mapper.cleanup())
-    counters.increment("map.input.records", records_in)
-    counters.increment("map.output.records", records_out)
-
-    # Source-count annotation: before combining, every intermediate
-    # record represents exactly one source record of this map.  (For
-    # chunked structural readers each record already aggregates a
-    # chunk; the reader is responsible for emitting per-record source
-    # counts via the value's `source_count` attribute/key.)
-    with obs.phase("map.spill", task_span):
-        files: list[MapOutputFile] = []
-        for p, recs in buckets.items():
-            src = 0
-            for _k, v in recs:
-                src += _source_count_of(v)
-            if job.combiner_factory is not None:
-                combiner = job.combiner_factory()
-                counters.increment("combine.input.records", len(recs))
-                combined: list[KeyValue] = []
-                for k2, vals in group_sorted(sort_records(recs)):
-                    combined.extend(combiner.reduce(k2, vals))
-                recs = combined
-                counters.increment("combine.output.records", len(recs))
-            run = tuple(sort_records(recs))
-            if corrupt:
-                # Injected torn spill: reversing the sorted run
-                # breaks key order, so MapOutputFile validation
-                # rejects the commit and the attempt fails here.
-                run = tuple(reversed(run))
-            files.append(
-                MapOutputFile(
-                    map_id=MapTaskId(split_index),
-                    partition=p,
-                    records=run,
-                    source_records=src,
-                )
+    def _note_early_start(
+        self,
+        obs: JobObservability,
+        counters: Counters,
+        partition: int,
+        maps_done: int,
+    ) -> None:
+        """A reduce fired while maps are still outstanding (Figure 4b)."""
+        counters.increment("barrier.early.starts")
+        if obs.enabled:
+            obs.tracer.instant(
+                "reduce.early_start",
+                parent=obs.job_span,
+                track=f"reduce {partition}",
+                args={"index": partition, "maps_done": maps_done},
             )
-        if corrupt:
-            # Every run was too uniform for the reversal to break
-            # ordering; surface the injected corruption directly.
-            raise InjectedFaultError(
-                f"injected corrupt-spill fault in map {split_index} "
-                f"(attempt {attempt})"
-            )
-        if files:
-            store.spill(files, attempt=attempt)
-        else:
-            store.spill_empty(MapTaskId(split_index), attempt=attempt)
-    counters.increment("shuffle.segments", len(files))
-    if obs.enabled and read_span is not None:
-        obs.metrics.counter("map.emit.records").inc(records_out)
-        dur = read_span.duration
-        if dur > 0 and records_out:
-            obs.metrics.histogram(
-                "map.emit.records_per_sec", RATE_BUCKETS
-            ).observe(records_out / dur)
 
 
-def run_record_reduce(
-    job: JobConf,
-    files: list[MapOutputFile],
-    counters: Counters,
-    obs: JobObservability,
-    task_span: Any,
-    *,
-    cancel: CancelToken | None = None,
-    heartbeat: Heartbeat | None = None,
-) -> list[KeyValue]:
-    """Record-plane reduce-task body (merge → group → reduce).
+# --------------------------------------------------------------------- #
+# Executors and runners: the two things a mode name selects
+# --------------------------------------------------------------------- #
+class _InlineExecutor(Executor):
+    """Runs each submitted callable on the submitting thread and returns
+    an already-finished future.  The orchestration loop on this executor
+    *is* the deterministic serial mode."""
 
-    ``files`` are the partition's fetched spill files in map order.
-    Module-level (mirroring :func:`run_columnar_reduce`) so the process
-    engine's reduce workers run the identical merge against segment
-    files loaded from disk; synthesized-record merging stays with the
-    caller.
-    """
-    segments = [f.records for f in files]
-    reducer = job.reducer_factory()
-    reducer.setup()
-    out: list[KeyValue] = []
-    groups = 0
-    records = 0
-    group_sizes: list[int] | None = [] if obs.enabled else None
-    # Merging streams into the reducer, so merge + reduce share
-    # one phase span; group sizes land in the skew histogram.
-    with obs.phase("reduce.reduce", task_span):
-        for key, values in group_sorted(merge_segments(segments)):
-            if cancel is not None:
-                cancel.check()
-            if heartbeat is not None:
-                heartbeat.beat()
-            groups += 1
-            records += len(values)
-            if group_sizes is not None:
-                group_sizes.append(len(values))
-            out.extend(reducer.reduce(key, values))
-        out.extend(reducer.cleanup())
-    counters.increment("reduce.input.groups", groups)
-    counters.increment("reduce.input.records", records)
-    counters.increment("reduce.output.records", len(out))
-    if group_sizes:
-        obs.metrics.histogram(
-            "reduce.group.size", COUNT_BUCKETS
-        ).observe_many(group_sizes)
-    return out
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
 
-def _source_count_of(value: Any) -> int:
-    """Source-record count carried by an intermediate value.
+def _inline_executors(engine: LocalEngine) -> tuple[Executor, Executor]:
+    executor = _InlineExecutor()
+    return executor, executor
 
-    Structural record readers attach the number of input cells a chunk
-    represents (``source_count`` attribute or dict key); plain values
-    count as one source record each.
-    """
-    if isinstance(value, dict) and "source_count" in value:
-        return int(value["source_count"])
-    sc = getattr(value, "source_count", None)
-    if sc is not None:
-        return int(sc)
-    return 1
+
+def _thread_pools(engine: LocalEngine) -> tuple[Executor, Executor]:
+    return (
+        ThreadPoolExecutor(max_workers=engine.map_workers),
+        ThreadPoolExecutor(max_workers=engine.reduce_workers),
+    )
+
+
+class _InThreadRunner:
+    """:class:`TaskRunner` whose bodies execute on the calling thread."""
+
+    def __init__(self, engine: LocalEngine, job, state, obs) -> None:
+        self.run_map = engine._run_map
+        self.run_reduce = engine._run_reduce
+
+    def close(self) -> None:
+        pass
+
+
+def _process_runner(engine: LocalEngine, job, state, obs) -> TaskRunner:
+    # Imported here: procpool imports this module.
+    from repro.mapreduce.procpool import ProcessRunner
+
+    return ProcessRunner(engine, job, state, obs)
+
+
+#: mode name -> (executor pair factory, runner factory).
+_MODES = {
+    "serial": (_inline_executors, _InThreadRunner),
+    "threaded": (_thread_pools, _InThreadRunner),
+    "process": (_thread_pools, _process_runner),
+}

@@ -41,29 +41,18 @@ import uuid
 from multiprocessing.connection import wait as _mp_wait
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import (
-    BarrierViolationError,
-    ReproError,
-    TaskCancelledError,
-    WorkerCrashError,
-)
-from repro.faults.plan import WHEN_AFTER_FETCH
+from repro.errors import ReproError, TaskCancelledError, WorkerCrashError
 from repro.mapreduce.columnar import run_columnar_map, run_columnar_reduce
-from repro.mapreduce.engine import (
-    HOOK_REDUCE_START,
-    LocalEngine,
-    run_record_map,
-    run_record_reduce,
-)
+from repro.mapreduce.engine import LocalEngine
+from repro.mapreduce.record import run_record_map, run_record_reduce
 from repro.mapreduce.spillfiles import (
-    SegmentHandle,
     SpillDirectory,
     handles_from_manifest,
     write_segments,
 )
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.types import MapTaskId
-from repro.obs import TIME_BUCKETS, JobObservability
+from repro.obs import JobObservability
 from repro.spec import Heartbeat
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -546,63 +535,18 @@ class ProcessRunner:
         faults,
         cancel,
     ) -> list:
-        # Mirrors the inline reduce up to the body: barrier checks,
-        # validator, and fetch stay in the parent because they interact
-        # with the store's consume/supersede accounting; only the merge
-        # itself ships to a worker.
+        # Identical to the in-thread reduce up to the body: barrier
+        # checks, validator and fetch stay in the parent because they
+        # interact with the store's consume/supersede accounting; only
+        # the merge itself ships to a worker.
         engine = self._engine
         hb = Heartbeat(obs.bus, "reduce", partition, attempt, engine._hb_interval)
         with obs.task("reduce", partition, attempt) as task_span:
-            engine._hook_event(
-                HOOK_REDUCE_START, "reduce", partition, attempt,
-                completed=tuple(sorted(completed_at_start)),
+            files = engine._fetch_reduce_inputs(
+                job, partition, barrier, store, counters, obs,
+                completed_at_start, task_span, hb,
+                attempt=attempt, faults=faults, cancel=cancel,
             )
-            if faults is not None:
-                faults.fire("reduce", partition, attempt, cancel=cancel)
-            total = job.num_map_tasks
-            if not barrier.ready(partition, completed_at_start, total):
-                raise BarrierViolationError(
-                    f"reduce {partition} scheduled before barrier satisfied"
-                )
-            fetch_from = barrier.fetch_set(partition, total)
-            if job.contact_all_maps:
-                fetch_from = frozenset(range(total))
-            missing = fetch_from - completed_at_start
-            if missing:
-                raise BarrierViolationError(
-                    f"reduce {partition} would fetch from unfinished maps "
-                    f"{sorted(missing)}"
-                )
-            with obs.phase("reduce.fetch", task_span) as fetch_span:
-                validator = job.context.get("reduce_start_validator")
-                if validator is not None:
-                    tally = store.total_source_records(
-                        barrier.fetch_set(partition, total), partition
-                    )
-                    validator.validate(partition, tally)
-                files: list[SegmentHandle] = []
-                shuffled_records = 0
-                shuffled_bytes = 0
-                for m in sorted(fetch_from):
-                    if cancel is not None:
-                        cancel.check()
-                    hb.beat()
-                    f = store.fetch(m, partition)
-                    if f is not None and f.num_records:
-                        files.append(f)
-                        shuffled_records += f.num_records
-                        shuffled_bytes += f.approx_serialized_bytes
-            counters.increment("shuffle.records", shuffled_records)
-            counters.increment("shuffle.bytes", shuffled_bytes)
-            if obs.enabled and fetch_span is not None:
-                obs.metrics.histogram(
-                    "shuffle.fetch.seconds", TIME_BUCKETS
-                ).observe(fetch_span.duration)
-            if faults is not None:
-                faults.fire(
-                    "reduce", partition, attempt, WHEN_AFTER_FETCH,
-                    cancel=cancel,
-                )
             pending = self._pool.submit(
                 "reduce",
                 {"partition": partition, "attempt": attempt, "segments": files},

@@ -1,0 +1,198 @@
+"""Record data plane: the per-record map and reduce task bodies.
+
+The counterpart of :mod:`repro.mapreduce.columnar` — one key/value at a
+time through ``Mapper``/``Reducer`` objects, sorted runs through a
+k-way merge.  Module-level functions so the in-thread engine path and
+the process engine's workers execute the identical bodies; the task
+span, fault injection, fetch and heartbeat plumbing around them belong
+to :mod:`repro.mapreduce.engine`.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from repro.errors import InjectedFaultError, ShuffleError
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import JobConf
+from repro.mapreduce.shuffle import MapOutputFile, ShuffleStore
+from repro.mapreduce.sortmerge import group_sorted, merge_segments, sort_records
+from repro.mapreduce.types import KeyValue, MapTaskId
+from repro.obs import COUNT_BUCKETS, RATE_BUCKETS, JobObservability
+from repro.spec import CancelToken, Heartbeat
+
+
+def run_record_map(
+    job: JobConf,
+    split_index: int,
+    store: ShuffleStore,
+    counters: Counters,
+    obs: JobObservability,
+    task_span: Any,
+    *,
+    attempt: int = 0,
+    corrupt: bool = False,
+    cancel: CancelToken | None = None,
+    heartbeat: Heartbeat | None = None,
+) -> None:
+    """Record-plane map-task body (read → partition → combine → spill).
+
+    A module-level function (mirroring :func:`run_columnar_map`) so the
+    process engine's workers can execute the identical body against a
+    sink store; the engine's ``_run_map`` wraps it in the task span,
+    fault injection, and heartbeat plumbing.
+    """
+    split = job.splits[split_index]
+    mapper = job.mapper_factory()
+    mapper.setup()
+    # Partition intermediate records as they are produced — Hadoop
+    # partitions in-line with map execution (§4.5).
+    buckets: dict[int, list[KeyValue]] = {}
+    n = job.num_reduce_tasks
+    records_in = 0
+    records_out = 0
+
+    def consume(kv_iter) -> None:
+        nonlocal records_out
+        for k2, v2 in kv_iter:
+            p = job.partitioner.partition(k2, n)
+            if not (0 <= p < n):
+                raise ShuffleError(
+                    f"partitioner returned {p} for {n} reduce tasks"
+                )
+            buckets.setdefault(p, []).append((k2, v2))
+            records_out += 1
+
+    # The reader streams into the mapper, so reading and mapping
+    # share one phase span (see docs/OBSERVABILITY.md).
+    with obs.phase("map.read", task_span) as read_span:
+        for k, v in job.reader_factory(split):
+            # Per-record cancellation/liveness checkpoint: a
+            # latched-Event probe plus a modulo-gated heartbeat,
+            # cheap enough for the record hot path.
+            if cancel is not None:
+                cancel.check()
+            if heartbeat is not None:
+                heartbeat.beat()
+            records_in += 1
+            consume(mapper.map(k, v))
+        consume(mapper.cleanup())
+    counters.increment("map.input.records", records_in)
+    counters.increment("map.output.records", records_out)
+
+    # Source-count annotation: before combining, every intermediate
+    # record represents exactly one source record of this map.  (For
+    # chunked structural readers each record already aggregates a
+    # chunk; the reader is responsible for emitting per-record source
+    # counts via the value's `source_count` attribute/key.)
+    with obs.phase("map.spill", task_span):
+        files: list[MapOutputFile] = []
+        for p, recs in buckets.items():
+            src = 0
+            for _k, v in recs:
+                src += _source_count_of(v)
+            if job.combiner_factory is not None:
+                combiner = job.combiner_factory()
+                counters.increment("combine.input.records", len(recs))
+                combined: list[KeyValue] = []
+                for k2, vals in group_sorted(sort_records(recs)):
+                    combined.extend(combiner.reduce(k2, vals))
+                recs = combined
+                counters.increment("combine.output.records", len(recs))
+            run = tuple(sort_records(recs))
+            if corrupt:
+                # Injected torn spill: reversing the sorted run
+                # breaks key order, so MapOutputFile validation
+                # rejects the commit and the attempt fails here.
+                run = tuple(reversed(run))
+            files.append(
+                MapOutputFile(
+                    map_id=MapTaskId(split_index),
+                    partition=p,
+                    records=run,
+                    source_records=src,
+                )
+            )
+        if corrupt:
+            # Every run was too uniform for the reversal to break
+            # ordering; surface the injected corruption directly.
+            raise InjectedFaultError(
+                f"injected corrupt-spill fault in map {split_index} "
+                f"(attempt {attempt})"
+            )
+        if files:
+            store.spill(files, attempt=attempt)
+        else:
+            store.spill_empty(MapTaskId(split_index), attempt=attempt)
+    counters.increment("shuffle.segments", len(files))
+    if obs.enabled and read_span is not None:
+        obs.metrics.counter("map.emit.records").inc(records_out)
+        dur = read_span.duration
+        if dur > 0 and records_out:
+            obs.metrics.histogram(
+                "map.emit.records_per_sec", RATE_BUCKETS
+            ).observe(records_out / dur)
+
+
+def run_record_reduce(
+    job: JobConf,
+    files: list[MapOutputFile],
+    counters: Counters,
+    obs: JobObservability,
+    task_span: Any,
+    *,
+    cancel: CancelToken | None = None,
+    heartbeat: Heartbeat | None = None,
+) -> list[KeyValue]:
+    """Record-plane reduce-task body (merge → group → reduce).
+
+    ``files`` are the partition's fetched spill files in map order.
+    Module-level (mirroring :func:`run_columnar_reduce`) so the process
+    engine's reduce workers run the identical merge against segment
+    files loaded from disk; synthesized-record merging stays with the
+    caller.
+    """
+    segments = [f.records for f in files]
+    reducer = job.reducer_factory()
+    reducer.setup()
+    out: list[KeyValue] = []
+    groups = 0
+    records = 0
+    group_sizes: list[int] | None = [] if obs.enabled else None
+    # Merging streams into the reducer, so merge + reduce share
+    # one phase span; group sizes land in the skew histogram.
+    with obs.phase("reduce.reduce", task_span):
+        for key, values in group_sorted(merge_segments(segments)):
+            if cancel is not None:
+                cancel.check()
+            if heartbeat is not None:
+                heartbeat.beat()
+            groups += 1
+            records += len(values)
+            if group_sizes is not None:
+                group_sizes.append(len(values))
+            out.extend(reducer.reduce(key, values))
+        out.extend(reducer.cleanup())
+    counters.increment("reduce.input.groups", groups)
+    counters.increment("reduce.input.records", records)
+    counters.increment("reduce.output.records", len(out))
+    if group_sizes:
+        obs.metrics.histogram(
+            "reduce.group.size", COUNT_BUCKETS
+        ).observe_many(group_sizes)
+    return out
+
+
+def _source_count_of(value: Any) -> int:
+    """Source-record count carried by an intermediate value.
+
+    Structural record readers attach the number of input cells a chunk
+    represents (``source_count`` attribute or dict key); plain values
+    count as one source record each.
+    """
+    if isinstance(value, dict) and "source_count" in value:
+        return int(value["source_count"])
+    sc = getattr(value, "source_count", None)
+    if sc is not None:
+        return int(sc)
+    return 1

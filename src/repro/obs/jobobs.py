@@ -263,7 +263,6 @@ class JobObservability:
             )
         if not self.enabled:
             return
-        self.metrics.counter("recovery.maps_reexecuted").inc(len(maps))
         self.metrics.histogram("recovery.seconds", TIME_BUCKETS).observe(seconds)
         self.tracer.instant(
             "recovery.reexecute",
@@ -332,7 +331,6 @@ class JobObservability:
             )
         if not self.enabled:
             return
-        self.metrics.counter("task.cancelled").inc()
         self.tracer.instant(
             "task.cancelled",
             parent=self.job_span,
@@ -345,8 +343,6 @@ class JobObservability:
         in-flight attempt is being cancelled."""
         if self.bus is not None:
             self.bus.publish(EV_JOB_DEADLINE, deadline=deadline)
-        if self.enabled:
-            self.metrics.counter("job.deadline.expired").inc()
 
     # ------------------------------------------------------------------ #
     def finish(self, **args: Any) -> None:

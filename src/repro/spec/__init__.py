@@ -10,11 +10,13 @@ flag-only straggler detection into an acting mitigation layer:
   straggler rule (:mod:`repro.spec.hang`);
 * :class:`SpeculationPolicy` / :func:`structural_priority` — when to
   hedge and which candidate first, ranked by how many pending reduces'
-  I_l sets a task blocks (:mod:`repro.spec.policy`).
+  I_l sets a task blocks (:mod:`repro.spec.policy`);
+* :class:`SpeculationRuntime` / :class:`DeadlineWatchdog` — the per-run
+  mitigation brain and the deadline timer (:mod:`repro.spec.runtime`).
 
-The engine-side wiring (backup races, first-commit-wins arbitration,
-deadline watchdog) lives in :mod:`repro.mapreduce.engine`; the
-lifecycle is documented in ``docs/FAULT_TOLERANCE.md``.
+What stays in :mod:`repro.mapreduce.engine` is the scheduling those act
+on: backup submission, first-commit-wins arbitration, the retry loop.
+The lifecycle is documented in ``docs/FAULT_TOLERANCE.md``.
 """
 
 from repro.spec.cancel import (
@@ -26,14 +28,17 @@ from repro.spec.cancel import (
 )
 from repro.spec.hang import HangDetector
 from repro.spec.policy import SpeculationPolicy, structural_priority
+from repro.spec.runtime import DeadlineWatchdog, SpeculationRuntime
 
 __all__ = [
     "CancelToken",
+    "DeadlineWatchdog",
     "HangDetector",
     "Heartbeat",
     "REASON_DEADLINE",
     "REASON_HANG",
     "REASON_SUPERSEDED",
     "SpeculationPolicy",
+    "SpeculationRuntime",
     "structural_priority",
 ]

@@ -106,7 +106,7 @@ def explore(
 
     job, barrier = make_job()
     baseline_status, baseline_digest, _ = _run(
-        factory(None), job, barrier, serial=True
+        factory(None), job, barrier, mode="serial"
     )
 
     runs: list[ScheduleRun] = []
@@ -116,7 +116,7 @@ def explore(
         hook = ChaosHook(
             seed=seed, schedule=k, max_delay=0.0 if k == 0 else max_delay
         )
-        status, digest, attempts = _run(factory(hook), job, barrier, serial=False)
+        status, digest, attempts = _run(factory(hook), job, barrier, mode="threaded")
         events: tuple[HookEvent, ...] = hook.events
         violations = tuple(
             check_interleaving_invariants(
@@ -160,14 +160,11 @@ def _run(
     job: JobConf,
     barrier: BarrierPolicy,
     *,
-    serial: bool,
+    mode: str,
 ) -> tuple[tuple[str, tuple[str, ...]], str | None, tuple]:
     """One engine run → ((status, error types), digest, attempts)."""
     try:
-        if serial:
-            res = engine.run_serial(job, barrier)
-        else:
-            res = engine.run_threaded(job, barrier)
+        res = engine.run(job, barrier, mode=mode)
     except ReproError as exc:
         return ("failed", failure_types(exc)), None, ()
     digest = records_digest(canonicalize_records(res.all_records()))

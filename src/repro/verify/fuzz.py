@@ -240,12 +240,7 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
         job, barrier = _make_job(case, plane, prune=prune)
         engine = _make_engine(case, mode=mode)
         try:
-            if mode == "serial":
-                res = engine.run_serial(job, barrier)
-            elif mode == "process":
-                res = engine.run_processes(job, barrier)
-            else:
-                res = engine.run_threaded(job, barrier)
+            res = engine.run(job, barrier, mode=mode)
         except ReproError as exc:
             outcomes.append(
                 ConfigOutcome(

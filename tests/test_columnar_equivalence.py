@@ -72,11 +72,7 @@ CELL_EXACT = ("count", "min", "max", "median")
 
 
 def run(engine, mode, job, barrier, **kw):
-    if mode == "serial":
-        return engine.run_serial(job, barrier, **kw)
-    if mode == "process":
-        return engine.run_processes(job, barrier, **kw)
-    return engine.run_threaded(job, barrier, **kw)
+    return engine.run(job, barrier, mode=mode, **kw)
 
 
 def _plan(field, extraction_shape, op, **query_kw):

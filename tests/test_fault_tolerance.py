@@ -19,6 +19,7 @@ from repro.faults import (
     InjectionPlan,
     RecoveryModel,
 )
+from repro.mapreduce.counters import METRIC_MIRRORED
 from repro.mapreduce.engine import (
     DependencyBarrier,
     GlobalBarrier,
@@ -40,11 +41,7 @@ FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
 
 def run(engine: LocalEngine, mode: str, job, barrier, **kwargs):
-    if mode == "serial":
-        return engine.run_serial(job, barrier, **kwargs)
-    if mode == "process":
-        return engine.run_processes(job, barrier, **kwargs)
-    return engine.run_threaded(job, barrier, **kwargs)
+    return engine.run(job, barrier, mode=mode, **kwargs)
 
 
 def crash_rule(task, indices, **kw):
@@ -529,3 +526,57 @@ class TestRetryObservability:
         m = res.obs.metrics
         assert m.counter("recovery.maps_reexecuted").value == 2
         assert m.histogram("recovery.seconds").count == 1
+
+
+class TestOneCounterLedger:
+    """``Counters`` is the ledger; the names the metrics registry also
+    reports are copied from it once per run, so the two agree in every
+    mode — including process, whose workers ferry only ``Counters``."""
+
+    @staticmethod
+    def assert_mirrored(res, *, nonzero):
+        for name in METRIC_MIRRORED:
+            assert res.obs.metrics.counter(name).value == res.counters.get(
+                name
+            ), name
+        for name in nonzero:
+            assert res.counters.get(name) > 0, name
+
+    @pytest.mark.parametrize("mode", _KNOWN)
+    def test_pruned_columnar_recovery_run(self, mode):
+        job, barrier, _ = pruned_filter_job("columnar")
+        engine = LocalEngine(
+            retry=FAST_RETRY,
+            recovery=RecoveryModel.REEXECUTE_DEPS,
+            faults=plan_of(
+                transient_rule("reduce", {0}, when=WHEN_AFTER_FETCH)
+            ),
+        )
+        res = run(engine, mode, job, barrier)
+        self.assert_mirrored(
+            res,
+            nonzero=(
+                "plane.batched.instances",
+                "pushdown.rows.masked",
+                "plan.splits.pruned",
+                "plan.keys.synthesized",
+                "barrier.early.starts",
+                "recovery.maps_reexecuted",
+            ),
+        )
+
+    @pytest.mark.parametrize("mode", _KNOWN)
+    def test_deadline_partial_run(self, mode):
+        engine = LocalEngine(
+            faults=plan_of(
+                FaultRule(
+                    task="map", kind=FaultKind.HANG, indices=frozenset({0})
+                )
+            )
+        )
+        job = counting_job(deadline=0.2, on_deadline="partial")
+        res = run(engine, mode, job, GlobalBarrier())
+        assert res.partial
+        self.assert_mirrored(
+            res, nonzero=("task.cancelled", "job.deadline.expired")
+        )

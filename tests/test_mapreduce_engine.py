@@ -80,6 +80,46 @@ def ranged_job(num_splits=8, num_reduces=4, **kwargs):
     )
 
 
+#: ``ranged_job()`` under its DependencyBarrier in serial mode.  Literal
+#: on purpose: the serial order is a contract (the explorer's reference,
+#: the paper's Figure 4b as a trace), so the expected value must not be
+#: computed by logic that could drift with the engine's.
+#: (kind, event, index) of the EngineTrace ...
+SERIAL_RANGED_TRACE = [
+    ("map", "start", 0), ("map", "finish", 0),
+    ("map", "start", 1), ("map", "finish", 1),
+    ("reduce", "start", 0), ("reduce", "finish", 0),
+    ("map", "start", 2), ("map", "finish", 2),
+    ("map", "start", 3), ("map", "finish", 3),
+    ("reduce", "start", 1), ("reduce", "finish", 1),
+    ("map", "start", 4), ("map", "finish", 4),
+    ("map", "start", 5), ("map", "finish", 5),
+    ("reduce", "start", 2), ("reduce", "finish", 2),
+    ("map", "start", 6), ("map", "finish", 6),
+    ("map", "start", 7), ("map", "finish", 7),
+    ("reduce", "start", 3), ("reduce", "finish", 3),
+]
+#: ... and (point, kind, index) of the scheduler-hook log.
+SERIAL_RANGED_HOOKS = [
+    ("claim-attempt", "map", 0), ("spill-commit", "map", 0),
+    ("claim-attempt", "map", 1), ("spill-commit", "map", 1),
+    ("barrier-ready", "reduce", 0), ("claim-attempt", "reduce", 0),
+    ("reduce-start", "reduce", 0), ("fetch", "reduce", 0), ("fetch", "reduce", 0),
+    ("claim-attempt", "map", 2), ("spill-commit", "map", 2),
+    ("claim-attempt", "map", 3), ("spill-commit", "map", 3),
+    ("barrier-ready", "reduce", 1), ("claim-attempt", "reduce", 1),
+    ("reduce-start", "reduce", 1), ("fetch", "reduce", 1), ("fetch", "reduce", 1),
+    ("claim-attempt", "map", 4), ("spill-commit", "map", 4),
+    ("claim-attempt", "map", 5), ("spill-commit", "map", 5),
+    ("barrier-ready", "reduce", 2), ("claim-attempt", "reduce", 2),
+    ("reduce-start", "reduce", 2), ("fetch", "reduce", 2), ("fetch", "reduce", 2),
+    ("claim-attempt", "map", 6), ("spill-commit", "map", 6),
+    ("claim-attempt", "map", 7), ("spill-commit", "map", 7),
+    ("barrier-ready", "reduce", 3), ("claim-attempt", "reduce", 3),
+    ("reduce-start", "reduce", 3), ("fetch", "reduce", 3), ("fetch", "reduce", 3),
+]
+
+
 class TestJobConf:
     def test_empty_splits_rejected(self):
         with pytest.raises(JobConfigError):
@@ -145,6 +185,58 @@ class TestSerialDependency:
         last_map = t.seq_of("map", "finish", 7)
         first_reduce = t.seq_of("reduce", "finish", 0)
         assert -1 < first_reduce < last_map
+
+    def test_serial_order_is_a_literal(self):
+        """Determinism guard: the serial event order is part of the
+        contract — maps in split order, each reduce fired (ready, then
+        run to completion) right after the map that completes its I_l
+        — and so is the explorer's serial baseline digest."""
+        from repro.verify import RecordingHook, explore
+
+        job, deps = ranged_job()
+        hook = RecordingHook()
+        res = LocalEngine(scheduler_hook=hook).run_serial(
+            job, DependencyBarrier(deps)
+        )
+        assert [
+            (e.kind, e.event, e.index) for e in res.trace.events
+        ] == SERIAL_RANGED_TRACE
+        assert [
+            (e.point, e.kind, e.index) for e in hook.events
+        ] == SERIAL_RANGED_HOOKS
+        assert [
+            e.info["completed"] for e in hook.events if e.point == "barrier-ready"
+        ] == [tuple(range(2 * p + 2)) for p in range(4)]
+
+        def make_job():
+            job, deps = ranged_job()
+            return job, DependencyBarrier(deps)
+
+        report = explore(make_job, schedules=8)
+        assert report.ok, report.summary()
+        assert report.baseline_digest == (
+            "a5c7d27efa5034b37b3f8cfd7d9084ae1e519c160c035be0e81226753644d25c"
+        )
+
+    def test_reduces_fired_by_one_map_run_one_at_a_time(self):
+        """Several reduces becoming ready at once still go ``ready p,
+        reduce p, ready q, reduce q`` serially — never all the ready
+        events first."""
+        from repro.verify import RecordingHook
+
+        hook = RecordingHook()
+        LocalEngine(scheduler_hook=hook).run_serial(
+            counting_job(num_splits=2, num_reduces=2), GlobalBarrier()
+        )
+        order = [
+            (e.point, e.index)
+            for e in hook.events
+            if e.point in ("barrier-ready", "reduce-start")
+        ]
+        assert order == [
+            ("barrier-ready", 0), ("reduce-start", 0),
+            ("barrier-ready", 1), ("reduce-start", 1),
+        ]
 
     def test_reduced_connections(self):
         job, deps = ranged_job()

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.errors import InjectedFaultError, JobFailedError
 from repro.faults import FaultKind, FaultRule, InjectionPlan
 from repro.mapreduce.engine import GlobalBarrier, LocalEngine
 from repro.obs import JobObservability, MetricsRegistry
@@ -315,6 +316,42 @@ class TestProgress:
         snap = progress.snapshot(now=1.0)
         assert snap["state"] == "failed"
         assert snap["attempts"]["failures"] == 1
+
+
+class TestFinishOnFailure:
+    """Every outcome leaves through the engine's single finish site, so
+    a failed job closes its span and says so on the bus — whichever
+    executor ran it."""
+
+    @pytest.mark.parametrize(
+        "mode,raised",
+        [
+            ("serial", InjectedFaultError),
+            ("threaded", JobFailedError),
+            ("process", JobFailedError),
+        ],
+    )
+    def test_crashed_map_still_finishes_the_job(self, mode, raised):
+        bus = EventBus()
+        sub = bus.subscribe()
+        job = counting_job()
+        obs = JobObservability(job.name, bus=bus)
+        engine = LocalEngine(
+            faults=InjectionPlan(
+                rules=(
+                    FaultRule(
+                        task="map", kind=FaultKind.CRASH,
+                        indices=frozenset({1}),
+                    ),
+                )
+            )
+        )
+        with pytest.raises(raised):
+            engine.run(job, GlobalBarrier(), mode=mode, obs=obs)
+        types = [e.type for e in sub.drain()]
+        assert types.count("job.finish") == 1
+        assert types[-1] == "job.finish"
+        assert obs.job_span.end is not None
 
 
 # --------------------------------------------------------------------- #
