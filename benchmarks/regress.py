@@ -122,12 +122,21 @@ CHECKS: tuple[Check, ...] = (
     Check("BENCH_service.json", "jobs", "exact"),
     Check("BENCH_service.json", "plan.cold_ms", "relative", 0.75),
     Check("BENCH_service.json", "sequential_seconds", "relative", 0.75),
-    # Observability: overhead ratios are near zero, so band them
-    # absolutely — baseline 0.04 vs fresh 0.09 is fine; 0.25 is not.
+    # Observability, measured on the columnar plane / threaded engine
+    # (exact: a baseline taken on another plane is not comparable).
+    # The off run is ~70 ms with an IQR of 10-25 ms on a shared 2-core
+    # box, so median-of-11 ratios wander by ~0.05 and the absolute cost
+    # by a few ms: band both absolutely — baseline 0.09 vs fresh 0.14 is
+    # noise; 0.25 (or +20 ms) is not.  ``columnar_5pct_met`` is reported,
+    # not gated: at this spread it can flip on noise alone.
+    Check("BENCH_obs.json", "sections.obs_overhead.plane", "exact"),
+    Check("BENCH_obs.json", "sections.obs_overhead.mode", "exact"),
     Check("BENCH_obs.json", "sections.obs_overhead.overhead", "absolute",
           0.10),
     Check("BENCH_obs.json", "sections.obs_overhead.live_overhead",
           "absolute", 0.10),
+    Check("BENCH_obs.json", "sections.obs_overhead.live_overhead_ms",
+          "absolute", 12.0),
     Check("BENCH_obs.json", "sections.obs_overhead.on_ms", "relative", 0.60),
     Check("BENCH_obs.json", "sections.obs_overhead.live_ms", "relative",
           0.60),

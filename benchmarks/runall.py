@@ -212,13 +212,17 @@ def main() -> int:
     overhead = _measure_tracing_overhead()
     save(
         "obs_overhead",
-        "tracing overhead (weekly-mean engine workload, min of "
-        f"{overhead['runs']}):\n"
-        f"  observability off:     {overhead['off_ms']:.1f} ms\n"
-        f"  observability on:      {overhead['on_ms']:.1f} ms\n"
-        f"  on + live event bus:   {overhead['live_ms']:.1f} ms\n"
-        f"  overhead:              {overhead['overhead']:+.1%}\n"
-        f"  overhead w/ live bus:  {overhead['live_overhead']:+.1%}",
+        "observability overhead (columnar weekly-mean job, threaded "
+        f"engine, median of {overhead['rounds']} alternating rounds):\n"
+        f"  observability off:        {overhead['off_ms']:.1f} ms "
+        f"(IQR {overhead['off_iqr_ms']:.1f})\n"
+        f"  observability on:         {overhead['on_ms']:.1f} ms  "
+        f"{overhead['overhead_ms']:+.1f} ms  {overhead['overhead']:+.1%}\n"
+        f"  live, wired as served:    {overhead['live_ms']:.1f} ms  "
+        f"{overhead['live_overhead_ms']:+.1f} ms  "
+        f"{overhead['live_overhead']:+.1%}\n"
+        "  <= 5% on the columnar plane (ROADMAP 3b): "
+        f"{'met' if overhead['columnar_5pct_met'] else 'NOT met'}",
         data=overhead,
     )
 
@@ -383,11 +387,31 @@ def main() -> int:
     return 0
 
 
-def _measure_tracing_overhead(runs: int = 3) -> dict:
-    """Min-of-N engine wall time with spans/metrics on vs off."""
+def _measure_tracing_overhead(rounds: int = 11) -> dict:
+    """Observability cost on the fast path: the columnar weekly-mean job
+    on the threaded engine, spans/metrics off vs on vs *live* — wired
+    the way ``QueryService._run_job`` wires a served job (registry,
+    job-tagged bus, ``JobObservability``, ``ProgressTracker``).
+
+    The three configurations alternate within each round (order rotated
+    round to round, so a slow phase of a shared box lands on all three)
+    and the median of ``rounds`` is reported, with absolute ``*_ms``
+    beside the ratios: a per-task fixed cost is a far larger share of a
+    ~45 ms columnar run than of the ~440 ms record run this used to
+    time.  ``columnar_5pct_met`` is ROADMAP 3(b)'s "≤ 5 % on the
+    columnar plane", reported rather than tuned for.
+    """
+    import statistics
+
     import numpy as np
 
     from repro.mapreduce.engine import LocalEngine
+    from repro.obs import (
+        EventBus,
+        JobObservability,
+        MetricsRegistry,
+        ProgressTracker,
+    )
     from repro.query.language import StructuralQuery
     from repro.query.operators import MeanOp
     from repro.query.splits import slice_splits
@@ -400,59 +424,52 @@ def _measure_tracing_overhead(runs: int = 3) -> dict:
         variable="temperature", extraction_shape=(7, 5, 2), operator=MeanOp()
     ).compile(field.metadata)
     job, barrier, _ = build_sidr_job(
-        plan, slice_splits(plan, num_splits=16), 8, data
+        plan, slice_splits(plan, num_splits=16), 8, data,
+        data_plane="columnar",
     )
+    engine_off = LocalEngine(observability=False)
+    engine_on = LocalEngine(observability=True)
 
-    def best(engine) -> float:
-        engine.run_serial(job, barrier)  # warmup
-        t = float("inf")
-        for _ in range(runs):
+    def live_obs():
+        metrics = MetricsRegistry()
+        bus = EventBus(metrics=metrics, job="bench")
+        ProgressTracker(bus)
+        return JobObservability(job.name, metrics=metrics, bus=bus)
+
+    configs = {
+        "off": lambda: engine_off.run_threaded(job, barrier),
+        "on": lambda: engine_on.run_threaded(job, barrier),
+        "live": lambda: engine_on.run_threaded(job, barrier, obs=live_obs()),
+    }
+    for run in configs.values():  # warmup
+        run()
+    names = list(configs)
+    samples: dict[str, list[float]] = {name: [] for name in names}
+    for i in range(rounds):
+        for name in names[i % 3:] + names[:i % 3]:
             s = time.perf_counter()
-            engine.run_serial(job, barrier)
-            t = min(t, time.perf_counter() - s)
-        return t
+            configs[name]()
+            samples[name].append((time.perf_counter() - s) * 1e3)
 
-    t_off = best(LocalEngine(observability=False))
-    t_on = best(LocalEngine(observability=True))
+    med = {name: statistics.median(ms) for name, ms in samples.items()}
 
-    # Third config: spans/metrics on AND the live plane attached — bus
-    # with a draining subscription, progress tracker, straggler
-    # detector — the full ``--live`` wiring minus terminal rendering.
-    from repro.obs import (
-        EventBus,
-        JobObservability,
-        MetricsRegistry,
-        ProgressTracker,
-        StragglerDetector,
-    )
+    def iqr(ms: list[float]) -> float:
+        q = statistics.quantiles(ms, n=4)
+        return q[2] - q[0]
 
-    engine_live = LocalEngine(observability=True)
-
-    def best_live() -> float:
-        def once() -> float:
-            metrics = MetricsRegistry()
-            bus = EventBus(metrics=metrics)
-            obs = JobObservability(job.name, metrics=metrics, bus=bus)
-            ProgressTracker(bus)
-            StragglerDetector(bus, metrics=metrics)
-            sub = bus.subscribe()
-            s = time.perf_counter()
-            engine_live.run_serial(job, barrier, obs=obs)
-            elapsed = time.perf_counter() - s
-            sub.drain()
-            return elapsed
-
-        once()  # warmup
-        return min(once() for _ in range(runs))
-
-    t_live = best_live()
     return {
-        "runs": runs,
-        "off_ms": round(t_off * 1e3, 2),
-        "on_ms": round(t_on * 1e3, 2),
-        "live_ms": round(t_live * 1e3, 2),
-        "overhead": round(t_on / t_off - 1.0, 4),
-        "live_overhead": round(t_live / t_off - 1.0, 4),
+        "rounds": rounds,
+        "plane": "columnar",
+        "mode": "threaded",
+        "off_ms": round(med["off"], 2),
+        "on_ms": round(med["on"], 2),
+        "live_ms": round(med["live"], 2),
+        "off_iqr_ms": round(iqr(samples["off"]), 2),
+        "overhead_ms": round(med["on"] - med["off"], 2),
+        "live_overhead_ms": round(med["live"] - med["off"], 2),
+        "overhead": round(med["on"] / med["off"] - 1.0, 4),
+        "live_overhead": round(med["live"] / med["off"] - 1.0, 4),
+        "columnar_5pct_met": med["live"] / med["off"] - 1.0 <= 0.05,
     }
 
 

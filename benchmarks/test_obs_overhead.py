@@ -103,7 +103,7 @@ def test_live_bus_overhead_bounded(job_and_barrier, record_report):
         bus = EventBus(metrics=metrics)
         obs = JobObservability(job.name, metrics=metrics, bus=bus)
         ProgressTracker(bus)
-        StragglerDetector(bus, metrics=metrics)
+        StragglerDetector(bus)
         sub = bus.subscribe()
         live.run_serial(job, barrier, obs=obs)
         assert bus.dropped == 0

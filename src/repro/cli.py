@@ -250,12 +250,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             reduce_workers=engine.reduce_workers,
         )
         progress = ProgressTracker(bus, estimator=estimator)
-        detector = StragglerDetector(
-            bus,
-            metrics=obs.metrics,
-            tracer=obs.tracer,
-            parent_span=obs.job_span,
-        ).start_ticker()
+        detector = StragglerDetector(bus).start_ticker()
         if args.events:
             writer = JsonlEventWriter(bus, args.events)
         if args.live:
@@ -272,7 +267,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             writer.close()
             print(
                 f"# {writer.written} events streamed to {writer.path} "
-                f"({writer.dropped} dropped)",
+                f"({writer.dropped} dropped, {writer.write_errors} write errors)",
                 file=sys.stderr,
             )
         if args.status and progress is not None:

@@ -3,6 +3,14 @@
 Counters are the engine's observable accounting — tests assert on them
 (e.g. map output records == reduce input records) and the benchmark
 harness reports them (e.g. shuffle bytes per configuration).
+
+``Counters`` is the one ledger, with two writers that never share a
+name: task bodies ``increment`` the data-volume tallies directly (worker
+processes ferry those back as a dict), and :meth:`Counters.on_event`,
+attached to the run's bus, folds the lifecycle tallies from the events
+as they are published — so both read live mid-run.  When observability
+is enabled the whole ledger is copied into the run's
+``MetricsRegistry`` once, at job finish, under the same names.
 """
 
 from __future__ import annotations
@@ -10,20 +18,18 @@ from __future__ import annotations
 import threading
 from collections import Counter as _Counter
 
-#: Counter names the observability layer also reports.  ``Counters`` is
-#: the one ledger (worker processes ferry only it); the engine copies
-#: these into the run's ``MetricsRegistry`` once, when the job finishes.
-METRIC_MIRRORED = (
-    "plane.batched.instances",
-    "plane.fallback.instances",
-    "pushdown.rows.masked",
-    "plan.splits.pruned",
-    "plan.keys.synthesized",
-    "barrier.early.starts",
-    "task.cancelled",
-    "recovery.maps_reexecuted",
-    "job.deadline.expired",
+from repro.obs.live.bus import (
+    EV_BARRIER_FIRE,
+    EV_JOB_DEADLINE,
+    EV_RECOVERY,
+    EV_TASK_CANCELLED,
+    EV_TASK_FINISH,
+    EV_TASK_RETRY,
+    EV_TASK_SPECULATE,
+    EV_TASK_START,
+    Event,
 )
+from repro.spec.cancel import REASON_HANG
 
 
 class Counters:
@@ -42,9 +48,12 @@ class Counters:
       map finished (always 0 under the global barrier)
     * ``task.attempts`` / ``task.failures`` / ``task.retries`` — one per
       task attempt started / failed / retried after a failure
+    * ``task.cancelled`` / ``task.speculations`` — attempts cancelled
+      (race lost, hang mitigation, deadline) / backup attempts raced
     * ``faults.injected`` — failed attempts caused by the injection plan
     * ``recovery.maps_reexecuted`` — maps re-run to regenerate a failed
       reduce's input (only its dependency set under ``REEXECUTE_DEPS``)
+    * ``job.deadline.expired`` — 1 when the job's deadline fired
     """
 
     def __init__(self) -> None:
@@ -54,6 +63,36 @@ class Counters:
     def increment(self, name: str, amount: int = 1) -> None:
         with self._lock:
             self._values[name] += amount
+
+    def on_event(self, ev: Event) -> None:
+        """Bus listener: the lifecycle tallies (see the class docstring)
+        as a fold over the run's events."""
+        kind, data = ev.type, ev.data
+        if kind == EV_TASK_START:
+            self.increment("task.attempts")
+        elif kind == EV_TASK_FINISH:
+            if data.get("status") == "failed":
+                self.increment("task.failures")
+                if data.get("error") == "InjectedFaultError":
+                    self.increment("faults.injected")
+        elif kind == EV_TASK_CANCELLED:
+            self.increment("task.cancelled")
+            if data.get("reason") == REASON_HANG:
+                # A hang-mitigation cancel is retried in place: it
+                # spends the retry budget like any failed attempt.
+                self.increment("task.failures")
+        elif kind == EV_TASK_RETRY:
+            self.increment("task.retries")
+        elif kind == EV_TASK_SPECULATE:
+            if data.get("mode") == "race":
+                self.increment("task.speculations")
+        elif kind == EV_RECOVERY:
+            self.increment("recovery.maps_reexecuted", len(data["maps"]))
+        elif kind == EV_BARRIER_FIRE:
+            if data.get("early"):
+                self.increment("barrier.early.starts")
+        elif kind == EV_JOB_DEADLINE:
+            self.increment("job.deadline.expired")
 
     def get(self, name: str) -> int:
         with self._lock:

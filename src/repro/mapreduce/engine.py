@@ -27,6 +27,16 @@ threaded  thread pools    in-thread
 process   thread pools    worker processes
 ========  ==============  ================
 
+Every run has one event bus (``obs.bus``: the caller's, else a private
+one) and publishes each lifecycle occurrence on it exactly once —
+``task.start``/``task.finish``/``task.retry``/``task.cancelled`` from
+:meth:`LocalEngine._run_attempts`, the one place every attempt of every
+mode crosses; ``barrier.fire`` where a reduce is fired; ``reduce.start``
+before a reduce attempt's barrier checks; ``spill.commit``/``fetch``
+from the shuffle store.  ``JobResult.counters``' lifecycle tallies,
+``.trace``, ``.attempts`` and the spans/metrics in ``.obs`` are
+listeners folding that stream (``docs/OBSERVABILITY.md``).
+
 Barriers, the commit gate, retries, recovery, speculation, deadlines and
 result assembly are the loop's and therefore identical in every mode;
 outputs are byte-identical (the verify fuzzer holds all three against
@@ -84,20 +94,31 @@ from typing import Any, Callable, Protocol
 from repro.errors import (
     BarrierViolationError,
     DeadlineExceededError,
-    InjectedFaultError,
     JobConfigError,
     JobFailedError,
     TaskCancelledError,
 )
 from repro.faults import BoundFaults, InjectionPlan, RecoveryModel, WHEN_AFTER_FETCH
 from repro.mapreduce.columnar import run_columnar_map, run_columnar_reduce
-from repro.mapreduce.counters import METRIC_MIRRORED, Counters
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.record import run_record_map, run_record_reduce
 from repro.mapreduce.shuffle import ShuffleStore
 from repro.mapreduce.types import KeyValue
 from repro.obs import JobObservability, TIME_BUCKETS
-from repro.obs.live.bus import EventBus
+from repro.obs.live.bus import (
+    EV_BARRIER_FIRE,
+    EV_JOB_DEADLINE,
+    EV_JOB_START,
+    EV_RECOVERY,
+    EV_REDUCE_START,
+    EV_TASK_CANCELLED,
+    EV_TASK_FINISH,
+    EV_TASK_RETRY,
+    EV_TASK_SPECULATE,
+    EV_TASK_START,
+    Event,
+)
 from repro.obs.trace import (  # noqa: F401  (re-exported)
     EngineTrace,
     LogicalClock,
@@ -118,7 +139,7 @@ from repro.spec import (
 #: immediately regardless of the retry policy.
 _NON_RETRYABLE = (JobConfigError, BarrierViolationError)
 
-#: Returned by ``_execute_with_retry`` when the logical task succeeded
+#: Returned by ``_run_attempts`` when the logical task succeeded
 #: through a *different* racing attempt: this invocation has no output
 #: of its own, but the task needs no further work (and must not be
 #: reported done a second time by the caller).
@@ -189,35 +210,6 @@ class ReduceStartValidator(Protocol):
         ...
 
 
-# --------------------------------------------------------------------- #
-# Scheduler hook seam (verification subsystem)
-# --------------------------------------------------------------------- #
-#: The five scheduling points the verification layer can observe and
-#: perturb.  ``claim-attempt``/``barrier-ready``/``reduce-start`` fire
-#: from the engine; ``spill-commit``/``fetch`` fire from the
-#: :class:`~repro.mapreduce.shuffle.ShuffleStore` *inside its lock*, so
-#: the event stream linearizes commits against fetches.
-HOOK_CLAIM = "claim-attempt"
-HOOK_SPILL_COMMIT = "spill-commit"
-HOOK_BARRIER_READY = "barrier-ready"
-HOOK_FETCH = "fetch"
-HOOK_REDUCE_START = "reduce-start"
-#: A speculative backup attempt entered the race for its logical task
-#: (fires from the backup's body, after the attempt number is claimed;
-#: ``info`` carries the flagged attempt it hedges against and the
-#: structural priority that ordered it).
-HOOK_SPECULATE = "speculate"
-
-HOOK_POINTS = (
-    HOOK_CLAIM,
-    HOOK_SPILL_COMMIT,
-    HOOK_BARRIER_READY,
-    HOOK_FETCH,
-    HOOK_REDUCE_START,
-    HOOK_SPECULATE,
-)
-
-
 class TaskRunner(Protocol):
     """Where task *bodies* execute: one attempt of one task, start to
     commit.  Every run has exactly one (``_RunState.runner``);
@@ -260,23 +252,12 @@ class TaskRunner(Protocol):
         ...
 
 
-class SchedulerHook(Protocol):
-    """Observation/perturbation seam at the engine's scheduling points.
-
-    Implementations may record the event, stall the calling thread (to
-    steer the interleaving), or both — see :mod:`repro.verify`.  A hook
-    must never call back into the engine or the shuffle store: the
-    ``spill-commit`` and ``fetch`` points run under the store lock.
-    """
-
-    def on_event(
-        self,
-        point: str,
-        kind: str,
-        index: int,
-        attempt: int,
-        info: dict[str, Any] | None = None,
-    ) -> None: ...
+#: ``LocalEngine(scheduler_hook=...)``: a listener attached to the run's
+#: bus for the run's duration — the seam :mod:`repro.verify` uses to
+#: record the event log and to stall publishing threads (a stall at
+#: ``spill.commit``/``fetch`` happens under the shuffle store's lock).
+#: It must never call back into the engine or the store.
+SchedulerHook = Callable[[Event], None]
 
 
 # --------------------------------------------------------------------- #
@@ -335,6 +316,25 @@ class TaskAttempt:
     seconds: float = 0.0
 
 
+class AttemptLog:
+    """``JobResult.attempts`` as a bus listener: one
+    :class:`TaskAttempt` per ``task.finish``, in ``seq`` order."""
+
+    def __init__(self) -> None:
+        self._entries: list[tuple[int, TaskAttempt]] = []
+
+    def __call__(self, ev: Event) -> None:
+        if ev.type == EV_TASK_FINISH:
+            att = TaskAttempt(
+                ev.kind, ev.index, ev.attempt, ev.data["status"],
+                ev.data.get("error", ""), ev.data.get("seconds", 0.0),
+            )
+            self._entries.append((ev.seq, att))
+
+    def attempts(self) -> tuple[TaskAttempt, ...]:
+        return tuple(att for _, att in sorted(self._entries, key=lambda e: e[0]))
+
+
 class _RunState:
     """Per-run mutable state shared by every task thread."""
 
@@ -345,7 +345,6 @@ class _RunState:
         #: attempt stay unambiguous.
         self.next_attempt: dict[tuple[str, int], int] = {}
         self.failures = 0
-        self.attempt_log: list[TaskAttempt] = []
         #: Live cancel token per in-flight attempt.  An entry exists
         #: exactly while the attempt body runs; mitigation and the
         #: deadline watchdog cancel through these.
@@ -375,10 +374,6 @@ class _RunState:
             if race is not None and race["winner"] is None:
                 race["members"].add(n)
             return n
-
-    def record(self, att: TaskAttempt) -> None:
-        with self.lock:
-            self.attempt_log.append(att)
 
     def count_failure(self, budget: int | None) -> bool:
         """Register one failed attempt; True when the budget is blown."""
@@ -522,9 +517,9 @@ class LocalEngine:
             raise JobConfigError("worker counts must be positive")
         self.map_workers = map_workers
         self.reduce_workers = reduce_workers
-        #: When False, spans/metrics become no-ops (the legacy
-        #: EngineTrace still records) — the near-zero-overhead mode the
-        #: tracing-overhead benchmark compares against.
+        #: When False, a run made without an ``obs=`` gets neither the
+        #: span nor the metrics fold (events still flow: counters, the
+        #: flat trace and the attempt log are folds too).
         self.observability = observability
         #: Attempt/backoff policy; the default (max_attempts=1) matches
         #: the historical die-on-first-failure behaviour.
@@ -535,8 +530,8 @@ class LocalEngine:
         #: whole job; the re-execute modes stream them (fetch consumes)
         #: and recover reduce failures by re-running maps.
         self.recovery = recovery
-        #: Verification seam (None in production — every call site is a
-        #: single None check).  See :data:`HOOK_POINTS`.
+        #: Verification seam (None in production): see
+        #: :data:`SchedulerHook`.
         self.scheduler_hook = scheduler_hook
         #: Speculation knobs; None keeps the engine's historical
         #: flag-only behaviour (stragglers observed, never mitigated).
@@ -544,33 +539,6 @@ class LocalEngine:
         self._hb_interval = (
             speculation.heartbeat_interval if speculation is not None else 0.05
         )
-
-    def _hook_event(
-        self,
-        point: str,
-        kind: str,
-        index: int,
-        attempt: int = 0,
-        **info: Any,
-    ) -> None:
-        if self.scheduler_hook is not None:
-            self.scheduler_hook.on_event(point, kind, index, attempt, info or None)
-
-    def _make_obs(self, job: JobConf, obs: JobObservability | None) -> JobObservability:
-        if obs is None:
-            obs = JobObservability(
-                job.name,
-                enabled=self.observability,
-                legacy_trace=EngineTrace(),
-            )
-        if obs.trace is None:
-            obs.trace = EngineTrace()
-        if self.speculation is not None and obs.bus is None:
-            # Speculation rides the live stream: heartbeats and
-            # hang/straggler flags are bus events, so a run without an
-            # externally attached bus gets a private one.
-            obs.bus = EventBus()
-        return obs
 
     # ------------------------------------------------------------------ #
     # Map task
@@ -590,21 +558,21 @@ class LocalEngine:
         """One map attempt, body in-thread (the in-thread
         :class:`TaskRunner`'s ``run_map``)."""
         hb = Heartbeat(obs.bus, "map", split_index, attempt, self._hb_interval)
-        with obs.task("map", split_index, attempt) as task_span:
-            if faults is not None:
-                faults.fire("map", split_index, attempt, cancel=cancel)
-            corrupt = faults is not None and faults.should_corrupt(
-                "map", split_index, attempt
-            )
-            body = (
-                run_columnar_map if job.data_plane == "columnar"
-                else run_record_map
-            )
-            body(
-                job, split_index, store, counters, obs, task_span,
-                attempt=attempt, corrupt=corrupt,
-                cancel=cancel, heartbeat=hb,
-            )
+        if faults is not None:
+            faults.fire("map", split_index, attempt, cancel=cancel)
+        corrupt = faults is not None and faults.should_corrupt(
+            "map", split_index, attempt
+        )
+        body = (
+            run_columnar_map if job.data_plane == "columnar"
+            else run_record_map
+        )
+        body(
+            job, split_index, store, counters, obs,
+            obs.task_span("map", split_index, attempt),
+            attempt=attempt, corrupt=corrupt,
+            cancel=cancel, heartbeat=hb,
+        )
 
     # ------------------------------------------------------------------ #
     # Reduce task
@@ -666,12 +634,12 @@ class LocalEngine:
     ) -> list:
         """Everything a reduce attempt does before its body — the same
         for every :class:`TaskRunner`, and always in the parent, which
-        owns the store: reduce-start hook, barrier enforcement, the
-        count-annotation validator, the fetch loop, and both fault
+        owns the store: the ``reduce.start`` event, barrier enforcement,
+        the count-annotation validator, the fetch loop, and both fault
         points.  Returns the non-empty fetched spills in map order."""
-        self._hook_event(
-            HOOK_REDUCE_START, "reduce", partition, attempt,
-            completed=tuple(sorted(completed_at_start)),
+        obs.bus.publish(
+            EV_REDUCE_START, kind="reduce", index=partition, attempt=attempt,
+            completed=sorted(completed_at_start),
         )
         if faults is not None:
             faults.fire("reduce", partition, attempt, cancel=cancel)
@@ -746,42 +714,56 @@ class LocalEngine:
         """One reduce attempt, body in-thread (the in-thread
         :class:`TaskRunner`'s ``run_reduce``)."""
         hb = Heartbeat(obs.bus, "reduce", partition, attempt, self._hb_interval)
-        with obs.task("reduce", partition, attempt) as task_span:
-            files = self._fetch_reduce_inputs(
-                job, partition, barrier, store, counters, obs,
-                completed_at_start, task_span, hb,
-                attempt=attempt, faults=faults, cancel=cancel,
-            )
-            body = (
-                run_columnar_reduce if job.data_plane == "columnar"
-                else run_record_reduce
-            )
-            return self._with_synth_records(
-                job,
-                partition,
-                body(
-                    job, files, counters, obs, task_span,
-                    cancel=cancel, heartbeat=hb,
-                ),
-            )
+        task_span = obs.task_span("reduce", partition, attempt)
+        files = self._fetch_reduce_inputs(
+            job, partition, barrier, store, counters, obs,
+            completed_at_start, task_span, hb,
+            attempt=attempt, faults=faults, cancel=cancel,
+        )
+        body = (
+            run_columnar_reduce if job.data_plane == "columnar"
+            else run_record_reduce
+        )
+        return self._with_synth_records(
+            job,
+            partition,
+            body(
+                job, files, counters, obs, task_span,
+                cancel=cancel, heartbeat=hb,
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Attempt-based retry & dependency-aware recovery
     # ------------------------------------------------------------------ #
-    def _execute_with_retry(
+    def _run_attempts(
         self,
         kind: str,
         index: int,
         state: _RunState,
-        counters: Counters,
         obs: JobObservability,
         body: Callable[[int, CancelToken], Any],
+        before_retry: Callable[[], None] | None = None,
     ) -> Any:
         """Run ``body(attempt, cancel)`` until success, retry
         exhaustion, a blown failure budget, cancellation, or the job
         deadline.  Attempt numbers are global per logical task (recovery
         re-runs keep counting up); the per-invocation retry cap is
         ``self.retry.max_attempts``.
+
+        Every attempt of every mode passes through here, so this is
+        where an attempt's life is published: ``task.start`` at the
+        claim, ``task.finish`` at the outcome (``status`` ``ok`` |
+        ``failed`` | ``cancelled`` | ``lost``), plus ``task.cancelled``
+        and ``task.retry`` for those decisions.  Every raising attempt
+        finishes ``failed`` — non-retryable errors included — so each
+        ``task.start`` has its ``task.finish``.
+
+        ``before_retry()`` (dependency recovery) runs ahead of each
+        retry's ``task.start``: the attempt is claimed but not yet
+        published, so it is neither in flight for the hang detector nor
+        on the attempt's clock while it runs.  If it raises, the attempt
+        is published as started and failed on the spot.
 
         Cancellation outcomes: an attempt superseded by a rival racer
         returns :data:`_LOST_RACE` (the logical task is done, just not
@@ -790,6 +772,7 @@ class LocalEngine:
         in place without backoff (the attempt already sat out the hang
         timeout)."""
         policy = self.retry
+        bus = obs.bus
         tries = 0
         while True:
             if state.deadline_expired:
@@ -797,65 +780,62 @@ class LocalEngine:
                     f"{kind} {index} not attempted: job deadline expired"
                 )
             attempt = state.claim_attempt(kind, index)
-            self._hook_event(HOOK_CLAIM, kind, index, attempt)
             tries += 1
-            counters.increment("task.attempts")
+            # Token before the event: a detector that flags this attempt
+            # must find something to cancel.
             cancel = state.new_token(kind, index, attempt)
+            ident = {"kind": kind, "index": index, "attempt": attempt}
+            unrecovered = None
+            if before_retry is not None and tries > 1:
+                try:
+                    before_retry()
+                except BaseException as exc:
+                    unrecovered = exc
+            bus.publish(EV_TASK_START, **ident)
             t0 = time.perf_counter()
             try:
+                if unrecovered is not None:
+                    raise unrecovered
                 out = body(attempt, cancel)
-            except _NON_RETRYABLE:
+            except BaseException as exc:
                 state.release_token(kind, index, attempt)
-                raise
-            except TaskCancelledError as exc:
-                state.release_token(kind, index, attempt)
-                seconds = time.perf_counter() - t0
-                reason = exc.reason or cancel.reason
-                outcome = "lost" if reason == REASON_SUPERSEDED else "cancelled"
-                state.record(
-                    TaskAttempt(kind, index, attempt, outcome,
-                                type(exc).__name__, seconds)
+                error = type(exc).__name__
+                status, reason = "failed", ""
+                if isinstance(exc, TaskCancelledError):
+                    reason = exc.reason or cancel.reason
+                    if reason != REASON_SUPERSEDED and state.deadline_expired:
+                        reason = REASON_DEADLINE
+                    status = "lost" if reason == REASON_SUPERSEDED else "cancelled"
+                bus.publish(
+                    EV_TASK_FINISH, **ident, status=status, error=error,
+                    seconds=round(time.perf_counter() - t0, 6),
                 )
-                counters.increment("task.cancelled")
-                obs.task_cancelled(kind, index, attempt, reason)
-                if reason == REASON_SUPERSEDED:
-                    return _LOST_RACE
-                if reason == REASON_DEADLINE or state.deadline_expired:
-                    raise DeadlineExceededError(
-                        f"{kind} {index} attempt {attempt} cancelled: "
-                        "job deadline expired"
-                    ) from exc
-                # Hang mitigation: retry in place, no backoff.
-                counters.increment("task.failures")
+                if not isinstance(exc, Exception) or isinstance(exc, _NON_RETRYABLE):
+                    raise
+                delay = 0.0
+                if status == "failed":
+                    delay = policy.backoff(kind, index, attempt)
+                else:
+                    bus.publish(EV_TASK_CANCELLED, **ident, reason=reason)
+                    if reason == REASON_SUPERSEDED:
+                        return _LOST_RACE
+                    if reason == REASON_DEADLINE:
+                        raise DeadlineExceededError(
+                            f"{kind} {index} attempt {attempt} cancelled: "
+                            "job deadline expired"
+                        ) from exc
+                    # Hang mitigation: retry in place, no backoff.
                 over_budget = state.count_failure(policy.failure_budget)
                 if tries >= policy.max_attempts or over_budget:
                     raise
-                counters.increment("task.retries")
-            except Exception as exc:
-                state.release_token(kind, index, attempt)
-                seconds = time.perf_counter() - t0
-                state.record(
-                    TaskAttempt(kind, index, attempt, "failed",
-                                type(exc).__name__, seconds)
-                )
-                counters.increment("task.failures")
-                if isinstance(exc, InjectedFaultError):
-                    counters.increment("faults.injected")
-                over_budget = state.count_failure(policy.failure_budget)
-                if tries >= policy.max_attempts or over_budget:
-                    raise
-                counters.increment("task.retries")
-                delay = policy.backoff(kind, index, attempt)
-                obs.retry_backoff(
-                    kind, index, attempt, delay, error=type(exc).__name__
-                )
+                bus.publish(EV_TASK_RETRY, **ident, backoff=delay, error=error)
                 if delay > 0 and not state.deadline_expired:
                     time.sleep(delay)
             else:
                 state.release_token(kind, index, attempt)
-                state.record(
-                    TaskAttempt(kind, index, attempt, "ok",
-                                seconds=time.perf_counter() - t0)
+                bus.publish(
+                    EV_TASK_FINISH, **ident, status="ok",
+                    seconds=round(time.perf_counter() - t0, 6),
                 )
                 # This attempt won (or was never raced): racing rivals
                 # are superseded the moment we report success.
@@ -872,8 +852,8 @@ class LocalEngine:
         obs: JobObservability,
         state: _RunState,
     ) -> Any:
-        return self._execute_with_retry(
-            "map", i, state, counters, obs,
+        return self._run_attempts(
+            "map", i, state, obs,
             lambda attempt, cancel: state.runner.run_map(
                 job, i, store, counters, obs,
                 attempt=attempt, faults=state.faults, cancel=cancel,
@@ -901,21 +881,16 @@ class LocalEngine:
                     f"backup map {i} obsolete: race already resolved",
                     reason=REASON_SUPERSEDED,
                 )
-            self._hook_event(
-                HOOK_SPECULATE, "map", i, attempt,
-                of=of_attempt, priority=priority, mode="race",
+            obs.bus.publish(
+                EV_TASK_SPECULATE, kind="map", index=i, attempt=attempt,
+                of=of_attempt, priority=round(priority, 4), mode="race",
             )
-            obs.task_speculate(
-                "map", i, attempt,
-                of_attempt=of_attempt, priority=priority, mode="race",
-            )
-            counters.increment("task.speculations")
             return state.runner.run_map(
                 job, i, store, counters, obs,
                 attempt=attempt, faults=state.faults, cancel=cancel,
             )
 
-        return self._execute_with_retry("map", i, state, counters, obs, body)
+        return self._run_attempts("map", i, state, obs, body)
 
     def _reduce_with_recovery(
         self,
@@ -931,15 +906,8 @@ class LocalEngine:
         """One reduce task with retry; on retry under a no-persistence
         recovery mode, first regenerate whatever input the failed
         attempt consumed by re-executing the producing maps."""
-        first_attempt = True
 
         def body(attempt: int, cancel: CancelToken) -> list[KeyValue]:
-            nonlocal first_attempt
-            if not first_attempt:
-                self._recover_reduce_inputs(
-                    job, p, barrier, store, counters, obs, state
-                )
-            first_attempt = False
             store.begin_reduce_attempt(p)
             out = state.runner.run_reduce(
                 job, p, barrier, store, counters, obs, snapshot,
@@ -951,7 +919,12 @@ class LocalEngine:
             store.check_fetch_fresh(p)
             return out
 
-        return self._execute_with_retry("reduce", p, state, counters, obs, body)
+        return self._run_attempts(
+            "reduce", p, state, obs, body,
+            before_retry=lambda: self._recover_reduce_inputs(
+                job, p, barrier, store, counters, obs, state
+            ),
+        )
 
     def _recover_reduce_inputs(
         self,
@@ -989,9 +962,10 @@ class LocalEngine:
         t0 = time.perf_counter()
         for m in targets:
             self._map_with_retry(job, m, store, counters, obs, state)
-        seconds = time.perf_counter() - t0
-        counters.increment("recovery.maps_reexecuted", len(targets))
-        obs.recovery(p, targets, seconds)
+        obs.bus.publish(
+            EV_RECOVERY, kind="reduce", index=p, maps=targets,
+            seconds=time.perf_counter() - t0,
+        )
 
     def _commit_gate(self, state: _RunState, index: int, attempt: int) -> None:
         """Shuffle-store guard: runs under the store lock immediately
@@ -1009,13 +983,8 @@ class LocalEngine:
             )
 
     def _new_store(self, obs: JobObservability, state: _RunState) -> ShuffleStore:
-        hook = None
-        if self.scheduler_hook is not None:
-            hook = self.scheduler_hook.on_event
         return ShuffleStore(
-            metrics=obs.metrics if obs.enabled else None,
             persist=self.recovery is RecoveryModel.PERSISTED,
-            hook=hook,
             bus=obs.bus,
             guard=lambda index, attempt: self._commit_gate(state, index, attempt),
         )
@@ -1025,15 +994,13 @@ class LocalEngine:
         job: JobConf,
         state: _RunState,
         obs: JobObservability,
-        counters: Counters,
     ) -> None:
         """Watchdog callback: latch expiry and cancel every in-flight
         attempt (idempotent)."""
         tokens = state.expire_deadline()
         if tokens is None:
             return
-        counters.increment("job.deadline.expired")
-        obs.deadline_expired(job.deadline or 0.0)
+        obs.bus.publish(EV_JOB_DEADLINE, deadline=job.deadline or 0.0)
         for tok in tokens:
             tok.cancel(REASON_DEADLINE)
 
@@ -1124,15 +1091,29 @@ class LocalEngine:
         Locking rule: nothing is submitted while ``lock`` is held — the
         inline executor runs the submitted task, which takes ``lock``
         itself, before ``submit`` returns.  (``launch_backup`` may: it
-        is only ever installed over a thread pool.)  Scheduler hooks and
-        bus events fire outside it too, so a stalled hook stalls one
-        thread, not the run.
+        is only ever installed over a thread pool.)  Events publish
+        outside it too, so a stalled listener stalls one thread, not
+        the run.
         """
-        obs = self._make_obs(job, obs)
-        obs.job_started(job.num_map_tasks, job.num_reduce_tasks)
+        if obs is None:
+            obs = JobObservability(job.name, enabled=self.observability)
+        bus = obs.bus
+        counters = Counters()
+        trace = EngineTrace()
+        attempts = AttemptLog()
+        # This run's own folds (the scheduler hook last, so a stalling
+        # hook delays nothing that reports on the event).
+        listeners = [counters.on_event, trace.on_event, attempts]
+        if self.scheduler_hook is not None:
+            listeners.append(self.scheduler_hook)
+        for listener in listeners:
+            bus.attach(listener)
+        bus.publish(
+            EV_JOB_START, name=obs.job_name,
+            maps=job.num_map_tasks, reduces=job.num_reduce_tasks,
+        )
         state = _RunState(self, job)
         store = self._new_store(obs, state)
-        counters = Counters()
         self._seed_prune_counters(job, counters)
         total_maps = job.num_map_tasks
         outputs: dict[int, list[KeyValue]] = {}
@@ -1177,7 +1158,7 @@ class LocalEngine:
             if job.deadline is not None:
                 watchdog = DeadlineWatchdog(
                     job.deadline,
-                    lambda: self._expire_deadline(job, state, obs, counters),
+                    lambda: self._expire_deadline(job, state, obs),
                 ).start()
                 stack.callback(watchdog.stop)
 
@@ -1213,16 +1194,16 @@ class LocalEngine:
                             if barrier.ready(p, snapshot, total_maps)
                         ]
                         pending.difference_update(fired)
-                    done = tuple(sorted(snapshot)) if fired else ()
                     for p in fired:
                         if abort.is_set():
                             return  # an earlier fired reduce failed the job
-                        self._hook_event(
-                            HOOK_BARRIER_READY, "reduce", p, completed=done
+                        # ``early``: fired while maps are still
+                        # outstanding (Figure 4b).
+                        bus.publish(
+                            EV_BARRIER_FIRE, kind="reduce", index=p,
+                            maps_done=len(snapshot),
+                            early=len(snapshot) < total_maps,
                         )
-                        obs.barrier_wait(p)
-                        if len(snapshot) < total_maps:
-                            self._note_early_start(obs, counters, p, len(snapshot))
                         future = reduce_pool.submit(reduce_job, p, snapshot)
                         with lock:
                             reduce_futures.append(future)
@@ -1307,14 +1288,12 @@ class LocalEngine:
                 wait(reduce_snapshot)
 
         # The single finish site: every outcome — success, task failure,
-        # deadline — closes the job span and publishes ``job.finish``.
+        # deadline — publishes ``job.finish`` (closing the job span) and
+        # exports the ledger into the registry.
         expired = bool(deadline_errors) and not errors
-        if obs.enabled:
-            tallies = counters.as_dict()
-            for name in METRIC_MIRRORED:
-                if name in tallies:
-                    obs.metrics.counter(name).inc(tallies[name])
-        obs.finish(**({"deadline": "expired"} if expired else {}))
+        obs.finish(counters, **({"deadline": "expired"} if expired else {}))
+        for listener in listeners:
+            bus.detach(listener)
         if errors and inline:
             # The inline executor stopped at the first error, so there
             # is exactly one: surface it as the task raised it.
@@ -1327,30 +1306,13 @@ class LocalEngine:
             job_name=job.name,
             outputs=outputs,
             counters=counters,
-            trace=obs.trace,
+            trace=trace,
             shuffle_connections=store.connections,
             empty_fetches=store.empty_fetches,
             obs=obs,
-            attempts=tuple(state.attempt_log),
+            attempts=attempts.attempts(),
             partial=expired,
         )
-
-    def _note_early_start(
-        self,
-        obs: JobObservability,
-        counters: Counters,
-        partition: int,
-        maps_done: int,
-    ) -> None:
-        """A reduce fired while maps are still outstanding (Figure 4b)."""
-        counters.increment("barrier.early.starts")
-        if obs.enabled:
-            obs.tracer.instant(
-                "reduce.early_start",
-                parent=obs.job_span,
-                track=f"reduce {partition}",
-                args={"index": partition, "maps_done": maps_done},
-            )
 
 
 # --------------------------------------------------------------------- #

@@ -15,15 +15,17 @@ processes.  The split of responsibilities:
   pipe.  Map-side faults fire *inside* the worker with no cancel token:
   an injected ``hang`` blocks the worker forever, heartbeats stop, the
   parent's hang detector flags it, and cancellation arrives as SIGKILL.
-* **Parent** (per task thread): opens the obs task span, runs the
-  reduce-side barrier/validator/fetch sequence (it owns the store),
-  submits a descriptor, and waits.  Waiting doubles as the cancel
+* **Parent** (per task thread): runs the reduce-side
+  barrier/validator/fetch sequence (it owns the store), submits a
+  descriptor, and waits.  Waiting doubles as the cancel
   point: when the attempt's token fires, the worker is killed and the
   attempt raises :class:`~repro.errors.TaskCancelledError` with the
   token's reason — so supersede/hang/deadline routing in
-  ``_execute_with_retry`` is untouched.  A worker that dies *without*
-  a pending cancel surfaces as :class:`~repro.errors.WorkerCrashError`
-  (retryable, the paper's lost tasktracker).
+  ``_run_attempts`` (which also publishes the attempt's
+  ``task.start``/``task.finish``, as for every runner) is untouched.
+  A worker that dies *without* a pending cancel surfaces as
+  :class:`~repro.errors.WorkerCrashError` (retryable, the paper's lost
+  tasktracker).
 
 Death detection uses ``multiprocessing.connection.wait`` over the
 result pipe *and* the process sentinel rather than pipe EOF — forked
@@ -448,8 +450,8 @@ class ProcessRunner:
             "faults": state.faults,
             "spill_root": self._spill.path,
             "hb_interval": engine._hb_interval,
-            # Workers run bodies with obs disabled — the parent owns
-            # spans/metrics and publishes task start/finish itself.
+            # Workers run bodies with obs disabled: the parent's attempt
+            # loop publishes task start/finish, its folds own the rest.
             "obs": JobObservability(job.name + "-worker", enabled=False),
         }
         self._pool = WorkerPool(
@@ -473,33 +475,32 @@ class ProcessRunner:
         faults,
         cancel,
     ) -> None:
-        with obs.task("map", split_index, attempt):
-            pending = self._pool.submit(
-                "map", {"index": split_index, "attempt": attempt}
-            )
-            payload = self._pool.wait(pending, cancel)
-            if cancel is not None:
-                cancel.check()
-            _merge_counters(counters, payload["counters"])
-            directory = payload["directory"]
-            try:
-                if payload["manifest"]:
-                    store.spill(
-                        handles_from_manifest(
-                            split_index, directory, payload["manifest"]
-                        ),
-                        attempt=attempt,
-                    )
-                else:
-                    store.spill_empty(MapTaskId(split_index), attempt=attempt)
-            except BaseException:
-                # Commit refused (lost a speculation race, or cancelled
-                # at the gate): these segments never entered the store,
-                # so drop them now rather than at job end.
-                if directory is not None:
-                    shutil.rmtree(directory, ignore_errors=True)
-                raise
-            self._note_committed(split_index, attempt, directory)
+        pending = self._pool.submit(
+            "map", {"index": split_index, "attempt": attempt}
+        )
+        payload = self._pool.wait(pending, cancel)
+        if cancel is not None:
+            cancel.check()
+        _merge_counters(counters, payload["counters"])
+        directory = payload["directory"]
+        try:
+            if payload["manifest"]:
+                store.spill(
+                    handles_from_manifest(
+                        split_index, directory, payload["manifest"]
+                    ),
+                    attempt=attempt,
+                )
+            else:
+                store.spill_empty(MapTaskId(split_index), attempt=attempt)
+        except BaseException:
+            # Commit refused (lost a speculation race, or cancelled
+            # at the gate): these segments never entered the store,
+            # so drop them now rather than at job end.
+            if directory is not None:
+                shutil.rmtree(directory, ignore_errors=True)
+            raise
+        self._note_committed(split_index, attempt, directory)
 
     def _note_committed(
         self, split_index: int, attempt: int, directory: str | None
@@ -541,28 +542,27 @@ class ProcessRunner:
         # the merge itself ships to a worker.
         engine = self._engine
         hb = Heartbeat(obs.bus, "reduce", partition, attempt, engine._hb_interval)
-        with obs.task("reduce", partition, attempt) as task_span:
-            files = engine._fetch_reduce_inputs(
-                job, partition, barrier, store, counters, obs,
-                completed_at_start, task_span, hb,
-                attempt=attempt, faults=faults, cancel=cancel,
-            )
-            pending = self._pool.submit(
-                "reduce",
-                {"partition": partition, "attempt": attempt, "segments": files},
-            )
-            payload = self._pool.wait(pending, cancel)
-            if cancel is not None:
-                cancel.check()
-            _merge_counters(counters, payload["counters"])
-            if not self._persist:
-                # Consume-on-fetch: the store already dropped these
-                # handles at fetch time; the attempt succeeded, so the
-                # bytes go too.  (Failed attempts leave them for the
-                # supersede unlink or the job-end sweep.)
-                for f in files:
-                    f.unlink()
-            return payload["records"]
+        files = engine._fetch_reduce_inputs(
+            job, partition, barrier, store, counters, obs,
+            completed_at_start, obs.task_span("reduce", partition, attempt),
+            hb, attempt=attempt, faults=faults, cancel=cancel,
+        )
+        pending = self._pool.submit(
+            "reduce",
+            {"partition": partition, "attempt": attempt, "segments": files},
+        )
+        payload = self._pool.wait(pending, cancel)
+        if cancel is not None:
+            cancel.check()
+        _merge_counters(counters, payload["counters"])
+        if not self._persist:
+            # Consume-on-fetch: the store already dropped these
+            # handles at fetch time; the attempt succeeded, so the
+            # bytes go too.  (Failed attempts leave them for the
+            # supersede unlink or the job-end sweep.)
+            for f in files:
+                f.unlink()
+        return payload["records"]
 
 
 def _merge_counters(counters: Counters, worker_counts: dict) -> None:

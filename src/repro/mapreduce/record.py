@@ -126,7 +126,6 @@ def run_record_map(
             store.spill_empty(MapTaskId(split_index), attempt=attempt)
     counters.increment("shuffle.segments", len(files))
     if obs.enabled and read_span is not None:
-        obs.metrics.counter("map.emit.records").inc(records_out)
         dur = read_span.duration
         if dur > 0 and records_out:
             obs.metrics.histogram(

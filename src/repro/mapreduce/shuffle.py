@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import ShuffleError, StaleFetchError
 from repro.mapreduce.types import KeyValue, MapTaskId
+from repro.obs.live.bus import EV_FETCH, EV_SPILL_COMMIT
 
 
 def _spill_checks_enabled() -> bool:
@@ -148,9 +149,12 @@ class MapOutputIndex:
 class ShuffleStore:
     """Thread-safe store of spilled map output, with fetch accounting.
 
-    When constructed with a :class:`~repro.obs.metrics.MetricsRegistry`,
-    spill and fetch activity is mirrored into the shared metric
-    vocabulary (``shuffle.spill.*`` / ``shuffle.fetch.*``).
+    Given a ``bus`` (:class:`~repro.obs.live.bus.EventBus`), every
+    commit publishes ``spill.commit`` and every fetch ``fetch`` — once,
+    *while the store lock is held*, so the event stream linearizes
+    commits against fetches (the ``shuffle.spill.*`` / ``shuffle.fetch.*``
+    metrics and the verify invariants are folds over those events).
+    Bus listeners therefore must never call back into the store.
 
     Spills are committed per **(map task, attempt)**: a retried map
     commits a higher attempt number which atomically supersedes the
@@ -168,9 +172,7 @@ class ShuffleStore:
     def __init__(
         self,
         *,
-        metrics: Any | None = None,
         persist: bool = True,
-        hook: Any | None = None,
         bus: Any | None = None,
         guard: Any | None = None,
     ) -> None:
@@ -181,15 +183,6 @@ class ShuffleStore:
         #: first-commit-wins between racing speculative attempts — a
         #: cancelled loser can never publish output a fetch could see).
         self._guard = guard
-        #: Verification seam (engine's SchedulerHook.on_event, or None).
-        #: ``spill-commit`` and ``fetch`` events fire while the store
-        #: lock is held so the event stream linearizes commits against
-        #: fetches; hooks must therefore never call back into the store.
-        self._hook = hook
-        #: Live event bus (:class:`~repro.obs.live.bus.EventBus`, or
-        #: None).  ``spill.commit``/``fetch`` publish under the store
-        #: lock for the same linearization reason as the hook — so bus
-        #: listeners, like hooks, must never call back into the store.
         self._bus = bus
         self._files: dict[tuple[int, int], MapOutputFile] = {}
         self._indexes: dict[int, MapOutputIndex] = {}
@@ -199,15 +192,6 @@ class ShuffleStore:
         self._persist = persist
         self._connections = 0
         self._empty_fetches = 0
-        # Resolve metric handles once; per-call registry lookups would
-        # put a dict probe on the fetch hot path.
-        self._m_spill_files = metrics.counter("shuffle.spill.files") if metrics else None
-        self._m_spill_records = metrics.counter("shuffle.spill.records") if metrics else None
-        self._m_spill_superseded = (
-            metrics.counter("shuffle.spill.superseded") if metrics else None
-        )
-        self._m_fetch_conn = metrics.counter("shuffle.fetch.connections") if metrics else None
-        self._m_fetch_empty = metrics.counter("shuffle.fetch.empty") if metrics else None
 
     # ------------------------------------------------------------------ #
     # Map side
@@ -235,15 +219,8 @@ class ShuffleStore:
                 # the same critical section so no fetch can observe a mix.
                 for p in self._indexes[map_id.index].records_per_partition:
                     self._files.pop((map_id.index, p), None)
-                if self._m_spill_superseded is not None:
-                    self._m_spill_superseded.inc()
             for f in files:
                 self._files[(map_id.index, f.partition)] = f
-            if self._m_spill_files is not None:
-                # An empty map still writes its index entry — count it,
-                # or spill counters under-report jobs with empty maps.
-                self._m_spill_files.inc(len(files) or 1)
-                self._m_spill_records.inc(sum(f.num_records for f in files))
             self._indexes[map_id.index] = MapOutputIndex(
                 map_id=map_id,
                 partitions=frozenset(
@@ -257,19 +234,9 @@ class ShuffleStore:
                 },
             )
             self._attempts[map_id.index] = attempt
-            if self._hook is not None:
-                self._hook(
-                    "spill-commit", "map", map_id.index, attempt,
-                    {
-                        "partitions": tuple(
-                            sorted(f.partition for f in files)
-                        ),
-                        "superseded": superseding,
-                    },
-                )
             if self._bus is not None:
                 self._bus.publish(
-                    "spill.commit",
+                    EV_SPILL_COMMIT,
                     kind="map",
                     index=map_id.index,
                     attempt=attempt,
@@ -322,33 +289,21 @@ class ShuffleStore:
             self._fetched.setdefault(partition, {})[map_index] = (
                 self._attempts[map_index]
             )
-            if self._m_fetch_conn is not None:
-                self._m_fetch_conn.inc()
-            if f is None or f.num_records == 0:
+            empty = f is None or f.num_records == 0
+            if empty:
                 self._empty_fetches += 1
-                if self._m_fetch_empty is not None:
-                    self._m_fetch_empty.inc()
             elif not self._persist:
                 # Streamed shuffle: the map side keeps nothing once the
                 # reduce has copied the file (§6 no-persist mode).
                 del self._files[(map_index, partition)]
-            if self._hook is not None:
-                self._hook(
-                    "fetch", "reduce", partition, 0,
-                    {
-                        "map": map_index,
-                        "map_attempt": self._attempts[map_index],
-                        "empty": f is None or f.num_records == 0,
-                    },
-                )
             if self._bus is not None:
                 self._bus.publish(
-                    "fetch",
+                    EV_FETCH,
                     kind="reduce",
                     index=partition,
                     map=map_index,
                     map_attempt=self._attempts[map_index],
-                    empty=f is None or f.num_records == 0,
+                    empty=empty,
                 )
             return f
 

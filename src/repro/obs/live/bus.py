@@ -1,10 +1,15 @@
 """EventBus: thread-safe, bounded, non-blocking publish/subscribe.
 
-The bus is the transport of the live observability plane.  Publishers
-(the engine's :class:`~repro.obs.jobobs.JobObservability`, the
-:class:`~repro.mapreduce.shuffle.ShuffleStore`, the SIDR schedule
-policy, the simulator's timeline replay) call :meth:`EventBus.publish`
-from hot paths, so the contract is strict:
+The bus is the run's **event spine**: every lifecycle occurrence is
+published on it exactly once, at its source (the engine's attempt loop
+and barrier site, the :class:`~repro.mapreduce.shuffle.ShuffleStore`,
+the detectors, the SIDR schedule policy, the simulator's timeline
+replay), and everything that reports on a run — spans, registry
+metrics, lifecycle ``Counters``, the flat ``EngineTrace``,
+``JobResult.attempts``, progress, the JSONL audit, the verify hook log
+— is a listener folding that one stream (``docs/OBSERVABILITY.md`` has
+the event → source → fold table).  Publishers call
+:meth:`EventBus.publish` from hot paths, so the contract is strict:
 
 * **publish never blocks** — a subscriber whose bounded queue is full
   loses the event, and the loss is *counted* (per subscription and in
@@ -19,14 +24,17 @@ from hot paths, so the contract is strict:
   stream rely on;
 * synchronous listeners (:meth:`attach`) run *outside* that lock, so a
   listener may itself publish (the straggler detector does); listener
-  exceptions are swallowed and counted (``listener_errors``), never
-  propagated into the publishing task.
+  exceptions are swallowed and counted (``listener_errors``, the first
+  one kept as ``first_listener_error``), never propagated into the
+  publishing task.  Because listeners run unlocked, two threads'
+  listener calls may interleave: a fold that cares about order uses
+  ``Event.seq``, never arrival order.
 
 Event vocabulary (see ``docs/OBSERVABILITY.md``): ``job.start``,
 ``task.start``, ``task.heartbeat``, ``task.finish``, ``task.retry``,
 ``task.straggler``, ``task.hang``, ``task.speculate``,
-``task.cancelled``, ``spill.commit``, ``barrier.fire``, ``fetch``,
-``recovery.reexecute``, ``sched.reduce.scheduled``,
+``task.cancelled``, ``spill.commit``, ``barrier.fire``,
+``reduce.start``, ``fetch``, ``recovery.reexecute``, ``sched.reduce.scheduled``,
 ``sched.map.scheduled``, ``job.deadline``, ``job.finish``.
 """
 
@@ -58,6 +66,10 @@ EV_TASK_CANCELLED = "task.cancelled"
 EV_JOB_DEADLINE = "job.deadline"
 EV_SPILL_COMMIT = "spill.commit"
 EV_BARRIER_FIRE = "barrier.fire"
+#: A reduce attempt is about to check its barrier and fetch; ``data``
+#: carries the completed-map set it was scheduled with (what the
+#: no-early-reduce invariant reads).
+EV_REDUCE_START = "reduce.start"
 EV_FETCH = "fetch"
 EV_RECOVERY = "recovery.reexecute"
 EV_SCHED_REDUCE = "sched.reduce.scheduled"
@@ -190,8 +202,11 @@ class EventBus:
         self._published = 0
         self._dropped = 0
         self._listener_errors = 0
+        self._first_listener_error: BaseException | None = None
         self._subs: list[Subscription] = []
-        self._listeners: list[Callable[[Event], None]] = []
+        #: Replaced, never mutated, on attach/detach: publish reads it
+        #: without copying.
+        self._listeners: tuple[Callable[[Event], None], ...] = ()
         if clock is None:
             t0 = time.perf_counter()
             clock = lambda: time.perf_counter() - t0  # noqa: E731
@@ -229,14 +244,14 @@ class EventBus:
         events of its own.
         """
         with self._lock:
-            self._listeners.append(listener)
+            self._listeners += (listener,)
 
     def detach(self, listener: Callable[[Event], None]) -> None:
         with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
+            kept = list(self._listeners)
+            if listener in kept:
+                kept.remove(listener)
+                self._listeners = tuple(kept)
 
     # ------------------------------------------------------------------ #
     # Publish
@@ -270,7 +285,7 @@ class EventBus:
                 if not sub._offer(event):
                     dropped_now += 1
             self._dropped += dropped_now
-            listeners = list(self._listeners)
+            listeners = self._listeners
         if self._m_published is not None:
             self._m_published.inc()
         if dropped_now and self._m_dropped is not None:
@@ -278,9 +293,11 @@ class EventBus:
         for fn in listeners:
             try:
                 fn(event)
-            except Exception:
+            except Exception as exc:
                 with self._lock:
                     self._listener_errors += 1
+                    if self._first_listener_error is None:
+                        self._first_listener_error = exc
         return event
 
     # ------------------------------------------------------------------ #
@@ -304,3 +321,10 @@ class EventBus:
     def listener_errors(self) -> int:
         with self._lock:
             return self._listener_errors
+
+    @property
+    def first_listener_error(self) -> BaseException | None:
+        """The first exception a listener raised (None if none did) —
+        what to look at when ``listener_errors`` is not 0."""
+        with self._lock:
+            return self._first_listener_error

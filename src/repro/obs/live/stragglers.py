@@ -13,12 +13,11 @@ the MAD arm keeps the detector honest when durations are tightly
 clustered (a tiny median would otherwise flag everything); the
 ``min_seconds`` floor suppresses noise on sub-millisecond test tasks.
 
-A flagged task produces, once per attempt:
-
-* a ``task.straggler`` event on the bus (visible to the live renderer,
-  the JSONL stream, and the progress tracker's snapshot),
-* a ``sched.stragglers.flagged`` counter increment,
-* a ``task.straggler`` instant span on the task's trace track.
+A flagged task produces, once per attempt, a ``task.straggler`` event
+on the bus — visible to the live renderer, the JSONL stream and the
+progress tracker's snapshot, and folded by the run's observability into
+the ``sched.stragglers.flagged`` counter and a ``task.straggler``
+instant on the task's trace track.
 
 Checks run on every ``task.finish`` event and on the renderer's
 periodic tick (:meth:`check`) — the tick matters because a genuinely
@@ -31,7 +30,7 @@ import bisect
 import threading
 from contextlib import contextmanager
 from threading import Lock
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.obs.live.bus import (
     EV_TASK_FINISH,
@@ -60,9 +59,6 @@ class StragglerDetector:
         k: float = 3.0,
         min_samples: int = 3,
         min_seconds: float = 0.05,
-        metrics: Any | None = None,
-        tracer: Any | None = None,
-        parent_span: Any | None = None,
     ) -> None:
         if k <= 1.0:
             raise ValueError(f"straggler multiplier k must be > 1, got {k}")
@@ -70,13 +66,6 @@ class StragglerDetector:
         self.k = k
         self.min_samples = min_samples
         self.min_seconds = min_seconds
-        self._tracer = tracer
-        self._parent_span = parent_span
-        self._m_flagged = (
-            metrics.counter("sched.stragglers.flagged")
-            if metrics is not None
-            else None
-        )
         self._lock = Lock()
         # (kind, index, attempt) -> start time, for every in-flight attempt.
         self._inflight: dict[tuple[str, int, int], float] = {}
@@ -158,20 +147,6 @@ class StragglerDetector:
         # task.straggler, and the progress tracker, which records it).
         published: list[Event] = []
         for kind, index, attempt, elapsed, limit, med in to_flag:
-            if self._m_flagged is not None:
-                self._m_flagged.inc()
-            if self._tracer is not None:
-                self._tracer.instant(
-                    "task.straggler",
-                    parent=self._parent_span,
-                    track=f"{kind} {index}",
-                    args={
-                        "index": index,
-                        "attempt": attempt,
-                        "elapsed": elapsed,
-                        "threshold": limit,
-                    },
-                )
             published.append(
                 self._bus.publish(
                     EV_TASK_STRAGGLER,

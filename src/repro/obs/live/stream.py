@@ -6,11 +6,12 @@ the process dies mid-job, every event published up to the crash is on
 disk (unlike the post-hoc trace export, which only exists after a clean
 finish).
 
-:func:`read_events` loads such a file back into :class:`Event` objects,
-and :func:`phase_totals` / :func:`trace_phase_totals` reduce a live
-stream and a legacy :class:`~repro.mapreduce.engine.EngineTrace` to the
-same per-phase totals — the acceptance check that a ``--events`` JSONL
-replays to exactly what the post-hoc trace recorded.
+:func:`read_events` loads such a file back into :class:`Event` objects
+(ready to feed through any fold), and :func:`phase_totals` /
+:func:`trace_phase_totals` reduce a stream and an
+:class:`~repro.mapreduce.engine.EngineTrace` to the same per-phase
+totals — the acceptance check that a ``--events`` JSONL replays to
+exactly what the run's trace recorded.
 """
 
 from __future__ import annotations
@@ -50,14 +51,20 @@ class JsonlEventWriter:
         append: bool = False,
     ) -> None:
         self.path = Path(path)
-        self._sub = bus.subscribe(maxsize=maxsize)
         # ``append`` lets several per-job writers share one stream file
         # (the resident service's audit log): each line carries the
         # publishing bus's job id, and replay filters with
         # ``read_events(path, job=...)``.  Lines are written whole under
         # a lock, so interleaving is per-line, never intra-line.
+        # Opened before subscribing: an unwritable path must not leave
+        # an undrained subscription behind on the bus.
         self._file = open(self.path, "a" if append else "w", encoding="utf-8")
+        self._sub = bus.subscribe(maxsize=maxsize)
         self._written = 0
+        #: Events that could not be serialized or written (the stream
+        #: keeps draining past them), and the first such exception.
+        self.write_errors = 0
+        self.first_write_error: Exception | None = None
         self._wlock = threading.Lock()
         self._thread = threading.Thread(
             target=self._drain_loop, name="obs-events-writer", daemon=True
@@ -74,15 +81,28 @@ class JsonlEventWriter:
             self._write(ev)
 
     def _write(self, ev: Event) -> None:
-        line = json.dumps(ev.to_json(), separators=(",", ":"))
         with self._wlock:
             if self._file.closed:
                 return
-            self._file.write(line + "\n")
-            # Flush per event: crash durability is the point of the
-            # stream (post-hoc export already covers the happy path).
-            self._file.flush()
+            try:
+                line = json.dumps(
+                    ev.to_json(), separators=(",", ":"), default=_jsonable
+                )
+                self._file.write(line + "\n")
+                # Flush per event: crash durability is the point of the
+                # stream (post-hoc export already covers the happy path).
+                self._file.flush()
+            except (TypeError, ValueError, OSError) as exc:
+                # One bad payload or a full disk must not kill the
+                # drainer: count it and keep going.
+                self._note_error(exc)
+                return
             self._written += 1
+
+    def _note_error(self, exc: Exception) -> None:
+        self.write_errors += 1
+        if self.first_write_error is None:
+            self.first_write_error = exc
 
     @property
     def written(self) -> int:
@@ -94,20 +114,34 @@ class JsonlEventWriter:
         return self._sub.dropped
 
     def close(self) -> None:
-        """Stop the subscription, drain what is queued, close the file."""
+        """Stop the subscription, drain what is queued, close the file.
+        Afterwards ``write_errors`` is final: non-zero means the file is
+        missing that many events (``first_write_error`` says why)."""
         self._sub.close()
         self._thread.join(timeout=5.0)
         for ev in self._sub.drain():
             self._write(ev)
         with self._wlock:
             if not self._file.closed:
-                self._file.close()
+                try:
+                    self._file.close()
+                except OSError as exc:
+                    self._note_error(exc)
 
     def __enter__(self) -> "JsonlEventWriter":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _jsonable(value: Any) -> Any:
+    """``json.dumps`` fallback: numpy scalars (an ``np.int64`` index in
+    an event payload) become their Python value."""
+    item = getattr(value, "item", None)
+    if callable(item):
+        return item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def read_events(path: str | Path, *, job: str | None = None) -> list[Event]:

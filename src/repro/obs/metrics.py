@@ -6,24 +6,10 @@ to update from the engine's hot paths; histograms batch with
 :meth:`Histogram.observe_many` so per-group accounting costs one lock
 acquisition per reduce task, not one per key group.
 
-Metric name vocabulary shared by the real engine and the simulator
-(see ``docs/OBSERVABILITY.md``):
-
-* ``barrier.wait.seconds`` — histogram, per-reduce barrier wait
-* ``shuffle.fetch.seconds`` — histogram, per-reduce fetch-phase time
-* ``reduce.group.size`` — histogram, records per reduce key group
-* ``map.emit.records_per_sec`` — histogram, per-map emit rate
-* ``shuffle.fetch.connections`` / ``shuffle.fetch.empty`` — counters
-* ``shuffle.spill.files`` / ``shuffle.spill.records`` — counters
-* ``barrier.early.starts`` — counter
-* ``sched.reduce.scheduled`` / ``sched.map.scheduled`` /
-  ``sched.maps.unlocked`` — counters (SIDR schedule policy)
-* ``job.makespan.seconds`` — gauge
-* ``task.attempt`` / ``task.retries`` — counters (fault tolerance)
-* ``task.retry.backoff`` — histogram, per-retry backoff delay
-* ``recovery.maps_reexecuted`` — counter, maps re-run for reduce recovery
-* ``recovery.seconds`` — histogram, wall time per recovery episode
-* ``shuffle.spill.superseded`` — counter, retried-map spill replacements
+Metric names shared by the real engine and the simulator are tabled in
+``docs/OBSERVABILITY.md`` ("Metric vocabulary"), with who fills each:
+the metrics fold (:mod:`repro.obs.folds`), a task body, or the
+finish-time export of the run's ``Counters`` ledger.
 """
 
 from __future__ import annotations

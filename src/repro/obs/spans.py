@@ -29,7 +29,7 @@ import itertools
 import threading
 import time
 from contextlib import contextmanager
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,18 +71,17 @@ class Span:
 class SpanTracer:
     """Append-only, thread-safe span store with an internal clock."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._ids = itertools.count()
-        self._t0 = time.perf_counter()
-
-    # ------------------------------------------------------------------ #
-    # Clock
-    # ------------------------------------------------------------------ #
-    def now(self) -> float:
-        """Seconds since the tracer epoch."""
-        return time.perf_counter() - self._t0
+        if clock is None:
+            t0 = time.perf_counter()
+            clock = lambda: time.perf_counter() - t0  # noqa: E731
+        #: Seconds since the tracer epoch.  A run's tracer is handed its
+        #: bus's clock, so spans folded from ``Event.t`` and phase spans
+        #: timed here share one timeline.
+        self.now = clock
 
     # ------------------------------------------------------------------ #
     # Recording

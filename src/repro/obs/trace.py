@@ -1,17 +1,16 @@
-"""The engine's flat start/finish trace (``JobResult.trace``).
-
-Predates the span layer and is fed by it: task spans emit the matching
-events via :meth:`~repro.obs.jobobs.JobObservability.task`.  Callers
-import these names from :mod:`repro.mapreduce.engine`, which re-exports
-them.
+"""The engine's flat start/finish trace (``JobResult.trace``): a fold
+over the run's bus (``task.start`` → ``start``, ``task.finish`` with
+``status="ok"`` → ``finish``; a failing attempt records no finish).
+Callers import these names from :mod:`repro.mapreduce.engine`, which
+re-exports them.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable
+
+from repro.obs.live.bus import EV_TASK_FINISH, EV_TASK_START, Event
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ class TraceEvent:
 
 
 class LogicalClock:
-    """Deterministic monotonic counter usable as an ``EngineTrace`` clock.
+    """Deterministic monotonic counter usable as an ``EventBus`` clock.
 
     Each call advances by ``step`` — replacing wall time with logical
     time makes trace ``wall`` fields bit-stable run-to-run, which is
@@ -45,45 +44,35 @@ class LogicalClock:
 
 
 class EngineTrace:
-    """Append-only, thread-safe event log.
+    """Append-only, thread-safe event log, filled by :meth:`on_event`
+    attached to a bus: entries take the bus's ``seq`` and ``t``, so a
+    deterministic bus clock such as :class:`LogicalClock` makes them
+    bit-stable."""
 
-    Since the span layer landed (:mod:`repro.obs`) this is a
-    *compatibility bridge*: the engine's task spans feed it start/finish
-    events via :meth:`JobObservability.task`, so every historical
-    consumer (tests, figures, ``reduce_starts_before_last_map``) keeps
-    working while rich traces come from ``JobResult.obs``.
-
-    ``clock`` defaults to wall time; passing a :class:`LogicalClock`
-    (or any zero-arg float callable) makes recorded timestamps
-    deterministic.
-    """
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[TraceEvent] = []
         self._first_seq: dict[tuple[str, str, int], int] = {}
-        self._seq = 0
-        self._clock = clock or time.perf_counter
-        self._t0 = self._clock()
 
-    def record(self, kind: str, event: str, index: int) -> TraceEvent:
+    def on_event(self, ev: Event) -> None:
+        """Bus listener.  Listener calls from different threads can
+        arrive out of order, so entries keep the bus ``seq``."""
+        if ev.type == EV_TASK_START:
+            event = "start"
+        elif ev.type == EV_TASK_FINISH and ev.data.get("status") == "ok":
+            event = "finish"
+        else:
+            return
+        key = (ev.kind, event, ev.index)
         with self._lock:
-            ev = TraceEvent(
-                seq=self._seq,
-                wall=self._clock() - self._t0,
-                kind=kind,
-                event=event,
-                index=index,
-            )
-            self._events.append(ev)
-            self._first_seq.setdefault((kind, event, index), self._seq)
-            self._seq += 1
-            return ev
+            self._events.append(TraceEvent(ev.seq, ev.t, ev.kind, event, ev.index))
+            self._first_seq[key] = min(self._first_seq.get(key, ev.seq), ev.seq)
 
     @property
     def events(self) -> list[TraceEvent]:
+        """Every entry, in ``seq`` order."""
         with self._lock:
-            return list(self._events)
+            return sorted(self._events, key=lambda e: e.seq)
 
     def seq_of(self, kind: str, event: str, index: int) -> int:
         """Logical sequence number of the first matching event (-1 if

@@ -102,6 +102,7 @@ class QueryService:
         #: Shared audit stream: every job's events land in one JSONL
         #: file (append mode), each line stamped with its job id.
         self._events_path = events_path
+        self._event_write_errors = 0
         self._started_at = time.time()
         self._closed = False
 
@@ -210,6 +211,8 @@ class QueryService:
             "tenants": tenants,
             "jobs": states,
             "datasets": self.registry.snapshot(),
+            # Audit-log events lost to serialization or I/O errors.
+            "event_write_errors": self._event_write_errors,
         }
 
     def close(self) -> None:
@@ -323,3 +326,5 @@ class QueryService:
         finally:
             if writer is not None:
                 writer.close()
+                with self._lock:
+                    self._event_write_errors += writer.write_errors

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.engine import EngineTrace, LocalEngine
+from repro.mapreduce.engine import LocalEngine
 from repro.mapreduce.shuffle import ShuffleStore
 from repro.mapreduce.types import KeyValue
 from repro.obs import JobObservability
@@ -137,8 +137,8 @@ class PipelinedQuery:
         s2_input = np.full(s2_space, np.nan)
         engine = LocalEngine()
         s2_job, s2_barrier = self.s2_plan.configure_job(s2_input)
-        s2_obs = JobObservability(s2_job.name, legacy_trace=EngineTrace())
-        s2_store = ShuffleStore(metrics=s2_obs.metrics)
+        s2_obs = JobObservability(s2_job.name, enabled=False)
+        s2_store = ShuffleStore()
         s2_counters = Counters()
         s2_done_maps: set[int] = set()
         s2_pending_reduces = set(range(self.s2_plan.num_reduce_tasks))

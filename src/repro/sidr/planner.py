@@ -85,9 +85,9 @@ class SIDRPlan:
             self.query_plan, self.partition, exact=exact
         )
 
-    def schedule_policy(self, *, metrics: Any | None = None) -> SidrSchedulePolicy:
+    def schedule_policy(self, *, bus: Any | None = None) -> SidrSchedulePolicy:
         return SidrSchedulePolicy(
-            deps=self.deps, priorities=self.priorities, metrics=metrics
+            deps=self.deps, priorities=self.priorities, bus=bus
         )
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulerError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.live.bus import EV_SCHED_MAP, EV_SCHED_REDUCE
 from repro.sidr.dependencies import DependencyMap
 
 
@@ -30,12 +30,11 @@ class SidrSchedulePolicy:
     deps: DependencyMap
     #: Lower value = schedule earlier; defaults to all-equal (index order).
     priorities: Sequence[float] | None = None
-    #: Optional shared metrics registry; scheduling decisions land under
-    #: the ``sched.*`` counters (see docs/OBSERVABILITY.md).
-    metrics: MetricsRegistry | None = None
-    #: Optional live event bus (:class:`~repro.obs.live.bus.EventBus`);
+    #: Optional event bus (:class:`~repro.obs.live.bus.EventBus`):
     #: scheduling decisions publish ``sched.reduce.scheduled`` /
-    #: ``sched.map.scheduled`` events onto the shared live stream.
+    #: ``sched.map.scheduled``, which a
+    #: :class:`~repro.obs.folds.MetricsFold` on the same bus counts as
+    #: the ``sched.*`` metrics (see docs/OBSERVABILITY.md).
     bus: object | None = None
 
     _eligible_maps: set[int] = field(default_factory=set, repr=False)
@@ -75,12 +74,9 @@ class SidrSchedulePolicy:
         self._scheduled_reduces.add(block)
         newly = self.deps.dependencies[block] - self._eligible_maps
         self._eligible_maps |= newly
-        if self.metrics is not None:
-            self.metrics.counter("sched.reduce.scheduled").inc()
-            self.metrics.counter("sched.maps.unlocked").inc(len(newly))
         if self.bus is not None:
             self.bus.publish(
-                "sched.reduce.scheduled",
+                EV_SCHED_REDUCE,
                 kind="reduce",
                 index=block,
                 unlocked_maps=sorted(newly),
@@ -106,12 +102,8 @@ class SidrSchedulePolicy:
                 "reduce depends on it"
             )
         self._scheduled_maps.add(split_index)
-        if self.metrics is not None:
-            self.metrics.counter("sched.map.scheduled").inc()
         if self.bus is not None:
-            self.bus.publish(
-                "sched.map.scheduled", kind="map", index=split_index
-            )
+            self.bus.publish(EV_SCHED_MAP, kind="map", index=split_index)
 
     # ------------------------------------------------------------------ #
     @property

@@ -128,91 +128,46 @@ class TaskTimeline:
     # Observability bridge
     # ------------------------------------------------------------------ #
     def to_observability(self, job_name: str | None = None):
-        """Replay this timeline as spans/metrics in the engine's exact
-        observability vocabulary (``job``/``map``/``reduce`` task spans,
-        ``barrier.wait``, ``reduce.fetch``, ``reduce.reduce``), so a
-        simulated run exports to the same Perfetto trace format as a
-        real :class:`~repro.mapreduce.engine.LocalEngine` run.
+        """This timeline as a :class:`~repro.obs.JobObservability`, built
+        the way a real run's is: :meth:`replay_events` onto a bus with
+        the engine's own span, metrics and lifecycle-counter folds
+        attached — so a simulated run exports to the same Perfetto trace
+        and metrics vocabulary as a :class:`~repro.mapreduce.engine.LocalEngine`
+        run.
         """
-        from repro.obs import CAT_TASK, TIME_BUCKETS, JobObservability
+        from repro.mapreduce.counters import Counters
+        from repro.obs import TIME_BUCKETS, JobObservability
 
-        obs = JobObservability(
-            job_name or f"sim-{self.mode}", enabled=True, start_at=0.0
-        )
+        obs = JobObservability(job_name or f"sim-{self.mode}")
+        counters = Counters()
+        obs.bus.attach(counters.on_event)
+        self.replay_events(obs.bus, obs.job_name)
+        # The simulator prices connections in aggregate: there are no
+        # per-fetch events to fold, only the run's total.
+        counters.increment("shuffle.fetch.connections", self.shuffle_connections)
+        obs.export(counters)
+        # Inside each reduce, the copy and merge phases — body-internal
+        # phase spans, which a real task body opens with ``obs.phase``.
         tr = obs.tracer
-        for m in range(self.num_maps):
-            span = tr.start_span(
-                "map",
-                parent=obs.job_span,
-                category=CAT_TASK,
-                track=f"map {m}",
-                at=self.map_start[m],
-                args={"index": m},
-            )
-            tr.end_span(span, at=self.map_finish[m])
-        wait_hist = obs.metrics.histogram("barrier.wait.seconds", TIME_BUCKETS)
         fetch_hist = obs.metrics.histogram("shuffle.fetch.seconds", TIME_BUCKETS)
-        last_map = self.last_map_finish
-        early = 0
-        for l in range(self.num_reduces):
-            scheduled = self.reduce_scheduled[l]
-            ready = (
-                self.reduce_barrier_ready[l]
-                if l < len(self.reduce_barrier_ready)
-                else self.reduce_processing_start[l]
-            )
-            ready = min(max(ready, scheduled), self.reduce_finish[l])
-            bw = tr.start_span(
-                "barrier.wait",
-                parent=obs.job_span,
-                category="barrier",
-                track=f"reduce {l}",
-                at=scheduled,
-                args={"index": l},
-            )
-            tr.end_span(bw, at=ready)
-            wait_hist.observe(ready - scheduled)
-            span = tr.start_span(
-                "reduce",
-                parent=obs.job_span,
-                category=CAT_TASK,
-                track=f"reduce {l}",
-                at=ready,
-                args={"index": l},
-            )
-            copy_end = max(self.reduce_processing_start[l], ready)
-            fetch = tr.start_span(
-                "reduce.fetch", parent=span, at=ready, args={"index": l}
-            )
-            tr.end_span(fetch, at=copy_end)
-            fetch_hist.observe(copy_end - ready)
-            red = tr.start_span(
-                "reduce.reduce", parent=span, at=copy_end, args={"index": l}
-            )
-            tr.end_span(red, at=self.reduce_finish[l])
-            tr.end_span(span, at=self.reduce_finish[l])
-            if ready < last_map:
-                early += 1
-                tr.instant(
-                    "reduce.early_start",
-                    parent=obs.job_span,
-                    track=f"reduce {l}",
-                    at=ready,
-                    args={"index": l},
-                )
-        obs.metrics.counter("barrier.early.starts").inc(early)
-        obs.metrics.counter("shuffle.fetch.connections").inc(
-            self.shuffle_connections
-        )
-        tr.end_span(obs.job_span, at=self.makespan)
-        obs.metrics.gauge("job.makespan.seconds").set(self.makespan)
+        for span in tr.find("reduce"):
+            l = span.args["index"]
+            copy_end = max(self.reduce_processing_start[l], span.start)
+            for name, start, end in (
+                ("reduce.fetch", span.start, copy_end),
+                ("reduce.reduce", copy_end, span.end),
+            ):
+                phase = tr.start_span(name, parent=span, at=start, args={"index": l})
+                tr.end_span(phase, at=end)
+            fetch_hist.observe(copy_end - span.start)
         return obs
 
     def replay_events(self, bus, job_name: str | None = None) -> int:
         """Replay this timeline onto a live event bus in simulated-time
         order, using the engine's exact live vocabulary (``job.start``,
-        ``task.start``/``task.finish``, ``barrier.fire``,
-        ``job.finish``).
+        ``task.start``/``task.finish``, ``barrier.fire`` — carrying
+        ``since`` (when the reduce was scheduled) and ``early`` (fired
+        before the last map finished) — and ``job.finish``).
 
         The same consumers that watch a real run — progress tracker,
         straggler detector, JSONL writer — can therefore watch a
@@ -256,6 +211,7 @@ class TaskTimeline:
                     },
                 )
             )
+        last_map = self.last_map_finish
         for l in range(self.num_reduces):
             ready = (
                 self.reduce_barrier_ready[l]
@@ -266,7 +222,17 @@ class TaskTimeline:
                 max(ready, self.reduce_scheduled[l]), self.reduce_finish[l]
             )
             sequence.append(
-                (ready, 1, EV_BARRIER_FIRE, {"kind": "reduce", "index": l})
+                (
+                    ready,
+                    1,
+                    EV_BARRIER_FIRE,
+                    {
+                        "kind": "reduce",
+                        "index": l,
+                        "since": self.reduce_scheduled[l],
+                        "early": ready < last_map,
+                    },
+                )
             )
             sequence.append(
                 (ready, 2, EV_TASK_START, {"kind": "reduce", "index": l})

@@ -39,7 +39,6 @@ class HangDetector(StragglerDetector):
         bus: EventBus,
         *,
         hang_timeout: float = 0.5,
-        metrics: Any | None = None,
         rank: Any | None = None,
         **straggler_kwargs: Any,
     ) -> None:
@@ -47,7 +46,7 @@ class HangDetector(StragglerDetector):
             raise ValueError(
                 f"hang_timeout must be positive, got {hang_timeout}"
             )
-        super().__init__(bus, metrics=metrics, **straggler_kwargs)
+        super().__init__(bus, **straggler_kwargs)
         self.hang_timeout = hang_timeout
         #: Optional ``rank(kind, index) -> float``: when one check flags
         #: several stale attempts at once, their ``task.hang`` events
@@ -59,11 +58,6 @@ class HangDetector(StragglerDetector):
         # (task.start or task.heartbeat).
         self._last_seen: dict[tuple[str, int, int], float] = {}
         self._hang_flagged: set[tuple[str, int, int]] = set()
-        self._m_hangs = (
-            metrics.counter("sched.hangs.flagged")
-            if metrics is not None
-            else None
-        )
 
     # ------------------------------------------------------------------ #
     def on_event(self, ev: Event) -> None:
@@ -102,20 +96,6 @@ class HangDetector(StragglerDetector):
             )
         # Publish outside the lock (bus listeners may publish back).
         for (kind, index, attempt), stale in to_flag:
-            if self._m_hangs is not None:
-                self._m_hangs.inc()
-            if self._tracer is not None:
-                self._tracer.instant(
-                    "task.hang",
-                    parent=self._parent_span,
-                    track=f"{kind} {index}",
-                    args={
-                        "index": index,
-                        "attempt": attempt,
-                        "stale": stale,
-                        "timeout": self.hang_timeout,
-                    },
-                )
             published.append(
                 self._bus.publish(
                     EV_TASK_HANG,

@@ -13,7 +13,12 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.live.bus import EV_TASK_HANG, EV_TASK_STRAGGLER, Event
+from repro.obs.live.bus import (
+    EV_TASK_HANG,
+    EV_TASK_SPECULATE,
+    EV_TASK_STRAGGLER,
+    Event,
+)
 from repro.spec.cancel import REASON_HANG
 from repro.spec.hang import HangDetector
 from repro.spec.policy import SpeculationPolicy, structural_priority
@@ -70,9 +75,6 @@ class SpeculationRuntime:
         self.detector = HangDetector(
             obs.bus,
             hang_timeout=policy.hang_timeout,
-            metrics=obs.metrics if obs.enabled else None,
-            tracer=obs.tracer if obs.enabled else None,
-            parent_span=obs.job_span,
             k=policy.straggler_k,
             min_samples=policy.min_samples,
             min_seconds=policy.min_seconds,
@@ -126,9 +128,9 @@ class SpeculationRuntime:
         if not hang:
             return  # slow but alive — leave it running
         if tok.cancel(REASON_HANG):
-            self.obs.task_speculate(
-                kind, index, attempt,
-                of_attempt=attempt, priority=priority, mode="cancel-retry",
+            self.obs.bus.publish(
+                EV_TASK_SPECULATE, kind=kind, index=index, attempt=attempt,
+                of=attempt, priority=round(priority, 4), mode="cancel-retry",
             )
 
     def backup_done(self, index: int, *, failed: bool = False) -> None:

@@ -34,18 +34,7 @@ from repro.verify.fuzz import (
     shrink_case,
     write_repro,
 )
-from repro.verify.hooks import (
-    HOOK_BARRIER_READY,
-    HOOK_CLAIM,
-    HOOK_FETCH,
-    HOOK_POINTS,
-    HOOK_REDUCE_START,
-    HOOK_SPECULATE,
-    HOOK_SPILL_COMMIT,
-    ChaosHook,
-    HookEvent,
-    RecordingHook,
-)
+from repro.verify.hooks import SCHEDULING_POINTS, ChaosHook, RecordingHook
 from repro.verify.invariants import Violation, check_interleaving_invariants
 from repro.verify.oracle import (
     CanonicalRecords,
@@ -65,16 +54,9 @@ __all__ = [
     "ExplorationReport",
     "FuzzCase",
     "FuzzReport",
-    "HOOK_BARRIER_READY",
-    "HOOK_CLAIM",
-    "HOOK_FETCH",
-    "HOOK_POINTS",
-    "HOOK_REDUCE_START",
-    "HOOK_SPECULATE",
-    "HOOK_SPILL_COMMIT",
-    "HookEvent",
     "OPERATOR_NAMES",
     "RecordingHook",
+    "SCHEDULING_POINTS",
     "ScheduleRun",
     "Violation",
     "canonicalize_records",

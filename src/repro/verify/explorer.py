@@ -6,7 +6,9 @@ schedule 0 is the unperturbed baseline) and checks, for every explored
 interleaving:
 
 * the barrier/shuffle invariants of :mod:`repro.verify.invariants`
-  hold on the recorded event log, and
+  hold on the recorded event log,
+* no bus listener raised (every report on a run is a fold over its
+  events, so a fold that raised means wrong numbers somewhere), and
 * the run's outcome is byte-identical (canonical digest) to a serial
   reference run — including *failure* outcomes: a job that fails
   serially must fail under every interleaving too.
@@ -26,7 +28,8 @@ from typing import Any
 from repro.errors import JobFailedError, ReproError
 from repro.mapreduce.engine import BarrierPolicy, LocalEngine
 from repro.mapreduce.job import JobConf
-from repro.verify.hooks import ChaosHook, HookEvent, RecordingHook
+from repro.obs import JobObservability
+from repro.verify.hooks import ChaosHook, RecordingHook
 from repro.verify.invariants import Violation, check_interleaving_invariants
 from repro.verify.oracle import canonicalize_records, records_digest
 
@@ -67,6 +70,8 @@ class ExplorationReport:
     runs: tuple[ScheduleRun, ...]
     #: Schedules whose (status, digest) differ from the serial baseline.
     divergent: tuple[int, ...]
+    #: Bus listeners that raised, over the baseline and every schedule.
+    listener_errors: int = 0
 
     @property
     def violations(self) -> tuple[Violation, ...]:
@@ -74,14 +79,19 @@ class ExplorationReport:
 
     @property
     def ok(self) -> bool:
-        return not self.divergent and not self.violations
+        return (
+            not self.divergent
+            and not self.violations
+            and not self.listener_errors
+        )
 
     def summary(self) -> str:
         state = "OK" if self.ok else "FAIL"
         return (
             f"{state} {self.job_name}: {len(self.runs)} schedules, "
             f"{len(self.violations)} invariant violations, "
-            f"{len(self.divergent)} divergent outputs "
+            f"{len(self.divergent)} divergent outputs, "
+            f"{self.listener_errors} listener errors "
             f"(baseline {self.baseline_status})"
         )
 
@@ -105,7 +115,7 @@ def explore(
     factory = engine_factory or _default_engine_factory
 
     job, barrier = make_job()
-    baseline_status, baseline_digest, _ = _run(
+    baseline_status, baseline_digest, _, listener_errors = _run(
         factory(None), job, barrier, mode="serial"
     )
 
@@ -116,8 +126,11 @@ def explore(
         hook = ChaosHook(
             seed=seed, schedule=k, max_delay=0.0 if k == 0 else max_delay
         )
-        status, digest, attempts = _run(factory(hook), job, barrier, mode="threaded")
-        events: tuple[HookEvent, ...] = hook.events
+        status, digest, attempts, errors = _run(
+            factory(hook), job, barrier, mode="threaded"
+        )
+        listener_errors += errors
+        events = hook.events
         violations = tuple(
             check_interleaving_invariants(
                 events,
@@ -152,6 +165,7 @@ def explore(
         baseline_digest=baseline_digest,
         runs=tuple(runs),
         divergent=tuple(divergent),
+        listener_errors=listener_errors,
     )
 
 
@@ -161,11 +175,13 @@ def _run(
     barrier: BarrierPolicy,
     *,
     mode: str,
-) -> tuple[tuple[str, tuple[str, ...]], str | None, tuple]:
-    """One engine run → ((status, error types), digest, attempts)."""
+) -> tuple[tuple[str, tuple[str, ...]], str | None, tuple, int]:
+    """One engine run → ((status, error types), digest, attempts,
+    listener errors on the run's bus)."""
+    obs = JobObservability(job.name, enabled=False)
     try:
-        res = engine.run(job, barrier, mode=mode)
+        res = engine.run(job, barrier, mode=mode, obs=obs)
     except ReproError as exc:
-        return ("failed", failure_types(exc)), None, ()
+        return ("failed", failure_types(exc)), None, (), obs.bus.listener_errors
     digest = records_digest(canonicalize_records(res.all_records()))
-    return ("ok", ()), digest, res.attempts
+    return ("ok", ()), digest, res.attempts, obs.bus.listener_errors

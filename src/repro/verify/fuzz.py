@@ -39,6 +39,7 @@ from typing import Any
 from repro.errors import ReproError
 from repro.faults import RecoveryModel
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
+from repro.obs import JobObservability
 from repro.query.splits import slice_splits
 from repro.scidata.zonemaps import build_zone_map
 from repro.sidr.planner import build_sidr_job
@@ -210,6 +211,9 @@ class CaseResult:
     oracle_digest: str | None        # None for expected-failure cases
     outcomes: tuple[ConfigOutcome, ...]
     mismatch: str | None             # human-readable disagreement, if any
+    #: Bus listeners that raised across the engine legs (a fold that
+    #: raised reports wrong numbers: any is a failure of the case).
+    listener_errors: int = 0
 
     @property
     def ok(self) -> bool:
@@ -233,14 +237,16 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
         legs += [(mode, plane, True) for mode, plane in configs]
 
     outcomes: list[ConfigOutcome] = []
+    listener_errors = 0
     for mode, plane, prune in legs:
         if mode == "service":
             outcomes.append(_run_service_leg(case, plane, prune=prune))
             continue
         job, barrier = _make_job(case, plane, prune=prune)
         engine = _make_engine(case, mode=mode)
+        obs = JobObservability(job.name, enabled=False)
         try:
-            res = engine.run(job, barrier, mode=mode)
+            res = engine.run(job, barrier, mode=mode, obs=obs)
         except ReproError as exc:
             outcomes.append(
                 ConfigOutcome(
@@ -248,13 +254,17 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
                 )
             )
             continue
+        finally:
+            listener_errors += obs.bus.listener_errors
         digest = records_digest(canonicalize_records(res.all_records()))
         outcomes.append(ConfigOutcome(mode, plane, "ok", (), digest, prune))
 
     mismatch = _diff(case, expected, outcomes)
+    if mismatch is None and listener_errors:
+        mismatch = f"{listener_errors} event-bus listener(s) raised"
     if mismatch is not None and metrics is not None:
         metrics.counter("verify.mismatches").inc()
-    return CaseResult(case, expected, tuple(outcomes), mismatch)
+    return CaseResult(case, expected, tuple(outcomes), mismatch, listener_errors)
 
 
 def _diff(
@@ -430,10 +440,16 @@ class FuzzReport:
     failures: tuple[CaseReport, ...]
     violations: int
     divergent: int
+    listener_errors: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.failures and not self.violations and not self.divergent
+        return not (
+            self.failures
+            or self.violations
+            or self.divergent
+            or self.listener_errors
+        )
 
     def summary(self) -> str:
         state = "OK" if self.ok else "FAIL"
@@ -442,7 +458,8 @@ class FuzzReport:
             f"{self.schedules} schedules/case), "
             f"{len(self.failures)} differential failures, "
             f"{self.violations} invariant violations, "
-            f"{self.divergent} divergent interleavings"
+            f"{self.divergent} divergent interleavings, "
+            f"{self.listener_errors} listener errors"
         )
 
 
@@ -464,9 +481,11 @@ def fuzz(
     failures: list[CaseReport] = []
     violations = 0
     divergent = 0
+    listener_errors = 0
     for i in range(num_cases):
         case = generate_case(i, seed, operators=operators)
         result = run_case(case, metrics=metrics)
+        listener_errors += result.listener_errors
 
         exploration: ExplorationReport | None = None
         if schedules > 0:
@@ -479,6 +498,7 @@ def fuzz(
             )
             violations += len(exploration.violations)
             divergent += len(exploration.divergent)
+            listener_errors += exploration.listener_errors
 
         report = CaseReport(i, case, result, exploration, None)
         if report.ok:
@@ -503,4 +523,5 @@ def fuzz(
         failures=tuple(failures),
         violations=violations,
         divergent=divergent,
+        listener_errors=listener_errors,
     )

@@ -1,124 +1,88 @@
 """Scheduler hooks: observe and perturb the engine's interleavings.
 
-The engine (and its :class:`~repro.mapreduce.shuffle.ShuffleStore`)
-exposes five scheduling points — :data:`~repro.mapreduce.engine.HOOK_POINTS`
-— through the ``scheduler_hook`` seam.  Two hook implementations live
-here:
+A hook is a listener the engine attaches to the run's event bus
+(``LocalEngine(scheduler_hook=...)``); its log is the run's
+:class:`~repro.obs.live.bus.Event` stream.  Two live here:
 
-* :class:`RecordingHook` — appends every event to a globally ordered
-  log.  ``spill-commit`` and ``fetch`` events are emitted while the
-  shuffle store's lock is held, so their sequence numbers linearize
-  commits against fetches — which is what makes the freshness
-  invariants in :mod:`repro.verify.invariants` checkable from the log
-  alone.
+* :class:`RecordingHook` — keeps every event.  ``spill.commit`` and
+  ``fetch`` are published while the shuffle store's lock is held, so
+  their ``seq`` numbers linearize commits against fetches — which is
+  what makes the freshness invariants in :mod:`repro.verify.invariants`
+  checkable from the log alone.
 * :class:`ChaosHook` — a recording hook that additionally stalls the
-  calling thread by a delay derived *purely* from (seed, schedule,
-  event identity).  Because the delay is a function of the event and
-  not of arrival order, schedule ``k`` applies the same perturbation
-  pattern no matter how the OS happens to interleave threads — the
-  "systematically permuted schedule" the interleaving explorer replays.
-  Schedule 0 conventionally runs with ``max_delay=0`` as the
-  unperturbed baseline.
+  publishing thread at the :data:`SCHEDULING_POINTS` by a delay derived
+  *purely* from (seed, schedule, event identity).  Because the delay is
+  a function of the event and not of arrival order, schedule ``k``
+  applies the same perturbation pattern no matter how the OS happens to
+  interleave threads — the "systematically permuted schedule" the
+  interleaving explorer replays.  Schedule 0 conventionally runs with
+  ``max_delay=0`` as the unperturbed baseline.
 
 Hooks must never call back into the engine or the store (the store
-points run under its lock).
+events publish under its lock).
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Mapping
 
-from repro.mapreduce.engine import (  # noqa: F401  (re-exported)
-    HOOK_BARRIER_READY,
-    HOOK_CLAIM,
-    HOOK_FETCH,
-    HOOK_POINTS,
-    HOOK_REDUCE_START,
-    HOOK_SPECULATE,
-    HOOK_SPILL_COMMIT,
+from repro.obs.live.bus import (
+    EV_BARRIER_FIRE,
+    EV_FETCH,
+    EV_REDUCE_START,
+    EV_SPILL_COMMIT,
+    EV_TASK_SPECULATE,
+    EV_TASK_START,
+    Event,
 )
 
-
-@dataclass(frozen=True)
-class HookEvent:
-    """One observed scheduling event, globally sequenced."""
-
-    seq: int
-    point: str         # one of HOOK_POINTS
-    kind: str          # "map" | "reduce"
-    index: int
-    attempt: int
-    info: Mapping[str, Any] = field(default_factory=dict)
-
-    def describe(self) -> str:
-        extra = (
-            " " + " ".join(f"{k}={v}" for k, v in sorted(self.info.items()))
-            if self.info
-            else ""
-        )
-        return f"#{self.seq} {self.point} {self.kind}[{self.index}]@{self.attempt}{extra}"
+#: Where a stall reorders threads: an attempt is claimed, a spill
+#: commits, a barrier fires, a reduce attempt starts, a fetch is served,
+#: a backup attempt enters its race.
+SCHEDULING_POINTS = frozenset({
+    EV_TASK_START,
+    EV_SPILL_COMMIT,
+    EV_BARRIER_FIRE,
+    EV_REDUCE_START,
+    EV_FETCH,
+    EV_TASK_SPECULATE,
+})
 
 
 class RecordingHook:
-    """Thread-safe, globally ordered event log for one engine run."""
+    """The event log of one engine run."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._events: list[HookEvent] = []
+        self._events: list[Event] = []
 
-    def on_event(
-        self,
-        point: str,
-        kind: str,
-        index: int,
-        attempt: int,
-        info: dict[str, Any] | None = None,
-    ) -> None:
-        with self._lock:
-            self._events.append(
-                HookEvent(
-                    seq=len(self._events),
-                    point=point,
-                    kind=kind,
-                    index=index,
-                    attempt=attempt,
-                    info=dict(info) if info else {},
-                )
-            )
+    def __call__(self, ev: Event) -> None:
+        self._events.append(ev)
 
     @property
-    def events(self) -> tuple[HookEvent, ...]:
-        with self._lock:
-            return tuple(self._events)
+    def events(self) -> tuple[Event, ...]:
+        """Everything seen so far, in bus (``seq``) order — listener
+        calls from different threads can arrive out of it."""
+        return tuple(sorted(self._events, key=lambda e: e.seq))
 
-    def points_seen(self) -> frozenset[str]:
-        return frozenset(e.point for e in self.events)
+    def types_seen(self) -> frozenset[str]:
+        return frozenset(e.type for e in self._events)
 
 
 def _event_delay(
-    seed: int,
-    schedule: int,
-    point: str,
-    kind: str,
-    index: int,
-    attempt: int,
-    info: dict[str, Any] | None,
-    *,
-    max_delay: float,
-    density: float,
+    seed: int, schedule: int, ev: Event, *, max_delay: float, density: float
 ) -> float:
     """Deterministic per-event-identity stall.
 
     A string seed hashes identically across processes (tuple hashes do
     not under ``PYTHONHASHSEED`` randomization), so a given (seed,
-    schedule) perturbs a given event the same way in every run.
+    schedule) perturbs a given event the same way in every run.  The
+    payloads of the scheduling points are all structural (no timings).
     """
-    extra = sorted(info.items()) if info else ()
-    key = f"{seed}:{schedule}:{point}:{kind}:{index}:{attempt}:{extra!r}"
+    key = (
+        f"{seed}:{schedule}:{ev.type}:{ev.kind}:{ev.index}:{ev.attempt}:"
+        f"{sorted(ev.data.items())!r}"
+    )
     r = random.Random(key).random()
     if r >= density:
         return 0.0
@@ -152,19 +116,12 @@ class ChaosHook(RecordingHook):
         self.max_delay = max_delay
         self.density = density
 
-    def on_event(
-        self,
-        point: str,
-        kind: str,
-        index: int,
-        attempt: int,
-        info: dict[str, Any] | None = None,
-    ) -> None:
-        super().on_event(point, kind, index, attempt, info)
-        if self.max_delay <= 0:
+    def __call__(self, ev: Event) -> None:
+        super().__call__(ev)
+        if self.max_delay <= 0 or ev.type not in SCHEDULING_POINTS:
             return
         delay = _event_delay(
-            self.seed, self.schedule, point, kind, index, attempt, info,
+            self.seed, self.schedule, ev,
             max_delay=self.max_delay, density=self.density,
         )
         if delay > 0:

@@ -2,19 +2,20 @@
 
 Independent of the engine's own runtime guards: the engine *raises*
 when it catches a violation mid-run, while these checks re-derive the
-invariants from the globally ordered :class:`~repro.verify.hooks.HookEvent`
-stream after the run.  A bug that silently disabled an engine guard
-would still be caught here.
+invariants from the run's :class:`~repro.obs.live.bus.Event` stream (a
+:class:`~repro.verify.hooks.RecordingHook` log, or a ``--events`` JSONL
+read back), ordered by ``seq``, after the run.  A bug that silently
+disabled an engine guard would still be caught here.
 
 Checked invariants (paper §4-§6):
 
-* **no-early-reduce** — every ``reduce-start`` snapshot of completed
-  maps covers the partition's fetch set I_l; a ``barrier-ready`` event
-  precedes the first ``reduce-start`` of each partition.
+* **no-early-reduce** — every ``reduce.start`` snapshot of completed
+  maps covers the partition's fetch set I_l; a ``barrier.fire`` event
+  precedes the first ``reduce.start`` of each partition.
 * **fetch-discipline** — every fetch targets a map inside the
   partition's fetch set (dependency routing never widens).
 * **no-stale-serve** — every fetch served exactly the attempt that was
-  committed at fetch time (``spill-commit`` and ``fetch`` events are
+  committed at fetch time (``spill.commit`` and ``fetch`` events are
   linearized by the store lock, so this is decidable from sequence
   numbers).
 * **supersede-observed** — if a map attempt consumed by a reduce was
@@ -22,9 +23,10 @@ Checked invariants (paper §4-§6):
   must NOT have committed: the engine's freshness check has to have
   failed it (:class:`~repro.errors.StaleFetchError`) so a retry re-reads
   fresh input.
-* **at-most-one-winner** — for every speculation race (a ``speculate``
-  event names the hedged backup attempt and the flagged attempt it
-  races, via ``info["of"]``), at most one member attempt ever commits a
+* **at-most-one-winner** — for every speculation race (a
+  ``task.speculate`` event with ``mode="race"`` names the hedged backup
+  attempt and the flagged attempt it races, via ``data["of"]``), at
+  most one member attempt ever commits a
   spill, and no fetch is ever served a losing member's attempt.  This
   is the supersede-free guarantee hedging adds on top of the retry
   path: the loser is *cancelled before commit*, not committed and then
@@ -37,14 +39,14 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.mapreduce.engine import BarrierPolicy, TaskAttempt
-from repro.verify.hooks import (
-    HOOK_BARRIER_READY,
-    HOOK_CLAIM,
-    HOOK_FETCH,
-    HOOK_REDUCE_START,
-    HOOK_SPECULATE,
-    HOOK_SPILL_COMMIT,
-    HookEvent,
+from repro.obs.live.bus import (
+    EV_BARRIER_FIRE,
+    EV_FETCH,
+    EV_REDUCE_START,
+    EV_SPILL_COMMIT,
+    EV_TASK_SPECULATE,
+    EV_TASK_START,
+    Event,
 )
 
 
@@ -68,7 +70,7 @@ def _fetch_set(
 
 
 def check_interleaving_invariants(
-    events: Sequence[HookEvent],
+    events: Sequence[Event],
     *,
     barrier: BarrierPolicy,
     total_maps: int,
@@ -83,23 +85,24 @@ def check_interleaving_invariants(
     default: the commit-dependent check is vacuous then.
     """
     violations: list[Violation] = []
+    events = sorted(events, key=lambda e: e.seq)
 
     # Per-map commit history [(seq, attempt)], in seq order.
     spills: dict[int, list[tuple[int, int]]] = {}
     for e in events:
-        if e.point == HOOK_SPILL_COMMIT:
+        if e.type == EV_SPILL_COMMIT:
             spills.setdefault(e.index, []).append((e.seq, e.attempt))
 
     # ---------------- no-early-reduce ---------------- #
     first_ready: dict[int, int] = {}
     for e in events:
-        if e.point == HOOK_BARRIER_READY and e.index not in first_ready:
+        if e.type == EV_BARRIER_FIRE and e.index not in first_ready:
             first_ready[e.index] = e.seq
     for e in events:
-        if e.point != HOOK_REDUCE_START:
+        if e.type != EV_REDUCE_START:
             continue
         p = e.index
-        completed = frozenset(e.info.get("completed", ()))
+        completed = frozenset(e.data.get("completed", ()))
         fs = _fetch_set(barrier, p, total_maps, contact_all_maps)
         missing = fs - completed
         if missing:
@@ -124,17 +127,17 @@ def check_interleaving_invariants(
                 Violation(
                     "no-early-reduce",
                     f"reduce {p} started (seq {e.seq}) without a prior "
-                    f"barrier-ready event",
+                    f"barrier.fire event",
                 )
             )
 
     # ---------------- fetch-discipline & no-stale-serve ---------------- #
     for e in events:
-        if e.point != HOOK_FETCH:
+        if e.type != EV_FETCH:
             continue
         p = e.index
-        m = int(e.info["map"])
-        served = int(e.info["map_attempt"])
+        m = int(e.data["map"])
+        served = int(e.data["map_attempt"])
         fs = _fetch_set(barrier, p, total_maps, contact_all_maps)
         if m not in fs:
             violations.append(
@@ -149,7 +152,7 @@ def check_interleaving_invariants(
             violations.append(
                 Violation(
                     "no-stale-serve",
-                    f"reduce {p} fetched map {m} before any spill-commit",
+                    f"reduce {p} fetched map {m} before any spill.commit",
                 )
             )
         elif served != max(history):
@@ -163,15 +166,15 @@ def check_interleaving_invariants(
 
     # ---------------- supersede-observed ---------------- #
     # Correlate each fetch with the reduce attempt that issued it: the
-    # latest preceding claim-attempt of the same partition (attempts of
-    # one partition are sequential, and the claim strictly precedes the
+    # latest preceding task.start of the same partition (attempts of one
+    # partition are sequential, and the claim strictly precedes the
     # attempt's fetches in program order).
     current_attempt: dict[int, int] = {}
-    fetches_by_attempt: dict[tuple[int, int], list[HookEvent]] = {}
+    fetches_by_attempt: dict[tuple[int, int], list[Event]] = {}
     for e in events:
-        if e.point == HOOK_CLAIM and e.kind == "reduce":
+        if e.type == EV_TASK_START and e.kind == "reduce":
             current_attempt[e.index] = e.attempt
-        elif e.point == HOOK_FETCH:
+        elif e.type == EV_FETCH:
             a = current_attempt.get(e.index, 0)
             fetches_by_attempt.setdefault((e.index, a), []).append(e)
 
@@ -185,8 +188,8 @@ def check_interleaving_invariants(
             continue
         last_fetch_seq = max(e.seq for e in evs)
         for e in evs:
-            m = int(e.info["map"])
-            served = int(e.info["map_attempt"])
+            m = int(e.data["map"])
+            served = int(e.data["map_attempt"])
             superseded = [
                 (seq, att)
                 for seq, att in spills.get(m, [])
@@ -203,15 +206,20 @@ def check_interleaving_invariants(
                 )
 
     # ---------------- at-most-one-winner ---------------- #
-    # Race membership per map task: each speculate event contributes the
-    # hedged backup attempt plus the flagged attempt it races (info["of"]).
+    # Race membership per map task: each race-mode speculate event
+    # contributes the hedged backup attempt plus the flagged attempt it
+    # races (data["of"]).
     races: dict[int, set[int]] = {}
     for e in events:
-        if e.point == HOOK_SPECULATE and e.kind == "map":
+        if (
+            e.type == EV_TASK_SPECULATE
+            and e.kind == "map"
+            and e.data.get("mode") == "race"
+        ):
             members = races.setdefault(e.index, set())
             members.add(e.attempt)
-            if "of" in e.info:
-                members.add(int(e.info["of"]))
+            if "of" in e.data:
+                members.add(int(e.data["of"]))
     for m, members in races.items():
         winners = sorted(
             a for _seq, a in spills.get(m, []) if a in members
@@ -226,9 +234,9 @@ def check_interleaving_invariants(
             )
         winner = winners[0] if winners else None
         for e in events:
-            if e.point != HOOK_FETCH or int(e.info["map"]) != m:
+            if e.type != EV_FETCH or int(e.data["map"]) != m:
                 continue
-            served = int(e.info["map_attempt"])
+            served = int(e.data["map_attempt"])
             if served in members and served != winner:
                 violations.append(
                     Violation(

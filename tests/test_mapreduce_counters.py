@@ -14,6 +14,7 @@ from repro.mapreduce.reducer import (
     FunctionReducer,
     IdentityReducer,
 )
+from repro.obs.live.bus import EV_TASK_FINISH, EV_TASK_START, EventBus
 from repro.query.operators import Chunk, MeanOp
 
 
@@ -87,40 +88,55 @@ def _chunk(values):
     return Chunk(arr, arr.size)
 
 
+def _traced_bus():
+    """A bus with an ``EngineTrace`` folding it, plus a ``record``
+    shorthand publishing the event each trace entry derives from."""
+    bus, t = EventBus(), EngineTrace()
+    bus.attach(t.on_event)
+
+    def record(kind, event, index):
+        if event == "start":
+            bus.publish(EV_TASK_START, kind=kind, index=index)
+        else:
+            bus.publish(EV_TASK_FINISH, kind=kind, index=index, status="ok")
+
+    return t, record
+
+
 class TestEngineTrace:
     def test_sequence_monotone(self):
-        t = EngineTrace()
-        t.record("map", "start", 0)
-        t.record("map", "finish", 0)
-        t.record("reduce", "start", 0)
+        t, record = _traced_bus()
+        record("map", "start", 0)
+        record("map", "finish", 0)
+        record("reduce", "start", 0)
         seqs = [e.seq for e in t.events]
         assert seqs == [0, 1, 2]
 
     def test_seq_of_lookup(self):
-        t = EngineTrace()
-        t.record("map", "finish", 3)
+        t, record = _traced_bus()
+        record("map", "finish", 3)
         assert t.seq_of("map", "finish", 3) == 0
         assert t.seq_of("reduce", "start", 3) == -1
 
     def test_early_reduce_count(self):
-        t = EngineTrace()
-        t.record("map", "finish", 0)
-        t.record("reduce", "start", 0)   # before last map
-        t.record("map", "finish", 1)
-        t.record("reduce", "start", 1)   # after last map
+        t, record = _traced_bus()
+        record("map", "finish", 0)
+        record("reduce", "start", 0)   # before last map
+        record("map", "finish", 1)
+        record("reduce", "start", 1)   # after last map
         assert t.reduce_starts_before_last_map() == 1
 
     def test_no_maps_no_early(self):
-        t = EngineTrace()
-        t.record("reduce", "start", 0)
+        t, record = _traced_bus()
+        record("reduce", "start", 0)
         assert t.reduce_starts_before_last_map() == 0
 
     def test_thread_safety(self):
-        t = EngineTrace()
+        t, record = _traced_bus()
 
         def spam(i):
             for j in range(300):
-                t.record("map", "start", i * 1000 + j)
+                record("map", "start", i * 1000 + j)
 
         threads = [threading.Thread(target=spam, args=(i,)) for i in range(4)]
         for th in threads:

@@ -99,24 +99,31 @@ SERIAL_RANGED_TRACE = [
     ("map", "start", 7), ("map", "finish", 7),
     ("reduce", "start", 3), ("reduce", "finish", 3),
 ]
-#: ... and (point, kind, index) of the scheduler-hook log.
-SERIAL_RANGED_HOOKS = [
-    ("claim-attempt", "map", 0), ("spill-commit", "map", 0),
-    ("claim-attempt", "map", 1), ("spill-commit", "map", 1),
-    ("barrier-ready", "reduce", 0), ("claim-attempt", "reduce", 0),
-    ("reduce-start", "reduce", 0), ("fetch", "reduce", 0), ("fetch", "reduce", 0),
-    ("claim-attempt", "map", 2), ("spill-commit", "map", 2),
-    ("claim-attempt", "map", 3), ("spill-commit", "map", 3),
-    ("barrier-ready", "reduce", 1), ("claim-attempt", "reduce", 1),
-    ("reduce-start", "reduce", 1), ("fetch", "reduce", 1), ("fetch", "reduce", 1),
-    ("claim-attempt", "map", 4), ("spill-commit", "map", 4),
-    ("claim-attempt", "map", 5), ("spill-commit", "map", 5),
-    ("barrier-ready", "reduce", 2), ("claim-attempt", "reduce", 2),
-    ("reduce-start", "reduce", 2), ("fetch", "reduce", 2), ("fetch", "reduce", 2),
-    ("claim-attempt", "map", 6), ("spill-commit", "map", 6),
-    ("claim-attempt", "map", 7), ("spill-commit", "map", 7),
-    ("barrier-ready", "reduce", 3), ("claim-attempt", "reduce", 3),
-    ("reduce-start", "reduce", 3), ("fetch", "reduce", 3), ("fetch", "reduce", 3),
+#: ... and (type, kind, index) of the run's whole event log — what a
+#: scheduler hook (or any other bus listener) sees.
+SERIAL_RANGED_EVENTS = [
+    ("job.start", "", -1),
+    ("task.start", "map", 0), ("spill.commit", "map", 0), ("task.finish", "map", 0),
+    ("task.start", "map", 1), ("spill.commit", "map", 1), ("task.finish", "map", 1),
+    ("barrier.fire", "reduce", 0), ("task.start", "reduce", 0),
+    ("reduce.start", "reduce", 0), ("fetch", "reduce", 0), ("fetch", "reduce", 0),
+    ("task.finish", "reduce", 0),
+    ("task.start", "map", 2), ("spill.commit", "map", 2), ("task.finish", "map", 2),
+    ("task.start", "map", 3), ("spill.commit", "map", 3), ("task.finish", "map", 3),
+    ("barrier.fire", "reduce", 1), ("task.start", "reduce", 1),
+    ("reduce.start", "reduce", 1), ("fetch", "reduce", 1), ("fetch", "reduce", 1),
+    ("task.finish", "reduce", 1),
+    ("task.start", "map", 4), ("spill.commit", "map", 4), ("task.finish", "map", 4),
+    ("task.start", "map", 5), ("spill.commit", "map", 5), ("task.finish", "map", 5),
+    ("barrier.fire", "reduce", 2), ("task.start", "reduce", 2),
+    ("reduce.start", "reduce", 2), ("fetch", "reduce", 2), ("fetch", "reduce", 2),
+    ("task.finish", "reduce", 2),
+    ("task.start", "map", 6), ("spill.commit", "map", 6), ("task.finish", "map", 6),
+    ("task.start", "map", 7), ("spill.commit", "map", 7), ("task.finish", "map", 7),
+    ("barrier.fire", "reduce", 3), ("task.start", "reduce", 3),
+    ("reduce.start", "reduce", 3), ("fetch", "reduce", 3), ("fetch", "reduce", 3),
+    ("task.finish", "reduce", 3),
+    ("job.finish", "", -1),
 ]
 
 
@@ -201,12 +208,18 @@ class TestSerialDependency:
         assert [
             (e.kind, e.event, e.index) for e in res.trace.events
         ] == SERIAL_RANGED_TRACE
+        assert [e.seq for e in hook.events] == list(range(len(hook.events)))
         assert [
-            (e.point, e.kind, e.index) for e in hook.events
-        ] == SERIAL_RANGED_HOOKS
+            (e.type, e.kind, e.index) for e in hook.events
+        ] == SERIAL_RANGED_EVENTS
         assert [
-            e.info["completed"] for e in hook.events if e.point == "barrier-ready"
-        ] == [tuple(range(2 * p + 2)) for p in range(4)]
+            e.data["completed"] for e in hook.events if e.type == "reduce.start"
+        ] == [list(range(2 * p + 2)) for p in range(4)]
+        assert [
+            (e.data["maps_done"], e.data["early"])
+            for e in hook.events if e.type == "barrier.fire"
+        ] == [(2, True), (4, True), (6, True), (8, False)]
+        assert res.obs.bus.listener_errors == 0
 
         def make_job():
             job, deps = ranged_job()
@@ -229,13 +242,13 @@ class TestSerialDependency:
             counting_job(num_splits=2, num_reduces=2), GlobalBarrier()
         )
         order = [
-            (e.point, e.index)
+            (e.type, e.index)
             for e in hook.events
-            if e.point in ("barrier-ready", "reduce-start")
+            if e.type in ("barrier.fire", "reduce.start")
         ]
         assert order == [
-            ("barrier-ready", 0), ("reduce-start", 0),
-            ("barrier-ready", 1), ("reduce-start", 1),
+            ("barrier.fire", 0), ("reduce.start", 0),
+            ("barrier.fire", 1), ("reduce.start", 1),
         ]
 
     def test_reduced_connections(self):

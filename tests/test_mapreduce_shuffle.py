@@ -165,24 +165,26 @@ class TestAttemptAwareStore:
         assert store.missing_inputs(0, frozenset({0})) == frozenset()
 
 
+def _folded_store():
+    """A store publishing onto a bus whose metrics fold fills ``m``."""
+    from repro.obs import JobObservability
+
+    obs = JobObservability("spill")
+    return obs.metrics, ShuffleStore(bus=obs.bus)
+
+
 class TestSpillMetrics:
     def test_spill_empty_counts_index_file(self):
         """Regression: ``spill_empty`` used to bypass the
         ``shuffle.spill.files`` counter entirely."""
-        from repro.obs.metrics import MetricsRegistry
-
-        m = MetricsRegistry()
-        store = ShuffleStore(metrics=m)
+        m, store = _folded_store()
         store.spill_empty(MapTaskId(0))
         assert m.counter("shuffle.spill.files").value == 1
         store.spill([mk_file(1, 0, [((1,), 1)]), mk_file(1, 1, [])])
         assert m.counter("shuffle.spill.files").value == 3
 
     def test_superseded_spills_counted(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        m = MetricsRegistry()
-        store = ShuffleStore(metrics=m)
+        m, store = _folded_store()
         store.spill([mk_file(0, 0, [])])
         store.spill([mk_file(0, 0, [])], attempt=1)
         assert m.counter("shuffle.spill.superseded").value == 1

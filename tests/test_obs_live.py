@@ -47,6 +47,8 @@ def run_with_bus(job, barrier, engine=None, *, bus=None, metrics=None):
     sub = bus.subscribe()
     engine = engine or LocalEngine()
     res = engine.run_threaded(job, barrier, obs=obs)
+    # Every report on the run is a bus listener: none may have raised.
+    assert bus.listener_errors == 0, bus.first_listener_error
     return res, sub.drain()
 
 
@@ -125,9 +127,12 @@ class TestEventBus:
 
     def test_listener_exceptions_counted_not_raised(self):
         bus = EventBus()
+        assert bus.first_listener_error is None
         bus.attach(lambda ev: 1 / 0)
+        bus.attach(lambda ev: [][0])
         bus.publish("tick")
-        assert bus.listener_errors == 1
+        assert bus.listener_errors == 2
+        assert isinstance(bus.first_listener_error, ZeroDivisionError)
 
     def test_concurrent_publishers_lossless_order(self):
         bus = EventBus()
@@ -352,6 +357,27 @@ class TestFinishOnFailure:
         assert types.count("job.finish") == 1
         assert types[-1] == "job.finish"
         assert obs.job_span.end is not None
+        assert bus.listener_errors == 0, bus.first_listener_error
+
+
+    def test_listener_that_raises_shows_in_the_run_metrics(self):
+        """The engine must not die of observability, but a listener that
+        raised must be visible afterwards."""
+        bus = EventBus()
+        obs = JobObservability("count", bus=bus)
+
+        def broken(ev):
+            if ev.type == "task.start":
+                raise KeyError("boom")
+
+        bus.attach(broken)
+        res = LocalEngine().run_threaded(counting_job(), GlobalBarrier(), obs=obs)
+        attempts = res.counters.get("task.attempts")
+        assert attempts == 6 + 3
+        gauges = res.obs.metrics.snapshot()["gauges"]
+        assert gauges["obs.bus.listener_errors"] == attempts
+        assert gauges["obs.bus.dropped"] == 0
+        assert isinstance(bus.first_listener_error, KeyError)
 
 
 # --------------------------------------------------------------------- #
@@ -376,7 +402,7 @@ class TestStragglerDetector:
         )
         metrics = MetricsRegistry()
         bus = EventBus(metrics=metrics)
-        detector = StragglerDetector(bus, metrics=metrics)
+        detector = StragglerDetector(bus)
         sub = bus.subscribe()
         obs = JobObservability(job.name, metrics=metrics, bus=bus)
         detector.start_ticker(interval=0.02)
@@ -398,7 +424,7 @@ class TestStragglerDetector:
             weekly_mean_plan, splits, 4, temp_data
         )
         bus = EventBus()
-        detector = StragglerDetector(bus, metrics=None)
+        detector = StragglerDetector(bus)
         obs = JobObservability(job.name, bus=bus)
         LocalEngine().run_threaded(job, barrier, obs=obs)
         detector.check()
@@ -536,6 +562,43 @@ class TestJsonlStream:
         assert "job" not in json.loads(path.read_text().splitlines()[0])
         # and a job filter excludes them
         assert read_events(path, job="j00001") == []
+
+    def test_writer_survives_bad_payloads_and_full_disk(self, tmp_path):
+        """One unserializable event, or a write that fails, must not
+        kill the drainer: later events still land, the loss is counted,
+        and numpy scalars (an ``np.int64`` index) serialize."""
+        import numpy as np
+
+        bus = EventBus()
+        path = tmp_path / "ev.jsonl"
+        with JsonlEventWriter(bus, path) as writer:
+            bus.publish("tick", index=0, n=np.int64(7), x=np.float32(0.5))
+            bus.publish("tick", index=1, bad=object())
+            bus.publish("tick", index=2)
+        assert writer.write_errors == 1
+        assert isinstance(writer.first_write_error, TypeError)
+        assert writer.written == 2
+        events = read_events(path)
+        assert [e.index for e in events] == [0, 2]
+        assert events[0].data == {"n": 7, "x": 0.5}
+
+        full = "/dev/full"  # every flush fails with ENOSPC
+        try:
+            open(full, "w").close()
+        except OSError:
+            pytest.skip("no writable /dev/full on this platform")
+        with JsonlEventWriter(bus, full) as writer:
+            for i in range(3):
+                bus.publish("tick", index=i)
+        assert writer.written == 0
+        assert writer.write_errors >= 3
+        assert isinstance(writer.first_write_error, OSError)
+
+    def test_unwritable_path_leaves_no_subscription(self, tmp_path):
+        bus = EventBus()
+        with pytest.raises(OSError):
+            JsonlEventWriter(bus, tmp_path / "no-such-dir" / "ev.jsonl")
+        assert bus._subs == []
 
 
 # --------------------------------------------------------------------- #

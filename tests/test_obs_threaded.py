@@ -30,6 +30,7 @@ class TestSpanNesting:
         job, deps = ranged_job(num_splits=12, num_reduces=4)
         eng = LocalEngine(map_workers=4, reduce_workers=3)
         res = eng.run_threaded(job, DependencyBarrier(deps))
+        assert res.obs.bus.listener_errors == 0
         tracer = res.obs.tracer
         job_span = tracer.find("job")[0]
         tasks = [s for s in tracer.spans() if s.category == "task"]
@@ -78,7 +79,11 @@ class TestConcurrentMetrics:
         threaded = eng.run_threaded(job, GlobalBarrier())
         s = serial.obs.metrics.snapshot()
         t = threaded.obs.metrics.snapshot()
-        assert s["counters"]["map.emit.records"] == t["counters"]["map.emit.records"]
+        assert (
+            s["counters"]["map.output.records"]
+            == t["counters"]["map.output.records"]
+            == serial.counters.get("map.output.records")
+        )
         assert (
             s["histograms"]["reduce.group.size"]["counts"]
             == t["histograms"]["reduce.group.size"]["counts"]

@@ -107,10 +107,9 @@ class TestGroundTruth:
         engine = LocalEngine()
         store = ShuffleStore()
         from repro.mapreduce.counters import Counters
-        from repro.mapreduce.engine import EngineTrace
         from repro.obs import JobObservability
 
-        obs = JobObservability("gt", legacy_trace=EngineTrace())
+        obs = JobObservability("gt")
         for i in range(len(splits)):
             engine._run_map(job, i, store, Counters(), obs)
         return [store.index_of(i).partitions for i in range(len(splits))]

@@ -110,12 +110,18 @@ class TestMapScheduling:
         assert p.scheduled_reduces == frozenset({0, 1, 2})
 
 
+def folded_bus():
+    """A bus whose metrics fold fills the returned registry."""
+    from repro.obs import JobObservability
+
+    obs = JobObservability("sched")
+    return obs.metrics, obs.bus
+
+
 class TestSchedulerMetrics:
     def test_decisions_counted(self):
-        from repro.obs import MetricsRegistry
-
-        m = MetricsRegistry()
-        p = SidrSchedulePolicy(deps=simple_deps(), metrics=m)
+        m, bus = folded_bus()
+        p = SidrSchedulePolicy(deps=simple_deps(), bus=bus)
         for l in p.reduce_schedule_order():
             p.on_reduce_scheduled(l)
         for i in range(6):
@@ -126,7 +132,6 @@ class TestSchedulerMetrics:
         assert c["sched.map.scheduled"] == 6
 
     def test_plan_threads_metrics_through(self):
-        from repro.obs import MetricsRegistry
         from repro.query.language import StructuralQuery
         from repro.query.operators import MeanOp
         from repro.query.splits import slice_splits
@@ -141,7 +146,7 @@ class TestSchedulerMetrics:
         ).compile(field.metadata)
         splits = slice_splits(plan, num_splits=4)
         sidr = build_plan(plan, splits, 2)
-        m = MetricsRegistry()
-        policy = sidr.schedule_policy(metrics=m)
+        m, bus = folded_bus()
+        policy = sidr.schedule_policy(bus=bus)
         policy.on_reduce_scheduled(0)
         assert m.snapshot()["counters"]["sched.reduce.scheduled"] == 1

@@ -13,21 +13,19 @@ from repro.errors import (
     TaskCancelledError,
 )
 from repro.faults import FaultKind, FaultRule, InjectionPlan
-from repro.mapreduce.engine import (
-    HOOK_POINTS,
-    HOOK_SPECULATE,
-    LocalEngine,
-    RetryPolicy,
-)
+from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import IdentityMapper
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.reducer import FunctionReducer
 from repro.mapreduce.splits import ByteRangeSplit
 from repro.obs.live.bus import (
+    EV_SPILL_COMMIT,
     EV_TASK_HANG,
     EV_TASK_HEARTBEAT,
+    EV_TASK_SPECULATE,
     EV_TASK_START,
+    Event,
     EventBus,
 )
 from repro.query.language import StructuralQuery
@@ -45,6 +43,7 @@ from repro.spec import (
     structural_priority,
 )
 from repro.verify import (
+    SCHEDULING_POINTS,
     ChaosHook,
     check_interleaving_invariants,
 )
@@ -309,11 +308,12 @@ class TestEngineSpeculation:
             scheduler_hook=hook,
         )
         eng.run_threaded(counting_job())
-        spec = [e for e in hook.events if e.point == HOOK_SPECULATE]
+        spec = [e for e in hook.events if e.type == EV_TASK_SPECULATE]
         assert len(spec) == 1
         assert spec[0].kind == "map" and spec[0].index == 1
-        assert spec[0].info["of"] == 0 and spec[0].attempt == 1
-        assert HOOK_SPECULATE in HOOK_POINTS
+        assert spec[0].data["of"] == 0 and spec[0].attempt == 1
+        assert spec[0].data["mode"] == "race"
+        assert EV_TASK_SPECULATE in SCHEDULING_POINTS
 
 
 # --------------------------------------------------------------------- #
@@ -509,12 +509,12 @@ class TestAtMostOneWinner:
 
     def test_invariant_catches_double_winner(self):
         from repro.mapreduce.engine import GlobalBarrier
-        from repro.verify.hooks import HookEvent
 
         events = [
-            HookEvent(0, HOOK_SPECULATE, "map", 0, 1, {"of": 0}),
-            HookEvent(1, "spill-commit", "map", 0, 0),
-            HookEvent(2, "spill-commit", "map", 0, 1),
+            Event(0, 0.0, EV_TASK_SPECULATE, "map", 0, 1,
+                  {"of": 0, "mode": "race"}),
+            Event(1, 0.0, EV_SPILL_COMMIT, "map", 0, 0),
+            Event(2, 0.0, EV_SPILL_COMMIT, "map", 0, 1),
         ]
         violations = check_interleaving_invariants(
             events, barrier=GlobalBarrier(), total_maps=1,

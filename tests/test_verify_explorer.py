@@ -7,7 +7,6 @@ from repro.faults import FaultKind, FaultRule, InjectionPlan, RecoveryModel
 from repro.faults.plan import WHEN_AFTER_FETCH
 from repro.mapreduce.engine import (
     DependencyBarrier,
-    EngineTrace,
     LocalEngine,
     LogicalClock,
     RetryPolicy,
@@ -17,17 +16,18 @@ from repro.mapreduce.mapper import IdentityMapper
 from repro.mapreduce.partitioner import RangePartitioner
 from repro.mapreduce.reducer import FunctionReducer
 from repro.mapreduce.splits import ByteRangeSplit
-from repro.obs import JobObservability
+from repro.obs import Event, EventBus, JobObservability
+from repro.obs.live.bus import (
+    EV_BARRIER_FIRE,
+    EV_FETCH,
+    EV_REDUCE_START,
+    EV_SPILL_COMMIT,
+    EV_TASK_SPECULATE,
+    EV_TASK_START,
+)
 from repro.verify import (
-    HOOK_BARRIER_READY,
-    HOOK_CLAIM,
-    HOOK_FETCH,
-    HOOK_POINTS,
-    HOOK_REDUCE_START,
-    HOOK_SPECULATE,
-    HOOK_SPILL_COMMIT,
+    SCHEDULING_POINTS,
     ChaosHook,
-    HookEvent,
     RecordingHook,
     check_interleaving_invariants,
     explore,
@@ -72,7 +72,11 @@ class TestHookSeam:
         )
         assert dict(res.all_records()) == EXPECTED
         # speculate only fires when a backup attempt launches
-        assert hook.points_seen() == frozenset(HOOK_POINTS) - {HOOK_SPECULATE}
+        assert (
+            hook.types_seen() & SCHEDULING_POINTS
+            == SCHEDULING_POINTS - {EV_TASK_SPECULATE}
+        )
+        assert res.obs.bus.listener_errors == 0
 
     def test_all_five_points_fire_serial(self):
         job, barrier = crafted_job()
@@ -80,7 +84,10 @@ class TestHookSeam:
         LocalEngine(observability=False, scheduler_hook=hook).run_serial(
             job, barrier
         )
-        assert hook.points_seen() == frozenset(HOOK_POINTS) - {HOOK_SPECULATE}
+        assert (
+            hook.types_seen() & SCHEDULING_POINTS
+            == SCHEDULING_POINTS - {EV_TASK_SPECULATE}
+        )
 
     def test_events_carry_task_identity(self):
         job, barrier = crafted_job()
@@ -88,11 +95,11 @@ class TestHookSeam:
         LocalEngine(observability=False, scheduler_hook=hook).run_serial(
             job, barrier
         )
-        spills = [e for e in hook.events if e.point == HOOK_SPILL_COMMIT]
+        spills = [e for e in hook.events if e.type == EV_SPILL_COMMIT]
         assert sorted(e.index for e in spills) == [0, 1, 2]
-        fetches = [e for e in hook.events if e.point == HOOK_FETCH]
+        fetches = [e for e in hook.events if e.type == EV_FETCH]
         # reduce 0 fetches maps {0,1}; reduce 1 fetches {2}
-        assert sorted((e.index, e.info["map"]) for e in fetches) == [
+        assert sorted((e.index, e.data["map"]) for e in fetches) == [
             (0, 0), (0, 1), (1, 2),
         ]
 
@@ -103,17 +110,18 @@ class TestHookSeam:
 
     def test_chaos_delay_is_deterministic_and_order_independent(self):
         kw = dict(max_delay=0.002, density=0.6)
-        a = _event_delay(3, 1, HOOK_FETCH, "reduce", 0, 0, {"map": 1}, **kw)
-        b = _event_delay(3, 1, HOOK_FETCH, "reduce", 0, 0, {"map": 1}, **kw)
+        a = _event_delay(3, 1, ev(0, EV_FETCH, "reduce", 0, map=1), **kw)
+        # identity, not arrival: seq and t do not enter the delay
+        b = _event_delay(3, 1, ev(7, EV_FETCH, "reduce", 0, map=1), **kw)
         assert a == b
         assert 0.0 <= a <= 0.002
         # different schedule → (almost surely) different perturbation
         delays_s1 = [
-            _event_delay(3, 1, HOOK_FETCH, "reduce", i, 0, None, **kw)
+            _event_delay(3, 1, ev(0, EV_FETCH, "reduce", i), **kw)
             for i in range(16)
         ]
         delays_s2 = [
-            _event_delay(3, 2, HOOK_FETCH, "reduce", i, 0, None, **kw)
+            _event_delay(3, 2, ev(0, EV_FETCH, "reduce", i), **kw)
             for i in range(16)
         ]
         assert delays_s1 != delays_s2
@@ -171,10 +179,10 @@ class TestExplorer:
         assert m.counter("verify.explorer.divergent").value == 0
 
 
-def ev(seq, point, kind, index, attempt=0, **info):
-    return HookEvent(
-        seq=seq, point=point, kind=kind, index=index, attempt=attempt,
-        info=info,
+def ev(seq, type, kind, index, attempt=0, **data):
+    return Event(
+        seq=seq, t=0.0, type=type, kind=kind, index=index, attempt=attempt,
+        data=data,
     )
 
 
@@ -185,13 +193,13 @@ class TestInvariantChecks:
 
     def test_clean_log_passes(self):
         events = [
-            ev(0, HOOK_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
-            ev(1, HOOK_SPILL_COMMIT, "map", 1, 0, partitions=(0,)),
-            ev(2, HOOK_BARRIER_READY, "reduce", 0, 0, completed=(0, 1)),
-            ev(3, HOOK_CLAIM, "reduce", 0, 0),
-            ev(4, HOOK_REDUCE_START, "reduce", 0, 0, completed=(0, 1)),
-            ev(5, HOOK_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
-            ev(6, HOOK_FETCH, "reduce", 0, 0, map=1, map_attempt=0, empty=False),
+            ev(0, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
+            ev(1, EV_SPILL_COMMIT, "map", 1, 0, partitions=(0,)),
+            ev(2, EV_BARRIER_FIRE, "reduce", 0, 0, maps_done=2, early=True),
+            ev(3, EV_TASK_START, "reduce", 0, 0),
+            ev(4, EV_REDUCE_START, "reduce", 0, 0, completed=(0, 1)),
+            ev(5, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
+            ev(6, EV_FETCH, "reduce", 0, 0, map=1, map_attempt=0, empty=False),
         ]
         assert (
             check_interleaving_invariants(
@@ -202,9 +210,9 @@ class TestInvariantChecks:
 
     def test_early_reduce_detected(self):
         events = [
-            ev(0, HOOK_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
-            ev(1, HOOK_BARRIER_READY, "reduce", 0, 0, completed=(0,)),
-            ev(2, HOOK_REDUCE_START, "reduce", 0, 0, completed=(0,)),
+            ev(0, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
+            ev(1, EV_BARRIER_FIRE, "reduce", 0, 0, maps_done=1, early=True),
+            ev(2, EV_REDUCE_START, "reduce", 0, 0, completed=(0,)),
         ]
         found = check_interleaving_invariants(
             events, barrier=self.BARRIER, total_maps=3
@@ -213,9 +221,9 @@ class TestInvariantChecks:
 
     def test_reduce_start_without_barrier_ready_detected(self):
         events = [
-            ev(0, HOOK_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
-            ev(1, HOOK_SPILL_COMMIT, "map", 1, 0, partitions=(0,)),
-            ev(2, HOOK_REDUCE_START, "reduce", 0, 0, completed=(0, 1)),
+            ev(0, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
+            ev(1, EV_SPILL_COMMIT, "map", 1, 0, partitions=(0,)),
+            ev(2, EV_REDUCE_START, "reduce", 0, 0, completed=(0, 1)),
         ]
         found = check_interleaving_invariants(
             events, barrier=self.BARRIER, total_maps=3
@@ -224,8 +232,8 @@ class TestInvariantChecks:
 
     def test_fetch_outside_dependency_set_detected(self):
         events = [
-            ev(0, HOOK_SPILL_COMMIT, "map", 2, 0, partitions=(1,)),
-            ev(1, HOOK_FETCH, "reduce", 0, 0, map=2, map_attempt=0, empty=False),
+            ev(0, EV_SPILL_COMMIT, "map", 2, 0, partitions=(1,)),
+            ev(1, EV_FETCH, "reduce", 0, 0, map=2, map_attempt=0, empty=False),
         ]
         found = check_interleaving_invariants(
             events, barrier=self.BARRIER, total_maps=3
@@ -234,10 +242,10 @@ class TestInvariantChecks:
 
     def test_stale_serve_detected(self):
         events = [
-            ev(0, HOOK_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
-            ev(1, HOOK_SPILL_COMMIT, "map", 0, 1, partitions=(0,),
+            ev(0, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
+            ev(1, EV_SPILL_COMMIT, "map", 0, 1, partitions=(0,),
                superseded=True),
-            ev(2, HOOK_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
+            ev(2, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
         ]
         found = check_interleaving_invariants(
             events, barrier=self.BARRIER, total_maps=3
@@ -246,7 +254,7 @@ class TestInvariantChecks:
 
     def test_fetch_before_any_commit_detected(self):
         events = [
-            ev(0, HOOK_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=True),
+            ev(0, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=True),
         ]
         found = check_interleaving_invariants(
             events, barrier=self.BARRIER, total_maps=3
@@ -257,14 +265,14 @@ class TestInvariantChecks:
         from repro.mapreduce.engine import TaskAttempt
 
         events = [
-            ev(0, HOOK_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
-            ev(1, HOOK_SPILL_COMMIT, "map", 1, 0, partitions=(0,)),
-            ev(2, HOOK_CLAIM, "reduce", 0, 1),
-            ev(3, HOOK_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
+            ev(0, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
+            ev(1, EV_SPILL_COMMIT, "map", 1, 0, partitions=(0,)),
+            ev(2, EV_TASK_START, "reduce", 0, 1),
+            ev(3, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
             # map 0 is re-spilled (attempt 1) before the fetch phase ends
-            ev(4, HOOK_SPILL_COMMIT, "map", 0, 1, partitions=(0,),
+            ev(4, EV_SPILL_COMMIT, "map", 0, 1, partitions=(0,),
                superseded=True),
-            ev(5, HOOK_FETCH, "reduce", 0, 0, map=1, map_attempt=0, empty=False),
+            ev(5, EV_FETCH, "reduce", 0, 0, map=1, map_attempt=0, empty=False),
         ]
         attempts = (
             TaskAttempt(kind="reduce", index=0, attempt=1, outcome="ok"),
@@ -282,7 +290,7 @@ class TestInvariantChecks:
 
     def test_unknown_partition_raises_config_error(self):
         events = [
-            ev(0, HOOK_FETCH, "reduce", 9, 0, map=0, map_attempt=0, empty=False),
+            ev(0, EV_FETCH, "reduce", 9, 0, map=0, map_attempt=0, empty=False),
         ]
         with pytest.raises(JobConfigError):
             check_interleaving_invariants(
@@ -291,13 +299,14 @@ class TestInvariantChecks:
 
 
 class TestTraceDeterminism:
-    """Satellite (c): EngineTrace with an injected LogicalClock is
-    bit-stable across repeated serial replays."""
+    """Satellite (c): on a bus with an injected LogicalClock the
+    EngineTrace is bit-stable across repeated serial replays."""
 
     def run_once(self):
         job, barrier = crafted_job()
-        trace = EngineTrace(clock=LogicalClock())
-        obs = JobObservability(job.name, enabled=False, legacy_trace=trace)
+        obs = JobObservability(
+            job.name, enabled=False, bus=EventBus(clock=LogicalClock())
+        )
         res = LocalEngine(observability=False).run_serial(job, barrier, obs=obs)
         return dict(res.all_records()), [
             (e.seq, e.wall, e.kind, e.event, e.index)
