@@ -18,23 +18,31 @@ module is the engine half of that plane:
   attempt-aware :class:`~repro.mapreduce.shuffle.ShuffleStore` —
   supersede-on-respill, consume-on-fetch, missing-input tracking — works
   unchanged in both planes.
+* :class:`ResultBlock` — what a columnar reduce returns: one
+  keyblock's finalized output as lexsorted ``(n, rank)`` int64 keys plus
+  a value column.  It is a read-only ``Sequence`` of ``(key, value)``
+  records, so every consumer of a reduce's record list keeps working,
+  but records exist as Python objects only once somebody indexes or
+  iterates; the service, the verifier and the dense output writer read
+  the arrays.
 * :func:`run_columnar_map` / :func:`run_columnar_reduce` — the task
   bodies the engine dispatches to when ``JobConf.data_plane ==
   "columnar"``.  Sorting is one ``np.lexsort`` per partition,
   partitioning uses the already-vectorized ``partition_many``, and
-  same-key merging is a segmented ``ufunc.reduceat`` instead of
-  ``group_sorted``'s per-record loop.
+  same-key merging is a segmented fold instead of ``group_sorted``'s
+  per-record loop.
 
 The operator arithmetic itself lives behind the :class:`BatchOperator`
 protocol (implemented in :mod:`repro.query.columnar`), keeping this
 package independent of the query layer.  Outputs are byte-identical to
-the record plane: segmented ``reduceat`` reductions apply the same
-left-to-right combine order as the scalar combine implementations, and
-finalization goes through the scalar operator per key.
+the record plane: the segmented fold applies the same left-to-right
+combine order as the scalar combine implementations, and finalization
+is one array expression per operator that rounds as the scalar one does.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Protocol
@@ -72,8 +80,12 @@ class BatchOperator(Protocol):
         begin at ``starts`` (``ufunc.reduceat`` semantics)."""
         ...
 
-    def finalize_row(self, row: tuple[Any, ...], source_count: int) -> Any:
-        """Reduce-side finalization of one combined state row."""
+    def finalize_columns(
+        self, columns: tuple[np.ndarray, ...], source_counts: np.ndarray
+    ) -> np.ndarray | list:
+        """Reduce-side finalization of every combined state row at once:
+        a numeric array, or a list of plain Python values (lists, dicts)
+        for operators whose output is not a scalar."""
         ...
 
 
@@ -198,6 +210,127 @@ class ColumnarMapOutput:
             + sum(int(np.asarray(c).nbytes) for c in self.states)
             + self.source_counts.nbytes
         )
+
+
+class ResultBlock(Sequence):
+    """One keyblock's finalized reduce output as parallel columns.
+
+    ``key_rows`` is an ``(n, rank)`` int64 array in lexicographic order
+    (not named ``keys``: ``dict(block)`` would take the block for a
+    mapping); ``values`` holds row ``i``'s output — a numeric array for
+    scalar operators, a list of plain Python values (``filter_gt``'s
+    lists, ``range_exceeds``' dicts) otherwise.  As a ``Sequence`` it
+    reads as the ``[(key_tuple, value), ...]`` list a reduce used to
+    return; those records are materialized on access, never stored.
+
+    The columns are in canonical form by construction: ``tolist()``
+    turns numeric arrays into plain ints/floats, and list-valued columns
+    are built from ``tolist()`` output by ``finalize_columns``.  So
+    :meth:`canonical_records` is two ``tolist()`` calls, not a walk over
+    every value; the verify fuzzer holds it against the generic walk on
+    every case.
+    """
+
+    __slots__ = ("key_rows", "values")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray | list) -> None:
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim != 2:
+            raise ShuffleError(f"result keys must be (n, rank), got {keys.shape}")
+        if len(values) != keys.shape[0]:
+            raise ShuffleError(
+                f"result key/value row mismatch: {keys.shape[0]} != {len(values)}"
+            )
+        self.key_rows = keys
+        self.values = values
+
+    @classmethod
+    def empty(cls) -> "ResultBlock":
+        return cls(np.empty((0, 0), dtype=np.int64), np.empty(0))
+
+    @classmethod
+    def from_records(cls, records: Iterable[KeyValue]) -> "ResultBlock":
+        """Block holding ``records``, their values kept as given."""
+        records = list(records)
+        if not records:
+            return cls.empty()
+        keys = np.asarray([key for key, _ in records], dtype=np.int64)
+        return cls(
+            keys.reshape(len(records), -1), [v for _, v in records]
+        )._in_key_order()
+
+    @classmethod
+    def concatenate(cls, blocks: Sequence["ResultBlock"]) -> "ResultBlock":
+        """All rows of ``blocks`` in key order: laid end to end, and
+        sorted only when that is not already key order."""
+        blocks = [b for b in blocks if len(b)]
+        if not blocks:
+            return cls.empty()
+        if len(blocks) == 1:
+            return blocks[0]
+        keys = np.concatenate([b.key_rows for b in blocks])
+        if all(isinstance(b.values, np.ndarray) for b in blocks):
+            values = np.concatenate([b.values for b in blocks])
+        else:
+            values = [v for b in blocks for v in b.value_list()]
+        return cls(keys, values)._in_key_order()
+
+    def _in_key_order(self) -> "ResultBlock":
+        if lexsorted_rows(self.key_rows):
+            return self
+        order = np.lexsort(self.key_rows.T[::-1])
+        if isinstance(self.values, np.ndarray):
+            values = self.values[order]
+        else:
+            values = [self.values[i] for i in order.tolist()]
+        return ResultBlock(self.key_rows[order], values)
+
+    def merged_with(
+        self, keys: Sequence[tuple[int, ...]], values: list
+    ) -> "ResultBlock":
+        """This block plus the records ``zip(keys, values)``, in key
+        order (the planner's synthesized keys joining a keyblock)."""
+        extra = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
+        own = self.key_rows.reshape(len(self), extra.shape[1])
+        return ResultBlock(
+            np.concatenate([own, extra]), self.value_list() + values
+        )._in_key_order()
+
+    def value_list(self) -> list:
+        """The value column as a list of plain Python values."""
+        if isinstance(self.values, np.ndarray):
+            return self.values.tolist()
+        return self.values
+
+    def canonical_records(self) -> list[KeyValue]:
+        """Canonical ``[(key_tuple, value), ...]`` in key order — what
+        :func:`repro.verify.oracle.canonicalize_records` computes for a
+        record list, without visiting each value."""
+        return list(zip(map(tuple, self.key_rows.tolist()), self.value_list()))
+
+    def __len__(self) -> int:
+        return self.key_rows.shape[0]
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return ResultBlock(self.key_rows[index], self.values[index])
+        value = self.values[index]
+        if isinstance(value, np.generic):
+            value = value.item()
+        return tuple(self.key_rows[index].tolist()), value
+
+    def __iter__(self) -> Iterator[KeyValue]:
+        return iter(self.canonical_records())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return self.canonical_records() == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ResultBlock({len(self)} records, keys {self.key_rows.shape})"
 
 
 def _fallback_cell(component: Any) -> np.ndarray:
@@ -376,22 +509,25 @@ def run_columnar_reduce(
     *,
     cancel: Any | None = None,
     heartbeat: Any | None = None,
-) -> list[KeyValue]:
-    """Columnar reduce-task body (concatenate → lexsort → reduceat).
+) -> ResultBlock:
+    """Columnar reduce-task body (concatenate → lexsort → fold → finalize).
 
     ``files`` are this partition's fetched columnar spill files in map
     order.  One stable lexsort over the concatenated key columns replaces
-    the heap merge (ties keep map order, matching ``heapq.merge``), and
-    same-key groups combine with one segmented reduction per state
-    column.  Finalization is scalar per group so outputs stay
-    byte-identical to the record plane.
+    the heap merge (ties keep map order, matching ``heapq.merge``),
+    same-key groups combine with one segmented fold per state column,
+    and one ``finalize_columns`` call turns the combined columns into
+    the keyblock's output.  Nothing here runs once per key, so the
+    cancellation/liveness checkpoint is task-granular, like the map
+    side's per-batch one.
     """
     bop = _batch_operator(job)
-    out: list[KeyValue] = []
-    groups = 0
+    block = ResultBlock.empty()
     records = 0
     sizes: np.ndarray | None = None
     with obs.phase("reduce.reduce", task_span):
+        if cancel is not None:
+            cancel.check()
         if files:
             keys = np.concatenate([f.keys for f in files])
             cols = tuple(
@@ -406,23 +542,18 @@ def run_columnar_reduce(
             starts = group_starts(keys)
             merged = bop.combine_columns(cols, starts)
             merged_counts = np.add.reduceat(counts, starts)
-            group_keys = keys[starts]
             sizes = np.diff(np.append(starts, keys.shape[0]))
-            groups = len(starts)
             records = keys.shape[0]
-            for i in range(groups):
-                if cancel is not None:
-                    cancel.check()
-                if heartbeat is not None:
-                    heartbeat.beat()
-                key = tuple(int(x) for x in group_keys[i])
-                row = tuple(c[i] for c in merged)
-                out.append((key, bop.finalize_row(row, int(merged_counts[i]))))
-    counters.increment("reduce.input.groups", groups)
+            block = ResultBlock(
+                keys[starts], bop.finalize_columns(merged, merged_counts)
+            )
+        if heartbeat is not None:
+            heartbeat.beat(len(block))
+    counters.increment("reduce.input.groups", len(block))
     counters.increment("reduce.input.records", records)
-    counters.increment("reduce.output.records", len(out))
+    counters.increment("reduce.output.records", len(block))
     if obs.enabled and sizes is not None and sizes.size:
         obs.metrics.histogram("reduce.group.size", COUNT_BUCKETS).observe_many(
-            [int(s) for s in sizes]
+            sizes
         )
-    return out
+    return block

@@ -81,14 +81,15 @@ results committed so far (``JobConf.on_deadline``).
 
 from __future__ import annotations
 
-import heapq
 import random
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Protocol
 
 from repro.errors import (
@@ -99,7 +100,11 @@ from repro.errors import (
     TaskCancelledError,
 )
 from repro.faults import BoundFaults, InjectionPlan, RecoveryModel, WHEN_AFTER_FETCH
-from repro.mapreduce.columnar import run_columnar_map, run_columnar_reduce
+from repro.mapreduce.columnar import (
+    ResultBlock,
+    run_columnar_map,
+    run_columnar_reduce,
+)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.record import run_record_map, run_record_reduce
@@ -146,7 +151,7 @@ _NON_RETRYABLE = (JobConfigError, BarrierViolationError)
 _LOST_RACE = object()
 
 #: ``on_reduce_complete(partition, records)``.
-ReduceCallback = Callable[[int, list[KeyValue]], None]
+ReduceCallback = Callable[[int, Sequence[KeyValue]], None]
 
 
 # --------------------------------------------------------------------- #
@@ -245,7 +250,7 @@ class TaskRunner(Protocol):
         attempt: int,
         faults: "BoundFaults | None",
         cancel: "CancelToken | None",
-    ) -> list[KeyValue]: ...
+    ) -> Sequence[KeyValue]: ...
 
     def close(self) -> None:
         """Release whatever the runner holds; runs on every exit path."""
@@ -470,7 +475,9 @@ class JobResult:
     """Everything a completed job produced."""
 
     job_name: str
-    outputs: dict[int, list[KeyValue]]
+    #: Per partition, key-sorted: a record list (record plane) or a
+    #: :class:`ResultBlock` (columnar plane).
+    outputs: dict[int, Sequence[KeyValue]]
     counters: Counters
     trace: EngineTrace
     shuffle_connections: int
@@ -486,13 +493,28 @@ class JobResult:
     #: before expiry (each one complete and correct on its own).
     partial: bool = False
 
-    def all_records(self) -> list[KeyValue]:
+    def all_records(self) -> Sequence[KeyValue]:
         """All output records across partitions, sorted by key — the
-        canonical form tests compare across engine configurations."""
+        form tests compare across engine configurations.  Columnar
+        outputs stay one :class:`ResultBlock` (sorted only if partition
+        order is not key order); record-plane outputs are a list."""
+        parts = [self.outputs[p] for p in sorted(self.outputs)]
+        if parts and all(isinstance(part, ResultBlock) for part in parts):
+            return ResultBlock.concatenate(parts)
         records: list[KeyValue] = []
-        for part in sorted(self.outputs):
-            records.extend(self.outputs[part])
-        return sorted(records, key=lambda kv: kv[0])
+        for part in parts:
+            records.extend(part)
+        return sorted(records, key=itemgetter(0))
+
+    def canonical_records(self) -> list[KeyValue]:
+        """The job's output in the verifier's canonical form (plain
+        Python values, key order) — what gets digested and served.  A
+        block's columns convert with two ``tolist()`` calls; record
+        lists take the generic per-value walk."""
+        # Imported here: ``repro.verify`` imports this module.
+        from repro.verify.oracle import canonicalize_records
+
+        return canonicalize_records(self.all_records())
 
 
 # --------------------------------------------------------------------- #
@@ -579,8 +601,8 @@ class LocalEngine:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _with_synth_records(
-        job: JobConf, partition: int, out: list[KeyValue]
-    ) -> list[KeyValue]:
+        job: JobConf, partition: int, out: Sequence[KeyValue]
+    ) -> Sequence[KeyValue]:
         """Merge planner-synthesized records into a reduce's output.
 
         Split pruning can leave an intermediate key with no producing
@@ -598,13 +620,10 @@ class LocalEngine:
         if not keys:
             return out
         factory = job.context["synth_value_factory"]
-        return list(
-            heapq.merge(
-                out,
-                [(key, factory()) for key in keys],
-                key=lambda kv: kv[0],
-            )
-        )
+        values = [factory() for _ in keys]
+        if isinstance(out, ResultBlock):
+            return out.merged_with(keys, values)
+        return sorted([*out, *zip(keys, values)], key=itemgetter(0))
 
     @staticmethod
     def _seed_prune_counters(job: JobConf, counters: Counters) -> None:
@@ -710,7 +729,7 @@ class LocalEngine:
         attempt: int = 0,
         faults: BoundFaults | None = None,
         cancel: CancelToken | None = None,
-    ) -> list[KeyValue]:
+    ) -> Sequence[KeyValue]:
         """One reduce attempt, body in-thread (the in-thread
         :class:`TaskRunner`'s ``run_reduce``)."""
         hb = Heartbeat(obs.bus, "reduce", partition, attempt, self._hb_interval)
@@ -902,12 +921,12 @@ class LocalEngine:
         obs: JobObservability,
         state: _RunState,
         snapshot: frozenset[int],
-    ) -> list[KeyValue]:
+    ) -> Sequence[KeyValue]:
         """One reduce task with retry; on retry under a no-persistence
         recovery mode, first regenerate whatever input the failed
         attempt consumed by re-executing the producing maps."""
 
-        def body(attempt: int, cancel: CancelToken) -> list[KeyValue]:
+        def body(attempt: int, cancel: CancelToken) -> Sequence[KeyValue]:
             store.begin_reduce_attempt(p)
             out = state.runner.run_reduce(
                 job, p, barrier, store, counters, obs, snapshot,
@@ -1116,7 +1135,7 @@ class LocalEngine:
         store = self._new_store(obs, state)
         self._seed_prune_counters(job, counters)
         total_maps = job.num_map_tasks
-        outputs: dict[int, list[KeyValue]] = {}
+        outputs: dict[int, Sequence[KeyValue]] = {}
         lock = threading.Lock()
         abort = threading.Event()
         completed: set[int] = set()

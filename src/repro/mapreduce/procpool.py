@@ -40,6 +40,7 @@ import pickle
 import shutil
 import threading
 import uuid
+from collections.abc import Sequence
 from multiprocessing.connection import wait as _mp_wait
 from typing import TYPE_CHECKING, Any
 
@@ -535,7 +536,7 @@ class ProcessRunner:
         attempt: int,
         faults,
         cancel,
-    ) -> list:
+    ) -> Sequence:
         # Identical to the in-thread reduce up to the body: barrier
         # checks, validator and fetch stay in the parent because they
         # interact with the store's consume/supersede accounting; only

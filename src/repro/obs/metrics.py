@@ -4,7 +4,8 @@ The registry is the numeric half of the observability layer (spans are
 the temporal half).  All metric types are thread-safe and cheap enough
 to update from the engine's hot paths; histograms batch with
 :meth:`Histogram.observe_many` so per-group accounting costs one lock
-acquisition per reduce task, not one per key group.
+acquisition per reduce task, not one per key group — and, handed an
+array, no Python iteration per group either.
 
 Metric names shared by the real engine and the simulator are tabled in
 ``docs/OBSERVABILITY.md`` ("Metric vocabulary"), with who fills each:
@@ -17,6 +18,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable
 from typing import Any
+
+import numpy as np
 
 from repro.errors import ObservabilityError
 
@@ -103,7 +106,10 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.observe_many((value,))
 
-    def observe_many(self, values: Iterable[float]) -> None:
+    def observe_many(self, values: Iterable[float] | np.ndarray) -> None:
+        if isinstance(values, np.ndarray):
+            self._observe_array(values.astype(np.float64, copy=False).reshape(-1))
+            return
         with self._lock:
             for v in values:
                 v = float(v)
@@ -114,6 +120,27 @@ class Histogram:
                     self._min = v
                 if v > self._max:
                     self._max = v
+
+    def _observe_array(self, arr: np.ndarray) -> None:
+        """The loop above for a whole float64 array, to the same state:
+        ``searchsorted(side="left")`` is ``_slot`` (NaN lands in the
+        overflow slot in both), the running sum is accumulated in order
+        rather than pairwise, and ``fmin``/``fmax`` skip NaNs as the
+        ``<``/``>`` tests do."""
+        if not arr.size:
+            return
+        slots = np.searchsorted(np.asarray(self.buckets), arr, side="left")
+        binned = np.bincount(slots, minlength=len(self._counts)).tolist()
+        lo = float(np.fmin.reduce(arr))
+        hi = float(np.fmax.reduce(arr))
+        with self._lock:
+            self._counts = [c + b for c, b in zip(self._counts, binned)]
+            self._count += arr.size
+            self._sum = float(np.add.accumulate(np.append(self._sum, arr))[-1])
+            if lo < self._min:
+                self._min = lo
+            if hi > self._max:
+                self._max = hi
 
     @property
     def count(self) -> int:

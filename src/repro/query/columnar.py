@@ -22,11 +22,13 @@ The query half of the columnar data plane (engine half:
   :class:`~repro.query.operators.StructuralOperator` to a
   :class:`StructuralBatchOperator` computing whole-batch partials in one
   ``axis=1`` reduction per state column and merging same-key runs with
-  segmented ``ufunc.reduceat`` reductions.  ``reduceat`` folds each
-  segment strictly left to right — the same order as the scalar
-  ``combine`` implementations' built-in ``sum``/``min``/``max`` — and
-  finalization reconstructs the exact scalar state per key, so columnar
-  output is byte-identical to the record plane.  Holistic operators
+  segmented ``ufunc.reduceat`` reductions.  The segmented fold
+  runs each segment strictly left to right — the same order as the
+  scalar ``combine`` implementations' built-in ``sum``/``min``/``max`` —
+  and ``finalize_columns`` is one array expression per operator built
+  only from IEEE operations that round the same in numpy and in Python
+  floats (``+ - * /``, ``sqrt``, comparisons), so columnar output is
+  byte-identical to the record plane.  Holistic operators
   (median, sort) return ``None``: those jobs run on the record plane.
   ``filter_gt`` — a variable-length partial — gets the dedicated
   :class:`_FilterBatchOperator`, which pushes the predicate down into
@@ -45,13 +47,10 @@ import numpy as np
 from repro.arrays.extraction import StridedExtraction
 from repro.arrays.shape import ceil_div, coord_sub
 from repro.arrays.slab import Slab
+from repro.errors import QueryError
 from repro.mapreduce.columnar import ChunkBatch
 from repro.query.language import QueryPlan
-from repro.query.operators import (
-    Chunk,
-    Partial,
-    StructuralOperator,
-)
+from repro.query.operators import Chunk, StructuralOperator
 from repro.query.recordreader import _read_slab
 from repro.query.splits import CoordinateSplit
 
@@ -288,11 +287,11 @@ def _segmented_fold(
 class StructuralBatchOperator:
     """Vectorized face of one distributive operator.
 
-    Wraps the scalar operator rather than replacing it: ``map_record``
-    and ``finalize_row`` delegate to the scalar protocol, so the only
-    vectorized arithmetic is the per-batch ``axis=1`` fold and the
-    segmented combine — both constructed to reproduce the scalar
-    reduction order exactly (see the byte-identity tests).
+    ``map_record`` delegates to the scalar operator (clipped edges are
+    few); the per-batch ``axis=1`` fold, the segmented combine and the
+    whole-column finalize are array code constructed to reproduce the
+    scalar arithmetic bit for bit (see the byte-identity tests, which
+    hold ``finalize_columns`` against ``operator.finalize`` row by row).
     """
 
     def __init__(
@@ -300,12 +299,12 @@ class StructuralBatchOperator:
         operator: StructuralOperator,
         map_batch: Callable[[np.ndarray], tuple[np.ndarray, ...]],
         combine_ufuncs: tuple[np.ufunc, ...],
-        row_to_state: Callable[[tuple[Any, ...]], Any],
+        finalize: Callable[..., np.ndarray | list],
     ) -> None:
         self.operator = operator
         self._map_batch = map_batch
         self._ufuncs = combine_ufuncs
-        self._row_to_state = row_to_state
+        self._finalize = finalize
 
     def map_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
         return self._map_batch(values)
@@ -323,14 +322,25 @@ class StructuralBatchOperator:
             for uf, col in zip(self._ufuncs, columns)
         )
 
-    def finalize_row(self, row: tuple[Any, ...], source_count: int) -> Any:
-        return self.operator.finalize(
-            Partial(self._row_to_state(row), int(source_count))
-        )
+    def finalize_columns(
+        self, columns: tuple[np.ndarray, ...], source_counts: np.ndarray
+    ) -> np.ndarray | list:
+        # The one invariant ``Partial`` enforced per row.
+        if source_counts.size and int(source_counts.min()) < 0:
+            raise QueryError("negative source_count")
+        # Python floats overflow to inf and turn inf - inf into NaN
+        # silently; so must the columns.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._finalize(*columns)
 
 
 def _counts_column(values: np.ndarray) -> np.ndarray:
     return np.full(values.shape[0], values.shape[1], dtype=np.int64)
+
+
+def _require_cells(count: np.ndarray, what: str) -> None:
+    if count.size and not count.all():
+        raise QueryError(f"{what} of zero cells")
 
 
 def _build_sum(op: StructuralOperator) -> StructuralBatchOperator:
@@ -338,7 +348,7 @@ def _build_sum(op: StructuralOperator) -> StructuralBatchOperator:
         op,
         lambda v: (v.sum(axis=1).astype(np.float64, copy=False),),
         (np.add,),
-        lambda r: float(r[0]),
+        _f64,
     )
 
 
@@ -347,16 +357,20 @@ def _build_count(op: StructuralOperator) -> StructuralBatchOperator:
         op,
         lambda v: (_counts_column(v),),
         (np.add,),
-        lambda r: int(r[0]),
+        lambda count: np.asarray(count, dtype=np.int64),
     )
 
 
 def _build_mean(op: StructuralOperator) -> StructuralBatchOperator:
+    def finalize(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+        _require_cells(count, "mean")
+        return total / count
+
     return StructuralBatchOperator(
         op,
         lambda v: (_f64(v).sum(axis=1), _counts_column(v)),
         (np.add, np.add),
-        lambda r: (float(r[0]), int(r[1])),
+        finalize,
     )
 
 
@@ -365,7 +379,7 @@ def _build_min(op: StructuralOperator) -> StructuralBatchOperator:
         op,
         lambda v: (v.min(axis=1).astype(np.float64, copy=False),),
         (np.minimum,),
-        lambda r: float(r[0]),
+        _f64,
     )
 
 
@@ -374,7 +388,7 @@ def _build_max(op: StructuralOperator) -> StructuralBatchOperator:
         op,
         lambda v: (v.max(axis=1).astype(np.float64, copy=False),),
         (np.maximum,),
-        lambda r: float(r[0]),
+        _f64,
     )
 
 
@@ -383,25 +397,55 @@ def _build_stddev(op: StructuralOperator) -> StructuralBatchOperator:
         w = _f64(v)
         return (_counts_column(v), w.sum(axis=1), np.square(w).sum(axis=1))
 
+    def finalize(n: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
+        _require_cells(n, "stddev")
+        mean = s / n
+        var = ss / n - mean * mean
+        # ``where(var > 0)`` is the scalar ``max(0.0, var)`` exactly:
+        # a NaN or negative-zero variance clamps to +0.0 in both.
+        return np.sqrt(np.where(var > 0.0, var, 0.0))
+
     return StructuralBatchOperator(
-        op,
-        map_batch,
-        (np.add, np.add, np.add),
-        lambda r: (int(r[0]), float(r[1]), float(r[2])),
+        op, map_batch, (np.add, np.add, np.add), finalize
     )
 
 
-def _build_minmax(op: StructuralOperator) -> StructuralBatchOperator:
-    def map_batch(v: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = _f64(v)
-        return (w.min(axis=1), w.max(axis=1))
+def _minmax_batch(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    w = _f64(v)
+    return (w.min(axis=1), w.max(axis=1))
 
+
+def _build_range(op: StructuralOperator) -> StructuralBatchOperator:
     return StructuralBatchOperator(
         op,
-        map_batch,
+        _minmax_batch,
         (np.minimum, np.maximum),
-        lambda r: (float(r[0]), float(r[1])),
+        lambda lo, hi: hi - lo,
     )
+
+
+def _build_range_exceeds(op: StructuralOperator) -> StructuralBatchOperator:
+    threshold = float(op.threshold)  # type: ignore[attr-defined]
+
+    def finalize(lo: np.ndarray, hi: np.ndarray) -> list:
+        variation = hi - lo
+        return [
+            {"exceeds": e, "variation": v}
+            for e, v in zip((variation > threshold).tolist(), variation.tolist())
+        ]
+
+    return StructuralBatchOperator(
+        op, _minmax_batch, (np.minimum, np.maximum), finalize
+    )
+
+
+def _ragged_rows(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An object column of float arrays as one flat value array plus
+    per-row lengths (the rows laid end to end, in order)."""
+    rows = col.tolist()
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.float64)
+    return flat, lengths
 
 
 class _FilterBatchOperator(StructuralBatchOperator):
@@ -412,9 +456,12 @@ class _FilterBatchOperator(StructuralBatchOperator):
     zone map could not prune entirely still do a single vectorized
     compare instead of per-instance Python.  The single state column is
     object-dtype; element ``i`` is instance ``i``'s surviving values in
-    cell order, so the segmented combine's left-to-right concatenation
-    reproduces the scalar ``np.concatenate`` order exactly and
-    finalization (a sort) is byte-identical to the record plane.
+    cell order.  Combine and finalize both work on the column laid out
+    flat (values + row lengths): rows of one key are adjacent and in map
+    order, so a key's combined state is a contiguous run of the flat
+    array — the scalar ``np.concatenate`` order exactly — and finalize
+    is one stable sort of the flat values within key segments, which
+    orders each segment as the scalar ``sorted`` does.
 
     An all-masked row keeps its place: an empty survivors array with the
     row's full source count, matching the scalar ``map_partial`` on a
@@ -424,12 +471,7 @@ class _FilterBatchOperator(StructuralBatchOperator):
 
     def __init__(self, operator: StructuralOperator) -> None:
         self._threshold = float(operator.threshold)  # type: ignore[attr-defined]
-        super().__init__(
-            operator,
-            self._mask_batch,
-            (),
-            lambda r: np.asarray(r[0], dtype=np.float64).reshape(-1),
-        )
+        super().__init__(operator, self._mask_batch, (), self._sorted_lists)
 
     def _mask_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
         w = _f64(values)
@@ -447,18 +489,26 @@ class _FilterBatchOperator(StructuralBatchOperator):
         self, columns: tuple[np.ndarray, ...], starts: np.ndarray
     ) -> tuple[np.ndarray, ...]:
         col = columns[0]
-        n = len(col)
-        if starts.size == 0:
-            return (col[:0].copy(),)
-        ends = np.append(starts[1:], n)
+        if starts.size == len(col):
+            return (col,)  # every row its own key: nothing to merge
+        flat, lengths = _ragged_rows(col)
+        ends = np.add.reduceat(lengths, starts).cumsum()
         out = np.empty(len(starts), dtype=object)
-        for i in range(len(starts)):
-            segs = [
-                np.asarray(col[j], dtype=np.float64).reshape(-1)
-                for j in range(int(starts[i]), int(ends[i]))
-            ]
-            out[i] = segs[0] if len(segs) == 1 else np.concatenate(segs)
+        begin = 0
+        for i, end in enumerate(ends.tolist()):
+            out[i] = flat[begin:end]
+            begin = end
         return (out,)
+
+    @staticmethod
+    def _sorted_lists(col: np.ndarray) -> list:
+        flat, lengths = _ragged_rows(col)
+        segment = np.repeat(np.arange(len(lengths)), lengths)
+        # Stable within equal values, like ``sorted``; the predicate
+        # already dropped NaNs (``nan > t`` is false).
+        values = flat[np.lexsort((flat, segment))].tolist()
+        ends = lengths.cumsum().tolist()
+        return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
     def masked_cells(
         self, values: np.ndarray, columns: tuple[np.ndarray, ...]
@@ -479,8 +529,8 @@ _BUILDERS: dict[str, Callable[[StructuralOperator], StructuralBatchOperator]] = 
     "min": _build_min,
     "max": _build_max,
     "stddev": _build_stddev,
-    "range": _build_minmax,
-    "range_exceeds": _build_minmax,
+    "range": _build_range,
+    "range_exceeds": _build_range_exceeds,
     "filter_gt": _FilterBatchOperator,
 }
 

@@ -254,7 +254,13 @@ class StdDevOp(StructuralOperator):
         n, s, ss = partial.state
         if n == 0:
             raise QueryError("stddev of zero cells")
-        var = max(0.0, ss / n - (s / n) ** 2)
+        mean = s / n
+        # ``mean * mean``, not ``mean ** 2``: multiplication is an IEEE
+        # operation that rounds identically everywhere (so the columnar
+        # plane's array expression is byte-identical), whereas ``** 2``
+        # goes through libm ``pow`` — last-ulp different for ~0.1 % of
+        # inputs, and an OverflowError where multiplication gives inf.
+        var = max(0.0, ss / n - mean * mean)
         return float(np.sqrt(var))
 
 

@@ -4,7 +4,8 @@ A deliberately small HTTP/1.1 implementation over ``asyncio.start_server``
 — no framework, no new dependencies.  The asyncio loop only parses and
 routes; anything that can block (submitting under the admission lock,
 waiting for a result) runs in the default executor so slow jobs never
-stall the accept loop.
+stall the accept loop — and so does encoding a result body, which can be
+hundreds of KB.
 
 Routes::
 
@@ -96,7 +97,15 @@ class ServiceServer:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            length = int(headers.get("content-length", "0") or "0")
+            try:
+                length = int(headers.get("content-length", "0") or "0")
+            except ValueError:
+                length = -1
+            if length < 0:
+                await self._respond(
+                    writer, 400, {"error": "malformed Content-Length"}
+                )
+                return
             if length > _MAX_BODY:
                 await self._respond(writer, 413, {"error": "body too large"})
                 return
@@ -115,7 +124,9 @@ class ServiceServer:
     async def _respond(
         self, writer: asyncio.StreamWriter, status: int, doc: Any
     ) -> None:
-        payload = json.dumps(doc).encode("utf-8")
+        """Send ``doc`` as the JSON body (``bytes`` are a body some
+        executor thread already encoded)."""
+        payload = doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8")
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 408: "Request Timeout",
                   413: "Payload Too Large", 500: "Internal Server Error"}
@@ -169,10 +180,15 @@ class ServiceServer:
                 for piece in query.split("&"):
                     if piece.startswith("timeout="):
                         timeout = min(float(piece[8:]), _MAX_RESULT_WAIT)
-                doc = await loop.run_in_executor(
-                    None, lambda: svc.result(parts[1], timeout=timeout)
-                )
-                return 200, doc
+
+                def encoded_result() -> bytes:
+                    # Encoded on the thread that waited for the job: a
+                    # few hundred KB of ``json.dumps`` on the event loop
+                    # would stall every other connection.
+                    doc = svc.result(parts[1], timeout=timeout)
+                    return json.dumps(doc).encode("utf-8")
+
+                return 200, await loop.run_in_executor(None, encoded_result)
             if (
                 method == "POST"
                 and len(parts) == 3

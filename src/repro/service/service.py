@@ -60,7 +60,7 @@ from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
 from repro.spec import SpeculationPolicy
 from repro.verify.explorer import failure_types
-from repro.verify.oracle import canonicalize_records, records_digest
+from repro.verify.oracle import records_digest
 
 
 def records_to_json(records: list) -> list:
@@ -308,7 +308,7 @@ class QueryService:
             t1 = time.perf_counter()
             res = engine.run(job_conf, barrier, mode=req.engine, obs=obs)
             run_seconds = time.perf_counter() - t1
-            records = canonicalize_records(res.all_records())
+            records = res.canonical_records()
             job.finish(
                 DONE,
                 records=records,

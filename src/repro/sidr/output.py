@@ -23,6 +23,7 @@ import numpy as np
 from repro.arrays.shape import Shape
 from repro.arrays.slab import Slab
 from repro.errors import DatasetError, QueryError
+from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import JobResult
 from repro.scidata.sparse import (
     ContiguousWriter,
@@ -55,7 +56,9 @@ def commit_sidr_output(
 
     Part files are named ``part-<reduce>-<n>.nc``; regions with
     non-scalar outputs (filter lists) are rejected — those use the
-    coordinate/value layout instead (§4.4).
+    coordinate/value layout instead (§4.4).  A keyblock's records are
+    scattered into the dense array column-wise (a columnar job's
+    :class:`ResultBlock` arrays as they are; a record list via one).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -65,25 +68,34 @@ def commit_sidr_output(
     seconds = 0.0
     total = 0
     for l in sorted(result.outputs):
-        values = dict(result.outputs[l])
+        out = result.outputs[l]
+        block = out if isinstance(out, ResultBlock) else ResultBlock.from_records(out)
+        try:
+            values = np.asarray(block.values, dtype=np.float64)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.ndim != 1:
+            raise QueryError(
+                "contiguous commit requires scalar outputs; use the "
+                "coordinate/value layout for list-valued queries"
+            )
         for n, region in enumerate(plan.output_region(l)):
-            block = np.empty(region.shape, dtype=np.float64)
-            for c in region.iter_coords():
-                try:
-                    v = values[c]
-                except KeyError:
-                    raise DatasetError(
-                        f"reduce {l} missing output for key {c}"
-                    ) from None
-                if not np.isscalar(v) and not isinstance(v, (int, float)):
-                    raise QueryError(
-                        "contiguous commit requires scalar outputs; use the "
-                        "coordinate/value layout for list-valued queries"
-                    )
-                rel = tuple(a - b for a, b in zip(c, region.corner))
-                block[rel] = v
+            rel = block.key_rows.reshape(len(block), region.rank) - np.asarray(
+                region.corner, dtype=np.int64
+            )
+            inside = ((rel >= 0) & (rel < np.asarray(region.shape))).all(axis=1)
+            cells = tuple(rel[inside].T)
+            covered = np.zeros(region.shape, dtype=bool)
+            covered[cells] = True
+            if not covered.all():
+                gap = np.argwhere(~covered)[0] + np.asarray(region.corner)
+                raise DatasetError(
+                    f"reduce {l} missing output for key {tuple(gap.tolist())}"
+                )
+            dense = np.empty(region.shape, dtype=np.float64)
+            dense[cells] = values[inside]
             path = out_dir / f"part-{l:05d}-{n}.nc"
-            rep = writer.write(path, region, block)
+            rep = writer.write(path, region, dense)
             files.append(str(path))
             seconds += rep.seconds
             total += rep.bytes_written

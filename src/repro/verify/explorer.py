@@ -31,7 +31,7 @@ from repro.mapreduce.job import JobConf
 from repro.obs import JobObservability
 from repro.verify.hooks import ChaosHook, RecordingHook
 from repro.verify.invariants import Violation, check_interleaving_invariants
-from repro.verify.oracle import canonicalize_records, records_digest
+from repro.verify.oracle import records_digest
 
 #: make_job() must return a fresh (job, barrier) pair per call — jobs
 #: carry mutable context and must not be shared across runs.
@@ -183,5 +183,5 @@ def _run(
         res = engine.run(job, barrier, mode=mode, obs=obs)
     except ReproError as exc:
         return ("failed", failure_types(exc)), None, (), obs.bus.listener_errors
-    digest = records_digest(canonicalize_records(res.all_records()))
+    digest = records_digest(res.canonical_records())
     return ("ok", ()), digest, res.attempts, obs.bus.listener_errors

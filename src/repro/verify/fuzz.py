@@ -193,7 +193,8 @@ class ConfigOutcome:
 
     mode: str
     data_plane: str
-    status: str                      # "ok" | "failed"
+    #: "ok" | "failed" | "diverged" (canonical fast path != generic walk)
+    status: str
     error_types: tuple[str, ...]
     digest: str | None
     prune: bool = False
@@ -256,8 +257,16 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
             continue
         finally:
             listener_errors += obs.bus.listener_errors
-        digest = records_digest(canonicalize_records(res.all_records()))
-        outcomes.append(ConfigOutcome(mode, plane, "ok", (), digest, prune))
+        records = res.canonical_records()
+        # The column-wise fast path is checked against the generic
+        # per-value walk on every leg, not trusted instead of it.
+        walked = canonicalize_records(list(res.all_records()))
+        status = "ok" if repr(records) == repr(walked) else "diverged"
+        outcomes.append(
+            ConfigOutcome(
+                mode, plane, status, (), records_digest(records), prune
+            )
+        )
 
     mismatch = _diff(case, expected, outcomes)
     if mismatch is None and listener_errors:

@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.mapreduce.columnar import ResultBlock
 from repro.query.language import QueryPlan
 
 #: (key, value) with key a coordinate tuple — canonical record form.
@@ -45,7 +46,14 @@ def canonicalize_value(value: Any) -> Any:
 
 
 def canonicalize_records(records: Any) -> CanonicalRecords:
-    """Canonical sorted record list from any (key, value) iterable."""
+    """Canonical sorted record list from any (key, value) iterable.
+
+    A :class:`~repro.mapreduce.columnar.ResultBlock` is canonical by
+    construction and converts column-wise; anything else is walked
+    value by value.  The fuzzer checks the two agree on every case.
+    """
+    if isinstance(records, ResultBlock):
+        return records.canonical_records()
     out: CanonicalRecords = [
         (tuple(int(c) for c in key), canonicalize_value(value))
         for key, value in records

@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.errors import ObservabilityError
@@ -91,6 +92,31 @@ class TestHistogram:
         assert histogram_quantile(snap, 0.5) == h.quantile(0.5)
         assert histogram_quantile(snap, 0.95) == h.quantile(0.95)
         assert histogram_quantile({"count": 0}, 0.5) == 0.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([1, 2, 2, 3, 16384, 16385, 0], dtype=np.int64),
+            np.array([0.1, 0.2, 0.3, 1e16, 1.0, -5.5, 4.0, 1e-9]),
+            np.array([np.nan, 2.0, np.inf, -np.inf, np.nan]),
+            np.array([np.nan]),
+            np.array([]),
+        ],
+        ids=["ints", "floats", "nonfinite", "only-nan", "empty"],
+    )
+    def test_observe_many_array_matches_observe(self, values):
+        """The bucketed array path leaves exactly the state that
+        observing the same values one at a time does."""
+        bounds = (1, 2, 4, 8, 16384)
+        scalar, batched = Histogram("h", bounds), Histogram("h", bounds)
+        for h in (scalar, batched):
+            h.observe(3.0)  # a running sum/min/max to continue from
+        for v in values.tolist():
+            scalar.observe(v)
+        batched.observe_many(values)
+        assert repr(batched.snapshot()) == repr(scalar.snapshot())
+        for q in (0.0, 0.25, 0.5, 0.9, 1.0):
+            assert repr(batched.quantile(q)) == repr(scalar.quantile(q))
 
     def test_empty_snapshot(self):
         h = Histogram("h", (1.0,))

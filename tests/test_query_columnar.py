@@ -8,8 +8,10 @@ columnar map-output file, and the engine/store plumbing around them.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import JobConfigError, ShuffleError
+from repro.errors import JobConfigError, QueryError, ShuffleError
 from repro.mapreduce.columnar import (
     ChunkBatch,
     ColumnarMapOutput,
@@ -53,6 +55,11 @@ DISTRIBUTIVE = [
 # value multiset).  filter_gt now has the dedicated predicate-pushdown
 # adapter (object-dtype survivors column) — see TestFilterBatchOperator.
 NO_ADAPTER = [MedianOp(), SortOp()]
+
+
+def _value_list(column):
+    """A ``finalize_columns`` result as the plain values it stands for."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
 
 @pytest.fixture(scope="module")
@@ -204,18 +211,19 @@ class TestBatchOperators:
         # Two groups: rows [0, 4) and [4, 6).
         starts = np.array([0, 4], dtype=np.int64)
         merged = bop.combine_columns(cols, starts)
+        got = _value_list(
+            bop.finalize_columns(merged, np.add.reduceat(counts, starts))
+        )
         for g, (lo, hi) in enumerate([(0, 4), (4, 6)]):
             partials = []
             for i in range(lo, hi):
-                state = tuple(col[i] for col in cols)
+                state = tuple(col[i].item() for col in cols)
                 partials.append(Partial(
                     state if len(state) > 1 else state[0],
                     int(counts[i]),
                 ))
             want = op.finalize(op.combine(partials))
-            row = tuple(col[g] for col in merged)
-            got = bop.finalize_row(row, int(counts[lo:hi].sum()))
-            assert got == want
+            assert repr(got[g]) == repr(want)
 
     def test_map_record_matches_scalar(self):
         op = StdDevOp()
@@ -225,6 +233,113 @@ class TestBatchOperators:
         want = op.map_partial(chunk)
         assert count == want.source_count
         assert row == pytest.approx(want.state, rel=0, abs=0)
+
+
+# --------------------------------------------------------------------- #
+# finalize_columns == scalar finalize, row by row, value and type
+# --------------------------------------------------------------------- #
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_CELLS = st.integers(1, 2**40)
+_SURVIVORS = st.lists(st.floats(allow_nan=False, width=64), max_size=6)
+
+#: operator -> strategy for one combined state row, as the scalar
+#: protocol carries it (a tuple for multi-column states).
+_STATE_ROWS = {
+    "sum": (SumOp(), _FLOATS),
+    "count": (CountOp(), st.integers(0, 2**50)),
+    "mean": (MeanOp(), st.tuples(_FLOATS, _CELLS)),
+    "min": (MinOp(), _FLOATS),
+    "max": (MaxOp(), _FLOATS),
+    "stddev": (StdDevOp(), st.tuples(_CELLS, _FLOATS, _FLOATS)),
+    "range": (RangeOp(), st.tuples(_FLOATS, _FLOATS)),
+    "range_exceeds": (RangeExceedsOp(threshold=2.0), st.tuples(_FLOATS, _FLOATS)),
+    "filter_gt": (ThresholdFilterOp(threshold=5.0), _SURVIVORS),
+}
+
+
+def _state_columns(bop, name, states):
+    """Scalar state rows -> the columns the reduce hands finalize."""
+    if not states:
+        return bop.map_batch(np.zeros((0, 1)))
+    if name == "filter_gt":
+        col = np.empty(len(states), dtype=object)
+        for i, survivors in enumerate(states):
+            col[i] = np.asarray(survivors, dtype=np.float64)
+        return (col,)
+    rows = [s if isinstance(s, tuple) else (s,) for s in states]
+    return tuple(np.asarray(component) for component in zip(*rows))
+
+
+class TestFinalizeColumns:
+    @pytest.mark.parametrize("name", sorted(_STATE_ROWS))
+    @given(data=st.data())
+    def test_repr_identical_to_scalar_finalize(self, name, data):
+        op, row = _STATE_ROWS[name]
+        states = data.draw(st.lists(row, max_size=8))
+        counts = data.draw(
+            st.lists(
+                st.integers(0, 2**40),
+                min_size=len(states), max_size=len(states),
+            )
+        )
+        want = [
+            op.finalize(
+                Partial(np.asarray(s) if name == "filter_gt" else s, c)
+            )
+            for s, c in zip(states, counts)
+        ]
+        bop = batch_operator_for(op)
+        got = bop.finalize_columns(
+            _state_columns(bop, name, states), np.asarray(counts, dtype=np.int64)
+        )
+        assert repr(_value_list(got)) == repr(want)
+
+    def test_value_types(self):
+        one = np.asarray([1], dtype=np.int64)
+        count = batch_operator_for(CountOp()).finalize_columns((one,), one)
+        assert type(count.tolist()[0]) is int
+        exceeds = batch_operator_for(RangeExceedsOp(2.0)).finalize_columns(
+            (np.asarray([0.0]), np.asarray([3.0])), one
+        )
+        assert exceeds == [{"exceeds": True, "variation": 3.0}]
+        assert type(exceeds[0]["exceeds"]) is bool
+        masked = np.empty(1, dtype=object)
+        masked[0] = np.empty(0)
+        lists = batch_operator_for(ThresholdFilterOp(5.0)).finalize_columns(
+            (masked,), one
+        )
+        assert lists == [[]]
+
+    def test_stddev_clamps_negative_variance(self):
+        # sum-of-squares rounded below mean**2: variance comes out < 0.
+        cols = (np.asarray([3]), np.asarray([0.3]), np.asarray([0.03 - 1e-12]))
+        got = batch_operator_for(StdDevOp()).finalize_columns(
+            cols, np.asarray([3], dtype=np.int64)
+        )
+        assert got.tolist() == [0.0]
+
+    @pytest.mark.parametrize(
+        "op, cols",
+        [
+            (MeanOp(), (np.asarray([1.0, 2.0]), np.asarray([4, 0]))),
+            (
+                StdDevOp(),
+                (np.asarray([4, 0]), np.asarray([1.0, 2.0]), np.asarray([1.0, 4.0])),
+            ),
+        ],
+        ids=["mean", "stddev"],
+    )
+    def test_zero_count_raises_like_scalar(self, op, cols):
+        with pytest.raises(QueryError, match="zero cells"):
+            batch_operator_for(op).finalize_columns(
+                cols, np.asarray([4, 0], dtype=np.int64)
+            )
+
+    def test_negative_source_count_raises_like_partial(self):
+        with pytest.raises(QueryError, match="negative source_count"):
+            batch_operator_for(SumOp()).finalize_columns(
+                (np.asarray([1.0]),), np.asarray([-1], dtype=np.int64)
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -269,16 +384,14 @@ class TestFilterBatchOperator:
         counts = np.full(6, values.shape[1], dtype=np.int64)
         starts = np.array([0, 4], dtype=np.int64)
         merged = bop.combine_columns(cols, starts)
+        got = bop.finalize_columns(merged, np.add.reduceat(counts, starts))
         for g, (lo, hi) in enumerate([(0, 4), (4, 6)]):
             partials = [
                 Partial(np.asarray(cols[0][i]), int(counts[i]))
                 for i in range(lo, hi)
             ]
             want = self.OP.finalize(self.OP.combine(partials))
-            got = bop.finalize_row(
-                tuple(c[g] for c in merged), int(counts[lo:hi].sum())
-            )
-            assert got == want
+            assert repr(got[g]) == repr(want)
 
     def test_masked_cells_accounting(self):
         values = np.array([[1.0, 9.0], [0.0, 2.0], [7.0, 8.0]])

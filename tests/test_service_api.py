@@ -249,6 +249,53 @@ class TestHttpServer:
         with pytest.raises(Exception, match="404"):
             client._call("GET", "/no/such/route")
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+    def test_malformed_content_length_is_a_400(self, live_server, length):
+        """Regression: ``int()``/``readexactly`` raised out of the
+        connection handler, so the client saw a reset, not a response."""
+        import json
+        import socket
+
+        client, *_ = live_server
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+                .encode("latin-1")
+            )
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+        assert client.healthz()["ok"] is True  # and it keeps serving
+
+    def test_bad_result_timeout_is_a_400(self, live_server):
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        job_id = client.submit(mean_request())
+        with pytest.raises(Exception, match="400"):
+            client._call("GET", f"/jobs/{job_id}/result?timeout=abc")
+        assert client.result(job_id)["state"] == DONE
+
+    def test_result_body_is_the_documents_json(self, live_server):
+        """The result body is encoded off the event loop; it is still
+        exactly ``json.dumps`` of the in-process result document."""
+        import http.client
+        import json
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        job_id = client.submit(mean_request())
+        client.result(job_id)
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request("GET", f"/jobs/{job_id}/result")
+            wire = conn.getresponse().read()
+        finally:
+            conn.close()
+        assert wire == json.dumps(service.result(job_id)).encode("utf-8")
+
     def test_shutdown_endpoint_stops_the_server(self, live_server):
         client, service, path, data = live_server
         client.shutdown()
