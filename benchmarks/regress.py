@@ -40,7 +40,6 @@ from pathlib import Path
 BASELINE_DIR = Path(__file__).parent / "baselines"
 RESULT_FILES = ("BENCH_throughput.json", "BENCH_recovery.json",
                 "BENCH_speculation.json", "BENCH_pruning.json",
-                "BENCH_parallel.json", "BENCH_service.json",
                 "BENCH_obs.json")
 
 
@@ -100,28 +99,6 @@ CHECKS: tuple[Check, ...] = (
     Check("BENCH_pruning.json", "sweep[0].record.speedup", "relative", 0.75),
     Check("BENCH_pruning.json", "sweep[5].record.seconds_full", "relative",
           0.60),
-    # Process engine: byte-identity and the scaling gate are exact
-    # booleans (``speedup_ok`` is vacuously true below 4 cores — the
-    # result records ``cpu_count`` so a reader can tell which case a
-    # baseline captured); raw seconds get the usual wide band.
-    # Machine-shape fields (cpu_count, per-worker speedups) are *not*
-    # tracked — they legitimately differ between baseline and CI boxes.
-    Check("BENCH_parallel.json", "identical", "exact"),
-    Check("BENCH_parallel.json", "speedup_ok", "exact"),
-    Check("BENCH_parallel.json", "cells", "exact"),
-    Check("BENCH_parallel.json", "threaded.seconds", "relative", 0.60),
-    Check("BENCH_parallel.json", "scaling[0].seconds", "relative", 0.75),
-    # Resident service: oracle byte-identity and the cached-faster-
-    # than-cold gate are exact booleans.  The raw plan-cache speedup is
-    # a ratio of sub-millisecond timings — far too noisy to band — so
-    # only the cold planning cost and the sequential serving time get
-    # the usual wide wall-clock bands.
-    Check("BENCH_service.json", "identical", "exact"),
-    Check("BENCH_service.json", "cached_faster", "exact"),
-    Check("BENCH_service.json", "cells", "exact"),
-    Check("BENCH_service.json", "jobs", "exact"),
-    Check("BENCH_service.json", "plan.cold_ms", "relative", 0.75),
-    Check("BENCH_service.json", "sequential_seconds", "relative", 0.75),
     # Observability, measured on the columnar plane / threaded engine
     # (exact: a baseline taken on another plane is not comparable).
     # The off run is ~70 ms with an IQR of 10-25 ms on a shared 2-core
@@ -255,7 +232,6 @@ def trajectory_row(results: dict) -> dict:
     rec = results["BENCH_recovery.json"]
     spec = results.get("BENCH_speculation.json", {})
     prune = results.get("BENCH_pruning.json", {})
-    par = results.get("BENCH_parallel.json", {})
     overhead = obs["sections"].get("obs_overhead", {})
     return {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -274,11 +250,6 @@ def trajectory_row(results: dict) -> dict:
         "pruning_low_speedup": (
             prune["sweep"][0]["record"]["speedup"]
             if prune.get("sweep") else None
-        ),
-        "parallel_cpu_count": par.get("cpu_count"),
-        "parallel_best_speedup": (
-            max(r["speedup_vs_threaded"] for r in par["scaling"])
-            if par.get("scaling") else None
         ),
         "runall_total_seconds": obs.get("total_seconds"),
     }

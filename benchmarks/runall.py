@@ -322,60 +322,6 @@ def main() -> int:
         json.dumps(pruning, indent=1, sort_keys=True) + "\n"
     )
 
-    # Process engine: 1 -> N-core scaling on the weekly-mean workload --
-    parallel = _measure_parallel()
-    save(
-        "parallel",
-        "process-engine scaling (weekly-mean columnar workload, "
-        f"{parallel['cells']:,} cells, {parallel['cpu_count']} core(s), "
-        f"min of {parallel['runs']}):\n"
-        f"  threaded baseline: {parallel['threaded']['seconds']:.3f} s\n"
-        + "\n".join(
-            f"  process x{row['workers']}: {row['seconds']:.3f} s  "
-            f"({row['speedup_vs_threaded']:.2f}x vs threaded)"
-            for row in parallel["scaling"]
-        )
-        + f"\n  >=2.5x gate at 4+ workers "
-        f"({'applicable' if parallel['gate_applicable'] else 'skipped: needs >=4 cores'}): "
-        f"{'yes' if parallel['speedup_ok'] else 'NO'}  "
-        f"(byte-identical: {'yes' if parallel['identical'] else 'NO'})",
-        data={
-            "speedup_ok": parallel["speedup_ok"],
-            "identical": parallel["identical"],
-            "cpu_count": parallel["cpu_count"],
-        },
-    )
-    (out / "BENCH_parallel.json").write_text(
-        json.dumps(parallel, indent=1, sort_keys=True) + "\n"
-    )
-
-    # Resident service: plan-cache and concurrent-serving economics ----
-    service = _measure_service()
-    save(
-        "service",
-        "resident query service (shared session, plan cache, "
-        f"{service['jobs']} mixed-plane jobs):\n"
-        f"  cold plan:    {service['plan']['cold_ms']:.2f} ms\n"
-        f"  cached plan:  {service['plan']['cached_ms']:.3f} ms  "
-        f"({service['plan']['speedup']:.0f}x, "
-        f"hit rate {service['plan']['hit_rate']:.2f})\n"
-        f"  sequential round-trips: {service['sequential_seconds']:.3f} s\n"
-        f"  concurrent (4 workers): {service['concurrent_seconds']:.3f} s  "
-        f"({service['concurrent_vs_sequential']:.2f}x)\n"
-        f"  byte-identical to oracle: "
-        f"{'yes' if service['identical'] else 'NO'}  "
-        f"cached faster than cold: "
-        f"{'yes' if service['cached_faster'] else 'NO'}",
-        data={
-            "identical": service["identical"],
-            "cached_faster": service["cached_faster"],
-            "plan_speedup": service["plan"]["speedup"],
-        },
-    )
-    (out / "BENCH_service.json").write_text(
-        json.dumps(service, indent=1, sort_keys=True) + "\n"
-    )
-
     bench["total_seconds"] = round(time.time() - t0, 3)
     (out / "BENCH_obs.json").write_text(
         json.dumps(bench, indent=1, sort_keys=True) + "\n"
@@ -390,8 +336,8 @@ def main() -> int:
 def _measure_tracing_overhead(rounds: int = 11) -> dict:
     """Observability cost on the fast path: the columnar weekly-mean job
     on the threaded engine, spans/metrics off vs on vs *live* — wired
-    the way ``QueryService._run_job`` wires a served job (registry,
-    job-tagged bus, ``JobObservability``, ``ProgressTracker``).
+    the way ``QueryService._run_job`` wires a served job (job-tagged
+    bus, ``ProgressTracker``, spans/metrics off).
 
     The three configurations alternate within each round (order rotated
     round to round, so a slow phase of a shared box lands on all three)
@@ -406,12 +352,7 @@ def _measure_tracing_overhead(rounds: int = 11) -> dict:
     import numpy as np
 
     from repro.mapreduce.engine import LocalEngine
-    from repro.obs import (
-        EventBus,
-        JobObservability,
-        MetricsRegistry,
-        ProgressTracker,
-    )
+    from repro.obs import EventBus, JobObservability, ProgressTracker
     from repro.query.language import StructuralQuery
     from repro.query.operators import MeanOp
     from repro.query.splits import slice_splits
@@ -431,10 +372,9 @@ def _measure_tracing_overhead(rounds: int = 11) -> dict:
     engine_on = LocalEngine(observability=True)
 
     def live_obs():
-        metrics = MetricsRegistry()
-        bus = EventBus(metrics=metrics, job="bench")
+        bus = EventBus(job="bench")
         ProgressTracker(bus)
-        return JobObservability(job.name, metrics=metrics, bus=bus)
+        return JobObservability(job.name, enabled=False, bus=bus)
 
     configs = {
         "off": lambda: engine_off.run_threaded(job, barrier),
@@ -784,191 +724,6 @@ def _measure_pruning(runs: int = 3) -> dict:
         "sweep": sweep,
         "identical": identical,
         "speedup_ok": speedup_ok,
-    }
-
-
-def _measure_parallel(runs: int = 3, worker_counts=(1, 2, 4)) -> dict:
-    """Process-engine scaling curve on the weekly-mean columnar
-    workload (``BENCH_parallel.json``).
-
-    Reports seconds and speedup-vs-``run_threaded`` for worker pools of
-    1 -> N processes.  The acceptance gate (>= 2.5x over threaded at 4+
-    workers) is only *applicable* on machines with >= 4 cores — the
-    result records ``cpu_count`` so a 1-core CI box publishes an honest
-    curve (fork + segment-file overhead with nothing to parallelize
-    against) without pretending to demonstrate scaling it physically
-    cannot.  Byte-identity vs the threaded run is checked on the same
-    runs that are timed.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.mapreduce.engine import LocalEngine
-    from repro.query.language import StructuralQuery
-    from repro.query.operators import MeanOp
-    from repro.query.splits import slice_splits
-    from repro.scidata.generators import temperature_dataset
-    from repro.sidr.planner import build_sidr_job
-
-    field = temperature_dataset(days=364, lat=40, lon=40, seed=3)
-    data = field.arrays["temperature"].astype(np.float64)
-    plan = StructuralQuery(
-        variable="temperature", extraction_shape=(7, 5, 2), operator=MeanOp()
-    ).compile(field.metadata)
-    sp = slice_splits(plan, num_splits=16)
-
-    def job():
-        j, barrier, _ = build_sidr_job(
-            plan, sp, 8, data, data_plane="columnar"
-        )
-        return j, barrier
-
-    def best(engine, mode):
-        run = getattr(engine, mode)
-        j, barrier = job()
-        res = run(j, barrier)  # warmup (forks the pool, touches caches)
-        t = float("inf")
-        for _ in range(runs):
-            j, barrier = job()
-            s = time.perf_counter()
-            res = run(j, barrier)
-            t = min(t, time.perf_counter() - s)
-        return t, res.all_records()
-
-    t_thr, out_thr = best(
-        LocalEngine(observability=False), "run_threaded"
-    )
-    scaling = []
-    identical = True
-    for w in worker_counts:
-        eng = LocalEngine(
-            observability=False,
-            map_workers=w,
-            reduce_workers=max(1, w // 2) if w > 1 else 1,
-        )
-        t, out = best(eng, "run_processes")
-        identical = identical and out == out_thr
-        scaling.append(
-            {
-                "workers": w,
-                "seconds": round(t, 4),
-                "speedup_vs_threaded": round(t_thr / t, 2),
-            }
-        )
-
-    cpu_count = os.cpu_count() or 1
-    gate_applicable = cpu_count >= 4
-    at_four = [
-        row["speedup_vs_threaded"]
-        for row in scaling
-        if row["workers"] >= 4
-    ]
-    speedup_ok = (not gate_applicable) or (
-        bool(at_four) and max(at_four) >= 2.5
-    )
-    return {
-        "runs": runs,
-        "cells": int(data.size),
-        "cpu_count": cpu_count,
-        "threaded": {"seconds": round(t_thr, 4)},
-        "scaling": scaling,
-        "identical": identical,
-        "gate_applicable": gate_applicable,
-        "speedup_ok": speedup_ok,
-    }
-
-
-def _measure_service(runs: int = 5, jobs: int = 8) -> dict:
-    """Resident-service economics (``BENCH_service.json``).
-
-    Two measurements over one shared open dataset:
-
-    * **plan cache** — per-submission planning time, cold (cache
-      cleared) vs cached, using the service's own measured
-      ``plan_seconds``.  The acceptance gate is the boolean
-      ``cached_faster``; the raw speedup is machine-noisy and only
-      banded loosely.
-    * **serving** — wall-clock for ``jobs`` mixed-plane submissions
-      served strictly sequentially (submit, wait, repeat) vs submitted
-      as one concurrent batch against a 4-worker queue.  On a 1-core
-      box concurrency is bookkeeping, not speedup, so the ratio is
-      reported, not gated.
-
-    Every served result is digest-checked against the brute-force
-    oracle; ``identical`` must stay exactly true.
-    """
-    import numpy as np
-
-    from repro.scidata.generators import temperature_dataset
-    from repro.service import (
-        QueryRequest,
-        QueryService,
-        StressDriver,
-        oracle_for_request,
-    )
-
-    field = temperature_dataset(days=364, lat=20, lon=20, seed=5)
-    data = field.arrays["temperature"].astype(np.float64)
-
-    def request(i: int = 0) -> QueryRequest:
-        return QueryRequest(
-            dataset="temp", variable="temperature", extract=(7, 5, 2),
-            operator="mean", splits=8, reduces=4, prune=False,
-            data_plane="columnar" if i % 2 else "record",
-            engine="threaded",
-        )
-
-    # Plan cache: cold vs cached planning time -------------------------
-    with QueryService(workers=1, map_workers=2, reduce_workers=2) as svc:
-        svc.register_array("temp", "temperature", data)
-        cold = float("inf")
-        for _ in range(runs):
-            svc.plan_cache.clear()
-            doc = svc.result(svc.submit(request()), timeout=120)
-            assert doc["plan_cache_hit"] is False
-            cold = min(cold, doc["plan_seconds"])
-        cached = float("inf")
-        for _ in range(runs):
-            doc = svc.result(svc.submit(request()), timeout=120)
-            assert doc["plan_cache_hit"] is True
-            cached = min(cached, doc["plan_seconds"])
-
-    # Serving: sequential round-trips vs one concurrent batch ----------
-    batch = [request(i) for i in range(jobs)]
-    with QueryService(workers=1, map_workers=2, reduce_workers=2) as svc:
-        svc.register_array("temp", "temperature", data)
-        oracle_digests = [oracle_for_request(svc, r)[1] for r in batch]
-        s = time.perf_counter()
-        seq_docs = [svc.result(svc.submit(r), timeout=120) for r in batch]
-        sequential = time.perf_counter() - s
-    with QueryService(workers=4, map_workers=2, reduce_workers=2) as svc:
-        svc.register_array("temp", "temperature", data)
-        driver = StressDriver(svc)
-        s = time.perf_counter()
-        outcome = driver.run_batch(batch, timeout=120)
-        concurrent = time.perf_counter() - s
-
-    identical = (
-        [d["digest"] for d in seq_docs] == oracle_digests
-        and outcome.all_done
-        and outcome.all_identical
-    )
-    return {
-        "runs": runs,
-        "jobs": jobs,
-        "cells": int(data.size),
-        "plan": {
-            "cold_ms": round(cold * 1e3, 3),
-            "cached_ms": round(cached * 1e3, 4),
-            "speedup": round(cold / cached, 1) if cached else float("inf"),
-            "hit_rate": 1.0,  # by construction: identical resubmissions
-        },
-        "sequential_seconds": round(sequential, 4),
-        "concurrent_seconds": round(concurrent, 4),
-        "concurrent_vs_sequential": round(sequential / concurrent, 2),
-        "identical": identical,
-        "cached_faster": cached < cold,
     }
 
 

@@ -219,12 +219,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             raise SystemExit(f"--deadline must be positive, got {args.deadline}")
         job.deadline = args.deadline
         job.on_deadline = args.on_deadline
-    if args.data_plane != job.data_plane:
-        print(
-            f"# data plane: {job.data_plane} (columnar unavailable for "
-            f"operator {plan.operator.name!r})",
-            file=sys.stderr,
-        )
 
     # Live observability plane: any of --live/--events/--status attaches
     # an event bus to the run (docs/OBSERVABILITY.md, "Live events").

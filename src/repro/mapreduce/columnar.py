@@ -7,9 +7,10 @@ translation means every record in a batch obeys the same arithmetic, so
 the whole data plane can run as numpy array operations instead.  This
 module is the engine half of that plane:
 
-* :class:`ChunkBatch` — what a columnar record reader emits: ``(n, rank)``
-  int64 keys plus an ``(n, cells)`` value block, one row per
-  extraction-shape instance (every row complete in this split's slab).
+* :class:`ChunkBatch` — the one item type a columnar record reader
+  emits: ``(n, rank)`` int64 keys plus an ``(n, cells)`` value block,
+  one row per extraction-shape instance piece present in this split's
+  slab (``n`` is 1 for pieces whose geometry is their own).
 * :class:`ColumnarMapOutput` — the spill-file variant whose records live
   as parallel arrays: lexsorted keys, one array per operator state
   column, and the per-row §3.2.1 source counts.  It is duck-compatible
@@ -33,11 +34,13 @@ module is the engine half of that plane:
   per-record loop.
 
 The operator arithmetic itself lives behind the :class:`BatchOperator`
-protocol (implemented in :mod:`repro.query.columnar`), keeping this
-package independent of the query layer.  Outputs are byte-identical to
-the record plane: the segmented fold applies the same left-to-right
-combine order as the scalar combine implementations, and finalization
-is one array expression per operator that rounds as the scalar one does.
+protocol (implemented for every operator in :mod:`repro.query.columnar`),
+keeping this package independent of the query layer.  The plane stands
+on its own: no item, operator or instance takes a per-record side path.
+Outputs are byte-identical to the record plane: the segmented fold
+applies the same left-to-right combine order as the scalar combine
+implementations, and finalization is one array expression per operator
+that rounds as the scalar one does.
 """
 
 from __future__ import annotations
@@ -57,20 +60,24 @@ from repro.obs import COUNT_BUCKETS, JobObservability, RATE_BUCKETS
 
 
 class BatchOperator(Protocol):
-    """Vectorized face of a distributive structural operator.
+    """Vectorized face of a structural operator.
 
     State travels as parallel columns (one array per component of the
-    scalar ``Partial.state``); the implementations guarantee the column
+    scalar ``Partial.state``; object-dtype where a row's state is a
+    variable-length array); the implementations guarantee the column
     arithmetic reproduces the scalar protocol bit for bit.
     """
 
     def map_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
         """Fold an ``(n, cells)`` value block into per-row state columns
-        with one ``axis=1`` reduction per column."""
+        with one whole-block operation per column."""
         ...
 
-    def map_record(self, chunk: Any) -> tuple[tuple[Any, ...], int]:
-        """Scalar fallback: ``(state_row, source_count)`` for one chunk."""
+    def masked_cells(
+        self, values: np.ndarray, columns: tuple[np.ndarray, ...]
+    ) -> int:
+        """Cells of ``values`` a pushdown predicate kept out of
+        ``columns`` (0 for operators without one)."""
         ...
 
     def combine_columns(
@@ -333,22 +340,6 @@ class ResultBlock(Sequence):
         return f"ResultBlock({len(self)} records, keys {self.key_rows.shape})"
 
 
-def _fallback_cell(component: Any) -> np.ndarray:
-    """One fallback record's state component as a length-1 column part.
-
-    Array-valued components (filter_gt's surviving-values state) must
-    become a single object-dtype cell — ``np.asarray([arr])`` would
-    build a ``(1, k)`` numeric block that cannot concatenate with the
-    batch path's object columns (and silently changes shape when
-    ``k == 1``).  Scalars keep the old direct path.
-    """
-    if isinstance(component, np.ndarray):
-        cell = np.empty(1, dtype=object)
-        cell[0] = np.asarray(component, dtype=np.float64).reshape(-1)
-        return cell
-    return np.asarray([component])
-
-
 def _batch_operator(job: Any) -> BatchOperator:
     bop = job.context.get("batch_operator")
     if bop is None:
@@ -375,22 +366,17 @@ def run_columnar_map(
 ) -> None:
     """Columnar map-task body (reader → batch partials → lexsort spill).
 
-    The reader may interleave :class:`ChunkBatch` items (whole instances,
-    vectorized) with plain ``(key, chunk)`` records (clipped edges and
-    stride-gap leftovers) — the fallback rows go through the scalar
-    ``map_record`` and join the same columns, so one spill path serves
-    both.  Counter semantics match the record plane record for record;
-    ``plane.*`` additionally reports how much of the split was batched.
+    Every reader item is a :class:`ChunkBatch`.  Counter semantics match
+    the record plane record for record; ``plane.batched.instances``
+    additionally counts the instances mapped as batch rows — all of
+    them, so it equals ``map.input.records``.
     """
     bop = _batch_operator(job)
-    masker = getattr(bop, "masked_cells", None)
     n = job.num_reduce_tasks
     key_parts: list[np.ndarray] = []
     col_parts: list[tuple[np.ndarray, ...]] = []
     count_parts: list[np.ndarray] = []
     records_in = 0
-    batched = 0
-    fallback = 0
     masked = 0
     with obs.phase("map.read", task_span) as read_span:
         for item in job.reader_factory(job.splits[split_index]):
@@ -400,35 +386,21 @@ def run_columnar_map(
             if cancel is not None:
                 cancel.check()
             if heartbeat is not None:
-                heartbeat.beat(
-                    item.num_instances if isinstance(item, ChunkBatch) else 1
-                )
-            if isinstance(item, ChunkBatch):
-                if item.num_instances == 0:
-                    continue
-                records_in += item.num_instances
-                batched += item.num_instances
-                key_parts.append(item.keys)
-                cols = bop.map_batch(item.values)
-                col_parts.append(cols)
-                if masker is not None:
-                    masked += masker(item.values, cols)
-                count_parts.append(
-                    np.full(item.num_instances, item.cells_per_instance, dtype=np.int64)
-                )
-            else:
-                key, chunk = item
-                records_in += 1
-                fallback += 1
-                row, src = bop.map_record(chunk)
-                key_parts.append(np.asarray([key], dtype=np.int64))
-                col_parts.append(tuple(_fallback_cell(c) for c in row))
-                count_parts.append(np.asarray([src], dtype=np.int64))
+                heartbeat.beat(item.num_instances)
+            if item.num_instances == 0:
+                continue
+            records_in += item.num_instances
+            key_parts.append(item.keys)
+            cols = bop.map_batch(item.values)
+            col_parts.append(cols)
+            masked += bop.masked_cells(item.values, cols)
+            count_parts.append(
+                np.full(item.num_instances, item.cells_per_instance, dtype=np.int64)
+            )
     counters.increment("map.input.records", records_in)
     counters.increment("map.output.records", records_in)
-    counters.increment("plane.batched.instances", batched)
-    counters.increment("plane.fallback.instances", fallback)
-    if masker is not None:
+    counters.increment("plane.batched.instances", records_in)
+    if masked:
         counters.increment("pushdown.rows.masked", masked)
 
     with obs.phase("map.spill", task_span):

@@ -97,6 +97,7 @@ from repro.errors import (
     DeadlineExceededError,
     JobConfigError,
     JobFailedError,
+    ShuffleError,
     TaskCancelledError,
 )
 from repro.faults import BoundFaults, InjectionPlan, RecoveryModel, WHEN_AFTER_FETCH
@@ -354,9 +355,10 @@ class _RunState:
         #: exactly while the attempt body runs; mitigation and the
         #: deadline watchdog cancel through these.
         self.tokens: dict[tuple[str, int, int], CancelToken] = {}
-        #: Speculation races per logical task: ``members`` are the
-        #: attempt numbers competing for the commit, ``winner`` the one
-        #: that reached the shuffle store's gate first (latched once).
+        #: The current speculation race per logical task: ``members``
+        #: are the attempt numbers competing for the commit, ``winner``
+        #: the one that reached the shuffle store's gate first (latched
+        #: once), ``retired`` the members of the task's earlier races.
         self.races: dict[tuple[str, int], dict[str, Any]] = {}
         self.deadline_expired = False
         #: Where attempt bodies execute; installed by the run before any
@@ -412,27 +414,49 @@ class _RunState:
 
     # ------------------------ speculation races ----------------------- #
     def begin_race(self, kind: str, index: int) -> None:
-        """Open (or refresh) a speculation race for one logical task.
+        """Open a speculation race for one logical task, or join the
+        open one.
 
         Every currently in-flight attempt becomes a member, as does
         every attempt claimed while the race is unresolved (see
         :meth:`claim_attempt`).  The first member through the shuffle
         store's commit gate wins; the rest are cancelled as superseded.
+
+        A race belongs to one *generation* of the task's output.  Once
+        its winner has committed it is over: a later flag — a recovery
+        re-execution of the map, slow or hung in its turn — opens a new
+        race instead of joining the old one, where it would lose to a
+        winner whose output a reduce has already consumed.  The old
+        generation's members are retired: one still running can neither
+        join the new race nor pass the commit gate.
         """
         with self.lock:
-            race = self.races.setdefault(
-                (kind, index), {"members": set(), "winner": None}
-            )
+            race = self.races.get((kind, index))
+            if race is None or race["winner"] is not None:
+                retired = (
+                    set() if race is None
+                    else race["retired"] | race["members"]
+                )
+                race = self.races[(kind, index)] = {
+                    "members": set(), "winner": None, "retired": retired,
+                }
             race["members"].update(
-                a for (k, i, a) in self.tokens if k == kind and i == index
+                a
+                for (k, i, a) in self.tokens
+                if k == kind and i == index and a not in race["retired"]
             )
 
     def try_win(self, kind: str, index: int, attempt: int) -> bool:
         """Commit-gate arbitration: non-raced attempts always pass; in a
-        race the first member to reach the gate latches as winner."""
+        race the first member to reach the gate latches as winner; a
+        member of an earlier, finished race never passes."""
         with self.lock:
             race = self.races.get((kind, index))
-            if race is None or attempt not in race["members"]:
+            if race is None:
+                return True
+            if attempt in race["retired"]:
+                return False
+            if attempt not in race["members"]:
                 return True
             if race["winner"] is None:
                 race["winner"] = attempt
@@ -448,7 +472,7 @@ class _RunState:
         """Tokens of the other race members, once ``attempt`` has won."""
         with self.lock:
             race = self.races.get((kind, index))
-            if race is None or race.get("winner") != attempt:
+            if race is None or race["winner"] != attempt:
                 return []
             return [
                 tok
@@ -980,11 +1004,23 @@ class LocalEngine:
             return
         t0 = time.perf_counter()
         for m in targets:
+            # The outcome is read off the store below, not off the
+            # return value: a re-run that lost a race is done only if
+            # its rival really committed.
             self._map_with_retry(job, m, store, counters, obs, state)
         obs.bus.publish(
             EV_RECOVERY, kind="reduce", index=p, maps=targets,
             seconds=time.perf_counter() - t0,
         )
+        still_missing = store.missing_inputs(p, frozenset(targets))
+        if still_missing:
+            # Retryable: the next retry recovers again, and an exhausted
+            # budget fails the job typed instead of reducing over an
+            # ``empty`` stand-in for data a map produced.
+            raise ShuffleError(
+                f"reduce {p}: input from maps {sorted(still_missing)} is "
+                "still missing after recovery re-execution"
+            )
 
     def _commit_gate(self, state: _RunState, index: int, attempt: int) -> None:
         """Shuffle-store guard: runs under the store lock immediately

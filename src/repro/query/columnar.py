@@ -14,33 +14,43 @@ The query half of the columnar data plane (engine half:
   slice, a ``reshape``/``transpose`` to ``(n, cells)`` (C-order per
   instance, matching the record plane's slice-and-flatten exactly), and
   one ``translate_many`` call for the keys.  Strided extractions batch
-  the box of fully-contained instances via one ``np.ix_`` gather and
-  fall back to per-instance ``(key, Chunk)`` records for clipped edges
-  and stride-gap overlaps — the record plane's exact loop, so the two
-  planes emit identical logical records.
-* :func:`batch_operator_for` — maps a distributive
-  :class:`~repro.query.operators.StructuralOperator` to a
-  :class:`StructuralBatchOperator` computing whole-batch partials in one
-  ``axis=1`` reduction per state column and merging same-key runs with
-  segmented ``ufunc.reduceat`` reductions.  The segmented fold
-  runs each segment strictly left to right — the same order as the
-  scalar ``combine`` implementations' built-in ``sum``/``min``/``max`` —
-  and ``finalize_columns`` is one array expression per operator built
-  only from IEEE operations that round the same in numpy and in Python
-  floats (``+ - * /``, ``sqrt``, comparisons), so columnar output is
-  byte-identical to the record plane.  Holistic operators
-  (median, sort) return ``None``: those jobs run on the record plane.
-  ``filter_gt`` — a variable-length partial — gets the dedicated
-  :class:`_FilterBatchOperator`, which pushes the predicate down into
-  one whole-batch boolean mask (its single state column is object-dtype:
-  element ``i`` is instance ``i``'s surviving values in cell order).
+  the box of fully-contained instances via one ``np.ix_`` gather; each
+  clipped-edge or stride-gap-straddling instance follows as a one-row
+  batch cut by the record plane's exact per-instance slice.  Every item
+  is a ``ChunkBatch``, and the two planes emit identical logical
+  records.
+* :func:`batch_operator_for` — the :class:`StructuralBatchOperator` of
+  any of the 11 operators, looked up in one spec table (``_SPECS``):
+  per-batch state columns, how same-key rows combine, and one
+  whole-column finalize.  Two families:
+
+  - *fixed-width* state (sum, count, mean, min, max, stddev, range,
+    range_exceeds): one ``axis=1`` reduction per state column, combined
+    by a segmented fold that runs each segment strictly left to right —
+    the same order as the scalar ``combine`` implementations' built-in
+    ``sum``/``min``/``max`` — and finalized by one array expression
+    built only from IEEE operations that round the same in numpy and in
+    Python floats (``+ - * /``, ``sqrt``, comparisons).
+  - *ragged* state (filter_gt, sort, median): one object-dtype column
+    whose element ``i`` is instance ``i``'s surviving values in cell
+    order — those passing ``> threshold`` for filter_gt (the predicate
+    pushed down into one whole-batch mask), all of them for sort and
+    median.  Combine concatenates a key's rows in map order, as the
+    scalar ``combine`` does; finalize is one stable
+    ``lexsort((value, segment))`` of all values, read out as per-key
+    sorted lists (filter_gt, sort) or as the middle element(s) of each
+    segment by offsets arithmetic (median).  The order of a key's
+    values before that sort cannot change the sorted multiset, so
+    neither can how splits cut the instance.
+
+  Either way columnar output is byte-identical to the record plane.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from itertools import chain, product
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -50,7 +60,7 @@ from repro.arrays.slab import Slab
 from repro.errors import QueryError
 from repro.mapreduce.columnar import ChunkBatch
 from repro.query.language import QueryPlan
-from repro.query.operators import Chunk, StructuralOperator
+from repro.query.operators import StructuralOperator
 from repro.query.recordreader import _read_slab
 from repro.query.splits import CoordinateSplit
 
@@ -112,13 +122,12 @@ def _corner_grid(axes: list[np.ndarray]) -> np.ndarray:
 
 
 class ColumnarRecordReader:
-    """Batched reader: ChunkBatch items for vectorizable instance groups,
-    per-instance ``(key, Chunk)`` fallback records for the rest.
+    """Batched reader: every item is a ChunkBatch.
 
     Emits exactly the same logical records as
     :class:`~repro.query.recordreader.StructuralRecordReader` — same
-    keys, same cells in the same C order — just grouped into batches
-    where the geometry allows.
+    keys, same cells in the same C order — grouped into batches where
+    the geometry allows and as one-row batches where it does not.
     """
 
     def __init__(self, source: Any, plan: QueryPlan, split: CoordinateSplit) -> None:
@@ -126,7 +135,7 @@ class ColumnarRecordReader:
         self._plan = plan
         self._split = split
 
-    def __iter__(self) -> Iterator[Any]:
+    def __iter__(self) -> Iterator[ChunkBatch]:
         plan = self._plan
         for slab in self._split.slabs:
             work = slab.intersect(plan.covered)
@@ -185,7 +194,7 @@ class ColumnarRecordReader:
         work: Slab,
         core: Slab,
         data: np.ndarray,
-    ) -> Iterator[Any]:
+    ) -> Iterator[ChunkBatch]:
         ex = plan.extraction
         rank = work.rank
         full = Slab(tuple(0 for _ in range(rank)), tuple(0 for _ in range(rank)))
@@ -224,7 +233,8 @@ class ColumnarRecordReader:
             assert bool(mask.all()), "full-instance corners must translate"
             yield ChunkBatch(keys, values)
         # Clipped edges and gap-straddling instances: the record plane's
-        # exact per-instance loop over whatever the batch didn't cover.
+        # exact per-instance slice of whatever the box didn't cover, one
+        # row each (their cell counts differ).
         image = plan.image_of(work)
         for key in image.iter_coords():
             if not full.is_empty and full.contains(key):
@@ -233,16 +243,15 @@ class ColumnarRecordReader:
             if region.is_empty:
                 continue
             cells = data[region.as_local_slices(slab.corner)]
-            flat = np.ascontiguousarray(cells).reshape(-1)
-            yield (key, Chunk(flat, int(flat.size)))
+            yield ChunkBatch(np.asarray([key]), cells.reshape(1, -1))
 
 
 def make_columnar_reader_factory(
     source: Any, plan: QueryPlan
-) -> Callable[[CoordinateSplit], Iterator[Any]]:
+) -> Callable[[CoordinateSplit], Iterator[ChunkBatch]]:
     """Columnar reader factory for :class:`repro.mapreduce.job.JobConf`."""
 
-    def factory(split: CoordinateSplit) -> Iterator[Any]:
+    def factory(split: CoordinateSplit) -> Iterator[ChunkBatch]:
         return iter(ColumnarRecordReader(source, plan, split))
 
     return factory
@@ -284,56 +293,6 @@ def _segmented_fold(
     return out
 
 
-class StructuralBatchOperator:
-    """Vectorized face of one distributive operator.
-
-    ``map_record`` delegates to the scalar operator (clipped edges are
-    few); the per-batch ``axis=1`` fold, the segmented combine and the
-    whole-column finalize are array code constructed to reproduce the
-    scalar arithmetic bit for bit (see the byte-identity tests, which
-    hold ``finalize_columns`` against ``operator.finalize`` row by row).
-    """
-
-    def __init__(
-        self,
-        operator: StructuralOperator,
-        map_batch: Callable[[np.ndarray], tuple[np.ndarray, ...]],
-        combine_ufuncs: tuple[np.ufunc, ...],
-        finalize: Callable[..., np.ndarray | list],
-    ) -> None:
-        self.operator = operator
-        self._map_batch = map_batch
-        self._ufuncs = combine_ufuncs
-        self._finalize = finalize
-
-    def map_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
-        return self._map_batch(values)
-
-    def map_record(self, chunk: Chunk) -> tuple[tuple[Any, ...], int]:
-        p = self.operator.map_partial(chunk)
-        state = p.state if isinstance(p.state, tuple) else (p.state,)
-        return state, p.source_count
-
-    def combine_columns(
-        self, columns: tuple[np.ndarray, ...], starts: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        return tuple(
-            _segmented_fold(uf, col, starts)
-            for uf, col in zip(self._ufuncs, columns)
-        )
-
-    def finalize_columns(
-        self, columns: tuple[np.ndarray, ...], source_counts: np.ndarray
-    ) -> np.ndarray | list:
-        # The one invariant ``Partial`` enforced per row.
-        if source_counts.size and int(source_counts.min()) < 0:
-            raise QueryError("negative source_count")
-        # Python floats overflow to inf and turn inf - inf into NaN
-        # silently; so must the columns.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._finalize(*columns)
-
-
 def _counts_column(values: np.ndarray) -> np.ndarray:
     return np.full(values.shape[0], values.shape[1], dtype=np.int64)
 
@@ -343,100 +302,58 @@ def _require_cells(count: np.ndarray, what: str) -> None:
         raise QueryError(f"{what} of zero cells")
 
 
-def _build_sum(op: StructuralOperator) -> StructuralBatchOperator:
-    return StructuralBatchOperator(
-        op,
-        lambda v: (v.sum(axis=1).astype(np.float64, copy=False),),
-        (np.add,),
-        _f64,
-    )
+# Fixed-width state --------------------------------------------------- #
 
 
-def _build_count(op: StructuralOperator) -> StructuralBatchOperator:
-    return StructuralBatchOperator(
-        op,
-        lambda v: (_counts_column(v),),
-        (np.add,),
-        lambda count: np.asarray(count, dtype=np.int64),
-    )
+def _state_itself(col: np.ndarray, t: None) -> np.ndarray:
+    return _f64(col)
 
 
-def _build_mean(op: StructuralOperator) -> StructuralBatchOperator:
-    def finalize(total: np.ndarray, count: np.ndarray) -> np.ndarray:
-        _require_cells(count, "mean")
-        return total / count
-
-    return StructuralBatchOperator(
-        op,
-        lambda v: (_f64(v).sum(axis=1), _counts_column(v)),
-        (np.add, np.add),
-        finalize,
-    )
+def _mean(total: np.ndarray, count: np.ndarray, t: None) -> np.ndarray:
+    _require_cells(count, "mean")
+    return total / count
 
 
-def _build_min(op: StructuralOperator) -> StructuralBatchOperator:
-    return StructuralBatchOperator(
-        op,
-        lambda v: (v.min(axis=1).astype(np.float64, copy=False),),
-        (np.minimum,),
-        _f64,
-    )
+def _moments(v: np.ndarray, t: None) -> tuple[np.ndarray, ...]:
+    w = _f64(v)
+    return (_counts_column(v), w.sum(axis=1), np.square(w).sum(axis=1))
 
 
-def _build_max(op: StructuralOperator) -> StructuralBatchOperator:
-    return StructuralBatchOperator(
-        op,
-        lambda v: (v.max(axis=1).astype(np.float64, copy=False),),
-        (np.maximum,),
-        _f64,
-    )
+def _stddev(n: np.ndarray, s: np.ndarray, ss: np.ndarray, t: None) -> np.ndarray:
+    _require_cells(n, "stddev")
+    mean = s / n
+    var = ss / n - mean * mean
+    # ``where(var > 0)`` is the scalar ``max(0.0, var)`` exactly: a NaN
+    # or negative-zero variance clamps to +0.0 in both.
+    return np.sqrt(np.where(var > 0.0, var, 0.0))
 
 
-def _build_stddev(op: StructuralOperator) -> StructuralBatchOperator:
-    def map_batch(v: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = _f64(v)
-        return (_counts_column(v), w.sum(axis=1), np.square(w).sum(axis=1))
-
-    def finalize(n: np.ndarray, s: np.ndarray, ss: np.ndarray) -> np.ndarray:
-        _require_cells(n, "stddev")
-        mean = s / n
-        var = ss / n - mean * mean
-        # ``where(var > 0)`` is the scalar ``max(0.0, var)`` exactly:
-        # a NaN or negative-zero variance clamps to +0.0 in both.
-        return np.sqrt(np.where(var > 0.0, var, 0.0))
-
-    return StructuralBatchOperator(
-        op, map_batch, (np.add, np.add, np.add), finalize
-    )
-
-
-def _minmax_batch(v: np.ndarray) -> tuple[np.ndarray, ...]:
+def _minmax(v: np.ndarray, t: float | None) -> tuple[np.ndarray, ...]:
     w = _f64(v)
     return (w.min(axis=1), w.max(axis=1))
 
 
-def _build_range(op: StructuralOperator) -> StructuralBatchOperator:
-    return StructuralBatchOperator(
-        op,
-        _minmax_batch,
-        (np.minimum, np.maximum),
-        lambda lo, hi: hi - lo,
-    )
+def _exceeds(lo: np.ndarray, hi: np.ndarray, t: float) -> list:
+    variation = hi - lo
+    return [
+        {"exceeds": e, "variation": v}
+        for e, v in zip((variation > t).tolist(), variation.tolist())
+    ]
 
 
-def _build_range_exceeds(op: StructuralOperator) -> StructuralBatchOperator:
-    threshold = float(op.threshold)  # type: ignore[attr-defined]
+# Ragged state -------------------------------------------------------- #
 
-    def finalize(lo: np.ndarray, hi: np.ndarray) -> list:
-        variation = hi - lo
-        return [
-            {"exceeds": e, "variation": v}
-            for e, v in zip((variation > threshold).tolist(), variation.tolist())
-        ]
 
-    return StructuralBatchOperator(
-        op, _minmax_batch, (np.minimum, np.maximum), finalize
-    )
+def _split_rows(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Object column whose element ``i`` is ``flat[ends[i-1]:ends[i]]``."""
+    col = np.empty(len(ends), dtype=object)
+    begin = 0
+    for i, end in enumerate(ends.tolist()):
+        # Per-element assignment: a slice assignment would try to
+        # broadcast the ragged pieces into a 2-D block.
+        col[i] = flat[begin:end]
+        begin = end
+    return col
 
 
 def _ragged_rows(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,99 +365,168 @@ def _ragged_rows(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat, lengths
 
 
-class _FilterBatchOperator(StructuralBatchOperator):
-    """filter_gt's vectorized face: predicate pushdown.
+def _survivors(v: np.ndarray, t: float | None) -> tuple[np.ndarray, ...]:
+    """Each instance's cells passing ``> t`` (all of them without a
+    threshold), in cell order.
 
     One boolean mask per batch replaces the record plane's per-instance
     ``arr[arr > t]`` — the batch-path half of split skipping: splits the
     zone map could not prune entirely still do a single vectorized
-    compare instead of per-instance Python.  The single state column is
-    object-dtype; element ``i`` is instance ``i``'s surviving values in
-    cell order.  Combine and finalize both work on the column laid out
-    flat (values + row lengths): rows of one key are adjacent and in map
-    order, so a key's combined state is a contiguous run of the flat
-    array — the scalar ``np.concatenate`` order exactly — and finalize
-    is one stable sort of the flat values within key segments, which
-    orders each segment as the scalar ``sorted`` does.
-
-    An all-masked row keeps its place: an empty survivors array with the
-    row's full source count, matching the scalar ``map_partial`` on a
+    compare instead of per-instance Python.  An all-masked row keeps its
+    place: an empty survivors array, with the row's full source count
+    travelling beside it, matching the scalar ``map_partial`` on a
     nothing-passes chunk (§2.4.2 allows empty per-instance results and
     the §3.2.1 count annotation still needs the cells tallied).
     """
+    w = _f64(v)
+    if t is None:
+        flat, kept = w.reshape(-1), _counts_column(w)
+    else:
+        mask = w > t
+        flat, kept = w[mask], mask.sum(axis=1)
+    return (_split_rows(flat, kept.cumsum()),)
+
+
+def _concat_segments(col: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Ragged combine.  Rows of one key are adjacent and in map order,
+    so a key's combined state is a contiguous run of the column laid out
+    flat — the scalar ``np.concatenate`` order exactly."""
+    if starts.size == len(col):
+        return col  # every row its own key: nothing to merge
+    flat, lengths = _ragged_rows(col)
+    return _split_rows(flat, np.add.reduceat(lengths, starts).cumsum())
+
+
+def _sorted_segments(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All values, each row's sorted within its segment, plus the
+    segment lengths.  One stable sort: equal values keep their order
+    like ``sorted``, NaNs go last like ``np.sort``."""
+    flat, lengths = _ragged_rows(col)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    return flat[np.lexsort((flat, segment))], lengths
+
+
+def _sorted_lists(col: np.ndarray, t: float | None) -> list:
+    values, lengths = _sorted_segments(col)
+    values, ends = values.tolist(), lengths.cumsum().tolist()
+    return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _medians(col: np.ndarray, t: None) -> np.ndarray:
+    """``np.median`` of every segment at once: the middle element of an
+    odd count, ``(a + b) / 2`` of the middle two of an even one, NaN
+    for a segment holding one (they sort last)."""
+    values, lengths = _sorted_segments(col)
+    _require_cells(lengths, "median")
+    ends = lengths.cumsum()
+    first = ends - lengths
+    a = values[first + (lengths - 1) // 2]
+    b = values[first + lengths // 2]
+    middle = np.where(lengths % 2 == 1, a, (a + b) / 2)
+    return np.where(np.isnan(values[ends - 1]), np.nan, middle)
+
+
+class _Spec(NamedTuple):
+    """One operator's columnar definition.  ``map_batch`` and
+    ``finalize`` take the operator's threshold last (None for operators
+    without one)."""
+
+    #: ``(n, cells)`` value block -> one state column per component of
+    #: the scalar ``Partial.state``.
+    map_batch: Callable[..., tuple[np.ndarray, ...]]
+    #: Per-column combine ufuncs, or None for ragged state (concatenate).
+    combine: tuple[np.ufunc, ...] | None
+    #: Combined state columns -> the output column.
+    finalize: Callable[..., np.ndarray | list]
+
+
+_SPECS: dict[str, _Spec] = {
+    "sum": _Spec(lambda v, t: (_f64(v.sum(axis=1)),), (np.add,), _state_itself),
+    "count": _Spec(
+        lambda v, t: (_counts_column(v),),
+        (np.add,),
+        lambda c, t: np.asarray(c, dtype=np.int64),
+    ),
+    "mean": _Spec(
+        lambda v, t: (_f64(v).sum(axis=1), _counts_column(v)),
+        (np.add, np.add),
+        _mean,
+    ),
+    "min": _Spec(
+        lambda v, t: (_f64(v.min(axis=1)),), (np.minimum,), _state_itself
+    ),
+    "max": _Spec(
+        lambda v, t: (_f64(v.max(axis=1)),), (np.maximum,), _state_itself
+    ),
+    "stddev": _Spec(_moments, (np.add, np.add, np.add), _stddev),
+    "range": _Spec(
+        _minmax, (np.minimum, np.maximum), lambda lo, hi, t: hi - lo
+    ),
+    "range_exceeds": _Spec(_minmax, (np.minimum, np.maximum), _exceeds),
+    "filter_gt": _Spec(_survivors, None, _sorted_lists),
+    "sort": _Spec(_survivors, None, _sorted_lists),
+    "median": _Spec(_survivors, None, _medians),
+}
+
+
+class StructuralBatchOperator:
+    """Vectorized face of one structural operator.
+
+    The per-batch ``axis=1`` fold (or mask), the segmented combine and
+    the whole-column finalize are array code constructed to reproduce
+    the scalar arithmetic bit for bit (see the byte-identity tests,
+    which hold ``finalize_columns`` against ``operator.finalize`` row by
+    row).
+    """
 
     def __init__(self, operator: StructuralOperator) -> None:
-        self._threshold = float(operator.threshold)  # type: ignore[attr-defined]
-        super().__init__(operator, self._mask_batch, (), self._sorted_lists)
+        try:
+            self._spec = _SPECS[operator.name]
+        except KeyError:
+            raise QueryError(
+                f"operator {operator.name!r} has no columnar definition; "
+                f"known: {sorted(_SPECS)}"
+            ) from None
+        self.operator = operator
+        threshold = getattr(operator, "threshold", None)
+        self._threshold = None if threshold is None else float(threshold)
 
-    def _mask_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = _f64(values)
-        mask = w > self._threshold
-        kept = mask.sum(axis=1)
-        pieces = np.split(w[mask], np.cumsum(kept)[:-1]) if kept.size else []
-        col = np.empty(w.shape[0], dtype=object)
-        for i, piece in enumerate(pieces):
-            # Per-element assignment: a slice assignment would try to
-            # broadcast the ragged pieces into a 2-D block.
-            col[i] = piece
-        return (col,)
+    def map_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        return self._spec.map_batch(values, self._threshold)
 
     def combine_columns(
         self, columns: tuple[np.ndarray, ...], starts: np.ndarray
     ) -> tuple[np.ndarray, ...]:
-        col = columns[0]
-        if starts.size == len(col):
-            return (col,)  # every row its own key: nothing to merge
-        flat, lengths = _ragged_rows(col)
-        ends = np.add.reduceat(lengths, starts).cumsum()
-        out = np.empty(len(starts), dtype=object)
-        begin = 0
-        for i, end in enumerate(ends.tolist()):
-            out[i] = flat[begin:end]
-            begin = end
-        return (out,)
+        if self._spec.combine is None:
+            return (_concat_segments(columns[0], starts),)
+        return tuple(
+            _segmented_fold(uf, col, starts)
+            for uf, col in zip(self._spec.combine, columns)
+        )
 
-    @staticmethod
-    def _sorted_lists(col: np.ndarray) -> list:
-        flat, lengths = _ragged_rows(col)
-        segment = np.repeat(np.arange(len(lengths)), lengths)
-        # Stable within equal values, like ``sorted``; the predicate
-        # already dropped NaNs (``nan > t`` is false).
-        values = flat[np.lexsort((flat, segment))].tolist()
-        ends = lengths.cumsum().tolist()
-        return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    def finalize_columns(
+        self, columns: tuple[np.ndarray, ...], source_counts: np.ndarray
+    ) -> np.ndarray | list:
+        # The one invariant ``Partial`` enforced per row.
+        if source_counts.size and int(source_counts.min()) < 0:
+            raise QueryError("negative source_count")
+        # Python floats overflow to inf and turn inf - inf into NaN
+        # silently; so must the columns.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._spec.finalize(*columns, self._threshold)
 
     def masked_cells(
         self, values: np.ndarray, columns: tuple[np.ndarray, ...]
     ) -> int:
-        """Cells the pushdown mask dropped from this batch (the engine's
-        ``pushdown.rows.masked`` counter)."""
-        kept = sum(int(np.asarray(row).size) for row in columns[0])
-        return int(values.size) - kept
+        """Cells a pushdown mask dropped from this batch (the engine's
+        ``pushdown.rows.masked`` counter): what a ragged state under a
+        threshold did not keep, nothing for any other operator."""
+        if self._spec.combine is not None or self._threshold is None:
+            return 0
+        return int(values.size) - sum(map(len, columns[0].tolist()))
 
 
-#: Operator name -> batch adapter builder.  Only holistic operators
-#: (median, sort) stay on the record plane: their reduce-side state is
-#: the full value multiset, which no fixed set of columns carries.
-_BUILDERS: dict[str, Callable[[StructuralOperator], StructuralBatchOperator]] = {
-    "sum": _build_sum,
-    "count": _build_count,
-    "mean": _build_mean,
-    "min": _build_min,
-    "max": _build_max,
-    "stddev": _build_stddev,
-    "range": _build_range,
-    "range_exceeds": _build_range_exceeds,
-    "filter_gt": _FilterBatchOperator,
-}
-
-
-def batch_operator_for(op: StructuralOperator) -> StructuralBatchOperator | None:
-    """Batch adapter for ``op``, or ``None`` when the operator cannot run
-    columnar (the caller should fall back to the record plane)."""
-    if not getattr(op, "distributive", False):
-        return None
-    builder = _BUILDERS.get(getattr(op, "name", ""))
-    if builder is None:
-        return None
-    return builder(op)
+def batch_operator_for(op: StructuralOperator) -> StructuralBatchOperator:
+    """The columnar definition of ``op`` (every built-in operator has
+    one; anything else is a :class:`~repro.errors.QueryError`)."""
+    return StructuralBatchOperator(op)

@@ -26,7 +26,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import QueryError, ReproError
+from repro.query.operators import StructuralOperator, get_operator
 
 ENGINES = ("serial", "threaded", "process")
 DATA_PLANES = ("record", "columnar")
@@ -135,6 +136,18 @@ class QueryRequest:
             )
         if self.deadline is not None and self.deadline <= 0:
             raise AdmissionError(f"deadline must be positive, got {self.deadline}")
+        try:
+            self.structural_operator()
+        except QueryError as exc:
+            # Unknown operator, or a threshold missing/unwanted: a
+            # request error, not a job to queue, fail and bill the
+            # tenant's failure budget for.
+            raise AdmissionError(str(exc)) from exc
+
+    def structural_operator(self) -> StructuralOperator:
+        """The operator this request names, with its threshold."""
+        params = {} if self.threshold is None else {"threshold": self.threshold}
+        return get_operator(self.operator, **params)
 
     # ------------------------------------------------------------------ #
     # Plan-cache key

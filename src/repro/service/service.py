@@ -39,11 +39,9 @@ from repro.obs import (
     EventBus,
     JobObservability,
     JsonlEventWriter,
-    MetricsRegistry,
     ProgressTracker,
 )
 from repro.query.language import StructuralQuery
-from repro.query.operators import get_operator
 from repro.query.splits import slice_splits
 from repro.service.api import (
     DONE,
@@ -231,13 +229,10 @@ class QueryService:
     # ------------------------------------------------------------------ #
     def _build_plan(self, req: QueryRequest, session: DatasetSession) -> SIDRPlan:
         """Cold path of the plan cache: compile + slice + prune + plan."""
-        params = {}
-        if req.threshold is not None:
-            params["threshold"] = req.threshold
         query = StructuralQuery(
             variable=req.variable,
             extraction_shape=req.extract,
-            operator=get_operator(req.operator, **params),
+            operator=req.structural_operator(),
             stride=req.stride,
         )
         qplan = query.compile(session.metadata)
@@ -275,11 +270,14 @@ class QueryService:
                 job_conf.deadline = req.deadline
                 job_conf.on_deadline = req.on_deadline
 
-            # Per-job observability: a job-tagged bus so interleaved
-            # streams stay separable, a tracker for the status endpoint.
-            metrics = MetricsRegistry()
-            bus = EventBus(metrics=metrics, job=job.id)
-            obs = JobObservability(job_conf.name, metrics=metrics, bus=bus)
+            # Per-job observability, only what a request can observe: a
+            # job-tagged bus so interleaved streams stay separable, a
+            # tracker for the status endpoint, the audit writer when
+            # serving with ``--events``.  No span tree or metrics
+            # registry — nothing would ever read them; the counters in
+            # the result are the engine's own fold over the same bus.
+            bus = EventBus(job=job.id)
+            obs = JobObservability(job_conf.name, enabled=False, bus=bus)
             with job.lock:
                 job.progress = ProgressTracker(bus)
             if self._events_path is not None:

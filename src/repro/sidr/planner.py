@@ -112,10 +112,9 @@ class SIDRPlan:
     ) -> tuple[JobConf, DependencyBarrier]:
         """Build an engine-ready (JobConf, barrier) pair for this plan.
 
-        ``data_plane="columnar"`` requests the vectorized batch path;
-        operators without a batch adapter (holistic ones like median)
-        silently fall back to the record plane, so the request is always
-        safe.  The effective plane is ``job.data_plane``.
+        ``data_plane="columnar"`` selects the vectorized batch path,
+        which every built-in operator has; ``"record"`` is the
+        per-record reference path.
         """
         if data_plane not in ("record", "columnar"):
             raise JobConfigError(
@@ -124,34 +123,30 @@ class SIDRPlan:
             )
         qp = self.query_plan
         op = qp.operator
-        batch_op = batch_operator_for(op) if data_plane == "columnar" else None
-        effective_plane = "columnar" if batch_op is not None else "record"
+        columnar = data_plane == "columnar"
         combiner: Callable[[], Reducer] | None = None
         if use_combiner:
             combiner = lambda: CombinerAdapter(op)  # noqa: E731
-        reader_factory = (
-            make_columnar_reader_factory(source, qp)
-            if effective_plane == "columnar"
-            else make_reader_factory(source, qp)
+        make_reader = (
+            make_columnar_reader_factory if columnar else make_reader_factory
         )
         job = JobConf(
             name=name or f"sidr-{op.name}-{qp.variable}",
             splits=list(self.splits),
-            reader_factory=reader_factory,
+            reader_factory=make_reader(source, qp),
             mapper_factory=lambda: ChunkAggregateMapper(op),
             reducer_factory=lambda: AggregateReducer(op),
             partitioner=self.partitioner,
             num_reduce_tasks=self.num_reduce_tasks,
             combiner_factory=combiner,
             contact_all_maps=False,
-            data_plane=effective_plane,
+            data_plane=data_plane,
         )
         if validate_counts:
             job.context["reduce_start_validator"] = self.validator()
         job.context["sidr_plan"] = self
-        job.context["data_plane_requested"] = data_plane
-        if batch_op is not None:
-            job.context["batch_operator"] = batch_op
+        if columnar:
+            job.context["batch_operator"] = batch_operator_for(op)
         if self.pruning is not None:
             pred = op.prune_predicate()
             assert pred is not None  # pruning only exists with a predicate

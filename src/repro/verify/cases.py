@@ -34,8 +34,8 @@ from repro.query.operators import get_operator
 from repro.query.splits import slice_splits
 from repro.scidata.metadata import DatasetMetadata, Dimension, Variable
 
-#: Every operator in :mod:`repro.query.operators`, including the
-#: holistic ones (median/sort) the columnar plane falls back on.
+#: Every operator in :mod:`repro.query.operators`; each runs on both
+#: data planes.
 OPERATOR_NAMES = (
     "sum", "count", "mean", "min", "max", "stddev", "median", "range",
     "sort", "filter_gt", "range_exceeds",
@@ -45,6 +45,13 @@ _THRESHOLD_OPS = ("filter_gt", "range_exceeds")
 #: Keep fuzz arrays tiny: differential coverage comes from case count,
 #: not case size.
 MAX_CELLS = 384
+
+#: Hang timeout every speculating fuzz engine runs with: fast, so hung
+#: attempts are mitigated within milliseconds, not the production
+#: half-second default.
+HANG_TIMEOUT = 0.1
+#: A ``slow`` stall the detector is sure to flag as a hang.
+SLOW_DELAY = 2 * HANG_TIMEOUT
 
 
 @dataclass(frozen=True)
@@ -66,8 +73,9 @@ class FuzzCase:
     data_high: int = 40
     max_attempts: int = 6
     #: Run the engines with a :class:`~repro.spec.SpeculationPolicy`
-    #: (fast hang timeout) — required whenever ``fault_rules`` contains
-    #: a ``hang`` rule, since an unmitigated hang blocks forever.
+    #: (fast hang timeout, :data:`HANG_TIMEOUT`) — required whenever
+    #: ``fault_rules`` contains a ``hang`` rule, since an unmitigated
+    #: hang blocks forever.
     speculate: bool = False
     #: Zone-map tile shape for the pruning legs (None = the builder's
     #: default tiling).  Only drawn for prunable operators; varying it
@@ -211,6 +219,13 @@ def _random_faults(
     A small slice draws a single ``hang`` rule — those cases always set
     ``speculate`` (an unmitigated hang never terminates), with
     ``times=1`` so the serial cancel-retry path succeeds on attempt 1.
+    Another draws recovery x speculation: a map stalled past the hang
+    timeout both in its first run and when a reduce's after-fetch
+    failure has it re-executed under a no-persistence recovery mode, so
+    the re-run is hedged (or cancelled and retried) in its turn.  The
+    stall hits attempts 0 and 2 only: wherever the detector cancels
+    instead of hedging (the serial legs), the attempt after a stalled
+    one runs clean.
     """
     r = rng.random()
     if r >= 0.34:
@@ -234,6 +249,22 @@ def _random_faults(
             "times": 1,
         }
         return (rule,), "persisted", True
+    if r < 0.15:
+        stall = {
+            "task": "map",
+            "fault": "slow",
+            "indices": [rng.randrange(num_splits)],
+            "attempts": [0, 2],
+            "delay": SLOW_DELAY,
+        }
+        fail = {
+            "task": "reduce",
+            "fault": "transient",
+            "indices": [rng.randrange(reduces)],
+            "when": "after-fetch",
+        }
+        recovery = rng.choice(("reexecute-deps", "reexecute-all"))
+        return (stall, fail), recovery, True
 
     kinds = [
         ("map", "transient", "start"),

@@ -44,7 +44,7 @@ from repro.query.splits import slice_splits
 from repro.scidata.zonemaps import build_zone_map
 from repro.sidr.planner import build_sidr_job
 from repro.spec import SpeculationPolicy
-from repro.verify.cases import FuzzCase, generate_case
+from repro.verify.cases import HANG_TIMEOUT, FuzzCase, generate_case
 from repro.verify.explorer import (
     ExplorationReport,
     explore,
@@ -105,9 +105,7 @@ def _make_engine(
         recovery=RecoveryModel.parse(case.recovery),
         scheduler_hook=hook,
         speculation=(
-            # Fast detector so hung fuzz attempts are mitigated within
-            # milliseconds, not the production half-second default.
-            SpeculationPolicy(hang_timeout=0.1, heartbeat_interval=0.01)
+            SpeculationPolicy(hang_timeout=HANG_TIMEOUT, heartbeat_interval=0.01)
             if case.speculate
             else None
         ),
@@ -162,7 +160,7 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
             fault_rules=case.fault_rules,
             fault_seed=case.seed,
             speculate=case.speculate,
-            hang_timeout=0.1,
+            hang_timeout=HANG_TIMEOUT,
         )
         try:
             doc = service.result(service.submit(request), timeout=120.0)
@@ -309,10 +307,10 @@ def _diff(
 # --------------------------------------------------------------------- #
 def _drop_rules(case: FuzzCase, rest: tuple[dict, ...]) -> FuzzCase:
     """Replace the fault rules, turning speculation off once no hang
-    rule remains (speculate without hangs is inert; hangs without
-    speculate never terminate, so the pair shrinks together)."""
+    or stall rule remains (speculate without them is inert; hangs
+    without speculate never terminate, so the pair shrinks together)."""
     speculate = case.speculate and any(
-        r.get("fault") == "hang" for r in rest
+        r.get("fault") in ("hang", "slow") for r in rest
     )
     return replace(case, fault_rules=rest, speculate=speculate)
 

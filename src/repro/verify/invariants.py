@@ -25,12 +25,20 @@ Checked invariants (paper §4-§6):
   fresh input.
 * **at-most-one-winner** — for every speculation race (a
   ``task.speculate`` event with ``mode="race"`` names the hedged backup
-  attempt and the flagged attempt it races, via ``data["of"]``), at
-  most one member attempt ever commits a
-  spill, and no fetch is ever served a losing member's attempt.  This
-  is the supersede-free guarantee hedging adds on top of the retry
-  path: the loser is *cancelled before commit*, not committed and then
-  superseded.
+  attempt and the flagged attempt it races, via ``data["of"]``; events
+  sharing an attempt belong to one race, so a map re-executed for
+  recovery and hedged again is a race of its own), at most one member
+  attempt ever commits a spill, and no fetch is ever served a losing
+  member's attempt.  This is the supersede-free guarantee hedging adds
+  on top of the retry path: the loser is *cancelled before commit*, not
+  committed and then superseded.
+* **input-complete** — a reduce attempt that committed fetched from
+  every map of its I_l (the reduce's *actual* data dependencies, §1),
+  and no fetch handed it an ``empty`` stand-in for data the served map
+  attempt produced — data an earlier fetch of the same (partition, map
+  attempt) was served: under the no-persistence recovery modes that is
+  a spill a failed attempt consumed and recovery did not regenerate,
+  i.e. silently dropped input.
 """
 
 from __future__ import annotations
@@ -205,22 +213,62 @@ def check_interleaving_invariants(
                     )
                 )
 
+    # ---------------- input-complete ---------------- #
+    # (partition, map, map attempt) -> seq of the first fetch that was
+    # served data: proof the segment existed, whoever consumed it.
+    served_data: dict[tuple[int, int, int], int] = {}
+    for e in events:
+        if e.type == EV_FETCH and not e.data["empty"]:
+            served_data.setdefault(
+                (e.index, int(e.data["map"]), int(e.data["map_attempt"])),
+                e.seq,
+            )
+    for (p, a), evs in fetches_by_attempt.items():
+        if (p, a) not in committed:
+            continue
+        fs = _fetch_set(barrier, p, total_maps, contact_all_maps)
+        unfetched = fs - {int(e.data["map"]) for e in evs}
+        if unfetched:
+            violations.append(
+                Violation(
+                    "input-complete",
+                    f"reduce {p} attempt {a} committed without fetching "
+                    f"maps {sorted(unfetched)} of its dependency set",
+                )
+            )
+        for e in evs:
+            m = int(e.data["map"])
+            served = int(e.data["map_attempt"])
+            first = served_data.get((p, m, served))
+            if e.data["empty"] and first is not None and first < e.seq:
+                violations.append(
+                    Violation(
+                        "input-complete",
+                        f"reduce {p} attempt {a} committed over an empty "
+                        f"fetch from map {m} attempt {served}, whose data "
+                        f"for it an earlier fetch had consumed",
+                    )
+                )
+
     # ---------------- at-most-one-winner ---------------- #
-    # Race membership per map task: each race-mode speculate event
-    # contributes the hedged backup attempt plus the flagged attempt it
-    # races (data["of"]).
-    races: dict[int, set[int]] = {}
+    # Races per map task: each race-mode speculate event contributes
+    # the hedged backup attempt plus the flagged attempt it races
+    # (data["of"]); events sharing an attempt are one race.
+    races: list[tuple[int, set[int]]] = []
     for e in events:
         if (
             e.type == EV_TASK_SPECULATE
             and e.kind == "map"
             and e.data.get("mode") == "race"
         ):
-            members = races.setdefault(e.index, set())
-            members.add(e.attempt)
+            members = {e.attempt}
             if "of" in e.data:
                 members.add(int(e.data["of"]))
-    for m, members in races.items():
+            for race in [r for r in races if r[0] == e.index and r[1] & members]:
+                members |= race[1]
+                races.remove(race)
+            races.append((e.index, members))
+    for m, members in races:
         winners = sorted(
             a for _seq, a in spills.get(m, []) if a in members
         )

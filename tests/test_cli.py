@@ -106,23 +106,24 @@ class TestQuery:
         assert cap.out == record_out
         assert "columnar data plane" in cap.err
 
-    def test_columnar_fallback_notice_for_holistic(self, ncfile, capsys):
-        rc = main(
-            [
-                "query", ncfile,
-                "--variable", "temperature",
-                "--extract", "7,5,1",
-                "--operator", "median",
-                "--reduces", "2",
-                "--splits", "4",
-                "--limit", "1",
-                "--data-plane", "columnar",
-            ]
-        )
-        assert rc == 0
+    @pytest.mark.parametrize("operator", ["median", "sort"])
+    def test_columnar_runs_holistic(self, ncfile, capsys, operator):
+        args = [
+            "query", ncfile,
+            "--variable", "temperature",
+            "--extract", "7,5,1",
+            "--operator", operator,
+            "--reduces", "2",
+            "--splits", "4",
+            "--limit", "0",
+        ]
+        assert main(args) == 0
+        record_out = capsys.readouterr().out
+        assert main(args + ["--data-plane", "columnar"]) == 0
         cap = capsys.readouterr()
-        assert "columnar unavailable" in cap.err
-        assert "record data plane" in cap.err
+        assert cap.out == record_out
+        assert "columnar data plane" in cap.err
+        assert "unavailable" not in cap.err
 
     def test_unknown_variable(self, ncfile, capsys):
         rc = main(

@@ -1,7 +1,7 @@
-"""Oracle equivalence suite for the columnar data plane (perf PR).
+"""Oracle equivalence suite for the columnar data plane.
 
-The record plane is the oracle: for every supported operator, every
-reader geometry, and both engines, the columnar plane must produce
+The record plane is the oracle: for every operator, every reader
+geometry, and every engine, the columnar plane must produce
 **byte-identical** output — not approximately equal.  The cell-level
 reference reader is also compared where its accumulation order is
 exactly the chunked path's (see the sum note below).
@@ -33,8 +33,10 @@ from repro.query.operators import (
     MinOp,
     RangeExceedsOp,
     RangeOp,
+    SortOp,
     StdDevOp,
     SumOp,
+    ThresholdFilterOp,
 )
 from repro.query.recordreader import CellToChunkMapper, make_reader_factory
 from repro.query.splits import slice_splits
@@ -60,15 +62,19 @@ OPERATORS = [
     StdDevOp(),
     RangeOp(),
     RangeExceedsOp(threshold=5.0),
-    MedianOp(),  # holistic: request falls back to the record plane
+    MedianOp(),
+    SortOp(),
+    ThresholdFilterOp(threshold=40.0),
 ]
+#: Object-dtype state columns (one value array per row).
+RAGGED = [op for op in OPERATORS if op.name in ("median", "sort", "filter_gt")]
 
 #: Operators whose chunked-path accumulation is order/dtype-insensitive,
 #: so the per-cell reference reader is byte-identical too.  SumOp is the
 #: exception: its map_partial reduces the chunk in the *source* dtype
 #: (e.g. float32) before widening, while the cell path feeds one
 #: float64 chunk per cell — mathematically equal, not bit-equal.
-CELL_EXACT = ("count", "min", "max", "median")
+CELL_EXACT = ("count", "min", "max", "median", "sort", "filter_gt")
 
 
 def run(engine, mode, job, barrier, **kw):
@@ -88,14 +94,22 @@ def _plan(field, extraction_shape, op, **query_kw):
 def _records(plan, data, op, *, data_plane, num_splits=4, reduces=3,
              mode="serial", cell_level=False):
     sp = slice_splits(plan, num_splits=num_splits)
+    # prune=False: both planes run every split, so their counters agree.
     job, barrier, _ = build_sidr_job(plan, sp, reduces, data,
-                                     data_plane=data_plane)
+                                     data_plane=data_plane, prune=False)
+    assert job.data_plane == data_plane
     if cell_level:
         assert data_plane == "record"
         job.reader_factory = make_reader_factory(data, plan, cell_level=True)
         job.mapper_factory = lambda: CellToChunkMapper(plan)
     engine = LocalEngine(map_workers=4, reduce_workers=3)
     return run(engine, mode, job, barrier), job
+
+
+def _assert_all_batched(res):
+    """Every instance went through ``map_batch``: none took another path."""
+    batched = res.counters.get("plane.batched.instances")
+    assert batched == res.counters.get("map.input.records") > 0
 
 
 @pytest.fixture(scope="module")
@@ -122,14 +136,24 @@ class TestOperatorIdentity:
         plan = _plan(field, (7, 5, 2), op)
         oracle, _ = _records(plan, data, op, data_plane="record", mode=mode)
         res, job = _records(plan, data, op, data_plane="columnar", mode=mode)
-        assert res.all_records() == oracle.all_records()
-        if op.distributive:
-            assert job.data_plane == "columnar"
-            assert res.counters.get("plane.batched.instances") > 0
-        else:
-            # Holistic operators fall back; request stays recorded.
-            assert job.data_plane == "record"
-            assert job.context["data_plane_requested"] == "columnar"
+        assert repr(res.canonical_records()) == repr(oracle.canonical_records())
+        _assert_all_batched(res)
+        # ... and counted like the record plane, record for record.
+        for name in ("map.input.records", "combine.input.records",
+                     "combine.output.records", "reduce.output.records"):
+            assert res.counters.get(name) == oracle.counters.get(name), name
+
+    @pytest.mark.parametrize("op", RAGGED, ids=lambda o: o.name)
+    def test_ragged_state_crosses_processes(self, temp32, op):
+        """Object-dtype state columns through the process engine's
+        segment files (``spillfiles.py``), whatever mode the run pins."""
+        field, data = temp32
+        plan = _plan(field, (7, 5, 2), op)
+        oracle, _ = _records(plan, data, op, data_plane="record")
+        res, _ = _records(plan, data, op, data_plane="columnar",
+                          mode="process")
+        assert repr(res.canonical_records()) == repr(oracle.canonical_records())
+        _assert_all_batched(res)
 
     @pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.name)
     def test_cell_reference_reader(self, temp32, op):
@@ -170,8 +194,8 @@ class TestGeometryIdentity:
         oracle, _ = _records(plan, data, SumOp(), data_plane="record")
         res, _ = _records(plan, data, SumOp(), data_plane="columnar")
         assert res.all_records() == oracle.all_records()
-        # Stride gaps force the per-instance fallback for edge keys.
-        assert res.counters.get("plane.batched.instances") > 0
+        # Stride gaps cut edge instances: they arrive as one-row batches.
+        _assert_all_batched(res)
 
     def test_truncate_false_ragged_edges(self, temp32):
         field, data = temp32
@@ -181,12 +205,21 @@ class TestGeometryIdentity:
         assert res.all_records() == oracle.all_records()
 
     def test_strided_keep_partial(self, temp32):
+        self._strided_keep_partial(temp32, MaxOp())
+
+    def test_strided_keep_partial_ragged(self, temp32):
+        """Clipped one-row batches joining the full box's object column."""
+        self._strided_keep_partial(temp32, MedianOp())
+
+    @staticmethod
+    def _strided_keep_partial(temp32, op):
         field, data = temp32
-        plan = _plan(field, (3, 3, 2), MaxOp(), stride=(4, 4, 3),
+        plan = _plan(field, (3, 3, 2), op, stride=(4, 4, 3),
                      keep_partial_instances=True)
-        oracle, _ = _records(plan, data, MaxOp(), data_plane="record")
-        res, _ = _records(plan, data, MaxOp(), data_plane="columnar")
+        oracle, _ = _records(plan, data, op, data_plane="record")
+        res, _ = _records(plan, data, op, data_plane="columnar")
         assert res.all_records() == oracle.all_records()
+        _assert_all_batched(res)
 
     def test_many_partials_per_key(self, temp32):
         """Instances spanning all 7 splits give 7 partials per key —

@@ -24,6 +24,7 @@ from repro.mapreduce.shuffle import ShuffleStore, _nbytes, _spill_checks_enabled
 from repro.mapreduce.types import MapTaskId
 from repro.query.columnar import (
     ColumnarRecordReader,
+    StructuralBatchOperator,
     batch_operator_for,
     make_columnar_reader_factory,
 )
@@ -40,6 +41,7 @@ from repro.query.operators import (
     RangeOp,
     SortOp,
     StdDevOp,
+    StructuralOperator,
     SumOp,
     ThresholdFilterOp,
 )
@@ -47,14 +49,14 @@ from repro.query.recordreader import make_reader_factory
 from repro.query.splits import slice_splits
 from repro.scidata.generators import temperature_dataset
 
+# Fixed-width state: one numeric column per state component.
 DISTRIBUTIVE = [
     SumOp(), CountOp(), MeanOp(), MinOp(), MaxOp(), StdDevOp(),
     RangeOp(), RangeExceedsOp(threshold=2.0),
 ]
-# No batch adapter: holistic operators (reduce-side state is the full
-# value multiset).  filter_gt now has the dedicated predicate-pushdown
-# adapter (object-dtype survivors column) — see TestFilterBatchOperator.
-NO_ADAPTER = [MedianOp(), SortOp()]
+# Ragged state: one object-dtype column of per-instance value arrays —
+# see TestFilterBatchOperator and TestRaggedOperators.
+RAGGED = [ThresholdFilterOp(threshold=5.0), SortOp(), MedianOp()]
 
 
 def _value_list(column):
@@ -81,22 +83,21 @@ def _plan(field, shape, **kw):
 
 
 def _expand(reader):
-    """Flatten a columnar reader's stream to per-instance records."""
+    """Flatten a columnar reader's stream to per-instance records;
+    every item must be a ChunkBatch.  Also returns how many batches
+    held several instances and how many just one."""
     out = {}
-    fallbacks = batches = 0
+    batches = singles = 0
     for item in reader:
-        if isinstance(item, ChunkBatch):
-            batches += 1
-            for i in range(item.num_instances):
-                key = tuple(int(k) for k in item.keys[i])
-                out.setdefault(key, []).append(item.values[i])
+        assert isinstance(item, ChunkBatch)
+        if item.num_instances == 1:
+            singles += 1
         else:
-            fallbacks += 1
-            key, chunk = item
-            out.setdefault(key, []).append(
-                np.asarray(chunk.data).reshape(-1)
-            )
-    return out, batches, fallbacks
+            batches += 1
+        for i in range(item.num_instances):
+            key = tuple(int(k) for k in item.keys[i])
+            out.setdefault(key, []).append(item.values[i])
+    return out, batches, singles
 
 
 def _oracle(source, plan, split):
@@ -122,24 +123,54 @@ class TestColumnarReader:
     def test_dense_same_records_no_fallback(self, field, data, splits):
         plan = _plan(field, (7, 5, 2))
         for split in slice_splits(plan, num_splits=splits):
-            cols, batches, fallbacks = _expand(
+            cols, batches, singles = _expand(
                 ColumnarRecordReader(data, plan, split)
             )
-            assert fallbacks == 0
+            # dense zones hold whole runs of instances
+            assert batches > 0
             _assert_same_stream(cols, _oracle(data, plan, split))
 
     def test_strided_falls_back_only_on_edges(self, field, data):
+        """A strided reader batches the box of whole instances and falls
+        back to one-row batches only for the instances a slab edge
+        cuts."""
         plan = _plan(field, (2, 2, 2), stride=(3, 4, 3))
-        total_fallbacks = 0
+        total_singles = total_instances = 0
         for split in slice_splits(plan, num_splits=4):
-            cols, batches, fallbacks = _expand(
+            cols, batches, singles = _expand(
                 ColumnarRecordReader(data, plan, split)
             )
-            total_fallbacks += fallbacks
+            assert batches == 1
+            total_singles += singles
+            total_instances += sum(len(pieces) for pieces in cols.values())
             _assert_same_stream(cols, _oracle(data, plan, split))
         # The stride gaps split instances across slab boundaries: some
-        # keys must take the per-instance path, but not all of them.
-        assert total_fallbacks > 0
+        # instances arrive one to a batch, but not most of them.
+        assert 0 < total_singles < total_instances / 2
+
+    def test_strided_clipped_split_is_all_batches(self, field, data):
+        """Strided, clipped by the subset edge (partial instances kept)
+        and cut by slab boundaries inside stride gaps: still nothing but
+        ChunkBatch items, and piece for piece the record reader's
+        logical records — same keys, same cells in the same order."""
+        plan = _plan(field, (3, 3, 2), stride=(4, 4, 3),
+                     keep_partial_instances=True)
+        cell_counts = set()
+        for split in slice_splits(plan, num_splits=5):
+            got = []
+            for item in ColumnarRecordReader(data, plan, split):
+                assert isinstance(item, ChunkBatch)
+                cell_counts.add(item.cells_per_instance)
+                got.extend(
+                    (tuple(k), row.tolist())
+                    for k, row in zip(item.keys.tolist(), item.values)
+                )
+            want = [
+                (key, np.asarray(chunk.data).reshape(-1).tolist())
+                for key, chunk in make_reader_factory(data, plan)(split)
+            ]
+            assert sorted(got) == sorted(want)
+        assert len(cell_counts) > 1  # clipped pieces really occurred
 
     def test_keep_partial_instances(self, field, data):
         plan = _plan(field, (7, 4, 4), keep_partial_instances=True)
@@ -180,13 +211,19 @@ class TestColumnarReader:
 # Batch operator adapters
 # --------------------------------------------------------------------- #
 class TestBatchOperators:
-    @pytest.mark.parametrize("op", DISTRIBUTIVE, ids=lambda o: o.name)
+    @pytest.mark.parametrize("op", DISTRIBUTIVE + RAGGED, ids=lambda o: o.name)
     def test_adapter_exists(self, op):
-        assert batch_operator_for(op) is not None
+        bop = batch_operator_for(op)
+        assert isinstance(bop, StructuralBatchOperator)
+        assert bop.operator is op
 
-    @pytest.mark.parametrize("op", NO_ADAPTER, ids=lambda o: o.name)
-    def test_holistic_has_no_adapter(self, op):
-        assert batch_operator_for(op) is None
+    def test_unknown_operator_is_a_query_error(self):
+        class Mode(StructuralOperator):
+            name = "mode"
+            map_partial = combine = finalize = None
+
+        with pytest.raises(QueryError, match="no columnar definition"):
+            batch_operator_for(Mode())
 
     @pytest.mark.parametrize("op", DISTRIBUTIVE, ids=lambda o: o.name)
     def test_map_batch_matches_map_partial(self, op):
@@ -226,13 +263,16 @@ class TestBatchOperators:
             assert repr(got[g]) == repr(want)
 
     def test_map_record_matches_scalar(self):
+        """One record on its own — the one-row batch a clipped-edge
+        instance arrives as — maps to the scalar partial's state."""
         op = StdDevOp()
-        bop = batch_operator_for(op)
         chunk = Chunk(np.arange(12.0, dtype=np.float32), 12)
-        row, count = bop.map_record(chunk)
+        cols = batch_operator_for(op).map_batch(chunk.data[None, :])
         want = op.map_partial(chunk)
-        assert count == want.source_count
-        assert row == pytest.approx(want.state, rel=0, abs=0)
+        assert all(c.shape == (1,) for c in cols)
+        assert tuple(c[0] for c in cols) == pytest.approx(
+            want.state, rel=0, abs=0
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -241,6 +281,11 @@ class TestBatchOperators:
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
 _CELLS = st.integers(1, 2**40)
 _SURVIVORS = st.lists(st.floats(allow_nan=False, width=64), max_size=6)
+# One sign of zero: the scalar references order values with np.sort and
+# np.partition, neither stable, so which of two equal-comparing zeros
+# comes first (or lands in the middle) is unspecified in the reference
+# itself.  NaN, +-inf and everything else stay in.
+_ONE_ZERO = _FLOATS.map(lambda x: x + 0.0)
 
 #: operator -> strategy for one combined state row, as the scalar
 #: protocol carries it (a tuple for multi-column states).
@@ -254,17 +299,30 @@ _STATE_ROWS = {
     "range": (RangeOp(), st.tuples(_FLOATS, _FLOATS)),
     "range_exceeds": (RangeExceedsOp(threshold=2.0), st.tuples(_FLOATS, _FLOATS)),
     "filter_gt": (ThresholdFilterOp(threshold=5.0), _SURVIVORS),
+    # odd, even and single-cell segments (zero cells: see below)
+    "median": (MedianOp(), st.lists(_ONE_ZERO, min_size=1, max_size=7)),
+    "sort": (SortOp(), st.lists(_ONE_ZERO, max_size=7)),
 }
+_RAGGED_NAMES = ("filter_gt", "median", "sort")
+
+
+def _scalar_state(name, state):
+    """A drawn state row as the scalar protocol carries it."""
+    if name not in _RAGGED_NAMES:
+        return state
+    values = np.asarray(state, dtype=np.float64)
+    # SortOp's partials are sorted runs; its finalize only converts.
+    return np.sort(values) if name == "sort" else values
 
 
 def _state_columns(bop, name, states):
     """Scalar state rows -> the columns the reduce hands finalize."""
     if not states:
         return bop.map_batch(np.zeros((0, 1)))
-    if name == "filter_gt":
+    if name in _RAGGED_NAMES:
         col = np.empty(len(states), dtype=object)
-        for i, survivors in enumerate(states):
-            col[i] = np.asarray(survivors, dtype=np.float64)
+        for i, values in enumerate(states):
+            col[i] = np.asarray(values, dtype=np.float64)
         return (col,)
     rows = [s if isinstance(s, tuple) else (s,) for s in states]
     return tuple(np.asarray(component) for component in zip(*rows))
@@ -283,9 +341,7 @@ class TestFinalizeColumns:
             )
         )
         want = [
-            op.finalize(
-                Partial(np.asarray(s) if name == "filter_gt" else s, c)
-            )
+            op.finalize(Partial(_scalar_state(name, s), c))
             for s, c in zip(states, counts)
         ]
         bop = batch_operator_for(op)
@@ -326,14 +382,35 @@ class TestFinalizeColumns:
                 StdDevOp(),
                 (np.asarray([4, 0]), np.asarray([1.0, 2.0]), np.asarray([1.0, 4.0])),
             ),
+            (MedianOp(), _state_columns(None, "median", [[1.0, 3.0], []])),
         ],
-        ids=["mean", "stddev"],
+        ids=["mean", "stddev", "median"],
     )
     def test_zero_count_raises_like_scalar(self, op, cols):
         with pytest.raises(QueryError, match="zero cells"):
             batch_operator_for(op).finalize_columns(
                 cols, np.asarray([4, 0], dtype=np.int64)
             )
+
+    def test_median_middles(self):
+        """Odd, even, single, NaN-holding and overflowing segments."""
+        big = 1.5e308
+        cols = _state_columns(None, "median", [
+            [3.0, 1.0, 2.0], [4.0, 1.0, 3.0, 2.0], [7.0],
+            [1.0, float("nan"), 0.0], [big, big], [big, big, big],
+        ])
+        got = batch_operator_for(MedianOp()).finalize_columns(
+            cols, np.full(6, 1, dtype=np.int64)
+        )
+        assert repr(got.tolist()) == repr([2.0, 2.5, 7.0, float("nan"),
+                                           float("inf"), big])
+
+    def test_sort_of_zero_cells_is_an_empty_list(self):
+        got = batch_operator_for(SortOp()).finalize_columns(
+            _state_columns(None, "sort", [[], [2.0, 1.0]]),
+            np.asarray([0, 2], dtype=np.int64),
+        )
+        assert got == [[], [1.0, 2.0]]
 
     def test_negative_source_count_raises_like_partial(self):
         with pytest.raises(QueryError, match="negative source_count"):
@@ -349,9 +426,10 @@ class TestFilterBatchOperator:
     OP = ThresholdFilterOp(threshold=5.0)
 
     def test_adapter_exists(self):
-        from repro.query.columnar import _FilterBatchOperator
-
-        assert isinstance(batch_operator_for(self.OP), _FilterBatchOperator)
+        bop = batch_operator_for(self.OP)
+        assert isinstance(bop, StructuralBatchOperator)
+        (col,) = bop.map_batch(np.array([[9.0, 1.0]]))
+        assert col.dtype == object  # the ragged family's state
 
     def test_map_batch_matches_map_partial(self):
         rng = np.random.default_rng(5)
@@ -400,23 +478,66 @@ class TestFilterBatchOperator:
         # 6 cells total, 3 survive (9, 7, 8) -> 3 masked.
         assert bop.masked_cells(values, cols) == 3
 
-    def test_fallback_cell_wraps_arrays_into_object_column(self):
-        """A fallback record's array-valued state must concatenate with
-        the batch path's object columns (regression: np.asarray([arr])
-        built a (1, k) numeric block instead)."""
-        from repro.mapreduce.columnar import _fallback_cell
-
+    def test_one_row_batch_joins_object_column(self):
+        """A one-row batch's state must concatenate with a multi-row
+        batch's object column as one more element (regression: an array
+        state wrapped by np.asarray([arr]) became a (1, k) numeric
+        block, silently changing shape when k == 1)."""
         bop = batch_operator_for(self.OP)
-        row, count = bop.map_record(Chunk(np.array([1.0, 9.0, 8.0]), 3))
-        assert count == 3
-        cell = _fallback_cell(row[0])
-        assert cell.shape == (1,) and cell.dtype == object
-        np.testing.assert_array_equal(cell[0], [9.0, 8.0])
-        (batch_col,) = bop.map_batch(np.array([[6.0, 2.0]]))
-        joined = np.concatenate([batch_col, cell])
-        assert joined.dtype == object and joined.shape == (2,)
-        # Scalar components keep the direct numeric path.
-        assert _fallback_cell(3.5).dtype != object
+        (single,) = bop.map_batch(np.array([[1.0, 9.0, 8.0]]))
+        assert single.shape == (1,) and single.dtype == object
+        np.testing.assert_array_equal(single[0], [9.0, 8.0])
+        (one_survivor,) = bop.map_batch(np.array([[6.0, 2.0]]))
+        assert one_survivor.shape == (1,) and one_survivor.dtype == object
+        (batch_col,) = bop.map_batch(np.array([[6.0, 2.0], [7.0, 8.0]]))
+        joined = np.concatenate([batch_col, single, one_survivor])
+        assert joined.dtype == object and joined.shape == (4,)
+
+
+# --------------------------------------------------------------------- #
+# sort / median: the same ragged operator without a predicate
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("op", [SortOp(), MedianOp()], ids=lambda o: o.name)
+class TestRaggedOperators:
+    def test_map_batch_keeps_every_cell(self, op):
+        rng = np.random.default_rng(5)
+        values = rng.normal(5.0, 4.0, (9, 14)).astype(np.float32)
+        bop = batch_operator_for(op)
+        (col,) = bop.map_batch(values)
+        assert col.shape == (9,) and col.dtype == object
+        for i in range(values.shape[0]):
+            want = op.map_partial(Chunk(values[i], values.shape[1]))
+            # SortOp's scalar partial is already sorted; the column
+            # keeps cell order and sorts once, at finalize.
+            np.testing.assert_array_equal(
+                np.sort(col[i]), np.sort(np.asarray(want.state))
+            )
+            assert col[i].dtype == np.float64
+        assert bop.masked_cells(values, (col,)) == 0
+
+    def test_combine_and_finalize_match_scalar_path(self, op):
+        rng = np.random.default_rng(6)
+        bop = batch_operator_for(op)
+        # Pieces of different widths, as clipped zones produce them.
+        blocks = [rng.normal(5.0, 3.0, (4, 8)), rng.normal(5.0, 3.0, (2, 3))]
+        cols = tuple(
+            np.concatenate(parts)
+            for parts in zip(*(bop.map_batch(b) for b in blocks))
+        )
+        counts = np.array([8, 8, 8, 8, 3, 3], dtype=np.int64)
+        starts = np.array([0, 3], dtype=np.int64)
+        merged = bop.combine_columns(cols, starts)
+        got = _value_list(
+            bop.finalize_columns(merged, np.add.reduceat(counts, starts))
+        )
+        rows = [row for b in blocks for row in b]
+        for g, (lo, hi) in enumerate([(0, 3), (3, 6)]):
+            partials = [
+                op.map_partial(Chunk(rows[i], rows[i].size))
+                for i in range(lo, hi)
+            ]
+            want = op.finalize(op.combine(partials))
+            assert repr(got[g]) == repr(want)
 
 
 # --------------------------------------------------------------------- #
@@ -515,7 +636,7 @@ class TestColumnarMapOutput:
 
 
 # --------------------------------------------------------------------- #
-# Plumbing: JobConf, planner fallback, sizing, spill-check gate
+# Plumbing: JobConf, planner wiring, sizing, spill-check gate
 # --------------------------------------------------------------------- #
 class TestPlumbing:
     def test_jobconf_rejects_unknown_plane(self, field, data):
@@ -541,15 +662,18 @@ class TestPlumbing:
         with pytest.raises(JobConfigError, match="data plane"):
             build_sidr_job(plan, sp, 2, data, data_plane="chunky")
 
-    def test_planner_falls_back_for_holistic(self, field, data):
+    @pytest.mark.parametrize("op", [MedianOp(), SortOp()], ids=lambda o: o.name)
+    def test_planner_wires_holistic_columnar(self, field, data, op):
         from repro.sidr.planner import build_sidr_job
 
-        plan = _plan(field, (7, 5, 2), operator=MedianOp())
+        plan = _plan(field, (7, 5, 2), operator=op)
         sp = slice_splits(plan, num_splits=2)
         job, _, _ = build_sidr_job(plan, sp, 2, data, data_plane="columnar")
-        assert job.data_plane == "record"
-        assert job.context["data_plane_requested"] == "columnar"
-        assert "batch_operator" not in job.context
+        assert job.data_plane == "columnar"
+        assert job.context["batch_operator"].operator is op
+        record, _, _ = build_sidr_job(plan, sp, 2, data, data_plane="record")
+        assert record.data_plane == "record"
+        assert "batch_operator" not in record.context
 
     def test_nbytes_ndarray_is_exact(self):
         arr = np.zeros(100, dtype=np.float64)

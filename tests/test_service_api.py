@@ -80,6 +80,12 @@ class TestQueryRequest:
               "splits": 0}, "splits/reduces"),
             ({"dataset": "d", "variable": "v", "extract": [2],
               "deadline": -1.0}, "deadline"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "operator": "nope"}, "unknown operator"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "operator": "filter_gt"}, "requires a threshold"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "operator": "mean", "threshold": 1.0}, "takes no parameters"),
         ],
     )
     def test_invalid_documents_are_refused(self, doc, fragment):
@@ -151,6 +157,26 @@ class TestInProcessService:
         with service_fixture(workers=1) as client:
             with pytest.raises(UnknownJobError):
                 client.status("j99999")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(operator="nope"),
+            dict(operator="filter_gt"),
+            dict(operator="mean", threshold=1.0),
+        ],
+        ids=["unknown", "missing-threshold", "unwanted-threshold"],
+    )
+    def test_bad_operator_is_refused_at_admission(self, fields):
+        """Not queued, not run, not a failed job on the tenant's
+        failure budget."""
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", small_data())
+            with pytest.raises(AdmissionError):
+                client.submit(mean_request(tenant="t", **fields))
+            assert svc.list_jobs() == []
+            assert "t" not in svc.stats()["tenants"]
 
     def test_failed_job_reports_error_types(self):
         with service_fixture(workers=1) as client:
@@ -246,6 +272,13 @@ class TestHttpServer:
             client.status("j99999")
         with pytest.raises(Exception, match="400"):
             client._call("POST", "/query", {"dataset": "x"})
+        client.open_dataset("d", path)
+        with pytest.raises(Exception, match="400.*unknown operator"):
+            client._call(
+                "POST", "/query",
+                {"dataset": "d", "variable": "v", "extract": [4, 5],
+                 "operator": "nope"},
+            )
         with pytest.raises(Exception, match="404"):
             client._call("GET", "/no/such/route")
 

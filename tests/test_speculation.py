@@ -524,6 +524,106 @@ class TestAtMostOneWinner:
 
 
 # --------------------------------------------------------------------- #
+# Recovery x speculation: a re-executed map races in its own generation
+# --------------------------------------------------------------------- #
+class TestRecoveryRace:
+    """ROADMAP item 1 (closed): a map raced in its first run and
+    re-executed for a failed reduce used to join the *old*, resolved
+    race, lose it at the commit gate, and leave the reduce retry to
+    fetch its consumed spill as ``empty`` — exit 0, wrong records."""
+
+    def test_resolved_race_is_not_reused(self):
+        from repro.mapreduce.engine import _RunState
+
+        state = _RunState(LocalEngine(), counting_job())
+        first = state.claim_attempt("map", 0)
+        state.new_token("map", 0, first)
+        state.begin_race("map", 0)
+        backup = state.claim_attempt("map", 0)  # joins: race unresolved
+        state.new_token("map", 0, backup)
+        assert state.try_win("map", 0, backup)
+        assert not state.try_win("map", 0, first)
+        state.release_token("map", 0, backup)
+        assert state.race_resolved("map", 0)
+
+        # Recovery re-runs the map while the old loser is still in
+        # flight; the re-run is flagged in its turn.
+        rerun = state.claim_attempt("map", 0)
+        state.new_token("map", 0, rerun)
+        state.begin_race("map", 0)
+        assert not state.race_resolved("map", 0)  # a new generation
+        hedge = state.claim_attempt("map", 0)
+        state.new_token("map", 0, hedge)
+        # the old generation's loser can neither join nor commit
+        assert not state.try_win("map", 0, first)
+        assert state.try_win("map", 0, rerun)
+        assert not state.try_win("map", 0, hedge)
+        losers = state.race_losers("map", 0, rerun)
+        assert set(losers) == {
+            state.token_of("map", 0, first), state.token_of("map", 0, hedge)
+        }
+
+    def test_reproducer_returns_the_oracles_records(self):
+        """The deterministic reproducer: every map stalls past the hang
+        timeout on every attempt, reduce 1 fails once after its fetch,
+        recovery re-executes only its dependencies."""
+        from repro.faults import WHEN_AFTER_FETCH, RecoveryModel
+        from repro.obs.live.bus import EV_RECOVERY
+        from repro.verify.hooks import RecordingHook
+
+        field = temperature_dataset(days=28, lat=10, lon=8, seed=1)
+        data = field.arrays["temperature"]
+        plan = StructuralQuery(
+            variable="temperature", extraction_shape=(7, 5, 2),
+            operator=MeanOp(),
+        ).compile(field.metadata)
+        splits = slice_splits(plan, num_splits=16)
+
+        def job():
+            return build_sidr_job(plan, splits, 3, data)[:2]
+
+        expected = LocalEngine().run_serial(*job()).all_records()
+        hook = RecordingHook()
+        engine = LocalEngine(
+            retry=RetryPolicy(max_attempts=3),
+            recovery=RecoveryModel.REEXECUTE_DEPS,
+            speculation=SpeculationPolicy(hang_timeout=0.15),
+            faults=InjectionPlan(rules=(
+                FaultRule(task="reduce", kind=FaultKind.TRANSIENT,
+                          indices=frozenset({1}), when=WHEN_AFTER_FETCH),
+                FaultRule(task="map", kind=FaultKind.SLOW, fraction=1.0,
+                          delay=0.3),
+            )),
+            scheduler_hook=hook,
+        )
+        conf, barrier = job()
+        res = engine.run_threaded(conf, barrier)
+        assert res.all_records() == expected
+
+        # The scenario happened: a re-executed map was hedged again ...
+        reexecuted = {
+            m for e in hook.events if e.type == EV_RECOVERY
+            for m in e.data["maps"]
+        }
+        first_runs = {
+            e.index: e.seq for e in hook.events
+            if e.type == EV_SPILL_COMMIT and e.index in reexecuted
+            and not e.data["superseded"]
+        }
+        assert reexecuted and any(
+            e.type == EV_TASK_SPECULATE and e.data["mode"] == "race"
+            and e.index in reexecuted and e.seq > first_runs[e.index]
+            for e in hook.events
+        )
+        # ... and every reduce still got the whole of its I_l.
+        violations = check_interleaving_invariants(
+            hook.events, barrier=barrier, total_maps=conf.num_map_tasks,
+            attempts=res.attempts,
+        )
+        assert not violations, "; ".join(map(str, violations))
+
+
+# --------------------------------------------------------------------- #
 # Differential fuzz: a speculate case through all four configurations
 # --------------------------------------------------------------------- #
 class TestFuzzSpeculate:
@@ -539,6 +639,34 @@ class TestFuzzSpeculate:
             reduces=2,
             fault_rules=(
                 {"task": "map", "fault": "hang", "indices": [1], "times": 1},
+            ),
+            speculate=True,
+        )
+        assert FuzzCase.from_json(case.to_json()) == case
+        result = run_case(case)
+        assert result.ok, result.mismatch
+
+    def test_recovery_race_case_all_configs(self):
+        """The combination the generator draws for recovery x
+        speculation (``_random_faults``): a map stalled past the hang
+        timeout in its first run and in its recovery re-run."""
+        from repro.verify.cases import SLOW_DELAY
+
+        case = FuzzCase(
+            seed=78,
+            shape=(6, 4),
+            extraction=(3, 2),
+            stride=None,
+            operator="median",
+            threshold=None,
+            num_splits=3,
+            reduces=2,
+            recovery="reexecute-deps",
+            fault_rules=(
+                {"task": "map", "fault": "slow", "indices": [1],
+                 "attempts": [0, 2], "delay": SLOW_DELAY},
+                {"task": "reduce", "fault": "transient", "indices": [0],
+                 "when": "after-fetch"},
             ),
             speculate=True,
         )

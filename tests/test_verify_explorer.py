@@ -288,6 +288,92 @@ class TestInvariantChecks:
         )
         assert not any(v.invariant == "supersede-observed" for v in found)
 
+    def _reduce0_log(self, *fetches):
+        return [
+            ev(0, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
+            ev(1, EV_SPILL_COMMIT, "map", 1, 0, partitions=()),
+            ev(2, EV_BARRIER_FIRE, "reduce", 0, 0, maps_done=2, early=True),
+            ev(3, EV_TASK_START, "reduce", 0, 1),
+            ev(4, EV_REDUCE_START, "reduce", 0, 1, completed=(0, 1)),
+            *fetches,
+        ]
+
+    def _input_complete(self, events, attempts):
+        found = check_interleaving_invariants(
+            events, barrier=self.BARRIER, total_maps=3, attempts=attempts
+        )
+        return [v for v in found if v.invariant == "input-complete"]
+
+    def test_empty_stand_in_for_produced_data_detected(self):
+        from repro.mapreduce.engine import TaskAttempt
+
+        ok = (TaskAttempt(kind="reduce", index=0, attempt=1, outcome="ok"),)
+        # Attempt 0 consumed map 0's data (map 1 had none) and failed.
+        consumed = [
+            ev(0, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,)),
+            ev(1, EV_SPILL_COMMIT, "map", 1, 0, partitions=()),
+            ev(2, EV_BARRIER_FIRE, "reduce", 0, 0, maps_done=2, early=True),
+            ev(3, EV_TASK_START, "reduce", 0, 0),
+            ev(4, EV_REDUCE_START, "reduce", 0, 0, completed=(0, 1)),
+            ev(5, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
+            ev(6, EV_FETCH, "reduce", 0, 0, map=1, map_attempt=0, empty=True),
+            ev(7, EV_TASK_START, "reduce", 0, 1),
+            ev(8, EV_REDUCE_START, "reduce", 0, 1, completed=(0, 1)),
+        ]
+        # The retry is served an empty stand-in for it ...
+        dropped = consumed + [
+            ev(9, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=True),
+            ev(10, EV_FETCH, "reduce", 0, 0, map=1, map_attempt=0, empty=True),
+        ]
+        (violation,) = self._input_complete(dropped, ok)
+        assert "empty fetch from map 0" in violation.detail
+        # (an attempt that did not commit may have lost its input: the
+        # one that commits is what has to be whole)
+        assert self._input_complete(dropped, ()) == []
+        # ... instead of the re-executed map's fresh output.
+        recovered = consumed + [
+            ev(9, EV_SPILL_COMMIT, "map", 0, 1, partitions=(0,),
+               superseded=True),
+            ev(10, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=1, empty=False),
+            ev(11, EV_FETCH, "reduce", 0, 0, map=1, map_attempt=0, empty=True),
+        ]
+        assert self._input_complete(recovered, ok) == []
+
+    def test_unfetched_dependency_detected(self):
+        from repro.mapreduce.engine import TaskAttempt
+
+        ok = (TaskAttempt(kind="reduce", index=0, attempt=1, outcome="ok"),)
+        partial = self._reduce0_log(
+            ev(5, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=False),
+        )
+        (violation,) = self._input_complete(partial, ok)
+        assert "without fetching maps [1]" in violation.detail
+
+    def test_each_race_generation_has_its_own_winner(self):
+        """A map hedged in its first run and again in its recovery
+        re-run commits one attempt per race — not a double winner —
+        while two commits inside one race still are."""
+        two_races = [
+            ev(0, EV_TASK_SPECULATE, "map", 0, 1, of=0, mode="race"),
+            ev(1, EV_SPILL_COMMIT, "map", 0, 1, partitions=(0,)),
+            ev(2, EV_TASK_SPECULATE, "map", 0, 3, of=2, mode="race"),
+            ev(3, EV_SPILL_COMMIT, "map", 0, 3, partitions=(0,)),
+        ]
+        assert check_interleaving_invariants(
+            two_races, barrier=self.BARRIER, total_maps=3
+        ) == []
+        # a second backup of the same flagged attempt joins its race
+        one_race = [
+            ev(0, EV_TASK_SPECULATE, "map", 0, 1, of=0, mode="race"),
+            ev(1, EV_TASK_SPECULATE, "map", 0, 2, of=0, mode="race"),
+            ev(2, EV_SPILL_COMMIT, "map", 0, 1, partitions=(0,)),
+            ev(3, EV_SPILL_COMMIT, "map", 0, 2, partitions=(0,)),
+        ]
+        found = check_interleaving_invariants(
+            one_race, barrier=self.BARRIER, total_maps=3
+        )
+        assert [v.invariant for v in found] == ["at-most-one-winner"]
+
     def test_unknown_partition_raises_config_error(self):
         events = [
             ev(0, EV_FETCH, "reduce", 9, 0, map=0, map_attempt=0, empty=False),
