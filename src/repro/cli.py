@@ -161,6 +161,13 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
+    if doc.get("evicted"):
+        print(
+            f"error: job {job_id} is done (digest {doc['digest'][:12]}) but "
+            "the server no longer holds its records",
+            file=sys.stderr,
+        )
+        return 1
     print(
         f"# job {job_id}: plan cache "
         f"{'hit' if doc['plan_cache_hit'] else 'miss'}, "
@@ -755,12 +762,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="threaded",
         help="execution mode: deterministic serial, thread pools "
         "(default), or forked worker processes with file-backed "
-        "shuffle (docs/PERFORMANCE.md)",
+        "shuffle (docs/PERFORMANCE.md).  With --server, serial and "
+        "threaded both run on the server's queue worker thread; "
+        "threaded gets its own pools only with --speculate "
+        "(docs/SERVICE.md, Execution model)",
     )
     p_query.add_argument("--map-workers", type=int, default=4,
-                         help="map pool size (threaded/process engines)")
+                         help="map pool size (threaded/process engines; "
+                         "local runs only, a server sizes its own)")
     p_query.add_argument("--reduce-workers", type=int, default=3,
-                         help="reduce pool size (threaded/process engines)")
+                         help="reduce pool size (threaded/process engines; "
+                         "local runs only, a server sizes its own)")
     p_query.add_argument("--limit", type=int, default=20,
                          help="max output rows (0 = all)")
     p_query.add_argument("--live", action="store_true",
@@ -824,11 +836,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=0,
                        help="listen port (0 = ephemeral, printed on start)")
     p_srv.add_argument("--workers", type=int, default=2,
-                       help="concurrent jobs executed by the service")
+                       help="jobs executed at once, each on its own queue "
+                       "worker thread: the service's parallelism")
     p_srv.add_argument("--map-workers", type=int, default=4,
-                       help="map pool size per job")
+                       help="map pool size of a pooled job (engine "
+                       "process, or threaded with speculation); every "
+                       "other job runs on its queue worker's thread")
     p_srv.add_argument("--reduce-workers", type=int, default=3,
-                       help="reduce pool size per job")
+                       help="reduce pool size of a pooled job")
     p_srv.add_argument("--plan-cache", type=int, default=256,
                        help="plan cache capacity (entries)")
     p_srv.add_argument("--events", default=None, metavar="FILE.jsonl",

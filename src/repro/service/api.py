@@ -7,6 +7,13 @@ speculation, deadline) and the multi-tenant scheduling fields (tenant,
 priority).  It round-trips through JSON, so the in-process client and
 the HTTP server share one schema.
 
+``engine`` names where task *bodies* run, not how many threads a job
+gets: ``serial`` and ``threaded`` bodies both execute on the queue
+worker thread that runs the job (the queue's workers are the service's
+parallelism), ``process`` bodies in forked workers.  Only ``process``
+and ``threaded`` + ``speculate`` jobs get thread pools of their own
+(:func:`repro.service.service.execution_mode`).
+
 The request also defines the **canonical query** half of the plan-cache
 key (:meth:`QueryRequest.plan_key`): exactly the fields
 :func:`repro.sidr.planner.build_plan` consumes.  Two requests with equal

@@ -25,6 +25,7 @@ import heapq
 import itertools
 import threading
 import time
+from collections import deque
 from collections.abc import Callable
 from typing import Any
 
@@ -39,13 +40,20 @@ from repro.service.api import (
 )
 
 
+#: How much of the past the service keeps whole: the most recent
+#: finished jobs whose records stay fetchable (older ones keep their
+#: status document and digest), and the tail of the dispatch order.
+RECENT_JOBS = 256
+
+
 class ServiceJob:
     """One submission's full lifecycle record.
 
     State transitions (guarded by ``lock``): ``queued -> running ->
     done|failed``, or ``queued -> cancelled``.  ``finished`` is set on
-    every terminal transition — :meth:`wait` is how clients block for a
-    result.
+    every terminal transition — :meth:`wait` is how a client thread
+    blocks for a result, :meth:`add_waiter` how the event loop does
+    without one.
     """
 
     def __init__(self, job_id: str, request: QueryRequest, seq: int) -> None:
@@ -61,6 +69,8 @@ class ServiceJob:
         self.finished_at: float | None = None
         # Result-side fields, set by the service runner.
         self.records: list | None = None   # canonical records
+        #: Outlives ``records``, which :meth:`evict_records` drops.
+        self.num_records = 0
         self.digest: str | None = None
         self.partial = False
         self.error: str | None = None
@@ -76,6 +86,8 @@ class ServiceJob:
         #: service hooks tenant accounting here) — after state is set,
         #: before waiters wake.
         self.on_finish: Callable[["ServiceJob"], None] | None = None
+        #: Wake-ups registered by :meth:`add_waiter`, not yet called.
+        self._waiters: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------ #
     def finish(self, state: str, **fields: Any) -> None:
@@ -83,14 +95,43 @@ class ServiceJob:
         with self.lock:
             for k, v in fields.items():
                 setattr(self, k, v)
+            if self.records is not None:
+                self.num_records = len(self.records)
             self.state = state
             self.finished_at = time.time()
         if self.on_finish is not None:
             self.on_finish(self)
-        self.finished.set()
+        with self.lock:
+            self.finished.set()
+            waiters, self._waiters = self._waiters, []
+        for wake in waiters:
+            wake()
 
     def wait(self, timeout: float | None = None) -> bool:
         return self.finished.wait(timeout)
+
+    def add_waiter(self, wake: Callable[[], None]) -> None:
+        """Call ``wake()`` once :attr:`finished` is set — on the thread
+        that finishes the job, or right here if it already has.  How a
+        caller that must not block a thread (the asyncio front) waits."""
+        with self.lock:
+            if not self.finished.is_set():
+                self._waiters.append(wake)
+                return
+        wake()
+
+    def remove_waiter(self, wake: Callable[[], None]) -> None:
+        """Forget a wake-up that is no longer wanted (no-op once called)."""
+        with self.lock:
+            try:
+                self._waiters.remove(wake)
+            except ValueError:
+                pass
+
+    def evict_records(self) -> None:
+        """Drop the records; the status document and digest stay."""
+        with self.lock:
+            self.records = None
 
     def status(self) -> dict[str, Any]:
         with self.lock:
@@ -115,7 +156,9 @@ class ServiceJob:
                 doc["error_types"] = list(self.error_types)
             if self.digest is not None:
                 doc["digest"] = self.digest
-                doc["num_records"] = len(self.records or ())
+                doc["num_records"] = self.num_records
+                if self.records is None:
+                    doc["evicted"] = True
             progress = self.progress
         if progress is not None:
             doc["progress"] = progress.snapshot()
@@ -141,7 +184,9 @@ class JobQueue:
         self._paused = start_paused
         self._shutdown = False
         self._running = 0
-        self._dispatched: list[str] = []  # dispatch order, for tests/stats
+        self._dispatched = 0
+        #: Dispatch order of the last ``RECENT_JOBS`` jobs, for tests.
+        self._recent: deque[str] = deque(maxlen=RECENT_JOBS)
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, name=f"svc-worker-{i}", daemon=True
@@ -190,7 +235,8 @@ class JobQueue:
                     return
                 _, _, job = heapq.heappop(self._heap)
                 self._running += 1
-                self._dispatched.append(job.id)
+                self._dispatched += 1
+                self._recent.append(job.id)
             try:
                 self._dispatch(job)
             finally:
@@ -254,10 +300,10 @@ class JobQueue:
                 "running": self._running,
                 "paused": self._paused,
                 "workers": len(self._threads),
-                "dispatched": len(self._dispatched),
+                "dispatched": self._dispatched,
             }
 
     @property
     def dispatch_order(self) -> list[str]:
         with self._cond:
-            return list(self._dispatched)
+            return list(self._recent)

@@ -2,10 +2,11 @@
 
 A deliberately small HTTP/1.1 implementation over ``asyncio.start_server``
 — no framework, no new dependencies.  The asyncio loop only parses and
-routes; anything that can block (submitting under the admission lock,
-waiting for a result) runs in the default executor so slow jobs never
-stall the accept loop — and so does encoding a result body, which can be
-hundreds of KB.
+routes; what can block or is heavy (submitting under the admission lock,
+encoding a result body, which can be hundreds of KB) runs in the default
+executor.  Waiting for a job does not: a ``/result`` connection parks on
+a future the job's terminal transition completes, so any number of
+blocked waiters hold no thread and can never starve a submission of one.
 
 Routes::
 
@@ -37,11 +38,12 @@ from repro.service.api import (
     UnknownDatasetError,
     UnknownJobError,
 )
+from repro.service.jobs import ServiceJob
 from repro.service.service import QueryService
 
 _MAX_BODY = 8 << 20
-#: Cap on a blocking result wait so an abandoned connection cannot pin
-#: an executor thread forever.
+#: Cap on a result wait (a client that hangs up is dropped at once; this
+#: bounds the ones that stay connected and silent).
 _MAX_RESULT_WAIT = 600.0
 
 
@@ -110,7 +112,7 @@ class ServiceServer:
                 await self._respond(writer, 413, {"error": "body too large"})
                 return
             body = await reader.readexactly(length) if length else b""
-            status, doc = await self._route(method.upper(), target, body)
+            status, doc = await self._route(method.upper(), target, body, reader)
             await self._respond(writer, status, doc)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
@@ -142,8 +144,56 @@ class ServiceServer:
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
+    async def _wait_finished(
+        self, job: ServiceJob, timeout: float, reader: asyncio.StreamReader
+    ) -> None:
+        """Park this connection until ``job`` is terminal, holding no
+        thread: the job's finishing thread completes a future on the
+        loop.  ``TimeoutError`` after ``timeout`` seconds,
+        ``ConnectionResetError`` as soon as the client hangs up — either
+        way the job is left with no wake-up of ours."""
+        if job.finished.is_set():
+            return
+        loop = asyncio.get_running_loop()
+        finished = loop.create_future()
+
+        def resolve() -> None:
+            if not finished.done():
+                finished.set_result(None)
+
+        def wake() -> None:  # on the thread that finished the job
+            try:
+                loop.call_soon_threadsafe(resolve)
+            except RuntimeError:  # the loop closed under a parked waiter
+                pass
+
+        async def hung_up() -> None:
+            # One request per connection: the client sends nothing more,
+            # so the read ends only when it closes its end.
+            try:
+                while await reader.read(65536):
+                    pass
+            except ConnectionError:
+                pass
+
+        job.add_waiter(wake)
+        gone = asyncio.ensure_future(hung_up())
+        try:
+            done, _ = await asyncio.wait(
+                {finished, gone}, timeout=timeout,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+        finally:
+            job.remove_waiter(wake)
+            gone.cancel()
+        if finished in done:
+            return
+        if gone in done:
+            raise ConnectionResetError("client hung up waiting for a result")
+        raise TimeoutError(f"job {job.id} still {job.state!r} after {timeout}s")
+
     async def _route(
-        self, method: str, target: str, body: bytes
+        self, method: str, target: str, body: bytes, reader: asyncio.StreamReader
     ) -> tuple[int, Any]:
         path, _, query = target.partition("?")
         parts = [p for p in path.split("/") if p]
@@ -181,12 +231,12 @@ class ServiceServer:
                     if piece.startswith("timeout="):
                         timeout = min(float(piece[8:]), _MAX_RESULT_WAIT)
 
+                await self._wait_finished(svc.get_job(parts[1]), timeout, reader)
+
                 def encoded_result() -> bytes:
-                    # Encoded on the thread that waited for the job: a
-                    # few hundred KB of ``json.dumps`` on the event loop
-                    # would stall every other connection.
-                    doc = svc.result(parts[1], timeout=timeout)
-                    return json.dumps(doc).encode("utf-8")
+                    # A few hundred KB of ``json.dumps`` on the event
+                    # loop would stall every other connection.
+                    return json.dumps(svc.result(parts[1], timeout=0)).encode("utf-8")
 
                 return 200, await loop.run_in_executor(None, encoded_result)
             if (

@@ -18,7 +18,11 @@ from scratch:
   :class:`~repro.obs.live.EventBus`/:class:`~repro.obs.live.ProgressTracker`
   feeding the live status endpoint.
 
-Serial, threaded, and process engines run side by side over one shared
+Jobs, not tasks, are the unit of parallelism: a job runs start to finish
+on the queue worker thread that popped it, and only a request that
+cannot run without a second thread gets per-job thread pools
+(:func:`execution_mode`; ``docs/SERVICE.md``, "Execution model").  Jobs
+of every engine and data plane run side by side over one shared
 dataset; results are canonicalized and digested exactly like the
 verification oracle's, so every consumer can check byte-identity.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from typing import Any
 
 import numpy as np
@@ -52,7 +57,7 @@ from repro.service.api import (
     TenantState,
     UnknownJobError,
 )
-from repro.service.jobs import JobQueue, ServiceJob
+from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
 from repro.service.plancache import PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
@@ -64,6 +69,24 @@ from repro.verify.oracle import records_digest
 def records_to_json(records: list) -> list:
     """Canonical records -> JSON-safe rows (key tuples become lists)."""
     return [[list(key), value] for key, value in records]
+
+
+def execution_mode(engine: str, speculate: bool) -> str:
+    """The :meth:`LocalEngine.run` mode a request's ``engine`` is served in.
+
+    In-thread task bodies (``serial``, ``threaded``) run on the inline
+    executor — the queue worker's own thread; the queue's workers are
+    the parallelism.  A job gets its own thread pools only where it
+    cannot run without a second thread: ``process`` (dispatch threads
+    block on forked workers) and ``threaded`` with ``speculate`` (a
+    hedged backup has to race its primary; an explicit ``serial`` keeps
+    the inline executor's cancel-and-retry in place).
+    """
+    if engine == "process":
+        return "process"
+    if engine == "threaded" and speculate:
+        return "threaded"
+    return "serial"
 
 
 class QueryService:
@@ -84,9 +107,12 @@ class QueryService:
     ) -> None:
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
         self.registry = SessionRegistry(on_invalidate=self.plan_cache.invalidate)
+        #: ``workers`` jobs run at once, one queue worker thread each.
         self.queue = JobQueue(
             self._run_job, workers=workers, start_paused=start_paused
         )
+        #: Pool sizes of the jobs :func:`execution_mode` pools; every
+        #: other job starts no thread of its own.
         self._map_workers = map_workers
         self._reduce_workers = reduce_workers
         self._default_quota = default_quota or TenantQuota()
@@ -96,6 +122,9 @@ class QueryService:
             for name, quota in quotas.items():
                 self._tenants[name] = TenantState(quota=quota)
         self._jobs: dict[str, ServiceJob] = {}
+        #: The finished jobs still holding their records, oldest first;
+        #: at most ``RECENT_JOBS`` of them.
+        self._with_records: deque[ServiceJob] = deque()
         self._seq = 0
         #: Shared audit stream: every job's events land in one JSONL
         #: file (append mode), each line stamped with its job id.
@@ -157,12 +186,19 @@ class QueryService:
         return job_id
 
     def _note_finished(self, job: ServiceJob) -> None:
+        evicted = None
         with self._lock:
             tenant = self._tenants.get(job.request.tenant)
             if tenant is not None:
                 tenant.active -= 1
                 if job.state == FAILED:
                     tenant.failures += 1
+            if job.records is not None:
+                self._with_records.append(job)
+                if len(self._with_records) > RECENT_JOBS:
+                    evicted = self._with_records.popleft()
+        if evicted is not None:
+            evicted.evict_records()
 
     def get_job(self, job_id: str) -> ServiceJob:
         with self._lock:
@@ -172,18 +208,29 @@ class QueryService:
         return job
 
     def status(self, job_id: str) -> dict[str, Any]:
-        return self.get_job(job_id).status()
+        """The live status doc; once the engine has returned, with the
+        run's ``counters``."""
+        job = self.get_job(job_id)
+        doc = job.status()
+        if job.counters:
+            doc["counters"] = dict(job.counters)
+        return doc
 
     def result(self, job_id: str, timeout: float | None = None) -> dict[str, Any]:
-        """Block until the job is terminal; status doc plus records."""
+        """Block until the job is terminal; status doc plus records
+        (a job older than the ``RECENT_JOBS`` most recent results has
+        none left: its doc says ``"evicted": true``)."""
         job = self.get_job(job_id)
         if not job.wait(timeout):
             raise TimeoutError(
                 f"job {job_id} still {job.state!r} after {timeout}s"
             )
+        # Records before the doc: if they were evicted in between, the
+        # doc, taken later, says so.
+        records = job.records
         doc = job.status()
-        if job.records is not None:
-            doc["records"] = records_to_json(job.records)
+        if records is not None:
+            doc["records"] = records_to_json(records)
         return doc
 
     def cancel(self, job_id: str) -> bool:
@@ -304,7 +351,10 @@ class QueryService:
                 ),
             )
             t1 = time.perf_counter()
-            res = engine.run(job_conf, barrier, mode=req.engine, obs=obs)
+            res = engine.run(
+                job_conf, barrier,
+                mode=execution_mode(req.engine, req.speculate), obs=obs,
+            )
             run_seconds = time.perf_counter() - t1
             records = res.canonical_records()
             job.finish(

@@ -329,6 +329,100 @@ class TestHttpServer:
             conn.close()
         assert wire == json.dumps(service.result(job_id)).encode("utf-8")
 
+    def test_parked_result_waiters_hold_no_thread(self, live_server):
+        """Regression: each blocked ``/result`` parked one default-
+        executor thread in ``job.wait``; with as many waiters as the
+        executor has threads, ``POST /query`` (which needs one) stalled
+        until a job finished."""
+        import json
+        import os
+        import socket
+        import time
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        service.queue.pause()
+        job_id = client.submit(mean_request())
+        job = service.get_job(job_id)
+        # asyncio's default executor: min(32, cpu_count + 4) threads
+        waiters = min(32, (os.cpu_count() or 1) + 4) + 2
+        socks = []
+        try:
+            for _ in range(waiters):
+                sock = socket.create_connection(
+                    (client.host, client.port), timeout=30
+                )
+                sock.sendall(
+                    f"GET /jobs/{job_id}/result?timeout=60 HTTP/1.1\r\n\r\n"
+                    .encode("latin-1")
+                )
+                socks.append(sock)
+            time.sleep(0.3)  # every waiter has reached the server
+
+            prompt = HttpServiceClient(
+                f"http://{client.host}:{client.port}", timeout=5
+            )
+            t0 = time.monotonic()
+            second = prompt.submit(mean_request(operator="max"))
+            assert prompt.healthz()["ok"] is True
+            assert prompt.status(second)["state"] == QUEUED
+            assert time.monotonic() - t0 < 5
+            assert len(job._waiters) == waiters
+
+            service.queue.resume()
+            _, digest = oracle_for_request(service, mean_request())
+            for sock in socks:
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+                head, _, body = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 ")
+                doc = json.loads(body)
+                assert doc["state"] == DONE
+                assert doc["digest"] == digest
+                assert len(doc["records"]) == doc["num_records"] > 0
+            assert job._waiters == []
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_disconnected_waiter_leaves_no_callback_behind(self, live_server):
+        import socket
+        import time
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        service.queue.pause()
+        job = service.get_job(client.submit(mean_request()))
+
+        def wait_for(count):
+            for _ in range(200):
+                if len(job._waiters) == count:
+                    return True
+                time.sleep(0.025)
+            return False
+
+        sock = socket.create_connection((client.host, client.port), timeout=10)
+        sock.sendall(
+            f"GET /jobs/{job.id}/result HTTP/1.1\r\n\r\n".encode("latin-1")
+        )
+        assert wait_for(1)
+        sock.close()
+        assert wait_for(0)
+        service.queue.resume()
+        assert client.result(job.id)["state"] == DONE
+
+    def test_result_wait_timeout_is_a_408(self, live_server):
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        service.queue.pause()
+        job = service.get_job(client.submit(mean_request()))
+        with pytest.raises(Exception, match=f"408.*{job.id} still 'queued'"):
+            client.result(job.id, timeout=0.05)
+        assert job._waiters == []
+        service.queue.resume()
+        assert client.result(job.id)["state"] == DONE
+
     def test_shutdown_endpoint_stops_the_server(self, live_server):
         client, service, path, data = live_server
         client.shutdown()

@@ -12,8 +12,6 @@ queue.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -214,6 +212,39 @@ class TestCancellation:
         job_id = service.submit(req())
         service.close()
         assert service.status(job_id)["state"] == CANCELLED
+
+
+class TestRetention:
+    """A resident process is bounded by what it keeps of the past: only
+    the ``RECENT_JOBS`` most recent results stay whole."""
+
+    def test_only_the_most_recent_results_keep_their_records(self):
+        RECENT_JOBS, extra = 256, 5  # service.jobs.RECENT_JOBS, spelled out
+        tiny = req(extract=(2, 2), splits=1, reduces=1, engine="serial")
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array(
+                "shared", "v", np.arange(16, dtype=np.float64).reshape(4, 4)
+            )
+            _, digest = oracle_for_request(svc, tiny)
+            ids = [client.submit(tiny) for _ in range(RECENT_JOBS + extra)]
+            assert svc.queue.drain(timeout=120)
+
+            jobs = [svc.get_job(i) for i in ids]
+            holding = [j.id for j in jobs if j.records is not None]
+            assert holding == ids[extra:]
+
+            old = client.result(ids[0])
+            assert old["state"] == DONE and old["evicted"] is True
+            assert "records" not in old
+            assert old["digest"] == digest and old["num_records"] == 4
+            new = client.result(ids[-1])
+            assert "evicted" not in new and len(new["records"]) == 4
+
+            stats = client.stats()
+            assert stats["jobs"] == {DONE: RECENT_JOBS + extra}
+            assert stats["queue"]["dispatched"] == RECENT_JOBS + extra
+            assert svc.queue.dispatch_order == ids[extra:]
 
 
 class TestDeadlines:

@@ -1,0 +1,235 @@
+"""The service's execution model (docs/SERVICE.md, "Execution model").
+
+Jobs, not tasks, are the unit of parallelism: a served job runs on the
+queue worker thread that popped it, and gets thread pools of its own
+only where it cannot run without a second thread
+(:func:`repro.service.service.execution_mode`).  These tests pin the
+rule and each branch's observable behaviour: no thread started and the
+deterministic serial interleaving for ``threaded``; a launched, winning
+backup for ``threaded`` + ``speculate``; forked workers and a cleaned
+spill directory for ``process``; the same failure report from ``serial``
+and ``threaded``.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import threading
+
+import numpy as np
+import pytest
+
+import repro.service.service as service_module
+from repro.obs import EventBus
+from repro.service import QueryRequest, service_fixture
+from repro.service.api import DONE, FAILED
+from repro.service.service import execution_mode
+from repro.service.testing import oracle_for_request
+
+
+def field(seed=5, shape=(24, 20)):
+    """Integer-valued float64: exact partial sums, so byte-identity with
+    the oracle holds in any reduction order."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(-40, 40, size=shape, endpoint=True).astype(np.float64)
+
+
+def req(**kw):
+    base = dict(
+        dataset="d", variable="v", extract=(4, 5), operator="mean",
+        splits=6, reduces=3, prune=False,
+    )
+    base.update(kw)
+    return QueryRequest(**base)
+
+
+@pytest.fixture()
+def sampled(monkeypatch):
+    """Every event of every served job, each with a sample taken on the
+    publishing thread while the job runs: ``(event, threads, children,
+    spill entries)``."""
+    seen = []
+
+    class SampledBus(EventBus):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.attach(self._sample)
+
+        @staticmethod
+        def _sample(event):
+            root = os.environ.get("REPRO_SPILL_DIR")
+            seen.append((
+                event,
+                threading.active_count(),
+                len(multiprocessing.active_children()),
+                os.listdir(root) if root and os.path.isdir(root) else [],
+            ))
+
+    monkeypatch.setattr(service_module, "EventBus", SampledBus)
+    return seen
+
+
+class TestSelectionRule:
+    @pytest.mark.parametrize(
+        "engine, speculate, mode",
+        [
+            ("serial", False, "serial"),
+            ("serial", True, "serial"),
+            ("threaded", False, "serial"),
+            ("threaded", True, "threaded"),
+            ("process", False, "process"),
+            ("process", True, "process"),
+        ],
+    )
+    def test_mode_is_a_function_of_engine_and_speculate(
+        self, engine, speculate, mode
+    ):
+        assert execution_mode(engine, speculate) == mode
+
+
+class TestThreadedRunsOnTheWorkerThread:
+    def test_no_thread_started_and_serial_interleaving(self, sampled):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            request = req(engine="threaded", data_plane="columnar")
+            _, digest = oracle_for_request(svc, request)
+            idle = threading.active_count()
+            doc = client.query(request)
+        assert doc["state"] == DONE
+        assert doc["engine"] == "threaded"  # the wire name is unchanged
+        assert doc["digest"] == digest
+
+        assert {threads for _, threads, _, _ in sampled} == {idle}
+
+        # The deterministic serial interleaving: a fired reduce starts
+        # at once and finishes before the next map starts (paper Fig. 4b
+        # on one thread).
+        stream = [
+            (ev.type, ev.kind, ev.index)
+            for ev, *_ in sampled
+            if ev.type in ("task.start", "task.finish", "barrier.fire")
+        ]
+        fires = [i for i, (t, _, _) in enumerate(stream) if t == "barrier.fire"]
+        assert len(fires) == 3
+        for i in fires:
+            p = stream[i][2]
+            assert stream[i + 1] == ("task.start", "reduce", p)
+            assert stream[i + 2] == ("task.finish", "reduce", p)
+        maps = [s for s in stream if s[1] == "map"]
+        assert maps == [
+            (t, "map", m) for m in range(6) for t in ("task.start", "task.finish")
+        ]
+        # and early: reduces fired while maps were still outstanding
+        assert stream.index(("barrier.fire", "reduce", 0)) < stream.index(
+            ("task.start", "map", 5)
+        )
+
+
+class TestSpeculationStillRacesABackup:
+    def test_hung_map_is_hedged_and_the_backup_wins(self, sampled):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            request = req(
+                engine="threaded", speculate=True, hang_timeout=0.2,
+                max_attempts=3,
+                fault_rules=(
+                    {"task": "map", "fault": "hang", "indices": [1], "times": 1},
+                ),
+            )
+            _, digest = oracle_for_request(svc, request)
+            idle = threading.active_count()
+            doc = client.query(request)
+            # the status doc carries the run's counters; a result doc
+            # stays what it was
+            counters = client.status(doc["id"])["counters"]
+        assert "counters" not in doc
+        assert doc["state"] == DONE and doc["digest"] == digest
+        assert counters["task.speculations"] == 1
+        assert counters["task.cancelled"] == 1
+        races = [
+            ev for ev, *_ in sampled
+            if ev.type == "task.speculate" and ev.data["mode"] == "race"
+        ]
+        assert [(ev.kind, ev.index) for ev in races] == [("map", 1)]
+        backup = races[0].attempt
+        finishes = {
+            ev.attempt: ev.data["status"]
+            for ev, *_ in sampled
+            if ev.type == "task.finish" and (ev.kind, ev.index) == ("map", 1)
+        }
+        assert finishes[backup] == "ok" and finishes[races[0].data["of"]] == "lost"
+        # pooled: the job ran on threads of its own
+        assert max(threads for _, threads, _, _ in sampled) > idle
+
+    def test_explicit_serial_keeps_cancel_and_retry_in_place(self, sampled):
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", field())
+            doc = client.query(req(
+                engine="serial", speculate=True, hang_timeout=0.2,
+                max_attempts=3,
+                fault_rules=(
+                    {"task": "map", "fault": "hang", "indices": [1], "times": 1},
+                ),
+            ))
+            counters = client.status(doc["id"])["counters"]
+        assert doc["state"] == DONE
+        assert counters.get("task.speculations", 0) == 0
+        assert counters["task.retries"] == 1
+
+
+class TestProcessStillForks:
+    def test_forked_workers_and_a_cleaned_spill_directory(
+        self, sampled, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
+        with service_fixture(workers=1, map_workers=2, reduce_workers=2) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            request = req(engine="process", data_plane="columnar")
+            _, digest = oracle_for_request(svc, request)
+            doc = client.query(request)
+        assert doc["state"] == DONE and doc["digest"] == digest
+        assert max(children for _, _, children, _ in sampled) >= 2
+        assert any(spill for *_, spill in sampled)  # the job's dir, mid-run
+        assert os.listdir(tmp_path) == []
+
+
+class TestFailuresReadTheSame:
+    CRASH = dict(
+        fault_rules=(
+            {"task": "map", "fault": "crash", "indices": [2], "times": 99},
+        ),
+        max_attempts=2,
+    )
+
+    def test_exhausted_attempts_report_the_same_error_types(self):
+        docs = {}
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", field())
+            for engine in ("serial", "threaded"):
+                docs[engine] = client.query(req(engine=engine, **self.CRASH))
+        assert docs["serial"]["state"] == docs["threaded"]["state"] == FAILED
+        assert docs["threaded"]["error_types"] == docs["serial"]["error_types"]
+        assert docs["threaded"]["error_types"] == ["InjectedFaultError"]
+        assert "records" not in docs["threaded"]
+
+    @pytest.mark.parametrize("engine", ["serial", "threaded"])
+    def test_deadline_still_expires_the_job(self, engine):
+        hang = dict(
+            fault_rules=(
+                {"task": "map", "fault": "hang", "indices": [0], "times": 5},
+            ),
+            max_attempts=2, engine=engine,
+        )
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", field())
+            failed = client.query(req(deadline=0.2, on_deadline="fail", **hang))
+            partial = client.query(
+                req(deadline=0.2, on_deadline="partial", **hang)
+            )
+        assert failed["state"] == FAILED
+        assert failed["error_types"] == ["DeadlineExceededError"]
+        assert partial["state"] == DONE and partial["partial"] is True
