@@ -45,6 +45,8 @@ that rounds as the scalar one does.
 
 from __future__ import annotations
 
+import json
+import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -219,6 +221,14 @@ class ColumnarMapOutput:
         )
 
 
+#: :meth:`ResultBlock.to_bytes` header, little-endian: magic, value tag,
+#: pad byte, key rank, row count, byte length of the value column.
+_BLOCK_HEADER = struct.Struct("<4sBxHQQ")
+_BLOCK_MAGIC = b"RBK1"
+#: Value tags: the column is ``n`` float64, or the JSON of a list.
+_FLOAT64, _JSON = 0, 1
+
+
 class ResultBlock(Sequence):
     """One keyblock's finalized reduce output as parallel columns.
 
@@ -236,9 +246,13 @@ class ResultBlock(Sequence):
     :meth:`canonical_records` is two ``tolist()`` calls, not a walk over
     every value; the verify fuzzer holds it against the generic walk on
     every case.
+
+    :meth:`to_bytes` / :meth:`from_bytes` are the block's one byte form
+    (``docs/SERVICE.md``, "Wire format"): equal canonical records give
+    equal bytes, whichever plane or operator produced the columns.
     """
 
-    __slots__ = ("key_rows", "values")
+    __slots__ = ("key_rows", "values", "_packed")
 
     def __init__(self, keys: np.ndarray, values: np.ndarray | list) -> None:
         keys = np.asarray(keys, dtype=np.int64)
@@ -250,6 +264,8 @@ class ResultBlock(Sequence):
             )
         self.key_rows = keys
         self.values = values
+        #: The bytes this block's arrays view, when :meth:`packed` built it.
+        self._packed: bytes | None = None
 
     @classmethod
     def empty(cls) -> "ResultBlock":
@@ -314,6 +330,93 @@ class ResultBlock(Sequence):
         :func:`repro.verify.oracle.canonicalize_records` computes for a
         record list, without visiting each value."""
         return list(zip(map(tuple, self.key_rows.tolist()), self.value_list()))
+
+    def to_bytes(self) -> bytes:
+        """The block's byte form: header, ``key_rows`` as little-endian
+        int64 in C order, then the value column — little-endian float64
+        when every value is a float (NaNs as the one quiet NaN, since
+        every NaN has the same ``repr``), otherwise the compact UTF-8
+        JSON of :meth:`value_list`.  An empty block is the bare header,
+        whatever rank and dtype its arrays carry."""
+        if self._packed is not None:
+            return self._packed
+        n = len(self)
+        if n == 0:
+            return _BLOCK_HEADER.pack(_BLOCK_MAGIC, _FLOAT64, 0, 0, 0)
+        values = self.values
+        if isinstance(values, np.ndarray):
+            all_floats = values.dtype.kind == "f"
+        else:
+            all_floats = all(type(v) is float for v in values)
+        if all_floats:
+            floats = np.array(values, dtype="<f8")
+            floats[np.isnan(floats)] = np.nan
+            tag, column = _FLOAT64, floats.tobytes()
+        else:
+            tag = _JSON
+            column = json.dumps(
+                self.value_list(), separators=(",", ":")
+            ).encode("utf-8")
+        header = _BLOCK_HEADER.pack(
+            _BLOCK_MAGIC, tag, self.key_rows.shape[1], n, len(column)
+        )
+        keys = self.key_rows.astype("<i8", copy=False).tobytes()
+        return b"".join((header, keys, column))
+
+    @classmethod
+    def from_bytes(cls, data: bytes | bytearray | memoryview) -> "ResultBlock":
+        """The block :meth:`to_bytes` wrote.  Its arrays are read-only
+        views of ``data`` (no copy); a buffer that is not exactly one
+        well-formed block raises :class:`ShuffleError`."""
+        view = memoryview(data)
+        if view.nbytes < _BLOCK_HEADER.size:
+            raise ShuffleError(
+                f"result block truncated: {view.nbytes} bytes, header needs "
+                f"{_BLOCK_HEADER.size}"
+            )
+        magic, tag, rank, n, column_bytes = _BLOCK_HEADER.unpack_from(view)
+        if magic != _BLOCK_MAGIC:
+            raise ShuffleError(f"not a result block (magic {magic!r})")
+        if tag not in (_FLOAT64, _JSON):
+            raise ShuffleError(f"unknown result block value tag {tag}")
+        column_at = _BLOCK_HEADER.size + n * rank * 8
+        if tag == _FLOAT64 and column_bytes != n * 8:
+            raise ShuffleError(
+                f"result block holds {column_bytes} value bytes for {n} floats"
+            )
+        if view.nbytes != column_at + column_bytes:
+            raise ShuffleError(
+                f"result block is {view.nbytes} bytes, its header says "
+                f"{column_at + column_bytes}"
+            )
+        keys = np.frombuffer(
+            view, dtype="<i8", count=n * rank, offset=_BLOCK_HEADER.size
+        ).reshape(n, rank)
+        if tag == _FLOAT64:
+            values = np.frombuffer(view, dtype="<f8", count=n, offset=column_at)
+            values.flags.writeable = False
+        else:
+            try:
+                values = json.loads(view[column_at:].tobytes())
+            except ValueError as exc:
+                raise ShuffleError(
+                    f"result block values are not JSON: {exc}"
+                ) from exc
+            if not isinstance(values, list) or len(values) != n:
+                raise ShuffleError(f"result block values are not a list of {n}")
+        block = cls(keys, values)
+        block.key_rows.flags.writeable = False
+        return block
+
+    def packed(self) -> "ResultBlock":
+        """This block rebuilt over its own byte form: arrays that are
+        read-only views of one ``bytes`` the block owns — nothing of the
+        engine's buffers stays referenced — and a :meth:`to_bytes` that
+        returns that buffer as is."""
+        data = self.to_bytes()
+        block = ResultBlock.from_bytes(data)
+        block._packed = data
+        return block
 
     def __len__(self) -> int:
         return self.key_rows.shape[0]

@@ -25,15 +25,23 @@ participate: they only affect the cheap per-submission
 ``configure_job`` step, and repeated shapes reuse keyblock partitions
 across planes and engines.  ``prune`` DOES participate: it changes the
 surviving split set and dependency map, i.e. the plan itself.
+
+The result has two bodies (``docs/SERVICE.md``, "Wire format"): JSON,
+and — for a client whose ``Accept`` header names
+:data:`BLOCK_CONTENT_TYPE` — the status document followed by the
+records as one :class:`~repro.mapreduce.columnar.ResultBlock` byte
+form (:func:`encode_result_body` / :func:`decode_result_body`).
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, ShuffleError
+from repro.mapreduce.columnar import ResultBlock
 from repro.query.operators import StructuralOperator, get_operator
 
 ENGINES = ("serial", "threaded", "process")
@@ -65,6 +73,48 @@ class UnknownDatasetError(ServiceError):
 
 class UnknownJobError(ServiceError):
     """No job with that id (never submitted, or a different service)."""
+
+
+#: Media type of the binary result body.
+BLOCK_CONTENT_TYPE = "application/x-repro-block"
+_DOCUMENT_LENGTH = struct.Struct("<Q")
+
+
+def encode_result_body(doc: dict[str, Any], block: ResultBlock | None) -> bytes:
+    """The binary result body: the status document's JSON behind its
+    byte length, then ``block``'s bytes (none for a job without
+    records).  The JSON is space-padded to a multiple of 8 bytes, so
+    the arrays a client views over the body are aligned."""
+    head = json.dumps(doc).encode("utf-8")
+    head += b" " * (-len(head) % 8)
+    return b"".join((
+        _DOCUMENT_LENGTH.pack(len(head)),
+        head,
+        b"" if block is None else block.to_bytes(),
+    ))
+
+
+def decode_result_body(body: bytes) -> dict[str, Any]:
+    """The document :func:`encode_result_body` framed; its ``records``,
+    when the body carries a block, are a read-only
+    :class:`~repro.mapreduce.columnar.ResultBlock` viewing ``body``."""
+    start = _DOCUMENT_LENGTH.size
+    if len(body) < start:
+        raise ServiceError(f"result body truncated at {len(body)} bytes")
+    end = start + _DOCUMENT_LENGTH.unpack_from(body)[0]
+    if end > len(body):
+        raise ServiceError(
+            f"result body is {len(body)} bytes, its document alone {end}"
+        )
+    try:
+        doc = json.loads(body[start:end])
+        if not isinstance(doc, dict):
+            raise ValueError("the status document is not a JSON object")
+        if end < len(body):
+            doc["records"] = ResultBlock.from_bytes(memoryview(body)[end:])
+    except (ValueError, ShuffleError) as exc:
+        raise ServiceError(f"malformed result body: {exc}") from exc
+    return doc
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 :class:`InProcessClient` wraps a :class:`QueryService` directly — no
 sockets, fully deterministic, what the tier-1 test harness and the fuzz
-leg use.  :class:`HttpServiceClient` speaks the HTTP/JSON wire format
-over stdlib :mod:`http.client` — what ``repro.cli query --server`` and
-the CI smoke use.  Both expose the same method surface, so harness code
-is client-agnostic.
+leg use.  :class:`HttpServiceClient` speaks the HTTP wire format over
+stdlib :mod:`http.client` — what ``repro.cli query --server`` and the CI
+smoke use.  Both expose the same method surface, so harness code is
+client-agnostic; the one difference is the type of a result's
+``records``: JSON rows in process, a read-only
+:class:`~repro.mapreduce.columnar.ResultBlock` over the wire (the
+binary result body, ``docs/SERVICE.md``, "Wire format").
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ import json
 from typing import Any
 from urllib.parse import urlsplit
 
-from repro.service.api import QueryRequest, ServiceError
+from repro.service.api import (
+    BLOCK_CONTENT_TYPE,
+    QueryRequest,
+    ServiceError,
+    decode_result_body,
+)
 from repro.service.service import QueryService, records_to_json
 
 
@@ -62,7 +70,14 @@ class HttpServiceClient:
         self.timeout = timeout
 
     # ------------------------------------------------------------------ #
-    def _call(self, method: str, path: str, body: Any | None = None) -> Any:
+    def _call(
+        self,
+        method: str,
+        path: str,
+        body: Any | None = None,
+        *,
+        accept: str | None = None,
+    ) -> Any:
         conn = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -72,9 +87,15 @@ class HttpServiceClient:
             if body is not None:
                 payload = json.dumps(body).encode("utf-8")
                 headers["Content-Type"] = "application/json"
+            if accept is not None:
+                headers["Accept"] = accept
             conn.request(method, path, body=payload, headers=headers)
             resp = conn.getresponse()
-            doc = json.loads(resp.read().decode("utf-8"))
+            raw = resp.read()
+            if resp.getheader("Content-Type") == BLOCK_CONTENT_TYPE:
+                doc = decode_result_body(raw)
+            else:
+                doc = json.loads(raw.decode("utf-8"))
             if resp.status >= 400:
                 raise ServiceError(
                     f"{method} {path} -> {resp.status}: "
@@ -98,8 +119,13 @@ class HttpServiceClient:
         return self._call("GET", f"/jobs/{job_id}")
 
     def result(self, job_id: str, timeout: float | None = 60.0) -> dict[str, Any]:
+        """The result document; ``records`` is a read-only
+        :class:`~repro.mapreduce.columnar.ResultBlock` viewing the
+        response body (JSON rows from a server that answers JSON)."""
         t = 60.0 if timeout is None else timeout
-        return self._call("GET", f"/jobs/{job_id}/result?timeout={t}")
+        return self._call(
+            "GET", f"/jobs/{job_id}/result?timeout={t}", accept=BLOCK_CONTENT_TYPE
+        )
 
     def cancel(self, job_id: str) -> bool:
         return bool(self._call("POST", f"/jobs/{job_id}/cancel")["cancelled"])

@@ -29,6 +29,7 @@ from collections import deque
 from collections.abc import Callable
 from typing import Any
 
+from repro.mapreduce.columnar import ResultBlock
 from repro.service.api import (
     CANCELLED,
     DONE,
@@ -68,7 +69,8 @@ class ServiceJob:
         self.started_at: float | None = None
         self.finished_at: float | None = None
         # Result-side fields, set by the service runner.
-        self.records: list | None = None   # canonical records
+        #: The result, in the one form every encoder reads.
+        self.records: ResultBlock | None = None
         #: Outlives ``records``, which :meth:`evict_records` drops.
         self.num_records = 0
         self.digest: str | None = None
@@ -134,7 +136,14 @@ class ServiceJob:
             self.records = None
 
     def status(self) -> dict[str, Any]:
+        return self.snapshot()[0]
+
+    def snapshot(self) -> tuple[dict[str, Any], ResultBlock | None]:
+        """The status document and the records it describes, from one
+        read of the job: a finished job's document says ``"evicted"``
+        exactly when the records returned with it are ``None``."""
         with self.lock:
+            records = self.records
             doc: dict[str, Any] = {
                 "id": self.id,
                 "state": self.state,
@@ -157,12 +166,12 @@ class ServiceJob:
             if self.digest is not None:
                 doc["digest"] = self.digest
                 doc["num_records"] = self.num_records
-                if self.records is None:
+                if records is None:
                     doc["evicted"] = True
             progress = self.progress
         if progress is not None:
             doc["progress"] = progress.snapshot()
-        return doc
+        return doc, records
 
 
 class JobQueue:

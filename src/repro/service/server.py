@@ -3,10 +3,13 @@
 A deliberately small HTTP/1.1 implementation over ``asyncio.start_server``
 — no framework, no new dependencies.  The asyncio loop only parses and
 routes; what can block or is heavy (submitting under the admission lock,
-encoding a result body, which can be hundreds of KB) runs in the default
-executor.  Waiting for a job does not: a ``/result`` connection parks on
-a future the job's terminal transition completes, so any number of
-blocked waiters hold no thread and can never starve a submission of one.
+encoding a JSON result body, which can be hundreds of KB) runs in the
+default executor.  Waiting for a job does not: a ``/result`` connection
+parks on a future the job's terminal transition completes, so any number
+of blocked waiters hold no thread and can never starve a submission of
+one.  Nor does the binary result body (``Accept:
+application/x-repro-block``; ``docs/SERVICE.md``, "Wire format"): the
+job already holds its bytes, so the loop only frames them.
 
 Routes::
 
@@ -17,7 +20,8 @@ Routes::
     POST /query              QueryRequest JSON -> 202 {"job": id}
     GET  /jobs               every job's status doc
     GET  /jobs/<id>          one live status doc (ProgressTracker feed)
-    GET  /jobs/<id>/result   block (``?timeout=S``) for records + digest
+    GET  /jobs/<id>/result   block (``?timeout=S``) for records + digest;
+                             JSON, or the binary body when asked for
     POST /jobs/<id>/cancel   cancel a queued job
     POST /shutdown           drain nothing, stop serving, exit cleanly
 
@@ -29,14 +33,17 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+import math
+from typing import Any, NamedTuple
 
 from repro.errors import ReproError
 from repro.service.api import (
+    BLOCK_CONTENT_TYPE,
     AdmissionError,
     QueryRequest,
     UnknownDatasetError,
     UnknownJobError,
+    encode_result_body,
 )
 from repro.service.jobs import ServiceJob
 from repro.service.service import QueryService
@@ -45,6 +52,34 @@ _MAX_BODY = 8 << 20
 #: Cap on a result wait (a client that hangs up is dropped at once; this
 #: bounds the ones that stay connected and silent).
 _MAX_RESULT_WAIT = 600.0
+
+
+class _Encoded(NamedTuple):
+    """A response body that is already bytes."""
+
+    content_type: str
+    payload: bytes
+
+
+def _result_timeout(query: str) -> float:
+    """``?timeout=S`` of a result request, capped; ``ValueError`` (a
+    400) unless it is a finite, non-negative number — ``nan`` would
+    slip through ``min`` and never fire."""
+    timeout = _MAX_RESULT_WAIT
+    for piece in query.split("&"):
+        if piece.startswith("timeout="):
+            timeout = float(piece[8:])
+            if not (math.isfinite(timeout) and timeout >= 0):
+                raise ValueError(f"timeout must be finite and >= 0, got {piece[8:]!r}")
+    return min(timeout, _MAX_RESULT_WAIT)
+
+
+def _accepts_block(accept: str) -> bool:
+    """Does an ``Accept`` header name the binary result body's type?"""
+    return any(
+        item.split(";")[0].strip().lower() == BLOCK_CONTENT_TYPE
+        for item in accept.split(",")
+    )
 
 
 class ServiceServer:
@@ -112,7 +147,9 @@ class ServiceServer:
                 await self._respond(writer, 413, {"error": "body too large"})
                 return
             body = await reader.readexactly(length) if length else b""
-            status, doc = await self._route(method.upper(), target, body, reader)
+            status, doc = await self._route(
+                method.upper(), target, headers, body, reader
+            )
             await self._respond(writer, status, doc)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
@@ -126,15 +163,17 @@ class ServiceServer:
     async def _respond(
         self, writer: asyncio.StreamWriter, status: int, doc: Any
     ) -> None:
-        """Send ``doc`` as the JSON body (``bytes`` are a body some
-        executor thread already encoded)."""
-        payload = doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8")
+        """Send ``doc`` as the JSON body, or an :class:`_Encoded` body
+        as what it says it is."""
+        if not isinstance(doc, _Encoded):
+            doc = _Encoded("application/json", json.dumps(doc).encode("utf-8"))
+        content_type, payload = doc
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 408: "Request Timeout",
                   413: "Payload Too Large", 500: "Internal Server Error"}
         head = (
             f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
-            f"Content-Type: application/json\r\n"
+            f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n"
         )
@@ -193,7 +232,12 @@ class ServiceServer:
         raise TimeoutError(f"job {job.id} still {job.state!r} after {timeout}s")
 
     async def _route(
-        self, method: str, target: str, body: bytes, reader: asyncio.StreamReader
+        self,
+        method: str,
+        target: str,
+        headers: dict[str, str],
+        body: bytes,
+        reader: asyncio.StreamReader,
     ) -> tuple[int, Any]:
         path, _, query = target.partition("?")
         parts = [p for p in path.split("/") if p]
@@ -226,17 +270,23 @@ class ServiceServer:
                 and parts[0] == "jobs"
                 and parts[2] == "result"
             ):
-                timeout = _MAX_RESULT_WAIT
-                for piece in query.split("&"):
-                    if piece.startswith("timeout="):
-                        timeout = min(float(piece[8:]), _MAX_RESULT_WAIT)
-
+                timeout = _result_timeout(query)
                 await self._wait_finished(svc.get_job(parts[1]), timeout, reader)
+                if _accepts_block(headers.get("accept", "")):
+                    # The job holds the block's bytes; framing them is
+                    # a small ``json.dumps`` and one copy.
+                    return 200, _Encoded(
+                        BLOCK_CONTENT_TYPE,
+                        encode_result_body(*svc.result_block(parts[1], timeout=0)),
+                    )
 
-                def encoded_result() -> bytes:
+                def encoded_result() -> _Encoded:
                     # A few hundred KB of ``json.dumps`` on the event
                     # loop would stall every other connection.
-                    return json.dumps(svc.result(parts[1], timeout=0)).encode("utf-8")
+                    return _Encoded(
+                        "application/json",
+                        json.dumps(svc.result(parts[1], timeout=0)).encode("utf-8"),
+                    )
 
                 return 200, await loop.run_in_executor(None, encoded_result)
             if (

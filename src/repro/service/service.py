@@ -24,7 +24,11 @@ cannot run without a second thread gets per-job thread pools
 (:func:`execution_mode`; ``docs/SERVICE.md``, "Execution model").  Jobs
 of every engine and data plane run side by side over one shared
 dataset; results are canonicalized and digested exactly like the
-verification oracle's, so every consumer can check byte-identity.
+verification oracle's, so every consumer can check byte-identity.  A
+finished job keeps its result as one packed
+:class:`~repro.mapreduce.columnar.ResultBlock` — the bytes the binary
+result body ships — and the JSON rows are built from its columns on
+demand; the canonical record list exists only while it is digested.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from repro.arrays.slab import Slab
 from repro.errors import ReproError
 from repro.faults import InjectionPlan, RecoveryModel
+from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.obs import (
     EventBus,
@@ -63,12 +68,27 @@ from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
 from repro.spec import SpeculationPolicy
 from repro.verify.explorer import failure_types
-from repro.verify.oracle import records_digest
+from repro.verify.oracle import canonicalize_records, records_digest
 
 
-def records_to_json(records: list) -> list:
-    """Canonical records -> JSON-safe rows (key tuples become lists)."""
+def records_to_json(records: ResultBlock | list) -> list:
+    """Canonical records -> JSON-safe rows (key tuples become lists);
+    a block's rows are zipped from its two columns."""
+    if isinstance(records, ResultBlock):
+        return list(
+            map(list, zip(records.key_rows.tolist(), records.value_list()))
+        )
     return [[list(key), value] for key, value in records]
+
+
+def digest_and_block(out: ResultBlock | list) -> tuple[str, ResultBlock]:
+    """A job's output (:meth:`JobResult.all_records`) as what the
+    service keeps of it: the oracle-grade digest and one packed block.
+    The canonical record list exists only inside this call, for
+    ``records_digest`` to hash its ``repr``."""
+    records = canonicalize_records(out)
+    block = out if isinstance(out, ResultBlock) else ResultBlock.from_records(records)
+    return records_digest(records), block.packed()
 
 
 def execution_mode(engine: str, speculate: bool) -> str:
@@ -216,21 +236,27 @@ class QueryService:
             doc["counters"] = dict(job.counters)
         return doc
 
-    def result(self, job_id: str, timeout: float | None = None) -> dict[str, Any]:
-        """Block until the job is terminal; status doc plus records
-        (a job older than the ``RECENT_JOBS`` most recent results has
-        none left: its doc says ``"evicted": true``)."""
+    def result_block(
+        self, job_id: str, timeout: float | None = None
+    ) -> tuple[dict[str, Any], ResultBlock | None]:
+        """Block until the job is terminal; its status doc and its
+        records as the stored block — ``None`` for a job that has none
+        (failed, cancelled) or has none left (older than the
+        ``RECENT_JOBS`` most recent results: its doc says ``"evicted":
+        true``)."""
         job = self.get_job(job_id)
         if not job.wait(timeout):
             raise TimeoutError(
                 f"job {job_id} still {job.state!r} after {timeout}s"
             )
-        # Records before the doc: if they were evicted in between, the
-        # doc, taken later, says so.
-        records = job.records
-        doc = job.status()
-        if records is not None:
-            doc["records"] = records_to_json(records)
+        return job.snapshot()
+
+    def result(self, job_id: str, timeout: float | None = None) -> dict[str, Any]:
+        """:meth:`result_block` as one JSON-safe document: the status
+        doc, with the block's rows under ``records`` when it has one."""
+        doc, block = self.result_block(job_id, timeout)
+        if block is not None:
+            doc["records"] = records_to_json(block)
         return doc
 
     def cancel(self, job_id: str) -> bool:
@@ -356,11 +382,11 @@ class QueryService:
                 mode=execution_mode(req.engine, req.speculate), obs=obs,
             )
             run_seconds = time.perf_counter() - t1
-            records = res.canonical_records()
+            digest, block = digest_and_block(res.all_records())
             job.finish(
                 DONE,
-                records=records,
-                digest=records_digest(records),
+                records=block,
+                digest=digest,
                 partial=res.partial,
                 run_seconds=run_seconds,
                 counters=dict(res.counters.as_dict()),

@@ -38,6 +38,7 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.faults import RecoveryModel
+from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.obs import JobObservability
 from repro.query.splits import slice_splits
@@ -133,6 +134,9 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     case's tile for the pruning legs), submitted via the in-process
     client path, and the *served* digest folded into the differential
     ladder.  Expected-failure cases must come back ``failed`` here too.
+    The job's block also crosses the wire codec: records decoded from
+    its bytes must digest to what the document says, or the leg reads
+    ``diverged``.
     """
     from repro.service import QueryRequest, QueryService
     from repro.service.api import DONE
@@ -163,7 +167,9 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
             hang_timeout=HANG_TIMEOUT,
         )
         try:
-            doc = service.result(service.submit(request), timeout=120.0)
+            doc, block = service.result_block(
+                service.submit(request), timeout=120.0
+            )
         except TimeoutError:
             return ConfigOutcome(
                 "service", plane, "failed", ("TimeoutError",), None, prune
@@ -171,7 +177,13 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     finally:
         service.close()
     if doc["state"] == DONE:
-        return ConfigOutcome("service", plane, "ok", (), doc["digest"], prune)
+        decoded = ResultBlock.from_bytes(block.to_bytes())
+        status = (
+            "ok"
+            if records_digest(decoded.canonical_records()) == doc["digest"]
+            else "diverged"
+        )
+        return ConfigOutcome("service", plane, status, (), doc["digest"], prune)
     return ConfigOutcome(
         "service", plane, "failed",
         tuple(doc.get("error_types") or ()), None, prune,

@@ -1,19 +1,24 @@
 """The columnar plane's result type and its no-per-key-loop guard.
 
 ``ResultBlock`` is what a columnar reduce returns: parallel key/value
-columns that read as the record list the reduce used to build.  The
-guard at the bottom counts interpreter-level calls made by
-``run_columnar_reduce`` and fails if they grow with the number of keys —
-a per-key Python loop cannot creep back in unnoticed.
+columns that read as the record list the reduce used to build, with one
+byte form that the service stores and ships.  The guard at the bottom
+counts interpreter-level calls made by ``run_columnar_reduce`` — and by
+building the binary result body from its block — and fails if they grow
+with the number of keys: a per-key Python loop cannot creep back in
+unnoticed.
 """
 
 import gc
 import pickle
+import struct
 import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ShuffleError
 from repro.mapreduce.columnar import (
@@ -28,6 +33,7 @@ from repro.obs import JobObservability
 from repro.obs.trace import EngineTrace
 from repro.query.columnar import batch_operator_for
 from repro.query.operators import get_operator
+from repro.service.api import ServiceError, decode_result_body, encode_result_body
 from repro.verify.oracle import canonicalize_records
 
 RECORDS = [((0, 1), 1.5), ((0, 2), -2.0), ((1, 0), 0.25)]
@@ -109,6 +115,143 @@ class TestResultBlock:
             canonicalize_records(list(block))
         )
         assert canonicalize_records(block) == block.canonical_records()
+
+
+# --------------------------------------------------------------------- #
+# Byte form
+# --------------------------------------------------------------------- #
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+#: One value per row, by column kind.
+_COLUMNS = {
+    "float": lambda n: st.lists(_FLOATS, min_size=n, max_size=n).map(np.asarray),
+    "int": lambda n: st.lists(
+        st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
+    ).map(lambda v: np.asarray(v, dtype=np.int64)),
+    "ragged": lambda n: st.lists(
+        st.lists(_FLOATS, max_size=4), min_size=n, max_size=n
+    ),
+    "range_exceeds": lambda n: st.lists(
+        st.fixed_dictionaries({"exceeds": st.booleans(), "variation": _FLOATS}),
+        min_size=n, max_size=n,
+    ),
+}
+
+
+@st.composite
+def blocks(draw, kind=None, min_rows=1):
+    """A block in key order: 1-4 key columns, one of the value kinds."""
+    rank = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * rank),
+            min_size=min_rows, max_size=8, unique=True,
+        )
+    )
+    keys = np.asarray(sorted(rows), dtype=np.int64).reshape(len(rows), rank)
+    kind = kind or draw(st.sampled_from(sorted(_COLUMNS)))
+    return ResultBlock(keys, draw(_COLUMNS[kind](len(rows))))
+
+
+class TestByteForm:
+    @given(blocks(min_rows=0))
+    def test_round_trip_is_repr_identical(self, block):
+        data = block.to_bytes()
+        clone = ResultBlock.from_bytes(data)
+        assert repr(clone.canonical_records()) == repr(block.canonical_records())
+        assert clone.to_bytes() == data
+        assert not clone.key_rows.flags.writeable
+        if isinstance(clone.values, np.ndarray):
+            assert not clone.values.flags.writeable
+        # a writable buffer does not make the views writable
+        again = ResultBlock.from_bytes(bytearray(data))
+        assert not again.key_rows.flags.writeable
+        assert again.to_bytes() == data
+
+    def test_special_floats_keep_their_repr(self):
+        column = np.asarray([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
+        block = ResultBlock(np.arange(6).reshape(6, 1), column)
+        clone = ResultBlock.from_bytes(block.to_bytes())
+        assert repr(clone.canonical_records()) == repr(block.canonical_records())
+        assert repr(clone[3][1]) == "-0.0" and repr(clone[0][1]) == "nan"
+
+    def test_empty_blocks_share_one_encoding(self):
+        rank0 = ResultBlock.empty()
+        rank3 = ResultBlock(np.empty((0, 3), dtype=np.int64), [])
+        assert rank0.to_bytes() == rank3.to_bytes()
+        assert block_of(RECORDS)[:0].to_bytes() == rank0.to_bytes()
+        clone = ResultBlock.from_bytes(rank3.to_bytes())
+        assert len(clone) == 0 and clone.canonical_records() == []
+
+    @given(blocks(kind="float"))
+    def test_equal_canonical_records_give_equal_bytes(self, block):
+        """Whatever holds the column — float array, list of floats, the
+        record plane's ``from_records`` — and whichever NaN it holds."""
+        data = block.to_bytes()
+        as_list = ResultBlock(block.key_rows, block.values.tolist())
+        assert as_list.to_bytes() == data
+        assert ResultBlock.from_records(block.canonical_records()).to_bytes() == data
+        flipped = np.where(np.isnan(block.values), -block.values, block.values)
+        assert ResultBlock(block.key_rows, flipped).to_bytes() == data
+
+    def test_mixed_numbers_stay_what_they_are(self):
+        block = ResultBlock(np.asarray([[0], [1]]), [1, 2.0])
+        clone = ResultBlock.from_bytes(block.to_bytes())
+        assert repr(clone.canonical_records()) == "[((0,), 1), ((1,), 2.0)]"
+
+    @given(blocks(), st.data())
+    def test_damaged_buffers_raise(self, block, data):
+        good = block.to_bytes()
+        cut = data.draw(st.integers(0, len(good) - 1))
+        with pytest.raises(ShuffleError):
+            ResultBlock.from_bytes(good[:cut])
+        extra = data.draw(st.binary(min_size=1, max_size=9))
+        with pytest.raises(ShuffleError):
+            ResultBlock.from_bytes(good + extra)
+
+    def test_bad_headers_raise(self):
+        good = block_of(RECORDS).to_bytes()
+        assert good[4] == 0  # the value tag
+        with pytest.raises(ShuffleError, match="value tag 7"):
+            ResultBlock.from_bytes(good[:4] + b"\x07" + good[5:])
+        with pytest.raises(ShuffleError, match="magic"):
+            ResultBlock.from_bytes(b"NOPE" + good[4:])
+        # a row count the buffer cannot hold is refused, not allocated
+        huge = good[:8] + struct.pack("<Q", 2**62) + good[16:]
+        with pytest.raises(ShuffleError):
+            ResultBlock.from_bytes(huge)
+        ragged = ResultBlock(np.asarray([[0], [1]]), [[1.0], []]).to_bytes()
+        short = ragged.replace(b"[[1.0],[]]", b"[[1.0]]   ")
+        assert len(short) == len(ragged)
+        with pytest.raises(ShuffleError, match="list of 2"):
+            ResultBlock.from_bytes(short)
+
+    def test_packed_block_owns_one_buffer(self):
+        source = np.arange(12.0)
+        block = ResultBlock(np.arange(24).reshape(12, 2)[::2], source[::2])
+        packed = block.packed()
+        assert packed == block
+        assert packed.to_bytes() is packed.to_bytes()
+        assert packed.to_bytes() == block.to_bytes()
+        for array in (packed.key_rows, packed.values):
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, source)
+        # a slice of it is its own block, not the whole buffer again
+        assert ResultBlock.from_bytes(packed[1:3].to_bytes()) == list(block)[1:3]
+
+    @given(blocks(min_rows=0))
+    def test_result_body_round_trip(self, block):
+        doc = {"id": "j00001", "state": "done", "num_records": len(block)}
+        body = encode_result_body(doc, block)
+        got = decode_result_body(body)
+        records = got.pop("records")
+        assert got == doc
+        assert isinstance(records, ResultBlock)
+        assert repr(records.canonical_records()) == repr(block.canonical_records())
+        assert records.key_rows.flags.aligned
+        assert decode_result_body(encode_result_body(doc, None)) == doc
+        for damaged in (body[:5], body[:-1], body + b"\0", b"\xff" * 8 + body[8:]):
+            with pytest.raises(ServiceError):
+                decode_result_body(damaged)
 
 
 class TestJobResult:
@@ -242,6 +385,24 @@ class TestNoPerKeyLoop:
             assert large - small <= n
         else:
             assert large == small
+
+    @pytest.mark.parametrize("name", [n for n in OPERATORS if n not in RAGGED])
+    def test_binary_body_call_count_does_not_grow_with_keys(self, name):
+        """Packing the reduce output (what the service does once per
+        job) and framing the body (once per fetch) visit no key."""
+
+        def body_calls(groups):
+            _, block = _reduce_calls(name, groups)
+            return _count_calls(
+                lambda: encode_result_body({"state": "done"}, block.packed())
+            )
+
+        n = 500
+        small, body = body_calls(n)
+        large, doubled = body_calls(2 * n)
+        assert len(decode_result_body(body)["records"]) == n
+        assert len(decode_result_body(doubled)["records"]) == 2 * n
+        assert large == small
 
     def test_the_counter_sees_a_per_key_loop(self):
         """What this guards against does trip it: the loop the reduce

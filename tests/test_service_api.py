@@ -27,7 +27,17 @@ from repro.service import (
     records_to_json,
     service_fixture,
 )
-from repro.service.api import DONE, FAILED, QUEUED, TERMINAL_STATES
+from repro.mapreduce.columnar import ResultBlock
+from repro.service.api import (
+    BLOCK_CONTENT_TYPE,
+    DONE,
+    FAILED,
+    QUEUED,
+    TERMINAL_STATES,
+    decode_result_body,
+    encode_result_body,
+)
+from repro.verify.oracle import records_digest
 
 
 def small_data(seed=0, shape=(12, 10)):
@@ -197,6 +207,58 @@ class TestInProcessService:
         with pytest.raises(AdmissionError, match="shut down"):
             service.submit(mean_request())
 
+    @pytest.mark.parametrize("body", ["json", "binary"])
+    def test_eviction_cannot_split_records_from_their_document(self, body):
+        """Regression: ``result`` read ``job.records`` and then
+        ``job.status()``; an eviction landing between the two gave a
+        document that said ``"evicted": true`` and carried records."""
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", small_data())
+            job = svc.get_job(client.submit(mean_request()))
+            assert "records" in client.result(job.id)
+            lock = job.lock
+
+            class EvictingLock:
+                """Evicts as the lock is first taken: after any read
+                made before it, before every read made under it."""
+
+                def __enter__(self):
+                    lock.acquire()
+                    job.lock, job.records = lock, None
+
+                def __exit__(self, *exc):
+                    lock.release()
+
+            job.lock = EvictingLock()
+            if body == "json":
+                doc = client.result(job.id)
+            else:
+                doc = decode_result_body(
+                    encode_result_body(*svc.result_block(job.id))
+                )
+            assert job.records is None
+            assert ("records" in doc) != doc.get("evicted", False)
+
+    def test_stored_result_is_one_packed_block(self):
+        """The job keeps the block and nothing beside it; the JSON rows
+        are built from its columns on demand."""
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", small_data())
+            for plane in ("record", "columnar"):
+                req = mean_request(data_plane=plane)
+                records, digest = oracle_for_request(svc, req)
+                doc = client.query(req)
+                stored = svc.get_job(doc["id"]).records
+                assert isinstance(stored, ResultBlock)
+                assert stored.to_bytes() is stored.to_bytes()
+                assert not stored.key_rows.flags.writeable
+                assert repr(stored.canonical_records()) == repr(records)
+                assert doc["records"] == records_to_json(stored)
+                assert doc["records"] == records_to_json(records)
+                assert doc["digest"] == digest
+
     def test_result_timeout_raises(self):
         with service_fixture(workers=1, start_paused=True) as client:
             client.service.register_array("d", "v", small_data())
@@ -307,8 +369,15 @@ class TestHttpServer:
         client, service, path, data = live_server
         client.open_dataset("d", path)
         job_id = client.submit(mean_request())
-        with pytest.raises(Exception, match="400"):
-            client._call("GET", f"/jobs/{job_id}/result?timeout=abc")
+        # ``nan`` used to slip through ``min(nan, 600)`` into a wait
+        # that never fired; the pause proves the 400 comes unwaited.
+        service.queue.pause()
+        parked = client.submit(mean_request())
+        for bad in ("abc", "nan", "inf", "-inf", "-1", ""):
+            with pytest.raises(Exception, match="400"):
+                client._call("GET", f"/jobs/{parked}/result?timeout={bad}")
+        assert service.get_job(parked)._waiters == []
+        service.queue.resume()
         assert client.result(job_id)["state"] == DONE
 
     def test_result_body_is_the_documents_json(self, live_server):
@@ -328,6 +397,118 @@ class TestHttpServer:
         finally:
             conn.close()
         assert wire == json.dumps(service.result(job_id)).encode("utf-8")
+
+    @staticmethod
+    def _get_result(client, job_id, accept=None):
+        """``(Content-Type, body)`` of one raw ``GET .../result``."""
+        import http.client
+
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request(
+                "GET", f"/jobs/{job_id}/result",
+                headers={} if accept is None else {"Accept": accept},
+            )
+            resp = conn.getresponse()
+            return resp.getheader("Content-Type"), resp.read()
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "operator",
+        ["sum", "count", "mean", "min", "max", "stddev", "range",
+         "range_exceeds", "filter_gt", "median", "sort"],
+    )
+    def test_negotiated_body_carries_the_same_records(self, live_server, operator):
+        """Binary body ≡ JSON body ≡ oracle, per operator, both planes."""
+        import json
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        threshold = 3.0 if operator in ("range_exceeds", "filter_gt") else None
+        for plane in ("columnar", "record"):
+            req = mean_request(
+                operator=operator, threshold=threshold, data_plane=plane
+            )
+            records, digest = oracle_for_request(service, req)
+            doc = client.query(req)
+            block = doc.pop("records")
+            assert isinstance(block, ResultBlock)
+            assert not block.key_rows.flags.writeable
+
+            ctype, body = self._get_result(client, doc["id"])
+            assert ctype == "application/json"
+            plain = json.loads(body)
+            rows = plain.pop("records")
+            assert plain == doc
+            assert doc["digest"] == digest
+            assert doc["num_records"] == len(block) == len(records)
+            assert (
+                repr(block.canonical_records())
+                == repr([(tuple(key), value) for key, value in rows])
+                == repr(records)
+            )
+            assert records_digest(block.canonical_records()) == digest
+
+    @pytest.mark.parametrize(
+        "accept,binary",
+        [
+            (BLOCK_CONTENT_TYPE, True),
+            (f"application/json;q=0.5, {BLOCK_CONTENT_TYPE.upper()} ;v=1", True),
+            ("application/json", False),
+            ("*/*", False),
+            ("application/x-repro-blockade", False),
+        ],
+    )
+    def test_binary_body_only_when_accept_names_it(self, live_server, accept, binary):
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        job_id = client.submit(mean_request())
+        client.result(job_id)
+        ctype, body = self._get_result(client, job_id, accept)
+        assert ctype == (BLOCK_CONTENT_TYPE if binary else "application/json")
+        if binary:
+            assert decode_result_body(body)["records"] == service.get_job(job_id).records
+        else:
+            assert body == self._get_result(client, job_id)[1]
+
+    def test_jobs_without_records_over_the_binary_path(self, live_server):
+        """Failed and evicted jobs are their status document and no
+        block; a partial job is its document and the partitions that
+        committed — each the same as over JSON."""
+        import json
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        hang = dict(
+            fault_rules=({"task": "map", "fault": "hang", "indices": [0],
+                          "times": 5},),
+            max_attempts=2, deadline=0.2,
+        )
+        failed = client.query(mean_request(on_deadline="fail", **hang))
+        partial = client.query(mean_request(on_deadline="partial", **hang))
+        evicted = client.query(mean_request())
+        service.get_job(evicted["id"]).evict_records()
+        evicted = client.result(evicted["id"])
+
+        assert failed["state"] == FAILED and "records" not in failed
+        assert failed["error_types"] == ["DeadlineExceededError"]
+        assert evicted["state"] == DONE and evicted["evicted"] is True
+        assert "records" not in evicted and evicted["num_records"] > 0
+        assert partial["state"] == DONE and partial["partial"] is True
+        assert len(partial["records"]) == partial["num_records"]
+        for doc in (failed, partial, evicted):
+            ctype, body = self._get_result(client, doc["id"], BLOCK_CONTENT_TYPE)
+            assert ctype == BLOCK_CONTENT_TYPE
+            plain = json.loads(self._get_result(client, doc["id"])[1])
+            assert ("records" in plain) == ("records" in doc)
+            if "records" in doc:
+                assert records_to_json(doc.pop("records")) == plain.pop("records")
+            else:
+                # nothing follows the document
+                assert decode_result_body(body) == doc
+                assert len(body) == 8 + int.from_bytes(body[:8], "little")
+            assert doc == plain
 
     def test_parked_result_waiters_hold_no_thread(self, live_server):
         """Regression: each blocked ``/result`` parked one default-

@@ -298,3 +298,21 @@ class TestServiceLeg:
         assert result.ok, result.mismatch
         assert len(calls) == 2  # both planes went through the service
         assert all(o.mode == "service" for o in result.outcomes)
+
+    def test_a_lossy_wire_codec_reads_as_diverged(self, monkeypatch):
+        """The service legs decode the job's block from its bytes: a
+        codec that drops a row fails the case although the served digest
+        is right."""
+        from repro.mapreduce.columnar import ResultBlock
+
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", "service")
+        assert run_case(base_case("mean")).ok
+        real = ResultBlock.from_bytes.__func__
+        monkeypatch.setattr(
+            ResultBlock, "from_bytes",
+            classmethod(lambda cls, data: real(cls, data)[:-1]),
+        )
+        result = run_case(base_case("mean"))
+        assert not result.ok
+        assert {o.status for o in result.outcomes} == {"diverged"}
+        assert all(o.digest == result.oracle_digest for o in result.outcomes)
