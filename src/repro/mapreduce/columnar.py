@@ -249,7 +249,9 @@ class ResultBlock(Sequence):
 
     :meth:`to_bytes` / :meth:`from_bytes` are the block's one byte form
     (``docs/SERVICE.md``, "Wire format"): equal canonical records give
-    equal bytes, whichever plane or operator produced the columns.
+    equal bytes, whichever plane or operator produced the columns, and
+    the SHA-256 of those bytes is the result's digest
+    (:func:`repro.verify.oracle.records_digest`).
     """
 
     __slots__ = ("key_rows", "values", "_packed")
@@ -273,14 +275,21 @@ class ResultBlock(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[KeyValue]) -> "ResultBlock":
-        """Block holding ``records``, their values kept as given."""
+        """Block holding ``records``, their values kept as given.  Keys
+        that are not integer coordinate tuples of one rank raise: a
+        cast would make ``(1.5,)``, ``1`` and ``(1,)`` the same row."""
         records = list(records)
         if not records:
             return cls.empty()
-        keys = np.asarray([key for key, _ in records], dtype=np.int64)
-        return cls(
-            keys.reshape(len(records), -1), [v for _, v in records]
-        )._in_key_order()
+        try:
+            keys = np.asarray([key for key, _ in records])
+        except ValueError:  # ragged: numpy refuses mixed ranks
+            keys = None
+        if keys is None or keys.ndim != 2 or keys.dtype.kind != "i":
+            raise ShuffleError(
+                "record keys must be integer coordinate tuples of one rank"
+            )
+        return cls(keys, [v for _, v in records])._in_key_order()
 
     @classmethod
     def concatenate(cls, blocks: Sequence["ResultBlock"]) -> "ResultBlock":

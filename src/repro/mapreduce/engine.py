@@ -532,9 +532,10 @@ class JobResult:
 
     def canonical_records(self) -> list[KeyValue]:
         """The job's output in the verifier's canonical form (plain
-        Python values, key order) — what gets digested and served.  A
-        block's columns convert with two ``tolist()`` calls; record
-        lists take the generic per-value walk."""
+        Python values, key order) — the records whose byte form is
+        digested and served.  A block's columns convert with two
+        ``tolist()`` calls; record lists take the generic per-value
+        walk."""
         # Imported here: ``repro.verify`` imports this module.
         from repro.verify.oracle import canonicalize_records
 

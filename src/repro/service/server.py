@@ -26,7 +26,9 @@ Routes::
     POST /shutdown           drain nothing, stop serving, exit cleanly
 
 Errors map to JSON bodies: 400 for admission/validation, 404 for
-unknown dataset/job, 408 for a result-wait timeout, 500 otherwise.
+unknown dataset/job, 408 for a result-wait timeout, 431 for a request
+line or header line over the stream reader's 64 KiB limit or more than
+``_MAX_HEADER_LINES`` header lines, 500 otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+from http import HTTPStatus
 from typing import Any, NamedTuple
 
 from repro.errors import ReproError
@@ -49,6 +52,12 @@ from repro.service.jobs import ServiceJob
 from repro.service.service import QueryService
 
 _MAX_BODY = 8 << 20
+#: Header lines a request may carry; each is bounded by the stream
+#: reader's line limit (64 KiB), so this bounds the ``headers`` dict.
+_MAX_HEADER_LINES = 100
+#: How long a refused request's unread input is swallowed before the
+#: socket closes.
+_LINGER_SECONDS = 1.0
 #: Cap on a result wait (a client that hangs up is dropped at once; this
 #: bounds the ones that stay connected and silent).
 _MAX_RESULT_WAIT = 600.0
@@ -80,6 +89,47 @@ def _accepts_block(accept: str) -> bool:
         item.split(";")[0].strip().lower() == BLOCK_CONTENT_TYPE
         for item in accept.split(",")
     )
+
+
+async def _read_head(reader: asyncio.StreamReader) -> tuple[bytes, dict[str, str]]:
+    """The request line (empty: the client sent nothing) and the
+    headers.  ``ValueError`` — ``readline``'s own for a line over the
+    reader's limit — when the head is larger than we accept."""
+    request_line = await reader.readline()
+    headers: dict[str, str] = {}
+    if not request_line:
+        return request_line, headers
+    for _ in range(_MAX_HEADER_LINES + 1):
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return request_line, headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise ValueError(f"more than {_MAX_HEADER_LINES} header lines")
+
+
+async def _read_to_eof(reader: asyncio.StreamReader) -> None:
+    """Discard input until the client closes its end."""
+    try:
+        while await reader.read(65536):
+            pass
+    except ConnectionError:
+        pass
+
+
+async def _swallow_input(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """After the reply to a request that was not read to its end:
+    half-close, then discard what the client is still sending.  Closing
+    a socket with unread input resets the connection, and the reset can
+    overtake the reply."""
+    if writer.can_write_eof():
+        writer.write_eof()
+    try:
+        await asyncio.wait_for(_read_to_eof(reader), _LINGER_SECONDS)
+    except TimeoutError:
+        pass
 
 
 class ServiceServer:
@@ -119,7 +169,14 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
+            try:
+                request_line, headers = await _read_head(reader)
+            except ValueError as exc:
+                await self._respond(
+                    writer, 431, {"error": f"request head too large: {exc}"}
+                )
+                await _swallow_input(reader, writer)
+                return
             if not request_line:
                 return
             try:
@@ -127,13 +184,6 @@ class ServiceServer:
             except ValueError:
                 await self._respond(writer, 400, {"error": "malformed request line"})
                 return
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
             try:
                 length = int(headers.get("content-length", "0") or "0")
             except ValueError:
@@ -168,11 +218,8 @@ class ServiceServer:
         if not isinstance(doc, _Encoded):
             doc = _Encoded("application/json", json.dumps(doc).encode("utf-8"))
         content_type, payload = doc
-        reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                  404: "Not Found", 408: "Request Timeout",
-                  413: "Payload Too Large", 500: "Internal Server Error"}
         head = (
-            f"HTTP/1.1 {status} {reason.get(status, 'OK')}\r\n"
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n"
@@ -206,17 +253,10 @@ class ServiceServer:
             except RuntimeError:  # the loop closed under a parked waiter
                 pass
 
-        async def hung_up() -> None:
-            # One request per connection: the client sends nothing more,
-            # so the read ends only when it closes its end.
-            try:
-                while await reader.read(65536):
-                    pass
-            except ConnectionError:
-                pass
-
         job.add_waiter(wake)
-        gone = asyncio.ensure_future(hung_up())
+        # One request per connection: the client sends nothing more, so
+        # the read ends only when it closes its end.
+        gone = asyncio.ensure_future(_read_to_eof(reader))
         try:
             done, _ = await asyncio.wait(
                 {finished, gone}, timeout=timeout,

@@ -23,12 +23,12 @@ on the queue worker thread that popped it, and only a request that
 cannot run without a second thread gets per-job thread pools
 (:func:`execution_mode`; ``docs/SERVICE.md``, "Execution model").  Jobs
 of every engine and data plane run side by side over one shared
-dataset; results are canonicalized and digested exactly like the
-verification oracle's, so every consumer can check byte-identity.  A
-finished job keeps its result as one packed
+dataset.  A finished job keeps its result as one packed
 :class:`~repro.mapreduce.columnar.ResultBlock` — the bytes the binary
-result body ships — and the JSON rows are built from its columns on
-demand; the canonical record list exists only while it is digested.
+result body ships — and its digest is the SHA-256 of those bytes, the
+verification oracle's own definition, so every consumer can check
+byte-identity; the JSON rows are built from the block's columns on
+demand, and a columnar job's output never becomes a record list.
 """
 
 from __future__ import annotations
@@ -83,12 +83,14 @@ def records_to_json(records: ResultBlock | list) -> list:
 
 def digest_and_block(out: ResultBlock | list) -> tuple[str, ResultBlock]:
     """A job's output (:meth:`JobResult.all_records`) as what the
-    service keeps of it: the oracle-grade digest and one packed block.
-    The canonical record list exists only inside this call, for
-    ``records_digest`` to hash its ``repr``."""
-    records = canonicalize_records(out)
-    block = out if isinstance(out, ResultBlock) else ResultBlock.from_records(records)
-    return records_digest(records), block.packed()
+    service keeps of it: one packed block and the oracle-grade digest,
+    the SHA-256 of that block's buffer — pack, then hash what was
+    packed.  A columnar job's block is never turned into records; a
+    record-plane list is canonicalized into one."""
+    if not isinstance(out, ResultBlock):
+        out = ResultBlock.from_records(canonicalize_records(out))
+    block = out.packed()
+    return records_digest(block), block
 
 
 def execution_mode(engine: str, speculate: bool) -> str:

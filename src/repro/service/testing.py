@@ -43,7 +43,10 @@ def service_fixture(**kwargs: Any):
 
 def oracle_for_request(service: QueryService, request: QueryRequest):
     """``(canonical records, digest)`` for a request — brute force over
-    the session's full data, sharing no code with the service run path."""
+    the session's full data, sharing no code with the service run path.
+    The digest is of the list's byte form (``records_digest``), which is
+    what a served job's digest — the SHA-256 of its stored block — must
+    equal."""
     session = service.registry.get(request.dataset)
     params = {}
     if request.threshold is not None:

@@ -40,6 +40,7 @@ from repro.verify.oracle import (
     CanonicalRecords,
     canonicalize_records,
     canonicalize_value,
+    checked_digest,
     oracle_records,
     records_digest,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "canonicalize_records",
     "canonicalize_value",
     "check_interleaving_invariants",
+    "checked_digest",
     "explore",
     "failure_types",
     "fuzz",

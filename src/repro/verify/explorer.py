@@ -11,7 +11,9 @@ interleaving:
   events, so a fold that raised means wrong numbers somewhere), and
 * the run's outcome is byte-identical (canonical digest) to a serial
   reference run — including *failure* outcomes: a job that fails
-  serially must fail under every interleaving too.
+  serially must fail under every interleaving too — and the byte form
+  the digest hashes decodes back to the run's own records (a run where
+  it does not reads ``diverged`` and counts as divergent).
 
 Fault plans compose naturally: pass an ``engine_factory`` that builds
 engines with faults/retry/recovery, and the explorer verifies that
@@ -31,7 +33,7 @@ from repro.mapreduce.job import JobConf
 from repro.obs import JobObservability
 from repro.verify.hooks import ChaosHook, RecordingHook
 from repro.verify.invariants import Violation, check_interleaving_invariants
-from repro.verify.oracle import records_digest
+from repro.verify.oracle import checked_digest
 
 #: make_job() must return a fresh (job, barrier) pair per call — jobs
 #: carry mutable context and must not be shared across runs.
@@ -52,7 +54,7 @@ class ScheduleRun:
     """Outcome of one explored interleaving."""
 
     schedule: int
-    status: str                          # "ok" | "failed"
+    status: str                          # "ok" | "failed" | "diverged"
     error_types: tuple[str, ...]
     digest: str | None                   # canonical output digest when ok
     num_events: int
@@ -149,7 +151,9 @@ def explore(
             violations=violations,
         )
         runs.append(run)
-        if (run.status, run.digest) != (baseline_status[0], baseline_digest):
+        if run.status == "diverged" or (run.status, run.digest) != (
+            baseline_status[0], baseline_digest
+        ):
             divergent.append(k)
         if metrics is not None:
             metrics.counter("verify.explorer.schedules").inc()
@@ -183,5 +187,6 @@ def _run(
         res = engine.run(job, barrier, mode=mode, obs=obs)
     except ReproError as exc:
         return ("failed", failure_types(exc)), None, (), obs.bus.listener_errors
-    digest = records_digest(res.canonical_records())
-    return ("ok", ()), digest, res.attempts, obs.bus.listener_errors
+    digest, consistent = checked_digest(res.all_records())
+    status = "ok" if consistent else "diverged"
+    return (status, ()), digest, res.attempts, obs.bus.listener_errors

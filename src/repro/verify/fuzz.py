@@ -2,9 +2,13 @@
 
 Every :class:`~repro.verify.cases.FuzzCase` is executed through six
 engine configurations — {serial, threaded, process} × {record,
-columnar} — and compared, byte-identically in canonical form, against
-the brute-force :mod:`~repro.verify.oracle`.  Expected-failure cases
-(crash faults) must instead fail in *every* configuration.
+columnar} — and compared, by the digest of its output's byte form,
+against the brute-force :mod:`~repro.verify.oracle`.  Every leg (and
+the oracle) also decodes its own bytes back and reads ``diverged``
+unless the records come out ``repr``-identical, so the codec that
+defines the digest is shown lossless on each compared output.
+Expected-failure cases (crash faults) must instead fail in *every*
+configuration.
 
 Prunable fault-free cases (``filter_gt``) additionally run a **predicate
 leg**: the same configurations with zone-map split skipping forced
@@ -51,7 +55,7 @@ from repro.verify.explorer import (
     explore,
     failure_types,
 )
-from repro.verify.oracle import canonicalize_records, oracle_records, records_digest
+from repro.verify.oracle import checked_digest, oracle_records, records_digest
 
 #: Engine configurations every case is pushed through.  The serial
 #: legs anchor the ladder (closest to the oracle); threaded and
@@ -134,14 +138,17 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     case's tile for the pruning legs), submitted via the in-process
     client path, and the *served* digest folded into the differential
     ladder.  Expected-failure cases must come back ``failed`` here too.
-    The job's block also crosses the wire codec: records decoded from
-    its bytes must digest to what the document says, or the leg reads
-    ``diverged``.
+    The job's block also crosses the wire codec, and the leg reads
+    ``diverged`` unless the served digest is the SHA-256 of the bytes
+    ``/result`` ships and — the service keeps nothing but those bytes,
+    so the oracle's list is the reference — a digest equal to the
+    oracle's comes with decoded records ``repr``-identical to the
+    oracle's.
     """
     from repro.service import QueryRequest, QueryService
     from repro.service.api import DONE
 
-    _, data = case.build()
+    plan, data = case.build()
     service = QueryService(workers=1, map_workers=2, reduce_workers=2)
     try:
         service.register_array(
@@ -177,13 +184,14 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     finally:
         service.close()
     if doc["state"] == DONE:
-        decoded = ResultBlock.from_bytes(block.to_bytes())
-        status = (
-            "ok"
-            if records_digest(decoded.canonical_records()) == doc["digest"]
-            else "diverged"
-        )
-        return ConfigOutcome("service", plane, status, (), doc["digest"], prune)
+        digest = doc["digest"]
+        status = "ok" if records_digest(block) == digest else "diverged"
+        if not case.expects_failure:
+            oracle = oracle_records(plan, data)
+            decoded = ResultBlock.from_bytes(block.to_bytes()).canonical_records()
+            if digest == records_digest(oracle) and repr(decoded) != repr(oracle):
+                status = "diverged"
+        return ConfigOutcome("service", plane, status, (), digest, prune)
     return ConfigOutcome(
         "service", plane, "failed",
         tuple(doc.get("error_types") or ()), None, prune,
@@ -203,7 +211,8 @@ class ConfigOutcome:
 
     mode: str
     data_plane: str
-    #: "ok" | "failed" | "diverged" (canonical fast path != generic walk)
+    #: "ok" | "failed" | "diverged" (the output's canonical records
+    #: differ between fast path, generic walk and its decoded bytes)
     status: str
     error_types: tuple[str, ...]
     digest: str | None
@@ -238,9 +247,10 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
         metrics.counter("verify.cases").inc()
 
     expected = None
+    oracle_lossless = True
     if not case.expects_failure:
         plan, data = case.build()
-        expected = records_digest(oracle_records(plan, data))
+        expected, oracle_lossless = checked_digest(oracle_records(plan, data))
 
     configs = _engine_configs()
     legs = [(mode, plane, False) for mode, plane in configs]
@@ -267,18 +277,19 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
             continue
         finally:
             listener_errors += obs.bus.listener_errors
-        records = res.canonical_records()
         # The column-wise fast path is checked against the generic
-        # per-value walk on every leg, not trusted instead of it.
-        walked = canonicalize_records(list(res.all_records()))
-        status = "ok" if repr(records) == repr(walked) else "diverged"
+        # per-value walk, and the bytes the digest hashes against both,
+        # on every leg — neither is trusted instead of the records.
+        digest, consistent = checked_digest(res.all_records())
         outcomes.append(
             ConfigOutcome(
-                mode, plane, status, (), records_digest(records), prune
+                mode, plane, "ok" if consistent else "diverged", (), digest, prune
             )
         )
 
     mismatch = _diff(case, expected, outcomes)
+    if mismatch is None and not oracle_lossless:
+        mismatch = "the oracle's records do not survive their byte form"
     if mismatch is None and listener_errors:
         mismatch = f"{listener_errors} event-bus listener(s) raised"
     if mismatch is not None and metrics is not None:

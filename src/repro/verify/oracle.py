@@ -9,12 +9,20 @@ either data plane, so a routing bug cannot cancel out of a
 differential comparison.
 
 Outputs are compared in **canonical form**: numpy scalars/arrays are
-converted to plain Python values and records sorted by key, then
-digested.  Equal digests mean byte-identical canonical reprs — the
-comparison the differential fuzzer and the interleaving explorer both
-use.  Fuzz data is integer-valued (see :mod:`repro.verify.cases`), so
-float accumulation order cannot introduce last-ulp noise and exact
-comparison is sound even for sum/mean/stddev.
+converted to plain Python values and records sorted by key.  A result's
+identity is its :func:`records_digest`: SHA-256 of the one byte form
+:meth:`ResultBlock.to_bytes <repro.mapreduce.columnar.ResultBlock.to_bytes>`
+gives those records (key rows as int64, the value column as float64 or
+tagged JSON) — the same hex whether the result arrives as a block, as a
+packed block or as a canonical record list, and the hash of exactly the
+bytes the service stores and ships.  Equal digests mean equal bytes;
+that equal bytes mean ``repr``-identical canonical records is not taken
+on trust but shown on every output the differential fuzzer and the
+interleaving explorer compare (:func:`checked_digest`: the bytes are
+decoded again and held against the records they were made from).  Fuzz
+data is integer-valued (see :mod:`repro.verify.cases`), so float
+accumulation order cannot introduce last-ulp noise and exact comparison
+is sound even for sum/mean/stddev.
 """
 
 from __future__ import annotations
@@ -62,10 +70,38 @@ def canonicalize_records(records: Any) -> CanonicalRecords:
     return out
 
 
-def records_digest(records: CanonicalRecords) -> str:
-    """SHA-256 over the canonical repr — equal digests mean
-    byte-identical canonical output."""
-    return hashlib.sha256(repr(records).encode("utf-8")).hexdigest()
+def records_digest(records: ResultBlock | CanonicalRecords) -> str:
+    """SHA-256 of the result's byte form (:meth:`ResultBlock.to_bytes`)
+    — equal digests mean byte-identical output.  A canonical record
+    list digests as the block holding it, so the hex does not depend on
+    the form the result arrives in; a list whose keys are not
+    coordinate tuples of one rank raises
+    :class:`~repro.errors.ShuffleError`."""
+    if not isinstance(records, ResultBlock):
+        records = ResultBlock.from_records(records)
+    return hashlib.sha256(records.to_bytes()).hexdigest()
+
+
+def checked_digest(out: Any) -> tuple[str, bool]:
+    """``(records_digest(out), out is consistent)`` for a job's output
+    (:meth:`JobResult.all_records`) or a record list.
+
+    The digest makes the codec the arbiter of "equal output", so every
+    compared output proves the codec on itself: the records decoded
+    from its bytes must be ``repr``-identical to its canonical records
+    — and those, when a block's columns gave them, to the generic
+    per-value walk.  With that shown on both sides of a comparison,
+    equal bytes and equal canonical ``repr`` are the same statement.
+    """
+    records = canonicalize_records(out)
+    walked = canonicalize_records(list(out))
+    block = out if isinstance(out, ResultBlock) else ResultBlock.from_records(records)
+    data = block.to_bytes()
+    decoded = ResultBlock.from_bytes(data).canonical_records()
+    return (
+        hashlib.sha256(data).hexdigest(),
+        repr(records) == repr(walked) == repr(decoded),
+    )
 
 
 def oracle_records(plan: QueryPlan, data: np.ndarray) -> CanonicalRecords:

@@ -2,17 +2,21 @@
 
 ``ResultBlock`` is what a columnar reduce returns: parallel key/value
 columns that read as the record list the reduce used to build, with one
-byte form that the service stores and ships.  The guard at the bottom
-counts interpreter-level calls made by ``run_columnar_reduce`` — and by
-building the binary result body from its block — and fails if they grow
-with the number of keys: a per-key Python loop cannot creep back in
-unnoticed.
+byte form that the service stores, digests and ships.  The guard at the
+bottom counts interpreter-level calls made by ``run_columnar_reduce`` —
+and by digesting its block and building the binary result body from it
+— and fails if they grow with the number of keys: a per-key Python loop
+cannot creep back in unnoticed.  Its neighbour holds the service's
+digest-and-pack step to the memory and collector behaviour of a step
+that builds no records.
 """
 
 import gc
+import hashlib
 import pickle
 import struct
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +38,7 @@ from repro.obs.trace import EngineTrace
 from repro.query.columnar import batch_operator_for
 from repro.query.operators import get_operator
 from repro.service.api import ServiceError, decode_result_body, encode_result_body
+from repro.service.service import digest_and_block
 from repro.verify.oracle import canonicalize_records
 
 RECORDS = [((0, 1), 1.5), ((0, 2), -2.0), ((1, 0), 0.25)]
@@ -404,6 +409,22 @@ class TestNoPerKeyLoop:
         assert len(decode_result_body(doubled)["records"]) == 2 * n
         assert large == small
 
+    @pytest.mark.parametrize("name", [n for n in OPERATORS if n not in RAGGED])
+    def test_digest_call_count_does_not_grow_with_keys(self, name):
+        """What the service does with a job's output — pack it, hash
+        the buffer — visits no key either."""
+
+        def digest_calls(groups):
+            _, block = _reduce_calls(name, groups)
+            return _count_calls(lambda: digest_and_block(block))
+
+        n = 500
+        small, (digest, packed) = digest_calls(n)
+        large, (_, doubled) = digest_calls(2 * n)
+        assert len(packed) == n and len(doubled) == 2 * n
+        assert digest == hashlib.sha256(packed.to_bytes()).hexdigest()
+        assert large == small
+
     def test_the_counter_sees_a_per_key_loop(self):
         """What this guards against does trip it: the loop the reduce
         used to run (a finalize call and an ``append`` per key)."""
@@ -416,3 +437,39 @@ class TestNoPerKeyLoop:
 
         calls, _ = _count_calls(per_key_loop)
         assert calls >= 100
+
+
+class TestDigestBuildsNoRecords:
+    """``digest_and_block`` on a ``fine_mean``-sized result (8 320 rows,
+    rank 3, float64).  Hashing the ``repr`` of a canonical record list
+    peaked at 7.8x the block's bytes and, one key tuple and one record
+    tuple per row, drove a full collection every fourth or fifth job."""
+
+    @staticmethod
+    def _block():
+        n = 8320
+        keys = np.stack(np.unravel_index(np.arange(n), (20, 26, 16)), axis=1)
+        return ResultBlock(keys, np.random.default_rng(0).random(n))
+
+    def test_peak_memory_is_a_small_multiple_of_the_block(self):
+        block = self._block()
+        size = len(block.to_bytes())
+        assert size == 24 + 8320 * 3 * 8 + 8320 * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            digest, packed = digest_and_block(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(packed.to_bytes()).hexdigest()
+        assert peak <= 3 * size
+
+    def test_no_full_collection_is_triggered(self):
+        block = self._block()
+        gc.collect()
+        assert gc.isenabled()
+        before = gc.get_stats()[2]["collections"]
+        for _ in range(50):
+            digest_and_block(block)
+        assert gc.get_stats()[2]["collections"] == before

@@ -197,7 +197,9 @@ class TestSerialDependency:
         """Determinism guard: the serial event order is part of the
         contract — maps in split order, each reduce fired (ready, then
         run to completion) right after the map that completes its I_l
-        — and so is the explorer's serial baseline digest."""
+        — and so is the explorer's serial baseline digest (SHA-256 of
+        the output's byte form: header, eight int64 keys, the JSON of
+        ``[0, 10, ..., 70]``)."""
         from repro.verify import RecordingHook, explore
 
         job, deps = ranged_job()
@@ -228,7 +230,7 @@ class TestSerialDependency:
         report = explore(make_job, schedules=8)
         assert report.ok, report.summary()
         assert report.baseline_digest == (
-            "a5c7d27efa5034b37b3f8cfd7d9084ae1e519c160c035be0e81226753644d25c"
+            "7a77ce4fec43f0d0b5ade6aea3b563b54c216dd803e476d4cce960a9f7871aa9"
         )
 
     def test_reduces_fired_by_one_map_run_one_at_a_time(self):

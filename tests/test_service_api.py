@@ -365,6 +365,42 @@ class TestHttpServer:
         assert "Content-Length" in json.loads(body)["error"]
         assert client.healthz()["ok"] is True  # and it keeps serving
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"v" * 70_000 + b"\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-H%d: v\r\n" % i for i in range(10_000))
+            + b"\r\n",
+        ],
+        ids=["target", "header-value", "header-lines"],
+    )
+    def test_oversized_request_head_is_a_431(self, live_server, caplog, head):
+        """Regression: past the stream reader's 64 KiB line limit
+        ``readline`` raised ``ValueError`` out of the connection handler
+        — an empty reply for the client, an "Unhandled exception in
+        client_connected_cb" traceback in the server's log — and the
+        number of header lines was not bounded at all."""
+        import json
+        import logging
+        import socket
+
+        client, *_ = live_server
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(
+                (client.host, client.port), timeout=10
+            ) as sock:
+                sock.sendall(head)
+                raw = b""
+                while chunk := sock.recv(65536):
+                    raw += chunk
+            assert client.healthz()["ok"] is True  # and it keeps serving
+        status_line, _, rest = raw.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
+        assert "too large" in json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_bad_result_timeout_is_a_400(self, live_server):
         client, service, path, data = live_server
         client.open_dataset("d", path)
@@ -421,7 +457,9 @@ class TestHttpServer:
     )
     def test_negotiated_body_carries_the_same_records(self, live_server, operator):
         """Binary body ≡ JSON body ≡ oracle, per operator, both planes."""
+        import hashlib
         import json
+        import struct
 
         client, service, path, data = live_server
         client.open_dataset("d", path)
@@ -449,6 +487,13 @@ class TestHttpServer:
                 == repr(records)
             )
             assert records_digest(block.canonical_records()) == digest
+            # The digest is the bytes: SHA-256 of the block section of
+            # the raw binary body, no ``repro`` decoder in between.
+            ctype, raw = self._get_result(client, doc["id"], BLOCK_CONTENT_TYPE)
+            assert ctype == BLOCK_CONTENT_TYPE
+            (doc_bytes,) = struct.unpack_from("<Q", raw)
+            assert json.loads(raw[8:8 + doc_bytes])["digest"] == digest
+            assert hashlib.sha256(raw[8 + doc_bytes:]).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "accept,binary",

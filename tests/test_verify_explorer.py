@@ -168,6 +168,20 @@ class TestExplorer:
         # the fault actually fired: some schedule recorded a supersede
         assert report.baseline_status == "ok"
 
+    def test_a_lossy_byte_form_is_divergent(self, monkeypatch):
+        """Every run decodes the bytes its digest hashes: a ``to_bytes``
+        that drops a row agrees with itself on every schedule, and is
+        still reported."""
+        from repro.mapreduce.columnar import ResultBlock
+
+        real = ResultBlock.to_bytes
+        monkeypatch.setattr(ResultBlock, "to_bytes", lambda self: real(self[:-1]))
+        report = explore(crafted_job, schedules=3, seed=0)
+        assert not report.ok
+        assert report.baseline_status == "diverged"
+        assert report.divergent == (0, 1, 2)
+        assert all(r.digest == report.baseline_digest for r in report.runs)
+
     def test_explorer_counts_metrics(self):
         from repro.obs.metrics import MetricsRegistry
 

@@ -1,13 +1,22 @@
 """Differential fuzzer: oracle agreement, shrinking, repro files."""
 
-import pytest
+import copy
+import math
 
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.errors import ShuffleError
+from repro.mapreduce.columnar import ResultBlock
 from repro.verify import (
     ENGINE_CONFIGS,
     OPERATOR_NAMES,
     FuzzCase,
     canonicalize_records,
     canonicalize_value,
+    checked_digest,
     fuzz,
     generate_case,
     load_repro,
@@ -32,6 +41,93 @@ def base_case(operator, **kwargs):
     )
     defaults.update(kwargs)
     return FuzzCase(**defaults)
+
+
+# --------------------------------------------------------------------- #
+# Canonical record lists and their near misses.  ``repr`` — what the
+# digest used to hash — is the reference for "equal output" here.
+# --------------------------------------------------------------------- #
+_NEG_NAN = math.copysign(math.nan, -1.0)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
+    [math.nan, _NEG_NAN, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
+)
+_INTS = st.integers(-(2**70), 2**70)
+_NUMBERS = _FLOATS | _INTS
+#: One row's value, by column kind; ``mixed`` draws each row anew.
+_VALUES = {
+    "float": _FLOATS,
+    "int": _INTS,
+    "bool": st.booleans(),
+    "ragged": st.lists(_FLOATS, max_size=4),
+    # built, not ``fixed_dictionaries``: canonical dicts have sorted keys
+    "range_exceeds": st.builds(
+        lambda exceeds, variation: {"exceeds": exceeds, "variation": variation},
+        st.booleans(), _FLOATS,
+    ),
+    "mixed_list": st.lists(_NUMBERS, max_size=3),
+}
+_VALUES["mixed"] = st.one_of(*_VALUES.values())
+
+
+@st.composite
+def canonical_records(draw, min_rows=0):
+    """A canonical record list: rank 1-4 keys in key order, 0-8 rows."""
+    rank = draw(st.integers(1, 4))
+    keys = draw(
+        st.lists(
+            st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * rank),
+            min_size=min_rows, max_size=8, unique=True,
+        )
+    )
+    value = _VALUES[draw(st.sampled_from(sorted(_VALUES)))]
+    return [(key, draw(value)) for key in sorted(keys)]
+
+
+def _set_value(records, row, value):
+    return records[:row] + [(records[row][0], value)] + records[row + 1:]
+
+
+@st.composite
+def near_miss_pairs(draw):
+    """``(a, b)``: ``b`` is ``a`` again (fresh objects) or differs from
+    it by one thing a byte form could plausibly lose."""
+    kind = draw(st.sampled_from([
+        "same", "int_float", "zero_sign", "nan_sign", "ragged_boundary",
+        "row_dropped", "keys_swapped", "reshaped",
+    ]))
+    if kind == "reshaped":
+        # (2 rows, rank 3) and (3 rows, rank 2) over the same integers
+        k = sorted(draw(st.lists(
+            st.integers(-(2**63), 2**63 - 1), min_size=6, max_size=6, unique=True
+        )))
+        v = draw(_NUMBERS)
+        return (
+            [(tuple(k[:3]), v), (tuple(k[3:]), v)],
+            [(tuple(k[:2]), v), (tuple(k[2:4]), v), (tuple(k[4:]), v)],
+        )
+    a = draw(canonical_records(min_rows=0 if kind == "same" else 2))
+    if kind == "same":
+        return a, copy.deepcopy(a)
+    i = draw(st.integers(0, len(a) - 2))
+    if kind == "row_dropped":
+        return a, a[:i] + a[i + 1:]
+    if kind == "keys_swapped":
+        (ki, vi), (kj, vj) = a[i], a[i + 1]
+        return a, a[:i] + [(ki, vj), (kj, vi)] + a[i + 2:]
+    if kind == "ragged_boundary":
+        x, y, z = draw(st.tuples(_NUMBERS, _NUMBERS, _NUMBERS))
+        return (
+            _set_value(_set_value(a, i, [x, y]), i + 1, [z]),
+            _set_value(_set_value(a, i, [x]), i + 1, [y, z]),
+        )
+    one, other = {
+        "int_float": (1, 1.0),
+        "zero_sign": (0.0, -0.0),
+        "nan_sign": (math.nan, _NEG_NAN),   # one ``repr``: must be one digest
+    }[kind]
+    if draw(st.booleans()):                 # inside a list value
+        one, other = [one, 2.0], [other, 2.0]
+    return _set_value(a, i, one), _set_value(a, i, other)
 
 
 class TestOracle:
@@ -76,6 +172,42 @@ class TestOracle:
         a = records_digest(canonicalize_records(recs))
         b = records_digest(canonicalize_records(reversed(recs)))
         assert a == b
+
+    @given(near_miss_pairs())
+    def test_digest_equal_iff_repr_equal(self, pair):
+        """The byte form separates exactly what ``repr`` separates."""
+        a, b = pair
+        assert (repr(a) == repr(b)) == (records_digest(a) == records_digest(b))
+
+    @given(canonical_records())
+    def test_one_digest_whichever_form_the_result_arrives_in(self, records):
+        block = ResultBlock.from_records(records)
+        assert (
+            records_digest(records)
+            == records_digest(block)
+            == records_digest(block.packed())
+        )
+        assert checked_digest(records) == (records_digest(records), True)
+
+    def test_empty_results_share_one_digest(self):
+        rank0 = ResultBlock.empty()
+        rank3 = ResultBlock(np.empty((0, 3), dtype=np.int64), [])
+        assert records_digest([]) == records_digest(rank0) == records_digest(rank3)
+        assert records_digest([]) != records_digest([((0, 0, 0), 0.0)])
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [((0,), 1.0), ((0, 1), 2.0)],   # two ranks
+            [(0, 1.0), (1, 2.0)],           # not tuples
+            [((0.5,), 1.0)],                # not integers
+            [((True,), 1.0)],
+            [((2**63,), 1.0)],
+        ],
+    )
+    def test_keys_that_are_not_coordinates_raise(self, records):
+        with pytest.raises(ShuffleError):
+            records_digest(records)
 
 
 class TestCases:
@@ -314,5 +446,25 @@ class TestServiceLeg:
         )
         result = run_case(base_case("mean"))
         assert not result.ok
+        assert {o.status for o in result.outcomes} == {"diverged"}
+        assert all(o.digest == result.oracle_digest for o in result.outcomes)
+
+    def test_a_lossy_byte_form_reads_as_diverged_in_every_leg(self, monkeypatch):
+        """The twin: a ``to_bytes`` that loses the value column.  The
+        oracle's digest shares the loss — every digest in the matrix
+        still agrees — so only each leg decoding its own bytes can see
+        it, and every leg must: engine and service alike."""
+        monkeypatch.setenv(
+            "REPRO_VERIFY_ENGINES", "serial,threaded,process,service"
+        )
+        assert run_case(base_case("mean")).ok
+        real = ResultBlock.to_bytes
+        monkeypatch.setattr(
+            ResultBlock, "to_bytes",
+            lambda self: real(ResultBlock(self.key_rows, np.zeros(len(self)))),
+        )
+        result = run_case(base_case("mean"))
+        assert not result.ok
+        assert len(result.outcomes) == len(ENGINE_CONFIGS) + 2
         assert {o.status for o in result.outcomes} == {"diverged"}
         assert all(o.digest == result.oracle_digest for o in result.outcomes)
