@@ -559,11 +559,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Differential fuzzing + interleaving exploration (docs/TESTING.md)."""
     import os
 
+    from repro.errors import JobConfigError
     from repro.obs.metrics import MetricsRegistry
     from repro.verify import fuzz, load_repro, run_case
+    from repro.verify.fuzz import _engine_configs
 
     if args.engines:
         os.environ["REPRO_VERIFY_ENGINES"] = args.engines
+    try:
+        _engine_configs()
+    except JobConfigError as exc:
+        # A usage error, like argparse's own: a run pinned to a leg that
+        # does not exist must not read as a verdict on the engines.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     metrics = MetricsRegistry()
 
@@ -758,20 +767,19 @@ def build_parser() -> argparse.ArgumentParser:
         "output is byte-identical either way)",
     )
     p_query.add_argument(
-        "--engine", choices=("serial", "threaded", "process"),
+        "--engine", choices=("serial", "threaded"),
         default="threaded",
-        help="execution mode: deterministic serial, thread pools "
-        "(default), or forked worker processes with file-backed "
-        "shuffle (docs/PERFORMANCE.md).  With --server, serial and "
+        help="execution mode: deterministic serial, or thread pools "
+        "(default; docs/PERFORMANCE.md).  With --server, serial and "
         "threaded both run on the server's queue worker thread; "
         "threaded gets its own pools only with --speculate "
         "(docs/SERVICE.md, Execution model)",
     )
     p_query.add_argument("--map-workers", type=int, default=4,
-                         help="map pool size (threaded/process engines; "
+                         help="map pool size (threaded engine; "
                          "local runs only, a server sizes its own)")
     p_query.add_argument("--reduce-workers", type=int, default=3,
-                         help="reduce pool size (threaded/process engines; "
+                         help="reduce pool size (threaded engine; "
                          "local runs only, a server sizes its own)")
     p_query.add_argument("--limit", type=int, default=20,
                          help="max output rows (0 = all)")
@@ -840,8 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "worker thread: the service's parallelism")
     p_srv.add_argument("--map-workers", type=int, default=4,
                        help="map pool size of a pooled job (engine "
-                       "process, or threaded with speculation); every "
-                       "other job runs on its queue worker's thread")
+                       "threaded with speculation); every other job "
+                       "runs on its queue worker's thread")
     p_srv.add_argument("--reduce-workers", type=int, default=3,
                        help="reduce pool size of a pooled job")
     p_srv.add_argument("--plan-cache", type=int, default=256,
@@ -919,8 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip shrinking failing cases")
     p_ver.add_argument("--engines", default=None, metavar="TOK[,TOK...]",
                        help="restrict the differential matrix to these "
-                       "engine legs (serial, threaded, process, "
-                       "service); sets REPRO_VERIFY_ENGINES")
+                       "engine legs (serial, threaded, service); an "
+                       "unknown token is an error; sets "
+                       "REPRO_VERIFY_ENGINES")
     p_ver.add_argument("--operators", default=None, metavar="NAME[,NAME...]",
                        help="restrict generated cases to these operators "
                        "(e.g. filter_gt for a pruning-equivalence run)")

@@ -50,27 +50,6 @@ class StaleFetchError(ShuffleError):
     """
 
 
-class SegmentMissingError(ShuffleError):
-    """A file-backed shuffle segment vanished before it could be read.
-
-    The process engine stores spills as on-disk segment files; a segment
-    can legitimately disappear between fetch and read when the producing
-    map was superseded by a newer attempt (supersede = atomic rename +
-    unlink).  Like :class:`StaleFetchError`, the engine treats this as
-    retryable: the reduce re-fetches against the fresh attempt.
-    """
-
-
-class WorkerCrashError(ReproError):
-    """A worker process died mid-task (killed, segfaulted, or exited).
-
-    The process engine's pool watches each worker's lifetime; an attempt
-    whose worker vanishes fails with this error, which the retry
-    machinery treats exactly like a ``crash`` fault — the moral
-    equivalent of a lost tasktracker in the paper's §6.
-    """
-
-
 class BarrierViolationError(ShuffleError):
     """A reduce task attempted to run before its data dependencies were met.
 

@@ -5,12 +5,12 @@ Counters are the engine's observable accounting — tests assert on them
 harness reports them (e.g. shuffle bytes per configuration).
 
 ``Counters`` is the one ledger, with two writers that never share a
-name: task bodies ``increment`` the data-volume tallies directly (worker
-processes ferry those back as a dict), and :meth:`Counters.on_event`,
-attached to the run's bus, folds the lifecycle tallies from the events
-as they are published — so both read live mid-run.  When observability
-is enabled the whole ledger is copied into the run's
-``MetricsRegistry`` once, at job finish, under the same names.
+name: task bodies ``increment`` the data-volume tallies directly, and
+:meth:`Counters.on_event`, attached to the run's bus, folds the
+lifecycle tallies from the events as they are published — so both read
+live mid-run.  When observability is enabled the whole ledger is copied
+into the run's ``MetricsRegistry`` once, at job finish, under the same
+names.
 """
 
 from __future__ import annotations

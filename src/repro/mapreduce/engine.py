@@ -3,29 +3,25 @@
 There is **one orchestration loop** (:meth:`LocalEngine._run_job`): it
 submits every map, and each time a map commits it fires — outside the
 run lock — every reduce whose barrier is now satisfied (paper Fig. 4b).
-A mode name selects the only two things that differ between runs:
+A mode name selects the only thing that differs between runs — the
+**executor**, where the loop's task callables run:
 
-* an **executor** — where the loop's task callables run.  The inline
-  executor runs each on the submitting thread, so maps execute in split
-  order and a fired reduce runs to completion before the next map
-  starts: the deterministic *serial* mode, whose trace shows exactly
-  which reduces fired before which maps.  A map pool plus a reduce
-  pool of threads (4 + 3 workers by default, the paper's slot counts)
-  give genuine wall-clock overlap of reduces with still-running maps.
-* a **task-body runner** (:class:`TaskRunner`) — where an attempt's
-  body executes.  In-thread, or
-  :class:`~repro.mapreduce.procpool.ProcessRunner`: forked workers with
-  the shuffle moved by **file handoff**
-  (:mod:`repro.mapreduce.spillfiles`) while the parent's store tracks
-  only manifests.
+========  ================
+mode      executor
+========  ================
+serial    inline executor
+threaded  thread pools
+========  ================
 
-========  ==============  ================
-mode      executor        runner
-========  ==============  ================
-serial    inline          in-thread
-threaded  thread pools    in-thread
-process   thread pools    worker processes
-========  ==============  ================
+The inline executor runs each callable on the submitting thread, so
+maps execute in split order and a fired reduce runs to completion
+before the next map starts: the deterministic *serial* mode, whose trace
+shows exactly which reduces fired before which maps.  A map pool plus a
+reduce pool of threads (4 + 3 workers by default, the paper's slot
+counts) give genuine wall-clock overlap of reduces with still-running
+maps.  An attempt's body runs in one place whichever executor called
+it: :meth:`LocalEngine._run_map` / :meth:`LocalEngine._run_reduce`, on
+the calling thread.
 
 Every run has one event bus (``obs.bus``: the caller's, else a private
 one) and publishes each lifecycle occurrence on it exactly once —
@@ -39,10 +35,10 @@ listeners folding that stream (``docs/OBSERVABILITY.md``).
 
 Barriers, the commit gate, retries, recovery, speculation, deadlines and
 result assembly are the loop's and therefore identical in every mode;
-outputs are byte-identical (the verify fuzzer holds all three against
+outputs are byte-identical (the verify fuzzer holds both against
 the brute-force oracle).  Two things follow from the executor alone:
 the inline executor has no pool to race a backup attempt on, and it
-surfaces a failing task's own exception where the pooled modes raise
+surfaces a failing task's own exception where the thread pools raise
 :class:`~repro.errors.JobFailedError` with every collected error.
 
 The engine enforces, not merely assumes, the barrier: a reduce task's
@@ -216,48 +212,6 @@ class ReduceStartValidator(Protocol):
         ...
 
 
-class TaskRunner(Protocol):
-    """Where task *bodies* execute: one attempt of one task, start to
-    commit.  Every run has exactly one (``_RunState.runner``);
-    everything around the body — retry loops, races, barriers, recovery
-    — is the engine's and does not know which.  In-thread is
-    :class:`_InThreadRunner`; out-of-process is
-    :class:`repro.mapreduce.procpool.ProcessRunner`.
-    """
-
-    def run_map(
-        self,
-        job: JobConf,
-        split_index: int,
-        store: "ShuffleStore",
-        counters: Counters,
-        obs: JobObservability,
-        *,
-        attempt: int,
-        faults: "BoundFaults | None",
-        cancel: "CancelToken | None",
-    ) -> None: ...
-
-    def run_reduce(
-        self,
-        job: JobConf,
-        partition: int,
-        barrier: "BarrierPolicy",
-        store: "ShuffleStore",
-        counters: Counters,
-        obs: JobObservability,
-        completed_at_start: frozenset[int],
-        *,
-        attempt: int,
-        faults: "BoundFaults | None",
-        cancel: "CancelToken | None",
-    ) -> Sequence[KeyValue]: ...
-
-    def close(self) -> None:
-        """Release whatever the runner holds; runs on every exit path."""
-        ...
-
-
 #: ``LocalEngine(scheduler_hook=...)``: a listener attached to the run's
 #: bus for the run's duration — the seam :mod:`repro.verify` uses to
 #: record the event log and to stall publishing threads (a stall at
@@ -361,9 +315,6 @@ class _RunState:
         #: once), ``retired`` the members of the task's earlier races.
         self.races: dict[tuple[str, int], dict[str, Any]] = {}
         self.deadline_expired = False
-        #: Where attempt bodies execute; installed by the run before any
-        #: task starts (it needs ``faults`` below, hence not passed in).
-        self.runner: TaskRunner
         self.faults: BoundFaults | None = None
         if engine.faults is not None:
             self.faults = engine.faults.bind(
@@ -602,8 +553,7 @@ class LocalEngine:
         faults: BoundFaults | None = None,
         cancel: CancelToken | None = None,
     ) -> None:
-        """One map attempt, body in-thread (the in-thread
-        :class:`TaskRunner`'s ``run_map``)."""
+        """One map attempt, start to commit, on the calling thread."""
         hb = Heartbeat(obs.bus, "map", split_index, attempt, self._hb_interval)
         if faults is not None:
             faults.fire("map", split_index, attempt, cancel=cancel)
@@ -676,10 +626,9 @@ class LocalEngine:
         faults: BoundFaults | None,
         cancel: CancelToken | None,
     ) -> list:
-        """Everything a reduce attempt does before its body — the same
-        for every :class:`TaskRunner`, and always in the parent, which
-        owns the store: the ``reduce.start`` event, barrier enforcement,
-        the count-annotation validator, the fetch loop, and both fault
+        """Everything a reduce attempt does before its body: the
+        ``reduce.start`` event, barrier enforcement, the
+        count-annotation validator, the fetch loop, and both fault
         points.  Returns the non-empty fetched spills in map order."""
         obs.bus.publish(
             EV_REDUCE_START, kind="reduce", index=partition, attempt=attempt,
@@ -755,8 +704,7 @@ class LocalEngine:
         faults: BoundFaults | None = None,
         cancel: CancelToken | None = None,
     ) -> Sequence[KeyValue]:
-        """One reduce attempt, body in-thread (the in-thread
-        :class:`TaskRunner`'s ``run_reduce``)."""
+        """One reduce attempt, fetch to output, on the calling thread."""
         hb = Heartbeat(obs.bus, "reduce", partition, attempt, self._hb_interval)
         task_span = obs.task_span("reduce", partition, attempt)
         files = self._fetch_reduce_inputs(
@@ -898,7 +846,7 @@ class LocalEngine:
     ) -> Any:
         return self._run_attempts(
             "map", i, state, obs,
-            lambda attempt, cancel: state.runner.run_map(
+            lambda attempt, cancel: self._run_map(
                 job, i, store, counters, obs,
                 attempt=attempt, faults=state.faults, cancel=cancel,
             ),
@@ -929,7 +877,7 @@ class LocalEngine:
                 EV_TASK_SPECULATE, kind="map", index=i, attempt=attempt,
                 of=of_attempt, priority=round(priority, 4), mode="race",
             )
-            return state.runner.run_map(
+            return self._run_map(
                 job, i, store, counters, obs,
                 attempt=attempt, faults=state.faults, cancel=cancel,
             )
@@ -953,7 +901,7 @@ class LocalEngine:
 
         def body(attempt: int, cancel: CancelToken) -> Sequence[KeyValue]:
             store.begin_reduce_attempt(p)
-            out = state.runner.run_reduce(
+            out = self._run_reduce(
                 job, p, barrier, store, counters, obs, snapshot,
                 attempt=attempt, faults=state.faults, cancel=cancel,
             )
@@ -1061,7 +1009,7 @@ class LocalEngine:
             tok.cancel(REASON_DEADLINE)
 
     # ------------------------------------------------------------------ #
-    # Running a job: mode name -> (executor, runner) -> the one loop
+    # Running a job: mode name -> executor pair -> the one loop
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -1073,8 +1021,8 @@ class LocalEngine:
         obs: JobObservability | None = None,
     ) -> JobResult:
         """Run ``job`` under ``barrier`` (default: the global barrier) in
-        the named mode — ``serial``, ``threaded`` or ``process``; see the
-        module docstring for what each name selects.
+        the named mode — ``serial`` or ``threaded``; see the module
+        docstring for what each name selects.
 
         ``on_reduce_complete(partition, records)`` fires the moment a
         reduce task commits — *during* the run, on the thread that ran
@@ -1085,19 +1033,17 @@ class LocalEngine:
         A task that exhausts its retries (or the failure budget) fails
         the run fast: undispatched work is cancelled, no further reduce
         fires, in-flight tasks drain.  ``serial`` then raises the task's
-        own exception; the pooled modes raise :class:`JobFailedError`
-        carrying **all** collected task errors.  The process runner's
-        spill directory is removed on every exit path.
+        own exception; ``threaded`` raises :class:`JobFailedError`
+        carrying **all** collected task errors.
         """
         try:
-            executors, make_runner = _MODES[mode]
+            executors = _MODES[mode]
         except KeyError:
             raise JobConfigError(
                 f"unknown engine mode {mode!r}; expected {'|'.join(_MODES)}"
             ) from None
         return self._run_job(
-            job, barrier or GlobalBarrier(), executors, make_runner,
-            on_reduce_complete, obs,
+            job, barrier or GlobalBarrier(), executors, on_reduce_complete, obs,
         )
 
     def run_serial(
@@ -1122,23 +1068,11 @@ class LocalEngine:
             on_reduce_complete=on_reduce_complete, obs=obs,
         )
 
-    def run_processes(
-        self, job: JobConf, barrier: BarrierPolicy | None = None, *,
-        on_reduce_complete: ReduceCallback | None = None,
-        obs: JobObservability | None = None,
-    ) -> JobResult:
-        """:meth:`run` with ``mode="process"``."""
-        return self.run(
-            job, barrier, mode="process",
-            on_reduce_complete=on_reduce_complete, obs=obs,
-        )
-
     def _run_job(
         self,
         job: JobConf,
         barrier: BarrierPolicy,
         executors: Callable[["LocalEngine"], tuple[Executor, Executor]],
-        make_runner: Callable[..., TaskRunner],
         on_reduce_complete: ReduceCallback | None,
         obs: JobObservability | None,
     ) -> JobResult:
@@ -1198,12 +1132,6 @@ class LocalEngine:
                 return tuple(pending)
 
         with ExitStack() as stack:
-            # The runner first, before any run thread starts: a process
-            # runner forks from a quiescent parent, and its close() —
-            # workers and spill directory — runs last (LIFO), after the
-            # executors drain, on every exit path.
-            state.runner = make_runner(self, job, state, obs)
-            stack.callback(state.runner.close)
             spec_rt = None
             if self.speculation is not None:
                 spec_rt = SpeculationRuntime(
@@ -1372,7 +1300,7 @@ class LocalEngine:
 
 
 # --------------------------------------------------------------------- #
-# Executors and runners: the two things a mode name selects
+# Executors: the one thing a mode name selects
 # --------------------------------------------------------------------- #
 class _InlineExecutor(Executor):
     """Runs each submitted callable on the submitting thread and returns
@@ -1400,27 +1328,5 @@ def _thread_pools(engine: LocalEngine) -> tuple[Executor, Executor]:
     )
 
 
-class _InThreadRunner:
-    """:class:`TaskRunner` whose bodies execute on the calling thread."""
-
-    def __init__(self, engine: LocalEngine, job, state, obs) -> None:
-        self.run_map = engine._run_map
-        self.run_reduce = engine._run_reduce
-
-    def close(self) -> None:
-        pass
-
-
-def _process_runner(engine: LocalEngine, job, state, obs) -> TaskRunner:
-    # Imported here: procpool imports this module.
-    from repro.mapreduce.procpool import ProcessRunner
-
-    return ProcessRunner(engine, job, state, obs)
-
-
-#: mode name -> (executor pair factory, runner factory).
-_MODES = {
-    "serial": (_inline_executors, _InThreadRunner),
-    "threaded": (_thread_pools, _InThreadRunner),
-    "process": (_thread_pools, _process_runner),
-}
+#: mode name -> executor pair factory.
+_MODES = {"serial": _inline_executors, "threaded": _thread_pools}

@@ -2,10 +2,8 @@
 
 The counterpart of :mod:`repro.mapreduce.columnar` — one key/value at a
 time through ``Mapper``/``Reducer`` objects, sorted runs through a
-k-way merge.  Module-level functions so the in-thread engine path and
-the process engine's workers execute the identical bodies; the task
-span, fault injection, fetch and heartbeat plumbing around them belong
-to :mod:`repro.mapreduce.engine`.
+k-way merge.  The task span, fault injection, fetch and heartbeat
+plumbing around the bodies belong to :mod:`repro.mapreduce.engine`.
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ def run_record_map(
 ) -> None:
     """Record-plane map-task body (read → partition → combine → spill).
 
-    A module-level function (mirroring :func:`run_columnar_map`) so the
-    process engine's workers can execute the identical body against a
-    sink store; the engine's ``_run_map`` wraps it in the task span,
-    fault injection, and heartbeat plumbing.
+    Mirrors :func:`run_columnar_map`; the engine's ``_run_map`` wraps
+    it in the task span, fault injection, and heartbeat plumbing.
     """
     split = job.splits[split_index]
     mapper = job.mapper_factory()
@@ -145,11 +141,9 @@ def run_record_reduce(
 ) -> list[KeyValue]:
     """Record-plane reduce-task body (merge → group → reduce).
 
-    ``files`` are the partition's fetched spill files in map order.
-    Module-level (mirroring :func:`run_columnar_reduce`) so the process
-    engine's reduce workers run the identical merge against segment
-    files loaded from disk; synthesized-record merging stays with the
-    caller.
+    ``files`` are the partition's fetched spill files in map order
+    (mirroring :func:`run_columnar_reduce`); synthesized-record merging
+    stays with the caller.
     """
     segments = [f.records for f in files]
     reducer = job.reducer_factory()

@@ -7,11 +7,10 @@ speculation, deadline) and the multi-tenant scheduling fields (tenant,
 priority).  It round-trips through JSON, so the in-process client and
 the HTTP server share one schema.
 
-``engine`` names where task *bodies* run, not how many threads a job
-gets: ``serial`` and ``threaded`` bodies both execute on the queue
-worker thread that runs the job (the queue's workers are the service's
-parallelism), ``process`` bodies in forked workers.  Only ``process``
-and ``threaded`` + ``speculate`` jobs get thread pools of their own
+``engine`` does not say how many threads a job gets: ``serial`` and
+``threaded`` jobs both execute on the queue worker thread that runs
+them (the queue's workers are the service's parallelism).  Only a
+``threaded`` + ``speculate`` job gets thread pools of its own
 (:func:`repro.service.service.execution_mode`).
 
 The request also defines the **canonical query** half of the plan-cache
@@ -44,7 +43,7 @@ from repro.errors import QueryError, ReproError, ShuffleError
 from repro.mapreduce.columnar import ResultBlock
 from repro.query.operators import StructuralOperator, get_operator
 
-ENGINES = ("serial", "threaded", "process")
+ENGINES = ("serial", "threaded")
 DATA_PLANES = ("record", "columnar")
 ON_DEADLINE = ("fail", "partial")
 

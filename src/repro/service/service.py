@@ -13,8 +13,7 @@ from scratch:
 * a :class:`~repro.service.jobs.JobQueue` with admission control,
   priorities, and per-tenant quotas/failure budgets;
 * per-job namespaced state: every job gets its own engine (and so its
-  own ``ShuffleStore``), a unique job name (and so a unique spill
-  directory), and its own job-tagged
+  own ``ShuffleStore``), a unique job name, and its own job-tagged
   :class:`~repro.obs.live.EventBus`/:class:`~repro.obs.live.ProgressTracker`
   feeding the live status endpoint.
 
@@ -96,16 +95,13 @@ def digest_and_block(out: ResultBlock | list) -> tuple[str, ResultBlock]:
 def execution_mode(engine: str, speculate: bool) -> str:
     """The :meth:`LocalEngine.run` mode a request's ``engine`` is served in.
 
-    In-thread task bodies (``serial``, ``threaded``) run on the inline
-    executor — the queue worker's own thread; the queue's workers are
-    the parallelism.  A job gets its own thread pools only where it
-    cannot run without a second thread: ``process`` (dispatch threads
-    block on forked workers) and ``threaded`` with ``speculate`` (a
-    hedged backup has to race its primary; an explicit ``serial`` keeps
-    the inline executor's cancel-and-retry in place).
+    A served job runs on the inline executor — the queue worker's own
+    thread; the queue's workers are the parallelism.  It gets thread
+    pools of its own only where it cannot run without a second thread:
+    ``threaded`` with ``speculate`` (a hedged backup has to race its
+    primary; an explicit ``serial`` keeps the inline executor's
+    cancel-and-retry in place).
     """
-    if engine == "process":
-        return "process"
     if engine == "threaded" and speculate:
         return "threaded"
     return "serial"

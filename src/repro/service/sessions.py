@@ -95,8 +95,7 @@ class DatasetSession:
         Arrays are passed through; file sessions hand out the shared
         open handle when its zero-copy mmap is live (concurrency-safe:
         reads are views of one immutable mapping), otherwise the *path*
-        — per-split opens are slower but safe under every engine,
-        including forked process pools.
+        — per-split opens are slower but safe under every engine.
         """
         if self.array is not None:
             return self.array

@@ -7,8 +7,8 @@ The pieces tier-1 tests (and the benchmark driver) build on:
 * :class:`StressDriver` — the deterministic concurrency harness: pause
   the queue, submit a whole batch (fixing admission order), resume, and
   wait; every served result is diffed byte-identically against its
-  oracle digest, and spill/store isolation is checked by construction
-  (unique per-job names, leak-free spill root).
+  oracle digest, and store isolation holds by construction (one
+  engine, and so one ``ShuffleStore``, per job).
 
 Determinism claim: with the queue paused during submission, dispatch
 order is a pure function of ``(priority, submission index)`` — no

@@ -1,8 +1,8 @@
 """Cross-engine differential fuzzing with automatic shrinking.
 
-Every :class:`~repro.verify.cases.FuzzCase` is executed through six
-engine configurations — {serial, threaded, process} × {record,
-columnar} — and compared, by the digest of its output's byte form,
+Every :class:`~repro.verify.cases.FuzzCase` is executed through four
+engine configurations — {serial, threaded} × {record, columnar} — and
+compared, by the digest of its output's byte form,
 against the brute-force :mod:`~repro.verify.oracle`.  Every leg (and
 the oracle) also decodes its own bytes back and reads ``diverged``
 unless the records come out ``repr``-identical, so the codec that
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ReproError
+from repro.errors import JobConfigError, ReproError
 from repro.faults import RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
@@ -58,17 +58,14 @@ from repro.verify.explorer import (
 from repro.verify.oracle import checked_digest, oracle_records, records_digest
 
 #: Engine configurations every case is pushed through.  The serial
-#: legs anchor the ladder (closest to the oracle); threaded and
-#: process must match them byte-for-byte.  ``REPRO_VERIFY_ENGINES``
-#: (comma-separated modes) narrows the matrix, e.g. a CI leg that
-#: fuzzes only the process engine.
+#: legs anchor the ladder (closest to the oracle); threaded must match
+#: them byte-for-byte.  ``REPRO_VERIFY_ENGINES`` (comma-separated
+#: modes) narrows the matrix, e.g. a CI leg that fuzzes one engine.
 _ALL_ENGINE_CONFIGS: tuple[tuple[str, str], ...] = (
     ("serial", "record"),
     ("threaded", "record"),
-    ("process", "record"),
     ("serial", "columnar"),
     ("threaded", "columnar"),
-    ("process", "columnar"),
 )
 
 #: Opt-in legs that route the case through the resident query service
@@ -83,29 +80,33 @@ _SERVICE_CONFIGS: tuple[tuple[str, str], ...] = (
 
 
 def _engine_configs() -> tuple[tuple[str, str], ...]:
-    allow = os.environ.get("REPRO_VERIFY_ENGINES", "").strip()
-    if not allow:
-        return _ALL_ENGINE_CONFIGS
+    """The legs ``REPRO_VERIFY_ENGINES`` selects; every engine leg when
+    it is unset or empty.  A token that names no leg is an error, not a
+    leg left out: a run pinned to a misspelt or retired engine must not
+    pass by checking something else."""
+    allow = os.environ.get("REPRO_VERIFY_ENGINES", "")
     modes = {m.strip() for m in allow.split(",") if m.strip()}
-    picked = tuple(
-        c for c in _ALL_ENGINE_CONFIGS + _SERVICE_CONFIGS if c[0] in modes
-    )
-    return picked or _ALL_ENGINE_CONFIGS
+    if not modes:
+        return _ALL_ENGINE_CONFIGS
+    selectable = _ALL_ENGINE_CONFIGS + _SERVICE_CONFIGS
+    known = dict.fromkeys(mode for mode, _ in selectable)
+    unknown = sorted(modes - known.keys())
+    if unknown:
+        raise JobConfigError(
+            f"REPRO_VERIFY_ENGINES: unknown engine leg(s) "
+            f"{', '.join(map(repr, unknown))}; expected a comma-separated "
+            f"subset of {', '.join(known)}"
+        )
+    return tuple(c for c in selectable if c[0] in modes)
 
 
 ENGINE_CONFIGS = _ALL_ENGINE_CONFIGS
 
 
-def _make_engine(
-    case: FuzzCase, hook: Any | None = None, mode: str = "threaded"
-) -> LocalEngine:
-    # Fuzz cases are tiny; the process legs cap the pool so each case
-    # forks 4 workers, not the production default of 7.
-    workers = {"map_workers": 2, "reduce_workers": 2} if mode == "process" else {}
+def _make_engine(case: FuzzCase, hook: Any | None = None) -> LocalEngine:
     return LocalEngine(
         observability=False,
         retry=RetryPolicy(max_attempts=case.max_attempts, backoff_base=0.0),
-        **workers,
         faults=case.injection_plan(),
         recovery=RecoveryModel.parse(case.recovery),
         scheduler_hook=hook,
@@ -264,7 +265,7 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
             outcomes.append(_run_service_leg(case, plane, prune=prune))
             continue
         job, barrier = _make_job(case, plane, prune=prune)
-        engine = _make_engine(case, mode=mode)
+        engine = _make_engine(case)
         obs = JobObservability(job.name, enabled=False)
         try:
             res = engine.run(job, barrier, mode=mode, obs=obs)

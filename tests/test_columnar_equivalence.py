@@ -6,8 +6,7 @@ geometry, and every engine, the columnar plane must produce
 reference reader is also compared where its accumulation order is
 exactly the chunked path's (see the sum note below).
 
-Set ``REPRO_ENGINE_MODE=serial``, ``=threaded``, or ``=process`` to
-restrict the
+Set ``REPRO_ENGINE_MODE=serial`` or ``=threaded`` to restrict the
 engine matrix, as in :mod:`tests.test_fault_tolerance`.
 """
 
@@ -43,13 +42,9 @@ from repro.query.splits import slice_splits
 from repro.scidata.generators import temperature_dataset, windspeed_dataset
 from repro.sidr.planner import build_sidr_job
 
-#: ``process`` is opt-in (env), not in the default matrix: forking
-#: a pool per test would triple suite wall-clock for bodies the
-#: fuzz matrix already covers cross-process.
-_ALL_MODES = ("serial", "threaded")
-_KNOWN = ("serial", "threaded", "process")
+_KNOWN = ("serial", "threaded")
 _env = os.environ.get("REPRO_ENGINE_MODE", "")
-MODES = (_env,) if _env in _KNOWN else _ALL_MODES
+MODES = (_env,) if _env in _KNOWN else _KNOWN
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
@@ -66,9 +61,6 @@ OPERATORS = [
     SortOp(),
     ThresholdFilterOp(threshold=40.0),
 ]
-#: Object-dtype state columns (one value array per row).
-RAGGED = [op for op in OPERATORS if op.name in ("median", "sort", "filter_gt")]
-
 #: Operators whose chunked-path accumulation is order/dtype-insensitive,
 #: so the per-cell reference reader is byte-identical too.  SumOp is the
 #: exception: its map_partial reduces the chunk in the *source* dtype
@@ -142,18 +134,6 @@ class TestOperatorIdentity:
         for name in ("map.input.records", "combine.input.records",
                      "combine.output.records", "reduce.output.records"):
             assert res.counters.get(name) == oracle.counters.get(name), name
-
-    @pytest.mark.parametrize("op", RAGGED, ids=lambda o: o.name)
-    def test_ragged_state_crosses_processes(self, temp32, op):
-        """Object-dtype state columns through the process engine's
-        segment files (``spillfiles.py``), whatever mode the run pins."""
-        field, data = temp32
-        plan = _plan(field, (7, 5, 2), op)
-        oracle, _ = _records(plan, data, op, data_plane="record")
-        res, _ = _records(plan, data, op, data_plane="columnar",
-                          mode="process")
-        assert repr(res.canonical_records()) == repr(oracle.canonical_records())
-        _assert_all_batched(res)
 
     @pytest.mark.parametrize("op", OPERATORS, ids=lambda o: o.name)
     def test_cell_reference_reader(self, temp32, op):

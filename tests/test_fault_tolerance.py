@@ -1,8 +1,7 @@
 """Fault-injection, retry, and dependency-aware recovery tests.
 
 Every test that executes a job runs under both engines by default; set
-``REPRO_ENGINE_MODE=serial``, ``=threaded``, or ``=process`` to
-restrict the matrix
+``REPRO_ENGINE_MODE=serial`` or ``=threaded`` to restrict the matrix
 (the CI workflow runs one job per mode).
 """
 
@@ -28,13 +27,9 @@ from repro.mapreduce.engine import (
 
 from tests.test_mapreduce_engine import counting_job, ranged_job
 
-#: ``process`` is opt-in (env), not in the default matrix: forking
-#: a pool per test would triple suite wall-clock for bodies the
-#: fuzz matrix already covers cross-process.
-_ALL_MODES = ("serial", "threaded")
-_KNOWN = ("serial", "threaded", "process")
+_KNOWN = ("serial", "threaded")
 _env = os.environ.get("REPRO_ENGINE_MODE", "")
-MODES = (_env,) if _env in _KNOWN else _ALL_MODES
+MODES = (_env,) if _env in _KNOWN else _KNOWN
 
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
 
@@ -532,8 +527,7 @@ class TestRetryObservability:
 class TestOneCounterLedger:
     """``Counters`` is the ledger; the whole of it is copied into the
     metrics registry once per run, under the same names, so the two
-    agree in every mode — including process, whose workers ferry only
-    ``Counters``."""
+    agree in every mode."""
 
     @staticmethod
     def assert_mirrored(res, *, nonzero):

@@ -150,6 +150,12 @@ class TestJobConf:
                 num_reduce_tasks=1,
             )
 
+    @pytest.mark.parametrize("mode", ["process", "inline"])
+    def test_unknown_mode_names_the_two_that_exist(self, mode):
+        """There is no process backend: its name is as unknown as any."""
+        with pytest.raises(JobConfigError, match=r"expected serial\|threaded$"):
+            LocalEngine().run(counting_job(), mode=mode)
+
 
 class TestSerialGlobal:
     def test_correct_output(self):

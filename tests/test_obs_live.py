@@ -333,7 +333,6 @@ class TestFinishOnFailure:
         [
             ("serial", InjectedFaultError),
             ("threaded", JobFailedError),
-            ("process", JobFailedError),
         ],
     )
     def test_crashed_map_still_finishes_the_job(self, mode, raised):

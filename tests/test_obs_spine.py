@@ -40,7 +40,7 @@ from repro.spec import SpeculationPolicy
 
 from tests.test_mapreduce_engine import counting_job, ranged_job
 
-MODES = ("serial", "threaded", "process")
+MODES = ("serial", "threaded")
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
 LIFECYCLE = (
     "task.attempts", "task.failures", "task.retries", "task.cancelled",

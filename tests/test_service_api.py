@@ -62,7 +62,7 @@ class TestQueryRequest:
         req = QueryRequest(
             dataset="d", variable="v", extract=[3, 2], stride=[1, 2],
             operator="filter_gt", threshold=5.0, splits=3, reduces=2,
-            data_plane="columnar", engine="process", prune=True,
+            data_plane="columnar", engine="serial", prune=True,
             tenant="team-a", priority=7, deadline=9.0, on_deadline="partial",
             max_attempts=3, recovery="reexecute-deps",
             fault_rules=[{"task": "map", "fault": "transient", "indices": [0]}],
@@ -185,6 +185,17 @@ class TestInProcessService:
             svc.register_array("d", "v", small_data())
             with pytest.raises(AdmissionError):
                 client.submit(mean_request(tenant="t", **fields))
+            assert svc.list_jobs() == []
+            assert "t" not in svc.stats()["tenants"]
+
+    def test_process_engine_is_refused_at_admission(self):
+        """There is no process backend: the name is refused like any
+        other unknown engine — not queued, not run, nothing billed."""
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", small_data())
+            with pytest.raises(AdmissionError, match="'serial', 'threaded'"):
+                client.submit(mean_request(tenant="t", engine="process"))
             assert svc.list_jobs() == []
             assert "t" not in svc.stats()["tenants"]
 
@@ -340,6 +351,14 @@ class TestHttpServer:
                 "POST", "/query",
                 {"dataset": "d", "variable": "v", "extract": [4, 5],
                  "operator": "nope"},
+            )
+        with pytest.raises(
+            Exception, match="400.*unknown engine 'process'.*'serial', 'threaded'"
+        ):
+            client._call(
+                "POST", "/query",
+                {"dataset": "d", "variable": "v", "extract": [4, 5],
+                 "engine": "process"},
             )
         with pytest.raises(Exception, match="404"):
             client._call("GET", "/no/such/route")

@@ -6,15 +6,12 @@ only where it cannot run without a second thread
 (:func:`repro.service.service.execution_mode`).  These tests pin the
 rule and each branch's observable behaviour: no thread started and the
 deterministic serial interleaving for ``threaded``; a launched, winning
-backup for ``threaded`` + ``speculate``; forked workers and a cleaned
-spill directory for ``process``; the same failure report from ``serial``
-and ``threaded``.
+backup for ``threaded`` + ``speculate``; the same failure report from
+``serial`` and ``threaded``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 
 import numpy as np
@@ -23,7 +20,7 @@ import pytest
 import repro.service.service as service_module
 from repro.obs import EventBus
 from repro.service import QueryRequest, service_fixture
-from repro.service.api import DONE, FAILED
+from repro.service.api import DONE, ENGINES, FAILED
 from repro.service.service import execution_mode
 from repro.service.testing import oracle_for_request
 
@@ -47,8 +44,7 @@ def req(**kw):
 @pytest.fixture()
 def sampled(monkeypatch):
     """Every event of every served job, each with a sample taken on the
-    publishing thread while the job runs: ``(event, threads, children,
-    spill entries)``."""
+    publishing thread while the job runs: ``(event, threads)``."""
     seen = []
 
     class SampledBus(EventBus):
@@ -58,13 +54,7 @@ def sampled(monkeypatch):
 
         @staticmethod
         def _sample(event):
-            root = os.environ.get("REPRO_SPILL_DIR")
-            seen.append((
-                event,
-                threading.active_count(),
-                len(multiprocessing.active_children()),
-                os.listdir(root) if root and os.path.isdir(root) else [],
-            ))
+            seen.append((event, threading.active_count()))
 
     monkeypatch.setattr(service_module, "EventBus", SampledBus)
     return seen
@@ -78,14 +68,24 @@ class TestSelectionRule:
             ("serial", True, "serial"),
             ("threaded", False, "serial"),
             ("threaded", True, "threaded"),
-            ("process", False, "process"),
-            ("process", True, "process"),
         ],
     )
     def test_mode_is_a_function_of_engine_and_speculate(
         self, engine, speculate, mode
     ):
         assert execution_mode(engine, speculate) == mode
+
+    def test_total_over_the_request_fields_with_one_pooled_cell(self):
+        """Every admissible (engine, speculate) pair is served in a mode
+        the engine runs, and exactly one of them builds pools."""
+        served = {
+            (engine, speculate): execution_mode(engine, speculate)
+            for engine in ENGINES
+            for speculate in (False, True)
+        }
+        assert set(served.values()) <= set(ENGINES)
+        pooled = [cell for cell, mode in served.items() if mode != "serial"]
+        assert pooled == [("threaded", True)]
 
 
 class TestThreadedRunsOnTheWorkerThread:
@@ -101,14 +101,14 @@ class TestThreadedRunsOnTheWorkerThread:
         assert doc["engine"] == "threaded"  # the wire name is unchanged
         assert doc["digest"] == digest
 
-        assert {threads for _, threads, _, _ in sampled} == {idle}
+        assert {threads for _, threads in sampled} == {idle}
 
         # The deterministic serial interleaving: a fired reduce starts
         # at once and finishes before the next map starts (paper Fig. 4b
         # on one thread).
         stream = [
             (ev.type, ev.kind, ev.index)
-            for ev, *_ in sampled
+            for ev, _ in sampled
             if ev.type in ("task.start", "task.finish", "barrier.fire")
         ]
         fires = [i for i, (t, _, _) in enumerate(stream) if t == "barrier.fire"]
@@ -150,19 +150,19 @@ class TestSpeculationStillRacesABackup:
         assert counters["task.speculations"] == 1
         assert counters["task.cancelled"] == 1
         races = [
-            ev for ev, *_ in sampled
+            ev for ev, _ in sampled
             if ev.type == "task.speculate" and ev.data["mode"] == "race"
         ]
         assert [(ev.kind, ev.index) for ev in races] == [("map", 1)]
         backup = races[0].attempt
         finishes = {
             ev.attempt: ev.data["status"]
-            for ev, *_ in sampled
+            for ev, _ in sampled
             if ev.type == "task.finish" and (ev.kind, ev.index) == ("map", 1)
         }
         assert finishes[backup] == "ok" and finishes[races[0].data["of"]] == "lost"
         # pooled: the job ran on threads of its own
-        assert max(threads for _, threads, _, _ in sampled) > idle
+        assert max(threads for _, threads in sampled) > idle
 
     def test_explicit_serial_keeps_cancel_and_retry_in_place(self, sampled):
         with service_fixture(workers=1) as client:
@@ -178,23 +178,6 @@ class TestSpeculationStillRacesABackup:
         assert doc["state"] == DONE
         assert counters.get("task.speculations", 0) == 0
         assert counters["task.retries"] == 1
-
-
-class TestProcessStillForks:
-    def test_forked_workers_and_a_cleaned_spill_directory(
-        self, sampled, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path))
-        with service_fixture(workers=1, map_workers=2, reduce_workers=2) as client:
-            svc = client.service
-            svc.register_array("d", "v", field())
-            request = req(engine="process", data_plane="columnar")
-            _, digest = oracle_for_request(svc, request)
-            doc = client.query(request)
-        assert doc["state"] == DONE and doc["digest"] == digest
-        assert max(children for _, _, children, _ in sampled) >= 2
-        assert any(spill for *_, spill in sampled)  # the job's dir, mid-run
-        assert os.listdir(tmp_path) == []
 
 
 class TestFailuresReadTheSame:

@@ -237,7 +237,7 @@ class TestCacheKeying:
             docs = [
                 run(engine="serial", data_plane="columnar"),
                 run(engine="threaded", data_plane="record"),
-                run(engine="process", data_plane="columnar"),
+                run(engine="threaded", data_plane="columnar", speculate=True),
             ]
             assert all(d["plan_cache_hit"] for d in docs)
             assert len({d["digest"] for d in docs}) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ShuffleError
+from repro.errors import JobConfigError, ShuffleError
 from repro.mapreduce.columnar import ResultBlock
 from repro.verify import (
     ENGINE_CONFIGS,
@@ -368,6 +368,45 @@ class TestFuzzDriver:
         assert not run_case(shrunk).ok
 
 
+class TestLegSelection:
+    """``REPRO_VERIFY_ENGINES`` / ``verify --engines`` select legs by
+    name.  A token that names no leg is an error: a run pinned to a
+    misspelt or retired engine must not pass by checking another."""
+
+    @pytest.mark.parametrize(
+        "value",
+        ["bogus", "proces,serial", "process", "serial,threaded,process,service"],
+    )
+    def test_unknown_token_is_an_error_naming_the_legs(self, monkeypatch, value):
+        from repro.verify.fuzz import _engine_configs
+
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", value)
+        with pytest.raises(JobConfigError, match="serial, threaded, service"):
+            _engine_configs()
+        with pytest.raises(JobConfigError, match="unknown engine leg"):
+            run_case(base_case("mean"))
+
+    @pytest.mark.parametrize("value", ["", " ", ","])
+    def test_empty_still_means_every_engine_leg(self, monkeypatch, value):
+        from repro.verify.fuzz import _engine_configs
+
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", value)
+        assert _engine_configs() == ENGINE_CONFIGS
+
+    def test_cli_exits_2_with_the_message_on_stderr(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        # ``--engines`` writes the variable; set it first so the
+        # fixture restores it.
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", "serial")
+        rc = main(["verify", "--cases", "1", "--engines", "proces,serial"])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert "unknown engine leg(s) 'proces'" in cap.err
+        assert "serial, threaded, service" in cap.err
+        assert cap.out == ""
+
+
 class TestServiceLeg:
     """Opt-in service legs: cases routed through the resident query
     service (in-process client) join the differential ladder when
@@ -454,9 +493,7 @@ class TestServiceLeg:
         oracle's digest shares the loss — every digest in the matrix
         still agrees — so only each leg decoding its own bytes can see
         it, and every leg must: engine and service alike."""
-        monkeypatch.setenv(
-            "REPRO_VERIFY_ENGINES", "serial,threaded,process,service"
-        )
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", "serial,threaded,service")
         assert run_case(base_case("mean")).ok
         real = ResultBlock.to_bytes
         monkeypatch.setattr(
