@@ -117,7 +117,11 @@ def main() -> None:
     print(plan.describe())
 
     splits = slice_splits(plan, num_splits=12)
-    job, barrier, sidr = build_sidr_job(plan, splits, 4, data)
+    # A user-defined operator has no columnar definition: it runs on the
+    # record plane, the engine of Mapper/Reducer objects.
+    job, barrier, sidr = build_sidr_job(
+        plan, splits, 4, data, data_plane="record"
+    )
     # Swap in the region-aware mapper (reader stays stock).
     split_by_index = {sp.index: sp for sp in splits}
     original_reader = job.reader_factory

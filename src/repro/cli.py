@@ -5,7 +5,7 @@ Subcommands mirroring the library's main entry points::
     python -m repro.cli info    FILE                 # show NCLite metadata
     python -m repro.cli query   FILE --variable V --extract 7,5,1 \\
                                 --operator mean [--reduces 4] [--stride ...]
-                                [--data-plane record|columnar]
+                                [--data-plane columnar|record]
                                 [--live] [--events out.jsonl] [--status out.json]
                                 [--trace out.json] [--metrics out.json]
                                 [--inject-faults PLAN.json] [--fault-seed N]
@@ -117,6 +117,11 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
     """Client mode: submit the query to a running ``repro.cli serve``
     instance instead of executing locally.  FILE is the *dataset name*
     registered with the server."""
+    if args.data_plane == "record":
+        raise SystemExit(
+            "--data-plane record runs locally only: a server serves the "
+            "columnar plane (drop --server to run the reference engine)"
+        )
     import json
 
     from repro.service import HttpServiceClient, QueryRequest
@@ -137,7 +142,6 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         splits=args.splits,
         reduces=args.reduces,
-        data_plane=args.data_plane,
         engine=args.engine,
         prune=not args.no_prune,
         tenant=args.tenant,
@@ -757,9 +761,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--reduces", type=int, default=4)
     p_query.add_argument("--splits", type=int, default=16)
     p_query.add_argument(
-        "--data-plane", choices=("record", "columnar"), default="record",
-        help="execution path: per-record objects (oracle) or the "
-        "vectorized columnar batch path (docs/PERFORMANCE.md)",
+        "--data-plane", choices=("columnar", "record"), default="columnar",
+        help="columnar (default): the vectorized batch path every "
+        "built-in operator runs on, and the only plane a server serves; "
+        "record: the per-record reference engine (Mapper/Reducer "
+        "objects, sort-merge shuffle) for debugging and for checking "
+        "the columnar output against — ~25x slower, local runs only "
+        "(docs/PERFORMANCE.md)",
     )
     p_query.add_argument(
         "--no-prune", action="store_true",

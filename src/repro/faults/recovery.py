@@ -27,5 +27,12 @@ class RecoveryModel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "RecoveryModel":
-        """Accept both ``reexecute-deps`` and ``reexecute_deps`` forms."""
-        return cls(text.strip().lower().replace("_", "-"))
+        """Accept both ``reexecute-deps`` and ``reexecute_deps`` forms;
+        anything else is a ``ValueError`` naming the models."""
+        try:
+            return cls(str(text).strip().lower().replace("_", "-"))
+        except ValueError:
+            raise ValueError(
+                f"unknown recovery model {text!r}; expected one of "
+                f"{tuple(m.value for m in cls)}"
+            ) from None

@@ -38,12 +38,10 @@ from repro.mapreduce.mapper import (
     ChunkAggregateMapper,
     IdentityMapper,
     Mapper,
-    ThresholdFilterMapper,
 )
 from repro.mapreduce.reducer import (
     AggregateReducer,
     ConcatReducer,
-    IdentityReducer,
     Reducer,
 )
 from repro.mapreduce.partitioner import (
@@ -84,10 +82,8 @@ __all__ = [
     "ChunkAggregateMapper",
     "IdentityMapper",
     "Mapper",
-    "ThresholdFilterMapper",
     "AggregateReducer",
     "ConcatReducer",
-    "IdentityReducer",
     "Reducer",
     "HashPartitioner",
     "JavaStyleKeyHash",

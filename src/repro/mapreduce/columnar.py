@@ -27,11 +27,11 @@ module is the engine half of that plane:
   iterates; the service, the verifier and the dense output writer read
   the arrays.
 * :func:`run_columnar_map` / :func:`run_columnar_reduce` — the task
-  bodies the engine dispatches to when ``JobConf.data_plane ==
-  "columnar"``.  Sorting is one ``np.lexsort`` per partition,
-  partitioning uses the already-vectorized ``partition_many``, and
-  same-key merging is a segmented fold instead of ``group_sorted``'s
-  per-record loop.
+  bodies the engine dispatches to when the job carries a
+  ``JobConf.batch_operator``.  Sorting is one ``np.lexsort`` per
+  partition, partitioning uses the already-vectorized
+  ``partition_many``, and same-key merging is a segmented fold instead
+  of ``group_sorted``'s per-record loop.
 
 The operator arithmetic itself lives behind the :class:`BatchOperator`
 protocol (implemented for every operator in :mod:`repro.query.columnar`),
@@ -54,7 +54,7 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from repro.errors import InjectedFaultError, JobConfigError, ShuffleError
+from repro.errors import InjectedFaultError, ShuffleError
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.shuffle import SPILL_CHECKS_ENABLED, ShuffleStore
 from repro.mapreduce.types import KeyValue, MapTaskId
@@ -452,17 +452,6 @@ class ResultBlock(Sequence):
         return f"ResultBlock({len(self)} records, keys {self.key_rows.shape})"
 
 
-def _batch_operator(job: Any) -> BatchOperator:
-    bop = job.context.get("batch_operator")
-    if bop is None:
-        raise JobConfigError(
-            f"job {job.name!r} selects the columnar data plane but carries "
-            "no context['batch_operator']; use SIDRPlan.configure_job("
-            "data_plane='columnar') to wire one"
-        )
-    return bop
-
-
 def run_columnar_map(
     job: Any,
     split_index: int,
@@ -483,7 +472,7 @@ def run_columnar_map(
     additionally counts the instances mapped as batch rows — all of
     them, so it equals ``map.input.records``.
     """
-    bop = _batch_operator(job)
+    bop: BatchOperator = job.batch_operator
     n = job.num_reduce_tasks
     key_parts: list[np.ndarray] = []
     col_parts: list[tuple[np.ndarray, ...]] = []
@@ -605,7 +594,7 @@ def run_columnar_reduce(
     cancellation/liveness checkpoint is task-granular, like the map
     side's per-batch one.
     """
-    bop = _batch_operator(job)
+    bop: BatchOperator = job.batch_operator
     block = ResultBlock.empty()
     records = 0
     sizes: np.ndarray | None = None

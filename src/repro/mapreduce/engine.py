@@ -472,9 +472,11 @@ class JobResult:
         """All output records across partitions, sorted by key — the
         form tests compare across engine configurations.  Columnar
         outputs stay one :class:`ResultBlock` (sorted only if partition
-        order is not key order); record-plane outputs are a list."""
+        order is not key order), and so does no output at all (a
+        partial result whose deadline fired before any partition
+        committed); record-plane outputs are a list."""
         parts = [self.outputs[p] for p in sorted(self.outputs)]
-        if parts and all(isinstance(part, ResultBlock) for part in parts):
+        if all(isinstance(part, ResultBlock) for part in parts):
             return ResultBlock.concatenate(parts)
         records: list[KeyValue] = []
         for part in parts:
@@ -560,10 +562,7 @@ class LocalEngine:
         corrupt = faults is not None and faults.should_corrupt(
             "map", split_index, attempt
         )
-        body = (
-            run_columnar_map if job.data_plane == "columnar"
-            else run_record_map
-        )
+        body = run_record_map if job.batch_operator is None else run_columnar_map
         body(
             job, split_index, store, counters, obs,
             obs.task_span("map", split_index, attempt),
@@ -713,8 +712,8 @@ class LocalEngine:
             attempt=attempt, faults=faults, cancel=cancel,
         )
         body = (
-            run_columnar_reduce if job.data_plane == "columnar"
-            else run_record_reduce
+            run_record_reduce if job.batch_operator is None
+            else run_columnar_reduce
         )
         return self._with_synth_records(
             job,

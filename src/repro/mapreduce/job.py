@@ -6,6 +6,11 @@ function, and the reduce-task count.  Factories (rather than instances)
 are taken for mappers/reducers because each task must get a fresh
 instance — Hadoop instantiates user classes per task attempt, and
 stateful mappers would otherwise leak state across tasks.
+
+A job's data plane is what it carries, not something it is told: with a
+:attr:`JobConf.batch_operator` the engine runs the columnar task bodies,
+without one the per-record ``Mapper``/``Reducer`` bodies — the reference
+engine every hand-built job runs on.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import JobConfigError
+from repro.mapreduce.columnar import BatchOperator
 from repro.mapreduce.mapper import Mapper
 from repro.mapreduce.partitioner import Partitioner
 from repro.mapreduce.reducer import Reducer
@@ -41,11 +47,12 @@ class JobConf:
     #: engines running SIDR plans set this False to fetch only from the
     #: dependency set.
     contact_all_maps: bool = True
-    #: ``"record"`` runs the per-record object path; ``"columnar"`` runs
-    #: the vectorized batch path (requires a columnar reader factory and
-    #: a ``context["batch_operator"]`` — see
-    #: :meth:`repro.sidr.planner.SIDRPlan.configure_job`).
-    data_plane: str = "record"
+    #: The vectorized face of the job's operator.  A job carrying one
+    #: runs the columnar plane, and its ``reader_factory`` must emit
+    #: :class:`~repro.mapreduce.columnar.ChunkBatch` items
+    #: (:meth:`repro.sidr.planner.SIDRPlan.configure_job` wires both);
+    #: ``None`` runs the record plane.
+    batch_operator: BatchOperator | None = None
     #: Wall-clock budget in seconds for the whole job run (None = no
     #: deadline).  On expiry every in-flight attempt is cooperatively
     #: cancelled; ``on_deadline`` picks what happens next.
@@ -69,11 +76,6 @@ class JobConf:
                 f"unknown on_deadline policy {self.on_deadline!r}; "
                 "expected 'fail' or 'partial'"
             )
-        if self.data_plane not in ("record", "columnar"):
-            raise JobConfigError(
-                f"unknown data plane {self.data_plane!r}; "
-                "expected 'record' or 'columnar'"
-            )
         if not self.splits:
             raise JobConfigError("job has no input splits")
         if self.num_reduce_tasks <= 0:
@@ -90,3 +92,8 @@ class JobConf:
     @property
     def num_map_tasks(self) -> int:
         return len(self.splits)
+
+    @property
+    def data_plane(self) -> str:
+        """``"columnar"`` iff the job carries a batch operator."""
+        return "record" if self.batch_operator is None else "columnar"

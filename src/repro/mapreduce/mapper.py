@@ -9,10 +9,8 @@ Hadoop's streaming contract: the engine may consume output incrementally.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator
-from typing import Any, Callable
-
-import numpy as np
+from collections.abc import Iterator
+from typing import Any
 
 from repro.mapreduce.types import KeyValue
 
@@ -39,16 +37,6 @@ class IdentityMapper(Mapper):
         yield (key, value)
 
 
-class FunctionMapper(Mapper):
-    """Adapter wrapping a plain function ``f(key, value) -> iterable``."""
-
-    def __init__(self, fn: Callable[[Any, Any], Iterable[KeyValue]]) -> None:
-        self._fn = fn
-
-    def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
-        yield from self._fn(key, value)
-
-
 class ChunkAggregateMapper(Mapper):
     """Structural-query mapper for chunked records.
 
@@ -68,23 +56,3 @@ class ChunkAggregateMapper(Mapper):
 
     def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
         yield (key, self._op.map_partial(value))
-
-
-class ThresholdFilterMapper(Mapper):
-    """Query 2's mapper: keep cells whose value exceeds a threshold.
-
-    Emits ``(k', array_of_passing_values)`` per chunk; empty chunks emit
-    an empty array so the reduce side still learns that the region was
-    examined (needed for the count-annotation bookkeeping).  The payload
-    stays a numpy array — boxing every passing cell into a Python list
-    costs ~50 bytes per float and defeats downstream vectorization.
-    """
-
-    def __init__(self, threshold: float) -> None:
-        self.threshold = threshold
-
-    def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
-        arr = np.asarray(getattr(value, "data", value), dtype=np.float64)
-        count = getattr(value, "source_count", arr.size)
-        passing = arr[arr > self.threshold]
-        yield (key, {"values": passing, "source_count": int(count)})

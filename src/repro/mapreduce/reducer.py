@@ -35,14 +35,6 @@ class Reducer(ABC):
         return iter(())
 
 
-class IdentityReducer(Reducer):
-    """Emit each (key, value) pair unchanged."""
-
-    def reduce(self, key: Any, values: Sequence[Any]) -> Iterator[KeyValue]:
-        for v in values:
-            yield (key, v)
-
-
 class ConcatReducer(Reducer):
     """Emit (key, list-of-values) — the raw grouped view."""
 
@@ -66,24 +58,18 @@ class AggregateReducer(Reducer):
     Works with :class:`repro.mapreduce.mapper.ChunkAggregateMapper`: the
     grouped values are operator partials (one per contributing split, or
     fewer after combining); the operator merges them and produces the
-    output cell value.  Also serves as the combiner for operators that
-    declare themselves distributive.
+    output cell value.
     """
 
-    def __init__(self, operator: Any, *, finalize: bool = True) -> None:
+    def __init__(self, operator: Any) -> None:
         self._op = operator
-        self._finalize = finalize
 
     def reduce(self, key: Any, values: Sequence[Any]) -> Iterator[KeyValue]:
-        merged = self._op.combine(values)
-        if self._finalize:
-            yield (key, self._op.finalize(merged))
-        else:
-            yield (key, merged)
+        yield (key, self._op.finalize(self._op.combine(values)))
 
 
 class CombinerAdapter(Reducer):
-    """An :class:`AggregateReducer` that never finalizes — the combiner
+    """The :class:`AggregateReducer` that never finalizes — the combiner
     role: merge partials within one map task's output to cut shuffle
     volume (§3.2.1 explains why this is what makes early reduce starts
     need the count annotation)."""

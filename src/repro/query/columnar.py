@@ -484,8 +484,9 @@ class StructuralBatchOperator:
             self._spec = _SPECS[operator.name]
         except KeyError:
             raise QueryError(
-                f"operator {operator.name!r} has no columnar definition; "
-                f"known: {sorted(_SPECS)}"
+                f"operator {operator.name!r} has no columnar definition "
+                f"(known: {sorted(_SPECS)}); a user-defined operator runs "
+                "on the record plane: pass data_plane=\"record\""
             ) from None
         self.operator = operator
         threshold = getattr(operator, "threshold", None)

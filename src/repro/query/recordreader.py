@@ -22,7 +22,6 @@ Both readers work from an NCLite file or an in-memory array (tests).
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator
 from typing import Any
 
@@ -34,10 +33,6 @@ from repro.mapreduce.types import KeyValue
 from repro.query.language import QueryPlan
 from repro.query.operators import Chunk
 from repro.query.splits import CoordinateSplit
-
-#: Source of cell data: an open file path or an in-memory full-variable
-#: array (global origin).
-DataSource = "str | os.PathLike | np.ndarray"
 
 
 def _read_slab(source: Any, variable: str, slab: Slab) -> np.ndarray:

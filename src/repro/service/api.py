@@ -7,6 +7,13 @@ speculation, deadline) and the multi-tenant scheduling fields (tenant,
 priority).  It round-trips through JSON, so the in-process client and
 the HTTP server share one schema.
 
+The service serves one data plane, ``columnar``: :data:`DATA_PLANES`
+has that single value, and ``data_plane`` stays in the schema only as a
+name existing clients send (``docs/SERVICE.md``, "Why the service has
+one plane").  The per-record plane is the reference engine of
+``repro.cli verify`` and of local ``repro.cli query --data-plane
+record`` runs; a request naming it is refused at admission.
+
 ``engine`` does not say how many threads a job gets: ``serial`` and
 ``threaded`` jobs both execute on the queue worker thread that runs
 them (the queue's workers are the service's parallelism).  Only a
@@ -19,11 +26,11 @@ key (:meth:`QueryRequest.plan_key`): exactly the fields
 plan keys over the same dataset content produce the *same*
 :class:`~repro.sidr.planner.SIDRPlan` — partition+ keyspaces, keyblock
 partitions, and dependency maps ``I_l`` are pure functions of (dataset
-metadata, query) — so ``data_plane``/``engine`` deliberately do NOT
-participate: they only affect the cheap per-submission
-``configure_job`` step, and repeated shapes reuse keyblock partitions
-across planes and engines.  ``prune`` DOES participate: it changes the
-surviving split set and dependency map, i.e. the plan itself.
+metadata, query) — so ``engine`` deliberately does NOT participate: it
+only affects how the per-submission job is executed, and repeated
+shapes reuse keyblock partitions across engines.  ``prune`` DOES
+participate: it changes the surviving split set and dependency map,
+i.e. the plan itself.
 
 The result has two bodies (``docs/SERVICE.md``, "Wire format"): JSON,
 and — for a client whose ``Accept`` header names
@@ -39,12 +46,14 @@ import struct
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.errors import QueryError, ReproError, ShuffleError
+from repro.errors import ReproError, ShuffleError
+from repro.faults import InjectionPlan, RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
 from repro.query.operators import StructuralOperator, get_operator
+from repro.spec import SpeculationPolicy
 
 ENGINES = ("serial", "threaded")
-DATA_PLANES = ("record", "columnar")
+DATA_PLANES = ("columnar",)
 ON_DEADLINE = ("fail", "partial")
 
 #: Job lifecycle states, in order of progress.
@@ -134,7 +143,7 @@ class QueryRequest:
     stride: tuple[int, ...] | None = None
     splits: int = 16
     reduces: int = 4
-    data_plane: str = "record"
+    data_plane: str = "columnar"
     engine: str = "threaded"
     prune: bool = True
     tenant: str = "default"
@@ -194,16 +203,46 @@ class QueryRequest:
             raise AdmissionError(f"deadline must be positive, got {self.deadline}")
         try:
             self.structural_operator()
-        except QueryError as exc:
-            # Unknown operator, or a threshold missing/unwanted: a
-            # request error, not a job to queue, fail and bill the
-            # tenant's failure budget for.
+            self.recovery_model()
+            self.speculation_policy()
+            self.injection_plan()
+        except (ReproError, ValueError, TypeError) as exc:
+            # What the run would be built from cannot be built — an
+            # unknown operator, recovery model or fault rule, a
+            # threshold missing/unwanted, a hang timeout that is not a
+            # positive number: a request error, not a job to queue, fail
+            # and bill the tenant's failure budget for.
             raise AdmissionError(str(exc)) from exc
 
+    # ------------------------------------------------------------------ #
+    # What the run is built from (validated at admission, built again
+    # by the service's runner)
+    # ------------------------------------------------------------------ #
     def structural_operator(self) -> StructuralOperator:
         """The operator this request names, with its threshold."""
         params = {} if self.threshold is None else {"threshold": self.threshold}
         return get_operator(self.operator, **params)
+
+    def recovery_model(self) -> RecoveryModel:
+        """The §6 recovery design ``recovery`` names."""
+        return RecoveryModel.parse(self.recovery)
+
+    def speculation_policy(self) -> SpeculationPolicy | None:
+        """Hedging knobs when the request asks to ``speculate``."""
+        if not self.speculate:
+            return None
+        return SpeculationPolicy(
+            hang_timeout=self.hang_timeout,
+            heartbeat_interval=min(0.05, self.hang_timeout / 4),
+        )
+
+    def injection_plan(self) -> InjectionPlan | None:
+        """The fault plan of ``fault_rules`` under ``fault_seed``."""
+        if not self.fault_rules:
+            return None
+        return InjectionPlan.from_json(
+            {"seed": self.fault_seed, "rules": list(self.fault_rules)}
+        )
 
     # ------------------------------------------------------------------ #
     # Plan-cache key

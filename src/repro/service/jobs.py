@@ -151,7 +151,6 @@ class ServiceJob:
                 "priority": self.request.priority,
                 "dataset": self.request.dataset,
                 "engine": self.request.engine,
-                "data_plane": self.request.data_plane,
                 "submitted_at": self.submitted_at,
                 "started_at": self.started_at,
                 "finished_at": self.finished_at,

@@ -17,8 +17,8 @@ dependency maps ``I_l``, pruning decisions — are pure functions of
 A hit returns the cached :class:`~repro.sidr.planner.SIDRPlan` object
 itself: plans are frozen/immutable, and the per-submission
 ``configure_job`` step builds fresh ``JobConf``/barrier state from it,
-so sharing one plan across concurrent jobs (and across data planes and
-engine modes) is safe by construction.
+so sharing one plan across concurrent jobs (and across engine modes)
+is safe by construction.
 
 Concurrent misses on the same key may build the plan twice; both builds
 are identical (pure function), the second insert wins, and nothing

@@ -21,13 +21,13 @@ Jobs, not tasks, are the unit of parallelism: a job runs start to finish
 on the queue worker thread that popped it, and only a request that
 cannot run without a second thread gets per-job thread pools
 (:func:`execution_mode`; ``docs/SERVICE.md``, "Execution model").  Jobs
-of every engine and data plane run side by side over one shared
-dataset.  A finished job keeps its result as one packed
+of either engine run side by side over one shared dataset, all on the
+columnar plane.  A finished job keeps its result as one packed
 :class:`~repro.mapreduce.columnar.ResultBlock` — the bytes the binary
 result body ships — and its digest is the SHA-256 of those bytes, the
 verification oracle's own definition, so every consumer can check
 byte-identity; the JSON rows are built from the block's columns on
-demand, and a columnar job's output never becomes a record list.
+demand, and a job's output never becomes a record list.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.arrays.slab import Slab
 from repro.errors import ReproError
-from repro.faults import InjectionPlan, RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.obs import (
@@ -65,9 +64,8 @@ from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
 from repro.service.plancache import PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
-from repro.spec import SpeculationPolicy
 from repro.verify.explorer import failure_types
-from repro.verify.oracle import canonicalize_records, records_digest
+from repro.verify.oracle import records_digest
 
 
 def records_to_json(records: ResultBlock | list) -> list:
@@ -80,14 +78,11 @@ def records_to_json(records: ResultBlock | list) -> list:
     return [[list(key), value] for key, value in records]
 
 
-def digest_and_block(out: ResultBlock | list) -> tuple[str, ResultBlock]:
-    """A job's output (:meth:`JobResult.all_records`) as what the
-    service keeps of it: one packed block and the oracle-grade digest,
-    the SHA-256 of that block's buffer — pack, then hash what was
-    packed.  A columnar job's block is never turned into records; a
-    record-plane list is canonicalized into one."""
-    if not isinstance(out, ResultBlock):
-        out = ResultBlock.from_records(canonicalize_records(out))
+def digest_and_block(out: ResultBlock) -> tuple[str, ResultBlock]:
+    """A served job's output (:meth:`JobResult.all_records`) as what
+    the service keeps of it: one packed block and the oracle-grade
+    digest, the SHA-256 of that block's buffer — pack, then hash what
+    was packed.  The block is never turned into records."""
     block = out.packed()
     return records_digest(block), block
 
@@ -333,9 +328,7 @@ class QueryService:
                 job.plan_seconds = plan_seconds
 
             job_conf, barrier = plan.configure_job(
-                session.engine_source(),
-                name=f"svc-{job.id}",
-                data_plane=req.data_plane,
+                session.engine_source(), name=f"svc-{job.id}"
             )
             if req.deadline is not None:
                 job_conf.deadline = req.deadline
@@ -354,25 +347,13 @@ class QueryService:
             if self._events_path is not None:
                 writer = JsonlEventWriter(bus, self._events_path, append=True)
 
-            faults = None
-            if req.fault_rules:
-                faults = InjectionPlan.from_json(
-                    {"seed": req.fault_seed, "rules": list(req.fault_rules)}
-                )
             engine = LocalEngine(
                 map_workers=self._map_workers,
                 reduce_workers=self._reduce_workers,
                 retry=RetryPolicy(max_attempts=req.max_attempts, backoff_base=0.0),
-                faults=faults,
-                recovery=RecoveryModel.parse(req.recovery),
-                speculation=(
-                    SpeculationPolicy(
-                        hang_timeout=req.hang_timeout,
-                        heartbeat_interval=min(0.05, req.hang_timeout / 4),
-                    )
-                    if req.speculate
-                    else None
-                ),
+                faults=req.injection_plan(),
+                recovery=req.recovery_model(),
+                speculation=req.speculation_policy(),
             )
             t1 = time.perf_counter()
             res = engine.run(

@@ -108,13 +108,15 @@ class SIDRPlan:
         name: str | None = None,
         use_combiner: bool = True,
         validate_counts: bool = True,
-        data_plane: str = "record",
+        data_plane: str = "columnar",
     ) -> tuple[JobConf, DependencyBarrier]:
         """Build an engine-ready (JobConf, barrier) pair for this plan.
 
-        ``data_plane="columnar"`` selects the vectorized batch path,
-        which every built-in operator has; ``"record"`` is the
-        per-record reference path.
+        This is the one place a data plane is named: ``"columnar"``
+        (the vectorized batch path every built-in operator has) hands
+        the job a batch operator and a batch reader; ``"record"`` is the
+        per-record reference path, and the only one a user-defined
+        operator runs on.
         """
         if data_plane not in ("record", "columnar"):
             raise JobConfigError(
@@ -140,13 +142,11 @@ class SIDRPlan:
             num_reduce_tasks=self.num_reduce_tasks,
             combiner_factory=combiner,
             contact_all_maps=False,
-            data_plane=data_plane,
+            batch_operator=batch_operator_for(op) if columnar else None,
         )
         if validate_counts:
             job.context["reduce_start_validator"] = self.validator()
         job.context["sidr_plan"] = self
-        if columnar:
-            job.context["batch_operator"] = batch_operator_for(op)
         if self.pruning is not None:
             pred = op.prune_predicate()
             assert pred is not None  # pruning only exists with a predicate
@@ -247,7 +247,7 @@ def build_sidr_job(
     num_reduce_tasks: int,
     source: Any,
     *,
-    data_plane: str = "record",
+    data_plane: str = "columnar",
     prune: bool = True,
     zone_map: ZoneMap | None = None,
     **plan_kwargs: Any,

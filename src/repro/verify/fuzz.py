@@ -17,12 +17,12 @@ every fuzzed threshold query proves pruned plans byte-identical to
 unpruned ones.  Fault cases keep pruning off — their rules target split
 indices, which pruning renumbers.
 
-Listing ``service`` in ``REPRO_VERIFY_ENGINES`` adds **service legs**:
-the same case submitted to a fresh resident query service through the
-in-process client (admission → plan cache → shared session → served
-digest), so the whole serving path joins the differential ladder.
-Because legs are selected by environment, a shrunk repro re-runs the
-service path automatically.
+Listing ``service`` in ``REPRO_VERIFY_ENGINES`` adds the **service
+leg** (and its prune twin): the same case submitted to a fresh resident
+query service through the in-process client (admission → plan cache →
+shared session → served digest), so the whole serving path joins the
+differential ladder.  Because legs are selected by environment, a
+shrunk repro re-runs the service path automatically.
 
 A mismatching case is **shrunk**: candidate simplifications (drop
 faults, unstride, collapse reduces/splits, halve geometry) are applied
@@ -68,15 +68,13 @@ _ALL_ENGINE_CONFIGS: tuple[tuple[str, str], ...] = (
     ("threaded", "columnar"),
 )
 
-#: Opt-in legs that route the case through the resident query service
-#: (in-process client, docs/SERVICE.md) instead of a bare engine —
-#: enabled by listing ``service`` in ``REPRO_VERIFY_ENGINES``.  They
-#: fuzz the whole service path: admission, plan cache, shared dataset
-#: session, per-job observability, canonical result serving.
-_SERVICE_CONFIGS: tuple[tuple[str, str], ...] = (
-    ("service", "record"),
-    ("service", "columnar"),
-)
+#: The opt-in leg that routes the case through the resident query
+#: service (in-process client, docs/SERVICE.md) instead of a bare engine
+#: — enabled by listing ``service`` in ``REPRO_VERIFY_ENGINES``.  It
+#: fuzzes the whole service path — admission, plan cache, shared dataset
+#: session, per-job observability, canonical result serving — on the one
+#: plane the service serves.
+_SERVICE_CONFIGS: tuple[tuple[str, str], ...] = (("service", "columnar"),)
 
 
 def _engine_configs() -> tuple[tuple[str, str], ...]:

@@ -99,12 +99,29 @@ class TestQuery:
             "--splits", "6",
             "--limit", "0",
         ]
-        assert main(args) == 0
-        record_out = capsys.readouterr().out
-        assert main(args + ["--data-plane", "columnar"]) == 0
+        assert main(args + ["--data-plane", "record"]) == 0
+        cap = capsys.readouterr()
+        record_out = cap.out
+        assert "record data plane" in cap.err
+        assert main(args) == 0  # columnar is the default
         cap = capsys.readouterr()
         assert cap.out == record_out
         assert "columnar data plane" in cap.err
+
+    def test_record_plane_is_refused_with_a_server(self, capsys):
+        """The record plane is the local reference engine: naming it
+        with ``--server`` fails before anything is submitted (nothing
+        listens on the URL — the check comes first)."""
+        with pytest.raises(SystemExit, match="runs locally only"):
+            main(
+                [
+                    "query", "some-dataset",
+                    "--variable", "temperature",
+                    "--extract", "7,5,1",
+                    "--data-plane", "record",
+                    "--server", "http://127.0.0.1:9",
+                ]
+            )
 
     @pytest.mark.parametrize("operator", ["median", "sort"])
     def test_columnar_runs_holistic(self, ncfile, capsys, operator):
@@ -117,9 +134,11 @@ class TestQuery:
             "--splits", "4",
             "--limit", "0",
         ]
-        assert main(args) == 0
-        record_out = capsys.readouterr().out
-        assert main(args + ["--data-plane", "columnar"]) == 0
+        assert main(args + ["--data-plane", "record"]) == 0
+        cap = capsys.readouterr()
+        record_out = cap.out
+        assert "record data plane" in cap.err
+        assert main(args) == 0  # columnar is the default
         cap = capsys.readouterr()
         assert cap.out == record_out
         assert "columnar data plane" in cap.err

@@ -39,7 +39,7 @@ from repro.query.columnar import batch_operator_for
 from repro.query.operators import get_operator
 from repro.service.api import ServiceError, decode_result_body, encode_result_body
 from repro.service.service import digest_and_block
-from repro.verify.oracle import canonicalize_records
+from repro.verify.oracle import canonicalize_records, records_digest
 
 RECORDS = [((0, 1), 1.5), ((0, 2), -2.0), ((1, 0), 0.25)]
 
@@ -276,7 +276,15 @@ class TestJobResult:
         assert repr(res.canonical_records()) == "[((0,), [1]), ((1,), 2.0)]"
 
     def test_no_outputs(self):
-        assert self._result({}).canonical_records() == []
+        """No committed partition (a partial result whose deadline fired
+        first) is the empty block, so the service can pack and digest it
+        like any other output — it used to be an empty list."""
+        out = self._result({}).all_records()
+        assert isinstance(out, ResultBlock) and len(out) == 0
+        assert out == [] and self._result({}).canonical_records() == []
+        digest, block = digest_and_block(out)
+        assert digest == records_digest([])
+        assert block.to_bytes() == ResultBlock.empty().to_bytes()
 
 
 class TestSynthMerge:
@@ -358,7 +366,7 @@ def _reduce_calls(name: str, groups: int) -> tuple[int, ResultBlock]:
     by two map outputs (so the combine has work)."""
     params = {"threshold": 0.5} if name in ("range_exceeds", "filter_gt") else {}
     bop = batch_operator_for(get_operator(name, **params))
-    job = SimpleNamespace(name="guard", context={"batch_operator": bop})
+    job = SimpleNamespace(name="guard", batch_operator=bop)
     rng = np.random.default_rng(groups)
     keys = np.stack([np.arange(groups) // 7, np.arange(groups) % 7], axis=1)
     files = [

@@ -6,13 +6,12 @@ import pytest
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import EngineTrace
-from repro.mapreduce.mapper import FunctionMapper, IdentityMapper
+from repro.mapreduce.mapper import IdentityMapper
 from repro.mapreduce.reducer import (
     AggregateReducer,
     CombinerAdapter,
     ConcatReducer,
     FunctionReducer,
-    IdentityReducer,
 )
 from repro.obs.live.bus import EV_TASK_FINISH, EV_TASK_START, EventBus
 from repro.query.operators import Chunk, MeanOp
@@ -54,14 +53,6 @@ class TestMapperReducerLibrary:
         m = IdentityMapper()
         assert list(m.map((1,), "v")) == [((1,), "v")]
         assert list(m.cleanup()) == []
-
-    def test_function_mapper(self):
-        m = FunctionMapper(lambda k, v: [(k, v * 2)])
-        assert list(m.map((1,), 3)) == [((1,), 6)]
-
-    def test_identity_reducer(self):
-        r = IdentityReducer()
-        assert list(r.reduce((1,), [1, 2])) == [((1,), 1), ((1,), 2)]
 
     def test_concat_reducer(self):
         r = ConcatReducer()

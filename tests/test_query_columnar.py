@@ -19,7 +19,6 @@ from repro.mapreduce.columnar import (
     lexsorted_rows,
 )
 from repro.mapreduce.job import JobConf
-from repro.mapreduce.mapper import ThresholdFilterMapper
 from repro.mapreduce.shuffle import ShuffleStore, _nbytes, _spill_checks_enabled
 from repro.mapreduce.types import MapTaskId
 from repro.query.columnar import (
@@ -222,8 +221,9 @@ class TestBatchOperators:
             name = "mode"
             map_partial = combine = finalize = None
 
-        with pytest.raises(QueryError, match="no columnar definition"):
+        with pytest.raises(QueryError, match="no columnar definition") as exc:
             batch_operator_for(Mode())
+        assert 'data_plane="record"' in str(exc.value)  # the way out
 
     @pytest.mark.parametrize("op", DISTRIBUTIVE, ids=lambda o: o.name)
     def test_map_batch_matches_map_partial(self, op):
@@ -639,20 +639,29 @@ class TestColumnarMapOutput:
 # Plumbing: JobConf, planner wiring, sizing, spill-check gate
 # --------------------------------------------------------------------- #
 class TestPlumbing:
-    def test_jobconf_rejects_unknown_plane(self, field, data):
+    def test_jobconf_plane_is_what_it_carries(self, field, data):
+        """A hand-built job is a record-plane job; the plane is derived
+        from ``batch_operator`` and cannot be passed or assigned."""
         plan = _plan(field, (7, 5, 2))
         sp = slice_splits(plan, num_splits=2)
-        with pytest.raises(JobConfigError, match="data plane"):
-            JobConf(
-                name="bad",
-                splits=list(sp),
-                reader_factory=make_reader_factory(data, plan),
-                mapper_factory=lambda: None,
-                reducer_factory=lambda: None,
-                partitioner=None,
-                num_reduce_tasks=2,
-                data_plane="chunky",
-            )
+        fields = dict(
+            name="hand-built",
+            splits=list(sp),
+            reader_factory=make_reader_factory(data, plan),
+            mapper_factory=lambda: None,
+            reducer_factory=lambda: None,
+            partitioner=None,
+            num_reduce_tasks=2,
+        )
+        job = JobConf(**fields)
+        assert job.batch_operator is None and job.data_plane == "record"
+        for plane in ("record", "columnar", "chunky"):
+            with pytest.raises(TypeError, match="data_plane"):
+                JobConf(**fields, data_plane=plane)
+        with pytest.raises(AttributeError):
+            job.data_plane = "columnar"
+        job.batch_operator = batch_operator_for(MeanOp())
+        assert job.data_plane == "columnar"
 
     def test_planner_rejects_unknown_plane(self, field, data):
         from repro.sidr.planner import build_sidr_job
@@ -668,12 +677,13 @@ class TestPlumbing:
 
         plan = _plan(field, (7, 5, 2), operator=op)
         sp = slice_splits(plan, num_splits=2)
-        job, _, _ = build_sidr_job(plan, sp, 2, data, data_plane="columnar")
+        job, _, _ = build_sidr_job(plan, sp, 2, data)  # columnar by default
         assert job.data_plane == "columnar"
-        assert job.context["batch_operator"].operator is op
+        assert job.batch_operator.operator is op
+        assert "batch_operator" not in job.context
         record, _, _ = build_sidr_job(plan, sp, 2, data, data_plane="record")
         assert record.data_plane == "record"
-        assert "batch_operator" not in record.context
+        assert record.batch_operator is None
 
     def test_nbytes_ndarray_is_exact(self):
         arr = np.zeros(100, dtype=np.float64)
@@ -682,15 +692,6 @@ class TestPlumbing:
         obj[0] = np.zeros(10, dtype=np.float32)
         obj[1] = np.zeros(10, dtype=np.float32)
         assert _nbytes(obj) == 80
-
-    def test_threshold_mapper_keeps_ndarray(self):
-        m = ThresholdFilterMapper(threshold=2.0)
-        chunk = Chunk(np.array([1.0, 3.0, 5.0]), 3)
-        ((key, payload),) = list(m.map((0, 0), chunk))
-        assert isinstance(payload["values"], np.ndarray)
-        np.testing.assert_array_equal(payload["values"], [3.0, 5.0])
-        assert payload["source_count"] == 3
-        assert _nbytes(payload["values"]) == payload["values"].nbytes
 
     def test_spill_check_env_parsing(self, monkeypatch):
         for raw, want in [

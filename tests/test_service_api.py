@@ -96,11 +96,38 @@ class TestQueryRequest:
               "operator": "filter_gt"}, "requires a threshold"),
             ({"dataset": "d", "variable": "v", "extract": [2],
               "operator": "mean", "threshold": 1.0}, "takes no parameters"),
+            # the service serves one plane; the record plane is local
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "data_plane": "record"}, r"'record'.*\('columnar',\)"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "recovery": "bogus"}, "unknown recovery model 'bogus'.*persisted"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "speculate": True, "hang_timeout": 0.0}, "hang_timeout"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "fault_rules": [{"task": "nope"}]}, "rule missing 'fault'"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "fault_rules": [{"fault": "crash", "indices": ["x"]}]},
+             "invalid literal"),
         ],
     )
     def test_invalid_documents_are_refused(self, doc, fragment):
         with pytest.raises(AdmissionError, match=fragment):
             QueryRequest.from_json(doc)
+
+    def test_unset_run_options_are_not_validated(self):
+        """The objects admission builds are the ones the run would: a
+        hang timeout matters only to a request that speculates."""
+        QueryRequest.from_json(
+            {"dataset": "d", "variable": "v", "extract": [2],
+             "speculate": False, "hang_timeout": 0.0}
+        )
+
+    def test_plane_defaults_to_the_one_served(self):
+        doc = {"dataset": "d", "variable": "v", "extract": [2]}
+        req = QueryRequest.from_json(doc)
+        assert req.data_plane == "columnar"
+        assert req.to_json()["data_plane"] == "columnar"
+        assert QueryRequest.from_json(req.to_json()) == req
 
     def test_not_json_and_not_object_are_refused(self):
         with pytest.raises(AdmissionError, match="not valid JSON"):
@@ -112,7 +139,6 @@ class TestQueryRequest:
         base = mean_request()
         # Per-submission knobs share the canonical plan key...
         assert base.plan_key() == mean_request(engine="serial").plan_key()
-        assert base.plan_key() == mean_request(data_plane="columnar").plan_key()
         assert base.plan_key() == mean_request(tenant="x", priority=5).plan_key()
         assert base.plan_key() == mean_request(max_attempts=4).plan_key()
         # ...plan-affecting fields do not.
@@ -257,18 +283,17 @@ class TestInProcessService:
         with service_fixture(workers=1) as client:
             svc = client.service
             svc.register_array("d", "v", small_data())
-            for plane in ("record", "columnar"):
-                req = mean_request(data_plane=plane)
-                records, digest = oracle_for_request(svc, req)
-                doc = client.query(req)
-                stored = svc.get_job(doc["id"]).records
-                assert isinstance(stored, ResultBlock)
-                assert stored.to_bytes() is stored.to_bytes()
-                assert not stored.key_rows.flags.writeable
-                assert repr(stored.canonical_records()) == repr(records)
-                assert doc["records"] == records_to_json(stored)
-                assert doc["records"] == records_to_json(records)
-                assert doc["digest"] == digest
+            req = mean_request()
+            records, digest = oracle_for_request(svc, req)
+            doc = client.query(req)
+            stored = svc.get_job(doc["id"]).records
+            assert isinstance(stored, ResultBlock)
+            assert stored.to_bytes() is stored.to_bytes()
+            assert not stored.key_rows.flags.writeable
+            assert repr(stored.canonical_records()) == repr(records)
+            assert doc["records"] == records_to_json(stored)
+            assert doc["records"] == records_to_json(records)
+            assert doc["digest"] == digest
 
     def test_result_timeout_raises(self):
         with service_fixture(workers=1, start_paused=True) as client:
@@ -362,6 +387,38 @@ class TestHttpServer:
             )
         with pytest.raises(Exception, match="404"):
             client._call("GET", "/no/such/route")
+
+    @pytest.mark.parametrize(
+        "fields,fragment",
+        [
+            ({"data_plane": "record"},
+             r"unknown data plane 'record'.*\('columnar',\)"),
+            ({"recovery": "bogus"}, "unknown recovery model 'bogus'"),
+            ({"speculate": True, "hang_timeout": 0.0},
+             "hang_timeout must be positive"),
+            ({"fault_rules": [{"task": "nope"}]}, "rule missing 'fault'"),
+        ],
+        ids=["record-plane", "recovery", "hang-timeout", "fault-rule"],
+    )
+    def test_unrunnable_request_is_a_400_and_bills_nothing(
+        self, live_server, fields, fragment
+    ):
+        """Regression: a malformed recovery model, hang timeout or fault
+        rule was admitted, queued, failed and counted against the
+        tenant; like the plane the service does not serve, each is now
+        refused before a job exists."""
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        with pytest.raises(Exception, match=f"400.*{fragment}"):
+            client._call(
+                "POST", "/query",
+                {"dataset": "d", "variable": "v", "extract": [4, 5], **fields},
+            )
+        assert client.jobs() == []
+        billed = client.stats()["tenants"].get(
+            "default", {"submitted": 0, "failures": 0}
+        )
+        assert (billed["submitted"], billed["failures"]) == (0, 0)
 
     @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
     def test_malformed_content_length_is_a_400(self, live_server, length):
@@ -475,7 +532,7 @@ class TestHttpServer:
          "range_exceeds", "filter_gt", "median", "sort"],
     )
     def test_negotiated_body_carries_the_same_records(self, live_server, operator):
-        """Binary body ≡ JSON body ≡ oracle, per operator, both planes."""
+        """Binary body ≡ JSON body ≡ oracle, per operator."""
         import hashlib
         import json
         import struct
@@ -483,36 +540,33 @@ class TestHttpServer:
         client, service, path, data = live_server
         client.open_dataset("d", path)
         threshold = 3.0 if operator in ("range_exceeds", "filter_gt") else None
-        for plane in ("columnar", "record"):
-            req = mean_request(
-                operator=operator, threshold=threshold, data_plane=plane
-            )
-            records, digest = oracle_for_request(service, req)
-            doc = client.query(req)
-            block = doc.pop("records")
-            assert isinstance(block, ResultBlock)
-            assert not block.key_rows.flags.writeable
+        req = mean_request(operator=operator, threshold=threshold)
+        records, digest = oracle_for_request(service, req)
+        doc = client.query(req)
+        block = doc.pop("records")
+        assert isinstance(block, ResultBlock)
+        assert not block.key_rows.flags.writeable
 
-            ctype, body = self._get_result(client, doc["id"])
-            assert ctype == "application/json"
-            plain = json.loads(body)
-            rows = plain.pop("records")
-            assert plain == doc
-            assert doc["digest"] == digest
-            assert doc["num_records"] == len(block) == len(records)
-            assert (
-                repr(block.canonical_records())
-                == repr([(tuple(key), value) for key, value in rows])
-                == repr(records)
-            )
-            assert records_digest(block.canonical_records()) == digest
-            # The digest is the bytes: SHA-256 of the block section of
-            # the raw binary body, no ``repro`` decoder in between.
-            ctype, raw = self._get_result(client, doc["id"], BLOCK_CONTENT_TYPE)
-            assert ctype == BLOCK_CONTENT_TYPE
-            (doc_bytes,) = struct.unpack_from("<Q", raw)
-            assert json.loads(raw[8:8 + doc_bytes])["digest"] == digest
-            assert hashlib.sha256(raw[8 + doc_bytes:]).hexdigest() == digest
+        ctype, body = self._get_result(client, doc["id"])
+        assert ctype == "application/json"
+        plain = json.loads(body)
+        rows = plain.pop("records")
+        assert plain == doc
+        assert doc["digest"] == digest
+        assert doc["num_records"] == len(block) == len(records)
+        assert (
+            repr(block.canonical_records())
+            == repr([(tuple(key), value) for key, value in rows])
+            == repr(records)
+        )
+        assert records_digest(block.canonical_records()) == digest
+        # The digest is the bytes: SHA-256 of the block section of
+        # the raw binary body, no ``repro`` decoder in between.
+        ctype, raw = self._get_result(client, doc["id"], BLOCK_CONTENT_TYPE)
+        assert ctype == BLOCK_CONTENT_TYPE
+        (doc_bytes,) = struct.unpack_from("<Q", raw)
+        assert json.loads(raw[8:8 + doc_bytes])["digest"] == digest
+        assert hashlib.sha256(raw[8 + doc_bytes:]).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "accept,binary",
@@ -573,6 +627,31 @@ class TestHttpServer:
                 assert decode_result_body(body) == doc
                 assert len(body) == 8 + int.from_bytes(body[:8], "little")
             assert doc == plain
+
+    def test_partial_job_with_no_keyblock_committed(self, live_server):
+        """Every map hangs, so the deadline fires before any reduce can
+        start: the job is still ``done``/``partial``, and its result is
+        the empty block — not the empty list the engine used to hand
+        the service, which only a record-plane branch could digest."""
+        import json
+        import struct
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        doc = client.query(mean_request(
+            fault_rules=({"task": "map", "fault": "hang", "times": 5},),
+            max_attempts=2, deadline=0.2, on_deadline="partial",
+        ))
+        assert doc["state"] == DONE and doc["partial"] is True
+        assert doc["num_records"] == 0
+        assert doc["digest"] == records_digest([])
+        block = doc.pop("records")
+        assert isinstance(block, ResultBlock) and len(block) == 0
+        _, raw = self._get_result(client, doc["id"], BLOCK_CONTENT_TYPE)
+        (doc_bytes,) = struct.unpack_from("<Q", raw)
+        assert raw[8 + doc_bytes:] == ResultBlock.empty().to_bytes()
+        plain = json.loads(self._get_result(client, doc["id"])[1])
+        assert plain.pop("records") == [] and plain == doc
 
     def test_parked_result_waiters_hold_no_thread(self, live_server):
         """Regression: each blocked ``/result`` parked one default-

@@ -1,10 +1,9 @@
 """Concurrency harness for the resident query service (docs/SERVICE.md).
 
-The tentpole proof: many structural queries — mixed operators, data
-planes, and engine modes — run *concurrently* over one shared open
-dataset, and every served result is byte-identical to a brute-force
-oracle computed completely outside the service path.  The
-admission-control paths (quotas, failure budgets, priorities,
+The tentpole proof: many structural queries — mixed operators and
+engine modes — run *concurrently* over one shared open dataset, and
+every served result is byte-identical to a brute-force oracle computed
+completely outside the service path.  The admission-control paths (quotas, failure budgets, priorities,
 cancellation, deadlines) are driven deterministically via the pausable
 queue.
 """
@@ -44,35 +43,27 @@ def req(**kw):
 
 
 #: 16 jobs covering {serial, threaded, threaded + speculate (the pooled
-#: branch)} x {record, columnar}, several operators, strides, pruning on
-#: and off, and distinct split/reduce geometries — all against ONE
-#: shared dataset session.
+#: branch)} x all eleven operators, strides, pruning on and off, and
+#: distinct split/reduce geometries — all against ONE shared dataset
+#: session, on the one plane the service serves.
 STRESS_MATRIX = [
-    req(engine="serial", data_plane="record"),
-    req(engine="serial", data_plane="columnar", operator="sum"),
-    req(engine="threaded", data_plane="record", operator="max"),
-    req(engine="threaded", data_plane="columnar"),
-    req(engine="threaded", speculate=True, data_plane="record",
-        operator="sum"),
-    req(engine="serial", data_plane="columnar", operator="min"),
-    req(engine="threaded", data_plane="record",
-        operator="filter_gt", threshold=10.0, prune=True),
-    req(engine="serial", data_plane="columnar",
-        operator="filter_gt", threshold=-5.0, prune=True),
-    req(engine="threaded", data_plane="columnar", extract=(8, 10)),
-    req(engine="serial", data_plane="record", extract=(3, 4),
-        operator="stddev"),
-    req(engine="threaded", data_plane="record", stride=(8, 5),
-        operator="count"),
-    req(engine="threaded", speculate=True, data_plane="columnar",
-        extract=(6, 4), operator="median"),
-    req(engine="threaded", data_plane="columnar", splits=2, reduces=1),
-    req(engine="serial", data_plane="record", splits=12, reduces=4,
-        operator="sum"),
-    req(engine="threaded", data_plane="record", extract=(2, 2),
-        operator="mean"),
-    req(engine="threaded", data_plane="columnar",
-        operator="filter_gt", threshold=0.0),
+    req(engine="serial", operator="sort"),
+    req(engine="serial", operator="sum"),
+    req(engine="threaded", operator="max"),
+    req(engine="threaded"),
+    req(engine="threaded", speculate=True, operator="range"),
+    req(engine="serial", operator="min"),
+    req(engine="threaded", operator="filter_gt", threshold=10.0, prune=True),
+    req(engine="serial", operator="filter_gt", threshold=-5.0, prune=True),
+    req(engine="threaded", extract=(8, 10)),
+    req(engine="serial", extract=(3, 4), operator="stddev"),
+    req(engine="threaded", stride=(8, 5), operator="count"),
+    req(engine="threaded", speculate=True, extract=(6, 4), operator="median"),
+    req(engine="threaded", splits=2, reduces=1),
+    req(engine="serial", splits=12, reduces=4,
+        operator="range_exceeds", threshold=40.0),
+    req(engine="threaded", extract=(2, 2), stride=(3, 4), operator="median"),
+    req(engine="threaded", operator="filter_gt", threshold=0.0),
 ]
 
 

@@ -93,7 +93,7 @@ class TestThreadedRunsOnTheWorkerThread:
         with service_fixture(workers=1) as client:
             svc = client.service
             svc.register_array("d", "v", field())
-            request = req(engine="threaded", data_plane="columnar")
+            request = req(engine="threaded")
             _, digest = oracle_for_request(svc, request)
             idle = threading.active_count()
             doc = client.query(request)

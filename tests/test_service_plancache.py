@@ -6,7 +6,7 @@ byte-identical to the cold-planned run and to the brute-force oracle.
 Plus the invalidation contract — ``write_slab`` drops cached plans and
 zone maps, and re-served results reflect the new bytes — and the keying
 contract: plan-affecting knobs get distinct entries while
-per-submission knobs (engine, data plane) share one.
+per-submission knobs (engine, speculation) share one.
 """
 
 from __future__ import annotations
@@ -232,12 +232,12 @@ class TestCacheKeying:
             assert run(threshold=5.0)["plan_cache_hit"] is False
             assert len(svc.plan_cache) == 5
 
-            # engine and data plane are per-submission: all pure hits,
-            # all byte-identical
+            # the engine is per-submission: all pure hits, all
+            # byte-identical
             docs = [
-                run(engine="serial", data_plane="columnar"),
-                run(engine="threaded", data_plane="record"),
-                run(engine="threaded", data_plane="columnar", speculate=True),
+                run(engine="serial"),
+                run(engine="threaded"),
+                run(engine="threaded", speculate=True),
             ]
             assert all(d["plan_cache_hit"] for d in docs)
             assert len({d["digest"] for d in docs}) == 1

@@ -38,6 +38,21 @@ class TestPlanAssembly:
         with pytest.raises(PartitionError):
             build_plan(weekly_mean_plan, splits, 3, priorities=[1.0])
 
+    def test_configure_job_names_the_plane_once(self, weekly_mean_plan, temp_data):
+        """``configure_job`` is where a plane is named and validated;
+        the job then *is* that plane by what it carries."""
+        from repro.errors import JobConfigError
+
+        splits = slice_splits(weekly_mean_plan, num_splits=4)
+        plan = build_plan(weekly_mean_plan, splits, 3)
+        job, _ = plan.configure_job(temp_data)
+        assert job.data_plane == "columnar"
+        assert job.batch_operator.operator is weekly_mean_plan.operator
+        record, _ = plan.configure_job(temp_data, data_plane="record")
+        assert record.data_plane == "record" and record.batch_operator is None
+        with pytest.raises(JobConfigError, match="unknown data plane 'rowful'"):
+            plan.configure_job(temp_data, data_plane="rowful")
+
     def test_schedule_policy_built(self, weekly_mean_plan):
         splits = slice_splits(weekly_mean_plan, num_splits=4)
         plan = build_plan(

@@ -408,21 +408,24 @@ class TestLegSelection:
 
 
 class TestServiceLeg:
-    """Opt-in service legs: cases routed through the resident query
+    """The opt-in service leg: cases routed through the resident query
     service (in-process client) join the differential ladder when
-    ``REPRO_VERIFY_ENGINES`` lists ``service``."""
+    ``REPRO_VERIFY_ENGINES`` lists ``service`` — on the one plane the
+    service serves."""
 
     def test_service_legs_are_opt_in(self, monkeypatch):
         from repro.verify.fuzz import _engine_configs
 
         monkeypatch.delenv("REPRO_VERIFY_ENGINES", raising=False)
-        assert ("service", "record") not in _engine_configs()
+        assert "service" not in {mode for mode, _ in _engine_configs()}
         monkeypatch.setenv("REPRO_VERIFY_ENGINES", "serial,service")
-        configs = _engine_configs()
-        assert ("serial", "record") in configs
-        assert ("service", "record") in configs
-        assert ("service", "columnar") in configs
-        assert ("threaded", "record") not in configs
+        assert _engine_configs() == (
+            ("serial", "record"),
+            ("serial", "columnar"),
+            ("service", "columnar"),
+        )
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", "service")
+        assert _engine_configs() == (("service", "columnar"),)
 
     def test_small_case_smoke_matches_oracle(self, monkeypatch):
         """Tier-1 smoke: a clean case, a crash case, and a prunable case
@@ -432,7 +435,7 @@ class TestServiceLeg:
         clean = run_case(base_case("mean"))
         assert clean.ok, clean.mismatch
         served = [o for o in clean.outcomes if o.mode == "service"]
-        assert {o.data_plane for o in served} == {"record", "columnar"}
+        assert [o.config for o in served] == ["service/columnar"]
         assert all(o.digest == clean.oracle_digest for o in served)
 
         crash = run_case(base_case(
@@ -467,7 +470,13 @@ class TestServiceLeg:
         monkeypatch.setattr(F, "_run_service_leg", spying)
         result = run_case(base_case("mean"))
         assert result.ok, result.mismatch
-        assert len(calls) == 2  # both planes went through the service
+        assert len(calls) == 1  # the one service leg
+        pruned = run_case(base_case("filter_gt", tile=(3, 2)))
+        assert pruned.ok, pruned.mismatch
+        assert [o.config for o in pruned.outcomes] == [
+            "service/columnar", "service/columnar/prune",
+        ]
+        assert len(calls) == 3  # ... and its prune twin
         assert all(o.mode == "service" for o in result.outcomes)
 
     def test_a_lossy_wire_codec_reads_as_diverged(self, monkeypatch):
@@ -502,6 +511,6 @@ class TestServiceLeg:
         )
         result = run_case(base_case("mean"))
         assert not result.ok
-        assert len(result.outcomes) == len(ENGINE_CONFIGS) + 2
+        assert len(result.outcomes) == len(ENGINE_CONFIGS) + 1
         assert {o.status for o in result.outcomes} == {"diverged"}
         assert all(o.digest == result.oracle_digest for o in result.outcomes)
