@@ -296,9 +296,8 @@ def sim_spec_from_plan(
     intermediate_ratio: float = 1.0,
 ) -> SimJobSpec:
     """Translate a *real* engine job's :class:`SIDRPlan` into simulator
-    cost terms, so :mod:`repro.sim.failure` can price recovery designs
-    for the exact job the engine measured (the CLI ``recovery``
-    subcommand and ``BENCH_recovery.json`` comparison)."""
+    cost terms, so the cost model can price the exact job the engine
+    runs (the live tracker's ETA, :mod:`repro.obs.live.progress`)."""
     dist = DependencyDistribution.from_sidr_plan(plan)
     splits = tuple(
         SimSplit(

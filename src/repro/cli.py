@@ -45,8 +45,10 @@ the server.  See ``docs/SERVICE.md``.
 ``docs/FAULT_TOLERANCE.md``) and runs the query under it with
 ``--max-attempts`` retries per task; ``recovery`` injects one reduce
 failure and runs the same job under all three §6 recovery designs,
-printing the measured recovery work next to the analytical prediction
-from :mod:`repro.sim.failure`.
+printing the maps each re-executed next to the count the plan's
+dependency map fixes (exit 1 on a mismatch); ``speculation`` hangs one
+map and exits 1 unless a backup launched, an attempt was cancelled and
+the output matches.
 
 ``verify`` runs the verification subsystem (:mod:`repro.verify`):
 seeded differential fuzzing of {serial, threaded} × {record, columnar}
@@ -338,11 +340,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_recovery(args: argparse.Namespace) -> int:
-    """Inject one reduce failure and compare the three §6 recovery
-    designs on the real engine — measured work vs the analytical
-    prediction from :mod:`repro.sim.failure`."""
+    """Inject one reduce failure and run the three §6 recovery designs
+    on the real engine — maps re-executed against the count the plan's
+    dependency map fixes (0, every map, ``|I_l|``)."""
     from repro.bench.report import format_table
-    from repro.bench.workloads import sim_spec_from_plan
     from repro.faults import (
         WHEN_AFTER_FETCH,
         FaultKind,
@@ -352,7 +353,6 @@ def cmd_recovery(args: argparse.Namespace) -> int:
     )
     from repro.mapreduce.engine import LocalEngine, RetryPolicy
     from repro.sidr.planner import build_sidr_job
-    from repro.sim.failure import predict_single_failure
 
     plan, splits = _compile_query(args)
     print(f"# {plan.describe()}", file=sys.stderr)
@@ -362,18 +362,21 @@ def cmd_recovery(args: argparse.Namespace) -> int:
             f"--fail-reduce {fail_reduce} out of range 0..{args.reduces - 1}"
         )
 
-    sidr = None
-
     def run(engine):
-        nonlocal sidr
         job, barrier, sidr = build_sidr_job(
             plan, splits, args.reduces, source=args.file
         )
-        return engine.run_threaded(job, barrier)
+        # Serial: under threads, re-running every map can invalidate
+        # another in-flight reduce, whose own recovery adds to the count.
+        return engine.run_serial(job, barrier), sidr.deps
 
-    baseline = run(LocalEngine())
+    baseline, deps = run(LocalEngine())
     expected = baseline.all_records()
-    spec = sim_spec_from_plan(sidr)
+    expected_maps = {
+        RecoveryModel.PERSISTED: 0,
+        RecoveryModel.REEXECUTE_ALL: deps.num_splits,
+        RecoveryModel.REEXECUTE_DEPS: len(deps.dependencies[fail_reduce]),
+    }
 
     fault = InjectionPlan(
         rules=(
@@ -395,58 +398,46 @@ def cmd_recovery(args: argparse.Namespace) -> int:
             faults=fault,
             recovery=model,
         )
-        res = run(engine)
-        ok = res.all_records() == expected
-        measured_maps = res.counters.get("recovery.maps_reexecuted")
-        measured_secs = 0.0
-        if res.obs is not None:
-            measured_secs = res.obs.metrics.histogram("recovery.seconds").sum
-        pred = predict_single_failure(spec, model, fail_reduce)
+        res, _ = run(engine)
         rows.append(
             [
                 model.value,
-                measured_maps,
-                pred.maps_reexecuted,
-                f"{measured_secs:.4f}",
-                f"{pred.recovery_seconds:.4f}",
-                "yes" if ok else "NO",
+                res.counters.get("recovery.maps_reexecuted"),
+                expected_maps[model],
+                "yes" if res.all_records() == expected else "NO",
             ]
         )
     print(
         format_table(
-            [
-                "model",
-                "maps re-run",
-                "predicted",
-                "measured (s)",
-                "predicted (s)",
-                "output ok",
-            ],
+            ["model", "maps re-run", "expected", "output ok"],
             rows,
             title=(
                 f"recovery drill — reduce {fail_reduce} fails once "
-                f"after fetch ({len(splits)} maps, {args.reduces} reduces)"
+                f"after fetch ({deps.num_splits} maps, {args.reduces} reduces)"
             ),
         )
     )
+    rc = 0
+    if any(r[1] != r[2] for r in rows):
+        print(
+            "error: maps re-executed differ from the plan's dependency map",
+            file=sys.stderr,
+        )
+        rc = 1
     if any(r[-1] == "NO" for r in rows):
         print("error: recovered output differs from baseline", file=sys.stderr)
-        return 1
-    return 0
+        rc = 1
+    return rc
 
 
 def cmd_speculation(args: argparse.Namespace) -> int:
-    """Inject one map hang and measure the speculative-execution
-    mitigation — makespan delay vs the analytical prediction from
-    :func:`repro.sim.failure.predict_speculation`."""
-    import time
-
+    """Inject one map hang and run the job under hedged speculation:
+    a backup must launch, an attempt must be cancelled and the output
+    must match the fault-free run."""
     from repro.bench.report import format_table
-    from repro.bench.workloads import sim_spec_from_plan
     from repro.faults import FaultKind, FaultRule, InjectionPlan
     from repro.mapreduce.engine import LocalEngine, RetryPolicy
     from repro.sidr.planner import build_sidr_job
-    from repro.sim.failure import predict_speculation
     from repro.spec import SpeculationPolicy
 
     plan, splits = _compile_query(args)
@@ -457,21 +448,13 @@ def cmd_speculation(args: argparse.Namespace) -> int:
             f"--hang-map {hang_map} out of range 0..{len(splits) - 1}"
         )
 
-    sidr = None
-
     def run(engine):
-        nonlocal sidr
-        job, barrier, sidr = build_sidr_job(
+        job, barrier, _ = build_sidr_job(
             plan, splits, args.reduces, source=args.file
         )
-        t0 = time.perf_counter()
-        res = engine.run_threaded(job, barrier)
-        return res, time.perf_counter() - t0
+        return engine.run_threaded(job, barrier)
 
-    baseline, base_secs = run(LocalEngine())
-    expected = baseline.all_records()
-    spec = sim_spec_from_plan(sidr)
-
+    expected = run(LocalEngine()).all_records()
     fault = InjectionPlan(
         rules=(
             FaultRule(
@@ -488,25 +471,17 @@ def cmd_speculation(args: argparse.Namespace) -> int:
         faults=fault,
         speculation=SpeculationPolicy(hang_timeout=args.hang_timeout),
     )
-    res, hang_secs = run(engine)
+    res = run(engine)
+    backups = res.counters.get("task.speculations")
+    cancelled = res.counters.get("task.cancelled")
     ok = res.all_records() == expected
-    pred = predict_speculation(spec, hang_map, hang_timeout=args.hang_timeout)
-    measured_delay = max(0.0, hang_secs - base_secs)
     print(
         format_table(
+            ["metric", "measured"],
             [
-                "metric",
-                "measured",
-                "predicted",
-            ],
-            [
-                ["delay (s)", f"{measured_delay:.4f}",
-                 f"{pred.delay_seconds:.4f}"],
-                ["backups launched",
-                 res.counters.get("task.speculations"), 1],
-                ["attempts cancelled",
-                 res.counters.get("task.cancelled"), 1],
-                ["output ok", "yes" if ok else "NO", "yes"],
+                ["backups launched", backups],
+                ["attempts cancelled", cancelled],
+                ["output ok", "yes" if ok else "NO"],
             ],
             title=(
                 f"speculation drill — map {hang_map} hangs once "
@@ -515,10 +490,18 @@ def cmd_speculation(args: argparse.Namespace) -> int:
             ),
         )
     )
+    rc = 0
+    if backups < 1 or cancelled < 1:
+        print(
+            "error: the hang was not hedged (no backup launched or no "
+            "attempt cancelled)",
+            file=sys.stderr,
+        )
+        rc = 1
     if not ok:
         print("error: speculated output differs from baseline", file=sys.stderr)
-        return 1
-    return 0
+        rc = 1
+    return rc
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -895,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser(
         "speculation",
-        help="measure hedged speculation against one injected map hang",
+        help="drill hedged speculation against one injected map hang",
     )
     p_spec.add_argument("file")
     p_spec.add_argument("--variable", required=True)

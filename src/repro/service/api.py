@@ -125,6 +125,41 @@ def decode_result_body(body: bytes) -> dict[str, Any]:
     return doc
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list_of(item_ok: Any) -> Any:
+    return lambda v: isinstance(v, (list, tuple)) and all(map(item_ok, v))
+
+
+def _or_null(kind: tuple[str, Any]) -> tuple[str, Any]:
+    what, ok = kind
+    return f"{what} or null", lambda v: v is None or ok(v)
+
+
+_STR = ("a string", lambda v: isinstance(v, str))
+_INT = ("an integer", _is_int)
+_NUM = ("a number", _is_real)
+_BOOL = ("a boolean", lambda v: isinstance(v, bool))
+_INTS = ("a list of integers", _is_list_of(_is_int))
+_OBJS = ("a list of objects", _is_list_of(lambda r: isinstance(r, dict)))
+#: The JSON type of every request field.
+_FIELD_TYPES = {
+    "dataset": _STR, "variable": _STR, "extract": _INTS, "operator": _STR,
+    "threshold": _or_null(_NUM), "stride": _or_null(_INTS),
+    "splits": _INT, "reduces": _INT, "data_plane": _STR, "engine": _STR,
+    "prune": _BOOL, "tenant": _STR, "priority": _INT,
+    "deadline": _or_null(_NUM), "on_deadline": _STR,
+    "max_attempts": _INT, "recovery": _STR, "fault_rules": _OBJS,
+    "fault_seed": _INT, "speculate": _BOOL, "hang_timeout": _NUM,
+}
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """One structural-query submission.
@@ -159,6 +194,12 @@ class QueryRequest:
     hang_timeout: float = 0.5
 
     def __post_init__(self) -> None:
+        # A wrongly typed field is refused here, before anything
+        # compares, hashes or heap-orders it.
+        for name, (what, ok) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
         # Normalize list-typed JSON input into the hashable tuple forms.
         object.__setattr__(self, "extract", tuple(int(x) for x in self.extract))
         if self.stride is not None:
@@ -292,14 +333,9 @@ class QueryRequest:
         missing = {"dataset", "variable", "extract"} - set(doc)
         if missing:
             raise AdmissionError(f"request missing field(s) {sorted(missing)}")
-        kwargs = dict(doc)
-        if kwargs.get("stride") is not None:
-            kwargs["stride"] = tuple(kwargs["stride"])
-        kwargs["extract"] = tuple(kwargs["extract"])
-        kwargs["fault_rules"] = tuple(kwargs.get("fault_rules") or ())
         try:
-            req = cls(**kwargs)
-        except TypeError as exc:
+            req = cls(**doc)
+        except (TypeError, ValueError) as exc:
             raise AdmissionError(f"malformed request: {exc}") from exc
         req.validate()
         return req

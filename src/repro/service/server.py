@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import math
 from http import HTTPStatus
 from typing import Any, NamedTuple
 
-from repro.errors import ReproError
 from repro.service.api import (
     BLOCK_CONTENT_TYPE,
     AdmissionError,
@@ -292,6 +292,14 @@ class ServiceServer:
                 return 200, svc.registry.snapshot()
             if method == "POST" and parts == ["datasets"]:
                 doc = json.loads(body.decode("utf-8"))
+                if not (
+                    isinstance(doc, dict)
+                    and isinstance(doc.get("name"), str)
+                    and isinstance(doc.get("path"), str)
+                ):
+                    return 400, {
+                        "error": 'bad request: want {"name": str, "path": str}'
+                    }
                 session = await loop.run_in_executor(
                     None, svc.open_dataset, doc["name"], doc["path"]
                 )
@@ -348,7 +356,12 @@ class ServiceServer:
             return 408, {"error": str(exc)}
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             return 400, {"error": f"bad request: {exc}"}
-        except ReproError as exc:
+        except ConnectionError:
+            raise  # the client is gone: nobody to answer
+        except Exception as exc:
+            # A server bug is a typed failure too: the client reads what
+            # broke, the log keeps where.
+            logging.getLogger(__name__).exception("%s %s failed", method, path)
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
 

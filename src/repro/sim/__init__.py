@@ -37,10 +37,8 @@ from repro.sim.jobsim import ExecutionMode, simulate_job
 from repro.sim.failure import (
     RecoveryCost,
     RecoveryModel,
-    SpeculationPrediction,
     breakeven_failure_prob,
     evaluate_recovery,
-    predict_speculation,
 )
 from repro.sim.timeline import TaskTimeline
 
@@ -59,9 +57,7 @@ __all__ = [
     "simulate_job",
     "RecoveryCost",
     "RecoveryModel",
-    "SpeculationPrediction",
     "breakeven_failure_prob",
     "evaluate_recovery",
-    "predict_speculation",
     "TaskTimeline",
 ]

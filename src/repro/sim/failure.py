@@ -38,11 +38,7 @@ from repro.sim.workload import SimJobSpec
 __all__ = [
     "RecoveryModel",
     "RecoveryCost",
-    "SingleFailureRecovery",
-    "SpeculationPrediction",
     "evaluate_recovery",
-    "predict_single_failure",
-    "predict_speculation",
     "breakeven_failure_prob",
 ]
 
@@ -136,118 +132,6 @@ def evaluate_recovery(
         return RecoveryCost(model, 0.0, recovery)
 
     raise SimulationError(f"unknown recovery model {model!r}")
-
-
-@dataclass(frozen=True)
-class SingleFailureRecovery:
-    """Predicted recovery work for ONE failed reduce task.
-
-    This is what the real engine's measured counters
-    (``recovery.maps_reexecuted``, ``recovery.seconds``) are compared
-    against — a deterministic per-failure quantity, unlike
-    :func:`evaluate_recovery`'s probability-weighted expectation.
-    """
-
-    model: RecoveryModel
-    reduce_index: int
-    #: Map tasks the design re-executes for this failure.
-    maps_reexecuted: int
-    #: Machine-seconds of recovery work (re-runs + re-fetch).
-    recovery_seconds: float
-
-
-def predict_single_failure(
-    spec: SimJobSpec,
-    model: RecoveryModel,
-    reduce_index: int,
-    *,
-    cost: CostModel | None = None,
-) -> SingleFailureRecovery:
-    """Deterministic cost of recovering one failed reduce task under a
-    design — the analytical counterpart of what
-    ``LocalEngine(recovery=...)`` measures when a fault is injected into
-    exactly that reduce."""
-    if not (0 <= reduce_index < spec.num_reduces):
-        raise SimulationError(
-            f"reduce index {reduce_index} out of range 0..{spec.num_reduces - 1}"
-        )
-    cost = cost or CostModel()
-    refetch = _refetch_cost(spec, cost, reduce_index)
-    if model is RecoveryModel.PERSISTED:
-        return SingleFailureRecovery(model, reduce_index, 0, refetch)
-    if model is RecoveryModel.REEXECUTE_ALL:
-        rerun = sum(
-            _map_rerun_cost(spec, cost, m) for m in range(spec.num_maps)
-        )
-        return SingleFailureRecovery(
-            model, reduce_index, spec.num_maps, rerun + refetch
-        )
-    if model is RecoveryModel.REEXECUTE_DEPS:
-        deps = spec.distribution.producers_of(reduce_index, spec.num_maps)
-        rerun = sum(_map_rerun_cost(spec, cost, m) for m in deps)
-        return SingleFailureRecovery(
-            model, reduce_index, len(deps), rerun + refetch
-        )
-    raise SimulationError(f"unknown recovery model {model!r}")
-
-
-@dataclass(frozen=True)
-class SpeculationPrediction:
-    """Predicted makespan delay from ONE hung map task under hedged
-    speculative execution.
-
-    Mirrors :class:`SingleFailureRecovery` for the speculation
-    subsystem: the hedging engine's measured delay (makespan with an
-    injected hang minus the fault-free makespan) is compared against
-    this deterministic analytical quantity.  The model is simple by
-    design — the hung attempt sits silent for ``hang_timeout`` before
-    the detector flags it, then the backup re-runs the map from scratch:
-
-    ``delay ≈ hang_timeout + map_rerun_cost``
-
-    minus whatever overlap the rest of the job provides (ignored here,
-    which makes the prediction an upper bound on a busy cluster and a
-    good estimate when the hung map is the critical path, as it is for
-    a map blocking many reduces).  Without speculation the same hang
-    never resolves: the predicted delay is unbounded.
-    """
-
-    map_index: int
-    #: Detector staleness budget the hung attempt sits out.
-    hang_timeout: float
-    #: Machine-seconds for the backup attempt to redo the map.
-    rerun_seconds: float
-
-    @property
-    def delay_seconds(self) -> float:
-        return self.hang_timeout + self.rerun_seconds
-
-
-def predict_speculation(
-    spec: SimJobSpec,
-    map_index: int,
-    *,
-    hang_timeout: float,
-    cost: CostModel | None = None,
-) -> SpeculationPrediction:
-    """Predicted job-completion delay from one hung map mitigated by a
-    speculative backup — the analytical counterpart of what
-    ``LocalEngine(speculation=...)`` measures with a ``hang`` fault
-    injected into exactly that map."""
-    if not (0 <= map_index < spec.num_maps):
-        raise SimulationError(
-            f"map index {map_index} out of range 0..{spec.num_maps - 1}"
-        )
-    if hang_timeout <= 0:
-        raise SimulationError(
-            f"hang_timeout must be positive, got {hang_timeout}"
-        )
-    cost = cost or CostModel()
-    return SpeculationPrediction(
-        map_index=map_index,
-        hang_timeout=hang_timeout,
-        rerun_seconds=_map_rerun_cost(spec, cost, map_index),
-    )
 
 
 def breakeven_failure_prob(

@@ -71,9 +71,10 @@ class TestPartitionMicro:
         res = sec45_partition_micro(num_keys=200_000, runs=2)
         assert res.default_seconds > 0
         assert res.partition_plus_seconds > 0
-        # partition+ is the same order of magnitude (paper: 1.1x; ours
-        # is numpy-searchsorted-bound, allow up to ~6x under CI noise).
-        assert res.slowdown < 6.0
+        # The ratio (paper: 1.1x) is a wall-clock claim and is asserted
+        # at the paper's 6.48M keys by
+        # benchmarks/test_sec45_partition_micro.py, not on two 200k-key
+        # runs here.
 
 
 class TestAblations:

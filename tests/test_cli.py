@@ -413,6 +413,56 @@ class TestFaultFlags:
         for name in ("persisted", "reexecute-all", "reexecute-deps"):
             assert name in out
         assert "NO" not in out  # every design recovered byte-identically
+        # The counts are the plan's: nothing, every map, |I_1|.
+        from repro.query.language import StructuralQuery
+        from repro.query.operators import MeanOp
+        from repro.query.splits import slice_splits
+        from repro.scidata.dataset import open_dataset
+        from repro.sidr.planner import build_plan
+
+        with open_dataset(ncfile) as ds:
+            plan = StructuralQuery(
+                variable="temperature", extraction_shape=(7, 5, 1),
+                operator=MeanOp(),
+            ).compile(ds.metadata)
+        deps = build_plan(plan, slice_splits(plan, num_splits=6), 3).deps
+        i_1 = len(deps.dependencies[1])
+        assert 0 < i_1 < deps.num_splits == 6
+        rows = (row.split() for row in out.splitlines())
+        cells = {
+            r[0]: r[1:3] for r in rows
+            if r and r[0] in ("persisted", "reexecute-all", "reexecute-deps")
+        }
+        assert cells == {
+            "persisted": ["0", "0"],
+            "reexecute-all": ["6", "6"],
+            "reexecute-deps": [str(i_1), str(i_1)],
+        }
+        assert "(s)" not in out and "predicted" not in out
+
+    def test_speculation_subcommand(self, ncfile, capsys):
+        """The hang → hedged backup → cancel drill, end to end."""
+        rc = main(
+            [
+                "speculation", ncfile,
+                "--variable", "temperature",
+                "--extract", "7,5,1",
+                "--reduces", "3",
+                "--splits", "6",
+                "--hang-map", "0",
+                "--hang-timeout", "0.2",
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        cells = {
+            row.rsplit(None, 1)[0].strip(): row.rsplit(None, 1)[1]
+            for row in out.splitlines()[3:]
+        }
+        assert int(cells["backups launched"]) >= 1
+        assert int(cells["attempts cancelled"]) >= 1
+        assert cells["output ok"] == "yes"
+        assert "predicted" not in out and "delay" not in out
 
 
 class TestVerify:

@@ -193,6 +193,18 @@ class TestIdenticalResults:
             assert a.all_records() == b.all_records()
             assert a.counters.as_dict() == b.counters.as_dict()
 
+    @pytest.mark.parametrize("num_splits", [8, 24])
+    def test_span_volume_is_bounded(self, num_splits):
+        """Span count scales with tasks, never records: job + tasks +
+        2 phases per task + a barrier wait and at most one early-start
+        instant per reduce."""
+        job, deps = ranged_job(num_splits=num_splits, num_reduces=4)
+        res = LocalEngine().run_serial(job, DependencyBarrier(deps))
+        n_tasks = len(job.splits) + job.num_reduce_tasks
+        assert 0 < len(res.obs.tracer) <= (
+            1 + 3 * n_tasks + 2 * job.num_reduce_tasks
+        )
+
     def test_disabled_mode_records_no_spans_but_keeps_trace(self):
         job, deps = ranged_job()
         res = LocalEngine(observability=False).run_serial(

@@ -685,6 +685,20 @@ class TestPlumbing:
         assert record.data_plane == "record"
         assert record.batch_operator is None
 
+    @pytest.mark.parametrize("plane", ["record", "columnar"])
+    def test_holistic_job_reduces_one_group_per_key(self, field, data, plane):
+        """Every cell of a ``median`` crosses the shuffle, yet the
+        reduce side sees one group per intermediate key."""
+        from repro.mapreduce.engine import LocalEngine
+        from repro.sidr.planner import build_sidr_job
+
+        plan = _plan(field, (7, 5, 2), operator=MedianOp())
+        sp = slice_splits(plan, num_splits=4)
+        job, barrier, _ = build_sidr_job(plan, sp, 3, data, data_plane=plane)
+        res = LocalEngine().run_serial(job, barrier)
+        assert plan.num_intermediate_keys == 4 * 2 * 3
+        assert res.counters.get("reduce.input.groups") == 4 * 2 * 3
+
     def test_nbytes_ndarray_is_exact(self):
         arr = np.zeros(100, dtype=np.float64)
         assert _nbytes(arr) == arr.nbytes

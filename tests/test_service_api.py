@@ -57,6 +57,13 @@ def mean_request(**kw):
     return QueryRequest(**base)
 
 
+def assert_still_serving(client, service):
+    """A well-formed query on a fresh connection completes with the
+    oracle's digest (dataset ``d`` must be open)."""
+    req = mean_request()
+    assert client.query(req)["digest"] == oracle_for_request(service, req)[1]
+
+
 class TestQueryRequest:
     def test_json_round_trip_preserves_every_field(self):
         req = QueryRequest(
@@ -108,6 +115,41 @@ class TestQueryRequest:
             ({"dataset": "d", "variable": "v", "extract": [2],
               "fault_rules": [{"fault": "crash", "indices": ["x"]}]},
              "invalid literal"),
+            # every field is checked for its JSON type
+            ({"dataset": "d", "variable": "v", "extract": 7},
+             "extract must be a list of integers, got 7"),
+            ({"dataset": "d", "variable": "v", "extract": ["a"]},
+             "extract must be a list of integers"),
+            ({"dataset": "d", "variable": "v", "extract": "12"},
+             "extract must be a list of integers"),
+            ({"dataset": "d", "variable": "v", "extract": [2.5]},
+             "extract must be a list of integers"),
+            ({"dataset": "d", "variable": "v", "extract": [2], "stride": 5},
+             "stride must be a list of integers or null"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "fault_rules": 5}, "fault_rules must be a list of objects"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "fault_rules": ["crash"]}, "fault_rules must be a list of objects"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "splits": "x"}, "splits must be an integer, got 'x'"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "splits": True}, "splits must be an integer, got True"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "reduces": 2.5}, "reduces must be an integer, got 2.5"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "deadline": "soon"}, "deadline must be a number or null"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "hang_timeout": None}, "hang_timeout must be a number"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "tenant": ["a"]}, "tenant must be a string"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "priority": "high"}, "priority must be an integer, got 'high'"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "prune": 1}, "prune must be a boolean, got 1"),
+            ({"dataset": 5, "variable": "v", "extract": [2]},
+             "dataset must be a string"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "operator": None}, "operator must be a string"),
         ],
     )
     def test_invalid_documents_are_refused(self, doc, fragment):
@@ -397,28 +439,96 @@ class TestHttpServer:
             ({"speculate": True, "hang_timeout": 0.0},
              "hang_timeout must be positive"),
             ({"fault_rules": [{"task": "nope"}]}, "rule missing 'fault'"),
+            ({"extract": 7}, "extract must be a list of integers"),
+            ({"extract": ["a"]}, "extract must be a list of integers"),
+            ({"stride": 5}, "stride must be a list of integers"),
+            ({"fault_rules": 5}, "fault_rules must be a list of objects"),
+            ({"splits": "x"}, "splits must be an integer"),
+            ({"deadline": "soon"}, "deadline must be a number"),
+            ({"tenant": ["a"]}, "tenant must be a string"),
+            ({"priority": "high"}, "priority must be an integer"),
+            ({"reduces": 2.5}, "reduces must be an integer"),
         ],
-        ids=["record-plane", "recovery", "hang-timeout", "fault-rule"],
+        ids=["record-plane", "recovery", "hang-timeout", "fault-rule",
+             "extract-int", "extract-strings", "stride-int",
+             "fault-rules-int", "splits-string", "deadline-string",
+             "tenant-list", "priority-string", "reduces-float"],
     )
     def test_unrunnable_request_is_a_400_and_bills_nothing(
-        self, live_server, fields, fragment
+        self, live_server, caplog, fields, fragment
     ):
         """Regression: a malformed recovery model, hang timeout or fault
         rule was admitted, queued, failed and counted against the
         tenant; like the plane the service does not serve, each is now
-        refused before a job exists."""
+        refused before a job exists.  A field of the wrong JSON type
+        raised ``TypeError`` past the router (the client saw a dropped
+        connection), and ``"priority": "high"`` failed in the queue's
+        heap *after* the tenant was billed an active slot for good."""
+        import logging
+
         client, service, path, data = live_server
         client.open_dataset("d", path)
-        with pytest.raises(Exception, match=f"400.*{fragment}"):
-            client._call(
-                "POST", "/query",
-                {"dataset": "d", "variable": "v", "extract": [4, 5], **fields},
-            )
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with pytest.raises(Exception, match=f"400.*{fragment}"):
+                client._call(
+                    "POST", "/query",
+                    {"dataset": "d", "variable": "v", "extract": [4, 5],
+                     **fields},
+                )
+        assert not [r for r in caplog.records if r.name == "asyncio"]
         assert client.jobs() == []
-        billed = client.stats()["tenants"].get(
-            "default", {"submitted": 0, "failures": 0}
-        )
-        assert (billed["submitted"], billed["failures"]) == (0, 0)
+        for billed in client.stats()["tenants"].values():
+            assert (
+                billed["submitted"], billed["active"], billed["failures"]
+            ) == (0, 0, 0)
+        assert_still_serving(client, service)
+
+    @pytest.mark.parametrize(
+        "body",
+        [[1, 2], {"path": "p"}, {"name": "d"}, {"name": 5, "path": "p"},
+         {"name": "d", "path": ["p"]}],
+        ids=["not-an-object", "no-name", "no-path", "name-int", "path-list"],
+    )
+    def test_malformed_dataset_document_is_a_400(
+        self, live_server, caplog, body
+    ):
+        """Regression: ``doc["name"]`` on a list (or a non-string name
+        or path) raised past the router — a dropped connection."""
+        import logging
+
+        client, service, path, data = live_server
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with pytest.raises(Exception, match="400.*name.*path"):
+                client._call("POST", "/datasets", body)
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        assert client.stats()["datasets"] == []
+        client.open_dataset("d", path)
+        assert_still_serving(client, service)
+
+    def test_server_bug_is_a_typed_500(self, live_server, caplog, monkeypatch):
+        """The router's last resort: an exception nobody mapped is a 500
+        naming its type (and a traceback in the server's own log), not
+        a closed socket."""
+        import logging
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+
+        def broken():
+            raise RuntimeError("boom")
+
+        with monkeypatch.context() as m:
+            m.setattr(service, "list_jobs", broken)
+            with caplog.at_level(logging.ERROR):
+                with pytest.raises(Exception, match="500.*RuntimeError: boom"):
+                    client.jobs()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        (logged,) = [
+            r for r in caplog.records if r.name == "repro.service.server"
+        ]
+        assert logged.exc_info[0] is RuntimeError
+        assert logged.getMessage() == "GET /jobs failed"
+        assert_still_serving(client, service)
 
     @pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
     def test_malformed_content_length_is_a_400(self, live_server, length):
