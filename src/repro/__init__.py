@@ -44,7 +44,7 @@ from repro.errors import (
     QueryError,
     ReproError,
 )
-from repro.arrays import ExtractionShape, Slab, StridedExtraction
+from repro.arrays import ExtractionShape, Slab
 from repro.scidata import (
     Dataset,
     create_dataset,
@@ -92,7 +92,6 @@ __all__ = [
     "QueryError",
     "ExtractionShape",
     "Slab",
-    "StridedExtraction",
     "Dataset",
     "create_dataset",
     "open_dataset",

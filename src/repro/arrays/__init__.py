@@ -16,7 +16,7 @@ regions:
   keyblocks (§3.1).
 * :class:`~repro.arrays.extraction.ExtractionShape` — the SciHadoop
   extraction shape (§2.4.2) that maps the input keyspace K onto the
-  intermediate keyspace K' (§3 Area 2/3), including strided variants.
+  intermediate keyspace K' (§3 Area 2/3), optionally strided.
 """
 
 from repro.arrays.shape import (
@@ -51,7 +51,7 @@ from repro.arrays.tiling import (
     tiles_overlapping,
     iter_tiles,
 )
-from repro.arrays.extraction import ExtractionShape, StridedExtraction
+from repro.arrays.extraction import ExtractionShape
 
 __all__ = [
     "Coord",
@@ -84,5 +84,4 @@ __all__ = [
     "tiles_overlapping",
     "iter_tiles",
     "ExtractionShape",
-    "StridedExtraction",
 ]

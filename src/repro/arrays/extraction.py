@@ -7,7 +7,7 @@ intermediate key in K'.  SIDR leverages it to solve the paper's opaque
 Area 2 (Map input key -> Map output key) and Area 3 (exact intermediate
 keyspace K'_T) deterministically:
 
-* ``translate(k)``    — k' = (k - origin) // shape  (element-wise, §3)
+* ``translate(k)``    — k' = (k - origin) // stride  (element-wise, §3)
 * ``image(slab)``     — the K' region a K region produces data for
 * ``preimage(k')``    — the K region that feeds one intermediate key
 * ``intermediate_space(input_shape)`` — the exact shape of K'_T
@@ -19,19 +19,17 @@ fill a whole extraction-shape instance is dropped.  That is the default
 (ceil semantics), which some queries want (e.g. counting cells per
 region at the boundary).
 
-:class:`StridedExtraction` adds the paper's strided access: "reading data
-at regularly spaced intervals can be described by adding an additional
-n-dimensional array indicating the stride lengths between extraction
-shape instances" (§2.4.2).  Cells in the gaps between instances belong to
-no intermediate key.
+Strided access is the same geometry: "reading data at regularly spaced
+intervals can be described by adding an additional n-dimensional array
+indicating the stride lengths between extraction shape instances"
+(§2.4.2).  Instance ``i`` occupies ``[i * stride, i * stride + shape)``
+per dimension; a dense extraction is the case ``stride == shape``.
+Cells in the gaps between instances belong to no intermediate key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-
-import numpy as np
 
 from repro.arrays.shape import (
     Coord,
@@ -46,8 +44,8 @@ from repro.errors import GeometryError, QueryError, RankMismatchError
 
 @dataclass(frozen=True)
 class ExtractionShape:
-    """Dense extraction: instances tile K starting at ``origin`` with no
-    gaps.
+    """Instances of ``shape`` placed every ``stride`` cells from
+    ``origin``.
 
     Parameters
     ----------
@@ -60,11 +58,16 @@ class ExtractionShape:
         subset corner so translation stays in global coordinates.
     truncate:
         Drop trailing partial instances (paper default) or keep them.
+    stride:
+        Distance between instance corners; defaults to ``shape`` (dense:
+        instances tile K with no gaps).  ``stride[d] >= shape[d]`` is
+        required.
     """
 
     shape: Shape
     origin: Coord | None = None
     truncate: bool = True
+    stride: Shape | None = None
 
     def __post_init__(self) -> None:
         shape = as_coord(self.shape)
@@ -77,8 +80,16 @@ class ExtractionShape:
         )
         if len(origin) != len(shape):
             raise RankMismatchError("extraction origin/shape rank mismatch")
+        stride = shape if self.stride is None else as_coord(self.stride)
+        if len(stride) != len(shape):
+            raise RankMismatchError("extraction shape/stride rank mismatch")
+        if any(st < sh for st, sh in zip(stride, shape)):
+            raise GeometryError(
+                f"stride {stride!r} smaller than shape {shape!r}"
+            )
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "stride", stride)
 
     @property
     def rank(self) -> int:
@@ -93,47 +104,44 @@ class ExtractionShape:
             n *= s
         return n
 
+    def _relative(self, coord: Coord, what: str) -> Coord:
+        if len(coord) != self.rank:
+            raise RankMismatchError(
+                f"{what} rank {len(coord)} != extraction rank {self.rank}"
+            )
+        rel = coord_sub(coord, self.origin)
+        if any(x < 0 for x in rel):
+            raise GeometryError(
+                f"{what} {coord!r} precedes extraction origin {self.origin!r}"
+            )
+        return rel
+
     # ------------------------------------------------------------------ #
     # Scalar translation
     # ------------------------------------------------------------------ #
-    def translate(self, key: Coord) -> Coord:
-        """Map a K key to its K' key (paper §3 Area 2)."""
-        if len(key) != self.rank:
-            raise RankMismatchError(
-                f"key rank {len(key)} != extraction rank {self.rank}"
-            )
-        rel = coord_sub(key, self.origin)
-        if any(x < 0 for x in rel):
-            raise GeometryError(
-                f"key {key!r} precedes extraction origin {self.origin!r}"
-            )
-        return tuple(x // s for x, s in zip(rel, self.shape))
-
-    @cached_property
-    def _origin_arr(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=np.int64)
-
-    @cached_property
-    def _shape_arr(self) -> np.ndarray:
-        return np.asarray(self.shape, dtype=np.int64)
-
-    def translate_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`translate` over an ``(n, rank)`` array."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 2 or keys.shape[1] != self.rank:
-            raise RankMismatchError(
-                f"expected (n, {self.rank}) key array, got {keys.shape}"
-            )
-        rel = keys - self._origin_arr
-        if rel.size and (rel < 0).any():
-            raise GeometryError("key array contains keys before origin")
-        return rel // self._shape_arr
+    def translate(self, key: Coord) -> Coord | None:
+        """Map a K key to its K' key (paper §3 Area 2), or ``None`` when
+        the cell lies in a stride gap and is not consumed by the query
+        (never, when ``stride == shape``)."""
+        out = []
+        for x, st, sh in zip(self._relative(key, "key"), self.stride, self.shape):
+            q, r = divmod(x, st)
+            if r >= sh:
+                return None
+            out.append(q)
+        return tuple(out)
 
     # ------------------------------------------------------------------ #
     # Region translation
     # ------------------------------------------------------------------ #
     def image(self, region: Slab, intermediate_space: Shape | None = None) -> Slab:
         """K' region that a K region produces intermediate keys for.
+
+        Exact, strides included: per dimension the instances an interval
+        meets are a contiguous run, and a slab meets an instance iff it
+        does in every dimension — so a region lying wholly in stride
+        gaps has an empty image, and every key of a non-empty image has
+        a cell in the region.
 
         When ``intermediate_space`` is given (the query's K'_T shape) the
         image is clipped to it — under truncate semantics, input cells in
@@ -143,37 +151,33 @@ class ExtractionShape:
             raise RankMismatchError("region/extraction rank mismatch")
         if region.is_empty:
             return Slab(tuple(0 for _ in self.shape), tuple(0 for _ in self.shape))
-        rel_lo = coord_sub(region.corner, self.origin)
-        if any(x < 0 for x in rel_lo):
-            raise GeometryError(
-                f"region {region!r} precedes extraction origin {self.origin!r}"
-            )
-        lo = tuple(x // s for x, s in zip(rel_lo, self.shape))
-        rel_hi = coord_sub(region.end, self.origin)
-        hi = tuple(ceil_div(x, s) for x, s in zip(rel_hi, self.shape))
-        img = Slab.from_extent(lo, hi)
+        lo = []
+        for x, st, sh in zip(
+            self._relative(region.corner, "region corner"), self.stride, self.shape
+        ):
+            q, r = divmod(x, st)
+            # A region starting past the end of instance q in this
+            # dimension first meets instance q + 1.
+            lo.append(q if r < sh else q + 1)
+        # One past the last instance whose start precedes the region end.
+        hi = [
+            ceil_div(x, st)
+            for x, st in zip(coord_sub(region.end, self.origin), self.stride)
+        ]
+        img = Slab.from_extent(tuple(lo), tuple(hi))
         if intermediate_space is not None:
             img = img.intersect(Slab.whole(intermediate_space))
         return img
 
     def preimage(self, key: Coord) -> Slab:
-        """K region whose cells all map to intermediate key ``key``."""
+        """K region (one instance) whose cells all map to intermediate
+        key ``key``."""
         if len(key) != self.rank:
             raise RankMismatchError("key/extraction rank mismatch")
         corner = tuple(
-            o + k * s for o, k, s in zip(self.origin, key, self.shape)
+            o + k * st for o, k, st in zip(self.origin, key, self.stride)
         )
         return Slab(corner, self.shape)
-
-    def preimage_slab(self, region: Slab) -> Slab:
-        """K region feeding an entire K' region (union of preimages)."""
-        if region.is_empty:
-            return Slab(self.origin, tuple(0 for _ in self.shape))
-        corner = tuple(
-            o + k * s for o, k, s in zip(self.origin, region.corner, self.shape)
-        )
-        shape = tuple(e * s for e, s in zip(region.shape, self.shape))
-        return Slab(corner, shape)
 
     # ------------------------------------------------------------------ #
     # Intermediate keyspace
@@ -182,168 +186,22 @@ class ExtractionShape:
         """Exact K'_T shape for an input region of ``input_shape`` starting
         at the extraction origin (paper §3 Area 3: "dividing the length of
         each dimension in K_T by the entry in the corresponding dimension
-        of the extraction shape")."""
+        of the extraction shape"): the instances that fit whole under
+        ``truncate``, else every instance holding at least one cell."""
         if len(input_shape) != self.rank:
             raise RankMismatchError("input shape rank mismatch")
         if self.truncate:
-            out = tuple(d // s for d, s in zip(input_shape, self.shape))
+            # instance i occupies [i*st, i*st + sh): count i*st + sh <= d
+            out = tuple(
+                0 if d < sh else (d - sh) // st + 1
+                for d, st, sh in zip(input_shape, self.stride, self.shape)
+            )
         else:
-            out = tuple(ceil_div(d, s) for d, s in zip(input_shape, self.shape))
+            out = tuple(ceil_div(d, st) for d, st in zip(input_shape, self.stride))
         if any(x == 0 for x in out):
             raise QueryError(
-                f"extraction shape {self.shape!r} larger than input "
-                f"{input_shape!r} in some dimension; no complete instance"
+                f"extraction shape {self.shape!r} (stride {self.stride!r}) "
+                f"larger than input {input_shape!r} in some dimension; "
+                "no complete instance"
             )
         return out
-
-    def covered_input(self, input_shape: Shape) -> Slab:
-        """The K region actually consumed (truncation drops the rest)."""
-        inter = self.intermediate_space(input_shape)
-        return self.preimage_slab(Slab.whole(inter))
-
-
-@dataclass(frozen=True)
-class StridedExtraction:
-    """Extraction-shape instances placed every ``stride`` cells.
-
-    ``stride[d] >= shape[d]`` is required; equal strides degenerate to a
-    dense :class:`ExtractionShape`.  Cells falling between instances map
-    to no intermediate key (``translate`` returns ``None``).
-    """
-
-    shape: Shape
-    stride: Shape
-    origin: Coord | None = None
-    truncate: bool = True
-
-    def __post_init__(self) -> None:
-        shape = as_coord(self.shape)
-        stride = as_coord(self.stride)
-        if len(shape) != len(stride):
-            raise RankMismatchError("extraction shape/stride rank mismatch")
-        if any(s <= 0 for s in shape):
-            raise GeometryError(f"extraction shape must be positive: {shape!r}")
-        if any(st < sh for st, sh in zip(stride, shape)):
-            raise GeometryError(
-                f"stride {stride!r} smaller than shape {shape!r}"
-            )
-        origin = (
-            tuple(0 for _ in shape)
-            if self.origin is None
-            else as_coord(self.origin)
-        )
-        if len(origin) != len(shape):
-            raise RankMismatchError("extraction origin rank mismatch")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "origin", origin)
-
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
-
-    @property
-    def cells_per_key(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
-
-    def translate(self, key: Coord) -> Coord | None:
-        """K' key for ``key``, or ``None`` when the cell lies in a stride
-        gap and is not consumed by the query."""
-        if len(key) != self.rank:
-            raise RankMismatchError("key rank mismatch")
-        rel = coord_sub(key, self.origin)
-        if any(x < 0 for x in rel):
-            raise GeometryError(f"key {key!r} precedes origin {self.origin!r}")
-        out = []
-        for x, st, sh in zip(rel, self.stride, self.shape):
-            q, r = divmod(x, st)
-            if r >= sh:
-                return None
-            out.append(q)
-        return tuple(out)
-
-    @cached_property
-    def _origin_arr(self) -> np.ndarray:
-        return np.asarray(self.origin, dtype=np.int64)
-
-    @cached_property
-    def _shape_arr(self) -> np.ndarray:
-        return np.asarray(self.shape, dtype=np.int64)
-
-    @cached_property
-    def _stride_arr(self) -> np.ndarray:
-        return np.asarray(self.stride, dtype=np.int64)
-
-    def translate_many(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized translate: returns ``(kprime, mask)`` where ``mask``
-        marks keys that fall inside an instance."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 2 or keys.shape[1] != self.rank:
-            raise RankMismatchError("key array rank mismatch")
-        rel = keys - self._origin_arr
-        if rel.size and (rel < 0).any():
-            raise GeometryError("key array contains keys before origin")
-        q, r = np.divmod(rel, self._stride_arr)
-        mask = (r < self._shape_arr).all(axis=1)
-        return q, mask
-
-    def preimage(self, key: Coord) -> Slab:
-        """K region (one instance) feeding intermediate key ``key``."""
-        corner = tuple(
-            o + k * st for o, k, st in zip(self.origin, key, self.stride)
-        )
-        return Slab(corner, self.shape)
-
-    def image(self, region: Slab, intermediate_space: Shape | None = None) -> Slab:
-        """Smallest K' slab containing the keys ``region`` produces.
-
-        Because of stride gaps a region may produce no keys yet still have
-        a non-empty bounding image; the dependency analysis treats the
-        image as a (safe) over-approximation.
-        """
-        if region.is_empty:
-            return Slab(tuple(0 for _ in self.shape), tuple(0 for _ in self.shape))
-        rel_lo = coord_sub(region.corner, self.origin)
-        if any(x < 0 for x in rel_lo):
-            raise GeometryError("region precedes origin")
-        lo = []
-        for x, st, sh in zip(rel_lo, self.stride, self.shape):
-            q, r = divmod(x, st)
-            # If the region starts past the end of instance q in this dim,
-            # the first contributing instance is q+1.
-            lo.append(q if r < sh else q + 1)
-        rel_hi = coord_sub(region.end, self.origin)
-        # One past the last instance whose start precedes the region end.
-        hi = [ceil_div(x, st) for x, st in zip(rel_hi, self.stride)]
-        img = Slab.from_extent(tuple(lo), tuple(hi))
-        if intermediate_space is not None:
-            img = img.intersect(Slab.whole(intermediate_space))
-        return img
-
-    def intermediate_space(self, input_shape: Shape) -> Shape:
-        """K'_T shape: number of (whole, under truncate) instances that fit."""
-        if len(input_shape) != self.rank:
-            raise RankMismatchError("input shape rank mismatch")
-        out = []
-        for d, st, sh in zip(input_shape, self.stride, self.shape):
-            if self.truncate:
-                # instance i occupies [i*st, i*st + sh); count i with
-                # i*st + sh <= d
-                n = 0 if d < sh else (d - sh) // st + 1
-            else:
-                n = ceil_div(d, st)
-            out.append(n)
-        if any(x == 0 for x in out):
-            raise QueryError(
-                f"no complete strided instance of {self.shape!r}/{self.stride!r} "
-                f"fits in input {input_shape!r}"
-            )
-        return tuple(out)
-
-
-def dense(shape: Shape, origin: Coord | None = None, truncate: bool = True) -> ExtractionShape:
-    """Convenience constructor for a dense extraction shape."""
-    return ExtractionShape(shape=shape, origin=origin, truncate=truncate)

@@ -17,8 +17,9 @@ Fault kinds
 * ``transient`` — raise on the first ``times`` attempts, succeed after
   (exercises retry/backoff; the default ``times=1`` fails only the
   first attempt).
-* ``slow`` — sleep ``delay`` seconds at task start (a straggler; the
-  task still succeeds).
+* ``slow`` — stall ``delay`` seconds at task start (a straggler; the
+  task still succeeds, unless its attempt is cancelled meanwhile, which
+  ends the stall).
 * ``corrupt-spill`` — scramble the map task's spill order on the first
   ``times`` attempts so the shuffle layer's sortedness validation
   rejects the commit (a torn/corrupt spill file; map-side only).
@@ -267,9 +268,10 @@ class BoundFaults:
     ) -> None:
         """Apply every matching fault at this injection point.
 
-        Slow faults stall; crash/transient faults raise
-        :class:`InjectedFaultError` (corrupt-spill is handled separately
-        at spill-build time via :meth:`should_corrupt`).  Hang faults
+        Slow faults stall (until ``cancel`` fires, if that is sooner);
+        crash/transient faults raise :class:`InjectedFaultError`
+        (corrupt-spill is handled separately at spill-build time via
+        :meth:`should_corrupt`).  Hang faults
         block on ``cancel`` (the attempt's
         :class:`~repro.spec.CancelToken`) until cancellation releases
         them as :class:`~repro.errors.TaskCancelledError`; with no token
@@ -278,7 +280,12 @@ class BoundFaults:
         """
         for rule in self._matching(task, index, attempt, when):
             if rule.kind is FaultKind.SLOW:
-                time.sleep(rule.delay)
+                # Stall on the token, so a deadline or a lost race ends
+                # the stall instead of waiting it out.
+                if cancel is None:
+                    time.sleep(rule.delay)
+                elif cancel.wait(rule.delay):
+                    cancel.check()
             elif rule.kind is FaultKind.HANG:
                 if cancel is not None:
                     cancel.wait()

@@ -6,19 +6,17 @@ The query half of the columnar data plane (engine half:
 * :class:`ColumnarRecordReader` — reads each split slab once (same bulk
   read as :class:`~repro.query.recordreader.StructuralRecordReader`) and
   emits :class:`~repro.mapreduce.columnar.ChunkBatch` items covering
-  whole groups of extraction-shape instances.  For dense extractions the
-  slab's working region is decomposed per dimension into at most three
-  *zones* — clipped head instance, run of full instances, clipped tail
-  instance — whose cartesian product tiles the region with pieces of
-  uniform per-instance extent.  Each zone becomes one batch: a basic
-  slice, a ``reshape``/``transpose`` to ``(n, cells)`` (C-order per
-  instance, matching the record plane's slice-and-flatten exactly), and
-  one ``translate_many`` call for the keys.  Strided extractions batch
-  the box of fully-contained instances via one ``np.ix_`` gather; each
-  clipped-edge or stride-gap-straddling instance follows as a one-row
-  batch cut by the record plane's exact per-instance slice.  Every item
-  is a ``ChunkBatch``, and the two planes emit identical logical
-  records.
+  whole groups of extraction-shape instances.  The slab's working
+  region is decomposed per dimension into at most three *zones* —
+  clipped head instance, run of whole instances, clipped tail instance,
+  stride-gap cells in none — whose cartesian product covers every
+  instance piece in the region with boxes of uniform per-instance
+  extent.  Each box becomes one batch: a basic slice, one strided
+  window view copied to ``(n, cells)`` (C-order per instance, matching
+  the record plane's slice-and-flatten exactly), and the product of the
+  zones' key ranges for the keys.  Dense and strided extractions are
+  the same decomposition (``stride == shape``).  Every item is a
+  ``ChunkBatch``, and the two planes emit identical logical records.
 * :func:`batch_operator_for` — the :class:`StructuralBatchOperator` of
   any of the 11 operators, looked up in one spec table (``_SPECS``):
   per-batch state columns, how same-key rows combine, and one
@@ -49,14 +47,13 @@ The query half of the columnar data plane (engine half:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from itertools import chain, product
+from itertools import product
 from typing import Any, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.arrays.extraction import StridedExtraction
-from repro.arrays.shape import ceil_div, coord_sub
-from repro.arrays.slab import Slab
+from repro.arrays.shape import coord_sub
 from repro.errors import QueryError
 from repro.mapreduce.columnar import ChunkBatch
 from repro.query.language import QueryPlan
@@ -69,54 +66,36 @@ from repro.query.splits import CoordinateSplit
 # --------------------------------------------------------------------- #
 
 
-def _zone_segments(lo: int, hi: int, extent: int) -> list[tuple[int, int, int, int]]:
+def _zone_segments(
+    lo: int, hi: int, extent: int, stride: int
+) -> list[tuple[int, int, int, int]]:
     """Decompose the half-open per-dimension work range ``[lo, hi)``
     (relative to the extraction origin) into zones of uniform
-    per-instance extent.
+    per-instance extent; instance ``k`` occupies
+    ``[k * stride, k * stride + extent)``.
 
     Returns ``(key_start, key_count, cell_start, cell_extent)`` tuples:
-    at most a clipped head instance, a run of full instances, and a
-    clipped tail instance.
+    at most a clipped head instance, a run of whole instances, and a
+    clipped tail instance.  Cells in a stride gap are in no zone.
     """
-    k0, r0 = divmod(lo, extent)
-    k1, r1 = divmod(hi, extent)
-    if k0 == k1:
-        return [(k0, 1, lo, hi - lo)]
     zones = []
+    k0, r0 = divmod(lo, stride)
     if r0:
-        zones.append((k0, 1, lo, extent - r0))
+        if r0 < extent:  # else ``lo`` is in the gap after instance k0
+            zones.append((k0, 1, lo, min(hi, k0 * stride + extent) - lo))
         k0 += 1
-    if k1 > k0:
-        zones.append((k0, k1 - k0, k0 * extent, extent))
-    if r1:
-        zones.append((k1, 1, k1 * extent, r1))
+    # Instances below ``whole`` end by ``hi``.
+    whole = (hi - extent) // stride + 1 if hi >= extent else 0
+    if whole > k0:
+        zones.append((k0, whole - k0, k0 * stride, extent))
+        k0 = whole
+    if k0 * stride < hi:
+        zones.append((k0, 1, k0 * stride, hi - k0 * stride))
     return zones
 
 
-def _interleaved_shape(counts: tuple[int, ...], exts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(zip(counts, exts)))
-
-
-def _instance_major_perm(rank: int) -> tuple[int, ...]:
-    # (count0, ext0, count1, ext1, ...) -> (counts..., exts...)
-    return tuple(range(0, 2 * rank, 2)) + tuple(range(1, 2 * rank, 2))
-
-
-def _batch_values(
-    block: np.ndarray, counts: tuple[int, ...], exts: tuple[int, ...]
-) -> np.ndarray:
-    """Reorder a ``(counts*exts)``-shaped cell block into ``(n, cells)``
-    rows, one C-order-flattened instance piece per row."""
-    rank = len(counts)
-    n = int(np.prod(counts))
-    cells = int(np.prod(exts))
-    interleaved = block.reshape(_interleaved_shape(counts, exts))
-    rows = interleaved.transpose(_instance_major_perm(rank))
-    return np.ascontiguousarray(rows).reshape(n, cells)
-
-
 def _corner_grid(axes: list[np.ndarray]) -> np.ndarray:
-    """(n, rank) array of instance-corner coordinates, C order."""
+    """(n, rank) array of the axes' cartesian product, C order."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
@@ -126,8 +105,7 @@ class ColumnarRecordReader:
 
     Emits exactly the same logical records as
     :class:`~repro.query.recordreader.StructuralRecordReader` — same
-    keys, same cells in the same C order — grouped into batches where
-    the geometry allows and as one-row batches where it does not.
+    keys, same cells in the same C order — one batch per zone.
     """
 
     def __init__(self, source: Any, plan: QueryPlan, split: CoordinateSplit) -> None:
@@ -137,6 +115,8 @@ class ColumnarRecordReader:
 
     def __iter__(self) -> Iterator[ChunkBatch]:
         plan = self._plan
+        ex = plan.extraction
+        steps = tuple(slice(None, None, st) for st in ex.stride)
         for slab in self._split.slabs:
             work = slab.intersect(plan.covered)
             if work.is_empty:
@@ -146,104 +126,35 @@ class ColumnarRecordReader:
             # covering box can extend past it, and the record plane's
             # instance_region() intersects with the subset too.
             core = work.intersect(plan.subset)
-            if isinstance(plan.extraction, StridedExtraction):
-                yield from self._iter_strided(plan, slab, work, core, data)
-            else:
-                yield from self._iter_dense(plan, slab, core, data)
-
-    # ------------------------------------------------------------------ #
-    def _iter_dense(
-        self, plan: QueryPlan, slab: Slab, core: Slab, data: np.ndarray
-    ) -> Iterator[ChunkBatch]:
-        if core.is_empty:
-            return
-        ex = plan.extraction
-        rank = core.rank
-        rel_lo = coord_sub(core.corner, ex.origin)
-        rel_hi = coord_sub(core.end, ex.origin)
-        per_dim = [
-            _zone_segments(lo, hi, s)
-            for lo, hi, s in zip(rel_lo, rel_hi, ex.shape)
-        ]
-        for combo in product(*per_dim):
-            counts = tuple(z[1] for z in combo)
-            exts = tuple(z[3] for z in combo)
-            slices = tuple(
-                slice(
-                    ex.origin[d] + combo[d][2] - slab.corner[d],
-                    ex.origin[d] + combo[d][2] - slab.corner[d]
-                    + counts[d] * exts[d],
+            if core.is_empty:
+                continue
+            per_dim = [
+                _zone_segments(lo, hi, sh, st)
+                for lo, hi, sh, st in zip(
+                    coord_sub(core.corner, ex.origin),
+                    coord_sub(core.end, ex.origin),
+                    ex.shape,
+                    ex.stride,
                 )
-                for d in range(rank)
-            )
-            values = _batch_values(data[slices], counts, exts)
-            axes = [
-                ex.origin[d]
-                + (combo[d][0] + np.arange(counts[d], dtype=np.int64))
-                * ex.shape[d]
-                for d in range(rank)
             ]
-            keys = ex.translate_many(_corner_grid(axes))
-            yield ChunkBatch(keys, values)
-
-    # ------------------------------------------------------------------ #
-    def _iter_strided(
-        self,
-        plan: QueryPlan,
-        slab: Slab,
-        work: Slab,
-        core: Slab,
-        data: np.ndarray,
-    ) -> Iterator[ChunkBatch]:
-        ex = plan.extraction
-        rank = work.rank
-        full = Slab(tuple(0 for _ in range(rank)), tuple(0 for _ in range(rank)))
-        if not core.is_empty:
-            rel_lo = coord_sub(core.corner, ex.origin)
-            rel_hi = coord_sub(core.end, ex.origin)
-            klo = []
-            khi = []
-            for lo, hi, st, sh in zip(rel_lo, rel_hi, ex.stride, ex.shape):
-                klo.append(ceil_div(lo, st))
-                khi.append((hi - sh) // st + 1 if hi >= sh else 0)
-            full = Slab.from_extent(klo, khi).intersect(
-                Slab.whole(plan.intermediate_space)
-            )
-        if not full.is_empty:
-            counts = full.shape
-            axes_idx = []
-            corner_axes = []
-            for d in range(rank):
-                starts = (
-                    ex.origin[d]
-                    + (full.corner[d] + np.arange(counts[d], dtype=np.int64))
-                    * ex.stride[d]
+            # origin-relative cell coordinate -> index into ``data``
+            local = coord_sub(ex.origin, slab.corner)
+            for combo in product(*per_dim):
+                # First piece's first cell to last piece's last cell.
+                block = data[tuple(
+                    slice(off + start, off + start + (count - 1) * st + ext)
+                    for off, (_, count, start, ext), st in zip(
+                        local, combo, ex.stride
+                    )
+                )]
+                # One window per instance piece, C order within it —
+                # the record plane's slice-and-flatten exactly.
+                exts = tuple(ext for _, _, _, ext in combo)
+                windows = sliding_window_view(block, exts)[steps]
+                keys = _corner_grid(
+                    [k + np.arange(count, dtype=np.int64) for k, count, _, _ in combo]
                 )
-                corner_axes.append(starts)
-                local = starts - slab.corner[d]
-                axes_idx.append(
-                    (
-                        local[:, None]
-                        + np.arange(ex.shape[d], dtype=np.int64)[None, :]
-                    ).reshape(-1)
-                )
-            block = data[np.ix_(*axes_idx)]
-            values = _batch_values(block, tuple(counts), tuple(ex.shape))
-            keys, mask = ex.translate_many(_corner_grid(corner_axes))
-            assert bool(mask.all()), "full-instance corners must translate"
-            yield ChunkBatch(keys, values)
-        # Clipped edges and gap-straddling instances: the record plane's
-        # exact per-instance slice of whatever the box didn't cover, one
-        # row each (their cell counts differ).
-        image = plan.image_of(work)
-        for key in image.iter_coords():
-            if not full.is_empty and full.contains(key):
-                continue
-            region = plan.instance_region(key).intersect(work)
-            if region.is_empty:
-                continue
-            cells = data[region.as_local_slices(slab.corner)]
-            yield ChunkBatch(np.asarray([key]), cells.reshape(1, -1))
+                yield ChunkBatch(keys, windows.reshape(len(keys), -1))
 
 
 def make_columnar_reader_factory(

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.arrays.extraction import ExtractionShape, StridedExtraction
+from repro.arrays.extraction import ExtractionShape
 from repro.arrays.shape import Coord, Shape, volume
 from repro.arrays.slab import Slab
 from repro.errors import QueryError
@@ -60,20 +60,12 @@ class StructuralQuery:
             )
         if subset.is_empty:
             raise QueryError("empty query subset")
-        truncate = not self.keep_partial_instances
-        if self.stride is not None:
-            extraction: ExtractionShape | StridedExtraction = StridedExtraction(
-                shape=self.extraction_shape,
-                stride=self.stride,
-                origin=subset.corner,
-                truncate=truncate,
-            )
-        else:
-            extraction = ExtractionShape(
-                shape=self.extraction_shape,
-                origin=subset.corner,
-                truncate=truncate,
-            )
+        extraction = ExtractionShape(
+            shape=self.extraction_shape,
+            origin=subset.corner,
+            truncate=not self.keep_partial_instances,
+            stride=self.stride,
+        )
         inter = extraction.intermediate_space(subset.shape)
         return QueryPlan(
             query=self,
@@ -93,7 +85,7 @@ class QueryPlan:
     metadata: DatasetMetadata
     input_space: Shape
     subset: Slab
-    extraction: ExtractionShape | StridedExtraction
+    extraction: ExtractionShape
     intermediate_space: Shape
 
     # ------------------------------------------------------------------ #
@@ -107,17 +99,14 @@ class QueryPlan:
 
     @property
     def covered(self) -> Slab:
-        """The K region actually consumed (truncation drops the rest)."""
-        if isinstance(self.extraction, StridedExtraction):
-            # Strided: union of instances is not a slab; the covering box
-            # is the preimage of the whole intermediate space.
-            last = tuple(e - 1 for e in self.intermediate_space)
-            first_slab = self.extraction.preimage(
-                tuple(0 for _ in self.intermediate_space)
-            )
-            last_slab = self.extraction.preimage(last)
-            return Slab.from_extent(first_slab.corner, last_slab.end)
-        return self.extraction.covered_input(self.subset.shape)
+        """The box of K actually consumed (truncation drops the rest):
+        from the first instance's corner to the last instance's end.
+        Under a stride the instances' union is not a slab; the box
+        includes the gaps between them."""
+        last = tuple(e - 1 for e in self.intermediate_space)
+        return Slab.from_extent(
+            self.extraction.origin, self.extraction.preimage(last).end
+        )
 
     @property
     def num_intermediate_keys(self) -> int:
@@ -185,7 +174,7 @@ class QueryPlan:
     def describe(self) -> str:
         """Human-readable one-paragraph plan summary."""
         ex = self.extraction
-        stride = f", stride={list(ex.stride)}" if isinstance(ex, StridedExtraction) else ""
+        stride = f", stride={list(ex.stride)}" if ex.stride != ex.shape else ""
         return (
             f"{self.operator.name}({self.variable}) over subset "
             f"corner={list(self.subset.corner)} shape={list(self.subset.shape)} "

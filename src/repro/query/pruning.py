@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.arrays.extraction import StridedExtraction
 from repro.arrays.shape import Coord
 from repro.arrays.slab import Slab
 from repro.query.language import QueryPlan
@@ -103,17 +102,11 @@ def _mark_surviving_keys(
     plan: QueryPlan, surviving: tuple[CoordinateSplit, ...]
 ) -> np.ndarray:
     """Boolean grid over K'_T: True where a key keeps >=1 surviving
-    producer.
-
-    Dense extractions use the exact image of each work region (per-dim
-    interval arithmetic, vectorized slab assignment).  Strided
-    extractions fall back to a per-key membership test inside the image
-    box, because a box image may contain keys whose instances only meet
-    the region in stride gaps.
+    producer — the union of the (exact) images of the surviving work
+    regions, one slab assignment each.
     """
     space = plan.intermediate_space
     mask = np.zeros(space, dtype=bool)
-    strided = isinstance(plan.extraction, StridedExtraction)
     covered = plan.covered
     for sp in surviving:
         for slab in sp.slabs:
@@ -121,16 +114,8 @@ def _mark_surviving_keys(
             if work.is_empty:
                 continue
             image = plan.image_of(work)
-            if image.is_empty:
-                continue
-            if not strided:
+            if not image.is_empty:
                 mask[image.as_slices()] = True
-            else:
-                for key in image.iter_coords():
-                    if not mask[key] and not (
-                        plan.instance_region(key).intersect(work).is_empty
-                    ):
-                        mask[key] = True
     return mask
 
 

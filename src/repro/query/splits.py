@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arrays.extraction import StridedExtraction
 from repro.arrays.linearize import slab_to_index_runs
 from repro.arrays.shape import Shape, volume
 from repro.arrays.slab import Slab
@@ -136,8 +135,7 @@ def aligned_slice_splits(
     """Like :func:`slice_splits` but boundaries fall on extraction-shape
     multiples along dim 0, so no instance spans two splits."""
     covered = plan.covered
-    ex = plan.extraction
-    unit = ex.stride[0] if isinstance(ex, StridedExtraction) else ex.shape[0]
+    unit = plan.extraction.stride[0]
     rows = covered.shape[0]
     units = rows // unit
     if units == 0:

@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.errors import ReproError, ShuffleError
-from repro.faults import InjectionPlan, RecoveryModel
+from repro.faults import FaultKind, InjectionPlan, RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
 from repro.query.operators import StructuralOperator, get_operator
 from repro.spec import SpeculationPolicy
@@ -55,6 +55,10 @@ from repro.spec import SpeculationPolicy
 ENGINES = ("serial", "threaded")
 DATA_PLANES = ("columnar",)
 ON_DEADLINE = ("fail", "partial")
+#: Cap on a result wait (a client that hangs up is dropped at once; this
+#: bounds the ones that stay connected and silent) — and so the longest
+#: a served job may be asked to stall without a deadline of its own.
+MAX_RESULT_WAIT = 600.0
 
 #: Job lifecycle states, in order of progress.
 QUEUED = "queued"
@@ -246,7 +250,7 @@ class QueryRequest:
             self.structural_operator()
             self.recovery_model()
             self.speculation_policy()
-            self.injection_plan()
+            faults = self.injection_plan()
         except (ReproError, ValueError, TypeError) as exc:
             # What the run would be built from cannot be built — an
             # unknown operator, recovery model or fault rule, a
@@ -254,6 +258,25 @@ class QueryRequest:
             # positive number: a request error, not a job to queue, fail
             # and bill the tenant's failure budget for.
             raise AdmissionError(str(exc)) from exc
+        # A fault nothing would ever release holds its queue worker for
+        # the life of the server (a running job cannot be cancelled).
+        for rule in faults.rules if faults is not None else ():
+            if rule.kind is FaultKind.HANG and not (
+                self.speculate or self.deadline is not None
+            ):
+                raise AdmissionError(
+                    "a hang fault is released only by speculation or a "
+                    "deadline; set speculate or deadline"
+                )
+            if (
+                rule.kind is FaultKind.SLOW
+                and rule.delay > MAX_RESULT_WAIT
+                and self.deadline is None
+            ):
+                raise AdmissionError(
+                    f"slow fault delay {rule.delay} exceeds the longest "
+                    f"result wait ({MAX_RESULT_WAIT} s); set a deadline"
+                )
 
     # ------------------------------------------------------------------ #
     # What the run is built from (validated at admission, built again
@@ -294,7 +317,12 @@ class QueryRequest:
             {
                 "variable": self.variable,
                 "extract": list(self.extract),
-                "stride": list(self.stride) if self.stride else None,
+                # ``stride == extract`` is the dense plan spelt out.
+                "stride": (
+                    list(self.stride)
+                    if self.stride and self.stride != self.extract
+                    else None
+                ),
                 "operator": self.operator,
                 "threshold": self.threshold,
                 "splits": self.splits,

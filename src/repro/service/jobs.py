@@ -81,8 +81,9 @@ class ServiceJob:
         self.plan_seconds: float | None = None
         self.run_seconds: float | None = None
         self.counters: dict[str, int] = {}
-        #: Live progress (a ProgressTracker attached by the runner);
-        #: ``status()`` embeds its snapshot while the job runs.
+        #: Live progress: a ProgressTracker attached by the runner while
+        #: the job runs (``status()`` embeds its snapshot), the last
+        #: snapshot alone once it has finished.
         self.progress: Any | None = None
         #: Called once with the job on every terminal transition (the
         #: service hooks tenant accounting here) — after state is set,
@@ -99,6 +100,10 @@ class ServiceJob:
                 setattr(self, k, v)
             if self.records is not None:
                 self.num_records = len(self.records)
+            if self.progress is not None:
+                # Keep the document, not the tracker: it holds the job's
+                # event bus and every fold attached to it.
+                self.progress = self.progress.snapshot()
             self.state = state
             self.finished_at = time.time()
         if self.on_finish is not None:
@@ -169,7 +174,9 @@ class ServiceJob:
                     doc["evicted"] = True
             progress = self.progress
         if progress is not None:
-            doc["progress"] = progress.snapshot()
+            doc["progress"] = (
+                progress if isinstance(progress, dict) else progress.snapshot()
+            )
         return doc, records
 
 

@@ -42,6 +42,7 @@ from typing import Any, NamedTuple
 
 from repro.service.api import (
     BLOCK_CONTENT_TYPE,
+    MAX_RESULT_WAIT,
     AdmissionError,
     QueryRequest,
     UnknownDatasetError,
@@ -58,9 +59,6 @@ _MAX_HEADER_LINES = 100
 #: How long a refused request's unread input is swallowed before the
 #: socket closes.
 _LINGER_SECONDS = 1.0
-#: Cap on a result wait (a client that hangs up is dropped at once; this
-#: bounds the ones that stay connected and silent).
-_MAX_RESULT_WAIT = 600.0
 
 
 class _Encoded(NamedTuple):
@@ -74,13 +72,13 @@ def _result_timeout(query: str) -> float:
     """``?timeout=S`` of a result request, capped; ``ValueError`` (a
     400) unless it is a finite, non-negative number — ``nan`` would
     slip through ``min`` and never fire."""
-    timeout = _MAX_RESULT_WAIT
+    timeout = MAX_RESULT_WAIT
     for piece in query.split("&"):
         if piece.startswith("timeout="):
             timeout = float(piece[8:])
             if not (math.isfinite(timeout) and timeout >= 0):
                 raise ValueError(f"timeout must be finite and >= 0, got {piece[8:]!r}")
-    return min(timeout, _MAX_RESULT_WAIT)
+    return min(timeout, MAX_RESULT_WAIT)
 
 
 def _accepts_block(accept: str) -> bool:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.arrays.slab import Slab
 from repro.errors import JobConfigError, QueryError, ShuffleError
 from repro.mapreduce.columnar import (
     ChunkBatch,
@@ -47,6 +48,8 @@ from repro.query.operators import (
 from repro.query.recordreader import make_reader_factory
 from repro.query.splits import slice_splits
 from repro.scidata.generators import temperature_dataset
+from repro.scidata.metadata import simple_metadata
+from tests.test_columnar_result import _count_calls
 
 # Fixed-width state: one numeric column per state component.
 DISTRIBUTIVE = [
@@ -129,23 +132,24 @@ class TestColumnarReader:
             assert batches > 0
             _assert_same_stream(cols, _oracle(data, plan, split))
 
-    def test_strided_falls_back_only_on_edges(self, field, data):
-        """A strided reader batches the box of whole instances and falls
-        back to one-row batches only for the instances a slab edge
-        cuts."""
+    def test_strided_batches_by_zone(self, field, data):
+        """A strided reader is the dense reader: per dimension a clipped
+        head, a run of whole instances and a clipped tail, so a slab
+        yields at most 3^rank items however many instances its edges
+        cut."""
         plan = _plan(field, (2, 2, 2), stride=(3, 4, 3))
-        total_singles = total_instances = 0
+        cut = 0
         for split in slice_splits(plan, num_splits=4):
             cols, batches, singles = _expand(
                 ColumnarRecordReader(data, plan, split)
             )
-            assert batches == 1
-            total_singles += singles
-            total_instances += sum(len(pieces) for pieces in cols.values())
+            assert batches + singles <= 3 ** 3 * len(split.slabs)
+            cut += sum(
+                row.size < plan.cells_per_instance
+                for pieces in cols.values() for row in pieces
+            )
             _assert_same_stream(cols, _oracle(data, plan, split))
-        # The stride gaps split instances across slab boundaries: some
-        # instances arrive one to a batch, but not most of them.
-        assert 0 < total_singles < total_instances / 2
+        assert cut > 0  # slab edges really did cut instances
 
     def test_strided_clipped_split_is_all_batches(self, field, data):
         """Strided, clipped by the subset edge (partial instances kept)
@@ -178,8 +182,6 @@ class TestColumnarReader:
             _assert_same_stream(cols, _oracle(data, plan, split))
 
     def test_subset(self, field, data):
-        from repro.arrays.slab import Slab
-
         plan = _plan(field, (7, 5, 2),
                      subset=Slab((2, 1, 1), (26, 9, 5)))
         for split in slice_splits(plan, num_splits=3):
@@ -197,6 +199,66 @@ class TestColumnarReader:
                 region = plan.instance_region(key)
                 want = data[region.as_slices()].reshape(-1)
                 np.testing.assert_array_equal(item.values[i], want)
+
+    @given(st.data())
+    def test_zone_stream_is_the_record_stream(self, data):
+        """Any rank <= 3, shape, stride >= shape, subset, either
+        truncation and 1..7 splits: the zone reader emits the record
+        reader's pieces — same keys, same cells in the same C order."""
+        rank = data.draw(st.integers(1, 3))
+        space = tuple(data.draw(st.integers(4, 9)) for _ in range(rank))
+        corner = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
+        subset = Slab(corner, tuple(
+            data.draw(st.integers(2, s - c)) for s, c in zip(space, corner)
+        ))
+        shape = tuple(data.draw(st.integers(1, e)) for e in subset.shape)
+        stride = data.draw(st.one_of(st.none(), st.tuples(
+            *(st.integers(s, s + 2) for s in shape)
+        )))
+        plan = StructuralQuery(
+            variable="v", extraction_shape=shape, operator=MeanOp(),
+            subset=subset, stride=stride,
+            keep_partial_instances=data.draw(st.booleans()),
+        ).compile(simple_metadata("v", space))
+        array = np.arange(np.prod(space), dtype=np.float64).reshape(space)
+        for split in slice_splits(plan, num_splits=data.draw(st.integers(1, 7))):
+            got = [
+                (tuple(key), row.tolist())
+                for item in ColumnarRecordReader(array, plan, split)
+                for key, row in zip(item.keys.tolist(), item.values)
+            ]
+            want = [
+                (key, np.asarray(chunk.data).tolist())
+                for key, chunk in make_reader_factory(array, plan)(split)
+            ]
+            assert sorted(got) == sorted(want)
+            assert len(got) == len(set(k for k, _ in got))  # one piece per key
+
+    def test_reader_calls_do_not_grow_with_keys(self):
+        """One split's reader over a strided query makes no more
+        interpreter-level calls at 4x the keys: no per-instance loop,
+        cut instances included."""
+
+        def reader_calls(lat):
+            space = (20, lat, 40)
+            plan = StructuralQuery(
+                variable="v", extraction_shape=(5, 4, 2), operator=MeanOp(),
+                stride=(7, 5, 2),
+            ).compile(simple_metadata("v", space))
+            array = np.zeros(space, dtype=np.float32)
+            # the middle split: both of its dim-0 edges cut instances
+            split = slice_splits(plan, num_splits=3)[1]
+            return _count_calls(
+                lambda: sum(
+                    b.num_instances
+                    for b in ColumnarRecordReader(array, plan, split)
+                )
+            )
+
+        small, keys = reader_calls(40)
+        large, more = reader_calls(160)
+        assert more == 4 * keys
+        assert large <= small + 10
 
     def test_factory_shape(self, field, data):
         plan = _plan(field, (7, 5, 2))

@@ -57,6 +57,10 @@ def mean_request(**kw):
     return QueryRequest(**base)
 
 
+HANG_MAP_0 = {"task": "map", "fault": "hang", "indices": [0]}
+SLOW_MAP_0 = {"task": "map", "fault": "slow", "indices": [0]}
+
+
 def assert_still_serving(client, service):
     """A well-formed query on a fresh connection completes with the
     oracle's digest (dataset ``d`` must be open)."""
@@ -150,11 +154,34 @@ class TestQueryRequest:
              "dataset must be a string"),
             ({"dataset": "d", "variable": "v", "extract": [2],
               "operator": None}, "operator must be a string"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "fault_rules": [HANG_MAP_0]}, "set speculate or deadline"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "fault_rules": [HANG_MAP_0], "speculate": False},
+             "set speculate or deadline"),
+            ({"dataset": "d", "variable": "v", "extract": [2],
+              "fault_rules": [{**SLOW_MAP_0, "delay": 1e9}]},
+             "exceeds the longest result wait.*set a deadline"),
         ],
     )
     def test_invalid_documents_are_refused(self, doc, fragment):
         with pytest.raises(AdmissionError, match=fragment):
             QueryRequest.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"fault_rules": [HANG_MAP_0], "speculate": True},
+            {"fault_rules": [HANG_MAP_0], "deadline": 5.0},
+            {"fault_rules": [{**SLOW_MAP_0, "delay": 600.0}]},
+            {"fault_rules": [{**SLOW_MAP_0, "delay": 1e9}], "deadline": 5.0},
+        ],
+        ids=["hang-speculate", "hang-deadline", "slow-short", "slow-deadline"],
+    )
+    def test_releasable_stalls_are_admitted(self, fields):
+        QueryRequest.from_json(
+            {"dataset": "d", "variable": "v", "extract": [2], **fields}
+        )
 
     def test_unset_run_options_are_not_validated(self):
         """The objects admission builds are the ones the run would: a
@@ -186,7 +213,9 @@ class TestQueryRequest:
         # ...plan-affecting fields do not.
         assert base.plan_key() != mean_request(prune=True).plan_key()
         assert base.plan_key() != mean_request(extract=(2, 5)).plan_key()
-        assert base.plan_key() != mean_request(stride=(4, 5)).plan_key()
+        assert base.plan_key() != mean_request(stride=(5, 5)).plan_key()
+        # (stride == extract is the dense plan spelt out: the same key)
+        assert base.plan_key() == mean_request(stride=(4, 5)).plan_key()
         assert base.plan_key() != mean_request(splits=2).plan_key()
         assert base.plan_key() != mean_request(reduces=1).plan_key()
         assert base.plan_key() != mean_request(
@@ -225,6 +254,52 @@ class TestInProcessService:
             assert client.result(client.submit(mean_request()))[
                 "plan_cache_hit"
             ] is True
+
+    def test_finished_job_keeps_its_progress_document_not_the_tracker(
+        self, monkeypatch
+    ):
+        """Regression: every finished job kept its ProgressTracker, and
+        through it the job's event bus, for the life of the process."""
+        from repro.obs import ProgressTracker
+        from repro.service.jobs import ServiceJob
+
+        before = {}
+        finish = ServiceJob.finish
+
+        def spy(job, state, **fields):
+            assert isinstance(job.progress, ProgressTracker)
+            before[job.id] = job.status()["progress"]
+            finish(job, state, **fields)
+
+        monkeypatch.setattr(ServiceJob, "finish", spy)
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", small_data())
+            doc = client.query(mean_request())
+            job = client.service.get_job(doc["id"])
+            assert doc["progress"] == before[job.id]
+            assert doc["progress"]["state"] == "done"
+            assert job.progress == before[job.id]  # a dict, not a tracker
+            assert client.status(job.id)["progress"] == before[job.id]
+
+    @pytest.mark.parametrize(
+        "rule", [HANG_MAP_0, {**SLOW_MAP_0, "delay": 1e9}], ids=["hang", "slow"]
+    )
+    def test_a_stall_with_only_a_deadline_fails_typed_and_frees_its_worker(
+        self, rule
+    ):
+        """Regression: a hang nothing releases held its queue worker
+        until restart (two of them wedged a default ``serve``), and a
+        deadline did not cut a ``slow`` stall short.  Admission now
+        wants a release for every stall, and the deadline is one."""
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", small_data())
+            doc = client.query(
+                mean_request(fault_rules=[rule], deadline=0.2), timeout=10.0
+            )
+            assert doc["state"] == FAILED
+            assert "DeadlineExceededError" in doc["error_types"]
+            assert_still_serving(client, svc)
 
     def test_unknown_dataset_refused_at_admission(self):
         with service_fixture(workers=1) as client:
@@ -448,11 +523,15 @@ class TestHttpServer:
             ({"tenant": ["a"]}, "tenant must be a string"),
             ({"priority": "high"}, "priority must be an integer"),
             ({"reduces": 2.5}, "reduces must be an integer"),
+            ({"fault_rules": [HANG_MAP_0]}, "set speculate or deadline"),
+            ({"fault_rules": [{**SLOW_MAP_0, "delay": 1e9}]},
+             "set a deadline"),
         ],
         ids=["record-plane", "recovery", "hang-timeout", "fault-rule",
              "extract-int", "extract-strings", "stride-int",
              "fault-rules-int", "splits-string", "deadline-string",
-             "tenant-list", "priority-string", "reduces-float"],
+             "tenant-list", "priority-string", "reduces-float",
+             "hang-unreleasable", "slow-unreleasable"],
     )
     def test_unrunnable_request_is_a_400_and_bills_nothing(
         self, live_server, caplog, fields, fragment

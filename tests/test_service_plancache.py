@@ -242,3 +242,25 @@ class TestCacheKeying:
             assert all(d["plan_cache_hit"] for d in docs)
             assert len({d["digest"] for d in docs}) == 1
             assert len(svc.plan_cache) == 5
+
+    def test_stride_equal_to_extract_is_the_dense_plan(self):
+        """One geometry, one cache entry: ``stride == extract`` spells
+        the plan ``stride: null`` compiles to, so the second spelling
+        is a hit with the same digest; a real stride is its own plan.
+        The request still round-trips the field as sent."""
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", int_field(3, (12, 10)))
+
+            def run(stride):
+                req = QueryRequest(
+                    dataset="d", variable="v", extract=(4, 5), stride=stride,
+                    splits=4, reduces=2,
+                )
+                assert QueryRequest.from_json(req.to_json()).stride == stride
+                return client.query(req)
+
+            cold, spelt = run(None), run((4, 5))
+            assert (cold["plan_cache_hit"], spelt["plan_cache_hit"]) == (False, True)
+            assert spelt["digest"] == cold["digest"]
+            assert run((5, 5))["plan_cache_hit"] is False
+            assert len(client.service.plan_cache) == 2

@@ -230,6 +230,19 @@ class TestCases:
                 n = case.num_splits if rule["task"] == "map" else case.reduces
                 assert all(idx < n for idx in rule["indices"]), case.describe()
 
+    def test_generated_hangs_always_speculate(self):
+        """The service refuses a hang that neither speculation nor a
+        deadline would release; the generator pairs every ``hang`` with
+        ``speculate``, so the service leg never reads a 400 as a
+        divergence."""
+        hangs = 0
+        for i in range(300):
+            case = generate_case(i, 7)
+            if any(rule["fault"] == "hang" for rule in case.fault_rules):
+                hangs += 1
+                assert case.speculate, case.describe()
+        assert hangs > 0
+
     def test_crash_case_fails_in_every_config(self):
         case = base_case(
             "sum",
