@@ -3,7 +3,11 @@
 
 The operator protocol is three methods (map-side fold, associative
 combine, reduce-side finalize) plus the source-count bookkeeping that
-keeps the §3.2.1 validation working.  This example builds **ArgMaxOp**:
+keeps the §3.2.1 validation working.  A user-defined operator
+subclasses ``StructuralOperator``, runs on the record plane
+(``data_plane="record"``: only the built-in operators, rows of one
+table, have a columnar reading), and its ``reference`` is its own — the
+oracle has no independent definition of it.  This example builds **ArgMaxOp**:
 for each extraction-shape instance, the *global coordinate* of its
 hottest cell — e.g. "where exactly was the weekly temperature peak in
 each latitude band?"

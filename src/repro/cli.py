@@ -99,10 +99,7 @@ def _compile_query(args: argparse.Namespace):
     from repro.query.splits import slice_splits
     from repro.scidata.dataset import open_dataset
 
-    params = {}
-    if getattr(args, "threshold", None) is not None:
-        params["threshold"] = args.threshold
-    op = get_operator(args.operator, **params)
+    op = get_operator(args.operator, threshold=args.threshold)
     q = StructuralQuery(
         variable=args.variable,
         extraction_shape=_parse_shape(args.extract),
@@ -546,9 +543,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     """Differential fuzzing + interleaving exploration (docs/TESTING.md)."""
     import os
 
-    from repro.errors import JobConfigError
+    from repro.errors import JobConfigError, QueryError
     from repro.obs.metrics import MetricsRegistry
     from repro.verify import fuzz, load_repro, run_case
+    from repro.verify.cases import operator_pool
     from repro.verify.fuzz import _engine_configs
 
     if args.engines:
@@ -581,9 +579,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     operators = None
     if args.operators:
-        operators = tuple(
-            name.strip() for name in args.operators.split(",") if name.strip()
-        )
+        try:
+            operators = operator_pool(
+                name.strip() for name in args.operators.split(",") if name.strip()
+            )
+        except QueryError as exc:
+            # A usage error too: it must not pass by fuzzing the others.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     report = fuzz(
         args.cases,
         seed=args.seed,
@@ -721,6 +724,8 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.query.operators import OPERATOR_NAMES
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="SIDR (SC '13) reproduction: query, simulate, report.",
@@ -737,8 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--extract", required=True, metavar="D0,D1,...")
     p_query.add_argument("--stride", default=None, metavar="D0,D1,...")
     p_query.add_argument(
-        "--operator", default="mean",
-        help="sum|count|mean|min|max|stddev|median|filter_gt",
+        "--operator", default="mean", choices=OPERATOR_NAMES,
     )
     p_query.add_argument("--threshold", type=float, default=None)
     p_query.add_argument("--reduces", type=int, default=4)
@@ -749,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         "built-in operator runs on, and the only plane a server serves; "
         "record: the per-record reference engine (Mapper/Reducer "
         "objects, sort-merge shuffle) for debugging and for checking "
-        "the columnar output against — ~25x slower, local runs only "
+        "the columnar output against — ~40x slower, local runs only "
         "(docs/PERFORMANCE.md)",
     )
     p_query.add_argument(
@@ -865,8 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--extract", required=True, metavar="D0,D1,...")
     p_rec.add_argument("--stride", default=None, metavar="D0,D1,...")
     p_rec.add_argument(
-        "--operator", default="mean",
-        help="sum|count|mean|min|max|stddev|median|filter_gt",
+        "--operator", default="mean", choices=OPERATOR_NAMES,
     )
     p_rec.add_argument("--threshold", type=float, default=None)
     p_rec.add_argument("--reduces", type=int, default=4)
@@ -885,8 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--extract", required=True, metavar="D0,D1,...")
     p_spec.add_argument("--stride", default=None, metavar="D0,D1,...")
     p_spec.add_argument(
-        "--operator", default="mean",
-        help="sum|count|mean|min|max|stddev|median|filter_gt",
+        "--operator", default="mean", choices=OPERATOR_NAMES,
     )
     p_spec.add_argument("--threshold", type=float, default=None)
     p_spec.add_argument("--reduces", type=int, default=4)

@@ -13,7 +13,8 @@ Implements the three SciHadoop capabilities the paper builds on (§2.4):
 
 :mod:`repro.query.recordreader` provides the scientific record readers
 that emit per-instance chunks (the efficient path) or per-cell records
-(the reference path used by tests).
+(the reference path used by tests).  An operator is one table row in
+:mod:`repro.query.operators`; :mod:`repro.query.reference` is the oracle's.
 """
 
 from repro.query.operators import (
@@ -44,7 +45,6 @@ from repro.query.recordreader import (
 )
 from repro.query.columnar import (
     ColumnarRecordReader,
-    StructuralBatchOperator,
     batch_operator_for,
     make_columnar_reader_factory,
 )
@@ -78,7 +78,6 @@ __all__ = [
     "StructuralRecordReader",
     "make_reader_factory",
     "ColumnarRecordReader",
-    "StructuralBatchOperator",
     "batch_operator_for",
     "make_columnar_reader_factory",
     "ByteOrientedRecordReader",

@@ -1,36 +1,57 @@
 """Structural operators: the functions applied per extraction-shape
-instance.
+instance — one table row per operator, read two ways.
 
-Each operator implements a three-stage protocol mirroring how a
-MapReduce job evaluates it:
+A row (:class:`_Spec`) is an operator's whole definition, written as
+column functions over many instances at once: ``map_batch`` folds an
+``(n, cells)`` block into state columns, ``combine`` names how same-key
+rows merge, ``finalize`` turns combined columns into the output column.
+:class:`SpecOperator` reads a row through both of the engine's protocols:
 
-* ``map_partial(chunk)`` — map side: fold one chunk (the cells of one
-  instance present in one split) into a partial state;
-* ``combine(partials)`` — combiner/reduce side: merge partial states of
-  the same intermediate key;
-* ``finalize(partial)`` — reduce side: produce the output cell value.
+* the **batch protocol** of the columnar plane (``map_batch`` /
+  ``combine_columns`` / ``finalize_columns`` / ``masked_cells``): the
+  row applied to whole columns;
+* the **scalar protocol** of :class:`StructuralOperator`, which the
+  record plane runs: the same row one instance at a time.
+  ``map_partial(chunk)`` (map side) is ``map_batch`` on a one-row block,
+  ``finalize(partial)`` (reduce side) the row's ``finalize`` on one-row
+  columns, and ``combine(partials)`` (combiner / reduce side) a
+  left-to-right Python fold with the row's ufunc — written on its own,
+  **not** with :func:`_segmented_fold`, so the one stage where float
+  order matters has two implementations the tests hold against each
+  other.
 
-``distributive`` marks operators whose partials are bounded-size
-(mean/min/max/sum/count/stddev); holistic operators (median) carry all
-raw values in their partials.  The distinction matters twice in the
-paper: HOP-style early aggregation only works for distributive operators
-(§5), and combiners shrink shuffle volume only for them.
+The planes therefore cannot disagree about what an operator *is*; what
+both are judged against is :mod:`repro.query.reference`, which shares no
+code with this module.  A user-defined operator subclasses
+:class:`StructuralOperator` directly and runs on the record plane.
 
-Every :class:`Partial` carries ``source_count`` — the number of input
-cells it represents — which is the §3.2.1 (approach 2) annotation the
-engine and SIDR's validator rely on.
+*Fixed-width* rows keep one number per state column and finalize with
+IEEE operations that round the same in numpy and in Python floats
+(``+ - * /``, ``sqrt``, comparisons); *ragged* rows (filter_gt, sort,
+median) keep an instance's surviving values, in cell order, in one
+object-dtype column and sort once, stably, at finalize.
+
+``holistic`` rows carry every raw value in their partials (median,
+sort); the rest are ``distributive``.  The paper uses the distinction
+twice: HOP-style early aggregation only works for distributive operators
+(§5), and combiners shrink shuffle volume only for them.  Every
+:class:`Partial` carries ``source_count`` — the number of input cells it
+represents — the §3.2.1 (approach 2) annotation the engine and SIDR's
+validator rely on.
 """
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.errors import QueryError
+from repro.query.reference import REFERENCE
 
 
 @dataclass(frozen=True)
@@ -137,292 +158,373 @@ class StructuralOperator(ABC):
         return self.finalize(self.map_partial(chunk))
 
 
-def _require_partials(partials: Sequence[Partial]) -> None:
-    if not partials:
-        raise QueryError("combine() of zero partials")
+# Column functions: what the table's rows are written with ------------ #
 
 
-class SumOp(StructuralOperator):
-    name = "sum"
+def _f64(values: np.ndarray) -> np.ndarray:
+    return values.astype(np.float64, copy=False)
 
-    def map_partial(self, chunk: Chunk) -> Partial:
-        return Partial(float(np.sum(chunk.data)), chunk.source_count)
 
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        return Partial(
-            float(sum(p.state for p in partials)),
-            sum(p.source_count for p in partials),
-        )
+def _segmented_fold(
+    uf: np.ufunc, col: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Left-to-right fold of each segment, bit-exact vs the scalar path.
 
-    def finalize(self, partial: Partial) -> float:
-        return float(partial.state)
+    ``np.ufunc.reduceat`` may associate pairwise (observably different
+    float sums for segments of >= 4), while the scalar ``combine`` folds
+    a key's states one after the other — strictly sequential.  This
+    fold is sequential *within* each segment but vectorized *across*
+    segments: one pass per position-in-segment, so the loop count is the
+    longest segment (the number of map fragments feeding one key — a
+    handful), not the record count.
+    """
+    col = np.asarray(col)
+    n = col.shape[0]
+    if starts.size == 0:
+        return col[:0].copy()
+    ends = np.append(starts[1:], n)
+    out = col[starts].copy()
+    longest = int((ends - starts).max())
+    for j in range(1, longest):
+        idx = starts + j
+        live = idx < ends
+        out[live] = uf(out[live], col[idx[live]])
+    return out
 
 
-class CountOp(StructuralOperator):
-    name = "count"
+def _counts_column(values: np.ndarray) -> np.ndarray:
+    return np.full(values.shape[0], values.shape[1], dtype=np.int64)
 
-    def map_partial(self, chunk: Chunk) -> Partial:
-        return Partial(int(np.asarray(chunk.data).size), chunk.source_count)
+
+def _require_cells(count: np.ndarray, what: str) -> None:
+    if count.size and not count.all():
+        raise QueryError(f"{what} of zero cells")
 
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        return Partial(
-            int(sum(p.state for p in partials)),
-            sum(p.source_count for p in partials),
-        )
 
-    def finalize(self, partial: Partial) -> int:
-        return int(partial.state)
+# Fixed-width state --------------------------------------------------- #
 
+
+def _state_itself(col: np.ndarray, t: None) -> np.ndarray:
+    return _f64(col)
+
+
+def _mean(total: np.ndarray, count: np.ndarray, t: None) -> np.ndarray:
+    _require_cells(count, "mean")
+    return total / count
+
+
+def _moments(v: np.ndarray, t: None) -> tuple[np.ndarray, ...]:
+    w = _f64(v)
+    return (_counts_column(v), w.sum(axis=1), np.square(w).sum(axis=1))
 
-class MeanOp(StructuralOperator):
-    name = "mean"
 
-    def map_partial(self, chunk: Chunk) -> Partial:
-        arr = np.asarray(chunk.data, dtype=np.float64)
-        return Partial((float(arr.sum()), int(arr.size)), chunk.source_count)
+def _stddev(n: np.ndarray, s: np.ndarray, ss: np.ndarray, t: None) -> np.ndarray:
+    _require_cells(n, "stddev")
+    mean = s / n
+    # ``mean * mean``, not ``mean ** 2``: multiplication is an IEEE
+    # operation that rounds identically everywhere (the oracle computes
+    # this in Python floats), whereas ``** 2`` goes through libm ``pow``
+    # — last-ulp different for ~0.1 % of inputs.
+    var = ss / n - mean * mean
+    # ``where(var > 0)`` is the oracle's ``max(0.0, var)`` exactly: a
+    # NaN or negative-zero variance clamps to +0.0 in both.
+    return np.sqrt(np.where(var > 0.0, var, 0.0))
+
 
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        total = sum(p.state[0] for p in partials)
-        count = sum(p.state[1] for p in partials)
-        return Partial((total, count), sum(p.source_count for p in partials))
+def _minmax(v: np.ndarray, t: float | None) -> tuple[np.ndarray, ...]:
+    w = _f64(v)
+    return (w.min(axis=1), w.max(axis=1))
 
-    def finalize(self, partial: Partial) -> float:
-        total, count = partial.state
-        if count == 0:
-            raise QueryError("mean of zero cells")
-        return total / count
-
-
-class MinOp(StructuralOperator):
-    name = "min"
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        return Partial(float(np.min(chunk.data)), chunk.source_count)
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        return Partial(
-            min(p.state for p in partials),
-            sum(p.source_count for p in partials),
-        )
-
-    def finalize(self, partial: Partial) -> float:
-        return float(partial.state)
-
-
-class MaxOp(StructuralOperator):
-    name = "max"
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        return Partial(float(np.max(chunk.data)), chunk.source_count)
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        return Partial(
-            max(p.state for p in partials),
-            sum(p.source_count for p in partials),
-        )
-
-    def finalize(self, partial: Partial) -> float:
-        return float(partial.state)
-
-
-class StdDevOp(StructuralOperator):
-    """Population standard deviation via (count, sum, sum-of-squares) —
-    algebraic, so distributive in the combiner sense."""
-
-    name = "stddev"
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        arr = np.asarray(chunk.data, dtype=np.float64)
-        return Partial(
-            (int(arr.size), float(arr.sum()), float(np.square(arr).sum())),
-            chunk.source_count,
-        )
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        n = sum(p.state[0] for p in partials)
-        s = sum(p.state[1] for p in partials)
-        ss = sum(p.state[2] for p in partials)
-        return Partial((n, s, ss), sum(p.source_count for p in partials))
-
-    def finalize(self, partial: Partial) -> float:
-        n, s, ss = partial.state
-        if n == 0:
-            raise QueryError("stddev of zero cells")
-        mean = s / n
-        # ``mean * mean``, not ``mean ** 2``: multiplication is an IEEE
-        # operation that rounds identically everywhere (so the columnar
-        # plane's array expression is byte-identical), whereas ``** 2``
-        # goes through libm ``pow`` — last-ulp different for ~0.1 % of
-        # inputs, and an OverflowError where multiplication gives inf.
-        var = max(0.0, ss / n - mean * mean)
-        return float(np.sqrt(var))
-
-
-class MedianOp(StructuralOperator):
-    """Query 1's operator.  Holistic: the median needs every cell, so
-    partials carry raw values and only concatenate when combined."""
-
-    name = "median"
-    distributive = False
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        arr = np.asarray(chunk.data, dtype=np.float64).reshape(-1)
-        return Partial(arr, chunk.source_count)
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        state = np.concatenate([np.asarray(p.state).reshape(-1) for p in partials])
-        return Partial(state, sum(p.source_count for p in partials))
-
-    def finalize(self, partial: Partial) -> float:
-        arr = np.asarray(partial.state)
-        if arr.size == 0:
-            raise QueryError("median of zero cells")
-        return float(np.median(arr))
-
-
-class ThresholdFilterOp(StructuralOperator):
-    """Query 2's operator: per instance, the list of values exceeding a
-    threshold ("results will contain a list of all values greater than
-    the threshold", §4.1) — possibly empty (§2.4.2: "a list of zero or
-    more results may be produced")."""
-
-    name = "filter_gt"
-    distributive = True  # partials are the (usually tiny) passing subsets
-
-    def __init__(self, threshold: float) -> None:
-        self.threshold = float(threshold)
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        arr = np.asarray(chunk.data, dtype=np.float64).reshape(-1)
-        return Partial(arr[arr > self.threshold], chunk.source_count)
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        state = np.concatenate([np.asarray(p.state).reshape(-1) for p in partials])
-        return Partial(state, sum(p.source_count for p in partials))
-
-    def finalize(self, partial: Partial) -> list[float]:
-        return sorted(float(x) for x in np.asarray(partial.state).reshape(-1))
-
-    def prune_predicate(self) -> PrunePredicate:
-        return _GreaterThanPrune(self.threshold)
-
-
-class RangeOp(StructuralOperator):
-    """max - min per instance — the paper's §2.2 query 2 building block
-    ("find all locations where the 24-hour temperature variations exceed
-    X" is a range computation followed by a threshold).  Algebraic:
-    partials carry (min, max)."""
-
-    name = "range"
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        arr = np.asarray(chunk.data, dtype=np.float64)
-        return Partial((float(arr.min()), float(arr.max())), chunk.source_count)
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        lo = min(p.state[0] for p in partials)
-        hi = max(p.state[1] for p in partials)
-        return Partial((lo, hi), sum(p.source_count for p in partials))
-
-    def finalize(self, partial: Partial) -> float:
-        lo, hi = partial.state
-        return hi - lo
-
-
-class RangeExceedsOp(StructuralOperator):
-    """§2.2 query 2 exactly: does the per-instance variation (max - min)
-    exceed a threshold?  Output is the boolean flag plus the variation —
-    enough for the "find all locations where..." selection downstream.
-
-    Deliberately *not* split-prunable: even an instance that provably
-    cannot exceed the threshold still outputs its data-dependent
-    ``variation``, so no region's contribution is a combine identity
-    (``prune_predicate`` stays None; see docs/PERFORMANCE.md)."""
-
-    name = "range_exceeds"
-
-    def __init__(self, threshold: float) -> None:
-        self.threshold = float(threshold)
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        arr = np.asarray(chunk.data, dtype=np.float64)
-        return Partial((float(arr.min()), float(arr.max())), chunk.source_count)
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        lo = min(p.state[0] for p in partials)
-        hi = max(p.state[1] for p in partials)
-        return Partial((lo, hi), sum(p.source_count for p in partials))
-
-    def finalize(self, partial: Partial) -> dict:
-        lo, hi = partial.state
-        variation = hi - lo
-        return {"exceeds": variation > self.threshold, "variation": variation}
-
-
-class SortOp(StructuralOperator):
-    """§2.2 query 3: "sort the data points for each day by temperature".
-    Holistic; the output per instance is its cells in sorted order."""
-
-    name = "sort"
-    distributive = False
-
-    def map_partial(self, chunk: Chunk) -> Partial:
-        arr = np.asarray(chunk.data, dtype=np.float64).reshape(-1)
-        return Partial(np.sort(arr), chunk.source_count)
-
-    def combine(self, partials: Sequence[Partial]) -> Partial:
-        _require_partials(partials)
-        # Merge of sorted runs; concatenate+sort is O(n log n) but the
-        # runs are small per instance.
-        state = np.sort(
-            np.concatenate([np.asarray(p.state).reshape(-1) for p in partials])
-        )
-        return Partial(state, sum(p.source_count for p in partials))
-
-    def finalize(self, partial: Partial) -> list[float]:
-        return [float(x) for x in np.asarray(partial.state).reshape(-1)]
-
-    def reference(self, values: np.ndarray) -> list[float]:
-        return sorted(float(x) for x in np.asarray(values).reshape(-1))
-
-
-_REGISTRY: dict[str, type[StructuralOperator]] = {
-    op.name: op
-    for op in (
-        SumOp, CountOp, MeanOp, MinOp, MaxOp, StdDevOp, MedianOp, RangeOp,
-        SortOp,
-    )
+
+def _exceeds(lo: np.ndarray, hi: np.ndarray, t: float) -> list:
+    variation = hi - lo
+    return [
+        {"exceeds": e, "variation": v}
+        for e, v in zip((variation > t).tolist(), variation.tolist())
+    ]
+
+
+# Ragged state -------------------------------------------------------- #
+
+
+def _split_rows(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Object column whose element ``i`` is ``flat[ends[i-1]:ends[i]]``."""
+    col = np.empty(len(ends), dtype=object)
+    begin = 0
+    for i, end in enumerate(ends.tolist()):
+        # Per-element assignment: a slice assignment would try to
+        # broadcast the ragged pieces into a 2-D block.
+        col[i] = flat[begin:end]
+        begin = end
+    return col
+
+
+def _ragged_rows(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An object column of float arrays as one flat value array plus
+    per-row lengths (the rows laid end to end, in order)."""
+    rows = col.tolist()
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.float64)
+    return flat, lengths
+
+
+def _survivors(v: np.ndarray, t: float | None) -> tuple[np.ndarray, ...]:
+    """Each instance's cells passing ``> t`` (all of them without a
+    threshold), in cell order.
+
+    One boolean mask per batch, not one ``arr[arr > t]`` per instance
+    — the batch-path half of split skipping: splits the zone map could
+    not prune entirely still do a single vectorized compare.  An
+    all-masked row keeps its place: an empty survivors array, with the
+    row's full source count travelling beside it (§2.4.2 allows empty
+    per-instance results and the §3.2.1 count annotation still needs
+    the cells tallied).
+    """
+    w = _f64(v)
+    if t is None:
+        flat, kept = w.reshape(-1), _counts_column(w)
+    else:
+        mask = w > t
+        flat, kept = w[mask], mask.sum(axis=1)
+    return (_split_rows(flat, kept.cumsum()),)
+
+
+def _concat_segments(col: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Ragged combine.  Rows of one key are adjacent and in map order,
+    so a key's combined state is a contiguous run of the column laid out
+    flat — the order the scalar ``combine`` concatenates them in."""
+    if starts.size == len(col):
+        return col  # every row its own key: nothing to merge
+    flat, lengths = _ragged_rows(col)
+    return _split_rows(flat, np.add.reduceat(lengths, starts).cumsum())
+
+
+def _sorted_segments(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All values, each row's sorted within its segment, plus the
+    segment lengths.  One stable sort: equal values keep their order
+    like ``sorted``, NaNs go last like ``np.sort``."""
+    flat, lengths = _ragged_rows(col)
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    return flat[np.lexsort((flat, segment))], lengths
+
+
+def _sorted_lists(col: np.ndarray, t: float | None) -> list:
+    values, lengths = _sorted_segments(col)
+    values, ends = values.tolist(), lengths.cumsum().tolist()
+    return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _medians(col: np.ndarray, t: None) -> np.ndarray:
+    """``np.median`` of every segment at once: the middle element of an
+    odd count, ``(a + b) / 2`` of the middle two of an even one, NaN
+    for a segment holding one (they sort last)."""
+    values, lengths = _sorted_segments(col)
+    _require_cells(lengths, "median")
+    ends = lengths.cumsum()
+    first = ends - lengths
+    a = values[first + (lengths - 1) // 2]
+    b = values[first + lengths // 2]
+    middle = np.where(lengths % 2 == 1, a, (a + b) / 2)
+    return np.where(np.isnan(values[ends - 1]), np.nan, middle)
+
+
+# The table ----------------------------------------------------------- #
+
+
+class _Spec(NamedTuple):
+    """One operator's whole definition.  ``map_batch`` and ``finalize``
+    take the operator's threshold last (None for operators without
+    one)."""
+
+    #: ``(n, cells)`` value block -> one state column per component of
+    #: ``Partial.state``.
+    map_batch: Callable[..., tuple[np.ndarray, ...]]
+    #: Per-column combine ufuncs, or None for ragged state (concatenate).
+    combine: tuple[np.ufunc, ...] | None
+    #: Combined state columns -> the output column.
+    finalize: Callable[..., np.ndarray | list]
+    #: Partials carry every raw value (§5: no early aggregation).
+    holistic: bool = False
+    takes_threshold: bool = False
+    #: Has a zone-map prune predicate (see :class:`PrunePredicate`).
+    prunable: bool = False
+
+
+#: Row order is the order :func:`repro.verify.cases.generate_case`
+#: draws from: reordering renumbers every seeded fuzz case.
+_SPECS: dict[str, _Spec] = {
+    "sum": _Spec(lambda v, t: (_f64(v.sum(axis=1)),), (np.add,), _state_itself),
+    "count": _Spec(
+        lambda v, t: (_counts_column(v),),
+        (np.add,),
+        lambda c, t: np.asarray(c, dtype=np.int64),
+    ),
+    "mean": _Spec(
+        lambda v, t: (_f64(v).sum(axis=1), _counts_column(v)),
+        (np.add, np.add),
+        _mean,
+    ),
+    "min": _Spec(
+        lambda v, t: (_f64(v.min(axis=1)),), (np.minimum,), _state_itself
+    ),
+    "max": _Spec(
+        lambda v, t: (_f64(v.max(axis=1)),), (np.maximum,), _state_itself
+    ),
+    # Population, via (count, sum, sum of squares): algebraic.
+    "stddev": _Spec(_moments, (np.add, np.add, np.add), _stddev),
+    # Query 1's operator (§2.2).
+    "median": _Spec(_survivors, None, _medians, holistic=True),
+    # max - min per instance: §2.2 query 2's building block.
+    "range": _Spec(
+        _minmax, (np.minimum, np.maximum), lambda lo, hi, t: hi - lo
+    ),
+    # §2.2 query 3: "sort the data points for each day by temperature".
+    "sort": _Spec(_survivors, None, _sorted_lists, holistic=True),
+    # Query 2 as run in §4.1: "a list of all values greater than the
+    # threshold", possibly empty (§2.4.2); partials are the passing few.
+    "filter_gt": _Spec(
+        _survivors, None, _sorted_lists, takes_threshold=True, prunable=True
+    ),
+    # §2.2 query 2 exactly.  The output carries the data-dependent
+    # ``variation`` either way, so no region's contribution is a combine
+    # identity: not prunable (docs/PERFORMANCE.md).
+    "range_exceeds": _Spec(
+        _minmax, (np.minimum, np.maximum), _exceeds, takes_threshold=True
+    ),
 }
 
+OPERATOR_NAMES: tuple[str, ...] = tuple(_SPECS)
+THRESHOLD_OPERATORS = tuple(n for n, s in _SPECS.items() if s.takes_threshold)
+PRUNABLE_OPERATORS = tuple(n for n, s in _SPECS.items() if s.prunable)
 
-def get_operator(name: str, **params: Any) -> StructuralOperator:
-    """Instantiate an operator by name (``filter_gt`` and
-    ``range_exceeds`` take ``threshold``)."""
-    if name == ThresholdFilterOp.name:
-        if "threshold" not in params:
-            raise QueryError("filter_gt requires a threshold parameter")
-        return ThresholdFilterOp(params["threshold"])
-    if name == RangeExceedsOp.name:
-        if "threshold" not in params:
-            raise QueryError("range_exceeds requires a threshold parameter")
-        return RangeExceedsOp(params["threshold"])
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise QueryError(
-            f"unknown operator {name!r}; known: "
-            f"{sorted(_REGISTRY) + [ThresholdFilterOp.name, RangeExceedsOp.name]}"
-        ) from None
-    if params:
-        raise QueryError(f"operator {name!r} takes no parameters")
-    return cls()
+
+class SpecOperator(StructuralOperator):
+    """The built-in operator ``name``: its :data:`_SPECS` row, read
+    through the scalar and the batch protocol (module docstring)."""
+
+    def __init__(self, name: str, threshold: float | None = None) -> None:
+        try:
+            spec = _SPECS[name]
+        except KeyError:
+            raise QueryError(
+                f"unknown operator {name!r}; known: {sorted(_SPECS)}"
+            ) from None
+        if spec.takes_threshold and threshold is None:
+            raise QueryError(f"{name} requires a threshold parameter")
+        if threshold is not None and not spec.takes_threshold:
+            raise QueryError(f"operator {name!r} takes no parameters")
+        self.name = name
+        self.distributive = not spec.holistic
+        self.threshold = None if threshold is None else float(threshold)
+        self._spec = spec
+
+    def prune_predicate(self) -> PrunePredicate | None:
+        return _GreaterThanPrune(self.threshold) if self._spec.prunable else None
+
+    def reference(self, values: np.ndarray) -> Any:
+        """The oracle's value: :mod:`repro.query.reference`, not this row."""
+        return REFERENCE[self.name](values, self.threshold)
+
+    # Batch protocol -------------------------------------------------- #
+
+    def map_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        return self._spec.map_batch(values, self.threshold)
+
+    def combine_columns(
+        self, columns: tuple[np.ndarray, ...], starts: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        if self._spec.combine is None:
+            return (_concat_segments(columns[0], starts),)
+        return tuple(
+            _segmented_fold(uf, col, starts)
+            for uf, col in zip(self._spec.combine, columns)
+        )
+
+    def finalize_columns(
+        self, columns: tuple[np.ndarray, ...], source_counts: np.ndarray
+    ) -> np.ndarray | list:
+        # The one invariant ``Partial`` enforces per row.
+        if source_counts.size and int(source_counts.min()) < 0:
+            raise QueryError("negative source_count")
+        # Python floats overflow to inf and turn inf - inf into NaN
+        # silently; so must the columns.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._spec.finalize(*columns, self.threshold)
+
+    def masked_cells(
+        self, values: np.ndarray, columns: tuple[np.ndarray, ...]
+    ) -> int:
+        """Cells a pushdown mask dropped from this batch (the engine's
+        ``pushdown.rows.masked`` counter): what a ragged state under a
+        threshold did not keep, nothing for any other operator."""
+        if self._spec.combine is not None or self.threshold is None:
+            return 0
+        return int(values.size) - sum(map(len, columns[0].tolist()))
+
+    # Scalar protocol.  ``Partial.state`` is the instance's row of the
+    # state columns: the bare value for one column, a tuple for several.
+
+    def map_partial(self, chunk: Chunk) -> Partial:
+        columns = self.map_batch(np.asarray(chunk.data).reshape(1, -1))
+        row = tuple(
+            col[0] if col.dtype == object else col[0].item() for col in columns
+        )
+        return Partial(row if len(row) > 1 else row[0], chunk.source_count)
+
+    def combine(self, partials: Sequence[Partial]) -> Partial:
+        if not partials:
+            raise QueryError("combine() of zero partials")
+        rows = zip(*(_row(p.state) for p in partials))
+        row = tuple(map(_fold, self._spec.combine or (None,), rows))
+        count = sum(p.source_count for p in partials)
+        return Partial(row if len(row) > 1 else row[0], count)
+
+    def finalize(self, partial: Partial) -> Any:
+        if self._spec.combine is None:
+            values = np.asarray(partial.state, dtype=np.float64).reshape(-1)
+            columns = (_split_rows(values, np.array([values.size])),)
+        else:
+            columns = tuple(np.array([x]) for x in _row(partial.state))
+        out = self.finalize_columns(columns, np.array([partial.source_count]))
+        return out[0] if isinstance(out, list) else out[0].item()
+
+
+def _row(state: Any) -> tuple:
+    return state if isinstance(state, tuple) else (state,)
+
+
+def _fold(uf: np.ufunc | None, values: Iterable[Any]) -> Any:
+    """Left-to-right fold of one key's values (``uf`` None: ragged
+    state, laid end to end).  The ufunc, not the builtin it resembles:
+    ``min(1.0, nan)`` is 1.0 and ``sum([-0.0])`` is 0.0, where the
+    columns and the oracle give NaN and -0.0."""
+    if uf is None:
+        return np.concatenate([np.asarray(v).reshape(-1) for v in values])
+    return functools.reduce(lambda a, b: uf(a, b).item(), values)
+
+
+def _constructor(name: str) -> Callable[..., SpecOperator]:
+    """``SpecOperator`` bound to one row, with the ``name`` and
+    ``distributive`` attributes a class would have."""
+    ctor = functools.partial(SpecOperator, name)
+    ctor.name, ctor.distributive = name, not _SPECS[name].holistic
+    return ctor
+
+
+SumOp = _constructor("sum")
+CountOp = _constructor("count")
+MeanOp = _constructor("mean")
+MinOp = _constructor("min")
+MaxOp = _constructor("max")
+StdDevOp = _constructor("stddev")
+MedianOp = _constructor("median")
+RangeOp = _constructor("range")
+SortOp = _constructor("sort")
+ThresholdFilterOp = _constructor("filter_gt")
+RangeExceedsOp = _constructor("range_exceeds")
+
+
+def get_operator(name: str, threshold: float | None = None) -> SpecOperator:
+    """The built-in operator ``name`` (``filter_gt`` and
+    ``range_exceeds`` take ``threshold``, the others must not)."""
+    return SpecOperator(name, threshold)

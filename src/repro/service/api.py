@@ -284,8 +284,7 @@ class QueryRequest:
     # ------------------------------------------------------------------ #
     def structural_operator(self) -> StructuralOperator:
         """The operator this request names, with its threshold."""
-        params = {} if self.threshold is None else {"threshold": self.threshold}
-        return get_operator(self.operator, **params)
+        return get_operator(self.operator, threshold=self.threshold)
 
     def recovery_model(self) -> RecoveryModel:
         """The §6 recovery design ``recovery`` names."""

@@ -48,13 +48,10 @@ def oracle_for_request(service: QueryService, request: QueryRequest):
     what a served job's digest — the SHA-256 of its stored block — must
     equal."""
     session = service.registry.get(request.dataset)
-    params = {}
-    if request.threshold is not None:
-        params["threshold"] = request.threshold
     query = StructuralQuery(
         variable=request.variable,
         extraction_shape=request.extract,
-        operator=get_operator(request.operator, **params),
+        operator=get_operator(request.operator, threshold=request.threshold),
         stride=request.stride,
     )
     plan = query.compile(session.metadata)

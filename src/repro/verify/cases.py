@@ -22,25 +22,23 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import QueryError, ReproError
 from repro.faults import InjectionPlan
 from repro.query.language import QueryPlan, StructuralQuery
-from repro.query.operators import get_operator
+from repro.query.operators import (
+    OPERATOR_NAMES,
+    PRUNABLE_OPERATORS,
+    THRESHOLD_OPERATORS,
+    get_operator,
+)
 from repro.query.splits import slice_splits
 from repro.scidata.metadata import DatasetMetadata, Dimension, Variable
-
-#: Every operator in :mod:`repro.query.operators`; each runs on both
-#: data planes.
-OPERATOR_NAMES = (
-    "sum", "count", "mean", "min", "max", "stddev", "median", "range",
-    "sort", "filter_gt", "range_exceeds",
-)
-_THRESHOLD_OPS = ("filter_gt", "range_exceeds")
 
 #: Keep fuzz arrays tiny: differential coverage comes from case count,
 #: not case size.
@@ -123,15 +121,10 @@ class FuzzCase:
         ).astype(np.float64)
 
     def compile(self) -> QueryPlan:
-        params = {}
-        if self.operator in _THRESHOLD_OPS:
-            params["threshold"] = (
-                self.threshold if self.threshold is not None else 0.0
-            )
         query = StructuralQuery(
             variable="v",
             extraction_shape=self.extraction,
-            operator=get_operator(self.operator, **params),
+            operator=get_operator(self.operator, threshold=self.threshold),
             stride=self.stride,
         )
         return query.compile(self.metadata())
@@ -299,6 +292,17 @@ def _random_faults(
     return tuple(rules), recovery, False
 
 
+def operator_pool(operators: Iterable[str] | None) -> tuple[str, ...]:
+    """The operators to draw from; an unknown name is an error."""
+    pool = OPERATOR_NAMES if operators is None else tuple(operators)
+    unknown = [name for name in pool if name not in OPERATOR_NAMES]
+    if unknown:
+        raise QueryError(
+            f"unknown operator(s) {unknown}; known: {list(OPERATOR_NAMES)}"
+        )
+    return pool
+
+
 def generate_case(
     index: int,
     master_seed: int = 0,
@@ -309,7 +313,7 @@ def generate_case(
     so the keyblock partition is feasible.  ``operators`` restricts the
     operator pool (e.g. ``("filter_gt",)`` for a pruning-focused run).
     """
-    pool = OPERATOR_NAMES if operators is None else tuple(operators)
+    pool = operator_pool(operators)
     for salt in range(64):
         rng = random.Random(f"{master_seed}:{index}:{salt}")
         rank = rng.choice((2, 2, 2, 3))
@@ -326,11 +330,11 @@ def generate_case(
         operator = rng.choice(pool)
         threshold = (
             float(rng.randint(-10, 10))
-            if operator in _THRESHOLD_OPS
+            if operator in THRESHOLD_OPERATORS
             else None
         )
         tile = None
-        if operator == "filter_gt" and rng.random() < 0.6:
+        if operator in PRUNABLE_OPERATORS and rng.random() < 0.6:
             tile = tuple(rng.randint(1, s) for s in shape)
         num_splits = rng.randint(1, 5)
         reduces = rng.randint(1, 4)

@@ -45,6 +45,7 @@ from repro.faults import RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.obs import JobObservability
+from repro.query.operators import PRUNABLE_OPERATORS
 from repro.query.splits import slice_splits
 from repro.scidata.zonemaps import build_zone_map
 from repro.sidr.planner import build_sidr_job
@@ -201,7 +202,7 @@ def _prune_eligible(case: FuzzCase) -> bool:
     """Does this case get the pruning legs?  Prunable operator, no fault
     rules (fault indices bind to split indices, which pruning renumbers
     — the same rule would hit a different task)."""
-    return case.operator == "filter_gt" and not case.fault_rules
+    return case.operator in PRUNABLE_OPERATORS and not case.fault_rules
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,11 @@ from repro.query.recordreader import CellToChunkMapper, make_reader_factory
 from repro.query.splits import slice_splits
 from repro.scidata.generators import temperature_dataset, windspeed_dataset
 from repro.sidr.planner import build_sidr_job
+from repro.verify.oracle import (
+    canonicalize_records,
+    oracle_records,
+    records_digest,
+)
 
 _KNOWN = ("serial", "threaded")
 _env = os.environ.get("REPRO_ENGINE_MODE", "")
@@ -228,6 +233,32 @@ class TestGeometryIdentity:
         res, _ = _records(plan, data, MeanOp(), data_plane="columnar")
         for key, value in res.all_records():
             assert value == pytest.approx(ref[key], rel=1e-12)
+
+
+    @pytest.mark.parametrize("op", [SortOp(), MedianOp()], ids=lambda o: o.name)
+    def test_both_zeros_and_a_nan_end_to_end(self, op):
+        """Values the integer-valued fuzz data never holds: zeros of
+        both signs (ties a stable sort must leave in cell order; a
+        median that is ``-0.0``) and a NaN (sorts last; poisons its
+        instance's median).  Three splits cut every instance; the planes
+        return equal digests, and records ``repr``-identical to the
+        oracle's."""
+        field = temperature_dataset(days=6, lat=4, lon=3, seed=5)
+        data = np.ones((6, 4, 3))
+        data[:, 0, :] = -0.0
+        data[:2, 1, :] = 0.0
+        data[4, 2, 1] = np.nan
+        plan = _plan(field, (6, 2, 3), op)
+        want = oracle_records(plan, data)
+        assert any("-0.0" in repr(v) for _, v in want)
+        assert any("nan" in repr(v) for _, v in want)
+        digests = set()
+        for plane in ("record", "columnar"):
+            res, _ = _records(plan, data, op, data_plane=plane, num_splits=3,
+                              reduces=2)
+            assert repr(canonicalize_records(res.all_records())) == repr(want)
+            digests.add(records_digest(res.all_records()))
+        assert digests == {records_digest(want)}
 
 
 # --------------------------------------------------------------------- #

@@ -47,7 +47,7 @@ class TestPlanAssembly:
         plan = build_plan(weekly_mean_plan, splits, 3)
         job, _ = plan.configure_job(temp_data)
         assert job.data_plane == "columnar"
-        assert job.batch_operator.operator is weekly_mean_plan.operator
+        assert job.batch_operator is weekly_mean_plan.operator
         record, _ = plan.configure_job(temp_data, data_plane="record")
         assert record.data_plane == "record" and record.batch_operator is None
         with pytest.raises(JobConfigError, match="unknown data plane 'rowful'"):

@@ -1,14 +1,17 @@
 """Differential fuzzer: oracle agreement, shrinking, repro files."""
 
 import copy
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import JobConfigError, ShuffleError
+from repro.errors import JobConfigError, QueryError, ShuffleError
 from repro.mapreduce.columnar import ResultBlock
 from repro.verify import (
     ENGINE_CONFIGS,
@@ -157,6 +160,26 @@ class TestOracle:
         region = data[0:3, 0:2]
         assert value == region.sum()
 
+    def test_corpus_digests_from_before_the_operator_table(self):
+        """``tests/data/oracle_corpus.json``: ``FuzzCase`` documents with
+        the oracle digest each had when the oracle was
+        ``finalize(map_partial(·))`` of eleven scalar classes (the
+        parent of PR 24).  The classes are gone; their verdicts stay."""
+        corpus = json.loads(
+            (Path(__file__).parent / "data" / "oracle_corpus.json").read_text()
+        )
+        seen = {}
+        for doc in corpus:
+            case = FuzzCase.from_json(doc["case"])
+            plan, data = case.build()
+            assert records_digest(oracle_records(plan, data)) == doc["digest"], (
+                case.describe()
+            )
+            seen.setdefault(case.operator, []).append(case)
+        assert set(seen) == set(OPERATOR_NAMES)
+        for cases in seen.values():
+            assert len(cases) >= 4 and any(c.stride for c in cases)
+
     def test_canonicalize_strips_numpy_types(self):
         import numpy as np
 
@@ -215,6 +238,18 @@ class TestCases:
         for i in range(10):
             assert generate_case(i, 3) == generate_case(i, 3)
         assert generate_case(0, 3) != generate_case(0, 4) or True  # seeds differ
+
+    def test_seed_7_stream_is_pinned(self):
+        """ROADMAP item 0 names seed-7 cases by index, and the operator
+        table's row order is what ``rng.choice`` indexes: reordering it
+        (or any other draw) renumbers them."""
+        h = hashlib.sha256()
+        for i in range(200):
+            doc = generate_case(i, 7).to_json()
+            h.update(json.dumps(doc, sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "79cea17ba7312f589972ca99738536a9c800807ccb34e74367808964e533e12d"
+        )
 
     def test_json_round_trip(self):
         case = generate_case(4, 0)
@@ -312,6 +347,24 @@ class TestPruningLeg:
         for i in range(12):
             case = generate_case(i, 0, operators=("filter_gt",))
             assert case.operator == "filter_gt"
+
+    def test_an_unknown_operator_is_an_error_not_a_resample(self):
+        with pytest.raises(QueryError, match="unknown operator.*'bogus'.*known"):
+            generate_case(0, 7, operators=("bogus",))
+        with pytest.raises(QueryError, match="bogus"):
+            fuzz(2, seed=7, schedules=0, operators=("mean", "bogus"))
+
+    @pytest.mark.parametrize("names", ["bogus", "mean,bogus"])
+    def test_cli_exits_2_before_fuzzing_anything(self, names, capsys):
+        from repro.cli import main
+
+        rc = main(["verify", "--cases", "6", "--schedules", "0",
+                   "--operators", names])
+        cap = capsys.readouterr()
+        assert rc == 2
+        assert "unknown operator(s) ['bogus']" in cap.err
+        assert all(name in cap.err for name in OPERATOR_NAMES)
+        assert cap.out == ""  # no summary line: nothing ran
 
 
 class TestShrinking:
