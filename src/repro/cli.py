@@ -92,11 +92,13 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def _compile_query(args: argparse.Namespace):
-    """Shared query/recovery front half: compile the structural query
-    against the file's metadata and slice map splits."""
+    """Shared query/recovery/speculation front half: compile the
+    structural query against the file's metadata and cut map splits
+    the way the service does — on extraction-unit boundaries — so a
+    local run and ``--server`` run the same maps."""
     from repro.query.language import StructuralQuery
     from repro.query.operators import get_operator
-    from repro.query.splits import slice_splits
+    from repro.query.splits import aligned_slice_splits
     from repro.scidata.dataset import open_dataset
 
     op = get_operator(args.operator, threshold=args.threshold)
@@ -108,7 +110,7 @@ def _compile_query(args: argparse.Namespace):
     )
     with open_dataset(args.file) as ds:
         plan = q.compile(ds.metadata)
-    splits = slice_splits(plan, num_splits=args.splits)
+    splits = aligned_slice_splits(plan, num_splits=args.splits)
     return plan, splits
 
 
@@ -746,7 +748,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument("--threshold", type=float, default=None)
     p_query.add_argument("--reduces", type=int, default=4)
-    p_query.add_argument("--splits", type=int, default=16)
+    p_query.add_argument(
+        "--splits", type=int, default=16,
+        help="map tasks to cut, on extraction-unit boundaries as a "
+        "server cuts them (at most one per instance row along dim 0)",
+    )
     p_query.add_argument(
         "--data-plane", choices=("columnar", "record"), default="columnar",
         help="columnar (default): the vectorized batch path every "

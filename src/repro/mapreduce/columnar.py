@@ -26,12 +26,16 @@ module is the engine half of that plane:
   but records exist as Python objects only once somebody indexes or
   iterates; the service, the verifier and the dense output writer read
   the arrays.
+* :class:`SpillLayout` / :func:`spill_layout` — where a map's rows go:
+  one ``partition_many``, one stable ``np.lexsort`` by (partition, key),
+  and each partition's cut, group starts and keys.  It depends on the
+  keys alone, so a planned split computes it once and keeps it
+  (:func:`repro.query.columnar.map_geometry`).
 * :func:`run_columnar_map` / :func:`run_columnar_reduce` — the task
   bodies the engine dispatches to when the job carries a
-  ``JobConf.batch_operator``.  Sorting is one ``np.lexsort`` per
-  partition, partitioning uses the already-vectorized
-  ``partition_many``, and same-key merging is a segmented fold instead
-  of ``group_sorted``'s per-record loop.
+  ``JobConf.batch_operator``.  A map permutes its state columns by the
+  layout (if at all) and slices them at its cuts; same-key merging is a
+  segmented fold instead of ``group_sorted``'s per-record loop.
 
 The operator arithmetic itself lives behind the :class:`BatchOperator`
 protocol (implemented for every operator in :mod:`repro.query.columnar`),
@@ -156,6 +160,100 @@ def group_starts(keys: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     change = np.any(keys[1:] != keys[:-1], axis=1)
     return np.flatnonzero(np.concatenate(([True], change))).astype(np.int64)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class SpillRun:
+    """One partition's rows, ``[start, end)`` of a map's spill order."""
+
+    partition: int
+    start: int
+    end: int
+    #: Offsets into the run where each equal-key group begins; ``None``
+    #: when no key repeats, so a combine has nothing to fold.
+    starts: np.ndarray | None
+    #: The run's distinct keys in order: a view of
+    #: :attr:`SpillLayout.keys` when no key repeats.
+    keys: np.ndarray
+
+
+@dataclass(frozen=True)
+class SpillLayout:
+    """Where a map task's rows go: a pure function of their keys, the
+    partitioner and the reduce count (:func:`spill_layout`).
+
+    The spill sorts rows stably by ``(partition, key)`` — ``order``,
+    ``None`` when they arrive in that order — and cuts the sorted rows
+    into one :class:`SpillRun` per partition that receives any.  Every
+    array is read-only: a layout may be shared by every run of a plan.
+    """
+
+    partitioner: Any
+    num_partitions: int
+    order: np.ndarray | None
+    #: The rows' keys in spill order.
+    keys: np.ndarray
+    runs: tuple[SpillRun, ...]
+
+    def fits(self, partitioner: Any, num_partitions: int) -> bool:
+        """Was this layout cut for ``partitioner`` and this many reduces?"""
+        return (
+            partitioner is self.partitioner
+            and num_partitions == self.num_partitions
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this layout owns (views excluded)."""
+        arrays = [self.order, self.keys]
+        for run in self.runs:
+            arrays += [run.starts, run.keys]
+        return sum(a.nbytes for a in arrays if a is not None and a.base is None)
+
+
+def spill_layout(
+    keys: np.ndarray, partitioner: Any, num_partitions: int
+) -> SpillLayout:
+    """The :class:`SpillLayout` of map rows keyed ``keys`` (``(n, rank)``
+    int64, in reader order): one ``partition_many``, one stable
+    ``lexsort`` by ``(partition, key)``, and per partition its cut,
+    group starts and distinct keys.  A partition id outside
+    ``[0, num_partitions)`` is a :class:`ShuffleError` here, before
+    any row is spilled."""
+    n = keys.shape[0]
+    parts = partitioner.partition_many(keys, num_partitions)
+    if n and (int(parts.min()) < 0 or int(parts.max()) >= num_partitions):
+        raise ShuffleError(
+            f"partitioner returned out-of-range partition for "
+            f"{num_partitions} reduce tasks"
+        )
+    order: np.ndarray | None = np.lexsort(np.vstack([keys.T[::-1], parts]))
+    if (order == np.arange(n)).all():
+        # Shared with the caller, never written through.
+        order, keys = None, _read_only(keys.view())
+    else:
+        keys, parts = _read_only(keys[order]), parts[order]
+        _read_only(order)
+    cuts = np.flatnonzero(parts[1:] != parts[:-1]) + 1
+    bounds = [0, *cuts.tolist(), n] if n else []
+    runs = []
+    for start, end in zip(bounds, bounds[1:]):
+        run_keys = keys[start:end]
+        starts: np.ndarray | None = group_starts(run_keys)
+        if len(starts) == end - start:
+            starts = None
+        else:
+            run_keys = _read_only(run_keys[starts])
+            _read_only(starts)
+        runs.append(
+            SpillRun(int(parts[start]), start, end, starts, run_keys)
+        )
+    return SpillLayout(partitioner, num_partitions, order, keys, tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -465,22 +563,32 @@ def run_columnar_map(
     cancel: Any | None = None,
     heartbeat: Any | None = None,
 ) -> None:
-    """Columnar map-task body (reader → batch partials → lexsort spill).
+    """Columnar map-task body (reader → batch partials → cut spill runs).
 
-    Every reader item is a :class:`ChunkBatch`.  Counter semantics match
-    the record plane record for record; ``plane.batched.instances``
-    additionally counts the instances mapped as batch rows — all of
-    them, so it equals ``map.input.records``.
+    Every reader item is a :class:`ChunkBatch`.  Where the rows go is the
+    :class:`SpillLayout` of their keys: the reader's own when it carries
+    one cut for this job's partitioner (a planned split's geometry,
+    :func:`repro.query.columnar.map_geometry`), else
+    :func:`spill_layout` of the keys it emitted.  Either way the spill
+    permutes the state columns once (if at all), slices them at the
+    runs' cuts and combines only where a run's keys repeat.  Counter
+    semantics match the record plane record for record;
+    ``plane.batched.instances`` additionally counts the instances mapped
+    as batch rows — all of them, so it equals ``map.input.records``.
     """
     bop: BatchOperator = job.batch_operator
     n = job.num_reduce_tasks
+    reader = job.reader_factory(job.splits[split_index])
+    layout: SpillLayout | None = getattr(reader, "layout", None)
+    if layout is not None and not layout.fits(job.partitioner, n):
+        layout = None
     key_parts: list[np.ndarray] = []
     col_parts: list[tuple[np.ndarray, ...]] = []
     count_parts: list[np.ndarray] = []
     records_in = 0
     masked = 0
     with obs.phase("map.read", task_span) as read_span:
-        for item in job.reader_factory(job.splits[split_index]):
+        for item in reader:
             # Batch-granular cancellation/liveness checkpoint: batches
             # are big, so the per-item cost is noise while a cancelled
             # attempt still exits within one batch.
@@ -507,34 +615,30 @@ def run_columnar_map(
     with obs.phase("map.spill", task_span):
         files: list[ColumnarMapOutput] = []
         if records_in:
-            keys = np.concatenate(key_parts)
             cols = tuple(
                 np.concatenate([part[i] for part in col_parts])
                 for i in range(len(col_parts[0]))
             )
             counts = np.concatenate(count_parts)
-            parts = job.partitioner.partition_many(keys, n)
-            if parts.size and (int(parts.min()) < 0 or int(parts.max()) >= n):
-                raise ShuffleError(
-                    f"partitioner returned out-of-range partition for {n} "
-                    "reduce tasks"
+            if layout is None:
+                layout = spill_layout(
+                    np.concatenate(key_parts), job.partitioner, n
                 )
-            for p in np.unique(parts):
-                mask = parts == p
-                pk = keys[mask]
-                pcols = tuple(c[mask] for c in cols)
-                pc = counts[mask]
-                order = np.lexsort(pk.T[::-1])
-                pk = pk[order]
-                pcols = tuple(c[order] for c in pcols)
-                pc = pc[order]
+            if layout.order is not None:
+                cols = tuple(c[layout.order] for c in cols)
+                counts = counts[layout.order]
+            for run in layout.runs:
+                cut = slice(run.start, run.end)
+                pk = layout.keys[cut]
+                pcols = tuple(c[cut] for c in cols)
+                pc = counts[cut]
                 src = int(pc.sum())
                 if job.combiner_factory is not None:
                     counters.increment("combine.input.records", len(pk))
-                    starts = group_starts(pk)
-                    pcols = bop.combine_columns(pcols, starts)
-                    pc = np.add.reduceat(pc, starts)
-                    pk = pk[starts]
+                    if run.starts is not None:
+                        pcols = bop.combine_columns(pcols, run.starts)
+                        pc = np.add.reduceat(pc, run.starts)
+                    pk = run.keys
                     counters.increment("combine.output.records", len(pk))
                 if corrupt:
                     # Injected torn spill: reversing the lexsorted run
@@ -546,10 +650,10 @@ def run_columnar_map(
                 files.append(
                     ColumnarMapOutput(
                         map_id=MapTaskId(split_index),
-                        partition=int(p),
-                        keys=np.ascontiguousarray(pk),
-                        states=tuple(np.ascontiguousarray(c) for c in pcols),
-                        source_counts=np.ascontiguousarray(pc),
+                        partition=run.partition,
+                        keys=pk,
+                        states=pcols,
+                        source_counts=pc,
                         source_records=src,
                     )
                 )

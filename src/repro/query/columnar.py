@@ -1,22 +1,30 @@
-"""Columnar record reader.
+"""Columnar record reader and the planned map geometry.
 
 The query half of the columnar data plane (engine half:
-:mod:`repro.mapreduce.columnar`).  Two pieces:
+:mod:`repro.mapreduce.columnar`).  Three pieces:
 
-* :class:`ColumnarRecordReader` — reads each split slab once (same bulk
-  read as :class:`~repro.query.recordreader.StructuralRecordReader`) and
-  emits :class:`~repro.mapreduce.columnar.ChunkBatch` items covering
-  whole groups of extraction-shape instances.  The slab's working
-  region is decomposed per dimension into at most three *zones* —
-  clipped head instance, run of whole instances, clipped tail instance,
-  stride-gap cells in none — whose cartesian product covers every
-  instance piece in the region with boxes of uniform per-instance
-  extent.  Each box becomes one batch: a basic slice, one strided
-  window view copied to ``(n, cells)`` (C-order per instance, matching
-  the record plane's slice-and-flatten exactly), and the product of the
-  zones' key ranges for the keys.  Dense and strided extractions are
-  the same decomposition (``stride == shape``).  Every item is a
-  ``ChunkBatch``, and the two planes emit identical logical records.
+* :func:`map_geometry` — everything a split's map does that depends on
+  the split and not on the data, as one value: which slabs to read,
+  the zones cut from each (the slab's working region decomposed per
+  dimension into at most three — clipped head instance, run of whole
+  instances, clipped tail instance, stride-gap cells in none — whose
+  cartesian product covers every instance piece with boxes of uniform
+  per-instance extent), the split's K' key grid, and where those rows
+  spill (:class:`~repro.mapreduce.columnar.SpillLayout`: the stable
+  order by partition and key, each partition's cut, its group starts
+  and keys).  It is a pure function of ``(plan, split)`` and the job's
+  partitioner, so :class:`~repro.sidr.planner.SIDRPlan` computes it once
+  per split and keeps it — and so does the service's plan cache.  Dense
+  and strided extractions, one zone or many, range or hash partitioner:
+  the same function.
+* :class:`ColumnarRecordReader` — reads each slab of a geometry once
+  (same bulk read as
+  :class:`~repro.query.recordreader.StructuralRecordReader`) and emits
+  one :class:`~repro.mapreduce.columnar.ChunkBatch` per zone: a basic
+  slice, one strided window view copied to ``(n, cells)`` (C-order per
+  instance, matching the record plane's slice-and-flatten exactly), and
+  the zone's rows of the key grid.  Every item is a ``ChunkBatch``, and
+  the two planes emit identical logical records.
 * :func:`batch_operator_for` — the plane's admission check: a built-in
   operator (:class:`~repro.query.operators.SpecOperator`, whose table
   and column functions live in :mod:`repro.query.operators`) is its own
@@ -27,6 +35,7 @@ The query half of the columnar data plane (engine half:
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
@@ -34,8 +43,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.arrays.shape import coord_sub
+from repro.arrays.slab import Slab
 from repro.errors import QueryError
-from repro.mapreduce.columnar import ChunkBatch
+from repro.mapreduce.columnar import ChunkBatch, SpillLayout, spill_layout
+from repro.mapreduce.partitioner import Partitioner
 from repro.query.language import QueryPlan
 from repro.query.operators import (
     OPERATOR_NAMES,
@@ -44,6 +55,12 @@ from repro.query.operators import (
 )
 from repro.query.recordreader import _read_slab
 from repro.query.splits import CoordinateSplit
+
+#: One zone of a slab read: the basic slice of the slab's array from the
+#: zone's first cell to its last, the per-instance window extents, and
+#: the rows ``[lo, hi)`` of the split's key grid that its instances are.
+Zone = tuple[tuple[slice, ...], tuple[int, ...], int, int]
+
 
 def _zone_segments(
     lo: int, hi: int, extent: int, stride: int
@@ -79,70 +96,144 @@ def _corner_grid(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
+@dataclass(frozen=True)
+class MapGeometry:
+    """What one split's map does that does not depend on the data
+    (:func:`map_geometry`).  Its arrays are read-only."""
+
+    #: Each slab to read, with the zones cut from it.
+    reads: tuple[tuple[Slab, tuple[Zone, ...]], ...]
+    #: Window steps (the extraction stride), one per dimension.
+    steps: tuple[slice, ...]
+    #: ``(n, rank)`` int64 K' keys of the split's rows, in reader order.
+    keys: np.ndarray
+    #: Where those rows spill; ``None`` when no partitioner was given.
+    layout: SpillLayout | None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays this geometry holds."""
+        return self.keys.nbytes + (self.layout.nbytes if self.layout else 0)
+
+
+def map_geometry(
+    plan: QueryPlan,
+    split: CoordinateSplit,
+    partitioner: Partitioner | None = None,
+    num_partitions: int = 0,
+) -> MapGeometry:
+    """``split``'s :class:`MapGeometry` under ``plan``; with a
+    ``partitioner``, including the spill layout for ``num_partitions``
+    reduces (a partition id out of range raises here)."""
+    ex = plan.extraction
+    reads = []
+    grids = []
+    rows = 0
+    for slab in split.slabs:
+        # Clip to the subset: under keep_partial_instances the covering
+        # box can extend past it, and the record plane's
+        # instance_region() intersects with the subset too.
+        core = slab.intersect(plan.covered).intersect(plan.subset)
+        if core.is_empty:
+            continue
+        per_dim = [
+            _zone_segments(lo, hi, sh, st)
+            for lo, hi, sh, st in zip(
+                coord_sub(core.corner, ex.origin),
+                coord_sub(core.end, ex.origin),
+                ex.shape,
+                ex.stride,
+            )
+        ]
+        # origin-relative cell coordinate -> index into the slab's array
+        local = coord_sub(ex.origin, slab.corner)
+        zones = []
+        for combo in product(*per_dim):
+            grid = _corner_grid(
+                [k + np.arange(count, dtype=np.int64) for k, count, _, _ in combo]
+            )
+            zones.append((
+                # First piece's first cell to last piece's last cell.
+                tuple(
+                    slice(off + start, off + start + (count - 1) * st + ext)
+                    for off, (_, count, start, ext), st in zip(
+                        local, combo, ex.stride
+                    )
+                ),
+                tuple(ext for _, _, _, ext in combo),
+                rows,
+                rows + len(grid),
+            ))
+            grids.append(grid)
+            rows += len(grid)
+        reads.append((slab, tuple(zones)))
+    keys = (
+        np.concatenate(grids) if grids
+        else np.empty((0, len(ex.shape)), dtype=np.int64)
+    )
+    keys.flags.writeable = False
+    return MapGeometry(
+        reads=tuple(reads),
+        steps=tuple(slice(None, None, st) for st in ex.stride),
+        keys=keys,
+        layout=(
+            None if partitioner is None
+            else spill_layout(keys, partitioner, num_partitions)
+        ),
+    )
+
+
 class ColumnarRecordReader:
     """Batched reader: every item is a ChunkBatch.
 
     Emits exactly the same logical records as
     :class:`~repro.query.recordreader.StructuralRecordReader` — same
-    keys, same cells in the same C order — one batch per zone.
+    keys, same cells in the same C order — one batch per zone of its
+    ``geometry`` (computed here when not given).
     """
 
-    def __init__(self, source: Any, plan: QueryPlan, split: CoordinateSplit) -> None:
+    def __init__(
+        self,
+        source: Any,
+        plan: QueryPlan,
+        split: CoordinateSplit,
+        geometry: MapGeometry | None = None,
+    ) -> None:
         self._source = source
-        self._plan = plan
-        self._split = split
+        self._variable = plan.variable
+        if geometry is None:
+            geometry = map_geometry(plan, split)
+        self._geometry = geometry
+
+    @property
+    def layout(self) -> SpillLayout | None:
+        """The spill layout of the rows this reader emits, when its
+        geometry was planned with the job's partitioner."""
+        return self._geometry.layout
 
     def __iter__(self) -> Iterator[ChunkBatch]:
-        plan = self._plan
-        ex = plan.extraction
-        steps = tuple(slice(None, None, st) for st in ex.stride)
-        for slab in self._split.slabs:
-            work = slab.intersect(plan.covered)
-            if work.is_empty:
-                continue
-            data = _read_slab(self._source, plan.variable, slab)
-            # Clip to the subset: under keep_partial_instances the
-            # covering box can extend past it, and the record plane's
-            # instance_region() intersects with the subset too.
-            core = work.intersect(plan.subset)
-            if core.is_empty:
-                continue
-            per_dim = [
-                _zone_segments(lo, hi, sh, st)
-                for lo, hi, sh, st in zip(
-                    coord_sub(core.corner, ex.origin),
-                    coord_sub(core.end, ex.origin),
-                    ex.shape,
-                    ex.stride,
-                )
-            ]
-            # origin-relative cell coordinate -> index into ``data``
-            local = coord_sub(ex.origin, slab.corner)
-            for combo in product(*per_dim):
-                # First piece's first cell to last piece's last cell.
-                block = data[tuple(
-                    slice(off + start, off + start + (count - 1) * st + ext)
-                    for off, (_, count, start, ext), st in zip(
-                        local, combo, ex.stride
-                    )
-                )]
+        geo = self._geometry
+        for slab, zones in geo.reads:
+            data = _read_slab(self._source, self._variable, slab)
+            for block, exts, lo, hi in zones:
                 # One window per instance piece, C order within it —
                 # the record plane's slice-and-flatten exactly.
-                exts = tuple(ext for _, _, _, ext in combo)
-                windows = sliding_window_view(block, exts)[steps]
-                keys = _corner_grid(
-                    [k + np.arange(count, dtype=np.int64) for k, count, _, _ in combo]
-                )
-                yield ChunkBatch(keys, windows.reshape(len(keys), -1))
+                windows = sliding_window_view(data[block], exts)[geo.steps]
+                yield ChunkBatch(geo.keys[lo:hi], windows.reshape(hi - lo, -1))
 
 
 def make_columnar_reader_factory(
-    source: Any, plan: QueryPlan
-) -> Callable[[CoordinateSplit], Iterator[ChunkBatch]]:
-    """Columnar reader factory for :class:`repro.mapreduce.job.JobConf`."""
+    source: Any,
+    plan: QueryPlan,
+    geometry: Callable[[CoordinateSplit], MapGeometry] | None = None,
+) -> Callable[[CoordinateSplit], ColumnarRecordReader]:
+    """Columnar reader factory for :class:`repro.mapreduce.job.JobConf`;
+    ``geometry`` looks a split's planned geometry up (e.g.
+    :meth:`repro.sidr.planner.SIDRPlan.map_geometry`)."""
 
-    def factory(split: CoordinateSplit) -> Iterator[ChunkBatch]:
-        return iter(ColumnarRecordReader(source, plan, split))
+    def factory(split: CoordinateSplit) -> ColumnarRecordReader:
+        planned = None if geometry is None else geometry(split)
+        return ColumnarRecordReader(source, plan, split, planned)
 
     return factory
 

@@ -8,14 +8,21 @@ lets SIDR close opaque Area 1.
 
 Two generators:
 
+* :func:`aligned_slice_splits` — the serving split function: the
+  service, ``repro.cli query`` / ``recovery`` / ``speculation`` and
+  half of the fuzz cases cut here.  Boundaries fall on dim-0 stride
+  multiples, so a split is exactly the whole instances it produces —
+  no instance spans two splits, no map emits a partial, and a split's
+  keys, partitions and spill order are fixed before it reads a byte
+  (:func:`repro.query.columnar.map_geometry`).  Split sizes balance to
+  whole instance rows, so the count is at most ``K'_T[0]``.
 * :func:`slice_splits` — block-sized slicing of the covered input region
-  along the slowest dimension, the SciHadoop default (the paper's Query 1
-  yields 2,781 such splits at 128 MB for a 348 GB dataset).  Boundaries
-  are *not* aligned to the extraction shape, so instances may span
-  splits — the case that makes the §3.2.1 count annotation necessary.
-* :func:`aligned_slice_splits` — boundaries rounded to extraction-shape
-  multiples, an ablation that shrinks cross-split instances (and with
-  them dependency-set sizes) at the cost of less balanced split sizes.
+  along the slowest dimension, the SciHadoop default the paper measures
+  (its Query 1 yields 2,781 such splits at 128 MB for a 348 GB dataset)
+  and what the figures, ablations, examples and tutorial reproduce.
+  Boundaries are *not* aligned to the extraction shape, so instances may
+  span splits — the case that makes the §3.2.1 count annotation
+  necessary.
 """
 
 from __future__ import annotations
@@ -132,15 +139,20 @@ def aligned_slice_splits(
     *,
     num_splits: int,
 ) -> list[CoordinateSplit]:
-    """Like :func:`slice_splits` but boundaries fall on extraction-shape
-    multiples along dim 0, so no instance spans two splits."""
+    """Like :func:`slice_splits` but boundaries fall on multiples of the
+    dim-0 stride, so no instance spans two splits.
+
+    The units are the ``K'_T[0]`` instance rows: the last one may be
+    shorter than its stride (it ends where ``covered`` does), so the
+    count is ``min(num_splits, K'_T[0])``, not a division of the rows.
+    """
     covered = plan.covered
     unit = plan.extraction.stride[0]
     rows = covered.shape[0]
-    units = rows // unit
-    if units == 0:
-        raise QueryError("covered region smaller than one extraction unit")
+    units = plan.intermediate_space[0]
     groups = min(num_splits, units)
+    if groups <= 0:
+        raise QueryError("cannot create zero splits")
     cuts = _balanced_boundaries(units, groups)
     splits: list[CoordinateSplit] = []
     for i in range(groups):

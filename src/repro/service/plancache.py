@@ -18,7 +18,15 @@ A hit returns the cached :class:`~repro.sidr.planner.SIDRPlan` object
 itself: plans are frozen/immutable, and the per-submission
 ``configure_job`` step builds fresh ``JobConf``/barrier state from it,
 so sharing one plan across concurrent jobs (and across engine modes)
-is safe by construction.
+is safe by construction.  A service plan arrives complete — every
+split's map geometry (key grid, spill layout) computed, its arrays
+read-only — so a hit skips that work too.
+
+Because plans carry those arrays, the cache is bounded twice: at most
+``capacity`` entries and at most :data:`MAX_BYTES` of geometry
+(:attr:`SIDRPlan.nbytes`, taken once at insert); past either, the
+least recently used plans go.  A plan larger than the whole byte
+budget is still returned to the job that built it, just not kept.
 
 Concurrent misses on the same key may build the plan twice; both builds
 are identical (pure function), the second insert wins, and nothing
@@ -36,16 +44,23 @@ from repro.sidr.planner import SIDRPlan
 
 CacheKey = tuple[str, str, str]  # (dataset name, dataset digest, plan key)
 
+#: Map geometry the cache keeps at most, in bytes (``fine_mean``'s is
+#: ~200 KB).
+MAX_BYTES = 64 << 20
+
 
 class PlanCache:
-    """LRU cache of ``(dataset name, digest, canonical query) -> SIDRPlan``."""
+    """LRU cache of ``(dataset name, digest, canonical query) -> SIDRPlan``,
+    bounded by entry count and by :data:`MAX_BYTES`."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"plan cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[CacheKey, SIDRPlan] = OrderedDict()
+        #: key -> (plan, its bytes when inserted)
+        self._entries: OrderedDict[CacheKey, tuple[SIDRPlan, int]] = OrderedDict()
+        self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -54,20 +69,27 @@ class PlanCache:
     # ------------------------------------------------------------------ #
     def lookup(self, key: CacheKey) -> SIDRPlan | None:
         with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-            else:
+            entry = self._entries.get(key)
+            if entry is None:
                 self._misses += 1
-            return plan
+                return None
+            self._entries.move_to_end(key)
+            self._hits += 1
+            return entry[0]
 
     def insert(self, key: CacheKey, plan: SIDRPlan) -> None:
+        size = getattr(plan, "nbytes", 0)
         with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._bytes -= old[1]
+            self._entries[key] = (plan, size)
+            self._bytes += size
+            while self._entries and (
+                len(self._entries) > self._capacity or self._bytes > MAX_BYTES
+            ):
+                _, (_, evicted) = self._entries.popitem(last=False)
+                self._bytes -= evicted
                 self._evictions += 1
 
     def get_or_build(
@@ -91,13 +113,14 @@ class PlanCache:
         with self._lock:
             stale = [k for k in self._entries if k[0] == dataset]
             for k in stale:
-                del self._entries[k]
+                self._bytes -= self._entries.pop(k)[1]
             self._invalidations += len(stale)
             return len(stale)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._bytes = 0
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -110,6 +133,7 @@ class PlanCache:
             return {
                 "size": len(self._entries),
                 "capacity": self._capacity,
+                "bytes": self._bytes,
                 "hits": self._hits,
                 "misses": self._misses,
                 "hit_rate": (self._hits / total) if total else 0.0,

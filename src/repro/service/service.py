@@ -50,7 +50,7 @@ from repro.obs import (
     ProgressTracker,
 )
 from repro.query.language import StructuralQuery
-from repro.query.splits import slice_splits
+from repro.query.splits import aligned_slice_splits
 from repro.service.api import (
     DONE,
     FAILED,
@@ -294,7 +294,11 @@ class QueryService:
     # Execution (queue worker threads land here)
     # ------------------------------------------------------------------ #
     def _build_plan(self, req: QueryRequest, session: DatasetSession) -> SIDRPlan:
-        """Cold path of the plan cache: compile + slice + prune + plan."""
+        """Cold path of the plan cache: compile + slice + prune + plan,
+        and every split's map geometry, so the cached plan is complete.
+        Splits are cut on extraction-unit boundaries
+        (:func:`~repro.query.splits.aligned_slice_splits`): no instance
+        spans two maps."""
         query = StructuralQuery(
             variable=req.variable,
             extraction_shape=req.extract,
@@ -302,13 +306,13 @@ class QueryService:
             stride=req.stride,
         )
         qplan = query.compile(session.metadata)
-        splits = slice_splits(qplan, num_splits=req.splits)
+        splits = aligned_slice_splits(qplan, num_splits=req.splits)
         zone_map = None
         if req.prune:
             zone_map = derive_zone_map(qplan, session.engine_source())
         return build_plan(
             qplan, splits, req.reduces, zone_map=zone_map, prune=req.prune
-        )
+        ).with_map_geometry()
 
     def _run_job(self, job: ServiceJob) -> None:
         req = job.request

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -31,7 +32,12 @@ from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
 from repro.mapreduce.partitioner import RangePartitioner
 from repro.mapreduce.reducer import AggregateReducer, CombinerAdapter, Reducer
-from repro.query.columnar import batch_operator_for, make_columnar_reader_factory
+from repro.query.columnar import (
+    MapGeometry,
+    batch_operator_for,
+    make_columnar_reader_factory,
+    map_geometry,
+)
 from repro.query.language import QueryPlan
 from repro.query.pruning import PruneResult, prune_splits
 from repro.query.recordreader import make_reader_factory
@@ -57,6 +63,10 @@ class SIDRPlan:
     #: pruned.  When set, ``splits`` are the re-indexed survivors.
     pruning: PruneResult | None = None
 
+    def __post_init__(self) -> None:
+        #: Split index -> its :class:`MapGeometry`, filled on first use.
+        object.__setattr__(self, "_geometry", {})
+
     # ------------------------------------------------------------------ #
     # Engine-facing pieces
     # ------------------------------------------------------------------ #
@@ -64,8 +74,9 @@ class SIDRPlan:
     def num_reduce_tasks(self) -> int:
         return self.partition.num_blocks
 
-    @property
+    @cached_property
     def partitioner(self) -> RangePartitioner:
+        """One partitioner per plan: the map geometry is cut for it."""
         return RangePartitioner(
             self.partition.space, self.partition.cell_boundaries()
         )
@@ -89,6 +100,38 @@ class SIDRPlan:
         return SidrSchedulePolicy(
             deps=self.deps, priorities=self.priorities, bus=bus
         )
+
+    # ------------------------------------------------------------------ #
+    # Map geometry: a pure function of (plan, split), computed once
+    # ------------------------------------------------------------------ #
+    def map_geometry(self, split: CoordinateSplit) -> MapGeometry:
+        """``split``'s map geometry — zones, key grid and spill layout
+        for :attr:`partitioner` — computed on first use and kept; a
+        split that is not one of this plan's is computed each call."""
+        i = split.index
+        mine = 0 <= i < len(self.splits) and self.splits[i] == split
+        geometry = self._geometry.get(i) if mine else None
+        if geometry is None:
+            # Two threads may both compute a split's first geometry:
+            # equal values, and the dict keeps one.
+            geometry = map_geometry(
+                self.query_plan, split, self.partitioner, self.num_reduce_tasks
+            )
+            if mine:
+                self._geometry[i] = geometry
+        return geometry
+
+    def with_map_geometry(self) -> "SIDRPlan":
+        """This plan with every split's map geometry computed: complete,
+        so it can be cached, shared and sized (:attr:`nbytes`)."""
+        for split in self.splits:
+            self.map_geometry(split)
+        return self
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the map geometry this plan holds."""
+        return sum(g.nbytes for g in list(self._geometry.values()))
 
     # ------------------------------------------------------------------ #
     # Output geometry (§4.4)
@@ -129,13 +172,14 @@ class SIDRPlan:
         combiner: Callable[[], Reducer] | None = None
         if use_combiner:
             combiner = lambda: CombinerAdapter(op)  # noqa: E731
-        make_reader = (
-            make_columnar_reader_factory if columnar else make_reader_factory
+        reader_factory = (
+            make_columnar_reader_factory(source, qp, self.map_geometry)
+            if columnar else make_reader_factory(source, qp)
         )
         job = JobConf(
             name=name or f"sidr-{op.name}-{qp.variable}",
             splits=list(self.splits),
-            reader_factory=make_reader(source, qp),
+            reader_factory=reader_factory,
             mapper_factory=lambda: ChunkAggregateMapper(op),
             reducer_factory=lambda: AggregateReducer(op),
             partitioner=self.partitioner,

@@ -37,7 +37,7 @@ from repro.query.operators import (
     THRESHOLD_OPERATORS,
     get_operator,
 )
-from repro.query.splits import slice_splits
+from repro.query.splits import CoordinateSplit, aligned_slice_splits, slice_splits
 from repro.scidata.metadata import DatasetMetadata, Dimension, Variable
 
 #: Keep fuzz arrays tiny: differential coverage comes from case count,
@@ -80,6 +80,11 @@ class FuzzCase:
     #: exercises coarse tiles (weak envelopes, little pruning) through
     #: cell-sized tiles (exact envelopes, aggressive pruning).
     tile: tuple[int, ...] | None = None
+    #: The engine legs cut splits on extraction-unit boundaries
+    #: (:func:`aligned_slice_splits`, what the service always does)
+    #: instead of :func:`slice_splits`, whose cut instances are what
+    #: exercise combine and the reduce-side merge.
+    aligned: bool = False
 
     # ------------------------------------------------------------------ #
     @property
@@ -132,6 +137,11 @@ class FuzzCase:
     def build(self) -> tuple[QueryPlan, np.ndarray]:
         return self.compile(), self.data()
 
+    def splits(self, plan: QueryPlan) -> list[CoordinateSplit]:
+        """The engine legs' map splits, by the case's split function."""
+        cut = aligned_slice_splits if self.aligned else slice_splits
+        return cut(plan, num_splits=self.num_splits)
+
     # ------------------------------------------------------------------ #
     def to_json(self) -> dict[str, Any]:
         return {
@@ -150,6 +160,7 @@ class FuzzCase:
             "max_attempts": self.max_attempts,
             "speculate": self.speculate,
             "tile": list(self.tile) if self.tile else None,
+            "aligned": self.aligned,
         }
 
     @classmethod
@@ -184,6 +195,7 @@ class FuzzCase:
                 if doc.get("tile")
                 else None
             ),
+            aligned=bool(doc.get("aligned", False)),
         )
 
     def describe(self) -> str:
@@ -191,10 +203,11 @@ class FuzzCase:
         faults = f" faults={len(self.fault_rules)}" if self.fault_rules else ""
         spec = " speculate" if self.speculate else ""
         tile = f" tile={list(self.tile)}" if self.tile else ""
+        aligned = " aligned" if self.aligned else ""
         return (
             f"{self.operator}{list(self.shape)}/ex{list(self.extraction)}"
             f"{stride} splits={self.num_splits} reduces={self.reduces}"
-            f" recovery={self.recovery}{faults}{spec}{tile}"
+            f" recovery={self.recovery}{faults}{spec}{tile}{aligned}"
         )
 
 
@@ -312,8 +325,13 @@ def generate_case(
     ``master_seed`` — resampled until the geometry compiles and clamped
     so the keyblock partition is feasible.  ``operators`` restricts the
     operator pool (e.g. ``("filter_gt",)`` for a pruning-focused run).
+
+    Which split function the engine legs use is a coin of its own
+    stream, so drawing it moves no other draw: a case keeps its index
+    and its geometry whichever function it got.
     """
     pool = operator_pool(operators)
+    aligned = random.Random(f"{master_seed}:{index}:split").random() < 0.5
     for salt in range(64):
         rng = random.Random(f"{master_seed}:{index}:{salt}")
         rank = rng.choice((2, 2, 2, 3))
@@ -352,6 +370,7 @@ def generate_case(
             fault_rules=faults,
             speculate=speculate,
             tile=tile,
+            aligned=aligned,
         )
         try:
             plan = case.compile()
@@ -369,9 +388,13 @@ def generate_case(
             # Clamping reduces/splits may have shrunk the task
             # population below a drawn fault index; fold indices back
             # in so every rule still binds (a crash case must fail).
+            # Map indices fold into the map count *both* split functions
+            # yield: the service leg cuts aligned splits whatever the
+            # case's own function is.
+            maps = len(aligned_slice_splits(plan, num_splits=num_maps))
             remapped = []
             for rule in case.fault_rules:
-                n = num_maps if rule["task"] == "map" else case.reduces
+                n = maps if rule["task"] == "map" else case.reduces
                 rule = dict(rule)
                 rule["indices"] = sorted({i % n for i in rule["indices"]})
                 remapped.append(rule)

@@ -8,7 +8,10 @@ the oracle) also decodes its own bytes back and reads ``diverged``
 unless the records come out ``repr``-identical, so the codec that
 defines the digest is shown lossless on each compared output.
 Expected-failure cases (crash faults) must instead fail in *every*
-configuration.
+configuration.  The engine legs cut a case's splits with its own split
+function (:attr:`~repro.verify.cases.FuzzCase.aligned`, about half the
+cases): aligned splits are what is served, and ``slice_splits``' cut
+instances are what keeps combine and the reduce-side merge covered.
 
 Prunable fault-free cases (``filter_gt``) additionally run a **predicate
 leg**: the same configurations with zone-map split skipping forced
@@ -46,7 +49,6 @@ from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.obs import JobObservability
 from repro.query.operators import PRUNABLE_OPERATORS
-from repro.query.splits import slice_splits
 from repro.scidata.zonemaps import build_zone_map
 from repro.sidr.planner import build_sidr_job
 from repro.spec import SpeculationPolicy
@@ -119,7 +121,7 @@ def _make_engine(case: FuzzCase, hook: Any | None = None) -> LocalEngine:
 
 def _make_job(case: FuzzCase, data_plane: str, prune: bool = False):
     plan, data = case.build()
-    splits = slice_splits(plan, num_splits=case.num_splits)
+    splits = case.splits(plan)
     zone_map = None
     if prune:
         zone_map = build_zone_map("v", data, tile_shape=case.tile)
@@ -133,7 +135,10 @@ def _make_job(case: FuzzCase, data_plane: str, prune: bool = False):
 def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "ConfigOutcome":
     """Run one case end-to-end through the resident query service.
 
-    A fresh single-worker :class:`~repro.service.QueryService` per leg:
+    The service cuts its own splits — on extraction-unit boundaries,
+    whatever the case's :attr:`~FuzzCase.aligned` says — so this leg
+    runs the serving split function on every case.  A fresh
+    single-worker :class:`~repro.service.QueryService` per leg:
     the case data registered as an array session (with a zone map at the
     case's tile for the pruning legs), submitted via the in-process
     client path, and the *served* digest folded into the differential
@@ -471,6 +476,9 @@ class FuzzReport:
     violations: int
     divergent: int
     listener_errors: int = 0
+    #: Cases whose engine legs cut aligned splits; the rest cut
+    #: ``slice_splits``.
+    aligned_cases: int = 0
 
     @property
     def ok(self) -> bool:
@@ -489,7 +497,9 @@ class FuzzReport:
             f"{len(self.failures)} differential failures, "
             f"{self.violations} invariant violations, "
             f"{self.divergent} divergent interleavings, "
-            f"{self.listener_errors} listener errors"
+            f"{self.listener_errors} listener errors; engine legs split "
+            f"{self.aligned_cases} cases aligned, "
+            f"{self.num_cases - self.aligned_cases} sliced"
         )
 
 
@@ -512,8 +522,10 @@ def fuzz(
     violations = 0
     divergent = 0
     listener_errors = 0
+    aligned_cases = 0
     for i in range(num_cases):
         case = generate_case(i, seed, operators=operators)
+        aligned_cases += case.aligned
         result = run_case(case, metrics=metrics)
         listener_errors += result.listener_errors
 
@@ -554,4 +566,5 @@ def fuzz(
         violations=violations,
         divergent=divergent,
         listener_errors=listener_errors,
+        aligned_cases=aligned_cases,
     )

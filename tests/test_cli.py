@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import asyncio
 import json
+import threading
 
 import pytest
 
@@ -10,8 +12,10 @@ from repro.scidata.generators import temperature_dataset
 
 @pytest.fixture(scope="module")
 def ncfile(tmp_path_factory):
+    # 16 weeks: a local run cuts maps on extraction-unit boundaries,
+    # as a server does, so ``--splits 6`` needs at least 6 of them.
     path = tmp_path_factory.mktemp("cli") / "t.nc"
-    temperature_dataset(days=29, lat=10, lon=8).write(path).close()
+    temperature_dataset(days=112, lat=10, lon=8).write(path).close()
     return str(path)
 
 
@@ -28,7 +32,7 @@ class TestInfo:
     def test_prints_cdl(self, ncfile, capsys):
         assert main(["info", ncfile]) == 0
         out = capsys.readouterr().out
-        assert "time = 29;" in out
+        assert "time = 112;" in out
         assert "float temperature(time, lat, lon);" in out
 
     def test_missing_file_is_error(self, tmp_path, capsys):
@@ -87,7 +91,7 @@ class TestQuery:
         )
         assert rc == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if "\t" in l]
-        assert len(lines) == 4 * 2 * 8  # strided K'_T
+        assert len(lines) == 16 * 2 * 8  # strided K'_T
 
     def test_columnar_plane_identical_output(self, ncfile, capsys):
         args = [
@@ -153,6 +157,61 @@ class TestQuery:
             ]
         )
         assert rc == 1
+
+
+class TestSplitLadder:
+    """One split function for local and served queries: ``query`` and
+    ``query --server`` cut the same maps on extraction-unit boundaries,
+    so they print the same records — dividing, non-dividing and strided
+    extractions alike."""
+
+    @pytest.fixture(scope="class")
+    def server_url(self, ncfile):
+        from repro.service import QueryService, ServiceServer
+
+        service = QueryService(workers=1)
+        service.open_dataset("t", ncfile)
+        server = ServiceServer(service)
+        loop = asyncio.new_event_loop()
+        bound = {}
+        started = threading.Event()
+
+        async def run():
+            bound["addr"] = await server.start()
+            started.set()
+            await server.serve_until_shutdown()
+
+        thread = threading.Thread(
+            target=lambda: loop.run_until_complete(run()), daemon=True
+        )
+        thread.start()
+        assert started.wait(10)
+        host, port = bound["addr"]
+        try:
+            yield f"http://{host}:{port}"
+        finally:
+            loop.call_soon_threadsafe(server.stop)
+            thread.join(timeout=10)
+            loop.close()
+            service.close()
+
+    @pytest.mark.parametrize(
+        "shape", [["7,5,1"], ["6,5,1"], ["5,4,1", "--stride", "7,5,1"]],
+        ids=["dividing", "non-dividing", "strided"],
+    )
+    def test_local_and_served_print_the_same_records(
+        self, ncfile, server_url, capsys, shape
+    ):
+        args = [
+            "--variable", "temperature", "--extract", *shape,
+            "--reduces", "4", "--splits", "5", "--limit", "0",
+        ]
+        assert main(["query", ncfile, *args]) == 0
+        local = capsys.readouterr()
+        assert main(["query", "t", "--server", server_url, *args]) == 0
+        served = capsys.readouterr().out
+        assert served == local.out and served.count("\n") > 0
+        assert "# 5 map tasks" in local.err
 
 
 class TestQueryTrace:
@@ -416,7 +475,7 @@ class TestFaultFlags:
         # The counts are the plan's: nothing, every map, |I_1|.
         from repro.query.language import StructuralQuery
         from repro.query.operators import MeanOp
-        from repro.query.splits import slice_splits
+        from repro.query.splits import aligned_slice_splits
         from repro.scidata.dataset import open_dataset
         from repro.sidr.planner import build_plan
 
@@ -425,7 +484,7 @@ class TestFaultFlags:
                 variable="temperature", extraction_shape=(7, 5, 1),
                 operator=MeanOp(),
             ).compile(ds.metadata)
-        deps = build_plan(plan, slice_splits(plan, num_splits=6), 3).deps
+        deps = build_plan(plan, aligned_slice_splits(plan, num_splits=6), 3).deps
         i_1 = len(deps.dependencies[1])
         assert 0 < i_1 < deps.num_splits == 6
         rows = (row.split() for row in out.splitlines())

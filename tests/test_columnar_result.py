@@ -1,4 +1,4 @@
-"""The columnar plane's result type and its no-per-key-loop guard.
+"""The columnar plane's result type and its no-per-key-loop guards.
 
 ``ResultBlock`` is what a columnar reduce returns: parallel key/value
 columns that read as the record list the reduce used to build, with one
@@ -8,7 +8,9 @@ and by digesting its block and building the binary result body from it
 — and fails if they grow with the number of keys: a per-key Python loop
 cannot creep back in unnoticed.  Its neighbour holds the service's
 digest-and-pack step to the memory and collector behaviour of a step
-that builds no records.
+that builds no records.  The last guards hold the planned map: a served
+job's call budget, a warm map that does not grow with keys, read-only
+geometry, and a cached plan that runs byte-identically again.
 """
 
 import gc
@@ -28,18 +30,35 @@ from repro.errors import ShuffleError
 from repro.mapreduce.columnar import (
     ColumnarMapOutput,
     ResultBlock,
+    run_columnar_map,
     run_columnar_reduce,
 )
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import JobResult, LocalEngine
+from repro.mapreduce.job import JobConf
+from repro.mapreduce.mapper import ChunkAggregateMapper
+from repro.mapreduce.partitioner import HashPartitioner, Partitioner
+from repro.mapreduce.reducer import AggregateReducer, CombinerAdapter
+from repro.mapreduce.shuffle import ShuffleStore
 from repro.mapreduce.types import MapTaskId
 from repro.obs import JobObservability
 from repro.obs.trace import EngineTrace
-from repro.query.columnar import batch_operator_for
+from repro.query.columnar import (
+    batch_operator_for,
+    make_columnar_reader_factory,
+    map_geometry,
+)
+from repro.query.language import StructuralQuery
 from repro.query.operators import get_operator
+from repro.query.splits import aligned_slice_splits, slice_splits
+from repro.scidata.metadata import simple_metadata
+from repro.scidata.zonemaps import build_zone_map
+from repro.service import QueryRequest, QueryService
 from repro.service.api import ServiceError, decode_result_body, encode_result_body
+from repro.service.jobs import ServiceJob
 from repro.service.service import digest_and_block
-from repro.verify.oracle import canonicalize_records, records_digest
+from repro.sidr.planner import build_plan
+from repro.verify.oracle import canonicalize_records, oracle_records, records_digest
 
 RECORDS = [((0, 1), 1.5), ((0, 2), -2.0), ((1, 0), 0.25)]
 
@@ -481,3 +500,221 @@ class TestDigestBuildsNoRecords:
         for _ in range(50):
             digest_and_block(block)
         assert gc.get_stats()[2]["collections"] == before
+
+
+# --------------------------------------------------------------------- #
+# Guards: the planned map
+# --------------------------------------------------------------------- #
+def _compile(space, extract, operator="mean", threshold=None, stride=None):
+    return StructuralQuery(
+        variable="v", extraction_shape=extract,
+        operator=get_operator(operator, threshold=threshold), stride=stride,
+    ).compile(simple_metadata("v", space))
+
+
+def _geometry_arrays(plan):
+    for split in plan.splits:
+        geometry = plan.map_geometry(split)
+        yield geometry.keys
+        layout = geometry.layout
+        yield from (a for a in (layout.order, layout.keys) if a is not None)
+        for run in layout.runs:
+            yield from (a for a in (run.starts, run.keys) if a is not None)
+
+
+class TestPlannedMap:
+    def test_served_fine_mean_job_call_budget(self):
+        """A warm served job of the ``fine_mean`` shape — (364,40,40),
+        extract (7,5,2), 16 splits, 8 reduces — plan-cache hit to packed
+        block.  The geometry per split is the cached plan's, so what is
+        left is read, window copy, ``map_batch``, cut, commit and the
+        reduces.  With the geometry rebuilt per request over
+        ``slice_splits`` the same job made ~22 000."""
+        with QueryService(workers=1) as service:
+            service.register_array("g", "v", np.zeros((364, 40, 40)))
+            req = QueryRequest(
+                dataset="g", variable="v", extract=(7, 5, 2), operator="mean",
+                splits=16, reduces=8, engine="threaded",
+            )
+            service.result_block(service.submit(req), timeout=60)  # plans
+            job = ServiceJob("guard", req, 0)
+            calls, _ = _count_calls(lambda: service._run_job(job))
+        assert job.state == "done" and job.plan_cache_hit
+        assert job.counters["map.input.records"] == 8320
+        assert job.counters["shuffle.segments"] == 19
+        assert calls <= 11_000
+
+    @staticmethod
+    def _warm_map_calls(lat):
+        qplan = _compile((56, lat, 40), (7, 5, 2))
+        plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=4), 3)
+        job, _ = plan.configure_job(np.zeros((56, lat, 40)))
+        obs = JobObservability(job.name, enabled=False)
+
+        def one_map():
+            counters = Counters()
+            run_columnar_map(job, 1, ShuffleStore(), counters, obs, None)
+            return counters.get("map.input.records")
+
+        one_map()  # computes and keeps split 1's geometry
+        return _count_calls(one_map)
+
+    def test_warm_map_calls_do_not_grow_with_keys(self):
+        small, keys = self._warm_map_calls(40)
+        large, more = self._warm_map_calls(160)
+        assert more == 4 * keys
+        assert large == small
+
+    def test_geometry_is_read_only(self):
+        """Strided (zones cut at split edges), dense, pruned-free: every
+        array a plan keeps is shared by every job it serves."""
+        kept = StructuralQuery(
+            variable="v", extraction_shape=(7, 4, 4), operator=get_operator("sum"),
+            keep_partial_instances=True,
+        ).compile(simple_metadata("v", (29, 10, 6)))
+        seen = set()
+        for qplan, splits in (
+            (_compile((29, 10, 6), (7, 5, 2)), 3),
+            (_compile((29, 10, 6), (2, 3, 2), stride=(3, 4, 3)), 4),
+            # clipped tail zones off dim 0: reader order is not key order
+            (kept, 2),
+        ):
+            plan = build_plan(qplan, slice_splits(qplan, num_splits=splits), 3)
+            arrays = list(_geometry_arrays(plan.with_map_geometry()))
+            assert arrays and plan.nbytes > 0
+            seen |= {
+                "order" for s in plan.splits
+                if plan.map_geometry(s).layout.order is not None
+            }
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+        assert seen == {"order"}
+
+    def test_an_out_of_range_partition_is_refused_at_geometry_build(self):
+        """The partitioner's range check runs where the layout is cut —
+        at plan time for a planned split, before any row spills."""
+
+        class Broken(Partitioner):
+            def partition(self, key, n):
+                return n + 5
+
+        qplan = _compile((14, 10, 6), (7, 5, 2))
+        (split,) = slice_splits(qplan, num_splits=1)
+        with pytest.raises(ShuffleError, match="out-of-range partition"):
+            map_geometry(qplan, split, Broken(), 2)
+
+    @staticmethod
+    def _block_bytes(job, barrier=None):
+        return LocalEngine().run(job, barrier, mode="serial").all_records().to_bytes()
+
+    @pytest.mark.parametrize("split", [slice_splits, aligned_slice_splits])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            dict(extract=(3, 2, 2), stride=(4, 3, 3)),
+            dict(extract=(4, 3, 2), operator="filter_gt", threshold=30.0),
+        ],
+        ids=["strided", "pruned"],
+    )
+    def test_second_run_is_the_first_and_a_fresh_plans(self, query, split):
+        """A plan's cached geometry replays byte-identically: its second
+        run, its first and a freshly built plan's agree, and with the
+        oracle — strided (instances cut at slice edges, so combine runs)
+        and pruned (re-indexed surviving splits)."""
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 20, size=(23, 9, 8)).astype(np.float64)
+        data[12:] += 20  # only the tail can pass the filter: pruning bites
+        qplan = _compile((23, 9, 8), **query)
+        zone_map = build_zone_map("v", data, tile_shape=(4, 9, 8))
+
+        def fresh():
+            return build_plan(
+                qplan, split(qplan, num_splits=5), 3, zone_map=zone_map
+            )
+
+        plan = fresh()
+        if query.get("operator") == "filter_gt":
+            assert plan.pruning is not None and plan.pruning.num_pruned
+        runs = [self._block_bytes(*plan.configure_job(data)) for _ in range(2)]
+        runs.append(self._block_bytes(*fresh().configure_job(data)))
+        want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+        assert runs == [want] * 3
+
+    def test_hash_partitioned_geometry_replays(self):
+        """The same function cuts a ``HashPartitioner`` layout: kept and
+        reused, recomputed every call, and the oracle agree."""
+        rng = np.random.default_rng(6)
+        data = rng.integers(0, 20, size=(21, 10, 6)).astype(np.float64)
+        qplan = _compile((21, 10, 6), (7, 5, 2))
+        splits = slice_splits(qplan, num_splits=4)
+        partitioner, reduces = HashPartitioner(), 4
+        op = qplan.operator
+        kept = {}
+
+        def planned(split):
+            if split.index not in kept:
+                kept[split.index] = map_geometry(qplan, split, partitioner, reduces)
+            return kept[split.index]
+
+        def job(geometry):
+            return JobConf(
+                name="hash", splits=splits,
+                reader_factory=make_columnar_reader_factory(data, qplan, geometry),
+                mapper_factory=lambda: ChunkAggregateMapper(op),
+                reducer_factory=lambda: AggregateReducer(op),
+                partitioner=partitioner, num_reduce_tasks=reduces,
+                combiner_factory=lambda: CombinerAdapter(op),
+                batch_operator=batch_operator_for(op),
+            )
+
+        runs = [self._block_bytes(job(planned)) for _ in range(2)]
+        assert len(kept) == len(splits)
+        assert all(g.layout.fits(partitioner, reduces) for g in kept.values())
+        runs.append(self._block_bytes(job(None)))
+        want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+        assert runs == [want] * 3
+
+    def test_a_layout_cut_for_another_partitioner_is_not_used(self):
+        """A SIDR job whose partitioner is swapped after ``configure_job``
+        gets layouts cut for the new one, not the plan's."""
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 20, size=(21, 10, 6)).astype(np.float64)
+        qplan = _compile((21, 10, 6), (7, 5, 2))
+        plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=3), 2)
+        job, _ = plan.with_map_geometry().configure_job(data)
+        job.partitioner = hashed = HashPartitioner()
+        job.contact_all_maps = True
+        del job.context["reduce_start_validator"]  # counts are per keyblock
+        res = LocalEngine().run(job, mode="serial")
+        want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+        assert res.all_records().to_bytes() == want
+        for p, block in res.outputs.items():
+            assert (hashed.partition_many(block.key_rows, 2) == p).all()
+
+    def test_keys_that_repeat_within_a_map_are_combined(self):
+        """A split of two slabs that cut the same instances: its keys
+        repeat, its layout's runs carry group starts, and the map-side
+        combine folds them — planned or not, equal to the oracle."""
+        from repro.arrays.slab import Slab
+        from repro.query.splits import CoordinateSplit
+
+        rng = np.random.default_rng(8)
+        data = rng.integers(0, 20, size=(14, 10, 6)).astype(np.float64)
+        for operator in ("mean", "median"):
+            qplan = _compile((14, 10, 6), (7, 5, 2), operator=operator)
+            splits = [
+                CoordinateSplit(0, "v", (
+                    Slab((0, 0, 0), (3, 10, 6)), Slab((3, 0, 0), (4, 10, 6)),
+                ), 8),
+                CoordinateSplit(1, "v", (Slab((7, 0, 0), (7, 10, 6)),), 8),
+            ]
+            plan = build_plan(qplan, splits, 2)
+            layout = plan.map_geometry(plan.splits[0]).layout
+            for run in layout.runs:
+                assert run.starts is not None and len(run.keys) < run.end - run.start
+                assert not (run.starts.flags.writeable or run.keys.flags.writeable)
+            want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+            for _ in range(2):
+                assert self._block_bytes(*plan.configure_job(data)) == want

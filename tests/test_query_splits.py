@@ -1,15 +1,27 @@
 """Unit tests for coordinate split generation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.arrays.slab import Slab, slabs_cover
 from repro.dfs.filesystem import SimulatedDFS
 from repro.errors import QueryError
+from repro.query.language import StructuralQuery
+from repro.query.operators import MeanOp
 from repro.query.splits import (
     aligned_slice_splits,
     attach_locality,
     slice_splits,
 )
+from repro.scidata.metadata import simple_metadata
+
+
+def _strided_plan(space, shape, stride, keep_partial=False):
+    return StructuralQuery(
+        variable="v", extraction_shape=shape, operator=MeanOp(),
+        stride=stride, keep_partial_instances=keep_partial,
+    ).compile(simple_metadata("v", space))
 
 
 class TestSliceSplits:
@@ -84,6 +96,48 @@ class TestAlignedSplits:
         splits = aligned_slice_splits(weekly_mean_plan, num_splits=3)
         slabs = [s for sp in splits for s in sp.slabs]
         assert slabs_cover(weekly_mean_plan.covered, slabs)
+
+    def test_one_instance_row_shorter_than_its_stride(self):
+        """``(5,6)``, extract ``(2,3)``, stride ``(4,3)``: one instance
+        along dim 0, whose covered rows (2) are fewer than its stride.
+        Counting units as ``rows // stride[0]`` made that zero units and
+        a ``QueryError``."""
+        plan = _strided_plan((5, 6), (2, 3), (4, 3))
+        assert plan.intermediate_space[0] == 1
+        (split,) = aligned_slice_splits(plan, num_splits=4)
+        assert split.slabs == (plan.covered,)
+
+    def test_last_instance_shorter_than_its_stride(self):
+        """``(5,6)``, extract ``(2,3)``, stride ``(3,3)``: two instance
+        rows (0-1 and 3-4) in five covered rows.  ``rows // stride[0]``
+        counted one unit and cut one split where two are possible."""
+        plan = _strided_plan((5, 6), (2, 3), (3, 3))
+        splits = aligned_slice_splits(plan, num_splits=4)
+        assert [sp.slabs[0].corner[0] for sp in splits] == [0, 3]
+        assert [sp.slabs[0].shape[0] for sp in splits] == [3, 2]
+
+    @given(st.data())
+    def test_aligned_splits_property(self, data):
+        """Any rank <= 3, shape, stride >= shape, either truncation and
+        1..8 splits asked: the splits are disjoint and cover ``covered``,
+        there are ``min(num_splits, K'_T[0])`` of them, and no instance
+        spans two."""
+        rank = data.draw(st.integers(1, 3))
+        space = tuple(data.draw(st.integers(1, 12)) for _ in range(rank))
+        shape = tuple(data.draw(st.integers(1, s)) for s in space)
+        stride = tuple(data.draw(st.integers(e, e + 3)) for e in shape)
+        plan = _strided_plan(space, shape, stride, data.draw(st.booleans()))
+        asked = data.draw(st.integers(1, 8))
+        splits = aligned_slice_splits(plan, num_splits=asked)
+        assert len(splits) == min(asked, plan.intermediate_space[0])
+        assert [sp.index for sp in splits] == list(range(len(splits)))
+        slabs = [sp.slabs[0] for sp in splits]
+        assert sum(s.volume for s in slabs) == plan.covered.volume
+        assert slabs_cover(plan.covered, slabs)
+        for key in Slab.whole(plan.intermediate_space).iter_coords():
+            region = plan.instance_region(key)
+            holders = [s for s in slabs if s.overlaps(region)]
+            assert len(holders) == 1 and holders[0].contains_slab(region)
 
 
 class TestLocality:

@@ -11,12 +11,15 @@ per-submission knobs (engine, speculation) share one.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scidata.dataset import create_dataset
+from repro.service import plancache
 from repro.service import (
     PlanCache,
     QueryRequest,
@@ -70,6 +73,36 @@ class TestPlanCacheUnit:
         plan, hit = cache.get_or_build("d", "g", "q", lambda: calls.append(1) or "p")
         assert (plan, hit) == ("p", True)
         assert len(calls) == 1
+
+    def test_eviction_by_bytes(self, monkeypatch):
+        """Plans carry map geometry: past ``MAX_BYTES`` the least
+        recently used go, however few entries there are."""
+        monkeypatch.setattr(plancache, "MAX_BYTES", 100)
+        cache = PlanCache(capacity=10)
+        plans = {q: SimpleNamespace(nbytes=40) for q in ("q1", "q2", "q3")}
+        cache.insert(("d", "g", "q1"), plans["q1"])
+        cache.insert(("d", "g", "q2"), plans["q2"])
+        assert cache.snapshot()["bytes"] == 80
+        assert cache.lookup(("d", "g", "q1")) is plans["q1"]  # refresh q1
+        cache.insert(("d", "g", "q3"), plans["q3"])            # evicts q2
+        assert cache.lookup(("d", "g", "q2")) is None
+        snap = cache.snapshot()
+        assert (snap["size"], snap["bytes"], snap["evictions"]) == (2, 80, 1)
+        # re-inserting a key replaces its bytes, not adds to them
+        cache.insert(("d", "g", "q3"), SimpleNamespace(nbytes=10))
+        assert cache.snapshot()["bytes"] == 50
+        assert cache.invalidate("d") == 2
+        assert cache.snapshot()["bytes"] == 0
+
+    def test_plan_larger_than_the_budget_is_still_served(self, monkeypatch):
+        monkeypatch.setattr(plancache, "MAX_BYTES", 100)
+        cache = PlanCache()
+        cache.insert(("d", "g", "small"), SimpleNamespace(nbytes=10))
+        big = SimpleNamespace(nbytes=101)
+        assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
+        snap = cache.snapshot()
+        assert (snap["size"], snap["bytes"]) == (0, 0)
+        assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
 
 
 # --------------------------------------------------------------------- #
@@ -126,12 +159,14 @@ class TestHitEqualsCold:
             _, oracle_digest = oracle_for_request(client.service, req)
             cold = client.query(req)
             hot = client.query(req)
+            # the cached plan's map geometry serves a second run too
+            again = client.query(req)
             assert cold["state"] == DONE, cold.get("error")
             assert cold["plan_cache_hit"] is False
-            assert hot["plan_cache_hit"] is True
+            assert hot["plan_cache_hit"] is again["plan_cache_hit"] is True
             assert cold["digest"] == oracle_digest
-            assert hot["digest"] == oracle_digest
-            assert hot["records"] == cold["records"]
+            assert hot["digest"] == again["digest"] == oracle_digest
+            assert hot["records"] == again["records"] == cold["records"]
 
 
 # --------------------------------------------------------------------- #
@@ -202,6 +237,35 @@ class TestWriteSlabInvalidation:
         assert svc.result(svc.submit(other), timeout=60)[
             "plan_cache_hit"
         ] is True
+
+
+class TestBoundedByBytes:
+    def _request(self, **kw):
+        return QueryRequest(
+            dataset="d", variable="v", extract=(4, 5),
+            splits=3, reduces=2, prune=False, engine="serial", **kw,
+        )
+
+    def test_stats_report_the_cached_geometry_bytes(self):
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", int_field(4, (12, 10)))
+            assert client.service.stats()["plan_cache"]["bytes"] == 0
+            req = self._request()
+            client.query(req)
+            svc = client.service
+            plan = svc._build_plan(req, svc.registry.get("d"))
+            assert svc.stats()["plan_cache"]["bytes"] == plan.nbytes > 0
+
+    def test_a_plan_over_the_budget_is_served_uncached(self, monkeypatch):
+        monkeypatch.setattr(plancache, "MAX_BYTES", 1)
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", int_field(4, (12, 10)))
+            req = self._request()
+            _, digest = oracle_for_request(client.service, req)
+            docs = [client.query(req) for _ in range(2)]
+            assert [d["plan_cache_hit"] for d in docs] == [False, False]
+            assert [d["digest"] for d in docs] == [digest, digest]
+            assert client.service.stats()["plan_cache"]["size"] == 0
 
 
 # --------------------------------------------------------------------- #

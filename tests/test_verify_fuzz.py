@@ -242,13 +242,16 @@ class TestCases:
     def test_seed_7_stream_is_pinned(self):
         """ROADMAP item 0 names seed-7 cases by index, and the operator
         table's row order is what ``rng.choice`` indexes: reordering it
-        (or any other draw) renumbers them."""
+        (or any other draw) renumbers them.  (Re-pinned when cases
+        gained ``aligned``, a draw of its own stream: beside the new
+        field only 16 cases changed, each a map-fault index folded into
+        the aligned map count.)"""
         h = hashlib.sha256()
         for i in range(200):
             doc = generate_case(i, 7).to_json()
             h.update(json.dumps(doc, sort_keys=True).encode())
         assert h.hexdigest() == (
-            "79cea17ba7312f589972ca99738536a9c800807ccb34e74367808964e533e12d"
+            "6b978754003d13f2b0dccbf2c17ed382635b771349466a8253097ec59120b0b2"
         )
 
     def test_json_round_trip(self):
@@ -264,6 +267,47 @@ class TestCases:
             for rule in case.fault_rules:
                 n = case.num_splits if rule["task"] == "map" else case.reduces
                 assert all(idx < n for idx in rule["indices"]), case.describe()
+
+    def test_map_faults_bind_under_both_split_functions(self):
+        """The service leg cuts aligned splits whatever the case's own
+        function is, so a map fault index must lie inside the aligned
+        map count too — folded into the ``slice_splits`` count only,
+        seed-7 cases 148 and 165 read "crash case succeeded under
+        service/columnar"."""
+        from repro.query.splits import aligned_slice_splits, slice_splits
+
+        for i in range(200):
+            case = generate_case(i, 7)
+            plan = case.compile()
+            counts = {
+                len(cut(plan, num_splits=case.num_splits))
+                for cut in (slice_splits, aligned_slice_splits)
+            }
+            assert len(case.splits(plan)) in counts
+            for rule in case.fault_rules:
+                if rule["task"] == "map":
+                    assert max(rule["indices"]) < min(counts), case.describe()
+
+    def test_split_function_is_a_draw_of_its_own(self):
+        """About half the cases split aligned; the draw moves nothing
+        else, and a document written before the field reads as sliced."""
+        cases = [generate_case(i, 7) for i in range(200)]
+        assert 60 < sum(c.aligned for c in cases) < 140
+        aligned = next(c for c in cases if c.aligned)
+        assert FuzzCase.from_json(aligned.to_json()) == aligned
+        assert "aligned" in aligned.describe()
+        doc = aligned.to_json()
+        del doc["aligned"]
+        assert FuzzCase.from_json(doc).aligned is False
+
+    def test_crash_cases_148_and_165_fail_on_every_leg(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", "serial,service")
+        for i in (148, 165):
+            case = generate_case(i, 7)
+            assert case.expects_failure
+            result = run_case(case)
+            assert result.ok, result.mismatch
+            assert {o.status for o in result.outcomes} == {"failed"}
 
     def test_generated_hangs_always_speculate(self):
         """The service refuses a hang that neither speculation nor a
@@ -414,6 +458,12 @@ class TestFuzzDriver:
         report = fuzz(25, seed=0, schedules=2, metrics=m)
         assert report.ok, report.summary()
         assert report.num_cases == 25
+        aligned = sum(generate_case(i, 0).aligned for i in range(25))
+        assert 0 < report.aligned_cases == aligned < 25
+        assert (
+            f"split {aligned} cases aligned, {25 - aligned} sliced"
+            in report.summary()
+        )
         assert m.counter("verify.cases").value == 25
         assert m.counter("verify.mismatches").value == 0
         assert m.counter("verify.explorer.schedules").value == 50
