@@ -256,7 +256,10 @@ def cmd_query(args: argparse.Namespace) -> int:
             reduce_workers=engine.reduce_workers,
         )
         progress = ProgressTracker(bus, estimator=estimator)
-        detector = StragglerDetector(bus).start_ticker()
+        if speculation is None:
+            # A speculating run flags stragglers with its own detector;
+            # a second one on the bus would flag every attempt twice.
+            detector = StragglerDetector(bus).start_ticker()
         if args.events:
             writer = JsonlEventWriter(bus, args.events)
         if args.live:
@@ -273,7 +276,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             writer.close()
             print(
                 f"# {writer.written} events streamed to {writer.path} "
-                f"({writer.dropped} dropped, {writer.write_errors} write errors)",
+                f"({writer.write_errors} write errors)",
                 file=sys.stderr,
             )
         if args.status and progress is not None:

@@ -60,7 +60,11 @@ import numpy as np
 
 from repro.errors import InjectedFaultError, ShuffleError
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.shuffle import SPILL_CHECKS_ENABLED, ShuffleStore
+from repro.mapreduce.shuffle import (
+    SPILL_CHECKS_ENABLED,
+    ShuffleStore,
+    payload_nbytes,
+)
 from repro.mapreduce.types import KeyValue, MapTaskId
 from repro.obs import COUNT_BUCKETS, JobObservability, RATE_BUCKETS
 
@@ -265,8 +269,8 @@ class ColumnarMapOutput:
     with records decomposed into parallel arrays: ``keys`` (lexsorted
     ``(n, rank)`` int64), ``states`` (one array of length ``n`` per
     operator state column), ``source_counts`` (``(n,)`` int64).
-    ``approx_serialized_bytes`` is O(1) from the buffers' ``nbytes``
-    instead of a recursive Python-object walk.
+    ``approx_serialized_bytes`` reads the buffers' ``nbytes`` instead of
+    walking Python objects (a ragged column walks its rows, not cells).
     """
 
     map_id: MapTaskId
@@ -311,10 +315,12 @@ class ColumnarMapOutput:
 
     @cached_property
     def approx_serialized_bytes(self) -> int:
-        """O(1) wire-size estimate: the parallel buffers are the payload."""
-        return int(
+        """Wire-size estimate: the parallel buffers are the payload,
+        and a ragged state column's is its rows' cells — the record
+        plane's estimate of the same records."""
+        return (
             self.keys.nbytes
-            + sum(int(np.asarray(c).nbytes) for c in self.states)
+            + sum(map(payload_nbytes, self.states))
             + self.source_counts.nbytes
         )
 

@@ -5,18 +5,18 @@ Counters are the engine's observable accounting — tests assert on them
 harness reports them (e.g. shuffle bytes per configuration).
 
 ``Counters`` is the one ledger, with two writers that never share a
-name: task bodies ``increment`` the data-volume tallies directly, and
-:meth:`Counters.on_event`, attached to the run's bus, folds the
-lifecycle tallies from the events as they are published — so both read
-live mid-run.  When observability is enabled the whole ledger is copied
-into the run's ``MetricsRegistry`` once, at job finish, under the same
-names.
+name: task bodies ``increment`` the data-volume tallies directly as
+they run, and :meth:`Counters.fold` adds the lifecycle tallies once, at
+the engine's finish site, from the run's recorded events.  When
+observability is enabled the whole ledger is then copied into the run's
+``MetricsRegistry`` under the same names.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter as _Counter
+from collections.abc import Iterable
 
 from repro.obs.live.bus import (
     EV_BARRIER_FIRE,
@@ -64,35 +64,39 @@ class Counters:
         with self._lock:
             self._values[name] += amount
 
-    def on_event(self, ev: Event) -> None:
-        """Bus listener: the lifecycle tallies (see the class docstring)
-        as a fold over the run's events."""
-        kind, data = ev.type, ev.data
-        if kind == EV_TASK_START:
-            self.increment("task.attempts")
-        elif kind == EV_TASK_FINISH:
-            if data.get("status") == "failed":
-                self.increment("task.failures")
-                if data.get("error") == "InjectedFaultError":
-                    self.increment("faults.injected")
-        elif kind == EV_TASK_CANCELLED:
-            self.increment("task.cancelled")
-            if data.get("reason") == REASON_HANG:
-                # A hang-mitigation cancel is retried in place: it
-                # spends the retry budget like any failed attempt.
-                self.increment("task.failures")
-        elif kind == EV_TASK_RETRY:
-            self.increment("task.retries")
-        elif kind == EV_TASK_SPECULATE:
-            if data.get("mode") == "race":
-                self.increment("task.speculations")
-        elif kind == EV_RECOVERY:
-            self.increment("recovery.maps_reexecuted", len(data["maps"]))
-        elif kind == EV_BARRIER_FIRE:
-            if data.get("early"):
-                self.increment("barrier.early.starts")
-        elif kind == EV_JOB_DEADLINE:
-            self.increment("job.deadline.expired")
+    def fold(self, events: Iterable[Event]) -> None:
+        """Add the lifecycle tallies (see the class docstring) of a
+        run's events."""
+        tally: _Counter[str] = _Counter()
+        for ev in events:
+            kind, data = ev.type, ev.data
+            if kind == EV_TASK_START:
+                tally["task.attempts"] += 1
+            elif kind == EV_TASK_FINISH:
+                if data.get("status") == "failed":
+                    tally["task.failures"] += 1
+                    if data.get("error") == "InjectedFaultError":
+                        tally["faults.injected"] += 1
+            elif kind == EV_TASK_CANCELLED:
+                tally["task.cancelled"] += 1
+                if data.get("reason") == REASON_HANG:
+                    # A hang-mitigation cancel is retried in place: it
+                    # spends the retry budget like any failed attempt.
+                    tally["task.failures"] += 1
+            elif kind == EV_TASK_RETRY:
+                tally["task.retries"] += 1
+            elif kind == EV_TASK_SPECULATE:
+                if data.get("mode") == "race":
+                    tally["task.speculations"] += 1
+            elif kind == EV_RECOVERY:
+                tally["recovery.maps_reexecuted"] += len(data["maps"])
+            elif kind == EV_BARRIER_FIRE:
+                if data.get("early"):
+                    tally["barrier.early.starts"] += 1
+            elif kind == EV_JOB_DEADLINE:
+                tally["job.deadline.expired"] += 1
+        with self._lock:
+            self._values.update(tally)
 
     def get(self, name: str) -> int:
         with self._lock:

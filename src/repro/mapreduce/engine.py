@@ -29,9 +29,13 @@ one) and publishes each lifecycle occurrence on it exactly once —
 :meth:`LocalEngine._run_attempts`, the one place every attempt of every
 mode crosses; ``barrier.fire`` where a reduce is fired; ``reduce.start``
 before a reduce attempt's barrier checks; ``spill.commit``/``fetch``
-from the shuffle store.  ``JobResult.counters``' lifecycle tallies,
-``.trace``, ``.attempts`` and the spans/metrics in ``.obs`` are
-listeners folding that stream (``docs/OBSERVABILITY.md``).
+from the shuffle store.  The bus keeps them as the run's record, and
+``JobResult.counters``' lifecycle tallies, ``.trace``, ``.attempts``
+and the metrics in ``.obs`` are readings of it, taken once at the run's
+single finish site (``docs/OBSERVABILITY.md``).  The engine attaches no
+listener of its own except under speculation, whose detectors must act
+as events arrive; a caller that wants to act on the run attaches to the
+bus it passes in through ``obs``.
 
 Barriers, the commit gate, retries, recovery, speculation, deadlines and
 result assembly are the loop's and therefore identical in every mode;
@@ -81,7 +85,7 @@ import random
 import threading
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -111,7 +115,6 @@ from repro.obs import JobObservability, TIME_BUCKETS
 from repro.obs.live.bus import (
     EV_BARRIER_FIRE,
     EV_JOB_DEADLINE,
-    EV_JOB_START,
     EV_RECOVERY,
     EV_REDUCE_START,
     EV_TASK_CANCELLED,
@@ -212,14 +215,6 @@ class ReduceStartValidator(Protocol):
         ...
 
 
-#: ``LocalEngine(scheduler_hook=...)``: a listener attached to the run's
-#: bus for the run's duration — the seam :mod:`repro.verify` uses to
-#: record the event log and to stall publishing threads (a stall at
-#: ``spill.commit``/``fetch`` happens under the shuffle store's lock).
-#: It must never call back into the engine or the store.
-SchedulerHook = Callable[[Event], None]
-
-
 # --------------------------------------------------------------------- #
 # Retry policy & attempt bookkeeping
 # --------------------------------------------------------------------- #
@@ -276,23 +271,17 @@ class TaskAttempt:
     seconds: float = 0.0
 
 
-class AttemptLog:
-    """``JobResult.attempts`` as a bus listener: one
-    :class:`TaskAttempt` per ``task.finish``, in ``seq`` order."""
-
-    def __init__(self) -> None:
-        self._entries: list[tuple[int, TaskAttempt]] = []
-
-    def __call__(self, ev: Event) -> None:
-        if ev.type == EV_TASK_FINISH:
-            att = TaskAttempt(
-                ev.kind, ev.index, ev.attempt, ev.data["status"],
-                ev.data.get("error", ""), ev.data.get("seconds", 0.0),
-            )
-            self._entries.append((ev.seq, att))
-
-    def attempts(self) -> tuple[TaskAttempt, ...]:
-        return tuple(att for _, att in sorted(self._entries, key=lambda e: e[0]))
+def task_attempts(events: Iterable[Event]) -> tuple[TaskAttempt, ...]:
+    """``JobResult.attempts`` read off a run's events: one
+    :class:`TaskAttempt` per ``task.finish``, in their order."""
+    return tuple(
+        TaskAttempt(
+            ev.kind, ev.index, ev.attempt, ev.data["status"],
+            ev.data.get("error", ""), ev.data.get("seconds", 0.0),
+        )
+        for ev in events
+        if ev.type == EV_TASK_FINISH
+    )
 
 
 class _RunState:
@@ -460,8 +449,8 @@ class JobResult:
     #: Span tracer + metrics registry for this run (None only when a
     #: caller supplied a pre-built result without observability).
     obs: JobObservability | None = None
-    #: Every task attempt in execution order — retries and recovery
-    #: re-executions included.
+    #: Every task attempt in the order its ``task.finish`` was published
+    #: — retries and recovery re-executions included.
     attempts: tuple[TaskAttempt, ...] = field(default_factory=tuple)
     #: True when the job's deadline expired under ``on_deadline=
     #: "partial"``: ``outputs`` holds only the partitions that committed
@@ -510,7 +499,6 @@ class LocalEngine:
         retry: RetryPolicy | None = None,
         faults: InjectionPlan | None = None,
         recovery: RecoveryModel = RecoveryModel.PERSISTED,
-        scheduler_hook: SchedulerHook | None = None,
         speculation: SpeculationPolicy | None = None,
     ) -> None:
         if map_workers <= 0 or reduce_workers <= 0:
@@ -518,8 +506,8 @@ class LocalEngine:
         self.map_workers = map_workers
         self.reduce_workers = reduce_workers
         #: When False, a run made without an ``obs=`` gets neither the
-        #: span nor the metrics fold (events still flow: counters, the
-        #: flat trace and the attempt log are folds too).
+        #: span nor the metrics fold (events still flow and are kept:
+        #: counters, the flat trace and the attempts are read off them).
         self.observability = observability
         #: Attempt/backoff policy; the default (max_attempts=1) matches
         #: the historical die-on-first-failure behaviour.
@@ -530,15 +518,20 @@ class LocalEngine:
         #: whole job; the re-execute modes stream them (fetch consumes)
         #: and recover reduce failures by re-running maps.
         self.recovery = recovery
-        #: Verification seam (None in production): see
-        #: :data:`SchedulerHook`.
-        self.scheduler_hook = scheduler_hook
         #: Speculation knobs; None keeps the engine's historical
         #: flag-only behaviour (stragglers observed, never mitigated).
         self.speculation = speculation
         self._hb_interval = (
             speculation.heartbeat_interval if speculation is not None else 0.05
         )
+
+    def _heartbeat(
+        self, obs: JobObservability, kind: str, index: int, attempt: int
+    ) -> Heartbeat:
+        """An attempt's heartbeat: it publishes only when a hang
+        detector is there to read it, i.e. under speculation."""
+        bus = obs.bus if self.speculation is not None else None
+        return Heartbeat(bus, kind, index, attempt, self._hb_interval)
 
     # ------------------------------------------------------------------ #
     # Map task
@@ -556,7 +549,7 @@ class LocalEngine:
         cancel: CancelToken | None = None,
     ) -> None:
         """One map attempt, start to commit, on the calling thread."""
-        hb = Heartbeat(obs.bus, "map", split_index, attempt, self._hb_interval)
+        hb = self._heartbeat(obs, "map", split_index, attempt)
         if faults is not None:
             faults.fire("map", split_index, attempt, cancel=cancel)
         corrupt = faults is not None and faults.should_corrupt(
@@ -704,7 +697,7 @@ class LocalEngine:
         cancel: CancelToken | None = None,
     ) -> Sequence[KeyValue]:
         """One reduce attempt, fetch to output, on the calling thread."""
-        hb = Heartbeat(obs.bus, "reduce", partition, attempt, self._hb_interval)
+        hb = self._heartbeat(obs, "reduce", partition, attempt)
         task_span = obs.task_span("reduce", partition, attempt)
         files = self._fetch_reduce_inputs(
             job, partition, barrier, store, counters, obs,
@@ -1088,19 +1081,7 @@ class LocalEngine:
             obs = JobObservability(job.name, enabled=self.observability)
         bus = obs.bus
         counters = Counters()
-        trace = EngineTrace()
-        attempts = AttemptLog()
-        # This run's own folds (the scheduler hook last, so a stalling
-        # hook delays nothing that reports on the event).
-        listeners = [counters.on_event, trace.on_event, attempts]
-        if self.scheduler_hook is not None:
-            listeners.append(self.scheduler_hook)
-        for listener in listeners:
-            bus.attach(listener)
-        bus.publish(
-            EV_JOB_START, name=obs.job_name,
-            maps=job.num_map_tasks, reduces=job.num_reduce_tasks,
-        )
+        obs.start(maps=job.num_map_tasks, reduces=job.num_reduce_tasks)
         state = _RunState(self, job)
         store = self._new_store(obs, state)
         self._seed_prune_counters(job, counters)
@@ -1272,11 +1253,12 @@ class LocalEngine:
 
         # The single finish site: every outcome — success, task failure,
         # deadline — publishes ``job.finish`` (closing the job span) and
-        # exports the ledger into the registry.
+        # reads the run's record once: lifecycle tallies, trace, attempts
+        # and, when enabled, the registry metrics.
         expired = bool(deadline_errors) and not errors
-        obs.finish(counters, **({"deadline": "expired"} if expired else {}))
-        for listener in listeners:
-            bus.detach(listener)
+        events = obs.finish(
+            counters, **({"deadline": "expired"} if expired else {})
+        )
         if errors and inline:
             # The inline executor stopped at the first error, so there
             # is exactly one: surface it as the task raised it.
@@ -1289,11 +1271,11 @@ class LocalEngine:
             job_name=job.name,
             outputs=outputs,
             counters=counters,
-            trace=trace,
+            trace=EngineTrace(events),
             shuffle_connections=store.connections,
             empty_fetches=store.empty_fetches,
             obs=obs,
-            attempts=attempts.attempts(),
+            attempts=task_attempts(events),
             partial=expired,
         )
 

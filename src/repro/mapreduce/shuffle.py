@@ -17,6 +17,7 @@ are implemented here and selected by the engine.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import threading
@@ -56,31 +57,39 @@ def estimate_serialized_bytes(records: tuple[KeyValue, ...]) -> int:
 
     Keys are coordinate tuples (8 bytes per component), numeric values
     are 8 bytes, strings/bytes their length, containers the sum of their
-    elements; anything else falls back to ``sys.getsizeof``.  This is an
+    elements, a dataclass (an operator's ``Partial``) the sum of its
+    fields; anything else falls back to ``sys.getsizeof``.  This is an
     *estimate* — the point is that ``shuffle.bytes`` scales with payload
     size rather than merely counting records (which ``shuffle.records``
-    now reports).
+    reports) — and it is the columnar plane's estimate of the same
+    records (:func:`payload_nbytes` sizes both).
     """
-    return sum(_nbytes(k) + _nbytes(v) for k, v in records)
+    return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in records)
 
 
-def _nbytes(obj: Any) -> int:
+def payload_nbytes(obj: Any) -> int:
+    """Payload size of one shuffled value: see
+    :func:`estimate_serialized_bytes`."""
     if isinstance(obj, (int, float, bool)) or obj is None:
         return 8
     if isinstance(obj, np.ndarray):
-        # Sized before the container branches: an object-dtype array must
-        # recurse, but numeric arrays are O(1) — their buffer is the wire
-        # payload.
+        # Sized before the container branches: an object-dtype (ragged)
+        # array is its rows' cells, not its pointers, but numeric arrays
+        # are O(1) — their buffer is the wire payload.
         if obj.dtype == object:
-            return int(sum(_nbytes(x) for x in obj.reshape(-1)))
+            return sum(map(payload_nbytes, obj.reshape(-1).tolist()))
         return int(obj.nbytes)
     if isinstance(obj, (str, bytes)):
         return len(obj)
     if isinstance(obj, (tuple, list, frozenset, set)):
-        return sum(_nbytes(x) for x in obj)
+        return sum(map(payload_nbytes, obj))
     if isinstance(obj, dict):
-        return sum(_nbytes(k) + _nbytes(v) for k, v in obj.items())
-    nb = getattr(obj, "nbytes", None)  # numpy scalars/arrays
+        return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
+    if dataclasses.is_dataclass(obj):
+        return sum(
+            payload_nbytes(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        )
+    nb = getattr(obj, "nbytes", None)  # numpy scalars
     if isinstance(nb, int):
         return nb
     return sys.getsizeof(obj)

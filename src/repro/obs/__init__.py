@@ -16,7 +16,6 @@ from repro.obs.live import (
     LiveRenderer,
     ProgressTracker,
     StragglerDetector,
-    Subscription,
 )
 from repro.obs.metrics import (
     COUNT_BUCKETS,
@@ -70,7 +69,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "StragglerDetector",
-    "Subscription",
     "TIME_BUCKETS",
     "chrome_trace_doc",
     "format_report",

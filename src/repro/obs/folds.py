@@ -1,15 +1,17 @@
 """Span and metrics folds over the event spine.
 
-Both are plain bus listeners (``bus.attach(fold)``) that derive their
-output from :class:`~repro.obs.live.bus.Event` fields alone — timestamps
-come from ``Event.t``, never from a clock read at delivery — so feeding a
-recorded stream (``read_events(path)``, or a simulator timeline replay)
-through fresh instances reproduces what a live run recorded.
-:class:`~repro.obs.jobobs.JobObservability` attaches one of each when
-``enabled``; the other folds live beside what they fill
-(:meth:`Counters.on_event <repro.mapreduce.counters.Counters.on_event>`,
-:meth:`EngineTrace.on_event <repro.obs.trace.EngineTrace.on_event>`,
-the engine's attempt log, :class:`~repro.verify.hooks.RecordingHook`).
+Both derive their output from :class:`~repro.obs.live.bus.Event` fields
+alone — timestamps come from ``Event.t``, never from a clock read at
+delivery — so feeding a recorded stream (``read_events(path)``, or a
+simulator timeline replay) through fresh instances reproduces what a
+live run recorded.  :class:`~repro.obs.jobobs.JobObservability`, when
+``enabled``, attaches the :class:`SpanFold` to the run's bus (task
+bodies parent their phase spans under the attempt span it opens, so it
+must see each ``task.start`` as it is published) and runs the
+:class:`MetricsFold` once over the run's record at finish.  The run's
+other readings live beside what they fill (:meth:`Counters.fold
+<repro.mapreduce.counters.Counters.fold>`,
+:class:`~repro.obs.trace.EngineTrace`, ``JobResult.attempts``).
 """
 
 from __future__ import annotations

@@ -2,19 +2,19 @@
 
 Built on the recorded vocabulary of :mod:`repro.obs` (spans + metrics),
 this subpackage adds the *in-flight* view the resident query service
-needs: a bounded publish/subscribe :class:`EventBus` that the engine,
-shuffle store, SIDR scheduler, and simulator all publish structured
-lifecycle events into as they happen; a :class:`ProgressTracker` that
-turns the stream into per-phase completion fractions plus an ETA from
-the simulator's cost model (:class:`CostModelEta`); a
-:class:`StragglerDetector` flagging in-flight tasks that exceed a
-robust multiple of the running median; a crash-durable
+needs: an :class:`EventBus` that the engine, shuffle store, SIDR
+scheduler, and simulator all publish structured lifecycle events into
+as they happen, and that keeps them as the run's record; a
+:class:`ProgressTracker` that reads per-phase completion fractions plus
+an ETA from the simulator's cost model (:class:`CostModelEta`) off that
+record; a :class:`StragglerDetector` flagging in-flight tasks that
+exceed a robust multiple of the running median; a crash-durable
 :class:`JsonlEventWriter`; and the terminal renderer behind
 ``repro.cli query --live``.  See ``docs/OBSERVABILITY.md`` for the
 event vocabulary and the snapshot JSON schema.
 """
 
-from repro.obs.live.bus import Event, EventBus, Subscription
+from repro.obs.live.bus import Event, EventBus
 from repro.obs.live.progress import CostModelEta, ProgressTracker
 from repro.obs.live.stragglers import StragglerDetector
 from repro.obs.live.stream import (
@@ -32,7 +32,6 @@ __all__ = [
     "LiveRenderer",
     "ProgressTracker",
     "StragglerDetector",
-    "Subscription",
     "format_live",
     "phase_totals",
     "read_events",

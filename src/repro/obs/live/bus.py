@@ -1,34 +1,30 @@
-"""EventBus: thread-safe, bounded, non-blocking publish/subscribe.
+"""EventBus: the run's event record, plus synchronous listeners.
 
 The bus is the run's **event spine**: every lifecycle occurrence is
 published on it exactly once, at its source (the engine's attempt loop
 and barrier site, the :class:`~repro.mapreduce.shuffle.ShuffleStore`,
 the detectors, the SIDR schedule policy, the simulator's timeline
-replay), and everything that reports on a run — spans, registry
-metrics, lifecycle ``Counters``, the flat ``EngineTrace``,
-``JobResult.attempts``, progress, the JSONL audit, the verify hook log
-— is a listener folding that one stream (``docs/OBSERVABILITY.md`` has
-the event → source → fold table).  Publishers call
-:meth:`EventBus.publish` from hot paths, so the contract is strict:
+replay), and the bus keeps it: :meth:`EventBus.publish` appends each
+event to the bus's **record** under the same lock that assigns its
+``seq``, so :meth:`EventBus.events` is in total order by construction —
+if event A was published strictly before event B (program order, or
+under a shared external lock such as the shuffle store's), A precedes B
+in the record.  Everything that only *reports* on a run — spans aside,
+the registry metrics, lifecycle ``Counters``, the flat ``EngineTrace``,
+``JobResult.attempts``, progress, the JSONL audit, the verify log — is
+a reading of that record (``docs/OBSERVABILITY.md`` has the event →
+reading table).  ``task.heartbeat`` is the one type delivered but not
+recorded: heartbeats grow with wall-clock time, not with work.
 
-* **publish never blocks** — a subscriber whose bounded queue is full
-  loses the event, and the loss is *counted* (per subscription and in
-  the bus-wide ``dropped`` tally, mirrored to the ``obs.events.dropped``
-  counter when a metrics registry is attached) rather than back-pressured
-  into the engine;
-* sequence numbers are assigned and queues appended **under one lock**,
-  so every subscription observes the same total order — if event A was
-  published strictly before event B (program order, or under a shared
-  external lock such as the shuffle store's), A precedes B in every
-  queue.  This is the ordering the happens-before tests and the JSONL
-  stream rely on;
-* synchronous listeners (:meth:`attach`) run *outside* that lock, so a
-  listener may itself publish (the straggler detector does); listener
-  exceptions are swallowed and counted (``listener_errors``, the first
-  one kept as ``first_listener_error``), never propagated into the
-  publishing task.  Because listeners run unlocked, two threads'
-  listener calls may interleave: a fold that cares about order uses
-  ``Event.seq``, never arrival order.
+Listeners (:meth:`EventBus.attach`) are for code that must *act* the
+moment an event is published — the straggler and hang detectors, the
+speculation runtime, the verifier's chaos stalls, the span fold that
+task bodies parent their phases under.  They run on the publishing
+thread *outside* the lock, so a listener may itself publish (the
+detectors do); listener exceptions are swallowed and counted
+(``listener_errors``, the first one kept as ``first_listener_error``),
+never propagated into the publishing task.  A bus with no listener
+pays one lock, one :class:`Event` and one append per publish.
 
 Event vocabulary (see ``docs/OBSERVABILITY.md``): ``job.start``,
 ``task.start``, ``task.heartbeat``, ``task.finish``, ``task.retry``,
@@ -42,15 +38,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
-
-#: Default per-subscription queue bound.  Event volume scales with task
-#: count (a handful of events per attempt), so 64k covers jobs three
-#: orders of magnitude beyond the test workloads before dropping.
-DEFAULT_QUEUE_SIZE = 65536
 
 #: Event type names (the shared live vocabulary).
 EV_JOB_START = "job.start"
@@ -118,76 +110,11 @@ class Event:
         return doc
 
 
-class Subscription:
-    """A bounded event queue owned by one consumer.
-
-    Producers append via the bus; the consumer drains with
-    :meth:`drain` (non-blocking snapshot) or :meth:`get` (blocking with
-    timeout, for drainer threads).  When the queue is full the newest
-    event is dropped and counted — consumers that fall behind lose data,
-    never slow the job down.
-    """
-
-    def __init__(self, bus: "EventBus", maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError(f"subscription maxsize must be >= 1, got {maxsize}")
-        self._bus = bus
-        self._maxsize = maxsize
-        self._queue: deque[Event] = deque()
-        self._cond = threading.Condition()
-        self._dropped = 0
-        self._closed = False
-
-    # Called by the bus under its publish lock.
-    def _offer(self, event: Event) -> bool:
-        with self._cond:
-            if self._closed:
-                return True
-            if len(self._queue) >= self._maxsize:
-                self._dropped += 1
-                return False
-            self._queue.append(event)
-            self._cond.notify()
-            return True
-
-    def get(self, timeout: float | None = None) -> Event | None:
-        """Pop the next event, waiting up to ``timeout`` seconds
-        (``None`` = wait forever).  Returns ``None`` on timeout or when
-        the subscription is closed and drained."""
-        with self._cond:
-            while not self._queue:
-                if self._closed:
-                    return None
-                if not self._cond.wait(timeout=timeout):
-                    return None
-            return self._queue.popleft()
-
-    def drain(self) -> list[Event]:
-        """Pop everything currently queued (non-blocking)."""
-        with self._cond:
-            out = list(self._queue)
-            self._queue.clear()
-            return out
-
-    def close(self) -> None:
-        """Stop receiving; wakes any blocked :meth:`get`."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._bus._unsubscribe(self)
-
-    @property
-    def dropped(self) -> int:
-        with self._cond:
-            return self._dropped
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._queue)
+_SEQ = attrgetter("seq")
 
 
 class EventBus:
-    """The publish side.  See the module docstring for the contract."""
+    """The publish side and the record.  See the module docstring."""
 
     def __init__(
         self,
@@ -199,11 +126,10 @@ class EventBus:
         self._lock = threading.Lock()
         self._job = job
         self._seq = 0
-        self._published = 0
-        self._dropped = 0
+        #: Every published event but heartbeats, in ``seq`` order.
+        self._record: list[Event] = []
         self._listener_errors = 0
         self._first_listener_error: BaseException | None = None
-        self._subs: list[Subscription] = []
         #: Replaced, never mutated, on attach/detach: publish reads it
         #: without copying.
         self._listeners: tuple[Callable[[Event], None], ...] = ()
@@ -213,29 +139,13 @@ class EventBus:
         self._clock = clock
         # Resolved once; a per-publish registry lookup would put a dict
         # probe on the hot path (same pattern as ShuffleStore).
-        self._m_dropped = (
-            metrics.counter("obs.events.dropped") if metrics is not None else None
-        )
         self._m_published = (
             metrics.counter("obs.events.published") if metrics is not None else None
         )
 
     # ------------------------------------------------------------------ #
-    # Consumer registration
+    # Listeners: code that acts on an event the moment it is published
     # ------------------------------------------------------------------ #
-    def subscribe(self, maxsize: int = DEFAULT_QUEUE_SIZE) -> Subscription:
-        sub = Subscription(self, maxsize)
-        with self._lock:
-            self._subs.append(sub)
-        return sub
-
-    def _unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            try:
-                self._subs.remove(sub)
-            except ValueError:
-                pass
-
     def attach(self, listener: Callable[[Event], None]) -> None:
         """Register a synchronous listener called on every publish.
 
@@ -254,7 +164,7 @@ class EventBus:
                 self._listeners = tuple(kept)
 
     # ------------------------------------------------------------------ #
-    # Publish
+    # Publish and read
     # ------------------------------------------------------------------ #
     def publish(
         self,
@@ -266,7 +176,8 @@ class EventBus:
         at: float | None = None,
         **data: Any,
     ) -> Event:
-        """Emit one event; never blocks (see module docstring)."""
+        """Emit one event: record it (heartbeats excepted), then call
+        the listeners.  Never blocks on a consumer."""
         with self._lock:
             event = Event(
                 seq=self._seq,
@@ -279,17 +190,11 @@ class EventBus:
                 job=self._job,
             )
             self._seq += 1
-            self._published += 1
-            dropped_now = 0
-            for sub in self._subs:
-                if not sub._offer(event):
-                    dropped_now += 1
-            self._dropped += dropped_now
+            if type != EV_TASK_HEARTBEAT:
+                self._record.append(event)
             listeners = self._listeners
         if self._m_published is not None:
             self._m_published.inc()
-        if dropped_now and self._m_dropped is not None:
-            self._m_dropped.inc(dropped_now)
         for fn in listeners:
             try:
                 fn(event)
@@ -300,6 +205,14 @@ class EventBus:
                         self._first_listener_error = exc
         return event
 
+    def events(self, since: int = 0) -> list[Event]:
+        """The record from ``seq`` ``since`` on, in ``seq`` order — a
+        copy, safe to read while the run goes on publishing."""
+        with self._lock:
+            if not since:
+                return self._record[:]
+            return self._record[bisect_left(self._record, since, key=_SEQ):]
+
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
@@ -308,14 +221,9 @@ class EventBus:
 
     @property
     def published(self) -> int:
+        """Events published so far, heartbeats included."""
         with self._lock:
-            return self._published
-
-    @property
-    def dropped(self) -> int:
-        """Total events lost across all subscriptions."""
-        with self._lock:
-            return self._dropped
+            return self._seq
 
     @property
     def listener_errors(self) -> int:

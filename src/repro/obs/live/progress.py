@@ -1,12 +1,13 @@
 """Live progress tracking and cost-model ETA.
 
-:class:`ProgressTracker` subscribes (as a synchronous listener) to an
-:class:`~repro.obs.live.bus.EventBus` and maintains the in-flight view
-of a job: per-phase completion fractions (maps done / reduces fired /
-reduces done), the live reduce-completion curve, in-flight task counts,
-and an ETA.  Its :meth:`ProgressTracker.snapshot` returns the JSON
-status document (schema in ``docs/OBSERVABILITY.md``) that the future
-resident service's per-job status endpoint will serve.
+:class:`ProgressTracker` reads a job's in-flight view off an
+:class:`~repro.obs.live.bus.EventBus`'s record whenever it is asked:
+per-phase completion fractions (maps done / reduces fired / reduces
+done), the reduce-completion curve, in-flight task counts, and an ETA.
+It attaches nothing to the bus, so watching a job costs the job
+nothing.  Its :meth:`ProgressTracker.snapshot` returns the JSON status
+document (schema in ``docs/OBSERVABILITY.md``) that the resident
+service's per-job status endpoint serves.
 
 :class:`CostModelEta` is the first bridge between the simulator's
 :class:`~repro.sim.costmodel.CostModel` and measured traces: it prices
@@ -23,7 +24,6 @@ cost-model-calibration item wants to fit offline.
 from __future__ import annotations
 
 import random
-import threading
 from typing import Any
 
 from repro.obs.live.bus import (
@@ -108,8 +108,92 @@ class CostModelEta:
         )
 
 
+class _Progress:
+    """One reading of the record: phase sets, in-flight tasks, the
+    reduce curve and the calibration sums."""
+
+    def __init__(self, estimator: CostModelEta | None, events: list[Event]) -> None:
+        self.job_name = "job"
+        self.num_maps: int | None = None
+        self.num_reduces: int | None = None
+        self.maps_done: set[int] = set()
+        self.reduces_fired: set[int] = set()
+        self.reduces_done: set[int] = set()
+        self.inflight: dict[tuple[str, int], float] = {}
+        self.curve: list[tuple[float, float]] = []
+        self.retries = 0
+        self.failures = 0
+        self.stragglers: dict[tuple[str, int], dict[str, Any]] = {}
+        self.started_at: float | None = None
+        self.finished_at: float | None = None
+        # Calibration accumulators: measured vs predicted seconds over
+        # *completed* tasks (the same task set on both sides, so the
+        # ratio is a unit conversion, not an extrapolation).
+        self.measured_done = 0.0
+        self.predicted_done = 0.0
+        for ev in events:
+            if ev.type == EV_JOB_START:
+                self.job_name = ev.data.get("name", self.job_name)
+                self.num_maps = int(ev.data.get("maps", 0))
+                self.num_reduces = int(ev.data.get("reduces", 0))
+                self.started_at = ev.t
+            elif ev.type == EV_TASK_START:
+                self.inflight[(ev.kind, ev.index)] = ev.t
+            elif ev.type == EV_TASK_FINISH:
+                self.inflight.pop((ev.kind, ev.index), None)
+                if ev.data.get("status") == "ok":
+                    if ev.kind == "map":
+                        self.maps_done.add(ev.index)
+                    elif ev.kind == "reduce":
+                        self.reduces_done.add(ev.index)
+                        total = self.num_reduces or 0
+                        frac = len(self.reduces_done) / total if total else 0.0
+                        self.curve.append((ev.t, frac))
+                    self.stragglers.pop((ev.kind, ev.index), None)
+                    if estimator is not None:
+                        self.measured_done += float(ev.data.get("seconds", 0.0))
+                        self.predicted_done += estimator.predicted_seconds(
+                            ev.kind, ev.index
+                        )
+                else:
+                    self.failures += 1
+            elif ev.type == EV_BARRIER_FIRE:
+                self.reduces_fired.add(ev.index)
+            elif ev.type == EV_TASK_RETRY:
+                self.retries += 1
+            elif ev.type == EV_TASK_STRAGGLER:
+                self.stragglers[(ev.kind, ev.index)] = {
+                    "kind": ev.kind,
+                    "index": ev.index,
+                    "elapsed": ev.data.get("elapsed"),
+                    "threshold": ev.data.get("threshold"),
+                    "median": ev.data.get("median"),
+                }
+            elif ev.type == EV_JOB_FINISH:
+                self.finished_at = ev.t
+
+    def fractions(self) -> tuple[float, float, float]:
+        m = len(self.maps_done) / self.num_maps if self.num_maps else 0.0
+        if not self.num_reduces:
+            return m, 0.0, 0.0
+        return (
+            m,
+            len(self.reduces_fired) / self.num_reduces,
+            len(self.reduces_done) / self.num_reduces,
+        )
+
+    def all_done(self) -> bool:
+        return (
+            self.num_maps is not None
+            and len(self.maps_done) == self.num_maps
+            and self.num_reduces is not None
+            and len(self.reduces_done) == self.num_reduces
+        )
+
+
 class ProgressTracker:
-    """Turns the live event stream into progress fractions and an ETA."""
+    """Progress fractions and an ETA, read off a bus's record whenever
+    they are asked for (it attaches nothing to the bus)."""
 
     def __init__(
         self,
@@ -118,100 +202,21 @@ class ProgressTracker:
         estimator: CostModelEta | None = None,
     ) -> None:
         self._bus = bus
-        self._lock = threading.Lock()
         self.estimator = estimator
-        self.job_name = "job"
-        self.num_maps: int | None = None
-        self.num_reduces: int | None = None
-        self._maps_done: set[int] = set()
-        self._reduces_fired: set[int] = set()
-        self._reduces_done: set[int] = set()
-        self._inflight: dict[tuple[str, int], float] = {}
-        self._curve: list[tuple[float, float]] = []
-        self._retries = 0
-        self._failures = 0
-        self._stragglers: dict[tuple[str, int], dict[str, Any]] = {}
-        self._started_at: float | None = None
-        self._finished_at: float | None = None
-        # Calibration accumulators: measured vs predicted seconds over
-        # *completed* tasks (the same task set on both sides, so the
-        # ratio is a unit conversion, not an extrapolation).
-        self._measured_done = 0.0
-        self._predicted_done = 0.0
-        bus.attach(self.on_event)
 
-    # ------------------------------------------------------------------ #
-    # Event intake (runs on publishing threads; keep cheap)
-    # ------------------------------------------------------------------ #
-    def on_event(self, ev: Event) -> None:
-        with self._lock:
-            if ev.type == EV_JOB_START:
-                self.job_name = ev.data.get("name", self.job_name)
-                self.num_maps = int(ev.data.get("maps", 0))
-                self.num_reduces = int(ev.data.get("reduces", 0))
-                self._started_at = ev.t
-            elif ev.type == EV_TASK_START:
-                self._inflight[(ev.kind, ev.index)] = ev.t
-            elif ev.type == EV_TASK_FINISH:
-                self._inflight.pop((ev.kind, ev.index), None)
-                if ev.data.get("status") == "ok":
-                    if ev.kind == "map":
-                        self._maps_done.add(ev.index)
-                    elif ev.kind == "reduce":
-                        self._reduces_done.add(ev.index)
-                        self._note_curve_point(ev.t)
-                    self._stragglers.pop((ev.kind, ev.index), None)
-                    if self.estimator is not None:
-                        self._measured_done += float(ev.data.get("seconds", 0.0))
-                        self._predicted_done += self.estimator.predicted_seconds(
-                            ev.kind, ev.index
-                        )
-                else:
-                    self._failures += 1
-            elif ev.type == EV_BARRIER_FIRE:
-                self._reduces_fired.add(ev.index)
-            elif ev.type == EV_TASK_RETRY:
-                self._retries += 1
-            elif ev.type == EV_TASK_STRAGGLER:
-                self._stragglers[(ev.kind, ev.index)] = {
-                    "kind": ev.kind,
-                    "index": ev.index,
-                    "elapsed": ev.data.get("elapsed"),
-                    "threshold": ev.data.get("threshold"),
-                    "median": ev.data.get("median"),
-                }
-            elif ev.type == EV_JOB_FINISH:
-                self._finished_at = ev.t
-
-    def _note_curve_point(self, t: float) -> None:
-        total = self.num_reduces or 0
-        frac = len(self._reduces_done) / total if total else 0.0
-        self._curve.append((t, frac))
+    def _read(self) -> _Progress:
+        return _Progress(self.estimator, self._bus.events())
 
     # ------------------------------------------------------------------ #
     # Derived state
     # ------------------------------------------------------------------ #
-    def _fractions(self) -> tuple[float, float, float]:
-        m = len(self._maps_done) / self.num_maps if self.num_maps else 0.0
-        rf = (
-            len(self._reduces_fired) / self.num_reduces
-            if self.num_reduces
-            else 0.0
-        )
-        rd = (
-            len(self._reduces_done) / self.num_reduces
-            if self.num_reduces
-            else 0.0
-        )
-        return m, rf, rd
-
-    def _overall_fraction(self) -> float:
+    def _overall_fraction(self, p: _Progress) -> float:
         """Work-weighted overall completion.
 
         With an estimator, weights are predicted phase totals; without,
         maps and reduces weigh equally.
         """
-        m, _rf, rd = self._fractions()
+        m, _rf, rd = p.fractions()
         if self.estimator is not None:
             wm = sum(self.estimator.map_seconds)
             wr = sum(self.estimator.reduce_seconds)
@@ -219,62 +224,56 @@ class ProgressTracker:
                 return (m * wm + rd * wr) / (wm + wr)
         return (m + rd) / 2.0
 
-    def _eta_locked(self, now: float) -> float | None:
+    def _eta(self, p: _Progress, now: float) -> float | None:
         """Remaining seconds; None while nothing is known yet."""
-        if self._finished_at is not None:
+        if p.finished_at is not None:
             return 0.0
         est = self.estimator
-        if est is not None and self._predicted_done > 0:
-            scale = self._measured_done / self._predicted_done
+        if est is not None and p.predicted_done > 0:
+            scale = p.measured_done / p.predicted_done
             rem_map = sum(
                 est.map_seconds[i]
                 for i in range(len(est.map_seconds))
-                if i not in self._maps_done
+                if i not in p.maps_done
             ) / est.map_workers
             rem_reduce = sum(
                 est.reduce_seconds[l]
                 for l in range(len(est.reduce_seconds))
-                if l not in self._reduces_done
+                if l not in p.reduces_done
             ) / est.reduce_workers
             # Dependency barriers overlap the phases: the longer phase
             # dominates the remaining wall clock.
             return max(rem_map, rem_reduce) * scale
         # Rate extrapolation fallback: elapsed / fraction so far.
-        frac = self._overall_fraction()
-        if self._started_at is None or frac <= 0.0:
+        frac = self._overall_fraction(p)
+        if p.started_at is None or frac <= 0.0:
             return None
-        elapsed = now - self._started_at
+        elapsed = now - p.started_at
         return max(0.0, elapsed * (1.0 - frac) / frac)
 
     def eta_seconds(self, now: float | None = None) -> float | None:
-        if now is None:
-            now = self._bus.now()
-        with self._lock:
-            return self._eta_locked(now)
+        return self._eta(self._read(), self._bus.now() if now is None else now)
 
     @property
     def inflight(self) -> int:
-        with self._lock:
-            return len(self._inflight)
+        return len(self._read().inflight)
 
     @property
     def done(self) -> bool:
-        with self._lock:
-            return self._finished_at is not None
+        return self._read().finished_at is not None
 
     def reduce_completion_curve(self) -> list[tuple[float, float]]:
         """(t, fraction-of-reduces-done) points, in completion order."""
-        with self._lock:
-            return list(self._curve)
+        return self._read().curve
 
     def calibration_scale(self) -> float | None:
         """Measured/predicted seconds over completed tasks (the unit
         conversion a cost-model calibration run would fit); None until
         at least one task completed under an estimator."""
-        with self._lock:
-            if self.estimator is None or self._predicted_done <= 0:
-                return None
-            return self._measured_done / self._predicted_done
+        p = self._read()
+        if self.estimator is None or p.predicted_done <= 0:
+            return None
+        return p.measured_done / p.predicted_done
 
     # ------------------------------------------------------------------ #
     # The status document
@@ -284,64 +283,45 @@ class ProgressTracker:
         serves.  Schema documented in ``docs/OBSERVABILITY.md``."""
         if now is None:
             now = self._bus.now()
-        with self._lock:
-            m, rf, rd = self._fractions()
-            if self._finished_at is not None:
-                state = "failed" if self._failures and not self._all_done() else "done"
-                elapsed = self._finished_at - (self._started_at or 0.0)
-            elif self._started_at is not None:
-                state = "running"
-                elapsed = now - self._started_at
-            else:
-                state = "pending"
-                elapsed = 0.0
-            eta = self._eta_locked(now)
-            inflight_maps = sum(1 for k, _ in self._inflight if k == "map")
-            inflight_reduces = sum(
-                1 for k, _ in self._inflight if k == "reduce"
-            )
-            return {
-                "job": self.job_name,
-                "state": state,
-                "elapsed": round(elapsed, 6),
-                "eta": round(eta, 6) if eta is not None else None,
-                "progress": round(self._overall_fraction(), 6),
-                "maps": {
-                    "total": self.num_maps or 0,
-                    "done": len(self._maps_done),
-                    "inflight": inflight_maps,
-                    "fraction": round(m, 6),
-                },
-                "reduces": {
-                    "total": self.num_reduces or 0,
-                    "fired": len(self._reduces_fired),
-                    "done": len(self._reduces_done),
-                    "inflight": inflight_reduces,
-                    "fraction_fired": round(rf, 6),
-                    "fraction": round(rd, 6),
-                },
-                "tasks_inflight": len(self._inflight),
-                "attempts": {
-                    "retries": self._retries,
-                    "failures": self._failures,
-                },
-                "stragglers": sorted(
-                    self._stragglers.values(),
-                    key=lambda s: (s["kind"], s["index"]),
-                ),
-                "reduce_curve": [
-                    [round(t, 6), round(f, 6)] for t, f in self._curve
-                ],
-                "events": {
-                    "published": self._bus.published,
-                    "dropped": self._bus.dropped,
-                },
-            }
-
-    def _all_done(self) -> bool:
-        return (
-            self.num_maps is not None
-            and len(self._maps_done) == self.num_maps
-            and self.num_reduces is not None
-            and len(self._reduces_done) == self.num_reduces
-        )
+        p = self._read()
+        m, rf, rd = p.fractions()
+        if p.finished_at is not None:
+            state = "failed" if p.failures and not p.all_done() else "done"
+            elapsed = p.finished_at - (p.started_at or 0.0)
+        elif p.started_at is not None:
+            state = "running"
+            elapsed = now - p.started_at
+        else:
+            state = "pending"
+            elapsed = 0.0
+        eta = self._eta(p, now)
+        inflight_maps = sum(1 for k, _ in p.inflight if k == "map")
+        inflight_reduces = sum(1 for k, _ in p.inflight if k == "reduce")
+        return {
+            "job": p.job_name,
+            "state": state,
+            "elapsed": round(elapsed, 6),
+            "eta": round(eta, 6) if eta is not None else None,
+            "progress": round(self._overall_fraction(p), 6),
+            "maps": {
+                "total": p.num_maps or 0,
+                "done": len(p.maps_done),
+                "inflight": inflight_maps,
+                "fraction": round(m, 6),
+            },
+            "reduces": {
+                "total": p.num_reduces or 0,
+                "fired": len(p.reduces_fired),
+                "done": len(p.reduces_done),
+                "inflight": inflight_reduces,
+                "fraction_fired": round(rf, 6),
+                "fraction": round(rd, 6),
+            },
+            "tasks_inflight": len(p.inflight),
+            "attempts": {"retries": p.retries, "failures": p.failures},
+            "stragglers": sorted(
+                p.stragglers.values(), key=lambda s: (s["kind"], s["index"])
+            ),
+            "reduce_curve": [[round(t, 6), round(f, 6)] for t, f in p.curve],
+            "events": {"published": self._bus.published},
+        }

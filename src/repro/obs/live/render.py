@@ -59,10 +59,8 @@ def format_live(snapshot: dict[str, Any]) -> str:
         lines.append(f"  stragglers: {flagged}")
     else:
         lines.append("  stragglers: none")
-    ev = snapshot.get("events", {})
     lines.append(
-        f"  events: {ev.get('published', 0)} published, "
-        f"{ev.get('dropped', 0)} dropped"
+        f"  events: {snapshot.get('events', {}).get('published', 0)} published"
     )
     return "\n".join(lines)
 

@@ -1,17 +1,15 @@
 """Crash-durable event streaming and replay.
 
-:class:`JsonlEventWriter` drains a bus subscription on a daemon thread
-and appends one JSON line per event, flushing after every write — if
-the process dies mid-job, every event published up to the crash is on
+:class:`JsonlEventWriter` drains a bus's record on a daemon thread and
+appends one JSON line per event, flushing after every write — if the
+process dies mid-job, every event recorded up to the last drain is on
 disk (unlike the post-hoc trace export, which only exists after a clean
-finish).
+finish).  It reads the record from a cursor, so it attaches nothing to
+the bus and the job never waits on the file.
 
 :func:`read_events` loads such a file back into :class:`Event` objects
-(ready to feed through any fold), and :func:`phase_totals` /
-:func:`trace_phase_totals` reduce a stream and an
-:class:`~repro.mapreduce.engine.EngineTrace` to the same per-phase
-totals — the acceptance check that a ``--events`` JSONL replays to
-exactly what the run's trace recorded.
+(ready to feed through any fold), and :func:`phase_totals` reduces a
+stream to per-phase totals.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs.live.bus import (
-    DEFAULT_QUEUE_SIZE,
     EV_BARRIER_FIRE,
     EV_FETCH,
     EV_RECOVERY,
@@ -40,14 +37,16 @@ from repro.obs.live.bus import (
 
 
 class JsonlEventWriter:
-    """Streams every bus event to a JSONL file as it happens."""
+    """Streams a bus's recorded events to a JSONL file as they happen."""
+
+    #: Seconds between drains of the record.
+    INTERVAL = 0.05
 
     def __init__(
         self,
         bus: EventBus,
         path: str | Path,
         *,
-        maxsize: int = DEFAULT_QUEUE_SIZE,
         append: bool = False,
     ) -> None:
         self.path = Path(path)
@@ -56,48 +55,51 @@ class JsonlEventWriter:
         # publishing bus's job id, and replay filters with
         # ``read_events(path, job=...)``.  Lines are written whole under
         # a lock, so interleaving is per-line, never intra-line.
-        # Opened before subscribing: an unwritable path must not leave
-        # an undrained subscription behind on the bus.
         self._file = open(self.path, "a" if append else "w", encoding="utf-8")
-        self._sub = bus.subscribe(maxsize=maxsize)
+        self._bus = bus
+        #: ``seq`` of the first event not yet written.
+        self._cursor = 0
         self._written = 0
         #: Events that could not be serialized or written (the stream
         #: keeps draining past them), and the first such exception.
         self.write_errors = 0
         self.first_write_error: Exception | None = None
         self._wlock = threading.Lock()
+        self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._drain_loop, name="obs-events-writer", daemon=True
         )
         self._thread.start()
 
     def _drain_loop(self) -> None:
-        while True:
-            ev = self._sub.get(timeout=0.2)
-            if ev is None:
-                if self._sub._closed and not len(self._sub):
-                    return
-                continue
-            self._write(ev)
+        while not self._stop.wait(self.INTERVAL):
+            self._drain()
+
+    def _drain(self) -> None:
+        """Write everything recorded since the cursor."""
+        with self._wlock:
+            events = self._bus.events(since=self._cursor)
+            if not events or self._file.closed:
+                return
+            self._cursor = events[-1].seq + 1
+            for ev in events:
+                self._write(ev)
 
     def _write(self, ev: Event) -> None:
-        with self._wlock:
-            if self._file.closed:
-                return
-            try:
-                line = json.dumps(
-                    ev.to_json(), separators=(",", ":"), default=_jsonable
-                )
-                self._file.write(line + "\n")
-                # Flush per event: crash durability is the point of the
-                # stream (post-hoc export already covers the happy path).
-                self._file.flush()
-            except (TypeError, ValueError, OSError) as exc:
-                # One bad payload or a full disk must not kill the
-                # drainer: count it and keep going.
-                self._note_error(exc)
-                return
-            self._written += 1
+        try:
+            line = json.dumps(
+                ev.to_json(), separators=(",", ":"), default=_jsonable
+            )
+            self._file.write(line + "\n")
+            # Flush per event: crash durability is the point of the
+            # stream (post-hoc export already covers the happy path).
+            self._file.flush()
+        except (TypeError, ValueError, OSError) as exc:
+            # One bad payload or a full disk must not kill the drainer:
+            # count it and keep going.
+            self._note_error(exc)
+            return
+        self._written += 1
 
     def _note_error(self, exc: Exception) -> None:
         self.write_errors += 1
@@ -109,18 +111,13 @@ class JsonlEventWriter:
         with self._wlock:
             return self._written
 
-    @property
-    def dropped(self) -> int:
-        return self._sub.dropped
-
     def close(self) -> None:
-        """Stop the subscription, drain what is queued, close the file.
+        """Stop the drainer, write what is left, close the file.
         Afterwards ``write_errors`` is final: non-zero means the file is
-        missing that many events (``first_write_error`` says why)."""
-        self._sub.close()
+        missing events (``first_write_error`` says why)."""
+        self._stop.set()
         self._thread.join(timeout=5.0)
-        for ev in self._sub.drain():
-            self._write(ev)
+        self._drain()
         with self._wlock:
             if not self._file.closed:
                 try:
@@ -178,10 +175,10 @@ def read_events(path: str | Path, *, job: str | None = None) -> list[Event]:
 def phase_totals(events: "list[Event]") -> dict[str, Any]:
     """Per-phase totals of a live event stream.
 
-    ``started`` counts task-start events (one per attempt, matching the
-    legacy trace's per-attempt ``start`` records); ``finished`` counts
-    clean completions only (a failing attempt never records its finish,
-    in the stream and the legacy trace alike).
+    ``started`` counts task-start events (one per attempt, matching
+    ``EngineTrace``'s per-attempt ``start`` entries); ``finished`` counts
+    clean completions only (a failing attempt's ``task.finish`` carries
+    another status, and the trace records no finish for it either).
     """
     totals: dict[str, Any] = {
         "map": {"started": 0, "finished": 0},
@@ -220,21 +217,4 @@ def phase_totals(events: "list[Event]") -> dict[str, Any]:
             totals["speculations"] += 1
         elif ev.type == EV_TASK_CANCELLED:
             totals["cancelled"] += 1
-    return totals
-
-
-def trace_phase_totals(trace: Any) -> dict[str, Any]:
-    """The same ``started``/``finished`` shape computed from a legacy
-    :class:`~repro.mapreduce.engine.EngineTrace` — the post-hoc side of
-    the replay comparison."""
-    totals: dict[str, Any] = {
-        "map": {"started": 0, "finished": 0},
-        "reduce": {"started": 0, "finished": 0},
-    }
-    for ev in trace.events:
-        if ev.kind in totals:
-            if ev.event == "start":
-                totals[ev.kind]["started"] += 1
-            elif ev.event == "finish":
-                totals[ev.kind]["finished"] += 1
     return totals

@@ -1,13 +1,14 @@
-"""The engine's flat start/finish trace (``JobResult.trace``): a fold
-over the run's bus (``task.start`` → ``start``, ``task.finish`` with
-``status="ok"`` → ``finish``; a failing attempt records no finish).
-Callers import these names from :mod:`repro.mapreduce.engine`, which
-re-exports them.
+"""The engine's flat start/finish trace (``JobResult.trace``): a
+reading of the run's recorded events (``task.start`` → ``start``,
+``task.finish`` with ``status="ok"`` → ``finish``; a failing attempt
+records no finish).  Callers import these names from
+:mod:`repro.mapreduce.engine`, which re-exports them.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.obs.live.bus import EV_TASK_FINISH, EV_TASK_START, Event
@@ -44,41 +45,27 @@ class LogicalClock:
 
 
 class EngineTrace:
-    """Append-only, thread-safe event log, filled by :meth:`on_event`
-    attached to a bus: entries take the bus's ``seq`` and ``t``, so a
-    deterministic bus clock such as :class:`LogicalClock` makes them
-    bit-stable."""
+    """The start/finish entries of a run's events, in their order;
+    entries take the events' ``seq`` and ``t``, so a deterministic bus
+    clock such as :class:`LogicalClock` makes them bit-stable."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._events: list[TraceEvent] = []
+    def __init__(self, events: Iterable[Event] = ()) -> None:
+        self.events: list[TraceEvent] = []
         self._first_seq: dict[tuple[str, str, int], int] = {}
-
-    def on_event(self, ev: Event) -> None:
-        """Bus listener.  Listener calls from different threads can
-        arrive out of order, so entries keep the bus ``seq``."""
-        if ev.type == EV_TASK_START:
-            event = "start"
-        elif ev.type == EV_TASK_FINISH and ev.data.get("status") == "ok":
-            event = "finish"
-        else:
-            return
-        key = (ev.kind, event, ev.index)
-        with self._lock:
-            self._events.append(TraceEvent(ev.seq, ev.t, ev.kind, event, ev.index))
-            self._first_seq[key] = min(self._first_seq.get(key, ev.seq), ev.seq)
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        """Every entry, in ``seq`` order."""
-        with self._lock:
-            return sorted(self._events, key=lambda e: e.seq)
+        for ev in events:
+            if ev.type == EV_TASK_START:
+                event = "start"
+            elif ev.type == EV_TASK_FINISH and ev.data.get("status") == "ok":
+                event = "finish"
+            else:
+                continue
+            self.events.append(TraceEvent(ev.seq, ev.t, ev.kind, event, ev.index))
+            self._first_seq.setdefault((ev.kind, event, ev.index), ev.seq)
 
     def seq_of(self, kind: str, event: str, index: int) -> int:
         """Logical sequence number of the first matching event (-1 if
         absent) — an O(1) index lookup, not a scan."""
-        with self._lock:
-            return self._first_seq.get((kind, event, index), -1)
+        return self._first_seq.get((kind, event, index), -1)
 
     def reduce_starts_before_last_map(self) -> int:
         """Number of reduce tasks that started before the final map

@@ -81,8 +81,8 @@ class ServiceJob:
         self.plan_seconds: float | None = None
         self.run_seconds: float | None = None
         self.counters: dict[str, int] = {}
-        #: Live progress: a ProgressTracker attached by the runner while
-        #: the job runs (``status()`` embeds its snapshot), the last
+        #: Live progress: a ProgressTracker over the job's bus while the
+        #: job runs (``status()`` embeds its snapshot), the last
         #: snapshot alone once it has finished.
         self.progress: Any | None = None
         #: Called once with the job on every terminal transition (the
@@ -102,7 +102,7 @@ class ServiceJob:
                 self.num_records = len(self.records)
             if self.progress is not None:
                 # Keep the document, not the tracker: it holds the job's
-                # event bus and every fold attached to it.
+                # event bus and, through it, the job's whole record.
                 self.progress = self.progress.snapshot()
             self.state = state
             self.finished_at = time.time()

@@ -340,10 +340,11 @@ class QueryService:
 
             # Per-job observability, only what a request can observe: a
             # job-tagged bus so interleaved streams stay separable, a
-            # tracker for the status endpoint, the audit writer when
-            # serving with ``--events``.  No span tree or metrics
-            # registry — nothing would ever read them; the counters in
-            # the result are the engine's own fold over the same bus.
+            # tracker for the status endpoint and the audit writer when
+            # serving with ``--events`` — both read the bus's record,
+            # so neither listens.  No span tree or metrics registry —
+            # nothing would ever read them; the counters in the result
+            # are the engine's finish-time reading of the same record.
             bus = EventBus(job=job.id)
             obs = JobObservability(job_conf.name, enabled=False, bus=bus)
             with job.lock:

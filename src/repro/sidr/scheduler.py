@@ -6,11 +6,13 @@ that depends on it is already running.  Whenever a Reduce task is
 scheduled, the same tree structure is crawled and all Map tasks that
 contribute to the Reduce task are marked as schedulable."
 
-This module is the *policy* object shared by the real engine's
-integration tests and the discrete-event simulator: it tracks which maps
-are eligible, orders reduce tasks (by user priority, then index — §3.4's
-output-space prioritization), and answers readiness queries.  The
-mechanics of slots and time live in :mod:`repro.sim`.
+This module is the *policy* object a SIDR plan hands out
+(:meth:`~repro.sidr.planner.SIDRPlan.schedule_policy`): it tracks which
+maps are eligible, orders reduce tasks (by user priority, then index —
+§3.4's output-space prioritization), and answers readiness queries.  The
+discrete-event simulator does not use it: :mod:`repro.sim.jobsim` keeps
+its own reduce order and map eligibility, alongside the mechanics of
+slots and time, and never imports this module.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ class SidrSchedulePolicy:
     priorities: Sequence[float] | None = None
     #: Optional event bus (:class:`~repro.obs.live.bus.EventBus`):
     #: scheduling decisions publish ``sched.reduce.scheduled`` /
-    #: ``sched.map.scheduled``, which a
-    #: :class:`~repro.obs.folds.MetricsFold` on the same bus counts as
-    #: the ``sched.*`` metrics (see docs/OBSERVABILITY.md).
+    #: ``sched.map.scheduled``, which the run's
+    #: :class:`~repro.obs.folds.MetricsFold` reads off the bus's record
+    #: as the ``sched.*`` metrics (see docs/OBSERVABILITY.md).
     bus: object | None = None
 
     _eligible_maps: set[int] = field(default_factory=set, repr=False)

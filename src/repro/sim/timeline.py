@@ -129,23 +129,22 @@ class TaskTimeline:
     # ------------------------------------------------------------------ #
     def to_observability(self, job_name: str | None = None):
         """This timeline as a :class:`~repro.obs.JobObservability`, built
-        the way a real run's is: :meth:`replay_events` onto a bus with
-        the engine's own span, metrics and lifecycle-counter folds
-        attached — so a simulated run exports to the same Perfetto trace
-        and metrics vocabulary as a :class:`~repro.mapreduce.engine.LocalEngine`
-        run.
+        the way a real run's is: :meth:`replay_events` onto its bus (the
+        span fold listening), then the same finish-time reading of the
+        record — metrics and lifecycle counters — so a simulated run
+        exports to the same Perfetto trace and metrics vocabulary as a
+        :class:`~repro.mapreduce.engine.LocalEngine` run.
         """
         from repro.mapreduce.counters import Counters
         from repro.obs import TIME_BUCKETS, JobObservability
 
         obs = JobObservability(job_name or f"sim-{self.mode}")
         counters = Counters()
-        obs.bus.attach(counters.on_event)
         self.replay_events(obs.bus, obs.job_name)
         # The simulator prices connections in aggregate: there are no
         # per-fetch events to fold, only the run's total.
         counters.increment("shuffle.fetch.connections", self.shuffle_connections)
-        obs.export(counters)
+        obs.fold(counters)
         # Inside each reduce, the copy and merge phases — body-internal
         # phase spans, which a real task body opens with ``obs.phase``.
         tr = obs.tracer

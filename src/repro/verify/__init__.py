@@ -34,7 +34,7 @@ from repro.verify.fuzz import (
     shrink_case,
     write_repro,
 )
-from repro.verify.hooks import SCHEDULING_POINTS, ChaosHook, RecordingHook
+from repro.verify.hooks import SCHEDULING_POINTS, ChaosHook
 from repro.verify.invariants import Violation, check_interleaving_invariants
 from repro.verify.oracle import (
     CanonicalRecords,
@@ -56,7 +56,6 @@ __all__ = [
     "FuzzCase",
     "FuzzReport",
     "OPERATOR_NAMES",
-    "RecordingHook",
     "SCHEDULING_POINTS",
     "ScheduleRun",
     "Violation",

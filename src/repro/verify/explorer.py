@@ -1,14 +1,15 @@
 """Deterministic interleaving explorer.
 
 Replays one job under ``schedules`` systematically permuted thread
-interleavings (a :class:`~repro.verify.hooks.ChaosHook` per schedule;
-schedule 0 is the unperturbed baseline) and checks, for every explored
-interleaving:
+interleavings (a :class:`~repro.verify.hooks.ChaosHook` attached to
+each run's bus; schedule 0 is the unperturbed baseline) and checks, for
+every explored interleaving:
 
 * the barrier/shuffle invariants of :mod:`repro.verify.invariants`
-  hold on the recorded event log,
-* no bus listener raised (every report on a run is a fold over its
-  events, so a fold that raised means wrong numbers somewhere), and
+  hold on the run's record (``obs.bus.events()``),
+* no bus listener raised (a listener acts on the run — a detector, the
+  chaos hook — so one that raised means the run was not the one
+  explored), and
 * the run's outcome is byte-identical (canonical digest) to a serial
   reference run — including *failure* outcomes: a job that fails
   serially must fail under every interleaving too — and the byte form
@@ -31,14 +32,14 @@ from repro.errors import JobFailedError, ReproError
 from repro.mapreduce.engine import BarrierPolicy, LocalEngine
 from repro.mapreduce.job import JobConf
 from repro.obs import JobObservability
-from repro.verify.hooks import ChaosHook, RecordingHook
+from repro.verify.hooks import ChaosHook
 from repro.verify.invariants import Violation, check_interleaving_invariants
 from repro.verify.oracle import checked_digest
 
 #: make_job() must return a fresh (job, barrier) pair per call — jobs
 #: carry mutable context and must not be shared across runs.
 MakeJob = Callable[[], tuple[JobConf, BarrierPolicy]]
-EngineFactory = Callable[[RecordingHook | None], LocalEngine]
+EngineFactory = Callable[[], LocalEngine]
 
 
 def failure_types(exc: BaseException) -> tuple[str, ...]:
@@ -98,8 +99,8 @@ class ExplorationReport:
         )
 
 
-def _default_engine_factory(hook: RecordingHook | None) -> LocalEngine:
-    return LocalEngine(observability=False, scheduler_hook=hook)
+def _default_engine_factory() -> LocalEngine:
+    return LocalEngine(observability=False)
 
 
 def explore(
@@ -117,8 +118,8 @@ def explore(
     factory = engine_factory or _default_engine_factory
 
     job, barrier = make_job()
-    baseline_status, baseline_digest, _, listener_errors = _run(
-        factory(None), job, barrier, mode="serial"
+    baseline_status, baseline_digest, _, _, listener_errors = _run(
+        factory(), job, barrier, mode="serial"
     )
 
     runs: list[ScheduleRun] = []
@@ -128,11 +129,10 @@ def explore(
         hook = ChaosHook(
             seed=seed, schedule=k, max_delay=0.0 if k == 0 else max_delay
         )
-        status, digest, attempts, errors = _run(
-            factory(hook), job, barrier, mode="threaded"
+        status, digest, events, attempts, errors = _run(
+            factory(), job, barrier, mode="threaded", hook=hook
         )
         listener_errors += errors
-        events = hook.events
         violations = tuple(
             check_interleaving_invariants(
                 events,
@@ -179,14 +179,19 @@ def _run(
     barrier: BarrierPolicy,
     *,
     mode: str,
-) -> tuple[tuple[str, tuple[str, ...]], str | None, tuple, int]:
-    """One engine run → ((status, error types), digest, attempts,
-    listener errors on the run's bus)."""
+    hook: ChaosHook | None = None,
+) -> tuple[tuple[str, tuple[str, ...]], str | None, list, tuple, int]:
+    """One engine run, with ``hook`` on its bus → ((status, error
+    types), digest, the bus's record, attempts, listener errors)."""
     obs = JobObservability(job.name, enabled=False)
+    if hook is not None:
+        obs.bus.attach(hook)
     try:
         res = engine.run(job, barrier, mode=mode, obs=obs)
     except ReproError as exc:
-        return ("failed", failure_types(exc)), None, (), obs.bus.listener_errors
-    digest, consistent = checked_digest(res.all_records())
-    status = "ok" if consistent else "diverged"
-    return (status, ()), digest, res.attempts, obs.bus.listener_errors
+        status, digest, attempts = ("failed", failure_types(exc)), None, ()
+    else:
+        digest, consistent = checked_digest(res.all_records())
+        status = ("ok" if consistent else "diverged", ())
+        attempts = res.attempts
+    return status, digest, obs.bus.events(), attempts, obs.bus.listener_errors

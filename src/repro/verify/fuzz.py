@@ -104,13 +104,12 @@ def _engine_configs() -> tuple[tuple[str, str], ...]:
 ENGINE_CONFIGS = _ALL_ENGINE_CONFIGS
 
 
-def _make_engine(case: FuzzCase, hook: Any | None = None) -> LocalEngine:
+def _make_engine(case: FuzzCase) -> LocalEngine:
     return LocalEngine(
         observability=False,
         retry=RetryPolicy(max_attempts=case.max_attempts, backoff_base=0.0),
         faults=case.injection_plan(),
         recovery=RecoveryModel.parse(case.recovery),
-        scheduler_hook=hook,
         speculation=(
             SpeculationPolicy(hang_timeout=HANG_TIMEOUT, heartbeat_interval=0.01)
             if case.speculate
@@ -236,8 +235,9 @@ class CaseResult:
     oracle_digest: str | None        # None for expected-failure cases
     outcomes: tuple[ConfigOutcome, ...]
     mismatch: str | None             # human-readable disagreement, if any
-    #: Bus listeners that raised across the engine legs (a fold that
-    #: raised reports wrong numbers: any is a failure of the case).
+    #: Bus listeners that raised across the engine legs (a detector or
+    #: the speculation runtime that raised did not act: any is a
+    #: failure of the case).
     listener_errors: int = 0
 
     @property
@@ -535,7 +535,7 @@ def fuzz(
                 lambda c=case: _make_job(c, "record"),
                 schedules=schedules,
                 seed=seed,
-                engine_factory=lambda hook, c=case: _make_engine(c, hook),
+                engine_factory=lambda c=case: _make_engine(c),
                 metrics=metrics,
             )
             violations += len(exploration.violations)

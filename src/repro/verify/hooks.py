@@ -1,22 +1,21 @@
-"""Scheduler hooks: observe and perturb the engine's interleavings.
+"""Scheduler hooks: perturb the engine's interleavings.
 
-A hook is a listener the engine attaches to the run's event bus
-(``LocalEngine(scheduler_hook=...)``); its log is the run's
-:class:`~repro.obs.live.bus.Event` stream.  Two live here:
+A hook is a listener attached to the bus a run is given
+(``obs.bus.attach(hook)``); the run's log is the bus's record
+(``obs.bus.events()``).  ``spill.commit`` and ``fetch`` are published
+while the shuffle store's lock is held, so their ``seq`` numbers
+linearize commits against fetches — which is what makes the freshness
+invariants in :mod:`repro.verify.invariants` checkable from the log
+alone.
 
-* :class:`RecordingHook` — keeps every event.  ``spill.commit`` and
-  ``fetch`` are published while the shuffle store's lock is held, so
-  their ``seq`` numbers linearize commits against fetches — which is
-  what makes the freshness invariants in :mod:`repro.verify.invariants`
-  checkable from the log alone.
-* :class:`ChaosHook` — a recording hook that additionally stalls the
-  publishing thread at the :data:`SCHEDULING_POINTS` by a delay derived
-  *purely* from (seed, schedule, event identity).  Because the delay is
-  a function of the event and not of arrival order, schedule ``k``
-  applies the same perturbation pattern no matter how the OS happens to
-  interleave threads — the "systematically permuted schedule" the
-  interleaving explorer replays.  Schedule 0 conventionally runs with
-  ``max_delay=0`` as the unperturbed baseline.
+:class:`ChaosHook` stalls the publishing thread at the
+:data:`SCHEDULING_POINTS` by a delay derived *purely* from (seed,
+schedule, event identity).  Because the delay is a function of the
+event and not of arrival order, schedule ``k`` applies the same
+perturbation pattern no matter how the OS happens to interleave threads
+— the "systematically permuted schedule" the interleaving explorer
+replays.  Schedule 0 conventionally runs with ``max_delay=0`` as the
+unperturbed baseline.
 
 Hooks must never call back into the engine or the store (the store
 events publish under its lock).
@@ -50,25 +49,6 @@ SCHEDULING_POINTS = frozenset({
 })
 
 
-class RecordingHook:
-    """The event log of one engine run."""
-
-    def __init__(self) -> None:
-        self._events: list[Event] = []
-
-    def __call__(self, ev: Event) -> None:
-        self._events.append(ev)
-
-    @property
-    def events(self) -> tuple[Event, ...]:
-        """Everything seen so far, in bus (``seq``) order — listener
-        calls from different threads can arrive out of it."""
-        return tuple(sorted(self._events, key=lambda e: e.seq))
-
-    def types_seen(self) -> frozenset[str]:
-        return frozenset(e.type for e in self._events)
-
-
 def _event_delay(
     seed: int, schedule: int, ev: Event, *, max_delay: float, density: float
 ) -> float:
@@ -89,8 +69,8 @@ def _event_delay(
     return (r / density) * max_delay
 
 
-class ChaosHook(RecordingHook):
-    """Recording hook that deterministically perturbs the schedule.
+class ChaosHook:
+    """Bus listener that deterministically perturbs the schedule.
 
     ``density`` is the fraction of event identities that stall at all;
     stalls are uniform in ``(0, max_delay]``.  Delays this small are
@@ -106,7 +86,6 @@ class ChaosHook(RecordingHook):
         max_delay: float = 0.0015,
         density: float = 0.6,
     ) -> None:
-        super().__init__()
         if max_delay < 0:
             raise ValueError(f"negative max_delay {max_delay}")
         if not (0.0 < density <= 1.0):
@@ -117,7 +96,6 @@ class ChaosHook(RecordingHook):
         self.density = density
 
     def __call__(self, ev: Event) -> None:
-        super().__call__(ev)
         if self.max_delay <= 0 or ev.type not in SCHEDULING_POINTS:
             return
         delay = _event_delay(

@@ -2,9 +2,9 @@
 
 Independent of the engine's own runtime guards: the engine *raises*
 when it catches a violation mid-run, while these checks re-derive the
-invariants from the run's :class:`~repro.obs.live.bus.Event` stream (a
-:class:`~repro.verify.hooks.RecordingHook` log, or a ``--events`` JSONL
-read back), ordered by ``seq``, after the run.  A bug that silently
+invariants from the run's :class:`~repro.obs.live.bus.Event` stream (the
+bus's record, ``obs.bus.events()``, or a ``--events`` JSONL read back),
+ordered by ``seq``, after the run.  A bug that silently
 disabled an engine guard would still be caught here.
 
 Checked invariants (paper §4-§6):
@@ -85,7 +85,8 @@ def check_interleaving_invariants(
     contact_all_maps: bool = False,
     attempts: Iterable[TaskAttempt] = (),
 ) -> list[Violation]:
-    """Validate one run's event log; returns all violations found.
+    """Validate one run's event log, in ``seq`` order (the bus's record
+    and a per-job JSONL both are); returns all violations found.
 
     ``attempts`` is the run's :attr:`JobResult.attempts` log when the
     run succeeded — it identifies which reduce attempt committed, which
@@ -93,7 +94,6 @@ def check_interleaving_invariants(
     default: the commit-dependent check is vacuous then.
     """
     violations: list[Violation] = []
-    events = sorted(events, key=lambda e: e.seq)
 
     # Per-map commit history [(seq, attempt)], in seq order.
     spills: dict[int, list[tuple[int, int]]] = {}

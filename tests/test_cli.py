@@ -359,7 +359,7 @@ class TestLiveFlags:
         assert status["state"] == "done"
         assert status["progress"] == 1.0
         assert status["maps"]["done"] == 6
-        assert status["events"]["dropped"] == 0
+        assert status["events"] == {"published": len(events)}
 
     def test_live_renders_on_non_tty(self, ncfile, capsys):
         rc = main(
@@ -413,6 +413,54 @@ class TestLiveFlags:
         assert totals["stragglers"] >= 1
         flagged = [e for e in events if e.type == "task.straggler"]
         assert ("map", 3) in {(e.kind, e.index) for e in flagged}
+
+    def test_one_straggler_flag_per_attempt_under_speculate(
+        self, ncfile, tmp_path, capsys
+    ):
+        """``--speculate`` brings the run's own detector: the CLI adds no
+        second one to the bus, which would flag — and count — every
+        straggler twice."""
+        plan = {
+            "seed": 0,
+            "rules": [
+                {"task": "map", "fault": "slow", "indices": [5], "delay": 0.4}
+            ],
+        }
+        pf = tmp_path / "slow.json"
+        pf.write_text(json.dumps(plan))
+        ev_path = tmp_path / "events.jsonl"
+        m_path = tmp_path / "metrics.json"
+        rc = main(
+            [
+                "query", ncfile,
+                "--variable", "temperature",
+                "--extract", "7,5,1",
+                "--reduces", "4",
+                "--splits", "16",
+                "--limit", "1",
+                "--engine", "threaded",
+                "--speculate",
+                "--inject-faults", str(pf),
+                "--events", str(ev_path),
+                "--metrics", str(m_path),
+            ]
+        )
+        assert rc == 0
+
+        from collections import Counter
+
+        from repro.obs.live import read_events
+
+        events = read_events(ev_path)
+        flags = Counter(
+            (e.kind, e.index, e.attempt)
+            for e in events
+            if e.type == "task.straggler"
+        )
+        assert ("map", 5, 0) in flags
+        assert max(flags.values()) == 1, flags
+        run = json.loads(m_path.read_text())[events[0].data["name"]]
+        assert run["counters"]["sched.stragglers.flagged"] == len(flags)
 
 
 class TestFaultFlags:

@@ -314,3 +314,43 @@ class TestColumnarFaultTolerance:
         b, _ = _records(plan, data, StdDevOp(), data_plane="columnar",
                         mode="threaded")
         assert a.all_records() == b.all_records()
+
+
+# --------------------------------------------------------------------- #
+# shuffle.bytes measures the payload, the same on both planes
+# --------------------------------------------------------------------- #
+class TestShuffleBytes:
+    """``shuffle.bytes`` sizes what crosses the shuffle: a record-plane
+    ``Partial`` by its state and count (not the 56 bytes of the object
+    holding them), a ragged columnar state column by its cells (not its
+    row pointers)."""
+
+    @staticmethod
+    def shuffled(op, extraction, data_plane):
+        from repro.query.splits import aligned_slice_splits
+
+        field = temperature_dataset(days=28, lat=20, lon=16, seed=2)
+        plan = _plan(field, extraction, op)
+        splits = aligned_slice_splits(plan, num_splits=4)
+        job, barrier, _ = build_sidr_job(
+            plan, splits, 3, field.arrays["temperature"],
+            data_plane=data_plane, prune=False,
+        )
+        counters = LocalEngine().run_serial(job, barrier).counters
+        return counters.get("shuffle.bytes"), counters.get("shuffle.records")
+
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: op.name)
+    def test_both_planes_report_the_same_bytes(self, op):
+        record = self.shuffled(op, (7, 5, 4), "record")
+        columnar = self.shuffled(op, (7, 5, 4), "columnar")
+        assert record == columnar
+        assert record[1] == 64
+
+    def test_holistic_bytes_grow_with_the_extraction(self):
+        per_record = {}
+        for extraction in ((7, 5, 2), (7, 5, 4)):
+            nbytes, records = self.shuffled(MedianOp(), extraction, "columnar")
+            per_record[extraction] = nbytes / records
+            # every cell of every instance crosses: 8 bytes each
+            assert per_record[extraction] > 8 * np.prod(extraction)
+        assert per_record[(7, 5, 4)] > per_record[(7, 5, 2)]

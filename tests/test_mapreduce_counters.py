@@ -80,10 +80,10 @@ def _chunk(values):
 
 
 def _traced_bus():
-    """A bus with an ``EngineTrace`` folding it, plus a ``record``
-    shorthand publishing the event each trace entry derives from."""
-    bus, t = EventBus(), EngineTrace()
-    bus.attach(t.on_event)
+    """``trace()`` — an ``EngineTrace`` read off a bus's record — plus a
+    ``record`` shorthand publishing the event each trace entry derives
+    from."""
+    bus = EventBus()
 
     def record(kind, event, index):
         if event == "start":
@@ -91,7 +91,7 @@ def _traced_bus():
         else:
             bus.publish(EV_TASK_FINISH, kind=kind, index=index, status="ok")
 
-    return t, record
+    return lambda: EngineTrace(bus.events()), record
 
 
 class TestEngineTrace:
@@ -100,14 +100,14 @@ class TestEngineTrace:
         record("map", "start", 0)
         record("map", "finish", 0)
         record("reduce", "start", 0)
-        seqs = [e.seq for e in t.events]
+        seqs = [e.seq for e in t().events]
         assert seqs == [0, 1, 2]
 
     def test_seq_of_lookup(self):
         t, record = _traced_bus()
         record("map", "finish", 3)
-        assert t.seq_of("map", "finish", 3) == 0
-        assert t.seq_of("reduce", "start", 3) == -1
+        assert t().seq_of("map", "finish", 3) == 0
+        assert t().seq_of("reduce", "start", 3) == -1
 
     def test_early_reduce_count(self):
         t, record = _traced_bus()
@@ -115,12 +115,12 @@ class TestEngineTrace:
         record("reduce", "start", 0)   # before last map
         record("map", "finish", 1)
         record("reduce", "start", 1)   # after last map
-        assert t.reduce_starts_before_last_map() == 1
+        assert t().reduce_starts_before_last_map() == 1
 
     def test_no_maps_no_early(self):
         t, record = _traced_bus()
         record("reduce", "start", 0)
-        assert t.reduce_starts_before_last_map() == 0
+        assert t().reduce_starts_before_last_map() == 0
 
     def test_thread_safety(self):
         t, record = _traced_bus()
@@ -134,6 +134,6 @@ class TestEngineTrace:
             th.start()
         for th in threads:
             th.join()
-        events = t.events
+        events = t().events
         assert len(events) == 1200
         assert sorted(e.seq for e in events) == list(range(1200))

@@ -99,8 +99,8 @@ SERIAL_RANGED_TRACE = [
     ("map", "start", 7), ("map", "finish", 7),
     ("reduce", "start", 3), ("reduce", "finish", 3),
 ]
-#: ... and (type, kind, index) of the run's whole event log — what a
-#: scheduler hook (or any other bus listener) sees.
+#: ... and (type, kind, index) of the run's whole event log — the bus's
+#: record of the run.
 SERIAL_RANGED_EVENTS = [
     ("job.start", "", -1),
     ("task.start", "map", 0), ("spill.commit", "map", 0), ("task.finish", "map", 0),
@@ -206,26 +206,22 @@ class TestSerialDependency:
         — and so is the explorer's serial baseline digest (SHA-256 of
         the output's byte form: header, eight int64 keys, the JSON of
         ``[0, 10, ..., 70]``)."""
-        from repro.verify import RecordingHook, explore
+        from repro.verify import explore
 
         job, deps = ranged_job()
-        hook = RecordingHook()
-        res = LocalEngine(scheduler_hook=hook).run_serial(
-            job, DependencyBarrier(deps)
-        )
+        res = LocalEngine().run_serial(job, DependencyBarrier(deps))
+        events = res.obs.bus.events()
         assert [
             (e.kind, e.event, e.index) for e in res.trace.events
         ] == SERIAL_RANGED_TRACE
-        assert [e.seq for e in hook.events] == list(range(len(hook.events)))
+        assert [e.seq for e in events] == list(range(len(events)))
+        assert [(e.type, e.kind, e.index) for e in events] == SERIAL_RANGED_EVENTS
         assert [
-            (e.type, e.kind, e.index) for e in hook.events
-        ] == SERIAL_RANGED_EVENTS
-        assert [
-            e.data["completed"] for e in hook.events if e.type == "reduce.start"
+            e.data["completed"] for e in events if e.type == "reduce.start"
         ] == [list(range(2 * p + 2)) for p in range(4)]
         assert [
             (e.data["maps_done"], e.data["early"])
-            for e in hook.events if e.type == "barrier.fire"
+            for e in events if e.type == "barrier.fire"
         ] == [(2, True), (4, True), (6, True), (8, False)]
         assert res.obs.bus.listener_errors == 0
 
@@ -243,15 +239,12 @@ class TestSerialDependency:
         """Several reduces becoming ready at once still go ``ready p,
         reduce p, ready q, reduce q`` serially — never all the ready
         events first."""
-        from repro.verify import RecordingHook
-
-        hook = RecordingHook()
-        LocalEngine(scheduler_hook=hook).run_serial(
+        res = LocalEngine().run_serial(
             counting_job(num_splits=2, num_reduces=2), GlobalBarrier()
         )
         order = [
             (e.type, e.index)
-            for e in hook.events
+            for e in res.obs.bus.events()
             if e.type in ("barrier.fire", "reduce.start")
         ]
         assert order == [

@@ -166,11 +166,21 @@ class TestAttemptAwareStore:
 
 
 def _folded_store():
-    """A store publishing onto a bus whose metrics fold fills ``m``."""
-    from repro.obs import JobObservability
+    """A store publishing onto a bus, and ``m()``: the metrics fold read
+    over the bus's record so far, into a fresh registry."""
+    from repro.obs import EventBus, MetricsRegistry
+    from repro.obs.folds import MetricsFold
 
-    obs = JobObservability("spill")
-    return obs.metrics, ShuffleStore(bus=obs.bus)
+    bus = EventBus()
+
+    def m():
+        registry = MetricsRegistry()
+        fold = MetricsFold(registry)
+        for ev in bus.events():
+            fold(ev)
+        return registry
+
+    return m, ShuffleStore(bus=bus)
 
 
 class TestSpillMetrics:
@@ -179,12 +189,12 @@ class TestSpillMetrics:
         ``shuffle.spill.files`` counter entirely."""
         m, store = _folded_store()
         store.spill_empty(MapTaskId(0))
-        assert m.counter("shuffle.spill.files").value == 1
+        assert m().counter("shuffle.spill.files").value == 1
         store.spill([mk_file(1, 0, [((1,), 1)]), mk_file(1, 1, [])])
-        assert m.counter("shuffle.spill.files").value == 3
+        assert m().counter("shuffle.spill.files").value == 3
 
     def test_superseded_spills_counted(self):
         m, store = _folded_store()
         store.spill([mk_file(0, 0, [])])
         store.spill([mk_file(0, 0, [])], attempt=1)
-        assert m.counter("shuffle.spill.superseded").value == 1
+        assert m().counter("shuffle.spill.superseded").value == 1

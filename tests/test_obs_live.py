@@ -2,7 +2,8 @@
 
 Covers the streaming contracts the post-hoc trace cannot express:
 
-* bus basics — total order, bounded non-blocking queues, drop counting;
+* bus basics — the record's total order under concurrent publishers,
+  heartbeats delivered but not recorded, listener isolation;
 * happens-before on a real threaded run — no reduce starts before its
   barrier fires, no partition is fetched before a spill committed it;
 * progress snapshots, the cost-model ETA bridge, and the inflight gauge;
@@ -22,6 +23,7 @@ from repro.errors import InjectedFaultError, JobFailedError
 from repro.faults import FaultKind, FaultRule, InjectionPlan
 from repro.mapreduce.engine import GlobalBarrier, LocalEngine
 from repro.obs import JobObservability, MetricsRegistry
+from repro.obs.folds import MetricsFold
 from repro.obs.live import (
     CostModelEta,
     EventBus,
@@ -31,7 +33,6 @@ from repro.obs.live import (
     phase_totals,
     read_events,
 )
-from repro.obs.live.stream import trace_phase_totals
 from repro.query.splits import slice_splits
 from repro.sidr.planner import build_sidr_job
 from repro.sim.timeline import TaskTimeline
@@ -44,12 +45,10 @@ def run_with_bus(job, barrier, engine=None, *, bus=None, metrics=None):
     metrics = metrics or MetricsRegistry()
     bus = bus or EventBus(metrics=metrics)
     obs = JobObservability(job.name, metrics=metrics, bus=bus)
-    sub = bus.subscribe()
     engine = engine or LocalEngine()
     res = engine.run_threaded(job, barrier, obs=obs)
-    # Every report on the run is a bus listener: none may have raised.
     assert bus.listener_errors == 0, bus.first_listener_error
-    return res, sub.drain()
+    return res, bus.events()
 
 
 # --------------------------------------------------------------------- #
@@ -58,20 +57,21 @@ def run_with_bus(job, barrier, engine=None, *, bus=None, metrics=None):
 class TestEventBus:
     def test_seq_is_a_total_order(self):
         bus = EventBus()
-        a = bus.subscribe()
-        b = bus.subscribe()
+        seen = []
+        bus.attach(seen.append)
         for i in range(10):
             bus.publish("tick", index=i)
-        sa, sb = [e.seq for e in a.drain()], [e.seq for e in b.drain()]
-        assert sa == sb == list(range(10))
+        assert [e.seq for e in bus.events()] == list(range(10))
+        assert seen == bus.events()
         assert bus.published == 10
+        # ``since`` reads the record from a seq on
+        assert [e.index for e in bus.events(since=7)] == [7, 8, 9]
 
     def test_timestamps_monotonic(self):
         bus = EventBus()
-        sub = bus.subscribe()
         for _ in range(5):
             bus.publish("tick")
-        ts = [e.t for e in sub.drain()]
+        ts = [e.t for e in bus.events()]
         assert ts == sorted(ts)
 
     def test_to_json_omits_empty_fields(self):
@@ -85,37 +85,8 @@ class TestEventBus:
         assert task.to_json()["kind"] == "map"
         assert "data" not in task.to_json()
 
-    def test_overflow_drops_newest_and_never_blocks(self):
-        metrics = MetricsRegistry()
-        bus = EventBus(metrics=metrics)
-        sub = bus.subscribe(maxsize=4)
-        start = time.perf_counter()
-        for i in range(100):
-            bus.publish("tick", index=i)
-        # 100 publishes into a 4-slot queue must be near-instant: the
-        # publisher never waits on the stalled consumer.
-        assert time.perf_counter() - start < 1.0
-        assert bus.published == 100
-        assert sub.dropped == 96
-        assert bus.dropped == 96
-        assert metrics.counter("obs.events.dropped").value == 96
-        kept = sub.drain()
-        # Drop-newest: the oldest events survive (backfilling the start
-        # of the stream is impossible; the tail can be re-derived from
-        # the final snapshot).
-        assert [e.index for e in kept] == [0, 1, 2, 3]
-
-    def test_closed_subscription_stops_receiving(self):
-        bus = EventBus()
-        sub = bus.subscribe()
-        bus.publish("a")
-        sub.close()
-        bus.publish("b")
-        assert [e.type for e in sub.drain()] == ["a"]
-
     def test_listener_may_publish(self):
         bus = EventBus()
-        sub = bus.subscribe()
 
         def echo(ev):
             if ev.type == "ping":
@@ -123,7 +94,7 @@ class TestEventBus:
 
         bus.attach(echo)
         bus.publish("ping")
-        assert [e.type for e in sub.drain()] == ["ping", "pong"]
+        assert [e.type for e in bus.events()] == ["ping", "pong"]
 
     def test_listener_exceptions_counted_not_raised(self):
         bus = EventBus()
@@ -135,12 +106,18 @@ class TestEventBus:
         assert isinstance(bus.first_listener_error, ZeroDivisionError)
 
     def test_concurrent_publishers_lossless_order(self):
+        """N threads publish at once: the record is in strictly
+        increasing ``seq`` and holds exactly what a listener saw, less
+        the heartbeats, which reach listeners but not the record."""
         bus = EventBus()
-        sub = bus.subscribe()
+        seen = []
+        bus.attach(seen.append)
 
         def worker(k):
-            for _ in range(200):
+            for i in range(200):
                 bus.publish("tick", index=k)
+                if i % 10 == 0:
+                    bus.publish("task.heartbeat", kind="map", index=k)
 
         threads = [
             threading.Thread(target=worker, args=(k,)) for k in range(4)
@@ -149,9 +126,14 @@ class TestEventBus:
             t.start()
         for t in threads:
             t.join()
-        events = sub.drain()
+        events = bus.events()
+        seqs = [e.seq for e in events]
         assert len(events) == 800
-        assert [e.seq for e in events] == list(range(800))
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        assert {e.type for e in events} == {"tick"}
+        assert bus.published == len(seen) == 800 + 4 * 20
+        heard = [e for e in seen if e.type != "task.heartbeat"]
+        assert sorted(heard, key=lambda e: e.seq) == events
 
 
 # --------------------------------------------------------------------- #
@@ -223,16 +205,19 @@ class TestInflightGauge:
         metrics = MetricsRegistry()
         bus = EventBus(metrics=metrics)
         obs = JobObservability(job.name, metrics=metrics, bus=bus)
-        peak = []
-        bus.attach(
-            lambda ev: peak.append(
-                metrics.gauge("obs.tasks.inflight").value
-            )
-        )
         getattr(LocalEngine(), runner)(job, barrier, obs=obs)
         assert metrics.gauge("obs.tasks.inflight").value == 0.0
-        # The gauge was actually raised while tasks were in flight.
-        assert max(peak) >= 1.0
+        # The gauge is raised while tasks are in flight: folded over the
+        # record up to the first finish, it reads the attempts running.
+        events = bus.events()
+        first_finish = next(
+            i for i, ev in enumerate(events) if ev.type == "task.finish"
+        )
+        prefix = MetricsRegistry()
+        fold = MetricsFold(prefix)
+        for ev in events[:first_finish]:
+            fold(ev)
+        assert prefix.gauge("obs.tasks.inflight").value >= 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -262,8 +247,7 @@ class TestProgress:
         assert snap["reduces"]["fired"] == 4
         assert snap["tasks_inflight"] == 0
         assert snap["eta"] == 0.0
-        assert snap["events"]["dropped"] == 0
-        assert snap["events"]["published"] == bus.published
+        assert snap["events"] == {"published": bus.published}
         # The curve reaches all 4 reduces, monotonically, as fractions.
         curve = snap["reduce_curve"]
         assert [f for _, f in curve] == [0.25, 0.5, 0.75, 1.0]
@@ -337,7 +321,6 @@ class TestFinishOnFailure:
     )
     def test_crashed_map_still_finishes_the_job(self, mode, raised):
         bus = EventBus()
-        sub = bus.subscribe()
         job = counting_job()
         obs = JobObservability(job.name, bus=bus)
         engine = LocalEngine(
@@ -352,7 +335,7 @@ class TestFinishOnFailure:
         )
         with pytest.raises(raised):
             engine.run(job, GlobalBarrier(), mode=mode, obs=obs)
-        types = [e.type for e in sub.drain()]
+        types = [e.type for e in bus.events()]
         assert types.count("job.finish") == 1
         assert types[-1] == "job.finish"
         assert obs.job_span.end is not None
@@ -375,7 +358,6 @@ class TestFinishOnFailure:
         assert attempts == 6 + 3
         gauges = res.obs.metrics.snapshot()["gauges"]
         assert gauges["obs.bus.listener_errors"] == attempts
-        assert gauges["obs.bus.dropped"] == 0
         assert isinstance(bus.first_listener_error, KeyError)
 
 
@@ -402,7 +384,6 @@ class TestStragglerDetector:
         metrics = MetricsRegistry()
         bus = EventBus(metrics=metrics)
         detector = StragglerDetector(bus)
-        sub = bus.subscribe()
         obs = JobObservability(job.name, metrics=metrics, bus=bus)
         detector.start_ticker(interval=0.02)
         try:
@@ -410,7 +391,7 @@ class TestStragglerDetector:
         finally:
             detector.stop_ticker()
         assert ("map", 5, 0) in detector.flagged
-        flagged = [e for e in sub.drain() if e.type == "task.straggler"]
+        flagged = [e for e in bus.events() if e.type == "task.straggler"]
         assert [(e.kind, e.index) for e in flagged] == [("map", 5)]
         ev = flagged[0]
         assert ev.data["elapsed"] > ev.data["threshold"]
@@ -484,14 +465,19 @@ class TestJsonlStream:
         with JsonlEventWriter(bus, path) as writer:
             res = LocalEngine().run_threaded(job, barrier, obs=obs)
         assert writer.written == bus.published
-        assert writer.dropped == 0
 
         replayed = read_events(path)
-        assert [e.seq for e in replayed] == list(range(bus.published))
+        # event for event, as far as JSON carries an event
+        assert [e.to_json() for e in replayed] == [
+            json.loads(json.dumps(e.to_json())) for e in bus.events()
+        ]
         live = phase_totals(replayed)
-        posthoc = trace_phase_totals(res.trace)
-        assert live["map"] == posthoc["map"]
-        assert live["reduce"] == posthoc["reduce"]
+        for kind in ("map", "reduce"):
+            entries = [e.event for e in res.trace.events if e.kind == kind]
+            assert live[kind] == {
+                "started": entries.count("start"),
+                "finished": entries.count("finish"),
+            }
         assert live["map"] == {"started": 8, "finished": 8}
         assert live["barriers_fired"] == 4
         assert live["spills"] >= 8
@@ -594,10 +580,15 @@ class TestJsonlStream:
         assert isinstance(writer.first_write_error, OSError)
 
     def test_unwritable_path_leaves_no_subscription(self, tmp_path):
+        """The writer reads the record from a cursor: a path it cannot
+        open raises before any drainer starts, and the bus is as it
+        was."""
         bus = EventBus()
+        threads = threading.active_count()
         with pytest.raises(OSError):
             JsonlEventWriter(bus, tmp_path / "no-such-dir" / "ev.jsonl")
-        assert bus._subs == []
+        assert bus._listeners == ()
+        assert threading.active_count() == threads
 
 
 # --------------------------------------------------------------------- #
@@ -618,9 +609,8 @@ class TestSimulatorReplay:
         )
         bus = EventBus(clock=lambda: 0.0)
         progress = ProgressTracker(bus)
-        sub = bus.subscribe()
         n = tl.replay_events(bus)
-        events = sub.drain()
+        events = bus.events()
         assert len(events) == n
         # Virtual time, in order, with the engine's exact vocabulary.
         assert [e.t for e in events] == sorted(e.t for e in events)

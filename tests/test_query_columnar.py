@@ -20,7 +20,11 @@ from repro.mapreduce.columnar import (
     lexsorted_rows,
 )
 from repro.mapreduce.job import JobConf
-from repro.mapreduce.shuffle import ShuffleStore, _nbytes, _spill_checks_enabled
+from repro.mapreduce.shuffle import (
+    ShuffleStore,
+    _spill_checks_enabled,
+    payload_nbytes,
+)
 from repro.mapreduce.types import MapTaskId
 from repro.query.columnar import (
     ColumnarRecordReader,
@@ -754,11 +758,11 @@ class TestPlumbing:
 
     def test_nbytes_ndarray_is_exact(self):
         arr = np.zeros(100, dtype=np.float64)
-        assert _nbytes(arr) == arr.nbytes
+        assert payload_nbytes(arr) == arr.nbytes
         obj = np.empty(2, dtype=object)
         obj[0] = np.zeros(10, dtype=np.float32)
         obj[1] = np.zeros(10, dtype=np.float32)
-        assert _nbytes(obj) == 80
+        assert payload_nbytes(obj) == 80
 
     def test_spill_check_env_parsing(self, monkeypatch):
         for raw, want in [

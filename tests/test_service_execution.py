@@ -127,6 +127,34 @@ class TestThreadedRunsOnTheWorkerThread:
         )
 
 
+class TestAServedJobListensToNothing:
+    def test_no_listener_and_no_heartbeat_for_the_whole_run(self, monkeypatch):
+        """A served job that neither speculates nor runs under ``serve
+        --events`` has no listener on its bus from its first publish to
+        its last, and publishes no heartbeat: its status document and
+        counters are read off the bus's record."""
+        published = []
+
+        class WatchedBus(EventBus):
+            def publish(self, type, **kwargs):
+                published.append((type, len(self._listeners)))
+                return super().publish(type, **kwargs)
+
+        monkeypatch.setattr(service_module, "EventBus", WatchedBus)
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", field())
+            for engine in ("serial", "threaded"):
+                doc = client.query(req(engine=engine))
+                assert doc["state"] == DONE
+                assert doc["progress"]["state"] == "done"
+                counters = client.status(doc["id"])["counters"]
+                assert counters["task.attempts"] == 6 + 3
+        types = [t for t, _ in published]
+        assert types.count("job.start") == types.count("job.finish") == 2
+        assert {listeners for _, listeners in published} == {0}
+        assert "task.heartbeat" not in types
+
+
 class TestSpeculationStillRacesABackup:
     def test_hung_map_is_hedged_and_the_backup_wins(self, sampled):
         with service_fixture(workers=1) as client:

@@ -111,11 +111,17 @@ class TestMapScheduling:
 
 
 def folded_bus():
-    """A bus whose metrics fold fills the returned registry."""
+    """A run's bus, and ``m()``: its registry once the run finishes and
+    the metrics fold reads the record."""
     from repro.obs import JobObservability
 
     obs = JobObservability("sched")
-    return obs.metrics, obs.bus
+
+    def m():
+        obs.finish()
+        return obs.metrics
+
+    return m, obs.bus
 
 
 class TestSchedulerMetrics:
@@ -126,7 +132,7 @@ class TestSchedulerMetrics:
             p.on_reduce_scheduled(l)
         for i in range(6):
             p.on_map_scheduled(i)
-        c = m.snapshot()["counters"]
+        c = m().snapshot()["counters"]
         assert c["sched.reduce.scheduled"] == 3
         assert c["sched.maps.unlocked"] == 6
         assert c["sched.map.scheduled"] == 6
@@ -149,4 +155,4 @@ class TestSchedulerMetrics:
         m, bus = folded_bus()
         policy = sidr.schedule_policy(bus=bus)
         policy.on_reduce_scheduled(0)
-        assert m.snapshot()["counters"]["sched.reduce.scheduled"] == 1
+        assert m().snapshot()["counters"]["sched.reduce.scheduled"] == 1

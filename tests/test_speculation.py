@@ -19,6 +19,7 @@ from repro.mapreduce.mapper import IdentityMapper
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.reducer import FunctionReducer
 from repro.mapreduce.splits import ByteRangeSplit
+from repro.obs import JobObservability
 from repro.obs.live.bus import (
     EV_SPILL_COMMIT,
     EV_TASK_HANG,
@@ -122,13 +123,16 @@ class TestCancelToken:
 class TestHeartbeat:
     def test_publishes_rate_limited(self):
         bus = EventBus()
-        sub = bus.subscribe()
+        seen = []
+        bus.attach(seen.append)
         hb = Heartbeat(bus, "map", 3, 0, 0.01, every=1)
         hb.beat()
         time.sleep(0.02)
         hb.beat()
-        evs = [e for e in sub.drain() if e.type == EV_TASK_HEARTBEAT]
+        evs = [e for e in seen if e.type == EV_TASK_HEARTBEAT]
         assert len(evs) == 2
+        # delivered to listeners, never recorded
+        assert bus.events() == []
         assert evs[0].index == 3
         assert evs[-1].data["progress"] == 2
 
@@ -136,6 +140,30 @@ class TestHeartbeat:
         hb = Heartbeat(None, "map", 0, 0, 0.01)
         hb.beat()
         assert hb.count == 0  # short-circuits before counting
+
+    def test_published_only_for_a_hang_detector(self):
+        """Heartbeats feed the hang detector and nothing else: a run
+        with no detector publishes none, a speculating run does — and
+        neither records them."""
+
+        def many_records(split):
+            for j in range(64):
+                yield ((j % 5,), 1)
+
+        beats = {}
+        for policy in (None, SpeculationPolicy(hang_timeout=30.0)):
+            job = counting_job(num_splits=2, num_reduces=1)
+            job.reader_factory = many_records
+            seen = []
+            obs = JobObservability(job.name, enabled=False)
+            obs.bus.attach(seen.append)
+            LocalEngine(speculation=policy).run_serial(job, obs=obs)
+            beats[policy is not None] = sum(
+                e.type == EV_TASK_HEARTBEAT for e in seen
+            )
+            assert EV_TASK_HEARTBEAT not in {e.type for e in obs.bus.events()}
+        assert beats[False] == 0
+        assert beats[True] > 0
 
 
 class TestHangDetector:
@@ -155,7 +183,6 @@ class TestHangDetector:
 
     def test_rank_orders_simultaneous_flags(self):
         bus = EventBus()
-        sub = bus.subscribe()
         det = HangDetector(
             bus, hang_timeout=0.01, rank=lambda kind, index: float(index)
         )
@@ -163,7 +190,7 @@ class TestHangDetector:
             bus.publish(EV_TASK_START, kind="map", index=i, attempt=0)
         time.sleep(0.05)
         det.check()
-        hangs = [e.index for e in sub.drain() if e.type == EV_TASK_HANG]
+        hangs = [e.index for e in bus.events() if e.type == EV_TASK_HANG]
         assert hangs == [2, 1, 0]
 
     def test_ticker_context_stops_on_exception(self):
@@ -297,18 +324,14 @@ class TestEngineSpeculation:
             eng.run_threaded(counting_job())
 
     def test_speculate_hook_fires(self):
-        from repro.verify import RecordingHook
-
-        hook = RecordingHook()
         eng = LocalEngine(
             observability=False,
             speculation=FAST,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             faults=hang_plan(index=1),
-            scheduler_hook=hook,
         )
-        eng.run_threaded(counting_job())
-        spec = [e for e in hook.events if e.type == EV_TASK_SPECULATE]
+        res = eng.run_threaded(counting_job())
+        spec = [e for e in res.obs.bus.events() if e.type == EV_TASK_SPECULATE]
         assert len(spec) == 1
         assert spec[0].kind == "map" and spec[0].index == 1
         assert spec[0].data["of"] == 0 and spec[0].attempt == 1
@@ -478,25 +501,25 @@ class TestAtMostOneWinner:
     def test_chaos_schedules(self):
         oracle = canon(LocalEngine().run_serial(counting_job()))
         for schedule in range(25):
-            hook = ChaosHook(
+            job = counting_job()
+            obs = JobObservability(job.name, enabled=False)
+            obs.bus.attach(ChaosHook(
                 seed=11,
                 schedule=schedule,
                 max_delay=0.0 if schedule == 0 else 0.0015,
-            )
+            ))
             eng = LocalEngine(
                 observability=False,
                 speculation=FAST,
                 retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
                 faults=hang_plan(index=1),
-                scheduler_hook=hook,
             )
-            job = counting_job()
-            res = eng.run_threaded(job)
+            res = eng.run_threaded(job, obs=obs)
             assert canon(res) == oracle, f"schedule {schedule}"
             from repro.mapreduce.engine import GlobalBarrier
 
             violations = check_interleaving_invariants(
-                hook.events,
+                obs.bus.events(),
                 barrier=GlobalBarrier(),
                 total_maps=job.num_map_tasks,
                 contact_all_maps=True,
@@ -569,7 +592,6 @@ class TestRecoveryRace:
         recovery re-executes only its dependencies."""
         from repro.faults import WHEN_AFTER_FETCH, RecoveryModel
         from repro.obs.live.bus import EV_RECOVERY
-        from repro.verify.hooks import RecordingHook
 
         field = temperature_dataset(days=28, lat=10, lon=8, seed=1)
         data = field.arrays["temperature"]
@@ -583,7 +605,6 @@ class TestRecoveryRace:
             return build_sidr_job(plan, splits, 3, data)[:2]
 
         expected = LocalEngine().run_serial(*job()).all_records()
-        hook = RecordingHook()
         engine = LocalEngine(
             retry=RetryPolicy(max_attempts=3),
             recovery=RecoveryModel.REEXECUTE_DEPS,
@@ -594,30 +615,30 @@ class TestRecoveryRace:
                 FaultRule(task="map", kind=FaultKind.SLOW, fraction=1.0,
                           delay=0.3),
             )),
-            scheduler_hook=hook,
         )
         conf, barrier = job()
         res = engine.run_threaded(conf, barrier)
         assert res.all_records() == expected
+        events = res.obs.bus.events()
 
         # The scenario happened: a re-executed map was hedged again ...
         reexecuted = {
-            m for e in hook.events if e.type == EV_RECOVERY
+            m for e in events if e.type == EV_RECOVERY
             for m in e.data["maps"]
         }
         first_runs = {
-            e.index: e.seq for e in hook.events
+            e.index: e.seq for e in events
             if e.type == EV_SPILL_COMMIT and e.index in reexecuted
             and not e.data["superseded"]
         }
         assert reexecuted and any(
             e.type == EV_TASK_SPECULATE and e.data["mode"] == "race"
             and e.index in reexecuted and e.seq > first_runs[e.index]
-            for e in hook.events
+            for e in events
         )
         # ... and every reduce still got the whole of its I_l.
         violations = check_interleaving_invariants(
-            hook.events, barrier=barrier, total_maps=conf.num_map_tasks,
+            events, barrier=barrier, total_maps=conf.num_map_tasks,
             attempts=res.attempts,
         )
         assert not violations, "; ".join(map(str, violations))
@@ -680,11 +701,9 @@ class TestFuzzSpeculate:
 # --------------------------------------------------------------------- #
 class TestLiveVocabulary:
     def test_phase_totals_counts_speculation_events(self):
-        from repro.obs import JobObservability
         from repro.obs.live.stream import phase_totals
 
         bus = EventBus()
-        sub = bus.subscribe()
         obs = JobObservability("spec", bus=bus)
         eng = LocalEngine(
             # Straggler speculation off: mitigation must come from the
@@ -698,7 +717,7 @@ class TestLiveVocabulary:
             faults=hang_plan(index=1),
         )
         res = eng.run_threaded(counting_job(), obs=obs)
-        totals = phase_totals(sub.drain())
+        totals = phase_totals(bus.events())
         assert totals["hangs"] >= 1
         assert totals["speculations"] == 1
         assert totals["cancelled"] == 1

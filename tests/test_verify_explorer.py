@@ -1,4 +1,5 @@
-"""Interleaving explorer: hook seam, invariant checks, determinism."""
+"""Interleaving explorer: the record as its log, invariant checks,
+determinism."""
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.obs.live.bus import (
 from repro.verify import (
     SCHEDULING_POINTS,
     ChaosHook,
-    RecordingHook,
     check_interleaving_invariants,
     explore,
 )
@@ -63,50 +63,49 @@ def crafted_job():
 EXPECTED = {(0,): 1, (1,): 11, (2,): 21}
 
 
+def types_seen(res):
+    return {e.type for e in res.obs.bus.events()}
+
+
 class TestHookSeam:
     def test_all_five_points_fire_threaded(self):
         job, barrier = crafted_job()
-        hook = RecordingHook()
-        res = LocalEngine(observability=False, scheduler_hook=hook).run_threaded(
-            job, barrier
-        )
+        res = LocalEngine(observability=False).run_threaded(job, barrier)
         assert dict(res.all_records()) == EXPECTED
         # speculate only fires when a backup attempt launches
         assert (
-            hook.types_seen() & SCHEDULING_POINTS
+            types_seen(res) & SCHEDULING_POINTS
             == SCHEDULING_POINTS - {EV_TASK_SPECULATE}
         )
         assert res.obs.bus.listener_errors == 0
 
     def test_all_five_points_fire_serial(self):
         job, barrier = crafted_job()
-        hook = RecordingHook()
-        LocalEngine(observability=False, scheduler_hook=hook).run_serial(
-            job, barrier
-        )
+        res = LocalEngine(observability=False).run_serial(job, barrier)
         assert (
-            hook.types_seen() & SCHEDULING_POINTS
+            types_seen(res) & SCHEDULING_POINTS
             == SCHEDULING_POINTS - {EV_TASK_SPECULATE}
         )
 
     def test_events_carry_task_identity(self):
         job, barrier = crafted_job()
-        hook = RecordingHook()
-        LocalEngine(observability=False, scheduler_hook=hook).run_serial(
-            job, barrier
-        )
-        spills = [e for e in hook.events if e.type == EV_SPILL_COMMIT]
+        res = LocalEngine(observability=False).run_serial(job, barrier)
+        events = res.obs.bus.events()
+        spills = [e for e in events if e.type == EV_SPILL_COMMIT]
         assert sorted(e.index for e in spills) == [0, 1, 2]
-        fetches = [e for e in hook.events if e.type == EV_FETCH]
+        fetches = [e for e in events if e.type == EV_FETCH]
         # reduce 0 fetches maps {0,1}; reduce 1 fetches {2}
         assert sorted((e.index, e.data["map"]) for e in fetches) == [
             (0, 0), (0, 1), (1, 2),
         ]
 
     def test_no_hook_means_no_events(self):
+        """A run nobody watches attaches nothing to its bus: the record
+        is the whole log."""
         job, barrier = crafted_job()
         res = LocalEngine(observability=False).run_threaded(job, barrier)
         assert dict(res.all_records()) == EXPECTED
+        assert res.obs.bus._listeners == ()
 
     def test_chaos_delay_is_deterministic_and_order_independent(self):
         kw = dict(max_delay=0.002, density=0.6)
@@ -152,13 +151,12 @@ class TestExplorer:
             seed=0,
         )
 
-        def factory(hook):
+        def factory():
             return LocalEngine(
                 observability=False,
                 retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
                 faults=faults,
                 recovery=RecoveryModel.REEXECUTE_DEPS,
-                scheduler_hook=hook,
             )
 
         report = explore(
