@@ -54,7 +54,7 @@ import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Protocol
+from typing import Any, ClassVar, Protocol
 
 import numpy as np
 
@@ -142,15 +142,18 @@ class ChunkBatch:
         return self.values.shape[1]
 
 
-def lexsorted_rows(keys: np.ndarray) -> bool:
+def lexsorted_rows(keys: np.ndarray, *, strict: bool = False) -> bool:
     """True when the rows of an ``(n, rank)`` array are in non-descending
     lexicographic order — the vectorized counterpart of the record
-    plane's adjacent-pair key scan."""
+    plane's adjacent-pair key scan; ``strict``: increasing, no row
+    repeated."""
     if keys.shape[0] < 2:
         return True
     a, b = keys[:-1], keys[1:]
     neq = a != b
     rows = np.flatnonzero(neq.any(axis=1))
+    if strict and rows.size < a.shape[0]:
+        return False
     if rows.size == 0:
         return True
     first = neq[rows].argmax(axis=1)
@@ -219,6 +222,14 @@ class SpillLayout:
             arrays += [run.starts, run.keys]
         return sum(a.nbytes for a in arrays if a is not None and a.base is None)
 
+    def check_sorted(self) -> None:
+        """Validate every run's lexsort invariant once, where the layout
+        is made: a spill whose keys are a run's own array is then not
+        rescanned (:class:`ColumnarMapOutput`)."""
+        for run in self.runs:
+            if not lexsorted_rows(run.keys, strict=True):
+                raise ShuffleError(f"spill layout run {run.partition} not sorted")
+
 
 def spill_layout(
     keys: np.ndarray, partitioner: Any, num_partitions: int
@@ -261,6 +272,49 @@ def spill_layout(
 
 
 @dataclass(frozen=True)
+class ReducePlan:
+    """One keyblock's reduce, when its plan fixes it: the maps that feed
+    it in map order, the run each spills to it, and the keyblock's key
+    grid — those runs laid end to end (:func:`reduce_plan`).
+
+    A reduce whose fetched files are exactly these runs (same maps, in
+    order, each file's keys the run's own array) has nothing to merge:
+    every key comes from one map, in key order already, so its output is
+    ``finalize`` of the state columns laid end to end, on :attr:`keys`.
+    """
+
+    map_ids: tuple[int, ...]
+    #: Each map's run keys, the arrays its spill files carry.
+    runs: tuple[np.ndarray, ...]
+    #: ``(n, rank)`` int64, strictly increasing, read-only.
+    keys: np.ndarray
+
+    def matches(self, files: Sequence[Any]) -> bool:
+        """Are ``files`` (one partition's fetch, in map order) this
+        plan's runs?"""
+        return len(files) == len(self.runs) and all(
+            f.map_id.index == m and f.keys is keys
+            for f, m, keys in zip(files, self.map_ids, self.runs)
+        )
+
+
+def reduce_plan(runs: Sequence[tuple[int, SpillRun]]) -> ReducePlan | None:
+    """The :class:`ReducePlan` of a keyblock fed by ``runs`` —
+    ``(map id, run)`` pairs in map order — or ``None`` when a key
+    repeats, within a run or across maps, and the reduce must merge."""
+    if not runs or any(run.starts is not None for _, run in runs):
+        return None
+    keys = np.concatenate([run.keys for _, run in runs])
+    if not lexsorted_rows(keys, strict=True):
+        return None
+    return ReducePlan(
+        tuple(m for m, _ in runs),
+        tuple(run.keys for _, run in runs),
+        _read_only(keys),
+    )
+
+
+@dataclass(frozen=True)
 class ColumnarMapOutput:
     """Sorted columnar run for one (map task, keyblock).
 
@@ -279,6 +333,8 @@ class ColumnarMapOutput:
     states: tuple[np.ndarray, ...] = field(repr=False)
     source_counts: np.ndarray = field(repr=False)
     source_records: int = 0
+    #: Keys already proven sorted where they were made: not rescanned.
+    _checked: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.partition < 0:
@@ -299,7 +355,7 @@ class ColumnarMapOutput:
                 raise ShuffleError("state column length mismatch")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "source_counts", counts)
-        if SPILL_CHECKS_ENABLED:
+        if SPILL_CHECKS_ENABLED and not self._checked:
             self.check_sorted()
 
     def check_sorted(self) -> None:
@@ -323,6 +379,14 @@ class ColumnarMapOutput:
             + sum(map(payload_nbytes, self.states))
             + self.source_counts.nbytes
         )
+
+
+class _PlannedRunOutput(ColumnarMapOutput):
+    """A spill whose keys are a planned :class:`SpillRun`'s own array:
+    checked once, when its layout was made
+    (:meth:`SpillLayout.check_sorted`), not once per spill."""
+
+    _checked = True
 
 
 #: :meth:`ResultBlock.to_bytes` header, little-endian: magic, value tag,
@@ -398,7 +462,8 @@ class ResultBlock(Sequence):
     @classmethod
     def concatenate(cls, blocks: Sequence["ResultBlock"]) -> "ResultBlock":
         """All rows of ``blocks`` in key order: laid end to end, and
-        sorted only when that is not already key order."""
+        sorted only when that is not already key order.  Each block is
+        in key order, so only the seams between blocks are compared."""
         blocks = [b for b in blocks if len(b)]
         if not blocks:
             return cls.empty()
@@ -409,7 +474,12 @@ class ResultBlock(Sequence):
             values = np.concatenate([b.values for b in blocks])
         else:
             values = [v for b in blocks for v in b.value_list()]
-        return cls(keys, values)._in_key_order()
+        block = cls(keys, values)
+        seams = all(
+            a.key_rows[-1].tolist() <= b.key_rows[0].tolist()
+            for a, b in zip(blocks, blocks[1:])
+        )
+        return block if seams else block._in_key_order()
 
     def _in_key_order(self) -> "ResultBlock":
         if lexsorted_rows(self.key_rows):
@@ -588,6 +658,9 @@ def run_columnar_map(
     layout: SpillLayout | None = getattr(reader, "layout", None)
     if layout is not None and not layout.fits(job.partitioner, n):
         layout = None
+    # A reader's layout was checked where it was made: a spill carrying
+    # one of its runs' keys as they are is not rescanned.
+    planned = layout is not None
     key_parts: list[np.ndarray] = []
     col_parts: list[tuple[np.ndarray, ...]] = []
     count_parts: list[np.ndarray] = []
@@ -635,7 +708,8 @@ def run_columnar_map(
                 counts = counts[layout.order]
             for run in layout.runs:
                 cut = slice(run.start, run.end)
-                pk = layout.keys[cut]
+                # No key repeats: the run's keys are its rows' keys.
+                pk = layout.keys[cut] if run.starts is not None else run.keys
                 pcols = tuple(c[cut] for c in cols)
                 pc = counts[cut]
                 src = int(pc.sum())
@@ -644,8 +718,9 @@ def run_columnar_map(
                     if run.starts is not None:
                         pcols = bop.combine_columns(pcols, run.starts)
                         pc = np.add.reduceat(pc, run.starts)
-                    pk = run.keys
+                        pk = run.keys
                     counters.increment("combine.output.records", len(pk))
+                checked = planned and pk is run.keys
                 if corrupt:
                     # Injected torn spill: reversing the lexsorted run
                     # breaks key order, so ColumnarMapOutput validation
@@ -654,7 +729,7 @@ def run_columnar_map(
                     pcols = tuple(c[::-1] for c in pcols)
                     pc = pc[::-1]
                 files.append(
-                    ColumnarMapOutput(
+                    (_PlannedRunOutput if checked else ColumnarMapOutput)(
                         map_id=MapTaskId(split_index),
                         partition=run.partition,
                         keys=pk,
@@ -683,6 +758,15 @@ def run_columnar_map(
             ).observe(records_in / dur)
 
 
+def _planned(job: Any, files: list[Any]) -> ReducePlan | None:
+    """The keyblock's :class:`ReducePlan`, when ``files`` are its runs."""
+    lookup = getattr(job, "context", {}).get("reduce_plan")
+    if not files or lookup is None:
+        return None
+    plan = lookup(files[0].partition)
+    return plan if plan is not None and plan.matches(files) else None
+
+
 def run_columnar_reduce(
     job: Any,
     files: list[Any],
@@ -696,13 +780,18 @@ def run_columnar_reduce(
     """Columnar reduce-task body (concatenate → lexsort → fold → finalize).
 
     ``files`` are this partition's fetched columnar spill files in map
-    order.  One stable lexsort over the concatenated key columns replaces
-    the heap merge (ties keep map order, matching ``heapq.merge``),
-    same-key groups combine with one segmented fold per state column,
-    and one ``finalize_columns`` call turns the combined columns into
-    the keyblock's output.  Nothing here runs once per key, so the
-    cancellation/liveness checkpoint is task-granular, like the map
-    side's per-batch one.
+    order.  When they are exactly the runs of the keyblock's
+    :class:`ReducePlan` (``job.context["reduce_plan"]``, looked up by
+    partition), every key arrives once and already in order: the body
+    is *concatenate → finalize* on the plan's key grid, and counts
+    ``reduce.planned``.  Otherwise one stable lexsort over the
+    concatenated key columns replaces the heap merge (ties keep map
+    order, matching ``heapq.merge``), same-key groups combine with one
+    segmented fold per state column, and one ``finalize_columns`` call
+    turns the combined columns into the keyblock's output; that counts
+    ``reduce.generic``.  Both give the same block.  Nothing here runs
+    once per key, so the cancellation/liveness checkpoint is
+    task-granular, like the map side's per-batch one.
     """
     bop: BatchOperator = job.batch_operator
     block = ResultBlock.empty()
@@ -712,12 +801,20 @@ def run_columnar_reduce(
         if cancel is not None:
             cancel.check()
         if files:
-            keys = np.concatenate([f.keys for f in files])
             cols = tuple(
                 np.concatenate(list(column_parts))
                 for column_parts in zip(*(f.states for f in files))
             )
             counts = np.concatenate([f.source_counts for f in files])
+        plan = _planned(job, files)
+        if plan is not None:
+            records = len(plan.keys)
+            sizes = np.ones(records, dtype=np.int64)
+            block = ResultBlock(plan.keys, bop.finalize_columns(cols, counts))
+            counters.increment("reduce.planned")
+        elif files:
+            counters.increment("reduce.generic")
+            keys = np.concatenate([f.keys for f in files])
             order = np.lexsort(keys.T[::-1])
             keys = keys[order]
             cols = tuple(c[order] for c in cols)

@@ -12,9 +12,11 @@ The query half of the columnar data plane (engine half:
   per-instance extent), the split's K' key grid, and where those rows
   spill (:class:`~repro.mapreduce.columnar.SpillLayout`: the stable
   order by partition and key, each partition's cut, its group starts
-  and keys).  It is a pure function of ``(plan, split)`` and the job's
-  partitioner, so :class:`~repro.sidr.planner.SIDRPlan` computes it once
-  per split and keeps it — and so does the service's plan cache.  Dense
+  and keys; under ``SPILL_CHECKS_ENABLED`` each run is checked sorted
+  here, once, instead of once per spill).  It is a pure function of
+  ``(plan, split)`` and the job's partitioner, so
+  :class:`~repro.sidr.planner.SIDRPlan` computes it once per split and
+  keeps it — and so does the service's plan cache.  Dense
   and strided extractions, one zone or many, range or hash partitioner:
   the same function.
 * :class:`ColumnarRecordReader` — reads each slab of a geometry once
@@ -47,6 +49,7 @@ from repro.arrays.slab import Slab
 from repro.errors import QueryError
 from repro.mapreduce.columnar import ChunkBatch, SpillLayout, spill_layout
 from repro.mapreduce.partitioner import Partitioner
+from repro.mapreduce.shuffle import SPILL_CHECKS_ENABLED
 from repro.query.language import QueryPlan
 from repro.query.operators import (
     OPERATOR_NAMES,
@@ -172,14 +175,16 @@ def map_geometry(
         else np.empty((0, len(ex.shape)), dtype=np.int64)
     )
     keys.flags.writeable = False
+    layout = None
+    if partitioner is not None:
+        layout = spill_layout(keys, partitioner, num_partitions)
+        if SPILL_CHECKS_ENABLED:
+            layout.check_sorted()
     return MapGeometry(
         reads=tuple(reads),
         steps=tuple(slice(None, None, st) for st in ex.stride),
         keys=keys,
-        layout=(
-            None if partitioner is None
-            else spill_layout(keys, partitioner, num_partitions)
-        ),
+        layout=layout,
     )
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.arrays.slab import Slab
 from repro.errors import FormatError, JobConfigError, PartitionError
+from repro.mapreduce.columnar import ReducePlan, reduce_plan
 from repro.mapreduce.engine import DependencyBarrier
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
@@ -66,6 +67,8 @@ class SIDRPlan:
     def __post_init__(self) -> None:
         #: Split index -> its :class:`MapGeometry`, filled on first use.
         object.__setattr__(self, "_geometry", {})
+        #: Keyblock -> its :class:`ReducePlan` or None, filled on first use.
+        object.__setattr__(self, "_reduce", {})
 
     # ------------------------------------------------------------------ #
     # Engine-facing pieces
@@ -121,17 +124,43 @@ class SIDRPlan:
                 self._geometry[i] = geometry
         return geometry
 
+    def reduce_plan(self, block: int) -> ReducePlan | None:
+        """Keyblock ``block``'s :class:`ReducePlan` — the maps of I_l in
+        order, each one's spill run, their keys laid end to end —
+        computed on first use and kept; ``None`` when a key repeats
+        (within a run or across maps) or the block gets synthesized
+        keys, so its reduce must merge."""
+        if block in self._reduce:
+            return self._reduce[block]
+        plan = None
+        if not (self.pruning is not None and self.pruning.synth_keys.get(block)):
+            runs = [
+                (m, run)
+                for m in sorted(self.deps.dependencies[block])
+                for run in self.map_geometry(self.splits[m]).layout.runs
+                if run.partition == block
+            ]
+            plan = reduce_plan(runs)
+        self._reduce[block] = plan
+        return plan
+
     def with_map_geometry(self) -> "SIDRPlan":
-        """This plan with every split's map geometry computed: complete,
-        so it can be cached, shared and sized (:attr:`nbytes`)."""
+        """This plan with every split's map geometry and every
+        keyblock's reduce plan computed: complete, so it can be cached,
+        shared and sized (:attr:`nbytes`)."""
         for split in self.splits:
             self.map_geometry(split)
+        for block in range(self.num_reduce_tasks):
+            self.reduce_plan(block)
         return self
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the map geometry this plan holds."""
-        return sum(g.nbytes for g in list(self._geometry.values()))
+        """Bytes of the map geometry and keyblock key grids this plan
+        holds."""
+        return sum(g.nbytes for g in list(self._geometry.values())) + sum(
+            p.keys.nbytes for p in list(self._reduce.values()) if p is not None
+        )
 
     # ------------------------------------------------------------------ #
     # Output geometry (§4.4)
@@ -191,6 +220,8 @@ class SIDRPlan:
         if validate_counts:
             job.context["reduce_start_validator"] = self.validator()
         job.context["sidr_plan"] = self
+        if columnar:
+            job.context["reduce_plan"] = self.reduce_plan
         if self.pruning is not None:
             pred = op.prune_predicate()
             assert pred is not None  # pruning only exists with a predicate

@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -177,14 +179,14 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
             speculate=case.speculate,
             hang_timeout=HANG_TIMEOUT,
         )
+        job_id = service.submit(request)
         try:
-            doc, block = service.result_block(
-                service.submit(request), timeout=120.0
-            )
+            doc, block = service.result_block(job_id, timeout=120.0)
         except TimeoutError:
             return ConfigOutcome(
                 "service", plane, "failed", ("TimeoutError",), None, prune
             )
+        counters = service.status(job_id).get("counters", {})
     finally:
         service.close()
     if doc["state"] == DONE:
@@ -195,11 +197,20 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
             decoded = ResultBlock.from_bytes(block.to_bytes()).canonical_records()
             if digest == records_digest(oracle) and repr(decoded) != repr(oracle):
                 status = "diverged"
-        return ConfigOutcome("service", plane, status, (), digest, prune)
+        return ConfigOutcome(
+            "service", plane, status, (), digest, prune,
+            *_reduce_paths(counters.get),
+        )
     return ConfigOutcome(
         "service", plane, "failed",
         tuple(doc.get("error_types") or ()), None, prune,
     )
+
+
+def _reduce_paths(counter: Callable[[str], int | None]) -> tuple[int, int]:
+    """A run's columnar reduce attempts that took the planned and the
+    generic body (``reduce.planned`` / ``reduce.generic``)."""
+    return counter("reduce.planned") or 0, counter("reduce.generic") or 0
 
 
 def _prune_eligible(case: FuzzCase) -> bool:
@@ -221,6 +232,9 @@ class ConfigOutcome:
     error_types: tuple[str, ...]
     digest: str | None
     prune: bool = False
+    #: Columnar reduce attempts that took the planned / generic body.
+    planned_reduces: int = 0
+    generic_reduces: int = 0
 
     @property
     def config(self) -> str:
@@ -288,7 +302,8 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
         digest, consistent = checked_digest(res.all_records())
         outcomes.append(
             ConfigOutcome(
-                mode, plane, "ok" if consistent else "diverged", (), digest, prune
+                mode, plane, "ok" if consistent else "diverged", (), digest,
+                prune, *_reduce_paths(res.counters.get),
             )
         )
 
@@ -479,6 +494,9 @@ class FuzzReport:
     #: Cases whose engine legs cut aligned splits; the rest cut
     #: ``slice_splits``.
     aligned_cases: int = 0
+    #: Columnar reduce attempts by leg ("engine" / "service") and body
+    #: ("planned" / "generic"), e.g. ``reduces["engine", "planned"]``.
+    reduces: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -499,7 +517,12 @@ class FuzzReport:
             f"{self.divergent} divergent interleavings, "
             f"{self.listener_errors} listener errors; engine legs split "
             f"{self.aligned_cases} cases aligned, "
-            f"{self.num_cases - self.aligned_cases} sliced"
+            f"{self.num_cases - self.aligned_cases} sliced; columnar "
+            f"reduces: " + ", ".join(
+                f"{leg} {self.reduces.get((leg, 'planned'), 0)} planned / "
+                f"{self.reduces.get((leg, 'generic'), 0)} generic"
+                for leg in ("engine", "service")
+            )
         )
 
 
@@ -523,11 +546,16 @@ def fuzz(
     divergent = 0
     listener_errors = 0
     aligned_cases = 0
+    reduces: Counter[tuple[str, str]] = Counter()
     for i in range(num_cases):
         case = generate_case(i, seed, operators=operators)
         aligned_cases += case.aligned
         result = run_case(case, metrics=metrics)
         listener_errors += result.listener_errors
+        for o in result.outcomes:
+            leg = "service" if o.mode == "service" else "engine"
+            reduces[leg, "planned"] += o.planned_reduces
+            reduces[leg, "generic"] += o.generic_reduces
 
         exploration: ExplorationReport | None = None
         if schedules > 0:
@@ -567,4 +595,5 @@ def fuzz(
         divergent=divergent,
         listener_errors=listener_errors,
         aligned_cases=aligned_cases,
+        reduces=dict(reduces),
     )

@@ -38,9 +38,9 @@ from repro.query.operators import (
     ThresholdFilterOp,
 )
 from repro.query.recordreader import CellToChunkMapper, make_reader_factory
-from repro.query.splits import slice_splits
+from repro.query.splits import aligned_slice_splits, slice_splits
 from repro.scidata.generators import temperature_dataset, windspeed_dataset
-from repro.sidr.planner import build_sidr_job
+from repro.sidr.planner import build_plan, build_sidr_job
 from repro.verify.oracle import (
     canonicalize_records,
     oracle_records,
@@ -114,6 +114,13 @@ def temp32():
     """float32 source — the dtype where accumulation-order bugs show."""
     field = temperature_dataset(days=29, lat=10, lon=6, seed=11)
     return field, field.arrays["temperature"].astype(np.float32)
+
+
+def _served_job(plan, data, reduces=3):
+    """``plan``'s job as the service builds it: aligned splits, every
+    map's geometry and keyblock's reduce plan computed up front."""
+    splits = aligned_slice_splits(plan, num_splits=4)
+    return build_plan(plan, splits, reduces).with_map_geometry().configure_job(data)
 
 
 @pytest.fixture(scope="module")
@@ -268,21 +275,26 @@ class TestColumnarFaultTolerance:
     @pytest.mark.parametrize("mode", MODES)
     def test_map_retry_supersedes_corrupt_columnar_spill(self, temp32, mode):
         """A corrupted columnar spill must fail the attempt and the retry
-        must supersede it, leaving clean-record-plane output."""
+        must supersede it, leaving clean-record-plane output — on sliced
+        splits, and on a served plan (aligned splits, every map's
+        geometry and keyblock's reduce plan precomputed), whose reversed
+        run is not the plan's array and so is checked like any spill."""
         field, data = temp32
         plan = _plan(field, (7, 5, 2), MeanOp())
         oracle, _ = _records(plan, data, MeanOp(), data_plane="record")
         sp = slice_splits(plan, num_splits=4)
-        job, barrier, _ = build_sidr_job(plan, sp, 3, data,
-                                         data_plane="columnar")
-        faults = InjectionPlan(rules=(
-            FaultRule(task="map", kind=FaultKind.CORRUPT_SPILL,
-                      indices=frozenset({1}), times=1),
-        ))
-        engine = LocalEngine(map_workers=4, reduce_workers=3,
-                             retry=FAST_RETRY, faults=faults)
-        res = run(engine, mode, job, barrier)
-        assert res.all_records() == oracle.all_records()
+        sliced = build_sidr_job(plan, sp, 3, data, data_plane="columnar")[:2]
+        for job, barrier in (sliced, _served_job(plan, data)):
+            faults = InjectionPlan(rules=(
+                FaultRule(task="map", kind=FaultKind.CORRUPT_SPILL,
+                          indices=frozenset({1}), times=1),
+            ))
+            engine = LocalEngine(map_workers=4, reduce_workers=3,
+                                 retry=FAST_RETRY, faults=faults)
+            res = run(engine, mode, job, barrier)
+            assert res.all_records() == oracle.all_records()
+            assert res.counters.get("faults.injected") == 1
+        assert res.counters.get("reduce.planned") == 3
 
     @pytest.mark.parametrize("mode", MODES)
     def test_reduce_transient_after_fetch(self, temp32, mode):
@@ -305,6 +317,13 @@ class TestColumnarFaultTolerance:
         )
         res = run(engine, mode, job, barrier)
         assert res.all_records() == oracle.all_records()
+        # A served plan: the re-executed maps spill their planned runs
+        # again, so the retried reduce's fetch is the plan's.
+        res = run(engine, mode, *_served_job(plan, data))
+        assert res.all_records() == oracle.all_records()
+        assert res.counters.get("recovery.maps_reexecuted") > 0
+        assert res.counters.get("reduce.planned") == 3
+        assert res.counters.get("reduce.generic") == 0
 
     def test_threaded_equals_serial(self, temp32):
         field, data = temp32

@@ -49,7 +49,7 @@ from repro.query.columnar import (
     map_geometry,
 )
 from repro.query.language import StructuralQuery
-from repro.query.operators import get_operator
+from repro.query.operators import PRUNABLE_OPERATORS, get_operator
 from repro.query.splits import aligned_slice_splits, slice_splits
 from repro.scidata.metadata import simple_metadata
 from repro.scidata.zonemaps import build_zone_map
@@ -132,6 +132,13 @@ class TestResultBlock:
         assert list(in_order) == RECORDS
         assert list(ResultBlock.concatenate([b, a])) == RECORDS
         assert ResultBlock.concatenate([a]) is a
+        # Only the seams are compared: blocks whose key ranges
+        # interleave are out of order at a seam, and sort.
+        c = block_of([((0, 0), 1.0), ((2, 0), 2.0)])
+        d = block_of([((1, 0), 3.0), ((3, 0), 4.0)])
+        assert list(ResultBlock.concatenate([c, d])) == [
+            ((0, 0), 1.0), ((1, 0), 3.0), ((2, 0), 2.0), ((3, 0), 4.0),
+        ]
 
     def test_canonical_records_equal_the_generic_walk(self):
         block = block_of(RECORDS)
@@ -718,3 +725,198 @@ class TestPlannedMap:
             want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
             for _ in range(2):
                 assert self._block_bytes(*plan.configure_job(data)) == want
+
+
+# --------------------------------------------------------------------- #
+# Guards: the planned reduce
+# --------------------------------------------------------------------- #
+#: Operators with a threshold, and the one every case below uses.
+THRESHOLD = {"filter_gt": 25.0, "range_exceeds": 5.0}
+#: The columnar reduce's path counters: the one thing the two bodies
+#: may not share.
+PATHS = ("reduce.planned", "reduce.generic")
+
+
+def _matrix_data():
+    rng = np.random.default_rng(11)
+    data = rng.integers(0, 20, size=(24, 9, 8)).astype(np.float64)
+    data[12:] += 20  # only the tail can pass the filter: pruning bites
+    return data
+
+
+def _matrix_jobs(case, operator, data):
+    """``case``'s job for ``operator``, built twice: ``(job, barrier)``
+    pairs that run the same maps and differ only in the reduce body the
+    fetch may take — the first as configured, the second with its
+    keyblocks' reduce plans withheld, so every reduce merges."""
+    query = dict(extract=(4, 3, 2))
+    splits, prune, hashed = aligned_slice_splits, False, False
+    if case == "sliced":
+        splits = slice_splits
+    elif case == "hash":
+        hashed = True
+    elif case == "pruned":
+        prune = True
+    elif case == "repeating":
+        # Gapped instances that the slice cuts split: their keys repeat
+        # across maps.
+        splits, query = slice_splits, dict(extract=(3, 2, 2), stride=(4, 3, 3))
+    qplan = _compile(
+        data.shape, operator=operator, threshold=THRESHOLD.get(operator), **query
+    )
+    zone_map = build_zone_map("v", data, tile_shape=(4, 9, 8)) if prune else None
+    # 8 slices of 24 rows cut an instance inside every keyblock.
+    plan = build_plan(qplan, splits(qplan, num_splits=8), 3, zone_map=zone_map)
+    if prune:
+        assert plan.pruning is not None and plan.pruning.synth_keys
+    pairs = []
+    for withheld in (False, True):
+        job, barrier = plan.configure_job(data)
+        if hashed:
+            job.partitioner = HashPartitioner()
+            job.contact_all_maps = True
+            del job.context["reduce_start_validator"]
+            barrier = None
+        elif case == "hand_built":
+            op = qplan.operator
+            # The plan's splits, partitioner and map geometry, but not
+            # its job: nothing names the keyblocks' reduce plans.
+            job = JobConf(
+                name="hand-built", splits=list(plan.splits),
+                reader_factory=make_columnar_reader_factory(
+                    data, qplan, plan.map_geometry
+                ),
+                mapper_factory=lambda: ChunkAggregateMapper(op),
+                reducer_factory=lambda: AggregateReducer(op),
+                partitioner=plan.partitioner,
+                num_reduce_tasks=plan.num_reduce_tasks,
+                combiner_factory=lambda: CombinerAdapter(op),
+                batch_operator=batch_operator_for(op),
+            )
+            barrier = None
+        if withheld:
+            job.context.pop("reduce_plan", None)
+        pairs.append((job, barrier))
+    return qplan, pairs
+
+
+def _observed(job, barrier):
+    """Block bytes, counters without the path counters, the
+    ``reduce.group.size`` histogram, and the path counters of one
+    serial run."""
+    res = LocalEngine().run(job, barrier, mode="serial")
+    counters = res.counters.as_dict()
+    paths = tuple(counters.pop(name, 0) for name in PATHS)
+    sizes = res.obs.metrics.snapshot()["histograms"]["reduce.group.size"]
+    return res.all_records().to_bytes(), counters, sizes, paths
+
+
+#: Every operator on every case; only a prune predicate synthesizes keys.
+MATRIX = [
+    (case, operator)
+    for case in ("aligned", "sliced", "hash", "pruned", "repeating", "hand_built")
+    for operator in OPERATORS
+    if case != "pruned" or operator in PRUNABLE_OPERATORS
+]
+
+
+class TestPlannedReduce:
+    @pytest.mark.parametrize("case,operator", MATRIX)
+    def test_planned_body_is_the_generic_body(self, case, operator):
+        """Both reduce bodies, the same job: equal block bytes, equal
+        counters and the same ``reduce.group.size`` histogram — the
+        planned body observes one group of one row per key — and only
+        the aligned plan's keyblocks (and a pruned plan's keyblocks
+        without synthesized keys) take the planned body."""
+        data = _matrix_data()
+        qplan, (configured, withheld) = _matrix_jobs(case, operator, data)
+        block, counters, sizes, (planned, generic) = _observed(*configured)
+        again, generic_counters, generic_sizes, paths = _observed(*withheld)
+        want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+        assert block == again == want
+        assert counters == generic_counters
+        assert sizes == generic_sizes
+        assert paths == (0, planned + generic)
+        if case == "aligned":
+            assert (planned, generic) == (3, 0)
+            groups = counters["reduce.input.groups"]
+            assert groups == counters["reduce.input.records"]
+            assert groups == counters["reduce.output.records"]
+            assert sizes["count"] == sizes["sum"] == groups
+        elif case == "pruned":
+            assert planned and generic
+        else:
+            assert planned == 0 and generic
+
+    def test_a_fetch_that_is_not_the_plans_merges(self):
+        """The planned body runs only on exactly the plan's runs: a
+        keyblock's fetch missing a map, one map's spill replaced by an
+        unplanned one with the same keys or by an empty one, takes the
+        generic body — and it and the planned body agree on what they
+        share."""
+        data = _matrix_data()
+        qplan = _compile(data.shape, (4, 3, 2))
+        plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=5), 2)
+        job, _ = plan.configure_job(data)
+        store = ShuffleStore(persist=True)
+        obs = JobObservability(job.name, enabled=False)
+        for m in range(len(plan.splits)):
+            run_columnar_map(job, m, store, Counters(), obs, None)
+        maps = sorted(plan.deps.dependencies[0])
+        files = [store.fetch(m, 0) for m in maps]
+        assert len(files) > 1 and plan.reduce_plan(0).matches(files)
+
+        def reduce(files):
+            counters = Counters()
+            block = run_columnar_reduce(job, files, counters, obs, None)
+            return block, tuple(counters.get(name) for name in PATHS)
+
+        whole, paths = reduce(files)
+        assert paths == (1, 0)
+        first = len(files[0].keys)
+        # A missing spill: the rest merge, and equal the plan's tail.
+        tail, paths = reduce(files[1:])
+        assert paths == (0, 1)
+        assert tail.to_bytes() == whole[first:].to_bytes()
+        # The same rows under keys that are not the run's own array.
+        f = files[0]
+        copied = ColumnarMapOutput(
+            f.map_id, f.partition, f.keys.copy(), f.states, f.source_counts,
+            f.source_records,
+        )
+        same, paths = reduce([copied, *files[1:]])
+        assert paths == (0, 1)
+        assert same.to_bytes() == whole.to_bytes()
+        # An empty spill in a map's place, and no fetch at all.
+        empty = ColumnarMapOutput(
+            f.map_id, f.partition, f.keys[:0],
+            tuple(c[:0] for c in f.states), f.source_counts[:0], 0,
+        )
+        tail_again, paths = reduce([empty, *files[1:]])
+        assert paths == (0, 1)
+        assert tail_again.to_bytes() == tail.to_bytes()
+        nothing, paths = reduce([])
+        assert len(nothing) == 0 and paths == (0, 0)
+
+    def test_a_spill_of_a_planned_run_is_not_rescanned(self, monkeypatch):
+        """The layout's runs are checked once, where the geometry is
+        made; a map then spills its planned runs without a per-spill
+        sort scan, and a reader without a planned layout is checked per
+        spill."""
+        calls = []
+        original = ColumnarMapOutput.check_sorted
+        monkeypatch.setattr(
+            ColumnarMapOutput, "check_sorted",
+            lambda self: calls.append(self.map_id) or original(self),
+        )
+        data = _matrix_data()
+        qplan = _compile(data.shape, (4, 3, 2))
+        plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=5), 3)
+        job, _ = plan.configure_job(data)
+        obs = JobObservability(job.name, enabled=False)
+        counters = Counters()
+        run_columnar_map(job, 0, ShuffleStore(), counters, obs, None)
+        assert counters.get("shuffle.segments") and calls == []
+        job.reader_factory = make_columnar_reader_factory(data, qplan)
+        run_columnar_map(job, 0, ShuffleStore(), counters, obs, None)
+        assert len(calls) == counters.get("shuffle.segments") // 2

@@ -28,6 +28,7 @@ from repro.service import (
     service_fixture,
 )
 from repro.service.api import DONE
+from repro.sidr.planner import build_plan
 
 
 def int_field(seed, shape):
@@ -255,6 +256,24 @@ class TestBoundedByBytes:
             svc = client.service
             plan = svc._build_plan(req, svc.registry.get("d"))
             assert svc.stats()["plan_cache"]["bytes"] == plan.nbytes > 0
+
+    def test_nbytes_counts_the_keyblock_key_grids(self):
+        """A cached plan holds every keyblock's key grid beside its map
+        geometry: completing a plan whose geometry is already computed
+        grows ``nbytes`` by exactly the grids' bytes."""
+        req = self._request()
+        with QueryService(workers=1) as svc:
+            svc.register_array("d", "v", int_field(4, (12, 10)))
+            cached = svc._build_plan(req, svc.registry.get("d"))
+        plan = build_plan(cached.query_plan, cached.splits, req.reduces)
+        for split in plan.splits:
+            plan.map_geometry(split)
+        geometry = plan.nbytes
+        plan.with_map_geometry()
+        grids = [plan.reduce_plan(b) for b in range(plan.num_reduce_tasks)]
+        assert all(g is not None for g in grids)
+        assert plan.nbytes - geometry == sum(g.keys.nbytes for g in grids) > 0
+        assert plan.nbytes == cached.nbytes
 
     def test_a_plan_over_the_budget_is_served_uncached(self, monkeypatch):
         monkeypatch.setattr(plancache, "MAX_BYTES", 1)

@@ -464,6 +464,12 @@ class TestFuzzDriver:
             f"split {aligned} cases aligned, {25 - aligned} sliced"
             in report.summary()
         )
+        # Both columnar reduce bodies ran on the engine legs, and the
+        # summary says how often.
+        planned = report.reduces["engine", "planned"]
+        generic = report.reduces["engine", "generic"]
+        assert planned > 0 and generic > 0
+        assert f"engine {planned} planned / {generic} generic" in report.summary()
         assert m.counter("verify.cases").value == 25
         assert m.counter("verify.mismatches").value == 0
         assert m.counter("verify.explorer.schedules").value == 50
@@ -553,6 +559,11 @@ class TestServiceLeg:
         served = [o for o in clean.outcomes if o.mode == "service"]
         assert [o.config for o in served] == ["service/columnar"]
         assert all(o.digest == clean.oracle_digest for o in served)
+        # The served job's counters say which reduce body each keyblock
+        # took: the service cuts aligned splits, so every one planned.
+        assert [(o.planned_reduces, o.generic_reduces) for o in served] == [
+            (base_case("mean").reduces, 0)
+        ]
 
         crash = run_case(base_case(
             "sum",
