@@ -11,6 +11,9 @@ module is the engine half of that plane:
   emits: ``(n, rank)`` int64 keys plus an ``(n, cells)`` value block,
   one row per extraction-shape instance piece present in this split's
   slab (``n`` is 1 for pieces whose geometry is their own).
+* :class:`Ragged` — a state column whose rows differ in length: flat
+  float64 values plus per-row lengths, which every stage below slices,
+  permutes and concatenates like a numeric column.
 * :class:`ColumnarMapOutput` — the spill-file variant whose records live
   as parallel arrays: lexsorted keys, one array per operator state
   column, and the per-row §3.2.1 source counts.  It is duck-compatible
@@ -73,9 +76,9 @@ class BatchOperator(Protocol):
     """Vectorized face of a structural operator.
 
     State travels as parallel columns (one array per component of the
-    scalar ``Partial.state``; object-dtype where a row's state is a
-    variable-length array); the implementations guarantee the column
-    arithmetic reproduces the scalar protocol bit for bit.
+    scalar ``Partial.state``; a :class:`Ragged` column where a row's
+    state is a variable-length array); the implementations guarantee the
+    column arithmetic reproduces the scalar protocol bit for bit.
     """
 
     def map_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -172,6 +175,95 @@ def group_starts(keys: np.ndarray) -> np.ndarray:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+class Ragged:
+    """A state column whose rows differ in length (the holistic and
+    filtering operators' surviving cells): ``values``, one flat float64
+    array holding the rows end to end in order, and ``lengths``, the
+    ``(n,)`` int64 row lengths.  Row ``i`` is
+    ``values[offsets[i]:offsets[i + 1]]``.
+
+    It supports exactly the row operations the engine applies to a state
+    column, so a map, a spill and a reduce treat it like any numeric
+    one: ``len``; indexing by a row (a float64 view), by a slice (a
+    reversed one included) or by an index array; and ``np.concatenate``
+    of ragged columns.  ``nbytes`` is its cells' bytes — what crosses
+    the shuffle, the record plane's size of the same rows.  There is no
+    Python object per row, and ``np.asarray`` of it is an error rather
+    than an object array.
+    """
+
+    def __init__(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if values.ndim != 1 or lengths.ndim != 1:
+            raise ShuffleError("ragged values and lengths must be 1-D")
+        if lengths.size and int(lengths.min()) < 0:
+            raise ShuffleError("negative ragged row length")
+        if values.size != int(lengths.sum()):
+            raise ShuffleError(
+                f"ragged rows hold {int(lengths.sum())} cells, values "
+                f"{values.size}"
+            )
+        self.values = values
+        self.lengths = lengths
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """``(n + 1,)``: where each row begins, then where the last ends."""
+        offsets = np.zeros(self.lengths.size + 1, dtype=np.int64)
+        np.cumsum(self.lengths, out=offsets[1:])
+        return offsets
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.values.nbytes)
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def __getitem__(self, index: Any) -> "np.ndarray | Ragged":
+        if isinstance(index, (int, np.integer)):
+            i = range(len(self))[index]
+            return self.values[self.offsets[i]:self.offsets[i + 1]]
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                stop = max(start, stop)
+                cells = slice(self.offsets[start], self.offsets[stop])
+                return Ragged(self.values[cells], self.lengths[start:stop])
+            index = np.arange(start, stop, step)
+        return self.take(index)
+
+    def take(self, rows: np.ndarray) -> "Ragged":
+        """The rows at ``rows`` (an index array), in that order."""
+        lengths = self.lengths[rows]
+        shift = self.offsets[:-1][rows] - (np.cumsum(lengths) - lengths)
+        cells = np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
+        return Ragged(self.values[cells], lengths)
+
+    def __array_function__(self, func, types, args, kwargs):
+        # ``np.concatenate`` of ragged columns is their rows end to end,
+        # so the engine concatenates a column the same way whatever it
+        # holds; every other numpy function refuses one.
+        if func is not np.concatenate or kwargs or not all(
+            issubclass(t, Ragged) for t in types
+        ):
+            return NotImplemented
+        parts = args[0]
+        return Ragged(
+            np.concatenate([p.values for p in parts]),
+            np.concatenate([p.lengths for p in parts]),
+        )
+
+    def __array__(self, *args: Any, **kwargs: Any) -> np.ndarray:
+        raise TypeError(
+            "a Ragged column is not an array: read .values and .lengths"
+        )
+
+    def __repr__(self) -> str:
+        return f"Ragged({len(self)} rows, {self.values.size} cells)"
 
 
 @dataclass(frozen=True)
@@ -324,7 +416,7 @@ class ColumnarMapOutput:
     ``(n, rank)`` int64), ``states`` (one array of length ``n`` per
     operator state column), ``source_counts`` (``(n,)`` int64).
     ``approx_serialized_bytes`` reads the buffers' ``nbytes`` instead of
-    walking Python objects (a ragged column walks its rows, not cells).
+    walking Python objects (a :class:`Ragged` column's are its cells').
     """
 
     map_id: MapTaskId
@@ -351,7 +443,7 @@ class ColumnarMapOutput:
                 f"source_counts shape {counts.shape} != ({n},)"
             )
         for col in self.states:
-            if np.asarray(col).shape[0] != n:
+            if len(col) != n:
                 raise ShuffleError("state column length mismatch")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "source_counts", counts)
@@ -595,9 +687,19 @@ class ResultBlock(Sequence):
         """This block rebuilt over its own byte form: arrays that are
         read-only views of one ``bytes`` the block owns — nothing of the
         engine's buffers stays referenced — and a :meth:`to_bytes` that
-        returns that buffer as is."""
+        returns that buffer as is.  A list column written as JSON is kept
+        as it is, beside key rows viewing the buffer: it is canonical by
+        construction (class docstring), so parsing the JSON back would
+        only rebuild an equal list."""
         data = self.to_bytes()
-        block = ResultBlock.from_bytes(data)
+        if isinstance(self.values, list) and data[4] == _JSON:  # value tag
+            n, rank = self.key_rows.shape
+            keys = np.frombuffer(
+                data, dtype="<i8", count=n * rank, offset=_BLOCK_HEADER.size
+            ).reshape(n, rank)
+            block = ResultBlock(keys, self.values)
+        else:
+            block = ResultBlock.from_bytes(data)
         block._packed = data
         return block
 

@@ -73,11 +73,8 @@ def payload_nbytes(obj: Any) -> int:
     if isinstance(obj, (int, float, bool)) or obj is None:
         return 8
     if isinstance(obj, np.ndarray):
-        # Sized before the container branches: an object-dtype (ragged)
-        # array is its rows' cells, not its pointers, but numeric arrays
-        # are O(1) — their buffer is the wire payload.
-        if obj.dtype == object:
-            return sum(map(payload_nbytes, obj.reshape(-1).tolist()))
+        # Sized before the container branches: the buffer is the wire
+        # payload, whatever the shape.
         return int(obj.nbytes)
     if isinstance(obj, (str, bytes)):
         return len(obj)
@@ -89,7 +86,8 @@ def payload_nbytes(obj: Any) -> int:
         return sum(
             payload_nbytes(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         )
-    nb = getattr(obj, "nbytes", None)  # numpy scalars
+    # numpy scalars; a columnar plane's Ragged state column (its cells)
+    nb = getattr(obj, "nbytes", None)
     if isinstance(nb, int):
         return nb
     return sys.getsizeof(obj)

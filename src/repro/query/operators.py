@@ -29,7 +29,13 @@ code with this module.  A user-defined operator subclasses
 IEEE operations that round the same in numpy and in Python floats
 (``+ - * /``, ``sqrt``, comparisons); *ragged* rows (filter_gt, sort,
 median) keep an instance's surviving values, in cell order, in one
-object-dtype column and sort once, stably, at finalize.
+:class:`~repro.mapreduce.columnar.Ragged` column — a flat float64 value
+array plus per-row lengths, no Python object per row — so combining a
+key's rows moves no value, and sort each row at finalize into the bytes
+a stable sort gives it: rows of one length as the rows of a 2-D block,
+mixed lengths in one segmented ``lexsort`` (:func:`_row_sort` states
+when an unstable sort is allowed).  A ragged ``Partial.state`` is its
+row: a float64 array.
 
 ``holistic`` rows carry every raw value in their partials (median,
 sort); the rest are ``distributive``.  The paper uses the distinction
@@ -51,6 +57,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.errors import QueryError
+from repro.mapreduce.columnar import Ragged
 from repro.query.reference import REFERENCE
 
 
@@ -247,85 +254,104 @@ def _exceeds(lo: np.ndarray, hi: np.ndarray, t: float) -> list:
 # Ragged state -------------------------------------------------------- #
 
 
-def _split_rows(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Object column whose element ``i`` is ``flat[ends[i-1]:ends[i]]``."""
-    col = np.empty(len(ends), dtype=object)
-    begin = 0
-    for i, end in enumerate(ends.tolist()):
-        # Per-element assignment: a slice assignment would try to
-        # broadcast the ragged pieces into a 2-D block.
-        col[i] = flat[begin:end]
-        begin = end
-    return col
-
-
-def _ragged_rows(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An object column of float arrays as one flat value array plus
-    per-row lengths (the rows laid end to end, in order)."""
-    rows = col.tolist()
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.float64)
-    return flat, lengths
-
-
-def _survivors(v: np.ndarray, t: float | None) -> tuple[np.ndarray, ...]:
+def _survivors(v: np.ndarray, t: float | None) -> tuple[Ragged]:
     """Each instance's cells passing ``> t`` (all of them without a
     threshold), in cell order.
 
     One boolean mask per batch, not one ``arr[arr > t]`` per instance
     — the batch-path half of split skipping: splits the zone map could
-    not prune entirely still do a single vectorized compare.  An
-    all-masked row keeps its place: an empty survivors array, with the
-    row's full source count travelling beside it (§2.4.2 allows empty
-    per-instance results and the §3.2.1 count annotation still needs
-    the cells tallied).
+    not prune entirely still do a single vectorized compare.  ``w[mask]``
+    is every row's survivors end to end and ``mask.sum(axis=1)`` their
+    lengths, so the column is built without a loop over rows.  An
+    all-masked row keeps its place: length 0, with the row's full source
+    count travelling beside it (§2.4.2 allows empty per-instance results
+    and the §3.2.1 count annotation still needs the cells tallied).
     """
     w = _f64(v)
     if t is None:
-        flat, kept = w.reshape(-1), _counts_column(w)
-    else:
-        mask = w > t
-        flat, kept = w[mask], mask.sum(axis=1)
-    return (_split_rows(flat, kept.cumsum()),)
+        return (Ragged(w.reshape(-1), _counts_column(w)),)
+    mask = w > t
+    return (Ragged(w[mask], mask.sum(axis=1)),)
 
 
-def _concat_segments(col: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _concat_segments(col: Ragged, starts: np.ndarray) -> Ragged:
     """Ragged combine.  Rows of one key are adjacent and in map order,
-    so a key's combined state is a contiguous run of the column laid out
-    flat — the order the scalar ``combine`` concatenates them in."""
+    so a key's combined row is those rows where they already lie in
+    ``values`` — the order the scalar ``combine`` concatenates them in.
+    No value moves; only the lengths add up."""
     if starts.size == len(col):
         return col  # every row its own key: nothing to merge
-    flat, lengths = _ragged_rows(col)
-    return _split_rows(flat, np.add.reduceat(lengths, starts).cumsum())
+    return Ragged(col.values, np.add.reduceat(col.lengths, starts))
 
 
-def _sorted_segments(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All values, each row's sorted within its segment, plus the
-    segment lengths.  One stable sort: equal values keep their order
-    like ``sorted``, NaNs go last like ``np.sort``."""
-    flat, lengths = _ragged_rows(col)
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    return flat[np.lexsort((flat, segment))], lengths
+def _both_zero_signs(rows: np.ndarray) -> np.ndarray:
+    """Which rows of an ``(n, L)`` block hold both ``0.0`` and ``-0.0``."""
+    zero = rows == 0.0
+    if not zero.any():
+        return np.zeros(rows.shape[0], dtype=bool)
+    negative = np.signbit(rows)
+    return (zero & negative).any(axis=1) & (zero & ~negative).any(axis=1)
 
 
-def _sorted_lists(col: np.ndarray, t: float | None) -> list:
-    values, lengths = _sorted_segments(col)
-    values, ends = values.tolist(), lengths.cumsum().tolist()
-    return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+def _stable_rows(rows: np.ndarray) -> np.ndarray:
+    return np.sort(rows, axis=1, kind="stable")
 
 
-def _medians(col: np.ndarray, t: None) -> np.ndarray:
-    """``np.median`` of every segment at once: the middle element of an
-    odd count, ``(a + b) / 2`` of the middle two of an even one, NaN
-    for a segment holding one (they sort last)."""
-    values, lengths = _sorted_segments(col)
+def _row_sort(rows: np.ndarray) -> np.ndarray:
+    """The rows of an ``(n, L)`` block each sorted, in the bytes a
+    stable sort gives it.
+
+    The byte-identity rule: an unstable sort may order equal values
+    differently from a stable one, and the only equal floats with
+    different bytes are ``0.0`` and ``-0.0`` — NaNs sort last either
+    way, and every NaN finalizes to the one NaN.  So the unstable sort
+    stands for every row but those holding both signs of zero, which
+    are sorted again, stably.  (``np.partition`` at the two middle
+    ranks would do for ``median``, but with two ranks it measured 4x
+    slower than the whole sort.)
+    """
+    out = np.sort(rows, axis=1)
+    both = _both_zero_signs(rows)
+    if both.any():
+        out[both] = _stable_rows(rows[both])
+    return out
+
+
+def _segment_sort(col: Ragged) -> np.ndarray:
+    """Every row of ``col`` sorted stably, the rows end to end: one
+    ``lexsort((values, segment))`` over the whole column."""
+    segment = np.repeat(np.arange(len(col)), col.lengths)
+    return col.values[np.lexsort((col.values, segment))]
+
+
+def _sorted_rows(col: Ragged) -> np.ndarray:
+    """Every row of ``col`` in the bytes a stable sort gives it, the
+    rows end to end: as the rows of a 2-D block when they share one
+    length (every key of an aligned, unpruned dense plan), else by one
+    segmented sort."""
+    lengths = col.lengths
+    if lengths.size and (lengths == lengths[0]).all():
+        rows = col.values.reshape(lengths.size, int(lengths[0]))
+        return _row_sort(rows).reshape(-1)
+    return _segment_sort(col)
+
+
+def _sorted_lists(col: Ragged, t: float | None) -> list:
+    values, ends = _sorted_rows(col).tolist(), col.offsets.tolist()
+    return [values[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _medians(col: Ragged, t: None) -> np.ndarray:
+    """``np.median`` of every row at once: the middle element of an odd
+    count, ``(a + b) / 2`` of the middle two of an even one, NaN for a
+    row holding one (they sort last)."""
+    lengths = col.lengths
     _require_cells(lengths, "median")
-    ends = lengths.cumsum()
-    first = ends - lengths
+    values, first = _sorted_rows(col), col.offsets[:-1]
     a = values[first + (lengths - 1) // 2]
     b = values[first + lengths // 2]
     middle = np.where(lengths % 2 == 1, a, (a + b) / 2)
-    return np.where(np.isnan(values[ends - 1]), np.nan, middle)
+    return np.where(np.isnan(values[col.offsets[1:] - 1]), np.nan, middle)
 
 
 # The table ----------------------------------------------------------- #
@@ -338,7 +364,7 @@ class _Spec(NamedTuple):
 
     #: ``(n, cells)`` value block -> one state column per component of
     #: ``Partial.state``.
-    map_batch: Callable[..., tuple[np.ndarray, ...]]
+    map_batch: Callable[..., tuple[np.ndarray | Ragged, ...]]
     #: Per-column combine ufuncs, or None for ragged state (concatenate).
     combine: tuple[np.ufunc, ...] | None
     #: Combined state columns -> the output column.
@@ -427,12 +453,12 @@ class SpecOperator(StructuralOperator):
 
     # Batch protocol -------------------------------------------------- #
 
-    def map_batch(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    def map_batch(self, values: np.ndarray) -> tuple[np.ndarray | Ragged, ...]:
         return self._spec.map_batch(values, self.threshold)
 
     def combine_columns(
-        self, columns: tuple[np.ndarray, ...], starts: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
+        self, columns: tuple[np.ndarray | Ragged, ...], starts: np.ndarray
+    ) -> tuple[np.ndarray | Ragged, ...]:
         if self._spec.combine is None:
             return (_concat_segments(columns[0], starts),)
         return tuple(
@@ -441,7 +467,7 @@ class SpecOperator(StructuralOperator):
         )
 
     def finalize_columns(
-        self, columns: tuple[np.ndarray, ...], source_counts: np.ndarray
+        self, columns: tuple[np.ndarray | Ragged, ...], source_counts: np.ndarray
     ) -> np.ndarray | list:
         # The one invariant ``Partial`` enforces per row.
         if source_counts.size and int(source_counts.min()) < 0:
@@ -452,22 +478,24 @@ class SpecOperator(StructuralOperator):
             return self._spec.finalize(*columns, self.threshold)
 
     def masked_cells(
-        self, values: np.ndarray, columns: tuple[np.ndarray, ...]
+        self, values: np.ndarray, columns: tuple[np.ndarray | Ragged, ...]
     ) -> int:
         """Cells a pushdown mask dropped from this batch (the engine's
         ``pushdown.rows.masked`` counter): what a ragged state under a
         threshold did not keep, nothing for any other operator."""
         if self._spec.combine is not None or self.threshold is None:
             return 0
-        return int(values.size) - sum(map(len, columns[0].tolist()))
+        return int(values.size) - columns[0].values.size
 
     # Scalar protocol.  ``Partial.state`` is the instance's row of the
-    # state columns: the bare value for one column, a tuple for several.
+    # state columns: the bare value for one column, a tuple for several;
+    # a ragged column's row is its float64 array.
 
     def map_partial(self, chunk: Chunk) -> Partial:
         columns = self.map_batch(np.asarray(chunk.data).reshape(1, -1))
         row = tuple(
-            col[0] if col.dtype == object else col[0].item() for col in columns
+            col[0] if isinstance(col, Ragged) else col[0].item()
+            for col in columns
         )
         return Partial(row if len(row) > 1 else row[0], chunk.source_count)
 
@@ -482,7 +510,7 @@ class SpecOperator(StructuralOperator):
     def finalize(self, partial: Partial) -> Any:
         if self._spec.combine is None:
             values = np.asarray(partial.state, dtype=np.float64).reshape(-1)
-            columns = (_split_rows(values, np.array([values.size])),)
+            columns = (Ragged(values, [values.size]),)
         else:
             columns = tuple(np.array([x]) for x in _row(partial.state))
         out = self.finalize_columns(columns, np.array([partial.source_count]))

@@ -200,7 +200,7 @@ class TestGeometryIdentity:
         self._strided_keep_partial(temp32, MaxOp())
 
     def test_strided_keep_partial_ragged(self, temp32):
-        """Clipped one-row batches joining the full box's object column."""
+        """Clipped one-row batches joining the full box's ragged column."""
         self._strided_keep_partial(temp32, MedianOp())
 
     @staticmethod

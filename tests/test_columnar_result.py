@@ -15,6 +15,7 @@ geometry, and a cached plan that runs byte-identically again.
 
 import gc
 import hashlib
+import math
 import pickle
 import struct
 import sys
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import ShuffleError
@@ -268,6 +269,27 @@ class TestByteForm:
             assert not np.shares_memory(array, source)
         # a slice of it is its own block, not the whole buffer again
         assert ResultBlock.from_bytes(packed[1:3].to_bytes()) == list(block)[1:3]
+
+    @given(
+        st.sampled_from(["ragged", "range_exceeds"]).flatmap(
+            lambda kind: blocks(kind=kind, min_rows=0)
+        )
+    )
+    @example(ResultBlock(
+        np.arange(5).reshape(5, 1),
+        [[math.nan, math.inf, -math.inf, -0.0, 0.0], [], [-0.0],
+         {"exceeds": True, "variation": -0.0},
+         {"exceeds": False, "variation": math.nan}],
+    ))
+    def test_packed_list_column_is_the_parsed_one(self, block):
+        """``packed()`` keeps a JSON-tagged block's own value list rather
+        than parsing the JSON it has just written: the same records, by
+        ``repr``, and the same bytes as the block read back."""
+        packed = block.packed()
+        parsed = ResultBlock.from_bytes(block.to_bytes())
+        assert repr(packed.canonical_records()) == repr(parsed.canonical_records())
+        assert packed.to_bytes() == parsed.to_bytes() == block.to_bytes()
+        assert not packed.key_rows.flags.writeable
 
     @given(blocks(min_rows=0))
     def test_result_body_round_trip(self, block):

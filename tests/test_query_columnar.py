@@ -16,6 +16,7 @@ from repro.errors import JobConfigError, QueryError, ShuffleError
 from repro.mapreduce.columnar import (
     ChunkBatch,
     ColumnarMapOutput,
+    Ragged,
     group_starts,
     lexsorted_rows,
 )
@@ -59,8 +60,8 @@ DISTRIBUTIVE = [
     SumOp(), CountOp(), MeanOp(), MinOp(), MaxOp(), StdDevOp(),
     RangeOp(), RangeExceedsOp(threshold=2.0),
 ]
-# Ragged state: one object-dtype column of per-instance value arrays —
-# see TestFilterBatchOperator and TestRaggedOperators.
+# Ragged state: one Ragged column, the instances' values end to end plus
+# their lengths — see TestFilterBatchOperator and TestRaggedOperators.
 RAGGED = [ThresholdFilterOp(threshold=5.0), SortOp(), MedianOp()]
 
 
@@ -377,10 +378,8 @@ def _state_columns(bop, name, states):
     if not states:
         return bop.map_batch(np.zeros((0, 1)))
     if name in _RAGGED_NAMES:
-        col = np.empty(len(states), dtype=object)
-        for i, values in enumerate(states):
-            col[i] = np.asarray(values, dtype=np.float64)
-        return (col,)
+        rows = [np.asarray(values, dtype=np.float64) for values in states]
+        return (Ragged(np.concatenate(rows), [len(r) for r in rows]),)
     rows = [s if isinstance(s, tuple) else (s,) for s in states]
     return tuple(np.asarray(component) for component in zip(*rows))
 
@@ -416,8 +415,7 @@ class TestFinalizeColumns:
         )
         assert exceeds == [{"exceeds": True, "variation": 3.0}]
         assert type(exceeds[0]["exceeds"]) is bool
-        masked = np.empty(1, dtype=object)
-        masked[0] = np.empty(0)
+        masked = Ragged(np.empty(0), [0])
         lists = batch_operator_for(ThresholdFilterOp(5.0)).finalize_columns(
             (masked,), one
         )
@@ -486,14 +484,14 @@ class TestFilterBatchOperator:
         bop = batch_operator_for(self.OP)
         assert bop is self.OP
         (col,) = bop.map_batch(np.array([[9.0, 1.0]]))
-        assert col.dtype == object  # the ragged family's state
+        assert isinstance(col, Ragged)  # the ragged family's state
 
     def test_map_batch_matches_map_partial(self):
         rng = np.random.default_rng(5)
         values = rng.normal(5.0, 4.0, (9, 14)).astype(np.float32)
         bop = batch_operator_for(self.OP)
         (col,) = bop.map_batch(values)
-        assert col.shape == (9,) and col.dtype == object
+        assert len(col) == 9 and isinstance(col, Ragged)
         for i in range(values.shape[0]):
             want = self.OP.map_partial(Chunk(values[i], values.shape[1]))
             np.testing.assert_array_equal(
@@ -506,7 +504,7 @@ class TestFilterBatchOperator:
         values = np.array([[1.0, 2.0], [9.0, 1.0], [0.0, 0.0]])
         bop = batch_operator_for(self.OP)
         (col,) = bop.map_batch(values)
-        assert col.shape == (3,)
+        assert len(col) == 3
         assert np.asarray(col[0]).size == 0
         np.testing.assert_array_equal(np.asarray(col[1]), [9.0])
         assert np.asarray(col[2]).size == 0
@@ -537,18 +535,20 @@ class TestFilterBatchOperator:
 
     def test_one_row_batch_joins_object_column(self):
         """A one-row batch's state must concatenate with a multi-row
-        batch's object column as one more element (regression: an array
+        batch's ragged column as one more row (regression: an array
         state wrapped by np.asarray([arr]) became a (1, k) numeric
         block, silently changing shape when k == 1)."""
         bop = batch_operator_for(self.OP)
         (single,) = bop.map_batch(np.array([[1.0, 9.0, 8.0]]))
-        assert single.shape == (1,) and single.dtype == object
+        assert len(single) == 1 and isinstance(single, Ragged)
         np.testing.assert_array_equal(single[0], [9.0, 8.0])
         (one_survivor,) = bop.map_batch(np.array([[6.0, 2.0]]))
-        assert one_survivor.shape == (1,) and one_survivor.dtype == object
+        assert len(one_survivor) == 1 and isinstance(one_survivor, Ragged)
         (batch_col,) = bop.map_batch(np.array([[6.0, 2.0], [7.0, 8.0]]))
         joined = np.concatenate([batch_col, single, one_survivor])
-        assert joined.dtype == object and joined.shape == (4,)
+        assert isinstance(joined, Ragged) and len(joined) == 4
+        assert joined.lengths.tolist() == [1, 2, 2, 1]
+        np.testing.assert_array_equal(joined[2], [9.0, 8.0])
 
 
 # --------------------------------------------------------------------- #
@@ -561,7 +561,7 @@ class TestRaggedOperators:
         values = rng.normal(5.0, 4.0, (9, 14)).astype(np.float32)
         bop = batch_operator_for(op)
         (col,) = bop.map_batch(values)
-        assert col.shape == (9,) and col.dtype == object
+        assert len(col) == 9 and isinstance(col, Ragged)
         for i in range(values.shape[0]):
             want = op.map_partial(Chunk(values[i], values.shape[1]))
             # As multisets: state keeps cell order on both readings
@@ -627,6 +627,34 @@ class TestHelpers:
         keys = np.array([[0, 0], [0, 0], [0, 1], [2, 0], [2, 0]])
         np.testing.assert_array_equal(group_starts(keys), [0, 2, 3])
         assert group_starts(np.empty((0, 3), dtype=np.int64)).size == 0
+
+    def test_ragged_row_operations(self):
+        """The row operations the engine applies to a state column:
+        len, a row, a slice (reversed too), a take, a concatenate."""
+
+        def rows(col):
+            return [col[i].tolist() for i in range(len(col))]
+
+        col = Ragged(np.arange(6.0), [2, 0, 3, 1])
+        assert len(col) == 4 and col.nbytes == 48
+        assert rows(col) == [[0.0, 1.0], [], [2.0, 3.0, 4.0], [5.0]]
+        assert col[-1].tolist() == [5.0]
+        assert rows(col[1:3]) == [[], [2.0, 3.0, 4.0]]
+        assert rows(col[:0]) == [] and rows(col[3:1]) == []
+        assert rows(col[::-1]) == [[5.0], [2.0, 3.0, 4.0], [], [0.0, 1.0]]
+        assert rows(col[np.array([2, 0])]) == [[2.0, 3.0, 4.0], [0.0, 1.0]]
+        joined = np.concatenate([col[2:], col[:1]])
+        assert isinstance(joined, Ragged)
+        assert rows(joined) == [[2.0, 3.0, 4.0], [5.0], [0.0, 1.0]]
+        with pytest.raises(IndexError):
+            col[4]
+        # never silently an object array
+        with pytest.raises(TypeError):
+            np.asarray(col)
+        with pytest.raises(TypeError):
+            np.concatenate([col, np.zeros(2)])
+        with pytest.raises(ShuffleError, match="cells"):
+            Ragged(np.zeros(3), [2, 2])
 
 
 # --------------------------------------------------------------------- #
@@ -759,10 +787,8 @@ class TestPlumbing:
     def test_nbytes_ndarray_is_exact(self):
         arr = np.zeros(100, dtype=np.float64)
         assert payload_nbytes(arr) == arr.nbytes
-        obj = np.empty(2, dtype=object)
-        obj[0] = np.zeros(10, dtype=np.float32)
-        obj[1] = np.zeros(10, dtype=np.float32)
-        assert payload_nbytes(obj) == 80
+        # a ragged column is its cells, not its row lengths
+        assert payload_nbytes(Ragged(np.zeros(20), [10, 10])) == 160
 
     def test_spill_check_env_parsing(self, monkeypatch):
         for raw, want in [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.query.operators as operators
 import repro.query.reference
 from repro.errors import QueryError
 from repro.query.operators import (
@@ -327,6 +328,106 @@ class TestOneDefinition:
 
     def test_every_row_has_an_oracle_entry(self):
         assert tuple(REFERENCE) == OPERATOR_NAMES
+
+
+#: Cells that make rows holding both signs of zero common.
+_ZERO_HEAVY = st.one_of(st.sampled_from([0.0, -0.0]), _ADVERSARIAL)
+
+
+@st.composite
+def _keyblock_rows(draw):
+    """One keyblock's rows of cells: all of one length or of mixed
+    lengths (one-cell rows included), each row drawn zero-heavy or not,
+    so that only some rows hold both signs of zero."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        sizes = [draw(st.integers(1, 40))] * n
+    else:
+        sizes = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    return [
+        draw(st.lists(
+            draw(st.sampled_from([_ADVERSARIAL, _ZERO_HEAVY])),
+            min_size=size, max_size=size,
+        ))
+        for size in sizes
+    ]
+
+
+def _keyblock_columns(op, rows):
+    """The state column a reduce hands ``finalize_columns`` for
+    ``rows``: one ``map_batch`` of the block when the rows share a
+    length, one per row laid end to end otherwise."""
+    if len({len(row) for row in rows}) == 1:
+        return op.map_batch(np.array(rows, dtype=np.float64))
+    return tuple(
+        np.concatenate(parts)
+        for parts in zip(*(op.map_batch(np.array([row])) for row in rows))
+    )
+
+
+def _finalized_rows(op, rows):
+    out = op.finalize_columns(
+        _keyblock_columns(op, rows), np.array([len(row) for row in rows])
+    )
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+class TestRaggedKeyblocks:
+    """``median``, ``sort`` and ``filter_gt`` finalize a keyblock of
+    many rows at once: rows of one length as a row sort (unstable, with
+    the rows holding both signs of zero sorted again stably), mixed
+    lengths as one segmented stable sort.  Every row is the oracle's."""
+
+    @pytest.mark.parametrize("name", ["median", "sort", "filter_gt"])
+    @given(rows=_keyblock_rows(), threshold=st.sampled_from([-1.0, 5.0, 50.0]))
+    def test_rows_equal_the_oracle(self, name, rows, threshold):
+        op = get_operator(
+            name, threshold if name in THRESHOLD_OPERATORS else None
+        )
+        want = [REFERENCE[name](np.array(row), op.threshold) for row in rows]
+        with np.errstate(all="ignore"):
+            got = _finalized_rows(op, rows)
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+
+    @pytest.mark.parametrize(
+        "name, threshold, rows, calls",
+        [
+            # one length, no row with both zeros: the row sort alone
+            ("median", None, [[1.0, 2.0, 3.0], [3.0, -0.0, 1.0]], []),
+            ("sort", None, [[2.0, 1.0], [0.0, 0.0]], []),
+            # the two rows holding both signs are sorted again, stably
+            ("median", None,
+             [[0.0, -0.0, 1.0], [0.0, 0.0, 1.0], [-0.0, 2.0, 0.0]],
+             [("_stable_rows", 2)]),
+            ("sort", None, [[0.0, -0.0], [1.0, 2.0]], [("_stable_rows", 1)]),
+            # mixed lengths: one segmented sort of the whole block
+            ("sort", None, [[1.0], [2.0, 1.0]], [("_segment_sort", 2)]),
+            ("median", None, [[-0.0, 0.0], [1.0, 2.0, 3.0]],
+             [("_segment_sort", 2)]),
+            # a mask that empties rows unevenly makes lengths mixed...
+            ("filter_gt", 1.5, [[1.0, 2.0], [3.0, 4.0]], [("_segment_sort", 2)]),
+            # ...one that empties every row leaves one length, 0
+            ("filter_gt", 9.0, [[1.0, 2.0], [3.0, 4.0]], []),
+            ("filter_gt", -1.0, [[-0.0, 0.0], [3.0, 4.0]], [("_stable_rows", 1)]),
+        ],
+    )
+    def test_each_keyblock_takes_its_path(
+        self, monkeypatch, name, threshold, rows, calls
+    ):
+        seen = []
+        for helper in ("_stable_rows", "_segment_sort"):
+            real = getattr(operators, helper)
+            monkeypatch.setattr(
+                operators, helper,
+                lambda arg, real=real, helper=helper: (
+                    seen.append((helper, len(arg))) or real(arg)
+                ),
+            )
+        op = get_operator(name, threshold)
+        got = _finalized_rows(op, rows)
+        assert seen == calls
+        want = [REFERENCE[name](np.array(row), threshold) for row in rows]
+        assert repr(got) == repr(want)
 
 
 class TestRegistry:
