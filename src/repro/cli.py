@@ -12,7 +12,7 @@ Subcommands mirroring the library's main entry points::
                                 [--max-attempts K] [--recovery MODE]
     python -m repro.cli simulate --figure 9|10|11|12|13 [--scale 10]
                                 [--trace out.json] [--metrics out.json]
-    python -m repro.cli report  TRACEFILE            # pretty-print a trace
+    python -m repro.cli report  TRACEFILE            # trace or --events JSONL
     python -m repro.cli tables  --table 2|3|partition
     python -m repro.cli recovery FILE --variable V --extract 7,5,1 ...
                                 [--fail-reduce L] [--fault-seed N]
@@ -25,9 +25,9 @@ Subcommands mirroring the library's main entry points::
 (dependency barriers + count validation) and prints the output records;
 ``simulate`` regenerates a paper figure on the simulated cluster;
 ``tables`` regenerates a paper table.  ``--trace`` writes a Chrome
-trace_event file (``.jsonl`` for the line-stream format) loadable in
-Perfetto; ``--metrics`` writes the metric snapshots as JSON; ``report``
-renders a saved trace as a human-readable per-phase breakdown.
+trace_event file loadable in Perfetto; ``--metrics`` writes the metric
+snapshots as JSON; ``report`` renders a saved trace or ``--events``
+JSONL as a human-readable per-phase breakdown.
 
 ``--live`` renders a refreshing status block (phase bars, cost-model
 ETA, flagged stragglers) while the query runs; ``--events`` streams the
@@ -74,6 +74,17 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     if not shape:
         raise SystemExit("empty shape")
     return shape
+
+
+def _trace_path(text: str) -> str:
+    """``--trace`` writes Chrome JSON only: the line format is the
+    ``--events`` JSONL."""
+    if text.endswith(".jsonl"):
+        raise argparse.ArgumentTypeError(
+            f"{text}: --trace writes a Chrome trace (.json); for a JSONL "
+            "stream use --events"
+        )
+    return text
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -321,11 +332,11 @@ def cmd_query(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.trace or args.metrics:
-        from repro.obs import write_metrics, write_trace
+        from repro.obs import write_chrome_trace, write_metrics
 
         run = (job.name, res.obs)
         if args.trace:
-            write_trace(args.trace, run)
+            write_chrome_trace(args.trace, run)
             print(f"# trace written to {args.trace}", file=sys.stderr)
         if args.metrics:
             write_metrics(
@@ -654,14 +665,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for k, v in result.notes.items():
             print(f"note: {k} = {v:.3f}")
     if args.trace or args.metrics:
-        from repro.obs import write_metrics, write_trace
+        from repro.obs import write_chrome_trace, write_metrics
 
         runs = [
             (label, tl.to_observability(label))
             for label, tl in result.timelines.items()
         ]
         if args.trace:
-            write_trace(args.trace, runs)
+            write_chrome_trace(args.trace, runs)
             print(f"# trace written to {args.trace}", file=sys.stderr)
         if args.metrics:
             write_metrics(args.metrics, runs)
@@ -797,9 +808,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--status", default=None, metavar="FILE",
                          help="write the final snapshot() JSON status "
                          "document")
-    p_query.add_argument("--trace", default=None, metavar="FILE",
-                         help="write a Perfetto-loadable trace "
-                         "(.jsonl = line stream)")
+    p_query.add_argument("--trace", default=None, metavar="FILE.json",
+                         type=_trace_path,
+                         help="write a Perfetto-loadable Chrome trace")
     p_query.add_argument("--metrics", default=None, metavar="FILE",
                          help="write metric snapshots as JSON")
     p_query.add_argument("--inject-faults", default=None, metavar="PLAN.json",
@@ -943,14 +954,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="divide the dataset's time dim (10 = fast)")
     p_sim.add_argument("--runs", type=int, default=10,
                        help="runs for figure 12")
-    p_sim.add_argument("--trace", default=None, metavar="FILE",
+    p_sim.add_argument("--trace", default=None, metavar="FILE.json",
+                       type=_trace_path,
                        help="write the simulated runs as a Perfetto trace")
     p_sim.add_argument("--metrics", default=None, metavar="FILE",
                        help="write metric snapshots as JSON")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_rep = sub.add_parser(
-        "report", help="pretty-print a saved trace (Chrome JSON or JSONL)"
+        "report", help="pretty-print a saved trace (Chrome JSON or an "
+        "--events JSONL)"
     )
     p_rep.add_argument("tracefile")
     p_rep.set_defaults(fn=cmd_report)

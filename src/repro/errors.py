@@ -76,7 +76,8 @@ class SimulationError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """Misuse of the tracing/metrics layer (double-ended span, bucket clash...)."""
+    """Misuse of the tracing/metrics layer (open span's duration, bucket
+    clash, unreadable trace file...)."""
 
 
 class FaultPlanError(ReproError):

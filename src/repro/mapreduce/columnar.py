@@ -69,7 +69,7 @@ from repro.mapreduce.shuffle import (
     payload_nbytes,
 )
 from repro.mapreduce.types import KeyValue, MapTaskId
-from repro.obs import COUNT_BUCKETS, JobObservability, RATE_BUCKETS
+from repro.obs import COUNT_BUCKETS, JobObservability
 
 
 class BatchOperator(Protocol):
@@ -734,7 +734,7 @@ def run_columnar_map(
     store: ShuffleStore,
     counters: Counters,
     obs: JobObservability,
-    task_span: Any,
+    task: tuple[str, int, int] | None,
     *,
     attempt: int = 0,
     corrupt: bool = False,
@@ -768,7 +768,7 @@ def run_columnar_map(
     count_parts: list[np.ndarray] = []
     records_in = 0
     masked = 0
-    with obs.phase("map.read", task_span) as read_span:
+    with obs.phase("map.read", task) as read:
         for item in reader:
             # Batch-granular cancellation/liveness checkpoint: batches
             # are big, so the per-item cost is noise while a cancelled
@@ -787,13 +787,14 @@ def run_columnar_map(
             count_parts.append(
                 np.full(item.num_instances, item.cells_per_instance, dtype=np.int64)
             )
+        read["records"] = records_in
     counters.increment("map.input.records", records_in)
     counters.increment("map.output.records", records_in)
     counters.increment("plane.batched.instances", records_in)
     if masked:
         counters.increment("pushdown.rows.masked", masked)
 
-    with obs.phase("map.spill", task_span):
+    with obs.phase("map.spill", task):
         files: list[ColumnarMapOutput] = []
         if records_in:
             cols = tuple(
@@ -852,12 +853,6 @@ def run_columnar_map(
         else:
             store.spill_empty(MapTaskId(split_index), attempt=attempt)
     counters.increment("shuffle.segments", len(files))
-    if obs.enabled and read_span is not None:
-        dur = read_span.duration
-        if dur > 0 and records_in:
-            obs.metrics.histogram(
-                "map.emit.records_per_sec", RATE_BUCKETS
-            ).observe(records_in / dur)
 
 
 def _planned(job: Any, files: list[Any]) -> ReducePlan | None:
@@ -874,7 +869,7 @@ def run_columnar_reduce(
     files: list[Any],
     counters: Counters,
     obs: JobObservability,
-    task_span: Any,
+    task: tuple[str, int, int] | None,
     *,
     cancel: Any | None = None,
     heartbeat: Any | None = None,
@@ -899,7 +894,7 @@ def run_columnar_reduce(
     block = ResultBlock.empty()
     records = 0
     sizes: np.ndarray | None = None
-    with obs.phase("reduce.reduce", task_span):
+    with obs.phase("reduce.reduce", task):
         if cancel is not None:
             cancel.check()
         if files:

@@ -111,7 +111,7 @@ from repro.mapreduce.job import JobConf
 from repro.mapreduce.record import run_record_map, run_record_reduce
 from repro.mapreduce.shuffle import ShuffleStore
 from repro.mapreduce.types import KeyValue
-from repro.obs import JobObservability, TIME_BUCKETS
+from repro.obs import JobObservability
 from repro.obs.live.bus import (
     EV_BARRIER_FIRE,
     EV_JOB_DEADLINE,
@@ -505,9 +505,10 @@ class LocalEngine:
             raise JobConfigError("worker counts must be positive")
         self.map_workers = map_workers
         self.reduce_workers = reduce_workers
-        #: When False, a run made without an ``obs=`` gets neither the
-        #: span nor the metrics fold (events still flow and are kept:
-        #: counters, the flat trace and the attempts are read off them).
+        #: When False, a run made without an ``obs=`` publishes no
+        #: phases and gets neither spans nor the metrics fold (events
+        #: still flow and are kept: counters, the flat trace and the
+        #: attempts are read off them).
         self.observability = observability
         #: Attempt/backoff policy; the default (max_attempts=1) matches
         #: the historical die-on-first-failure behaviour.
@@ -557,8 +558,7 @@ class LocalEngine:
         )
         body = run_record_map if job.batch_operator is None else run_columnar_map
         body(
-            job, split_index, store, counters, obs,
-            obs.task_span("map", split_index, attempt),
+            job, split_index, store, counters, obs, ("map", split_index, attempt),
             attempt=attempt, corrupt=corrupt,
             cancel=cancel, heartbeat=hb,
         )
@@ -611,7 +611,6 @@ class LocalEngine:
         counters: Counters,
         obs: JobObservability,
         completed_at_start: frozenset[int],
-        task_span: Any,
         hb: Heartbeat,
         *,
         attempt: int,
@@ -641,7 +640,7 @@ class LocalEngine:
             raise BarrierViolationError(
                 f"reduce {partition} would fetch from unfinished maps {sorted(missing)}"
             )
-        with obs.phase("reduce.fetch", task_span) as fetch_span:
+        with obs.phase("reduce.fetch", ("reduce", partition, attempt)):
             validator = job.context.get("reduce_start_validator")
             if validator is not None:
                 tally = store.total_source_records(
@@ -668,10 +667,6 @@ class LocalEngine:
         # ``shuffle.bytes`` is now a real serialized-size estimate.
         counters.increment("shuffle.records", shuffled_records)
         counters.increment("shuffle.bytes", shuffled_bytes)
-        if obs.enabled and fetch_span is not None:
-            obs.metrics.histogram(
-                "shuffle.fetch.seconds", TIME_BUCKETS
-            ).observe(fetch_span.duration)
         if faults is not None:
             # Post-fetch injection point: the attempt has consumed
             # its shuffle input, so failing here is what forces the
@@ -698,10 +693,9 @@ class LocalEngine:
     ) -> Sequence[KeyValue]:
         """One reduce attempt, fetch to output, on the calling thread."""
         hb = self._heartbeat(obs, "reduce", partition, attempt)
-        task_span = obs.task_span("reduce", partition, attempt)
         files = self._fetch_reduce_inputs(
             job, partition, barrier, store, counters, obs,
-            completed_at_start, task_span, hb,
+            completed_at_start, hb,
             attempt=attempt, faults=faults, cancel=cancel,
         )
         body = (
@@ -712,7 +706,7 @@ class LocalEngine:
             job,
             partition,
             body(
-                job, files, counters, obs, task_span,
+                job, files, counters, obs, ("reduce", partition, attempt),
                 cancel=cancel, heartbeat=hb,
             ),
         )
@@ -1252,7 +1246,7 @@ class LocalEngine:
                 wait(reduce_snapshot)
 
         # The single finish site: every outcome — success, task failure,
-        # deadline — publishes ``job.finish`` (closing the job span) and
+        # deadline — publishes ``job.finish`` (ending the run's slice) and
         # reads the run's record once: lifecycle tallies, trace, attempts
         # and, when enabled, the registry metrics.
         expired = bool(deadline_errors) and not errors

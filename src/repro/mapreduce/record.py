@@ -2,7 +2,7 @@
 
 The counterpart of :mod:`repro.mapreduce.columnar` — one key/value at a
 time through ``Mapper``/``Reducer`` objects, sorted runs through a
-k-way merge.  The task span, fault injection, fetch and heartbeat
+k-way merge.  The attempt loop, fault injection, fetch and heartbeat
 plumbing around the bodies belong to :mod:`repro.mapreduce.engine`.
 """
 
@@ -16,7 +16,7 @@ from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import MapOutputFile, ShuffleStore
 from repro.mapreduce.sortmerge import group_sorted, merge_segments, sort_records
 from repro.mapreduce.types import KeyValue, MapTaskId
-from repro.obs import COUNT_BUCKETS, RATE_BUCKETS, JobObservability
+from repro.obs import COUNT_BUCKETS, JobObservability
 from repro.spec import CancelToken, Heartbeat
 
 
@@ -26,7 +26,7 @@ def run_record_map(
     store: ShuffleStore,
     counters: Counters,
     obs: JobObservability,
-    task_span: Any,
+    task: tuple[str, int, int] | None,
     *,
     attempt: int = 0,
     corrupt: bool = False,
@@ -36,7 +36,7 @@ def run_record_map(
     """Record-plane map-task body (read → partition → combine → spill).
 
     Mirrors :func:`run_columnar_map`; the engine's ``_run_map`` wraps
-    it in the task span, fault injection, and heartbeat plumbing.
+    it in fault injection and heartbeat plumbing.
     """
     split = job.splits[split_index]
     mapper = job.mapper_factory()
@@ -60,8 +60,8 @@ def run_record_map(
             records_out += 1
 
     # The reader streams into the mapper, so reading and mapping
-    # share one phase span (see docs/OBSERVABILITY.md).
-    with obs.phase("map.read", task_span) as read_span:
+    # share one phase (see docs/OBSERVABILITY.md).
+    with obs.phase("map.read", task) as read:
         for k, v in job.reader_factory(split):
             # Per-record cancellation/liveness checkpoint: a
             # latched-Event probe plus a modulo-gated heartbeat,
@@ -73,6 +73,7 @@ def run_record_map(
             records_in += 1
             consume(mapper.map(k, v))
         consume(mapper.cleanup())
+        read["records"] = records_out
     counters.increment("map.input.records", records_in)
     counters.increment("map.output.records", records_out)
 
@@ -81,7 +82,7 @@ def run_record_map(
     # chunked structural readers each record already aggregates a
     # chunk; the reader is responsible for emitting per-record source
     # counts via the value's `source_count` attribute/key.)
-    with obs.phase("map.spill", task_span):
+    with obs.phase("map.spill", task):
         files: list[MapOutputFile] = []
         for p, recs in buckets.items():
             src = 0
@@ -121,12 +122,6 @@ def run_record_map(
         else:
             store.spill_empty(MapTaskId(split_index), attempt=attempt)
     counters.increment("shuffle.segments", len(files))
-    if obs.enabled and read_span is not None:
-        dur = read_span.duration
-        if dur > 0 and records_out:
-            obs.metrics.histogram(
-                "map.emit.records_per_sec", RATE_BUCKETS
-            ).observe(records_out / dur)
 
 
 def run_record_reduce(
@@ -134,7 +129,7 @@ def run_record_reduce(
     files: list[MapOutputFile],
     counters: Counters,
     obs: JobObservability,
-    task_span: Any,
+    task: tuple[str, int, int] | None,
     *,
     cancel: CancelToken | None = None,
     heartbeat: Heartbeat | None = None,
@@ -153,8 +148,8 @@ def run_record_reduce(
     records = 0
     group_sizes: list[int] | None = [] if obs.enabled else None
     # Merging streams into the reducer, so merge + reduce share
-    # one phase span; group sizes land in the skew histogram.
-    with obs.phase("reduce.reduce", task_span):
+    # one phase; group sizes land in the skew histogram.
+    with obs.phase("reduce.reduce", task):
         for key, values in group_sorted(merge_segments(segments)):
             if cancel is not None:
                 cancel.check()

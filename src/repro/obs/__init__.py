@@ -1,10 +1,13 @@
-"""Unified observability: spans, metrics, trace export, job reports.
+"""Unified observability: the event record and its readings.
 
 The one vocabulary shared by the real engine
 (:mod:`repro.mapreduce.engine`), the shuffle layer, the SIDR schedule
-policy, and the discrete-event simulator — so a Perfetto trace of a
-real threaded run and of a simulated cluster run read the same way.
-See ``docs/OBSERVABILITY.md`` for the span and metric name reference.
+policy, and the discrete-event simulator: each publishes events on the
+run's :class:`EventBus`, which keeps them as the run's record, and
+spans, metrics, trace export and job reports are readings of that
+record — so a Perfetto trace of a real threaded run, of a simulated
+cluster run and of an ``--events`` JSONL read the same way.  See
+``docs/OBSERVABILITY.md`` for the event, span and metric name reference.
 """
 
 from repro.obs.jobobs import JobObservability
@@ -34,16 +37,13 @@ from repro.obs.spans import (
     CAT_PHASE,
     CAT_TASK,
     Span,
-    SpanTracer,
 )
 from repro.obs.export import (
     chrome_trace_doc,
     load_trace,
     normalized_runs,
     write_chrome_trace,
-    write_jsonl,
     write_metrics,
-    write_trace,
 )
 from repro.obs.report import format_report, format_run_report
 
@@ -67,7 +67,6 @@ __all__ = [
     "ProgressTracker",
     "RATE_BUCKETS",
     "Span",
-    "SpanTracer",
     "StragglerDetector",
     "TIME_BUCKETS",
     "chrome_trace_doc",
@@ -77,7 +76,5 @@ __all__ = [
     "load_trace",
     "normalized_runs",
     "write_chrome_trace",
-    "write_jsonl",
     "write_metrics",
-    "write_trace",
 ]

@@ -1,4 +1,4 @@
-"""Trace export: Chrome ``trace_event`` JSON and a JSONL stream.
+"""Trace export: Chrome ``trace_event`` JSON, and loading for ``report``.
 
 The Chrome format (one JSON object with a ``traceEvents`` array) loads
 directly in Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``.
@@ -9,10 +9,10 @@ metadata so phases stack under their task lane, and multiple runs
 (e.g. the simulator's Hadoop-vs-SIDR arms) export as separate ``pid``
 processes in one file.
 
-The JSONL format is a line stream (one JSON object per line: ``job``,
-``span``, ``metrics`` records) for tailing and ad-hoc ``jq`` analysis.
-
-``load_trace`` reads either format back into the normalized run
+The one line format is the ``--events`` JSONL, the run's record event
+for event (:class:`~repro.obs.live.stream.JsonlEventWriter`).
+``load_trace`` reads either a Chrome trace or such a file — its spans
+and metrics replayed from the events — into the normalized run
 structure that :mod:`repro.obs.report` consumes:
 
     {"label": str,
@@ -27,7 +27,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ObservabilityError
+from repro.obs.folds import MetricsFold
 from repro.obs.jobobs import JobObservability
+from repro.obs.live.bus import EV_JOB_START, Event
+from repro.obs.live.stream import read_events
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import Span, spans
 
 Run = tuple[str, JobObservability]
 
@@ -56,6 +61,10 @@ def _track_order(track: str) -> tuple[int, float, str]:
 # --------------------------------------------------------------------- #
 # Chrome trace_event
 # --------------------------------------------------------------------- #
+def _meta(name: str, pid: int, tid: int, args: dict[str, Any]) -> dict[str, Any]:
+    return {"ph": "M", "name": name, "pid": pid, "tid": tid, "ts": 0, "args": args}
+
+
 def chrome_trace_doc(
     runs: JobObservability | Run | list[Run],
 ) -> dict[str, Any]:
@@ -63,34 +72,15 @@ def chrome_trace_doc(
     events: list[dict[str, Any]] = []
     metrics: dict[str, Any] = {}
     for pid, (label, obs) in enumerate(_as_runs(runs), start=1):
-        events.append(
-            {
-                "ph": "M", "name": "process_name",
-                "pid": pid, "tid": 0, "ts": 0,
-                "args": {"name": label},
-            }
-        )
-        spans = obs.tracer.finished_spans()
-        tracks = sorted({s.track for s in spans}, key=_track_order)
+        events.append(_meta("process_name", pid, 0, {"name": label}))
+        run_spans = [s for s in obs.spans() if s.finished]
+        tracks = sorted({s.track for s in run_spans}, key=_track_order)
         tids = {t: i for i, t in enumerate(tracks, start=1)}
         for track, tid in tids.items():
-            events.append(
-                {
-                    "ph": "M", "name": "thread_name",
-                    "pid": pid, "tid": tid, "ts": 0,
-                    "args": {"name": track},
-                }
-            )
-            events.append(
-                {
-                    "ph": "M", "name": "thread_sort_index",
-                    "pid": pid, "tid": tid, "ts": 0,
-                    "args": {"sort_index": tid},
-                }
-            )
-        for s in spans:
-            args = dict(s.args)
-            args["span_id"] = s.span_id
+            events.append(_meta("thread_name", pid, tid, {"name": track}))
+            events.append(_meta("thread_sort_index", pid, tid, {"sort_index": tid}))
+        for s in run_spans:
+            args = {**s.args, "span_id": s.span_id}
             if s.parent_id is not None:
                 args["parent_id"] = s.parent_id
             ev: dict[str, Any] = {
@@ -125,56 +115,6 @@ def write_chrome_trace(
     return path
 
 
-# --------------------------------------------------------------------- #
-# JSONL stream
-# --------------------------------------------------------------------- #
-def write_jsonl(
-    path: str | Path, runs: JobObservability | Run | list[Run]
-) -> Path:
-    path = Path(path)
-    with path.open("w") as fh:
-        for label, obs in _as_runs(runs):
-            fh.write(json.dumps({"type": "job", "label": label}) + "\n")
-            for s in obs.tracer.finished_spans():
-                fh.write(
-                    json.dumps(
-                        {
-                            "type": "span",
-                            "label": label,
-                            "name": s.name,
-                            "category": s.category,
-                            "track": s.track,
-                            "span_id": s.span_id,
-                            "parent_id": s.parent_id,
-                            "start": s.start,
-                            "dur": s.duration,
-                            "args": s.args,
-                        }
-                    )
-                    + "\n"
-                )
-            fh.write(
-                json.dumps(
-                    {
-                        "type": "metrics",
-                        "label": label,
-                        "metrics": obs.metrics.snapshot(),
-                    }
-                )
-                + "\n"
-            )
-    return path
-
-
-def write_trace(
-    path: str | Path, runs: JobObservability | Run | list[Run]
-) -> Path:
-    """Format by extension: ``.jsonl`` → line stream, else Chrome JSON."""
-    if str(path).endswith(".jsonl"):
-        return write_jsonl(path, runs)
-    return write_chrome_trace(path, runs)
-
-
 def write_metrics(
     path: str | Path,
     runs: JobObservability | Run | list[Run],
@@ -199,35 +139,39 @@ def normalized_runs(
     runs: JobObservability | Run | list[Run],
 ) -> list[dict[str, Any]]:
     """Normalize live observability objects without a disk round-trip."""
-    out = []
-    for label, obs in _as_runs(runs):
-        out.append(
-            {
-                "label": label,
-                "spans": [
-                    {
-                        "name": s.name,
-                        "category": s.category,
-                        "track": s.track,
-                        "start": s.start,
-                        "dur": s.duration,
-                        "args": dict(s.args),
-                    }
-                    for s in obs.tracer.finished_spans()
-                ],
-                "metrics": obs.metrics.snapshot(),
-            }
-        )
-    return out
+    return [
+        {
+            "label": label,
+            "spans": _normalized(obs.spans()),
+            "metrics": obs.metrics.snapshot(),
+        }
+        for label, obs in _as_runs(runs)
+    ]
+
+
+def _normalized(run_spans: list[Span]) -> list[dict[str, Any]]:
+    """The finished spans as ``format_report`` reads them."""
+    return [
+        {
+            "name": s.name,
+            "category": s.category,
+            "track": s.track,
+            "start": s.start,
+            "dur": s.duration,
+            "args": dict(s.args),
+        }
+        for s in run_spans
+        if s.finished
+    ]
 
 
 def _runs_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
     events = doc.get("traceEvents")
     if not isinstance(events, list):
-        raise ObservabilityError("not a Chrome trace: missing traceEvents")
+        raise ObservabilityError("not a Chrome trace: traceEvents is not a list")
     labels: dict[int, str] = {}
     threads: dict[tuple[int, int], str] = {}
-    spans: dict[int, list[dict[str, Any]]] = {}
+    by_pid: dict[int, list[dict[str, Any]]] = {}
     for ev in events:
         pid = ev.get("pid", 1)
         if ev.get("ph") == "M":
@@ -238,10 +182,10 @@ def _runs_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
                     "name", ""
                 )
         elif ev.get("ph") in ("X", "i"):
-            spans.setdefault(pid, []).append(ev)
+            by_pid.setdefault(pid, []).append(ev)
     metrics = doc.get("otherData", {}).get("metrics", {})
     runs = []
-    for pid in sorted(spans):
+    for pid in sorted(by_pid):
         label = labels.get(pid, f"pid {pid}")
         runs.append(
             {
@@ -257,7 +201,7 @@ def _runs_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
                         "dur": float(ev.get("dur", 0.0)) / 1e6,
                         "args": ev.get("args", {}),
                     }
-                    for ev in spans[pid]
+                    for ev in by_pid[pid]
                 ],
                 "metrics": metrics.get(label),
             }
@@ -265,43 +209,50 @@ def _runs_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
     return runs
 
 
-def _runs_from_jsonl(lines: list[str]) -> list[dict[str, Any]]:
-    runs: dict[str, dict[str, Any]] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        label = rec.get("label", "job")
-        run = runs.setdefault(
-            label, {"label": label, "spans": [], "metrics": None}
+def _runs_from_events(events: list[Event]) -> list[dict[str, Any]]:
+    """One run per ``job`` id, labelled by its ``job.start`` name, its
+    spans and registry metrics read off its events."""
+    by_job: dict[str, list[Event]] = {}
+    for ev in events:
+        by_job.setdefault(ev.job, []).append(ev)
+    runs = []
+    for job, run_events in by_job.items():
+        registry = MetricsRegistry()
+        fold = MetricsFold(registry)
+        label = job or "job"
+        for ev in run_events:
+            fold(ev)
+            if ev.type == EV_JOB_START:
+                label = ev.data.get("name", label)
+        runs.append(
+            {
+                "label": label,
+                "spans": _normalized(spans(run_events)),
+                "metrics": registry.snapshot(),
+            }
         )
-        if rec.get("type") == "span":
-            run["spans"].append(
-                {
-                    "name": rec["name"],
-                    "category": rec.get("category", "phase"),
-                    "track": rec.get("track", rec["name"]),
-                    "start": float(rec["start"]),
-                    "dur": float(rec["dur"]),
-                    "args": rec.get("args", {}),
-                }
-            )
-        elif rec.get("type") == "metrics":
-            run["metrics"] = rec.get("metrics")
-    return list(runs.values())
+    return runs
 
 
 def load_trace(path: str | Path) -> list[dict[str, Any]]:
-    """Load a saved trace (Chrome JSON or JSONL) into normalized runs."""
+    """Load a saved trace into normalized runs, deciding the format by
+    content: a JSON document with ``traceEvents`` is a Chrome trace,
+    anything else must be an ``--events`` JSONL."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if not stripped:
+    if not text.strip():
         raise ObservabilityError(f"empty trace file {path}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError:
-        return _runs_from_jsonl(text.splitlines())
-    if isinstance(doc, dict):
+        doc = None
+    if isinstance(doc, dict) and "traceEvents" in doc:
         return _runs_from_chrome(doc)
-    raise ObservabilityError(f"unrecognized trace format in {path}")
+    try:
+        events = read_events(path)
+    except (ValueError, KeyError, TypeError):
+        events = []
+    if not events:
+        raise ObservabilityError(
+            f"{path} is neither a Chrome trace nor an --events JSONL"
+        )
+    return _runs_from_events(events)

@@ -1,18 +1,18 @@
-"""JobObservability: one run's event bus, tracer and metrics registry.
+"""JobObservability: one run's event bus and metrics registry.
 
 Every run has a bus — the caller's (``bus=``: attaching listeners to it
 beforehand is how a caller acts on the run as it happens) or a private
 one — and the engine publishes each lifecycle occurrence on it exactly
 once.  This object publishes the run's ``job.start`` and ``job.finish``
-and so knows where the run's slice of the bus's record begins; at
-finish it folds that slice into the run's readings.  When ``enabled``
-it attaches the :class:`~repro.obs.folds.SpanFold` for the run's
-duration and folds :class:`~repro.obs.folds.MetricsFold` into
-``metrics`` at finish.  ``enabled=False`` does neither and makes
-:meth:`phase` a no-op: the engine's ``observability=False`` mode.
+and so knows where the run's slice of the bus's record begins; every
+reading of the run is taken from that slice: at finish :meth:`fold`
+fills ``counters`` and, when ``enabled``, ``metrics``; :meth:`spans`
+derives the run's spans on demand.  Nothing listens on the bus for it.
 
-Task bodies use two things here: :meth:`task_span` (the span the fold
-opened for their attempt, to parent phases under) and :meth:`phase`.
+Task bodies use one thing here: :meth:`phase`, which publishes a phase
+of their attempt as one ``task.phase`` event.  ``enabled=False`` makes
+it a no-op and :meth:`spans` empty: the engine's ``observability=False``
+mode, and what a served job runs.
 """
 
 from __future__ import annotations
@@ -21,14 +21,20 @@ from contextlib import contextmanager
 from collections.abc import Iterator
 from typing import Any
 
-from repro.obs.folds import MetricsFold, SpanFold
-from repro.obs.live.bus import EV_JOB_FINISH, EV_JOB_START, Event, EventBus
+from repro.obs.folds import MetricsFold
+from repro.obs.live.bus import (
+    EV_JOB_FINISH,
+    EV_JOB_START,
+    EV_TASK_PHASE,
+    Event,
+    EventBus,
+)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span, SpanTracer
+from repro.obs.spans import Span, spans
 
 
 class JobObservability:
-    """Bus + tracer + metrics for one job run."""
+    """Bus + metrics for one job run."""
 
     def __init__(
         self,
@@ -41,38 +47,36 @@ class JobObservability:
         self.job_name = job_name
         self.enabled = enabled
         self.bus = bus or EventBus()
-        self.tracer = SpanTracer(clock=self.bus.now)
         self.metrics = metrics or MetricsRegistry()
-        self._spans = SpanFold(self.tracer) if enabled else None
-        if self._spans is not None:
-            self.bus.attach(self._spans)
         #: ``seq`` of the run's ``job.start``: its slice of the record
         #: begins there.
         self._start = 0
 
-    @property
-    def job_span(self) -> Span | None:
-        """The run's root span (None when disabled or before
-        ``job.start``)."""
-        return self._spans.job_span if self._spans is not None else None
-
-    def task_span(self, kind: str, index: int, attempt: int = 0) -> Span | None:
-        """The span of the in-flight attempt (None when disabled, or
-        when the body runs outside any attempt loop)."""
-        if self._spans is None:
-            return None
-        return self._spans.task_span(kind, index, attempt)
-
     @contextmanager
     def phase(
-        self, name: str, parent: Span | None, **args: Any
-    ) -> Iterator[Span | None]:
-        """A phase span nested under a task span."""
+        self, name: str, task: tuple[str, int, int] | None, **data: Any
+    ) -> Iterator[dict[str, Any]]:
+        """Phase ``name`` of attempt ``task`` (its ``(kind, index,
+        attempt)``, None outside any attempt), published when it closes
+        as one ``task.phase`` event carrying ``start`` (the bus clock at
+        open), ``error`` if the body raised, and ``data`` with whatever
+        the body adds to the yielded dict.  Not ``enabled``: nothing is
+        timed or published."""
         if not self.enabled:
-            yield None
+            yield data
             return
-        with self.tracer.span(name, parent=parent, args=args or None) as s:
-            yield s
+        kind, index, attempt = task or ("", -1, 0)
+        start = self.bus.now()
+        try:
+            yield data
+        except BaseException as exc:
+            data["error"] = type(exc).__name__
+            raise
+        finally:
+            self.bus.publish(
+                EV_TASK_PHASE, kind=kind, index=index, attempt=attempt,
+                name=name, start=start, **data,
+            )
 
     def start(self, **data: Any) -> None:
         """Publish ``job.start``: the run's slice of the record begins
@@ -80,13 +84,23 @@ class JobObservability:
         self._start = self.bus.publish(EV_JOB_START, name=self.job_name, **data).seq
 
     def finish(self, counters: Any | None = None, **args: Any) -> list[Event]:
-        """Publish ``job.finish`` (the span fold closes the job span on
-        it), stop the span fold, and :meth:`fold` the run's slice of the
+        """Publish ``job.finish`` and :meth:`fold` the run's slice of the
         record, which is returned."""
         self.bus.publish(EV_JOB_FINISH, name=self.job_name, **args)
-        if self._spans is not None:
-            self.bus.detach(self._spans)
         return self.fold(counters)
+
+    def spans(self) -> list[Span]:
+        """The run's spans (:func:`~repro.obs.spans.spans` of its slice
+        of the record, from its ``job.start`` to its ``job.finish``);
+        none when not ``enabled``."""
+        if not self.enabled:
+            return []
+        events = self.bus.events(since=self._start)
+        end = next(
+            (i for i, ev in enumerate(events) if ev.type == EV_JOB_FINISH),
+            len(events) - 1,
+        )
+        return spans(events[:end + 1])
 
     def fold(self, counters: Any | None = None) -> list[Event]:
         """Read the run's slice of the record once: its lifecycle

@@ -9,7 +9,7 @@ event to the bus's **record** under the same lock that assigns its
 ``seq``, so :meth:`EventBus.events` is in total order by construction —
 if event A was published strictly before event B (program order, or
 under a shared external lock such as the shuffle store's), A precedes B
-in the record.  Everything that only *reports* on a run — spans aside,
+in the record.  Everything that only *reports* on a run — its spans,
 the registry metrics, lifecycle ``Counters``, the flat ``EngineTrace``,
 ``JobResult.attempts``, progress, the JSONL audit, the verify log — is
 a reading of that record (``docs/OBSERVABILITY.md`` has the event →
@@ -18,8 +18,7 @@ recorded: heartbeats grow with wall-clock time, not with work.
 
 Listeners (:meth:`EventBus.attach`) are for code that must *act* the
 moment an event is published — the straggler and hang detectors, the
-speculation runtime, the verifier's chaos stalls, the span fold that
-task bodies parent their phases under.  They run on the publishing
+speculation runtime, the verifier's chaos stalls.  They run on the publishing
 thread *outside* the lock, so a listener may itself publish (the
 detectors do); listener exceptions are swallowed and counted
 (``listener_errors``, the first one kept as ``first_listener_error``),
@@ -27,8 +26,8 @@ never propagated into the publishing task.  A bus with no listener
 pays one lock, one :class:`Event` and one append per publish.
 
 Event vocabulary (see ``docs/OBSERVABILITY.md``): ``job.start``,
-``task.start``, ``task.heartbeat``, ``task.finish``, ``task.retry``,
-``task.straggler``, ``task.hang``, ``task.speculate``,
+``task.start``, ``task.heartbeat``, ``task.phase``, ``task.finish``,
+``task.retry``, ``task.straggler``, ``task.hang``, ``task.speculate``,
 ``task.cancelled``, ``spill.commit``, ``barrier.fire``,
 ``reduce.start``, ``fetch``, ``recovery.reexecute``, ``sched.reduce.scheduled``,
 ``sched.map.scheduled``, ``job.deadline``, ``job.finish``.
@@ -49,6 +48,9 @@ EV_JOB_START = "job.start"
 EV_JOB_FINISH = "job.finish"
 EV_TASK_START = "task.start"
 EV_TASK_FINISH = "task.finish"
+#: One phase of an attempt's body (``map.read``, ``reduce.fetch``, ...),
+#: published when it closes; ``data`` carries its ``name`` and ``start``.
+EV_TASK_PHASE = "task.phase"
 EV_TASK_RETRY = "task.retry"
 EV_TASK_STRAGGLER = "task.straggler"
 EV_TASK_HEARTBEAT = "task.heartbeat"

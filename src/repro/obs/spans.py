@@ -1,20 +1,19 @@
-"""Hierarchical, thread-safe span tracing.
+"""Spans: a reading of the run's event record.
 
 A :class:`Span` is a named time interval with an explicit parent — the
-observability layer's unit of "what happened when".  Spans nest
-job → task → phase: the engine opens one ``job`` span per run, one
-``task`` span per map/reduce task (possibly on a pool worker thread),
-and ``phase`` spans inside each task (``map.read``, ``reduce.fetch``,
-...).  Parenthood is *explicit* — the parent span is passed by hand —
-because the engine hops threads between submission and execution, so
-implicit context propagation (thread-locals) would mis-attribute spans
-run on pool workers.
-
-Timestamps are seconds relative to the tracer's epoch (its creation
-time) taken from ``time.perf_counter``.  Every mutating call also
-accepts an explicit ``at=`` timestamp so synthetic traces — e.g. the
-discrete-event simulator replaying a :class:`~repro.sim.timeline.TaskTimeline`
-— can emit the exact same span vocabulary with simulated clocks.
+unit a trace viewer draws.  Spans nest job → task → phase, and every one
+of them is derived from :class:`~repro.obs.live.bus.Event` fields alone
+by :func:`spans`: ``job.start``/``job.finish`` bound the ``job`` span,
+each attempt's ``task.start``/``task.finish`` bound a ``task`` span
+under it, and each ``task.phase`` (published by
+:meth:`JobObservability.phase <repro.obs.jobobs.JobObservability.phase>`
+when the phase closes, carrying its ``start``) is a ``phase`` span under
+its attempt's.  ``barrier.fire`` adds a ``barrier.wait`` span and, when
+it fired before the last map, a ``reduce.early_start`` instant; retries,
+speculation, cancellations, recoveries and straggler/hang flags are
+instants.  So the run's record, its ``--events`` JSONL read back with
+``read_events`` and a simulator timeline replayed onto a bus all give
+their spans the same way.
 
 Each span also carries a ``track``: the display lane it belongs to
 (``"job"``, ``"map 3"``, ``"reduce 1"``).  The Chrome-trace exporter
@@ -25,15 +24,26 @@ one real thread.
 
 from __future__ import annotations
 
-import itertools
-import threading
-import time
-from contextlib import contextmanager
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import ObservabilityError
+from repro.obs.live.bus import (
+    EV_BARRIER_FIRE,
+    EV_JOB_FINISH,
+    EV_JOB_START,
+    EV_RECOVERY,
+    EV_TASK_CANCELLED,
+    EV_TASK_FINISH,
+    EV_TASK_HANG,
+    EV_TASK_PHASE,
+    EV_TASK_RETRY,
+    EV_TASK_SPECULATE,
+    EV_TASK_START,
+    EV_TASK_STRAGGLER,
+    Event,
+)
 
 #: Span categories (the Chrome-trace ``cat`` field).
 CAT_JOB = "job"
@@ -42,10 +52,17 @@ CAT_PHASE = "phase"
 CAT_BARRIER = "barrier"
 CAT_INSTANT = "instant"
 
+#: Decisions drawn as instants on their task's track.
+_INSTANTS = frozenset({
+    EV_TASK_RETRY, EV_RECOVERY, EV_TASK_SPECULATE,
+    EV_TASK_CANCELLED, EV_TASK_STRAGGLER, EV_TASK_HANG,
+})
 
-@dataclass
+
+@dataclass(frozen=True)
 class Span:
-    """One named interval.  ``end is None`` while the span is open."""
+    """One named interval.  ``end is None`` if the events never closed
+    it (an attempt still running when the slice ends)."""
 
     span_id: int
     parent_id: int | None
@@ -68,123 +85,72 @@ class Span:
         return self.end - self.start
 
 
-class SpanTracer:
-    """Append-only, thread-safe span store with an internal clock."""
+def spans(events: Iterable[Event]) -> list[Span]:
+    """The spans of one run's events, in the order of the events that
+    opened them (a span's id is its position).  An end never precedes
+    its start: explicit timestamps may be skewed, durations may not."""
+    out: list[Span] = []
+    job: int | None = None
+    #: The in-flight attempts' task spans.
+    attempts: dict[tuple[str, int, int], Span] = {}
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._lock = threading.Lock()
-        self._spans: list[Span] = []
-        self._ids = itertools.count()
-        if clock is None:
-            t0 = time.perf_counter()
-            clock = lambda: time.perf_counter() - t0  # noqa: E731
-        #: Seconds since the tracer epoch.  A run's tracer is handed its
-        #: bus's clock, so spans folded from ``Event.t`` and phase spans
-        #: timed here share one timeline.
-        self.now = clock
-
-    # ------------------------------------------------------------------ #
-    # Recording
-    # ------------------------------------------------------------------ #
-    def start_span(
-        self,
-        name: str,
-        *,
-        parent: Span | None = None,
-        category: str = CAT_PHASE,
-        track: str | None = None,
-        at: float | None = None,
-        args: dict[str, Any] | None = None,
-    ) -> Span:
-        """Open a span.  ``track`` defaults to the parent's track."""
-        if track is None:
-            track = parent.track if parent is not None else name
-        span = Span(
-            span_id=-1,  # assigned under the lock
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            category=category,
-            track=track,
-            start=self.now() if at is None else at,
-            args=dict(args) if args else {},
-        )
-        with self._lock:
-            span.span_id = next(self._ids)
-            self._spans.append(span)
+    def add(name: str, category: str, track: str, start: float,
+            end: float | None, args: dict[str, Any],
+            parent: int | None) -> Span:
+        span = Span(len(out), parent, name, category, track, start,
+                    None if end is None else max(end, start), args)
+        out.append(span)
         return span
 
-    def end_span(
-        self,
-        span: Span,
-        *,
-        at: float | None = None,
-        args: dict[str, Any] | None = None,
-    ) -> Span:
-        """Close a span (idempotence is an error — spans end once)."""
-        end = self.now() if at is None else at
-        with self._lock:
-            if span.end is not None:
-                raise ObservabilityError(f"span {span.name!r} ended twice")
-            span.end = max(end, span.start)
-            if args:
-                span.args.update(args)
-        return span
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        *,
-        parent: Span | None = None,
-        category: str = CAT_PHASE,
-        track: str | None = None,
-        args: dict[str, Any] | None = None,
-    ) -> Iterator[Span]:
-        """Context-manager form; failures are noted in ``args["error"]``."""
-        s = self.start_span(
-            name, parent=parent, category=category, track=track, args=args
+    def close(span: Span, end: float, args: dict[str, Any]) -> None:
+        out[span.span_id] = replace(
+            span, end=max(end, span.start), args={**span.args, **args}
         )
-        try:
-            yield s
-        except BaseException as exc:
-            self.end_span(s, args={"error": type(exc).__name__})
-            raise
-        else:
-            self.end_span(s)
 
-    def instant(
-        self,
-        name: str,
-        *,
-        parent: Span | None = None,
-        track: str | None = None,
-        at: float | None = None,
-        args: dict[str, Any] | None = None,
-    ) -> Span:
-        """A zero-duration marker (Chrome-trace ``ph: "i"``)."""
-        t = self.now() if at is None else at
-        s = self.start_span(
-            name, parent=parent, category=CAT_INSTANT, track=track, at=t, args=args
-        )
-        return self.end_span(s, at=t)
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-    def spans(self) -> list[Span]:
-        """Snapshot of every span recorded so far (open ones included)."""
-        with self._lock:
-            return list(self._spans)
-
-    def finished_spans(self) -> list[Span]:
-        return [s for s in self.spans() if s.finished]
-
-    def find(self, name: str) -> list[Span]:
-        return [s for s in self.spans() if s.name == name]
-
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans() if s.parent_id == span.span_id]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+    for ev in events:
+        data = ev.data
+        if ev.type == EV_JOB_START:
+            job = add("job", CAT_JOB, "job", ev.t, None,
+                      {"name": data.get("name", "")}, None).span_id
+        elif ev.type == EV_JOB_FINISH and job is not None:
+            close(out[job], ev.t, {k: v for k, v in data.items() if k != "name"})
+        elif ev.type == EV_TASK_START:
+            args = {"index": ev.index}
+            if ev.attempt:
+                args["attempt"] = ev.attempt
+            attempts[(ev.kind, ev.index, ev.attempt)] = add(
+                ev.kind, CAT_TASK, f"{ev.kind} {ev.index}", ev.t, None, args, job
+            )
+        elif ev.type == EV_TASK_FINISH:
+            span = attempts.pop((ev.kind, ev.index, ev.attempt), None)
+            if span is not None:
+                error = data.get("error")
+                close(span, ev.t, {"error": error} if error else {})
+        elif ev.type == EV_TASK_PHASE:
+            task = attempts.get((ev.kind, ev.index, ev.attempt))
+            name = data["name"]
+            add(
+                name, CAT_PHASE, task.track if task else name, data["start"],
+                ev.t, {k: v for k, v in data.items() if k not in ("name", "start")},
+                task.span_id if task else None,
+            )
+        elif ev.type == EV_BARRIER_FIRE:
+            # The wait runs from ``since`` (default: job start — a reduce
+            # is logically pending from launch) to the firing, on the
+            # reduce's track so it abuts the reduce span in a viewer.
+            track = f"reduce {ev.index}"
+            since = data.get("since")
+            if since is None:
+                since = out[job].start if job is not None else 0.0
+            add("barrier.wait", CAT_BARRIER, track, since, ev.t,
+                {"index": ev.index}, job)
+            if data.get("early"):
+                args = {"index": ev.index}
+                if "maps_done" in data:
+                    args["maps_done"] = data["maps_done"]
+                add("reduce.early_start", CAT_INSTANT, track, ev.t, ev.t,
+                    args, job)
+        elif ev.type in _INSTANTS:
+            add(ev.type, CAT_INSTANT, f"{ev.kind} {ev.index}", ev.t, ev.t,
+                {"index": ev.index, "attempt": ev.attempt, **data}, job)
+    return out

@@ -342,7 +342,7 @@ class QueryService:
             # job-tagged bus so interleaved streams stay separable, a
             # tracker for the status endpoint and the audit writer when
             # serving with ``--events`` — both read the bus's record,
-            # so neither listens.  No span tree or metrics registry —
+            # so neither listens.  No phases, spans or metrics registry —
             # nothing would ever read them; the counters in the result
             # are the engine's finish-time reading of the same record.
             bus = EventBus(job=job.id)

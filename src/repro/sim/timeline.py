@@ -129,14 +129,14 @@ class TaskTimeline:
     # ------------------------------------------------------------------ #
     def to_observability(self, job_name: str | None = None):
         """This timeline as a :class:`~repro.obs.JobObservability`, built
-        the way a real run's is: :meth:`replay_events` onto its bus (the
-        span fold listening), then the same finish-time reading of the
-        record — metrics and lifecycle counters — so a simulated run
-        exports to the same Perfetto trace and metrics vocabulary as a
+        the way a real run's is: :meth:`replay_events` onto its bus, then
+        the same finish-time reading of the record — metrics and
+        lifecycle counters — so a simulated run exports to the same
+        Perfetto trace and metrics vocabulary as a
         :class:`~repro.mapreduce.engine.LocalEngine` run.
         """
         from repro.mapreduce.counters import Counters
-        from repro.obs import TIME_BUCKETS, JobObservability
+        from repro.obs import JobObservability
 
         obs = JobObservability(job_name or f"sim-{self.mode}")
         counters = Counters()
@@ -145,20 +145,6 @@ class TaskTimeline:
         # per-fetch events to fold, only the run's total.
         counters.increment("shuffle.fetch.connections", self.shuffle_connections)
         obs.fold(counters)
-        # Inside each reduce, the copy and merge phases — body-internal
-        # phase spans, which a real task body opens with ``obs.phase``.
-        tr = obs.tracer
-        fetch_hist = obs.metrics.histogram("shuffle.fetch.seconds", TIME_BUCKETS)
-        for span in tr.find("reduce"):
-            l = span.args["index"]
-            copy_end = max(self.reduce_processing_start[l], span.start)
-            for name, start, end in (
-                ("reduce.fetch", span.start, copy_end),
-                ("reduce.reduce", copy_end, span.end),
-            ):
-                phase = tr.start_span(name, parent=span, at=start, args={"index": l})
-                tr.end_span(phase, at=end)
-            fetch_hist.observe(copy_end - span.start)
         return obs
 
     def replay_events(self, bus, job_name: str | None = None) -> int:
@@ -166,7 +152,9 @@ class TaskTimeline:
         order, using the engine's exact live vocabulary (``job.start``,
         ``task.start``/``task.finish``, ``barrier.fire`` — carrying
         ``since`` (when the reduce was scheduled) and ``early`` (fired
-        before the last map finished) — and ``job.finish``).
+        before the last map finished) — each reduce's ``reduce.fetch``
+        and ``reduce.reduce`` as ``task.phase`` events, and
+        ``job.finish``).
 
         The same consumers that watch a real run — progress tracker,
         straggler detector, JSONL writer — can therefore watch a
@@ -178,12 +166,14 @@ class TaskTimeline:
             EV_JOB_FINISH,
             EV_JOB_START,
             EV_TASK_FINISH,
+            EV_TASK_PHASE,
             EV_TASK_START,
         )
 
         name = job_name or f"sim-{self.mode}"
         # (simulated time, tie-break rank, publish thunk): barrier fires
-        # sort ahead of the task starts they precede at equal times.
+        # sort ahead of the task starts they precede at equal times, and
+        # a task's phases between its start and its finish.
         sequence: list[tuple[float, int, str, dict]] = []
         sequence.append(
             (
@@ -200,7 +190,7 @@ class TaskTimeline:
             sequence.append(
                 (
                     self.map_finish[m],
-                    3,
+                    4,
                     EV_TASK_FINISH,
                     {
                         "kind": "map",
@@ -236,10 +226,25 @@ class TaskTimeline:
             sequence.append(
                 (ready, 2, EV_TASK_START, {"kind": "reduce", "index": l})
             )
+            # Inside the reduce, the copy then the merge — the phases a
+            # real reduce publishes with ``obs.phase``.
+            copy_end = max(self.reduce_processing_start[l], ready)
+            for phase, start, end in (
+                ("reduce.fetch", ready, copy_end),
+                ("reduce.reduce", copy_end, self.reduce_finish[l]),
+            ):
+                sequence.append(
+                    (
+                        end,
+                        3,
+                        EV_TASK_PHASE,
+                        {"kind": "reduce", "index": l, "name": phase, "start": start},
+                    )
+                )
             sequence.append(
                 (
                     self.reduce_finish[l],
-                    3,
+                    4,
                     EV_TASK_FINISH,
                     {
                         "kind": "reduce",
@@ -249,7 +254,7 @@ class TaskTimeline:
                     },
                 )
             )
-        sequence.append((self.makespan, 4, EV_JOB_FINISH, {"name": name}))
+        sequence.append((self.makespan, 5, EV_JOB_FINISH, {"name": name}))
         sequence.sort(key=lambda item: (item[0], item[1]))
         for t, _rank, ev_type, payload in sequence:
             kind = payload.pop("kind", "")

@@ -273,6 +273,53 @@ class TestQueryTrace:
         assert "per-phase totals:" in out
         assert "barrier waits (per reduce):" in out
 
+    def test_report_reads_events_and_trace_alike(self, ncfile, tmp_path, capsys):
+        """One run's ``--events`` JSONL and its ``--trace`` Chrome file
+        report the same spans: the trace is a reading of the events."""
+        events, trace = tmp_path / "e.jsonl", tmp_path / "t.json"
+        assert main(
+            [
+                "query", ncfile, "--variable", "temperature",
+                "--extract", "7,5,1", "--operator", "mean",
+                "--reduces", "4", "--splits", "16", "--limit", "0",
+                "--events", str(events), "--trace", str(trace),
+            ]
+        ) == 0
+        capsys.readouterr()
+
+        def span_counts(path):
+            assert main(["report", str(path)]) == 0
+            out = capsys.readouterr().out
+            header, table = out.split("per-phase totals:\n")
+            rows = table.split("\n\n")[0].splitlines()[2:]
+            return header.split()[1], {
+                row.split()[0]: int(row.split()[1]) for row in rows
+            }
+
+        (label, from_events), (_, from_trace) = span_counts(events), span_counts(trace)
+        assert label == "sidr-mean-temperature"
+        assert from_events == from_trace
+        assert {name: from_events[name] for name in (
+            "map.read", "map.spill", "reduce.fetch", "reduce.reduce",
+            "barrier.wait",
+        )} == {
+            "map.read": 16, "map.spill": 16, "reduce.fetch": 4,
+            "reduce.reduce": 4, "barrier.wait": 4,
+        }
+
+    def test_report_of_unrelated_jsonl_is_error(self, tmp_path, capsys):
+        path = tmp_path / "other.jsonl"
+        path.write_text('{"a": 1}\n{"b": 2}\n')
+        assert main(["report", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_trace_jsonl_is_refused(self, ncfile, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", ncfile, "--variable", "temperature",
+                  "--extract", "7,5,1", "--trace", str(tmp_path / "t.jsonl")])
+        assert exit_info.value.code == 2
+        assert "--events" in capsys.readouterr().err
+
     def test_report_missing_file_is_error(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope.json")])
         assert rc == 1

@@ -103,25 +103,37 @@ SERIAL_RANGED_TRACE = [
 #: record of the run.
 SERIAL_RANGED_EVENTS = [
     ("job.start", "", -1),
-    ("task.start", "map", 0), ("spill.commit", "map", 0), ("task.finish", "map", 0),
-    ("task.start", "map", 1), ("spill.commit", "map", 1), ("task.finish", "map", 1),
+    ("task.start", "map", 0), ("task.phase", "map", 0),
+    ("spill.commit", "map", 0), ("task.phase", "map", 0), ("task.finish", "map", 0),
+    ("task.start", "map", 1), ("task.phase", "map", 1),
+    ("spill.commit", "map", 1), ("task.phase", "map", 1), ("task.finish", "map", 1),
     ("barrier.fire", "reduce", 0), ("task.start", "reduce", 0),
     ("reduce.start", "reduce", 0), ("fetch", "reduce", 0), ("fetch", "reduce", 0),
+    ("task.phase", "reduce", 0), ("task.phase", "reduce", 0),
     ("task.finish", "reduce", 0),
-    ("task.start", "map", 2), ("spill.commit", "map", 2), ("task.finish", "map", 2),
-    ("task.start", "map", 3), ("spill.commit", "map", 3), ("task.finish", "map", 3),
+    ("task.start", "map", 2), ("task.phase", "map", 2),
+    ("spill.commit", "map", 2), ("task.phase", "map", 2), ("task.finish", "map", 2),
+    ("task.start", "map", 3), ("task.phase", "map", 3),
+    ("spill.commit", "map", 3), ("task.phase", "map", 3), ("task.finish", "map", 3),
     ("barrier.fire", "reduce", 1), ("task.start", "reduce", 1),
     ("reduce.start", "reduce", 1), ("fetch", "reduce", 1), ("fetch", "reduce", 1),
+    ("task.phase", "reduce", 1), ("task.phase", "reduce", 1),
     ("task.finish", "reduce", 1),
-    ("task.start", "map", 4), ("spill.commit", "map", 4), ("task.finish", "map", 4),
-    ("task.start", "map", 5), ("spill.commit", "map", 5), ("task.finish", "map", 5),
+    ("task.start", "map", 4), ("task.phase", "map", 4),
+    ("spill.commit", "map", 4), ("task.phase", "map", 4), ("task.finish", "map", 4),
+    ("task.start", "map", 5), ("task.phase", "map", 5),
+    ("spill.commit", "map", 5), ("task.phase", "map", 5), ("task.finish", "map", 5),
     ("barrier.fire", "reduce", 2), ("task.start", "reduce", 2),
     ("reduce.start", "reduce", 2), ("fetch", "reduce", 2), ("fetch", "reduce", 2),
+    ("task.phase", "reduce", 2), ("task.phase", "reduce", 2),
     ("task.finish", "reduce", 2),
-    ("task.start", "map", 6), ("spill.commit", "map", 6), ("task.finish", "map", 6),
-    ("task.start", "map", 7), ("spill.commit", "map", 7), ("task.finish", "map", 7),
+    ("task.start", "map", 6), ("task.phase", "map", 6),
+    ("spill.commit", "map", 6), ("task.phase", "map", 6), ("task.finish", "map", 6),
+    ("task.start", "map", 7), ("task.phase", "map", 7),
+    ("spill.commit", "map", 7), ("task.phase", "map", 7), ("task.finish", "map", 7),
     ("barrier.fire", "reduce", 3), ("task.start", "reduce", 3),
     ("reduce.start", "reduce", 3), ("fetch", "reduce", 3), ("fetch", "reduce", 3),
+    ("task.phase", "reduce", 3), ("task.phase", "reduce", 3),
     ("task.finish", "reduce", 3),
     ("job.finish", "", -1),
 ]
@@ -216,6 +228,9 @@ class TestSerialDependency:
         ] == SERIAL_RANGED_TRACE
         assert [e.seq for e in events] == list(range(len(events)))
         assert [(e.type, e.kind, e.index) for e in events] == SERIAL_RANGED_EVENTS
+        assert [e.data["name"] for e in events if e.type == "task.phase"] == (
+            ["map.read", "map.spill"] * 2 + ["reduce.fetch", "reduce.reduce"]
+        ) * 4
         assert [
             e.data["completed"] for e in events if e.type == "reduce.start"
         ] == [list(range(2 * p + 2)) for p in range(4)]

@@ -1,4 +1,5 @@
-"""Trace export tests: Chrome trace_event schema, JSONL, round-trips.
+"""Trace export tests: Chrome trace_event schema, round-trips of the
+Chrome trace and of the ``--events`` JSONL.
 
 The schema assertions here are the PR's acceptance criteria: every span
 event carries pid/tid/ts/dur, reduce task spans nest under the job span,
@@ -12,23 +13,35 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.mapreduce.engine import DependencyBarrier, LocalEngine
 from repro.obs import (
+    EventBus,
     JobObservability,
+    JsonlEventWriter,
     chrome_trace_doc,
     load_trace,
     normalized_runs,
     write_chrome_trace,
-    write_jsonl,
     write_metrics,
-    write_trace,
 )
 from tests.test_mapreduce_engine import ranged_job
 
 
 @pytest.fixture(scope="module")
-def dep_result():
-    """One DependencyBarrier run shared by the schema tests."""
+def dep_events(tmp_path_factory):
+    """One DependencyBarrier run shared by the schema tests, with its
+    ``--events`` JSONL."""
     job, deps = ranged_job()
-    return LocalEngine().run_serial(job, DependencyBarrier(deps))
+    bus = EventBus()
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    with JsonlEventWriter(bus, path):
+        res = LocalEngine().run_serial(
+            job, DependencyBarrier(deps), obs=JobObservability(job.name, bus=bus)
+        )
+    return res, path
+
+
+@pytest.fixture(scope="module")
+def dep_result(dep_events):
+    return dep_events[0]
 
 
 @pytest.fixture(scope="module")
@@ -131,23 +144,39 @@ class TestRoundTrips:
         assert got == {(s["name"], s["track"]) for s in direct["spans"]}
         assert runs[0]["metrics"]["counters"] == direct["metrics"]["counters"]
 
-    def test_jsonl_round_trip(self, dep_result, tmp_path):
-        path = write_jsonl(tmp_path / "t.jsonl", dep_result.obs)
+    def test_jsonl_round_trip(self, dep_events):
+        """The ``--events`` JSONL replays to the run's own spans."""
+        res, path = dep_events
         runs = load_trace(path)
-        direct = normalized_runs(dep_result.obs)[0]
+        direct = normalized_runs(res.obs)[0]
         assert len(runs) == 1
+        assert runs[0]["label"] == direct["label"] == "ranged"
         assert len(runs[0]["spans"]) == len(direct["spans"])
         for got, want in zip(runs[0]["spans"], direct["spans"]):
-            assert got["name"] == want["name"]
-            assert got["start"] == pytest.approx(want["start"])
-            assert got["dur"] == pytest.approx(want["dur"])
+            assert (got["name"], got["track"]) == (want["name"], want["track"])
+            assert got["start"] == pytest.approx(want["start"], abs=1e-6)
+            assert got["dur"] == pytest.approx(want["dur"], abs=2e-6)
+        got = runs[0]["metrics"]["histograms"]
+        for name in ("barrier.wait.seconds", "shuffle.fetch.seconds"):
+            assert got[name]["count"] == direct["metrics"]["histograms"][name]["count"]
 
-    def test_write_trace_dispatches_on_extension(self, dep_result, tmp_path):
-        j = write_trace(tmp_path / "a.json", dep_result.obs)
-        assert json.loads(j.read_text())["traceEvents"]
-        l = write_trace(tmp_path / "a.jsonl", dep_result.obs)
-        first = json.loads(l.read_text().splitlines()[0])
-        assert first["type"] == "job"
+    def test_one_event_is_an_events_file(self, tmp_path):
+        """A one-line JSONL parses as one JSON object; it is still read
+        as events, not as a Chrome trace."""
+        path = tmp_path / "one.jsonl"
+        path.write_text('{"seq": 0, "t": 0.0, "type": "job.start", "data": {"name": "j"}}\n')
+        (run,) = load_trace(path)
+        assert run["label"] == "j" and run["spans"] == []
+
+    def test_events_file_has_one_run_per_job(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        for job in ("a", "b"):
+            bus = EventBus(job=job)
+            with JsonlEventWriter(bus, path, append=True):
+                obs = JobObservability(f"run-{job}", bus=bus)
+                obs.start()
+                obs.finish()
+        assert [r["label"] for r in load_trace(path)] == ["run-a", "run-b"]
 
     def test_write_metrics_with_extra(self, dep_result, tmp_path):
         path = write_metrics(
@@ -168,6 +197,10 @@ class TestRoundTrips:
         nolist.write_text("{}")
         with pytest.raises(ObservabilityError):
             load_trace(nolist)
+        unrelated = tmp_path / "bad.jsonl"
+        unrelated.write_text('{"a": 1}\n{"b": 2}\n')
+        with pytest.raises(ObservabilityError):
+            load_trace(unrelated)
 
 
 class TestSimulatedRuns:
@@ -193,7 +226,7 @@ class TestSimulatedRuns:
         result = fig13_skew(scale=20)
         tl = result.timelines["SIDR"]
         obs = tl.to_observability("SIDR")
-        job = obs.tracer.find("job")[0]
+        (job,) = [s for s in obs.spans() if s.name == "job"]
         assert job.start == 0.0
         assert job.end == pytest.approx(tl.makespan)
 

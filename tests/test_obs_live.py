@@ -338,7 +338,8 @@ class TestFinishOnFailure:
         types = [e.type for e in bus.events()]
         assert types.count("job.finish") == 1
         assert types[-1] == "job.finish"
-        assert obs.job_span.end is not None
+        (job_span,) = [s for s in obs.spans() if s.name == "job"]
+        assert job_span.end is not None
         assert bus.listener_errors == 0, bus.first_listener_error
 
 

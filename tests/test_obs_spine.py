@@ -5,13 +5,13 @@ spans, registry metrics, lifecycle ``Counters``, the flat
 ``EngineTrace`` and ``JobResult.attempts`` are readings of that record.
 So the ``--events`` JSONL of a run is the record event for event, and
 fed through *fresh* folds it must reproduce what the run reported — in
-every engine mode and on the fault paths.
+every engine mode and on the fault paths — while nothing listens on a
+run's bus unless it must act.
 """
 
 import ast
 import inspect
 import json
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,13 +34,14 @@ from repro.obs import (
     JobObservability,
     JsonlEventWriter,
     MetricsRegistry,
-    SpanTracer,
 )
 from repro.obs.live import read_events
-from repro.obs.folds import MetricsFold, SpanFold
+from repro.obs.folds import MetricsFold
+from repro.obs.spans import spans
 from repro.spec import SpeculationPolicy
 
 from tests.test_mapreduce_engine import counting_job, ranged_job
+from tests.test_service_execution import watched_bus
 
 MODES = ("serial", "threaded")
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
@@ -101,12 +102,15 @@ SCENARIOS = {
 }
 
 
-def span_population(tracer):
-    """(name, track) of everything the span fold owns (phase spans are
-    opened by task bodies, not folded from events)."""
-    return Counter(
-        (s.name, s.track) for s in tracer.spans() if s.category != "phase"
-    )
+def span_list(spans):
+    """Every span, phases included, as the JSONL can carry it: times to
+    the microsecond ``Event.to_json`` keeps, args through JSON."""
+    return [
+        (s.name, s.category, s.track, s.parent_id, round(s.start, 6),
+         None if s.end is None else round(s.end, 6),
+         json.loads(json.dumps(s.args)))
+        for s in spans
+    ]
 
 
 class TestLiveEqualsReplay:
@@ -133,11 +137,9 @@ class TestLiveEqualsReplay:
         ]
         assert "task.heartbeat" not in {e.type for e in events}
 
-        spans = SpanFold(SpanTracer())
         registry = MetricsRegistry()
         metrics = MetricsFold(registry)
         for ev in events:
-            spans(ev)
             metrics(ev)
         counters = Counters()
         counters.fold(events)
@@ -149,13 +151,16 @@ class TestLiveEqualsReplay:
         for name, value in replay["counters"].items():
             assert live["counters"][name] == value, name
         assert "barrier.wait.seconds" in replay["histograms"]
+        assert "shuffle.fetch.seconds" in replay["histograms"]
         for name, hist in replay["histograms"].items():
             assert live["histograms"][name]["count"] == hist["count"], name
         assert live["gauges"]["obs.tasks.inflight"] == 0.0
         assert replay["gauges"]["obs.tasks.inflight"] == 0.0
         assert live["gauges"]["obs.bus.listener_errors"] == 0.0
 
-        assert span_population(spans.tracer) == span_population(res.obs.tracer)
+        live_spans = res.obs.spans()
+        assert {s.category for s in live_spans} >= {"job", "task", "phase"}
+        assert span_list(spans(events)) == span_list(live_spans)
         assert [(e.kind, e.event, e.index) for e in trace.events] == [
             (e.kind, e.event, e.index) for e in res.trace.events
         ]
@@ -238,12 +243,35 @@ class TestAttemptBoundaries:
         assert (broken.outcome, broken.error) == ("failed", "BarrierViolationError")
 
 
+class TestAnObservedRunListensToNothing:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_listener_on_a_callers_bus(self, mode):
+        """An observed run (``observability=True``, no speculation) on a
+        caller's bus attaches nothing: every publish, phases included,
+        sees 0 listeners, and its spans are read off the record."""
+        published = []
+        job, deps = ranged_job()
+        obs = JobObservability(job.name, bus=watched_bus(published)())
+        res = LocalEngine(observability=True).run(
+            job, DependencyBarrier(deps), mode=mode, obs=obs
+        )
+        types = [t for t, _ in published]
+        assert types.count("job.start") == types.count("job.finish") == 1
+        assert types.count("task.phase") == 2 * (
+            job.num_map_tasks + job.num_reduce_tasks
+        )
+        assert {listeners for _, listeners in published} == {0}
+        assert sum(s.category == "phase" for s in res.obs.spans()) == types.count(
+            "task.phase"
+        )
+
+
 class TestEmissionGuard:
     """Lifecycle occurrences are published, not reported by hand, and
     read back at the finish site: no engine-side module bumps a
-    registry counter, drops a tracer instant, calls a listener directly
-    or attaches one — except the speculation runtime, which must act as
-    events arrive."""
+    registry counter, calls a listener directly or attaches one —
+    except the speculation runtime, which must act as events arrive —
+    and the run's own observability attaches nothing."""
 
     PACKAGES = ("mapreduce", "spec", "sidr", "sim")
     #: The one engine-side listener: hedging acts on a flag at once.
@@ -258,15 +286,13 @@ class TestEmissionGuard:
             owner_name = getattr(owner, "attr", getattr(owner, "id", ""))
             if attr == "counter" and owner_name in ("metrics", "_metrics"):
                 yield node.lineno, ".metrics.counter("
-            elif attr == "instant" and owner_name in ("tracer", "_tracer"):
-                yield node.lineno, ".tracer.instant("
             elif attr == "on_event" and not (
                 isinstance(owner, ast.Call)
                 and getattr(owner.func, "id", "") == "super"
             ):
                 yield node.lineno, ".on_event("
-            elif attr == "attach":
-                yield node.lineno, ".attach("
+            elif attr in ("attach", "detach"):
+                yield node.lineno, f".{attr}("
 
     def test_engine_side_modules_publish(self):
         root = Path(repro.__file__).parent
@@ -278,8 +304,16 @@ class TestEmissionGuard:
                 found += [
                     f"{rel}:{line} {what}"
                     for line, what in self.offences(tree)
-                    if not (what == ".attach(" and rel in self.ACTING)
+                    if not (what in (".attach(", ".detach(") and rel in self.ACTING)
                 ]
+        assert found == []
+
+    def test_job_observability_attaches_nothing(self):
+        path = Path(repro.__file__).parent / "obs" / "jobobs.py"
+        found = [
+            what for _, what in self.offences(ast.parse(path.read_text()))
+            if what in (".attach(", ".detach(")
+        ]
         assert found == []
 
     def test_attempt_loop_only_publishes(self):

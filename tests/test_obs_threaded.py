@@ -31,9 +31,9 @@ class TestSpanNesting:
         eng = LocalEngine(map_workers=4, reduce_workers=3)
         res = eng.run_threaded(job, DependencyBarrier(deps))
         assert res.obs.bus.listener_errors == 0
-        tracer = res.obs.tracer
-        job_span = tracer.find("job")[0]
-        tasks = [s for s in tracer.spans() if s.category == "task"]
+        spans = res.obs.spans()
+        (job_span,) = [s for s in spans if s.name == "job"]
+        tasks = [s for s in spans if s.category == "task"]
         assert len(tasks) == 12 + 4
         assert all(s.parent_id == job_span.span_id for s in tasks)
         assert all(s.finished for s in tasks)
@@ -41,9 +41,9 @@ class TestSpanNesting:
     def test_phase_spans_parent_their_task(self):
         job, deps = ranged_job(num_splits=8, num_reduces=4)
         res = LocalEngine().run_threaded(job, DependencyBarrier(deps))
-        tracer = res.obs.tracer
-        by_id = {s.span_id: s for s in tracer.spans()}
-        phases = [s for s in tracer.spans() if s.category == "phase"]
+        spans = res.obs.spans()
+        by_id = {s.span_id: s for s in spans}
+        phases = [s for s in spans if s.category == "phase"]
         assert phases
         for p in phases:
             parent = by_id[p.parent_id]
@@ -62,7 +62,7 @@ class TestSpanNesting:
         def key(res):
             return sorted(
                 (s.name, s.track)
-                for s in res.obs.tracer.spans()
+                for s in res.obs.spans()
                 if s.category != "instant"
             )
 
@@ -164,7 +164,7 @@ class TestEarlyStartAgreement:
         assert early == 1
         assert res.trace.reduce_starts_before_last_map() == early
         assert res.obs.metrics.counter("barrier.early.starts").value == early
-        instants = res.obs.tracer.find("reduce.early_start")
+        instants = [s for s in res.obs.spans() if s.name == "reduce.early_start"]
         assert [s.args["index"] for s in instants] == [0]
 
     @pytest.mark.parametrize("trial", range(3))
@@ -178,7 +178,9 @@ class TestEarlyStartAgreement:
         early = res.counters.get("barrier.early.starts")
         assert 0 <= early <= 4
         assert res.obs.metrics.counter("barrier.early.starts").value == early
-        assert len(res.obs.tracer.find("reduce.early_start")) == early
+        assert early == sum(
+            s.name == "reduce.early_start" for s in res.obs.spans()
+        )
 
 
 class TestIdenticalResults:
@@ -201,7 +203,7 @@ class TestIdenticalResults:
         job, deps = ranged_job(num_splits=num_splits, num_reduces=4)
         res = LocalEngine().run_serial(job, DependencyBarrier(deps))
         n_tasks = len(job.splits) + job.num_reduce_tasks
-        assert 0 < len(res.obs.tracer) <= (
+        assert 0 < len(res.obs.spans()) <= (
             1 + 3 * n_tasks + 2 * job.num_reduce_tasks
         )
 
@@ -210,7 +212,7 @@ class TestIdenticalResults:
         res = LocalEngine(observability=False).run_serial(
             job, DependencyBarrier(deps)
         )
-        assert len(res.obs.tracer) == 0
+        assert res.obs.spans() == []
         assert res.obs.metrics.snapshot()["counters"] == {}
         # The legacy trace bridge still works for old consumers.
         assert res.trace.reduce_starts_before_last_map() == 3

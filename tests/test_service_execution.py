@@ -32,6 +32,18 @@ def field(seed=5, shape=(24, 20)):
     return rng.integers(-40, 40, size=shape, endpoint=True).astype(np.float64)
 
 
+def watched_bus(published):
+    """An ``EventBus`` class that notes ``(type, listeners attached)``
+    in ``published`` at every publish."""
+
+    class WatchedBus(EventBus):
+        def publish(self, type, **kwargs):
+            published.append((type, len(self._listeners)))
+            return super().publish(type, **kwargs)
+
+    return WatchedBus
+
+
 def req(**kw):
     base = dict(
         dataset="d", variable="v", extract=(4, 5), operator="mean",
@@ -131,16 +143,10 @@ class TestAServedJobListensToNothing:
     def test_no_listener_and_no_heartbeat_for_the_whole_run(self, monkeypatch):
         """A served job that neither speculates nor runs under ``serve
         --events`` has no listener on its bus from its first publish to
-        its last, and publishes no heartbeat: its status document and
-        counters are read off the bus's record."""
+        its last, and publishes no heartbeat and no phase: its status
+        document and counters are read off the bus's record."""
         published = []
-
-        class WatchedBus(EventBus):
-            def publish(self, type, **kwargs):
-                published.append((type, len(self._listeners)))
-                return super().publish(type, **kwargs)
-
-        monkeypatch.setattr(service_module, "EventBus", WatchedBus)
+        monkeypatch.setattr(service_module, "EventBus", watched_bus(published))
         with service_fixture(workers=1) as client:
             client.service.register_array("d", "v", field())
             for engine in ("serial", "threaded"):
@@ -153,6 +159,7 @@ class TestAServedJobListensToNothing:
         assert types.count("job.start") == types.count("job.finish") == 2
         assert {listeners for _, listeners in published} == {0}
         assert "task.heartbeat" not in types
+        assert "task.phase" not in types
 
 
 class TestSpeculationStillRacesABackup:

@@ -145,22 +145,34 @@ class TestObservabilityBridge:
             shuffle_connections=2,
         )
         obs = tl.to_observability("replay")
-        tr = obs.tracer
-        job = tr.find("job")[0]
+        spans = obs.spans()
+
+        def find(name):
+            return [s for s in spans if s.name == name]
+
+        (job,) = find("job")
         assert job.start == 0.0 and job.end == 9.0
-        maps = sorted(tr.find("map"), key=lambda s: s.args["index"])
+        maps = sorted(find("map"), key=lambda s: s.args["index"])
         assert [(s.start, s.end) for s in maps] == [(0.0, 4.0), (1.0, 6.0)]
-        wait = tr.find("barrier.wait")[0]
+        (wait,) = find("barrier.wait")
         assert (wait.start, wait.end) == (0.5, 4.0)
-        reduce = tr.find("reduce")[0]
+        (reduce,) = find("reduce")
         assert (reduce.start, reduce.end) == (4.0, 9.0)
-        fetch = tr.find("reduce.fetch")[0]
+        # The reduce's phases are task.phase events, nested as a real
+        # run's are.
+        (fetch,) = find("reduce.fetch")
         assert (fetch.start, fetch.end) == (4.0, 5.0)
-        red = tr.find("reduce.reduce")[0]
+        (red,) = find("reduce.reduce")
         assert (red.start, red.end) == (5.0, 9.0)
+        for phase in (fetch, red):
+            assert phase.parent_id == reduce.span_id
+            assert phase.track == reduce.track == "reduce 0"
         # Barrier satisfied at t=4 < last map finish at t=6: early start.
-        assert len(tr.find("reduce.early_start")) == 1
+        assert len(find("reduce.early_start")) == 1
         snap = obs.metrics.snapshot()
+        fetch_hist = snap["histograms"]["shuffle.fetch.seconds"]
+        assert fetch_hist["count"] == tl.num_reduces
+        assert fetch_hist["sum"] == 1.0
         assert snap["counters"]["barrier.early.starts"] == 1
         assert snap["counters"]["shuffle.fetch.connections"] == 2
         assert snap["gauges"]["job.makespan.seconds"] == 9.0
@@ -170,6 +182,6 @@ class TestObservabilityBridge:
         the processing start as the barrier-satisfaction time."""
         tl = timeline([5.0], [10.0])
         obs = tl.to_observability()
-        wait = obs.tracer.find("barrier.wait")[0]
+        (wait,) = [s for s in obs.spans() if s.name == "barrier.wait"]
         assert wait.end == 10.0  # processing_start fallback
         assert obs.job_name == "sim-test"
