@@ -28,8 +28,8 @@ one) and publishes each lifecycle occurrence on it exactly once —
 ``task.start``/``task.finish``/``task.retry``/``task.cancelled`` from
 :meth:`LocalEngine._run_attempts`, the one place every attempt of every
 mode crosses; ``barrier.fire`` where a reduce is fired; ``reduce.start``
-before a reduce attempt's barrier checks; ``spill.commit``/``fetch``
-from the shuffle store.  The bus keeps them as the run's record, and
+before a reduce attempt's barrier checks; ``spill.commit``/
+``spill.reopen``/``fetch`` from the shuffle store.  The bus keeps them as the run's record, and
 ``JobResult.counters``' lifecycle tallies, ``.trace``, ``.attempts``
 and the metrics in ``.obs`` are readings of it, taken once at the run's
 single finish site (``docs/OBSERVABILITY.md``).  The engine attaches no
@@ -37,10 +37,10 @@ listener of its own except under speculation, whose detectors must act
 as events arrive; a caller that wants to act on the run attaches to the
 bus it passes in through ``obs``.
 
-Barriers, the commit gate, retries, recovery, speculation, deadlines and
-result assembly are the loop's and therefore identical in every mode;
-outputs are byte-identical (the verify fuzzer holds both against
-the brute-force oracle).  Two things follow from the executor alone:
+Barriers, retries, recovery, speculation, deadlines and result
+assembly are the loop's and therefore identical in every mode; outputs
+are byte-identical (the verify fuzzer holds both against the
+brute-force oracle).  Two things follow from the executor alone:
 the inline executor has no pool to race a backup attempt on, and it
 surfaces a failing task's own exception where the thread pools raise
 :class:`~repro.errors.JobFailedError` with every collected error.
@@ -69,9 +69,9 @@ Speculative execution (structure-aware): constructing the engine with a
 run.  Hang-flagged (stale-heartbeat) and straggler-flagged attempts are
 hedged with a racing backup attempt (maps on a pooled executor) or
 cooperatively cancelled and retried in place (inline executor, reduce
-tasks); the shuffle store's commit gate guarantees at most one racing
-attempt ever publishes output, so the loser's spill can never serve a
-fetch.  Backup
+tasks).  The shuffle store is the one arbiter of a map's output: its
+commit window accepts one commit until recovery reopens it, so a losing
+attempt's spill can never serve a fetch.  Backup
 candidates are ranked by structural criticality — how many pending
 reduces' I_l sets the task blocks (``SIDRPlan.deps``).  A
 ``JobConf.deadline`` arms a watchdog that cancels every in-flight
@@ -90,7 +90,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 from repro.errors import (
     BarrierViolationError,
@@ -143,12 +143,6 @@ from repro.spec import (
 #: (or the barrier's core invariant was violated), so attempts stop
 #: immediately regardless of the retry policy.
 _NON_RETRYABLE = (JobConfigError, BarrierViolationError)
-
-#: Returned by ``_run_attempts`` when the logical task succeeded
-#: through a *different* racing attempt: this invocation has no output
-#: of its own, but the task needs no further work (and must not be
-#: reported done a second time by the caller).
-_LOST_RACE = object()
 
 #: ``on_reduce_complete(partition, records)``.
 ReduceCallback = Callable[[int, Sequence[KeyValue]], None]
@@ -207,14 +201,6 @@ class DependencyBarrier(BarrierPolicy):
         return self.dependencies_of(partition)
 
 
-class ReduceStartValidator(Protocol):
-    """Hook validating a reduce start (count-annotation approach 2)."""
-
-    def validate(self, partition: int, tallied_source_records: int) -> None:
-        """Raise :class:`BarrierViolationError` when the tally is short."""
-        ...
-
-
 # --------------------------------------------------------------------- #
 # Retry policy & attempt bookkeeping
 # --------------------------------------------------------------------- #
@@ -265,7 +251,8 @@ class TaskAttempt:
     index: int
     attempt: int       # 0-based, global across retries and recoveries
     #: "ok" | "failed" | "cancelled" (hang mitigation / deadline) |
-    #: "lost" (a rival speculative attempt committed first)
+    #: "lost": another attempt committed the map's output in this
+    #: attempt's commit window, so the map is done without it
     outcome: str
     error: str = ""    # exception type name when failed
     seconds: float = 0.0
@@ -298,11 +285,8 @@ class _RunState:
         #: exactly while the attempt body runs; mitigation and the
         #: deadline watchdog cancel through these.
         self.tokens: dict[tuple[str, int, int], CancelToken] = {}
-        #: The current speculation race per logical task: ``members``
-        #: are the attempt numbers competing for the commit, ``winner``
-        #: the one that reached the shuffle store's gate first (latched
-        #: once), ``retired`` the members of the task's earlier races.
-        self.races: dict[tuple[str, int], dict[str, Any]] = {}
+        #: The commit window each in-flight attempt was claimed in.
+        self.windows: dict[tuple[str, int, int], int] = {}
         self.deadline_expired = False
         self.faults: BoundFaults | None = None
         if engine.faults is not None:
@@ -314,12 +298,6 @@ class _RunState:
         with self.lock:
             n = self.next_attempt.get((kind, index), 0)
             self.next_attempt[(kind, index)] = n + 1
-            # Attempts claimed while a race is unresolved join it, so a
-            # primary's in-place retry can't slip past the commit gate
-            # while a backup is still running.
-            race = self.races.get((kind, index))
-            if race is not None and race["winner"] is None:
-                race["members"].add(n)
             return n
 
     def count_failure(self, budget: int | None) -> bool:
@@ -329,10 +307,13 @@ class _RunState:
             return budget is not None and self.failures > budget
 
     # -------------------------- cancel tokens ------------------------- #
-    def new_token(self, kind: str, index: int, attempt: int) -> CancelToken:
+    def new_token(
+        self, kind: str, index: int, attempt: int, window: int = 0
+    ) -> CancelToken:
         tok = CancelToken()
         with self.lock:
             self.tokens[(kind, index, attempt)] = tok
+            self.windows[(kind, index, attempt)] = window
             expired = self.deadline_expired
         if expired:
             # The watchdog already fired; don't let a late attempt start
@@ -343,6 +324,7 @@ class _RunState:
     def release_token(self, kind: str, index: int, attempt: int) -> None:
         with self.lock:
             self.tokens.pop((kind, index, attempt), None)
+            self.windows.pop((kind, index, attempt), None)
 
     def token_of(self, kind: str, index: int, attempt: int) -> CancelToken | None:
         with self.lock:
@@ -352,72 +334,18 @@ class _RunState:
         with self.lock:
             return [a for (k, i, a) in self.tokens if k == kind and i == index]
 
-    # ------------------------ speculation races ----------------------- #
-    def begin_race(self, kind: str, index: int) -> None:
-        """Open a speculation race for one logical task, or join the
-        open one.
-
-        Every currently in-flight attempt becomes a member, as does
-        every attempt claimed while the race is unresolved (see
-        :meth:`claim_attempt`).  The first member through the shuffle
-        store's commit gate wins; the rest are cancelled as superseded.
-
-        A race belongs to one *generation* of the task's output.  Once
-        its winner has committed it is over: a later flag — a recovery
-        re-execution of the map, slow or hung in its turn — opens a new
-        race instead of joining the old one, where it would lose to a
-        winner whose output a reduce has already consumed.  The old
-        generation's members are retired: one still running can neither
-        join the new race nor pass the commit gate.
-        """
+    def rivals(
+        self, kind: str, index: int, attempt: int, window: int
+    ) -> list[CancelToken]:
+        """Tokens of the task's other live attempts claimed in
+        ``window`` or an earlier one: once ``attempt`` has committed,
+        none of them can (a re-run claimed after a reopen still can)."""
         with self.lock:
-            race = self.races.get((kind, index))
-            if race is None or race["winner"] is not None:
-                retired = (
-                    set() if race is None
-                    else race["retired"] | race["members"]
-                )
-                race = self.races[(kind, index)] = {
-                    "members": set(), "winner": None, "retired": retired,
-                }
-            race["members"].update(
-                a
-                for (k, i, a) in self.tokens
-                if k == kind and i == index and a not in race["retired"]
-            )
-
-    def try_win(self, kind: str, index: int, attempt: int) -> bool:
-        """Commit-gate arbitration: non-raced attempts always pass; in a
-        race the first member to reach the gate latches as winner; a
-        member of an earlier, finished race never passes."""
-        with self.lock:
-            race = self.races.get((kind, index))
-            if race is None:
-                return True
-            if attempt in race["retired"]:
-                return False
-            if attempt not in race["members"]:
-                return True
-            if race["winner"] is None:
-                race["winner"] = attempt
-                return True
-            return race["winner"] == attempt
-
-    def race_resolved(self, kind: str, index: int) -> bool:
-        with self.lock:
-            race = self.races.get((kind, index))
-            return race is not None and race["winner"] is not None
-
-    def race_losers(self, kind: str, index: int, attempt: int) -> list[CancelToken]:
-        """Tokens of the other race members, once ``attempt`` has won."""
-        with self.lock:
-            race = self.races.get((kind, index))
-            if race is None or race["winner"] != attempt:
-                return []
             return [
                 tok
-                for (k, i, a), tok in self.tokens.items()
-                if k == kind and i == index and a != attempt
+                for key, tok in self.tokens.items()
+                if key[:2] == (kind, index) and key[2] != attempt
+                and self.windows[key] <= window
             ]
 
     # ----------------------------- deadline --------------------------- #
@@ -722,6 +650,7 @@ class LocalEngine:
         obs: JobObservability,
         body: Callable[[int, CancelToken], Any],
         before_retry: Callable[[], None] | None = None,
+        open_window: Callable[[], int | None] | None = None,
     ) -> Any:
         """Run ``body(attempt, cancel)`` until success, retry
         exhaustion, a blown failure budget, cancellation, or the job
@@ -743,9 +672,16 @@ class LocalEngine:
         on the attempt's clock while it runs.  If it raises, the attempt
         is published as started and failed on the spot.
 
-        Cancellation outcomes: an attempt superseded by a rival racer
-        returns :data:`_LOST_RACE` (the logical task is done, just not
-        through us); a deadline cancel raises
+        ``open_window()`` (maps: the shuffle store's
+        :meth:`~repro.mapreduce.shuffle.ShuffleStore.open_window`) is
+        read at each claim.  An attempt claimed on a closed window
+        finishes ``lost`` without running ``body``; one that succeeds
+        cancels the task's live attempts claimed in its window or an
+        earlier one, as superseded.
+
+        Cancellation outcomes: a superseded attempt finishes ``lost``
+        and returns None — the map's output is committed, just not by
+        this attempt; a deadline cancel raises
         :class:`DeadlineExceededError`; a hang-mitigation cancel retries
         in place without backoff (the attempt already sat out the hang
         timeout)."""
@@ -759,9 +695,10 @@ class LocalEngine:
                 )
             attempt = state.claim_attempt(kind, index)
             tries += 1
+            window = 0 if open_window is None else open_window()
             # Token before the event: a detector that flags this attempt
             # must find something to cancel.
-            cancel = state.new_token(kind, index, attempt)
+            cancel = state.new_token(kind, index, attempt, window or 0)
             ident = {"kind": kind, "index": index, "attempt": attempt}
             unrecovered = None
             if before_retry is not None and tries > 1:
@@ -774,6 +711,12 @@ class LocalEngine:
             try:
                 if unrecovered is not None:
                     raise unrecovered
+                if window is None:
+                    raise TaskCancelledError(
+                        f"{kind} {index} attempt {attempt} not run: its "
+                        "output is already committed",
+                        reason=REASON_SUPERSEDED,
+                    )
                 out = body(attempt, cancel)
             except BaseException as exc:
                 state.release_token(kind, index, attempt)
@@ -796,7 +739,7 @@ class LocalEngine:
                 else:
                     bus.publish(EV_TASK_CANCELLED, **ident, reason=reason)
                     if reason == REASON_SUPERSEDED:
-                        return _LOST_RACE
+                        return None
                     if reason == REASON_DEADLINE:
                         raise DeadlineExceededError(
                             f"{kind} {index} attempt {attempt} cancelled: "
@@ -815,13 +758,13 @@ class LocalEngine:
                     EV_TASK_FINISH, **ident, status="ok",
                     seconds=round(time.perf_counter() - t0, 6),
                 )
-                # This attempt won (or was never raced): racing rivals
-                # are superseded the moment we report success.
-                for tok in state.race_losers(kind, index, attempt):
+                # Our output is committed: the rivals of our window can
+                # no longer commit, so release them now.
+                for tok in state.rivals(kind, index, attempt, window or 0):
                     tok.cancel(REASON_SUPERSEDED)
                 return out
 
-    def _map_with_retry(
+    def _map_attempts(
         self,
         job: JobConf,
         i: int,
@@ -829,46 +772,30 @@ class LocalEngine:
         counters: Counters,
         obs: JobObservability,
         state: _RunState,
-    ) -> Any:
-        return self._run_attempts(
-            "map", i, state, obs,
-            lambda attempt, cancel: self._run_map(
-                job, i, store, counters, obs,
-                attempt=attempt, faults=state.faults, cancel=cancel,
-            ),
-        )
-
-    def _run_backup_map(
-        self,
-        job: JobConf,
-        i: int,
-        of_attempt: int,
-        priority: float,
-        store: ShuffleStore,
-        counters: Counters,
-        obs: JobObservability,
-        state: _RunState,
-    ) -> Any:
-        """One speculative backup execution of map ``i``, racing the
-        flagged ``of_attempt``.  Returns :data:`_LOST_RACE` when the
-        primary (or another rival) committed first."""
+        *,
+        backup_of: tuple[int, float] | None = None,
+    ) -> None:
+        """Attempts of map ``i`` until its output is committed — by one
+        of them, or by a rival (they finish ``lost``).  ``backup_of``
+        ``(flagged attempt, priority)`` makes this a speculative backup
+        racing the flagged attempt for the same commit window."""
 
         def body(attempt: int, cancel: CancelToken) -> None:
-            if state.race_resolved("map", i):
-                raise TaskCancelledError(
-                    f"backup map {i} obsolete: race already resolved",
-                    reason=REASON_SUPERSEDED,
+            if backup_of is not None:
+                of_attempt, priority = backup_of
+                obs.bus.publish(
+                    EV_TASK_SPECULATE, kind="map", index=i, attempt=attempt,
+                    of=of_attempt, priority=round(priority, 4), mode="race",
                 )
-            obs.bus.publish(
-                EV_TASK_SPECULATE, kind="map", index=i, attempt=attempt,
-                of=of_attempt, priority=round(priority, 4), mode="race",
-            )
-            return self._run_map(
+            self._run_map(
                 job, i, store, counters, obs,
                 attempt=attempt, faults=state.faults, cancel=cancel,
             )
 
-        return self._run_attempts("map", i, state, obs, body)
+        self._run_attempts(
+            "map", i, state, obs, body,
+            open_window=lambda: store.open_window(i),
+        )
 
     def _reduce_with_recovery(
         self,
@@ -939,10 +866,8 @@ class LocalEngine:
             return
         t0 = time.perf_counter()
         for m in targets:
-            # The outcome is read off the store below, not off the
-            # return value: a re-run that lost a race is done only if
-            # its rival really committed.
-            self._map_with_retry(job, m, store, counters, obs, state)
+            store.reopen(m)
+            self._map_attempts(job, m, store, counters, obs, state)
         obs.bus.publish(
             EV_RECOVERY, kind="reduce", index=p, maps=targets,
             seconds=time.perf_counter() - t0,
@@ -956,28 +881,6 @@ class LocalEngine:
                 f"reduce {p}: input from maps {sorted(still_missing)} is "
                 "still missing after recovery re-execution"
             )
-
-    def _commit_gate(self, state: _RunState, index: int, attempt: int) -> None:
-        """Shuffle-store guard: runs under the store lock immediately
-        before a map spill commits.  A cancelled attempt never commits;
-        among racing attempts the first one here wins and every later
-        rival is refused — so a losing attempt's spill can never enter
-        the store, let alone serve a fetch."""
-        tok = state.token_of("map", index, attempt)
-        if tok is not None:
-            tok.check()
-        if not state.try_win("map", index, attempt):
-            raise TaskCancelledError(
-                f"map {index} attempt {attempt} lost the speculation race",
-                reason=REASON_SUPERSEDED,
-            )
-
-    def _new_store(self, obs: JobObservability, state: _RunState) -> ShuffleStore:
-        return ShuffleStore(
-            persist=self.recovery is RecoveryModel.PERSISTED,
-            bus=obs.bus,
-            guard=lambda index, attempt: self._commit_gate(state, index, attempt),
-        )
 
     def _expire_deadline(
         self,
@@ -1077,7 +980,9 @@ class LocalEngine:
         counters = Counters()
         obs.start(maps=job.num_map_tasks, reduces=job.num_reduce_tasks)
         state = _RunState(self, job)
-        store = self._new_store(obs, state)
+        store = ShuffleStore(
+            persist=self.recovery is RecoveryModel.PERSISTED, bus=bus
+        )
         self._seed_prune_counters(job, counters)
         total_maps = job.num_map_tasks
         outputs: dict[int, Sequence[KeyValue]] = {}
@@ -1140,7 +1045,8 @@ class LocalEngine:
 
                 def on_map_done(i: int) -> None:
                     """Map ``i`` committed: fire every reduce whose
-                    barrier that satisfies (paper Fig. 4b)."""
+                    barrier that satisfies (paper Fig. 4b).  Idempotent:
+                    every attempt chain of the map reports, won or lost."""
                     with lock:
                         if abort.is_set():
                             return
@@ -1170,21 +1076,17 @@ class LocalEngine:
                     if abort.is_set():
                         return
                     try:
-                        out = self._map_with_retry(
-                            job, i, store, counters, obs, state
-                        )
-                        # A lost race means a backup committed this map
-                        # and already reported it done.
-                        if out is not _LOST_RACE:
-                            on_map_done(i)
+                        # Won or lost, the map's output is committed.
+                        self._map_attempts(job, i, store, counters, obs, state)
+                        on_map_done(i)
                     except BaseException as exc:
                         record_error(exc)
 
                 def backup_job(i: int, of_attempt: int, priority: float) -> None:
                     try:
-                        out = self._run_backup_map(
-                            job, i, of_attempt, priority,
-                            store, counters, obs, state,
+                        self._map_attempts(
+                            job, i, store, counters, obs, state,
+                            backup_of=(of_attempt, priority),
                         )
                     except DeadlineExceededError as exc:
                         spec_rt.backup_done(i)
@@ -1197,8 +1099,7 @@ class LocalEngine:
                         spec_rt.backup_done(i, failed=True)
                     else:
                         spec_rt.backup_done(i)
-                        if out is not _LOST_RACE:
-                            on_map_done(i)
+                        on_map_done(i)
 
                 def launch_backup(i: int, of_attempt: int, priority: float) -> None:
                     with lock:

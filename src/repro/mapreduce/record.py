@@ -118,9 +118,11 @@ def run_record_map(
                 f"(attempt {attempt})"
             )
         if files:
-            store.spill(files, attempt=attempt)
+            store.spill(files, attempt=attempt, cancel=cancel)
         else:
-            store.spill_empty(MapTaskId(split_index), attempt=attempt)
+            store.spill_empty(
+                MapTaskId(split_index), attempt=attempt, cancel=cancel
+            )
     counters.increment("shuffle.segments", len(files))
 
 

@@ -27,9 +27,10 @@ from typing import Any
 
 import numpy as np
 
-from repro.errors import ShuffleError, StaleFetchError
+from repro.errors import ShuffleError, StaleFetchError, TaskCancelledError
 from repro.mapreduce.types import KeyValue, MapTaskId
-from repro.obs.live.bus import EV_FETCH, EV_SPILL_COMMIT
+from repro.obs.live.bus import EV_FETCH, EV_SPILL_COMMIT, EV_SPILL_REOPEN
+from repro.spec.cancel import REASON_SUPERSEDED, CancelToken
 
 
 def _spill_checks_enabled() -> bool:
@@ -157,17 +158,26 @@ class ShuffleStore:
     """Thread-safe store of spilled map output, with fetch accounting.
 
     Given a ``bus`` (:class:`~repro.obs.live.bus.EventBus`), every
-    commit publishes ``spill.commit`` and every fetch ``fetch`` — once,
-    *while the store lock is held*, so the event stream linearizes
-    commits against fetches (the ``shuffle.spill.*`` / ``shuffle.fetch.*``
-    metrics and the verify invariants are folds over those events).
+    commit publishes ``spill.commit``, every reopen ``spill.reopen`` and
+    every fetch ``fetch`` — once, *while the store lock is held*, so the
+    event stream linearizes commits, reopens and fetches (the
+    ``shuffle.spill.*`` / ``shuffle.fetch.*`` metrics and the verify
+    invariants are folds over those events).
     Bus listeners therefore must never call back into the store.
 
-    Spills are committed per **(map task, attempt)**: a retried map
-    commits a higher attempt number which atomically supersedes the
-    previous attempt's files.  The store records which attempt every
-    reduce fetched from, so the engine can detect a reduce that consumed
-    a now-superseded attempt (:meth:`check_fetch_fresh`) and retry it.
+    The store is the one arbiter of which attempt's spill is a map's
+    output.  Each map has a **commit window**: it starts open, the first
+    accepted commit closes it, and :meth:`reopen` (recovery, before it
+    re-executes the map) opens it again.  :meth:`spill` /
+    :meth:`spill_empty` accept a commit only while the window is open
+    and the committing attempt's own cancel token is not cancelled; any
+    other commit is refused as superseded
+    (:class:`~repro.errors.TaskCancelledError`, reason
+    ``"superseded"``), so at most one attempt commits per window, and a
+    commit into a reopened window atomically replaces the previous
+    attempt's files.  The store records which attempt every reduce
+    fetched from, so the engine can detect a reduce that consumed a
+    now-superseded attempt (:meth:`check_fetch_fresh`) and retry it.
 
     ``persist=False`` models the paper's §6 no-persistence proposal: a
     fetch *consumes* the spill file (map output is streamed, not kept),
@@ -176,24 +186,16 @@ class ShuffleStore:
     (:meth:`missing_inputs` reports which).
     """
 
-    def __init__(
-        self,
-        *,
-        persist: bool = True,
-        bus: Any | None = None,
-        guard: Any | None = None,
-    ) -> None:
+    def __init__(self, *, persist: bool = True, bus: Any | None = None) -> None:
         self._lock = threading.Lock()
-        #: Commit gate: ``guard(map_index, attempt)`` runs under the
-        #: store lock *before* a spill mutates anything, and may raise
-        #: to veto the commit (the engine uses this to enforce
-        #: first-commit-wins between racing speculative attempts — a
-        #: cancelled loser can never publish output a fetch could see).
-        self._guard = guard
         self._bus = bus
         self._files: dict[tuple[int, int], MapOutputFile] = {}
         self._indexes: dict[int, MapOutputIndex] = {}
         self._attempts: dict[int, int] = {}
+        #: map index -> reopens so far: the number of its current window.
+        self._windows: dict[int, int] = {}
+        #: Maps whose current commit window a commit has closed.
+        self._closed: set[int] = set()
         #: partition -> {map index: attempt fetched from}
         self._fetched: dict[int, dict[int, int]] = {}
         self._persist = persist
@@ -204,27 +206,32 @@ class ShuffleStore:
     # Map side
     # ------------------------------------------------------------------ #
     def _commit(
-        self, map_id: MapTaskId, files: list[MapOutputFile], attempt: int
+        self,
+        map_id: MapTaskId,
+        files: list[MapOutputFile],
+        attempt: int,
+        cancel: CancelToken | None,
     ) -> None:
         if attempt < 0:
             raise ShuffleError(f"negative attempt {attempt}")
         with self._lock:
-            if self._guard is not None:
-                # Gate under the lock so the winner decision linearizes
-                # with the mutation: once an attempt passes, it commits
-                # before any rival can be consulted.
-                self._guard(map_id.index, attempt)
-            current = self._attempts.get(map_id.index)
-            superseding = current is not None
-            if current is not None:
-                if attempt <= current:
-                    raise ShuffleError(
-                        f"map task {map_id} already spilled "
-                        f"(attempt {current} committed, got {attempt})"
-                    )
-                # Superseding re-spill: drop the old attempt's files in
-                # the same critical section so no fetch can observe a mix.
-                for p in self._indexes[map_id.index].records_per_partition:
+            # Decided under the lock, so the accepted commit of a window
+            # linearizes with every rival's refusal and every fetch.
+            if cancel is not None:
+                cancel.check()
+            if map_id.index in self._closed:
+                raise TaskCancelledError(
+                    f"map task {map_id} attempt {attempt} superseded: "
+                    f"attempt {self._attempts[map_id.index]} already "
+                    "committed its window",
+                    reason=REASON_SUPERSEDED,
+                )
+            previous = self._indexes.get(map_id.index)
+            if previous is not None:
+                # Commit into a reopened window: drop the old attempt's
+                # files in the same critical section so no fetch can
+                # observe a mix.
+                for p in previous.records_per_partition:
                     self._files.pop((map_id.index, p), None)
             for f in files:
                 self._files[(map_id.index, f.partition)] = f
@@ -241,6 +248,7 @@ class ShuffleStore:
                 },
             )
             self._attempts[map_id.index] = attempt
+            self._closed.add(map_id.index)
             if self._bus is not None:
                 self._bus.publish(
                     EV_SPILL_COMMIT,
@@ -249,22 +257,59 @@ class ShuffleStore:
                     attempt=attempt,
                     partitions=sorted(f.partition for f in files),
                     records=sum(f.num_records for f in files),
-                    superseded=superseding,
+                    superseded=previous is not None,
                 )
 
-    def spill(self, files: list[MapOutputFile], *, attempt: int = 0) -> None:
+    def spill(
+        self,
+        files: list[MapOutputFile],
+        *,
+        attempt: int = 0,
+        cancel: CancelToken | None = None,
+    ) -> None:
         """Commit one map task attempt's output atomically (Hadoop
-        commits task output atomically, §2.3)."""
+        commits task output atomically, §2.3) — if its window is open
+        and ``cancel`` (the attempt's token) is not cancelled."""
         if not files:
             raise ShuffleError("map task must spill at least an index entry")
         map_id = files[0].map_id
         if any(f.map_id != map_id for f in files):
             raise ShuffleError("spill mixes files from different map tasks")
-        self._commit(map_id, files, attempt)
+        self._commit(map_id, files, attempt, cancel)
 
-    def spill_empty(self, map_id: MapTaskId, *, attempt: int = 0) -> None:
-        """Record a map task attempt that produced no output at all."""
-        self._commit(map_id, [], attempt)
+    def spill_empty(
+        self,
+        map_id: MapTaskId,
+        *,
+        attempt: int = 0,
+        cancel: CancelToken | None = None,
+    ) -> None:
+        """Record a map task attempt that produced no output at all
+        (committed like :meth:`spill`)."""
+        self._commit(map_id, [], attempt, cancel)
+
+    def reopen(self, map_index: int) -> None:
+        """Open map ``map_index``'s commit window again: its next
+        accepted commit supersedes the current one.  Recovery calls this
+        before re-executing the map; the committed files keep serving
+        fetches until then."""
+        with self._lock:
+            window = self._windows.get(map_index, 0) + 1
+            self._windows[map_index] = window
+            self._closed.discard(map_index)
+            if self._bus is not None:
+                self._bus.publish(
+                    EV_SPILL_REOPEN, kind="map", index=map_index, window=window
+                )
+
+    def open_window(self, map_index: int) -> int | None:
+        """The number of map ``map_index``'s current commit window (0
+        until its first :meth:`reopen`), or None once a commit has
+        closed it."""
+        with self._lock:
+            if map_index in self._closed:
+                return None
+            return self._windows.get(map_index, 0)
 
     def attempt_of(self, map_index: int) -> int:
         """Currently committed attempt number for a map task."""
@@ -351,18 +396,6 @@ class ShuffleStore:
                 ):
                     out.add(m)
             return frozenset(out)
-
-    def fetched_attempts(self, partition: int) -> dict[int, int]:
-        """Map attempts ``partition``'s current reduce attempt has
-        consumed so far — the verification layer's ground truth for the
-        freshness invariant."""
-        with self._lock:
-            return dict(self._fetched.get(partition, {}))
-
-    def committed_attempts(self) -> dict[int, int]:
-        """Currently committed attempt number per completed map task."""
-        with self._lock:
-            return dict(self._attempts)
 
     def index_of(self, map_index: int) -> MapOutputIndex:
         with self._lock:

@@ -20,8 +20,6 @@ from repro.obs.live.bus import (
     EV_JOB_FINISH,
     EV_JOB_START,
     EV_RECOVERY,
-    EV_SCHED_MAP,
-    EV_SCHED_REDUCE,
     EV_SPILL_COMMIT,
     EV_TASK_FINISH,
     EV_TASK_HANG,
@@ -36,7 +34,7 @@ from repro.obs.metrics import MetricsRegistry, RATE_BUCKETS, TIME_BUCKETS
 
 class MetricsFold:
     """The registry metrics that have no ``Counters`` name: shuffle
-    spill/fetch and ``sched.*`` counters, the wait/backoff/recovery/fetch
+    spill/fetch and straggler/hang counters, the wait/backoff/recovery/fetch
     histograms, the map emit rate, the inflight and makespan gauges.
     (Lifecycle tallies are ``Counters`` names, exported into the
     registry at job finish.)"""
@@ -67,8 +65,6 @@ class MetricsFold:
             ),
             EV_TASK_STRAGGLER: lambda ev: self._inc("sched.stragglers.flagged"),
             EV_TASK_HANG: lambda ev: self._inc("sched.hangs.flagged"),
-            EV_SCHED_REDUCE: self._sched_reduce,
-            EV_SCHED_MAP: lambda ev: self._inc("sched.map.scheduled"),
         }
 
     def __call__(self, ev: Event) -> None:
@@ -118,7 +114,3 @@ class MetricsFold:
         self._observe(
             "barrier.wait.seconds", ev.t - ev.data.get("since", self._job_t0)
         )
-
-    def _sched_reduce(self, ev: Event) -> None:
-        self._inc("sched.reduce.scheduled")
-        self._inc("sched.maps.unlocked", len(ev.data["unlocked_maps"]))

@@ -3,18 +3,18 @@
 The bus is the run's **event spine**: every lifecycle occurrence is
 published on it exactly once, at its source (the engine's attempt loop
 and barrier site, the :class:`~repro.mapreduce.shuffle.ShuffleStore`,
-the detectors, the SIDR schedule policy, the simulator's timeline
-replay), and the bus keeps it: :meth:`EventBus.publish` appends each
-event to the bus's **record** under the same lock that assigns its
-``seq``, so :meth:`EventBus.events` is in total order by construction —
-if event A was published strictly before event B (program order, or
-under a shared external lock such as the shuffle store's), A precedes B
-in the record.  Everything that only *reports* on a run — its spans,
-the registry metrics, lifecycle ``Counters``, the flat ``EngineTrace``,
-``JobResult.attempts``, progress, the JSONL audit, the verify log — is
-a reading of that record (``docs/OBSERVABILITY.md`` has the event →
-reading table).  ``task.heartbeat`` is the one type delivered but not
-recorded: heartbeats grow with wall-clock time, not with work.
+the detectors, the simulator's timeline replay), and the bus keeps it:
+:meth:`EventBus.publish` appends each event to the bus's **record**
+under the same lock that assigns its ``seq``, so :meth:`EventBus.events`
+is in total order by construction — if event A was published strictly
+before event B (program order, or under a shared external lock such as
+the shuffle store's), A precedes B in the record.  Everything that only
+*reports* on a run — its spans, the registry metrics, lifecycle
+``Counters``, the flat ``EngineTrace``, ``JobResult.attempts``,
+progress, the JSONL audit, the verify log — is a reading of that record
+(``docs/OBSERVABILITY.md`` has the event → reading table).
+``task.heartbeat`` is the one type delivered but not recorded:
+heartbeats grow with wall-clock time, not with work.
 
 Listeners (:meth:`EventBus.attach`) are for code that must *act* the
 moment an event is published — the straggler and hang detectors, the
@@ -28,9 +28,9 @@ pays one lock, one :class:`Event` and one append per publish.
 Event vocabulary (see ``docs/OBSERVABILITY.md``): ``job.start``,
 ``task.start``, ``task.heartbeat``, ``task.phase``, ``task.finish``,
 ``task.retry``, ``task.straggler``, ``task.hang``, ``task.speculate``,
-``task.cancelled``, ``spill.commit``, ``barrier.fire``,
-``reduce.start``, ``fetch``, ``recovery.reexecute``, ``sched.reduce.scheduled``,
-``sched.map.scheduled``, ``job.deadline``, ``job.finish``.
+``task.cancelled``, ``spill.commit``, ``spill.reopen``,
+``barrier.fire``, ``reduce.start``, ``fetch``, ``recovery.reexecute``,
+``job.deadline``, ``job.finish``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ EV_TASK_SPECULATE = "task.speculate"
 EV_TASK_CANCELLED = "task.cancelled"
 EV_JOB_DEADLINE = "job.deadline"
 EV_SPILL_COMMIT = "spill.commit"
+#: Recovery reopened a map's commit window: the next accepted
+#: ``spill.commit`` of that map supersedes the current one.
+EV_SPILL_REOPEN = "spill.reopen"
 EV_BARRIER_FIRE = "barrier.fire"
 #: A reduce attempt is about to check its barrier and fetch; ``data``
 #: carries the completed-map set it was scheduled with (what the
@@ -66,8 +69,6 @@ EV_BARRIER_FIRE = "barrier.fire"
 EV_REDUCE_START = "reduce.start"
 EV_FETCH = "fetch"
 EV_RECOVERY = "recovery.reexecute"
-EV_SCHED_REDUCE = "sched.reduce.scheduled"
-EV_SCHED_MAP = "sched.map.scheduled"
 
 
 @dataclass(frozen=True)

@@ -266,15 +266,6 @@ class ProgressTracker:
         """(t, fraction-of-reduces-done) points, in completion order."""
         return self._read().curve
 
-    def calibration_scale(self) -> float | None:
-        """Measured/predicted seconds over completed tasks (the unit
-        conversion a cost-model calibration run would fit); None until
-        at least one task completed under an estimator."""
-        p = self._read()
-        if self.estimator is None or p.predicted_done <= 0:
-            return None
-        return p.measured_done / p.predicted_done
-
     # ------------------------------------------------------------------ #
     # The status document
     # ------------------------------------------------------------------ #

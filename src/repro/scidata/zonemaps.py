@@ -100,13 +100,6 @@ class ZoneMap:
             -(-s // t) for s, t in zip(self.space, self.tile_shape)
         )
 
-    @property
-    def num_tiles(self) -> int:
-        n = 1
-        for g in self.grid_shape:
-            n *= g
-        return n
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -132,15 +125,6 @@ class ZoneMap:
         if sl is None:
             return None
         return float(self.mins[sl].min()), float(self.maxs[sl].max())
-
-    def region_all_fill(self, region: Slab) -> bool:
-        """True when every tile overlapping ``region`` is pure fill."""
-        if self.fill_tiles is None:
-            return False
-        sl = self._tile_slices(region)
-        if sl is None:
-            return False
-        return bool(self.fill_tiles[sl].all())
 
     # ------------------------------------------------------------------ #
     # Equality / serialization

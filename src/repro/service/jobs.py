@@ -296,7 +296,7 @@ class JobQueue:
             return True
 
     def shutdown(self) -> None:
-        """Stop the workers; jobs still queued are retired as cancelled
+        """Stop the workers; jobs still queued end as cancelled
         so no client waits forever on a job that will never run."""
         with self._cond:
             self._shutdown = True

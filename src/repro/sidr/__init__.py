@@ -16,10 +16,6 @@ of the job (§3):
 * :mod:`repro.sidr.annotations` — the ⟨k,v⟩-count validation of §3.2.1
   (approach 2): reduce tasks tally annotated source counts against the
   expected cell count of their keyblock before processing.
-* :mod:`repro.sidr.scheduler` — the reduce-first scheduling policy
-  (§3.3): reduce tasks are scheduled first (optionally by output
-  priority, §3.4) and map tasks become eligible only when a dependent
-  reduce is running.
 * :mod:`repro.sidr.early_results` — early-result tracking: which portion
   of the output space is complete and emittable given the set of
   finished tasks (§3.4's computational-steering / burst-buffer use
@@ -32,7 +28,6 @@ from repro.sidr.keyblocks import KeyBlock, KeyBlockPartition
 from repro.sidr.partition_plus import choose_unit_shape, partition_plus
 from repro.sidr.dependencies import DependencyMap, compute_dependencies
 from repro.sidr.annotations import CountAnnotationValidator
-from repro.sidr.scheduler import SidrSchedulePolicy
 from repro.sidr.early_results import EarlyResultTracker
 from repro.sidr.output import (
     assemble_output,
@@ -50,7 +45,6 @@ __all__ = [
     "DependencyMap",
     "compute_dependencies",
     "CountAnnotationValidator",
-    "SidrSchedulePolicy",
     "EarlyResultTracker",
     "assemble_output",
     "commit_sidr_output",

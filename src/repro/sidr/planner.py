@@ -48,7 +48,6 @@ from repro.sidr.annotations import CountAnnotationValidator
 from repro.sidr.dependencies import DependencyMap, compute_dependencies
 from repro.sidr.keyblocks import KeyBlockPartition
 from repro.sidr.partition_plus import partition_plus
-from repro.sidr.scheduler import SidrSchedulePolicy
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,9 @@ class SIDRPlan:
     splits: tuple[CoordinateSplit, ...]
     partition: KeyBlockPartition
     deps: DependencyMap
+    #: Per-keyblock output priority (§3.4): weights the speculation
+    #: runtime's backup ranking.  The engine fires reduces per
+    #: dependency barrier; reduce-first order lives in the simulator.
     priorities: tuple[float, ...] | None = None
     #: Zone-map pruning decision; None when pruning was off or nothing
     #: pruned.  When set, ``splits`` are the re-indexed survivors.
@@ -97,11 +99,6 @@ class SIDRPlan:
             )
         return CountAnnotationValidator.for_plan(
             self.query_plan, self.partition, exact=exact
-        )
-
-    def schedule_policy(self, *, bus: Any | None = None) -> SidrSchedulePolicy:
-        return SidrSchedulePolicy(
-            deps=self.deps, priorities=self.priorities, bus=bus
         )
 
     # ------------------------------------------------------------------ #

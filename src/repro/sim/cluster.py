@@ -105,6 +105,3 @@ class SimCluster:
 
     def total_free_map_slots(self) -> int:
         return sum(n.free_map_slots for n in self._nodes.values())
-
-    def total_free_reduce_slots(self) -> int:
-        return sum(n.free_reduce_slots for n in self._nodes.values())

@@ -93,8 +93,8 @@ class Heartbeat:
     beat gate is heartbeat granularity: a task producing fewer than
     ``every`` records per ``hang_timeout`` is indistinguishable from a
     hung one — which is safe, because acting on a false hang flag only
-    races or re-runs an attempt whose correctness the commit gate
-    already guarantees.  ``progress`` is a free-running unit count
+    races or re-runs an attempt whose correctness the shuffle store's
+    commit window already guarantees.  ``progress`` is a free-running unit count
     (records consumed, batches folded) carried in the event for
     dashboards — the detector only cares that the event arrived at all.
     """

@@ -35,13 +35,13 @@ class SpeculationRuntime:
     Listens on the run's event bus (flags arrive from the detector's
     ticker thread or from whichever task thread triggered a check).
     For a flagged **map** with a backup launcher available (threaded
-    runs), it hedges: opens a race and submits a backup attempt, ranked
-    by structural criticality — how many pending reduces' I_l sets the
-    map blocks.  For everything else — serial runs, reduce tasks, or a
-    blown backup budget — a *hang* is mitigated by cancelling the
-    flagged attempt so the retry loop re-runs it in place, while a mere
-    straggler is left alone (it is still making progress; cancelling it
-    would lose work).
+    runs), it hedges: submits a backup attempt that races the flagged
+    one for the map's commit window, ranked by structural criticality —
+    how many pending reduces' I_l sets the map blocks.  For everything
+    else — serial runs, reduce tasks, or a blown backup budget — a
+    *hang* is mitigated by cancelling the flagged attempt so the retry
+    loop re-runs it in place, while a mere straggler is left alone (it
+    is still making progress; cancelling it would lose work).
     """
 
     def __init__(
@@ -121,7 +121,6 @@ class SpeculationRuntime:
                 elif index in self._active_backup:
                     return  # one racing backup per task at a time
             if in_budget:
-                self.state.begin_race(kind, index)
                 self.launch_backup(index, attempt, priority)
                 return
             # Backup budget blown: hangs still need releasing below.
@@ -137,7 +136,7 @@ class SpeculationRuntime:
         with self._lock:
             self._active_backup.discard(index)
         if failed:
-            # The backup died without resolving the race; release any
+            # The backup died without committing the map; release any
             # still-blocked primary so the retry loop re-runs it in
             # place (otherwise a hung primary would wait forever on a
             # backup that no longer exists).

@@ -85,7 +85,7 @@ _SERVICE_CONFIGS: tuple[tuple[str, str], ...] = (("service", "columnar"),)
 def _engine_configs() -> tuple[tuple[str, str], ...]:
     """The legs ``REPRO_VERIFY_ENGINES`` selects; every engine leg when
     it is unset or empty.  A token that names no leg is an error, not a
-    leg left out: a run pinned to a misspelt or retired engine must not
+    leg left out: a run pinned to a misspelt or removed engine must not
     pass by checking something else."""
     allow = os.environ.get("REPRO_VERIFY_ENGINES", "")
     modes = {m.strip() for m in allow.split(",") if m.strip()}

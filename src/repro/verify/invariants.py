@@ -14,24 +14,21 @@ Checked invariants (paper §4-§6):
   precedes the first ``reduce.start`` of each partition.
 * **fetch-discipline** — every fetch targets a map inside the
   partition's fetch set (dependency routing never widens).
-* **no-stale-serve** — every fetch served exactly the attempt that was
-  committed at fetch time (``spill.commit`` and ``fetch`` events are
-  linearized by the store lock, so this is decidable from sequence
-  numbers).
+* **no-stale-serve** — every fetch served exactly the attempt whose
+  commit was the map's latest at fetch time (``spill.commit``,
+  ``spill.reopen`` and ``fetch`` events are linearized by the store
+  lock, so this is decidable from sequence numbers).
 * **supersede-observed** — if a map attempt consumed by a reduce was
   superseded before that reduce attempt finished fetching, the attempt
   must NOT have committed: the engine's freshness check has to have
   failed it (:class:`~repro.errors.StaleFetchError`) so a retry re-reads
   fresh input.
-* **at-most-one-winner** — for every speculation race (a
-  ``task.speculate`` event with ``mode="race"`` names the hedged backup
-  attempt and the flagged attempt it races, via ``data["of"]``; events
-  sharing an attempt belong to one race, so a map re-executed for
-  recovery and hedged again is a race of its own), at most one member
-  attempt ever commits a spill, and no fetch is ever served a losing
-  member's attempt.  This is the supersede-free guarantee hedging adds
-  on top of the retry path: the loser is *cancelled before commit*, not
-  committed and then superseded.
+* **at-most-one-winner** — at most one ``spill.commit`` per map between
+  consecutive ``spill.reopen`` events of that map (the store's commit
+  window), whichever attempts raced for it: primaries, retries,
+  speculative backups and recovery re-runs alike.  A losing attempt is
+  *refused at commit*, never committed and then superseded; only
+  recovery's reopen lets a later commit replace the output.
 * **input-complete** — a reduce attempt that committed fetched from
   every map of its I_l (the reduce's *actual* data dependencies, §1),
   and no fetch handed it an ``empty`` stand-in for data the served map
@@ -52,7 +49,7 @@ from repro.obs.live.bus import (
     EV_FETCH,
     EV_REDUCE_START,
     EV_SPILL_COMMIT,
-    EV_TASK_SPECULATE,
+    EV_SPILL_REOPEN,
     EV_TASK_START,
     Event,
 )
@@ -163,12 +160,12 @@ def check_interleaving_invariants(
                     f"reduce {p} fetched map {m} before any spill.commit",
                 )
             )
-        elif served != max(history):
+        elif served != history[-1]:
             violations.append(
                 Violation(
                     "no-stale-serve",
                     f"reduce {p} was served map {m} attempt {served} while "
-                    f"attempt {max(history)} was already committed",
+                    f"attempt {history[-1]} was already committed",
                 )
             )
 
@@ -201,7 +198,7 @@ def check_interleaving_invariants(
             superseded = [
                 (seq, att)
                 for seq, att in spills.get(m, [])
-                if att > served and seq < last_fetch_seq
+                if e.seq < seq < last_fetch_seq
             ]
             if superseded:
                 violations.append(
@@ -251,47 +248,25 @@ def check_interleaving_invariants(
                 )
 
     # ---------------- at-most-one-winner ---------------- #
-    # Races per map task: each race-mode speculate event contributes
-    # the hedged backup attempt plus the flagged attempt it races
-    # (data["of"]); events sharing an attempt are one race.
-    races: list[tuple[int, set[int]]] = []
+    # Each map's commits, one list per commit window: a reopen starts
+    # the map's next window.
+    windows: list[tuple[int, list[int]]] = []
+    current: dict[int, list[int]] = {}
     for e in events:
-        if (
-            e.type == EV_TASK_SPECULATE
-            and e.kind == "map"
-            and e.data.get("mode") == "race"
-        ):
-            members = {e.attempt}
-            if "of" in e.data:
-                members.add(int(e.data["of"]))
-            for race in [r for r in races if r[0] == e.index and r[1] & members]:
-                members |= race[1]
-                races.remove(race)
-            races.append((e.index, members))
-    for m, members in races:
-        winners = sorted(
-            a for _seq, a in spills.get(m, []) if a in members
-        )
-        if len(winners) > 1:
+        if e.type == EV_SPILL_REOPEN:
+            current.pop(e.index, None)
+        elif e.type == EV_SPILL_COMMIT:
+            if e.index not in current:
+                current[e.index] = []
+                windows.append((e.index, current[e.index]))
+            current[e.index].append(e.attempt)
+    for m, commits in windows:
+        if len(commits) > 1:
             violations.append(
                 Violation(
                     "at-most-one-winner",
-                    f"map {m} speculation race committed {len(winners)} "
-                    f"member attempts {winners}; expected at most one",
+                    f"map {m} committed attempts {commits} in one commit "
+                    "window; expected at most one",
                 )
             )
-        winner = winners[0] if winners else None
-        for e in events:
-            if e.type != EV_FETCH or int(e.data["map"]) != m:
-                continue
-            served = int(e.data["map_attempt"])
-            if served in members and served != winner:
-                violations.append(
-                    Violation(
-                        "at-most-one-winner",
-                        f"reduce {e.index} was served map {m} attempt "
-                        f"{served}, a losing member of a speculation race "
-                        f"(winner: {winner})",
-                    )
-                )
     return violations

@@ -24,6 +24,7 @@ from repro.mapreduce.engine import (
     LocalEngine,
     RetryPolicy,
 )
+from repro.obs.live.bus import EV_SPILL_REOPEN
 
 from tests.test_mapreduce_engine import counting_job, ranged_job
 
@@ -362,6 +363,69 @@ class TestRecovery:
             )
         for p, records in seen.items():
             assert records == clean[p]
+
+
+class TestRecoveryCollision:
+    """A recovery re-run and a still-running primary of the same map
+    race for one commit window: the first commit wins, the other
+    attempt finishes ``lost``.  (A commit that needed a higher attempt
+    number used to fail the slow primary with ``ShuffleError`` and run
+    the map a third time.)"""
+
+    def test_slow_primaries_lose_to_recovery_reruns(self):
+        from repro.query.language import StructuralQuery
+        from repro.query.operators import MeanOp
+        from repro.query.splits import aligned_slice_splits
+        from repro.scidata.generators import temperature_dataset
+        from repro.sidr.planner import build_sidr_job
+
+        field = temperature_dataset(days=112, lat=10, lon=8, seed=1)
+        data = field.arrays["temperature"]
+        plan = StructuralQuery(
+            variable="temperature", extraction_shape=(7, 5, 1),
+            operator=MeanOp(),
+        ).compile(field.metadata)
+        splits = aligned_slice_splits(plan, num_splits=16)
+
+        def job():
+            return build_sidr_job(plan, splits, 4, data)[:2]
+
+        expected = LocalEngine().run_serial(*job()).all_records()
+        slow = frozenset(range(4, 16))
+        engine = LocalEngine(
+            # A worker per map: every primary is claimed before recovery.
+            map_workers=16,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            recovery=RecoveryModel.REEXECUTE_ALL,
+            faults=plan_of(
+                FaultRule(task="map", kind=FaultKind.SLOW, indices=slow,
+                          attempts=frozenset({0}), delay=0.3),
+                transient_rule("reduce", {0}, when=WHEN_AFTER_FETCH),
+            ),
+        )
+        conf, barrier = job()
+        assert conf.num_map_tasks == 16
+        res = engine.run_threaded(conf, barrier)
+
+        assert not [
+            a for a in res.attempts
+            if a.outcome == "failed" and a.error == "ShuffleError"
+        ]
+        assert {
+            e.index for e in res.obs.bus.events() if e.type == EV_SPILL_REOPEN
+        } == set(range(16))
+        outcome = {
+            (a.index, a.attempt): a.outcome for a in res.attempts
+            if a.kind == "map"
+        }
+        for m in slow:
+            # The stalled primary (attempt 0) lost its window to the
+            # recovery re-run.
+            assert outcome[(m, 0)] == "lost", m
+            assert sorted(
+                o for (i, _), o in outcome.items() if i == m
+            ) == ["lost", "ok"], m
+        assert res.all_records() == expected
 
 
 # --------------------------------------------------------------------- #

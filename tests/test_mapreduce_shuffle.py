@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ShuffleError
+from repro.errors import ShuffleError, TaskCancelledError
 from repro.mapreduce.shuffle import MapOutputFile, ShuffleStore
 from repro.mapreduce.types import MapTaskId
 
@@ -47,8 +47,9 @@ class TestShuffleStore:
     def test_double_spill_rejected(self):
         store = ShuffleStore()
         store.spill([mk_file(0, 0, [])])
-        with pytest.raises(ShuffleError):
+        with pytest.raises(TaskCancelledError) as ei:
             store.spill([mk_file(0, 1, [])])
+        assert ei.value.reason == "superseded"
 
     def test_mixed_map_spill_rejected(self):
         store = ShuffleStore()
@@ -103,11 +104,13 @@ class TestShuffleStore:
 
 
 class TestAttemptAwareStore:
-    """Attempt-based spill commit + consume-on-fetch (no-persist mode)."""
+    """Commit windows, attempt-aware fetches, consume-on-fetch
+    (no-persist mode)."""
 
     def test_higher_attempt_supersedes(self):
         store = ShuffleStore()
         store.spill([mk_file(0, 0, [((1,), "old")])])
+        store.reopen(0)
         store.spill([mk_file(0, 0, [((1,), "new")])], attempt=1)
         assert store.attempt_of(0) == 1
         assert store.fetch(0, 0).records == (((1,), "new"),)
@@ -117,16 +120,50 @@ class TestAttemptAwareStore:
         attempt's files behind for the missing ones."""
         store = ShuffleStore()
         store.spill([mk_file(0, 0, [((1,), "a")]), mk_file(0, 1, [((2,), "b")])])
+        store.reopen(0)
         store.spill([mk_file(0, 0, [((1,), "a2")])], attempt=1)
         assert store.fetch(0, 1) is None  # old partition-1 file is gone
 
     def test_same_attempt_respill_rejected(self):
+        """A closed window refuses every commit, whatever its attempt
+        number; a reopened one takes the first, whatever its number."""
         store = ShuffleStore()
         store.spill([mk_file(0, 0, [])], attempt=2)
-        with pytest.raises(ShuffleError):
-            store.spill([mk_file(0, 0, [])], attempt=2)
-        with pytest.raises(ShuffleError):
-            store.spill([mk_file(0, 0, [])], attempt=1)
+        for attempt in (2, 1, 3):
+            with pytest.raises(TaskCancelledError):
+                store.spill([mk_file(0, 0, [])], attempt=attempt)
+        assert store.attempt_of(0) == 2
+        store.reopen(0)
+        store.spill([mk_file(0, 0, [])], attempt=1)
+        assert store.attempt_of(0) == 1
+
+    def test_commit_window_numbers(self):
+        from repro.obs import EventBus
+
+        bus = EventBus()
+        store = ShuffleStore(bus=bus)
+        assert store.open_window(0) == 0
+        store.spill_empty(MapTaskId(0))
+        assert store.open_window(0) is None
+        store.reopen(0)
+        store.reopen(0)  # reopening an open window starts the next one
+        assert store.open_window(0) == 2
+        assert store.open_window(1) == 0
+        assert [(ev.type, ev.data.get("window")) for ev in bus.events()] == [
+            ("spill.commit", None), ("spill.reopen", 1), ("spill.reopen", 2),
+        ]
+
+    def test_cancelled_attempt_never_commits(self):
+        from repro.spec.cancel import REASON_HANG, CancelToken
+
+        store = ShuffleStore()
+        tok = CancelToken()
+        tok.cancel(REASON_HANG)
+        with pytest.raises(TaskCancelledError) as ei:
+            store.spill([mk_file(0, 0, [((1,), "x")])], cancel=tok)
+        assert ei.value.reason == REASON_HANG
+        assert store.completed_maps() == frozenset()
+        assert store.open_window(0) == 0
 
     def test_consume_on_fetch_when_not_persisted(self):
         store = ShuffleStore(persist=False)
@@ -149,6 +186,7 @@ class TestAttemptAwareStore:
         store.begin_reduce_attempt(0)
         store.fetch(0, 0)
         store.check_fetch_fresh(0)  # fresh so far
+        store.reopen(0)
         store.spill([mk_file(0, 0, [((1,), "v1")])], attempt=1)
         with pytest.raises(StaleFetchError):
             store.check_fetch_fresh(0)
@@ -196,5 +234,6 @@ class TestSpillMetrics:
     def test_superseded_spills_counted(self):
         m, store = _folded_store()
         store.spill([mk_file(0, 0, [])])
+        store.reopen(0)
         store.spill([mk_file(0, 0, [])], attempt=1)
         assert m().counter("shuffle.spill.superseded").value == 1

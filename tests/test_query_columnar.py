@@ -12,7 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arrays.slab import Slab
-from repro.errors import JobConfigError, QueryError, ShuffleError
+from repro.errors import (
+    JobConfigError,
+    QueryError,
+    ShuffleError,
+    TaskCancelledError,
+)
 from repro.mapreduce.columnar import (
     ChunkBatch,
     ColumnarMapOutput,
@@ -704,7 +709,9 @@ class TestColumnarMapOutput:
         store = ShuffleStore(persist=False)
         store.spill([_cmo()], attempt=0)
         assert store.attempt_of(0) == 0
-        # Superseding retry replaces the attempt atomically.
+        # A commit into the reopened window replaces the attempt
+        # atomically.
+        store.reopen(0)
         store.spill([_cmo(source_records=13)], attempt=1)
         assert store.attempt_of(0) == 1
         fetched = store.fetch(0, 1)
@@ -716,7 +723,7 @@ class TestColumnarMapOutput:
     def test_stale_attempt_rejected(self):
         store = ShuffleStore()
         store.spill([_cmo()], attempt=1)
-        with pytest.raises(ShuffleError, match="already spilled"):
+        with pytest.raises(TaskCancelledError, match="already committed"):
             store.spill([_cmo()], attempt=1)
 
 

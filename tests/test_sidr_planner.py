@@ -53,12 +53,13 @@ class TestPlanAssembly:
         with pytest.raises(JobConfigError, match="unknown data plane 'rowful'"):
             plan.configure_job(temp_data, data_plane="rowful")
 
-    def test_schedule_policy_built(self, weekly_mean_plan):
+    def test_priorities_carried(self, weekly_mean_plan):
         splits = slice_splits(weekly_mean_plan, num_splits=4)
         plan = build_plan(
             weekly_mean_plan, splits, 3, priorities=[2.0, 0.0, 1.0]
         )
-        assert plan.schedule_policy().reduce_schedule_order() == [1, 2, 0]
+        assert plan.priorities == (2.0, 0.0, 1.0)
+        assert build_plan(weekly_mean_plan, splits, 3).priorities is None
 
 
 class TestEquivalence:

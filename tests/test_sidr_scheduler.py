@@ -1,158 +1,123 @@
-"""Unit tests for the SIDR scheduling policy (§3.3, §3.4)."""
+"""Reduce-first scheduling (§3.3, §3.4), as the simulator implements it.
+
+"SIDR inverts this process by scheduling Reduce tasks first with Map
+tasks only becoming eligible to be scheduled if at least one Reduce task
+that depends on it is already running."  :mod:`repro.sim.jobsim` is the
+one implementation: reduces go out by priority, then index, and a map
+starts only once a scheduled reduce depends on it.  One reduce slot in
+the whole cluster makes the order observable as reduce waves.
+"""
 
 import pytest
 
-from repro.errors import SchedulerError
-from repro.sidr.dependencies import DependencyMap
-from repro.sidr.scheduler import SidrSchedulePolicy
+from repro.errors import SimulationError
+from repro.sim.cluster import ClusterConfig
+from repro.sim.costmodel import MB
+from repro.sim.jobsim import ExecutionMode, simulate_job
+from repro.sim.workload import (
+    DependencyDistribution,
+    SimJobSpec,
+    SimSplit,
+    UniformDistribution,
+)
+
+ONE_REDUCE_SLOT = ClusterConfig(
+    num_nodes=1, hosts_per_rack=1, map_slots_per_node=2, reduce_slots_per_node=1,
+)
 
 
-def simple_deps():
-    return DependencyMap(
-        num_splits=6,
-        num_blocks=3,
-        producers=(
-            frozenset({0}),
-            frozenset({0}),
-            frozenset({1}),
-            frozenset({1}),
-            frozenset({2}),
-            frozenset({2}),
-        ),
-        dependencies=(
-            frozenset({0, 1}),
-            frozenset({2, 3}),
-            frozenset({4, 5}),
-        ),
+def spec(num_maps=6, distribution=None, priorities=None):
+    """Two maps per keyblock by default (map ``m`` feeds block ``m // 2``)."""
+    distribution = distribution or DependencyDistribution(
+        [{m // 2: 1.0} for m in range(num_maps)], num_maps // 2
     )
+    r = distribution.num_reduces()
+    return SimJobSpec(
+        name="reduce-first",
+        splits=tuple(
+            SimSplit(index=i, read_bytes=8 * MB, cells=(8 * MB) // 4,
+                     output_bytes=1 * MB)
+            for i in range(num_maps)
+        ),
+        distribution=distribution,
+        reduce_output_bytes=tuple([1 * MB] * r),
+        dense_output=True,
+        priorities=priorities,
+    )
+
+
+def schedule_order(job):
+    tl = simulate_job(job, ONE_REDUCE_SLOT, mode=ExecutionMode.SIDR)
+    return sorted(range(job.num_reduces), key=lambda l: tl.reduce_scheduled[l])
 
 
 class TestReduceOrder:
     def test_default_index_order(self):
-        p = SidrSchedulePolicy(deps=simple_deps())
-        assert p.reduce_schedule_order() == [0, 1, 2]
+        assert schedule_order(spec()) == [0, 1, 2]
 
     def test_priority_order(self):
-        p = SidrSchedulePolicy(deps=simple_deps(), priorities=[2.0, 0.0, 1.0])
-        assert p.reduce_schedule_order() == [1, 2, 0]
+        assert schedule_order(spec(priorities=(2.0, 0.0, 1.0))) == [1, 2, 0]
 
     def test_priority_ties_break_by_index(self):
-        p = SidrSchedulePolicy(deps=simple_deps(), priorities=[1.0, 1.0, 0.0])
-        assert p.reduce_schedule_order() == [2, 0, 1]
+        assert schedule_order(spec(priorities=(1.0, 1.0, 0.0))) == [2, 0, 1]
 
     def test_priority_length_checked(self):
-        with pytest.raises(SchedulerError):
-            SidrSchedulePolicy(deps=simple_deps(), priorities=[1.0])
+        with pytest.raises(SimulationError):
+            spec(priorities=(1.0,))
 
 
 class TestEligibility:
     def test_maps_ineligible_until_reduce_scheduled(self):
-        p = SidrSchedulePolicy(deps=simple_deps())
-        assert not p.is_map_eligible(0)
-        newly = p.on_reduce_scheduled(0)
-        assert newly == frozenset({0, 1})
-        assert p.is_map_eligible(0) and p.is_map_eligible(1)
-        assert not p.is_map_eligible(2)
+        """No map starts before the first reduce that depends on it."""
+        job = spec()
+        tl = simulate_job(job, ONE_REDUCE_SLOT, mode=ExecutionMode.SIDR)
+        for m in range(job.num_maps):
+            unlocked = min(
+                tl.reduce_scheduled[l]
+                for l in range(job.num_reduces)
+                if m in job.distribution.producers_of(l, job.num_maps)
+            )
+            assert tl.map_start[m] >= unlocked
+        tl.validate()
 
     def test_shared_maps_marked_once(self):
-        deps = DependencyMap(
-            num_splits=2,
-            num_blocks=2,
-            producers=(frozenset({0, 1}), frozenset({0, 1})),
-            dependencies=(frozenset({0, 1}), frozenset({0, 1})),
-        )
-        p = SidrSchedulePolicy(deps=deps)
-        assert p.on_reduce_scheduled(0) == frozenset({0, 1})
-        assert p.on_reduce_scheduled(1) == frozenset()
+        """Maps every reduce depends on are unlocked by the first one
+        scheduled: they do not wait for the second."""
+        job = spec(num_maps=2, distribution=UniformDistribution(2))
+        tl = simulate_job(job, ONE_REDUCE_SLOT, mode=ExecutionMode.SIDR)
+        assert tl.reduce_scheduled[0] < tl.reduce_scheduled[1]
+        assert all(t < tl.reduce_scheduled[1] for t in tl.map_start)
 
-    def test_double_reduce_schedule_rejected(self):
-        p = SidrSchedulePolicy(deps=simple_deps())
-        p.on_reduce_scheduled(0)
-        with pytest.raises(SchedulerError):
-            p.on_reduce_scheduled(0)
 
     def test_unknown_block_rejected(self):
-        p = SidrSchedulePolicy(deps=simple_deps())
-        with pytest.raises(SchedulerError):
-            p.on_reduce_scheduled(7)
+        with pytest.raises(SimulationError):
+            DependencyDistribution([{7: 1.0}], 3)
 
 
 class TestMapScheduling:
     def test_ineligible_map_rejected(self):
-        """The central §3.3 invariant: a map may run only when a running
-        reduce depends on it."""
-        p = SidrSchedulePolicy(deps=simple_deps())
-        with pytest.raises(SchedulerError):
-            p.on_map_scheduled(0)
-
-    def test_eligible_map_accepted_once(self):
-        p = SidrSchedulePolicy(deps=simple_deps())
-        p.on_reduce_scheduled(0)
-        p.on_map_scheduled(0)
-        with pytest.raises(SchedulerError):
-            p.on_map_scheduled(0)
-        assert p.scheduled_maps == frozenset({0})
+        """The central §3.3 invariant: block 2's maps (4, 5) have no
+        running reduce until reduce 2 takes the single slot."""
+        tl = simulate_job(spec(), ONE_REDUCE_SLOT, mode=ExecutionMode.SIDR)
+        assert min(tl.map_start[4], tl.map_start[5]) >= tl.reduce_scheduled[2]
+        assert tl.reduce_scheduled[2] >= tl.reduce_finish[1]
 
     def test_eligible_unscheduled_tracking(self):
-        p = SidrSchedulePolicy(deps=simple_deps())
-        p.on_reduce_scheduled(1)
-        assert p.eligible_unscheduled_maps() == frozenset({2, 3})
-        p.on_map_scheduled(2)
-        assert p.eligible_unscheduled_maps() == frozenset({3})
+        """An eligible map that found no free map slot takes the next
+        one to free up, ahead of any map still ineligible."""
+        one_slot_each = ClusterConfig(
+            num_nodes=1, hosts_per_rack=1,
+            map_slots_per_node=1, reduce_slots_per_node=1,
+        )
+        tl = simulate_job(spec(), one_slot_each, mode=ExecutionMode.SIDR)
+        assert tl.map_start[1] == tl.map_finish[0]
+        assert tl.map_start[1] < tl.reduce_scheduled[1]
 
     def test_full_schedule_walkthrough(self):
-        """Scheduling all reduces makes all maps eligible exactly once."""
-        p = SidrSchedulePolicy(deps=simple_deps())
-        marked = set()
-        for l in p.reduce_schedule_order():
-            marked |= p.on_reduce_scheduled(l)
-        assert marked == set(range(6))
-        assert p.scheduled_reduces == frozenset({0, 1, 2})
-
-
-def folded_bus():
-    """A run's bus, and ``m()``: its registry once the run finishes and
-    the metrics fold reads the record."""
-    from repro.obs import JobObservability
-
-    obs = JobObservability("sched")
-
-    def m():
-        obs.finish()
-        return obs.metrics
-
-    return m, obs.bus
-
-
-class TestSchedulerMetrics:
-    def test_decisions_counted(self):
-        m, bus = folded_bus()
-        p = SidrSchedulePolicy(deps=simple_deps(), bus=bus)
-        for l in p.reduce_schedule_order():
-            p.on_reduce_scheduled(l)
-        for i in range(6):
-            p.on_map_scheduled(i)
-        c = m().snapshot()["counters"]
-        assert c["sched.reduce.scheduled"] == 3
-        assert c["sched.maps.unlocked"] == 6
-        assert c["sched.map.scheduled"] == 6
-
-    def test_plan_threads_metrics_through(self):
-        from repro.query.language import StructuralQuery
-        from repro.query.operators import MeanOp
-        from repro.query.splits import slice_splits
-        from repro.scidata.generators import temperature_dataset
-        from repro.sidr.planner import build_plan
-
-        field = temperature_dataset(days=14, lat=10, lon=6)
-        plan = StructuralQuery(
-            variable="temperature",
-            extraction_shape=(7, 5, 1),
-            operator=MeanOp(),
-        ).compile(field.metadata)
-        splits = slice_splits(plan, num_splits=4)
-        sidr = build_plan(plan, splits, 2)
-        m, bus = folded_bus()
-        policy = sidr.schedule_policy(bus=bus)
-        policy.on_reduce_scheduled(0)
-        assert m().snapshot()["counters"]["sched.reduce.scheduled"] == 1
+        """Scheduling every reduce runs every map, and every reduce
+        finishes."""
+        job = spec()
+        tl = simulate_job(job, ONE_REDUCE_SLOT, mode=ExecutionMode.SIDR)
+        assert all(f > 0 for f in tl.map_finish)
+        assert all(f > 0 for f in tl.reduce_finish)
+        tl.validate()

@@ -22,6 +22,7 @@ from repro.mapreduce.splits import ByteRangeSplit
 from repro.obs import JobObservability
 from repro.obs.live.bus import (
     EV_SPILL_COMMIT,
+    EV_SPILL_REOPEN,
     EV_TASK_HANG,
     EV_TASK_HEARTBEAT,
     EV_TASK_SPECULATE,
@@ -545,45 +546,84 @@ class TestAtMostOneWinner:
         )
         assert any(v.invariant == "at-most-one-winner" for v in violations)
 
+    def test_invariant_catches_double_commit_without_speculation(self):
+        """Two commits of one map with no reopen between them break the
+        commit window whether or not a backup was ever launched."""
+        from repro.mapreduce.engine import GlobalBarrier
+
+        def commits(*middle):
+            return [
+                Event(0, 0.0, EV_SPILL_COMMIT, "map", 0, 0),
+                *middle,
+                Event(2, 0.0, EV_SPILL_COMMIT, "map", 0, 1),
+            ]
+
+        def winners(events):
+            return [
+                v for v in check_interleaving_invariants(
+                    events, barrier=GlobalBarrier(), total_maps=1,
+                    contact_all_maps=True,
+                )
+                if v.invariant == "at-most-one-winner"
+            ]
+
+        (violation,) = winners(commits())
+        assert "[0, 1]" in violation.detail
+        assert winners(commits(Event(1, 0.0, EV_SPILL_REOPEN, "map", 0, 0))) == []
+
 
 # --------------------------------------------------------------------- #
-# Recovery x speculation: a re-executed map races in its own generation
+# Recovery x speculation: a re-executed map races in its own window
 # --------------------------------------------------------------------- #
 class TestRecoveryRace:
-    """ROADMAP item 1 (closed): a map raced in its first run and
-    re-executed for a failed reduce used to join the *old*, resolved
-    race, lose it at the commit gate, and leave the reduce retry to
-    fetch its consumed spill as ``empty`` — exit 0, wrong records."""
+    """A map raced in its first run and re-executed for a failed reduce
+    once joined the *old*, resolved race, lost it at commit, and left
+    the reduce retry to fetch its consumed spill as ``empty`` — exit 0,
+    wrong records.  Recovery now reopens the map's commit window."""
 
     def test_resolved_race_is_not_reused(self):
+        """A map raced in its first run and re-executed for recovery:
+        the re-run commits into the reopened window — the first
+        window's winner does not refuse it — and the old window's
+        loser, still in flight, wins neither window."""
         from repro.mapreduce.engine import _RunState
+        from repro.mapreduce.shuffle import ShuffleStore
+        from repro.mapreduce.types import MapTaskId
 
+        store = ShuffleStore()
         state = _RunState(LocalEngine(), counting_job())
-        first = state.claim_attempt("map", 0)
-        state.new_token("map", 0, first)
-        state.begin_race("map", 0)
-        backup = state.claim_attempt("map", 0)  # joins: race unresolved
-        state.new_token("map", 0, backup)
-        assert state.try_win("map", 0, backup)
-        assert not state.try_win("map", 0, first)
+        first, backup, rerun, hedge = (
+            state.claim_attempt("map", 0) for _ in range(4)
+        )
+        tokens = {}
+        for attempt in (first, backup):
+            tokens[attempt] = state.new_token(
+                "map", 0, attempt, store.open_window(0)
+            )
+        store.spill_empty(MapTaskId(0), attempt=backup, cancel=tokens[backup])
         state.release_token("map", 0, backup)
-        assert state.race_resolved("map", 0)
+        with pytest.raises(TaskCancelledError):
+            store.spill_empty(MapTaskId(0), attempt=first)
+        assert store.open_window(0) is None
 
-        # Recovery re-runs the map while the old loser is still in
-        # flight; the re-run is flagged in its turn.
-        rerun = state.claim_attempt("map", 0)
-        state.new_token("map", 0, rerun)
-        state.begin_race("map", 0)
-        assert not state.race_resolved("map", 0)  # a new generation
-        hedge = state.claim_attempt("map", 0)
-        state.new_token("map", 0, hedge)
-        # the old generation's loser can neither join nor commit
-        assert not state.try_win("map", 0, first)
-        assert state.try_win("map", 0, rerun)
-        assert not state.try_win("map", 0, hedge)
-        losers = state.race_losers("map", 0, rerun)
-        assert set(losers) == {
-            state.token_of("map", 0, first), state.token_of("map", 0, hedge)
+        # Recovery reopens the window and re-runs the map, hedged in its
+        # turn, while the old loser is still in flight.
+        store.reopen(0)
+        for attempt in (rerun, hedge):
+            tokens[attempt] = state.new_token(
+                "map", 0, attempt, store.open_window(0)
+            )
+        # The old winner's success releases only its own window's
+        # rivals; the re-run and its hedge race on.
+        assert state.rivals("map", 0, backup, 0) == [tokens[first]]
+        store.spill_empty(MapTaskId(0), attempt=rerun, cancel=tokens[rerun])
+        assert store.attempt_of(0) == rerun
+        for loser in (hedge, first):
+            with pytest.raises(TaskCancelledError) as ei:
+                store.spill_empty(MapTaskId(0), attempt=loser)
+            assert ei.value.reason == REASON_SUPERSEDED
+        assert set(state.rivals("map", 0, rerun, 1)) == {
+            tokens[first], tokens[hedge]
         }
 
     def test_reproducer_returns_the_oracles_records(self):

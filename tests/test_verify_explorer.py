@@ -23,6 +23,7 @@ from repro.obs.live.bus import (
     EV_FETCH,
     EV_REDUCE_START,
     EV_SPILL_COMMIT,
+    EV_SPILL_REOPEN,
     EV_TASK_SPECULATE,
     EV_TASK_START,
 )
@@ -264,6 +265,30 @@ class TestInvariantChecks:
         )
         assert any(v.invariant == "no-stale-serve" for v in found)
 
+    def test_latest_commit_is_served_whatever_its_attempt(self):
+        """A reopened window may be committed by a lower attempt number
+        (a stalled primary outliving a re-run's rival): the latest
+        commit, not the highest attempt, is what a fetch must get."""
+        log = [
+            ev(0, EV_SPILL_COMMIT, "map", 0, 1, partitions=(0,)),
+            ev(1, EV_SPILL_REOPEN, "map", 0, 0, window=1),
+            ev(2, EV_SPILL_COMMIT, "map", 0, 0, partitions=(0,),
+               superseded=True),
+        ]
+
+        def stale(served):
+            fetch = ev(3, EV_FETCH, "reduce", 0, 0, map=0,
+                       map_attempt=served, empty=False)
+            return [
+                v for v in check_interleaving_invariants(
+                    log + [fetch], barrier=self.BARRIER, total_maps=3
+                )
+                if v.invariant == "no-stale-serve"
+            ]
+
+        assert stale(0) == []
+        assert len(stale(1)) == 1
+
     def test_fetch_before_any_commit_detected(self):
         events = [
             ev(0, EV_FETCH, "reduce", 0, 0, map=0, map_attempt=0, empty=True),
@@ -363,18 +388,19 @@ class TestInvariantChecks:
 
     def test_each_race_generation_has_its_own_winner(self):
         """A map hedged in its first run and again in its recovery
-        re-run commits one attempt per race — not a double winner —
-        while two commits inside one race still are."""
+        re-run commits one attempt per commit window — not a double
+        winner — while two commits inside one window still are."""
         two_races = [
             ev(0, EV_TASK_SPECULATE, "map", 0, 1, of=0, mode="race"),
             ev(1, EV_SPILL_COMMIT, "map", 0, 1, partitions=(0,)),
-            ev(2, EV_TASK_SPECULATE, "map", 0, 3, of=2, mode="race"),
-            ev(3, EV_SPILL_COMMIT, "map", 0, 3, partitions=(0,)),
+            ev(2, EV_SPILL_REOPEN, "map", 0, 0, window=1),
+            ev(3, EV_TASK_SPECULATE, "map", 0, 3, of=2, mode="race"),
+            ev(4, EV_SPILL_COMMIT, "map", 0, 3, partitions=(0,)),
         ]
         assert check_interleaving_invariants(
             two_races, barrier=self.BARRIER, total_maps=3
         ) == []
-        # a second backup of the same flagged attempt joins its race
+        # a second backup of the same flagged attempt races in its window
         one_race = [
             ev(0, EV_TASK_SPECULATE, "map", 0, 1, of=0, mode="race"),
             ev(1, EV_TASK_SPECULATE, "map", 0, 2, of=0, mode="race"),
