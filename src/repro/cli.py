@@ -269,12 +269,13 @@ def cmd_query(args: argparse.Namespace) -> int:
         progress = ProgressTracker(bus, estimator=estimator)
         if speculation is None:
             # A speculating run flags stragglers with its own detector;
-            # a second one on the bus would flag every attempt twice.
+            # a second one reading the record would flag every attempt
+            # twice.
             detector = StragglerDetector(bus).start_ticker()
         if args.events:
             writer = JsonlEventWriter(bus, args.events)
         if args.live:
-            renderer = LiveRenderer(progress, detector).start()
+            renderer = LiveRenderer(progress).start()
 
     try:
         res = engine.run(job, barrier, mode=args.engine, obs=obs)
@@ -827,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "execution (hang detection + hedged backup "
                          "attempts)")
     p_query.add_argument("--hang-timeout", type=float, default=0.5,
-                         help="seconds without a heartbeat before an "
+                         help="seconds without a checkpoint before an "
                          "attempt is flagged hung (with --speculate)")
     p_query.add_argument("--deadline", type=float, default=None,
                          help="wall-clock budget in seconds; on expiry "
@@ -916,7 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--hang-map", type=int, default=0,
                         help="map task to hang on its first attempt")
     p_spec.add_argument("--hang-timeout", type=float, default=0.2,
-                        help="detector staleness budget in seconds")
+                        help="seconds without a checkpoint before an "
+                        "attempt is flagged hung")
     p_spec.add_argument("--fault-seed", type=int, default=0)
     p_spec.set_defaults(fn=cmd_speculation)
 

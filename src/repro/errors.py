@@ -97,9 +97,9 @@ class TaskCancelledError(ReproError):
 
     Raised from a :class:`~repro.spec.CancelToken` checkpoint inside a
     task body.  ``reason`` says why — ``"superseded"`` (a speculative
-    backup attempt committed first), ``"hang-mitigation"`` (the hang
-    detector cancelled a stale attempt so the retry machinery can re-run
-    it), or ``"deadline"`` (the job's wall-clock deadline expired).  The
+    backup attempt committed first), ``"hang-mitigation"`` (the
+    speculation runtime cancelled an attempt that passed no checkpoint
+    for its hang timeout, so the retry machinery can re-run it), or ``"deadline"`` (the job's wall-clock deadline expired).  The
     engine routes each reason differently; see
     ``docs/FAULT_TOLERANCE.md``.
     """

@@ -739,7 +739,6 @@ def run_columnar_map(
     attempt: int = 0,
     corrupt: bool = False,
     cancel: Any | None = None,
-    heartbeat: Any | None = None,
 ) -> None:
     """Columnar map-task body (reader → batch partials → cut spill runs).
 
@@ -775,8 +774,6 @@ def run_columnar_map(
             # attempt still exits within one batch.
             if cancel is not None:
                 cancel.check()
-            if heartbeat is not None:
-                heartbeat.beat(item.num_instances)
             if item.num_instances == 0:
                 continue
             records_in += item.num_instances
@@ -874,7 +871,6 @@ def run_columnar_reduce(
     task: tuple[str, int, int] | None,
     *,
     cancel: Any | None = None,
-    heartbeat: Any | None = None,
 ) -> ResultBlock:
     """Columnar reduce-task body (concatenate → lexsort → fold → finalize).
 
@@ -926,8 +922,6 @@ def run_columnar_reduce(
             block = ResultBlock(
                 keys[starts], bop.finalize_columns(merged, merged_counts)
             )
-        if heartbeat is not None:
-            heartbeat.beat(len(block))
     counters.increment("reduce.input.groups", len(block))
     counters.increment("reduce.input.records", records)
     counters.increment("reduce.output.records", len(block))

@@ -33,9 +33,9 @@ before a reduce attempt's barrier checks; ``spill.commit``/
 ``JobResult.counters``' lifecycle tallies, ``.trace``, ``.attempts``
 and the metrics in ``.obs`` are readings of it, taken once at the run's
 single finish site (``docs/OBSERVABILITY.md``).  The engine attaches no
-listener of its own except under speculation, whose detectors must act
-as events arrive; a caller that wants to act on the run attaches to the
-bus it passes in through ``obs``.
+listener: under speculation the runtime's ticker reads the record and
+the attempts' cancel tokens; a caller that wants to act on the run
+attaches to the bus it passes in through ``obs``.
 
 Barriers, retries, recovery, speculation, deadlines and result
 assembly are the loop's and therefore identical in every mode; outputs
@@ -64,9 +64,11 @@ proposal running for real.  A failing run cancels undispatched work.
 See ``docs/FAULT_TOLERANCE.md``.
 
 Speculative execution (structure-aware): constructing the engine with a
-:class:`~repro.spec.SpeculationPolicy` attaches heartbeats, a
-:class:`~repro.spec.HangDetector`, and a mitigation runtime to every
-run.  Hang-flagged (stale-heartbeat) and straggler-flagged attempts are
+:class:`~repro.spec.SpeculationPolicy` gives every run a mitigation
+runtime that ticks a detector over the run's record and its attempts'
+cancel tokens — an attempt is live while it passes checkpoints
+(:meth:`~repro.spec.CancelToken.check`).  Hang-flagged (no checkpoint
+for ``hang_timeout``) and straggler-flagged attempts are
 hedged with a racing backup attempt (maps on a pooled executor) or
 cooperatively cancelled and retried in place (inline executor, reduce
 tasks).  The shuffle store is the one arbiter of a map's output: its
@@ -134,7 +136,6 @@ from repro.spec import (
     REASON_SUPERSEDED,
     CancelToken,
     DeadlineWatchdog,
-    Heartbeat,
     SpeculationPolicy,
     SpeculationRuntime,
 )
@@ -326,6 +327,12 @@ class _RunState:
             self.tokens.pop((kind, index, attempt), None)
             self.windows.pop((kind, index, attempt), None)
 
+    def live_tokens(self) -> dict[tuple[str, int, int], CancelToken]:
+        """A copy of every in-flight attempt's token (the hang rule's
+        input)."""
+        with self.lock:
+            return dict(self.tokens)
+
     def token_of(self, kind: str, index: int, attempt: int) -> CancelToken | None:
         with self.lock:
             return self.tokens.get((kind, index, attempt))
@@ -450,17 +457,6 @@ class LocalEngine:
         #: Speculation knobs; None keeps the engine's historical
         #: flag-only behaviour (stragglers observed, never mitigated).
         self.speculation = speculation
-        self._hb_interval = (
-            speculation.heartbeat_interval if speculation is not None else 0.05
-        )
-
-    def _heartbeat(
-        self, obs: JobObservability, kind: str, index: int, attempt: int
-    ) -> Heartbeat:
-        """An attempt's heartbeat: it publishes only when a hang
-        detector is there to read it, i.e. under speculation."""
-        bus = obs.bus if self.speculation is not None else None
-        return Heartbeat(bus, kind, index, attempt, self._hb_interval)
 
     # ------------------------------------------------------------------ #
     # Map task
@@ -478,7 +474,6 @@ class LocalEngine:
         cancel: CancelToken | None = None,
     ) -> None:
         """One map attempt, start to commit, on the calling thread."""
-        hb = self._heartbeat(obs, "map", split_index, attempt)
         if faults is not None:
             faults.fire("map", split_index, attempt, cancel=cancel)
         corrupt = faults is not None and faults.should_corrupt(
@@ -488,7 +483,7 @@ class LocalEngine:
         body(
             job, split_index, store, counters, obs, ("map", split_index, attempt),
             attempt=attempt, corrupt=corrupt,
-            cancel=cancel, heartbeat=hb,
+            cancel=cancel,
         )
 
     # ------------------------------------------------------------------ #
@@ -539,7 +534,6 @@ class LocalEngine:
         counters: Counters,
         obs: JobObservability,
         completed_at_start: frozenset[int],
-        hb: Heartbeat,
         *,
         attempt: int,
         faults: BoundFaults | None,
@@ -584,7 +578,6 @@ class LocalEngine:
                 # longest pre-merge stretch.
                 if cancel is not None:
                     cancel.check()
-                hb.beat()
                 f = store.fetch(m, partition)
                 if f is not None and f.num_records:
                     files.append(f)
@@ -620,10 +613,8 @@ class LocalEngine:
         cancel: CancelToken | None = None,
     ) -> Sequence[KeyValue]:
         """One reduce attempt, fetch to output, on the calling thread."""
-        hb = self._heartbeat(obs, "reduce", partition, attempt)
         files = self._fetch_reduce_inputs(
-            job, partition, barrier, store, counters, obs,
-            completed_at_start, hb,
+            job, partition, barrier, store, counters, obs, completed_at_start,
             attempt=attempt, faults=faults, cancel=cancel,
         )
         body = (
@@ -635,7 +626,7 @@ class LocalEngine:
             partition,
             body(
                 job, files, counters, obs, ("reduce", partition, attempt),
-                cancel=cancel, heartbeat=hb,
+                cancel=cancel,
             ),
         )
 
@@ -668,8 +659,8 @@ class LocalEngine:
 
         ``before_retry()`` (dependency recovery) runs ahead of each
         retry's ``task.start``: the attempt is claimed but not yet
-        published, so it is neither in flight for the hang detector nor
-        on the attempt's clock while it runs.  If it raises, the attempt
+        published, so it is neither in flight for the hang rule nor on
+        the attempt's clock while it runs.  If it raises, the attempt
         is published as started and failed on the spot.
 
         ``open_window()`` (maps: the shuffle store's
@@ -696,8 +687,8 @@ class LocalEngine:
             attempt = state.claim_attempt(kind, index)
             tries += 1
             window = 0 if open_window is None else open_window()
-            # Token before the event: a detector that flags this attempt
-            # must find something to cancel.
+            # Token before the event: a tick that flags this attempt must
+            # find something to cancel.
             cancel = state.new_token(kind, index, attempt, window or 0)
             ident = {"kind": kind, "index": index, "attempt": attempt}
             unrecovered = None
@@ -1017,7 +1008,6 @@ class LocalEngine:
                     self.speculation, state, job, barrier, obs,
                     pending_partitions=pending_snapshot,
                 )
-                stack.callback(spec_rt.close)
             if job.deadline is not None:
                 watchdog = DeadlineWatchdog(
                     job.deadline,
@@ -1116,7 +1106,9 @@ class LocalEngine:
                         # place instead.
                         spec_rt.launch_backup = launch_backup
                     stack.enter_context(
-                        spec_rt.detector.ticker(self.speculation.effective_tick)
+                        spec_rt.detector.ticker(
+                            self.speculation.effective_tick, spec_rt.tick
+                        )
                     )
 
                 for i in range(total_maps):

@@ -2,8 +2,8 @@
 
 The counterpart of :mod:`repro.mapreduce.columnar` — one key/value at a
 time through ``Mapper``/``Reducer`` objects, sorted runs through a
-k-way merge.  The attempt loop, fault injection, fetch and heartbeat
-plumbing around the bodies belong to :mod:`repro.mapreduce.engine`.
+k-way merge.  The attempt loop, fault injection and fetch plumbing
+around the bodies belong to :mod:`repro.mapreduce.engine`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.mapreduce.shuffle import MapOutputFile, ShuffleStore
 from repro.mapreduce.sortmerge import group_sorted, merge_segments, sort_records
 from repro.mapreduce.types import KeyValue, MapTaskId
 from repro.obs import COUNT_BUCKETS, JobObservability
-from repro.spec import CancelToken, Heartbeat
+from repro.spec import CancelToken
 
 
 def run_record_map(
@@ -31,12 +31,11 @@ def run_record_map(
     attempt: int = 0,
     corrupt: bool = False,
     cancel: CancelToken | None = None,
-    heartbeat: Heartbeat | None = None,
 ) -> None:
     """Record-plane map-task body (read → partition → combine → spill).
 
     Mirrors :func:`run_columnar_map`; the engine's ``_run_map`` wraps
-    it in fault injection and heartbeat plumbing.
+    it in fault injection.
     """
     split = job.splits[split_index]
     mapper = job.mapper_factory()
@@ -63,13 +62,11 @@ def run_record_map(
     # share one phase (see docs/OBSERVABILITY.md).
     with obs.phase("map.read", task) as read:
         for k, v in job.reader_factory(split):
-            # Per-record cancellation/liveness checkpoint: a
-            # latched-Event probe plus a modulo-gated heartbeat,
-            # cheap enough for the record hot path.
+            # Per-record cancellation/liveness checkpoint: a clock
+            # read plus a latched-Event probe, cheap enough for the
+            # record hot path.
             if cancel is not None:
                 cancel.check()
-            if heartbeat is not None:
-                heartbeat.beat()
             records_in += 1
             consume(mapper.map(k, v))
         consume(mapper.cleanup())
@@ -134,7 +131,6 @@ def run_record_reduce(
     task: tuple[str, int, int] | None,
     *,
     cancel: CancelToken | None = None,
-    heartbeat: Heartbeat | None = None,
 ) -> list[KeyValue]:
     """Record-plane reduce-task body (merge → group → reduce).
 
@@ -155,8 +151,6 @@ def run_record_reduce(
         for key, values in group_sorted(merge_segments(segments)):
             if cancel is not None:
                 cancel.check()
-            if heartbeat is not None:
-                heartbeat.beat()
             groups += 1
             records += len(values)
             if group_sizes is not None:

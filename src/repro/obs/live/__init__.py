@@ -7,8 +7,10 @@ scheduler, and simulator all publish structured lifecycle events into
 as they happen, and that keeps them as the run's record; a
 :class:`ProgressTracker` that reads per-phase completion fractions plus
 an ETA from the simulator's cost model (:class:`CostModelEta`) off that
-record; a :class:`StragglerDetector` flagging in-flight tasks that
-exceed a robust multiple of the running median; a crash-durable
+record; a :class:`StragglerDetector` reading the same record to flag
+in-flight attempts that exceed a robust multiple of the running median
+or, given the run's cancel tokens, have passed no checkpoint for the
+hang timeout; a crash-durable
 :class:`JsonlEventWriter`; and the terminal renderer behind
 ``repro.cli query --live``.  See ``docs/OBSERVABILITY.md`` for the
 event vocabulary and the snapshot JSON schema.

@@ -3,7 +3,7 @@
 The bus is the run's **event spine**: every lifecycle occurrence is
 published on it exactly once, at its source (the engine's attempt loop
 and barrier site, the :class:`~repro.mapreduce.shuffle.ShuffleStore`,
-the detectors, the simulator's timeline replay), and the bus keeps it:
+the straggler detector, the simulator's timeline replay), and the bus keeps it:
 :meth:`EventBus.publish` appends each event to the bus's **record**
 under the same lock that assigns its ``seq``, so :meth:`EventBus.events`
 is in total order by construction — if event A was published strictly
@@ -12,22 +12,21 @@ the shuffle store's), A precedes B in the record.  Everything that only
 *reports* on a run — its spans, the registry metrics, lifecycle
 ``Counters``, the flat ``EngineTrace``, ``JobResult.attempts``,
 progress, the JSONL audit, the verify log — is a reading of that record
-(``docs/OBSERVABILITY.md`` has the event → reading table).
-``task.heartbeat`` is the one type delivered but not recorded:
-heartbeats grow with wall-clock time, not with work.
+(``docs/OBSERVABILITY.md`` has the event → reading table), and so is
+what acts on a run without having to act on one event: the straggler
+and hang detector reads it from a cursor on a ticker.
 
 Listeners (:meth:`EventBus.attach`) are for code that must *act* the
-moment an event is published — the straggler and hang detectors, the
-speculation runtime, the verifier's chaos stalls.  They run on the publishing
-thread *outside* the lock, so a listener may itself publish (the
-detectors do); listener exceptions are swallowed and counted
+moment an event is published, on the publishing thread — the
+verifier's chaos stalls.  They run *outside* the lock, so a listener
+may itself publish; listener exceptions are swallowed and counted
 (``listener_errors``, the first one kept as ``first_listener_error``),
 never propagated into the publishing task.  A bus with no listener
 pays one lock, one :class:`Event` and one append per publish.
 
 Event vocabulary (see ``docs/OBSERVABILITY.md``): ``job.start``,
-``task.start``, ``task.heartbeat``, ``task.phase``, ``task.finish``,
-``task.retry``, ``task.straggler``, ``task.hang``, ``task.speculate``,
+``task.start``, ``task.phase``, ``task.finish``, ``task.retry``,
+``task.straggler``, ``task.hang``, ``task.speculate``,
 ``task.cancelled``, ``spill.commit``, ``spill.reopen``,
 ``barrier.fire``, ``reduce.start``, ``fetch``, ``recovery.reexecute``,
 ``job.deadline``, ``job.finish``.
@@ -53,7 +52,6 @@ EV_TASK_FINISH = "task.finish"
 EV_TASK_PHASE = "task.phase"
 EV_TASK_RETRY = "task.retry"
 EV_TASK_STRAGGLER = "task.straggler"
-EV_TASK_HEARTBEAT = "task.heartbeat"
 EV_TASK_HANG = "task.hang"
 EV_TASK_SPECULATE = "task.speculate"
 EV_TASK_CANCELLED = "task.cancelled"
@@ -129,11 +127,11 @@ class EventBus:
         self._lock = threading.Lock()
         self._job = job
         self._seq = 0
-        #: Every published event but heartbeats, in ``seq`` order.
+        #: Every published event, in ``seq`` order.
         self._record: list[Event] = []
         self._listener_errors = 0
         self._first_listener_error: BaseException | None = None
-        #: Replaced, never mutated, on attach/detach: publish reads it
+        #: Replaced, never mutated, on attach: publish reads it
         #: without copying.
         self._listeners: tuple[Callable[[Event], None], ...] = ()
         if clock is None:
@@ -159,13 +157,6 @@ class EventBus:
         with self._lock:
             self._listeners += (listener,)
 
-    def detach(self, listener: Callable[[Event], None]) -> None:
-        with self._lock:
-            kept = list(self._listeners)
-            if listener in kept:
-                kept.remove(listener)
-                self._listeners = tuple(kept)
-
     # ------------------------------------------------------------------ #
     # Publish and read
     # ------------------------------------------------------------------ #
@@ -179,8 +170,8 @@ class EventBus:
         at: float | None = None,
         **data: Any,
     ) -> Event:
-        """Emit one event: record it (heartbeats excepted), then call
-        the listeners.  Never blocks on a consumer."""
+        """Emit one event: record it, then call the listeners.  Never
+        blocks on a consumer."""
         with self._lock:
             event = Event(
                 seq=self._seq,
@@ -193,8 +184,7 @@ class EventBus:
                 job=self._job,
             )
             self._seq += 1
-            if type != EV_TASK_HEARTBEAT:
-                self._record.append(event)
+            self._record.append(event)
             listeners = self._listeners
         if self._m_published is not None:
             self._m_published.inc()
@@ -224,7 +214,7 @@ class EventBus:
 
     @property
     def published(self) -> int:
-        """Events published so far, heartbeats included."""
+        """Events published so far."""
         with self._lock:
             return self._seq
 

@@ -3,7 +3,8 @@
 :class:`ProgressTracker` reads a job's in-flight view off an
 :class:`~repro.obs.live.bus.EventBus`'s record whenever it is asked:
 per-phase completion fractions (maps done / reduces fired / reduces
-done), the reduce-completion curve, in-flight task counts, and an ETA.
+done), the reduce-completion curve, in-flight attempt counts (a
+primary and its racing backup are two), and an ETA.
 It attaches nothing to the bus, so watching a job costs the job
 nothing.  Its :meth:`ProgressTracker.snapshot` returns the JSON status
 document (schema in ``docs/OBSERVABILITY.md``) that the resident
@@ -16,9 +17,7 @@ every map and reduce task of a real job from its
 :func:`~repro.bench.workloads.sim_spec_from_plan`), and the tracker
 continuously *calibrates* those predictions against measured task
 durations — the model supplies the relative shape of the remaining
-work, the measurements supply the machine's actual speed.  The
-calibration scale it converges to is exactly the quantity the ROADMAP's
-cost-model-calibration item wants to fit offline.
+work, the measurements supply the machine's actual speed.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from repro.obs.live.bus import (
     EV_BARRIER_FIRE,
     EV_JOB_FINISH,
     EV_JOB_START,
+    EV_TASK_CANCELLED,
     EV_TASK_FINISH,
     EV_TASK_RETRY,
     EV_TASK_START,
@@ -37,6 +37,7 @@ from repro.obs.live.bus import (
     Event,
     EventBus,
 )
+from repro.spec.cancel import REASON_HANG
 
 
 class CostModelEta:
@@ -109,8 +110,10 @@ class CostModelEta:
 
 
 class _Progress:
-    """One reading of the record: phase sets, in-flight tasks, the
-    reduce curve and the calibration sums."""
+    """One reading of the record: phase sets, in-flight attempts, the
+    reduce curve and the calibration sums.  ``failures`` counts as
+    ``Counters.fold``'s ``task.failures`` does: failed attempts plus
+    hang-mitigation cancels."""
 
     def __init__(self, estimator: CostModelEta | None, events: list[Event]) -> None:
         self.job_name = "job"
@@ -119,7 +122,7 @@ class _Progress:
         self.maps_done: set[int] = set()
         self.reduces_fired: set[int] = set()
         self.reduces_done: set[int] = set()
-        self.inflight: dict[tuple[str, int], float] = {}
+        self.inflight: dict[tuple[str, int, int], float] = {}
         self.curve: list[tuple[float, float]] = []
         self.retries = 0
         self.failures = 0
@@ -138,10 +141,11 @@ class _Progress:
                 self.num_reduces = int(ev.data.get("reduces", 0))
                 self.started_at = ev.t
             elif ev.type == EV_TASK_START:
-                self.inflight[(ev.kind, ev.index)] = ev.t
+                self.inflight[(ev.kind, ev.index, ev.attempt)] = ev.t
             elif ev.type == EV_TASK_FINISH:
-                self.inflight.pop((ev.kind, ev.index), None)
-                if ev.data.get("status") == "ok":
+                self.inflight.pop((ev.kind, ev.index, ev.attempt), None)
+                status = ev.data.get("status")
+                if status == "ok":
                     if ev.kind == "map":
                         self.maps_done.add(ev.index)
                     elif ev.kind == "reduce":
@@ -155,7 +159,10 @@ class _Progress:
                         self.predicted_done += estimator.predicted_seconds(
                             ev.kind, ev.index
                         )
-                else:
+                elif status == "failed":
+                    self.failures += 1
+            elif ev.type == EV_TASK_CANCELLED:
+                if ev.data.get("reason") == REASON_HANG:
                     self.failures += 1
             elif ev.type == EV_BARRIER_FIRE:
                 self.reduces_fired.add(ev.index)
@@ -277,7 +284,7 @@ class ProgressTracker:
         p = self._read()
         m, rf, rd = p.fractions()
         if p.finished_at is not None:
-            state = "failed" if p.failures and not p.all_done() else "done"
+            state = "done" if p.all_done() else "failed"
             elapsed = p.finished_at - (p.started_at or 0.0)
         elif p.started_at is not None:
             state = "running"
@@ -286,8 +293,8 @@ class ProgressTracker:
             state = "pending"
             elapsed = 0.0
         eta = self._eta(p, now)
-        inflight_maps = sum(1 for k, _ in p.inflight if k == "map")
-        inflight_reduces = sum(1 for k, _ in p.inflight if k == "reduce")
+        inflight_maps = sum(1 for k, _, _ in p.inflight if k == "map")
+        inflight_reduces = sum(1 for k, _, _ in p.inflight if k == "reduce")
         return {
             "job": p.job_name,
             "state": state,

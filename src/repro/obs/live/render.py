@@ -4,9 +4,9 @@
 into a small fixed-shape status block (phase bars, ETA, stragglers).
 :class:`LiveRenderer` repaints that block on a daemon thread while the
 job runs: on a TTY it rewrites in place with ANSI cursor movement; on a
-pipe (CI logs) it prints a fresh block at a slower cadence.  Each tick
-also drives :meth:`StragglerDetector.check` — a stuck task emits no
-events of its own, so the periodic tick is what gets it flagged.
+pipe (CI logs) it prints a fresh block at a slower cadence.  It only
+reads: the stragglers it shows are the ``task.straggler`` flags in the
+record, published by whichever detector ticks for the run.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import threading
 from typing import Any, TextIO
 
 from repro.obs.live.progress import ProgressTracker
-from repro.obs.live.stragglers import StragglerDetector
 
 _BAR_WIDTH = 28
 
@@ -71,14 +70,12 @@ class LiveRenderer:
     def __init__(
         self,
         progress: ProgressTracker,
-        detector: StragglerDetector | None = None,
         *,
         interval: float = 0.25,
         out: TextIO | None = None,
         ansi: bool | None = None,
     ) -> None:
         self._progress = progress
-        self._detector = detector
         self._out = out if out is not None else sys.stderr
         if ansi is None:
             ansi = bool(getattr(self._out, "isatty", lambda: False)())
@@ -92,8 +89,6 @@ class LiveRenderer:
 
     # ------------------------------------------------------------------ #
     def _paint(self) -> None:
-        if self._detector is not None:
-            self._detector.check()
         block = format_live(self._progress.snapshot())
         lines = block.split("\n")
         try:

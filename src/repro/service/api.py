@@ -294,10 +294,7 @@ class QueryRequest:
         """Hedging knobs when the request asks to ``speculate``."""
         if not self.speculate:
             return None
-        return SpeculationPolicy(
-            hang_timeout=self.hang_timeout,
-            heartbeat_interval=min(0.05, self.hang_timeout / 4),
-        )
+        return SpeculationPolicy(hang_timeout=self.hang_timeout)
 
     def injection_plan(self) -> InjectionPlan | None:
         """The fault plan of ``fault_rules`` under ``fault_seed``."""

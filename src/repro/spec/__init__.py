@@ -3,19 +3,22 @@
 The speculation subsystem turns the live observability plane's
 flag-only straggler detection into an acting mitigation layer:
 
-* :class:`CancelToken` / :class:`Heartbeat` — cooperative cancellation
-  and liveness reporting, threaded through every task body
+* :class:`CancelToken` — cooperative cancellation threaded through
+  every task body; its ``check()`` is the one checkpoint, and the time
+  since the last one is the attempt's liveness
   (:mod:`repro.spec.cancel`);
-* :class:`HangDetector` — stale-heartbeat detection generalizing the
-  straggler rule (:mod:`repro.spec.hang`);
 * :class:`SpeculationPolicy` / :func:`structural_priority` — when to
   hedge and which candidate first, ranked by how many pending reduces'
   I_l sets a task blocks (:mod:`repro.spec.policy`);
 * :class:`SpeculationRuntime` / :class:`DeadlineWatchdog` — the per-run
-  mitigation brain and the deadline timer (:mod:`repro.spec.runtime`).
+  mitigation brain, which ticks the one
+  :class:`~repro.obs.live.stragglers.StragglerDetector` (straggler and
+  hang rules over the run's record and tokens) and acts on its flags,
+  and the deadline timer (:mod:`repro.spec.runtime`).
 
 What stays in :mod:`repro.mapreduce.engine` is the scheduling those act
-on: backup submission, first-commit-wins arbitration, the retry loop.
+on: backup submission, the retry loop; the shuffle store's commit
+window decides which attempt's output a map keeps.
 The lifecycle is documented in ``docs/FAULT_TOLERANCE.md``.
 """
 
@@ -24,17 +27,13 @@ from repro.spec.cancel import (
     REASON_HANG,
     REASON_SUPERSEDED,
     CancelToken,
-    Heartbeat,
 )
-from repro.spec.hang import HangDetector
 from repro.spec.policy import SpeculationPolicy, structural_priority
 from repro.spec.runtime import DeadlineWatchdog, SpeculationRuntime
 
 __all__ = [
     "CancelToken",
     "DeadlineWatchdog",
-    "HangDetector",
-    "Heartbeat",
     "REASON_DEADLINE",
     "REASON_HANG",
     "REASON_SUPERSEDED",

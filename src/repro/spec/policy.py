@@ -3,10 +3,10 @@
 :class:`SpeculationPolicy` is the engine-facing knob bundle — passing
 one to :class:`~repro.mapreduce.engine.LocalEngine` turns the flag-only
 straggler/hang plane into an *acting* mitigation layer.  The engine
-wires it up per run: heartbeats at ``heartbeat_interval``, a
-:class:`~repro.spec.hang.HangDetector` ticking at ``effective_tick``,
-and a mitigation listener that reacts to ``task.hang`` (always) and
-``task.straggler`` (when ``speculate_stragglers``) flags.
+wires it up per run: a :class:`~repro.spec.SpeculationRuntime` ticks
+its detector every ``effective_tick`` and acts on the ``task.hang``
+(always) and ``task.straggler`` (when ``speculate_stragglers``) flags
+each check returns.
 
 :func:`structural_priority` is the SIDR twist on classic speculative
 execution: instead of hedging the *oldest* straggler first (stock
@@ -29,21 +29,18 @@ from repro.errors import JobConfigError
 class SpeculationPolicy:
     """Knobs for hedged attempts, hang mitigation and cancellation.
 
-    ``hang_timeout`` — heartbeat staleness after which an attempt is
-    hang-flagged.  ``heartbeat_interval`` — target gap between
-    ``task.heartbeat`` events published by task bodies.
-    ``tick_interval`` — detector check period (default: derived from
-    ``hang_timeout``).  ``max_backups`` — job-wide cap on racing backup
+    ``hang_timeout`` — seconds an in-flight attempt may pass no
+    checkpoint (:meth:`~repro.spec.CancelToken.check`) before it is
+    hang-flagged; it must exceed the longest gap between an attempt's
+    checkpoints.  ``max_backups`` — job-wide cap on racing backup
     attempts (None = unlimited); candidates past the cap fall back to
     cancel-and-retry mitigation.  ``speculate_stragglers`` — also act
     on duration-based ``task.straggler`` flags (classic speculative
-    execution), not just stale-heartbeat hangs.  The remaining fields
-    parameterize the underlying straggler rule.
+    execution), not just hangs.  The remaining fields parameterize the
+    underlying straggler rule.
     """
 
     hang_timeout: float = 0.5
-    heartbeat_interval: float = 0.05
-    tick_interval: float | None = None
     max_backups: int | None = None
     speculate_stragglers: bool = True
     straggler_k: float = 3.0
@@ -55,15 +52,6 @@ class SpeculationPolicy:
             raise JobConfigError(
                 f"hang_timeout must be positive, got {self.hang_timeout}"
             )
-        if self.heartbeat_interval <= 0:
-            raise JobConfigError(
-                "heartbeat_interval must be positive, got "
-                f"{self.heartbeat_interval}"
-            )
-        if self.tick_interval is not None and self.tick_interval <= 0:
-            raise JobConfigError(
-                f"tick_interval must be positive, got {self.tick_interval}"
-            )
         if self.max_backups is not None and self.max_backups < 0:
             raise JobConfigError(
                 f"max_backups must be non-negative, got {self.max_backups}"
@@ -71,11 +59,9 @@ class SpeculationPolicy:
 
     @property
     def effective_tick(self) -> float:
-        """Detector check period: explicit, or hang_timeout/5 clamped
-        to [5ms, 50ms] so detection latency stays a small fraction of
-        the staleness budget without burning a core."""
-        if self.tick_interval is not None:
-            return self.tick_interval
+        """Detector check period: hang_timeout/5 clamped to [5ms, 50ms],
+        so detection latency stays a small fraction of the hang budget
+        without burning a core."""
         return max(0.005, min(0.05, self.hang_timeout / 5.0))
 
 

@@ -2,25 +2,21 @@
 deadline watchdog.
 
 Both are driven by one engine run (:mod:`repro.mapreduce.engine` builds
-them per job and tears them down when the run ends) but own no
-scheduling: the runtime turns hang/straggler flags into cancels and
-backup launches through callbacks the run installs, and the watchdog is
-a one-shot timer.
+them per job and stops them when the run ends) but own no scheduling:
+the runtime ticks its detector, and turns the hang/straggler flags each
+check returns into cancels and backup launches through callbacks the
+run installs; the watchdog is a one-shot timer.
 """
 
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.live.bus import (
-    EV_TASK_HANG,
-    EV_TASK_SPECULATE,
-    EV_TASK_STRAGGLER,
-    Event,
-)
+from repro.obs.live.bus import EV_TASK_HANG, EV_TASK_SPECULATE, Event
+from repro.obs.live.stragglers import StragglerDetector
 from repro.spec.cancel import REASON_HANG
-from repro.spec.hang import HangDetector
 from repro.spec.policy import SpeculationPolicy, structural_priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,12 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class SpeculationRuntime:
     """Per-run mitigation brain: turns hang/straggler flags into action.
 
-    Listens on the run's event bus (flags arrive from the detector's
-    ticker thread or from whichever task thread triggered a check).
-    For a flagged **map** with a backup launcher available (threaded
-    runs), it hedges: submits a backup attempt that races the flagged
-    one for the map's commit window, ranked by structural criticality —
-    how many pending reduces' I_l sets the map blocks.  For everything
+    Each :meth:`tick` (on the detector's ticker thread) checks the run's
+    record and live cancel tokens, then acts on the flags the check
+    returned in descending structural criticality — how many pending
+    reduces' I_l sets the flagged task blocks.  For a flagged **map**
+    with a backup launcher available (threaded runs), it hedges:
+    submits a backup attempt that races the flagged one for the map's
+    commit window, until ``max_backups`` are spent.  For everything
     else — serial runs, reduce tasks, or a blown backup budget — a
     *hang* is mitigated by cancelling the flagged attempt so the retry
     loop re-runs it in place, while a mere straggler is left alone (it
@@ -72,15 +69,13 @@ class SpeculationRuntime:
         self._lock = threading.Lock()
         self._backups = 0
         self._active_backup: set[int] = set()
-        self.detector = HangDetector(
+        self.detector = StragglerDetector(
             obs.bus,
             hang_timeout=policy.hang_timeout,
             k=policy.straggler_k,
             min_samples=policy.min_samples,
             min_seconds=policy.min_seconds,
-            rank=self.priority_of,
         )
-        obs.bus.attach(self.on_event)
 
     def priority_of(self, kind: str, index: int) -> float:
         """Structural criticality of a flagged task (maps only)."""
@@ -95,17 +90,29 @@ class SpeculationRuntime:
             total_maps=self.total_maps,
         )
 
-    def on_event(self, ev: Event) -> None:
-        if ev.type == EV_TASK_HANG:
-            self._mitigate(ev.kind, ev.index, ev.attempt, hang=True)
-        elif ev.type == EV_TASK_STRAGGLER and self.policy.speculate_stragglers:
-            self._mitigate(ev.kind, ev.index, ev.attempt, hang=False)
+    def tick(self) -> None:
+        """One detector check, then mitigation of what it flagged —
+        most critical first, so a blocking map gets the backup budget.
+        Acted on: every hang, and stragglers when
+        ``speculate_stragglers``."""
+        flags = self.detector.check(tokens=self.state.live_tokens())
+        ranked = sorted(
+            (
+                (self.priority_of(ev.kind, ev.index), ev)
+                for ev in flags
+                if ev.type == EV_TASK_HANG or self.policy.speculate_stragglers
+            ),
+            key=itemgetter(0),
+            reverse=True,
+        )
+        for priority, ev in ranked:
+            self._mitigate(ev, priority)
 
-    def _mitigate(self, kind: str, index: int, attempt: int, *, hang: bool) -> None:
+    def _mitigate(self, ev: Event, priority: float) -> None:
+        kind, index, attempt = ev.kind, ev.index, ev.attempt
         tok = self.state.token_of(kind, index, attempt)
         if tok is None or tok.cancelled:
             return  # attempt already finished, or already being handled
-        priority = self.priority_of(kind, index)
         if kind == "map" and self.launch_backup is not None:
             with self._lock:
                 in_budget = (
@@ -124,7 +131,7 @@ class SpeculationRuntime:
                 self.launch_backup(index, attempt, priority)
                 return
             # Backup budget blown: hangs still need releasing below.
-        if not hang:
+        if ev.type != EV_TASK_HANG:
             return  # slow but alive — leave it running
         if tok.cancel(REASON_HANG):
             self.obs.bus.publish(
@@ -144,10 +151,6 @@ class SpeculationRuntime:
                 tok = self.state.token_of("map", index, a)
                 if tok is not None:
                     tok.cancel(REASON_HANG)
-
-    def close(self) -> None:
-        self.obs.bus.detach(self.on_event)
-        self.detector.close()
 
 
 class DeadlineWatchdog:

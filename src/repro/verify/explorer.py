@@ -7,9 +7,9 @@ every explored interleaving:
 
 * the barrier/shuffle invariants of :mod:`repro.verify.invariants`
   hold on the run's record (``obs.bus.events()``),
-* no bus listener raised (a listener acts on the run — a detector, the
-  chaos hook — so one that raised means the run was not the one
-  explored), and
+* no bus listener raised (a listener acts on the run — the chaos
+  hook — so one that raised means the run was not the one explored),
+  and
 * the run's outcome is byte-identical (canonical digest) to a serial
   reference run — including *failure* outcomes: a job that fails
   serially must fail under every interleaving too — and the byte form

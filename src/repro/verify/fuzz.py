@@ -49,7 +49,6 @@ from repro.errors import JobConfigError, ReproError
 from repro.faults import RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
-from repro.obs import JobObservability
 from repro.query.operators import PRUNABLE_OPERATORS
 from repro.scidata.zonemaps import build_zone_map
 from repro.sidr.planner import build_sidr_job
@@ -113,9 +112,7 @@ def _make_engine(case: FuzzCase) -> LocalEngine:
         faults=case.injection_plan(),
         recovery=RecoveryModel.parse(case.recovery),
         speculation=(
-            SpeculationPolicy(hang_timeout=HANG_TIMEOUT, heartbeat_interval=0.01)
-            if case.speculate
-            else None
+            SpeculationPolicy(hang_timeout=HANG_TIMEOUT) if case.speculate else None
         ),
     )
 
@@ -249,10 +246,6 @@ class CaseResult:
     oracle_digest: str | None        # None for expected-failure cases
     outcomes: tuple[ConfigOutcome, ...]
     mismatch: str | None             # human-readable disagreement, if any
-    #: Bus listeners that raised across the engine legs (a detector or
-    #: the speculation runtime that raised did not act: any is a
-    #: failure of the case).
-    listener_errors: int = 0
 
     @property
     def ok(self) -> bool:
@@ -277,16 +270,14 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
         legs += [(mode, plane, True) for mode, plane in configs]
 
     outcomes: list[ConfigOutcome] = []
-    listener_errors = 0
     for mode, plane, prune in legs:
         if mode == "service":
             outcomes.append(_run_service_leg(case, plane, prune=prune))
             continue
         job, barrier = _make_job(case, plane, prune=prune)
         engine = _make_engine(case)
-        obs = JobObservability(job.name, enabled=False)
         try:
-            res = engine.run(job, barrier, mode=mode, obs=obs)
+            res = engine.run(job, barrier, mode=mode)
         except ReproError as exc:
             outcomes.append(
                 ConfigOutcome(
@@ -294,8 +285,6 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
                 )
             )
             continue
-        finally:
-            listener_errors += obs.bus.listener_errors
         # The column-wise fast path is checked against the generic
         # per-value walk, and the bytes the digest hashes against both,
         # on every leg — neither is trusted instead of the records.
@@ -310,11 +299,9 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
     mismatch = _diff(case, expected, outcomes)
     if mismatch is None and not oracle_lossless:
         mismatch = "the oracle's records do not survive their byte form"
-    if mismatch is None and listener_errors:
-        mismatch = f"{listener_errors} event-bus listener(s) raised"
     if mismatch is not None and metrics is not None:
         metrics.counter("verify.mismatches").inc()
-    return CaseResult(case, expected, tuple(outcomes), mismatch, listener_errors)
+    return CaseResult(case, expected, tuple(outcomes), mismatch)
 
 
 def _diff(
@@ -551,7 +538,6 @@ def fuzz(
         case = generate_case(i, seed, operators=operators)
         aligned_cases += case.aligned
         result = run_case(case, metrics=metrics)
-        listener_errors += result.listener_errors
         for o in result.outcomes:
             leg = "service" if o.mode == "service" else "engine"
             reduces[leg, "planned"] += o.planned_reduces

@@ -3,11 +3,12 @@
 Covers the streaming contracts the post-hoc trace cannot express:
 
 * bus basics — the record's total order under concurrent publishers,
-  heartbeats delivered but not recorded, listener isolation;
+  listener isolation;
 * happens-before on a real threaded run — no reduce starts before its
   barrier fires, no partition is fetched before a spill committed it;
 * progress snapshots, the cost-model ETA bridge, and the inflight gauge;
-* straggler flagging driven by the ``slow`` fault injector;
+* straggler flagging, a reading of the record, driven by the ``slow``
+  fault injector;
 * JSONL durability: a replayed event file aggregates to the same
   per-phase totals as the engine's own post-hoc trace;
 * the simulator joining the same plane via ``replay_events``.
@@ -21,6 +22,7 @@ import pytest
 
 from repro.errors import InjectedFaultError, JobFailedError
 from repro.faults import FaultKind, FaultRule, InjectionPlan
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import GlobalBarrier, LocalEngine
 from repro.obs import JobObservability, MetricsRegistry
 from repro.obs.folds import MetricsFold
@@ -36,6 +38,7 @@ from repro.obs.live import (
 from repro.query.splits import slice_splits
 from repro.sidr.planner import build_sidr_job
 from repro.sim.timeline import TaskTimeline
+from repro.spec import REASON_HANG, REASON_SUPERSEDED
 
 from tests.test_mapreduce_engine import counting_job
 
@@ -107,17 +110,14 @@ class TestEventBus:
 
     def test_concurrent_publishers_lossless_order(self):
         """N threads publish at once: the record is in strictly
-        increasing ``seq`` and holds exactly what a listener saw, less
-        the heartbeats, which reach listeners but not the record."""
+        increasing ``seq`` and holds exactly what a listener saw."""
         bus = EventBus()
         seen = []
         bus.attach(seen.append)
 
         def worker(k):
-            for i in range(200):
+            for _ in range(200):
                 bus.publish("tick", index=k)
-                if i % 10 == 0:
-                    bus.publish("task.heartbeat", kind="map", index=k)
 
         threads = [
             threading.Thread(target=worker, args=(k,)) for k in range(4)
@@ -130,10 +130,8 @@ class TestEventBus:
         seqs = [e.seq for e in events]
         assert len(events) == 800
         assert all(a < b for a, b in zip(seqs, seqs[1:]))
-        assert {e.type for e in events} == {"tick"}
-        assert bus.published == len(seen) == 800 + 4 * 20
-        heard = [e for e in seen if e.type != "task.heartbeat"]
-        assert sorted(heard, key=lambda e: e.seq) == events
+        assert bus.published == len(seen) == 800
+        assert sorted(seen, key=lambda e: e.seq) == events
 
 
 # --------------------------------------------------------------------- #
@@ -305,6 +303,43 @@ class TestProgress:
         snap = progress.snapshot(now=1.0)
         assert snap["state"] == "failed"
         assert snap["attempts"]["failures"] == 1
+
+    def test_counts_attempts_as_the_counters_do(self):
+        """In flight is per attempt (a primary and its racing backup are
+        two), and ``attempts.failures`` is ``task.failures``: a ``lost``
+        loser is no failure, a hang-mitigation cancel is one."""
+        bus = EventBus(clock=lambda: 0.0)
+        progress = ProgressTracker(bus)
+        bus.publish("job.start", at=0.0, name="j", maps=2, reduces=0)
+        for attempt in (0, 1):
+            bus.publish("task.start", kind="map", index=0, attempt=attempt)
+        assert progress.snapshot()["maps"]["inflight"] == 2
+        bus.publish("task.finish", kind="map", index=0, attempt=1,
+                    status="ok", seconds=0.5)
+        assert progress.snapshot()["maps"]["inflight"] == 1
+        bus.publish("task.finish", kind="map", index=0, attempt=0,
+                    status="lost", error="TaskCancelledError", seconds=1.0)
+        bus.publish("task.cancelled", kind="map", index=0, attempt=0,
+                    reason=REASON_SUPERSEDED)
+        bus.publish("task.start", kind="map", index=1, attempt=0)
+        bus.publish("task.finish", kind="map", index=1, attempt=0,
+                    status="cancelled", error="TaskCancelledError")
+        bus.publish("task.cancelled", kind="map", index=1, attempt=0,
+                    reason=REASON_HANG)
+        bus.publish("task.retry", kind="map", index=1, attempt=0)
+        bus.publish("task.start", kind="map", index=1, attempt=1)
+        bus.publish("task.finish", kind="map", index=1, attempt=1,
+                    status="ok", seconds=0.1)
+        bus.publish("job.finish", name="j")
+        counters = Counters()
+        counters.fold(bus.events())
+        snap = progress.snapshot()
+        assert snap["state"] == "done"
+        assert snap["tasks_inflight"] == 0
+        assert snap["attempts"] == {
+            "retries": counters.get("task.retries"),
+            "failures": counters.get("task.failures"),
+        } == {"retries": 1, "failures": 1}
 
 
 class TestFinishOnFailure:

@@ -75,7 +75,7 @@ def crash_reexecute_deps():
 
 def hang_speculate():
     engine = LocalEngine(
-        speculation=SpeculationPolicy(hang_timeout=0.08, heartbeat_interval=0.01),
+        speculation=SpeculationPolicy(hang_timeout=0.08),
         retry=FAST_RETRY,
         faults=rule("map", FaultKind.HANG, 1, times=1),
     )
@@ -130,12 +130,10 @@ class TestLiveEqualsReplay:
             assert res.counters.get(name) > 0, name
 
         events = read_events(path)
-        # The JSONL is the run's record, event for event (heartbeats
-        # are delivered to the hang detector, never recorded).
+        # The JSONL is the run's record, event for event.
         assert [e.to_json() for e in events] == [
             json.loads(json.dumps(e.to_json())) for e in bus.events()
         ]
-        assert "task.heartbeat" not in {e.type for e in events}
 
         registry = MetricsRegistry()
         metrics = MetricsFold(registry)
@@ -269,13 +267,13 @@ class TestAnObservedRunListensToNothing:
 class TestEmissionGuard:
     """Lifecycle occurrences are published, not reported by hand, and
     read back at the finish site: no engine-side module bumps a
-    registry counter, calls a listener directly or attaches one —
-    except the speculation runtime, which must act as events arrive —
-    and the run's own observability attaches nothing."""
+    registry counter, calls a listener directly or attaches one — the
+    speculation runtime reads the record on its ticker — and the run's
+    own observability attaches nothing."""
 
     PACKAGES = ("mapreduce", "spec", "sidr", "sim")
-    #: The one engine-side listener: hedging acts on a flag at once.
-    ACTING = ("spec/runtime.py",)
+    #: Engine-side modules allowed to attach a listener: none.
+    ACTING = ()
 
     @staticmethod
     def offences(tree):
@@ -307,6 +305,20 @@ class TestEmissionGuard:
                     if not (what in (".attach(", ".detach(") and rel in self.ACTING)
                 ]
         assert found == []
+
+    def test_only_the_explorer_attaches(self):
+        """The one listener in ``src/`` is the verifier's chaos hook,
+        attached by the interleaving explorer."""
+        root = Path(repro.__file__).parent
+        attaching = sorted(
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if any(
+                what == ".attach("
+                for _, what in self.offences(ast.parse(path.read_text()))
+            )
+        )
+        assert attaching == ["verify/explorer.py"]
 
     def test_job_observability_attaches_nothing(self):
         path = Path(repro.__file__).parent / "obs" / "jobobs.py"

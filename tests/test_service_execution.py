@@ -143,8 +143,8 @@ class TestAServedJobListensToNothing:
     def test_no_listener_and_no_heartbeat_for_the_whole_run(self, monkeypatch):
         """A served job that neither speculates nor runs under ``serve
         --events`` has no listener on its bus from its first publish to
-        its last, and publishes no heartbeat and no phase: its status
-        document and counters are read off the bus's record."""
+        its last, and publishes no phase: its status document and
+        counters are read off the bus's record."""
         published = []
         monkeypatch.setattr(service_module, "EventBus", watched_bus(published))
         with service_fixture(workers=1) as client:
@@ -158,8 +158,19 @@ class TestAServedJobListensToNothing:
         types = [t for t, _ in published]
         assert types.count("job.start") == types.count("job.finish") == 2
         assert {listeners for _, listeners in published} == {0}
-        assert "task.heartbeat" not in types
         assert "task.phase" not in types
+
+    def test_a_speculating_job_has_no_listener_either(self, monkeypatch):
+        """Speculation reads the record on a ticker: hedging a served
+        job attaches nothing to its bus."""
+        published = []
+        monkeypatch.setattr(service_module, "EventBus", watched_bus(published))
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", field())
+            doc = client.query(req(engine="threaded", speculate=True))
+        assert doc["state"] == DONE
+        assert published
+        assert {listeners for _, listeners in published} == {0}
 
 
 class TestSpeculationStillRacesABackup:

@@ -3,6 +3,7 @@ deadlines — units through full engine round-trips."""
 
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.reducer import FunctionReducer
 from repro.mapreduce.splits import ByteRangeSplit
 from repro.obs import JobObservability
+from repro.obs.live import StragglerDetector
 from repro.obs.live.bus import (
     EV_SPILL_COMMIT,
     EV_SPILL_REOPEN,
+    EV_TASK_CANCELLED,
     EV_TASK_HANG,
-    EV_TASK_HEARTBEAT,
     EV_TASK_SPECULATE,
     EV_TASK_START,
     Event,
@@ -39,9 +41,8 @@ from repro.spec import (
     REASON_HANG,
     REASON_SUPERSEDED,
     CancelToken,
-    HangDetector,
-    Heartbeat,
     SpeculationPolicy,
+    SpeculationRuntime,
     structural_priority,
 )
 from repro.verify import (
@@ -52,7 +53,7 @@ from repro.verify import (
 from repro.verify.cases import FuzzCase
 from repro.verify.fuzz import run_case
 
-FAST = SpeculationPolicy(hang_timeout=0.08, heartbeat_interval=0.01)
+FAST = SpeculationPolicy(hang_timeout=0.08)
 
 
 def hang_plan(task="map", index=1, times=1):
@@ -95,7 +96,7 @@ def canon(res):
 
 
 # --------------------------------------------------------------------- #
-# Units: CancelToken / Heartbeat / HangDetector
+# Units: CancelToken / the hang rule / SpeculationRuntime
 # --------------------------------------------------------------------- #
 class TestCancelToken:
     def test_first_cancel_wins(self):
@@ -120,87 +121,129 @@ class TestCancelToken:
         threading.Timer(0.02, lambda: tok.cancel(REASON_HANG)).start()
         assert tok.wait(timeout=2.0)
 
-
-class TestHeartbeat:
-    def test_publishes_rate_limited(self):
-        bus = EventBus()
-        seen = []
-        bus.attach(seen.append)
-        hb = Heartbeat(bus, "map", 3, 0, 0.01, every=1)
-        hb.beat()
-        time.sleep(0.02)
-        hb.beat()
-        evs = [e for e in seen if e.type == EV_TASK_HEARTBEAT]
-        assert len(evs) == 2
-        # delivered to listeners, never recorded
-        assert bus.events() == []
-        assert evs[0].index == 3
-        assert evs[-1].data["progress"] == 2
-
-    def test_noop_without_bus(self):
-        hb = Heartbeat(None, "map", 0, 0, 0.01)
-        hb.beat()
-        assert hb.count == 0  # short-circuits before counting
-
-    def test_published_only_for_a_hang_detector(self):
-        """Heartbeats feed the hang detector and nothing else: a run
-        with no detector publishes none, a speculating run does — and
-        neither records them."""
-
-        def many_records(split):
-            for j in range(64):
-                yield ((j % 5,), 1)
-
-        beats = {}
-        for policy in (None, SpeculationPolicy(hang_timeout=30.0)):
-            job = counting_job(num_splits=2, num_reduces=1)
-            job.reader_factory = many_records
-            seen = []
-            obs = JobObservability(job.name, enabled=False)
-            obs.bus.attach(seen.append)
-            LocalEngine(speculation=policy).run_serial(job, obs=obs)
-            beats[policy is not None] = sum(
-                e.type == EV_TASK_HEARTBEAT for e in seen
-            )
-            assert EV_TASK_HEARTBEAT not in {e.type for e in obs.bus.events()}
-        assert beats[False] == 0
-        assert beats[True] > 0
+    def test_check_resets_idle(self):
+        tok = CancelToken()
+        time.sleep(0.03)
+        assert tok.idle >= 0.03
+        tok.check()
+        assert tok.idle < 0.03
 
 
 class TestHangDetector:
+    """The one detector's hang rule: an in-flight attempt is silent when
+    its cancel token has passed no checkpoint for ``hang_timeout``,
+    counted from its ``task.start``."""
+
     def test_flags_silent_not_beating(self):
         bus = EventBus()
-        det = HangDetector(bus, hang_timeout=0.05)
-        bus.publish(EV_TASK_START, kind="map", index=0, attempt=0)
-        bus.publish(EV_TASK_START, kind="map", index=1, attempt=0)
-        hb = Heartbeat(bus, "map", 1, 0, 0.0, every=1)
+        det = StragglerDetector(bus, hang_timeout=0.2)
+        tokens = {("map", i, 0): CancelToken() for i in range(2)}
+        for kind, index, attempt in tokens:
+            bus.publish(EV_TASK_START, kind=kind, index=index, attempt=attempt)
+        assert det.check(now=bus.now() + 1.0) == []  # flag-only: no tokens
+        hangs = []
         deadline = time.time() + 2.0
-        while not det.hangs and time.time() < deadline:
-            hb.beat()
-            det.check()
+        while not hangs and time.time() < deadline:
+            tokens[("map", 1, 0)].check()
+            hangs = det.check(tokens=tokens)
             time.sleep(0.01)
-        assert ("map", 0, 0) in det.hangs
-        assert ("map", 1, 0) not in det.hangs
+        assert [(e.type, e.index) for e in hangs] == [(EV_TASK_HANG, 0)]
+        assert hangs[0].data["stale"] > hangs[0].data["timeout"] == 0.2
+        # Once per attempt.
+        time.sleep(0.25)
+        assert [e.index for e in det.check(tokens=tokens)] == [1]
+        assert det.check(tokens=tokens) == []
 
-    def test_rank_orders_simultaneous_flags(self):
-        bus = EventBus()
-        det = HangDetector(
-            bus, hang_timeout=0.01, rank=lambda kind, index: float(index)
-        )
-        for i in range(3):
-            bus.publish(EV_TASK_START, kind="map", index=i, attempt=0)
-        time.sleep(0.05)
-        det.check()
-        hangs = [e.index for e in bus.events() if e.type == EV_TASK_HANG]
-        assert hangs == [2, 1, 0]
+    def test_idle_counts_from_task_start(self):
+        """The token is made before ``task.start`` (and recovery may
+        run in between): idle time before the start does not count."""
+        bus = EventBus(clock=lambda: 0.0)
+        det = StragglerDetector(bus, hang_timeout=0.02)
+        tokens = {("reduce", 0, 1): CancelToken()}
+        time.sleep(0.03)
+        bus.publish(EV_TASK_START, kind="reduce", index=0, attempt=1, at=0.0)
+        assert det.check(now=0.01, tokens=tokens) == []
+        (hang,) = det.check(now=1.0, tokens=tokens)
+        assert (hang.type, hang.kind, hang.attempt) == (EV_TASK_HANG, "reduce", 1)
+        # A finished attempt is no longer in flight.
+        bus.publish("task.finish", kind="reduce", index=0, attempt=1,
+                    at=1.0, status="ok", seconds=1.0)
+        det = StragglerDetector(bus, hang_timeout=0.02)
+        assert det.check(now=2.0, tokens=tokens) == []
 
     def test_ticker_context_stops_on_exception(self):
-        det = HangDetector(EventBus(), hang_timeout=0.5)
+        det = StragglerDetector(EventBus(), hang_timeout=0.5)
         with pytest.raises(RuntimeError):
             with det.ticker(0.01):
                 assert det._ticker is not None
                 raise RuntimeError("body blew up")
         assert det._ticker is None
+
+
+class TestSpeculationRuntime:
+    def test_simultaneous_flags_hedged_by_priority(self):
+        """Flags one check raises together are acted on most critical
+        first: the map blocking the most pending reduces gets the one
+        backup ``max_backups`` allows, the others are cancel-retried in
+        descending priority."""
+        from repro.mapreduce.engine import DependencyBarrier, _RunState
+
+        job = counting_job(num_splits=3, num_reduces=3)
+        # Map m is in the fetch sets of m + 1 pending reduces.
+        barrier = DependencyBarrier(
+            {0: frozenset({0, 1, 2}), 1: frozenset({1, 2}), 2: frozenset({2})}
+        )
+        obs = JobObservability(job.name, enabled=False)
+        state = _RunState(LocalEngine(), job)
+        runtime = SpeculationRuntime(
+            SpeculationPolicy(hang_timeout=0.01, max_backups=1),
+            state, job, barrier, obs, pending_partitions=lambda: (0, 1, 2),
+        )
+        launched = []
+        runtime.launch_backup = lambda i, of, priority: launched.append(
+            (i, of, priority)
+        )
+        for m in range(3):
+            state.new_token("map", m, 0)
+            obs.bus.publish(EV_TASK_START, kind="map", index=m, attempt=0)
+        time.sleep(0.05)
+        runtime.tick()
+        flagged = [e.index for e in obs.bus.events() if e.type == EV_TASK_HANG]
+        assert flagged == [0, 1, 2]
+        assert launched == [(2, 0, 3.0)]
+        hedged = [
+            (e.index, e.data["mode"], e.data["priority"])
+            for e in obs.bus.events() if e.type == EV_TASK_SPECULATE
+        ]
+        assert hedged == [(1, "cancel-retry", 2.0), (0, "cancel-retry", 1.0)]
+        assert state.token_of("map", 2, 0).cancelled is False
+
+
+class TestLiveness:
+    """An attempt that keeps passing checkpoints is live, however slowly
+    it goes: a map reading one record every 20 ms is never hang-flagged
+    under a 0.1 s hang timeout."""
+
+    @staticmethod
+    def slow_records(split):
+        for j in range(10):
+            time.sleep(0.02)
+            yield ((j,), 1 + split.index)
+
+    @pytest.mark.parametrize("run", ["run_serial", "run_threaded"])
+    def test_slow_checkpointing_attempt_is_not_hung(self, run):
+        job = counting_job(num_splits=2, num_reduces=1)
+        job.reader_factory = self.slow_records
+        eng = LocalEngine(
+            speculation=SpeculationPolicy(hang_timeout=0.1),
+            retry=RetryPolicy(max_attempts=1),
+        )
+        res = getattr(eng, run)(job)
+        assert sorted(res.all_records()) == [((j,), 3) for j in range(10)]
+        types = Counter(e.type for e in res.obs.bus.events())
+        assert types[EV_TASK_HANG] == 0
+        assert types[EV_TASK_SPECULATE] == 0
+        assert types[EV_TASK_CANCELLED] == 0
 
 
 class TestStructuralPriority:
@@ -305,7 +348,7 @@ class TestEngineSpeculation:
         # Serial raises the raw task error (matching crash semantics).
         eng = LocalEngine(
             speculation=SpeculationPolicy(
-                hang_timeout=0.05, heartbeat_interval=0.01, max_backups=0
+                hang_timeout=0.05, max_backups=0
             ),
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
             faults=hang_plan(index=1, times=5),
@@ -316,7 +359,7 @@ class TestEngineSpeculation:
     def test_hang_exhausts_retry_budget_threaded(self):
         eng = LocalEngine(
             speculation=SpeculationPolicy(
-                hang_timeout=0.05, heartbeat_interval=0.01, max_backups=0
+                hang_timeout=0.05, max_backups=0
             ),
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
             faults=hang_plan(index=1, times=5),
@@ -750,7 +793,6 @@ class TestLiveVocabulary:
             # staleness rule, so a task.hang event is guaranteed.
             speculation=SpeculationPolicy(
                 hang_timeout=0.08,
-                heartbeat_interval=0.01,
                 speculate_stragglers=False,
             ),
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
