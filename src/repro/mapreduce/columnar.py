@@ -201,20 +201,15 @@ class Ragged:
             raise ShuffleError("ragged values and lengths must be 1-D")
         if lengths.size and int(lengths.min()) < 0:
             raise ShuffleError("negative ragged row length")
-        if values.size != int(lengths.sum()):
+        #: ``(n + 1,)``: where each row begins, then where the last ends.
+        self.offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        lengths.cumsum(out=self.offsets[1:])
+        if values.size != self.offsets[-1]:
             raise ShuffleError(
-                f"ragged rows hold {int(lengths.sum())} cells, values "
-                f"{values.size}"
+                f"ragged rows hold {self.offsets[-1]} cells, values {values.size}"
             )
         self.values = values
         self.lengths = lengths
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """``(n + 1,)``: where each row begins, then where the last ends."""
-        offsets = np.zeros(self.lengths.size + 1, dtype=np.int64)
-        np.cumsum(self.lengths, out=offsets[1:])
-        return offsets
 
     @property
     def nbytes(self) -> int:
@@ -367,12 +362,14 @@ def spill_layout(
 class ReducePlan:
     """One keyblock's reduce, when its plan fixes it: the maps that feed
     it in map order, the run each spills to it, and the keyblock's key
-    grid — those runs laid end to end (:func:`reduce_plan`).
+    grid — those runs laid end to end, its synthesized keys among them
+    (:func:`reduce_plan`).
 
     A reduce whose fetched files are exactly these runs (same maps, in
     order, each file's keys the run's own array) has nothing to merge:
     every key comes from one map, in key order already, so its output is
-    ``finalize`` of the state columns laid end to end, on :attr:`keys`.
+    ``finalize`` of the state columns laid end to end (a synthesized
+    key's row empty), on :attr:`keys`.
     """
 
     map_ids: tuple[int, ...]
@@ -380,6 +377,9 @@ class ReducePlan:
     runs: tuple[np.ndarray, ...]
     #: ``(n, rank)`` int64, strictly increasing, read-only.
     keys: np.ndarray
+    #: Where the runs' rows, end to end, land in :attr:`keys`
+    #: (increasing, read-only); ``None`` when they tile it.
+    rows: np.ndarray | None = None
 
     def matches(self, files: Sequence[Any]) -> bool:
         """Are ``files`` (one partition's fetch, in map order) this
@@ -390,20 +390,27 @@ class ReducePlan:
         )
 
 
-def reduce_plan(runs: Sequence[tuple[int, SpillRun]]) -> ReducePlan | None:
+def reduce_plan(
+    runs: Sequence[tuple[int, SpillRun]], synthesized: np.ndarray | None = None
+) -> ReducePlan | None:
     """The :class:`ReducePlan` of a keyblock fed by ``runs`` —
-    ``(map id, run)`` pairs in map order — or ``None`` when a key
-    repeats, within a run or across maps, and the reduce must merge."""
-    if not runs or any(run.starts is not None for _, run in runs):
+    ``(map id, run)`` pairs in map order — that also owns the lexsorted
+    ``synthesized`` keys; ``None`` when a key repeats, within a run or
+    across maps, and the reduce must merge."""
+    fed = tuple(run.keys for _, run in runs)
+    parts = fed if synthesized is None else (*fed, synthesized)
+    if not parts or any(run.starts is not None for _, run in runs):
         return None
-    keys = np.concatenate([run.keys for _, run in runs])
+    keys, rows = np.concatenate(parts), None
+    if synthesized is not None:
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        rows = _read_only(np.argsort(order)[: len(keys) - len(synthesized)])
+        if (np.diff(rows) <= 0).any():  # the runs are not in key order
+            return None
     if not lexsorted_rows(keys, strict=True):
         return None
-    return ReducePlan(
-        tuple(m for m, _ in runs),
-        tuple(run.keys for _, run in runs),
-        _read_only(keys),
-    )
+    return ReducePlan(tuple(m for m, _ in runs), fed, _read_only(keys), rows)
 
 
 @dataclass(frozen=True)
@@ -582,17 +589,6 @@ class ResultBlock(Sequence):
         else:
             values = [self.values[i] for i in order.tolist()]
         return ResultBlock(self.key_rows[order], values)
-
-    def merged_with(
-        self, keys: Sequence[tuple[int, ...]], values: list
-    ) -> "ResultBlock":
-        """This block plus the records ``zip(keys, values)``, in key
-        order (the planner's synthesized keys joining a keyblock)."""
-        extra = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
-        own = self.key_rows.reshape(len(self), extra.shape[1])
-        return ResultBlock(
-            np.concatenate([own, extra]), self.value_list() + values
-        )._in_key_order()
 
     def value_list(self) -> list:
         """The value column as a list of plain Python values."""
@@ -854,12 +850,19 @@ def run_columnar_map(
     counters.increment("shuffle.segments", len(files))
 
 
-def _planned(job: Any, files: list[Any]) -> ReducePlan | None:
-    """The keyblock's :class:`ReducePlan`, when ``files`` are its runs."""
+def synthesized_keys(job: Any, partition: int | None) -> np.ndarray | None:
+    """Keyblock ``partition``'s keys whose every producer the job's
+    SIDR plan pruned (``job.context["sidr_plan"]``), or ``None``."""
+    pruning = getattr(getattr(job, "context", {}).get("sidr_plan"), "pruning", None)
+    return None if pruning is None else pruning.synth_keys.get(partition)
+
+
+def _planned(job: Any, partition: int | None, files: list[Any]) -> ReducePlan | None:
+    """Keyblock ``partition``'s :class:`ReducePlan`, when ``files`` are its runs."""
     lookup = getattr(job, "context", {}).get("reduce_plan")
-    if not files or lookup is None:
+    if partition is None or lookup is None:
         return None
-    plan = lookup(files[0].partition)
+    plan = lookup(partition)
     return plan if plan is not None and plan.matches(files) else None
 
 
@@ -874,56 +877,67 @@ def run_columnar_reduce(
 ) -> ResultBlock:
     """Columnar reduce-task body (concatenate → lexsort → fold → finalize).
 
-    ``files`` are this partition's fetched columnar spill files in map
-    order.  When they are exactly the runs of the keyblock's
-    :class:`ReducePlan` (``job.context["reduce_plan"]``, looked up by
-    partition), every key arrives once and already in order: the body
-    is *concatenate → finalize* on the plan's key grid, and counts
-    ``reduce.planned``.  Otherwise one stable lexsort over the
-    concatenated key columns replaces the heap merge (ties keep map
-    order, matching ``heapq.merge``), same-key groups combine with one
-    segmented fold per state column, and one ``finalize_columns`` call
-    turns the combined columns into the keyblock's output; that counts
-    ``reduce.generic``.  Both give the same block.  Nothing here runs
-    once per key, so the cancellation/liveness checkpoint is
-    task-granular, like the map side's per-batch one.
+    ``files`` are the partition's (``task``'s) fetched columnar spill
+    files in map order.  When they are exactly the runs of the
+    keyblock's :class:`ReducePlan` (``job.context["reduce_plan"]``),
+    every key arrives once and already in order: the body is
+    *concatenate → finalize* on the plan's key grid, a synthesized
+    key's row empty, and counts ``reduce.planned``.  Otherwise the
+    synthesized keys enter first, as the operator's map of zero cells;
+    one stable lexsort over the concatenated key columns replaces the
+    heap merge (ties keep input order, matching ``heapq.merge``),
+    same-key groups combine with one segmented fold per state column,
+    and one ``finalize_columns`` call turns the combined columns into
+    the keyblock's output; that counts ``reduce.generic``.  Both give
+    the same block.  Nothing here runs once per key, so the
+    cancellation/liveness checkpoint is task-granular, like the map
+    side's per-batch one.
     """
     bop: BatchOperator = job.batch_operator
+    partition = task[1] if task else files[0].partition if files else None
+    plan = _planned(job, partition, files)
+    inputs = [(f.keys, f.states, f.source_counts) for f in files]
+    synth = synthesized_keys(job, partition)
+    if synth is not None and (plan is None or not files):
+        n = len(synth)
+        identity = bop.map_batch(np.empty((n, 0)))
+        inputs.insert(0, (synth, identity, np.zeros(n, dtype=np.int64)))
     block = ResultBlock.empty()
-    records = 0
     sizes: np.ndarray | None = None
     with obs.phase("reduce.reduce", task):
         if cancel is not None:
             cancel.check()
-        if files:
-            cols = tuple(
-                np.concatenate(list(column_parts))
-                for column_parts in zip(*(f.states for f in files))
-            )
-            counts = np.concatenate([f.source_counts for f in files])
-        plan = _planned(job, files)
+        if inputs:
+            keys, states, counts = zip(*inputs)
+            cols = tuple(np.concatenate(list(parts)) for parts in zip(*states))
+            count = np.concatenate(counts)
         if plan is not None:
-            records = len(plan.keys)
-            sizes = np.ones(records, dtype=np.int64)
-            block = ResultBlock(plan.keys, bop.finalize_columns(cols, counts))
+            size = len(plan.keys)
+            if plan.rows is not None and files:
+                # Ragged lengths and counts scatter; no value moves.
+                lengths = np.zeros((len(cols) + 1, size), dtype=np.int64)
+                lengths[:, plan.rows] = [c.lengths for c in cols] + [count]
+                cols = tuple(Ragged(c.values, ln) for c, ln in zip(cols, lengths))
+                count = lengths[-1]
+            sizes = np.ones(size, dtype=np.int64)
+            block = ResultBlock(plan.keys, bop.finalize_columns(cols, count))
             counters.increment("reduce.planned")
-        elif files:
+        elif inputs:
             counters.increment("reduce.generic")
-            keys = np.concatenate([f.keys for f in files])
-            order = np.lexsort(keys.T[::-1])
-            keys = keys[order]
+            grid = np.concatenate(keys)
+            order = np.lexsort(grid.T[::-1])
+            grid = grid[order]
             cols = tuple(c[order] for c in cols)
-            counts = counts[order]
-            starts = group_starts(keys)
+            count = count[order]
+            starts = group_starts(grid)
             merged = bop.combine_columns(cols, starts)
-            merged_counts = np.add.reduceat(counts, starts)
-            sizes = np.diff(np.append(starts, keys.shape[0]))
-            records = keys.shape[0]
+            merged_counts = np.add.reduceat(count, starts)
+            sizes = np.diff(np.append(starts, grid.shape[0]))
             block = ResultBlock(
-                keys[starts], bop.finalize_columns(merged, merged_counts)
+                grid[starts], bop.finalize_columns(merged, merged_counts)
             )
     counters.increment("reduce.input.groups", len(block))
-    counters.increment("reduce.input.records", records)
+    counters.increment("reduce.input.records", sum(len(f.keys) for f in files))
     counters.increment("reduce.output.records", len(block))
     if obs.enabled and sizes is not None and sizes.size:
         obs.metrics.histogram("reduce.group.size", COUNT_BUCKETS).observe_many(

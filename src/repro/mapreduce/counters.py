@@ -43,7 +43,9 @@ class Counters:
       shuffle — what ``shuffle.bytes`` misleadingly reported before) /
       ``shuffle.bytes`` (estimated serialized payload size)
     * ``reduce.input.groups`` / ``reduce.input.records`` /
-      ``reduce.output.records``
+      ``reduce.output.records`` — the input records are the rows the
+      reduce fetched; a key synthesized by split pruning is one group
+      and one output record, so the last is the job's output count
     * ``barrier.early.starts`` — reduce tasks that began before the last
       map finished (always 0 under the global barrier)
     * ``task.attempts`` / ``task.failures`` / ``task.retries`` — one per

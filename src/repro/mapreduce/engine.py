@@ -490,40 +490,14 @@ class LocalEngine:
     # Reduce task
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _with_synth_records(
-        job: JobConf, partition: int, out: Sequence[KeyValue]
-    ) -> Sequence[KeyValue]:
-        """Merge planner-synthesized records into a reduce's output.
-
-        Split pruning can leave an intermediate key with no producing
-        map at all; the planner proved its finalized value is a constant
-        and handed the keys over via ``job.context``.  Merged in key
-        order so per-partition outputs stay sorted (output writers and
-        early-result consumers rely on that), and rebuilt from the value
-        factory on every attempt so retries and speculative re-runs emit
-        identical, independent records.
-        """
-        synth = job.context.get("synth_records")
-        if not synth:
-            return out
-        keys = synth.get(partition)
-        if not keys:
-            return out
-        factory = job.context["synth_value_factory"]
-        values = [factory() for _ in keys]
-        if isinstance(out, ResultBlock):
-            return out.merged_with(keys, values)
-        return sorted([*out, *zip(keys, values)], key=itemgetter(0))
-
-    @staticmethod
     def _seed_prune_counters(job: JobConf, counters: Counters) -> None:
         """Surface the planner's pruning decision once per run (not per
         reduce attempt, so retries cannot inflate the counts)."""
-        stats = job.context.get("prune_stats")
-        if not stats:
+        pruning = getattr(job.context.get("sidr_plan"), "pruning", None)
+        if pruning is None:
             return
-        counters.increment("plan.splits.pruned", stats["splits_pruned"])
-        counters.increment("plan.keys.synthesized", stats["keys_synthesized"])
+        counters.increment("plan.splits.pruned", pruning.num_pruned)
+        counters.increment("plan.keys.synthesized", pruning.num_synth_keys)
 
     def _fetch_reduce_inputs(
         self,
@@ -621,13 +595,9 @@ class LocalEngine:
             run_record_reduce if job.batch_operator is None
             else run_columnar_reduce
         )
-        return self._with_synth_records(
-            job,
-            partition,
-            body(
-                job, files, counters, obs, ("reduce", partition, attempt),
-                cancel=cancel,
-            ),
+        return body(
+            job, files, counters, obs, ("reduce", partition, attempt),
+            cancel=cancel,
         )
 
     # ------------------------------------------------------------------ #

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
+from repro.errors import QueryError
 from repro.mapreduce.types import KeyValue
 
 
@@ -35,6 +39,26 @@ class IdentityMapper(Mapper):
 
     def map(self, key: Any, value: Any) -> Iterator[KeyValue]:
         yield (key, value)
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """Cells of one extraction-shape instance present in one split.
+
+    ``data`` is the flattened cell values; ``source_count`` equals
+    ``data.size`` (kept explicit so record readers can assert it and the
+    engine can tally it without touching the payload).
+    """
+
+    data: np.ndarray
+    source_count: int
+
+    def __post_init__(self) -> None:
+        if self.source_count != np.asarray(self.data).size:
+            raise QueryError(
+                f"chunk source_count {self.source_count} != data size "
+                f"{np.asarray(self.data).size}"
+            )
 
 
 class ChunkAggregateMapper(Mapper):

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.errors import InjectedFaultError, ShuffleError
+from repro.mapreduce.columnar import synthesized_keys
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobConf
+from repro.mapreduce.mapper import Chunk
 from repro.mapreduce.shuffle import MapOutputFile, ShuffleStore
 from repro.mapreduce.sortmerge import group_sorted, merge_segments, sort_records
 from repro.mapreduce.types import KeyValue, MapTaskId
@@ -135,15 +139,20 @@ def run_record_reduce(
     """Record-plane reduce-task body (merge → group → reduce).
 
     ``files`` are the partition's fetched spill files in map order
-    (mirroring :func:`run_columnar_reduce`); synthesized-record merging
-    stays with the caller.
+    (mirroring :func:`run_columnar_reduce`), after the synthesized keys:
+    each with what the job's mapper emits for a chunk of zero cells.
     """
     segments = [f.records for f in files]
+    partition = task[1] if task else files[0].partition if files else None
+    synth = synthesized_keys(job, partition)
+    if synth is not None:
+        # One identity row: nothing writes a row's state.
+        ((_, identity),) = job.mapper_factory().map(None, Chunk(np.empty(0), 0))
+        segments.insert(0, [(tuple(k), identity) for k in synth.tolist()])
     reducer = job.reducer_factory()
     reducer.setup()
     out: list[KeyValue] = []
     groups = 0
-    records = 0
     group_sizes: list[int] | None = [] if obs.enabled else None
     # Merging streams into the reducer, so merge + reduce share
     # one phase; group sizes land in the skew histogram.
@@ -152,13 +161,12 @@ def run_record_reduce(
             if cancel is not None:
                 cancel.check()
             groups += 1
-            records += len(values)
             if group_sizes is not None:
                 group_sizes.append(len(values))
             out.extend(reducer.reduce(key, values))
         out.extend(reducer.cleanup())
     counters.increment("reduce.input.groups", groups)
-    counters.increment("reduce.input.records", records)
+    counters.increment("reduce.input.records", sum(f.num_records for f in files))
     counters.increment("reduce.output.records", len(out))
     if group_sizes:
         obs.metrics.histogram(

@@ -58,27 +58,8 @@ import numpy as np
 
 from repro.errors import QueryError
 from repro.mapreduce.columnar import Ragged
+from repro.mapreduce.mapper import Chunk
 from repro.query.reference import REFERENCE
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """Cells of one extraction-shape instance present in one split.
-
-    ``data`` is the flattened cell values; ``source_count`` equals
-    ``data.size`` (kept explicit so record readers can assert it and the
-    engine can tally it without touching the payload).
-    """
-
-    data: np.ndarray
-    source_count: int
-
-    def __post_init__(self) -> None:
-        if self.source_count != np.asarray(self.data).size:
-            raise QueryError(
-                f"chunk source_count {self.source_count} != data size "
-                f"{np.asarray(self.data).size}"
-            )
 
 
 @dataclass(frozen=True)
@@ -104,35 +85,29 @@ class PrunePredicate(ABC):
        selection, given only a conservative ``[lo, hi]`` value envelope;
     2. the region's exact contribution to every overlapping key is the
        operator's combine identity, so dropping it cannot change any
-       key's finalized output — and a key *all* of whose input was
-       pruned finalizes to the constant :meth:`pruned_key_value`.
+       key's finalized output.
 
     Both are needed: pruning must be invisible in the output bytes, not
-    just "approximately right".
+    just "approximately right".  Point 2 holds by construction for a
+    key *all* of whose input was pruned: the reduce takes it with the
+    operator's map of zero cells as its state, and the operator's own
+    ``finalize`` gives its value, like any other key's.
     """
 
     @abstractmethod
     def region_prunable(self, lo: float, hi: float) -> bool:
         """May a region whose values all lie in ``[lo, hi]`` be skipped?"""
 
-    @abstractmethod
-    def pruned_key_value(self) -> Any:
-        """Finalized output of a key whose entire input was pruned."""
-
 
 class _GreaterThanPrune(PrunePredicate):
     """filter_gt: a region with max <= threshold contributes only empty
-    passing-lists (the combine identity), and a fully-pruned key's
-    output is the empty list."""
+    passing-lists (the combine identity)."""
 
     def __init__(self, threshold: float) -> None:
         self.threshold = float(threshold)
 
     def region_prunable(self, lo: float, hi: float) -> bool:
         return hi <= self.threshold
-
-    def pruned_key_value(self) -> list[float]:
-        return []
 
 
 class StructuralOperator(ABC):
@@ -372,7 +347,7 @@ class _Spec(NamedTuple):
     #: Partials carry every raw value (§5: no early aggregation).
     holistic: bool = False
     takes_threshold: bool = False
-    #: Has a zone-map prune predicate (see :class:`PrunePredicate`).
+    #: Has a zone-map prune predicate (:class:`PrunePredicate`); ragged only.
     prunable: bool = False
 
 
@@ -422,6 +397,10 @@ _SPECS: dict[str, _Spec] = {
 OPERATOR_NAMES: tuple[str, ...] = tuple(_SPECS)
 THRESHOLD_OPERATORS = tuple(n for n, s in _SPECS.items() if s.takes_threshold)
 PRUNABLE_OPERATORS = tuple(n for n, s in _SPECS.items() if s.prunable)
+# A pruned key's state is an empty ragged row, which the planned reduce
+# places by scattering row lengths; fixed-width state has no placement.
+if any(_SPECS[n].combine is not None for n in PRUNABLE_OPERATORS):
+    raise QueryError("a prunable operator's state must be ragged")
 
 
 class SpecOperator(StructuralOperator):
@@ -502,6 +481,8 @@ class SpecOperator(StructuralOperator):
     def combine(self, partials: Sequence[Partial]) -> Partial:
         if not partials:
             raise QueryError("combine() of zero partials")
+        if len(partials) == 1:  # a fold of one row is that row
+            return partials[0]
         rows = zip(*(_row(p.state) for p in partials))
         row = tuple(map(_fold, self._spec.combine or (None,), rows))
         count = sum(p.source_count for p in partials)

@@ -10,12 +10,12 @@ case the split never becomes a map task.
 Pruning must be invisible in the output bytes.  That takes more than
 dropping splits:
 
-* **surviving-key mask** — every intermediate key keeps at least one
-  surviving producer, or its reduce-side group would vanish from the
-  output.  Keys with no surviving producer are *synthesized*: the
-  planner emits ``(key, predicate.pruned_key_value())`` directly into
-  the owning reduce's output (sound by predicate contract: the key's
-  entire input was identity).
+* **surviving-key mask** — a key all of whose producers were pruned
+  is still a key of K'_T (§2.4.2 allows it an empty result).  It is
+  *synthesized*: its keyblock's reduce takes it with the combine
+  identity as its state — the operator's map of zero cells — and
+  finalizes it like any other key (sound by predicate contract: the
+  key's entire input was identity).
 * **expected-count repair** — the §3.2.1 count-annotation validator
   expects per-keyblock source-cell totals.  Pruned cells never arrive,
   so each keyblock touched by a pruned split gets its expectation
@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.arrays.shape import Coord
 from repro.arrays.slab import Slab
 from repro.query.language import QueryPlan
 from repro.query.operators import PrunePredicate
@@ -57,8 +56,8 @@ class PruneResult:
     pruned_indices: tuple[int, ...]
     #: Original split count before pruning.
     original_splits: int
-    #: keyblock index -> sorted intermediate keys to synthesize.
-    synth_keys: dict[int, tuple[Coord, ...]]
+    #: keyblock index -> its synthesized keys, ``(n, rank)`` int64 in key order.
+    synth_keys: dict[int, np.ndarray]
     #: Keyblocks whose every key is synthesized (empty I_l allowed).
     empty_blocks: frozenset[int]
     #: Pruning-aware expected source cells per keyblock (validator input).
@@ -121,25 +120,17 @@ def _mark_surviving_keys(
 
 def _group_missing_keys(
     mask: np.ndarray, partition: "KeyBlockPartition"
-) -> dict[int, tuple[Coord, ...]]:
+) -> dict[int, np.ndarray]:
     """Keys with no surviving producer, grouped by owning keyblock.
 
     ``np.argwhere`` yields C-order rows, so each group's keys come out
     sorted in row-major key order — the order reduce outputs use.
     """
-    missing = np.argwhere(~mask)
-    if missing.size == 0:
-        return {}
+    missing = np.argwhere(~mask).astype(np.int64)
     lin = np.ravel_multi_index(tuple(missing.T), mask.shape)
     boundaries = np.asarray(partition.cell_boundaries(), dtype=np.int64)
     owners = np.searchsorted(boundaries, lin, side="right")
-    groups: dict[int, tuple[Coord, ...]] = {}
-    for b in np.unique(owners):
-        rows = missing[owners == b]
-        groups[int(b)] = tuple(
-            tuple(int(x) for x in row) for row in rows
-        )
-    return groups
+    return {int(b): missing[owners == b] for b in np.unique(owners)}
 
 
 def _expected_counts(

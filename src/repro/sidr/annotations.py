@@ -58,16 +58,14 @@ class CountAnnotationValidator:
     """Validates reduce-start tallies against expected source counts."""
 
     expected: list[int]
-    #: require exact equality (True) or merely sufficiency (False).
-    exact: bool = True
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _observed: dict[int, int] = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_plan(
-        cls, plan: QueryPlan, partition: KeyBlockPartition, *, exact: bool = True
+        cls, plan: QueryPlan, partition: KeyBlockPartition
     ) -> "CountAnnotationValidator":
-        return cls(expected=expected_source_cells(plan, partition), exact=exact)
+        return cls(expected=expected_source_cells(plan, partition))
 
     def validate(self, partition_index: int, tallied_source_records: int) -> None:
         if not (0 <= partition_index < len(self.expected)):
@@ -83,7 +81,7 @@ class CountAnnotationValidator:
                 f"reduce {partition_index} started with {got}/{want} source "
                 "records accounted for — dependency barrier violated"
             )
-        if self.exact and got != want:
+        if got != want:
             raise BarrierViolationError(
                 f"reduce {partition_index} tallied {got} source records but "
                 f"expected exactly {want} — intermediate data misrouted"

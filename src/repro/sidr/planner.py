@@ -18,7 +18,7 @@ input metadata" (§3.1).  The resulting plan plugs into:
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -32,7 +32,7 @@ from repro.mapreduce.engine import DependencyBarrier
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
 from repro.mapreduce.partitioner import RangePartitioner
-from repro.mapreduce.reducer import AggregateReducer, CombinerAdapter, Reducer
+from repro.mapreduce.reducer import AggregateReducer, CombinerAdapter
 from repro.query.columnar import (
     MapGeometry,
     batch_operator_for,
@@ -90,16 +90,14 @@ class SIDRPlan:
     def barrier(self) -> DependencyBarrier:
         return DependencyBarrier(self.deps.dependency_barrier())
 
-    def validator(self, *, exact: bool = True) -> CountAnnotationValidator:
+    def validator(self) -> CountAnnotationValidator:
         if self.pruning is not None:
             # Pruned cells never arrive; the exact per-keyblock totals
             # the surviving splits deliver were precomputed geometrically.
             return CountAnnotationValidator(
-                expected=list(self.pruning.expected_counts), exact=exact
+                expected=list(self.pruning.expected_counts)
             )
-        return CountAnnotationValidator.for_plan(
-            self.query_plan, self.partition, exact=exact
-        )
+        return CountAnnotationValidator.for_plan(self.query_plan, self.partition)
 
     # ------------------------------------------------------------------ #
     # Map geometry: a pure function of (plan, split), computed once
@@ -123,22 +121,20 @@ class SIDRPlan:
 
     def reduce_plan(self, block: int) -> ReducePlan | None:
         """Keyblock ``block``'s :class:`ReducePlan` — the maps of I_l in
-        order, each one's spill run, their keys laid end to end —
-        computed on first use and kept; ``None`` when a key repeats
-        (within a run or across maps) or the block gets synthesized
-        keys, so its reduce must merge."""
+        order, each one's spill run, and the keyblock's whole key grid:
+        their keys and its synthesized ones, in key order — computed on
+        first use and kept; ``None`` when a key repeats (within a run or
+        across maps), so its reduce must merge."""
         if block in self._reduce:
             return self._reduce[block]
-        plan = None
-        if not (self.pruning is not None and self.pruning.synth_keys.get(block)):
-            runs = [
-                (m, run)
-                for m in sorted(self.deps.dependencies[block])
-                for run in self.map_geometry(self.splits[m]).layout.runs
-                if run.partition == block
-            ]
-            plan = reduce_plan(runs)
-        self._reduce[block] = plan
+        runs = [
+            (m, run)
+            for m in sorted(self.deps.dependencies[block])
+            for run in self.map_geometry(self.splits[m]).layout.runs
+            if run.partition == block
+        ]
+        synth = None if self.pruning is None else self.pruning.synth_keys.get(block)
+        plan = self._reduce[block] = reduce_plan(runs, synth)
         return plan
 
     def with_map_geometry(self) -> "SIDRPlan":
@@ -156,7 +152,8 @@ class SIDRPlan:
         """Bytes of the map geometry and keyblock key grids this plan
         holds."""
         return sum(g.nbytes for g in list(self._geometry.values())) + sum(
-            p.keys.nbytes for p in list(self._reduce.values()) if p is not None
+            a.nbytes for p in list(self._reduce.values()) if p is not None
+            for a in (p.keys, p.rows) if a is not None
         )
 
     # ------------------------------------------------------------------ #
@@ -175,8 +172,6 @@ class SIDRPlan:
         source: Any,
         *,
         name: str | None = None,
-        use_combiner: bool = True,
-        validate_counts: bool = True,
         data_plane: str = "columnar",
     ) -> tuple[JobConf, DependencyBarrier]:
         """Build an engine-ready (JobConf, barrier) pair for this plan.
@@ -195,9 +190,6 @@ class SIDRPlan:
         qp = self.query_plan
         op = qp.operator
         columnar = data_plane == "columnar"
-        combiner: Callable[[], Reducer] | None = None
-        if use_combiner:
-            combiner = lambda: CombinerAdapter(op)  # noqa: E731
         reader_factory = (
             make_columnar_reader_factory(source, qp, self.map_geometry)
             if columnar else make_reader_factory(source, qp)
@@ -210,27 +202,15 @@ class SIDRPlan:
             reducer_factory=lambda: AggregateReducer(op),
             partitioner=self.partitioner,
             num_reduce_tasks=self.num_reduce_tasks,
-            combiner_factory=combiner,
+            combiner_factory=lambda: CombinerAdapter(op),
             contact_all_maps=False,
             batch_operator=batch_operator_for(op) if columnar else None,
         )
-        if validate_counts:
-            job.context["reduce_start_validator"] = self.validator()
+        job.context["reduce_start_validator"] = self.validator()
+        # The engine reads the pruning decision off the plan too.
         job.context["sidr_plan"] = self
         if columnar:
             job.context["reduce_plan"] = self.reduce_plan
-        if self.pruning is not None:
-            pred = op.prune_predicate()
-            assert pred is not None  # pruning only exists with a predicate
-            # The engine merges these finalized records into the owning
-            # reduce's output (keys whose every producer was pruned).
-            job.context["synth_records"] = dict(self.pruning.synth_keys)
-            job.context["synth_value_factory"] = pred.pruned_key_value
-            job.context["prune_stats"] = {
-                "splits_pruned": self.pruning.num_pruned,
-                "splits_total": self.pruning.original_splits,
-                "keys_synthesized": self.pruning.num_synth_keys,
-            }
         return job, self.barrier
 
 
@@ -264,12 +244,10 @@ def build_plan(
         )
     if pruning is not None:
         splits = pruning.surviving
-        deps = compute_dependencies(
-            query_plan, splits, partition,
-            allow_empty=pruning.empty_blocks,
-        )
-    else:
-        deps = compute_dependencies(query_plan, splits, partition)
+    deps = compute_dependencies(
+        query_plan, splits, partition,
+        allow_empty=pruning.empty_blocks if pruning else frozenset(),
+    )
     prio = tuple(priorities) if priorities is not None else None
     if prio is not None and len(prio) != partition.num_blocks:
         raise PartitionError("priorities length must equal keyblock count")

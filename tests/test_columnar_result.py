@@ -39,6 +39,7 @@ from repro.mapreduce.engine import JobResult, LocalEngine
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
 from repro.mapreduce.partitioner import HashPartitioner, Partitioner
+from repro.mapreduce.record import run_record_map, run_record_reduce
 from repro.mapreduce.reducer import AggregateReducer, CombinerAdapter
 from repro.mapreduce.shuffle import ShuffleStore
 from repro.mapreduce.types import MapTaskId
@@ -335,43 +336,81 @@ class TestJobResult:
         assert block.to_bytes() == ResultBlock.empty().to_bytes()
 
 
-class TestSynthMerge:
-    def _job(self):
-        return SimpleNamespace(
-            context={
-                "synth_records": {0: ((0, 0), (0, 3), (2, 0))},
-                "synth_value_factory": list,
-            }
-        )
+class TestSynthesizedKeys:
+    """A key whose every producer was pruned is a key of its keyblock
+    with identity state.  Twelve one-instance splits, two of them hot:
+    keyblock 0 holds a map's keys between synthesized ones, keyblock 1
+    is all synthesized and fetches no file, keyblock 2 is like 0.  The
+    planned columnar body, the generic one (``reduce_plan`` withheld)
+    and the record plane reduce every keyblock to the oracle's bytes,
+    each synthesized key to its own ``[]`` on every attempt."""
 
-    @pytest.mark.parametrize("as_block", [True, False], ids=["block", "list"])
-    def test_keeps_key_order_and_rebuilds_values_per_attempt(self, as_block):
-        records = [((0, 1), [5.0]), ((1, 0), [6.0, 7.0])]
-        want = [
-            ((0, 0), []), ((0, 1), [5.0]), ((0, 3), []),
-            ((1, 0), [6.0, 7.0]), ((2, 0), []),
-        ]
-        attempts = []
-        for _ in range(2):
-            out = (
-                ResultBlock(np.asarray([k for k, _ in records]), [v for _, v in records])
-                if as_block else list(records)
+    @staticmethod
+    def _plan():
+        data = np.zeros((48, 6, 4))
+        data[4:8] = data[40:44] = 50.0  # instances 1 and 10 pass
+        qplan = _compile(data.shape, (4, 3, 2), operator="filter_gt", threshold=25.0)
+        zone_map = build_zone_map("v", data, tile_shape=(4, 6, 4))
+        splits = aligned_slice_splits(qplan, num_splits=12)
+        plan = build_plan(qplan, splits, 3, zone_map=zone_map)
+        return qplan, data, plan.with_map_geometry()
+
+    def test_the_plan_places_them_in_its_key_grid(self):
+        _, _, plan = self._plan()
+        assert plan.pruning.empty_blocks == {1}
+        for block in (0, 2):
+            rp = plan.reduce_plan(block)
+            synth = plan.pruning.synth_keys[block]
+            assert len(rp.runs) == 1 and len(rp.rows) == len(rp.runs[0])
+            assert 0 < rp.rows[0] and rp.rows[-1] < len(rp.keys) - 1
+            assert len(rp.keys) == len(rp.rows) + len(synth)
+            assert (rp.keys[rp.rows] == rp.runs[0]).all()
+        empty = plan.reduce_plan(1)
+        assert empty.runs == () and empty.rows.size == 0
+        assert (empty.keys == plan.pruning.synth_keys[1]).all()
+
+    @pytest.mark.parametrize("body", ["planned", "generic", "record"])
+    def test_every_body_reduces_them(self, body):
+        qplan, data, plan = self._plan()
+        record = body == "record"
+        job, _ = plan.configure_job(data, data_plane="record" if record else "columnar")
+        if body == "generic":
+            del job.context["reduce_plan"]
+        store = ShuffleStore(persist=True)
+        obs = JobObservability(job.name, enabled=False)
+        for m in range(len(plan.splits)):
+            (run_record_map if record else run_columnar_map)(
+                job, m, store, Counters(), obs, None
             )
-            merged = LocalEngine._with_synth_records(self._job(), 0, out)
-            assert isinstance(merged, ResultBlock) == as_block
-            assert list(merged) == want
-            attempts.append(list(merged))
-        # each attempt's synthesized values are its own objects
-        assert attempts[0][0][1] is not attempts[1][0][1]
-        assert attempts[0][0][1] is not attempts[0][2][1]
-
-    def test_merge_into_an_empty_keyblock(self):
-        merged = LocalEngine._with_synth_records(self._job(), 0, ResultBlock.empty())
-        assert list(merged) == [((0, 0), []), ((0, 3), []), ((2, 0), [])]
-
-    def test_other_partitions_pass_through(self):
-        block = block_of(RECORDS)
-        assert LocalEngine._with_synth_records(self._job(), 1, block) is block
+        reduce = run_record_reduce if record else run_columnar_reduce
+        counters = Counters()
+        want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+        synth = {
+            tuple(k) for keys in plan.pruning.synth_keys.values()
+            for k in keys.tolist()
+        }
+        values = []
+        for attempt in range(2):
+            records = []
+            for p in range(plan.num_reduce_tasks):
+                files = [
+                    f for m in sorted(plan.deps.dependencies[p])
+                    if (f := store.fetch(m, p)) is not None
+                ]
+                assert bool(files) == (p != 1)
+                records += reduce(job, files, counters, obs, ("reduce", p, attempt))
+            assert ResultBlock.from_records(records).to_bytes() == want
+            values += [v for k, v in records if k in synth]
+        assert len(values) == 2 * len(synth) and all(v == [] for v in values)
+        assert len({id(v) for v in values}) == len(values)
+        # A synthesized key is one group and one output record; the
+        # input records are the rows fetched.
+        assert counters.get("reduce.input.groups") == 2 * len(records)
+        assert counters.get("reduce.output.records") == 2 * len(records)
+        fetched = 2 * (len(records) - len(synth))
+        assert counters.get("reduce.input.records") == fetched
+        paths = tuple(counters.get(name) for name in PATHS)
+        assert paths == {"planned": (6, 0), "generic": (0, 6), "record": (0, 0)}[body]
 
 
 # --------------------------------------------------------------------- #
@@ -434,7 +473,44 @@ def _reduce_calls(name: str, groups: int) -> tuple[int, ResultBlock]:
     )
 
 
+def _pruned_reduce_calls(lat: int, partition: int) -> tuple[int, int, ResultBlock]:
+    """Calls one warm reduce attempt of a pruned ``filter_gt`` plan
+    makes through the engine, fetch included: keyblock 0 holds a
+    map's keys after synthesized ones, keyblock 1 is all synthesized.
+    Every key count scales with ``lat``."""
+    data = np.zeros((16, lat, 4))
+    data[4:8] = 50.0  # instance 1 passes
+    qplan = _compile(data.shape, (4, 3, 2), operator="filter_gt", threshold=25.0)
+    zone_map = build_zone_map("v", data, tile_shape=(4, lat, 4))
+    splits = aligned_slice_splits(qplan, num_splits=4)
+    plan = build_plan(qplan, splits, 2, zone_map=zone_map).with_map_geometry()
+    job, barrier = plan.configure_job(data)
+    store = ShuffleStore(persist=True)
+    obs = JobObservability(job.name, enabled=False)
+    for m in range(len(plan.splits)):
+        run_columnar_map(job, m, store, Counters(), obs, None)
+    maps = frozenset(range(len(plan.splits)))
+
+    def reduce():
+        return LocalEngine()._run_reduce(
+            job, partition, barrier, store, Counters(), obs, maps
+        )
+
+    reduce()  # warm: first-use caches
+    calls, out = _count_calls(reduce)
+    return calls, len(plan.pruning.synth_keys[partition]), out
+
+
 class TestNoPerKeyLoop:
+    @pytest.mark.parametrize("partition", [0, 1], ids=["mixed", "all_synthesized"])
+    def test_synthesized_keys_add_no_call(self, partition):
+        """A pruned keyblock's synthesized keys are rows of its key
+        grid: doubling them costs the reduce no call."""
+        small, keys, block = _pruned_reduce_calls(30, partition)
+        large, more, doubled = _pruned_reduce_calls(60, partition)
+        assert more == 2 * keys and len(doubled) == 2 * len(block)
+        assert large == small
+
     @pytest.mark.parametrize("name", OPERATORS)
     def test_call_count_does_not_grow_with_keys(self, name):
         n = 500
@@ -848,8 +924,8 @@ class TestPlannedReduce:
         """Both reduce bodies, the same job: equal block bytes, equal
         counters and the same ``reduce.group.size`` histogram — the
         planned body observes one group of one row per key — and only
-        the aligned plan's keyblocks (and a pruned plan's keyblocks
-        without synthesized keys) take the planned body."""
+        the aligned plans' keyblocks take the planned body, a pruned
+        plan's with synthesized keys among them included."""
         data = _matrix_data()
         qplan, (configured, withheld) = _matrix_jobs(case, operator, data)
         block, counters, sizes, (planned, generic) = _observed(*configured)
@@ -859,16 +935,44 @@ class TestPlannedReduce:
         assert counters == generic_counters
         assert sizes == generic_sizes
         assert paths == (0, planned + generic)
-        if case == "aligned":
+        if case in ("aligned", "pruned"):
             assert (planned, generic) == (3, 0)
             groups = counters["reduce.input.groups"]
-            assert groups == counters["reduce.input.records"]
+            synthesized = counters.get("plan.keys.synthesized", 0)
+            assert groups - synthesized == counters["reduce.input.records"]
             assert groups == counters["reduce.output.records"]
             assert sizes["count"] == sizes["sum"] == groups
-        elif case == "pruned":
-            assert planned and generic
         else:
             assert planned == 0 and generic
+
+    def test_a_served_pruned_job_takes_the_planned_reduce(self):
+        """The served shape of a pruned ``filter_gt`` job — aligned
+        splits, the plan's map geometry, a zone map that prunes 14 of
+        16 splits — reduces every keyblock on the planned body, and its
+        bytes are the unpruned job's and the oracle's."""
+        rng = np.random.default_rng(12)
+        data = rng.integers(0, 20, size=(64, 10, 8)).astype(np.float64)
+        data[20:28] += 20  # two splits can pass the filter
+        qplan = _compile(data.shape, (4, 5, 2), operator="filter_gt", threshold=25.0)
+        zone_map = build_zone_map("v", data, tile_shape=(4, 10, 8))
+
+        def run(prune):
+            plan = build_plan(
+                qplan, aligned_slice_splits(qplan, num_splits=16), 8,
+                zone_map=zone_map, prune=prune,
+            ).with_map_geometry()
+            res = LocalEngine().run(*plan.configure_job(data), mode="serial")
+            return plan, res
+
+        plan, pruned = run(True)
+        assert plan.pruning.num_pruned == 14
+        assert pruned.counters.get("reduce.planned") == plan.num_reduce_tasks
+        assert "reduce.generic" not in pruned.counters.as_dict()
+        block = pruned.all_records()
+        assert pruned.counters.get("reduce.output.records") == len(block)
+        _, full = run(False)
+        want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+        assert block.to_bytes() == full.all_records().to_bytes() == want
 
     def test_a_fetch_that_is_not_the_plans_merges(self):
         """The planned body runs only on exactly the plan's runs: a

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import repro.query.operators as operators
 import repro.query.reference
 from repro.errors import QueryError
+from repro.mapreduce.columnar import Ragged
 from repro.query.operators import (
     OPERATOR_NAMES,
+    PRUNABLE_OPERATORS,
     THRESHOLD_OPERATORS,
     Chunk,
     CountOp,
@@ -154,6 +156,10 @@ class TestSourceCounts:
         assert op.finalize(op.combine([full, empty])) == [9.0]
 
 
+def _prunable(name):
+    return get_operator(name, 5.0 if name in THRESHOLD_OPERATORS else None)
+
+
 class TestPrunePredicates:
     def test_filter_gt_region_prunable_iff_max_below_threshold(self):
         pred = ThresholdFilterOp(5.0).prune_predicate()
@@ -162,11 +168,25 @@ class TestPrunePredicates:
         assert pred.region_prunable(-10.0, 4.9)
         assert not pred.region_prunable(-10.0, 5.1)  # some cell may match
 
-    def test_filter_gt_pruned_key_value_is_fresh_empty_list(self):
-        pred = ThresholdFilterOp(5.0).prune_predicate()
-        a, b = pred.pruned_key_value(), pred.pruned_key_value()
-        assert a == [] and b == []
-        assert a is not b  # synthesized records must not share state
+    @pytest.mark.parametrize("name", PRUNABLE_OPERATORS)
+    def test_pruned_keys_finalize_to_fresh_lists(self, name):
+        """A key whose every producer was pruned has the operator's map
+        of zero cells as its state; finalizing n of them gives n empty
+        lists, none shared (synthesized records must not share state)."""
+        op = _prunable(name)
+        columns = op.map_batch(np.empty((3, 0)))
+        out = op.finalize_columns(columns, np.zeros(3, dtype=np.int64))
+        assert out == [[], [], []]
+        assert len({id(v) for v in out}) == 3
+
+    @pytest.mark.parametrize("name", PRUNABLE_OPERATORS)
+    def test_prunable_state_is_ragged(self, name):
+        """The table property the planned reduce relies on: a pruned
+        key's row is a zero-length row of a ragged column."""
+        assert operators._SPECS[name].combine is None
+        columns = _prunable(name).map_batch(np.empty((2, 0)))
+        assert all(isinstance(c, Ragged) for c in columns)
+        assert all(c.lengths.tolist() == [0, 0] for c in columns)
 
     def test_range_exceeds_is_not_prunable(self):
         """range_exceeds outputs a data-dependent variation for every

@@ -58,10 +58,6 @@ class TestValidator:
         with pytest.raises(BarrierViolationError, match="misrouted"):
             v.validate(0, 11)
 
-    def test_excess_allowed_when_not_exact(self):
-        v = CountAnnotationValidator(expected=[10], exact=False)
-        v.validate(0, 11)
-
     def test_unknown_partition(self):
         v = CountAnnotationValidator(expected=[10])
         with pytest.raises(BarrierViolationError):
@@ -75,7 +71,7 @@ class TestEndToEndValidation:
     def test_sidr_job_validates(self, weekly_mean_plan, temp_data):
         splits = slice_splits(weekly_mean_plan, num_splits=7)
         plan = build_plan(weekly_mean_plan, splits, 4)
-        job, barrier = plan.configure_job(temp_data, validate_counts=True)
+        job, barrier = plan.configure_job(temp_data)
         res = LocalEngine().run_serial(job, barrier)
         validator = job.context["reduce_start_validator"]
         assert validator.observed == {
@@ -88,7 +84,7 @@ class TestEndToEndValidation:
         before all its data exists and the validator must abort the job."""
         splits = slice_splits(weekly_mean_plan, num_splits=7)
         plan = build_plan(weekly_mean_plan, splits, 4)
-        job, _barrier = plan.configure_job(temp_data, validate_counts=True)
+        job, _barrier = plan.configure_job(temp_data)
         deps = plan.deps.dependency_barrier()
         # Remove the largest split from block 1's dependencies.
         victim = max(deps[1])
@@ -100,7 +96,7 @@ class TestEndToEndValidation:
     def test_threaded_job_validates(self, weekly_mean_plan, temp_data):
         splits = slice_splits(weekly_mean_plan, num_splits=7)
         plan = build_plan(weekly_mean_plan, splits, 3)
-        job, barrier = plan.configure_job(temp_data, validate_counts=True)
+        job, barrier = plan.configure_job(temp_data)
         res = LocalEngine().run_threaded(job, barrier)
         assert len(res.outputs) == 3
 
