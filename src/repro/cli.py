@@ -787,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="threaded",
         help="execution mode: deterministic serial, or thread pools "
         "(default; docs/PERFORMANCE.md).  With --server, serial and "
-        "threaded both run on the server's queue worker thread; "
+        "threaded both run on one thread of the server's engine process; "
         "threaded gets its own pools only with --speculate "
         "(docs/SERVICE.md, Execution model)",
     )
@@ -860,12 +860,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=0,
                        help="listen port (0 = ephemeral, printed on start)")
     p_srv.add_argument("--workers", type=int, default=2,
-                       help="jobs executed at once, each on its own queue "
-                       "worker thread: the service's parallelism")
+                       help="jobs executed at once, each in its queue "
+                       "worker's own engine process (forked at startup): "
+                       "the service's parallelism")
     p_srv.add_argument("--map-workers", type=int, default=4,
                        help="map pool size of a pooled job (engine "
                        "threaded with speculation); every other job "
-                       "runs on its queue worker's thread")
+                       "runs on its engine process's one thread")
     p_srv.add_argument("--reduce-workers", type=int, default=3,
                        help="reduce pool size of a pooled job")
     p_srv.add_argument("--plan-cache", type=int, default=256,

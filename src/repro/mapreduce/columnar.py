@@ -440,7 +440,13 @@ class ColumnarMapOutput:
             raise ShuffleError(f"negative partition {self.partition}")
         if self.source_records < 0:
             raise ShuffleError("negative source record count")
-        keys = np.asarray(self.keys, dtype=np.int64)
+        keys = self.keys
+        # An int64 array stays the object it is: a planned run's keys
+        # are matched by identity (:meth:`ReducePlan.matches`), and
+        # ``asarray`` re-views an unpickled plan's arrays, whose dtype
+        # is an equal but distinct instance.
+        if not (isinstance(keys, np.ndarray) and keys.dtype == np.int64):
+            keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 2:
             raise ShuffleError(f"columnar keys must be (n, rank), got {keys.shape}")
         counts = np.asarray(self.source_counts, dtype=np.int64)
@@ -521,7 +527,7 @@ class ResultBlock(Sequence):
     (:func:`repro.verify.oracle.records_digest`).
     """
 
-    __slots__ = ("key_rows", "values", "_packed")
+    __slots__ = ("key_rows", "_values", "_packed")
 
     def __init__(self, keys: np.ndarray, values: np.ndarray | list) -> None:
         keys = np.asarray(keys, dtype=np.int64)
@@ -532,9 +538,18 @@ class ResultBlock(Sequence):
                 f"result key/value row mismatch: {keys.shape[0]} != {len(values)}"
             )
         self.key_rows = keys
-        self.values = values
+        self._values: np.ndarray | list | None = values
         #: The bytes this block's arrays view, when :meth:`packed` built it.
         self._packed: bytes | None = None
+
+    @property
+    def values(self) -> np.ndarray | list:
+        if self._values is None:
+            # A JSON column :meth:`from_packed` left in its bytes.
+            assert self._packed is not None
+            n, rank = self.key_rows.shape
+            self._values = json.loads(self._packed[_BLOCK_HEADER.size + n * rank * 8:])
+        return self._values
 
     @classmethod
     def empty(cls) -> "ResultBlock":
@@ -694,8 +709,27 @@ class ResultBlock(Sequence):
                 data, dtype="<i8", count=n * rank, offset=_BLOCK_HEADER.size
             ).reshape(n, rank)
             block = ResultBlock(keys, self.values)
+            block._packed = data
+            return block
+        return ResultBlock.from_packed(data)
+
+    @classmethod
+    def from_packed(cls, data: bytes) -> "ResultBlock":
+        """:meth:`from_bytes` over the buffer of a :meth:`packed` block
+        (an engine process's result): its :meth:`to_bytes` is ``data``
+        itself, so what is served is what was hashed, never a
+        re-encoding.  A JSON value column stays in ``data`` until
+        :attr:`values` is first read — the binary body never reads it."""
+        if data[4] != _JSON:  # value tag
+            block = cls.from_bytes(data)
         else:
-            block = ResultBlock.from_bytes(data)
+            _, _, rank, n, _ = _BLOCK_HEADER.unpack_from(data)
+            keys = np.frombuffer(
+                data, dtype="<i8", count=n * rank, offset=_BLOCK_HEADER.size
+            ).reshape(n, rank)
+            keys.flags.writeable = False
+            block = cls.__new__(cls)
+            block.key_rows, block._values = keys, None
         block._packed = data
         return block
 

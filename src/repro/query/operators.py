@@ -423,6 +423,19 @@ class SpecOperator(StructuralOperator):
         self.threshold = None if threshold is None else float(threshold)
         self._spec = spec
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        # A row's column functions are lambdas, which do not pickle: an
+        # operator travels as its row's name and parameter.
+        return (get_operator, (self.name, self.threshold))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SpecOperator):
+            return NotImplemented
+        return (self.name, self.threshold) == (other.name, other.threshold)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.threshold))
+
     def prune_predicate(self) -> PrunePredicate | None:
         return _GreaterThanPrune(self.threshold) if self._spec.prunable else None
 

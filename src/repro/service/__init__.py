@@ -26,6 +26,7 @@ from repro.service.testing import (
     StressDriver,
     StressOutcome,
     oracle_for_request,
+    run_in_engine,
     service_fixture,
 )
 
@@ -49,6 +50,7 @@ __all__ = [
     "UnknownJobError",
     "oracle_for_request",
     "records_to_json",
+    "run_in_engine",
     "serve",
     "service_fixture",
 ]

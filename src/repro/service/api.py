@@ -15,10 +15,10 @@ one plane").  The per-record plane is the reference engine of
 record`` runs; a request naming it is refused at admission.
 
 ``engine`` does not say how many threads a job gets: ``serial`` and
-``threaded`` jobs both execute on the queue worker thread that runs
-them (the queue's workers are the service's parallelism).  Only a
+``threaded`` jobs both execute on the one thread of the engine process
+that runs them (the queue's workers are the service's parallelism).  Only a
 ``threaded`` + ``speculate`` job gets thread pools of its own
-(:func:`repro.service.service.execution_mode`).
+(:func:`repro.service.engine_process.execution_mode`).
 
 The request also defines the **canonical query** half of the plan-cache
 key (:meth:`QueryRequest.plan_key`): exactly the fields
@@ -85,6 +85,11 @@ class UnknownDatasetError(ServiceError):
 
 class UnknownJobError(ServiceError):
     """No job with that id (never submitted, or a different service)."""
+
+
+class EngineProcessError(ServiceError):
+    """The engine process running a job died under it (a signal, an
+    exit, a pipe that closed): the job fails, the process is replaced."""
 
 
 #: Media type of the binary result body.

@@ -3,9 +3,10 @@
 The queue is deliberately simple and fully deterministic: jobs are
 dispatched strictly by ``(-priority, submission sequence)`` — higher
 priority first, FIFO within a priority — from a heap guarded by one
-condition variable.  Worker threads (the *executor pool*; each runs one
-job at a time through the shared engine components) block on the
-condition, so an idle service costs nothing.
+condition variable.  Worker threads block on the condition, so an idle
+service costs nothing; each hands one job at a time to the runner with
+its own index, which the service maps to the worker's engine process
+(:mod:`repro.service.engine_process`), where the job runs.
 
 ``pause()``/``resume()`` exist for the deterministic concurrency
 harness: tests pause the queue, submit a batch (fixing the admission
@@ -81,9 +82,10 @@ class ServiceJob:
         self.plan_seconds: float | None = None
         self.run_seconds: float | None = None
         self.counters: dict[str, int] = {}
-        #: Live progress: a ProgressTracker over the job's bus while the
-        #: job runs (``status()`` embeds its snapshot), the last
-        #: snapshot alone once it has finished.
+        #: Live progress: while the job runs, an object whose
+        #: ``snapshot()`` reads it (``status()`` embeds the snapshot,
+        #: when there is one); the last snapshot alone once it has
+        #: finished.
         self.progress: Any | None = None
         #: Called once with the job on every terminal transition (the
         #: service hooks tenant accounting here) — after state is set,
@@ -94,15 +96,18 @@ class ServiceJob:
 
     # ------------------------------------------------------------------ #
     def finish(self, state: str, **fields: Any) -> None:
+        """Enter ``state``; a job that is terminal already stays as it
+        is, so a job is finished — and its tenant billed — once."""
         assert state in TERMINAL_STATES
         with self.lock:
+            if self.state in TERMINAL_STATES:
+                return
             for k, v in fields.items():
                 setattr(self, k, v)
             if self.records is not None:
                 self.num_records = len(self.records)
-            if self.progress is not None:
-                # Keep the document, not the tracker: it holds the job's
-                # event bus and, through it, the job's whole record.
+            if self.progress is not None and not isinstance(self.progress, dict):
+                # Keep the document, not the live reading.
                 self.progress = self.progress.snapshot()
             self.state = state
             self.finished_at = time.time()
@@ -173,10 +178,10 @@ class ServiceJob:
                 if records is None:
                     doc["evicted"] = True
             progress = self.progress
+        if progress is not None and not isinstance(progress, dict):
+            progress = progress.snapshot()
         if progress is not None:
-            doc["progress"] = (
-                progress if isinstance(progress, dict) else progress.snapshot()
-            )
+            doc["progress"] = progress
         return doc, records
 
 
@@ -185,7 +190,7 @@ class JobQueue:
 
     def __init__(
         self,
-        runner: Callable[[ServiceJob], None],
+        runner: Callable[[ServiceJob, int], None],
         *,
         workers: int = 2,
         start_paused: bool = False,
@@ -204,7 +209,8 @@ class JobQueue:
         self._recent: deque[str] = deque(maxlen=RECENT_JOBS)
         self._threads = [
             threading.Thread(
-                target=self._worker_loop, name=f"svc-worker-{i}", daemon=True
+                target=self._worker_loop, args=(i,), name=f"svc-worker-{i}",
+                daemon=True,
             )
             for i in range(workers)
         ]
@@ -241,7 +247,7 @@ class JobQueue:
             self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, worker: int) -> None:
         while True:
             with self._cond:
                 while not self._shutdown and (self._paused or not self._heap):
@@ -253,13 +259,13 @@ class JobQueue:
                 self._dispatched += 1
                 self._recent.append(job.id)
             try:
-                self._dispatch(job)
+                self._dispatch(job, worker)
             finally:
                 with self._cond:
                     self._running -= 1
                     self._cond.notify_all()
 
-    def _dispatch(self, job: ServiceJob) -> None:
+    def _dispatch(self, job: ServiceJob, worker: int) -> None:
         with job.lock:
             if job.cancel_requested:
                 cancelled = True
@@ -271,7 +277,7 @@ class JobQueue:
             job.finish(CANCELLED, error="cancelled before dispatch")
             return
         try:
-            self._runner(job)
+            self._runner(job, worker)
         except BaseException as exc:  # the runner is the last line of defense
             job.finish(
                 FAILED,

@@ -12,22 +12,29 @@ from scratch:
   reopen) the zone maps;
 * a :class:`~repro.service.jobs.JobQueue` with admission control,
   priorities, and per-tenant quotas/failure budgets;
+* one resident engine process per queue worker
+  (:mod:`repro.service.engine_process`), forked here, before the queue
+  starts a thread;
 * per-job namespaced state: every job gets its own engine (and so its
   own ``ShuffleStore``), a unique job name, and its own job-tagged
   :class:`~repro.obs.live.EventBus`/:class:`~repro.obs.live.ProgressTracker`
   feeding the live status endpoint.
 
 Jobs, not tasks, are the unit of parallelism: a job runs start to finish
-on the queue worker thread that popped it, and only a request that
-cannot run without a second thread gets per-job thread pools
-(:func:`execution_mode`; ``docs/SERVICE.md``, "Execution model").  Jobs
-of either engine run side by side over one shared dataset, all on the
-columnar plane.  A finished job keeps its result as one packed
-:class:`~repro.mapreduce.columnar.ResultBlock` — the bytes the binary
-result body ships — and its digest is the SHA-256 of those bytes, the
-verification oracle's own definition, so every consumer can check
-byte-identity; the JSON rows are built from the block's columns on
-demand, and a job's output never becomes a record list.
+in the engine process of the queue worker that popped it — the worker
+thread looks the plan up in the cache, sends the job and waits for its
+one answer — and only a request that cannot run without a second thread
+gets per-job thread pools
+(:func:`~repro.service.engine_process.execution_mode`; ``docs/SERVICE.md``,
+"Execution model").  Jobs of either engine run side by side over one
+shared dataset, all on the columnar plane, each on a core of its own.
+A finished job keeps its result as one packed
+:class:`~repro.mapreduce.columnar.ResultBlock` — the bytes its engine
+process packed, which the binary result body ships as they are — and
+its digest is the SHA-256 of those bytes, the verification oracle's own
+definition, so every consumer can check byte-identity; the JSON rows
+are built from the block's columns on demand, and a job's output never
+becomes a record list.
 """
 
 from __future__ import annotations
@@ -42,30 +49,23 @@ import numpy as np
 from repro.arrays.slab import Slab
 from repro.errors import ReproError
 from repro.mapreduce.columnar import ResultBlock
-from repro.mapreduce.engine import LocalEngine, RetryPolicy
-from repro.obs import (
-    EventBus,
-    JobObservability,
-    JsonlEventWriter,
-    ProgressTracker,
-)
 from repro.query.language import StructuralQuery
 from repro.query.splits import aligned_slice_splits
 from repro.service.api import (
-    DONE,
     FAILED,
     AdmissionError,
+    EngineProcessError,
     QueryRequest,
     TenantQuota,
     TenantState,
     UnknownJobError,
 )
+from repro.service.engine_process import EngineConfig, EngineProcess, RemoteProgress
 from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
 from repro.service.plancache import PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
 from repro.verify.explorer import failure_types
-from repro.verify.oracle import records_digest
 
 
 def records_to_json(records: ResultBlock | list) -> list:
@@ -76,30 +76,6 @@ def records_to_json(records: ResultBlock | list) -> list:
             map(list, zip(records.key_rows.tolist(), records.value_list()))
         )
     return [[list(key), value] for key, value in records]
-
-
-def digest_and_block(out: ResultBlock) -> tuple[str, ResultBlock]:
-    """A served job's output (:meth:`JobResult.all_records`) as what
-    the service keeps of it: one packed block and the oracle-grade
-    digest, the SHA-256 of that block's buffer — pack, then hash what
-    was packed.  The block is never turned into records."""
-    block = out.packed()
-    return records_digest(block), block
-
-
-def execution_mode(engine: str, speculate: bool) -> str:
-    """The :meth:`LocalEngine.run` mode a request's ``engine`` is served in.
-
-    A served job runs on the inline executor — the queue worker's own
-    thread; the queue's workers are the parallelism.  It gets thread
-    pools of its own only where it cannot run without a second thread:
-    ``threaded`` with ``speculate`` (a hedged backup has to race its
-    primary; an explicit ``serial`` keeps the inline executor's
-    cancel-and-retry in place).
-    """
-    if engine == "threaded" and speculate:
-        return "threaded"
-    return "serial"
 
 
 class QueryService:
@@ -120,14 +96,23 @@ class QueryService:
     ) -> None:
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
         self.registry = SessionRegistry(on_invalidate=self.plan_cache.invalidate)
-        #: ``workers`` jobs run at once, one queue worker thread each.
+        #: One engine process per queue worker, forked while this
+        #: process has no thread of the service's: a few milliseconds
+        #: each, outside any request.  ``map_workers`` and
+        #: ``reduce_workers`` size the jobs ``execution_mode`` pools;
+        #: every other job starts no thread of its own.
+        config = EngineConfig(
+            map_workers=map_workers,
+            reduce_workers=reduce_workers,
+            events_path=events_path,
+            capacity=plan_cache_capacity,
+        )
+        self.engine_config = config
+        self._engines = [EngineProcess(config) for _ in range(workers)]
+        #: ``workers`` jobs run at once, worker ``i`` in ``_engines[i]``.
         self.queue = JobQueue(
             self._run_job, workers=workers, start_paused=start_paused
         )
-        #: Pool sizes of the jobs :func:`execution_mode` pools; every
-        #: other job starts no thread of its own.
-        self._map_workers = map_workers
-        self._reduce_workers = reduce_workers
         self._default_quota = default_quota or TenantQuota()
         self._lock = threading.Lock()
         self._tenants: dict[str, TenantState] = {}
@@ -140,8 +125,8 @@ class QueryService:
         self._with_records: deque[ServiceJob] = deque()
         self._seq = 0
         #: Shared audit stream: every job's events land in one JSONL
-        #: file (append mode), each line stamped with its job id.
-        self._events_path = events_path
+        #: file (append mode, one write per line from whichever engine
+        #: process runs the job), each line stamped with its job id.
         self._event_write_errors = 0
         self._started_at = time.time()
         self._closed = False
@@ -277,11 +262,15 @@ class QueryService:
             "datasets": self.registry.snapshot(),
             # Audit-log events lost to serialization or I/O errors.
             "event_write_errors": self._event_write_errors,
+            "engines": [engine.snapshot() for engine in self._engines],
         }
 
     def close(self) -> None:
+        """Stop the queue, then stop and reap every engine process."""
         self._closed = True
         self.queue.shutdown()
+        for engine in self._engines:
+            engine.stop()
         self.registry.close_all()
 
     def __enter__(self) -> "QueryService":
@@ -291,7 +280,8 @@ class QueryService:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Execution (queue worker threads land here)
+    # Execution (queue worker threads land here; the job runs in the
+    # worker's engine process)
     # ------------------------------------------------------------------ #
     def _build_plan(self, req: QueryRequest, session: DatasetSession) -> SIDRPlan:
         """Cold path of the plan cache: compile + slice + prune + plan,
@@ -314,75 +304,51 @@ class QueryService:
             qplan, splits, req.reduces, zone_map=zone_map, prune=req.prune
         ).with_map_geometry()
 
-    def _run_job(self, job: ServiceJob) -> None:
+    def plan(
+        self, req: QueryRequest, session: DatasetSession
+    ) -> tuple[SIDRPlan, bool]:
+        """``(plan, hit)``: the request's plan from the cache, built on
+        a miss."""
+        return self.plan_cache.get_or_build(
+            session.name,
+            session.digest,
+            req.plan_key(),
+            lambda: self._build_plan(req, session),
+        )
+
+    def _run_job(self, job: ServiceJob, worker: int) -> None:
         req = job.request
-        writer = None
+        engine = self._engines[worker]
         try:
             session = self.registry.get(req.dataset)
             t0 = time.perf_counter()
-            plan, hit = self.plan_cache.get_or_build(
-                session.name,
-                session.digest,
-                req.plan_key(),
-                lambda: self._build_plan(req, session),
-            )
+            plan, hit = self.plan(req, session)
             plan_seconds = time.perf_counter() - t0
             with job.lock:
                 job.plan_cache_hit = hit
                 job.plan_seconds = plan_seconds
-
-            job_conf, barrier = plan.configure_job(
-                session.engine_source(), name=f"svc-{job.id}"
-            )
-            if req.deadline is not None:
-                job_conf.deadline = req.deadline
-                job_conf.on_deadline = req.on_deadline
-
-            # Per-job observability, only what a request can observe: a
-            # job-tagged bus so interleaved streams stay separable, a
-            # tracker for the status endpoint and the audit writer when
-            # serving with ``--events`` — both read the bus's record,
-            # so neither listens.  No phases, spans or metrics registry —
-            # nothing would ever read them; the counters in the result
-            # are the engine's finish-time reading of the same record.
-            bus = EventBus(job=job.id)
-            obs = JobObservability(job_conf.name, enabled=False, bus=bus)
-            with job.lock:
-                job.progress = ProgressTracker(bus)
-            if self._events_path is not None:
-                writer = JsonlEventWriter(bus, self._events_path, append=True)
-
-            engine = LocalEngine(
-                map_workers=self._map_workers,
-                reduce_workers=self._reduce_workers,
-                retry=RetryPolicy(max_attempts=req.max_attempts, backoff_base=0.0),
-                faults=req.injection_plan(),
-                recovery=req.recovery_model(),
-                speculation=req.speculation_policy(),
-            )
-            t1 = time.perf_counter()
-            res = engine.run(
-                job_conf, barrier,
-                mode=execution_mode(req.engine, req.speculate), obs=obs,
-            )
-            run_seconds = time.perf_counter() - t1
-            digest, block = digest_and_block(res.all_records())
-            job.finish(
-                DONE,
-                records=block,
-                digest=digest,
-                partial=res.partial,
-                run_seconds=run_seconds,
-                counters=dict(res.counters.as_dict()),
-            )
+                job.progress = RemoteProgress(engine, job.id)
+            out = engine.run(job.id, req, session, plan)
         except ReproError as exc:
+            if isinstance(exc, EngineProcessError) and not self._closed:
+                engine.respawn()  # before the worker's next job
             job.finish(
                 FAILED,
                 error=f"{type(exc).__name__}: {exc}",
                 error_types=failure_types(exc),
             )
-        finally:
-            if writer is not None:
-                writer.close()
-                with self._lock:
-                    self._event_write_errors += writer.write_errors
+            return
+        if out.event_write_errors:
+            with self._lock:
+                self._event_write_errors += out.event_write_errors
+        job.finish(
+            out.state,
+            records=None if out.block is None else ResultBlock.from_packed(out.block),
+            digest=out.digest,
+            partial=out.partial,
+            run_seconds=out.run_seconds,
+            counters=out.counters or {},
+            progress=out.progress,
+            error=out.error,
+            error_types=out.error_types,
+        )

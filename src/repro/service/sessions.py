@@ -15,6 +15,10 @@ handle (the on-disk header changed: ``Dataset.write_slab`` strips zone
 maps in place), and eagerly invalidates the plan cache, so no plan
 built against the old content or the old zone maps can ever be served
 again.
+
+An engine process (:mod:`repro.service.engine_process`) is sent a
+session as its :class:`SessionRef` and reads a file session through a
+handle of its own, opened by path (the page cache is shared).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import hashlib
 import json
 import os
 import threading
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -36,6 +40,17 @@ from repro.service.api import ServiceError, UnknownDatasetError
 
 def _metadata_fingerprint(metadata: DatasetMetadata) -> str:
     return json.dumps(metadata.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+class SessionRef(NamedTuple):
+    """A session as an engine process is sent it: its name, the digest
+    plans are keyed on, and the path a file session is opened by —
+    ``None`` for an array session, whose data goes along only when the
+    process asks for it."""
+
+    name: str
+    digest: str
+    path: str | None
 
 
 class DatasetSession:
@@ -102,6 +117,9 @@ class DatasetSession:
         if self._dataset is not None and self._mapped:
             return self._dataset
         return self.path
+
+    def ref(self) -> SessionRef:
+        return SessionRef(self.name, self.digest, self.path)
 
     def full_data(self, variable: str) -> np.ndarray:
         """The whole variable (oracle/test scale)."""

@@ -4,6 +4,8 @@ The pieces tier-1 tests (and the benchmark driver) build on:
 
 * :func:`oracle_for_request` — brute-force ground truth for any
   request, computed completely outside the service path;
+* :func:`run_in_engine` — a served job's engine run in the calling
+  process, for tests that watch the engine's own objects;
 * :class:`StressDriver` — the deterministic concurrency harness: pause
   the queue, submit a whole batch (fixing admission order), resume, and
   wait; every served result is diffed byte-identically against its
@@ -27,6 +29,7 @@ from repro.query.language import StructuralQuery
 from repro.query.operators import get_operator
 from repro.service.api import DONE, QueryRequest
 from repro.service.client import InProcessClient
+from repro.service.engine_process import Outcome, run_job
 from repro.service.service import QueryService
 from repro.verify.oracle import oracle_records, records_digest
 
@@ -57,6 +60,22 @@ def oracle_for_request(service: QueryService, request: QueryRequest):
     plan = query.compile(session.metadata)
     records = oracle_records(plan, session.full_data(request.variable))
     return records, records_digest(records)
+
+
+def run_in_engine(
+    service: QueryService, request: QueryRequest, **kwargs: Any
+) -> Outcome:
+    """:func:`~repro.service.engine_process.run_job` — the one function
+    an engine process runs — called here, on the service's cached plan
+    (built on a miss) and its session.  What a test that spies on the
+    engine's objects (its bus, its threads, its calls) reads; keyword
+    arguments go to ``run_job``."""
+    session = service.registry.get(request.dataset)
+    plan, _ = service.plan(request, session)
+    return run_job(
+        "inline", request, session.engine_source(), plan,
+        service.engine_config, **kwargs,
+    )
 
 
 @dataclass

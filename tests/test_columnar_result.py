@@ -55,10 +55,9 @@ from repro.query.operators import PRUNABLE_OPERATORS, get_operator
 from repro.query.splits import aligned_slice_splits, slice_splits
 from repro.scidata.metadata import simple_metadata
 from repro.scidata.zonemaps import build_zone_map
-from repro.service import QueryRequest, QueryService
+from repro.service import QueryRequest, QueryService, run_in_engine
 from repro.service.api import ServiceError, decode_result_body, encode_result_body
-from repro.service.jobs import ServiceJob
-from repro.service.service import digest_and_block
+from repro.service.engine_process import digest_and_block
 from repro.sidr.planner import build_plan
 from repro.verify.oracle import canonicalize_records, oracle_records, records_digest
 
@@ -642,11 +641,13 @@ class TestPlannedMap:
                 splits=16, reduces=8, engine="threaded",
             )
             service.result_block(service.submit(req), timeout=60)  # plans
-            job = ServiceJob("guard", req, 0)
-            calls, _ = _count_calls(lambda: service._run_job(job))
-        assert job.state == "done" and job.plan_cache_hit
-        assert job.counters["map.input.records"] == 8320
-        assert job.counters["shuffle.segments"] == 19
+            # What the job's engine process runs, here, where it can be
+            # counted.
+            calls, out = _count_calls(lambda: run_in_engine(service, req))
+            assert service.plan_cache.snapshot()["hits"] == 1
+        assert out.state == "done"
+        assert out.counters["map.input.records"] == 8320
+        assert out.counters["shuffle.segments"] == 19
         assert calls <= 11_000
 
     @staticmethod

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -463,6 +464,21 @@ class TestRegistry:
             assert op.map_partial(chunk) == Partial((6.0, 3), 3)
         assert (MeanOp.name, MedianOp.name) == ("mean", "median")
         assert ThresholdFilterOp(threshold=2).threshold == 2.0
+
+    @pytest.mark.parametrize("name", OPERATOR_NAMES)
+    def test_an_operator_pickles_as_its_row_name_and_parameter(self, name):
+        """A row's column functions are lambdas; the operator travels
+        (to an engine process) as ``get_operator(name, threshold)``."""
+        op = _prunable(name)
+        back = pickle.loads(pickle.dumps(op))
+        assert back == op and hash(back) == hash(op)
+        assert (back.name, back.threshold) == (op.name, op.threshold)
+        values = np.arange(12.0).reshape(2, 6)
+        assert repr(back.finalize_columns(
+            back.map_batch(values), np.full(2, 6)
+        )) == repr(op.finalize_columns(op.map_batch(values), np.full(2, 6)))
+        other = "sum" if name == "count" else "count"
+        assert op != get_operator(other) and op != name
 
     def test_filter_requires_threshold(self):
         with pytest.raises(QueryError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.service.api import (
     DONE,
     FAILED,
     QUEUED,
+    RUNNING,
     TERMINAL_STATES,
     decode_result_body,
     encode_result_body,
@@ -259,16 +261,21 @@ class TestInProcessService:
         self, monkeypatch
     ):
         """Regression: every finished job kept its ProgressTracker, and
-        through it the job's event bus, for the life of the process."""
+        through it the job's event bus, for the life of the process.
+        The tracker lives where the job runs, in its engine process
+        (``run_in_engine`` runs that function here); the job is handed
+        the tracker's last snapshot and keeps only that."""
         from repro.obs import ProgressTracker
+        from repro.service import run_in_engine
+        from repro.service.engine_process import RemoteProgress
         from repro.service.jobs import ServiceJob
 
-        before = {}
+        handed = {}
         finish = ServiceJob.finish
 
         def spy(job, state, **fields):
-            assert isinstance(job.progress, ProgressTracker)
-            before[job.id] = job.status()["progress"]
+            assert isinstance(job.progress, RemoteProgress)  # a live reading
+            handed[job.id] = fields["progress"]
             finish(job, state, **fields)
 
         monkeypatch.setattr(ServiceJob, "finish", spy)
@@ -276,10 +283,37 @@ class TestInProcessService:
             client.service.register_array("d", "v", small_data())
             doc = client.query(mean_request())
             job = client.service.get_job(doc["id"])
-            assert doc["progress"] == before[job.id]
+            assert doc["progress"] == handed[job.id]
             assert doc["progress"]["state"] == "done"
-            assert job.progress == before[job.id]  # a dict, not a tracker
-            assert client.status(job.id)["progress"] == before[job.id]
+            assert job.progress == handed[job.id]  # a dict, not a reading
+            assert client.status(job.id)["progress"] == handed[job.id]
+
+            trackers = []
+            out = run_in_engine(
+                client.service, mean_request(), watch=trackers.append
+            )
+        (tracker,) = trackers
+        assert isinstance(tracker, ProgressTracker)
+        assert out.progress["state"] == tracker.snapshot()["state"] == "done"
+        assert out.progress["maps"] == tracker.snapshot()["maps"]
+
+    def test_a_running_job_reports_its_engine_process_progress(self):
+        """``status()`` of a running job asks its engine process: one
+        control message, answered with the job's live snapshot."""
+        with service_fixture(workers=1) as client:
+            client.service.register_array("d", "v", small_data())
+            job_id = client.submit(mean_request(
+                fault_rules=({**SLOW_MAP_0, "delay": 0.6},),
+            ))
+            deadline = time.monotonic() + 10
+            doc = client.status(job_id)
+            while doc["state"] != RUNNING or "progress" not in doc:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+                doc = client.status(job_id)
+            assert doc["progress"]["state"] == "running"
+            assert doc["progress"]["maps"]["done"] < doc["progress"]["maps"]["total"]
+            assert client.result(job_id)["progress"]["state"] == "done"
 
     @pytest.mark.parametrize(
         "rule", [HANG_MAP_0, {**SLOW_MAP_0, "delay": 1e9}], ids=["hang", "slow"]

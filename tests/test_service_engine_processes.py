@@ -1,0 +1,234 @@
+"""Engine processes (docs/SERVICE.md, "Execution model"): each queue
+worker runs its jobs in a resident process of its own.
+
+What moves between the service and a process has to pickle — plans
+included — and a job run on an unpickled plan must give the oracle's
+bytes on the planned reduce.  A process that dies fails the one job it
+was running, typed, bills its tenant once and is replaced before its
+worker's next job, also while other threads use the service; ``close``
+and ``serve``'s ``/shutdown`` leave no process behind.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.scidata.dataset import create_dataset
+from repro.service import (
+    HttpServiceClient,
+    QueryRequest,
+    oracle_for_request,
+    service_fixture,
+)
+from repro.service.api import DONE, FAILED, RUNNING
+from repro.service.engine_process import run_job
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def field(shape=(56, 20, 20), seed=7):
+    """Integer-valued float64, a quarter of it raised: exact sums in
+    any order, and a zone map with something to prune above 49."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 50, size=shape).astype(np.float64)
+    data[: shape[0] // 4] += 50
+    return data
+
+
+#: The served benchmark's four request classes (``benchmarks/e2e``),
+#: on a smaller grid.
+CLASSES = {
+    "fine_mean": dict(operator="mean", extract=(7, 5, 2)),
+    "coarse_scan": dict(operator="mean", extract=(28, 10, 10)),
+    "holistic_median": dict(operator="median", extract=(14, 10, 8)),
+    "ragged_filter": dict(operator="filter_gt", extract=(7, 5, 2), threshold=95),
+}
+
+
+def request(**kw):
+    base = dict(
+        dataset="d", variable="v", extract=(7, 5, 2), operator="mean",
+        splits=8, reduces=4, prune=True,
+    )
+    base.update(kw)
+    return QueryRequest(**base)
+
+
+def children(pid: int) -> set[int]:
+    """Live processes whose parent is ``pid`` (``ps --ppid``)."""
+    found = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            found.add(int(stat.parent.name))
+    return found
+
+
+def alive(pid: int) -> bool:
+    return Path(f"/proc/{pid}").exists()
+
+
+def wait_running(client, job_id: str) -> None:
+    """Until the job runs in its engine process (its progress answers)."""
+    deadline = time.monotonic() + 20
+    while True:
+        doc = client.status(job_id)
+        if doc["state"] == RUNNING and "progress" in doc:
+            return
+        assert time.monotonic() < deadline, doc
+        time.sleep(0.01)
+
+
+SLOW = ({"task": "map", "fault": "slow", "indices": [0], "delay": 30.0},)
+
+
+class TestPlansPickle:
+    @pytest.mark.parametrize("cls", sorted(CLASSES))
+    def test_a_cached_plan_survives_a_round_trip_and_runs_planned(self, cls):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", field(), with_zone_map=True)
+            req = request(**CLASSES[cls])
+            session = svc.registry.get("d")
+            plan, _ = svc.plan(req, session)
+            back = pickle.loads(pickle.dumps(plan))
+            _, digest = oracle_for_request(svc, req)
+            blocks = range(plan.num_reduce_tasks)
+            planned = [b for b in blocks if plan.reduce_plan(b) is not None]
+            assert planned == [b for b in blocks if back.reduce_plan(b) is not None]
+            assert planned  # every class plans its reduces
+            for b in planned:
+                ours, theirs = plan.reduce_plan(b), back.reduce_plan(b)
+                assert ours.map_ids == theirs.map_ids
+                assert np.array_equal(ours.keys, theirs.keys)
+            out = run_job(
+                "pickled", req, session.engine_source(), back, svc.engine_config
+            )
+            served = client.query(req)
+        assert out.state == DONE and out.digest == digest
+        assert out.counters["reduce.planned"] == len(planned)
+        assert served["digest"] == digest
+
+
+class TestCrashContainment:
+    def test_a_killed_process_fails_its_job_typed_and_is_replaced(self):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, request())
+            (engine,) = svc.stats()["engines"]
+            assert set(engine) == {"pid", "jobs", "restarts", "rss_kb"}
+            assert alive(engine["pid"]) and engine["rss_kb"] > 0
+            assert children(os.getpid()) >= {engine["pid"]}
+
+            job_id = client.submit(request(fault_rules=SLOW, tenant="t"))
+            wait_running(client, job_id)
+            os.kill(engine["pid"], signal.SIGKILL)
+            doc = client.result(job_id, timeout=30)
+            assert doc["state"] == FAILED
+            assert doc["error_types"] == ["EngineProcessError"]
+            assert f"engine process {engine['pid']}" in doc["error"]
+            assert "SIGKILL" in doc["error"]
+            assert "records" not in doc
+
+            after = client.query(request(tenant="t"))
+            assert after["state"] == DONE and after["digest"] == digest
+            stats = svc.stats()
+            assert stats["tenants"]["t"]["failures"] == 1
+            (replaced,) = stats["engines"]
+            assert replaced["pid"] != engine["pid"] and alive(replaced["pid"])
+            assert replaced["restarts"] == 1 and replaced["jobs"] == 2
+            seen = {engine["pid"], replaced["pid"]}
+        assert multiprocessing.active_children() == []
+        assert not any(alive(pid) for pid in seen)
+        assert not children(os.getpid()) & seen
+
+    def test_replacement_does_not_deadlock_under_concurrent_callers(self):
+        """The replacement is forked while other threads hold the
+        service's locks and pipes: status reads (one control message
+        each), stats and submissions keep going throughout."""
+        with service_fixture(workers=2) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, request())
+            stop = threading.Event()
+            errors = []
+
+            def hammer():
+                try:
+                    while not stop.is_set():
+                        svc.stats()
+                        for doc in svc.list_jobs()[-4:]:
+                            svc.status(doc["id"])
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=hammer) for _ in range(2)]
+            for t in threads:
+                t.start()
+            try:
+                for _ in range(3):
+                    job_id = client.submit(request(fault_rules=SLOW))
+                    wait_running(client, job_id)
+                    side = client.submit(request())
+                    pids = [e["pid"] for e in svc.stats()["engines"]]
+                    for pid in pids:
+                        os.kill(pid, signal.SIGKILL)
+                    assert client.result(job_id, timeout=30)["state"] == FAILED
+                    client.result(side, timeout=30)  # ran, or died with its process
+                    for _ in range(2):
+                        doc = client.query(request(), timeout=30)
+                        assert doc["state"] == DONE and doc["digest"] == digest
+            finally:
+                stop.set()
+                for t in threads:
+                    t.join(10)
+            assert not errors
+            # The slow job's process was replaced each round; the other
+            # one when its worker next took a job.
+            restarts = sum(e["restarts"] for e in svc.stats()["engines"])
+            assert 3 <= restarts <= 6
+        assert multiprocessing.active_children() == []
+
+
+class TestServeLeavesNoProcess:
+    def test_two_engine_children_then_none_after_shutdown(self, tmp_path):
+        path = tmp_path / "d.nc"
+        create_dataset(path, var_name="v", data=field()).close()
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(path),
+             "--port", "0", "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("# serving on "), line
+            client = HttpServiceClient(line.split()[-1], timeout=30)
+            engines = children(proc.pid)
+            assert len(engines) == 2
+            assert {e["pid"] for e in client.stats()["engines"]} == engines
+            doc = client.query(request(dataset="d"))
+            assert doc["state"] == DONE
+            client.shutdown()
+            assert proc.wait(10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        assert not any(alive(pid) for pid in engines)

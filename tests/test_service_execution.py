@@ -1,13 +1,17 @@
 """The service's execution model (docs/SERVICE.md, "Execution model").
 
-Jobs, not tasks, are the unit of parallelism: a served job runs on the
-queue worker thread that popped it, and gets thread pools of its own
-only where it cannot run without a second thread
-(:func:`repro.service.service.execution_mode`).  These tests pin the
-rule and each branch's observable behaviour: no thread started and the
-deterministic serial interleaving for ``threaded``; a launched, winning
-backup for ``threaded`` + ``speculate``; the same failure report from
-``serial`` and ``threaded``.
+Jobs, not tasks, are the unit of parallelism: a served job runs in the
+engine process of the queue worker that popped it, on that process's
+one thread, and gets thread pools of its own only where it cannot run
+without a second thread (:func:`repro.service.engine_process.execution_mode`).
+These tests pin the rule and each branch's observable behaviour: no
+thread started and the deterministic serial interleaving for
+``threaded``; a launched, winning backup for ``threaded`` +
+``speculate``; the same failure report from ``serial`` and
+``threaded``.  What an engine process does with a job is
+:func:`~repro.service.engine_process.run_job`; the tests that spy on
+its bus call that function here (:func:`run_in_engine`), on the
+service's plan and session, and the served run beside it must agree.
 """
 
 from __future__ import annotations
@@ -17,11 +21,11 @@ import threading
 import numpy as np
 import pytest
 
-import repro.service.service as service_module
+import repro.service.engine_process as engine_module
 from repro.obs import EventBus
-from repro.service import QueryRequest, service_fixture
+from repro.service import QueryRequest, run_in_engine, service_fixture
 from repro.service.api import DONE, ENGINES, FAILED
-from repro.service.service import execution_mode
+from repro.service.engine_process import execution_mode
 from repro.service.testing import oracle_for_request
 
 
@@ -55,8 +59,9 @@ def req(**kw):
 
 @pytest.fixture()
 def sampled(monkeypatch):
-    """Every event of every served job, each with a sample taken on the
-    publishing thread while the job runs: ``(event, threads)``."""
+    """Every event of every job run by :func:`run_in_engine`, each with
+    a sample taken on the publishing thread while the job runs:
+    ``(event, threads)``."""
     seen = []
 
     class SampledBus(EventBus):
@@ -68,7 +73,7 @@ def sampled(monkeypatch):
         def _sample(event):
             seen.append((event, threading.active_count()))
 
-    monkeypatch.setattr(service_module, "EventBus", SampledBus)
+    monkeypatch.setattr(engine_module, "EventBus", SampledBus)
     return seen
 
 
@@ -107,11 +112,13 @@ class TestThreadedRunsOnTheWorkerThread:
             svc.register_array("d", "v", field())
             request = req(engine="threaded")
             _, digest = oracle_for_request(svc, request)
-            idle = threading.active_count()
             doc = client.query(request)
-        assert doc["state"] == DONE
+            assert not sampled  # the served run published in its process
+            idle = threading.active_count()
+            out = run_in_engine(svc, request)
+        assert doc["state"] == out.state == DONE
         assert doc["engine"] == "threaded"  # the wire name is unchanged
-        assert doc["digest"] == digest
+        assert doc["digest"] == out.digest == digest
 
         assert {threads for _, threads in sampled} == {idle}
 
@@ -146,7 +153,7 @@ class TestAServedJobListensToNothing:
         its last, and publishes no phase: its status document and
         counters are read off the bus's record."""
         published = []
-        monkeypatch.setattr(service_module, "EventBus", watched_bus(published))
+        monkeypatch.setattr(engine_module, "EventBus", watched_bus(published))
         with service_fixture(workers=1) as client:
             client.service.register_array("d", "v", field())
             for engine in ("serial", "threaded"):
@@ -155,6 +162,9 @@ class TestAServedJobListensToNothing:
                 assert doc["progress"]["state"] == "done"
                 counters = client.status(doc["id"])["counters"]
                 assert counters["task.attempts"] == 6 + 3
+                out = run_in_engine(client.service, req(engine=engine))
+                assert out.progress["state"] == "done"
+                assert out.counters == counters
         types = [t for t, _ in published]
         assert types.count("job.start") == types.count("job.finish") == 2
         assert {listeners for _, listeners in published} == {0}
@@ -164,11 +174,13 @@ class TestAServedJobListensToNothing:
         """Speculation reads the record on a ticker: hedging a served
         job attaches nothing to its bus."""
         published = []
-        monkeypatch.setattr(service_module, "EventBus", watched_bus(published))
+        monkeypatch.setattr(engine_module, "EventBus", watched_bus(published))
         with service_fixture(workers=1) as client:
             client.service.register_array("d", "v", field())
-            doc = client.query(req(engine="threaded", speculate=True))
-        assert doc["state"] == DONE
+            out = run_in_engine(
+                client.service, req(engine="threaded", speculate=True)
+            )
+        assert out.state == DONE
         assert published
         assert {listeners for _, listeners in published} == {0}
 
@@ -186,15 +198,18 @@ class TestSpeculationStillRacesABackup:
                 ),
             )
             _, digest = oracle_for_request(svc, request)
-            idle = threading.active_count()
             doc = client.query(request)
             # the status doc carries the run's counters; a result doc
             # stays what it was
             counters = client.status(doc["id"])["counters"]
+            idle = threading.active_count()
+            out = run_in_engine(svc, request)
         assert "counters" not in doc
-        assert doc["state"] == DONE and doc["digest"] == digest
-        assert counters["task.speculations"] == 1
-        assert counters["task.cancelled"] == 1
+        assert doc["state"] == out.state == DONE
+        assert doc["digest"] == out.digest == digest
+        for run in (counters, out.counters):
+            assert run["task.speculations"] == 1
+            assert run["task.cancelled"] == 1
         races = [
             ev for ev, _ in sampled
             if ev.type == "task.speculate" and ev.data["mode"] == "race"
