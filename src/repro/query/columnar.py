@@ -23,10 +23,11 @@ The query half of the columnar data plane (engine half:
   (same bulk read as
   :class:`~repro.query.recordreader.StructuralRecordReader`) and emits
   one :class:`~repro.mapreduce.columnar.ChunkBatch` per zone: a basic
-  slice, one strided window view copied to ``(n, cells)`` (C-order per
-  instance, matching the record plane's slice-and-flatten exactly), and
-  the zone's rows of the key grid.  Every item is a ``ChunkBatch``, and
-  the two planes emit identical logical records.
+  slice, its strided windows copied to ``(n, cells)`` by
+  :func:`window_rows` (C-order per instance, matching the record
+  plane's slice-and-flatten exactly), and the zone's rows of the key
+  grid.  Every item is a ``ChunkBatch``, and the two planes emit
+  identical logical records.
 * :func:`batch_operator_for` — the plane's admission check: a built-in
   operator (:class:`~repro.query.operators.SpecOperator`, whose table
   and column functions live in :mod:`repro.query.operators`) is its own
@@ -36,13 +37,13 @@ The query half of the columnar data plane (engine half:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import product
 from typing import Any
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.arrays.shape import coord_sub
 from repro.arrays.slab import Slab
@@ -107,7 +108,7 @@ class MapGeometry:
     #: Each slab to read, with the zones cut from it.
     reads: tuple[tuple[Slab, tuple[Zone, ...]], ...]
     #: Window steps (the extraction stride), one per dimension.
-    steps: tuple[slice, ...]
+    steps: tuple[int, ...]
     #: ``(n, rank)`` int64 K' keys of the split's rows, in reader order.
     keys: np.ndarray
     #: Where those rows spill; ``None`` when no partitioner was given.
@@ -182,10 +183,61 @@ def map_geometry(
             layout.check_sorted()
     return MapGeometry(
         reads=tuple(reads),
-        steps=tuple(slice(None, None, st) for st in ex.stride),
+        steps=tuple(ex.stride),
         keys=keys,
         layout=layout,
     )
+
+
+class _Interface:
+    """An ``__array_interface__`` over another array's memory, the way
+    :func:`numpy.lib.stride_tricks.as_strided` builds its views;
+    ``base`` keeps that memory alive."""
+
+    def __init__(self, interface: dict[str, Any], base: np.ndarray) -> None:
+        self.__array_interface__ = interface
+        self.base = base
+
+
+def window_rows(
+    block: np.ndarray, exts: tuple[int, ...], steps: tuple[int, ...]
+) -> np.ndarray:
+    """``block``'s windows of extent ``exts``, one every ``steps`` cells
+    per dimension, as one C-ordered row per window: the bytes of
+    ``sliding_window_view(block, exts)[::steps].reshape(n, -1)``.
+
+    Each window's innermost run — ``exts[-1]`` adjacent cells — is
+    copied as one fixed-size ``np.void`` item, so a short run costs one
+    item copy, not ``exts[-1]`` cell copies.  The result is
+    C-contiguous; it aliases ``block`` (read-only) only when the windows
+    already lie end to end.
+    """
+    if block.strides[-1] != block.itemsize:
+        # Fortran-ordered or transposed in-memory sources: a run must be
+        # adjacent bytes.  File slabs are always C-ordered.
+        block = np.ascontiguousarray(block)
+    counts = tuple(
+        (size - ext) // step + 1
+        for size, ext, step in zip(block.shape, exts, steps)
+    )
+    run = np.dtype((np.void, exts[-1] * block.itemsize))
+    interface = dict(block.__array_interface__)
+    interface.update(
+        # Read-only, like every window view.
+        data=(interface["data"][0], True),
+        shape=counts + tuple(exts[:-1]),
+        strides=tuple(
+            stride * step for stride, step in zip(block.strides, steps)
+        ) + block.strides[:-1],
+        typestr=run.str,
+        descr=run.descr,
+    )
+    runs = np.asarray(_Interface(interface, block))
+    # Reshape only a C-contiguous array: with one window along an axis,
+    # a reshape of the strided runs can come back as a view whose last
+    # axis is not contiguous, which ``view`` rejects.
+    rows = np.ascontiguousarray(runs).reshape(math.prod(counts), -1)
+    return rows.view(block.dtype)
 
 
 class ColumnarRecordReader:
@@ -221,10 +273,9 @@ class ColumnarRecordReader:
         for slab, zones in geo.reads:
             data = _read_slab(self._source, self._variable, slab)
             for block, exts, lo, hi in zones:
-                # One window per instance piece, C order within it —
-                # the record plane's slice-and-flatten exactly.
-                windows = sliding_window_view(data[block], exts)[geo.steps]
-                yield ChunkBatch(geo.keys[lo:hi], windows.reshape(hi - lo, -1))
+                yield ChunkBatch(
+                    geo.keys[lo:hi], window_rows(data[block], exts, geo.steps)
+                )
 
 
 def make_columnar_reader_factory(

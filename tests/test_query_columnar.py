@@ -6,10 +6,13 @@ pieces: the batch record reader, the batch operator adapters, the
 columnar map-output file, and the engine/store plumbing around them.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.arrays.slab import Slab
 from repro.errors import (
@@ -36,6 +39,8 @@ from repro.query.columnar import (
     ColumnarRecordReader,
     batch_operator_for,
     make_columnar_reader_factory,
+    map_geometry,
+    window_rows,
 )
 from repro.query.language import StructuralQuery
 from repro.query.operators import (
@@ -58,6 +63,7 @@ from repro.query.recordreader import make_reader_factory
 from repro.query.splits import slice_splits
 from repro.scidata.generators import temperature_dataset
 from repro.scidata.metadata import simple_metadata
+from repro.service.sessions import DatasetSession
 from tests.test_columnar_result import _count_calls
 
 # Fixed-width state: one numeric column per state component.
@@ -275,6 +281,144 @@ class TestColumnarReader:
         (split,) = slice_splits(plan, num_splits=1)
         items = list(factory(split))
         assert items and all(isinstance(b, ChunkBatch) for b in items)
+
+
+# --------------------------------------------------------------------- #
+# window_rows: the reader's run copy
+# --------------------------------------------------------------------- #
+def _reshape_rows(block, exts, steps):
+    """The reference: the strided window view's reshape copy."""
+    windows = sliding_window_view(block, exts)[
+        tuple(slice(None, None, step) for step in steps)
+    ]
+    return windows.reshape(math.prod(windows.shape[: block.ndim]), -1)
+
+
+#: Bit patterns no arithmetic produces: NaNs with payloads, a negative
+#: signalling NaN, and -0.0, per float width.
+_SPECIAL_BITS = {
+    8: [0x7FF800000000BEEF, 0xFFF0000000000001, 0x8000000000000000],
+    4: [0x7FC0BEEF, 0xFF800001, 0x80000000],
+}
+
+
+def _layout(block, how):
+    """``block``'s values held in memory laid out as ``how``."""
+    if how == "fortran":
+        return np.asfortranarray(block)
+    if how == "last_axis_first":  # a transposed array's view
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(block, -1, 0)), 0, -1)
+    if how == "gapped":  # every other cell of a wider array
+        wide = np.zeros(block.shape[:-1] + (2 * block.shape[-1],), block.dtype)
+        wide[..., ::2] = block
+        return wide[..., ::2]
+    if how == "reversed":
+        return np.ascontiguousarray(block[..., ::-1])[..., ::-1]
+    return block
+
+
+class TestWindowRows:
+    @given(st.data())
+    def test_bytes_are_the_reshape_copy(self, data):
+        """Rank 1-4, five dtypes (one byte-swapped), any extents, steps
+        with gaps (the last axis included), arbitrary bit patterns with
+        NaN payloads and -0.0, C or not-unit-stride sources: the run
+        copy is byte for byte the window view's reshape, C-contiguous,
+        and read-only wherever it aliases the source."""
+        rank = data.draw(st.integers(1, 4))
+        shape = tuple(data.draw(st.integers(1, 6)) for _ in range(rank))
+        dtype = np.dtype(data.draw(st.sampled_from(
+            ["float64", "float32", "int16", "uint8", ">f8"]
+        )))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        raw = rng.integers(0, 256, math.prod(shape) * dtype.itemsize, np.uint8)
+        block = raw.view(dtype).reshape(shape)
+        if dtype.kind == "f":
+            bits = np.array(
+                _SPECIAL_BITS[dtype.itemsize],
+                np.dtype(f"u{dtype.itemsize}").newbyteorder(dtype.byteorder),
+            ).view(dtype)
+            flat = block.reshape(-1)
+            for pos in data.draw(st.lists(
+                st.integers(0, flat.size - 1), max_size=len(bits)
+            )):
+                flat[pos] = bits[pos % len(bits)]
+        source = _layout(block, data.draw(st.sampled_from(
+            ["c", "fortran", "last_axis_first", "gapped", "reversed"]
+        )))
+        exts = tuple(data.draw(st.integers(1, s)) for s in shape)
+        steps = tuple(data.draw(st.integers(1, e + 2)) for e in exts)
+        got = window_rows(source, exts, steps)
+        want = _reshape_rows(source, exts, steps)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        if np.shares_memory(got, source):
+            assert not got.flags.writeable
+
+    def test_one_window_reshape_view_regression(self):
+        """One window along every axis: the strided runs reshape to a
+        *view* whose last axis is not contiguous, which ``view`` rejects.
+        The run copy makes them contiguous first."""
+        block = np.arange(4 * 6 * 5, dtype=np.float64).reshape(4, 6, 5)
+        exts, steps = (1, 3, 2), (4, 4, 4)
+        got = window_rows(block, exts, steps)
+        np.testing.assert_array_equal(got, [[0, 1, 5, 6, 10, 11]])
+        assert got.tobytes() == _reshape_rows(block, exts, steps).tobytes()
+
+    def test_clipped_strided_zones_regression(self, field, data):
+        """The zones of a strided query clipped by its subset and by slab
+        cuts (``test_strided_clipped_split_is_all_batches``) include
+        single-window ones whose reshape is a view: each zone's rows are
+        the reshape copy's bytes."""
+        plan = _plan(field, (3, 3, 2), stride=(4, 4, 3),
+                     keep_partial_instances=True)
+        for split in slice_splits(plan, num_splits=5):
+            geo = map_geometry(plan, split)
+            for slab, zones in geo.reads:
+                block_of = data[slab.as_slices()]
+                for block, exts, lo, hi in zones:
+                    got = window_rows(block_of[block], exts, geo.steps)
+                    want = _reshape_rows(block_of[block], exts, geo.steps)
+                    assert got.shape == (hi - lo, math.prod(exts))
+                    assert got.tobytes() == want.tobytes()
+
+    def test_mmap_batches_never_writable_aliases(self, field, tmp_path):
+        """Over an mmap-backed session, every batch's values are
+        C-contiguous, carry the variable's dtype, and are read-only
+        whenever they alias the file mapping."""
+        field.write(tmp_path / "t.nc").close()
+        session = DatasetSession("t", path=str(tmp_path / "t.nc"))
+        try:
+            source = session.engine_source()
+            assert source is not session.path  # the mmap path is live
+            dtype = session.metadata.variable("temperature").numpy_dtype
+            space = session.metadata.variable_shape("temperature")
+            mapped = source.read_slab("temperature", Slab((0,) * 3, space))
+            assert not mapped.flags.owndata  # a view of the mapping
+            aliased = copied = 0
+            for shape, stride in [
+                ((7, 5, 2), None),
+                ((7, 10, 6), None),  # windows lie end to end
+                ((3, 3, 2), (4, 4, 3)),
+            ]:
+                plan = _plan(field, shape, stride=stride)
+                for split in slice_splits(plan, num_splits=3):
+                    for batch in ColumnarRecordReader(source, plan, split):
+                        values = batch.values
+                        assert values.flags.c_contiguous
+                        assert values.dtype == dtype
+                        if np.shares_memory(values, mapped):
+                            aliased += 1
+                            assert not values.flags.writeable
+                            with pytest.raises(ValueError):
+                                values[0, 0] = 0
+                        else:
+                            copied += 1
+            assert aliased and copied  # both branches ran
+        finally:
+            session.close()
 
 
 # --------------------------------------------------------------------- #
