@@ -187,7 +187,8 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
     print(
         f"# job {job_id}: plan cache "
         f"{'hit' if doc['plan_cache_hit'] else 'miss'}, "
-        f"digest {doc['digest'][:12]}, {doc['num_records']} records",
+        f"digest {doc['digest'][:12]}, {doc['num_records']} records, "
+        f"{doc['parts']} part{'s' if doc['parts'] > 1 else ''}",
         file=sys.stderr,
     )
     if doc.get("partial"):

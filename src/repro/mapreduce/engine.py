@@ -92,7 +92,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import (
     BarrierViolationError,
@@ -147,6 +147,19 @@ _NON_RETRYABLE = (JobConfigError, BarrierViolationError)
 
 #: ``on_reduce_complete(partition, records)``.
 ReduceCallback = Callable[[int, Sequence[KeyValue]], None]
+
+
+class Part(NamedTuple):
+    """One independent piece of a job (:meth:`SIDRPlan.parts
+    <repro.sidr.planner.SIDRPlan.parts>`): a contiguous range of its
+    reduces and every map they read, which no other part's reduces
+    read.  Indices are the job's own, so a part runs its tasks under
+    the names fault rules, barriers and reduce plans already use."""
+
+    #: Position among the job's parts, in keyblock order.
+    index: int
+    reduces: range
+    maps: tuple[int, ...]
 
 
 # --------------------------------------------------------------------- #
@@ -275,8 +288,15 @@ def task_attempts(events: Iterable[Event]) -> tuple[TaskAttempt, ...]:
 class _RunState:
     """Per-run mutable state shared by every task thread."""
 
-    def __init__(self, engine: "LocalEngine", job: JobConf) -> None:
+    def __init__(
+        self, engine: "LocalEngine", job: JobConf,
+        maps: Sequence[int] | None = None,
+    ) -> None:
         self.lock = threading.Lock()
+        #: The maps this run executes: the job's, or one part's.
+        self.maps: Sequence[int] = (
+            range(job.num_map_tasks) if maps is None else maps
+        )
         #: Global attempt counter per logical task — recovery re-runs of
         #: a map continue its numbering, so injection plans keyed by
         #: attempt stay unambiguous.
@@ -806,7 +826,7 @@ class LocalEngine:
 
         * ``PERSISTED`` — spills survive; nothing to do.
         * ``REEXECUTE_ALL`` — no dependency knowledge: conservatively
-          re-execute every map task.
+          re-execute every map task the run executes.
         * ``REEXECUTE_DEPS`` — re-execute only the maps in I_p whose
           output for ``p`` the failed attempt actually consumed (a
           subset of I_p; never more).
@@ -815,7 +835,7 @@ class LocalEngine:
             return
         total = job.num_map_tasks
         if self.recovery is RecoveryModel.REEXECUTE_ALL:
-            targets = list(range(total))
+            targets = list(state.maps)
         else:
             fetch_from = (
                 frozenset(range(total))
@@ -869,10 +889,17 @@ class LocalEngine:
         mode: str = "threaded",
         on_reduce_complete: ReduceCallback | None = None,
         obs: JobObservability | None = None,
+        part: Part | None = None,
     ) -> JobResult:
         """Run ``job`` under ``barrier`` (default: the global barrier) in
         the named mode — ``serial`` or ``threaded``; see the module
         docstring for what each name selects.
+
+        ``part`` runs one :class:`Part` of the job: its maps and its
+        reduces only, under their job-global indices, so ``outputs``
+        holds its reduces' blocks.  The planner's job-level counters
+        (``plan.*``) are seeded by part 0 alone, so a job's parts' counters
+        sum to a whole run's.
 
         ``on_reduce_complete(partition, records)`` fires the moment a
         reduce task commits — *during* the run, on the thread that ran
@@ -894,6 +921,7 @@ class LocalEngine:
             ) from None
         return self._run_job(
             job, barrier or GlobalBarrier(), executors, on_reduce_complete, obs,
+            part,
         )
 
     def run_serial(
@@ -925,6 +953,7 @@ class LocalEngine:
         executors: Callable[["LocalEngine"], tuple[Executor, Executor]],
         on_reduce_complete: ReduceCallback | None,
         obs: JobObservability | None,
+        part: Part | None = None,
     ) -> JobResult:
         """The orchestration loop — the only one.
 
@@ -939,18 +968,29 @@ class LocalEngine:
             obs = JobObservability(job.name, enabled=self.observability)
         bus = obs.bus
         counters = Counters()
-        obs.start(maps=job.num_map_tasks, reduces=job.num_reduce_tasks)
-        state = _RunState(self, job)
+        if part is None:
+            maps: Sequence[int] = range(job.num_map_tasks)
+            reduces: Sequence[int] = range(job.num_reduce_tasks)
+        else:
+            maps, reduces = part.maps, part.reduces
+        obs.start(maps=len(maps), reduces=len(reduces))
+        state = _RunState(self, job, maps)
         store = ShuffleStore(
             persist=self.recovery is RecoveryModel.PERSISTED, bus=bus
         )
-        self._seed_prune_counters(job, counters)
+        if part is None or part.index == 0:
+            self._seed_prune_counters(job, counters)
         total_maps = job.num_map_tasks
+        # A part cannot see the other parts' maps: they count as still
+        # outstanding, unless it holds the job's last map (a whole run's
+        # last to commit, in split order), so a reduce is early exactly
+        # when it would be in a whole serial run.
+        others_pending = part is not None and total_maps - 1 not in maps
         outputs: dict[int, Sequence[KeyValue]] = {}
         lock = threading.Lock()
         abort = threading.Event()
         completed: set[int] = set()
-        pending = set(range(job.num_reduce_tasks))
+        pending = set(reduces)
         errors: list[BaseException] = []
         deadline_errors: list[BaseException] = []
         map_futures: list[Future] = []
@@ -1026,7 +1066,7 @@ class LocalEngine:
                         bus.publish(
                             EV_BARRIER_FIRE, kind="reduce", index=p,
                             maps_done=len(snapshot),
-                            early=len(snapshot) < total_maps,
+                            early=others_pending or len(snapshot) < len(maps),
                         )
                         future = reduce_pool.submit(reduce_job, p, snapshot)
                         with lock:
@@ -1081,7 +1121,7 @@ class LocalEngine:
                         )
                     )
 
-                for i in range(total_maps):
+                for i in maps:
                     future = map_pool.submit(map_job, i)
                     with lock:
                         map_futures.append(future)

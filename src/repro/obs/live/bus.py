@@ -91,6 +91,10 @@ class Event:
     #: per-job bus publishes carries its job even when several jobs
     #: append to one JSONL file.
     job: str = ""
+    #: The keyblock range ``[first, stop)`` of the job part that
+    #: published it, for a job run in parts (``EventBus(part=...)``):
+    #: each part has a bus, and so a ``seq`` order, of its own.
+    part: tuple[int, int] | None = None
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -100,6 +104,8 @@ class Event:
         }
         if self.job:
             doc["job"] = self.job
+        if self.part is not None:
+            doc["part"] = list(self.part)
         if self.kind:
             doc["kind"] = self.kind
         if self.index >= 0:
@@ -123,9 +129,11 @@ class EventBus:
         clock: Callable[[], float] | None = None,
         metrics: Any | None = None,
         job: str = "",
+        part: tuple[int, int] | None = None,
     ) -> None:
         self._lock = threading.Lock()
         self._job = job
+        self._part = part
         self._seq = 0
         #: Every published event, in ``seq`` order.
         self._record: list[Event] = []
@@ -182,6 +190,7 @@ class EventBus:
                 attempt=attempt,
                 data=data,
                 job=self._job,
+                part=self._part,
             )
             self._seq += 1
             self._record.append(event)

@@ -147,7 +147,8 @@ def read_events(path: str | Path, *, job: str | None = None) -> list[Event]:
     ``job`` filters an interleaved multi-job stream down to one job's
     events (file order preserved — each per-job bus assigns its own
     ``seq``, so cross-job seq comparison is meaningless, but any one
-    job's subsequence is still totally ordered).
+    job's subsequence is still totally ordered; a job run in parts has
+    one bus per part, told apart by :attr:`Event.part`).
     """
     events: list[Event] = []
     with open(path, encoding="utf-8") as f:
@@ -165,6 +166,7 @@ def read_events(path: str | Path, *, job: str | None = None) -> list[Event]:
                 attempt=doc.get("attempt", 0),
                 data=doc.get("data", {}),
                 job=doc.get("job", ""),
+                part=tuple(doc["part"]) if "part" in doc else None,
             )
             if job is not None and ev.job != job:
                 continue

@@ -6,31 +6,39 @@ owns one resident engine process, forked when the service is built
 task slots as child JVMs the same way.  The service keeps everything it
 owns: admission, tenants, the one plan cache, job state, waiters and
 the HTTP loop.  The process runs :func:`run_job` — ``configure_job``,
-``LocalEngine.run``, :func:`digest_and_block` — and nothing else, so
-two served jobs run on two cores instead of taking turns at one
-interpreter lock.
+``LocalEngine.run``, and packing the output — and nothing else, so two
+served jobs run on two cores instead of taking turns at one interpreter
+lock, and so do the two parts of one job run alone
+(:meth:`~repro.sidr.planner.SIDRPlan.parts`; ``docs/SERVICE.md``,
+"Engine processes").
 
-One message each way per job, over a pipe:
+One :class:`Run` in and one :class:`Outcome` out per job part, over a
+pipe, through :meth:`EngineProcess.send` and
+:meth:`EngineProcess.receive` — split so that one queue worker can
+have a part running on each of several processes at once:
 
-* the worker sends a :class:`Run`: job id, request and the session's
-  :class:`~repro.service.sessions.SessionRef`.  A process that lacks
-  the job's plan (or an array session's data) answers :class:`Need`,
-  and the worker sends the same :class:`Run` again with them attached.
-  The process keeps what it is sent, least recently used first out,
-  within the plan cache's byte budget; the service keeps no record of
-  what a process holds, so there is nothing to drift.
-* the process answers with an :class:`Outcome`: ``done`` with the bytes
-  :func:`digest_and_block` packed, the digest, counters and the final
-  progress snapshot, or ``failed`` with the error and its types.  The
-  service wraps those bytes (:meth:`ResultBlock.from_packed`) and ships
-  them as they are.
+* the worker sends a :class:`Run`: job id, request, the session's
+  :class:`~repro.service.sessions.SessionRef` and the :class:`Part` to
+  run (``None``: the whole job).  A process that lacks the job's plan
+  (or an array session's data) answers :class:`Need`, and
+  :meth:`EngineProcess.receive` sends the same :class:`Run` again with
+  them attached.  The process keeps what it is sent, least recently
+  used first out, within the plan cache's byte budget; the service
+  keeps no record of what a process holds, so there is nothing to drift.
+* the process answers with an :class:`Outcome`: ``done`` with the
+  packed block's bytes, counters and the final progress snapshot, or
+  ``failed`` with the error and its types.  A whole job's block comes
+  digested (:func:`digest_and_block`); a part's does not, since the
+  service digests the assembled block once.  The service wraps those
+  bytes (:meth:`ResultBlock.from_packed`) and ships them as they are.
 
 A second pipe carries the one control message: a running job's
 progress, asked for by ``status()`` and answered with its
-:class:`~repro.obs.ProgressTracker` snapshot.  A process that dies
-closes its pipes: the worker reads EOF, the job fails with
+:class:`~repro.obs.ProgressTracker` snapshot (:class:`RemoteProgress`
+asks every process running a part and merges the answers).  A process
+that dies closes its pipes: the worker reads EOF, the part fails with
 :class:`~repro.service.api.EngineProcessError` naming the exit code or
-signal, and the process is replaced before that worker's next job.
+signal, and the process is replaced before it runs anything else.
 """
 
 from __future__ import annotations
@@ -53,7 +61,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.mapreduce.columnar import ResultBlock
-from repro.mapreduce.engine import LocalEngine, RetryPolicy
+from repro.mapreduce.engine import LocalEngine, Part, RetryPolicy
 from repro.obs import EventBus, JobObservability, JsonlEventWriter, ProgressTracker
 from repro.service import plancache
 from repro.service.api import DONE, FAILED, EngineProcessError, QueryRequest
@@ -109,7 +117,7 @@ class EngineConfig(NamedTuple):
 
 
 class Run(NamedTuple):
-    """Service to process: run one job."""
+    """Service to process: run one job, or one part of it."""
 
     job_id: str
     request: QueryRequest
@@ -117,6 +125,8 @@ class Run(NamedTuple):
     plan: SIDRPlan | None = None
     #: An array session's data.
     array: np.ndarray | None = None
+    #: The part to run; ``None`` runs the whole job.
+    part: Part | None = None
 
 
 class Need(NamedTuple):
@@ -130,7 +140,8 @@ class Outcome(NamedTuple):
     """Process to service: how a job ended."""
 
     state: str
-    #: ``done``: the packed block's bytes and their digest.
+    #: ``done``: the packed block's bytes and, for a whole job, their
+    #: digest.
     block: bytes | None = None
     digest: str | None = None
     counters: dict[str, int] | None = None
@@ -152,15 +163,17 @@ def run_job(
     plan: SIDRPlan,
     config: EngineConfig,
     *,
+    part: Part | None = None,
     watch: Callable[[ProgressTracker], None] | None = None,
 ) -> Outcome:
-    """One served job's whole engine run, the one function an engine
-    process runs: configure the job from the cached plan, run it in the
-    request's :func:`execution_mode`, pack and hash its output.
+    """One served job's engine run, the one function an engine process
+    runs: configure the job from the cached plan, run it — or its
+    ``part`` — in the request's :func:`execution_mode`, and pack its
+    output; a whole job's is hashed too.
 
     ``source`` is what the job reads (``DatasetSession.engine_source``);
-    ``watch`` is handed the job's progress tracker before the run
-    starts.  Errors come back as a ``failed`` outcome, never raised.
+    ``watch`` is handed the run's progress tracker before it starts.
+    Errors come back as a ``failed`` outcome, never raised.
     """
     writer = None
     tracker = None
@@ -176,7 +189,10 @@ def run_job(
         # read the bus's record, so neither listens.  No phases, spans
         # or metrics registry: the counters are the engine's
         # finish-time reading of the same record.
-        bus = EventBus(job=job_id)
+        bus = EventBus(
+            job=job_id,
+            part=None if part is None else (part.reduces.start, part.reduces.stop),
+        )
         obs = JobObservability(job_conf.name, enabled=False, bus=bus)
         tracker = ProgressTracker(bus)
         if watch is not None:
@@ -196,9 +212,13 @@ def run_job(
         res = engine.run(
             job_conf, barrier,
             mode=execution_mode(request.engine, request.speculate), obs=obs,
+            part=part,
         )
         run_seconds = time.perf_counter() - t0
-        digest, block = digest_and_block(res.all_records())
+        if part is None:
+            digest, block = digest_and_block(res.all_records())
+        else:
+            digest, block = None, res.all_records().packed()
         outcome = Outcome(
             DONE,
             block=block.to_bytes(),
@@ -208,7 +228,7 @@ def run_job(
             run_seconds=run_seconds,
         )
     except Exception as exc:  # a bug must not take the process down
-        outcome = _failed(exc)
+        outcome = failed_outcome(exc)
     finally:
         if writer is not None:
             writer.close()
@@ -218,7 +238,8 @@ def run_job(
     )
 
 
-def _failed(exc: Exception) -> Outcome:
+def failed_outcome(exc: Exception) -> Outcome:
+    """``exc`` as a ``failed`` outcome, typed."""
     return Outcome(
         FAILED, error=f"{type(exc).__name__}: {exc}", error_types=failure_types(exc)
     )
@@ -289,14 +310,17 @@ def _handle(
         try:
             source = resident.file_source(ref)
         except (ReproError, OSError) as exc:  # fails the job, not the process
-            return _failed(exc)
+            return failed_outcome(exc)
     elif message.array is not None:
         source = message.array
     else:
         source = resident.get(array_key)
     if plan is None or source is None:
         return Need(plan=plan is None, array=source is None)
-    return run_job(message.job_id, request, source, plan, config, watch=watch)
+    return run_job(
+        message.job_id, request, source, plan, config,
+        part=message.part, watch=watch,
+    )
 
 
 def _sever_inherited_sockets(keep: set[int]) -> None:
@@ -342,7 +366,8 @@ def _answer_progress(control: Connection, running: dict[str, ProgressTracker]) -
 
 def _serve(jobs: Connection, control: Connection, config: EngineConfig) -> None:
     """An engine process's main loop: one :class:`Run` in, one answer
-    out, until the service sends ``None`` or goes away."""
+    out, until the service sends ``None`` or goes away.  A process runs
+    at most one part of a job, so the job id names what it runs."""
     # Ctrl-C reaches the whole process group; the service stops us.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _sever_inherited_sockets({jobs.fileno(), control.fileno()})
@@ -380,9 +405,13 @@ class EngineProcess:
         self._config = config
         self._control_lock = threading.Lock()
         self._seq = itertools.count()
-        #: Jobs sent, and processes started in place of a dead one.
+        #: Jobs and job parts sent, and processes started in place of a
+        #: dead one.
         self.jobs = 0
         self.restarts = 0
+        #: The last :meth:`send`'s message, plan and session, for a
+        #: :class:`Need`.
+        self._sent: tuple[Run, SIDRPlan, DatasetSession] | None = None
         self._start()
 
     def _start(self) -> None:
@@ -403,30 +432,53 @@ class EngineProcess:
         child_control.close()
         self.pid = self._process.pid
 
-    def run(
+    def send(
         self, job_id: str, request: QueryRequest, session: DatasetSession,
-        plan: SIDRPlan,
-    ) -> Outcome:
-        """Run one job in the process; :class:`EngineProcessError` if
-        the process dies first."""
+        plan: SIDRPlan, part: Part | None = None,
+    ) -> None:
+        """Start one job, or one ``part`` of it, in the process;
+        :meth:`receive` reads its answer.  :class:`EngineProcessError`
+        if the process is gone."""
         if not self._process.is_alive():  # it died between jobs
             self.respawn()
         self.jobs += 1
-        message = Run(job_id, request, session.ref())
+        message = Run(job_id, request, session.ref(), part=part)
+        self._sent = (message, plan, session)
         try:
             self._jobs.send(message)
+        except OSError:
+            raise self._died() from None
+
+    def receive(self) -> Outcome | None:
+        """The answer to the last :meth:`send`, once
+        :attr:`connection` is readable: its :class:`Outcome`, or
+        ``None`` when the process asked for the plan or data and was
+        sent them (read again).  :class:`EngineProcessError` if the
+        process died first."""
+        try:
             answer = self._jobs.recv()
             if isinstance(answer, Need):
+                assert self._sent is not None
+                message, plan, session = self._sent
                 self._jobs.send(message._replace(
                     plan=plan if answer.plan else None,
                     array=session.array if answer.array else None,
                 ))
-                answer = self._jobs.recv()
+                return None
         except (EOFError, OSError):
-            raise EngineProcessError(
-                f"engine process {self.pid} {self._exit_reason()}"
-            ) from None
+            raise self._died() from None
         return answer
+
+    @property
+    def connection(self) -> Connection:
+        """The service's end of the job pipe, for
+        :func:`multiprocessing.connection.wait`."""
+        return self._jobs
+
+    def _died(self) -> EngineProcessError:
+        return EngineProcessError(
+            f"engine process {self.pid} {self._exit_reason()}"
+        )
 
     def _exit_reason(self) -> str:
         self._process.join(STOP_TIMEOUT)
@@ -488,14 +540,104 @@ class EngineProcess:
 
 class RemoteProgress:
     """A running job's ``progress`` as :class:`ServiceJob` holds it: a
-    :meth:`snapshot` that asks the job's engine process."""
+    :meth:`snapshot` that asks the engine process of each of the job's
+    parts still running — a part that ended left its last snapshot
+    (:meth:`ended`) — and merges the answers under the whole job's task
+    totals (:func:`merge_progress`)."""
 
-    def __init__(self, engine: EngineProcess, job_id: str) -> None:
-        self._engine = engine
+    def __init__(
+        self,
+        engines: list[EngineProcess],
+        job_id: str,
+        maps: int,
+        reduces: int,
+    ) -> None:
+        self._engines = engines
         self._job_id = job_id
+        self._totals = maps, reduces
+        self._last: list[dict[str, Any] | None] = [None] * len(engines)
+
+    def ended(self, part: int, progress: dict[str, Any] | None) -> None:
+        """Part ``part`` ended with ``progress``: its engine may run
+        something else now."""
+        self._last[part] = progress
 
     def snapshot(self) -> dict[str, Any] | None:
-        return self._engine.progress(self._job_id)
+        docs = [
+            engine.progress(self._job_id) if last is None else last
+            for engine, last in zip(self._engines, self._last)
+        ]
+        if len(docs) == 1:
+            return docs[0]
+        return merge_progress(docs, *self._totals)
+
+
+def merge_progress(
+    docs: list[dict[str, Any] | None], maps: int, reduces: int
+) -> dict[str, Any] | None:
+    """One progress document of a job run in parts, from the parts'
+    :meth:`ProgressTracker.snapshot` documents (``None``: a part that
+    did not answer), with ``maps`` and ``reduces`` the whole job's task
+    counts.
+    Counts add up; the job is ``done`` when every part is, ``failed``
+    when one is, and running until then."""
+    docs = [d for d in docs if d is not None]
+    if not docs:
+        return None
+    states = {d["state"] for d in docs}
+    if states == {"done"}:
+        state = "done"
+    elif "failed" in states:
+        state = "failed"
+    elif states == {"pending"}:
+        state = "pending"
+    else:
+        state = "running"
+
+    def total(section: str, field: str) -> int:
+        return sum(d[section][field] for d in docs)
+
+    maps_done, reduces_done = total("maps", "done"), total("reduces", "done")
+    fired = total("reduces", "fired")
+    m = maps_done / maps if maps else 0.0
+    rd = reduces_done / reduces if reduces else 0.0
+    etas = [d["eta"] for d in docs if d["eta"] is not None]
+    # Each part's curve point is one more of its reduces done.
+    times = sorted(t for d in docs for t, _ in d["reduce_curve"])
+    return {
+        "job": docs[0]["job"],
+        "state": state,
+        "elapsed": max(d["elapsed"] for d in docs),
+        "eta": max(etas) if etas else None,
+        "progress": round((m + rd) / 2.0, 6),
+        "maps": {
+            "total": maps,
+            "done": maps_done,
+            "inflight": total("maps", "inflight"),
+            "fraction": round(m, 6),
+        },
+        "reduces": {
+            "total": reduces,
+            "fired": fired,
+            "done": reduces_done,
+            "inflight": total("reduces", "inflight"),
+            "fraction_fired": round(fired / reduces if reduces else 0.0, 6),
+            "fraction": round(rd, 6),
+        },
+        "tasks_inflight": sum(d["tasks_inflight"] for d in docs),
+        "attempts": {
+            "retries": total("attempts", "retries"),
+            "failures": total("attempts", "failures"),
+        },
+        "stragglers": sorted(
+            (s for d in docs for s in d["stragglers"]),
+            key=lambda s: (s["kind"], s["index"]),
+        ),
+        "reduce_curve": [
+            [t, round((i + 1) / reduces, 6)] for i, t in enumerate(times)
+        ],
+        "events": {"published": sum(d["events"]["published"] for d in docs)},
+    }
 
 
 def _widen(conn: Connection) -> None:

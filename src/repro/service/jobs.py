@@ -8,6 +8,11 @@ service costs nothing; each hands one job at a time to the runner with
 its own index, which the service maps to the worker's engine process
 (:mod:`repro.service.engine_process`), where the job runs.
 
+A runner may :meth:`JobQueue.lend` the idle workers while no job is
+queued: a lent worker takes no job until it is given back
+(:meth:`JobQueue.give_back`), and its engine process runs a part of the
+borrowing worker's job meanwhile.  When to ask is the service's rule.
+
 ``pause()``/``resume()`` exist for the deterministic concurrency
 harness: tests pause the queue, submit a batch (fixing the admission
 order), then resume — dispatch order is then a pure function of the
@@ -82,6 +87,11 @@ class ServiceJob:
         self.plan_seconds: float | None = None
         self.run_seconds: float | None = None
         self.counters: dict[str, int] = {}
+        #: Parts the job ran in (``SIDRPlan.parts``), once dispatched.
+        self.parts: int | None = None
+        #: Another job was queued or running at some point of this
+        #: one's life (the service's lending rule reads it).
+        self.shared = False
         #: Live progress: while the job runs, an object whose
         #: ``snapshot()`` reads it (``status()`` embeds the snapshot,
         #: when there is one); the last snapshot alone once it has
@@ -168,6 +178,7 @@ class ServiceJob:
                 "plan_cache_hit": self.plan_cache_hit,
                 "plan_seconds": self.plan_seconds,
                 "run_seconds": self.run_seconds,
+                "parts": self.parts,
             }
             if self.error is not None:
                 doc["error"] = self.error
@@ -205,6 +216,9 @@ class JobQueue:
         self._shutdown = False
         self._running = 0
         self._dispatched = 0
+        #: Workers running a job, and workers lent to one.
+        self._busy: set[int] = set()
+        self._lent: set[int] = set()
         #: Dispatch order of the last ``RECENT_JOBS`` jobs, for tests.
         self._recent: deque[str] = deque(maxlen=RECENT_JOBS)
         self._threads = [
@@ -225,7 +239,8 @@ class JobQueue:
             heapq.heappush(
                 self._heap, (-job.request.priority, next(self._tick), job)
             )
-            self._cond.notify()
+            # Every waiter: a lent worker wakes to wait again.
+            self._cond.notify_all()
 
     def cancel(self, job: ServiceJob) -> bool:
         """Cancel a queued job.  Returns False once it is running or
@@ -236,6 +251,25 @@ class JobQueue:
                 return False
             job.cancel_requested = True
         return True
+
+    def lend(self) -> list[int]:
+        """Every idle worker, lent until :meth:`give_back`: none while a
+        job is queued (an idle worker is about to take it)."""
+        with self._cond:
+            if self._heap:
+                return []
+            idle = [
+                i for i in range(len(self._threads))
+                if i not in self._busy and i not in self._lent
+            ]
+            self._lent.update(idle)
+            return idle
+
+    def give_back(self, worker: int) -> None:
+        """A lent worker takes jobs again."""
+        with self._cond:
+            self._lent.discard(worker)
+            self._cond.notify_all()
 
     def pause(self) -> None:
         with self._cond:
@@ -250,19 +284,23 @@ class JobQueue:
     def _worker_loop(self, worker: int) -> None:
         while True:
             with self._cond:
-                while not self._shutdown and (self._paused or not self._heap):
+                while not self._shutdown and (
+                    self._paused or not self._heap or worker in self._lent
+                ):
                     self._cond.wait()
                 if self._shutdown:
                     return
                 _, _, job = heapq.heappop(self._heap)
                 self._running += 1
                 self._dispatched += 1
+                self._busy.add(worker)
                 self._recent.append(job.id)
             try:
                 self._dispatch(job, worker)
             finally:
                 with self._cond:
                     self._running -= 1
+                    self._busy.discard(worker)
                     self._cond.notify_all()
 
     def _dispatch(self, job: ServiceJob, worker: int) -> None:
@@ -321,6 +359,7 @@ class JobQueue:
                 "running": self._running,
                 "paused": self._paused,
                 "workers": len(self._threads),
+                "lent": len(self._lent),
                 "dispatched": self._dispatched,
             }
 

@@ -26,9 +26,12 @@ Routes::
     POST /shutdown           drain nothing, stop serving, exit cleanly
 
 Errors map to JSON bodies: 400 for admission/validation, 404 for
-unknown dataset/job, 408 for a result-wait timeout, 431 for a request
-line or header line over the stream reader's 64 KiB limit or more than
-``_MAX_HEADER_LINES`` header lines, 500 otherwise.
+unknown dataset/job, 408 for a result-wait timeout, 413 for a body over
+``_MAX_BODY``, 431 for a request line or header line over the stream
+reader's 64 KiB limit or more than ``_MAX_HEADER_LINES`` header lines,
+500 otherwise.  A request refused before its body was read has that
+input swallowed after the reply, so the client reads the reply, not a
+reset.
 """
 
 from __future__ import annotations
@@ -177,23 +180,25 @@ class ServiceServer:
                 return
             if not request_line:
                 return
-            try:
-                method, target, _ = request_line.decode("latin-1").split(" ", 2)
-            except ValueError:
-                await self._respond(writer, 400, {"error": "malformed request line"})
-                return
+            pieces = request_line.decode("latin-1").split(" ", 2)
             try:
                 length = int(headers.get("content-length", "0") or "0")
             except ValueError:
                 length = -1
-            if length < 0:
-                await self._respond(
-                    writer, 400, {"error": "malformed Content-Length"}
-                )
+            if len(pieces) != 3:
+                refusal = 400, {"error": "malformed request line"}
+            elif length < 0:
+                refusal = 400, {"error": "malformed Content-Length"}
+            elif length > _MAX_BODY:
+                refusal = 413, {"error": "body too large"}
+            else:
+                refusal = None
+            if refusal is not None:
+                # Any body is still unread.
+                await self._respond(writer, *refusal)
+                await _swallow_input(reader, writer)
                 return
-            if length > _MAX_BODY:
-                await self._respond(writer, 413, {"error": "body too large"})
-                return
+            method, target, _ = pieces
             body = await reader.readexactly(length) if length else b""
             status, doc = await self._route(
                 method.upper(), target, headers, body, reader

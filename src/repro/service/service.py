@@ -23,11 +23,17 @@ from scratch:
 Jobs, not tasks, are the unit of parallelism: a job runs start to finish
 in the engine process of the queue worker that popped it — the worker
 thread looks the plan up in the cache, sends the job and waits for its
-one answer — and only a request that cannot run without a second thread
+answer — and only a request that cannot run without a second thread
 gets per-job thread pools
 (:func:`~repro.service.engine_process.execution_mode`; ``docs/SERVICE.md``,
 "Execution model").  Jobs of either engine run side by side over one
 shared dataset, all on the columnar plane, each on a core of its own.
+The one exception is the **lending rule**: a job dispatched while it is
+the only job in the service, after a job that was the only one all its
+life, borrows every idle worker's engine process and runs one of its
+plan's independent keyblock ranges (:meth:`SIDRPlan.parts
+<repro.sidr.planner.SIDRPlan.parts>`) on each, at the same time; a lent
+engine goes back as soon as its part ends.
 A finished job keeps its result as one packed
 :class:`~repro.mapreduce.columnar.ResultBlock` — the bytes its engine
 process packed, which the binary result body ships as they are — and
@@ -41,7 +47,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
+from multiprocessing.connection import Connection, wait
 from typing import Any
 
 import numpy as np
@@ -52,6 +59,7 @@ from repro.mapreduce.columnar import ResultBlock
 from repro.query.language import StructuralQuery
 from repro.query.splits import aligned_slice_splits
 from repro.service.api import (
+    DONE,
     FAILED,
     AdmissionError,
     EngineProcessError,
@@ -60,7 +68,15 @@ from repro.service.api import (
     TenantState,
     UnknownJobError,
 )
-from repro.service.engine_process import EngineConfig, EngineProcess, RemoteProgress
+from repro.service.engine_process import (
+    EngineConfig,
+    EngineProcess,
+    Outcome,
+    RemoteProgress,
+    digest_and_block,
+    failed_outcome,
+    merge_progress,
+)
 from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
 from repro.service.plancache import PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
@@ -120,6 +136,11 @@ class QueryService:
             for name, quota in quotas.items():
                 self._tenants[name] = TenantState(quota=quota)
         self._jobs: dict[str, ServiceJob] = {}
+        #: The lending rule's state: jobs submitted and not finished,
+        #: and whether the job that finished last was the only one
+        #: submitted and not finished all its life (``job.shared``).
+        self._active: set[ServiceJob] = set()
+        self._alone = True
         #: The finished jobs still holding their records, oldest first;
         #: at most ``RECENT_JOBS`` of them.
         self._with_records: deque[ServiceJob] = deque()
@@ -179,6 +200,10 @@ class QueryService:
             job_id = f"j{self._seq:05d}"
             job = ServiceJob(job_id, request, self._seq)
             self._jobs[job_id] = job
+            self._active.add(job)
+            if len(self._active) > 1:
+                for other in self._active:
+                    other.shared = True
         job.on_finish = self._note_finished
         self.queue.submit(job)
         return job_id
@@ -186,6 +211,8 @@ class QueryService:
     def _note_finished(self, job: ServiceJob) -> None:
         evicted = None
         with self._lock:
+            self._active.discard(job)
+            self._alone = not job.shared
             tenant = self._tenants.get(job.request.tenant)
             if tenant is not None:
                 tenant.active -= 1
@@ -263,6 +290,9 @@ class QueryService:
             # Audit-log events lost to serialization or I/O errors.
             "event_write_errors": self._event_write_errors,
             "engines": [engine.snapshot() for engine in self._engines],
+            # The lending rule: would a job dispatched now alone borrow
+            # the idle engines?
+            "lending": self._alone,
         }
 
     def close(self) -> None:
@@ -318,32 +348,121 @@ class QueryService:
 
     def _run_job(self, job: ServiceJob, worker: int) -> None:
         req = job.request
-        engine = self._engines[worker]
         try:
             session = self.registry.get(req.dataset)
             t0 = time.perf_counter()
             plan, hit = self.plan(req, session)
             plan_seconds = time.perf_counter() - t0
-            with job.lock:
-                job.plan_cache_hit = hit
-                job.plan_seconds = plan_seconds
-                job.progress = RemoteProgress(engine, job.id)
-            out = engine.run(job.id, req, session, plan)
         except ReproError as exc:
-            if isinstance(exc, EngineProcessError) and not self._closed:
-                engine.respawn()  # before the worker's next job
             job.finish(
                 FAILED,
                 error=f"{type(exc).__name__}: {exc}",
                 error_types=failure_types(exc),
             )
             return
+        with self._lock:
+            lend = self._alone and not job.shared
+        lent = self.queue.lend() if lend else []
+        parts = plan.parts(1 + len(lent)) if lent else ()
+        kept = lent[:len(parts) - 1] if len(parts) > 1 else []
+        for spare in lent[len(kept):]:
+            self.queue.give_back(spare)
+        workers = [worker, *kept]
+        engines = [self._engines[w] for w in workers]
+        progress = RemoteProgress(
+            engines, job.id, len(plan.splits), plan.num_reduce_tasks
+        )
+        with job.lock:
+            job.plan_cache_hit = hit
+            job.plan_seconds = plan_seconds
+            job.parts = len(engines)
+            job.progress = progress
+        outcomes: list[Outcome | None] = [None] * len(engines)
+        waiting: dict[Connection, int] = {}
+
+        def ended(i: int, out: Outcome) -> None:
+            outcomes[i] = out
+            progress.ended(i, out.progress)
+            if i:  # a lent engine goes back as soon as its part ends
+                self.queue.give_back(workers[i])
+
+        try:
+            for i, engine in enumerate(engines):
+                try:
+                    part = parts[i] if kept else None
+                    engine.send(job.id, req, session, plan, part)
+                except EngineProcessError as exc:
+                    ended(i, self._lost(engine, exc))
+                else:
+                    waiting[engine.connection] = i
+            while waiting:
+                for conn in wait(list(waiting)):
+                    i = waiting[conn]
+                    try:
+                        out = engines[i].receive()
+                    except EngineProcessError as exc:
+                        out = self._lost(engines[i], exc)
+                    if out is not None:
+                        del waiting[conn]
+                        ended(i, out)
+        finally:
+            # An error of the service's own left parts unanswered: their
+            # processes are replaced, so that no stale answer meets a
+            # later job, and every lent worker goes back.
+            for i in waiting.values():
+                engines[i].respawn()
+            for i in range(1, len(engines)):
+                if outcomes[i] is None:
+                    self.queue.give_back(workers[i])
+        self._finish(job, plan, outcomes)
+
+    def _lost(self, engine: EngineProcess, exc: EngineProcessError) -> Outcome:
+        """A part whose engine process died: replaced before it runs
+        anything else, lent or not, and the part failed typed."""
+        if not self._closed:
+            engine.respawn()
+        return failed_outcome(exc)
+
+    def _finish(
+        self, job: ServiceJob, plan: SIDRPlan, outcomes: list[Outcome]
+    ) -> None:
+        """End ``job`` from its parts' outcomes, in keyblock order.  One
+        part's is the job's.  Of several, the first that failed fails
+        the job; else their blocks laid end to end are its block,
+        digested here, once — the bytes of a one-part run.  Counters
+        add up, and ``run_seconds`` is the longest part's."""
+        if len(outcomes) == 1:
+            out = outcomes[0]
+            records = None if out.block is None else ResultBlock.from_packed(out.block)
+        else:
+            progress = merge_progress(
+                [o.progress for o in outcomes],
+                len(plan.splits), plan.num_reduce_tasks,
+            )
+            write_errors = sum(o.event_write_errors for o in outcomes)
+            out = next((o for o in outcomes if o.state != DONE), None)
+            records = None
+            if out is None:
+                digest, records = digest_and_block(ResultBlock.concatenate(
+                    [ResultBlock.from_packed(o.block) for o in outcomes]
+                ))
+                counters: Counter[str] = Counter()
+                for o in outcomes:
+                    counters.update(o.counters or {})
+                out = Outcome(
+                    DONE,
+                    digest=digest,
+                    counters=dict(counters),
+                    partial=any(o.partial for o in outcomes),
+                    run_seconds=max(o.run_seconds or 0.0 for o in outcomes),
+                )
+            out = out._replace(progress=progress, event_write_errors=write_errors)
         if out.event_write_errors:
             with self._lock:
                 self._event_write_errors += out.event_write_errors
         job.finish(
             out.state,
-            records=None if out.block is None else ResultBlock.from_packed(out.block),
+            records=records,
             digest=out.digest,
             partial=out.partial,
             run_seconds=out.run_seconds,

@@ -28,7 +28,7 @@ import numpy as np
 from repro.arrays.slab import Slab
 from repro.errors import FormatError, JobConfigError, PartitionError
 from repro.mapreduce.columnar import ReducePlan, reduce_plan
-from repro.mapreduce.engine import DependencyBarrier
+from repro.mapreduce.engine import DependencyBarrier, Part
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
 from repro.mapreduce.partitioner import RangePartitioner
@@ -71,6 +71,8 @@ class SIDRPlan:
         object.__setattr__(self, "_geometry", {})
         #: Keyblock -> its :class:`ReducePlan` or None, filled on first use.
         object.__setattr__(self, "_reduce", {})
+        #: Part count asked for -> :meth:`parts`' answer, filled on first use.
+        object.__setattr__(self, "_parts", {})
 
     # ------------------------------------------------------------------ #
     # Engine-facing pieces
@@ -154,6 +156,83 @@ class SIDRPlan:
         return sum(g.nbytes for g in list(self._geometry.values())) + sum(
             a.nbytes for p in list(self._reduce.values()) if p is not None
             for a in (p.keys, p.rows) if a is not None
+        )
+
+    # ------------------------------------------------------------------ #
+    # Independent keyblock ranges
+    # ------------------------------------------------------------------ #
+    def parts(self, k: int) -> tuple[Part, ...]:
+        """This plan cut into at most ``k`` independent parts (:class:`Part`):
+        contiguous keyblock ranges whose input sets share no map, so each
+        runs as a job of its own and their outputs, laid end to end in
+        keyblock order, are the whole job's.
+
+        A cut between keyblocks ℓ and ℓ+1 is legal when I_0 ∪ … ∪ I_ℓ
+        and I_ℓ+1 ∪ … are disjoint, and every part reads at least one
+        map.  Of the legal cuts, at most ``k`` − 1 are taken that
+        minimise the largest part's input cells — the fewest cuts, then
+        the earliest, among equal maxima.  A map no keyblock reads runs
+        in part 0.  ``parts(1)`` is the whole plan; each answer is
+        computed once per plan."""
+        got = self._parts.get(k)
+        if got is None:
+            got = self._parts[k] = self._cut(max(1, k))
+        return got
+
+    def _cut(self, k: int) -> tuple[Part, ...]:
+        deps = self.deps.dependencies
+        n = len(deps)
+        cells = [split.cells for split in self.splits]
+        orphans = set(range(len(cells))).difference(*deps)
+        # Boundary b is legal when the maps left of it and right of it
+        # are disjoint; 0 and n always are.
+        left: list[frozenset[int]] = [frozenset()]
+        for block in deps:
+            left.append(left[-1] | block)
+        right: list[frozenset[int]] = [frozenset()]
+        for block in reversed(deps):
+            right.append(right[-1] | block)
+        right.reverse()
+        bounds = [b for b in range(n + 1) if not left[b] & right[b]]
+
+        def reads(a: int, b: int) -> frozenset[int]:
+            got = left[b] - left[a]
+            return got | orphans if a == 0 else got
+
+        inf = float("inf")
+
+        def cost(a: int, b: int) -> float:
+            if not left[b] - left[a]:
+                return inf  # a part that reads nothing is not made
+            return sum(cells[m] for m in reads(a, b))
+
+        # best[j][b]: the least largest part over [0, b) in j parts, and
+        # the boundary the last part starts at.
+        best: list[dict[int, tuple[float, int]]] = [{0: (0.0, -1)}]
+        for _ in range(min(k, len(bounds) - 1)):
+            prev, row = best[-1], {}
+            for b in bounds:
+                for a in bounds:
+                    if a >= b or a not in prev:
+                        continue
+                    worst = max(prev[a][0], cost(a, b))
+                    if worst < row.get(b, (inf,))[0]:
+                        row[b] = (worst, a)
+            best.append(row)
+        worst, j = min(
+            ((best[j][n][0], j) for j in range(1, len(best)) if n in best[j]),
+            default=(inf, 1),
+        )
+        cuts = [n]
+        if worst < inf:
+            for row in reversed(best[1:j + 1]):
+                cuts.append(row[cuts[-1]][1])
+        else:
+            cuts.append(0)
+        cuts.reverse()
+        return tuple(
+            Part(i, range(a, b), tuple(sorted(reads(a, b))))
+            for i, (a, b) in enumerate(zip(cuts, cuts[1:]))
         )
 
     # ------------------------------------------------------------------ #

@@ -136,12 +136,13 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     The service cuts its own splits — on extraction-unit boundaries,
     whatever the case's :attr:`~FuzzCase.aligned` says — so this leg
     runs the serving split function on every case.  A fresh
-    single-worker :class:`~repro.service.QueryService` per leg:
-    the case data registered as an array session (with a zone map at the
-    case's tile for the pruning legs), submitted via the in-process
-    client path, and the *served* digest folded into the differential
-    ladder.  Expected-failure cases must come back ``failed`` here too.
-    The job's block also crosses the wire codec, and the leg reads
+    two-worker :class:`~repro.service.QueryService` per leg, whose one
+    job runs alone and so in parts wherever its plan cuts
+    (``SIDRPlan.parts``): the case data registered as an array session
+    (with a zone map at the case's tile for the pruning legs), submitted
+    via the in-process client path, and the *served* digest folded into
+    the differential ladder.  Expected-failure cases must come back
+    ``failed`` here too.  The job's block also crosses the wire codec, and the leg reads
     ``diverged`` unless the served digest is the SHA-256 of the bytes
     ``/result`` ships and — the service keeps nothing but those bytes,
     so the oracle's list is the reference — a digest equal to the
@@ -152,7 +153,7 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     from repro.service.api import DONE
 
     plan, data = case.build()
-    service = QueryService(workers=1, map_workers=2, reduce_workers=2)
+    service = QueryService(workers=2, map_workers=2, reduce_workers=2)
     try:
         service.register_array(
             "fuzz", "v", data, tile=case.tile, with_zone_map=prune
@@ -196,11 +197,12 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
                 status = "diverged"
         return ConfigOutcome(
             "service", plane, status, (), digest, prune,
-            *_reduce_paths(counters.get),
+            *_reduce_paths(counters.get), parts=doc["parts"],
         )
     return ConfigOutcome(
         "service", plane, "failed",
         tuple(doc.get("error_types") or ()), None, prune,
+        parts=doc["parts"] or 1,
     )
 
 
@@ -232,6 +234,8 @@ class ConfigOutcome:
     #: Columnar reduce attempts that took the planned / generic body.
     planned_reduces: int = 0
     generic_reduces: int = 0
+    #: The parts a service leg's job ran in.
+    parts: int = 1
 
     @property
     def config(self) -> str:
@@ -484,6 +488,8 @@ class FuzzReport:
     #: Columnar reduce attempts by leg ("engine" / "service") and body
     #: ("planned" / "generic"), e.g. ``reduces["engine", "planned"]``.
     reduces: dict[tuple[str, str], int] = field(default_factory=dict)
+    #: Cases whose service leg (either one) ran its job in parts.
+    split_cases: int = 0
 
     @property
     def ok(self) -> bool:
@@ -510,6 +516,7 @@ class FuzzReport:
                 f"{self.reduces.get((leg, 'generic'), 0)} generic"
                 for leg in ("engine", "service")
             )
+            + f"; service cases in parts: {self.split_cases}"
         )
 
 
@@ -533,6 +540,7 @@ def fuzz(
     divergent = 0
     listener_errors = 0
     aligned_cases = 0
+    split_cases = 0
     reduces: Counter[tuple[str, str]] = Counter()
     for i in range(num_cases):
         case = generate_case(i, seed, operators=operators)
@@ -542,6 +550,7 @@ def fuzz(
             leg = "service" if o.mode == "service" else "engine"
             reduces[leg, "planned"] += o.planned_reduces
             reduces[leg, "generic"] += o.generic_reduces
+        split_cases += any(o.parts > 1 for o in result.outcomes)
 
         exploration: ExplorationReport | None = None
         if schedules > 0:
@@ -582,4 +591,5 @@ def fuzz(
         listener_errors=listener_errors,
         aligned_cases=aligned_cases,
         reduces=dict(reduces),
+        split_cases=split_cases,
     )

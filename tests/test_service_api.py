@@ -482,6 +482,11 @@ class TestHttpServer:
                 bound["addr"] = await server.start()
                 started.set()
                 await server.serve_until_shutdown()
+                # Let connections still lingering over a refused
+                # request's input end before the loop closes.
+                others = asyncio.all_tasks() - {asyncio.current_task()}
+                if others:
+                    await asyncio.wait(others, timeout=5)
 
             loop.run_until_complete(main())
             loop.close()
@@ -699,6 +704,40 @@ class TestHttpServer:
         assert status_line == b"HTTP/1.1 431 Request Header Fields Too Large"
         assert "too large" in json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
         assert not [r for r in caplog.records if r.name == "asyncio"]
+
+    @pytest.mark.parametrize(
+        "head, status, error",
+        [
+            (b"POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+             % (9 << 20), 413, "body too large"),
+            (b"BOGUS\r\nContent-Length: %d\r\n\r\n" % (9 << 20),
+             400, "malformed request line"),
+            (b"POST /query HTTP/1.1\r\nContent-Length: 9e6\r\n\r\n",
+             400, "malformed Content-Length"),
+        ],
+        ids=["body-too-large", "request-line", "content-length"],
+    )
+    def test_a_refusal_with_a_body_is_answered_not_reset(
+        self, live_server, head, status, error
+    ):
+        """Regression: a refused request's body was left unread, and
+        closing a socket with unread input resets the connection — a
+        9 MiB ``POST /query`` read ``ConnectionResetError`` instead of
+        its 413.  The server swallows the rest after every refusal.
+        1 MiB of body is sent: enough to be left unread at the close."""
+        import json
+        import socket
+
+        client, *_ = live_server
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(head + b"x" * (1 << 20))
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        status_line, _, rest = raw.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 %d " % status)
+        assert error in json.loads(rest.partition(b"\r\n\r\n")[2])["error"]
+        assert client.healthz()["ok"] is True  # and it keeps serving
 
     def test_bad_result_timeout_is_a_400(self, live_server):
         client, service, path, data = live_server

@@ -564,6 +564,9 @@ class TestServiceLeg:
         assert [(o.planned_reduces, o.generic_reduces) for o in served] == [
             (base_case("mean").reduces, 0)
         ]
+        # The leg's one job ran alone on a two-worker service: one part
+        # per keyblock, each reading its own map.
+        assert [o.parts for o in served] == [2]
 
         crash = run_case(base_case(
             "sum",
@@ -578,6 +581,15 @@ class TestServiceLeg:
         assert pruned.ok, pruned.mismatch
         assert any(
             o.mode == "service" and o.prune for o in pruned.outcomes
+        )
+
+    def test_summary_counts_the_service_cases_run_in_parts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY_ENGINES", "service")
+        report = fuzz(6, seed=0, schedules=0)
+        assert report.ok, report.summary()
+        assert 0 < report.split_cases <= 6
+        assert report.summary().endswith(
+            f"; service cases in parts: {report.split_cases}"
         )
 
     def test_shrinker_preserves_the_service_path(self, monkeypatch):
@@ -609,20 +621,26 @@ class TestServiceLeg:
     def test_a_lossy_wire_codec_reads_as_diverged(self, monkeypatch):
         """The service legs decode the job's block from its bytes: a
         codec that drops a row fails the case although the served digest
-        is right."""
+        is right.  A job run in parts decodes its parts' bytes to
+        assemble its block, so there the digest itself is wrong."""
         from repro.mapreduce.columnar import ResultBlock
 
         monkeypatch.setenv("REPRO_VERIFY_ENGINES", "service")
-        assert run_case(base_case("mean")).ok
+        whole, split = base_case("mean", reduces=1), base_case("mean")
+        assert run_case(whole).ok and run_case(split).ok
         real = ResultBlock.from_bytes.__func__
         monkeypatch.setattr(
             ResultBlock, "from_bytes",
             classmethod(lambda cls, data: real(cls, data)[:-1]),
         )
-        result = run_case(base_case("mean"))
+        result = run_case(whole)
         assert not result.ok
         assert {o.status for o in result.outcomes} == {"diverged"}
         assert all(o.digest == result.oracle_digest for o in result.outcomes)
+        result = run_case(split)
+        assert not result.ok
+        assert [o.parts for o in result.outcomes] == [2]
+        assert all(o.digest != result.oracle_digest for o in result.outcomes)
 
     def test_a_lossy_byte_form_reads_as_diverged_in_every_leg(self, monkeypatch):
         """The twin: a ``to_bytes`` that loses the value column.  The
