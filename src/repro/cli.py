@@ -171,6 +171,7 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
     job_id = client.submit(request)
     print(f"# submitted as {job_id} to {args.server}", file=sys.stderr)
     doc = client.result(job_id, timeout=600.0)
+    client.close()
     if doc["state"] != "done":
         print(
             f"error: job {job_id} {doc['state']}: {doc.get('error')}",

@@ -577,23 +577,54 @@ class ResultBlock(Sequence):
     def concatenate(cls, blocks: Sequence["ResultBlock"]) -> "ResultBlock":
         """All rows of ``blocks`` in key order: laid end to end, and
         sorted only when that is not already key order.  Each block is
-        in key order, so only the seams between blocks are compared."""
+        in key order, so only the seams between blocks are compared.
+        Packed float64 blocks in key order are spliced
+        (:meth:`_splice`): their bytes are the result's, no array is
+        rebuilt."""
         blocks = [b for b in blocks if len(b)]
         if not blocks:
             return cls.empty()
         if len(blocks) == 1:
             return blocks[0]
+        seams = all(
+            a.key_rows[-1].tolist() <= b.key_rows[0].tolist()
+            for a, b in zip(blocks, blocks[1:])
+        )
+        if seams and all(b._packed is not None for b in blocks):
+            spliced = cls._splice(blocks)
+            if spliced is not None:
+                return spliced
         keys = np.concatenate([b.key_rows for b in blocks])
         if all(isinstance(b.values, np.ndarray) for b in blocks):
             values = np.concatenate([b.values for b in blocks])
         else:
             values = [v for b in blocks for v in b.value_list()]
         block = cls(keys, values)
-        seams = all(
-            a.key_rows[-1].tolist() <= b.key_rows[0].tolist()
-            for a, b in zip(blocks, blocks[1:])
-        )
         return block if seams else block._in_key_order()
+
+    @classmethod
+    def _splice(cls, blocks: list["ResultBlock"]) -> "ResultBlock | None":
+        """The packed block of ``blocks`` laid end to end — packed
+        float64 blocks of one rank, in key order across their seams —
+        built from their buffers alone: a header, every block's key
+        column, then every block's value column, in one join.  The
+        bytes are :meth:`to_bytes` of the concatenated rows (each part's
+        NaNs are already the one quiet NaN).  ``None`` for any other
+        input (a JSON column, mixed ranks)."""
+        rank = blocks[0].key_rows.shape[1]
+        if any(
+            b._packed[4] != _FLOAT64 or b.key_rows.shape[1] != rank  # value tag
+            for b in blocks
+        ):
+            return None
+        n = sum(len(b) for b in blocks)
+        views = [memoryview(b._packed) for b in blocks]
+        ends = [_BLOCK_HEADER.size + len(b) * rank * 8 for b in blocks]
+        return cls.from_packed(b"".join([
+            _BLOCK_HEADER.pack(_BLOCK_MAGIC, _FLOAT64, rank, n, n * 8),
+            *(view[_BLOCK_HEADER.size:end] for view, end in zip(views, ends)),
+            *(view[end:] for view, end in zip(views, ends)),
+        ]))
 
     def _in_key_order(self) -> "ResultBlock":
         if lexsorted_rows(self.key_rows):
@@ -701,7 +732,10 @@ class ResultBlock(Sequence):
         returns that buffer as is.  A list column written as JSON is kept
         as it is, beside key rows viewing the buffer: it is canonical by
         construction (class docstring), so parsing the JSON back would
-        only rebuild an equal list."""
+        only rebuild an equal list.  A block that is packed already is
+        returned as it is."""
+        if self._packed is not None:
+            return self
         data = self.to_bytes()
         if isinstance(self.values, list) and data[4] == _JSON:  # value tag
             n, rank = self.key_rows.shape

@@ -84,7 +84,9 @@ def digest_and_block(out: ResultBlock) -> tuple[str, ResultBlock]:
     """A served job's output (:meth:`JobResult.all_records`) as what
     the service keeps of it: one packed block and the oracle-grade
     digest, the SHA-256 of that block's buffer — pack, then hash what
-    was packed.  The block is never turned into records."""
+    was packed.  The block is never turned into records; a split job's
+    parts spliced by :meth:`ResultBlock.concatenate` are packed
+    already, so they are only hashed."""
     block = out.packed()
     return records_digest(block), block
 

@@ -428,8 +428,9 @@ class QueryService:
     ) -> None:
         """End ``job`` from its parts' outcomes, in keyblock order.  One
         part's is the job's.  Of several, the first that failed fails
-        the job; else their blocks laid end to end are its block,
-        digested here, once — the bytes of a one-part run.  Counters
+        the job; else their blocks laid end to end — their bytes
+        spliced, not repacked (:meth:`ResultBlock.concatenate`) — are
+        its block, digested here, once: the bytes of a one-part run.  Counters
         add up, and ``run_seconds`` is the longest part's."""
         if len(outcomes) == 1:
             out = outcomes[0]

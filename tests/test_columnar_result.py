@@ -307,6 +307,86 @@ class TestByteForm:
                 decode_result_body(damaged)
 
 
+#: Float64 bit patterns the splice must carry: NaNs with payloads and
+#: either sign (a packed block holds the one quiet NaN), and -0.0.
+_SPECIAL_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0x8000000000000000]
+
+
+@st.composite
+def float_splits(draw):
+    """A float64 block in key order (rank 1-4, NaN payloads, -0.0) and
+    its rows cut into 2-5 contiguous, non-empty parts."""
+    rank = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.integers(-(2**40), 2**40)] * rank),
+            min_size=2, max_size=24, unique=True,
+        )
+    )
+    keys = np.asarray(sorted(rows), dtype=np.int64).reshape(len(rows), rank)
+    values = np.asarray(draw(st.lists(
+        st.one_of(_FLOATS, st.sampled_from(_SPECIAL_BITS).map(
+            lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()
+        )),
+        min_size=len(rows), max_size=len(rows),
+    )), dtype=np.float64)
+    cuts = sorted(draw(st.sets(
+        st.integers(1, len(rows) - 1), min_size=1, max_size=min(4, len(rows) - 1)
+    )))
+    bounds = [0, *cuts, len(rows)]
+    block = ResultBlock(keys, values)
+    return block, [block[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestSplice:
+    """A split job's block is its parts' packed bytes spliced: byte for
+    byte what concatenating the unpacked parts and packing would give,
+    and only hashed after (:func:`digest_and_block`)."""
+
+    @given(float_splits())
+    def test_spliced_parts_are_the_repacked_concatenation(self, split):
+        whole, parts = split
+        spliced = ResultBlock.concatenate([part.packed() for part in parts])
+        assert spliced._packed is not None  # no array was rebuilt
+        repacked = ResultBlock.concatenate(parts).packed()
+        assert spliced.to_bytes() == repacked.to_bytes() == whole.to_bytes()
+        assert repr(spliced.canonical_records()) == repr(whole.canonical_records())
+        digest, block = digest_and_block(spliced)
+        assert block is spliced
+        assert digest == hashlib.sha256(whole.to_bytes()).hexdigest()
+
+    @given(float_splits(), st.randoms(use_true_random=False))
+    def test_out_of_order_seams_take_the_sorting_path(self, split, rng):
+        whole, parts = split
+        order = list(range(len(parts)))
+        while order == sorted(order):
+            rng.shuffle(order)
+        shuffled = [parts[i] for i in order]
+        joined = ResultBlock.concatenate([part.packed() for part in shuffled])
+        assert joined._packed is None
+        assert (
+            joined.packed().to_bytes()
+            == ResultBlock.concatenate(shuffled).packed().to_bytes()
+            == whole.to_bytes()
+        )
+
+    @given(float_splits(), st.data())
+    def test_a_json_tagged_part_takes_the_old_path(self, split, data):
+        whole, parts = split
+        i = data.draw(st.integers(0, len(parts) - 1))
+        listed = ResultBlock(parts[i].key_rows, [[v] for v in parts[i].value_list()])
+        parts = [*parts[:i], listed, *parts[i + 1:]]
+        packed = [part.packed() for part in parts]
+        assert packed[i].to_bytes()[4] == 1  # the JSON value tag
+        joined = ResultBlock.concatenate(packed)
+        assert joined._packed is None
+        assert (
+            joined.packed().to_bytes()
+            == ResultBlock.concatenate(parts).packed().to_bytes()
+        )
+
+
 class TestJobResult:
     def _result(self, outputs):
         return JobResult("j", outputs, Counters(), EngineTrace(), 0, 0)

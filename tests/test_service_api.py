@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -64,8 +65,8 @@ SLOW_MAP_0 = {"task": "map", "fault": "slow", "indices": [0]}
 
 
 def assert_still_serving(client, service):
-    """A well-formed query on a fresh connection completes with the
-    oracle's digest (dataset ``d`` must be open)."""
+    """A well-formed query completes with the oracle's digest (dataset
+    ``d`` must be open)."""
     req = mean_request()
     assert client.query(req)["digest"] == oracle_for_request(service, req)[1]
 
@@ -457,52 +458,63 @@ class TestInProcessService:
             assert client.result(job_id)["state"] == DONE
 
 
+@contextmanager
+def running_server(tmp_path):
+    """A ``ServiceServer`` over a two-worker service on an ephemeral
+    localhost port, its loop on a thread of its own, with dataset file
+    ``d`` written (not yet opened).  Yields ``(client, service, path,
+    data, thread)``; ``thread`` ends when the server has stopped."""
+    data = small_data(seed=3)
+    path = tmp_path / "d.nclite"
+    from repro.scidata.dataset import create_dataset
+
+    create_dataset(path, var_name="v", data=data).close()
+
+    service = QueryService(workers=2)
+    server = ServiceServer(service)
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+    bound = {}
+
+    def run():
+        asyncio.set_event_loop(loop)
+
+        async def main():
+            bound["addr"] = await server.start()
+            started.set()
+            await server.serve_until_shutdown()
+            # Let connections still lingering over a refused
+            # request's input end before the loop closes.
+            others = asyncio.all_tasks() - {asyncio.current_task()}
+            if others:
+                await asyncio.wait(others, timeout=5)
+
+        loop.run_until_complete(main())
+        loop.close()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    assert started.wait(10)
+    host, port = bound["addr"]
+    client = HttpServiceClient(f"http://{host}:{port}", timeout=30)
+    try:
+        yield client, service, str(path), data, thread
+    finally:
+        if thread.is_alive():
+            loop.call_soon_threadsafe(server.stop)
+            thread.join(timeout=10)
+        client.close()
+        service.close()
+
+
 class TestHttpServer:
     """A real server on an ephemeral localhost port, driven by the wire
     client (tier-2 by size, but fast enough for tier-1)."""
 
     @pytest.fixture()
     def live_server(self, tmp_path):
-        data = small_data(seed=3)
-        path = tmp_path / "d.nclite"
-        from repro.scidata.dataset import create_dataset
-
-        create_dataset(path, var_name="v", data=data).close()
-
-        service = QueryService(workers=2)
-        server = ServiceServer(service)
-        loop = asyncio.new_event_loop()
-        started = threading.Event()
-        bound = {}
-
-        def run():
-            asyncio.set_event_loop(loop)
-
-            async def main():
-                bound["addr"] = await server.start()
-                started.set()
-                await server.serve_until_shutdown()
-                # Let connections still lingering over a refused
-                # request's input end before the loop closes.
-                others = asyncio.all_tasks() - {asyncio.current_task()}
-                if others:
-                    await asyncio.wait(others, timeout=5)
-
-            loop.run_until_complete(main())
-            loop.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        assert started.wait(10)
-        host, port = bound["addr"]
-        client = HttpServiceClient(f"http://{host}:{port}", timeout=30)
-        try:
-            yield client, service, str(path), data
-        finally:
-            if thread.is_alive():
-                loop.call_soon_threadsafe(server.stop)
-                thread.join(timeout=10)
-            service.close()
+        with running_server(tmp_path) as (client, service, path, data, _):
+            yield client, service, path, data
 
     def test_full_lifecycle_over_the_wire(self, live_server):
         client, service, path, data = live_server
@@ -918,8 +930,8 @@ class TestHttpServer:
     def test_parked_result_waiters_hold_no_thread(self, live_server):
         """Regression: each blocked ``/result`` parked one default-
         executor thread in ``job.wait``; with as many waiters as the
-        executor has threads, ``POST /query`` (which needs one) stalled
-        until a job finished."""
+        executor has threads, ``POST /query`` (which then needed one)
+        stalled until a job finished."""
         import json
         import os
         import socket
@@ -939,8 +951,8 @@ class TestHttpServer:
                     (client.host, client.port), timeout=30
                 )
                 sock.sendall(
-                    f"GET /jobs/{job_id}/result?timeout=60 HTTP/1.1\r\n\r\n"
-                    .encode("latin-1")
+                    f"GET /jobs/{job_id}/result?timeout=60 HTTP/1.1\r\n"
+                    "Connection: close\r\n\r\n".encode("latin-1")
                 )
                 socks.append(sock)
             time.sleep(0.3)  # every waiter has reached the server
@@ -953,6 +965,7 @@ class TestHttpServer:
             assert prompt.healthz()["ok"] is True
             assert prompt.status(second)["state"] == QUEUED
             assert time.monotonic() - t0 < 5
+            prompt.close()
             assert len(job._waiters) == waiters
 
             service.queue.resume()
