@@ -56,7 +56,6 @@ import json
 import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, ClassVar, Protocol
 
 import numpy as np
@@ -474,11 +473,12 @@ class ColumnarMapOutput:
     def num_records(self) -> int:
         return self.keys.shape[0]
 
-    @cached_property
+    @property
     def approx_serialized_bytes(self) -> int:
         """Wire-size estimate: the parallel buffers are the payload,
         and a ragged state column's is its rows' cells — the record
-        plane's estimate of the same records."""
+        plane's estimate of the same records.  A few ``nbytes`` reads,
+        read once per fetch: not worth a cache."""
         return (
             self.keys.nbytes
             + sum(map(payload_nbytes, self.states))
@@ -831,91 +831,110 @@ def run_columnar_map(
     count_parts: list[np.ndarray] = []
     records_in = 0
     masked = 0
-    with obs.phase("map.read", task) as read:
-        for item in reader:
-            # Batch-granular cancellation/liveness checkpoint: batches
-            # are big, so the per-item cost is noise while a cancelled
-            # attempt still exits within one batch.
-            if cancel is not None:
-                cancel.check()
-            if item.num_instances == 0:
-                continue
-            records_in += item.num_instances
-            key_parts.append(item.keys)
-            cols = bop.map_batch(item.values)
-            col_parts.append(cols)
-            masked += bop.masked_cells(item.values, cols)
-            count_parts.append(
-                np.full(item.num_instances, item.cells_per_instance, dtype=np.int64)
-            )
-        read["records"] = records_in
-    counters.increment("map.input.records", records_in)
-    counters.increment("map.output.records", records_in)
-    counters.increment("plane.batched.instances", records_in)
-    if masked:
-        counters.increment("pushdown.rows.masked", masked)
+    # The attempt's tallies, added in one update, failed or not, as far
+    # as it got.
+    tally: dict[str, int] = {}
+    try:
+        with obs.phase("map.read", task) as read:
+            for item in reader:
+                # Batch-granular cancellation/liveness checkpoint:
+                # batches are big, so the per-item cost is noise while a
+                # cancelled attempt still exits within one batch.
+                if cancel is not None:
+                    cancel.check()
+                rows = item.keys.shape[0]
+                if rows == 0:
+                    continue
+                records_in += rows
+                key_parts.append(item.keys)
+                values = item.values
+                cols = bop.map_batch(values)
+                col_parts.append(cols)
+                masked += bop.masked_cells(values, cols)
+                count_parts.append(
+                    np.full(rows, values.shape[1], dtype=np.int64)
+                )
+            read["records"] = records_in
+        tally["map.input.records"] = records_in
+        tally["map.output.records"] = records_in
+        tally["plane.batched.instances"] = records_in
+        if masked:
+            tally["pushdown.rows.masked"] = masked
 
-    with obs.phase("map.spill", task):
-        files: list[ColumnarMapOutput] = []
-        if records_in:
-            cols = tuple(
-                np.concatenate([part[i] for part in col_parts])
-                for i in range(len(col_parts[0]))
-            )
-            counts = np.concatenate(count_parts)
-            if layout is None:
-                layout = spill_layout(
-                    np.concatenate(key_parts), job.partitioner, n
-                )
-            if layout.order is not None:
-                cols = tuple(c[layout.order] for c in cols)
-                counts = counts[layout.order]
-            for run in layout.runs:
-                cut = slice(run.start, run.end)
-                # No key repeats: the run's keys are its rows' keys.
-                pk = layout.keys[cut] if run.starts is not None else run.keys
-                pcols = tuple(c[cut] for c in cols)
-                pc = counts[cut]
-                src = int(pc.sum())
-                if job.combiner_factory is not None:
-                    counters.increment("combine.input.records", len(pk))
-                    if run.starts is not None:
-                        pcols = bop.combine_columns(pcols, run.starts)
-                        pc = np.add.reduceat(pc, run.starts)
-                        pk = run.keys
-                    counters.increment("combine.output.records", len(pk))
-                checked = planned and pk is run.keys
-                if corrupt:
-                    # Injected torn spill: reversing the lexsorted run
-                    # breaks key order, so ColumnarMapOutput validation
-                    # rejects the commit and the attempt fails here.
-                    pk = pk[::-1]
-                    pcols = tuple(c[::-1] for c in pcols)
-                    pc = pc[::-1]
-                files.append(
-                    (_PlannedRunOutput if checked else ColumnarMapOutput)(
-                        map_id=MapTaskId(split_index),
-                        partition=run.partition,
-                        keys=pk,
-                        states=pcols,
-                        source_counts=pc,
-                        source_records=src,
+        with obs.phase("map.spill", task):
+            files: list[ColumnarMapOutput] = []
+            if records_in:
+                if len(col_parts) == 1:
+                    # One batch: its columns are the map's, uncopied.
+                    cols, counts = col_parts[0], count_parts[0]
+                else:
+                    cols = tuple([np.concatenate(c) for c in zip(*col_parts)])
+                    counts = np.concatenate(count_parts)
+                if layout is None:
+                    layout = spill_layout(
+                        key_parts[0] if len(key_parts) == 1
+                        else np.concatenate(key_parts),
+                        job.partitioner, n,
                     )
+                if layout.order is not None:
+                    order = layout.order
+                    cols = tuple([c[order] for c in cols])
+                    counts = counts[order]
+                combine = job.combiner_factory is not None
+                map_id = MapTaskId(split_index)
+                for run in layout.runs:
+                    cut = slice(run.start, run.end)
+                    # No key repeats: the run's keys are its rows' keys.
+                    pk = layout.keys[cut] if run.starts is not None else run.keys
+                    pcols = tuple([c[cut] for c in cols])
+                    pc = counts[cut]
+                    src = int(pc.sum())
+                    if combine:
+                        tally["combine.input.records"] = (
+                            tally.get("combine.input.records", 0) + len(pk)
+                        )
+                        if run.starts is not None:
+                            pcols = bop.combine_columns(pcols, run.starts)
+                            pc = np.add.reduceat(pc, run.starts)
+                            pk = run.keys
+                        tally["combine.output.records"] = (
+                            tally.get("combine.output.records", 0) + len(pk)
+                        )
+                    checked = planned and pk is run.keys
+                    if corrupt:
+                        # Injected torn spill: reversing the lexsorted run
+                        # breaks key order, so ColumnarMapOutput
+                        # validation rejects the commit and the attempt
+                        # fails here.
+                        pk = pk[::-1]
+                        pcols = tuple([c[::-1] for c in pcols])
+                        pc = pc[::-1]
+                    files.append(
+                        (_PlannedRunOutput if checked else ColumnarMapOutput)(
+                            map_id=map_id,
+                            partition=run.partition,
+                            keys=pk,
+                            states=pcols,
+                            source_counts=pc,
+                            source_records=src,
+                        )
+                    )
+            if corrupt:
+                # Every run was too uniform for the reversal to break
+                # ordering; surface the injected corruption directly.
+                raise InjectedFaultError(
+                    f"injected corrupt-spill fault in map {split_index} "
+                    f"(attempt {attempt})"
                 )
-        if corrupt:
-            # Every run was too uniform for the reversal to break
-            # ordering; surface the injected corruption directly.
-            raise InjectedFaultError(
-                f"injected corrupt-spill fault in map {split_index} "
-                f"(attempt {attempt})"
-            )
-        if files:
-            store.spill(files, attempt=attempt, cancel=cancel)
-        else:
-            store.spill_empty(
-                MapTaskId(split_index), attempt=attempt, cancel=cancel
-            )
-    counters.increment("shuffle.segments", len(files))
+            if files:
+                store.spill(files, attempt=attempt, cancel=cancel)
+            else:
+                store.spill_empty(
+                    MapTaskId(split_index), attempt=attempt, cancel=cancel
+                )
+        tally["shuffle.segments"] = len(files)
+    finally:
+        counters.update(tally)
 
 
 def synthesized_keys(job: Any, partition: int | None) -> np.ndarray | None:
@@ -972,41 +991,47 @@ def run_columnar_reduce(
         inputs.insert(0, (synth, identity, np.zeros(n, dtype=np.int64)))
     block = ResultBlock.empty()
     sizes: np.ndarray | None = None
-    with obs.phase("reduce.reduce", task):
-        if cancel is not None:
-            cancel.check()
-        if inputs:
-            keys, states, counts = zip(*inputs)
-            cols = tuple(np.concatenate(list(parts)) for parts in zip(*states))
-            count = np.concatenate(counts)
-        if plan is not None:
-            size = len(plan.keys)
-            if plan.rows is not None and files:
-                # Ragged lengths and counts scatter; no value moves.
-                lengths = np.zeros((len(cols) + 1, size), dtype=np.int64)
-                lengths[:, plan.rows] = [c.lengths for c in cols] + [count]
-                cols = tuple(Ragged(c.values, ln) for c, ln in zip(cols, lengths))
-                count = lengths[-1]
-            sizes = np.ones(size, dtype=np.int64)
-            block = ResultBlock(plan.keys, bop.finalize_columns(cols, count))
-            counters.increment("reduce.planned")
-        elif inputs:
-            counters.increment("reduce.generic")
-            grid = np.concatenate(keys)
-            order = np.lexsort(grid.T[::-1])
-            grid = grid[order]
-            cols = tuple(c[order] for c in cols)
-            count = count[order]
-            starts = group_starts(grid)
-            merged = bop.combine_columns(cols, starts)
-            merged_counts = np.add.reduceat(count, starts)
-            sizes = np.diff(np.append(starts, grid.shape[0]))
-            block = ResultBlock(
-                grid[starts], bop.finalize_columns(merged, merged_counts)
-            )
-    counters.increment("reduce.input.groups", len(block))
-    counters.increment("reduce.input.records", sum(len(f.keys) for f in files))
-    counters.increment("reduce.output.records", len(block))
+    tally: dict[str, int] = {}
+    try:
+        with obs.phase("reduce.reduce", task):
+            if cancel is not None:
+                cancel.check()
+            if inputs:
+                keys, states, counts = zip(*inputs)
+                cols = tuple([np.concatenate(c) for c in zip(*states)])
+                count = np.concatenate(counts)
+            if plan is not None:
+                size = len(plan.keys)
+                if plan.rows is not None and files:
+                    # Ragged lengths and counts scatter; no value moves.
+                    lengths = np.zeros((len(cols) + 1, size), dtype=np.int64)
+                    lengths[:, plan.rows] = [c.lengths for c in cols] + [count]
+                    cols = tuple(
+                        Ragged(c.values, ln) for c, ln in zip(cols, lengths)
+                    )
+                    count = lengths[-1]
+                sizes = np.ones(size, dtype=np.int64)
+                block = ResultBlock(plan.keys, bop.finalize_columns(cols, count))
+                tally["reduce.planned"] = 1
+            elif inputs:
+                tally["reduce.generic"] = 1
+                grid = np.concatenate(keys)
+                order = np.lexsort(grid.T[::-1])
+                grid = grid[order]
+                cols = tuple([c[order] for c in cols])
+                count = count[order]
+                starts = group_starts(grid)
+                merged = bop.combine_columns(cols, starts)
+                merged_counts = np.add.reduceat(count, starts)
+                sizes = np.diff(np.append(starts, grid.shape[0]))
+                block = ResultBlock(
+                    grid[starts], bop.finalize_columns(merged, merged_counts)
+                )
+        tally["reduce.input.groups"] = len(block)
+        tally["reduce.input.records"] = sum([f.keys.shape[0] for f in files])
+        tally["reduce.output.records"] = len(block)
+    finally:
+        counters.update(tally)
     if obs.enabled and sizes is not None and sizes.size:
         obs.metrics.histogram("reduce.group.size", COUNT_BUCKETS).observe_many(
             sizes

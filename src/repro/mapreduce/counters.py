@@ -5,9 +5,10 @@ Counters are the engine's observable accounting — tests assert on them
 harness reports them (e.g. shuffle bytes per configuration).
 
 ``Counters`` is the one ledger, with two writers that never share a
-name: task bodies ``increment`` the data-volume tallies directly as
-they run, and :meth:`Counters.fold` adds the lifecycle tallies once, at
-the engine's finish site, from the run's recorded events.  When
+name: task bodies add the data-volume tallies directly as they run
+(each call site one locked :meth:`Counters.update`), and
+:meth:`Counters.fold` adds the lifecycle tallies once, at the engine's
+finish site, from the run's recorded events.  When
 observability is enabled the whole ledger is then copied into the run's
 ``MetricsRegistry`` under the same names.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter as _Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 
 from repro.obs.live.bus import (
     EV_BARRIER_FIRE,
@@ -65,6 +66,14 @@ class Counters:
     def increment(self, name: str, amount: int = 1) -> None:
         with self._lock:
             self._values[name] += amount
+
+    def update(self, amounts: Mapping[str, int]) -> None:
+        """:meth:`increment` each name by its amount, in ``amounts``'
+        order, under one lock: a task body's tallies in one update."""
+        with self._lock:
+            values = self._values
+            for name, amount in amounts.items():
+                values[name] += amount
 
     def fold(self, events: Iterable[Event]) -> None:
         """Add the lifecycle tallies (see the class docstring) of a

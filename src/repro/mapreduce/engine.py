@@ -29,13 +29,14 @@ one) and publishes each lifecycle occurrence on it exactly once —
 :meth:`LocalEngine._run_attempts`, the one place every attempt of every
 mode crosses; ``barrier.fire`` where a reduce is fired; ``reduce.start``
 before a reduce attempt's barrier checks; ``spill.commit``/
-``spill.reopen``/``fetch`` from the shuffle store.  The bus keeps them as the run's record, and
-``JobResult.counters``' lifecycle tallies, ``.trace``, ``.attempts``
-and the metrics in ``.obs`` are readings of it, taken once at the run's
-single finish site (``docs/OBSERVABILITY.md``).  The engine attaches no
-listener: under speculation the runtime's ticker reads the record and
-the attempts' cancel tokens; a caller that wants to act on the run
-attaches to the bus it passes in through ``obs``.
+``spill.reopen``/``fetch`` from the shuffle store.  The bus keeps them
+as the run's record, and ``JobResult.counters``' lifecycle tallies and
+the metrics in ``.obs`` are readings of it, taken once at the run's
+single finish site; ``.trace`` and ``.attempts`` are readings of the
+same slice, taken when first read (``docs/OBSERVABILITY.md``).  The
+engine attaches no listener: under speculation the runtime's ticker
+reads the record and the attempts' cancel tokens; a caller that wants
+to act on the run attaches to the bus it passes in through ``obs``.
 
 Barriers, retries, recovery, speculation, deadlines and result
 assembly are the loop's and therefore identical in every mode; outputs
@@ -90,7 +91,8 @@ from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
@@ -209,7 +211,12 @@ class DependencyBarrier(BarrierPolicy):
             ) from None
 
     def ready(self, partition: int, completed_maps: frozenset[int], total_maps: int) -> bool:
-        return self.dependencies_of(partition) <= completed_maps
+        # Asked for every pending reduce after every map: one call, and
+        # ``dependencies_of`` only to raise for a missing entry.
+        deps = self._deps.get(partition)
+        if deps is None:
+            deps = self.dependencies_of(partition)
+        return deps <= completed_maps
 
     def fetch_set(self, partition: int, total_maps: int) -> frozenset[int]:
         return self.dependencies_of(partition)
@@ -389,28 +396,63 @@ class _RunState:
 # --------------------------------------------------------------------- #
 # Result
 # --------------------------------------------------------------------- #
-@dataclass
 class JobResult:
-    """Everything a completed job produced."""
+    """Everything a completed job produced.
 
-    job_name: str
-    #: Per partition, key-sorted: a record list (record plane) or a
-    #: :class:`ResultBlock` (columnar plane).
-    outputs: dict[int, Sequence[KeyValue]]
-    counters: Counters
-    trace: EngineTrace
-    shuffle_connections: int
-    empty_fetches: int
-    #: Span tracer + metrics registry for this run (None only when a
-    #: caller supplied a pre-built result without observability).
-    obs: JobObservability | None = None
-    #: Every task attempt in the order its ``task.finish`` was published
-    #: — retries and recovery re-executions included.
-    attempts: tuple[TaskAttempt, ...] = field(default_factory=tuple)
-    #: True when the job's deadline expired under ``on_deadline=
-    #: "partial"``: ``outputs`` holds only the partitions that committed
-    #: before expiry (each one complete and correct on its own).
-    partial: bool = False
+    ``trace`` (the flat :class:`EngineTrace`) and ``attempts`` are
+    readings of the run's events, taken the first time each is read —
+    a served job reads neither — and the same readings an eager one
+    gives: the events are the run's record, which does not change.
+    """
+
+    def __init__(
+        self,
+        job_name: str,
+        outputs: dict[int, Sequence[KeyValue]],
+        counters: Counters,
+        trace: EngineTrace | None = None,
+        shuffle_connections: int = 0,
+        empty_fetches: int = 0,
+        obs: JobObservability | None = None,
+        attempts: tuple[TaskAttempt, ...] | None = None,
+        partial: bool = False,
+        *,
+        events: Sequence[Event] = (),
+    ) -> None:
+        self.job_name = job_name
+        #: Per partition, key-sorted: a record list (record plane) or a
+        #: :class:`ResultBlock` (columnar plane).
+        self.outputs = outputs
+        self.counters = counters
+        self.shuffle_connections = shuffle_connections
+        self.empty_fetches = empty_fetches
+        #: Span tracer + metrics registry for this run (None only when a
+        #: caller supplied a pre-built result without observability).
+        self.obs = obs
+        #: True when the job's deadline expired under ``on_deadline=
+        #: "partial"``: ``outputs`` holds only the partitions that
+        #: committed before expiry (each one complete and correct on
+        #: its own).
+        self.partial = partial
+        #: The run's slice of its bus's record, ``trace`` and
+        #: ``attempts`` are read from.
+        self._events = events
+        # Given readings shadow the cached properties below.
+        if trace is not None:
+            self.trace = trace
+        if attempts is not None:
+            self.attempts = attempts
+
+    @cached_property
+    def trace(self) -> EngineTrace:
+        """The run's task start/finish entries (:class:`EngineTrace`)."""
+        return EngineTrace(self._events)
+
+    @cached_property
+    def attempts(self) -> tuple[TaskAttempt, ...]:
+        """Every task attempt in the order its ``task.finish`` was
+        published — retries and recovery re-executions included."""
+        return task_attempts(self._events)
 
     def all_records(self) -> Sequence[KeyValue]:
         """All output records across partitions, sorted by key — the
@@ -516,8 +558,10 @@ class LocalEngine:
         pruning = getattr(job.context.get("sidr_plan"), "pruning", None)
         if pruning is None:
             return
-        counters.increment("plan.splits.pruned", pruning.num_pruned)
-        counters.increment("plan.keys.synthesized", pruning.num_synth_keys)
+        counters.update({
+            "plan.splits.pruned": pruning.num_pruned,
+            "plan.keys.synthesized": pruning.num_synth_keys,
+        })
 
     def _fetch_reduce_inputs(
         self,
@@ -573,15 +617,19 @@ class LocalEngine:
                 if cancel is not None:
                     cancel.check()
                 f = store.fetch(m, partition)
-                if f is not None and f.num_records:
-                    files.append(f)
-                    shuffled_records += f.num_records
-                    shuffled_bytes += f.approx_serialized_bytes
+                if f is not None:
+                    n = f.num_records
+                    if n:
+                        files.append(f)
+                        shuffled_records += n
+                        shuffled_bytes += f.approx_serialized_bytes
         # ``shuffle.records`` is the record count this counter
         # historically (and misleadingly) reported as "bytes";
         # ``shuffle.bytes`` is now a real serialized-size estimate.
-        counters.increment("shuffle.records", shuffled_records)
-        counters.increment("shuffle.bytes", shuffled_bytes)
+        counters.update({
+            "shuffle.records": shuffled_records,
+            "shuffle.bytes": shuffled_bytes,
+        })
         if faults is not None:
             # Post-fetch injection point: the attempt has consumed
             # its shuffle input, so failing here is what forces the
@@ -1150,8 +1198,9 @@ class LocalEngine:
 
         # The single finish site: every outcome — success, task failure,
         # deadline — publishes ``job.finish`` (ending the run's slice) and
-        # reads the run's record once: lifecycle tallies, trace, attempts
-        # and, when enabled, the registry metrics.
+        # reads the run's record once: lifecycle tallies and, when
+        # enabled, the registry metrics.  The result keeps the slice for
+        # its trace and attempts.
         expired = bool(deadline_errors) and not errors
         events = obs.finish(
             counters, **({"deadline": "expired"} if expired else {})
@@ -1168,12 +1217,11 @@ class LocalEngine:
             job_name=job.name,
             outputs=outputs,
             counters=counters,
-            trace=EngineTrace(events),
             shuffle_connections=store.connections,
             empty_fetches=store.empty_fetches,
             obs=obs,
-            attempts=task_attempts(events),
             partial=expired,
+            events=events,
         )
 
 
@@ -1183,15 +1231,27 @@ class LocalEngine:
 class _InlineExecutor(Executor):
     """Runs each submitted callable on the submitting thread and returns
     an already-finished future.  The orchestration loop on this executor
-    *is* the deterministic serial mode."""
+    *is* the deterministic serial mode.
+
+    The loop's callables report through the run's shared state and
+    return nothing, so a callable that returns hands back one shared
+    finished future instead of a new one per task; only one that raises
+    gets a future of its own, holding the exception."""
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
         try:
-            future.set_result(fn(*args, **kwargs))
+            fn(*args, **kwargs)
         except BaseException as exc:
+            future: Future = Future()
             future.set_exception(exc)
-        return future
+            return future
+        return _FINISHED
+
+
+#: What :meth:`_InlineExecutor.submit` returns for a callable that
+#: returned: finished, cancelling it is a no-op, waiting on it returns.
+_FINISHED: Future = Future()
+_FINISHED.set_result(None)
 
 
 def _inline_executors(engine: LocalEngine) -> tuple[Executor, Executor]:

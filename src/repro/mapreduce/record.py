@@ -67,16 +67,18 @@ def run_record_map(
     with obs.phase("map.read", task) as read:
         for k, v in job.reader_factory(split):
             # Per-record cancellation/liveness checkpoint: a clock
-            # read plus a latched-Event probe, cheap enough for the
-            # record hot path.
+            # read plus a flag probe, cheap enough for the record hot
+            # path.
             if cancel is not None:
                 cancel.check()
             records_in += 1
             consume(mapper.map(k, v))
         consume(mapper.cleanup())
         read["records"] = records_out
-    counters.increment("map.input.records", records_in)
-    counters.increment("map.output.records", records_out)
+    counters.update({
+        "map.input.records": records_in,
+        "map.output.records": records_out,
+    })
 
     # Source-count annotation: before combining, every intermediate
     # record represents exactly one source record of this map.  (For
@@ -165,9 +167,11 @@ def run_record_reduce(
                 group_sizes.append(len(values))
             out.extend(reducer.reduce(key, values))
         out.extend(reducer.cleanup())
-    counters.increment("reduce.input.groups", groups)
-    counters.increment("reduce.input.records", sum(f.num_records for f in files))
-    counters.increment("reduce.output.records", len(out))
+    counters.update({
+        "reduce.input.groups": groups,
+        "reduce.input.records": sum(f.num_records for f in files),
+        "reduce.output.records": len(out),
+    })
     if group_sizes:
         obs.metrics.histogram(
             "reduce.group.size", COUNT_BUCKETS

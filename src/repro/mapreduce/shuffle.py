@@ -233,30 +233,38 @@ class ShuffleStore:
                 # observe a mix.
                 for p in previous.records_per_partition:
                     self._files.pop((map_id.index, p), None)
+            # One pass over the files: this runs once per map commit.
+            partitions: list[int] = []
+            produced: list[int] = []
+            records: dict[int, int] = {}
+            sources: dict[int, int] = {}
+            total = 0
             for f in files:
-                self._files[(map_id.index, f.partition)] = f
+                p, n = f.partition, f.num_records
+                self._files[(map_id.index, p)] = f
+                partitions.append(p)
+                if n > 0:
+                    produced.append(p)
+                records[p] = n
+                sources[p] = f.source_records
+                total += n
             self._indexes[map_id.index] = MapOutputIndex(
                 map_id=map_id,
-                partitions=frozenset(
-                    f.partition for f in files if f.num_records > 0
-                ),
-                records_per_partition={
-                    f.partition: f.num_records for f in files
-                },
-                source_per_partition={
-                    f.partition: f.source_records for f in files
-                },
+                partitions=frozenset(produced),
+                records_per_partition=records,
+                source_per_partition=sources,
             )
             self._attempts[map_id.index] = attempt
             self._closed.add(map_id.index)
             if self._bus is not None:
+                partitions.sort()
                 self._bus.publish(
                     EV_SPILL_COMMIT,
                     kind="map",
                     index=map_id.index,
                     attempt=attempt,
-                    partitions=sorted(f.partition for f in files),
-                    records=sum(f.num_records for f in files),
+                    partitions=partitions,
+                    records=total,
                     superseded=previous is not None,
                 )
 
@@ -273,8 +281,9 @@ class ShuffleStore:
         if not files:
             raise ShuffleError("map task must spill at least an index entry")
         map_id = files[0].map_id
-        if any(f.map_id != map_id for f in files):
-            raise ShuffleError("spill mixes files from different map tasks")
+        for f in files:
+            if f.map_id is not map_id and f.map_id != map_id:
+                raise ShuffleError("spill mixes files from different map tasks")
         self._commit(map_id, files, attempt, cancel)
 
     def spill_empty(

@@ -17,7 +17,7 @@ mode, and what a served job runs.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from collections.abc import Iterator
 from typing import Any
 
@@ -52,19 +52,24 @@ class JobObservability:
         #: begins there.
         self._start = 0
 
-    @contextmanager
     def phase(
         self, name: str, task: tuple[str, int, int] | None, **data: Any
-    ) -> Iterator[dict[str, Any]]:
+    ) -> AbstractContextManager[dict[str, Any]]:
         """Phase ``name`` of attempt ``task`` (its ``(kind, index,
         attempt)``, None outside any attempt), published when it closes
         as one ``task.phase`` event carrying ``start`` (the bus clock at
         open), ``error`` if the body raised, and ``data`` with whatever
         the body adds to the yielded dict.  Not ``enabled``: nothing is
-        timed or published."""
+        timed or published, and the context is one shared object whose
+        ``with`` costs two calls."""
         if not self.enabled:
-            yield data
-            return
+            return _UNOBSERVED
+        return self._published_phase(name, task, data)
+
+    @contextmanager
+    def _published_phase(
+        self, name: str, task: tuple[str, int, int] | None, data: dict[str, Any]
+    ) -> Iterator[dict[str, Any]]:
         kind, index, attempt = task or ("", -1, 0)
         start = self.bus.now()
         try:
@@ -121,3 +126,19 @@ class JobObservability:
                 self.metrics.counter(name).inc(value)
         self.metrics.gauge("obs.bus.listener_errors").set(self.bus.listener_errors)
         return events
+
+
+class _Unobserved:
+    """:meth:`JobObservability.phase` when not enabled: entering yields
+    a fresh dict for the body to write into, and nothing is kept."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> dict[str, Any]:
+        return {}
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+
+_UNOBSERVED = _Unobserved()

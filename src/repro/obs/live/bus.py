@@ -38,9 +38,8 @@ import threading
 import time
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any
+from typing import Any, NamedTuple
 
 #: Event type names (the shared live vocabulary).
 EV_JOB_START = "job.start"
@@ -69,15 +68,9 @@ EV_FETCH = "fetch"
 EV_RECOVERY = "recovery.reexecute"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One structured lifecycle event.
-
-    ``seq`` is the bus-assigned total-order position; ``t`` is seconds
-    since the bus epoch (or the simulated clock for replayed runs).
-    ``kind``/``index``/``attempt`` identify the task for task-scoped
-    events and are ``""``/``-1``/``0`` for job-scoped ones.
-    """
+class _EventFields(NamedTuple):
+    """:class:`Event`'s fields, in order (a ``NamedTuple`` cannot
+    define its own ``__new__``)."""
 
     seq: int
     t: float
@@ -85,16 +78,52 @@ class Event:
     kind: str = ""
     index: int = -1
     attempt: int = 0
-    data: dict[str, Any] = field(default_factory=dict)
-    #: Owning job id for interleaved multi-job streams ("" = unscoped).
-    #: Stamped by the bus (``EventBus(job=...)``), so every event a
-    #: per-job bus publishes carries its job even when several jobs
-    #: append to one JSONL file.
+    data: dict[str, Any] | None = None
     job: str = ""
-    #: The keyblock range ``[first, stop)`` of the job part that
-    #: published it, for a job run in parts (``EventBus(part=...)``):
-    #: each part has a bus, and so a ``seq`` order, of its own.
     part: tuple[int, int] | None = None
+
+
+class Event(_EventFields):
+    """One structured lifecycle event: an immutable tuple of its fields.
+
+    ``seq`` is the bus-assigned total-order position; ``t`` is seconds
+    since the bus epoch (or the simulated clock for replayed runs).
+    ``kind``/``index``/``attempt`` identify the task for task-scoped
+    events and are ``""``/``-1``/``0`` for job-scoped ones.  ``data``
+    holds the event's own fields; an event made without any gets an
+    empty dict of its own.
+
+    ``job`` is the owning job id for interleaved multi-job streams
+    (``""`` = unscoped), stamped by the bus (``EventBus(job=...)``), so
+    every event a per-job bus publishes carries its job even when
+    several jobs append to one JSONL file.  ``part`` is the keyblock
+    range ``[first, stop)`` of the job part that published it, for a job
+    run in parts (``EventBus(part=...)``): each part has a bus, and so a
+    ``seq`` order, of its own.
+
+    A tuple: a run publishes about a hundred events per job, and
+    building one should cost what building a tuple does.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        seq: int,
+        t: float,
+        type: str,
+        kind: str = "",
+        index: int = -1,
+        attempt: int = 0,
+        data: dict[str, Any] | None = None,
+        job: str = "",
+        part: tuple[int, int] | None = None,
+    ) -> "Event":
+        return _new_tuple(
+            cls,
+            (seq, t, type, kind, index, attempt,
+             {} if data is None else data, job, part),
+        )
 
     def to_json(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
@@ -117,7 +146,11 @@ class Event:
         return doc
 
 
+_new_tuple = tuple.__new__
+
+
 _SEQ = attrgetter("seq")
+_perf_counter = time.perf_counter
 
 
 class EventBus:
@@ -142,10 +175,10 @@ class EventBus:
         #: Replaced, never mutated, on attach: publish reads it
         #: without copying.
         self._listeners: tuple[Callable[[Event], None], ...] = ()
-        if clock is None:
-            t0 = time.perf_counter()
-            clock = lambda: time.perf_counter() - t0  # noqa: E731
+        #: A caller's clock; without one, publish computes
+        #: ``perf_counter() - _t0`` in place, with no function between.
         self._clock = clock
+        self._t0 = time.perf_counter()
         # Resolved once; a per-publish registry lookup would put a dict
         # probe on the hot path (same pattern as ShuffleStore).
         self._m_published = (
@@ -180,18 +213,15 @@ class EventBus:
     ) -> Event:
         """Emit one event: record it, then call the listeners.  Never
         blocks on a consumer."""
+        clock = self._clock
         with self._lock:
-            event = Event(
-                seq=self._seq,
-                t=self._clock() if at is None else at,
-                type=type,
-                kind=kind,
-                index=index,
-                attempt=attempt,
-                data=data,
-                job=self._job,
-                part=self._part,
-            )
+            # Read under the lock, so ``t`` never decreases along ``seq``.
+            if at is None:
+                at = _perf_counter() - self._t0 if clock is None else clock()
+            event = _new_tuple(Event, (
+                self._seq, at, type, kind, index, attempt, data,
+                self._job, self._part,
+            ))
             self._seq += 1
             self._record.append(event)
             listeners = self._listeners
@@ -219,7 +249,8 @@ class EventBus:
     # Accounting
     # ------------------------------------------------------------------ #
     def now(self) -> float:
-        return self._clock()
+        clock = self._clock
+        return _perf_counter() - self._t0 if clock is None else clock()
 
     @property
     def published(self) -> int:

@@ -216,19 +216,21 @@ def window_rows(
         # Fortran-ordered or transposed in-memory sources: a run must be
         # adjacent bytes.  File slabs are always C-ordered.
         block = np.ascontiguousarray(block)
-    counts = tuple(
+    # List comprehensions, not generators: this runs once per zone of
+    # every map, and a generator costs a call per item.
+    counts = tuple([
         (size - ext) // step + 1
         for size, ext, step in zip(block.shape, exts, steps)
-    )
+    ])
     run = np.dtype((np.void, exts[-1] * block.itemsize))
     interface = dict(block.__array_interface__)
     interface.update(
         # Read-only, like every window view.
         data=(interface["data"][0], True),
         shape=counts + tuple(exts[:-1]),
-        strides=tuple(
+        strides=tuple([
             stride * step for stride, step in zip(block.strides, steps)
-        ) + block.strides[:-1],
+        ]) + block.strides[:-1],
         typestr=run.str,
         descr=run.descr,
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,25 @@ class IOStats:
         self.write_calls = 0
 
 
+#: Slab read plans one read-only handle keeps; past it they are all
+#: dropped and rebuilt as read.  A reopened session is a new handle,
+#: so it starts with none.
+READ_PLAN_CAPACITY = 4096
+
+
+class _ReadPlan(NamedTuple):
+    """One validated slab read: what :meth:`Dataset.read_slab` needs
+    besides the mapping."""
+
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    volume: int
+    #: ``(byte offset, items)`` per contiguous run, in file order.
+    runs: tuple[tuple[int, int], ...]
+    #: One past the last byte the runs read: the short-read check.
+    end: int
+
+
 class Dataset:
     """An open NCLite file with slab-granular coordinate access."""
 
@@ -65,6 +85,9 @@ class Dataset:
         self._mm: mmap.mmap | None = None
         self._mm_failed = False
         self.io_stats = IOStats()
+        #: ``(variable, slab)`` -> its validated byte runs
+        #: (:meth:`_read_plan`); read-only handles only.
+        self._plans: dict[tuple[str, Slab], _ReadPlan] = {}
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -139,6 +162,32 @@ class Dataset:
         """
         return self._map() is not None
 
+    def _read_plan(self, name: str, slab: Slab) -> _ReadPlan:
+        """``slab`` of variable ``name`` as byte runs, validated.  A
+        read-only handle keeps each one (its header never changes), up
+        to :data:`READ_PLAN_CAPACITY` of them: every split of every
+        job reads the same few slabs, so each is checked once."""
+        key = (name, slab)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        base, dtype, space = self._var_layout(name)
+        self._check_slab(name, slab, space)
+        itemsize = dtype.itemsize
+        runs = tuple(
+            (base + lo * itemsize, hi - lo)
+            for lo, hi in slab_to_index_runs(slab, space)
+        )
+        plan = _ReadPlan(
+            dtype, slab.shape, slab.volume, runs,
+            max((off + n * itemsize for off, n in runs), default=0),
+        )
+        if self._mode == "r":
+            if len(self._plans) >= READ_PLAN_CAPACITY:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
+
     def read_slab(self, name: str, slab: Slab) -> np.ndarray:
         """Read ``slab`` of variable ``name`` with the slab's shape.
 
@@ -148,52 +197,51 @@ class Dataset:
         multi-run slab is one gather from per-run views into a fresh
         array.  Writable datasets use buffered per-run reads and
         always return fresh C-order arrays.  ``io_stats`` counts the
-        same logical seeks/reads either way, so the Table 2 physical
-        cost model is path-independent.
+        same logical seeks/reads either way (one per run), so the
+        Table 2 physical cost model is path-independent.
         """
-        base, dtype, space = self._var_layout(name)
-        self._check_slab(name, slab, space)
-        itemsize = dtype.itemsize
-        mm = self._map()
+        plan = self._read_plan(name, slab)
+        dtype, runs = plan.dtype, plan.runs
+        mm = self._mm if self._mm is not None else self._map()
         if mm is not None:
-            views = []
-            for lo, hi in slab_to_index_runs(slab, space):
-                n = hi - lo
-                offset = base + lo * itemsize
-                if offset + n * itemsize > len(mm):
-                    raise DatasetError(
-                        f"short read in {self._path} variable {name!r}"
-                    )
-                views.append(
-                    np.frombuffer(mm, dtype=dtype, count=n, offset=offset)
+            if plan.end > len(mm):
+                raise DatasetError(
+                    f"short read in {self._path} variable {name!r}"
                 )
-                self.io_stats.seeks += 1
-                self.io_stats.read_calls += 1
-                self.io_stats.bytes_read += n * itemsize
-            if len(views) == 1:
-                return views[0].reshape(slab.shape)
-            out = np.empty(slab.volume, dtype=dtype)
+            self._count_reads(plan)
+            if len(runs) == 1:
+                offset, n = runs[0]
+                return np.frombuffer(
+                    mm, dtype=dtype, count=n, offset=offset
+                ).reshape(plan.shape)
+            out = np.empty(plan.volume, dtype=dtype)
             pos = 0
-            for v in views:
-                out[pos : pos + len(v)] = v
-                pos += len(v)
-            return out.reshape(slab.shape)
-        out = np.empty(slab.volume, dtype=dtype)
+            for offset, n in runs:
+                out[pos : pos + n] = np.frombuffer(
+                    mm, dtype=dtype, count=n, offset=offset
+                )
+                pos += n
+            return out.reshape(plan.shape)
+        out = np.empty(plan.volume, dtype=dtype)
         pos = 0
-        for lo, hi in slab_to_index_runs(slab, space):
-            n = hi - lo
-            self._fh.seek(base + lo * itemsize)
+        itemsize = dtype.itemsize
+        for offset, n in runs:
+            self._fh.seek(offset)
             chunk = self._fh.read(n * itemsize)
             if len(chunk) != n * itemsize:
                 raise DatasetError(
                     f"short read in {self._path} variable {name!r}"
                 )
             out[pos : pos + n] = np.frombuffer(chunk, dtype=dtype)
-            self.io_stats.seeks += 1
-            self.io_stats.read_calls += 1
-            self.io_stats.bytes_read += n * itemsize
             pos += n
-        return out.reshape(slab.shape)
+        self._count_reads(plan)
+        return out.reshape(plan.shape)
+
+    def _count_reads(self, plan: _ReadPlan) -> None:
+        stats = self.io_stats
+        stats.seeks += len(plan.runs)
+        stats.read_calls += len(plan.runs)
+        stats.bytes_read += plan.volume * plan.dtype.itemsize
 
     def write_slab(self, name: str, slab: Slab, data: np.ndarray) -> None:
         """Write ``data`` (shape must equal the slab's) into the variable."""

@@ -92,6 +92,12 @@ class EngineProcessError(ServiceError):
     exit, a pipe that closed): the job fails, the process is replaced."""
 
 
+class ResultTooLargeError(ServiceError):
+    """A job's packed result block is over the service's cap
+    (:data:`repro.service.engine_process.MAX_RESULT_BYTES`): the job
+    fails, and nothing of the block is kept or served."""
+
+
 #: Media type of the binary result body.
 BLOCK_CONTENT_TYPE = "application/x-repro-block"
 _DOCUMENT_LENGTH = struct.Struct("<Q")

@@ -28,9 +28,11 @@ have a part running on each of several processes at once:
 * the process answers with an :class:`Outcome`: ``done`` with the
   packed block's bytes, counters and the final progress snapshot, or
   ``failed`` with the error and its types.  A whole job's block comes
-  digested (:func:`digest_and_block`); a part's does not, since the
-  service digests the assembled block once.  The service wraps those
-  bytes (:meth:`ResultBlock.from_packed`) and ships them as they are.
+  digested (the SHA-256 of those bytes, :func:`records_digest`'s); a
+  part's does not, since the service digests the assembled block once.
+  A block over :data:`MAX_RESULT_BYTES` fails the job instead.  The
+  service wraps those bytes (:meth:`ResultBlock.from_packed`) and ships
+  them as they are.
 
 A second pipe carries the one control message: a running job's
 progress, asked for by ``status()`` and answered with its
@@ -43,6 +45,7 @@ signal, and the process is replaced before it runs anything else.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -64,7 +67,13 @@ from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, Part, RetryPolicy
 from repro.obs import EventBus, JobObservability, JsonlEventWriter, ProgressTracker
 from repro.service import plancache
-from repro.service.api import DONE, FAILED, EngineProcessError, QueryRequest
+from repro.service.api import (
+    DONE,
+    FAILED,
+    EngineProcessError,
+    QueryRequest,
+    ResultTooLargeError,
+)
 from repro.service.sessions import DatasetSession, SessionRef
 from repro.sidr.planner import SIDRPlan
 from repro.verify.explorer import failure_types
@@ -78,6 +87,21 @@ STOP_TIMEOUT = 2.0
 #: result block (``fine_mean``'s is 266 KB), so a process's answer is
 #: written before the service starts reading it (the kernel caps it).
 PIPE_BUFFER = 1 << 20
+#: Bytes a served job's packed result block may hold.  A process checks
+#: its block before the block crosses the pipe, and the service checks
+#: a split job's parts' summed sizes before splicing them; over it, the
+#: job fails with :class:`~repro.service.api.ResultTooLargeError`.
+MAX_RESULT_BYTES = 64 << 20
+
+
+def check_result_size(nbytes: int) -> None:
+    """Raise :class:`ResultTooLargeError` when a result block of
+    ``nbytes`` is over :data:`MAX_RESULT_BYTES` (read at call time)."""
+    if nbytes > MAX_RESULT_BYTES:
+        raise ResultTooLargeError(
+            f"result block of {nbytes} bytes is over the service's cap "
+            f"of {MAX_RESULT_BYTES}"
+        )
 
 
 def digest_and_block(out: ResultBlock) -> tuple[str, ResultBlock]:
@@ -217,14 +241,13 @@ def run_job(
             part=part,
         )
         run_seconds = time.perf_counter() - t0
-        if part is None:
-            digest, block = digest_and_block(res.all_records())
-        else:
-            digest, block = None, res.all_records().packed()
+        # Packed once: these bytes are what is hashed, sent and served.
+        data = res.all_records().to_bytes()
+        check_result_size(len(data))
         outcome = Outcome(
             DONE,
-            block=block.to_bytes(),
-            digest=digest,
+            block=data,
+            digest=None if part is not None else hashlib.sha256(data).hexdigest(),
             counters=dict(res.counters.as_dict()),
             partial=res.partial,
             run_seconds=run_seconds,

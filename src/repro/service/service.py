@@ -64,6 +64,7 @@ from repro.service.api import (
     AdmissionError,
     EngineProcessError,
     QueryRequest,
+    ResultTooLargeError,
     TenantQuota,
     TenantState,
     UnknownJobError,
@@ -73,6 +74,7 @@ from repro.service.engine_process import (
     EngineProcess,
     Outcome,
     RemoteProgress,
+    check_result_size,
     digest_and_block,
     failed_outcome,
     merge_progress,
@@ -82,6 +84,28 @@ from repro.service.plancache import PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
 from repro.verify.explorer import failure_types
+
+
+def build_served_plan(req: QueryRequest, session: DatasetSession) -> SIDRPlan:
+    """Cold path of the plan cache: compile + slice + prune + plan,
+    and every split's map geometry, so the cached plan is complete.
+    Splits are cut on extraction-unit boundaries
+    (:func:`~repro.query.splits.aligned_slice_splits`): no instance
+    spans two maps."""
+    query = StructuralQuery(
+        variable=req.variable,
+        extraction_shape=req.extract,
+        operator=req.structural_operator(),
+        stride=req.stride,
+    )
+    qplan = query.compile(session.metadata)
+    splits = aligned_slice_splits(qplan, num_splits=req.splits)
+    zone_map = None
+    if req.prune:
+        zone_map = derive_zone_map(qplan, session.engine_source())
+    return build_plan(
+        qplan, splits, req.reduces, zone_map=zone_map, prune=req.prune
+    ).with_map_geometry()
 
 
 def records_to_json(records: ResultBlock | list) -> list:
@@ -313,27 +337,6 @@ class QueryService:
     # Execution (queue worker threads land here; the job runs in the
     # worker's engine process)
     # ------------------------------------------------------------------ #
-    def _build_plan(self, req: QueryRequest, session: DatasetSession) -> SIDRPlan:
-        """Cold path of the plan cache: compile + slice + prune + plan,
-        and every split's map geometry, so the cached plan is complete.
-        Splits are cut on extraction-unit boundaries
-        (:func:`~repro.query.splits.aligned_slice_splits`): no instance
-        spans two maps."""
-        query = StructuralQuery(
-            variable=req.variable,
-            extraction_shape=req.extract,
-            operator=req.structural_operator(),
-            stride=req.stride,
-        )
-        qplan = query.compile(session.metadata)
-        splits = aligned_slice_splits(qplan, num_splits=req.splits)
-        zone_map = None
-        if req.prune:
-            zone_map = derive_zone_map(qplan, session.engine_source())
-        return build_plan(
-            qplan, splits, req.reduces, zone_map=zone_map, prune=req.prune
-        ).with_map_geometry()
-
     def plan(
         self, req: QueryRequest, session: DatasetSession
     ) -> tuple[SIDRPlan, bool]:
@@ -343,7 +346,7 @@ class QueryService:
             session.name,
             session.digest,
             req.plan_key(),
-            lambda: self._build_plan(req, session),
+            lambda: build_served_plan(req, session),
         )
 
     def _run_job(self, job: ServiceJob, worker: int) -> None:
@@ -428,9 +431,11 @@ class QueryService:
     ) -> None:
         """End ``job`` from its parts' outcomes, in keyblock order.  One
         part's is the job's.  Of several, the first that failed fails
-        the job; else their blocks laid end to end — their bytes
-        spliced, not repacked (:meth:`ResultBlock.concatenate`) — are
-        its block, digested here, once: the bytes of a one-part run.  Counters
+        the job, and so do blocks whose summed size is over the result
+        cap (:func:`check_result_size`); else their blocks laid end to
+        end — their bytes spliced, not repacked
+        (:meth:`ResultBlock.concatenate`) — are its block, digested
+        here, once: the bytes of a one-part run.  Counters
         add up, and ``run_seconds`` is the longest part's."""
         if len(outcomes) == 1:
             out = outcomes[0]
@@ -443,6 +448,11 @@ class QueryService:
             write_errors = sum(o.event_write_errors for o in outcomes)
             out = next((o for o in outcomes if o.state != DONE), None)
             records = None
+            if out is None:
+                try:
+                    check_result_size(sum(len(o.block) for o in outcomes))
+                except ResultTooLargeError as exc:
+                    out = failed_outcome(exc)
             if out is None:
                 digest, records = digest_and_block(ResultBlock.concatenate(
                     [ResultBlock.from_packed(o.block) for o in outcomes]

@@ -39,35 +39,46 @@ class CancelToken:
 
     The first :meth:`cancel` wins; later calls are no-ops returning
     ``False``.  ``check()`` is the checkpoint primitive — a clock read
-    and a single ``Event.is_set()`` probe on the fast path, raising
+    and one attribute probe on the fast path, raising
     :class:`TaskCancelledError` once cancelled.
+
+    Every attempt gets a token and almost none is ever cancelled or
+    waited on, so a token is two plain fields until someone blocks on
+    it: the flag and its reason are latched under :data:`_LATCH`, one
+    lock shared by every token, and a ``threading.Event`` is made only
+    inside :meth:`wait` (the ``slow`` and ``hang`` faults).
     """
 
-    __slots__ = ("_event", "_lock", "_reason", "_last")
+    __slots__ = ("_cancelled", "_reason", "_event", "_last")
 
     def __init__(self) -> None:
-        self._event = threading.Event()
-        self._lock = threading.Lock()
+        self._cancelled = False
         self._reason: str = ""
+        #: Made by the first :meth:`wait`; set by the winning cancel.
+        self._event: threading.Event | None = None
         self._last = time.perf_counter()
 
     def cancel(self, reason: str) -> bool:
         """Latch the token.  Returns ``True`` iff this call did it."""
-        with self._lock:
-            if self._event.is_set():
+        with _LATCH:
+            if self._cancelled:
                 return False
             self._reason = reason
-            self._event.set()
-            return True
+            self._cancelled = True
+            event = self._event
+        if event is not None:
+            event.set()
+        return True
 
     @property
     def cancelled(self) -> bool:
-        return self._event.is_set()
+        return self._cancelled
 
     @property
     def reason(self) -> str:
-        with self._lock:
-            return self._reason
+        """The winning cancel's reason (``""`` until cancelled): written
+        before the flag, so a reader that saw the flag sees it."""
+        return self._reason
 
     @property
     def idle(self) -> float:
@@ -79,13 +90,28 @@ class CancelToken:
         """The checkpoint: note that the attempt is live, then raise
         :class:`TaskCancelledError` if cancelled."""
         self._last = time.perf_counter()
-        if self._event.is_set():
-            reason = self.reason
+        if self._cancelled:
+            reason = self._reason
             raise TaskCancelledError(
                 f"attempt cancelled ({reason})", reason=reason
             )
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until cancelled (or ``timeout``); returns the flag."""
-        return self._event.wait(timeout=timeout)
+        """Block until cancelled (or ``timeout``); returns the flag.  A
+        cancelled token returns at once."""
+        with _LATCH:
+            if self._cancelled:
+                return True
+            if self._event is None:
+                self._event = threading.Event()
+            event = self._event
+        # A cancel after the latch was released sets ``event``: no
+        # wake-up is lost between the check above and this wait.
+        event.wait(timeout=timeout)
+        return self._cancelled
 
+
+#: Guards every token's latch and event creation.  Cancels and waits
+#: are rare (mitigation, deadlines, the blocking faults), so one lock
+#: serves them all and a token costs no lock of its own.
+_LATCH = threading.Lock()

@@ -1,0 +1,291 @@
+"""A task's fixed cost (docs/PERFORMANCE.md, "A task's fixed cost").
+
+Every served and local job takes one engine path, and its per-task
+machinery — events, cancel tokens, phases, counters, slab reads — is
+paid per map and per reduce whatever the data.  These tests hold two
+things about it: the record a run leaves is exactly what it was when
+that machinery cost more (the same events in the same order, the same
+counters, attempts, trace and JSONL lines), and the interpreter calls a
+task makes stay within written budgets.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from dataclasses import dataclass, field as dataclass_field
+from typing import Any
+
+import numpy as np
+import pytest
+
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.engine import EngineTrace, JobResult, LocalEngine, task_attempts
+from repro.obs import EventBus, JobObservability
+from repro.obs.live import read_events
+from repro.query.language import StructuralQuery
+from repro.query.operators import get_operator
+from repro.query.splits import aligned_slice_splits
+from repro.scidata.dataset import create_dataset, open_dataset
+from repro.service import QueryRequest, service_fixture
+from repro.service.api import DONE
+from repro.service.engine_process import EngineConfig, run_job
+from repro.service.service import build_served_plan
+from repro.service.sessions import DatasetSession
+from repro.sidr.planner import build_plan, derive_zone_map
+from tests.test_columnar_result import _count_calls
+from tests.test_service_engine_processes import field
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A 16-week mmap'd grid: 16 maps at one week each, 8 at two."""
+    path = tmp_path_factory.mktemp("overhead") / "grid.nc"
+    create_dataset(path, var_name="v", data=field((112, 20, 20))).close()
+    ds = open_dataset(path)
+    assert ds.ensure_mapped()
+    yield ds
+    ds.close()
+
+
+def planned(ds, maps: int, reduces: int):
+    """A cached plan's worth of work for weekly means: map geometry and
+    keyblock grids computed, as the service keeps them."""
+    query = StructuralQuery(
+        variable="v", extraction_shape=(7, 5, 2), operator=get_operator("mean")
+    )
+    qplan = query.compile(ds.metadata)
+    return build_plan(
+        qplan, aligned_slice_splits(qplan, num_splits=maps), reduces,
+        zone_map=derive_zone_map(qplan, ds), prune=True,
+    ).with_map_geometry()
+
+
+def run_serial(plan, ds, obs: JobObservability | None = None) -> JobResult:
+    job, barrier = plan.configure_job(ds, name="overhead")
+    return LocalEngine(observability=False).run(job, barrier, mode="serial", obs=obs)
+
+
+def warm(plan, ds) -> JobResult:
+    """The second run of ``plan``: what a plan-cache hit runs."""
+    run_serial(plan, ds)
+    return run_serial(plan, ds)
+
+
+# --------------------------------------------------------------------- #
+# The record is unchanged
+# --------------------------------------------------------------------- #
+def _map_events(i: int) -> list[tuple[str, str, int, int]]:
+    return [
+        ("task.start", "map", i, 0),
+        ("spill.commit", "map", i, 0),
+        ("task.finish", "map", i, 0),
+    ]
+
+
+def _reduce_events(p: int) -> list[tuple[str, str, int, int]]:
+    return [
+        ("barrier.fire", "reduce", p, 0),
+        ("task.start", "reduce", p, 0),
+        ("reduce.start", "reduce", p, 0),
+        ("fetch", "reduce", p, 0),
+        ("fetch", "reduce", p, 0),
+        ("task.finish", "reduce", p, 0),
+    ]
+
+
+#: The serial run of 8 two-week maps into 4 keyblocks: each keyblock
+#: reads two consecutive maps and fires as the second one commits.
+SEQUENCE = (
+    [("job.start", "", -1, 0)]
+    + [
+        ev
+        for p in range(4)
+        for ev in _map_events(2 * p) + _map_events(2 * p + 1) + _reduce_events(p)
+    ]
+    + [("job.finish", "", -1, 0)]
+)
+TYPES = {
+    "job.start": 1, "task.start": 12, "spill.commit": 8, "task.finish": 12,
+    "barrier.fire": 4, "reduce.start": 4, "fetch": 8, "job.finish": 1,
+}
+COUNTERS = {
+    "barrier.early.starts": 3,
+    "combine.input.records": 640,
+    "combine.output.records": 640,
+    "map.input.records": 640,
+    "map.output.records": 640,
+    "plane.batched.instances": 640,
+    "reduce.input.groups": 640,
+    "reduce.input.records": 640,
+    "reduce.output.records": 640,
+    "reduce.planned": 4,
+    "shuffle.bytes": 30720,
+    "shuffle.records": 640,
+    "shuffle.segments": 8,
+    "task.attempts": 12,
+}
+ATTEMPTS = [
+    (kind, index, 0, "ok", "")
+    for p in range(4)
+    for kind, index in (("map", 2 * p), ("map", 2 * p + 1), ("reduce", p))
+]
+
+
+@dataclass(frozen=True)
+class _DataclassEvent:
+    """The event record as a frozen dataclass, with the ``to_json`` it
+    was serialized by in that form: the reference the tuple record's
+    JSONL lines are held to."""
+
+    seq: int
+    t: float
+    type: str
+    kind: str = ""
+    index: int = -1
+    attempt: int = 0
+    data: dict[str, Any] = dataclass_field(default_factory=dict)
+    job: str = ""
+    part: tuple[int, int] | None = None
+
+    def to_json(self) -> dict[str, Any]:
+        doc: dict[str, Any] = {
+            "seq": self.seq,
+            "t": round(self.t, 6),
+            "type": self.type,
+        }
+        if self.job:
+            doc["job"] = self.job
+        if self.part is not None:
+            doc["part"] = list(self.part)
+        if self.kind:
+            doc["kind"] = self.kind
+        if self.index >= 0:
+            doc["index"] = self.index
+        if self.attempt:
+            doc["attempt"] = self.attempt
+        if self.data:
+            doc["data"] = self.data
+        return doc
+
+
+class TestTheRecordIsUnchanged:
+    def test_a_warm_planned_serial_jobs_record(self, dataset):
+        res = warm(planned(dataset, maps=8, reduces=4), dataset)
+        events = res.obs.bus.events()
+        assert dict(Counter(ev.type for ev in events)) == TYPES
+        assert [(ev.type, ev.kind, ev.index, ev.attempt) for ev in events] == SEQUENCE
+        assert res.counters.as_dict() == COUNTERS
+        assert [
+            (a.kind, a.index, a.attempt, a.outcome, a.error) for a in res.attempts
+        ] == ATTEMPTS
+        assert res.trace.reduce_starts_before_last_map() == 3
+
+    def test_late_readings_are_the_eager_ones(self, dataset):
+        """``trace`` and ``attempts`` are read on first use, from the
+        run's slice of the record: a bus that goes on recording
+        another run does not move them."""
+        plan = planned(dataset, maps=8, reduces=4)
+        bus = EventBus()
+        first = run_serial(plan, dataset, JobObservability("a", enabled=False, bus=bus))
+        events = bus.events()
+        eager_trace, eager_attempts = EngineTrace(events), task_attempts(events)
+        run_serial(plan, dataset, JobObservability("b", enabled=False, bus=bus))
+        assert len(bus.events()) == 2 * len(events)
+        assert first.attempts == eager_attempts
+        assert first.trace.events == eager_trace.events
+        assert (
+            first.trace.reduce_starts_before_last_map()
+            == eager_trace.reduce_starts_before_last_map()
+            == 3
+        )
+        assert first.attempts is first.attempts  # read once, then kept
+
+    def test_given_readings_are_kept(self):
+        trace = EngineTrace()
+        res = JobResult("j", {}, Counters(), trace, 0, 0)
+        assert res.trace is trace and res.attempts == ()
+
+    def test_served_jsonl_lines_are_the_dataclass_records(self, tmp_path):
+        """``serve --events`` lines of one job, split in two parts
+        (so they carry ``part``), are byte for byte what the dataclass
+        record's ``to_json`` wrote for the same events."""
+        path = tmp_path / "events.jsonl"
+        with service_fixture(workers=2, events_path=str(path)) as client:
+            client.service.register_array("d", "v", field())
+            doc = client.query(QueryRequest(
+                dataset="d", variable="v", extract=(7, 5, 2), operator="mean",
+                splits=8, reduces=4, prune=True,
+            ))
+        assert doc["state"] == DONE and doc["parts"] == 2
+        lines = [
+            line for line in path.read_text().splitlines()
+            if json.loads(line)["job"] == doc["id"]
+        ]
+        events = read_events(path, job=doc["id"])
+        assert len(lines) == len(events) == 2 * 26
+        for line, ev in zip(lines, events):
+            reference = _DataclassEvent(**ev._asdict()).to_json()
+            assert line == json.dumps(reference, separators=(",", ":"))
+            assert line == json.dumps(ev.to_json(), separators=(",", ":"))
+
+
+# --------------------------------------------------------------------- #
+# Call budgets
+# --------------------------------------------------------------------- #
+#: Marginal interpreter calls (``sys.setprofile`` ``call`` + ``c_call``)
+#: per map and per reduce task of a warm planned serial job, about 20 %
+#: above what Python 3.11 measured (187 and 157; 377 and 210 before the
+#: per-task machinery was cut down).
+PER_MAP = 225
+PER_REDUCE = 190
+#: Calls of one warm whole served job (``engine_process.run_job``, the
+#: one function an engine process runs) of the two single-client
+#: benchmark classes, on their grids (``benchmarks/e2e/harness.py``).
+#: Measured 4 839 and 4 137 on Python 3.11 (8 393 and 7 064 before).
+SERVED = {
+    "fine_mean": ((364, 40, 40), (7, 5, 2), 5200),
+    "coarse_scan": ((364, 120, 120), (28, 20, 20), 4500),
+}
+
+
+def _run_calls(plan, ds) -> int:
+    run_serial(plan, ds)
+    job, barrier = plan.configure_job(ds, name="overhead")
+    engine = LocalEngine(observability=False)
+    calls, _ = _count_calls(lambda: engine.run(job, barrier, mode="serial"))
+    return calls
+
+
+class TestCallBudgets:
+    def test_marginal_calls_per_map_and_per_reduce(self, dataset):
+        base = _run_calls(planned(dataset, maps=8, reduces=4), dataset)
+        maps = _run_calls(planned(dataset, maps=16, reduces=4), dataset)
+        reduces = _run_calls(planned(dataset, maps=8, reduces=8), dataset)
+        per_map, per_reduce = (maps - base) / 8, (reduces - base) / 4
+        assert 0 < per_map <= PER_MAP, (base, maps)
+        assert 0 < per_reduce <= PER_REDUCE, (base, reduces)
+
+    @pytest.mark.parametrize("cls", sorted(SERVED))
+    def test_a_warm_served_job(self, cls, tmp_path):
+        shape, extract, budget = SERVED[cls]
+        path = tmp_path / "grid.nc"
+        create_dataset(path, var_name="v", data=np.zeros(shape)).close()
+        session = DatasetSession("grid", path=str(path))
+        try:
+            req = QueryRequest(
+                dataset="grid", variable="v", extract=extract, operator="mean",
+                splits=16, reduces=8, data_plane="columnar", engine="threaded",
+                prune=True,
+            )
+            plan = build_served_plan(req, session)
+            source, config = session.engine_source(), EngineConfig()
+            for _ in range(2):
+                run_job("warm", req, source, plan, config)
+            calls, out = _count_calls(
+                lambda: run_job("counted", req, source, plan, config)
+            )
+        finally:
+            session.close()
+        assert out.state == DONE
+        assert calls <= budget, calls

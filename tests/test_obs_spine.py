@@ -25,6 +25,7 @@ from repro.mapreduce.engine import (
     DependencyBarrier,
     EngineTrace,
     GlobalBarrier,
+    JobResult,
     LocalEngine,
     RetryPolicy,
     task_attempts,
@@ -337,12 +338,17 @@ class TestEmissionGuard:
     def test_readings_are_taken_at_the_finish_site(self):
         """The run's trace and attempts are read off the slice
         ``obs.finish`` returns, which folds the lifecycle tallies and
-        the registry metrics over the same slice."""
+        the registry metrics over the same slice: the result keeps that
+        slice, and reads it the first time each is asked for."""
         run = inspect.getsource(LocalEngine._run_job)
         finish = run.index("obs.finish(")
         assert run.count("obs.finish(") == 1
-        for reading in ("EngineTrace(events)", "task_attempts(events)"):
-            assert run.index(reading) > finish, reading
+        assert run.index("events=events") > finish
+        for prop, reading in (
+            (JobResult.trace, "EngineTrace(self._events)"),
+            (JobResult.attempts, "task_attempts(self._events)"),
+        ):
+            assert reading in inspect.getsource(prop.func), reading
         fold = inspect.getsource(JobObservability.fold)
         assert "counters.fold(events)" in fold
         assert "MetricsFold(self.metrics)" in fold

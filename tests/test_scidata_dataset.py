@@ -206,3 +206,73 @@ class TestMmapReadPath:
         ds, _ = small_ds
         ds.read_slab("v", Slab((0, 0, 0), (1, 1, 7)))
         assert ds._mm is None
+
+
+class TestReadPlans:
+    """A read-only handle validates each ``(variable, slab)`` once and
+    keeps its byte runs; a read is then the views, the short-read
+    check and the ``IOStats`` counts, which stay one per run."""
+
+    SLABS = (
+        Slab((0, 0, 0), (5, 6, 7)),
+        Slab((2, 0, 0), (2, 6, 7)),
+        Slab((0, 0, 3), (5, 6, 1)),
+        Slab((1, 2, 3), (2, 2, 2)),
+    )
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        data = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7)
+        create_dataset(tmp_path / "p.nc", var_name="v", data=data).close()
+        return tmp_path / "p.nc", data
+
+    def test_a_kept_plan_reads_and_counts_as_a_fresh_one(self, paths):
+        path, data = paths
+        with open_dataset(path) as ds, open_dataset(path, mode="r+") as rw:
+            for slab in self.SLABS:
+                for _ in range(2):  # validated, then kept
+                    for handle in (ds, rw):
+                        handle.io_stats.reset()
+                        got = handle.read_slab("v", slab)
+                        assert np.array_equal(got, data[slab.as_slices()])
+                    assert ds.io_stats == rw.io_stats
+            assert len(ds._plans) == len(self.SLABS)
+            assert rw._plans == {}  # a writable header can change
+
+    def test_a_kept_plan_still_rejects_a_bad_slab(self, paths):
+        path, _ = paths
+        with open_dataset(path) as ds:
+            with pytest.raises(DatasetError):
+                ds.read_slab("v", Slab((4, 0, 0), (2, 6, 7)))
+            with pytest.raises(DatasetError):
+                ds.read_slab("w", self.SLABS[0])
+            assert ds._plans == {}
+
+    def test_the_plans_are_bounded(self, paths, monkeypatch):
+        import repro.scidata.dataset as dataset_module
+
+        monkeypatch.setattr(dataset_module, "READ_PLAN_CAPACITY", 2)
+        path, data = paths
+        with open_dataset(path) as ds:
+            for slab in self.SLABS * 2:
+                assert np.array_equal(
+                    ds.read_slab("v", slab), data[slab.as_slices()]
+                )
+                assert len(ds._plans) <= 2
+
+    def test_a_reopened_session_starts_with_no_plans(self, paths):
+        from repro.service.sessions import DatasetSession
+
+        path, data = paths
+        session = DatasetSession("p", path=str(path))
+        try:
+            source = session.engine_source()
+            source.read_slab("v", self.SLABS[0])
+            assert source._plans
+            session.write_slab("v", Slab((0, 0, 0), (1, 6, 7)), -data[:1])
+            reopened = session.engine_source()
+            assert reopened is not source and reopened._plans == {}
+            got = reopened.read_slab("v", self.SLABS[0])
+            assert np.array_equal(got[0], -data[0])
+        finally:
+            session.close()

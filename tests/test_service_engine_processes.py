@@ -32,6 +32,7 @@ from repro.service import (
     service_fixture,
 )
 from repro.service.api import DONE, FAILED, RUNNING
+from repro.service import engine_process
 from repro.service.engine_process import run_job
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -203,6 +204,39 @@ class TestCrashContainment:
             restarts = sum(e["restarts"] for e in svc.stats()["engines"])
             assert 3 <= restarts <= 6
         assert multiprocessing.active_children() == []
+
+
+class TestResultSizeCap:
+    def test_an_oversized_result_fails_typed_and_the_engines_keep_serving(
+        self, monkeypatch
+    ):
+        """The cap is read where a block is made (the engine process)
+        and where parts are spliced (the service), so it is set before
+        the service forks.  A whole job and a split one over it fail
+        with ``ResultTooLargeError``, and so does a split job whose
+        parts fit only one by one; the same engines then serve a job
+        under it."""
+        monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", 1024)
+        small = request(**CLASSES["coarse_scan"])
+        with service_fixture(workers=2) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, small)
+            # fine_mean-shaped (320 keys, 10 264 bytes): one keyblock
+            # runs whole, four split in two
+            whole = client.query(request(reduces=1))
+            split = client.query(request())
+            # 32 keys: two parts of 536 bytes, 1 072 spliced
+            summed = client.query(request(extract=(7, 10, 10)))
+            after = client.query(small)
+            engines = svc.stats()["engines"]
+        for doc, parts in ((whole, 1), (split, 2), (summed, 2)):
+            assert doc["state"] == FAILED and doc["parts"] == parts, doc
+            assert doc["error_types"] == ["ResultTooLargeError"]
+            assert "over the service's cap of 1024" in doc["error"]
+        assert "1072 bytes" in summed["error"]
+        assert after["state"] == DONE and after["digest"] == digest
+        assert [e["restarts"] for e in engines] == [0, 0]
 
 
 class TestServeLeavesNoProcess:

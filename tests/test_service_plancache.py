@@ -28,6 +28,7 @@ from repro.service import (
     service_fixture,
 )
 from repro.service.api import DONE
+from repro.service.service import build_served_plan
 from repro.sidr.planner import build_plan
 
 
@@ -254,7 +255,7 @@ class TestBoundedByBytes:
             req = self._request()
             client.query(req)
             svc = client.service
-            plan = svc._build_plan(req, svc.registry.get("d"))
+            plan = build_served_plan(req, svc.registry.get("d"))
             assert svc.stats()["plan_cache"]["bytes"] == plan.nbytes > 0
 
     def test_nbytes_counts_the_keyblock_key_grids(self):
@@ -264,7 +265,7 @@ class TestBoundedByBytes:
         req = self._request()
         with QueryService(workers=1) as svc:
             svc.register_array("d", "v", int_field(4, (12, 10)))
-            cached = svc._build_plan(req, svc.registry.get("d"))
+            cached = build_served_plan(req, svc.registry.get("d"))
         plan = build_plan(cached.query_plan, cached.splits, req.reduces)
         for split in plan.splits:
             plan.map_geometry(split)

@@ -1,6 +1,7 @@
 """Speculative execution: hang detection, hedged races, cancellation,
 deadlines — units through full engine round-trips."""
 
+import sys
 import threading
 import time
 from collections import Counter
@@ -38,6 +39,7 @@ from repro.query.splits import slice_splits
 from repro.scidata.generators import temperature_dataset
 from repro.sidr.planner import build_sidr_job
 from repro.spec import (
+    REASON_DEADLINE,
     REASON_HANG,
     REASON_SUPERSEDED,
     CancelToken,
@@ -127,6 +129,87 @@ class TestCancelToken:
         assert tok.idle >= 0.03
         tok.check()
         assert tok.idle < 0.03
+
+    def test_racing_cancels_one_winner_with_its_reason(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                tok = CancelToken()
+                start = threading.Barrier(8)
+                won: dict[str, bool] = {}
+
+                def racer(i: int) -> None:
+                    start.wait(5.0)
+                    won[f"reason-{i}"] = tok.cancel(f"reason-{i}")
+
+                threads = [
+                    threading.Thread(target=racer, args=(i,)) for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(5.0)
+                assert not any(t.is_alive() for t in threads)
+                winners = [reason for reason, ok in won.items() if ok]
+                assert len(won) == 8 and len(winners) == 1
+                assert tok.reason == winners[0] and tok.cancelled
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_cancel_releases_every_waiter(self):
+        tok = CancelToken()
+        released: list[bool] = []
+        waiters = [
+            threading.Thread(target=lambda: released.append(tok.wait(5.0)))
+            for _ in range(2)
+        ]
+        for t in waiters:
+            t.start()
+        deadline = time.monotonic() + 5.0
+        while tok._event is None and time.monotonic() < deadline:
+            time.sleep(0.001)  # until a waiter made the event
+        time.sleep(0.02)
+        t0 = time.perf_counter()
+        assert tok.cancel(REASON_HANG)
+        for t in waiters:
+            t.join(5.0)
+        assert released == [True, True]
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_wait_after_cancel_returns_at_once(self):
+        tok = CancelToken()
+        tok.cancel(REASON_SUPERSEDED)
+        t0 = time.perf_counter()
+        assert tok.wait(5.0)
+        assert tok.wait()
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_a_token_never_waited_on_holds_no_event(self):
+        tok = CancelToken()
+        tok.check()
+        assert tok._event is None
+        tok.cancel(REASON_HANG)
+        assert tok._event is None
+        with pytest.raises(TaskCancelledError):
+            tok.check()
+        assert tok._event is None
+
+    def test_a_cancelled_slow_fault_ends_at_the_cancel(self):
+        rule = FaultRule(task="map", kind=FaultKind.SLOW, indices=frozenset({0}), delay=5.0)
+        faults = InjectionPlan(rules=(rule,)).bind(1, 1)
+        tok = CancelToken()
+        timer = threading.Timer(0.05, tok.cancel, args=(REASON_DEADLINE,))
+        t0 = time.perf_counter()
+        timer.start()
+        try:
+            with pytest.raises(TaskCancelledError) as ei:
+                faults.fire("map", 0, 0, cancel=tok)
+        finally:
+            timer.cancel()
+        elapsed = time.perf_counter() - t0
+        assert ei.value.reason == REASON_DEADLINE
+        assert 0.04 <= elapsed < 1.0
 
 
 class TestHangDetector:
