@@ -17,7 +17,9 @@ with the input metadata" (§3.1):
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Any
 
 import numpy as np
@@ -97,7 +99,7 @@ class QueryPlan:
     def operator(self) -> StructuralOperator:
         return self.query.operator
 
-    @property
+    @cached_property
     def covered(self) -> Slab:
         """The box of K actually consumed (truncation drops the rest):
         from the first instance's corner to the last instance's end.
@@ -140,11 +142,37 @@ class QueryPlan:
         slab = self.extraction.preimage(key)
         return slab.intersect(self.subset)
 
-    def expected_cells_for_key(self, key: Coord) -> int:
-        """Number of source cells that must arrive before ``key`` is
-        complete — the per-key ground truth behind the §3.2.1 count
-        annotation."""
-        return self.instance_region(key).volume
+    def instance_cells(self, boxes: Iterable[Slab] | None = None) -> np.ndarray:
+        """Source cells per key: an int64 array of shape K'_T holding
+        each key's instance ∩ subset cells, or with ``boxes`` (disjoint,
+        e.g. splits' slabs) those of them inside the boxes — the ground
+        truth behind the §3.2.1 count annotation.
+
+        A box intersection's volume is the product of its 1-D overlaps,
+        so each box adds the outer product of one overlap vector per
+        axis, over the run of instances it meets: strides and clipped
+        edge instances enter only through those vectors."""
+        ex = self.extraction
+        starts = [
+            o + st * np.arange(n, dtype=np.int64)
+            for o, st, n in zip(ex.origin, ex.stride, self.intermediate_space)
+        ]
+        out = np.zeros(self.intermediate_space, dtype=np.int64)
+        for box in (self.subset,) if boxes is None else boxes:
+            region = box.intersect(self.subset)
+            index, vectors = [], []
+            for start, sh, lo, hi in zip(starts, ex.shape, region.corner, region.end):
+                overlap = np.minimum(start + sh, hi) - np.maximum(start, lo)
+                # The instances an interval meets are a contiguous run.
+                met = np.flatnonzero(overlap > 0)
+                if not len(met):
+                    break
+                first, last = int(met[0]), int(met[-1]) + 1
+                index.append(slice(first, last))
+                vectors.append(overlap[first:last])
+            else:
+                out[tuple(index)] += reduce(np.multiply.outer, vectors)
+        return out
 
     def image_of(self, region: Slab) -> Slab:
         """K' region a K region produces keys in (clipped to K'_T)."""

@@ -10,22 +10,25 @@ case the split never becomes a map task.
 Pruning must be invisible in the output bytes.  That takes more than
 dropping splits:
 
-* **surviving-key mask** — a key all of whose producers were pruned
-  is still a key of K'_T (§2.4.2 allows it an empty result).  It is
-  *synthesized*: its keyblock's reduce takes it with the combine
+* **surviving-key mask** — a key none of whose cells a surviving split
+  delivers is still a key of K'_T (§2.4.2 allows it an empty result).
+  It is *synthesized*: its keyblock's reduce takes it with the combine
   identity as its state — the operator's map of zero cells — and
   finalizes it like any other key (sound by predicate contract: the
   key's entire input was identity).
 * **expected-count repair** — the §3.2.1 count-annotation validator
   expects per-keyblock source-cell totals.  Pruned cells never arrive,
-  so each keyblock touched by a pruned split gets its expectation
-  recomputed as the exact cell volume the *surviving* splits deliver.
+  so each keyblock expects exactly the cells the *surviving* splits
+  deliver: per key, a sum of per-axis products
+  (:meth:`~repro.query.language.QueryPlan.instance_cells`), computed
+  once per plan.
 * **empty blocks** — a keyblock all of whose producers were pruned has
   an empty dependency set I_l; the dependency validator is told to
   allow it (its barrier is trivially ready and it expects zero cells).
 
-Everything here is geometry over the same exact machinery the
-dependency map uses, so pruning cannot disagree with routing.
+Everything here is exact geometry: a key survives where a surviving
+split's reader emits it (an instance cell inside the subset and the
+split), so pruning cannot disagree with what the maps deliver.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.arrays.slab import Slab
 from repro.query.language import QueryPlan
 from repro.query.operators import PrunePredicate
 from repro.query.splits import CoordinateSplit
@@ -97,89 +99,23 @@ def split_prunable(
     return True
 
 
-def _mark_surviving_keys(
-    plan: QueryPlan, surviving: tuple[CoordinateSplit, ...]
-) -> np.ndarray:
-    """Boolean grid over K'_T: True where a key keeps >=1 surviving
-    producer — the union of the (exact) images of the surviving work
-    regions, one slab assignment each.
-    """
-    space = plan.intermediate_space
-    mask = np.zeros(space, dtype=bool)
-    covered = plan.covered
-    for sp in surviving:
-        for slab in sp.slabs:
-            work = slab.intersect(covered)
-            if work.is_empty:
-                continue
-            image = plan.image_of(work)
-            if not image.is_empty:
-                mask[image.as_slices()] = True
-    return mask
-
-
 def _group_missing_keys(
     mask: np.ndarray, partition: "KeyBlockPartition"
 ) -> dict[int, np.ndarray]:
     """Keys with no surviving producer, grouped by owning keyblock.
 
-    ``np.argwhere`` yields C-order rows, so each group's keys come out
-    sorted in row-major key order — the order reduce outputs use.
+    ``np.flatnonzero`` yields row-major indices in order, so a
+    keyblock's keys are one contiguous run of them, sorted in row-major
+    key order — the order reduce outputs use.
     """
-    missing = np.argwhere(~mask).astype(np.int64)
-    lin = np.ravel_multi_index(tuple(missing.T), mask.shape)
-    boundaries = np.asarray(partition.cell_boundaries(), dtype=np.int64)
-    owners = np.searchsorted(boundaries, lin, side="right")
-    return {int(b): missing[owners == b] for b in np.unique(owners)}
-
-
-def _expected_counts(
-    plan: QueryPlan,
-    partition: "KeyBlockPartition",
-    surviving: tuple[CoordinateSplit, ...],
-    pruned: tuple[CoordinateSplit, ...],
-) -> tuple[int, ...]:
-    """Per-keyblock source-cell totals under pruning — exactly what the
-    surviving maps will deliver, so the count-annotation validator stays
-    exact instead of being weakened to >=."""
-    space = plan.intermediate_space
-    covered = plan.covered
-    per_key = np.empty(space, dtype=np.int64)
-    if plan.extraction.truncate:
-        per_key.fill(plan.cells_per_instance)
-    else:
-        for key in Slab.whole(space).iter_coords():
-            per_key[key] = plan.expected_cells_for_key(key)
-    # Keys possibly fed by a pruned split lose cells: recompute those
-    # exactly as the volume delivered by surviving splits.  Keys outside
-    # every pruned image keep their full instance volume.
-    touched = np.zeros(space, dtype=bool)
-    for sp in pruned:
-        for slab in sp.slabs:
-            work = slab.intersect(covered)
-            if work.is_empty:
-                continue
-            image = plan.image_of(work)
-            if not image.is_empty:
-                touched[image.as_slices()] = True
-    surviving_work = [
-        work
-        for sp in surviving
-        for work in (s.intersect(covered) for s in sp.slabs)
-        if not work.is_empty
-    ]
-    for row in np.argwhere(touched):
-        key = tuple(int(x) for x in row)
-        inst = plan.instance_region(key)
-        per_key[key] = sum(
-            inst.intersect(work).volume for work in surviving_work
-        )
-    totals = []
-    for blk in partition.blocks:
-        totals.append(
-            int(sum(per_key[s.as_slices()].sum() for s in blk.slabs))
-        )
-    return tuple(totals)
+    lin = np.flatnonzero(~mask)
+    missing = np.stack(np.unravel_index(lin, mask.shape), axis=1).astype(np.int64)
+    groups = {}
+    for b, blk in enumerate(partition.blocks):
+        lo, hi = np.searchsorted(lin, blk.cell_range)
+        if hi > lo:
+            groups[b] = missing[lo:hi]
+    return groups
 
 
 def prune_splits(
@@ -214,19 +150,20 @@ def prune_splits(
         replace(sp, index=i)
         for i, sp in enumerate(sp for sp, f in zip(splits, flags) if not f)
     )
-    pruned = tuple(sp for sp, f in zip(splits, flags) if f)
-    mask = _mark_surviving_keys(plan, surviving)
-    synth = _group_missing_keys(mask, partition)
+    # Each key's cells that the surviving splits deliver: the full
+    # instance where no pruned split meets it, less (or none) where one
+    # does.
+    delivered = plan.instance_cells(s for sp in surviving for s in sp.slabs)
+    synth = _group_missing_keys(delivered > 0, partition)
     empty_blocks = frozenset(
         b for b, keys in synth.items()
         if len(keys) == partition.blocks[b].num_keys
     )
-    expected = _expected_counts(plan, partition, surviving, pruned)
     return PruneResult(
         surviving=surviving,
-        pruned_indices=tuple(sp.index for sp in pruned),
+        pruned_indices=tuple(sp.index for sp, f in zip(splits, flags) if f),
         original_splits=len(splits),
         synth_keys=synth,
         empty_blocks=empty_blocks,
-        expected_counts=expected,
+        expected_counts=partition.sums(delivered),
     )

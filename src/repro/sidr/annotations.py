@@ -9,7 +9,8 @@ SIDR uses approach 1 (the I_l barrier) for control flow and "implements
 the annotations required for the latter method as a means of validating
 the system's correctness" — exactly what this module does: the expected
 source-cell count of every keyblock is computed from the query geometry,
-and the engine hands each reduce start's tally to
+once per plan (:func:`repro.sidr.planner.build_plan`), and the engine
+hands each reduce start's tally to
 :meth:`CountAnnotationValidator.validate`, which raises
 :class:`~repro.errors.BarrierViolationError` on any mismatch.  A short
 tally means the dependency map missed a producer (the reduce would have
@@ -21,6 +22,7 @@ answer.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import BarrierViolationError, PartitionError
@@ -28,44 +30,25 @@ from repro.query.language import QueryPlan
 from repro.sidr.keyblocks import KeyBlockPartition
 
 
-def expected_source_cells(plan: QueryPlan, partition: KeyBlockPartition) -> list[int]:
-    """Expected number of source (input) cells feeding each keyblock.
-
-    Fast path: under truncate semantics every instance is whole, so a
-    keyblock of n keys expects ``n * cells_per_instance`` source cells.
-    With clipped edge instances (``keep_partial_instances``) each edge
-    key's instance is intersected with the queried subset, so the count
-    is computed per clipped slab region.
-    """
+def expected_source_cells(
+    plan: QueryPlan, partition: KeyBlockPartition
+) -> tuple[int, ...]:
+    """Expected number of source (input) cells feeding each keyblock:
+    the per-keyblock sums of :meth:`QueryPlan.instance_cells`, so
+    clipped edge instances (``keep_partial_instances``) count only
+    their cells inside the subset."""
     if partition.space != plan.intermediate_space:
         raise PartitionError("partition/plan keyspace mismatch")
-    ex = plan.extraction
-    if ex.truncate:
-        per = plan.cells_per_instance
-        return [b.num_keys * per for b in partition.blocks]
-    out: list[int] = []
-    for b in partition.blocks:
-        total = 0
-        for slab in b.slabs:
-            for key in slab.iter_coords():
-                total += plan.expected_cells_for_key(key)
-        out.append(total)
-    return out
+    return partition.sums(plan.instance_cells())
 
 
 @dataclass
 class CountAnnotationValidator:
     """Validates reduce-start tallies against expected source counts."""
 
-    expected: list[int]
+    expected: Sequence[int]
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _observed: dict[int, int] = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def for_plan(
-        cls, plan: QueryPlan, partition: KeyBlockPartition
-    ) -> "CountAnnotationValidator":
-        return cls(expected=expected_source_cells(plan, partition))
 
     def validate(self, partition_index: int, tallied_source_records: int) -> None:
         if not (0 <= partition_index < len(self.expected)):

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from repro.arrays.linearize import range_to_slabs
 from repro.arrays.shape import Coord, Shape, volume
 from repro.arrays.slab import Slab, bounding_box
@@ -118,6 +120,16 @@ class KeyBlockPartition:
     def cell_boundaries(self) -> list[int]:
         """Exclusive upper cell index per block — RangePartitioner input."""
         return [b.cell_range[1] for b in self.blocks]
+
+    def sums(self, grid: np.ndarray) -> tuple[int, ...]:
+        """Per-keyblock sums of ``grid``, an array of shape K'_T: each
+        block is a contiguous row-major range, so one ``reduceat``."""
+        if tuple(grid.shape) != tuple(self.space):
+            raise PartitionError(
+                f"grid shape {grid.shape} != keyspace {self.space}"
+            )
+        starts = [b.cell_range[0] for b in self.blocks]
+        return tuple(int(x) for x in np.add.reduceat(grid.ravel(), starts))
 
     def max_skew_cells(self) -> int:
         """Largest difference in key counts between any two keyblocks."""

@@ -44,7 +44,7 @@ from repro.query.pruning import PruneResult, prune_splits
 from repro.query.recordreader import make_reader_factory
 from repro.query.splits import CoordinateSplit
 from repro.scidata.zonemaps import ZoneMap, build_zone_map
-from repro.sidr.annotations import CountAnnotationValidator
+from repro.sidr.annotations import CountAnnotationValidator, expected_source_cells
 from repro.sidr.dependencies import DependencyMap, compute_dependencies
 from repro.sidr.keyblocks import KeyBlockPartition
 from repro.sidr.partition_plus import partition_plus
@@ -58,6 +58,9 @@ class SIDRPlan:
     splits: tuple[CoordinateSplit, ...]
     partition: KeyBlockPartition
     deps: DependencyMap
+    #: Source cells each keyblock's reduce must tally (§3.2.1): what
+    #: ``splits`` deliver, pruned or not, computed once in build_plan.
+    expected_counts: tuple[int, ...]
     #: Per-keyblock output priority (§3.4): weights the speculation
     #: runtime's backup ranking.  The engine fires reduces per
     #: dependency barrier; reduce-first order lives in the simulator.
@@ -93,13 +96,7 @@ class SIDRPlan:
         return DependencyBarrier(self.deps.dependency_barrier())
 
     def validator(self) -> CountAnnotationValidator:
-        if self.pruning is not None:
-            # Pruned cells never arrive; the exact per-keyblock totals
-            # the surviving splits deliver were precomputed geometrically.
-            return CountAnnotationValidator(
-                expected=list(self.pruning.expected_counts)
-            )
-        return CountAnnotationValidator.for_plan(self.query_plan, self.partition)
+        return CountAnnotationValidator(expected=self.expected_counts)
 
     # ------------------------------------------------------------------ #
     # Map geometry: a pure function of (plan, split), computed once
@@ -335,6 +332,10 @@ def build_plan(
         splits=tuple(splits),
         partition=partition,
         deps=deps,
+        expected_counts=(
+            pruning.expected_counts if pruning is not None
+            else expected_source_cells(query_plan, partition)
+        ),
         priorities=prio,
         pruning=pruning,
     )

@@ -91,7 +91,9 @@ class TestKeyTranslation:
         assert r == Slab((7, 5, 2), (7, 5, 1))
 
     def test_expected_cells(self, weekly_mean_plan):
-        assert weekly_mean_plan.expected_cells_for_key((0, 0, 0)) == 35
+        cells = weekly_mean_plan.instance_cells()
+        assert cells.shape == weekly_mean_plan.intermediate_space
+        assert (cells == 35).all()
 
     def test_image_of(self, weekly_mean_plan):
         img = weekly_mean_plan.image_of(Slab((0, 0, 0), (8, 10, 6)))
@@ -127,7 +129,9 @@ class TestPartialInstances:
         plan = q.compile(temp_field.metadata)
         # ceil(29/7)=5 weeks, the last clipped to 1 day.
         assert plan.intermediate_space == (5, 2, 6)
-        assert plan.expected_cells_for_key((4, 0, 0)) == 1 * 5 * 1
+        cells = plan.instance_cells()
+        assert cells[4, 0, 0] == 1 * 5 * 1
+        assert cells.sum() == plan.subset.volume
 
     def test_partial_oracle_consistent(self, temp_field, temp_data):
         q = StructuralQuery(

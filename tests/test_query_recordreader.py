@@ -55,8 +55,9 @@ class TestStructuralReader:
                 per_key.setdefault(k, []).append(c.source_count)
         split_keys = [k for k, counts in per_key.items() if len(counts) > 1]
         assert split_keys, "expected at least one instance to span splits"
+        cells = weekly_mean_plan.instance_cells()
         for k in per_key:
-            assert sum(per_key[k]) == weekly_mean_plan.expected_cells_for_key(k)
+            assert sum(per_key[k]) == cells[k]
 
     def test_reads_from_file(self, tmp_path, temp_field, weekly_mean_plan):
         path = tmp_path / "t.nc"

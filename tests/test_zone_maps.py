@@ -14,26 +14,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.arrays.slab import Slab
 from repro.errors import FormatError
 from repro.mapreduce.engine import LocalEngine
 from repro.query.language import StructuralQuery
 from repro.query.operators import ThresholdFilterOp
 from repro.query.pruning import prune_splits, split_prunable
 from repro.query.splits import slice_splits
-from repro.scidata.metadata import (
-    DatasetMetadata,
-    Dimension,
-    Variable,
-    simple_metadata,
-)
+from repro.scidata.metadata import DatasetMetadata, Dimension, Variable
 from repro.scidata.zonemaps import (
     ZoneMap,
     build_zone_map,
     constant_zone_map,
     default_tile_shape,
 )
+from repro.sidr.annotations import expected_source_cells
 from repro.sidr.partition_plus import partition_plus
-from repro.sidr.planner import build_sidr_job, derive_zone_map
+from repro.sidr.planner import build_plan, build_sidr_job, derive_zone_map
 
 SETTINGS = dict(
     deadline=None,
@@ -51,12 +48,23 @@ def _meta(shape):
 
 @st.composite
 def prune_case(draw):
+    """Geometry, data and thresholds: truncating or not, dense or
+    strided, over the whole variable or a subset with its own corner."""
     rank = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(2, 9)) for _ in range(rank))
-    extraction = tuple(draw(st.integers(1, s)) for s in shape)
+    subset = None
+    if draw(st.booleans()):
+        corner = tuple(draw(st.integers(0, s - 1)) for s in shape)
+        subset = Slab(
+            corner,
+            tuple(draw(st.integers(1, s - c)) for s, c in zip(shape, corner)),
+        )
+    space = shape if subset is None else subset.shape
+    extraction = tuple(draw(st.integers(1, s)) for s in space)
     stride = None
     if draw(st.booleans()):
         stride = tuple(e + draw(st.integers(0, 2)) for e in extraction)
+    partial = draw(st.booleans())
     tile = None
     if draw(st.booleans()):
         tile = tuple(draw(st.integers(1, s)) for s in shape)
@@ -64,18 +72,26 @@ def prune_case(draw):
     num_splits = draw(st.integers(1, 6))
     reduces = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 100_000))
-    return shape, extraction, stride, tile, threshold, num_splits, reduces, seed
+    return (
+        shape, subset, extraction, stride, partial, tile, threshold,
+        num_splits, reduces, seed,
+    )
 
 
 def _build(case):
-    shape, extraction, stride, tile, threshold, num_splits, reduces, seed = case
+    (
+        shape, subset, extraction, stride, partial, tile, threshold,
+        num_splits, reduces, seed,
+    ) = case
     rng = np.random.default_rng(seed)
     data = rng.integers(-15, 15, size=shape, endpoint=True).astype(np.float64)
     plan = StructuralQuery(
         variable="v",
         extraction_shape=extraction,
         operator=ThresholdFilterOp(threshold=threshold),
+        subset=subset,
         stride=stride,
+        keep_partial_instances=partial,
     ).compile(_meta(shape))
     splits = slice_splits(plan, num_splits=num_splits)
     zone_map = build_zone_map("v", data, tile_shape=tile)
@@ -153,20 +169,60 @@ class TestPruningSoundness:
         assert [sp.index for sp in result.surviving] == list(
             range(len(result.surviving))
         )
-        # Expected counts cover every keyblock and total the volume the
-        # surviving splits actually deliver.
-        assert len(result.expected_counts) == partition.num_blocks
-        delivered = sum(
-            sp_slab.intersect(plan.instance_region(key)).volume
-            for sp in result.surviving
-            for sp_slab in (s.intersect(plan.covered) for s in sp.slabs)
-            if not sp_slab.is_empty
-            for key in plan.image_of(sp_slab).iter_coords()
+        # Each keyblock expects exactly the cells the surviving splits
+        # deliver to its keys, and a key is synthesized exactly when
+        # they deliver none of its cells.
+        slabs = [s for sp in result.surviving for s in sp.slabs]
+        walk = _walk(plan, partition, slabs)
+        assert result.expected_counts == tuple(
+            sum(cells.values()) for cells in walk
         )
-        assert sum(result.expected_counts) == delivered
+        for b, cells in enumerate(walk):
+            missing = [key for key, n in cells.items() if n == 0]
+            got = result.synth_keys.get(b, np.empty((0, plan.extraction.rank)))
+            assert [tuple(row) for row in got.tolist()] == missing
         # Empty blocks are exactly the all-synthesized ones.
         for b in result.empty_blocks:
             assert len(result.synth_keys[b]) == partition.blocks[b].num_keys
+
+    @given(case=prune_case())
+    @settings(max_examples=120, **SETTINGS)
+    def test_expected_source_cells_match_a_per_key_walk(self, case):
+        """Unpruned, every keyblock expects its keys' instance cells
+        inside the subset — which is also what all the splits deliver."""
+        plan, data, splits, zone_map, reduces = _build(case)
+        partition = partition_plus(
+            plan.intermediate_space, min(reduces, plan.num_intermediate_keys)
+        )
+        expected = expected_source_cells(plan, partition)
+        assert expected == tuple(
+            sum(cells.values()) for cells in _walk(plan, partition)
+        )
+        slabs = [s for sp in splits for s in sp.slabs]
+        assert expected == tuple(
+            sum(cells.values()) for cells in _walk(plan, partition, slabs)
+        )
+        sidr = build_plan(plan, splits, partition.num_blocks, prune=False)
+        assert sidr.expected_counts == expected
+        assert tuple(sidr.validator().expected) == expected
+
+
+def _walk(plan, partition, slabs=None):
+    """Per keyblock, ``{key: cells}`` in key order: the brute-force
+    reference, one key at a time — each key's instance ∩ subset, or
+    the part of it inside ``slabs``."""
+    out = []
+    for blk in partition.blocks:
+        cells = {}
+        for s in blk.slabs:
+            for key in s.iter_coords():
+                inst = plan.instance_region(key)
+                cells[key] = (
+                    inst.volume if slabs is None
+                    else sum(inst.intersect(sl).volume for sl in slabs)
+                )
+        out.append(cells)
+    return out
 
 
 class TestSerialization:
@@ -199,7 +255,6 @@ class TestSerialization:
         """Mutating a dataset drops its zone maps in place (offsets are
         preserved), so a later query degrades to no pruning instead of
         pruning against stale statistics."""
-        from repro.arrays.slab import Slab
         from repro.scidata.dataset import open_dataset
         from repro.scidata.nclite import read_header, write_nclite
 
@@ -307,8 +362,6 @@ class TestZoneMapStructure:
         rng = np.random.default_rng(9)
         data = rng.uniform(-10, 10, size=(16, 8))
         zm = build_zone_map("v", data, tile_shape=(4, 4))
-        from repro.arrays.slab import Slab
-
         region = Slab((3, 1), (6, 5))  # straddles tile boundaries
         lo, hi = zm.region_bounds(region)
         cells = data[region.as_slices()]
