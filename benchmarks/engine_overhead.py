@@ -13,7 +13,9 @@ no engine process:
   reads, window copies and ``map_batch`` calls, with nothing around
   them;
 * ``calls`` — interpreter calls (``sys.setprofile`` ``call`` +
-  ``c_call``) of one warm whole job.
+  ``c_call``) of one warm whole job;
+* ``block`` — the whole job's packed result block: its bytes and its
+  value column's tag (``docs/SERVICE.md``, "Wire format").
 
 Every round measures every class, in reversed order on odd rounds, and
 alternates whole, part and floor runs within a class.  Every whole
@@ -43,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 from harness import CLASSES, Inputs  # noqa: E402
 
-from repro.mapreduce.columnar import ResultBlock  # noqa: E402
+from repro.mapreduce.columnar import VALUE_TAG_NAMES, ResultBlock  # noqa: E402
 from repro.query.columnar import window_rows  # noqa: E402
 from repro.service.api import DONE  # noqa: E402
 from repro.service.engine_process import EngineConfig, run_job  # noqa: E402
@@ -155,9 +157,11 @@ def main(argv: list[str] | None = None) -> int:
         inputs.prepare(tuple(classes))
         served = [Served(cls, inputs) for cls in classes]
         try:
-            calls = {}
+            calls, blocks = {}, {}
             for s in served:
-                s.run()  # warm: the process has the plan, the handle its reads
+                # warm: the process has the plan, the handle its reads
+                block = s.run().block
+                blocks[s.cls] = (len(block), VALUE_TAG_NAMES[block[4]])
                 calls[s.cls] = count_calls(s.run)
             rounds: dict[str, dict[str, list[float]]] = {
                 s.cls: {"whole": [], "part0": [], "floor": []} for s in served
@@ -173,17 +177,22 @@ def main(argv: list[str] | None = None) -> int:
     print(f"seed {args.seed}, {args.rounds} rounds of {args.runs} runs, "
           f"cpu_count {os.cpu_count()}, Python {sys.version.split()[0]}")
     print(f"  {'class':16s} {'whole p50':>10s} {'part0 p50':>10s} "
-          f"{'floor p50':>10s} {'floor/part0':>11s} {'calls/job':>10s}")
+          f"{'floor p50':>10s} {'floor/part0':>11s} {'calls/job':>10s} "
+          f"{'block bytes':>11s}  value tag")
     report = {}
     for cls, per in rounds.items():
         med = {name: statistics.median(v) for name, v in per.items()}
         share = med["floor"] / med["part0"] if med["part0"] else 0.0
+        size, tag = blocks[cls]
         print(f"  {cls:16s} {med['whole']:8.2f}ms {med['part0']:8.2f}ms "
-              f"{med['floor']:8.2f}ms {share:11.2f} {calls[cls]:10d}")
+              f"{med['floor']:8.2f}ms {share:11.2f} {calls[cls]:10d} "
+              f"{size:11d}  {tag}")
         report[cls] = {
             "p50_ms": {k: round(v, 3) for k, v in med.items()},
             "rounds_ms": {k: [round(x, 3) for x in v] for k, v in per.items()},
             "calls_per_job": calls[cls],
+            "block_bytes": size,
+            "value_tag": tag,
         }
     if args.out:
         with open(args.out, "w") as fh:

@@ -24,8 +24,9 @@ module is the engine half of that plane:
   unchanged in both planes.
 * :class:`ResultBlock` — what a columnar reduce returns: one
   keyblock's finalized output as lexsorted ``(n, rank)`` int64 keys plus
-  a value column.  It is a read-only ``Sequence`` of ``(key, value)``
-  records, so every consumer of a reduce's record list keeps working,
+  a value column — float64, int64, :class:`Ragged` rows or an
+  :class:`ExceedsColumn` — with one binary byte form.  It is a
+  read-only ``Sequence`` of ``(key, value)`` records, so every consumer of a reduce's record list keeps working,
   but records exist as Python objects only once somebody indexes or
   iterates; the service, the verifier and the dense output writer read
   the arrays.
@@ -52,10 +53,10 @@ that rounds as the scalar one does.
 
 from __future__ import annotations
 
-import json
 import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, ClassVar, Protocol
 
 import numpy as np
@@ -101,10 +102,10 @@ class BatchOperator(Protocol):
 
     def finalize_columns(
         self, columns: tuple[np.ndarray, ...], source_counts: np.ndarray
-    ) -> np.ndarray | list:
+    ) -> "ValueColumn":
         """Reduce-side finalization of every combined state row at once:
-        a numeric array, or a list of plain Python values (lists, dicts)
-        for operators whose output is not a scalar."""
+        a result value column — a float64 or int64 array, a
+        :class:`Ragged` column or an :class:`ExceedsColumn`."""
         ...
 
 
@@ -176,7 +177,34 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class Ragged:
+class _FieldColumn:
+    """A column held as parallel arrays, its ``_fields``.
+    ``np.concatenate`` of such columns is their rows end to end, field
+    by field, so the engine concatenates a column the same way whatever
+    it holds; every other numpy function refuses one, and
+    ``np.asarray`` of one is an error rather than an object array."""
+
+    _fields: ClassVar[tuple[str, ...]]
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.concatenate or kwargs or not all(
+            issubclass(t, type(self)) for t in types
+        ):
+            return NotImplemented
+        parts = args[0]
+        return type(self)(*(
+            np.concatenate([getattr(p, name) for p in parts])
+            for name in self._fields
+        ))
+
+    def __array__(self, *args: Any, **kwargs: Any) -> np.ndarray:
+        raise TypeError(
+            f"a {type(self).__name__} column is not an array: read "
+            + " and ".join(f".{name}" for name in self._fields)
+        )
+
+
+class Ragged(_FieldColumn):
     """A state column whose rows differ in length (the holistic and
     filtering operators' surviving cells): ``values``, one flat float64
     array holding the rows end to end in order, and ``lengths``, the
@@ -190,8 +218,12 @@ class Ragged:
     of ragged columns.  ``nbytes`` is its cells' bytes — what crosses
     the shuffle, the record plane's size of the same rows.  There is no
     Python object per row, and ``np.asarray`` of it is an error rather
-    than an object array.
+    than an object array.  Finalized (each row sorted), it is also the
+    value column of a ``sort`` or ``filter_gt`` :class:`ResultBlock`,
+    whose :meth:`tolist` gives the rows as lists.
     """
+
+    _fields = ("values", "lengths")
 
     def __init__(self, values: np.ndarray, lengths: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -237,27 +269,47 @@ class Ragged:
         cells = np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
         return Ragged(self.values[cells], lengths)
 
-    def __array_function__(self, func, types, args, kwargs):
-        # ``np.concatenate`` of ragged columns is their rows end to end,
-        # so the engine concatenates a column the same way whatever it
-        # holds; every other numpy function refuses one.
-        if func is not np.concatenate or kwargs or not all(
-            issubclass(t, Ragged) for t in types
-        ):
-            return NotImplemented
-        parts = args[0]
-        return Ragged(
-            np.concatenate([p.values for p in parts]),
-            np.concatenate([p.lengths for p in parts]),
-        )
-
-    def __array__(self, *args: Any, **kwargs: Any) -> np.ndarray:
-        raise TypeError(
-            "a Ragged column is not an array: read .values and .lengths"
-        )
+    def tolist(self) -> list[list[float]]:
+        """The rows as lists of plain floats."""
+        values, ends = self.values.tolist(), self.offsets.tolist()
+        return [values[a:b] for a, b in zip(ends, ends[1:])]
 
     def __repr__(self) -> str:
         return f"Ragged({len(self)} rows, {self.values.size} cells)"
+
+
+class ExceedsColumn(_FieldColumn):
+    """``range_exceeds``' output column: per row, whether the variation
+    passed the threshold and the variation itself, as two fixed-width
+    arrays — ``exceeds`` (bool) and ``variation`` (float64).  A row
+    reads as ``{"exceeds": bool, "variation": float}`` (:meth:`tolist`);
+    like :class:`Ragged` it slices, takes and concatenates as a column."""
+
+    _fields = ("exceeds", "variation")
+
+    def __init__(self, exceeds: np.ndarray, variation: np.ndarray) -> None:
+        exceeds = np.asarray(exceeds, dtype=np.bool_)
+        variation = np.asarray(variation, dtype=np.float64)
+        if exceeds.ndim != 1 or exceeds.shape != variation.shape:
+            raise ShuffleError("exceeds and variation must be 1-D, one per row")
+        self.exceeds = exceeds
+        self.variation = variation
+
+    def __len__(self) -> int:
+        return self.exceeds.size
+
+    def __getitem__(self, index: Any) -> "ExceedsColumn":
+        return ExceedsColumn(self.exceeds[index], self.variation[index])
+
+    def tolist(self) -> list[dict[str, Any]]:
+        """The rows as ``{"exceeds": bool, "variation": float}`` dicts."""
+        return [
+            {"exceeds": e, "variation": v}
+            for e, v in zip(self.exceeds.tolist(), self.variation.tolist())
+        ]
+
+    def __repr__(self) -> str:
+        return f"ExceedsColumn({len(self)} rows)"
 
 
 @dataclass(frozen=True)
@@ -498,8 +550,109 @@ class _PlannedRunOutput(ColumnarMapOutput):
 #: pad byte, key rank, row count, byte length of the value column.
 _BLOCK_HEADER = struct.Struct("<4sBxHQQ")
 _BLOCK_MAGIC = b"RBK1"
-#: Value tags: the column is ``n`` float64, or the JSON of a list.
-_FLOAT64, _JSON = 0, 1
+#: Value tags, one per value column (``docs/SERVICE.md``, "Wire
+#: format").  Tag 1 is unused: it named a JSON column once.
+_FLOAT64, _INT64, _RAGGED, _EXCEEDS = 0, 2, 3, 4
+#: Each value tag's name, as the docs and reports print it.
+VALUE_TAG_NAMES = {
+    _FLOAT64: "float64", _INT64: "int64", _RAGGED: "ragged",
+    _EXCEEDS: "range_exceeds",
+}
+#: The value column a result block holds.
+ValueColumn = np.ndarray | Ragged | ExceedsColumn
+
+
+def _value_column(values: Any) -> ValueColumn:
+    """``values`` as one of the four value columns: a float64 or an
+    int64 array, a :class:`Ragged` column of float64 rows, or an
+    :class:`ExceedsColumn`.  A list maps by its values' types — all
+    floats, all ints, all lists of floats, all ``{"exceeds": bool,
+    "variation": float}`` dicts (an empty list is a float64 column) —
+    so a canonical record list and the engine's columns give the same
+    block.  Any other value raises :class:`ShuffleError`."""
+    if isinstance(values, (Ragged, ExceedsColumn)):
+        return values
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return values.astype(np.float64, copy=False)
+        if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64):
+            return values.astype(np.int64, copy=False)
+        raise ShuffleError(f"no result value column holds dtype {values.dtype}")
+    values = list(values)
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError as exc:
+            raise ShuffleError(f"result integer out of int64 range: {exc}") from None
+    if kinds == {list}:
+        cells = list(chain.from_iterable(values))
+        if set(map(type, cells)) <= {float}:
+            return Ragged(
+                np.array(cells, dtype=np.float64),
+                np.fromiter(map(len, values), np.int64, len(values)),
+            )
+    elif kinds == {dict} and set(map(tuple, values)) == {ExceedsColumn._fields}:
+        flags = [v["exceeds"] for v in values]
+        variation = [v["variation"] for v in values]
+        if set(map(type, flags)) == {bool} and set(map(type, variation)) == {float}:
+            return ExceedsColumn(flags, variation)
+    raise ShuffleError(
+        "result values are not all floats, all ints, all lists of floats "
+        "or all range_exceeds pairs"
+    )
+
+
+def _value_tag(values: ValueColumn) -> int:
+    if isinstance(values, Ragged):
+        return _RAGGED
+    if isinstance(values, ExceedsColumn):
+        return _EXCEEDS
+    return _FLOAT64 if values.dtype.kind == "f" else _INT64
+
+
+def _float_bytes(values: np.ndarray) -> bytes:
+    """Little-endian float64 bytes, every NaN the one quiet NaN (every
+    NaN has the same ``repr``); every other value keeps its bits."""
+    floats = np.asarray(values, dtype="<f8")
+    nan = np.isnan(floats)
+    if nan.any():
+        floats = floats.copy()
+        floats[nan] = np.nan
+    return floats.tobytes()
+
+
+def _column_sections(values: ValueColumn) -> tuple[bytes, ...]:
+    """The value column's byte form, section by section: the float64 or
+    int64 values; a ragged column's int64 row lengths, then its float64
+    cells; ``range_exceeds``' float64 variations, then its 0/1 flags."""
+    if isinstance(values, Ragged):
+        lengths = values.lengths.astype("<i8", copy=False)
+        return lengths.tobytes(), _float_bytes(values.values)
+    if isinstance(values, ExceedsColumn):
+        return _float_bytes(values.variation), values.exceeds.tobytes()
+    if values.dtype.kind == "f":
+        return (_float_bytes(values),)
+    return (values.astype("<i8", copy=False).tobytes(),)
+
+
+def _section_sizes(tag: int, n: int, column_bytes: int) -> tuple[int, ...]:
+    """Byte length of each of a tag's value column sections."""
+    if tag == _RAGGED:
+        return 8 * n, column_bytes - 8 * n
+    if tag == _EXCEEDS:
+        return 8 * n, n
+    return (8 * n,)
+
+
+def _read_only_view(
+    view: memoryview, dtype: str, count: int, offset: int
+) -> np.ndarray:
+    array = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
+    array.flags.writeable = False
+    return array
 
 
 class ResultBlock(Sequence):
@@ -507,18 +660,21 @@ class ResultBlock(Sequence):
 
     ``key_rows`` is an ``(n, rank)`` int64 array in lexicographic order
     (not named ``keys``: ``dict(block)`` would take the block for a
-    mapping); ``values`` holds row ``i``'s output — a numeric array for
-    scalar operators, a list of plain Python values (``filter_gt``'s
-    lists, ``range_exceeds``' dicts) otherwise.  As a ``Sequence`` it
-    reads as the ``[(key_tuple, value), ...]`` list a reduce used to
-    return; those records are materialized on access, never stored.
+    mapping); ``values`` holds row ``i``'s output in one of four value
+    columns: float64 (the scalar operators), int64 (``count``), a
+    :class:`Ragged` column of sorted float64 rows (``sort``,
+    ``filter_gt``) or an :class:`ExceedsColumn` (``range_exceeds``).
+    Anything else given as ``values`` — a list of plain Python values
+    above all — is mapped to one of those or refused
+    (:func:`_value_column`).  As a ``Sequence`` the block reads as the
+    ``[(key_tuple, value), ...]`` list a reduce used to return; those
+    records are materialized on access, never stored.
 
-    The columns are in canonical form by construction: ``tolist()``
-    turns numeric arrays into plain ints/floats, and list-valued columns
-    are built from ``tolist()`` output by ``finalize_columns``.  So
-    :meth:`canonical_records` is two ``tolist()`` calls, not a walk over
-    every value; the verify fuzzer holds it against the generic walk on
-    every case.
+    Lists and dicts exist only in :meth:`value_list` (the JSON body, the
+    CLI, :meth:`canonical_records`): every column's ``tolist()`` gives
+    plain ints, floats, lists and dicts, so :meth:`canonical_records` is
+    two ``tolist()`` calls, not a walk over every value; the verify
+    fuzzer holds it against the generic walk on every case.
 
     :meth:`to_bytes` / :meth:`from_bytes` are the block's one byte form
     (``docs/SERVICE.md``, "Wire format"): equal canonical records give
@@ -527,29 +683,21 @@ class ResultBlock(Sequence):
     (:func:`repro.verify.oracle.records_digest`).
     """
 
-    __slots__ = ("key_rows", "_values", "_packed")
+    __slots__ = ("key_rows", "values", "_packed")
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray | list) -> None:
+    def __init__(self, keys: np.ndarray, values: Any) -> None:
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 2:
             raise ShuffleError(f"result keys must be (n, rank), got {keys.shape}")
+        values = _value_column(values)
         if len(values) != keys.shape[0]:
             raise ShuffleError(
                 f"result key/value row mismatch: {keys.shape[0]} != {len(values)}"
             )
         self.key_rows = keys
-        self._values: np.ndarray | list | None = values
+        self.values: ValueColumn = values
         #: The bytes this block's arrays view, when :meth:`packed` built it.
         self._packed: bytes | None = None
-
-    @property
-    def values(self) -> np.ndarray | list:
-        if self._values is None:
-            # A JSON column :meth:`from_packed` left in its bytes.
-            assert self._packed is not None
-            n, rank = self.key_rows.shape
-            self._values = json.loads(self._packed[_BLOCK_HEADER.size + n * rank * 8:])
-        return self._values
 
     @classmethod
     def empty(cls) -> "ResultBlock":
@@ -557,7 +705,9 @@ class ResultBlock(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[KeyValue]) -> "ResultBlock":
-        """Block holding ``records``, their values kept as given.  Keys
+        """Block holding canonical ``records``, their values in the
+        column they map to (:func:`_value_column`), so the oracle's
+        records and the engine's columns give the same bytes.  Keys
         that are not integer coordinate tuples of one rank raise: a
         cast would make ``(1.5,)``, ``1`` and ``(1,)`` the same row."""
         records = list(records)
@@ -578,9 +728,9 @@ class ResultBlock(Sequence):
         """All rows of ``blocks`` in key order: laid end to end, and
         sorted only when that is not already key order.  Each block is
         in key order, so only the seams between blocks are compared.
-        Packed float64 blocks in key order are spliced
-        (:meth:`_splice`): their bytes are the result's, no array is
-        rebuilt."""
+        Packed blocks in key order are spliced (:meth:`_splice`): their
+        bytes are the result's, no array is rebuilt.  Blocks of
+        different value columns raise :class:`ShuffleError`."""
         blocks = [b for b in blocks if len(b)]
         if not blocks:
             return cls.empty()
@@ -594,53 +744,54 @@ class ResultBlock(Sequence):
             spliced = cls._splice(blocks)
             if spliced is not None:
                 return spliced
-        keys = np.concatenate([b.key_rows for b in blocks])
-        if all(isinstance(b.values, np.ndarray) for b in blocks):
-            values = np.concatenate([b.values for b in blocks])
-        else:
-            values = [v for b in blocks for v in b.value_list()]
-        block = cls(keys, values)
+        if len({_value_tag(b.values) for b in blocks}) > 1:
+            raise ShuffleError("cannot concatenate blocks of different value columns")
+        block = cls(
+            np.concatenate([b.key_rows for b in blocks]),
+            np.concatenate([b.values for b in blocks]),
+        )
         return block if seams else block._in_key_order()
 
     @classmethod
     def _splice(cls, blocks: list["ResultBlock"]) -> "ResultBlock | None":
         """The packed block of ``blocks`` laid end to end — packed
-        float64 blocks of one rank, in key order across their seams —
-        built from their buffers alone: a header, every block's key
-        column, then every block's value column, in one join.  The
-        bytes are :meth:`to_bytes` of the concatenated rows (each part's
-        NaNs are already the one quiet NaN).  ``None`` for any other
-        input (a JSON column, mixed ranks)."""
+        blocks of one rank and one value tag, in key order across their
+        seams — built from their buffers alone: a header, every block's
+        key column, then section by section every block's value column
+        (:func:`_column_sections`), in one join.  The bytes are
+        :meth:`to_bytes` of the concatenated rows (each part's NaNs are
+        already the one quiet NaN).  ``None`` for mixed ranks or tags."""
         rank = blocks[0].key_rows.shape[1]
+        tag = blocks[0]._packed[4]  # the value tag
         if any(
-            b._packed[4] != _FLOAT64 or b.key_rows.shape[1] != rank  # value tag
-            for b in blocks
+            b._packed[4] != tag or b.key_rows.shape[1] != rank for b in blocks
         ):
             return None
-        n = sum(len(b) for b in blocks)
-        views = [memoryview(b._packed) for b in blocks]
-        ends = [_BLOCK_HEADER.size + len(b) * rank * 8 for b in blocks]
+        n = column = 0
+        pieces = []  # per block: its key column, then its value sections
+        for block in blocks:
+            view = memoryview(block._packed)
+            _, _, _, rows, column_bytes = _BLOCK_HEADER.unpack_from(view)
+            n, column = n + rows, column + column_bytes
+            bounds = [_BLOCK_HEADER.size, _BLOCK_HEADER.size + rows * rank * 8]
+            for size in _section_sizes(tag, rows, column_bytes):
+                bounds.append(bounds[-1] + size)
+            pieces.append([view[a:b] for a, b in zip(bounds, bounds[1:])])
         return cls.from_packed(b"".join([
-            _BLOCK_HEADER.pack(_BLOCK_MAGIC, _FLOAT64, rank, n, n * 8),
-            *(view[_BLOCK_HEADER.size:end] for view, end in zip(views, ends)),
-            *(view[end:] for view, end in zip(views, ends)),
+            _BLOCK_HEADER.pack(_BLOCK_MAGIC, tag, rank, n, column),
+            *chain.from_iterable(zip(*pieces)),
         ]))
 
     def _in_key_order(self) -> "ResultBlock":
         if lexsorted_rows(self.key_rows):
             return self
         order = np.lexsort(self.key_rows.T[::-1])
-        if isinstance(self.values, np.ndarray):
-            values = self.values[order]
-        else:
-            values = [self.values[i] for i in order.tolist()]
-        return ResultBlock(self.key_rows[order], values)
+        return ResultBlock(self.key_rows[order], self.values[order])
 
     def value_list(self) -> list:
-        """The value column as a list of plain Python values."""
-        if isinstance(self.values, np.ndarray):
-            return self.values.tolist()
-        return self.values
+        """The value column as a list of plain Python values: floats,
+        ints, lists of floats or ``range_exceeds`` dicts."""
+        return self.values.tolist()
 
     def canonical_records(self) -> list[KeyValue]:
         """Canonical ``[(key_tuple, value), ...]`` in key order — what
@@ -650,41 +801,30 @@ class ResultBlock(Sequence):
 
     def to_bytes(self) -> bytes:
         """The block's byte form: header, ``key_rows`` as little-endian
-        int64 in C order, then the value column — little-endian float64
-        when every value is a float (NaNs as the one quiet NaN, since
-        every NaN has the same ``repr``), otherwise the compact UTF-8
-        JSON of :meth:`value_list`.  An empty block is the bare header,
-        whatever rank and dtype its arrays carry."""
+        int64 in C order, then the value column's sections
+        (:func:`_column_sections`; NaNs as the one quiet NaN, since
+        every NaN has the same ``repr``).  An empty block is the bare
+        float64-tagged header, whatever rank and column its arrays
+        carry."""
         if self._packed is not None:
             return self._packed
         n = len(self)
         if n == 0:
             return _BLOCK_HEADER.pack(_BLOCK_MAGIC, _FLOAT64, 0, 0, 0)
-        values = self.values
-        if isinstance(values, np.ndarray):
-            all_floats = values.dtype.kind == "f"
-        else:
-            all_floats = all(type(v) is float for v in values)
-        if all_floats:
-            floats = np.array(values, dtype="<f8")
-            floats[np.isnan(floats)] = np.nan
-            tag, column = _FLOAT64, floats.tobytes()
-        else:
-            tag = _JSON
-            column = json.dumps(
-                self.value_list(), separators=(",", ":")
-            ).encode("utf-8")
+        sections = _column_sections(self.values)
         header = _BLOCK_HEADER.pack(
-            _BLOCK_MAGIC, tag, self.key_rows.shape[1], n, len(column)
+            _BLOCK_MAGIC, _value_tag(self.values), self.key_rows.shape[1], n,
+            sum(map(len, sections)),
         )
         keys = self.key_rows.astype("<i8", copy=False).tobytes()
-        return b"".join((header, keys, column))
+        return b"".join((header, keys, *sections))
 
     @classmethod
     def from_bytes(cls, data: bytes | bytearray | memoryview) -> "ResultBlock":
         """The block :meth:`to_bytes` wrote.  Its arrays are read-only
         views of ``data`` (no copy); a buffer that is not exactly one
-        well-formed block raises :class:`ShuffleError`."""
+        well-formed block raises :class:`ShuffleError` — a ragged
+        column's lengths included: none negative, summing to its cells."""
         view = memoryview(data)
         if view.nbytes < _BLOCK_HEADER.size:
             raise ShuffleError(
@@ -694,76 +834,67 @@ class ResultBlock(Sequence):
         magic, tag, rank, n, column_bytes = _BLOCK_HEADER.unpack_from(view)
         if magic != _BLOCK_MAGIC:
             raise ShuffleError(f"not a result block (magic {magic!r})")
-        if tag not in (_FLOAT64, _JSON):
+        if tag not in VALUE_TAG_NAMES:
             raise ShuffleError(f"unknown result block value tag {tag}")
         column_at = _BLOCK_HEADER.size + n * rank * 8
-        if tag == _FLOAT64 and column_bytes != n * 8:
+        cell_bytes = column_bytes - 8 * n
+        if tag == _RAGGED:
+            malformed = cell_bytes < 0 or cell_bytes % 8
+        else:
+            malformed = column_bytes != sum(_section_sizes(tag, n, column_bytes))
+        if malformed:
             raise ShuffleError(
-                f"result block holds {column_bytes} value bytes for {n} floats"
+                f"result block holds {column_bytes} value bytes for {n} rows "
+                f"of value tag {tag}"
             )
         if view.nbytes != column_at + column_bytes:
             raise ShuffleError(
                 f"result block is {view.nbytes} bytes, its header says "
                 f"{column_at + column_bytes}"
             )
-        keys = np.frombuffer(
-            view, dtype="<i8", count=n * rank, offset=_BLOCK_HEADER.size
-        ).reshape(n, rank)
-        if tag == _FLOAT64:
-            values = np.frombuffer(view, dtype="<f8", count=n, offset=column_at)
-            values.flags.writeable = False
-        else:
-            try:
-                values = json.loads(view[column_at:].tobytes())
-            except ValueError as exc:
+        keys = _read_only_view(view, "<i8", n * rank, _BLOCK_HEADER.size)
+        if tag in (_FLOAT64, _INT64):
+            values = _read_only_view(
+                view, "<f8" if tag == _FLOAT64 else "<i8", n, column_at
+            )
+        elif tag == _RAGGED:
+            lengths = _read_only_view(view, "<i8", n, column_at)
+            cells = cell_bytes // 8
+            # Each length in [0, cells]: their int64 sum cannot wrap
+            # round to ``cells`` in any buffer this process could hold.
+            if n and (int(lengths.min()) < 0 or int(lengths.max()) > cells):
                 raise ShuffleError(
-                    f"result block values are not JSON: {exc}"
-                ) from exc
-            if not isinstance(values, list) or len(values) != n:
-                raise ShuffleError(f"result block values are not a list of {n}")
-        block = cls(keys, values)
-        block.key_rows.flags.writeable = False
-        return block
+                    f"ragged row length outside [0, {cells}] in a result block"
+                )
+            values = Ragged(
+                _read_only_view(view, "<f8", cells, column_at + 8 * n), lengths
+            )
+        else:
+            flags = _read_only_view(view, "u1", n, column_at + 8 * n)
+            if n and int(flags.max()) > 1:
+                raise ShuffleError("range_exceeds flag that is not 0 or 1")
+            values = ExceedsColumn(
+                flags.view(np.bool_), _read_only_view(view, "<f8", n, column_at)
+            )
+        return cls(keys.reshape(n, rank), values)
 
     def packed(self) -> "ResultBlock":
         """This block rebuilt over its own byte form: arrays that are
         read-only views of one ``bytes`` the block owns — nothing of the
         engine's buffers stays referenced — and a :meth:`to_bytes` that
-        returns that buffer as is.  A list column written as JSON is kept
-        as it is, beside key rows viewing the buffer: it is canonical by
-        construction (class docstring), so parsing the JSON back would
-        only rebuild an equal list.  A block that is packed already is
+        returns that buffer as is.  A block that is packed already is
         returned as it is."""
         if self._packed is not None:
             return self
-        data = self.to_bytes()
-        if isinstance(self.values, list) and data[4] == _JSON:  # value tag
-            n, rank = self.key_rows.shape
-            keys = np.frombuffer(
-                data, dtype="<i8", count=n * rank, offset=_BLOCK_HEADER.size
-            ).reshape(n, rank)
-            block = ResultBlock(keys, self.values)
-            block._packed = data
-            return block
-        return ResultBlock.from_packed(data)
+        return ResultBlock.from_packed(self.to_bytes())
 
     @classmethod
     def from_packed(cls, data: bytes) -> "ResultBlock":
         """:meth:`from_bytes` over the buffer of a :meth:`packed` block
         (an engine process's result): its :meth:`to_bytes` is ``data``
         itself, so what is served is what was hashed, never a
-        re-encoding.  A JSON value column stays in ``data`` until
-        :attr:`values` is first read — the binary body never reads it."""
-        if data[4] != _JSON:  # value tag
-            block = cls.from_bytes(data)
-        else:
-            _, _, rank, n, _ = _BLOCK_HEADER.unpack_from(data)
-            keys = np.frombuffer(
-                data, dtype="<i8", count=n * rank, offset=_BLOCK_HEADER.size
-            ).reshape(n, rank)
-            keys.flags.writeable = False
-            block = cls.__new__(cls)
-            block.key_rows, block._values = keys, None
+        re-encoding."""
+        block = cls.from_bytes(data)
         block._packed = data
         return block
 
@@ -773,10 +904,8 @@ class ResultBlock(Sequence):
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, slice):
             return ResultBlock(self.key_rows[index], self.values[index])
-        value = self.values[index]
-        if isinstance(value, np.generic):
-            value = value.item()
-        return tuple(self.key_rows[index].tolist()), value
+        i = range(len(self))[index]
+        return tuple(self.key_rows[i].tolist()), self.values[i:i + 1].tolist()[0]
 
     def __iter__(self) -> Iterator[KeyValue]:
         return iter(self.canonical_records())

@@ -102,13 +102,15 @@ class QueryPlan:
     @cached_property
     def covered(self) -> Slab:
         """The box of K actually consumed (truncation drops the rest):
-        from the first instance's corner to the last instance's end.
-        Under a stride the instances' union is not a slab; the box
-        includes the gaps between them."""
+        from the first instance's corner to the last instance's end,
+        clipped to the subset — a kept partial instance ends where the
+        subset does, not where its extraction shape would.  Under a
+        stride the instances' union is not a slab; the box includes the
+        gaps between them."""
         last = tuple(e - 1 for e in self.intermediate_space)
         return Slab.from_extent(
             self.extraction.origin, self.extraction.preimage(last).end
-        )
+        ).intersect(self.subset)
 
     @property
     def num_intermediate_keys(self) -> int:

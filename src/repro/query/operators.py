@@ -34,8 +34,10 @@ array plus per-row lengths, no Python object per row — so combining a
 key's rows moves no value, and sort each row at finalize into the bytes
 a stable sort gives it: rows of one length as the rows of a 2-D block,
 mixed lengths in one segmented ``lexsort`` (:func:`_row_sort` states
-when an unstable sort is allowed).  A ragged ``Partial.state`` is its
-row: a float64 array.
+when an unstable sort is allowed).  ``sort`` and ``filter_gt`` output
+that sorted column as it is, a result block's ragged value column; no
+Python list is built per row.  A ragged ``Partial.state`` is its row: a
+float64 array.
 
 ``holistic`` rows carry every raw value in their partials (median,
 sort); the rest are ``distributive``.  The paper uses the distinction
@@ -57,7 +59,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.errors import QueryError
-from repro.mapreduce.columnar import Ragged
+from repro.mapreduce.columnar import ExceedsColumn, Ragged, ValueColumn
 from repro.mapreduce.mapper import Chunk
 from repro.query.reference import REFERENCE
 
@@ -218,12 +220,9 @@ def _minmax(v: np.ndarray, t: float | None) -> tuple[np.ndarray, ...]:
     return (w.min(axis=1), w.max(axis=1))
 
 
-def _exceeds(lo: np.ndarray, hi: np.ndarray, t: float) -> list:
+def _exceeds(lo: np.ndarray, hi: np.ndarray, t: float) -> ExceedsColumn:
     variation = hi - lo
-    return [
-        {"exceeds": e, "variation": v}
-        for e, v in zip((variation > t).tolist(), variation.tolist())
-    ]
+    return ExceedsColumn(variation > t, variation)
 
 
 # Ragged state -------------------------------------------------------- #
@@ -311,9 +310,8 @@ def _sorted_rows(col: Ragged) -> np.ndarray:
     return _segment_sort(col)
 
 
-def _sorted_lists(col: Ragged, t: float | None) -> list:
-    values, ends = _sorted_rows(col).tolist(), col.offsets.tolist()
-    return [values[a:b] for a, b in zip(ends, ends[1:])]
+def _sorted(col: Ragged, t: float | None) -> Ragged:
+    return Ragged(_sorted_rows(col), col.lengths)
 
 
 def _medians(col: Ragged, t: None) -> np.ndarray:
@@ -343,7 +341,7 @@ class _Spec(NamedTuple):
     #: Per-column combine ufuncs, or None for ragged state (concatenate).
     combine: tuple[np.ufunc, ...] | None
     #: Combined state columns -> the output column.
-    finalize: Callable[..., np.ndarray | list]
+    finalize: Callable[..., ValueColumn]
     #: Partials carry every raw value (§5: no early aggregation).
     holistic: bool = False
     takes_threshold: bool = False
@@ -380,11 +378,11 @@ _SPECS: dict[str, _Spec] = {
         _minmax, (np.minimum, np.maximum), lambda lo, hi, t: hi - lo
     ),
     # §2.2 query 3: "sort the data points for each day by temperature".
-    "sort": _Spec(_survivors, None, _sorted_lists, holistic=True),
+    "sort": _Spec(_survivors, None, _sorted, holistic=True),
     # Query 2 as run in §4.1: "a list of all values greater than the
     # threshold", possibly empty (§2.4.2); partials are the passing few.
     "filter_gt": _Spec(
-        _survivors, None, _sorted_lists, takes_threshold=True, prunable=True
+        _survivors, None, _sorted, takes_threshold=True, prunable=True
     ),
     # §2.2 query 2 exactly.  The output carries the data-dependent
     # ``variation`` either way, so no region's contribution is a combine
@@ -460,7 +458,7 @@ class SpecOperator(StructuralOperator):
 
     def finalize_columns(
         self, columns: tuple[np.ndarray | Ragged, ...], source_counts: np.ndarray
-    ) -> np.ndarray | list:
+    ) -> ValueColumn:
         # The one invariant ``Partial`` enforces per row.
         if source_counts.size and int(source_counts.min()) < 0:
             raise QueryError("negative source_count")
@@ -508,7 +506,7 @@ class SpecOperator(StructuralOperator):
         else:
             columns = tuple(np.array([x]) for x in _row(partial.state))
         out = self.finalize_columns(columns, np.array([partial.source_count]))
-        return out[0] if isinstance(out, list) else out[0].item()
+        return out.tolist()[0]
 
 
 def _row(state: Any) -> tuple:

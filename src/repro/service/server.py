@@ -407,7 +407,7 @@ class ServiceServer:
         svc = self.service
         try:
             if method == "GET" and parts == ["healthz"]:
-                return 200, {"ok": True, "uptime": svc.stats()["uptime"]}
+                return 200, {"ok": True, "uptime": svc.uptime()}
             if method == "GET" and parts == ["stats"]:
                 return 200, {**svc.stats(), "http": dict(self._http)}
             if method == "GET" and parts == ["datasets"]:

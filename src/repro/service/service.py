@@ -296,6 +296,11 @@ class QueryService:
             jobs = sorted(self._jobs.values(), key=lambda j: j.seq)
         return [j.status() for j in jobs]
 
+    def uptime(self) -> float:
+        """Seconds since the service started: ``/healthz``'s answer, no
+        walk over jobs or engine processes."""
+        return time.time() - self._started_at
+
     def stats(self) -> dict[str, Any]:
         with self._lock:
             tenants = {
@@ -305,7 +310,7 @@ class QueryService:
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
         return {
-            "uptime": time.time() - self._started_at,
+            "uptime": self.uptime(),
             "plan_cache": self.plan_cache.snapshot(),
             "queue": self.queue.snapshot(),
             "tenants": tenants,

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.arrays.shape import Shape
 from repro.arrays.slab import Slab
-from repro.errors import DatasetError, QueryError
+from repro.errors import DatasetError, QueryError, ShuffleError
 from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import JobResult
 from repro.scidata.sparse import (
@@ -69,10 +69,13 @@ def commit_sidr_output(
     total = 0
     for l in sorted(result.outputs):
         out = result.outputs[l]
-        block = out if isinstance(out, ResultBlock) else ResultBlock.from_records(out)
         try:
+            block = (
+                out if isinstance(out, ResultBlock) else ResultBlock.from_records(out)
+            )
             values = np.asarray(block.values, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, ShuffleError):
+            # a ragged or range_exceeds column, or values no column holds
             values = None
         if values is None or values.ndim != 1:
             raise QueryError(

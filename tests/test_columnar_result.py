@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 from repro.errors import ShuffleError
 from repro.mapreduce.columnar import (
     ColumnarMapOutput,
+    ExceedsColumn,
+    Ragged,
     ResultBlock,
     run_columnar_map,
     run_columnar_reduce,
@@ -153,20 +155,41 @@ class TestResultBlock:
 # Byte form
 # --------------------------------------------------------------------- #
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
-#: One value per row, by column kind.
+#: Float64 bit patterns a packed float must carry or canonicalize: NaNs
+#: with payloads and either sign (a packed block holds the one quiet
+#: NaN), and -0.0.
+_SPECIAL_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0x8000000000000000]
+_QUIET_NAN, _NEGATIVE_ZERO = 0x7FF8000000000000, 0x8000000000000000
+
+
+def _float_of(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64).item()
+
+
+_ANY_FLOATS = st.one_of(_FLOATS, st.sampled_from(_SPECIAL_BITS).map(_float_of))
+#: One value per row, by value column.
 _COLUMNS = {
-    "float": lambda n: st.lists(_FLOATS, min_size=n, max_size=n).map(np.asarray),
+    "float": lambda n: st.lists(_ANY_FLOATS, min_size=n, max_size=n).map(
+        lambda v: np.asarray(v, dtype=np.float64)
+    ),
     "int": lambda n: st.lists(
         st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n
     ).map(lambda v: np.asarray(v, dtype=np.int64)),
     "ragged": lambda n: st.lists(
-        st.lists(_FLOATS, max_size=4), min_size=n, max_size=n
+        st.lists(_ANY_FLOATS, max_size=4), min_size=n, max_size=n
     ),
+    # Canonical dicts: keys in sorted order, as the oracle writes them.
     "range_exceeds": lambda n: st.lists(
-        st.fixed_dictionaries({"exceeds": st.booleans(), "variation": _FLOATS}),
+        st.builds(
+            lambda e, v: {"exceeds": e, "variation": v},
+            st.booleans(), _ANY_FLOATS,
+        ),
         min_size=n, max_size=n,
     ),
 }
+#: The value tag each column packs under.
+_TAGS = {"float": 0, "int": 2, "ragged": 3, "range_exceeds": 4}
 
 
 @st.composite
@@ -184,6 +207,30 @@ def blocks(draw, kind=None, min_rows=1):
     return ResultBlock(keys, draw(_COLUMNS[kind](len(rows))))
 
 
+def _column_arrays(values):
+    """Every array a value column holds."""
+    if isinstance(values, np.ndarray):
+        return [values]
+    return [getattr(values, name) for name in values._fields]
+
+
+def _float_bits(block):
+    """The uint64 bits of every float64 a packed block's value column
+    carries."""
+    values = ResultBlock.from_bytes(block.to_bytes()).values
+    floats = {
+        np.ndarray: lambda v: v, Ragged: lambda v: v.values,
+        ExceedsColumn: lambda v: v.variation,
+    }[type(values)](values)
+    return floats.view(np.uint64).tolist()
+
+
+def _ragged_bytes():
+    """A packed two-row ragged block and where its lengths start."""
+    block = ResultBlock(np.asarray([[0], [1]]), [[1.0, 2.0], [3.0]])
+    return bytearray(block.to_bytes()), 24 + 2 * 8
+
+
 class TestByteForm:
     @given(blocks(min_rows=0))
     def test_round_trip_is_repr_identical(self, block):
@@ -192,12 +239,27 @@ class TestByteForm:
         assert repr(clone.canonical_records()) == repr(block.canonical_records())
         assert clone.to_bytes() == data
         assert not clone.key_rows.flags.writeable
-        if isinstance(clone.values, np.ndarray):
-            assert not clone.values.flags.writeable
+        for array in _column_arrays(clone.values):
+            assert not array.flags.writeable
         # a writable buffer does not make the views writable
         again = ResultBlock.from_bytes(bytearray(data))
         assert not again.key_rows.flags.writeable
+        for array in _column_arrays(again.values):
+            assert not array.flags.writeable
         assert again.to_bytes() == data
+
+    @given(blocks())
+    def test_each_column_has_its_own_tag(self, block):
+        kind = {v: k for k, v in _TAGS.items()}[block.to_bytes()[4]]
+        canonical = block.canonical_records()
+        if kind == "ragged":
+            assert all(type(v) is list for _, v in canonical)
+        elif kind == "range_exceeds":
+            assert all(list(v) == ["exceeds", "variation"] for _, v in canonical)
+        else:
+            assert {type(v) for _, v in canonical} == {
+                "float": {float}, "int": {int}
+            }[kind]
 
     def test_special_floats_keep_their_repr(self):
         column = np.asarray([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
@@ -206,6 +268,38 @@ class TestByteForm:
         assert repr(clone.canonical_records()) == repr(block.canonical_records())
         assert repr(clone[3][1]) == "-0.0" and repr(clone[0][1]) == "nan"
 
+    @pytest.mark.parametrize("kind", ["float", "ragged", "range_exceeds"])
+    def test_nans_pack_quiet_and_negative_zero_keeps_its_sign(self, kind):
+        """Every NaN of every float64 a column carries — float64 values,
+        a ragged row's cells, ``range_exceeds``' variations — packs as
+        the one quiet NaN, whatever its payload or sign; ``-0.0`` keeps
+        its sign bit."""
+        special = [_float_of(bits) for bits in _SPECIAL_BITS]
+        values = {
+            "float": np.asarray(special),
+            "ragged": [special[:2], [], special[2:]],
+            "range_exceeds": [
+                {"exceeds": i % 2 == 0, "variation": v}
+                for i, v in enumerate(special)
+            ],
+        }[kind]
+        block = ResultBlock(np.arange(len(values)).reshape(-1, 1), values)
+        bits = _float_bits(block)
+        assert bits == [_QUIET_NAN] * 3 + [_NEGATIVE_ZERO]
+        clone = ResultBlock.from_bytes(block.to_bytes())
+        assert repr(clone.canonical_records()) == repr(block.canonical_records())
+
+    def test_all_empty_rows(self):
+        """A ragged block whose every row is ``[]`` — a ``filter_gt``
+        keyblock nothing passed — holds its lengths and no cell."""
+        block = ResultBlock.from_records([((k,), []) for k in range(3)])
+        assert isinstance(block.values, Ragged) and block.values.values.size == 0
+        data = block.to_bytes()
+        assert data[4] == _TAGS["ragged"] and len(data) == 24 + 3 * 8 + 3 * 8
+        clone = ResultBlock.from_bytes(data)
+        assert clone.canonical_records() == [((0,), []), ((1,), []), ((2,), [])]
+        assert clone.to_bytes() == data
+
     def test_empty_blocks_share_one_encoding(self):
         rank0 = ResultBlock.empty()
         rank3 = ResultBlock(np.empty((0, 3), dtype=np.int64), [])
@@ -213,6 +307,8 @@ class TestByteForm:
         assert block_of(RECORDS)[:0].to_bytes() == rank0.to_bytes()
         clone = ResultBlock.from_bytes(rank3.to_bytes())
         assert len(clone) == 0 and clone.canonical_records() == []
+        ragged = ResultBlock(np.asarray([[0]]), [[1.0]])[:0]
+        assert ragged.to_bytes() == rank0.to_bytes()
 
     @given(blocks(kind="float"))
     def test_equal_canonical_records_give_equal_bytes(self, block):
@@ -225,10 +321,21 @@ class TestByteForm:
         flipped = np.where(np.isnan(block.values), -block.values, block.values)
         assert ResultBlock(block.key_rows, flipped).to_bytes() == data
 
-    def test_mixed_numbers_stay_what_they_are(self):
-        block = ResultBlock(np.asarray([[0], [1]]), [1, 2.0])
-        clone = ResultBlock.from_bytes(block.to_bytes())
-        assert repr(clone.canonical_records()) == "[((0,), 1), ((1,), 2.0)]"
+    def test_mixed_numbers_are_refused(self):
+        """``1`` and ``1.0`` stay apart: a column is all ints or all
+        floats, and a list of both is no value column at all."""
+        for values in ([1, 2.0], [[1.0], 2.0], [[1]], [True, False],
+                       [{"variation": 1.0, "exceeds": True}], ["a"]):
+            with pytest.raises(ShuffleError, match="not all floats"):
+                ResultBlock(np.arange(len(values)).reshape(-1, 1), values)
+        with pytest.raises(ShuffleError, match="int64 range"):
+            ResultBlock.from_records([((0,), 2**63)])
+        ints = ResultBlock(np.asarray([[0], [1]]), [1, 2])
+        floats = ResultBlock(np.asarray([[0], [1]]), [1.0, 2.0])
+        assert ints.to_bytes() != floats.to_bytes()
+        assert repr(ResultBlock.from_bytes(ints.to_bytes()).canonical_records()) == (
+            "[((0,), 1), ((1,), 2)]"
+        )
 
     @given(blocks(), st.data())
     def test_damaged_buffers_raise(self, block, data):
@@ -243,19 +350,51 @@ class TestByteForm:
     def test_bad_headers_raise(self):
         good = block_of(RECORDS).to_bytes()
         assert good[4] == 0  # the value tag
-        with pytest.raises(ShuffleError, match="value tag 7"):
-            ResultBlock.from_bytes(good[:4] + b"\x07" + good[5:])
+        for tag in (1, 7):  # 1 named a JSON column once
+            with pytest.raises(ShuffleError, match=f"value tag {tag}"):
+                ResultBlock.from_bytes(good[:4] + bytes([tag]) + good[5:])
         with pytest.raises(ShuffleError, match="magic"):
             ResultBlock.from_bytes(b"NOPE" + good[4:])
         # a row count the buffer cannot hold is refused, not allocated
         huge = good[:8] + struct.pack("<Q", 2**62) + good[16:]
         with pytest.raises(ShuffleError):
             ResultBlock.from_bytes(huge)
-        ragged = ResultBlock(np.asarray([[0], [1]]), [[1.0], []]).to_bytes()
-        short = ragged.replace(b"[[1.0],[]]", b"[[1.0]]   ")
-        assert len(short) == len(ragged)
-        with pytest.raises(ShuffleError, match="list of 2"):
-            ResultBlock.from_bytes(short)
+        exceeds = ResultBlock(
+            np.asarray([[0]]), [{"exceeds": True, "variation": 1.0}]
+        ).to_bytes()
+        with pytest.raises(ShuffleError, match="not 0 or 1"):
+            ResultBlock.from_bytes(exceeds[:-1] + b"\x02")
+
+    def test_malformed_ragged_columns_raise(self):
+        data, at = _ragged_bytes()
+        assert ResultBlock.from_bytes(bytes(data)).value_list() == [[1.0, 2.0], [3.0]]
+
+        def patched(*lengths):
+            return bytes(data[:at] + struct.pack("<2q", *lengths) + data[at + 16:])
+
+        with pytest.raises(ShuffleError, match="outside"):
+            ResultBlock.from_bytes(patched(-1, 4))  # sums to 3
+        with pytest.raises(ShuffleError, match="outside"):
+            ResultBlock.from_bytes(patched(4, -1))
+        with pytest.raises(ShuffleError, match="4 cells, values 3"):
+            ResultBlock.from_bytes(patched(2, 2))
+        with pytest.raises(ShuffleError, match="0 cells, values 3"):
+            ResultBlock.from_bytes(patched(0, 0))
+        with pytest.raises(ShuffleError, match="outside"):  # past the cells
+            ResultBlock.from_bytes(patched(4, 2**63 - 1))
+        # truncated: the buffer short of its header's size, and a
+        # header cut to match whose lengths then overrun the cells
+        with pytest.raises(ShuffleError, match="header says"):
+            ResultBlock.from_bytes(bytes(data[:-8]))
+        short = bytearray(data[:-8])
+        struct.pack_into("<Q", short, 16, struct.unpack_from("<Q", data, 16)[0] - 8)
+        with pytest.raises(ShuffleError, match="3 cells, values 2"):
+            ResultBlock.from_bytes(bytes(short))
+        # cell bytes that are not whole float64s
+        odd = bytearray(data + b"\0")
+        struct.pack_into("<Q", odd, 16, struct.unpack_from("<Q", data, 16)[0] + 1)
+        with pytest.raises(ShuffleError, match="value bytes"):
+            ResultBlock.from_bytes(bytes(odd))
 
     def test_packed_block_owns_one_buffer(self):
         source = np.arange(12.0)
@@ -271,25 +410,34 @@ class TestByteForm:
         assert ResultBlock.from_bytes(packed[1:3].to_bytes()) == list(block)[1:3]
 
     @given(
-        st.sampled_from(["ragged", "range_exceeds"]).flatmap(
+        st.sampled_from(["int", "ragged", "range_exceeds"]).flatmap(
             lambda kind: blocks(kind=kind, min_rows=0)
         )
     )
     @example(ResultBlock(
-        np.arange(5).reshape(5, 1),
-        [[math.nan, math.inf, -math.inf, -0.0, 0.0], [], [-0.0],
-         {"exceeds": True, "variation": -0.0},
+        np.arange(3).reshape(3, 1),
+        [[math.nan, math.inf, -math.inf, -0.0, 0.0], [], [-0.0]],
+    ))
+    @example(ResultBlock(
+        np.arange(2).reshape(2, 1),
+        [{"exceeds": True, "variation": -0.0},
          {"exceeds": False, "variation": math.nan}],
     ))
     def test_packed_list_column_is_the_parsed_one(self, block):
-        """``packed()`` keeps a JSON-tagged block's own value list rather
-        than parsing the JSON it has just written: the same records, by
-        ``repr``, and the same bytes as the block read back."""
+        """``packed()`` of a block whose values read as lists, dicts or
+        ints views its own bytes: the same records, by ``repr``, and the
+        same bytes as the block read back, every array read-only and
+        none of the source's."""
         packed = block.packed()
         parsed = ResultBlock.from_bytes(block.to_bytes())
         assert repr(packed.canonical_records()) == repr(parsed.canonical_records())
         assert packed.to_bytes() == parsed.to_bytes() == block.to_bytes()
         assert not packed.key_rows.flags.writeable
+        for array, source in zip(
+            _column_arrays(packed.values), _column_arrays(block.values)
+        ):
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, source)
 
     @given(blocks(min_rows=0))
     def test_result_body_round_trip(self, block):
@@ -301,22 +449,86 @@ class TestByteForm:
         assert isinstance(records, ResultBlock)
         assert repr(records.canonical_records()) == repr(block.canonical_records())
         assert records.key_rows.flags.aligned
+        for array in _column_arrays(records.values):
+            assert array.flags.aligned
         assert decode_result_body(encode_result_body(doc, None)) == doc
         for damaged in (body[:5], body[:-1], body + b"\0", b"\xff" * 8 + body[8:]):
             with pytest.raises(ServiceError):
                 decode_result_body(damaged)
 
 
-#: Float64 bit patterns the splice must carry: NaNs with payloads and
-#: either sign (a packed block holds the one quiet NaN), and -0.0.
-_SPECIAL_BITS = [0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
-                 0x8000000000000000]
+#: Values drawn for operator-shaped blocks: small integers, the signed
+#: zeros, infinities and NaNs with payloads.
+_CELLS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    st.sampled_from(_SPECIAL_BITS).map(_float_of),
+)
 
 
 @st.composite
-def float_splits(draw):
-    """A float64 block in key order (rank 1-4, NaN payloads, -0.0) and
-    its rows cut into 2-5 contiguous, non-empty parts."""
+def operator_blocks(draw):
+    """An operator and the block its batch protocol finalizes from an
+    ``(n, cells)`` value block: the engine's columns as a reduce builds
+    them, every value column included."""
+    name = draw(st.sampled_from(OPERATORS))
+    op = get_operator(name, threshold=0.5 if name in THRESHOLD else None)
+    n, cells = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    values = np.asarray(draw(st.lists(_CELLS, min_size=n * cells,
+                                      max_size=n * cells))).reshape(n, cells)
+    bop = batch_operator_for(op)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * inf
+        column = bop.finalize_columns(bop.map_batch(values), np.full(n, cells))
+    return name, ResultBlock(np.arange(n).reshape(n, 1), column)
+
+
+class TestEngineAndOracleBytes:
+    @given(operator_blocks())
+    def test_engine_block_is_the_from_records_block(self, drawn):
+        """The engine's block and the block ``from_records`` makes of
+        the same canonical rows — the block's own, and the generic
+        per-value walk's — are byte-equal, for every value column."""
+        name, block = drawn
+        data = block.to_bytes()
+        assert data[4] == _TAGS[{
+            "count": "int", "sort": "ragged", "filter_gt": "ragged",
+            "range_exceeds": "range_exceeds",
+        }.get(name, "float")]
+        for rows in (block.canonical_records(), canonicalize_records(list(block))):
+            assert ResultBlock.from_records(rows).to_bytes() == data
+        assert ResultBlock.from_records(list(block)[::-1]).to_bytes() == data
+        assert records_digest(block) == records_digest(block.canonical_records())
+
+    @pytest.mark.parametrize("name", ["count", "range_exceeds", "sort", "filter_gt"])
+    def test_oracle_records_round_trip(self, name):
+        """``count`` ints, ``range_exceeds`` pairs and the ragged lists
+        of the oracle's canonical records come back from the bytes as
+        those records, and the engine's block of the same query is
+        those bytes."""
+        data = np.random.default_rng(3).integers(0, 40, (12, 6, 4)).astype(float)
+        qplan = _compile(data.shape, (4, 3, 2), operator=name,
+                         threshold=THRESHOLD.get(name))
+        want = oracle_records(qplan, data)
+        block = ResultBlock.from_records(want)
+        clone = ResultBlock.from_bytes(block.to_bytes())
+        assert repr(clone.canonical_records()) == repr(want)
+        value = want[0][1]
+        if name == "count":
+            assert type(value) is int and clone.values.dtype == np.int64
+        elif name == "range_exceeds":
+            assert list(value) == ["exceeds", "variation"]
+            assert isinstance(clone.values, ExceedsColumn)
+        else:
+            assert isinstance(clone.values, Ragged)
+        plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=3), 2)
+        res = LocalEngine().run(*plan.configure_job(data), mode="serial")
+        assert res.all_records().to_bytes() == block.to_bytes()
+
+
+@st.composite
+def splits(draw, kind=None):
+    """A block in key order (rank 1-4, any value column, NaN payloads,
+    -0.0) and its rows cut into 2-5 contiguous, non-empty parts."""
     rank = draw(st.integers(1, 4))
     rows = draw(
         st.lists(
@@ -325,12 +537,8 @@ def float_splits(draw):
         )
     )
     keys = np.asarray(sorted(rows), dtype=np.int64).reshape(len(rows), rank)
-    values = np.asarray(draw(st.lists(
-        st.one_of(_FLOATS, st.sampled_from(_SPECIAL_BITS).map(
-            lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()
-        )),
-        min_size=len(rows), max_size=len(rows),
-    )), dtype=np.float64)
+    kind = kind or draw(st.sampled_from(sorted(_COLUMNS)))
+    values = draw(_COLUMNS[kind](len(rows)))
     cuts = sorted(draw(st.sets(
         st.integers(1, len(rows) - 1), min_size=1, max_size=min(4, len(rows) - 1)
     )))
@@ -344,7 +552,7 @@ class TestSplice:
     byte what concatenating the unpacked parts and packing would give,
     and only hashed after (:func:`digest_and_block`)."""
 
-    @given(float_splits())
+    @given(splits())
     def test_spliced_parts_are_the_repacked_concatenation(self, split):
         whole, parts = split
         spliced = ResultBlock.concatenate([part.packed() for part in parts])
@@ -356,7 +564,7 @@ class TestSplice:
         assert block is spliced
         assert digest == hashlib.sha256(whole.to_bytes()).hexdigest()
 
-    @given(float_splits(), st.randoms(use_true_random=False))
+    @given(splits(), st.randoms(use_true_random=False))
     def test_out_of_order_seams_take_the_sorting_path(self, split, rng):
         whole, parts = split
         order = list(range(len(parts)))
@@ -371,20 +579,22 @@ class TestSplice:
             == whole.to_bytes()
         )
 
-    @given(float_splits(), st.data())
-    def test_a_json_tagged_part_takes_the_old_path(self, split, data):
+    @given(splits(kind="float"), st.data())
+    def test_mixed_value_tags_are_not_spliced(self, split, data):
+        """A part of another value column is not spliced, and blocks of
+        two value columns do not concatenate at all: a float64 part
+        beside a ragged one is a fault, not a column to convert."""
         whole, parts = split
         i = data.draw(st.integers(0, len(parts) - 1))
         listed = ResultBlock(parts[i].key_rows, [[v] for v in parts[i].value_list()])
         parts = [*parts[:i], listed, *parts[i + 1:]]
         packed = [part.packed() for part in parts]
-        assert packed[i].to_bytes()[4] == 1  # the JSON value tag
-        joined = ResultBlock.concatenate(packed)
-        assert joined._packed is None
-        assert (
-            joined.packed().to_bytes()
-            == ResultBlock.concatenate(parts).packed().to_bytes()
-        )
+        assert packed[i].to_bytes()[4] == _TAGS["ragged"]
+        assert ResultBlock._splice(packed) is None
+        with pytest.raises(ShuffleError, match="different value columns"):
+            ResultBlock.concatenate(packed)
+        with pytest.raises(ShuffleError, match="different value columns"):
+            ResultBlock.concatenate(parts)
 
 
 class TestJobResult:
@@ -499,8 +709,6 @@ OPERATORS = [
     "sum", "count", "mean", "min", "max", "stddev", "range",
     "range_exceeds", "filter_gt", "median", "sort",
 ]
-#: Object-dtype state, one value array per row.
-RAGGED = ("filter_gt", "median", "sort")
 
 
 def _count_calls(fn):
@@ -596,13 +804,10 @@ class TestNoPerKeyLoop:
         small, block = _reduce_calls(name, n)
         large, doubled = _reduce_calls(name, 2 * n)
         assert len(block) == n and len(doubled) == 2 * n
-        if name in RAGGED:
-            # ragged state: allowed at most one call per extra key
-            assert large - small <= n
-        else:
-            assert large == small
+        # Ragged state and ragged output included: no list per key.
+        assert large == small
 
-    @pytest.mark.parametrize("name", [n for n in OPERATORS if n not in RAGGED])
+    @pytest.mark.parametrize("name", OPERATORS)
     def test_binary_body_call_count_does_not_grow_with_keys(self, name):
         """Packing the reduce output (what the service does once per
         job) and framing the body (once per fetch) visit no key."""
@@ -620,7 +825,7 @@ class TestNoPerKeyLoop:
         assert len(decode_result_body(doubled)["records"]) == 2 * n
         assert large == small
 
-    @pytest.mark.parametrize("name", [n for n in OPERATORS if n not in RAGGED])
+    @pytest.mark.parametrize("name", OPERATORS)
     def test_digest_call_count_does_not_grow_with_keys(self, name):
         """What the service does with a job's output — pack it, hash
         the buffer — visits no key either."""

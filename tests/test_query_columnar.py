@@ -24,6 +24,7 @@ from repro.errors import (
 from repro.mapreduce.columnar import (
     ChunkBatch,
     ColumnarMapOutput,
+    ExceedsColumn,
     Ragged,
     group_starts,
     lexsorted_rows,
@@ -77,8 +78,9 @@ RAGGED = [ThresholdFilterOp(threshold=5.0), SortOp(), MedianOp()]
 
 
 def _value_list(column):
-    """A ``finalize_columns`` result as the plain values it stands for."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
+    """A ``finalize_columns`` result as the plain values it stands for:
+    every value column's ``tolist()``."""
+    return column.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -562,13 +564,14 @@ class TestFinalizeColumns:
         exceeds = batch_operator_for(RangeExceedsOp(2.0)).finalize_columns(
             (np.asarray([0.0]), np.asarray([3.0])), one
         )
-        assert exceeds == [{"exceeds": True, "variation": 3.0}]
-        assert type(exceeds[0]["exceeds"]) is bool
+        assert isinstance(exceeds, ExceedsColumn)
+        assert exceeds.tolist() == [{"exceeds": True, "variation": 3.0}]
+        assert type(exceeds.tolist()[0]["exceeds"]) is bool
         masked = Ragged(np.empty(0), [0])
         lists = batch_operator_for(ThresholdFilterOp(5.0)).finalize_columns(
             (masked,), one
         )
-        assert lists == [[]]
+        assert isinstance(lists, Ragged) and lists.tolist() == [[]]
 
     def test_stddev_clamps_negative_variance(self):
         # sum-of-squares rounded below mean**2: variance comes out < 0.
@@ -614,7 +617,7 @@ class TestFinalizeColumns:
             _state_columns(None, "sort", [[], [2.0, 1.0]]),
             np.asarray([0, 2], dtype=np.int64),
         )
-        assert got == [[], [1.0, 2.0]]
+        assert got.tolist() == [[], [1.0, 2.0]]
 
     def test_negative_source_count_raises_like_partial(self):
         with pytest.raises(QueryError, match="negative source_count"):
@@ -666,7 +669,7 @@ class TestFilterBatchOperator:
         counts = np.full(6, values.shape[1], dtype=np.int64)
         starts = np.array([0, 4], dtype=np.int64)
         merged = bop.combine_columns(cols, starts)
-        got = bop.finalize_columns(merged, np.add.reduceat(counts, starts))
+        got = bop.finalize_columns(merged, np.add.reduceat(counts, starts)).tolist()
         for g, (lo, hi) in enumerate([(0, 4), (4, 6)]):
             partials = [
                 Partial(np.asarray(cols[0][i]), int(counts[i]))

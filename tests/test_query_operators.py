@@ -176,7 +176,7 @@ class TestPrunePredicates:
         lists, none shared (synthesized records must not share state)."""
         op = _prunable(name)
         columns = op.map_batch(np.empty((3, 0)))
-        out = op.finalize_columns(columns, np.zeros(3, dtype=np.int64))
+        out = op.finalize_columns(columns, np.zeros(3, dtype=np.int64)).tolist()
         assert out == [[], [], []]
         assert len({id(v) for v in out}) == 3
 
@@ -218,8 +218,8 @@ def _operator(name, threshold=5.0):
 
 
 def _finalize_one(op, columns, count):
-    (value,) = op.finalize_columns(columns, np.array([count]))
-    return value if isinstance(value, (list, dict)) else value.item()
+    (value,) = op.finalize_columns(columns, np.array([count])).tolist()
+    return value
 
 
 def _whole_batch(op, cells):
@@ -390,7 +390,7 @@ def _finalized_rows(op, rows):
     out = op.finalize_columns(
         _keyblock_columns(op, rows), np.array([len(row) for row in rows])
     )
-    return out.tolist() if isinstance(out, np.ndarray) else out
+    return out.tolist()
 
 
 class TestRaggedKeyblocks:
@@ -476,7 +476,9 @@ class TestRegistry:
         values = np.arange(12.0).reshape(2, 6)
         assert repr(back.finalize_columns(
             back.map_batch(values), np.full(2, 6)
-        )) == repr(op.finalize_columns(op.map_batch(values), np.full(2, 6)))
+        ).tolist()) == repr(
+            op.finalize_columns(op.map_batch(values), np.full(2, 6)).tolist()
+        )
         other = "sum" if name == "count" else "count"
         assert op != get_operator(other) and op != name
 

@@ -1,5 +1,6 @@
 """Unit tests for coordinate split generation."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from repro.arrays.slab import Slab, slabs_cover
 from repro.dfs.filesystem import SimulatedDFS
 from repro.errors import QueryError
+from repro.mapreduce.engine import LocalEngine
 from repro.query.language import StructuralQuery
 from repro.query.operators import MeanOp
 from repro.query.splits import (
@@ -15,6 +17,8 @@ from repro.query.splits import (
     slice_splits,
 )
 from repro.scidata.metadata import simple_metadata
+from repro.sidr.planner import build_plan
+from repro.verify.oracle import oracle_records, records_digest
 
 
 def _strided_plan(space, shape, stride, keep_partial=False):
@@ -182,3 +186,46 @@ class TestValidation:
                 slabs=(Slab((0,), (0,)),),
                 item_bytes=4,
             )
+
+
+class TestKeptPartialInstances:
+    """``keep_partial_instances`` on a 3×2 variable with extract
+    ``(2, 1)``: the second instance row is clipped to one row.  ``covered``
+    ends where the subset does; it used to run to the unclipped
+    instance's end, row 4, and ``slice_splits`` cut a map over row 3,
+    which does not exist."""
+
+    @staticmethod
+    def _plan():
+        return StructuralQuery(
+            variable="v", extraction_shape=(2, 1), operator=MeanOp(),
+            keep_partial_instances=True,
+        ).compile(simple_metadata("v", (3, 2)))
+
+    def test_covered_is_clipped_to_the_subset(self):
+        plan = self._plan()
+        assert plan.intermediate_space == (2, 2)
+        assert plan.covered == Slab((0, 0), (3, 2))
+
+    @pytest.mark.parametrize(
+        "split, cells",
+        [(slice_splits, [2, 2, 2]), (aligned_slice_splits, [4, 2])],
+        ids=["sliced", "aligned"],
+    )
+    def test_no_map_reads_past_the_variable(self, split, cells):
+        """Every map reads rows that exist and reports their cells; the
+        keyblock waits on exactly those maps, and the job's output is
+        the oracle's."""
+        plan = self._plan()
+        splits = split(plan, num_splits=3)
+        whole = Slab.whole(plan.input_space)
+        for sp in splits:
+            assert sp.slabs[0].volume and whole.contains_slab(sp.slabs[0])
+        assert [sp.length_bytes // sp.item_bytes for sp in splits] == cells
+        sidr = build_plan(plan, splits, 1)
+        assert sidr.deps.dependencies == (frozenset(range(len(splits))),)
+        data = np.arange(6.0).reshape(3, 2)
+        res = LocalEngine().run(*sidr.configure_job(data), mode="serial")
+        assert records_digest(res.all_records()) == records_digest(
+            oracle_records(plan, data)
+        )

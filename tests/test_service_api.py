@@ -516,6 +516,23 @@ class TestHttpServer:
         with running_server(tmp_path) as (client, service, path, data, _):
             yield client, service, path, data
 
+    def test_healthz_walks_no_job_and_no_engine(self, live_server, monkeypatch):
+        """``/healthz`` answers from the service's start time: it builds
+        no ``/stats`` (every job ever submitted) and reads no engine
+        process's ``/proc`` status."""
+        from repro.service import engine_process
+
+        client, service, _, _ = live_server
+        first = client.healthz()["uptime"]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("/healthz must not call this")
+
+        monkeypatch.setattr(QueryService, "stats", refused)
+        monkeypatch.setattr(engine_process, "_rss_kb", refused)
+        doc = client.healthz()
+        assert doc["ok"] is True and doc["uptime"] >= first >= 0
+
     def test_full_lifecycle_over_the_wire(self, live_server):
         client, service, path, data = live_server
         assert client.healthz()["ok"] is True

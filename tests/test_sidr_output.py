@@ -98,6 +98,25 @@ class TestContiguousCommit:
         with pytest.raises(QueryError):
             commit_sidr_output(plan, res, tmp_path / "lists")
 
+    @pytest.mark.parametrize("plane", ["columnar", "record"])
+    def test_pair_outputs_rejected(self, tmp_path, weekly_mean_plan, plane):
+        """``range_exceeds`` produces ``{exceeds, variation}`` pairs —
+        an ``ExceedsColumn`` on the columnar plane, dicts on the record
+        plane — and the dense committer refuses them too."""
+        from dataclasses import replace
+
+        from repro.query.operators import RangeExceedsOp
+
+        query = replace(weekly_mean_plan.query, operator=RangeExceedsOp(2.0))
+        qplan = query.compile(weekly_mean_plan.metadata)
+        data = np.zeros(qplan.input_space)
+        job, barrier, plan = build_sidr_job(
+            qplan, slice_splits(qplan, num_splits=2), 2, data, data_plane=plane
+        )
+        res = LocalEngine().run_serial(job, barrier)
+        with pytest.raises(QueryError, match="scalar outputs"):
+            commit_sidr_output(plan, res, tmp_path / "pairs")
+
 
 class TestStockCommit:
     def test_sentinel_commit_costs(self, big_finished_job, tmp_path):

@@ -29,6 +29,7 @@ from repro.verify import (
     shrink_case,
     write_repro,
 )
+from tests.legacy_codec import json_tag_digest
 
 
 def base_case(operator, **kwargs):
@@ -48,33 +49,33 @@ def base_case(operator, **kwargs):
 
 # --------------------------------------------------------------------- #
 # Canonical record lists and their near misses.  ``repr`` — what the
-# digest used to hash — is the reference for "equal output" here.
+# digest used to hash — is the reference for "equal output" here.  The
+# values are operator-shaped: one of the four value columns a result
+# block holds (all floats, all int64, all lists of floats, all
+# ``range_exceeds`` dicts); anything else is refused, not hashed.
 # --------------------------------------------------------------------- #
 _NEG_NAN = math.copysign(math.nan, -1.0)
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(
     [math.nan, _NEG_NAN, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
 )
-_INTS = st.integers(-(2**70), 2**70)
-_NUMBERS = _FLOATS | _INTS
-#: One row's value, by column kind; ``mixed`` draws each row anew.
+_INTS = st.integers(-(2**63), 2**63 - 1)
+#: One row's value, by value column.
 _VALUES = {
     "float": _FLOATS,
     "int": _INTS,
-    "bool": st.booleans(),
     "ragged": st.lists(_FLOATS, max_size=4),
     # built, not ``fixed_dictionaries``: canonical dicts have sorted keys
     "range_exceeds": st.builds(
         lambda exceeds, variation: {"exceeds": exceeds, "variation": variation},
         st.booleans(), _FLOATS,
     ),
-    "mixed_list": st.lists(_NUMBERS, max_size=3),
 }
-_VALUES["mixed"] = st.one_of(*_VALUES.values())
 
 
 @st.composite
-def canonical_records(draw, min_rows=0):
-    """A canonical record list: rank 1-4 keys in key order, 0-8 rows."""
+def canonical_records(draw, min_rows=0, kind=None):
+    """A canonical record list: rank 1-4 keys in key order, 0-8 rows,
+    one value column (``kind``, or drawn)."""
     rank = draw(st.integers(1, 4))
     keys = draw(
         st.lists(
@@ -82,12 +83,20 @@ def canonical_records(draw, min_rows=0):
             min_size=min_rows, max_size=8, unique=True,
         )
     )
-    value = _VALUES[draw(st.sampled_from(sorted(_VALUES)))]
+    value = _VALUES[kind or draw(st.sampled_from(sorted(_VALUES)))]
     return [(key, draw(value)) for key in sorted(keys)]
 
 
 def _set_value(records, row, value):
     return records[:row] + [(records[row][0], value)] + records[row + 1:]
+
+
+#: A float as the row value of each column that carries floats.
+_AS_ROW = {
+    "float": lambda x: x,
+    "ragged": lambda x: [x, 2.0],
+    "range_exceeds": lambda x: {"exceeds": True, "variation": x},
+}
 
 
 @st.composite
@@ -103,12 +112,19 @@ def near_miss_pairs(draw):
         k = sorted(draw(st.lists(
             st.integers(-(2**63), 2**63 - 1), min_size=6, max_size=6, unique=True
         )))
-        v = draw(_NUMBERS)
+        v = draw(_VALUES[draw(st.sampled_from(sorted(_VALUES)))])
         return (
             [(tuple(k[:3]), v), (tuple(k[3:]), v)],
             [(tuple(k[:2]), v), (tuple(k[2:4]), v), (tuple(k[4:]), v)],
         )
-    a = draw(canonical_records(min_rows=0 if kind == "same" else 2))
+    if kind == "int_float":
+        # one column, as int64 and as float64
+        a = draw(canonical_records(min_rows=1, kind="int"))
+        return a, [(key, float(v)) for key, v in a]
+    column = {"ragged_boundary": "ragged"}.get(kind)
+    if kind in ("zero_sign", "nan_sign"):
+        column = draw(st.sampled_from(sorted(_AS_ROW)))
+    a = draw(canonical_records(min_rows=0 if kind == "same" else 2, kind=column))
     if kind == "same":
         return a, copy.deepcopy(a)
     i = draw(st.integers(0, len(a) - 2))
@@ -118,19 +134,17 @@ def near_miss_pairs(draw):
         (ki, vi), (kj, vj) = a[i], a[i + 1]
         return a, a[:i] + [(ki, vj), (kj, vi)] + a[i + 2:]
     if kind == "ragged_boundary":
-        x, y, z = draw(st.tuples(_NUMBERS, _NUMBERS, _NUMBERS))
+        x, y, z = draw(st.tuples(_FLOATS, _FLOATS, _FLOATS))
         return (
             _set_value(_set_value(a, i, [x, y]), i + 1, [z]),
             _set_value(_set_value(a, i, [x]), i + 1, [y, z]),
         )
     one, other = {
-        "int_float": (1, 1.0),
         "zero_sign": (0.0, -0.0),
         "nan_sign": (math.nan, _NEG_NAN),   # one ``repr``: must be one digest
     }[kind]
-    if draw(st.booleans()):                 # inside a list value
-        one, other = [one, 2.0], [other, 2.0]
-    return _set_value(a, i, one), _set_value(a, i, other)
+    row = _AS_ROW[column]
+    return _set_value(a, i, row(one)), _set_value(a, i, row(other))
 
 
 class TestOracle:
@@ -163,8 +177,16 @@ class TestOracle:
     def test_corpus_digests_from_before_the_operator_table(self):
         """``tests/data/oracle_corpus.json``: ``FuzzCase`` documents with
         the oracle digest each had when the oracle was
-        ``finalize(map_partial(·))`` of eleven scalar classes (the
-        parent of PR 24).  The classes are gone; their verdicts stay."""
+        ``finalize(map_partial(·))`` of eleven scalar classes, before
+        the operator table replaced them.  The classes are gone; their
+        verdicts stay.
+
+        ``digest`` is of the byte form with a JSON value column, checked
+        through a copy of that packer (``tests/legacy_codec.py``):
+        the oracle's records have not changed.  ``binary_digest``,
+        pinned beside it, is today's :func:`records_digest`: equal to
+        ``digest`` for every float64 result, and different only for
+        the operators whose column is no longer JSON."""
         corpus = json.loads(
             (Path(__file__).parent / "data" / "oracle_corpus.json").read_text()
         )
@@ -172,9 +194,11 @@ class TestOracle:
         for doc in corpus:
             case = FuzzCase.from_json(doc["case"])
             plan, data = case.build()
-            assert records_digest(oracle_records(plan, data)) == doc["digest"], (
-                case.describe()
-            )
+            records = oracle_records(plan, data)
+            assert json_tag_digest(records) == doc["digest"], case.describe()
+            assert records_digest(records) == doc["binary_digest"], case.describe()
+            repinned = case.operator in ("count", "sort", "filter_gt", "range_exceeds")
+            assert (doc["binary_digest"] != doc["digest"]) == repinned
             seen.setdefault(case.operator, []).append(case)
         assert set(seen) == set(OPERATOR_NAMES)
         for cases in seen.values():
@@ -211,6 +235,24 @@ class TestOracle:
             == records_digest(block.packed())
         )
         assert checked_digest(records) == (records_digest(records), True)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [True, False],                      # bools are not ints
+            [1, 2.0],                           # one column, one kind
+            [[1.0], 2.0],
+            [[1, 2.0]],                         # a list of floats only
+            [2**63],                            # past int64
+            [{"variation": 1.0, "exceeds": True}],  # not canonical
+            ["text"],
+        ],
+    )
+    def test_values_outside_the_four_columns_raise(self, values):
+        """What no operator outputs has no byte form: refused, not
+        hashed as something it is not."""
+        with pytest.raises(ShuffleError):
+            records_digest([((i,), v) for i, v in enumerate(values)])
 
     def test_empty_results_share_one_digest(self):
         rank0 = ResultBlock.empty()
@@ -621,8 +663,9 @@ class TestServiceLeg:
     def test_a_lossy_wire_codec_reads_as_diverged(self, monkeypatch):
         """The service legs decode the job's block from its bytes: a
         codec that drops a row fails the case although the served digest
-        is right.  A job run in parts decodes its parts' bytes to
-        assemble its block, so there the digest itself is wrong."""
+        is right.  A job run in parts splices its parts' bytes by their
+        headers, so there too the digest is right and only decoding the
+        served block sees the loss."""
         from repro.mapreduce.columnar import ResultBlock
 
         monkeypatch.setenv("REPRO_VERIFY_ENGINES", "service")
@@ -640,7 +683,8 @@ class TestServiceLeg:
         result = run_case(split)
         assert not result.ok
         assert [o.parts for o in result.outcomes] == [2]
-        assert all(o.digest != result.oracle_digest for o in result.outcomes)
+        assert {o.status for o in result.outcomes} == {"diverged"}
+        assert all(o.digest == result.oracle_digest for o in result.outcomes)
 
     def test_a_lossy_byte_form_reads_as_diverged_in_every_leg(self, monkeypatch):
         """The twin: a ``to_bytes`` that loses the value column.  The
