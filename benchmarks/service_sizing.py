@@ -14,6 +14,7 @@ plan-cache miss each), warms up, then times ``--requests`` closed-loop
 requests per client; the configuration order is reversed each round.
 
     PYTHONPATH=src python benchmarks/service_sizing.py --rounds 5
+    PYTHONPATH=src python benchmarks/service_sizing.py --smoke
 
 Prints, per configuration, the median requests/s and the user and
 system CPU per request of this process and every child it has at the
@@ -125,8 +126,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--requests", type=int, default=48,
                     help="timed requests per client per round")
     ap.add_argument("--warmup", type=int, default=8)
+    ap.add_argument("--smoke", action="store_true",
+                    help="one round of a few requests per client (CI)")
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
+    if args.smoke:
+        args.rounds, args.requests, args.warmup = 1, 4, 1
 
     with tempfile.TemporaryDirectory(prefix="service-sizing-") as tmp:
         inputs = Inputs(args.seed, Path(tmp))

@@ -16,9 +16,9 @@ record`` runs; a request naming it is refused at admission.
 
 ``engine`` does not say how many threads a job gets: ``serial`` and
 ``threaded`` jobs both execute on the one thread of the engine process
-that runs them (the queue's workers are the service's parallelism).  Only a
-``threaded`` + ``speculate`` job gets thread pools of its own
-(:func:`repro.service.engine_process.execution_mode`).
+that runs them (the engine processes, the slots, are the service's
+parallelism).  Only a ``threaded`` + ``speculate`` job gets thread
+pools of its own (:func:`repro.service.engine_process.execution_mode`).
 
 The request also defines the **canonical query** half of the plan-cache
 key (:meth:`QueryRequest.plan_key`): exactly the fields
@@ -269,7 +269,7 @@ class QueryRequest:
             # positive number: a request error, not a job to queue, fail
             # and bill the tenant's failure budget for.
             raise AdmissionError(str(exc)) from exc
-        # A fault nothing would ever release holds its queue worker for
+        # A fault nothing would ever release holds its engine slot for
         # the life of the server (a running job cannot be cancelled).
         for rule in faults.rules if faults is not None else ():
             if rule.kind is FaultKind.HANG and not (

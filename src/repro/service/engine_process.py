@@ -1,23 +1,24 @@
 """Engine processes: where a served job's engine run happens.
 
-Each queue worker of a :class:`~repro.service.service.QueryService`
-owns one resident engine process, forked when the service is built
-(before the queue starts a thread) — the paper's Hadoop runs a node's
-task slots as child JVMs the same way.  The service keeps everything it
-owns: admission, tenants, the one plan cache, job state, waiters and
-the HTTP loop.  The process runs :func:`run_job` — ``configure_job``,
-``LocalEngine.run``, and packing the output — and nothing else, so two
-served jobs run on two cores instead of taking turns at one interpreter
-lock, and so do the two parts of one job run alone
-(:meth:`~repro.sidr.planner.SIDRPlan.parts`; ``docs/SERVICE.md``,
+A :class:`~repro.service.service.QueryService` has ``workers``
+resident engine processes, its **slots**, forked when the service is
+built (before its dispatcher thread starts) — the paper's Hadoop runs a
+node's task slots as child JVMs the same way.  The service keeps
+everything it owns: admission, tenants, the one plan cache, job state,
+waiters and the HTTP loop.  The process runs :func:`run_job` —
+``configure_job``, ``LocalEngine.run``, and packing the output — and
+nothing else, so two served jobs run on two cores instead of taking
+turns at one interpreter lock, and so do the two parts of one job run
+alone (:meth:`~repro.sidr.planner.SIDRPlan.parts`; ``docs/SERVICE.md``,
 "Engine processes").
 
 One :class:`Run` in and one :class:`Outcome` out per job part, over a
 pipe, through :meth:`EngineProcess.send` and
-:meth:`EngineProcess.receive` — split so that one queue worker can
-have a part running on each of several processes at once:
+:meth:`EngineProcess.receive` — split so that the service's one
+dispatcher thread can have a part running on every slot at once, and
+wait on all their pipes together:
 
-* the worker sends a :class:`Run`: job id, request, the session's
+* the dispatcher sends a :class:`Run`: job id, request, the session's
   :class:`~repro.service.sessions.SessionRef` and the :class:`Part` to
   run (``None``: the whole job).  A process that lacks the job's plan
   (or an array session's data) answers :class:`Need`, and
@@ -38,9 +39,10 @@ A second pipe carries the one control message: a running job's
 progress, asked for by ``status()`` and answered with its
 :class:`~repro.obs.ProgressTracker` snapshot (:class:`RemoteProgress`
 asks every process running a part and merges the answers).  A process
-that dies closes its pipes: the worker reads EOF, the part fails with
-:class:`~repro.service.api.EngineProcessError` naming the exit code or
-signal, and the process is replaced before it runs anything else.
+that dies closes its pipes: the dispatcher reads EOF, the part fails
+with :class:`~repro.service.api.EngineProcessError` naming the exit code
+or signal, and the process is replaced before its slot takes another
+part.
 """
 
 from __future__ import annotations
@@ -119,8 +121,8 @@ def execution_mode(engine: str, speculate: bool) -> str:
     """The :meth:`LocalEngine.run` mode a request's ``engine`` is served in.
 
     A served job runs on the inline executor — its engine process's own
-    thread; the queue's workers are the parallelism.  It gets thread
-    pools of its own only where it cannot run without a second thread:
+    thread; the slots are the parallelism.  It gets thread pools of its
+    own only where it cannot run without a second thread:
     ``threaded`` with ``speculate`` (a hedged backup has to race its
     primary; an explicit ``serial`` keeps the inline executor's
     cancel-and-retry in place).
@@ -423,7 +425,7 @@ def _serve(jobs: Connection, control: Connection, config: EngineConfig) -> None:
 # The service's side
 # --------------------------------------------------------------------- #
 class EngineProcess:
-    """One queue worker's engine process, as the service holds it: the
+    """One slot's engine process, as the service holds it: the
     service's ends of its two pipes, and counts for ``/stats``."""
 
     def __init__(self, config: EngineConfig) -> None:
@@ -536,18 +538,18 @@ class EngineProcess:
             self._start()
         self.restarts += 1
 
-    def stop(self) -> None:
-        """Stop the process (killed if it does not exit in
-        :data:`STOP_TIMEOUT`) and reap it; idempotent."""
+    def stop(self, timeout: float = STOP_TIMEOUT) -> None:
+        """Stop the process (killed if it does not exit in ``timeout``
+        seconds) and reap it; idempotent."""
         with self._control_lock:
-            self._stop()
+            self._stop(timeout)
 
-    def _stop(self) -> None:
+    def _stop(self, timeout: float = STOP_TIMEOUT) -> None:
         try:
             self._jobs.send(None)
         except OSError:
             pass  # dead already, or stopped before
-        self._process.join(STOP_TIMEOUT)
+        self._process.join(timeout)
         if self._process.exitcode is None:
             self._process.kill()
             self._process.join()

@@ -3,24 +3,23 @@
 The queue is deliberately simple and fully deterministic: jobs are
 dispatched strictly by ``(-priority, submission sequence)`` — higher
 priority first, FIFO within a priority — from a heap guarded by one
-condition variable.  Worker threads block on the condition, so an idle
-service costs nothing; each hands one job at a time to the runner with
-its own index, which the service maps to the worker's engine process
-(:mod:`repro.service.engine_process`), where the job runs.
-
-A runner may :meth:`JobQueue.lend` the idle workers while no job is
-queued: a lent worker takes no job until it is given back
-(:meth:`JobQueue.give_back`), and its engine process runs a part of the
-borrowing worker's job meanwhile.  When to ask is the service's rule.
+condition variable.  It starts no thread.  The service's one dispatcher
+thread (:meth:`repro.service.service.QueryService._dispatch`) pops the
+head whenever an engine process, a slot, is free, and the queue tells
+it whether the job may run in parts: the **lending rule**, whose state
+— which queued or running jobs met another, and whether the job that
+finished last met none — is kept here, beside the heap and the running
+set it is read from.  ``submit``, ``resume`` and ``shutdown`` wake the
+dispatcher; an idle service costs nothing.
 
 ``pause()``/``resume()`` exist for the deterministic concurrency
 harness: tests pause the queue, submit a batch (fixing the admission
 order), then resume — dispatch order is then a pure function of the
 batch, independent of submission-thread timing.
 
-Cancellation: a *queued* job is cancelled by marking it — the worker
-that eventually pops it observes the mark and retires it without
-running.  A *running* job is bounded by its request deadline (the
+Cancellation: a *queued* job is cancelled by marking it — the
+dispatcher observes the mark when it pops the job and retires it
+unsent.  A *running* job is bounded by its request deadline (the
 engine's deadline watchdog cancels in-flight attempts cooperatively);
 the queue does not preempt running jobs.
 """
@@ -38,8 +37,6 @@ from typing import Any
 from repro.mapreduce.columnar import ResultBlock
 from repro.service.api import (
     CANCELLED,
-    DONE,
-    FAILED,
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
@@ -89,9 +86,6 @@ class ServiceJob:
         self.counters: dict[str, int] = {}
         #: Parts the job ran in (``SIDRPlan.parts``), once dispatched.
         self.parts: int | None = None
-        #: Another job was queued or running at some point of this
-        #: one's life (the service's lending rule reads it).
-        self.shared = False
         #: Live progress: while the job runs, an object whose
         #: ``snapshot()`` reads it (``status()`` embeds the snapshot,
         #: when there is one); the last snapshot alone once it has
@@ -197,79 +191,52 @@ class ServiceJob:
 
 
 class JobQueue:
-    """Priority dispatch queue feeding a small worker pool."""
+    """The queued jobs and the running ones, for the service's
+    dispatcher: it takes jobs with :meth:`pop`, and ``wake`` is how the
+    queue tells it to look again."""
 
     def __init__(
-        self,
-        runner: Callable[[ServiceJob, int], None],
-        *,
-        workers: int = 2,
-        start_paused: bool = False,
+        self, wake: Callable[[], None], *, start_paused: bool = False
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"queue needs >= 1 worker, got {workers}")
-        self._runner = runner
+        self._wake = wake
         self._cond = threading.Condition()
         self._heap: list[tuple[int, int, ServiceJob]] = []
         self._tick = itertools.count()
         self._paused = start_paused
         self._shutdown = False
-        self._running = 0
+        self._running: set[ServiceJob] = set()
         self._dispatched = 0
-        #: Workers running a job, and workers lent to one.
-        self._busy: set[int] = set()
-        self._lent: set[int] = set()
+        #: The lending rule's state: the jobs queued or running that
+        #: another queued or running job met, and whether the job that
+        #: finished last met none.
+        self._shared: set[ServiceJob] = set()
+        self._alone = True
         #: Dispatch order of the last ``RECENT_JOBS`` jobs, for tests.
         self._recent: deque[str] = deque(maxlen=RECENT_JOBS)
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, args=(i,), name=f"svc-worker-{i}",
-                daemon=True,
-            )
-            for i in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
 
     # ------------------------------------------------------------------ #
     def submit(self, job: ServiceJob) -> None:
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("queue is shut down")
+            if self._heap or self._running:
+                self._shared.update(entry[2] for entry in self._heap)
+                self._shared.update(self._running)
+                self._shared.add(job)
             heapq.heappush(
                 self._heap, (-job.request.priority, next(self._tick), job)
             )
-            # Every waiter: a lent worker wakes to wait again.
-            self._cond.notify_all()
+        self._wake()
 
     def cancel(self, job: ServiceJob) -> bool:
-        """Cancel a queued job.  Returns False once it is running or
-        already terminal — running jobs are bounded by their deadline,
-        not preempted."""
+        """Cancel a queued job: the dispatcher retires it unsent.
+        Returns False once it is running or already terminal — running
+        jobs are bounded by their deadline, not preempted."""
         with job.lock:
             if job.state != QUEUED:
                 return False
             job.cancel_requested = True
         return True
-
-    def lend(self) -> list[int]:
-        """Every idle worker, lent until :meth:`give_back`: none while a
-        job is queued (an idle worker is about to take it)."""
-        with self._cond:
-            if self._heap:
-                return []
-            idle = [
-                i for i in range(len(self._threads))
-                if i not in self._busy and i not in self._lent
-            ]
-            self._lent.update(idle)
-            return idle
-
-    def give_back(self, worker: int) -> None:
-        """A lent worker takes jobs again."""
-        with self._cond:
-            self._lent.discard(worker)
-            self._cond.notify_all()
 
     def pause(self) -> None:
         with self._cond:
@@ -278,52 +245,40 @@ class JobQueue:
     def resume(self) -> None:
         with self._cond:
             self._paused = False
-            self._cond.notify_all()
+        self._wake()
 
     # ------------------------------------------------------------------ #
-    def _worker_loop(self, worker: int) -> None:
+    def pop(self) -> tuple[ServiceJob, bool] | None:
+        """The next job to dispatch, ``running`` from here on, and
+        whether it may run in parts (the lending rule: it is alone in
+        the service, after a job that was alone all its life); ``None``
+        while the queue is empty, paused or shut down.  A job cancelled
+        while queued is finished ``cancelled`` instead, and skipped."""
         while True:
             with self._cond:
-                while not self._shutdown and (
-                    self._paused or not self._heap or worker in self._lent
-                ):
-                    self._cond.wait()
-                if self._shutdown:
-                    return
+                if self._shutdown or self._paused or not self._heap:
+                    return None
                 _, _, job = heapq.heappop(self._heap)
-                self._running += 1
+                self._running.add(job)
                 self._dispatched += 1
-                self._busy.add(worker)
                 self._recent.append(job.id)
-            try:
-                self._dispatch(job, worker)
-            finally:
-                with self._cond:
-                    self._running -= 1
-                    self._busy.discard(worker)
-                    self._cond.notify_all()
-
-    def _dispatch(self, job: ServiceJob, worker: int) -> None:
-        with job.lock:
-            if job.cancel_requested:
-                cancelled = True
-            else:
-                cancelled = False
-                job.state = RUNNING
-                job.started_at = time.time()
-        if cancelled:
+                alone = self._alone and job not in self._shared
+            with job.lock:
+                cancelled = job.cancel_requested
+                if not cancelled:
+                    job.state = RUNNING
+                    job.started_at = time.time()
+            if not cancelled:
+                return job, alone
             job.finish(CANCELLED, error="cancelled before dispatch")
-            return
-        try:
-            self._runner(job, worker)
-        except BaseException as exc:  # the runner is the last line of defense
-            job.finish(
-                FAILED,
-                error=f"{type(exc).__name__}: {exc}",
-                error_types=(type(exc).__name__,),
-            )
-        if not job.finished.is_set():  # pragma: no cover - defensive
-            job.finish(DONE)
+
+    def finished(self, job: ServiceJob) -> None:
+        """``job`` is terminal (:attr:`ServiceJob.on_finish`)."""
+        with self._cond:
+            self._running.discard(job)
+            self._alone = job not in self._shared
+            self._shared.discard(job)
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
     def drain(self, timeout: float | None = None) -> bool:
@@ -340,26 +295,27 @@ class JobQueue:
             return True
 
     def shutdown(self) -> None:
-        """Stop the workers; jobs still queued end as cancelled
+        """Take no job from here on; jobs still queued end as cancelled
         so no client waits forever on a job that will never run."""
         with self._cond:
             self._shutdown = True
             leftover = [job for _, _, job in self._heap]
             self._heap.clear()
-            self._cond.notify_all()
-        for t in self._threads:
-            t.join(timeout=5.0)
+        self._wake()
         for job in leftover:
             job.finish(CANCELLED, error="service shut down")
+
+    @property
+    def lending(self) -> bool:
+        """Would a job dispatched now, alone, run in parts?"""
+        return self._alone
 
     def snapshot(self) -> dict[str, Any]:
         with self._cond:
             return {
                 "queued": len(self._heap),
-                "running": self._running,
+                "running": len(self._running),
                 "paused": self._paused,
-                "workers": len(self._threads),
-                "lent": len(self._lent),
                 "dispatched": self._dispatched,
             }
 

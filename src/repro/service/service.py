@@ -12,28 +12,25 @@ from scratch:
   reopen) the zone maps;
 * a :class:`~repro.service.jobs.JobQueue` with admission control,
   priorities, and per-tenant quotas/failure budgets;
-* one resident engine process per queue worker
-  (:mod:`repro.service.engine_process`), forked here, before the queue
-  starts a thread;
+* ``workers`` resident engine processes
+  (:mod:`repro.service.engine_process`), the **slots**, forked here
+  before the service starts its one thread;
 * per-job namespaced state: every job gets its own engine (and so its
   own ``ShuffleStore``), a unique job name, and its own job-tagged
   :class:`~repro.obs.live.EventBus`/:class:`~repro.obs.live.ProgressTracker`
   feeding the live status endpoint.
 
-Jobs, not tasks, are the unit of parallelism: a job runs start to finish
-in the engine process of the queue worker that popped it — the worker
-thread looks the plan up in the cache, sends the job and waits for its
-answer — and only a request that cannot run without a second thread
-gets per-job thread pools
-(:func:`~repro.service.engine_process.execution_mode`; ``docs/SERVICE.md``,
-"Execution model").  Jobs of either engine run side by side over one
-shared dataset, all on the columnar plane, each on a core of its own.
-The one exception is the **lending rule**: a job dispatched while it is
-the only job in the service, after a job that was the only one all its
-life, borrows every idle worker's engine process and runs one of its
-plan's independent keyblock ranges (:meth:`SIDRPlan.parts
-<repro.sidr.planner.SIDRPlan.parts>`) on each, at the same time; a lent
-engine goes back as soon as its part ends.
+One **dispatcher** thread (:meth:`QueryService._dispatch`) hands work
+to the slots, as the paper's Hadoop hands tasks to a node's slots from
+one scheduler: while a slot is free it plans the head of the queue and
+sends it to the slot as one **part**, and each answer frees its slot.
+A part runs on its process's one thread; only a request that cannot run
+without a second thread gets thread pools
+(:func:`~repro.service.engine_process.execution_mode`;
+``docs/SERVICE.md``, "Execution model").  Under the **lending rule** —
+a job dispatched alone, after a job that was alone all its life — a job
+takes every free slot its plan can use, one independent keyblock range
+(:meth:`SIDRPlan.parts <repro.sidr.planner.SIDRPlan.parts>`) on each.
 A finished job keeps its result as one packed
 :class:`~repro.mapreduce.columnar.ResultBlock` — the bytes its engine
 process packed, which the binary result body ships as they are — and
@@ -45,16 +42,16 @@ becomes a record list.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from collections import Counter, deque
-from multiprocessing.connection import Connection, wait
-from typing import Any
+from multiprocessing.connection import wait
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from repro.arrays.slab import Slab
-from repro.errors import ReproError
 from repro.mapreduce.columnar import ResultBlock
 from repro.query.language import StructuralQuery
 from repro.query.splits import aligned_slice_splits
@@ -83,7 +80,6 @@ from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
 from repro.service.plancache import PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
-from repro.verify.explorer import failure_types
 
 
 def build_served_plan(req: QueryRequest, session: DatasetSession) -> SIDRPlan:
@@ -134,13 +130,13 @@ class QueryService:
         events_path: str | None = None,
         start_paused: bool = False,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"service needs >= 1 worker, got {workers}")
         self.plan_cache = PlanCache(capacity=plan_cache_capacity)
         self.registry = SessionRegistry(on_invalidate=self.plan_cache.invalidate)
-        #: One engine process per queue worker, forked while this
-        #: process has no thread of the service's: a few milliseconds
-        #: each, outside any request.  ``map_workers`` and
-        #: ``reduce_workers`` size the jobs ``execution_mode`` pools;
-        #: every other job starts no thread of its own.
+        #: The slots, one job part at a time each: forked before the
+        #: service has a thread, a few milliseconds each.  ``map_workers``
+        #: and ``reduce_workers`` size the ``execution_mode`` pools.
         config = EngineConfig(
             map_workers=map_workers,
             reduce_workers=reduce_workers,
@@ -149,10 +145,10 @@ class QueryService:
         )
         self.engine_config = config
         self._engines = [EngineProcess(config) for _ in range(workers)]
-        #: ``workers`` jobs run at once, worker ``i`` in ``_engines[i]``.
-        self.queue = JobQueue(
-            self._run_job, workers=workers, start_paused=start_paused
-        )
+        #: The dispatcher's wake-up: a byte on it means "look again".
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self.queue = JobQueue(self._wake, start_paused=start_paused)
         self._default_quota = default_quota or TenantQuota()
         self._lock = threading.Lock()
         self._tenants: dict[str, TenantState] = {}
@@ -160,11 +156,6 @@ class QueryService:
             for name, quota in quotas.items():
                 self._tenants[name] = TenantState(quota=quota)
         self._jobs: dict[str, ServiceJob] = {}
-        #: The lending rule's state: jobs submitted and not finished,
-        #: and whether the job that finished last was the only one
-        #: submitted and not finished all its life (``job.shared``).
-        self._active: set[ServiceJob] = set()
-        self._alone = True
         #: The finished jobs still holding their records, oldest first;
         #: at most ``RECENT_JOBS`` of them.
         self._with_records: deque[ServiceJob] = deque()
@@ -175,6 +166,11 @@ class QueryService:
         self._event_write_errors = 0
         self._started_at = time.time()
         self._closed = False
+        #: The service's one thread (:meth:`_dispatch`).
+        self._dispatcher = threading.Thread(
+            target=self._dispatch, name="svc-dispatcher", daemon=True
+        )
+        self._dispatcher.start()
 
     # ------------------------------------------------------------------ #
     # Dataset management
@@ -224,19 +220,14 @@ class QueryService:
             job_id = f"j{self._seq:05d}"
             job = ServiceJob(job_id, request, self._seq)
             self._jobs[job_id] = job
-            self._active.add(job)
-            if len(self._active) > 1:
-                for other in self._active:
-                    other.shared = True
         job.on_finish = self._note_finished
         self.queue.submit(job)
         return job_id
 
     def _note_finished(self, job: ServiceJob) -> None:
+        self.queue.finished(job)
         evicted = None
         with self._lock:
-            self._active.discard(job)
-            self._alone = not job.shared
             tenant = self._tenants.get(job.request.tenant)
             if tenant is not None:
                 tenant.active -= 1
@@ -312,24 +303,28 @@ class QueryService:
         return {
             "uptime": self.uptime(),
             "plan_cache": self.plan_cache.snapshot(),
-            "queue": self.queue.snapshot(),
+            "queue": {**self.queue.snapshot(), "workers": len(self._engines)},
             "tenants": tenants,
             "jobs": states,
             "datasets": self.registry.snapshot(),
             # Audit-log events lost to serialization or I/O errors.
             "event_write_errors": self._event_write_errors,
             "engines": [engine.snapshot() for engine in self._engines],
-            # The lending rule: would a job dispatched now alone borrow
-            # the idle engines?
-            "lending": self._alone,
+            # The lending rule: would a job dispatched now, alone, run
+            # in parts on the free slots?
+            "lending": self.queue.lending,
         }
 
     def close(self) -> None:
-        """Stop the queue, then stop and reap every engine process."""
+        """Stop the queue and the dispatcher, which fails the jobs still
+        running and stops and reaps every engine process; idempotent."""
+        if self._closed:
+            return
         self._closed = True
         self.queue.shutdown()
-        for engine in self._engines:
-            engine.stop()
+        self._dispatcher.join()
+        self._wake_r.close()
+        self._wake_w.close()
         self.registry.close_all()
 
     def __enter__(self) -> "QueryService":
@@ -339,8 +334,7 @@ class QueryService:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Execution (queue worker threads land here; the job runs in the
-    # worker's engine process)
+    # Execution (the dispatcher thread; parts run in engine processes)
     # ------------------------------------------------------------------ #
     def plan(
         self, req: QueryRequest, session: DatasetSession
@@ -354,125 +348,115 @@ class QueryService:
             lambda: build_served_plan(req, session),
         )
 
-    def _run_job(self, job: ServiceJob, worker: int) -> None:
+    def _dispatch(self) -> None:
+        """The dispatcher thread: start jobs while a slot is free, then
+        wait on every busy slot's job pipe and the wake-up socket, and
+        free a slot at each answer (a
+        :class:`~repro.service.engine_process.Need` is answered inside
+        :meth:`EngineProcess.receive`; the slot stays busy).  On
+        shutdown, the jobs still running fail typed and every engine
+        process is stopped."""
+        #: slot -> the job whose part it runs, and the part's index
+        busy: dict[int, tuple[_Running, int]] = {}
+        try:
+            while not self._closed:
+                free = [s for s in range(len(self._engines)) if s not in busy]
+                popped = self.queue.pop() if free else None
+                if popped is not None:
+                    self._start(*popped, free, busy)
+                    continue
+                pipes = {self._engines[s].connection: s for s in busy}
+                for conn in wait([self._wake_r, *pipes]):
+                    if conn is self._wake_r:
+                        self._wake_r.recv(1 << 16)
+                        continue
+                    engine = self._engines[pipes[conn]]
+                    try:
+                        out = engine.receive()
+                    except EngineProcessError as exc:
+                        out = self._lost(engine, exc)
+                    if out is not None:
+                        self._ended(*busy.pop(pipes[conn]), out)
+        finally:
+            for slot, (running, _) in busy.items():
+                self._engines[slot].stop(timeout=0.0)
+                self._end(running.job, failed_outcome(EngineProcessError(
+                    "the service shut down while the job ran"
+                )))
+            for engine in self._engines:
+                engine.stop()
+
+    def _start(
+        self,
+        job: ServiceJob,
+        alone: bool,
+        free: list[int],
+        busy: dict[int, tuple["_Running", int]],
+    ) -> None:
+        """Plan ``job`` and send its parts to ``free`` slots: one part,
+        or, when the lending rule holds (``alone``), as many as the plan
+        cuts into and slots are free."""
         req = job.request
         try:
             session = self.registry.get(req.dataset)
             t0 = time.perf_counter()
             plan, hit = self.plan(req, session)
             plan_seconds = time.perf_counter() - t0
-        except ReproError as exc:
-            job.finish(
-                FAILED,
-                error=f"{type(exc).__name__}: {exc}",
-                error_types=failure_types(exc),
-            )
+        except Exception as exc:  # fails the job, not the dispatcher
+            self._end(job, failed_outcome(exc))
             return
-        with self._lock:
-            lend = self._alone and not job.shared
-        lent = self.queue.lend() if lend else []
-        parts = plan.parts(1 + len(lent)) if lent else ()
-        kept = lent[:len(parts) - 1] if len(parts) > 1 else []
-        for spare in lent[len(kept):]:
-            self.queue.give_back(spare)
-        workers = [worker, *kept]
-        engines = [self._engines[w] for w in workers]
+        parts = plan.parts(len(free)) if alone and len(free) > 1 else ()
+        if len(parts) < 2:
+            parts = (None,)  # the whole job, digested where it runs
+        engines = [self._engines[slot] for slot in free[:len(parts)]]
         progress = RemoteProgress(
             engines, job.id, len(plan.splits), plan.num_reduce_tasks
         )
+        running = _Running(job, plan, progress, [None] * len(parts))
         with job.lock:
             job.plan_cache_hit = hit
             job.plan_seconds = plan_seconds
-            job.parts = len(engines)
+            job.parts = len(parts)
             job.progress = progress
-        outcomes: list[Outcome | None] = [None] * len(engines)
-        waiting: dict[Connection, int] = {}
+        for i, (slot, engine, part) in enumerate(zip(free, engines, parts)):
+            try:
+                engine.send(job.id, req, session, plan, part)
+            except EngineProcessError as exc:
+                self._ended(running, i, self._lost(engine, exc))
+            else:
+                busy[slot] = (running, i)
 
-        def ended(i: int, out: Outcome) -> None:
-            outcomes[i] = out
-            progress.ended(i, out.progress)
-            if i:  # a lent engine goes back as soon as its part ends
-                self.queue.give_back(workers[i])
-
+    def _wake(self) -> None:
+        """Wake the dispatcher (any thread); a full socket holds a
+        wake-up already."""
         try:
-            for i, engine in enumerate(engines):
-                try:
-                    part = parts[i] if kept else None
-                    engine.send(job.id, req, session, plan, part)
-                except EngineProcessError as exc:
-                    ended(i, self._lost(engine, exc))
-                else:
-                    waiting[engine.connection] = i
-            while waiting:
-                for conn in wait(list(waiting)):
-                    i = waiting[conn]
-                    try:
-                        out = engines[i].receive()
-                    except EngineProcessError as exc:
-                        out = self._lost(engines[i], exc)
-                    if out is not None:
-                        del waiting[conn]
-                        ended(i, out)
-        finally:
-            # An error of the service's own left parts unanswered: their
-            # processes are replaced, so that no stale answer meets a
-            # later job, and every lent worker goes back.
-            for i in waiting.values():
-                engines[i].respawn()
-            for i in range(1, len(engines)):
-                if outcomes[i] is None:
-                    self.queue.give_back(workers[i])
-        self._finish(job, plan, outcomes)
+            self._wake_w.send(b"\0")
+        except OSError:  # full, or closed with the service
+            pass
 
     def _lost(self, engine: EngineProcess, exc: EngineProcessError) -> Outcome:
-        """A part whose engine process died: replaced before it runs
-        anything else, lent or not, and the part failed typed."""
+        """A part whose engine process died: replaced before its slot
+        takes another part, and the part failed typed."""
         if not self._closed:
             engine.respawn()
         return failed_outcome(exc)
 
-    def _finish(
-        self, job: ServiceJob, plan: SIDRPlan, outcomes: list[Outcome]
+    def _ended(self, running: "_Running", part: int, out: Outcome) -> None:
+        """Part ``part`` of a job ended with ``out``: the job ends with
+        its last part."""
+        running.outcomes[part] = out
+        running.progress.ended(part, out.progress)
+        if any(o is None for o in running.outcomes):
+            return
+        try:
+            records, out = _assemble(running.plan, running.outcomes)
+        except Exception as exc:  # fails the job, not the dispatcher
+            records, out = None, failed_outcome(exc)
+        self._end(running.job, out, records)
+
+    def _end(
+        self, job: ServiceJob, out: Outcome, records: ResultBlock | None = None
     ) -> None:
-        """End ``job`` from its parts' outcomes, in keyblock order.  One
-        part's is the job's.  Of several, the first that failed fails
-        the job, and so do blocks whose summed size is over the result
-        cap (:func:`check_result_size`); else their blocks laid end to
-        end — their bytes spliced, not repacked
-        (:meth:`ResultBlock.concatenate`) — are its block, digested
-        here, once: the bytes of a one-part run.  Counters
-        add up, and ``run_seconds`` is the longest part's."""
-        if len(outcomes) == 1:
-            out = outcomes[0]
-            records = None if out.block is None else ResultBlock.from_packed(out.block)
-        else:
-            progress = merge_progress(
-                [o.progress for o in outcomes],
-                len(plan.splits), plan.num_reduce_tasks,
-            )
-            write_errors = sum(o.event_write_errors for o in outcomes)
-            out = next((o for o in outcomes if o.state != DONE), None)
-            records = None
-            if out is None:
-                try:
-                    check_result_size(sum(len(o.block) for o in outcomes))
-                except ResultTooLargeError as exc:
-                    out = failed_outcome(exc)
-            if out is None:
-                digest, records = digest_and_block(ResultBlock.concatenate(
-                    [ResultBlock.from_packed(o.block) for o in outcomes]
-                ))
-                counters: Counter[str] = Counter()
-                for o in outcomes:
-                    counters.update(o.counters or {})
-                out = Outcome(
-                    DONE,
-                    digest=digest,
-                    counters=dict(counters),
-                    partial=any(o.partial for o in outcomes),
-                    run_seconds=max(o.run_seconds or 0.0 for o in outcomes),
-                )
-            out = out._replace(progress=progress, event_write_errors=write_errors)
         if out.event_write_errors:
             with self._lock:
                 self._event_write_errors += out.event_write_errors
@@ -487,3 +471,56 @@ class QueryService:
             error=out.error,
             error_types=out.error_types,
         )
+
+
+class _Running(NamedTuple):
+    """A dispatched job; an outcome per part, ``None`` while it runs."""
+
+    job: ServiceJob
+    plan: SIDRPlan
+    progress: RemoteProgress
+    outcomes: list[Outcome | None]
+
+
+def _assemble(
+    plan: SIDRPlan, outcomes: list[Outcome]
+) -> tuple[ResultBlock | None, Outcome]:
+    """A job's block and outcome from its parts' outcomes, in keyblock
+    order.  One part's is the job's.  Of several, the first that failed
+    fails the job, and so do blocks whose summed size is over the
+    result cap (:func:`check_result_size`); else their blocks laid end
+    to end — their bytes spliced, not repacked
+    (:meth:`ResultBlock.concatenate`) — are its block, digested here,
+    once: the bytes of a one-part run.  Counters add up, and
+    ``run_seconds`` is the longest part's."""
+    if len(outcomes) == 1:
+        out = outcomes[0]
+        return (
+            None if out.block is None else ResultBlock.from_packed(out.block)
+        ), out
+    progress = merge_progress(
+        [o.progress for o in outcomes], len(plan.splits), plan.num_reduce_tasks
+    )
+    write_errors = sum(o.event_write_errors for o in outcomes)
+    out = next((o for o in outcomes if o.state != DONE), None)
+    records = None
+    if out is None:
+        try:
+            check_result_size(sum(len(o.block) for o in outcomes))
+        except ResultTooLargeError as exc:
+            out = failed_outcome(exc)
+    if out is None:
+        digest, records = digest_and_block(ResultBlock.concatenate(
+            [ResultBlock.from_packed(o.block) for o in outcomes]
+        ))
+        counters: Counter[str] = Counter()
+        for o in outcomes:
+            counters.update(o.counters or {})
+        out = Outcome(
+            DONE,
+            digest=digest,
+            counters=dict(counters),
+            partial=any(o.partial for o in outcomes),
+            run_seconds=max(o.run_seconds or 0.0 for o in outcomes),
+        )
+    return records, out._replace(progress=progress, event_write_errors=write_errors)

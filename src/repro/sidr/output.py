@@ -28,7 +28,6 @@ from repro.mapreduce.engine import JobResult
 from repro.scidata.sparse import (
     ContiguousWriter,
     SentinelFileWriter,
-    WriteReport,
     read_contiguous_output,
 )
 from repro.sidr.planner import SIDRPlan

@@ -1,8 +1,8 @@
 """The service's execution model (docs/SERVICE.md, "Execution model").
 
-Jobs, not tasks, are the unit of parallelism: a served job runs in the
-engine process of the queue worker that popped it, on that process's
-one thread, and gets thread pools of its own only where it cannot run
+The service's one thread is its dispatcher, which hands each job to a
+free engine process (a slot); a served job runs on that process's one
+thread, and gets thread pools of its own only where it cannot run
 without a second thread (:func:`repro.service.engine_process.execution_mode`).
 These tests pin the rule and each branch's observable behaviour: no
 thread started and the deterministic serial interleaving for
@@ -17,6 +17,7 @@ service's plan and session, and the served run beside it must agree.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,38 @@ class TestThreadedRunsOnTheWorkerThread:
         assert stream.index(("barrier.fire", "reduce", 0)) < stream.index(
             ("task.start", "map", 5)
         )
+
+
+class TestOneDispatcher:
+    def test_one_thread_for_the_service_and_none_per_job(self):
+        """The service's one thread is its dispatcher, whatever
+        ``workers`` is; no job, split, whole or queued behind another,
+        starts a thread in the service's process."""
+        before = set(threading.enumerate())
+        with service_fixture(workers=2) as client:
+            svc = client.service
+            started = set(threading.enumerate()) - before
+            svc.register_array("d", "v", field())
+            idle = threading.active_count()
+            during = []
+            for _ in range(2):
+                doc = client.query(req())
+                assert doc["state"] == DONE and doc["parts"] == 2
+                during.append(threading.active_count())
+            slow = req(fault_rules=(
+                {"task": "map", "fault": "slow", "indices": [0], "delay": 0.3},
+            ))
+            jobs = [client.submit(slow) for _ in range(3)]
+            deadline = time.monotonic() + 20
+            while client.status(jobs[0])["state"] != "running":
+                assert time.monotonic() < deadline, "never ran"
+                time.sleep(0.01)
+            during.append(threading.active_count())
+            assert all(client.result(j)["state"] == DONE for j in jobs)
+            during.append(threading.active_count())
+        assert [t.name for t in started] == ["svc-dispatcher"]
+        assert during == [idle] * len(during)
+        assert set(threading.enumerate()) <= before
 
 
 class TestAServedJobListensToNothing:

@@ -1,10 +1,11 @@
 """A served job in parts (docs/SERVICE.md, "Engine processes").
 
 ``SIDRPlan.parts(k)`` cuts a plan at keyblock boundaries whose two
-sides read disjoint maps, so each part is a job of its own.  A job
-dispatched alone, after a job that ran alone, borrows the idle engine
-processes and runs one part on each; its block, digest, counters and
-status read as a one-part run's, and it fails, typed, as one would.
+sides read disjoint maps, so each part is a job of its own.  The
+service's dispatcher sends a job dispatched alone, after a job that ran
+alone, to every free engine process (slot), one part each; its block,
+digest, counters and status read as a one-part run's, and it fails,
+typed, as one would.  Every other job takes one slot.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -22,8 +25,13 @@ from repro.mapreduce.engine import Part
 from repro.obs.live import phase_totals, read_events
 from repro.query.operators import PRUNABLE_OPERATORS
 from repro.scidata.zonemaps import build_zone_map
-from repro.service import oracle_for_request, run_in_engine, service_fixture
-from repro.service.api import DONE, FAILED, RUNNING
+from repro.service import (
+    QueryService,
+    oracle_for_request,
+    run_in_engine,
+    service_fixture,
+)
+from repro.service.api import CANCELLED, DONE, FAILED, RUNNING
 from repro.sidr.planner import build_plan
 from repro.verify.cases import generate_case
 from tests.test_service_engine_processes import CLASSES, alive, field, request
@@ -235,15 +243,14 @@ class TestASplitJobFailsTyped:
             svc.register_array("d", "v", field())
             _, digest = oracle_for_request(svc, request())
             job_id = client.submit(request(fault_rules=slow(7), tenant="t"))
-            # part 0 ends and its engine is idle; part 1 stalls on the
-            # lent one
+            # part 0 ends and its slot is free; part 1 (maps 4-7) stalls
+            # on slot 1
             wait_for(
                 lambda: (client.status(job_id).get("progress") or {})
                 .get("maps", {}).get("done") == 7,
                 "part 0 done",
             )
-            (lent,) = svc.queue._lent
-            pid = svc._engines[lent].pid
+            pid = svc.stats()["engines"][1]["pid"]
             os.kill(pid, signal.SIGKILL)
             doc = client.result(job_id, timeout=30)
             assert doc["state"] == FAILED and doc["parts"] == 2
@@ -251,17 +258,131 @@ class TestASplitJobFailsTyped:
             assert f"engine process {pid}" in doc["error"]
             assert "SIGKILL" in doc["error"]
             stats = svc.stats()
-            assert stats["queue"]["lent"] == 0
+            assert "lent" not in stats["queue"]
             assert stats["tenants"]["t"]["failures"] == 1
-            assert [e["restarts"] for e in stats["engines"]] == [
-                int(i == lent) for i in range(2)
-            ]
-            replaced = stats["engines"][lent]["pid"]
+            assert [e["restarts"] for e in stats["engines"]] == [0, 1]
+            replaced = stats["engines"][1]["pid"]
             assert replaced != pid and alive(replaced) and not alive(pid)
             # the next job runs alone again, and in two parts
             after = client.query(request())
         assert after["state"] == DONE and after["digest"] == digest
         assert after["parts"] == 2
+
+
+class TestTheDispatcher:
+    """One thread plans every job and hands its parts to the engine
+    processes, the slots; each answer frees its slot."""
+
+    def test_a_killed_engine_fails_only_its_own_job(self):
+        with service_fixture(workers=2) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, request())
+            svc.queue.pause()
+            doomed = client.submit(request(fault_rules=slow(0)))
+            other = client.submit(request(fault_rules=slow(0, delay=1.0)))
+            svc.queue.resume()
+            wait_for(
+                lambda: all(
+                    client.status(j)["state"] == RUNNING for j in (doomed, other)
+                ),
+                "both jobs running",
+            )
+            # dispatch order: the first job took slot 0, whole
+            pid = svc.stats()["engines"][0]["pid"]
+            os.kill(pid, signal.SIGKILL)
+            lost = client.result(doomed, timeout=30)
+            # replaced before the job ended, so before the slot was free
+            engines = svc.stats()["engines"]
+            kept = client.result(other, timeout=30)
+            after = client.query(request())
+        assert lost["state"] == FAILED and lost["parts"] == 1
+        assert lost["error_types"] == ["EngineProcessError"]
+        assert kept["state"] == DONE and kept["digest"] == digest
+        assert kept["parts"] == 1
+        assert [e["restarts"] for e in engines] == [1, 0]
+        assert engines[0]["pid"] != pid
+        assert after["state"] == DONE and after["digest"] == digest
+
+    def test_a_job_cancelled_while_the_slots_are_busy_is_never_sent(self):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            busy = client.submit(request(fault_rules=slow(0, delay=1.0)))
+            wait_for(lambda: client.status(busy)["state"] == RUNNING, "running")
+            queued = client.submit(request())
+            assert client.cancel(queued) is True
+            done = client.result(busy, timeout=30)
+            cancelled = client.result(queued, timeout=30)
+            (engine,) = svc.stats()["engines"]
+        assert done["state"] == DONE
+        assert cancelled["state"] == CANCELLED and cancelled["parts"] is None
+        assert engine["jobs"] == 1  # the cancelled job was never sent
+
+    def test_concurrent_submitters_each_job_dispatched_once(self):
+        """More slots than cores, submitters racing the dispatcher under
+        a short switch interval: every job runs once, whole or in
+        parts, and the slots' part counts add up to the jobs' parts."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with service_fixture(workers=3) as client:
+                svc = client.service
+                svc.register_array("d", "v", field())
+                _, digest = oracle_for_request(svc, request())
+                ids: list[str] = []
+
+                def submit() -> None:
+                    for _ in range(4):
+                        ids.append(client.submit(request()))
+
+                threads = [threading.Thread(target=submit) for _ in range(5)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                docs = [client.result(j, timeout=60) for j in ids]
+                assert svc.queue.drain(timeout=30)
+                stats = svc.stats()
+                order = svc.queue.dispatch_order
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ids) == 20 and sorted(order) == sorted(ids)
+        assert all(d["state"] == DONE and d["digest"] == digest for d in docs)
+        assert sum(e["jobs"] for e in stats["engines"]) == sum(
+            d["parts"] for d in docs
+        )
+        assert stats["queue"]["queued"] == stats["queue"]["running"] == 0
+
+    def test_close_with_parts_running_ends_every_job_typed(self):
+        before = set(threading.enumerate())
+        svc = QueryService(workers=2)
+        svc.register_array("d", "v", field())
+        split = svc.submit(request(fault_rules=slow(7)))
+        wait_for(
+            lambda: (svc.status(split).get("progress") or {})
+            .get("maps", {}).get("done") == 7,
+            "part 0 done",
+        )
+        # the free slot takes the next job; the one after it queues
+        whole = svc.submit(request(fault_rules=slow(0)))
+        queued = svc.submit(request())
+        wait_for(lambda: svc.status(whole)["state"] == RUNNING, "running")
+        pids = [e["pid"] for e in svc.stats()["engines"]]
+        t0 = time.monotonic()
+        svc.close()
+        elapsed = time.monotonic() - t0
+        docs = [svc.status(j) for j in (split, whole, queued)]
+        assert [d["parts"] for d in docs] == [2, 1, None]
+        for doc in docs[:2]:
+            assert doc["state"] == FAILED
+            assert doc["error_types"] == ["EngineProcessError"]
+            assert "shut down" in doc["error"]
+        assert docs[2]["state"] == CANCELLED
+        assert set(threading.enumerate()) <= before
+        assert not any(alive(pid) for pid in pids)
+        assert elapsed < 5  # the stalled part is not waited out
 
 
 class TestTheLendingRule:
