@@ -29,6 +29,8 @@ def as_coord(values: Iterable[int]) -> Coord:
     Floats with integral values are *not* accepted: silently truncating
     coordinates is how off-by-one routing bugs are born.
     """
+    if type(values) is tuple and set(map(type, values)) <= {int}:
+        return values  # a Coord already: nothing to walk or convert
     out = []
     for v in values:
         # bool is an int subclass but a coordinate of True is a bug upstream.

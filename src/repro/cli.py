@@ -522,7 +522,6 @@ def cmd_speculation(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Start the resident query service (docs/SERVICE.md)."""
-    import asyncio
     import os
 
     from repro.service import QueryService, TenantQuota, serve
@@ -550,7 +549,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     try:
-        asyncio.run(serve(service, host=args.host, port=args.port))
+        serve(service, host=args.host, port=args.port)
     except KeyboardInterrupt:
         print("# interrupted; shutting down", file=sys.stderr)
     finally:
@@ -980,7 +979,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (
+        args.fn is cmd_query and args.speculate and args.engine == "serial"
+        and args.max_attempts < 2
+    ):
+        # QueryRequest.validate's refusal, before anything runs.
+        parser.error(
+            "query --engine serial --speculate retries a hung attempt in "
+            "place; add --max-attempts 2 or more (or use --engine "
+            "threaded, which hedges)"
+        )
     try:
         return args.fn(args)
     except (ReproError, OSError) as exc:

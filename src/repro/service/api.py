@@ -66,7 +66,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
-JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
 #: States a job can never leave.
 TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 
@@ -257,6 +256,11 @@ class QueryRequest:
             )
         if self.deadline is not None and self.deadline <= 0:
             raise AdmissionError(f"deadline must be positive, got {self.deadline}")
+        if self.speculate and self.engine == "serial" and self.max_attempts < 2:
+            raise AdmissionError(
+                "speculate on engine 'serial' retries a hung attempt in place; "
+                "set max_attempts >= 2 (or engine 'threaded', which hedges)"
+            )
         try:
             self.structural_operator()
             self.recovery_model()

@@ -2,7 +2,7 @@
 
 A :class:`~repro.service.service.QueryService` has ``workers``
 resident engine processes, its **slots**, forked when the service is
-built (before its dispatcher thread starts) — the paper's Hadoop runs a
+built (before its one thread starts) — the paper's Hadoop runs a
 node's task slots as child JVMs the same way.  The service keeps
 everything it owns: admission, tenants, the one plan cache, job state,
 waiters and the HTTP loop.  The process runs :func:`run_job` —
@@ -14,11 +14,10 @@ alone (:meth:`~repro.sidr.planner.SIDRPlan.parts`; ``docs/SERVICE.md``,
 
 One :class:`Run` in and one :class:`Outcome` out per job part, over a
 pipe, through :meth:`EngineProcess.send` and
-:meth:`EngineProcess.receive` — split so that the service's one
-dispatcher thread can have a part running on every slot at once, and
-wait on all their pipes together:
+:meth:`EngineProcess.receive` — split so that the service's one event
+loop, whose reader each job pipe is, can have a part on every slot:
 
-* the dispatcher sends a :class:`Run`: job id, request, the session's
+* the service sends a :class:`Run`: job id, request, the session's
   :class:`~repro.service.sessions.SessionRef` and the :class:`Part` to
   run (``None``: the whole job).  A process that lacks the job's plan
   (or an array session's data) answers :class:`Need`, and
@@ -38,11 +37,11 @@ wait on all their pipes together:
 A second pipe carries the one control message: a running job's
 progress, asked for by ``status()`` and answered with its
 :class:`~repro.obs.ProgressTracker` snapshot (:class:`RemoteProgress`
-asks every process running a part and merges the answers).  A process
-that dies closes its pipes: the dispatcher reads EOF, the part fails
-with :class:`~repro.service.api.EngineProcessError` naming the exit code
-or signal, and the process is replaced before its slot takes another
-part.
+asks every process running a part and merges the answers), never on
+the loop.  A process that dies closes its pipes: the loop reads EOF,
+the part fails with :class:`~repro.service.api.EngineProcessError`
+naming the exit code or signal, and the process is replaced, its new
+pipe watched, before its slot takes another part.
 """
 
 from __future__ import annotations
@@ -466,8 +465,6 @@ class EngineProcess:
         """Start one job, or one ``part`` of it, in the process;
         :meth:`receive` reads its answer.  :class:`EngineProcessError`
         if the process is gone."""
-        if not self._process.is_alive():  # it died between jobs
-            self.respawn()
         self.jobs += 1
         message = Run(job_id, request, session.ref(), part=part)
         self._sent = (message, plan, session)
@@ -498,9 +495,12 @@ class EngineProcess:
 
     @property
     def connection(self) -> Connection:
-        """The service's end of the job pipe, for
-        :func:`multiprocessing.connection.wait`."""
+        """The service's end of the job pipe, a reader of its loop: a
+        new one after :meth:`respawn`."""
         return self._jobs
+
+    def alive(self) -> bool:
+        return self._process.is_alive()
 
     def _died(self) -> EngineProcessError:
         return EngineProcessError(
@@ -561,7 +561,7 @@ class EngineProcess:
             "pid": self.pid,
             "jobs": self.jobs,
             "restarts": self.restarts,
-            "rss_kb": _rss_kb(self.pid),
+            "rss_kb": _status_field(self.pid, "VmRSS"),
         }
 
 
@@ -676,13 +676,24 @@ def _widen(conn: Connection) -> None:
         sock.close()
 
 
-def _rss_kb(pid: int) -> int | None:
-    """``VmRSS`` of ``/proc/<pid>/status``; ``None`` once it is gone."""
+def _status_field(pid: int | str, field: str) -> int | None:
+    """The number after ``field:`` in ``/proc/<pid>/status``; ``None``
+    once the process is gone."""
     try:
         text = Path(f"/proc/{pid}/status").read_text()
     except OSError:
         return None
     for line in text.splitlines():
-        if line.startswith("VmRSS:"):
+        if line.startswith(field + ":"):
             return int(line.split()[1])
     return None
+
+
+def own_process() -> dict[str, int | None]:
+    """The service's own process as ``GET /stats`` shows it, read from
+    ``/proc/self``: resident KiB, open descriptors and OS threads."""
+    return {
+        "rss_kb": _status_field("self", "VmRSS"),
+        "fds": len(os.listdir("/proc/self/fd")),
+        "threads": _status_field("self", "Threads"),
+    }

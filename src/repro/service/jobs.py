@@ -3,14 +3,15 @@
 The queue is deliberately simple and fully deterministic: jobs are
 dispatched strictly by ``(-priority, submission sequence)`` — higher
 priority first, FIFO within a priority — from a heap guarded by one
-condition variable.  It starts no thread.  The service's one dispatcher
-thread (:meth:`repro.service.service.QueryService._dispatch`) pops the
-head whenever an engine process, a slot, is free, and the queue tells
-it whether the job may run in parts: the **lending rule**, whose state
-— which queued or running jobs met another, and whether the job that
-finished last met none — is kept here, beside the heap and the running
-set it is read from.  ``submit``, ``resume`` and ``shutdown`` wake the
-dispatcher; an idle service costs nothing.
+condition variable.  It starts no thread.  The service's dispatch
+(:meth:`repro.service.service.QueryService._dispatch`), a callback on
+the service's event loop, pops the head whenever an engine process, a
+slot, is free, and the queue tells it whether the job may run in parts:
+the **lending rule**, whose state — which queued or running jobs met
+another, and whether the job that finished last met none — is kept
+here, beside the heap and the running set it is read from.  ``submit``
+and ``resume`` schedule that callback on the loop (:func:`call_soon`);
+an idle service costs nothing.
 
 ``pause()``/``resume()`` exist for the deterministic concurrency
 harness: tests pause the queue, submit a batch (fixing the admission
@@ -18,14 +19,15 @@ order), then resume — dispatch order is then a pure function of the
 batch, independent of submission-thread timing.
 
 Cancellation: a *queued* job is cancelled by marking it — the
-dispatcher observes the mark when it pops the job and retires it
-unsent.  A *running* job is bounded by its request deadline (the
-engine's deadline watchdog cancels in-flight attempts cooperatively);
-the queue does not preempt running jobs.
+dispatch observes the mark when it pops the job and retires it unsent.
+A *running* job is bounded by its request deadline (the engine's
+deadline watchdog cancels in-flight attempts cooperatively); the queue
+does not preempt running jobs.
 """
 
 from __future__ import annotations
 
+import asyncio
 import heapq
 import itertools
 import threading
@@ -50,22 +52,36 @@ from repro.service.api import (
 RECENT_JOBS = 256
 
 
+def call_soon(loop: asyncio.AbstractEventLoop, callback: Callable[[], None]) -> None:
+    """Run ``callback`` on ``loop``: ``call_soon`` on the loop's own
+    thread, ``call_soon_threadsafe`` from any other."""
+    try:
+        here = asyncio.get_running_loop() is loop
+    except RuntimeError:  # no loop runs on this thread
+        here = False
+    (loop.call_soon if here else loop.call_soon_threadsafe)(callback)
+
+
 class ServiceJob:
     """One submission's full lifecycle record.
 
     State transitions (guarded by ``lock``): ``queued -> running ->
-    done|failed``, or ``queued -> cancelled``.  ``finished`` is set on
-    every terminal transition — :meth:`wait` is how a client thread
-    blocks for a result, :meth:`add_waiter` how the event loop does
-    without one.
+    done|failed``, or ``queued -> cancelled``, each terminal one made on
+    the service's event loop.  It sets ``finished`` — :meth:`wait` is
+    how a client thread blocks for a result — and resolves ``done``, a
+    future of that loop, which is how a coroutine there waits without a
+    thread.
     """
 
-    def __init__(self, job_id: str, request: QueryRequest, seq: int) -> None:
+    def __init__(
+        self, job_id: str, request: QueryRequest, seq: int, done: asyncio.Future
+    ) -> None:
         self.id = job_id
         self.request = request
         self.seq = seq
         self.lock = threading.Lock()
         self.finished = threading.Event()
+        self.done = done
         self.state = QUEUED
         self.cancel_requested = False
         self.submitted_at = time.time()
@@ -95,13 +111,12 @@ class ServiceJob:
         #: service hooks tenant accounting here) — after state is set,
         #: before waiters wake.
         self.on_finish: Callable[["ServiceJob"], None] | None = None
-        #: Wake-ups registered by :meth:`add_waiter`, not yet called.
-        self._waiters: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------ #
     def finish(self, state: str, **fields: Any) -> None:
-        """Enter ``state``; a job that is terminal already stays as it
-        is, so a job is finished — and its tenant billed — once."""
+        """Enter ``state`` (on the service's loop); a job that is
+        terminal already stays as it is, so a job is finished — and its
+        tenant billed — once."""
         assert state in TERMINAL_STATES
         with self.lock:
             if self.state in TERMINAL_STATES:
@@ -110,39 +125,15 @@ class ServiceJob:
                 setattr(self, k, v)
             if self.records is not None:
                 self.num_records = len(self.records)
-            if self.progress is not None and not isinstance(self.progress, dict):
-                # Keep the document, not the live reading.
-                self.progress = self.progress.snapshot()
             self.state = state
             self.finished_at = time.time()
         if self.on_finish is not None:
             self.on_finish(self)
-        with self.lock:
-            self.finished.set()
-            waiters, self._waiters = self._waiters, []
-        for wake in waiters:
-            wake()
+        self.finished.set()
+        self.done.set_result(None)
 
     def wait(self, timeout: float | None = None) -> bool:
         return self.finished.wait(timeout)
-
-    def add_waiter(self, wake: Callable[[], None]) -> None:
-        """Call ``wake()`` once :attr:`finished` is set — on the thread
-        that finishes the job, or right here if it already has.  How a
-        caller that must not block a thread (the asyncio front) waits."""
-        with self.lock:
-            if not self.finished.is_set():
-                self._waiters.append(wake)
-                return
-        wake()
-
-    def remove_waiter(self, wake: Callable[[], None]) -> None:
-        """Forget a wake-up that is no longer wanted (no-op once called)."""
-        with self.lock:
-            try:
-                self._waiters.remove(wake)
-            except ValueError:
-                pass
 
     def evict_records(self) -> None:
         """Drop the records; the status document and digest stay."""
@@ -192,13 +183,15 @@ class ServiceJob:
 
 class JobQueue:
     """The queued jobs and the running ones, for the service's
-    dispatcher: it takes jobs with :meth:`pop`, and ``wake`` is how the
-    queue tells it to look again."""
+    ``dispatch``, a callback on ``loop``: it takes jobs with
+    :meth:`pop`, and the queue schedules it when it has one to take."""
 
     def __init__(
-        self, wake: Callable[[], None], *, start_paused: bool = False
+        self, loop: asyncio.AbstractEventLoop, dispatch: Callable[[], None],
+        *, start_paused: bool = False,
     ) -> None:
-        self._wake = wake
+        self._loop = loop
+        self._dispatch = dispatch
         self._cond = threading.Condition()
         self._heap: list[tuple[int, int, ServiceJob]] = []
         self._tick = itertools.count()
@@ -226,10 +219,10 @@ class JobQueue:
             heapq.heappush(
                 self._heap, (-job.request.priority, next(self._tick), job)
             )
-        self._wake()
+        call_soon(self._loop, self._dispatch)
 
     def cancel(self, job: ServiceJob) -> bool:
-        """Cancel a queued job: the dispatcher retires it unsent.
+        """Cancel a queued job: the dispatch retires it unsent.
         Returns False once it is running or already terminal — running
         jobs are bounded by their deadline, not preempted."""
         with job.lock:
@@ -245,7 +238,7 @@ class JobQueue:
     def resume(self) -> None:
         with self._cond:
             self._paused = False
-        self._wake()
+        call_soon(self._loop, self._dispatch)
 
     # ------------------------------------------------------------------ #
     def pop(self) -> tuple[ServiceJob, bool] | None:
@@ -283,25 +276,19 @@ class JobQueue:
     # ------------------------------------------------------------------ #
     def drain(self, timeout: float | None = None) -> bool:
         """Block until the queue is empty and no job is running."""
-        deadline = None if timeout is None else time.time() + timeout
         with self._cond:
-            while self._heap or self._running:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.time()
-                    if remaining <= 0:
-                        return False
-                self._cond.wait(timeout=remaining)
-            return True
+            return self._cond.wait_for(
+                lambda: not (self._heap or self._running), timeout
+            )
 
     def shutdown(self) -> None:
         """Take no job from here on; jobs still queued end as cancelled
-        so no client waits forever on a job that will never run."""
+        so no client waits forever on a job that will never run.  Runs
+        on the loop, as :meth:`QueryService.close` calls it."""
         with self._cond:
             self._shutdown = True
             leftover = [job for _, _, job in self._heap]
             self._heap.clear()
-        self._wake()
         for job in leftover:
             job.finish(CANCELLED, error="service shut down")
 

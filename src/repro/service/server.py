@@ -11,16 +11,17 @@ request's head and body (a slow-loris client), and ``MAX_CONNECTIONS``,
 past which a connection is answered ``503`` and closed.  ``GET /stats``
 counts them under ``http``.
 
-The asyncio loop parses, routes and submits: ``svc.submit`` takes only
-short locks that are never held across I/O.  What opens files
-(``POST /datasets``) or is heavy (encoding a JSON result body, which
-can be hundreds of KB) runs in the default executor.  Waiting for a
-job does not: a ``/result`` connection parks on a future the job's
-terminal transition completes, so any number of blocked waiters hold
-no thread and can never starve a submission of one.  Nor does the
-binary result body (``Accept: application/x-repro-block``;
-``docs/SERVICE.md``, "Wire format"): the job already holds its bytes,
-so the loop only frames them.
+The server runs on the service's event loop (:attr:`QueryService.loop`),
+which also dispatches jobs and reads the engine processes' answers.
+``POST /query`` only queues the job, so its ``202`` is written before
+the job is planned.  What opens files (``POST /datasets``), is heavy
+(a JSON result body, up to hundreds of KB) or asks engine processes for
+progress (``GET /jobs``, ``GET /jobs/<id>``) runs in the default
+executor.  Waiting for a job does not: a ``/result`` parks on
+the job's ``done`` future, which the callback that finishes the job
+resolves, so blocked waiters hold no thread.  Nor does the binary result
+body (``Accept: application/x-repro-block``; ``docs/SERVICE.md``, "Wire
+format"): the job already holds its bytes, so the loop only frames them.
 
 Routes::
 
@@ -204,7 +205,7 @@ class _Connection:
 
 
 class ServiceServer:
-    """One listening socket bound to one :class:`QueryService`."""
+    """One listening socket bound to one :class:`QueryService`, on its loop."""
 
     def __init__(
         self, service: QueryService, *, host: str = "127.0.0.1", port: int = 0
@@ -217,12 +218,13 @@ class ServiceServer:
         #: Connections :meth:`stop` may close without cutting off a
         #: reply: idle between requests, or parked on a result.
         self._waiting: set[asyncio.StreamWriter] = set()
-        #: ``GET /stats`` ``http``: connections open now; since start,
-        #: connections accepted under the cap, requests answered on
-        #: them, connections closed by each timeout and refused at the cap.
+        #: ``GET /stats`` ``http``: connections open now and parked on a
+        #: result now; since start, connections accepted under the cap,
+        #: requests answered on them, connections closed by each timeout
+        #: and refused at the cap.
         self._http = dict.fromkeys(
-            ("open", "accepted", "requests", "idle_closed", "read_timeouts",
-             "refused"), 0,
+            ("open", "parked", "accepted", "requests", "idle_closed",
+             "read_timeouts", "refused"), 0,
         )
 
     # ------------------------------------------------------------------ #
@@ -275,6 +277,8 @@ class ServiceServer:
                 http["open"] -= 1
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
+        except asyncio.CancelledError:
+            pass  # the service closed under the connection: it just ends
         finally:
             writer.close()
             try:
@@ -346,26 +350,13 @@ class ServiceServer:
         self, job: ServiceJob, timeout: float, conn: _Connection
     ) -> None:
         """Park ``conn`` until ``job`` is terminal, holding no thread:
-        the job's finishing thread completes a future on the loop.
-        ``TimeoutError`` after ``timeout`` seconds,
-        ``ConnectionResetError`` as soon as the client hangs up — either
-        way the job is left with no wake-up of ours.  A byte the client
-        sends meanwhile (a pipelined request) is read and dropped, and
-        the connection closes after this reply."""
-        if job.finished.is_set():
+        it awaits the job's ``done`` future.  ``TimeoutError`` after
+        ``timeout`` seconds, ``ConnectionResetError`` as soon as the
+        client hangs up.  A byte the client sends meanwhile (a pipelined
+        request) is read and dropped, and the connection closes after
+        this reply."""
+        if job.done.done():
             return
-        loop = asyncio.get_running_loop()
-        finished = loop.create_future()
-
-        def resolve() -> None:
-            if not finished.done():
-                finished.set_result(None)
-
-        def wake() -> None:  # on the thread that finished the job
-            try:
-                loop.call_soon_threadsafe(resolve)
-            except RuntimeError:  # the loop closed under a parked waiter
-                pass
 
         async def watch() -> None:
             # Ends when the client closes its end.
@@ -375,19 +366,19 @@ class ServiceServer:
             except ConnectionError:
                 pass
 
-        job.add_waiter(wake)
         gone = asyncio.ensure_future(watch())
         self._waiting.add(conn.writer)
+        self._http["parked"] += 1
         try:
             done, _ = await asyncio.wait(
-                {finished, gone}, timeout=timeout,
+                {job.done, gone}, timeout=timeout,
                 return_when=asyncio.FIRST_COMPLETED,
             )
         finally:
+            self._http["parked"] -= 1
             self._waiting.discard(conn.writer)
-            job.remove_waiter(wake)
             gone.cancel()
-        if finished in done:
+        if job.done in done:
             return
         if gone in done:
             raise ConnectionResetError("client hung up waiting for a result")
@@ -430,9 +421,9 @@ class ServiceServer:
                 request = QueryRequest.from_json(body.decode("utf-8"))
                 return 202, {"job": svc.submit(request)}
             if method == "GET" and parts == ["jobs"]:
-                return 200, svc.list_jobs()
+                return 200, await loop.run_in_executor(None, svc.list_jobs)
             if method == "GET" and len(parts) == 2 and parts[0] == "jobs":
-                return 200, svc.status(parts[1])
+                return 200, await loop.run_in_executor(None, svc.status, parts[1])
             if (
                 method == "GET"
                 and len(parts) == 3
@@ -486,11 +477,16 @@ class ServiceServer:
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
 
 
-async def serve(
+def serve(
     service: QueryService, *, host: str = "127.0.0.1", port: int = 0
 ) -> None:
-    """Start and run a server until shutdown (the CLI entry point)."""
-    server = ServiceServer(service, host=host, port=port)
-    bound_host, bound_port = await server.start()
-    print(f"# serving on http://{bound_host}:{bound_port}", flush=True)
-    await server.serve_until_shutdown()
+    """Start a server on the service's loop and serve until shutdown;
+    the calling thread (the CLI's main thread) waits for it."""
+
+    async def run() -> None:
+        server = ServiceServer(service, host=host, port=port)
+        bound_host, bound_port = await server.start()
+        print(f"# serving on http://{bound_host}:{bound_port}", flush=True)
+        await server.serve_until_shutdown()
+
+    asyncio.run_coroutine_threadsafe(run(), service.loop).result()

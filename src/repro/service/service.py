@@ -20,12 +20,16 @@ from scratch:
   :class:`~repro.obs.live.EventBus`/:class:`~repro.obs.live.ProgressTracker`
   feeding the live status endpoint.
 
-One **dispatcher** thread (:meth:`QueryService._dispatch`) hands work
-to the slots, as the paper's Hadoop hands tasks to a node's slots from
-one scheduler: while a slot is free it plans the head of the queue and
-sends it to the slot as one **part**, and each answer frees its slot.
-A part runs on its process's one thread; only a request that cannot run
-without a second thread gets thread pools
+The service's one thread runs its event loop (:attr:`QueryService.loop`),
+as the paper's Hadoop hands tasks to a node's slots from one scheduler.
+Dispatch (:meth:`QueryService._dispatch`), a loop callback, plans the
+head of the queue while a slot is free and sends it there as one
+**part**; each slot's job pipe is a reader of the loop, whose callback
+(:meth:`QueryService._answer`) receives the answer, frees the slot and
+finishes the job, resolving its ``done`` future, on which the HTTP
+front, on the same loop, parks a ``/result``.  A part runs on its
+process's one thread; only a request that cannot run without a second
+thread gets thread pools
 (:func:`~repro.service.engine_process.execution_mode`;
 ``docs/SERVICE.md``, "Execution model").  Under the **lending rule** —
 a job dispatched alone, after a job that was alone all its life — a job
@@ -42,11 +46,10 @@ becomes a record list.
 
 from __future__ import annotations
 
-import socket
+import asyncio
 import threading
 import time
 from collections import Counter, deque
-from multiprocessing.connection import wait
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -75,6 +78,7 @@ from repro.service.engine_process import (
     digest_and_block,
     failed_outcome,
     merge_progress,
+    own_process,
 )
 from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
 from repro.service.plancache import PlanCache
@@ -145,32 +149,31 @@ class QueryService:
         )
         self.engine_config = config
         self._engines = [EngineProcess(config) for _ in range(workers)]
-        #: The dispatcher's wake-up: a byte on it means "look again".
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_w.setblocking(False)
-        self.queue = JobQueue(self._wake, start_paused=start_paused)
+        #: slot -> the job whose part it runs, and the part's index
+        self._busy: dict[int, tuple[_Running, int]] = {}
+        #: The service's loop; its one thread runs it from here on.
+        self.loop = asyncio.new_event_loop()
+        for slot, engine in enumerate(self._engines):
+            self.loop.add_reader(engine.connection, self._answer, slot)
+        self.queue = JobQueue(self.loop, self._dispatch, start_paused=start_paused)
         self._default_quota = default_quota or TenantQuota()
         self._lock = threading.Lock()
-        self._tenants: dict[str, TenantState] = {}
-        if quotas:
-            for name, quota in quotas.items():
-                self._tenants[name] = TenantState(quota=quota)
+        self._tenants = {
+            name: TenantState(quota=quota) for name, quota in (quotas or {}).items()
+        }
         self._jobs: dict[str, ServiceJob] = {}
         #: The finished jobs still holding their records, oldest first;
         #: at most ``RECENT_JOBS`` of them.
         self._with_records: deque[ServiceJob] = deque()
         self._seq = 0
-        #: Shared audit stream: every job's events land in one JSONL
-        #: file (append mode, one write per line from whichever engine
-        #: process runs the job), each line stamped with its job id.
+        #: Audit-log (``serve --events``) lines the engines failed to write.
         self._event_write_errors = 0
         self._started_at = time.time()
         self._closed = False
-        #: The service's one thread (:meth:`_dispatch`).
-        self._dispatcher = threading.Thread(
-            target=self._dispatch, name="svc-dispatcher", daemon=True
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name="svc-loop", daemon=True
         )
-        self._dispatcher.start()
+        self._thread.start()
 
     # ------------------------------------------------------------------ #
     # Dataset management
@@ -218,7 +221,7 @@ class QueryService:
             tenant.active += 1
             self._seq += 1
             job_id = f"j{self._seq:05d}"
-            job = ServiceJob(job_id, request, self._seq)
+            job = ServiceJob(job_id, request, self._seq, self.loop.create_future())
             self._jobs[job_id] = job
         job.on_finish = self._note_finished
         self.queue.submit(job)
@@ -310,22 +313,42 @@ class QueryService:
             # Audit-log events lost to serialization or I/O errors.
             "event_write_errors": self._event_write_errors,
             "engines": [engine.snapshot() for engine in self._engines],
+            "process": own_process(),
             # The lending rule: would a job dispatched now, alone, run
             # in parts on the free slots?
             "lending": self.queue.lending,
         }
 
     def close(self) -> None:
-        """Stop the queue and the dispatcher, which fails the jobs still
-        running and stops and reaps every engine process; idempotent."""
+        """Stop the service (from any thread but its own): on the loop,
+        queued jobs end cancelled, running ones fail typed, every engine
+        process is reaped and the rest (HTTP connections) is cancelled;
+        then the loop and its thread end.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        self.queue.shutdown()
-        self._dispatcher.join()
-        self._wake_r.close()
-        self._wake_w.close()
+        asyncio.run_coroutine_threadsafe(self._shut_down(), self.loop).result()
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.run_until_complete(self.loop.shutdown_default_executor())
+        self.loop.close()
         self.registry.close_all()
+
+    async def _shut_down(self) -> None:
+        self.queue.shutdown()
+        for engine in self._engines:
+            self.loop.remove_reader(engine.connection)
+        for slot, (running, _) in self._busy.items():
+            self._engines[slot].stop(timeout=0.0)
+            self._end(running.job, failed_outcome(EngineProcessError(
+                "the service shut down while the job ran"
+            )))
+        for engine in self._engines:
+            engine.stop()
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in others:
+            task.cancel()
+        await asyncio.gather(*others, return_exceptions=True)
 
     def __enter__(self) -> "QueryService":
         return self
@@ -334,7 +357,7 @@ class QueryService:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Execution (the dispatcher thread; parts run in engine processes)
+    # Execution (loop callbacks; parts run in engine processes)
     # ------------------------------------------------------------------ #
     def plan(
         self, req: QueryRequest, session: DatasetSession
@@ -349,62 +372,30 @@ class QueryService:
         )
 
     def _dispatch(self) -> None:
-        """The dispatcher thread: start jobs while a slot is free, then
-        wait on every busy slot's job pipe and the wake-up socket, and
-        free a slot at each answer (a
-        :class:`~repro.service.engine_process.Need` is answered inside
-        :meth:`EngineProcess.receive`; the slot stays busy).  On
-        shutdown, the jobs still running fail typed and every engine
-        process is stopped."""
-        #: slot -> the job whose part it runs, and the part's index
-        busy: dict[int, tuple[_Running, int]] = {}
-        try:
-            while not self._closed:
-                free = [s for s in range(len(self._engines)) if s not in busy]
-                popped = self.queue.pop() if free else None
-                if popped is not None:
-                    self._start(*popped, free, busy)
-                    continue
-                pipes = {self._engines[s].connection: s for s in busy}
-                for conn in wait([self._wake_r, *pipes]):
-                    if conn is self._wake_r:
-                        self._wake_r.recv(1 << 16)
-                        continue
-                    engine = self._engines[pipes[conn]]
-                    try:
-                        out = engine.receive()
-                    except EngineProcessError as exc:
-                        out = self._lost(engine, exc)
-                    if out is not None:
-                        self._ended(*busy.pop(pipes[conn]), out)
-        finally:
-            for slot, (running, _) in busy.items():
-                self._engines[slot].stop(timeout=0.0)
-                self._end(running.job, failed_outcome(EngineProcessError(
-                    "the service shut down while the job ran"
-                )))
-            for engine in self._engines:
-                engine.stop()
+        """Start the head of the queue while a slot is free: a loop
+        callback, scheduled by the queue's ``submit`` and ``resume`` and
+        run after every answer."""
+        while len(self._busy) < len(self._engines):
+            popped = self.queue.pop()
+            if popped is None:
+                return
+            self._start(*popped)
 
-    def _start(
-        self,
-        job: ServiceJob,
-        alone: bool,
-        free: list[int],
-        busy: dict[int, tuple["_Running", int]],
-    ) -> None:
-        """Plan ``job`` and send its parts to ``free`` slots: one part,
-        or, when the lending rule holds (``alone``), as many as the plan
-        cuts into and slots are free."""
+    def _start(self, job: ServiceJob, alone: bool) -> None:
+        """Plan ``job`` (a cold plan is built here, on the loop) and
+        send its parts to the free slots: one part, or, when the lending
+        rule holds (``alone``), as many as the plan cuts into and slots
+        are free."""
         req = job.request
         try:
             session = self.registry.get(req.dataset)
             t0 = time.perf_counter()
             plan, hit = self.plan(req, session)
             plan_seconds = time.perf_counter() - t0
-        except Exception as exc:  # fails the job, not the dispatcher
+        except Exception as exc:  # fails the job, not the service
             self._end(job, failed_outcome(exc))
             return
+        free = [s for s in range(len(self._engines)) if s not in self._busy]
         parts = plan.parts(len(free)) if alone and len(free) > 1 else ()
         if len(parts) < 2:
             parts = (None,)  # the whole job, digested where it runs
@@ -419,27 +410,41 @@ class QueryService:
             job.parts = len(parts)
             job.progress = progress
         for i, (slot, engine, part) in enumerate(zip(free, engines, parts)):
+            if not engine.alive():  # it died between jobs
+                self._respawn(slot)
             try:
                 engine.send(job.id, req, session, plan, part)
             except EngineProcessError as exc:
-                self._ended(running, i, self._lost(engine, exc))
+                self._respawn(slot)
+                self._ended(running, i, failed_outcome(exc))
             else:
-                busy[slot] = (running, i)
+                self._busy[slot] = (running, i)
 
-    def _wake(self) -> None:
-        """Wake the dispatcher (any thread); a full socket holds a
-        wake-up already."""
+    def _answer(self, slot: int) -> None:
+        """The reader of ``slot``'s job pipe: its part's answer ends the
+        part, frees the slot and dispatches again (a
+        :class:`~repro.service.engine_process.Need` is answered inside
+        :meth:`EngineProcess.receive`; the slot stays busy).  A pipe at
+        EOF is a dead process, replaced here, busy or not."""
         try:
-            self._wake_w.send(b"\0")
-        except OSError:  # full, or closed with the service
-            pass
+            out = self._engines[slot].receive()
+        except EngineProcessError as exc:  # it died: failed typed, replaced
+            self._respawn(slot)
+            out = failed_outcome(exc)
+        if out is None:
+            return
+        busy = self._busy.pop(slot, None)
+        if busy is not None:
+            self._ended(*busy, out)
+        self._dispatch()
 
-    def _lost(self, engine: EngineProcess, exc: EngineProcessError) -> Outcome:
-        """A part whose engine process died: replaced before its slot
-        takes another part, and the part failed typed."""
-        if not self._closed:
-            engine.respawn()
-        return failed_outcome(exc)
+    def _respawn(self, slot: int) -> None:
+        """Replace ``slot``'s process, its new pipe watched before the
+        slot takes another part."""
+        engine = self._engines[slot]
+        self.loop.remove_reader(engine.connection)
+        engine.respawn()
+        self.loop.add_reader(engine.connection, self._answer, slot)
 
     def _ended(self, running: "_Running", part: int, out: Outcome) -> None:
         """Part ``part`` of a job ended with ``out``: the job ends with
@@ -450,7 +455,7 @@ class QueryService:
             return
         try:
             records, out = _assemble(running.plan, running.outcomes)
-        except Exception as exc:  # fails the job, not the dispatcher
+        except Exception as exc:  # fails the job, not the service
             records, out = None, failed_outcome(exc)
         self._end(running.job, out, records)
 

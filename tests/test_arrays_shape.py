@@ -41,6 +41,19 @@ class TestAsCoord:
     def test_empty_ok(self):
         assert as_coord([]) == ()
 
+    def test_a_tuple_of_ints_is_returned_as_is(self):
+        coord = (1, 2, 3)
+        assert as_coord(coord) is coord
+
+    @pytest.mark.parametrize("bad", [(1.0, 2), (True, 2), (1, "2")])
+    def test_a_tuple_is_checked_like_a_list(self, bad):
+        with pytest.raises(GeometryError):
+            as_coord(bad)
+
+    def test_a_tuple_of_numpy_ints_becomes_ints(self):
+        out = as_coord((np.int64(4), 5))
+        assert out == (4, 5) and {type(v) for v in out} == {int}
+
 
 class TestArithmetic:
     def test_add(self):

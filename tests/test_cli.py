@@ -2,7 +2,6 @@
 
 import asyncio
 import json
-import threading
 
 import pytest
 
@@ -112,6 +111,20 @@ class TestQuery:
         assert cap.out == record_out
         assert "columnar data plane" in cap.err
 
+    def test_serial_speculate_needs_a_retry(self, ncfile, capsys):
+        """``--engine serial --speculate`` cancels a hung attempt and
+        retries it in place: with one attempt it is an argparse error
+        naming the fix, before anything runs."""
+        args = [
+            "query", ncfile, "--variable", "temperature",
+            "--extract", "7,5,1", "--reduces", "4", "--limit", "1",
+            "--engine", "serial", "--speculate",
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "--max-attempts 2" in capsys.readouterr().err
+
     def test_record_plane_is_refused_with_a_server(self, capsys):
         """The record plane is the local reference engine: naming it
         with ``--server`` fails before anything is submitted (nothing
@@ -172,27 +185,15 @@ class TestSplitLadder:
         service = QueryService(workers=1)
         service.open_dataset("t", ncfile)
         server = ServiceServer(service)
-        loop = asyncio.new_event_loop()
-        bound = {}
-        started = threading.Event()
-
-        async def run():
-            bound["addr"] = await server.start()
-            started.set()
-            await server.serve_until_shutdown()
-
-        thread = threading.Thread(
-            target=lambda: loop.run_until_complete(run()), daemon=True
+        host, port = asyncio.run_coroutine_threadsafe(
+            server.start(), service.loop
+        ).result(10)
+        asyncio.run_coroutine_threadsafe(
+            server.serve_until_shutdown(), service.loop
         )
-        thread.start()
-        assert started.wait(10)
-        host, port = bound["addr"]
         try:
             yield f"http://{host}:{port}"
         finally:
-            loop.call_soon_threadsafe(server.stop)
-            thread.join(timeout=10)
-            loop.close()
             service.close()
 
     @pytest.mark.parametrize(

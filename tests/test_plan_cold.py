@@ -27,12 +27,14 @@ from tests.test_columnar_result import _count_calls
 
 #: Interpreter calls (``sys.setprofile`` ``call`` + ``c_call``) of one
 #: cold ``build_served_plan`` of ``filter_gt`` > 95 over ``(7, 5, 2)``,
-#: 16 aligned splits and 8 reduces, about 20 % above what Python 3.11
-#: measured (11 250 on each grid; 3 159 006 and 28 272 606 when every
-#: key a pruned split touched was walked).
+#: 16 aligned splits and 8 reduces, about 10 % above what Python 3.11
+#: measured (8 946 on each grid; 11 331 while ``as_coord`` walked and
+#: re-checked every coordinate that was a tuple of ints already, and
+#: 3 159 006 and 28 272 606 when every key a pruned split touched was
+#: walked).
 COLD = {
-    "ragged_filter": ((364, 40, 40), 13500),
-    "grid_filter": ((364, 120, 120), 13500),
+    "ragged_filter": ((364, 40, 40), 9900),
+    "grid_filter": ((364, 120, 120), 9900),
 }
 #: Calls of a second ``configure_job`` of a cached
 #: ``keep_partial_instances`` mean plan on the larger grid: measured 22

@@ -10,7 +10,6 @@ through :class:`HttpServiceClient`.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from contextlib import contextmanager
 
@@ -458,12 +457,18 @@ class TestInProcessService:
             assert client.result(job_id)["state"] == DONE
 
 
+def parked_on_results(client):
+    """The server's connections parked on a ``/result`` now."""
+    return client.stats()["http"]["parked"]
+
+
 @contextmanager
 def running_server(tmp_path):
     """A ``ServiceServer`` over a two-worker service on an ephemeral
-    localhost port, its loop on a thread of its own, with dataset file
-    ``d`` written (not yet opened).  Yields ``(client, service, path,
-    data, thread)``; ``thread`` ends when the server has stopped."""
+    localhost port, on the service's own loop, with dataset file ``d``
+    written (not yet opened).  Yields ``(client, service, path, data,
+    serving)``; ``serving``, a ``concurrent.futures.Future``, is done
+    when the server has stopped."""
     data = small_data(seed=3)
     path = tmp_path / "d.nclite"
     from repro.scidata.dataset import create_dataset
@@ -472,37 +477,17 @@ def running_server(tmp_path):
 
     service = QueryService(workers=2)
     server = ServiceServer(service)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    bound = {}
-
-    def run():
-        asyncio.set_event_loop(loop)
-
-        async def main():
-            bound["addr"] = await server.start()
-            started.set()
-            await server.serve_until_shutdown()
-            # Let connections still lingering over a refused
-            # request's input end before the loop closes.
-            others = asyncio.all_tasks() - {asyncio.current_task()}
-            if others:
-                await asyncio.wait(others, timeout=5)
-
-        loop.run_until_complete(main())
-        loop.close()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(10)
-    host, port = bound["addr"]
+    host, port = asyncio.run_coroutine_threadsafe(
+        server.start(), service.loop
+    ).result(10)
+    serving = asyncio.run_coroutine_threadsafe(
+        server.serve_until_shutdown(), service.loop
+    )
     client = HttpServiceClient(f"http://{host}:{port}", timeout=30)
     try:
-        yield client, service, str(path), data, thread
+        yield client, service, str(path), data, serving
     finally:
-        if thread.is_alive():
-            loop.call_soon_threadsafe(server.stop)
-            thread.join(timeout=10)
+        service.loop.call_soon_threadsafe(server.stop)
         client.close()
         service.close()
 
@@ -529,7 +514,7 @@ class TestHttpServer:
             raise AssertionError("/healthz must not call this")
 
         monkeypatch.setattr(QueryService, "stats", refused)
-        monkeypatch.setattr(engine_process, "_rss_kb", refused)
+        monkeypatch.setattr(engine_process, "_status_field", refused)
         doc = client.healthz()
         assert doc["ok"] is True and doc["uptime"] >= first >= 0
 
@@ -594,12 +579,16 @@ class TestHttpServer:
             ({"fault_rules": [HANG_MAP_0]}, "set speculate or deadline"),
             ({"fault_rules": [{**SLOW_MAP_0, "delay": 1e9}]},
              "set a deadline"),
+            # the inline cancel-and-retry needs an attempt to retry with
+            ({"engine": "serial", "speculate": True},
+             "set max_attempts >= 2"),
         ],
         ids=["record-plane", "recovery", "hang-timeout", "fault-rule",
              "extract-int", "extract-strings", "stride-int",
              "fault-rules-int", "splits-string", "deadline-string",
              "tenant-list", "priority-string", "reduces-float",
-             "hang-unreleasable", "slow-unreleasable"],
+             "hang-unreleasable", "slow-unreleasable",
+             "serial-speculate-no-retry"],
     )
     def test_unrunnable_request_is_a_400_and_bills_nothing(
         self, live_server, caplog, fields, fragment
@@ -779,7 +768,7 @@ class TestHttpServer:
         for bad in ("abc", "nan", "inf", "-inf", "-1", ""):
             with pytest.raises(Exception, match="400"):
                 client._call("GET", f"/jobs/{parked}/result?timeout={bad}")
-        assert service.get_job(parked)._waiters == []
+        assert parked_on_results(client) == 0
         service.queue.resume()
         assert client.result(job_id)["state"] == DONE
 
@@ -983,7 +972,7 @@ class TestHttpServer:
             assert prompt.status(second)["state"] == QUEUED
             assert time.monotonic() - t0 < 5
             prompt.close()
-            assert len(job._waiters) == waiters
+            assert parked_on_results(client) == waiters
 
             service.queue.resume()
             _, digest = oracle_for_request(service, mean_request())
@@ -997,7 +986,7 @@ class TestHttpServer:
                 assert doc["state"] == DONE
                 assert doc["digest"] == digest
                 assert len(doc["records"]) == doc["num_records"] > 0
-            assert job._waiters == []
+            assert parked_on_results(client) == 0
         finally:
             for sock in socks:
                 sock.close()
@@ -1013,7 +1002,7 @@ class TestHttpServer:
 
         def wait_for(count):
             for _ in range(200):
-                if len(job._waiters) == count:
+                if parked_on_results(client) == count:
                     return True
                 time.sleep(0.025)
             return False
@@ -1035,7 +1024,7 @@ class TestHttpServer:
         job = service.get_job(client.submit(mean_request()))
         with pytest.raises(Exception, match=f"408.*{job.id} still 'queued'"):
             client.result(job.id, timeout=0.05)
-        assert job._waiters == []
+        assert parked_on_results(client) == 0
         service.queue.resume()
         assert client.result(job.id)["state"] == DONE
 

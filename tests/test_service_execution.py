@@ -1,6 +1,6 @@
 """The service's execution model (docs/SERVICE.md, "Execution model").
 
-The service's one thread is its dispatcher, which hands each job to a
+The service's one thread runs its event loop, which hands each job to a
 free engine process (a slot); a served job runs on that process's one
 thread, and gets thread pools of its own only where it cannot run
 without a second thread (:func:`repro.service.engine_process.execution_mode`).
@@ -16,6 +16,7 @@ service's plan and session, and the served run beside it must agree.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 
@@ -24,7 +25,13 @@ import pytest
 
 import repro.service.engine_process as engine_module
 from repro.obs import EventBus
-from repro.service import QueryRequest, run_in_engine, service_fixture
+from repro.service import (
+    HttpServiceClient,
+    QueryRequest,
+    ServiceServer,
+    run_in_engine,
+    service_fixture,
+)
 from repro.service.api import DONE, ENGINES, FAILED
 from repro.service.engine_process import execution_mode
 from repro.service.testing import oracle_for_request
@@ -149,9 +156,11 @@ class TestThreadedRunsOnTheWorkerThread:
 
 class TestOneDispatcher:
     def test_one_thread_for_the_service_and_none_per_job(self):
-        """The service's one thread is its dispatcher, whatever
+        """The service's one thread runs its event loop, whatever
         ``workers`` is; no job, split, whole or queued behind another,
-        starts a thread in the service's process."""
+        starts a thread in the service's process.  Over HTTP, on that
+        same loop, a job goes from ``POST /query`` to its ``/result``
+        with no ``call_soon_threadsafe``: nothing crosses a thread."""
         before = set(threading.enumerate())
         with service_fixture(workers=2) as client:
             svc = client.service
@@ -174,9 +183,54 @@ class TestOneDispatcher:
             during.append(threading.active_count())
             assert all(client.result(j)["state"] == DONE for j in jobs)
             during.append(threading.active_count())
-        assert [t.name for t in started] == ["svc-dispatcher"]
+
+            server = ServiceServer(svc)
+            host, port = asyncio.run_coroutine_threadsafe(
+                server.start(), svc.loop
+            ).result(10)
+            serving = asyncio.run_coroutine_threadsafe(
+                server.serve_until_shutdown(), svc.loop
+            )
+            wire = HttpServiceClient(f"http://{host}:{port}", timeout=30)
+            crossings = []
+            threadsafe = svc.loop.call_soon_threadsafe
+
+            def spy(*args, **kwargs):
+                crossings.append(threading.current_thread().name)
+                return threadsafe(*args, **kwargs)
+
+            svc.loop.call_soon_threadsafe = spy
+            try:
+                # the first runs alone after the slow three shared the
+                # service, so the second splits
+                served = [wire.query(req()) for _ in range(2)]
+            finally:
+                svc.loop.call_soon_threadsafe = threadsafe
+                wire.shutdown()
+                serving.result(10)
+                wire.close()
+        assert [t.name for t in started] == ["svc-loop"]
         assert during == [idle] * len(during)
         assert set(threading.enumerate()) <= before
+        assert [d["state"] for d in served] == [DONE, DONE]
+        assert [d["parts"] for d in served] == [1, 2]
+        assert crossings == []
+
+
+    def test_stats_show_the_services_own_process(self):
+        """``/stats`` ``process``: the service's resident KiB, open
+        descriptors and OS threads, read from ``/proc/self`` — every one
+        of them a thread ``threading`` knows of.  (numpy's BLAS pool is
+        an OS thread too, but its fork handler stops it when the service
+        forks its engines, and no served job calls BLAS here.)"""
+        with service_fixture(workers=2) as client:
+            client.service.register_array("d", "v", field())
+            assert client.query(req())["state"] == DONE
+            process = client.stats()["process"]
+            threads = threading.active_count()
+        assert set(process) == {"rss_kb", "fds", "threads"}
+        assert process["threads"] == threads
+        assert process["rss_kb"] > 0 and process["fds"] > 0
 
 
 class TestAServedJobListensToNothing:

@@ -21,7 +21,7 @@ import pytest
 from repro.service import HttpServiceClient, ServiceError
 from repro.service import server as server_module
 from repro.service.api import DONE
-from tests.test_service_api import mean_request, running_server
+from tests.test_service_api import mean_request, parked_on_results, running_server
 
 
 @pytest.fixture()
@@ -84,8 +84,8 @@ class TestKeepAlive:
         client.healthz()
         client.healthz()
         assert client.stats()["http"] == {
-            "open": 1, "accepted": 1, "requests": 3, "idle_closed": 0,
-            "read_timeouts": 0, "refused": 0,
+            "open": 1, "parked": 0, "accepted": 1, "requests": 3,
+            "idle_closed": 0, "read_timeouts": 0, "refused": 0,
         }
 
     def test_idle_connection_is_closed_and_the_client_reconnects(
@@ -163,9 +163,9 @@ class TestParkedResult:
             sock.sendall(HEALTHZ)
             assert read_reply(stream)[1]["connection"] == "keep-alive"
         sock.sendall(f"GET /jobs/{job.id}/result HTTP/1.1\r\n\r\n".encode())
-        assert eventually(lambda: len(job._waiters) == 1)
+        assert eventually(lambda: parked_on_results(client) == 1)
         sock.close()
-        assert eventually(lambda: job._waiters == [])
+        assert eventually(lambda: parked_on_results(client) == 0)
         service.queue.resume()
         assert client.result(job.id)["state"] == DONE
 
@@ -181,7 +181,7 @@ class TestParkedResult:
         job = service.get_job(client.submit(mean_request()))
         with connect(client) as sock, sock.makefile("rb") as stream:
             sock.sendall(f"GET /jobs/{job.id}/result HTTP/1.1\r\n\r\n".encode())
-            assert eventually(lambda: len(job._waiters) == 1)
+            assert eventually(lambda: parked_on_results(client) == 1)
             sock.sendall(HEALTHZ)
             time.sleep(0.1)
             service.queue.resume()
@@ -210,7 +210,7 @@ class TestParkedResult:
 def test_shutdown_returns_while_idle_and_parked_connections_are_open(tmp_path):
     """``POST /shutdown`` closes the connections that wait for a request
     or a result, so ``serve_until_shutdown`` returns at once."""
-    with running_server(tmp_path) as (client, service, path, data, thread):
+    with running_server(tmp_path) as (client, service, path, data, serving):
         client.open_dataset("d", path)
         service.queue.pause()
         job = client.submit(mean_request())
@@ -219,11 +219,10 @@ def test_shutdown_returns_while_idle_and_parked_connections_are_open(tmp_path):
             idle.sendall(HEALTHZ)
             assert read_reply(stream)[1]["connection"] == "keep-alive"
             parked.sendall(f"GET /jobs/{job}/result HTTP/1.1\r\n\r\n".encode())
-            assert eventually(lambda: len(service.get_job(job)._waiters) == 1)
+            assert eventually(lambda: parked_on_results(client) == 1)
             t0 = time.monotonic()
             client.shutdown()
-            thread.join(5)
-            assert not thread.is_alive()
+            serving.result(5)
             assert time.monotonic() - t0 < 5
             assert stream.read() == b""  # the server closed both
             assert parked.recv(65536) == b""

@@ -304,6 +304,57 @@ class TestTheDispatcher:
         assert engines[0]["pid"] != pid
         assert after["state"] == DONE and after["digest"] == digest
 
+    def test_a_replaced_engines_pipe_is_watched(self):
+        """An engine SIGKILLed mid-part fails its job typed; the next job
+        on each slot is ``done``, so the replacement's pipe is a reader
+        of the service's loop.  So is one killed while idle."""
+        with service_fixture(workers=2) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, request())
+
+            def one_per_slot(**kw):
+                # queued together: neither runs in parts, and dispatch
+                # order puts the first on slot 0
+                svc.queue.pause()
+                jobs = [client.submit(request(**kw)) for _ in range(2)]
+                svc.queue.resume()
+                return jobs
+
+            for slot in (0, 1):
+                jobs = one_per_slot(fault_rules=slow(0, delay=1.0))
+                wait_for(
+                    lambda: all(
+                        client.status(j)["state"] == RUNNING for j in jobs
+                    ),
+                    "both jobs running",
+                )
+                pid = svc.stats()["engines"][slot]["pid"]
+                os.kill(pid, signal.SIGKILL)
+                docs = [client.result(j, timeout=30) for j in jobs]
+                lost, kept = docs[slot], docs[1 - slot]
+                assert lost["state"] == FAILED
+                assert lost["error_types"] == ["EngineProcessError"]
+                assert f"engine process {pid} was killed by SIGKILL" in lost["error"]
+                assert kept["state"] == DONE and kept["digest"] == digest
+                after = [client.result(j, timeout=30) for j in one_per_slot()]
+                assert [d["state"] for d in after] == [DONE, DONE]
+                assert {d["digest"] for d in after} == {digest}
+            assert [e["restarts"] for e in svc.stats()["engines"]] == [1, 1]
+            idle = svc.stats()["engines"][0]["pid"]
+            os.kill(idle, signal.SIGKILL)
+            wait_for(
+                lambda: svc.stats()["engines"][0]["restarts"] == 2,
+                "the idle engine replaced",
+            )
+            after = [client.result(j, timeout=30) for j in one_per_slot()]
+            engines = svc.stats()["engines"]
+        assert [d["state"] for d in after] == [DONE, DONE]
+        assert [e["jobs"] for e in engines] == [5, 5]
+        assert not alive(idle)
+        # close() reaped the replacements too
+        assert not any(alive(e["pid"]) for e in engines)
+
     def test_a_job_cancelled_while_the_slots_are_busy_is_never_sent(self):
         with service_fixture(workers=1) as client:
             svc = client.service
