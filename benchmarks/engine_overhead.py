@@ -5,8 +5,9 @@ For each served class of the e2e harness (``benchmarks/e2e/harness.py``:
 seeded datasets, oracle digests), in this process, with no socket and
 no engine process:
 
-* ``whole`` — p50 of a warm ``engine_process.run_job`` of the whole job,
-  the one function an engine process runs;
+* ``whole`` — p50 of a warm ``engine_process.run_job`` of the whole job
+  (``plan.parts(1)``, its one part), the one function an engine process
+  runs;
 * ``part0`` — the same for part 0 of ``plan.parts(2)``, what one engine
   process runs of a job split across two;
 * ``floor`` — p50 of part 0's numpy alone: each of its splits' slab
@@ -18,9 +19,9 @@ no engine process:
   value column's tag (``docs/SERVICE.md``, "Wire format").
 
 Every round measures every class, in reversed order on odd rounds, and
-alternates whole, part and floor runs within a class.  Every whole
-job's digest, and that of each round's parts spliced in keyblock order,
-must equal the oracle's, or the run aborts.
+alternates whole, part and floor runs within a class.  The digest of
+every whole job's block, and that of each round's parts spliced in
+keyblock order, must equal the oracle's, or the run aborts.
 
     PYTHONPATH=src python benchmarks/engine_overhead.py --rounds 8 --runs 300
 
@@ -89,20 +90,22 @@ class Served:
         self.bop = self.plan.configure_job(self.source)[0].batch_operator
 
     def run(self, part=None):
+        """The whole job (``plan.parts(1)``), or ``part`` of it."""
         out = run_job(
-            self.cls, self.request, self.source, self.plan, self.config, part=part
+            self.cls, self.request, self.source, self.plan, self.config,
+            part=self.plan.parts(1)[0] if part is None else part,
         )
         if out.state != DONE:
             raise SystemExit(f"{self.cls}: {out.state} {out.error}")
         return out
 
     def check(self, whole, parts) -> None:
-        """The whole job's digest, and its parts' blocks spliced, are
+        """The whole job's block, and its parts' blocks spliced, are
         the oracle's bytes."""
         spliced = ResultBlock.concatenate(
             [ResultBlock.from_packed(out.block) for out in parts]
         ).to_bytes()
-        got = {whole.digest, hashlib.sha256(spliced).hexdigest()}
+        got = {hashlib.sha256(b).hexdigest() for b in (whole.block, spliced)}
         if got != {self.digest}:
             raise SystemExit(f"{self.cls}: digests {got} != oracle {self.digest}")
 

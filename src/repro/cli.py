@@ -139,12 +139,14 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
     from repro.service import HttpServiceClient, QueryRequest
 
     client = HttpServiceClient(args.server)
-    rules = ()
+    rules, seed = (), args.fault_seed
     if args.inject_faults:
         from pathlib import Path
 
         plan_doc = json.loads(Path(args.inject_faults).read_text())
         rules = tuple(plan_doc.get("rules", ()))
+        if seed is None:  # the plan file's, as a local run reads it
+            seed = int(plan_doc.get("seed", 0))
     request = QueryRequest(
         dataset=args.file,
         variable=args.variable,
@@ -163,7 +165,7 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         recovery=args.recovery,
         fault_rules=rules,
-        fault_seed=args.fault_seed or 0,
+        fault_seed=seed or 0,
         speculate=args.speculate,
         hang_timeout=args.hang_timeout,
     )

@@ -97,9 +97,10 @@ class Event(_EventFields):
     (``""`` = unscoped), stamped by the bus (``EventBus(job=...)``), so
     every event a per-job bus publishes carries its job even when
     several jobs append to one JSONL file.  ``part`` is the keyblock
-    range ``[first, stop)`` of the job part that published it, for a job
-    run in parts (``EventBus(part=...)``): each part has a bus, and so a
-    ``seq`` order, of its own.
+    range ``[first, stop)`` of the job part that published it — a served
+    job is always its parts, one of them ``[0, reduces)``
+    (``EventBus(part=...)``): each part has a bus, and so a ``seq``
+    order, of its own.
 
     A tuple: a run publishes about a hundred events per job, and
     building one should cost what building a tuple does.

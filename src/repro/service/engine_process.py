@@ -19,34 +19,33 @@ loop, whose reader each job pipe is, can have a part on every slot:
 
 * the service sends a :class:`Run`: job id, request, the session's
   :class:`~repro.service.sessions.SessionRef` and the :class:`Part` to
-  run (``None``: the whole job).  A process that lacks the job's plan
-  (or an array session's data) answers :class:`Need`, and
-  :meth:`EngineProcess.receive` sends the same :class:`Run` again with
-  them attached.  The process keeps what it is sent, least recently
-  used first out, within the plan cache's byte budget; the service
-  keeps no record of what a process holds, so there is nothing to drift.
+  run (a job of one part runs ``SIDRPlan.parts(1)``, the whole plan).
+  A process that lacks the job's plan (or an array session's data)
+  answers :class:`Need`, and :meth:`EngineProcess.receive` sends the
+  same :class:`Run` again with them attached.  The process keeps what
+  it is sent in a :class:`~repro.service.plancache.PlanCache` of the
+  service's cache's capacity; the service keeps no record of what a
+  process holds, so there is nothing to drift.
 * the process answers with an :class:`Outcome`: ``done`` with the
   packed block's bytes, counters and the final progress snapshot, or
-  ``failed`` with the error and its types.  A whole job's block comes
-  digested (the SHA-256 of those bytes, :func:`records_digest`'s); a
-  part's does not, since the service digests the assembled block once.
-  A block over :data:`MAX_RESULT_BYTES` fails the job instead.  The
-  service wraps those bytes (:meth:`ResultBlock.from_packed`) and ships
-  them as they are.
+  ``failed`` with the error and its types.  A block over
+  :data:`MAX_RESULT_BYTES` fails the part instead.  The service wraps
+  each part's bytes (:meth:`ResultBlock.from_packed`), splices a job's
+  parts and digests the job's block once — a lone part's bytes are
+  served as they are.
 
-A second pipe carries the one control message: a running job's
-progress, asked for by ``status()`` and answered with its
-:class:`~repro.obs.ProgressTracker` snapshot (:class:`RemoteProgress`
-asks every process running a part and merges the answers), never on
-the loop.  A process that dies closes its pipes: the loop reads EOF,
-the part fails with :class:`~repro.service.api.EngineProcessError`
-naming the exit code or signal, and the process is replaced, its new
-pipe watched, before its slot takes another part.
+A second pipe carries the one control message: a running part's
+progress, asked for by ``status()`` — never on the loop — and answered
+with its :class:`~repro.obs.ProgressTracker` snapshot; the service's
+record of a running job merges its parts' (:func:`merge_progress`).  A
+process that dies closes its pipes: the loop reads EOF, the part
+fails with :class:`~repro.service.api.EngineProcessError` naming the
+exit code or signal, and the process is replaced, its new pipe watched,
+before its slot takes another part.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import multiprocessing
 import os
@@ -55,7 +54,6 @@ import socket
 import stat
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Callable
 from multiprocessing.connection import Connection
 from pathlib import Path
@@ -89,8 +87,8 @@ STOP_TIMEOUT = 2.0
 #: written before the service starts reading it (the kernel caps it).
 PIPE_BUFFER = 1 << 20
 #: Bytes a served job's packed result block may hold.  A process checks
-#: its block before the block crosses the pipe, and the service checks
-#: a split job's parts' summed sizes before splicing them; over it, the
+#: its part's block before the block crosses the pipe, and the service
+#: checks the parts' summed sizes before splicing them; over it, the
 #: job fails with :class:`~repro.service.api.ResultTooLargeError`.
 MAX_RESULT_BYTES = 64 << 20
 
@@ -106,11 +104,11 @@ def check_result_size(nbytes: int) -> None:
 
 
 def digest_and_block(out: ResultBlock) -> tuple[str, ResultBlock]:
-    """A served job's output (:meth:`JobResult.all_records`) as what
-    the service keeps of it: one packed block and the oracle-grade
-    digest, the SHA-256 of that block's buffer — pack, then hash what
-    was packed.  The block is never turned into records; a split job's
-    parts spliced by :meth:`ResultBlock.concatenate` are packed
+    """A served job's output as what the service keeps of it: one
+    packed block and the oracle-grade digest, the SHA-256 of that
+    block's buffer — pack, then hash what was packed.  The block is
+    never turned into records; a job's parts spliced by
+    :meth:`ResultBlock.concatenate` (or its lone part) are packed
     already, so they are only hashed."""
     block = out.packed()
     return records_digest(block), block
@@ -144,16 +142,15 @@ class EngineConfig(NamedTuple):
 
 
 class Run(NamedTuple):
-    """Service to process: run one job, or one part of it."""
+    """Service to process: run one part of a job."""
 
     job_id: str
     request: QueryRequest
     session: SessionRef
+    part: Part
     plan: SIDRPlan | None = None
     #: An array session's data.
     array: np.ndarray | None = None
-    #: The part to run; ``None`` runs the whole job.
-    part: Part | None = None
 
 
 class Need(NamedTuple):
@@ -164,11 +161,12 @@ class Need(NamedTuple):
 
 
 class Outcome(NamedTuple):
-    """Process to service: how a job ended."""
+    """Process to service: how a job part ended; the service's
+    assembly of a job's parts is the job's."""
 
     state: str
-    #: ``done``: the packed block's bytes and, for a whole job, their
-    #: digest.
+    #: ``done``: the packed block's bytes; the assembled job's digest
+    #: is the service's (a process sends none).
     block: bytes | None = None
     digest: str | None = None
     counters: dict[str, int] | None = None
@@ -190,13 +188,13 @@ def run_job(
     plan: SIDRPlan,
     config: EngineConfig,
     *,
-    part: Part | None = None,
+    part: Part,
     watch: Callable[[ProgressTracker], None] | None = None,
 ) -> Outcome:
-    """One served job's engine run, the one function an engine process
-    runs: configure the job from the cached plan, run it — or its
-    ``part`` — in the request's :func:`execution_mode`, and pack its
-    output; a whole job's is hashed too.
+    """One served job part's engine run, the one function an engine
+    process runs: configure the job from the cached plan, run its
+    ``part`` (``plan.parts(1)[0]`` is the whole job) in the request's
+    :func:`execution_mode`, and pack its output.
 
     ``source`` is what the job reads (``DatasetSession.engine_source``);
     ``watch`` is handed the run's progress tracker before it starts.
@@ -216,10 +214,7 @@ def run_job(
         # read the bus's record, so neither listens.  No phases, spans
         # or metrics registry: the counters are the engine's
         # finish-time reading of the same record.
-        bus = EventBus(
-            job=job_id,
-            part=None if part is None else (part.reduces.start, part.reduces.stop),
-        )
+        bus = EventBus(job=job_id, part=(part.reduces.start, part.reduces.stop))
         obs = JobObservability(job_conf.name, enabled=False, bus=bus)
         tracker = ProgressTracker(bus)
         if watch is not None:
@@ -242,13 +237,12 @@ def run_job(
             part=part,
         )
         run_seconds = time.perf_counter() - t0
-        # Packed once: these bytes are what is hashed, sent and served.
+        # Packed once: these bytes are what is sent, hashed and served.
         data = res.all_records().to_bytes()
         check_result_size(len(data))
         outcome = Outcome(
             DONE,
             block=data,
-            digest=None if part is not None else hashlib.sha256(data).hexdigest(),
             counters=dict(res.counters.as_dict()),
             partial=res.partial,
             run_seconds=run_seconds,
@@ -274,73 +268,42 @@ def failed_outcome(exc: Exception) -> Outcome:
 # --------------------------------------------------------------------- #
 # Inside the process
 # --------------------------------------------------------------------- #
-class _Resident:
-    """What a process keeps between jobs: the plans and array sessions
-    it has been sent, least recently used first out past the plan
-    cache's entry or byte budget, and one handle per file session."""
-
-    def __init__(self, capacity: int) -> None:
-        self._capacity = capacity
-        self._kept: OrderedDict[tuple[str, ...], tuple[Any, int]] = OrderedDict()
-        self._bytes = 0
-        #: path -> (the service's digest of it, this process's handle)
-        self._files: dict[str, tuple[str, DatasetSession]] = {}
-
-    def get(self, key: tuple[str, ...]) -> Any:
-        entry = self._kept.get(key)
-        if entry is None:
-            return None
-        self._kept.move_to_end(key)
-        return entry[0]
-
-    def keep(self, key: tuple[str, ...], value: Any) -> None:
-        size = int(getattr(value, "nbytes", 0))
-        old = self._kept.pop(key, None)
-        if old is not None:
-            self._bytes -= old[1]
-        self._kept[key] = (value, size)
-        self._bytes += size
-        while self._kept and (
-            len(self._kept) > self._capacity or self._bytes > plancache.MAX_BYTES
-        ):
-            _, (_, evicted) = self._kept.popitem(last=False)
-            self._bytes -= evicted
-
-    def file_source(self, ref: SessionRef) -> Any:
-        """The file session's engine source, reopened when the service's
-        digest of it moved (a write through the service)."""
-        assert ref.path is not None
-        held = self._files.get(ref.path)
-        if held is None or held[0] != ref.digest:
-            if held is not None:
-                held[1].close()
-            held = (ref.digest, DatasetSession(ref.name, path=ref.path))
-            self._files[ref.path] = held
-        return held[1].engine_source()
-
-
 def _handle(
     message: Run,
-    resident: _Resident,
+    kept: plancache.PlanCache,
+    files: dict[str, tuple[str, DatasetSession]],
     config: EngineConfig,
     watch: Callable[[ProgressTracker], None],
 ) -> Outcome | Need:
+    """Run ``message``'s part, or ask for what ``kept`` — the plans and
+    array sessions the process has been sent — lacks.  ``files`` holds
+    one handle per file session: path -> (the service's digest of it,
+    the handle), reopened when the digest moved (a write through the
+    service)."""
     ref, request = message.session, message.request
-    plan_key, array_key = (ref.digest, request.plan_key()), (ref.digest,)
+    plan_key = (ref.name, ref.digest, request.plan_key())
+    array_key = (ref.name, ref.digest, "")  # a plan key is never empty
     if message.plan is not None:
-        resident.keep(plan_key, message.plan)
+        kept.insert(plan_key, message.plan)
     if message.array is not None:
-        resident.keep(array_key, message.array)
-    plan = resident.get(plan_key) if message.plan is None else message.plan
+        kept.insert(array_key, message.array)
+    plan = kept.lookup(plan_key) if message.plan is None else message.plan
     if ref.path is not None:
+        held = files.get(ref.path)
         try:
-            source = resident.file_source(ref)
+            if held is None or held[0] != ref.digest:
+                if held is not None:
+                    held[1].close()
+                held = files[ref.path] = (
+                    ref.digest, DatasetSession(ref.name, path=ref.path)
+                )
+            source = held[1].engine_source()
         except (ReproError, OSError) as exc:  # fails the job, not the process
             return failed_outcome(exc)
     elif message.array is not None:
         source = message.array
     else:
-        source = resident.get(array_key)
+        source = kept.lookup(array_key)
     if plan is None or source is None:
         return Need(plan=plan is None, array=source is None)
     return run_job(
@@ -397,7 +360,8 @@ def _serve(jobs: Connection, control: Connection, config: EngineConfig) -> None:
     # Ctrl-C reaches the whole process group; the service stops us.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _sever_inherited_sockets({jobs.fileno(), control.fileno()})
-    resident = _Resident(config.capacity)
+    kept = plancache.PlanCache(config.capacity)
+    files: dict[str, tuple[str, DatasetSession]] = {}
     running: dict[str, ProgressTracker] = {}
     threading.Thread(
         target=_answer_progress, args=(control, running),
@@ -412,7 +376,7 @@ def _serve(jobs: Connection, control: Connection, config: EngineConfig) -> None:
             return
         try:
             answer = _handle(
-                message, resident, config,
+                message, kept, files, config,
                 lambda tracker: running.__setitem__(message.job_id, tracker),
             )
         finally:
@@ -431,8 +395,7 @@ class EngineProcess:
         self._config = config
         self._control_lock = threading.Lock()
         self._seq = itertools.count()
-        #: Jobs and job parts sent, and processes started in place of a
-        #: dead one.
+        #: Job parts sent, and processes started in place of a dead one.
         self.jobs = 0
         self.restarts = 0
         #: The last :meth:`send`'s message, plan and session, for a
@@ -460,13 +423,13 @@ class EngineProcess:
 
     def send(
         self, job_id: str, request: QueryRequest, session: DatasetSession,
-        plan: SIDRPlan, part: Part | None = None,
+        plan: SIDRPlan, part: Part,
     ) -> None:
-        """Start one job, or one ``part`` of it, in the process;
-        :meth:`receive` reads its answer.  :class:`EngineProcessError`
-        if the process is gone."""
+        """Start one ``part`` of a job in the process; :meth:`receive`
+        reads its answer.  :class:`EngineProcessError` if the process is
+        gone."""
         self.jobs += 1
-        message = Run(job_id, request, session.ref(), part=part)
+        message = Run(job_id, request, session.ref(), part)
         self._sent = (message, plan, session)
         try:
             self._jobs.send(message)
@@ -565,49 +528,17 @@ class EngineProcess:
         }
 
 
-class RemoteProgress:
-    """A running job's ``progress`` as :class:`ServiceJob` holds it: a
-    :meth:`snapshot` that asks the engine process of each of the job's
-    parts still running — a part that ended left its last snapshot
-    (:meth:`ended`) — and merges the answers under the whole job's task
-    totals (:func:`merge_progress`)."""
-
-    def __init__(
-        self,
-        engines: list[EngineProcess],
-        job_id: str,
-        maps: int,
-        reduces: int,
-    ) -> None:
-        self._engines = engines
-        self._job_id = job_id
-        self._totals = maps, reduces
-        self._last: list[dict[str, Any] | None] = [None] * len(engines)
-
-    def ended(self, part: int, progress: dict[str, Any] | None) -> None:
-        """Part ``part`` ended with ``progress``: its engine may run
-        something else now."""
-        self._last[part] = progress
-
-    def snapshot(self) -> dict[str, Any] | None:
-        docs = [
-            engine.progress(self._job_id) if last is None else last
-            for engine, last in zip(self._engines, self._last)
-        ]
-        if len(docs) == 1:
-            return docs[0]
-        return merge_progress(docs, *self._totals)
-
-
 def merge_progress(
     docs: list[dict[str, Any] | None], maps: int, reduces: int
 ) -> dict[str, Any] | None:
-    """One progress document of a job run in parts, from the parts'
+    """One progress document of a job, from its parts'
     :meth:`ProgressTracker.snapshot` documents (``None``: a part that
     did not answer), with ``maps`` and ``reduces`` the whole job's task
-    counts.
-    Counts add up; the job is ``done`` when every part is, ``failed``
-    when one is, and running until then."""
+    counts.  A lone part's document is the job's, as it is.  Of
+    several, counts add up; the job is ``done`` when every part is,
+    ``failed`` when one is, and running until then."""
+    if len(docs) == 1:
+        return docs[0]
     docs = [d for d in docs if d is not None]
     if not docs:
         return None

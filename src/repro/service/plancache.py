@@ -28,6 +28,10 @@ Because plans carry those arrays, the cache is bounded twice: at most
 least recently used plans go.  A plan larger than the whole byte
 budget is still returned to the job that built it, just not kept.
 
+Each engine process keeps what the service sends it — plans, and an
+array session's data under the plan key ``""`` — in a cache of its own
+with the same bounds: any value with an ``nbytes`` is sized by it.
+
 Concurrent misses on the same key may build the plan twice; both builds
 are identical (pure function), the second insert wins, and nothing
 blocks other keys — simpler and safer than per-key build locks.
@@ -59,7 +63,7 @@ class PlanCache:
         self._capacity = capacity
         self._lock = threading.Lock()
         #: key -> (plan, its bytes when inserted)
-        self._entries: OrderedDict[CacheKey, tuple[SIDRPlan, int]] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, tuple[Any, int]] = OrderedDict()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -67,7 +71,7 @@ class PlanCache:
         self._invalidations = 0
 
     # ------------------------------------------------------------------ #
-    def lookup(self, key: CacheKey) -> SIDRPlan | None:
+    def lookup(self, key: CacheKey) -> Any:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -77,7 +81,7 @@ class PlanCache:
             self._hits += 1
             return entry[0]
 
-    def insert(self, key: CacheKey, plan: SIDRPlan) -> None:
+    def insert(self, key: CacheKey, plan: Any) -> None:
         size = getattr(plan, "nbytes", 0)
         with self._lock:
             old = self._entries.pop(key, None)

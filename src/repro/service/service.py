@@ -22,23 +22,26 @@ from scratch:
 
 The service's one thread runs its event loop (:attr:`QueryService.loop`),
 as the paper's Hadoop hands tasks to a node's slots from one scheduler.
-Dispatch (:meth:`QueryService._dispatch`), a loop callback, plans the
-head of the queue while a slot is free and sends it there as one
-**part**; each slot's job pipe is a reader of the loop, whose callback
-(:meth:`QueryService._answer`) receives the answer, frees the slot and
-finishes the job, resolving its ``done`` future, on which the HTTP
-front, on the same loop, parks a ``/result``.  A part runs on its
+A job is a list of **parts**, independent keyblock ranges
+(:meth:`SIDRPlan.parts <repro.sidr.planner.SIDRPlan.parts>`), and an
+engine process is a slot that runs one part at a time.  Dispatch
+(:meth:`QueryService._dispatch`), a loop callback, plans the head of
+the queue while a slot is free and sends its parts to free slots: one
+part (``parts(1)``, the whole plan), or, under the **lending rule** — a
+job dispatched alone, after a job that was alone all its life — as many
+as its plan cuts into and slots are free.  Each slot's job pipe is a
+reader of the loop, whose callback (:meth:`QueryService._answer`)
+receives the part's answer and frees the slot; a job's last part
+assembles and finishes it, resolving its ``done`` future, on which the
+HTTP front, on the same loop, parks a ``/result``.  A part runs on its
 process's one thread; only a request that cannot run without a second
 thread gets thread pools
 (:func:`~repro.service.engine_process.execution_mode`;
-``docs/SERVICE.md``, "Execution model").  Under the **lending rule** —
-a job dispatched alone, after a job that was alone all its life — a job
-takes every free slot its plan can use, one independent keyblock range
-(:meth:`SIDRPlan.parts <repro.sidr.planner.SIDRPlan.parts>`) on each.
-A finished job keeps its result as one packed
-:class:`~repro.mapreduce.columnar.ResultBlock` — the bytes its engine
-process packed, which the binary result body ships as they are — and
-its digest is the SHA-256 of those bytes, the verification oracle's own
+``docs/SERVICE.md``, "Execution model").  A finished job keeps its
+result as one packed :class:`~repro.mapreduce.columnar.ResultBlock` —
+its parts' bytes spliced, a lone part's as its engine process packed
+them, which the binary result body ships as they are — and its digest
+is the SHA-256 of those bytes, the verification oracle's own
 definition, so every consumer can check byte-identity; the JSON rows
 are built from the block's columns on demand, and a job's output never
 becomes a record list.
@@ -73,7 +76,6 @@ from repro.service.engine_process import (
     EngineConfig,
     EngineProcess,
     Outcome,
-    RemoteProgress,
     check_result_size,
     digest_and_block,
     failed_outcome,
@@ -385,7 +387,8 @@ class QueryService:
         """Plan ``job`` (a cold plan is built here, on the loop) and
         send its parts to the free slots: one part, or, when the lending
         rule holds (``alone``), as many as the plan cuts into and slots
-        are free."""
+        are free.  The job's record of its parts is its live
+        ``progress``."""
         req = job.request
         try:
             session = self.registry.get(req.dataset)
@@ -396,19 +399,14 @@ class QueryService:
             self._end(job, failed_outcome(exc))
             return
         free = [s for s in range(len(self._engines)) if s not in self._busy]
-        parts = plan.parts(len(free)) if alone and len(free) > 1 else ()
-        if len(parts) < 2:
-            parts = (None,)  # the whole job, digested where it runs
+        parts = plan.parts(len(free) if alone else 1)
         engines = [self._engines[slot] for slot in free[:len(parts)]]
-        progress = RemoteProgress(
-            engines, job.id, len(plan.splits), plan.num_reduce_tasks
-        )
-        running = _Running(job, plan, progress, [None] * len(parts))
+        running = _Running(job, plan, engines, [None] * len(parts))
         with job.lock:
             job.plan_cache_hit = hit
             job.plan_seconds = plan_seconds
             job.parts = len(parts)
-            job.progress = progress
+            job.progress = running
         for i, (slot, engine, part) in enumerate(zip(free, engines, parts)):
             if not engine.alive():  # it died between jobs
                 self._respawn(slot)
@@ -450,11 +448,10 @@ class QueryService:
         """Part ``part`` of a job ended with ``out``: the job ends with
         its last part."""
         running.outcomes[part] = out
-        running.progress.ended(part, out.progress)
         if any(o is None for o in running.outcomes):
             return
         try:
-            records, out = _assemble(running.plan, running.outcomes)
+            records, out = _assemble(running)
         except Exception as exc:  # fails the job, not the service
             records, out = None, failed_outcome(exc)
         self._end(running.job, out, records)
@@ -479,33 +476,39 @@ class QueryService:
 
 
 class _Running(NamedTuple):
-    """A dispatched job; an outcome per part, ``None`` while it runs."""
+    """A dispatched job: its parts' engine processes, and an outcome per
+    part, ``None`` while it runs.  Its :meth:`snapshot` is the job's
+    live ``progress``."""
 
     job: ServiceJob
     plan: SIDRPlan
-    progress: RemoteProgress
+    engines: list[EngineProcess]
     outcomes: list[Outcome | None]
 
+    def snapshot(self) -> dict[str, Any] | None:
+        """The job's progress: a running part's asked of its engine
+        process, an ended part's its last snapshot, merged under the
+        job's task totals (:func:`merge_progress`)."""
+        return merge_progress(
+            [
+                engine.progress(self.job.id) if out is None else out.progress
+                for engine, out in zip(self.engines, self.outcomes)
+            ],
+            len(self.plan.splits), self.plan.num_reduce_tasks,
+        )
 
-def _assemble(
-    plan: SIDRPlan, outcomes: list[Outcome]
-) -> tuple[ResultBlock | None, Outcome]:
+
+def _assemble(running: _Running) -> tuple[ResultBlock | None, Outcome]:
     """A job's block and outcome from its parts' outcomes, in keyblock
-    order.  One part's is the job's.  Of several, the first that failed
-    fails the job, and so do blocks whose summed size is over the
-    result cap (:func:`check_result_size`); else their blocks laid end
-    to end — their bytes spliced, not repacked
+    order, once every part has ended — one path for any number of
+    parts.  The first part that failed fails the job, and so do blocks
+    whose summed size is over the result cap (:func:`check_result_size`);
+    else their blocks laid end to end — their bytes spliced, not
+    repacked, and a lone part's passed through untouched
     (:meth:`ResultBlock.concatenate`) — are its block, digested here,
-    once: the bytes of a one-part run.  Counters add up, and
-    ``run_seconds`` is the longest part's."""
-    if len(outcomes) == 1:
-        out = outcomes[0]
-        return (
-            None if out.block is None else ResultBlock.from_packed(out.block)
-        ), out
-    progress = merge_progress(
-        [o.progress for o in outcomes], len(plan.splits), plan.num_reduce_tasks
-    )
+    once.  Counters add up, and ``run_seconds`` is the longest part's."""
+    outcomes = running.outcomes
+    progress = running.snapshot()  # every part's last: no engine is asked
     write_errors = sum(o.event_write_errors for o in outcomes)
     out = next((o for o in outcomes if o.state != DONE), None)
     records = None

@@ -67,14 +67,16 @@ def run_in_engine(
 ) -> Outcome:
     """:func:`~repro.service.engine_process.run_job` — the one function
     an engine process runs — called here, on the service's cached plan
-    (built on a miss) and its session.  What a test that spies on the
-    engine's objects (its bus, its threads, its calls) reads; keyword
-    arguments go to ``run_job``."""
+    (built on a miss) and its session, as a job of one part
+    (``plan.parts(1)``).  What a test that spies on the engine's objects
+    (its bus, its threads, its calls) reads; keyword arguments go to
+    ``run_job``.  The outcome carries the part's packed block, not a
+    digest: the service digests a job's assembled block."""
     session = service.registry.get(request.dataset)
     plan, _ = service.plan(request, session)
     return run_job(
         "inline", request, session.engine_source(), plan,
-        service.engine_config, **kwargs,
+        service.engine_config, part=plan.parts(1)[0], **kwargs,
     )
 
 

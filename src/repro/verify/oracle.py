@@ -12,10 +12,11 @@ Outputs are compared in **canonical form**: numpy scalars/arrays are
 converted to plain Python values and records sorted by key.  A result's
 identity is its :func:`records_digest`: SHA-256 of the one byte form
 :meth:`ResultBlock.to_bytes <repro.mapreduce.columnar.ResultBlock.to_bytes>`
-gives those records (key rows as int64, the value column as float64 or
-tagged JSON) — the same hex whether the result arrives as a block, as a
-packed block or as a canonical record list, and the hash of exactly the
-bytes the service stores and ships.  Equal digests mean equal bytes;
+gives those records (key rows as int64, the value column in one of four
+binary layouts: float64, int64 for ``count``, ragged for ``sort`` and
+``filter_gt``, the ``range_exceeds`` pair) — the same hex whether the
+result arrives as a block, as a packed block or as a canonical record
+list, and the hash of exactly the bytes the service stores and ships.  Equal digests mean equal bytes;
 that equal bytes mean ``repr``-identical canonical records is not taken
 on trust but shown on every output the differential fuzzer and the
 interleaving explorer compare (:func:`checked_digest`: the bytes are

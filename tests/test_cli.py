@@ -538,6 +538,53 @@ class TestFaultFlags:
         err = capsys.readouterr().err
         assert "2 retries" in err and "2 injected" in err
 
+    @pytest.mark.parametrize("flag", [[], ["--fault-seed", "3"]], ids=["file", "flag"])
+    def test_served_query_sends_the_seed_a_local_run_uses(
+        self, tmp_path, monkeypatch, flag
+    ):
+        """Regression: ``query --server --inject-faults`` sent seed 0
+        unless ``--fault-seed`` was given, so a fraction rule picked
+        other maps than the same plan file picked locally."""
+        import repro.service
+        from repro.faults import InjectionPlan
+
+        sent = []
+
+        class Client:
+            def __init__(self, url):
+                pass
+
+            def submit(self, request):
+                sent.append(request)
+                return "j1"
+
+            def result(self, job_id, timeout):
+                return {"state": "failed", "error": "not run"}
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(repro.service, "HttpServiceClient", Client)
+        text = json.dumps({"seed": 5, "rules": [
+            {"task": "map", "fault": "transient", "fraction": 0.25, "times": 1}
+        ]})
+        pf = tmp_path / "plan.json"
+        pf.write_text(text)
+        rc = main([
+            "query", "t", "--server", "http://127.0.0.1:9",
+            "--variable", "temperature", "--extract", "7,5,1",
+            "--inject-faults", str(pf), *flag,
+        ])
+        assert rc == 1  # the stub's job failed
+        (request,) = sent
+        override = int(flag[1]) if flag else None
+        local = InjectionPlan.from_json(text, seed_override=override)
+        assert request.fault_seed == local.seed == (override or 5)
+        assert (
+            request.injection_plan().bind(16, 4).selected(0)
+            == local.bind(16, 4).selected(0)
+        )
+
     def test_query_bad_plan_is_error(self, ncfile, tmp_path, capsys):
         pf = tmp_path / "bad.json"
         pf.write_text('{"rules": [{"task": "gpu", "fault": "crash"}]}')

@@ -280,10 +280,11 @@ class TestCallBudgets:
             )
             plan = build_served_plan(req, session)
             source, config = session.engine_source(), EngineConfig()
+            whole = plan.parts(1)[0]
             for _ in range(2):
-                run_job("warm", req, source, plan, config)
+                run_job("warm", req, source, plan, config, part=whole)
             calls, out = _count_calls(
-                lambda: run_job("counted", req, source, plan, config)
+                lambda: run_job("counted", req, source, plan, config, part=whole)
             )
         finally:
             session.close()

@@ -267,14 +267,15 @@ class TestInProcessService:
         the tracker's last snapshot and keeps only that."""
         from repro.obs import ProgressTracker
         from repro.service import run_in_engine
-        from repro.service.engine_process import RemoteProgress
         from repro.service.jobs import ServiceJob
+        from repro.service.service import _Running
 
         handed = {}
         finish = ServiceJob.finish
 
         def spy(job, state, **fields):
-            assert isinstance(job.progress, RemoteProgress)  # a live reading
+            # a live reading: the service's record of the job's parts
+            assert isinstance(job.progress, _Running)
             handed[job.id] = fields["progress"]
             finish(job, state, **fields)
 
@@ -297,9 +298,22 @@ class TestInProcessService:
         assert out.progress["state"] == tracker.snapshot()["state"] == "done"
         assert out.progress["maps"] == tracker.snapshot()["maps"]
 
-    def test_a_running_job_reports_its_engine_process_progress(self):
+    def test_a_running_job_reports_its_engine_process_progress(
+        self, monkeypatch
+    ):
         """``status()`` of a running job asks its engine process: one
-        control message, answered with the job's live snapshot."""
+        control message, answered with the job's live snapshot, which a
+        job of one part reports as it is."""
+        from repro.service.engine_process import EngineProcess
+
+        asked = []
+        progress = EngineProcess.progress
+
+        def spy(engine, job_id):
+            asked.append(progress(engine, job_id))
+            return asked[-1]
+
+        monkeypatch.setattr(EngineProcess, "progress", spy)
         with service_fixture(workers=1) as client:
             client.service.register_array("d", "v", small_data())
             job_id = client.submit(mean_request(
@@ -311,6 +325,7 @@ class TestInProcessService:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
                 doc = client.status(job_id)
+            assert doc["parts"] == 1 and doc["progress"] == asked[-1]
             assert doc["progress"]["state"] == "running"
             assert doc["progress"]["maps"]["done"] < doc["progress"]["maps"]["total"]
             assert client.result(job_id)["progress"]["state"] == "done"

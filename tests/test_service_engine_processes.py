@@ -11,6 +11,7 @@ and ``serve``'s ``/shutdown`` leave no process behind.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import pickle
@@ -117,10 +118,12 @@ class TestPlansPickle:
                 assert ours.map_ids == theirs.map_ids
                 assert np.array_equal(ours.keys, theirs.keys)
             out = run_job(
-                "pickled", req, session.engine_source(), back, svc.engine_config
+                "pickled", req, session.engine_source(), back, svc.engine_config,
+                part=back.parts(1)[0],
             )
             served = client.query(req)
-        assert out.state == DONE and out.digest == digest
+        assert out.state == DONE
+        assert hashlib.sha256(out.block).hexdigest() == digest
         assert out.counters["reduce.planned"] == len(planned)
         assert served["digest"] == digest
 

@@ -17,6 +17,7 @@ service's plan and session, and the served run beside it must agree.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import threading
 import time
 
@@ -126,7 +127,7 @@ class TestThreadedRunsOnTheWorkerThread:
             out = run_in_engine(svc, request)
         assert doc["state"] == out.state == DONE
         assert doc["engine"] == "threaded"  # the wire name is unchanged
-        assert doc["digest"] == out.digest == digest
+        assert doc["digest"] == hashlib.sha256(out.block).hexdigest() == digest
 
         assert {threads for _, threads in sampled} == {idle}
 
@@ -293,7 +294,7 @@ class TestSpeculationStillRacesABackup:
             out = run_in_engine(svc, request)
         assert "counters" not in doc
         assert doc["state"] == out.state == DONE
-        assert doc["digest"] == out.digest == digest
+        assert doc["digest"] == hashlib.sha256(out.block).hexdigest() == digest
         for run in (counters, out.counters):
             assert run["task.speculations"] == 1
             assert run["task.cancelled"] == 1

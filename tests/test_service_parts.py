@@ -10,7 +10,9 @@ typed, as one would.  Every other job takes one slot.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
 import signal
 import sys
@@ -32,6 +34,7 @@ from repro.service import (
     service_fixture,
 )
 from repro.service.api import CANCELLED, DONE, FAILED, RUNNING
+from repro.service.engine_process import merge_progress
 from repro.sidr.planner import build_plan
 from repro.verify.cases import generate_case
 from tests.test_service_engine_processes import CLASSES, alive, field, request
@@ -156,7 +159,7 @@ class TestASplitJobIsAWholeJob:
             whole = run_in_engine(svc, req)
         assert doc["state"] == DONE and doc["parts"] == SPLIT[cls]
         assert whole.state == DONE
-        assert doc["digest"] == whole.digest == digest
+        assert doc["digest"] == hashlib.sha256(whole.block).hexdigest() == digest
         assert block.to_bytes() == whole.block
         assert counters == whole.counters
 
@@ -218,6 +221,39 @@ class TestASplitJobIsAWholeJob:
             assert [ev.seq for ev in mine] == list(range(len(mine)))
             assert phase_totals(mine)["map"]["finished"] == 4
         assert phase_totals(stream)["map"]["finished"] == 8
+
+
+class TestAJobOfOnePart:
+    """A job that is not split is ``SIDRPlan.parts(1)``, dispatched,
+    assembled and digested as any job of parts is."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["one-slot", "other-busy"])
+    def test_it_reports_one_part_and_the_oracles_digest(self, workers, tmp_path):
+        events = tmp_path / "events.jsonl"
+        with service_fixture(workers=workers, events_path=str(events)) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, request())
+            busy = None
+            if workers == 2:  # another job running: this one is not alone
+                busy = client.submit(request(fault_rules=slow(0, delay=1.0)))
+                wait_for(
+                    lambda: svc.status(busy)["state"] == RUNNING, "busy"
+                )
+            doc = client.query(request())
+            if busy is not None:
+                assert client.result(busy, timeout=30)["state"] == DONE
+        assert doc["state"] == DONE and doc["parts"] == 1
+        assert doc["digest"] == digest
+        # every ``serve --events`` line names its part: the whole range
+        with events.open() as lines:
+            mine = [ev for ev in map(json.loads, lines) if ev["job"] == doc["id"]]
+        assert mine and all(ev["part"] == [0, 4] for ev in mine)
+
+    def test_merging_one_progress_document_returns_it(self):
+        doc = {"state": "running", "maps": {"total": 8}}
+        assert merge_progress([doc], 8, 4) is doc
+        assert merge_progress([None], 8, 4) is None
 
 
 class TestASplitJobFailsTyped:
