@@ -26,7 +26,8 @@ Because plans carry those arrays, the cache is bounded twice: at most
 ``capacity`` entries and at most :data:`MAX_BYTES` of geometry
 (:attr:`SIDRPlan.nbytes`, taken once at insert); past either, the
 least recently used plans go.  A plan larger than the whole byte
-budget is still returned to the job that built it, just not kept.
+budget is still returned to the job that built it, just not kept: the
+cache refuses it and evicts nothing for it.
 
 Each engine process keeps what the service sends it — plans, and an
 array session's data under the plan key ``""`` — in a cache of its own
@@ -82,7 +83,12 @@ class PlanCache:
             return entry[0]
 
     def insert(self, key: CacheKey, plan: Any) -> None:
+        """Keep ``plan`` under ``key``, evicting the least recently
+        used entries past either bound; a plan over the whole byte
+        budget is refused and evicts nothing."""
         size = getattr(plan, "nbytes", 0)
+        if size > MAX_BYTES:
+            return
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:

@@ -103,8 +103,25 @@ class TestPlanCacheUnit:
         big = SimpleNamespace(nbytes=101)
         assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
         snap = cache.snapshot()
-        assert (snap["size"], snap["bytes"]) == (0, 0)
+        assert (snap["size"], snap["bytes"]) == (1, 10)
         assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
+
+    def test_an_oversized_plan_evicts_nothing(self, monkeypatch):
+        """A plan over the whole byte budget is refused, not kept at
+        the cost of every other entry."""
+        monkeypatch.setattr(plancache, "MAX_BYTES", 100)
+        cache = PlanCache(capacity=10)
+        small = {f"q{i}": SimpleNamespace(nbytes=10) for i in range(5)}
+        for q, plan in small.items():
+            cache.insert(("d", "g", q), plan)
+        big = SimpleNamespace(nbytes=101)
+        cache.insert(("d", "g", "big"), big)
+        snap = cache.snapshot()
+        assert (snap["size"], snap["bytes"], snap["evictions"]) == (5, 50, 0)
+        for q, plan in small.items():
+            assert cache.lookup(("d", "g", q)) is plan
+        assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
+        assert len(cache) == 5
 
 
 # --------------------------------------------------------------------- #
