@@ -16,12 +16,16 @@ no engine process:
 * ``calls`` — interpreter calls (``sys.setprofile`` ``call`` +
   ``c_call``) of one warm whole job;
 * ``block`` — the whole job's packed result block: its bytes and its
-  value column's tag (``docs/SERVICE.md``, "Wire format").
+  value column's tag (``docs/SERVICE.md``, "Wire format");
+* ``plan`` — the bytes the served plan pickles to: what the service
+  sends each engine process that runs a part of it.
 
 Every round measures every class, in reversed order on odd rounds, and
 alternates whole, part and floor runs within a class.  The digest of
 every whole job's block, and that of each round's parts spliced in
-keyblock order, must equal the oracle's, or the run aborts.
+keyblock order, must equal the oracle's, and no whole job may count a
+``reduce.generic`` (every keyblock of every class takes the ordered
+reduce), or the run aborts.
 
     PYTHONPATH=src python benchmarks/engine_overhead.py --rounds 8 --runs 300
 
@@ -36,6 +40,7 @@ import gc
 import hashlib
 import json
 import os
+import pickle
 import statistics
 import sys
 import tempfile
@@ -160,11 +165,17 @@ def main(argv: list[str] | None = None) -> int:
         inputs.prepare(tuple(classes))
         served = [Served(cls, inputs) for cls in classes]
         try:
-            calls, blocks = {}, {}
+            calls, blocks, plans = {}, {}, {}
             for s in served:
                 # warm: the process has the plan, the handle its reads
-                block = s.run().block
-                blocks[s.cls] = (len(block), VALUE_TAG_NAMES[block[4]])
+                out = s.run()
+                if out.counters.get("reduce.generic"):
+                    raise SystemExit(
+                        f"{s.cls}: {out.counters['reduce.generic']} keyblocks "
+                        "merged instead of taking the ordered reduce"
+                    )
+                blocks[s.cls] = (len(out.block), VALUE_TAG_NAMES[out.block[4]])
+                plans[s.cls] = len(pickle.dumps(s.plan))
                 calls[s.cls] = count_calls(s.run)
             rounds: dict[str, dict[str, list[float]]] = {
                 s.cls: {"whole": [], "part0": [], "floor": []} for s in served
@@ -181,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
           f"cpu_count {os.cpu_count()}, Python {sys.version.split()[0]}")
     print(f"  {'class':16s} {'whole p50':>10s} {'part0 p50':>10s} "
           f"{'floor p50':>10s} {'floor/part0':>11s} {'calls/job':>10s} "
-          f"{'block bytes':>11s}  value tag")
+          f"{'block bytes':>11s} {'plan bytes':>10s}  value tag")
     report = {}
     for cls, per in rounds.items():
         med = {name: statistics.median(v) for name, v in per.items()}
@@ -189,12 +200,13 @@ def main(argv: list[str] | None = None) -> int:
         size, tag = blocks[cls]
         print(f"  {cls:16s} {med['whole']:8.2f}ms {med['part0']:8.2f}ms "
               f"{med['floor']:8.2f}ms {share:11.2f} {calls[cls]:10d} "
-              f"{size:11d}  {tag}")
+              f"{size:11d} {plans[cls]:10d}  {tag}")
         report[cls] = {
             "p50_ms": {k: round(v, 3) for k, v in med.items()},
             "rounds_ms": {k: [round(x, 3) for x in v] for k, v in per.items()},
             "calls_per_job": calls[cls],
             "block_bytes": size,
+            "plan_bytes": plans[cls],
             "value_tag": tag,
         }
     if args.out:

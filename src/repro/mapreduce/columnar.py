@@ -38,8 +38,12 @@ module is the engine half of that plane:
 * :func:`run_columnar_map` / :func:`run_columnar_reduce` — the task
   bodies the engine dispatches to when the job carries a
   ``JobConf.batch_operator``.  A map permutes its state columns by the
-  layout (if at all) and slices them at its cuts; same-key merging is a
-  segmented fold instead of ``group_sorted``'s per-record loop.
+  layout (if at all) and slices them at its cuts.  A reduce reads its
+  key order from its fetch: planned runs whose seams increase are
+  already the keyblock's output order (SIDR's keyblocks are contiguous
+  row-major ranges of K'_T), so it concatenates and finalizes; any
+  other fetch merges, same-key merging a segmented fold instead of
+  ``group_sorted``'s per-record loop.
 
 The operator arithmetic itself lives behind the :class:`BatchOperator`
 protocol (implemented for every operator in :mod:`repro.query.columnar`),
@@ -354,11 +358,12 @@ class SpillLayout:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays this layout owns (views excluded)."""
+        """Bytes of every array this layout holds, views included:
+        pickling copies each."""
         arrays = [self.order, self.keys]
         for run in self.runs:
             arrays += [run.starts, run.keys]
-        return sum(a.nbytes for a in arrays if a is not None and a.base is None)
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def check_sorted(self) -> None:
         """Validate every run's lexsort invariant once, where the layout
@@ -410,61 +415,6 @@ def spill_layout(
 
 
 @dataclass(frozen=True)
-class ReducePlan:
-    """One keyblock's reduce, when its plan fixes it: the maps that feed
-    it in map order, the run each spills to it, and the keyblock's key
-    grid — those runs laid end to end, its synthesized keys among them
-    (:func:`reduce_plan`).
-
-    A reduce whose fetched files are exactly these runs (same maps, in
-    order, each file's keys the run's own array) has nothing to merge:
-    every key comes from one map, in key order already, so its output is
-    ``finalize`` of the state columns laid end to end (a synthesized
-    key's row empty), on :attr:`keys`.
-    """
-
-    map_ids: tuple[int, ...]
-    #: Each map's run keys, the arrays its spill files carry.
-    runs: tuple[np.ndarray, ...]
-    #: ``(n, rank)`` int64, strictly increasing, read-only.
-    keys: np.ndarray
-    #: Where the runs' rows, end to end, land in :attr:`keys`
-    #: (increasing, read-only); ``None`` when they tile it.
-    rows: np.ndarray | None = None
-
-    def matches(self, files: Sequence[Any]) -> bool:
-        """Are ``files`` (one partition's fetch, in map order) this
-        plan's runs?"""
-        return len(files) == len(self.runs) and all(
-            f.map_id.index == m and f.keys is keys
-            for f, m, keys in zip(files, self.map_ids, self.runs)
-        )
-
-
-def reduce_plan(
-    runs: Sequence[tuple[int, SpillRun]], synthesized: np.ndarray | None = None
-) -> ReducePlan | None:
-    """The :class:`ReducePlan` of a keyblock fed by ``runs`` —
-    ``(map id, run)`` pairs in map order — that also owns the lexsorted
-    ``synthesized`` keys; ``None`` when a key repeats, within a run or
-    across maps, and the reduce must merge."""
-    fed = tuple(run.keys for _, run in runs)
-    parts = fed if synthesized is None else (*fed, synthesized)
-    if not parts or any(run.starts is not None for _, run in runs):
-        return None
-    keys, rows = np.concatenate(parts), None
-    if synthesized is not None:
-        order = np.lexsort(keys.T[::-1])
-        keys = keys[order]
-        rows = _read_only(np.argsort(order)[: len(keys) - len(synthesized)])
-        if (np.diff(rows) <= 0).any():  # the runs are not in key order
-            return None
-    if not lexsorted_rows(keys, strict=True):
-        return None
-    return ReducePlan(tuple(m for m, _ in runs), fed, _read_only(keys), rows)
-
-
-@dataclass(frozen=True)
 class ColumnarMapOutput:
     """Sorted columnar run for one (map task, keyblock).
 
@@ -491,13 +441,7 @@ class ColumnarMapOutput:
             raise ShuffleError(f"negative partition {self.partition}")
         if self.source_records < 0:
             raise ShuffleError("negative source record count")
-        keys = self.keys
-        # An int64 array stays the object it is: a planned run's keys
-        # are matched by identity (:meth:`ReducePlan.matches`), and
-        # ``asarray`` re-views an unpickled plan's arrays, whose dtype
-        # is an equal but distinct instance.
-        if not (isinstance(keys, np.ndarray) and keys.dtype == np.int64):
-            keys = np.asarray(keys, dtype=np.int64)
+        keys = np.asarray(self.keys, dtype=np.int64)
         if keys.ndim != 2:
             raise ShuffleError(f"columnar keys must be (n, rank), got {keys.shape}")
         counts = np.asarray(self.source_counts, dtype=np.int64)
@@ -540,8 +484,10 @@ class ColumnarMapOutput:
 
 class _PlannedRunOutput(ColumnarMapOutput):
     """A spill whose keys are a planned :class:`SpillRun`'s own array:
-    checked once, when its layout was made
-    (:meth:`SpillLayout.check_sorted`), not once per spill."""
+    distinct and in key order, checked once, when its layout was made
+    (:meth:`SpillLayout.check_sorted`), not once per spill.  A reduce
+    whose fetch is such spills, increasing across every seam, has
+    nothing to merge (:func:`run_columnar_reduce`)."""
 
     _checked = True
 
@@ -1073,13 +1019,31 @@ def synthesized_keys(job: Any, partition: int | None) -> np.ndarray | None:
     return None if pruning is None else pruning.synth_keys.get(partition)
 
 
-def _planned(job: Any, partition: int | None, files: list[Any]) -> ReducePlan | None:
-    """Keyblock ``partition``'s :class:`ReducePlan`, when ``files`` are its runs."""
-    lookup = getattr(job, "context", {}).get("reduce_plan")
-    if partition is None or lookup is None:
+def _in_key_order(files: list[Any]) -> bool:
+    """Are ``files``, laid end to end, distinct keys in key order?  So
+    they are when each is a planned run (:class:`_PlannedRunOutput`)
+    and every seam increases — :meth:`ResultBlock.concatenate`'s seam
+    rule, strict."""
+    return all(isinstance(f, _PlannedRunOutput) for f in files) and all(
+        a.keys[-1].tolist() < b.keys[0].tolist() for a, b in zip(files, files[1:])
+    )
+
+
+def _fetched_rows(job: Any, files: list[Any], synth: np.ndarray) -> np.ndarray | None:
+    """Which rows of ``files``' keys (distinct, in key order) and the
+    synthesized keys, merged in key order, are fetched ones: a mask
+    placed by one ``searchsorted`` of their row-major positions in
+    K'_T; ``None`` when a synthesized key was fetched too."""
+    space = job.context["sidr_plan"].partition.space
+    fetched = np.concatenate([f.keys for f in files])
+    pos = np.ravel_multi_index(tuple(fetched.T), space)
+    spos = np.ravel_multi_index(tuple(synth.T), space)
+    at = np.searchsorted(pos, spos)
+    if (pos[np.minimum(at, len(pos) - 1)] == spos).any():
         return None
-    plan = lookup(partition)
-    return plan if plan is not None and plan.matches(files) else None
+    rows = np.ones(len(pos) + len(spos), dtype=bool)
+    rows[at + np.arange(len(at))] = False
+    return rows
 
 
 def run_columnar_reduce(
@@ -1094,30 +1058,27 @@ def run_columnar_reduce(
     """Columnar reduce-task body (concatenate → lexsort → fold → finalize).
 
     ``files`` are the partition's (``task``'s) fetched columnar spill
-    files in map order.  When they are exactly the runs of the
-    keyblock's :class:`ReducePlan` (``job.context["reduce_plan"]``),
-    every key arrives once and already in order: the body is
-    *concatenate → finalize* on the plan's key grid, a synthesized
-    key's row empty, and counts ``reduce.planned``.  Otherwise the
-    synthesized keys enter first, as the operator's map of zero cells;
-    one stable lexsort over the concatenated key columns replaces the
-    heap merge (ties keep input order, matching ``heapq.merge``),
-    same-key groups combine with one segmented fold per state column,
-    and one ``finalize_columns`` call turns the combined columns into
-    the keyblock's output; that counts ``reduce.generic``.  Both give
-    the same block.  Nothing here runs once per key, so the
+    files in map order; the fetch itself chooses the body.  When every
+    file is a planned run and every seam between them increases
+    (:func:`_in_key_order`), each key arrives once and already in order:
+    the body is *concatenate → finalize*, and counts ``reduce.planned``.
+    The keyblock's synthesized keys join it as empty rows, placed by one
+    ``searchsorted`` (:func:`_fetched_rows`); a keyblock fetching
+    nothing is its synthesized keys.  Any other fetch merges, and so
+    does one that fetched a synthesized key: the synthesized keys enter
+    first, as the operator's map of zero cells; one stable lexsort over
+    the concatenated key columns replaces the heap merge (ties keep
+    input order, matching ``heapq.merge``), same-key groups combine
+    with one segmented fold per state column, and one
+    ``finalize_columns`` call turns the combined columns into the
+    keyblock's output; that counts ``reduce.generic``.  Both give the
+    same block.  Nothing here runs once per key, so the
     cancellation/liveness checkpoint is task-granular, like the map
     side's per-batch one.
     """
     bop: BatchOperator = job.batch_operator
     partition = task[1] if task else files[0].partition if files else None
-    plan = _planned(job, partition, files)
-    inputs = [(f.keys, f.states, f.source_counts) for f in files]
     synth = synthesized_keys(job, partition)
-    if synth is not None and (plan is None or not files):
-        n = len(synth)
-        identity = bop.map_batch(np.empty((n, 0)))
-        inputs.insert(0, (synth, identity, np.zeros(n, dtype=np.int64)))
     block = ResultBlock.empty()
     sizes: np.ndarray | None = None
     tally: dict[str, int] = {}
@@ -1125,26 +1086,39 @@ def run_columnar_reduce(
         with obs.phase("reduce.reduce", task):
             if cancel is not None:
                 cancel.check()
+            inputs = [(f.keys, f.states, f.source_counts) for f in files]
+            ordered = _in_key_order(files)
+            rows = None
+            if synth is not None and files and ordered:
+                rows = _fetched_rows(job, files, synth)
+                ordered = rows is not None
+            if synth is not None and rows is None:
+                n = len(synth)
+                identity = bop.map_batch(np.empty((n, 0)))
+                inputs.insert(0, (synth, identity, np.zeros(n, dtype=np.int64)))
             if inputs:
                 keys, states, counts = zip(*inputs)
+                grid = np.concatenate(keys)
                 cols = tuple([np.concatenate(c) for c in zip(*states)])
                 count = np.concatenate(counts)
-            if plan is not None:
-                size = len(plan.keys)
-                if plan.rows is not None and files:
-                    # Ragged lengths and counts scatter; no value moves.
-                    lengths = np.zeros((len(cols) + 1, size), dtype=np.int64)
-                    lengths[:, plan.rows] = [c.lengths for c in cols] + [count]
+            if inputs and ordered:
+                if rows is not None:
+                    # Only a ragged operator synthesizes keys: their
+                    # rows are empty, so the fetched rows' lengths and
+                    # counts scatter and no value moves.
+                    merged = np.empty((rows.size, grid.shape[1]), dtype=np.int64)
+                    merged[rows], merged[~rows] = grid, synth
+                    lengths = np.zeros((len(cols) + 1, rows.size), dtype=np.int64)
+                    lengths[:, rows] = [c.lengths for c in cols] + [count]
+                    grid, count = merged, lengths[-1]
                     cols = tuple(
-                        Ragged(c.values, ln) for c, ln in zip(cols, lengths)
+                        [Ragged(c.values, ln) for c, ln in zip(cols, lengths)]
                     )
-                    count = lengths[-1]
-                sizes = np.ones(size, dtype=np.int64)
-                block = ResultBlock(plan.keys, bop.finalize_columns(cols, count))
+                sizes = np.ones(len(grid), dtype=np.int64)
+                block = ResultBlock(grid, bop.finalize_columns(cols, count))
                 tally["reduce.planned"] = 1
             elif inputs:
                 tally["reduce.generic"] = 1
-                grid = np.concatenate(keys)
                 order = np.lexsort(grid.T[::-1])
                 grid = grid[order]
                 cols = tuple([c[order] for c in cols])

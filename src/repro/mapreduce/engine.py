@@ -156,7 +156,7 @@ class Part(NamedTuple):
     <repro.sidr.planner.SIDRPlan.parts>`): a contiguous range of its
     reduces and every map they read, which no other part's reduces
     read.  Indices are the job's own, so a part runs its tasks under
-    the names fault rules, barriers and reduce plans already use."""
+    the names fault rules and barriers already use."""
 
     #: Position among the job's parts, in keyblock order.
     index: int

@@ -23,11 +23,12 @@ split's map geometry (key grid, spill layout) computed, its arrays
 read-only — so a hit skips that work too.
 
 Because plans carry those arrays, the cache is bounded twice: at most
-``capacity`` entries and at most :data:`MAX_BYTES` of geometry
-(:attr:`SIDRPlan.nbytes`, taken once at insert); past either, the
-least recently used plans go.  A plan larger than the whole byte
-budget is still returned to the job that built it, just not kept: the
-cache refuses it and evicts nothing for it.
+``capacity`` entries and at most :data:`MAX_BYTES` of plan arrays
+(:attr:`SIDRPlan.nbytes`, every array the plan pickles, taken once at
+insert); past either, the least recently used plans go.  A plan
+larger than the whole byte budget is still returned to the job that
+built it, just not kept: the cache refuses it and evicts nothing for
+it.
 
 Each engine process keeps what the service sends it — plans, and an
 array session's data under the plan key ``""`` — in a cache of its own

@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.arrays.slab import Slab
 from repro.errors import FormatError, JobConfigError, PartitionError
-from repro.mapreduce.columnar import ReducePlan, reduce_plan
 from repro.mapreduce.engine import DependencyBarrier, Part
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
@@ -72,8 +71,6 @@ class SIDRPlan:
     def __post_init__(self) -> None:
         #: Split index -> its :class:`MapGeometry`, filled on first use.
         object.__setattr__(self, "_geometry", {})
-        #: Keyblock -> its :class:`ReducePlan` or None, filled on first use.
-        object.__setattr__(self, "_reduce", {})
         #: Part count asked for -> :meth:`parts`' answer, filled on first use.
         object.__setattr__(self, "_parts", {})
 
@@ -118,41 +115,21 @@ class SIDRPlan:
                 self._geometry[i] = geometry
         return geometry
 
-    def reduce_plan(self, block: int) -> ReducePlan | None:
-        """Keyblock ``block``'s :class:`ReducePlan` — the maps of I_l in
-        order, each one's spill run, and the keyblock's whole key grid:
-        their keys and its synthesized ones, in key order — computed on
-        first use and kept; ``None`` when a key repeats (within a run or
-        across maps), so its reduce must merge."""
-        if block in self._reduce:
-            return self._reduce[block]
-        runs = [
-            (m, run)
-            for m in sorted(self.deps.dependencies[block])
-            for run in self.map_geometry(self.splits[m]).layout.runs
-            if run.partition == block
-        ]
-        synth = None if self.pruning is None else self.pruning.synth_keys.get(block)
-        plan = self._reduce[block] = reduce_plan(runs, synth)
-        return plan
-
     def with_map_geometry(self) -> "SIDRPlan":
-        """This plan with every split's map geometry and every
-        keyblock's reduce plan computed: complete, so it can be cached,
-        shared and sized (:attr:`nbytes`)."""
+        """This plan with every split's map geometry computed: complete,
+        so it can be cached, shared and sized (:attr:`nbytes`)."""
         for split in self.splits:
             self.map_geometry(split)
-        for block in range(self.num_reduce_tasks):
-            self.reduce_plan(block)
         return self
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the map geometry and keyblock key grids this plan
-        holds."""
+        """Bytes of every array this plan pickles: its map geometry,
+        views included (pickling copies each), and its synthesized
+        keys."""
+        synth = () if self.pruning is None else self.pruning.synth_keys.values()
         return sum(g.nbytes for g in list(self._geometry.values())) + sum(
-            a.nbytes for p in list(self._reduce.values()) if p is not None
-            for a in (p.keys, p.rows) if a is not None
+            keys.nbytes for keys in synth
         )
 
     # ------------------------------------------------------------------ #
@@ -285,8 +262,6 @@ class SIDRPlan:
         job.context["reduce_start_validator"] = self.validator()
         # The engine reads the pruning decision off the plan too.
         job.context["sidr_plan"] = self
-        if columnar:
-            job.context["reduce_plan"] = self.reduce_plan
         return job, self.barrier
 
 

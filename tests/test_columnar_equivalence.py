@@ -118,7 +118,7 @@ def temp32():
 
 def _served_job(plan, data, reduces=3):
     """``plan``'s job as the service builds it: aligned splits, every
-    map's geometry and keyblock's reduce plan computed up front."""
+    map's geometry computed up front."""
     splits = aligned_slice_splits(plan, num_splits=4)
     return build_plan(plan, splits, reduces).with_map_geometry().configure_job(data)
 
@@ -277,8 +277,8 @@ class TestColumnarFaultTolerance:
         """A corrupted columnar spill must fail the attempt and the retry
         must supersede it, leaving clean-record-plane output — on sliced
         splits, and on a served plan (aligned splits, every map's
-        geometry and keyblock's reduce plan precomputed), whose reversed
-        run is not the plan's array and so is checked like any spill."""
+        geometry precomputed), whose torn planned run fails the attempt
+        before anything is spilled."""
         field, data = temp32
         plan = _plan(field, (7, 5, 2), MeanOp())
         oracle, _ = _records(plan, data, MeanOp(), data_plane="record")

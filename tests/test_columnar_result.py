@@ -33,6 +33,8 @@ from repro.mapreduce.columnar import (
     ExceedsColumn,
     Ragged,
     ResultBlock,
+    _PlannedRunOutput,
+    lexsorted_rows,
     run_columnar_map,
     run_columnar_reduce,
 )
@@ -630,9 +632,10 @@ class TestSynthesizedKeys:
     with identity state.  Twelve one-instance splits, two of them hot:
     keyblock 0 holds a map's keys between synthesized ones, keyblock 1
     is all synthesized and fetches no file, keyblock 2 is like 0.  The
-    planned columnar body, the generic one (``reduce_plan`` withheld)
-    and the record plane reduce every keyblock to the oracle's bytes,
-    each synthesized key to its own ``[]`` on every attempt."""
+    ordered columnar body, the generic one (maps without the plan's
+    geometry spill plain files) and the record plane reduce every
+    keyblock to the oracle's bytes, each synthesized key to its own
+    ``[]`` on every attempt."""
 
     @staticmethod
     def _plan():
@@ -644,19 +647,34 @@ class TestSynthesizedKeys:
         plan = build_plan(qplan, splits, 3, zone_map=zone_map)
         return qplan, data, plan.with_map_geometry()
 
-    def test_the_plan_places_them_in_its_key_grid(self):
-        _, _, plan = self._plan()
+    def test_the_ordered_body_places_them_in_key_order(self):
+        """Each keyblock takes the ordered body: a mixed one's
+        synthesized keys land before and after its one map's keys, an
+        all-synthesized one is its synthesized keys."""
+        _, data, plan = self._plan()
         assert plan.pruning.empty_blocks == {1}
-        for block in (0, 2):
-            rp = plan.reduce_plan(block)
+        job, _ = plan.configure_job(data)
+        store = ShuffleStore(persist=True)
+        obs = JobObservability(job.name, enabled=False)
+        for m in range(len(plan.splits)):
+            run_columnar_map(job, m, store, Counters(), obs, None)
+        for block in range(plan.num_reduce_tasks):
+            files = [
+                f for m in sorted(plan.deps.dependencies[block])
+                if (f := store.fetch(m, block)) is not None
+            ]
+            out, paths = _paths_of(job, files, obs, block)
+            assert paths == (1, 0)
             synth = plan.pruning.synth_keys[block]
-            assert len(rp.runs) == 1 and len(rp.rows) == len(rp.runs[0])
-            assert 0 < rp.rows[0] and rp.rows[-1] < len(rp.keys) - 1
-            assert len(rp.keys) == len(rp.rows) + len(synth)
-            assert (rp.keys[rp.rows] == rp.runs[0]).all()
-        empty = plan.reduce_plan(1)
-        assert empty.runs == () and empty.rows.size == 0
-        assert (empty.keys == plan.pruning.synth_keys[1]).all()
+            if block == 1:
+                assert files == [] and (out.key_rows == synth).all()
+                continue
+            (fetched,) = files
+            rows = [out.key_rows.tolist().index(k) for k in fetched.keys.tolist()]
+            assert 0 < rows[0] and rows[-1] < len(out) - 1
+            assert rows == list(range(rows[0], rows[0] + len(rows)))
+            assert len(out) == len(rows) + len(synth)
+            assert lexsorted_rows(out.key_rows, strict=True)
 
     @pytest.mark.parametrize("body", ["planned", "generic", "record"])
     def test_every_body_reduces_them(self, body):
@@ -664,7 +682,7 @@ class TestSynthesizedKeys:
         record = body == "record"
         job, _ = plan.configure_job(data, data_plane="record" if record else "columnar")
         if body == "generic":
-            del job.context["reduce_plan"]
+            job.reader_factory = make_columnar_reader_factory(data, qplan)
         store = ShuffleStore(persist=True)
         obs = JobObservability(job.name, enabled=False)
         for m in range(len(plan.splits)):
@@ -699,7 +717,9 @@ class TestSynthesizedKeys:
         fetched = 2 * (len(records) - len(synth))
         assert counters.get("reduce.input.records") == fetched
         paths = tuple(counters.get(name) for name in PATHS)
-        assert paths == {"planned": (6, 0), "generic": (0, 6), "record": (0, 0)}[body]
+        # Keyblock 1 fetches nothing: its synthesized keys are in order
+        # whatever the maps spill.
+        assert paths == {"planned": (6, 0), "generic": (2, 4), "record": (0, 0)}[body]
 
 
 # --------------------------------------------------------------------- #
@@ -1131,8 +1151,10 @@ def _matrix_data():
 def _matrix_jobs(case, operator, data):
     """``case``'s job for ``operator``, built twice: ``(job, barrier)``
     pairs that run the same maps and differ only in the reduce body the
-    fetch may take — the first as configured, the second with its
-    keyblocks' reduce plans withheld, so every reduce merges."""
+    fetch may take — the first as configured, the second with a reader
+    that has no planned geometry, so every spill is a plain
+    :class:`ColumnarMapOutput` and every reduce that fetches one
+    merges."""
     query = dict(extract=(4, 3, 2))
     splits, prune, hashed = aligned_slice_splits, False, False
     if case == "sliced":
@@ -1163,13 +1185,11 @@ def _matrix_jobs(case, operator, data):
             barrier = None
         elif case == "hand_built":
             op = qplan.operator
-            # The plan's splits, partitioner and map geometry, but not
-            # its job: nothing names the keyblocks' reduce plans.
+            # The plan's splits and partitioner, but not its map
+            # geometry: every spill is a plain ColumnarMapOutput.
             job = JobConf(
                 name="hand-built", splits=list(plan.splits),
-                reader_factory=make_columnar_reader_factory(
-                    data, qplan, plan.map_geometry
-                ),
+                reader_factory=make_columnar_reader_factory(data, qplan),
                 mapper_factory=lambda: ChunkAggregateMapper(op),
                 reducer_factory=lambda: AggregateReducer(op),
                 partitioner=plan.partitioner,
@@ -1179,9 +1199,9 @@ def _matrix_jobs(case, operator, data):
             )
             barrier = None
         if withheld:
-            job.context.pop("reduce_plan", None)
+            job.reader_factory = make_columnar_reader_factory(data, qplan)
         pairs.append((job, barrier))
-    return qplan, pairs
+    return plan, pairs
 
 
 def _observed(job, barrier):
@@ -1204,23 +1224,36 @@ MATRIX = [
 ]
 
 
+def _paths_of(job, files, obs, block=0):
+    """``run_columnar_reduce`` of keyblock ``block``'s fetch ``files``,
+    and the path counters it counted."""
+    counters = Counters()
+    out = run_columnar_reduce(job, files, counters, obs, ("reduce", block, 0))
+    return out, tuple(counters.get(name) for name in PATHS)
+
+
 class TestPlannedReduce:
     @pytest.mark.parametrize("case,operator", MATRIX)
     def test_planned_body_is_the_generic_body(self, case, operator):
         """Both reduce bodies, the same job: equal block bytes, equal
         counters and the same ``reduce.group.size`` histogram — the
-        planned body observes one group of one row per key — and only
-        the aligned plans' keyblocks take the planned body, a pruned
-        plan's with synthesized keys among them included."""
+        ordered body observes one group of one row per key — and only
+        the aligned plans' keyblocks take the ordered body, a pruned
+        plan's with synthesized keys among them included: sliced maps
+        share keys, and a hash partitioner or a hand-built job spills
+        plain files.  A keyblock that fetches nothing is its
+        synthesized keys, in order whatever the maps spill."""
         data = _matrix_data()
-        qplan, (configured, withheld) = _matrix_jobs(case, operator, data)
+        plan, (configured, withheld) = _matrix_jobs(case, operator, data)
+        qplan = plan.query_plan
+        unfetched = len(plan.pruning.empty_blocks) if plan.pruning else 0
         block, counters, sizes, (planned, generic) = _observed(*configured)
         again, generic_counters, generic_sizes, paths = _observed(*withheld)
         want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
         assert block == again == want
         assert counters == generic_counters
         assert sizes == generic_sizes
-        assert paths == (0, planned + generic)
+        assert paths == (unfetched, planned + generic - unfetched)
         if case in ("aligned", "pruned"):
             assert (planned, generic) == (3, 0)
             groups = counters["reduce.input.groups"]
@@ -1261,11 +1294,11 @@ class TestPlannedReduce:
         assert block.to_bytes() == full.all_records().to_bytes() == want
 
     def test_a_fetch_that_is_not_the_plans_merges(self):
-        """The planned body runs only on exactly the plan's runs: a
-        keyblock's fetch missing a map, one map's spill replaced by an
-        unplanned one with the same keys or by an empty one, takes the
-        generic body — and it and the planned body agree on what they
-        share."""
+        """The fetch chooses the body.  Planned runs whose seams
+        increase — a keyblock's whole fetch, or its fetch missing a map
+        — take the ordered body; the same runs out of map order, one
+        map's spill replaced by a plain one with the same keys or by an
+        empty one, merge — and every body agrees on what it shares."""
         data = _matrix_data()
         qplan = _compile(data.shape, (4, 3, 2))
         plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=5), 2)
@@ -1276,27 +1309,27 @@ class TestPlannedReduce:
             run_columnar_map(job, m, store, Counters(), obs, None)
         maps = sorted(plan.deps.dependencies[0])
         files = [store.fetch(m, 0) for m in maps]
-        assert len(files) > 1 and plan.reduce_plan(0).matches(files)
+        assert len(files) > 1
+        assert all(isinstance(f, _PlannedRunOutput) for f in files)
 
-        def reduce(files):
-            counters = Counters()
-            block = run_columnar_reduce(job, files, counters, obs, None)
-            return block, tuple(counters.get(name) for name in PATHS)
-
-        whole, paths = reduce(files)
+        whole, paths = _paths_of(job, files, obs)
         assert paths == (1, 0)
         first = len(files[0].keys)
-        # A missing spill: the rest merge, and equal the plan's tail.
-        tail, paths = reduce(files[1:])
-        assert paths == (0, 1)
+        # A missing spill: the rest are still in key order.
+        tail, paths = _paths_of(job, files[1:], obs)
+        assert paths == (1, 0)
         assert tail.to_bytes() == whole[first:].to_bytes()
-        # The same rows under keys that are not the run's own array.
+        # The same runs out of map order: a seam decreases.
+        swapped, paths = _paths_of(job, files[::-1], obs)
+        assert paths == (0, 1)
+        assert swapped.to_bytes() == whole.to_bytes()
+        # The same rows as a plain spill.
         f = files[0]
         copied = ColumnarMapOutput(
             f.map_id, f.partition, f.keys.copy(), f.states, f.source_counts,
             f.source_records,
         )
-        same, paths = reduce([copied, *files[1:]])
+        same, paths = _paths_of(job, [copied, *files[1:]], obs)
         assert paths == (0, 1)
         assert same.to_bytes() == whole.to_bytes()
         # An empty spill in a map's place, and no fetch at all.
@@ -1304,11 +1337,67 @@ class TestPlannedReduce:
             f.map_id, f.partition, f.keys[:0],
             tuple(c[:0] for c in f.states), f.source_counts[:0], 0,
         )
-        tail_again, paths = reduce([empty, *files[1:]])
+        tail_again, paths = _paths_of(job, [empty, *files[1:]], obs)
         assert paths == (0, 1)
         assert tail_again.to_bytes() == tail.to_bytes()
-        nothing, paths = reduce([])
+        nothing, paths = _paths_of(job, [], obs)
         assert len(nothing) == 0 and paths == (0, 0)
+
+    def test_seams_that_do_not_increase_merge(self):
+        """Sliced splits cut instances, so neighbouring maps share keys:
+        every keyblock's fetch is planned runs with a seam that does not
+        increase, and its reduce merges, to the oracle's bytes."""
+        data = _matrix_data()
+        qplan = _compile(data.shape, (4, 3, 2))
+        plan = build_plan(qplan, slice_splits(qplan, num_splits=8), 3)
+        job, _ = plan.configure_job(data)
+        store = ShuffleStore(persist=True)
+        obs = JobObservability(job.name, enabled=False)
+        for m in range(len(plan.splits)):
+            run_columnar_map(job, m, store, Counters(), obs, None)
+        records = []
+        for block in range(plan.num_reduce_tasks):
+            files = [store.fetch(m, block) for m in sorted(plan.deps.dependencies[block])]
+            assert all(isinstance(f, _PlannedRunOutput) for f in files)
+            assert any(
+                a.keys[-1].tolist() >= b.keys[0].tolist()
+                for a, b in zip(files, files[1:])
+            )
+            out, paths = _paths_of(job, files, obs, block)
+            assert paths == (0, 1)
+            records += out
+        want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
+        assert ResultBlock.from_records(records).to_bytes() == want
+
+    def test_a_synthesized_key_that_is_also_fetched_merges(self):
+        """A mixed keyblock and an all-synthesized one take the ordered
+        body; a synthesized key that was also fetched (no plan makes
+        one) sends its keyblock to the merge, whose bytes are the
+        same."""
+        _, data, plan = TestSynthesizedKeys._plan()
+        job, _ = plan.configure_job(data)
+        store = ShuffleStore(persist=True)
+        obs = JobObservability(job.name, enabled=False)
+        for m in range(len(plan.splits)):
+            run_columnar_map(job, m, store, Counters(), obs, None)
+        fetches = [
+            [f for m in sorted(plan.deps.dependencies[b])
+             if (f := store.fetch(m, b)) is not None]
+            for b in range(plan.num_reduce_tasks)
+        ]
+        assert [len(files) for files in fetches] == [1, 0, 1]
+        ordered = [_paths_of(job, files, obs, b) for b, files in enumerate(fetches)]
+        assert [paths for _, paths in ordered] == [(1, 0)] * 3
+        synth = plan.pruning.synth_keys[0]
+        both = np.concatenate([synth, fetches[0][0].keys[:1]])
+        both = both[np.lexsort(both.T[::-1])]
+        job.context["sidr_plan"] = SimpleNamespace(
+            partition=plan.partition,
+            pruning=SimpleNamespace(synth_keys={0: both}),
+        )
+        merged, paths = _paths_of(job, fetches[0], obs)
+        assert paths == (0, 1)
+        assert merged.to_bytes() == ordered[0][0].to_bytes()
 
     def test_a_spill_of_a_planned_run_is_not_rescanned(self, monkeypatch):
         """The layout's runs are checked once, where the geometry is
