@@ -9,10 +9,14 @@ process, on the e2e harness's seeded datasets
   splits, zone-map pruning, partition+, dependencies, expected counts,
   every split's map geometry), what a queue worker thread of the server
   runs on a plan-cache miss, for each served class, for ``grid_filter``
-  (``filter_gt`` over ``(7, 5, 2)`` on ``grid_mid``) and for
+  (``filter_gt`` over ``(7, 5, 2)`` on ``grid_mid``), for ``grid_fine``
+  (``mean`` over ``(1, 2, 2)`` on ``grid_mid``: 1 310 400 keys) and for
   ``threshold_sweep`` (``ragged_filter`` with a fresh threshold per
   build: the threshold is part of the plan key, so each new one is a
   miss);
+* ``plan bytes`` — what each case's last plan pickles to: what it costs
+  the plan cache and every engine process it is sent to.  Over
+  :data:`MAX_PLAN_BYTES` for ``grid_fine`` the run exits non-zero;
 * ``configure`` — p50 of ``configure_job`` of a cached
   ``keep_partial_instances`` ``(7, 5, 2)`` mean plan on ``grid_mid``,
   what every served job of a cached plan runs.
@@ -40,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import statistics
 import sys
 import tempfile
@@ -65,7 +70,11 @@ from repro.sidr.planner import SIDRPlan, build_plan  # noqa: E402
 GRID_FILTER = dict(
     dataset="grid_mid", operator="filter_gt", extract=(7, 5, 2), threshold=95
 )
+GRID_FINE = dict(dataset="grid_mid", operator="mean", extract=(1, 2, 2))
 SWEEP = "threshold_sweep"
+#: ``grid_fine``'s plan pickles to at most this many bytes (it was
+#: 94 367 025 while a plan held each split's keys and spill layout).
+MAX_PLAN_BYTES = 1 << 20
 
 
 def sweep_threshold(i: int) -> float:
@@ -190,9 +199,11 @@ def main(argv: list[str] | None = None) -> int:
         }
         requests = {cls: inputs.request(cls) for cls in CLASSES}
         requests["grid_filter"] = QueryRequest(**GRID_FILTER, **COMMON)
+        requests["grid_fine"] = QueryRequest(**GRID_FINE, **COMMON)
         cases = [*requests, SWEEP]
         build_ms: dict[str, list[float]] = {name: [] for name in cases}
         pruned: dict[str, list[int]] = {name: [] for name in cases}
+        plan_bytes: dict[str, int] = {}
         try:
             for i in range(args.runs):
                 for name in cases if i % 2 == 0 else cases[::-1]:
@@ -210,6 +221,7 @@ def main(argv: list[str] | None = None) -> int:
                     pruned[name].append(
                         plan.pruning.num_pruned if plan.pruning else 0
                     )
+                    plan_bytes[name] = len(pickle.dumps(plan))
                     if req.dataset == "grid_small" and (name == SWEEP or i == 0):
                         check(f"{name} run {i}", plan)
             configure_ms = time_configure(sessions["grid_mid"], args.runs)
@@ -221,17 +233,19 @@ def main(argv: list[str] | None = None) -> int:
     print(f"seed {args.seed}, {args.runs} cold builds per case, "
           f"cpu_count {os.cpu_count()}, Python {sys.version.split()[0]}")
     print(f"  {'case':16s} {'build p50':>10s} {'min':>9s} {'max':>9s} "
-          f"{'pruned':>7s}")
+          f"{'pruned':>7s} {'plan bytes':>11s}")
     report = {}
     for name in cases:
         times = build_ms[name]
         p50 = statistics.median(times)
         print(f"  {name:16s} {p50:8.2f}ms {min(times):7.2f}ms "
-              f"{max(times):7.2f}ms {statistics.median(pruned[name]):7.1f}")
+              f"{max(times):7.2f}ms {statistics.median(pruned[name]):7.1f} "
+              f"{plan_bytes[name]:11d}")
         report[name] = {
             "build_p50_ms": round(p50, 3),
             "build_ms": [round(t, 3) for t in times],
             "splits_pruned": pruned[name],
+            "plan_bytes": plan_bytes[name],
         }
     p50 = statistics.median(configure_ms)
     print(f"  configure_job of a cached keep_partial_instances plan on "
@@ -247,6 +261,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump({"seed": args.seed, "cases": report}, fh, indent=1)
+    if plan_bytes["grid_fine"] > MAX_PLAN_BYTES:
+        print(f"grid_fine's plan pickles to {plan_bytes['grid_fine']} bytes, "
+              f"over {MAX_PLAN_BYTES}", file=sys.stderr)
+        return 1
     return 0
 
 

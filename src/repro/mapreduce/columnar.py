@@ -8,41 +8,45 @@ the whole data plane can run as numpy array operations instead.  This
 module is the engine half of that plane:
 
 * :class:`ChunkBatch` — the one item type a columnar record reader
-  emits: ``(n, rank)`` int64 keys plus an ``(n, cells)`` value block,
-  one row per extraction-shape instance piece present in this split's
-  slab (``n`` is 1 for pieces whose geometry is their own).
+  emits: ``(n,)`` int64 keys plus an ``(n, cells)`` value block, one
+  row per extraction-shape instance piece present in this split's slab
+  (``n`` is 1 for pieces whose geometry is their own).  A key is its
+  row-major index in K'_T, and the batch carries K'_T's shape: SIDR's
+  keys are arithmetic (Area 2's ``k' = k ÷ e``, Area 3's contiguous
+  row-major keyblocks), so one integer column sorts, cuts and merges
+  where ``(n, rank)`` coordinate rows needed a lexsort.
 * :class:`Ragged` — a state column whose rows differ in length: flat
   float64 values plus per-row lengths, which every stage below slices,
   permutes and concatenates like a numeric column.
 * :class:`ColumnarMapOutput` — the spill-file variant whose records live
-  as parallel arrays: lexsorted keys, one array per operator state
-  column, and the per-row §3.2.1 source counts.  It is duck-compatible
+  as parallel arrays: sorted linear keys, one array per operator state
+  column, and the per-row §3.2.1 source counts.  Every spill checks its
+  key order where it is made: one comparison.  It is duck-compatible
   with :class:`~repro.mapreduce.shuffle.MapOutputFile` (``map_id`` /
   ``partition`` / ``num_records`` / ``source_records``), so the
   attempt-aware :class:`~repro.mapreduce.shuffle.ShuffleStore` —
   supersede-on-respill, consume-on-fetch, missing-input tracking — works
   unchanged in both planes.
 * :class:`ResultBlock` — what a columnar reduce returns: one
-  keyblock's finalized output as lexsorted ``(n, rank)`` int64 keys plus
+  keyblock's finalized output as lexsorted ``(n, rank)`` int64 keys
+  (its linear keys unravelled, once per keyblock) plus
   a value column — float64, int64, :class:`Ragged` rows or an
   :class:`ExceedsColumn` — with one binary byte form.  It is a
   read-only ``Sequence`` of ``(key, value)`` records, so every consumer of a reduce's record list keeps working,
   but records exist as Python objects only once somebody indexes or
   iterates; the service, the verifier and the dense output writer read
   the arrays.
-* :class:`SpillLayout` / :func:`spill_layout` — where a map's rows go:
-  one ``partition_many``, one stable ``np.lexsort`` by (partition, key),
-  and each partition's cut, group starts and keys.  It depends on the
-  keys alone, so a planned split computes it once and keeps it
-  (:func:`repro.query.columnar.map_geometry`).
 * :func:`run_columnar_map` / :func:`run_columnar_reduce` — the task
   bodies the engine dispatches to when the job carries a
-  ``JobConf.batch_operator``.  A map permutes its state columns by the
-  layout (if at all) and slices them at its cuts.  A reduce reads its
-  key order from its fetch: planned runs whose seams increase are
-  already the keyblock's output order (SIDR's keyblocks are contiguous
-  row-major ranges of K'_T), so it concatenates and finalizes; any
-  other fetch merges, same-key merging a segmented fold instead of
+  ``JobConf.batch_operator``.  A map partitions its keys
+  (``Partitioner.partition_indices``), sorts its rows by (partition,
+  key) only when they do not arrive in that order, cuts each partition
+  with one ``searchsorted`` and combines only where a key repeats.  A
+  reduce reads its key order from its fetch: when the fetched keys,
+  laid end to end, strictly increase, they are already the keyblock's
+  output order (SIDR's keyblocks are contiguous row-major ranges of
+  K'_T), so it concatenates and finalizes; any other fetch merges with
+  one stable ``argsort``, same-key merging a segmented fold instead of
   ``group_sorted``'s per-record loop.
 
 The operator arithmetic itself lives behind the :class:`BatchOperator`
@@ -117,20 +121,22 @@ class BatchOperator(Protocol):
 class ChunkBatch:
     """A batch of whole extraction-shape instances from one split slab.
 
-    ``keys[i]`` is the K' coordinate of instance ``i``; ``values[i]`` is
-    its cells flattened in C order — the same order the record plane's
-    per-instance slice-and-flatten produces.  All rows carry the same
-    cell count, so the §3.2.1 source count per row is ``values.shape[1]``.
+    ``keys[i]`` is instance ``i``'s K' key as its row-major index in
+    ``space`` (K'_T); ``values[i]`` is its cells flattened in C order —
+    the same order the record plane's per-instance slice-and-flatten
+    produces.  All rows carry the same cell count, so the §3.2.1 source
+    count per row is ``values.shape[1]``.
     """
 
     keys: np.ndarray
     values: np.ndarray
+    space: tuple[int, ...]
 
     def __post_init__(self) -> None:
         keys = np.asarray(self.keys, dtype=np.int64)
         values = np.asarray(self.values)
-        if keys.ndim != 2:
-            raise ShuffleError(f"batch keys must be (n, rank), got {keys.shape}")
+        if keys.ndim != 1:
+            raise ShuffleError(f"batch keys must be (n,), got {keys.shape}")
         if values.ndim != 2:
             raise ShuffleError(f"batch values must be (n, cells), got {values.shape}")
         if keys.shape[0] != values.shape[0]:
@@ -139,6 +145,7 @@ class ChunkBatch:
             )
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "space", tuple(self.space))
 
     @property
     def num_instances(self) -> int:
@@ -149,18 +156,15 @@ class ChunkBatch:
         return self.values.shape[1]
 
 
-def lexsorted_rows(keys: np.ndarray, *, strict: bool = False) -> bool:
+def lexsorted_rows(keys: np.ndarray) -> bool:
     """True when the rows of an ``(n, rank)`` array are in non-descending
     lexicographic order — the vectorized counterpart of the record
-    plane's adjacent-pair key scan; ``strict``: increasing, no row
-    repeated."""
+    plane's adjacent-pair key scan."""
     if keys.shape[0] < 2:
         return True
     a, b = keys[:-1], keys[1:]
     neq = a != b
     rows = np.flatnonzero(neq.any(axis=1))
-    if strict and rows.size < a.shape[0]:
-        return False
     if rows.size == 0:
         return True
     first = neq[rows].argmax(axis=1)
@@ -168,17 +172,20 @@ def lexsorted_rows(keys: np.ndarray, *, strict: bool = False) -> bool:
 
 
 def group_starts(keys: np.ndarray) -> np.ndarray:
-    """Start offsets of each equal-key run in a lexsorted key array."""
-    n = keys.shape[0]
-    if n == 0:
+    """Start offsets of each equal-key run in a sorted 1-D key array."""
+    if keys.size == 0:
         return np.empty(0, dtype=np.int64)
-    change = np.any(keys[1:] != keys[:-1], axis=1)
-    return np.flatnonzero(np.concatenate(([True], change))).astype(np.int64)
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+def unravel_keys(keys: np.ndarray, space: tuple[int, ...]) -> np.ndarray:
+    """``(n, rank)`` int64 coordinates of row-major indices into
+    ``space``, C-ordered: blocks are laid end to end and serialized by
+    row."""
+    rows = np.empty((keys.size, len(space)), dtype=np.int64)
+    for d, column in enumerate(np.unravel_index(keys, space)):
+        rows[:, d] = column
+    return rows
 
 
 class _FieldColumn:
@@ -317,124 +324,26 @@ class ExceedsColumn(_FieldColumn):
 
 
 @dataclass(frozen=True)
-class SpillRun:
-    """One partition's rows, ``[start, end)`` of a map's spill order."""
-
-    partition: int
-    start: int
-    end: int
-    #: Offsets into the run where each equal-key group begins; ``None``
-    #: when no key repeats, so a combine has nothing to fold.
-    starts: np.ndarray | None
-    #: The run's distinct keys in order: a view of
-    #: :attr:`SpillLayout.keys` when no key repeats.
-    keys: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpillLayout:
-    """Where a map task's rows go: a pure function of their keys, the
-    partitioner and the reduce count (:func:`spill_layout`).
-
-    The spill sorts rows stably by ``(partition, key)`` — ``order``,
-    ``None`` when they arrive in that order — and cuts the sorted rows
-    into one :class:`SpillRun` per partition that receives any.  Every
-    array is read-only: a layout may be shared by every run of a plan.
-    """
-
-    partitioner: Any
-    num_partitions: int
-    order: np.ndarray | None
-    #: The rows' keys in spill order.
-    keys: np.ndarray
-    runs: tuple[SpillRun, ...]
-
-    def fits(self, partitioner: Any, num_partitions: int) -> bool:
-        """Was this layout cut for ``partitioner`` and this many reduces?"""
-        return (
-            partitioner is self.partitioner
-            and num_partitions == self.num_partitions
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of every array this layout holds, views included:
-        pickling copies each."""
-        arrays = [self.order, self.keys]
-        for run in self.runs:
-            arrays += [run.starts, run.keys]
-        return sum(a.nbytes for a in arrays if a is not None)
-
-    def check_sorted(self) -> None:
-        """Validate every run's lexsort invariant once, where the layout
-        is made: a spill whose keys are a run's own array is then not
-        rescanned (:class:`ColumnarMapOutput`)."""
-        for run in self.runs:
-            if not lexsorted_rows(run.keys, strict=True):
-                raise ShuffleError(f"spill layout run {run.partition} not sorted")
-
-
-def spill_layout(
-    keys: np.ndarray, partitioner: Any, num_partitions: int
-) -> SpillLayout:
-    """The :class:`SpillLayout` of map rows keyed ``keys`` (``(n, rank)``
-    int64, in reader order): one ``partition_many``, one stable
-    ``lexsort`` by ``(partition, key)``, and per partition its cut,
-    group starts and distinct keys.  A partition id outside
-    ``[0, num_partitions)`` is a :class:`ShuffleError` here, before
-    any row is spilled."""
-    n = keys.shape[0]
-    parts = partitioner.partition_many(keys, num_partitions)
-    if n and (int(parts.min()) < 0 or int(parts.max()) >= num_partitions):
-        raise ShuffleError(
-            f"partitioner returned out-of-range partition for "
-            f"{num_partitions} reduce tasks"
-        )
-    order: np.ndarray | None = np.lexsort(np.vstack([keys.T[::-1], parts]))
-    if (order == np.arange(n)).all():
-        # Shared with the caller, never written through.
-        order, keys = None, _read_only(keys.view())
-    else:
-        keys, parts = _read_only(keys[order]), parts[order]
-        _read_only(order)
-    cuts = np.flatnonzero(parts[1:] != parts[:-1]) + 1
-    bounds = [0, *cuts.tolist(), n] if n else []
-    runs = []
-    for start, end in zip(bounds, bounds[1:]):
-        run_keys = keys[start:end]
-        starts: np.ndarray | None = group_starts(run_keys)
-        if len(starts) == end - start:
-            starts = None
-        else:
-            run_keys = _read_only(run_keys[starts])
-            _read_only(starts)
-        runs.append(
-            SpillRun(int(parts[start]), start, end, starts, run_keys)
-        )
-    return SpillLayout(partitioner, num_partitions, order, keys, tuple(runs))
-
-
-@dataclass(frozen=True)
 class ColumnarMapOutput:
     """Sorted columnar run for one (map task, keyblock).
 
     The same contract as :class:`~repro.mapreduce.shuffle.MapOutputFile`
     — key-sorted records plus the §3.2.1 ``source_records`` annotation —
-    with records decomposed into parallel arrays: ``keys`` (lexsorted
-    ``(n, rank)`` int64), ``states`` (one array of length ``n`` per
-    operator state column), ``source_counts`` (``(n,)`` int64).
-    ``approx_serialized_bytes`` reads the buffers' ``nbytes`` instead of
-    walking Python objects (a :class:`Ragged` column's are its cells').
+    with records decomposed into parallel arrays: ``keys`` (``(n,)``
+    int64 row-major indices into ``space``, K'_T, non-descending),
+    ``states`` (one array of length ``n`` per operator state column),
+    ``source_counts`` (``(n,)`` int64).  ``approx_serialized_bytes``
+    reads the buffers' ``nbytes`` instead of walking Python objects (a
+    :class:`Ragged` column's are its cells').
     """
 
     map_id: MapTaskId
     partition: int
     keys: np.ndarray
+    space: tuple[int, ...]
     states: tuple[np.ndarray, ...] = field(repr=False)
     source_counts: np.ndarray = field(repr=False)
     source_records: int = 0
-    #: Keys already proven sorted where they were made: not rescanned.
-    _checked: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         if self.partition < 0:
@@ -442,8 +351,8 @@ class ColumnarMapOutput:
         if self.source_records < 0:
             raise ShuffleError("negative source record count")
         keys = np.asarray(self.keys, dtype=np.int64)
-        if keys.ndim != 2:
-            raise ShuffleError(f"columnar keys must be (n, rank), got {keys.shape}")
+        if keys.ndim != 1:
+            raise ShuffleError(f"columnar keys must be (n,), got {keys.shape}")
         counts = np.asarray(self.source_counts, dtype=np.int64)
         n = keys.shape[0]
         if counts.shape != (n,):
@@ -454,13 +363,17 @@ class ColumnarMapOutput:
             if len(col) != n:
                 raise ShuffleError("state column length mismatch")
         object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "space", tuple(self.space))
         object.__setattr__(self, "source_counts", counts)
-        if SPILL_CHECKS_ENABLED and not self._checked:
+        if SPILL_CHECKS_ENABLED:
             self.check_sorted()
 
     def check_sorted(self) -> None:
-        """Validate the lexsort invariant (same gate as MapOutputFile)."""
-        if not lexsorted_rows(self.keys):
+        """Validate the sort invariant (same gate as MapOutputFile):
+        keys non-descending, one comparison of the key column with
+        itself shifted by one."""
+        keys = self.keys
+        if not (keys[1:] >= keys[:-1]).all():
             raise ShuffleError(
                 f"map output file {self.map_id}/{self.partition} not sorted"
             )
@@ -471,25 +384,16 @@ class ColumnarMapOutput:
 
     @property
     def approx_serialized_bytes(self) -> int:
-        """Wire-size estimate: the parallel buffers are the payload,
-        and a ragged state column's is its rows' cells — the record
-        plane's estimate of the same records.  A few ``nbytes`` reads,
-        read once per fetch: not worth a cache."""
+        """Wire-size estimate: the parallel buffers are the payload —
+        each key at the width of the coordinates it serializes to — and
+        a ragged state column's is its rows' cells: the record plane's
+        estimate of the same records.  A few ``nbytes`` reads, read once
+        per fetch: not worth a cache."""
         return (
-            self.keys.nbytes
+            self.keys.nbytes * len(self.space)
             + sum(map(payload_nbytes, self.states))
             + self.source_counts.nbytes
         )
-
-
-class _PlannedRunOutput(ColumnarMapOutput):
-    """A spill whose keys are a planned :class:`SpillRun`'s own array:
-    distinct and in key order, checked once, when its layout was made
-    (:meth:`SpillLayout.check_sorted`), not once per spill.  A reduce
-    whose fetch is such spills, increasing across every seam, has
-    nothing to merge (:func:`run_columnar_reduce`)."""
-
-    _checked = True
 
 
 #: :meth:`ResultBlock.to_bytes` header, little-endian: magic, value tag,
@@ -506,6 +410,13 @@ VALUE_TAG_NAMES = {
 }
 #: The value column a result block holds.
 ValueColumn = np.ndarray | Ragged | ExceedsColumn
+
+
+def fixed_block_nbytes(rows: int, rank: int, value_bytes: int) -> int:
+    """Length of :meth:`ResultBlock.to_bytes` for ``rows`` keys of
+    ``rank`` and a value column of ``value_bytes`` per row: known before
+    any row exists."""
+    return _BLOCK_HEADER.size + rows * (rank * 8 + value_bytes)
 
 
 def _value_column(values: Any) -> ValueColumn:
@@ -881,29 +792,27 @@ def run_columnar_map(
 ) -> None:
     """Columnar map-task body (reader → batch partials → cut spill runs).
 
-    Every reader item is a :class:`ChunkBatch`.  Where the rows go is the
-    :class:`SpillLayout` of their keys: the reader's own when it carries
-    one cut for this job's partitioner (a planned split's geometry,
-    :func:`repro.query.columnar.map_geometry`), else
-    :func:`spill_layout` of the keys it emitted.  Either way the spill
-    permutes the state columns once (if at all), slices them at the
-    runs' cuts and combines only where a run's keys repeat.  Counter
-    semantics match the record plane record for record;
-    ``plane.batched.instances`` additionally counts the instances mapped
-    as batch rows — all of them, so it equals ``map.input.records``.
+    Every reader item is a :class:`ChunkBatch`.  The map's keys are
+    partitioned in one ``partition_indices`` call; its rows are sorted
+    by (partition, key) — two 1-D columns, one stable ``lexsort`` — only
+    when they do not arrive in that order, each partition's cut is one
+    ``searchsorted``, and a run is combined only where a key repeats
+    (``keys[1:] == keys[:-1]``).  A partition id outside ``[0,
+    num_partitions)`` is a :class:`ShuffleError` before any row is
+    spilled.  Counter semantics match the record plane record for
+    record; ``plane.batched.instances`` additionally counts the
+    instances mapped as batch rows — all of them, so it equals
+    ``map.input.records``.  Under ``corrupt`` (an injected torn spill)
+    the spill's rejection is re-raised as the
+    :class:`InjectedFaultError` it was.
     """
     bop: BatchOperator = job.batch_operator
     n = job.num_reduce_tasks
     reader = job.reader_factory(job.splits[split_index])
-    layout: SpillLayout | None = getattr(reader, "layout", None)
-    if layout is not None and not layout.fits(job.partitioner, n):
-        layout = None
-    # A reader's layout was checked where it was made: a spill carrying
-    # one of its runs' keys as they are is not rescanned.
-    planned = layout is not None
     key_parts: list[np.ndarray] = []
     col_parts: list[tuple[np.ndarray, ...]] = []
     count_parts: list[np.ndarray] = []
+    space: tuple[int, ...] = ()
     records_in = 0
     masked = 0
     # The attempt's tallies, added in one update, failed or not, as far
@@ -922,6 +831,7 @@ def run_columnar_map(
                     continue
                 records_in += rows
                 key_parts.append(item.keys)
+                space = item.space
                 values = item.values
                 cols = bop.map_batch(values)
                 col_parts.append(cols)
@@ -941,59 +851,85 @@ def run_columnar_map(
             if records_in:
                 if len(col_parts) == 1:
                     # One batch: its columns are the map's, uncopied.
-                    cols, counts = col_parts[0], count_parts[0]
+                    keys, cols, counts = key_parts[0], col_parts[0], count_parts[0]
                 else:
+                    keys = np.concatenate(key_parts)
                     cols = tuple([np.concatenate(c) for c in zip(*col_parts)])
                     counts = np.concatenate(count_parts)
-                if layout is None:
-                    layout = spill_layout(
-                        key_parts[0] if len(key_parts) == 1
-                        else np.concatenate(key_parts),
-                        job.partitioner, n,
-                    )
-                if layout.order is not None:
-                    order = layout.order
+                parts = job.partitioner.partition_indices(keys, space, n)
+                # Both columns non-descending is (partition, key) order:
+                # how a range partitioner's keys in key order arrive.
+                # Increasing keys repeat none.
+                distinct = bool((keys[1:] > keys[:-1]).all())
+                if not (
+                    (distinct or (keys[1:] >= keys[:-1]).all())
+                    and (parts[1:] >= parts[:-1]).all()
+                ):
+                    order = np.lexsort((keys, parts))
+                    keys, parts, counts = keys[order], parts[order], counts[order]
                     cols = tuple([c[order] for c in cols])
-                    counts = counts[order]
+                # bounds[p]: the first row of partition p or above.
+                bounds = parts.searchsorted(np.arange(n + 1)).tolist()
+                if bounds[0] or bounds[-1] != records_in:
+                    raise ShuffleError(
+                        f"partitioner returned out-of-range partition for "
+                        f"{n} reduce tasks"
+                    )
                 combine = job.combiner_factory is not None
+                # Where each equal-key group begins, when a key repeats.
+                firsts = None
+                if combine and not distinct:
+                    firsts = group_starts(keys)
+                    if len(firsts) == records_in:
+                        firsts = None
                 map_id = MapTaskId(split_index)
-                for run in layout.runs:
-                    cut = slice(run.start, run.end)
-                    # No key repeats: the run's keys are its rows' keys.
-                    pk = layout.keys[cut] if run.starts is not None else run.keys
-                    pcols = tuple([c[cut] for c in cols])
-                    pc = counts[cut]
+                for p in range(n):
+                    lo, hi = bounds[p], bounds[p + 1]
+                    if lo == hi:
+                        continue
+                    pk = keys[lo:hi]
+                    pcols = tuple([c[lo:hi] for c in cols])
+                    pc = counts[lo:hi]
                     src = int(pc.sum())
                     if combine:
                         tally["combine.input.records"] = (
                             tally.get("combine.input.records", 0) + len(pk)
                         )
-                        if run.starts is not None:
-                            pcols = bop.combine_columns(pcols, run.starts)
-                            pc = np.add.reduceat(pc, run.starts)
-                            pk = run.keys
+                        if firsts is not None:
+                            a, b = firsts.searchsorted((lo, hi)).tolist()
+                            if b - a < hi - lo:
+                                starts = firsts[a:b] - lo
+                                pcols = bop.combine_columns(pcols, starts)
+                                pc = np.add.reduceat(pc, starts)
+                                pk = pk[starts]
                         tally["combine.output.records"] = (
                             tally.get("combine.output.records", 0) + len(pk)
                         )
-                    checked = planned and pk is run.keys
                     if corrupt:
-                        # Injected torn spill: reversing the lexsorted run
+                        # Injected torn spill: reversing the sorted run
                         # breaks key order, so ColumnarMapOutput
-                        # validation rejects the commit and the attempt
-                        # fails here.
+                        # validation rejects it and the attempt fails
+                        # here.
                         pk = pk[::-1]
                         pcols = tuple([c[::-1] for c in pcols])
                         pc = pc[::-1]
-                    files.append(
-                        (_PlannedRunOutput if checked else ColumnarMapOutput)(
+                    try:
+                        files.append(ColumnarMapOutput(
                             map_id=map_id,
-                            partition=run.partition,
+                            partition=p,
                             keys=pk,
+                            space=space,
                             states=pcols,
                             source_counts=pc,
                             source_records=src,
-                        )
-                    )
+                        ))
+                    except ShuffleError as exc:
+                        if not corrupt:
+                            raise
+                        raise InjectedFaultError(
+                            f"injected corrupt-spill fault in map {split_index} "
+                            f"(attempt {attempt}): {exc}"
+                        ) from exc
             if corrupt:
                 # Every run was too uniform for the reversal to break
                 # ordering; surface the injected corruption directly.
@@ -1014,34 +950,21 @@ def run_columnar_map(
 
 def synthesized_keys(job: Any, partition: int | None) -> np.ndarray | None:
     """Keyblock ``partition``'s keys whose every producer the job's
-    SIDR plan pruned (``job.context["sidr_plan"]``), or ``None``."""
+    SIDR plan pruned (``job.context["sidr_plan"]``), as row-major
+    indices in K'_T, or ``None``."""
     pruning = getattr(getattr(job, "context", {}).get("sidr_plan"), "pruning", None)
     return None if pruning is None else pruning.synth_keys.get(partition)
 
 
-def _in_key_order(files: list[Any]) -> bool:
-    """Are ``files``, laid end to end, distinct keys in key order?  So
-    they are when each is a planned run (:class:`_PlannedRunOutput`)
-    and every seam increases — :meth:`ResultBlock.concatenate`'s seam
-    rule, strict."""
-    return all(isinstance(f, _PlannedRunOutput) for f in files) and all(
-        a.keys[-1].tolist() < b.keys[0].tolist() for a, b in zip(files, files[1:])
-    )
-
-
-def _fetched_rows(job: Any, files: list[Any], synth: np.ndarray) -> np.ndarray | None:
-    """Which rows of ``files``' keys (distinct, in key order) and the
-    synthesized keys, merged in key order, are fetched ones: a mask
-    placed by one ``searchsorted`` of their row-major positions in
-    K'_T; ``None`` when a synthesized key was fetched too."""
-    space = job.context["sidr_plan"].partition.space
-    fetched = np.concatenate([f.keys for f in files])
-    pos = np.ravel_multi_index(tuple(fetched.T), space)
-    spos = np.ravel_multi_index(tuple(synth.T), space)
-    at = np.searchsorted(pos, spos)
-    if (pos[np.minimum(at, len(pos) - 1)] == spos).any():
+def _fetched_rows(fetched: np.ndarray, synth: np.ndarray) -> np.ndarray | None:
+    """Which rows of the ``fetched`` keys (distinct, in key order) and
+    the synthesized keys, merged in key order, are fetched ones: a mask
+    placed by one ``searchsorted``; ``None`` when a synthesized key was
+    fetched too."""
+    at = fetched.searchsorted(synth)
+    if (fetched[np.minimum(at, len(fetched) - 1)] == synth).any():
         return None
-    rows = np.ones(len(pos) + len(spos), dtype=bool)
+    rows = np.ones(len(fetched) + len(synth), dtype=bool)
     rows[at + np.arange(len(at))] = False
     return rows
 
@@ -1055,26 +978,26 @@ def run_columnar_reduce(
     *,
     cancel: Any | None = None,
 ) -> ResultBlock:
-    """Columnar reduce-task body (concatenate → lexsort → fold → finalize).
+    """Columnar reduce-task body (concatenate → sort → fold → finalize).
 
     ``files`` are the partition's (``task``'s) fetched columnar spill
-    files in map order; the fetch itself chooses the body.  When every
-    file is a planned run and every seam between them increases
-    (:func:`_in_key_order`), each key arrives once and already in order:
-    the body is *concatenate → finalize*, and counts ``reduce.planned``.
-    The keyblock's synthesized keys join it as empty rows, placed by one
+    files in map order; the fetch itself chooses the body.  When their
+    keys, laid end to end, strictly increase (one comparison), each key
+    arrives once and already in order: the body is *concatenate →
+    finalize*, and counts ``reduce.planned``.  The keyblock's
+    synthesized keys join it as empty rows, placed by one
     ``searchsorted`` (:func:`_fetched_rows`); a keyblock fetching
     nothing is its synthesized keys.  Any other fetch merges, and so
     does one that fetched a synthesized key: the synthesized keys enter
-    first, as the operator's map of zero cells; one stable lexsort over
-    the concatenated key columns replaces the heap merge (ties keep
+    first, as the operator's map of zero cells; one stable ``argsort``
+    of the concatenated key column replaces the heap merge (ties keep
     input order, matching ``heapq.merge``), same-key groups combine
     with one segmented fold per state column, and one
     ``finalize_columns`` call turns the combined columns into the
     keyblock's output; that counts ``reduce.generic``.  Both give the
-    same block.  Nothing here runs once per key, so the
-    cancellation/liveness checkpoint is task-granular, like the map
-    side's per-batch one.
+    same block, its keys unravelled to coordinates once.  Nothing here
+    runs once per key, so the cancellation/liveness checkpoint is
+    task-granular, like the map side's per-batch one.
     """
     bop: BatchOperator = job.batch_operator
     partition = task[1] if task else files[0].partition if files else None
@@ -1086,27 +1009,33 @@ def run_columnar_reduce(
         with obs.phase("reduce.reduce", task):
             if cancel is not None:
                 cancel.check()
-            inputs = [(f.keys, f.states, f.source_counts) for f in files]
-            ordered = _in_key_order(files)
+            keys, states, counts = zip(
+                *[(f.keys, f.states, f.source_counts) for f in files]
+            ) if files else ((), (), ())
+            grid = np.concatenate(keys) if files else np.empty(0, dtype=np.int64)
+            ordered = bool((grid[1:] > grid[:-1]).all())
             rows = None
             if synth is not None and files and ordered:
-                rows = _fetched_rows(job, files, synth)
+                rows = _fetched_rows(grid, synth)
                 ordered = rows is not None
             if synth is not None and rows is None:
                 n = len(synth)
-                identity = bop.map_batch(np.empty((n, 0)))
-                inputs.insert(0, (synth, identity, np.zeros(n, dtype=np.int64)))
-            if inputs:
-                keys, states, counts = zip(*inputs)
-                grid = np.concatenate(keys)
+                grid = np.concatenate([synth, grid])
+                states = (bop.map_batch(np.empty((n, 0))), *states)
+                counts = (np.zeros(n, dtype=np.int64), *counts)
+            if grid.size:
+                space = (
+                    files[0].space if files
+                    else job.context["sidr_plan"].partition.space
+                )
                 cols = tuple([np.concatenate(c) for c in zip(*states)])
                 count = np.concatenate(counts)
-            if inputs and ordered:
+            if grid.size and ordered:
                 if rows is not None:
                     # Only a ragged operator synthesizes keys: their
                     # rows are empty, so the fetched rows' lengths and
                     # counts scatter and no value moves.
-                    merged = np.empty((rows.size, grid.shape[1]), dtype=np.int64)
+                    merged = np.empty(rows.size, dtype=np.int64)
                     merged[rows], merged[~rows] = grid, synth
                     lengths = np.zeros((len(cols) + 1, rows.size), dtype=np.int64)
                     lengths[:, rows] = [c.lengths for c in cols] + [count]
@@ -1115,11 +1044,13 @@ def run_columnar_reduce(
                         [Ragged(c.values, ln) for c, ln in zip(cols, lengths)]
                     )
                 sizes = np.ones(len(grid), dtype=np.int64)
-                block = ResultBlock(grid, bop.finalize_columns(cols, count))
+                block = ResultBlock(
+                    unravel_keys(grid, space), bop.finalize_columns(cols, count)
+                )
                 tally["reduce.planned"] = 1
-            elif inputs:
+            elif grid.size:
                 tally["reduce.generic"] = 1
-                order = np.lexsort(grid.T[::-1])
+                order = np.argsort(grid, kind="stable")
                 grid = grid[order]
                 cols = tuple([c[order] for c in cols])
                 count = count[order]
@@ -1128,7 +1059,8 @@ def run_columnar_reduce(
                 merged_counts = np.add.reduceat(count, starts)
                 sizes = np.diff(np.append(starts, grid.shape[0]))
                 block = ResultBlock(
-                    grid[starts], bop.finalize_columns(merged, merged_counts)
+                    unravel_keys(grid[starts], space),
+                    bop.finalize_columns(merged, merged_counts),
                 )
         tally["reduce.input.groups"] = len(block)
         tally["reduce.input.records"] = sum([f.keys.shape[0] for f in files])

@@ -18,7 +18,9 @@ ranges; it is the engine-facing shape of SIDR's partition+ (the planner
 in :mod:`repro.sidr.partition_plus` constructs one from keyblocks).
 
 All partitioners are vectorizable (``partition_many``) because the
-paper's §4.5 micro-benchmark times partitioning millions of keys.
+paper's §4.5 micro-benchmark times partitioning millions of keys;
+``partition_indices`` takes the columnar plane's keys, row-major
+indices into K'_T.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ class Partitioner(ABC):
             count=len(keys),
         )
 
+    def partition_indices(
+        self, indices: np.ndarray, space: Shape, num_partitions: int
+    ) -> np.ndarray:
+        """Vectorized partition of keys given as row-major indices into
+        ``space``: their coordinates' :meth:`partition_many`."""
+        coords = np.stack(np.unravel_index(indices, space), axis=1)
+        return self.partition_many(coords, num_partitions)
+
 
 class HashPartitioner(Partitioner):
     """Hadoop's default: ``(hash(key) & MAX_INT) % numReduceTasks``."""
@@ -163,6 +173,16 @@ class RangePartitioner(Partitioner):
         self._check_n(num_partitions)
         idx = coords_to_indices(np.asarray(keys, dtype=np.int64), self.space)
         return np.searchsorted(self.boundaries, idx, side="right").astype(np.int64)
+
+    def partition_indices(
+        self, indices: np.ndarray, space: Shape, num_partitions: int
+    ) -> np.ndarray:
+        """Row-major indices into this partitioner's own space are what
+        its ranges cut: one ``searchsorted``, no coordinate round trip."""
+        if tuple(space) != self.space:
+            return super().partition_indices(indices, space, num_partitions)
+        self._check_n(num_partitions)
+        return self.boundaries.searchsorted(indices, side="right")
 
     def _check_n(self, num_partitions: int) -> None:
         if num_partitions != self.num_partitions:

@@ -105,14 +105,22 @@ def run_record_map(
                 # breaks key order, so MapOutputFile validation
                 # rejects the commit and the attempt fails here.
                 run = tuple(reversed(run))
-            files.append(
-                MapOutputFile(
-                    map_id=MapTaskId(split_index),
-                    partition=p,
-                    records=run,
-                    source_records=src,
+            try:
+                files.append(
+                    MapOutputFile(
+                        map_id=MapTaskId(split_index),
+                        partition=p,
+                        records=run,
+                        source_records=src,
+                    )
                 )
-            )
+            except ShuffleError as exc:
+                if not corrupt:
+                    raise
+                raise InjectedFaultError(
+                    f"injected corrupt-spill fault in map {split_index} "
+                    f"(attempt {attempt}): {exc}"
+                ) from exc
         if corrupt:
             # Every run was too uniform for the reversal to break
             # ordering; surface the injected corruption directly.
@@ -150,7 +158,9 @@ def run_record_reduce(
     if synth is not None:
         # One identity row: nothing writes a row's state.
         ((_, identity),) = job.mapper_factory().map(None, Chunk(np.empty(0), 0))
-        segments.insert(0, [(tuple(k), identity) for k in synth.tolist()])
+        space = job.context["sidr_plan"].partition.space
+        coords = zip(*[c.tolist() for c in np.unravel_index(synth, space)])
+        segments.insert(0, [(k, identity) for k in coords])
     reducer = job.reducer_factory()
     reducer.setup()
     out: list[KeyValue] = []

@@ -1,33 +1,33 @@
 """Columnar record reader and the planned map geometry.
 
 The query half of the columnar data plane (engine half:
-:mod:`repro.mapreduce.columnar`).  Three pieces:
+:mod:`repro.mapreduce.columnar`).  A key on this plane is one int64:
+its row-major index in K'_T.  Three pieces:
 
 * :func:`map_geometry` — everything a split's map does that depends on
-  the split and not on the data, as one value: which slabs to read,
+  the split and not on the data, as one value: which slabs to read and
   the zones cut from each (the slab's working region decomposed per
   dimension into at most three — clipped head instance, run of whole
   instances, clipped tail instance, stride-gap cells in none — whose
   cartesian product covers every instance piece with boxes of uniform
-  per-instance extent), the split's K' key grid, and where those rows
-  spill (:class:`~repro.mapreduce.columnar.SpillLayout`: the stable
-  order by partition and key, each partition's cut, its group starts
-  and keys; under ``SPILL_CHECKS_ENABLED`` each run is checked sorted
-  here, once, instead of once per spill).  It is a pure function of
-  ``(plan, split)`` and the job's partitioner, so
-  :class:`~repro.sidr.planner.SIDRPlan` computes it once per split and
-  keeps it — and so does the service's plan cache.  Dense
-  and strided extractions, one zone or many, range or hash partitioner:
-  the same function.
+  per-instance extent), each zone with the index of its first key and
+  its instances' ``(count, key stride)`` runs.  It holds no per-key
+  array: a zone's keys are that base plus a broadcast sum of each run's
+  ``arange × stride`` (a box of whole rows of K'_T is one run), made
+  where they are read.  It is a pure function of
+  ``(plan, split)``, so :class:`~repro.sidr.planner.SIDRPlan` computes
+  it once per split and keeps it — and so does the service's plan
+  cache.  Dense and strided extractions, one zone or many: the same
+  function.
 * :class:`ColumnarRecordReader` — reads each slab of a geometry once
   (same bulk read as
   :class:`~repro.query.recordreader.StructuralRecordReader`) and emits
   one :class:`~repro.mapreduce.columnar.ChunkBatch` per zone: a basic
   slice, its strided windows copied to ``(n, cells)`` by
   :func:`window_rows` (C-order per instance, matching the record
-  plane's slice-and-flatten exactly), and the zone's rows of the key
-  grid.  Every item is a ``ChunkBatch``, and the two planes emit
-  identical logical records.
+  plane's slice-and-flatten exactly), and the zone's keys.  Every item
+  is a ``ChunkBatch``, and the two planes emit identical logical
+  records.
 * :func:`batch_operator_for` — the plane's admission check: a built-in
   operator (:class:`~repro.query.operators.SpecOperator`, whose table
   and column functions live in :mod:`repro.query.operators`) is its own
@@ -45,12 +45,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.arrays.linearize import row_major_strides
 from repro.arrays.shape import coord_sub
 from repro.arrays.slab import Slab
 from repro.errors import QueryError
-from repro.mapreduce.columnar import ChunkBatch, SpillLayout, spill_layout
-from repro.mapreduce.partitioner import Partitioner
-from repro.mapreduce.shuffle import SPILL_CHECKS_ENABLED
+from repro.mapreduce.columnar import ChunkBatch
 from repro.query.language import QueryPlan
 from repro.query.operators import (
     OPERATOR_NAMES,
@@ -61,9 +60,12 @@ from repro.query.recordreader import _read_slab
 from repro.query.splits import CoordinateSplit
 
 #: One zone of a slab read: the basic slice of the slab's array from the
-#: zone's first cell to its last, the per-instance window extents, and
-#: the rows ``[lo, hi)`` of the split's key grid that its instances are.
-Zone = tuple[tuple[slice, ...], tuple[int, ...], int, int]
+#: zone's first cell to its last, the per-instance window extents, the
+#: row-major index in K'_T of its first instance's key, and its
+#: instances' ``(count, key stride)`` per dimension — adjacent
+#: dimensions that step through K'_T as one merged into one
+#: (:func:`_key_runs`).
+Zone = tuple[tuple[slice, ...], tuple[int, ...], int, tuple[tuple[int, int], ...]]
 
 
 def _zone_segments(
@@ -94,45 +96,42 @@ def _zone_segments(
     return zones
 
 
-def _corner_grid(axes: list[np.ndarray]) -> np.ndarray:
-    """(n, rank) array of the axes' cartesian product, C order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+def _key_runs(
+    counts: tuple[int, ...], key_strides: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """A box of ``counts`` instances as ``(count, key stride)`` per
+    dimension, a dimension merged into the one before it when it spans
+    that one's stride (the box covers it whole): a box of whole trailing
+    rows of K'_T is one run of consecutive keys."""
+    runs = [(counts[-1], key_strides[-1])]
+    for count, stride in zip(counts[-2::-1], key_strides[-2::-1]):
+        inner, step = runs[-1]
+        if inner * step == stride:
+            runs[-1] = (count * inner, step)
+        else:
+            runs.append((count, stride))
+    return tuple(runs[::-1])
 
 
 @dataclass(frozen=True)
 class MapGeometry:
     """What one split's map does that does not depend on the data
-    (:func:`map_geometry`).  Its arrays are read-only."""
+    (:func:`map_geometry`): tuples and integers, O(zones)."""
 
     #: Each slab to read, with the zones cut from it.
     reads: tuple[tuple[Slab, tuple[Zone, ...]], ...]
     #: Window steps (the extraction stride), one per dimension.
     steps: tuple[int, ...]
-    #: ``(n, rank)`` int64 K' keys of the split's rows, in reader order.
-    keys: np.ndarray
-    #: Where those rows spill; ``None`` when no partitioner was given.
-    layout: SpillLayout | None
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays this geometry holds."""
-        return self.keys.nbytes + (self.layout.nbytes if self.layout else 0)
+    #: K'_T, the space the keys index.
+    space: tuple[int, ...]
 
 
-def map_geometry(
-    plan: QueryPlan,
-    split: CoordinateSplit,
-    partitioner: Partitioner | None = None,
-    num_partitions: int = 0,
-) -> MapGeometry:
-    """``split``'s :class:`MapGeometry` under ``plan``; with a
-    ``partitioner``, including the spill layout for ``num_partitions``
-    reduces (a partition id out of range raises here)."""
+def map_geometry(plan: QueryPlan, split: CoordinateSplit) -> MapGeometry:
+    """``split``'s :class:`MapGeometry` under ``plan``."""
     ex = plan.extraction
+    space = tuple(plan.intermediate_space)
+    key_strides = row_major_strides(space)
     reads = []
-    grids = []
-    rows = 0
     for slab in split.slabs:
         # Clip to the subset: under keep_partial_instances the covering
         # box can extend past it, and the record plane's
@@ -153,9 +152,6 @@ def map_geometry(
         local = coord_sub(ex.origin, slab.corner)
         zones = []
         for combo in product(*per_dim):
-            grid = _corner_grid(
-                [k + np.arange(count, dtype=np.int64) for k, count, _, _ in combo]
-            )
             zones.append((
                 # First piece's first cell to last piece's last cell.
                 tuple(
@@ -165,28 +161,21 @@ def map_geometry(
                     )
                 ),
                 tuple(ext for _, _, _, ext in combo),
-                rows,
-                rows + len(grid),
+                sum(k * stride for (k, _, _, _), stride in zip(combo, key_strides)),
+                _key_runs(tuple(count for _, count, _, _ in combo), key_strides),
             ))
-            grids.append(grid)
-            rows += len(grid)
         reads.append((slab, tuple(zones)))
-    keys = (
-        np.concatenate(grids) if grids
-        else np.empty((0, len(ex.shape)), dtype=np.int64)
-    )
-    keys.flags.writeable = False
-    layout = None
-    if partitioner is not None:
-        layout = spill_layout(keys, partitioner, num_partitions)
-        if SPILL_CHECKS_ENABLED:
-            layout.check_sorted()
-    return MapGeometry(
-        reads=tuple(reads),
-        steps=tuple(ex.stride),
-        keys=keys,
-        layout=layout,
-    )
+    return MapGeometry(reads=tuple(reads), steps=tuple(ex.stride), space=space)
+
+
+def zone_keys(base: int, runs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """A zone's keys in C order of its instances: ``base`` plus the
+    broadcast sum of each run's ``arange(count) × stride``."""
+    (count, stride), *inner = runs
+    keys = np.arange(base, base + count * stride, stride)
+    for count, stride in inner:
+        keys = np.add.outer(keys, np.arange(0, count * stride, stride))
+    return keys.ravel() if inner else keys
 
 
 class _Interface:
@@ -248,7 +237,8 @@ class ColumnarRecordReader:
     Emits exactly the same logical records as
     :class:`~repro.query.recordreader.StructuralRecordReader` — same
     keys, same cells in the same C order — one batch per zone of its
-    ``geometry`` (computed here when not given).
+    ``geometry`` (computed here when not given), its keys row-major
+    indices in K'_T.
     """
 
     def __init__(
@@ -264,19 +254,15 @@ class ColumnarRecordReader:
             geometry = map_geometry(plan, split)
         self._geometry = geometry
 
-    @property
-    def layout(self) -> SpillLayout | None:
-        """The spill layout of the rows this reader emits, when its
-        geometry was planned with the job's partitioner."""
-        return self._geometry.layout
-
     def __iter__(self) -> Iterator[ChunkBatch]:
         geo = self._geometry
         for slab, zones in geo.reads:
             data = _read_slab(self._source, self._variable, slab)
-            for block, exts, lo, hi in zones:
+            for block, exts, base, runs in zones:
                 yield ChunkBatch(
-                    geo.keys[lo:hi], window_rows(data[block], exts, geo.steps)
+                    zone_keys(base, runs),
+                    window_rows(data[block], exts, geo.steps),
+                    geo.space,
                 )
 
 

@@ -347,6 +347,9 @@ class _Spec(NamedTuple):
     takes_threshold: bool = False
     #: Has a zone-map prune predicate (:class:`PrunePredicate`); ragged only.
     prunable: bool = False
+    #: Bytes of one output row's value in a result block; None when the
+    #: output rows differ in length (a ragged value column).
+    value_bytes: int | None = 8
 
 
 #: Row order is the order :func:`repro.verify.cases.generate_case`
@@ -378,17 +381,19 @@ _SPECS: dict[str, _Spec] = {
         _minmax, (np.minimum, np.maximum), lambda lo, hi, t: hi - lo
     ),
     # §2.2 query 3: "sort the data points for each day by temperature".
-    "sort": _Spec(_survivors, None, _sorted, holistic=True),
+    "sort": _Spec(_survivors, None, _sorted, holistic=True, value_bytes=None),
     # Query 2 as run in §4.1: "a list of all values greater than the
     # threshold", possibly empty (§2.4.2); partials are the passing few.
     "filter_gt": _Spec(
-        _survivors, None, _sorted, takes_threshold=True, prunable=True
+        _survivors, None, _sorted, takes_threshold=True, prunable=True,
+        value_bytes=None,
     ),
     # §2.2 query 2 exactly.  The output carries the data-dependent
     # ``variation`` either way, so no region's contribution is a combine
     # identity: not prunable (docs/PERFORMANCE.md).
     "range_exceeds": _Spec(
-        _minmax, (np.minimum, np.maximum), _exceeds, takes_threshold=True
+        _minmax, (np.minimum, np.maximum), _exceeds, takes_threshold=True,
+        value_bytes=9,
     ),
 }
 
@@ -419,6 +424,9 @@ class SpecOperator(StructuralOperator):
         self.name = name
         self.distributive = not spec.holistic
         self.threshold = None if threshold is None else float(threshold)
+        #: Bytes of one output row's value in a result block (None:
+        #: ``sort`` and ``filter_gt`` rows differ in length).
+        self.value_bytes = spec.value_bytes
         self._spec = spec
 
     def __reduce__(self) -> tuple[Any, ...]:

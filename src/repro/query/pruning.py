@@ -58,7 +58,8 @@ class PruneResult:
     pruned_indices: tuple[int, ...]
     #: Original split count before pruning.
     original_splits: int
-    #: keyblock index -> its synthesized keys, ``(n, rank)`` int64 in key order.
+    #: keyblock index -> its synthesized keys, ``(n,)`` int64 row-major
+    #: indices in K'_T, in key order.
     synth_keys: dict[int, np.ndarray]
     #: Keyblocks whose every key is synthesized (empty I_l allowed).
     empty_blocks: frozenset[int]
@@ -106,15 +107,15 @@ def _group_missing_keys(
 
     ``np.flatnonzero`` yields row-major indices in order, so a
     keyblock's keys are one contiguous run of them, sorted in row-major
-    key order — the order reduce outputs use.
+    key order — the order reduce outputs use — and kept as those
+    indices, the columnar plane's keys.
     """
-    lin = np.flatnonzero(~mask)
-    missing = np.stack(np.unravel_index(lin, mask.shape), axis=1).astype(np.int64)
+    lin = np.flatnonzero(~mask).astype(np.int64, copy=False)
     groups = {}
     for b, blk in enumerate(partition.blocks):
         lo, hi = np.searchsorted(lin, blk.cell_range)
         if hi > lo:
-            groups[b] = missing[lo:hi]
+            groups[b] = lin[lo:hi]
     return groups
 
 

@@ -94,7 +94,9 @@ class EngineProcessError(ServiceError):
 class ResultTooLargeError(ServiceError):
     """A job's packed result block is over the service's cap
     (:data:`repro.service.engine_process.MAX_RESULT_BYTES`): the job
-    fails, and nothing of the block is kept or served."""
+    fails, and nothing of the block is kept or served.  A request whose
+    operator's rows are of one width is refused at submit instead (a
+    413 over HTTP): its block's length is known from the query."""
 
 
 #: Media type of the binary result body.

@@ -19,13 +19,13 @@ itself: plans are frozen/immutable, and the per-submission
 ``configure_job`` step builds fresh ``JobConf``/barrier state from it,
 so sharing one plan across concurrent jobs (and across engine modes)
 is safe by construction.  A service plan arrives complete — every
-split's map geometry (key grid, spill layout) computed, its arrays
-read-only — so a hit skips that work too.
+split's map geometry (its slab reads and zones, O(splits × zones), no
+per-key array) computed — so a hit skips that work too.
 
-Because plans carry those arrays, the cache is bounded twice: at most
-``capacity`` entries and at most :data:`MAX_BYTES` of plan arrays
-(:attr:`SIDRPlan.nbytes`, every array the plan pickles, taken once at
-insert); past either, the least recently used plans go.  A plan
+The cache is bounded twice: at most ``capacity`` entries and at most
+:data:`MAX_BYTES` of plans (:attr:`SIDRPlan.nbytes`, the plan's
+pickled length, taken once at insert); past either, the least recently
+used plans go.  A plan
 larger than the whole byte budget is still returned to the job that
 built it, just not kept: the cache refuses it and evicts nothing for
 it.
@@ -50,8 +50,8 @@ from repro.sidr.planner import SIDRPlan
 
 CacheKey = tuple[str, str, str]  # (dataset name, dataset digest, plan key)
 
-#: Map geometry the cache keeps at most, in bytes (``fine_mean``'s is
-#: ~200 KB).
+#: Pickled plan bytes the cache keeps at most (``fine_mean``'s plan is
+#: a few KB).
 MAX_BYTES = 64 << 20
 
 

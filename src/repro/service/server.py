@@ -39,7 +39,8 @@ Routes::
 
 Errors map to JSON bodies: 400 for admission/validation, 404 for
 unknown dataset/job, 408 for a result-wait timeout, 413 for a body over
-``_MAX_BODY``, 431 for a request line or header line over the stream
+``_MAX_BODY`` or a ``POST /query`` whose fixed-width result is sure to be
+over the result-size cap (``ResultTooLargeError``), 431 for a request line or header line over the stream
 reader's 64 KiB limit or more than ``_MAX_HEADER_LINES`` header lines,
 500 otherwise.  A request refused before its body was read has that
 input swallowed after the reply, so the client reads the reply, not a
@@ -60,6 +61,7 @@ from repro.service.api import (
     MAX_RESULT_WAIT,
     AdmissionError,
     QueryRequest,
+    ResultTooLargeError,
     UnknownDatasetError,
     UnknownJobError,
     encode_result_body,
@@ -464,6 +466,8 @@ class ServiceServer:
             return 404, {"error": str(exc)}
         except AdmissionError as exc:
             return 400, {"error": str(exc)}
+        except ResultTooLargeError as exc:
+            return 413, {"error": f"ResultTooLargeError: {exc}"}
         except TimeoutError as exc:
             return 408, {"error": str(exc)}
         except (json.JSONDecodeError, KeyError, ValueError) as exc:

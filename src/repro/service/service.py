@@ -60,8 +60,10 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from repro.arrays.slab import Slab
-from repro.mapreduce.columnar import ResultBlock
-from repro.query.language import StructuralQuery
+from repro.arrays.shape import volume
+from repro.errors import ReproError
+from repro.mapreduce.columnar import ResultBlock, fixed_block_nbytes
+from repro.query.language import QueryPlan, StructuralQuery
 from repro.query.splits import aligned_slice_splits
 from repro.service.api import (
     DONE,
@@ -91,19 +93,39 @@ from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
 
 
+def compile_request(req: QueryRequest, session: DatasetSession) -> QueryPlan:
+    """``req``'s structural query compiled against ``session``'s metadata."""
+    return StructuralQuery(
+        variable=req.variable,
+        extraction_shape=req.extract,
+        operator=req.structural_operator(),
+        stride=req.stride,
+    ).compile(session.metadata)
+
+
+def check_fixed_result_size(req: QueryRequest, session: DatasetSession) -> None:
+    """Raise :class:`ResultTooLargeError` when ``req``'s block is sure
+    to be over the cap: an operator whose rows are of one width has one
+    per key of K'_T (:func:`fixed_block_nbytes`).  A ragged block is
+    checked after its run; a request that does not compile fails at
+    plan time."""
+    width = req.structural_operator().value_bytes
+    if width is None:
+        return
+    try:
+        space = compile_request(req, session).intermediate_space
+    except ReproError:
+        return
+    check_result_size(fixed_block_nbytes(volume(space), len(space), width))
+
+
 def build_served_plan(req: QueryRequest, session: DatasetSession) -> SIDRPlan:
     """Cold path of the plan cache: compile + slice + prune + plan,
     and every split's map geometry, so the cached plan is complete.
     Splits are cut on extraction-unit boundaries
     (:func:`~repro.query.splits.aligned_slice_splits`): no instance
     spans two maps."""
-    query = StructuralQuery(
-        variable=req.variable,
-        extraction_shape=req.extract,
-        operator=req.structural_operator(),
-        stride=req.stride,
-    )
-    qplan = query.compile(session.metadata)
+    qplan = compile_request(req, session)
     splits = aligned_slice_splits(qplan, num_splits=req.splits)
     zone_map = None
     if req.prune:
@@ -218,8 +240,9 @@ class QueryService:
         if self._closed:
             raise AdmissionError("service is shut down")
         request.validate()
-        # Unknown datasets are refused at admission, not at run time.
-        self.registry.get(request.dataset)
+        # Unknown datasets are refused at admission, not at run time;
+        # so is a result that cannot be sent.
+        check_fixed_result_size(request, self.registry.get(request.dataset))
         with self._lock:
             tenant = self._tenants.get(request.tenant)
             if tenant is None:

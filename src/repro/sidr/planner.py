@@ -18,6 +18,7 @@ input metadata" (§3.1).  The resulting plan plugs into:
 from __future__ import annotations
 
 import os
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,7 +84,7 @@ class SIDRPlan:
 
     @cached_property
     def partitioner(self) -> RangePartitioner:
-        """One partitioner per plan: the map geometry is cut for it."""
+        """One partitioner per plan, shared by every job it configures."""
         return RangePartitioner(
             self.partition.space, self.partition.cell_boundaries()
         )
@@ -99,38 +100,34 @@ class SIDRPlan:
     # Map geometry: a pure function of (plan, split), computed once
     # ------------------------------------------------------------------ #
     def map_geometry(self, split: CoordinateSplit) -> MapGeometry:
-        """``split``'s map geometry — zones, key grid and spill layout
-        for :attr:`partitioner` — computed on first use and kept; a
-        split that is not one of this plan's is computed each call."""
+        """``split``'s map geometry — its slab reads and zones, each
+        zone's first key and instance counts — computed on first use and
+        kept; a split that is not one of this plan's is computed each
+        call."""
         i = split.index
         mine = 0 <= i < len(self.splits) and self.splits[i] == split
         geometry = self._geometry.get(i) if mine else None
         if geometry is None:
             # Two threads may both compute a split's first geometry:
             # equal values, and the dict keeps one.
-            geometry = map_geometry(
-                self.query_plan, split, self.partitioner, self.num_reduce_tasks
-            )
+            geometry = map_geometry(self.query_plan, split)
             if mine:
                 self._geometry[i] = geometry
         return geometry
 
     def with_map_geometry(self) -> "SIDRPlan":
         """This plan with every split's map geometry computed: complete,
-        so it can be cached, shared and sized (:attr:`nbytes`)."""
+        so it can be cached and shared."""
         for split in self.splits:
             self.map_geometry(split)
         return self
 
     @property
     def nbytes(self) -> int:
-        """Bytes of every array this plan pickles: its map geometry,
-        views included (pickling copies each), and its synthesized
-        keys."""
-        synth = () if self.pruning is None else self.pruning.synth_keys.values()
-        return sum(g.nbytes for g in list(self._geometry.values())) + sum(
-            keys.nbytes for keys in synth
-        )
+        """Bytes this plan pickles to, as it is now: what it costs
+        wherever it is held or sent (:class:`~repro.service.plancache.PlanCache`
+        takes it once, at insert)."""
+        return len(pickle.dumps(self))
 
     # ------------------------------------------------------------------ #
     # Independent keyblock ranges

@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.errors import InjectedFaultError, ShuffleError
 from repro.faults import (
     WHEN_AFTER_FETCH,
     FaultKind,
@@ -22,7 +23,11 @@ from repro.faults import (
     InjectionPlan,
     RecoveryModel,
 )
+from repro.mapreduce.columnar import run_columnar_map
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import LocalEngine, RetryPolicy
+from repro.mapreduce.shuffle import ShuffleStore
+from repro.obs import JobObservability
 from repro.query.language import StructuralQuery
 from repro.query.operators import (
     CountOp,
@@ -295,6 +300,14 @@ class TestColumnarFaultTolerance:
             assert res.all_records() == oracle.all_records()
             assert res.counters.get("faults.injected") == 1
         assert res.counters.get("reduce.planned") == 3
+        # The torn spill's own rejection is the injected fault's cause.
+        obs = JobObservability(job.name, enabled=False)
+        with pytest.raises(InjectedFaultError) as torn:
+            run_columnar_map(
+                job, 1, ShuffleStore(), Counters(), obs, None, corrupt=True
+            )
+        assert isinstance(torn.value.__cause__, ShuffleError)
+        assert "not sorted" in str(torn.value.__cause__)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_reduce_transient_after_fetch(self, temp32, mode):

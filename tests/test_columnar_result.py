@@ -21,6 +21,7 @@ import struct
 import sys
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,11 +34,11 @@ from repro.mapreduce.columnar import (
     ExceedsColumn,
     Ragged,
     ResultBlock,
-    _PlannedRunOutput,
-    lexsorted_rows,
+    fixed_block_nbytes,
     run_columnar_map,
     run_columnar_reduce,
 )
+from repro.mapreduce import engine as engine_module
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import JobResult, LocalEngine
 from repro.mapreduce.job import JobConf
@@ -627,6 +628,40 @@ class TestJobResult:
         assert block.to_bytes() == ResultBlock.empty().to_bytes()
 
 
+def _coords(keys, plan):
+    """``(n, rank)`` coordinates of ``plan``'s linear keys."""
+    return np.stack(np.unravel_index(keys, plan.partition.space), axis=1)
+
+
+def _linear(rows, plan):
+    """Row-major indices in ``plan``'s K'_T of ``(n, rank)`` key rows."""
+    return np.ravel_multi_index(tuple(rows.T), plan.partition.space)
+
+
+def _rows_of(f, rows):
+    """Spill ``f``'s rows ``rows`` (a slice), as a spill of their own."""
+    counts = f.source_counts[rows]
+    return ColumnarMapOutput(
+        f.map_id, f.partition, f.keys[rows], f.space,
+        tuple(c[rows] for c in f.states), counts, int(counts.sum()),
+    )
+
+
+def _unordered(files):
+    """The rows of a fetch, fetched so that their keys do not strictly
+    increase — the first non-empty spill's first row moved behind the
+    rest as a spill of its own — and so merge.  A fetch of fewer than
+    two rows is returned as it is."""
+    if sum(f.num_records for f in files) < 2:
+        return files
+    i = next(i for i, f in enumerate(files) if f.num_records)
+    first = files[i]
+    return [
+        *files[:i], _rows_of(first, slice(1, None)), *files[i + 1:],
+        _rows_of(first, slice(0, 1)),
+    ]
+
+
 class TestSynthesizedKeys:
     """A key whose every producer was pruned is a key of its keyblock
     with identity state.  Twelve one-instance splits, two of them hot:
@@ -635,7 +670,8 @@ class TestSynthesizedKeys:
     ordered columnar body, the generic one (maps without the plan's
     geometry spill plain files) and the record plane reduce every
     keyblock to the oracle's bytes, each synthesized key to its own
-    ``[]`` on every attempt."""
+    ``[]`` on every attempt.  The generic body is forced with a fetch
+    whose keys do not increase (:func:`_unordered`)."""
 
     @staticmethod
     def _plan():
@@ -666,23 +702,22 @@ class TestSynthesizedKeys:
             out, paths = _paths_of(job, files, obs, block)
             assert paths == (1, 0)
             synth = plan.pruning.synth_keys[block]
+            keys = _linear(out.key_rows, plan).tolist()
             if block == 1:
-                assert files == [] and (out.key_rows == synth).all()
+                assert files == [] and keys == synth.tolist()
                 continue
             (fetched,) = files
-            rows = [out.key_rows.tolist().index(k) for k in fetched.keys.tolist()]
+            rows = [keys.index(k) for k in fetched.keys.tolist()]
             assert 0 < rows[0] and rows[-1] < len(out) - 1
             assert rows == list(range(rows[0], rows[0] + len(rows)))
             assert len(out) == len(rows) + len(synth)
-            assert lexsorted_rows(out.key_rows, strict=True)
+            assert (np.diff(keys) > 0).all()
 
     @pytest.mark.parametrize("body", ["planned", "generic", "record"])
     def test_every_body_reduces_them(self, body):
         qplan, data, plan = self._plan()
         record = body == "record"
         job, _ = plan.configure_job(data, data_plane="record" if record else "columnar")
-        if body == "generic":
-            job.reader_factory = make_columnar_reader_factory(data, qplan)
         store = ShuffleStore(persist=True)
         obs = JobObservability(job.name, enabled=False)
         for m in range(len(plan.splits)):
@@ -694,7 +729,7 @@ class TestSynthesizedKeys:
         want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
         synth = {
             tuple(k) for keys in plan.pruning.synth_keys.values()
-            for k in keys.tolist()
+            for k in _coords(keys, plan).tolist()
         }
         values = []
         for attempt in range(2):
@@ -705,6 +740,8 @@ class TestSynthesizedKeys:
                     if (f := store.fetch(m, p)) is not None
                 ]
                 assert bool(files) == (p != 1)
+                if body == "generic":
+                    files = _unordered(files)
                 records += reduce(job, files, counters, obs, ("reduce", p, attempt))
             assert ResultBlock.from_records(records).to_bytes() == want
             values += [v for k, v in records if k in synth]
@@ -762,12 +799,12 @@ def _reduce_calls(name: str, groups: int) -> tuple[int, ResultBlock]:
     bop = batch_operator_for(get_operator(name, **params))
     job = SimpleNamespace(name="guard", batch_operator=bop)
     rng = np.random.default_rng(groups)
-    keys = np.stack([np.arange(groups) // 7, np.arange(groups) % 7], axis=1)
     files = [
         ColumnarMapOutput(
             map_id=MapTaskId(m),
             partition=0,
-            keys=keys,
+            keys=np.arange(groups),
+            space=(groups // 7 + 1, 7),
             states=bop.map_batch(rng.integers(-3, 4, (groups, 5)).astype(np.float64)),
             source_counts=np.full(groups, 5, dtype=np.int64),
             source_records=5 * groups,
@@ -921,16 +958,6 @@ def _compile(space, extract, operator="mean", threshold=None, stride=None):
     ).compile(simple_metadata("v", space))
 
 
-def _geometry_arrays(plan):
-    for split in plan.splits:
-        geometry = plan.map_geometry(split)
-        yield geometry.keys
-        layout = geometry.layout
-        yield from (a for a in (layout.order, layout.keys) if a is not None)
-        for run in layout.runs:
-            yield from (a for a in (run.starts, run.keys) if a is not None)
-
-
 class TestPlannedMap:
     def test_served_fine_mean_job_call_budget(self):
         """A warm served job of the ``fine_mean`` shape — (364,40,40),
@@ -977,13 +1004,15 @@ class TestPlannedMap:
         assert large == small
 
     def test_geometry_is_read_only(self):
-        """Strided (zones cut at split edges), dense, pruned-free: every
-        array a plan keeps is shared by every job it serves."""
+        """Strided (zones cut at split edges), dense, pruned-free: a
+        plan's geometry holds no array — tuples and integers, O(zones)
+        per split, shared by every job it serves — and a map whose
+        reader order is not key order sorts its rows."""
         kept = StructuralQuery(
             variable="v", extraction_shape=(7, 4, 4), operator=get_operator("sum"),
             keep_partial_instances=True,
         ).compile(simple_metadata("v", (29, 10, 6)))
-        seen = set()
+        sorted_maps = 0
         for qplan, splits in (
             (_compile((29, 10, 6), (7, 5, 2)), 3),
             (_compile((29, 10, 6), (2, 3, 2), stride=(3, 4, 3)), 4),
@@ -991,30 +1020,44 @@ class TestPlannedMap:
             (kept, 2),
         ):
             plan = build_plan(qplan, slice_splits(qplan, num_splits=splits), 3)
-            arrays = list(_geometry_arrays(plan.with_map_geometry()))
-            assert arrays and plan.nbytes > 0
-            seen |= {
-                "order" for s in plan.splits
-                if plan.map_geometry(s).layout.order is not None
-            }
-            for array in arrays:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[...] = 0
-        assert seen == {"order"}
+            plan.with_map_geometry()
+            for split in plan.splits:
+                geometry = plan.map_geometry(split)
+                leaves = [geometry.reads, geometry.steps, geometry.space]
+                kinds = set()
+                while leaves:
+                    leaf = leaves.pop()
+                    if isinstance(leaf, tuple):
+                        leaves += leaf
+                    else:
+                        kinds.add(type(leaf).__name__)
+                assert kinds <= {"int", "slice", "Slab"}, kinds
+                keys = np.concatenate([
+                    item.keys for item in make_columnar_reader_factory(
+                        np.zeros(qplan.input_space), qplan, plan.map_geometry
+                    )(split)
+                ])
+                sorted_maps += bool((np.diff(keys) < 0).any())
+        assert sorted_maps
 
-    def test_an_out_of_range_partition_is_refused_at_geometry_build(self):
-        """The partitioner's range check runs where the layout is cut —
-        at plan time for a planned split, before any row spills."""
+    def test_an_out_of_range_partition_is_refused_before_spilling(self):
+        """The partitioner's range check runs where a map cuts its rows,
+        before any row spills."""
 
         class Broken(Partitioner):
             def partition(self, key, n):
                 return n + 5
 
         qplan = _compile((14, 10, 6), (7, 5, 2))
-        (split,) = slice_splits(qplan, num_splits=1)
+        plan = build_plan(qplan, slice_splits(qplan, num_splits=1), 2)
+        job, _ = plan.configure_job(np.zeros((14, 10, 6)))
+        job.partitioner = Broken()
+        store = ShuffleStore()
+        obs = JobObservability(job.name, enabled=False)
         with pytest.raises(ShuffleError, match="out-of-range partition"):
-            map_geometry(qplan, split, Broken(), 2)
+            run_columnar_map(job, 0, store, Counters(), obs, None)
+        with pytest.raises(ShuffleError, match="has not spilled"):
+            store.attempt_of(0)
 
     @staticmethod
     def _block_bytes(job, barrier=None):
@@ -1054,8 +1097,8 @@ class TestPlannedMap:
         assert runs == [want] * 3
 
     def test_hash_partitioned_geometry_replays(self):
-        """The same function cuts a ``HashPartitioner`` layout: kept and
-        reused, recomputed every call, and the oracle agree."""
+        """A ``HashPartitioner`` job over kept geometry, over geometry
+        recomputed every call, and the oracle agree."""
         rng = np.random.default_rng(6)
         data = rng.integers(0, 20, size=(21, 10, 6)).astype(np.float64)
         qplan = _compile((21, 10, 6), (7, 5, 2))
@@ -1066,7 +1109,7 @@ class TestPlannedMap:
 
         def planned(split):
             if split.index not in kept:
-                kept[split.index] = map_geometry(qplan, split, partitioner, reduces)
+                kept[split.index] = map_geometry(qplan, split)
             return kept[split.index]
 
         def job(geometry):
@@ -1082,14 +1125,13 @@ class TestPlannedMap:
 
         runs = [self._block_bytes(job(planned)) for _ in range(2)]
         assert len(kept) == len(splits)
-        assert all(g.layout.fits(partitioner, reduces) for g in kept.values())
         runs.append(self._block_bytes(job(None)))
         want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
         assert runs == [want] * 3
 
     def test_a_layout_cut_for_another_partitioner_is_not_used(self):
         """A SIDR job whose partitioner is swapped after ``configure_job``
-        gets layouts cut for the new one, not the plan's."""
+        spills by the new one, not the plan's."""
         rng = np.random.default_rng(7)
         data = rng.integers(0, 20, size=(21, 10, 6)).astype(np.float64)
         qplan = _compile((21, 10, 6), (7, 5, 2))
@@ -1106,8 +1148,8 @@ class TestPlannedMap:
 
     def test_keys_that_repeat_within_a_map_are_combined(self):
         """A split of two slabs that cut the same instances: its keys
-        repeat, its layout's runs carry group starts, and the map-side
-        combine folds them — planned or not, equal to the oracle."""
+        repeat, and the map-side combine folds them, equal to the
+        oracle."""
         from repro.arrays.slab import Slab
         from repro.query.splits import CoordinateSplit
 
@@ -1122,10 +1164,13 @@ class TestPlannedMap:
                 CoordinateSplit(1, "v", (Slab((7, 0, 0), (7, 10, 6)),), 8),
             ]
             plan = build_plan(qplan, splits, 2)
-            layout = plan.map_geometry(plan.splits[0]).layout
-            for run in layout.runs:
-                assert run.starts is not None and len(run.keys) < run.end - run.start
-                assert not (run.starts.flags.writeable or run.keys.flags.writeable)
+            job, _ = plan.configure_job(data)
+            counters = Counters()
+            obs = JobObservability(job.name, enabled=False)
+            run_columnar_map(job, 0, ShuffleStore(), counters, obs, None)
+            assert counters.get("combine.output.records") < counters.get(
+                "combine.input.records"
+            )
             want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
             for _ in range(2):
                 assert self._block_bytes(*plan.configure_job(data)) == want
@@ -1150,11 +1195,8 @@ def _matrix_data():
 
 def _matrix_jobs(case, operator, data):
     """``case``'s job for ``operator``, built twice: ``(job, barrier)``
-    pairs that run the same maps and differ only in the reduce body the
-    fetch may take — the first as configured, the second with a reader
-    that has no planned geometry, so every spill is a plain
-    :class:`ColumnarMapOutput` and every reduce that fetches one
-    merges."""
+    pairs that run the same maps, one for each of :func:`_observed`'s
+    two runs."""
     query = dict(extract=(4, 3, 2))
     splits, prune, hashed = aligned_slice_splits, False, False
     if case == "sliced":
@@ -1176,7 +1218,7 @@ def _matrix_jobs(case, operator, data):
     if prune:
         assert plan.pruning is not None and plan.pruning.synth_keys
     pairs = []
-    for withheld in (False, True):
+    for _ in range(2):
         job, barrier = plan.configure_job(data)
         if hashed:
             job.partitioner = HashPartitioner()
@@ -1186,7 +1228,7 @@ def _matrix_jobs(case, operator, data):
         elif case == "hand_built":
             op = qplan.operator
             # The plan's splits and partitioner, but not its map
-            # geometry: every spill is a plain ColumnarMapOutput.
+            # geometry: each reader computes its own.
             job = JobConf(
                 name="hand-built", splits=list(plan.splits),
                 reader_factory=make_columnar_reader_factory(data, qplan),
@@ -1198,17 +1240,24 @@ def _matrix_jobs(case, operator, data):
                 batch_operator=batch_operator_for(op),
             )
             barrier = None
-        if withheld:
-            job.reader_factory = make_columnar_reader_factory(data, qplan)
         pairs.append((job, barrier))
     return plan, pairs
 
 
-def _observed(job, barrier):
+def _observed(job, barrier, unordered=False):
     """Block bytes, counters without the path counters, the
     ``reduce.group.size`` histogram, and the path counters of one
-    serial run."""
-    res = LocalEngine().run(job, barrier, mode="serial")
+    serial run; ``unordered``: every reduce is handed its fetch as
+    :func:`_unordered` lays it out, so each that fetched two rows or
+    more merges."""
+    reduce = engine_module.run_columnar_reduce
+    with mock.patch.object(
+        engine_module, "run_columnar_reduce",
+        lambda job, files, *a, **k: reduce(
+            job, _unordered(files) if unordered else files, *a, **k
+        ),
+    ):
+        res = LocalEngine().run(job, barrier, mode="serial")
     counters = res.counters.as_dict()
     paths = tuple(counters.pop(name, 0) for name in PATHS)
     sizes = res.obs.metrics.snapshot()["histograms"]["reduce.group.size"]
@@ -1237,24 +1286,29 @@ class TestPlannedReduce:
     def test_planned_body_is_the_generic_body(self, case, operator):
         """Both reduce bodies, the same job: equal block bytes, equal
         counters and the same ``reduce.group.size`` histogram — the
-        ordered body observes one group of one row per key — and only
-        the aligned plans' keyblocks take the ordered body, a pruned
-        plan's with synthesized keys among them included: sliced maps
-        share keys, and a hash partitioner or a hand-built job spills
-        plain files.  A keyblock that fetches nothing is its
-        synthesized keys, in order whatever the maps spill."""
+        ordered body observes one group of one row per key.  The
+        generic run is forced with fetches whose keys do not increase.
+        Every keyblock of aligned splits takes the ordered body as
+        configured, a pruned plan's with synthesized keys among them, a
+        hash partitioner's and a hand-built job's included: each map's
+        keys are an increasing run, and the maps' runs increase across
+        them.  Sliced maps share keys, so they merge.  A keyblock that
+        fetches nothing is its synthesized keys, in order whatever the
+        maps spill."""
         data = _matrix_data()
-        plan, (configured, withheld) = _matrix_jobs(case, operator, data)
+        plan, (configured, forced) = _matrix_jobs(case, operator, data)
         qplan = plan.query_plan
         unfetched = len(plan.pruning.empty_blocks) if plan.pruning else 0
         block, counters, sizes, (planned, generic) = _observed(*configured)
-        again, generic_counters, generic_sizes, paths = _observed(*withheld)
+        again, generic_counters, generic_sizes, paths = _observed(
+            *forced, unordered=True
+        )
         want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
         assert block == again == want
         assert counters == generic_counters
         assert sizes == generic_sizes
         assert paths == (unfetched, planned + generic - unfetched)
-        if case in ("aligned", "pruned"):
+        if case not in ("sliced", "repeating"):
             assert (planned, generic) == (3, 0)
             groups = counters["reduce.input.groups"]
             synthesized = counters.get("plan.keys.synthesized", 0)
@@ -1294,11 +1348,11 @@ class TestPlannedReduce:
         assert block.to_bytes() == full.all_records().to_bytes() == want
 
     def test_a_fetch_that_is_not_the_plans_merges(self):
-        """The fetch chooses the body.  Planned runs whose seams
-        increase — a keyblock's whole fetch, or its fetch missing a map
-        — take the ordered body; the same runs out of map order, one
-        map's spill replaced by a plain one with the same keys or by an
-        empty one, merge — and every body agrees on what it shares."""
+        """The fetch chooses the body, by its keys alone.  Spills whose
+        keys, laid end to end, strictly increase — a keyblock's whole
+        fetch, its fetch missing a map, a spill copied or replaced by
+        an empty one — take the ordered body; the same spills out of
+        map order merge — and every body agrees on what it shares."""
         data = _matrix_data()
         qplan = _compile(data.shape, (4, 3, 2))
         plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=5), 2)
@@ -1310,7 +1364,6 @@ class TestPlannedReduce:
         maps = sorted(plan.deps.dependencies[0])
         files = [store.fetch(m, 0) for m in maps]
         assert len(files) > 1
-        assert all(isinstance(f, _PlannedRunOutput) for f in files)
 
         whole, paths = _paths_of(job, files, obs)
         assert paths == (1, 0)
@@ -1323,23 +1376,21 @@ class TestPlannedReduce:
         swapped, paths = _paths_of(job, files[::-1], obs)
         assert paths == (0, 1)
         assert swapped.to_bytes() == whole.to_bytes()
-        # The same rows as a plain spill.
-        f = files[0]
-        copied = ColumnarMapOutput(
-            f.map_id, f.partition, f.keys.copy(), f.states, f.source_counts,
-            f.source_records,
-        )
+        # The same rows, copied: the same fetch.
+        copied = _rows_of(files[0], slice(None))
+        assert copied.keys is not files[0].keys
         same, paths = _paths_of(job, [copied, *files[1:]], obs)
-        assert paths == (0, 1)
+        assert paths == (1, 0)
         assert same.to_bytes() == whole.to_bytes()
         # An empty spill in a map's place, and no fetch at all.
-        empty = ColumnarMapOutput(
-            f.map_id, f.partition, f.keys[:0],
-            tuple(c[:0] for c in f.states), f.source_counts[:0], 0,
-        )
+        empty = _rows_of(files[0], slice(0, 0))
         tail_again, paths = _paths_of(job, [empty, *files[1:]], obs)
-        assert paths == (0, 1)
+        assert paths == (1, 0)
         assert tail_again.to_bytes() == tail.to_bytes()
+        # One map's rows fetched twice: a key repeats.
+        twice, paths = _paths_of(job, [files[0], *files], obs)
+        assert paths == (0, 1)
+        assert len(twice) == len(whole)
         nothing, paths = _paths_of(job, [], obs)
         assert len(nothing) == 0 and paths == (0, 0)
 
@@ -1358,7 +1409,6 @@ class TestPlannedReduce:
         records = []
         for block in range(plan.num_reduce_tasks):
             files = [store.fetch(m, block) for m in sorted(plan.deps.dependencies[block])]
-            assert all(isinstance(f, _PlannedRunOutput) for f in files)
             assert any(
                 a.keys[-1].tolist() >= b.keys[0].tolist()
                 for a, b in zip(files, files[1:])
@@ -1389,8 +1439,7 @@ class TestPlannedReduce:
         ordered = [_paths_of(job, files, obs, b) for b, files in enumerate(fetches)]
         assert [paths for _, paths in ordered] == [(1, 0)] * 3
         synth = plan.pruning.synth_keys[0]
-        both = np.concatenate([synth, fetches[0][0].keys[:1]])
-        both = both[np.lexsort(both.T[::-1])]
+        both = np.sort(np.concatenate([synth, fetches[0][0].keys[:1]]))
         job.context["sidr_plan"] = SimpleNamespace(
             partition=plan.partition,
             pruning=SimpleNamespace(synth_keys={0: both}),
@@ -1399,11 +1448,9 @@ class TestPlannedReduce:
         assert paths == (0, 1)
         assert merged.to_bytes() == ordered[0][0].to_bytes()
 
-    def test_a_spill_of_a_planned_run_is_not_rescanned(self, monkeypatch):
-        """The layout's runs are checked once, where the geometry is
-        made; a map then spills its planned runs without a per-spill
-        sort scan, and a reader without a planned layout is checked per
-        spill."""
+    def test_every_spill_is_checked(self, monkeypatch):
+        """No spill is trusted: each one a map makes checks its key
+        order where it is made, planned geometry or not."""
         calls = []
         original = ColumnarMapOutput.check_sorted
         monkeypatch.setattr(
@@ -1413,11 +1460,33 @@ class TestPlannedReduce:
         data = _matrix_data()
         qplan = _compile(data.shape, (4, 3, 2))
         plan = build_plan(qplan, aligned_slice_splits(qplan, num_splits=5), 3)
-        job, _ = plan.configure_job(data)
+        job, _ = plan.with_map_geometry().configure_job(data)
         obs = JobObservability(job.name, enabled=False)
         counters = Counters()
         run_columnar_map(job, 0, ShuffleStore(), counters, obs, None)
-        assert counters.get("shuffle.segments") and calls == []
-        job.reader_factory = make_columnar_reader_factory(data, qplan)
-        run_columnar_map(job, 0, ShuffleStore(), counters, obs, None)
-        assert len(calls) == counters.get("shuffle.segments") // 2
+        assert counters.get("shuffle.segments") and len(calls) == counters.get(
+            "shuffle.segments"
+        )
+
+
+# --------------------------------------------------------------------- #
+# A fixed-width block's size, known from the query
+# --------------------------------------------------------------------- #
+class TestFixedBlockSize:
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_a_fixed_width_block_is_sized_before_it_is_made(self, name):
+        """Header plus, per key of K'_T, its coordinates and one value:
+        what :meth:`ResultBlock.to_bytes` gives, for every operator
+        whose rows are of one width (``sort`` and ``filter_gt`` rows
+        are not)."""
+        data = _matrix_data()
+        qplan = _compile(data.shape, (4, 3, 2), operator=name,
+                         threshold=THRESHOLD.get(name))
+        width = qplan.operator.value_bytes
+        assert (width is None) == (name in ("sort", "filter_gt"))
+        if width is None:
+            return
+        block = ResultBlock.from_records(oracle_records(qplan, data))
+        keys = qplan.num_intermediate_keys
+        assert len(block) == keys
+        assert len(block.to_bytes()) == fixed_block_nbytes(keys, 3, width)

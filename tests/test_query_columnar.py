@@ -101,6 +101,11 @@ def _plan(field, shape, **kw):
     return q.compile(field.metadata)
 
 
+def _coords(item):
+    """A batch's keys as ``(n, rank)`` K' coordinates."""
+    return np.stack(np.unravel_index(item.keys, item.space), axis=1)
+
+
 def _expand(reader):
     """Flatten a columnar reader's stream to per-instance records;
     every item must be a ChunkBatch.  Also returns how many batches
@@ -114,7 +119,7 @@ def _expand(reader):
         else:
             batches += 1
         for i in range(item.num_instances):
-            key = tuple(int(k) for k in item.keys[i])
+            key = tuple(_coords(item)[i].tolist())
             out.setdefault(key, []).append(item.values[i])
     return out, batches, singles
 
@@ -183,7 +188,7 @@ class TestColumnarReader:
                 cell_counts.add(item.cells_per_instance)
                 got.extend(
                     (tuple(k), row.tolist())
-                    for k, row in zip(item.keys.tolist(), item.values)
+                    for k, row in zip(_coords(item).tolist(), item.values)
                 )
             want = [
                 (key, np.asarray(chunk.data).reshape(-1).tolist())
@@ -212,7 +217,7 @@ class TestColumnarReader:
         for item in ColumnarRecordReader(data, plan, split):
             assert isinstance(item, ChunkBatch)
             for i in range(item.num_instances):
-                key = tuple(int(k) for k in item.keys[i])
+                key = tuple(_coords(item)[i].tolist())
                 region = plan.instance_region(key)
                 want = data[region.as_slices()].reshape(-1)
                 np.testing.assert_array_equal(item.values[i], want)
@@ -242,7 +247,7 @@ class TestColumnarReader:
             got = [
                 (tuple(key), row.tolist())
                 for item in ColumnarRecordReader(array, plan, split)
-                for key, row in zip(item.keys.tolist(), item.values)
+                for key, row in zip(_coords(item).tolist(), item.values)
             ]
             want = [
                 (key, np.asarray(chunk.data).tolist())
@@ -380,10 +385,11 @@ class TestWindowRows:
             geo = map_geometry(plan, split)
             for slab, zones in geo.reads:
                 block_of = data[slab.as_slices()]
-                for block, exts, lo, hi in zones:
+                for block, exts, _, runs in zones:
                     got = window_rows(block_of[block], exts, geo.steps)
                     want = _reshape_rows(block_of[block], exts, geo.steps)
-                    assert got.shape == (hi - lo, math.prod(exts))
+                    rows = math.prod(count for count, _ in runs)
+                    assert got.shape == (rows, math.prod(exts))
                     assert got.tobytes() == want.tobytes()
 
     def test_mmap_batches_never_writable_aliases(self, field, tmp_path):
@@ -754,17 +760,18 @@ class TestRaggedOperators:
 # --------------------------------------------------------------------- #
 class TestChunkBatch:
     def test_valid(self):
-        b = ChunkBatch(np.zeros((3, 2), dtype=np.int64), np.ones((3, 5)))
+        b = ChunkBatch(np.zeros(3, dtype=np.int64), np.ones((3, 5)), [4, 2])
         assert b.num_instances == 3
         assert b.cells_per_instance == 5
+        assert b.space == (4, 2)
 
-    def test_rejects_1d_keys(self):
+    def test_rejects_keys_that_are_not_1d(self):
         with pytest.raises(ShuffleError, match="keys"):
-            ChunkBatch(np.zeros(3, dtype=np.int64), np.ones((3, 5)))
+            ChunkBatch(np.zeros((3, 2), dtype=np.int64), np.ones((3, 5)), (4, 2))
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(ShuffleError, match="mismatch"):
-            ChunkBatch(np.zeros((4, 2), dtype=np.int64), np.ones((3, 5)))
+            ChunkBatch(np.zeros(4, dtype=np.int64), np.ones((3, 5)), (4, 2))
 
 
 class TestHelpers:
@@ -776,9 +783,9 @@ class TestHelpers:
         assert not lexsorted_rows(np.array([[1, 0], [0, 9]]))
 
     def test_group_starts(self):
-        keys = np.array([[0, 0], [0, 0], [0, 1], [2, 0], [2, 0]])
+        keys = np.array([0, 0, 1, 6, 6])
         np.testing.assert_array_equal(group_starts(keys), [0, 2, 3])
-        assert group_starts(np.empty((0, 3), dtype=np.int64)).size == 0
+        assert group_starts(np.empty(0, dtype=np.int64)).size == 0
 
     def test_ragged_row_operations(self):
         """The row operations the engine applies to a state column:
@@ -816,7 +823,9 @@ def _cmo(**kw):
     defaults = dict(
         map_id=MapTaskId(0),
         partition=1,
-        keys=np.array([[0, 0], [0, 1], [1, 0]], dtype=np.int64),
+        # (0, 0), (0, 1), (1, 0) of a (2, 3) K'_T
+        keys=np.array([0, 1, 3], dtype=np.int64),
+        space=(2, 3),
         states=(np.array([1.0, 2.0, 3.0]),),
         source_counts=np.array([4, 4, 4], dtype=np.int64),
         source_records=12,
@@ -834,7 +843,7 @@ class TestColumnarMapOutput:
     def test_unsorted_keys_rejected(self):
         # conftest pins REPRO_CHECK_SPILLS=1, so construction validates.
         with pytest.raises(ShuffleError, match="not sorted"):
-            _cmo(keys=np.array([[1, 0], [0, 0], [0, 1]], dtype=np.int64))
+            _cmo(keys=np.array([3, 0, 1], dtype=np.int64))
 
     def test_state_column_length_mismatch(self):
         with pytest.raises(ShuffleError, match="length"):
@@ -845,8 +854,10 @@ class TestColumnarMapOutput:
             _cmo(source_counts=np.array([4, 4], dtype=np.int64))
 
     def test_approx_bytes_is_buffer_sum(self):
+        """A key is charged at the width of its coordinates: what it
+        serializes to, and what the record plane charges."""
         f = _cmo()
-        want = (f.keys.nbytes + f.states[0].nbytes
+        want = (2 * f.keys.nbytes + f.states[0].nbytes
                 + f.source_counts.nbytes)
         assert f.approx_serialized_bytes == want
 

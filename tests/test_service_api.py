@@ -573,6 +573,33 @@ class TestHttpServer:
         with pytest.raises(Exception, match="404"):
             client._call("GET", "/no/such/route")
 
+    def test_an_oversized_fixed_width_request_is_a_413_and_runs_nothing(
+        self, live_server, monkeypatch
+    ):
+        """A mean's block is a header and one row per key of K'_T: one
+        byte over the cap, its request is refused at submit — 413,
+        typed, no job, no engine run, nothing billed — and at the cap it
+        runs, to a block of exactly that length."""
+        from repro.mapreduce.columnar import fixed_block_nbytes
+        from repro.service import engine_process
+
+        client, service, path, data = live_server
+        client.open_dataset("d", path)
+        req = mean_request(reduces=1)  # one part: its block is the job's
+        space = tuple(n // e for n, e in zip(data.shape, req.extract))
+        size = fixed_block_nbytes(int(np.prod(space)), len(space), 8)
+        monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", size - 1)
+        with pytest.raises(Exception, match="413.*ResultTooLargeError"):
+            client.submit(req)
+        stats = client.stats()
+        assert client.jobs() == [] and stats["tenants"] == {}
+        assert [e["jobs"] for e in stats["engines"]] == [0, 0]
+        monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", size)
+        doc = client.query(req)
+        assert doc["state"] == DONE
+        _, block = service.result_block(doc["id"], timeout=0)
+        assert len(block.to_bytes()) == size
+
     @pytest.mark.parametrize(
         "fields,fragment",
         [

@@ -310,22 +310,27 @@ class TestResultSizeCap:
     ):
         """The cap is read where a block is made (the engine process)
         and where parts are spliced (the service), so it is set before
-        the service forks.  A whole job and a split one over it fail
+        the service forks.  A ragged operator's block is known only
+        once it is made (a fixed-width one's is refused at submit,
+        ``test_service_api``): a whole job and a split one over it fail
         with ``ResultTooLargeError``, and so does a split job whose
         parts fit only one by one; the same engines then serve a job
         under it."""
         monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", 1024)
         small = request(**CLASSES["coarse_scan"])
+        # No cell passes: a row is its key and a zero length, the width
+        # of a mean's row.
+        ragged = dict(operator="filter_gt", threshold=1000.0, prune=False)
         with service_fixture(workers=2) as client:
             svc = client.service
             svc.register_array("d", "v", field())
             _, digest = oracle_for_request(svc, small)
             # fine_mean-shaped (320 keys, 10 264 bytes): one keyblock
             # runs whole, four split in two
-            whole = client.query(request(reduces=1))
-            split = client.query(request())
+            whole = client.query(request(reduces=1, **ragged))
+            split = client.query(request(**ragged))
             # 32 keys: two parts of 536 bytes, 1 072 spliced
-            summed = client.query(request(extract=(7, 10, 10)))
+            summed = client.query(request(extract=(7, 10, 10), **ragged))
             after = client.query(small)
             engines = svc.stats()["engines"]
         for doc, parts in ((whole, 1), (split, 2), (summed, 2)):

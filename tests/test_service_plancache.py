@@ -276,25 +276,37 @@ class TestBoundedByBytes:
             plan = build_served_plan(req, svc.registry.get("d"))
             assert svc.stats()["plan_cache"]["bytes"] == plan.nbytes > 0
 
-    @pytest.mark.parametrize("operator", [
-        dict(operator="mean"), dict(operator="filter_gt", threshold=95),
-    ], ids=["fine_mean", "ragged_filter"])
-    def test_nbytes_is_most_of_the_pickled_plan(self, operator, tmp_path):
-        """The byte bound counts what a plan costs where it is held:
-        ``nbytes`` — every array, views included — is at least 0.9 of
-        what the served benchmark's two largest plans pickle to, and
-        not more.  Small plans are mostly Python objects: not gated."""
-        session = _grid(tmp_path / "grid.nc", (364, 40, 40))
+    @pytest.mark.parametrize("cls", [
+        ("fine_mean", (364, 40, 40), dict(operator="mean", extract=(7, 5, 2))),
+        ("ragged_filter", (364, 40, 40),
+         dict(operator="filter_gt", threshold=95, extract=(7, 5, 2))),
+        ("coarse_scan", (364, 120, 120),
+         dict(operator="mean", extract=(28, 20, 20))),
+        ("holistic_median", (364, 40, 40),
+         dict(operator="median", extract=(14, 10, 8))),
+    ], ids=lambda cls: cls[0])
+    def test_nbytes_is_most_of_the_pickled_plan(self, cls, tmp_path):
+        """The byte bound counts what a plan costs where it is held or
+        sent: ``nbytes`` is the served benchmark's plans' pickled
+        length, and the cache counts it.  A plan holds no per-key
+        array but a pruned plan's synthesized keys: a few KB to a few
+        tens of KB."""
+        name, shape, fields = cls
+        session = _grid(tmp_path / "grid.nc", shape)
         req = QueryRequest(
-            dataset="grid", variable="v", extract=(7, 5, 2), splits=16,
-            reduces=8, prune=True, **operator,
+            dataset="grid", variable="v", splits=16, reduces=8, prune=True,
+            **fields,
         )
         try:
             plan = build_served_plan(req, session)
         finally:
             session.close()
         size = len(pickle.dumps(plan))
-        assert 0.9 * size <= plan.nbytes <= size
+        assert plan.nbytes == size
+        assert size <= (80 << 10 if name == "ragged_filter" else 32 << 10)
+        cache = plancache.PlanCache()
+        cache.insert(("grid", "digest", name), plan)
+        assert cache.snapshot()["bytes"] == size
 
     def test_a_plan_over_the_budget_is_served_uncached(self, monkeypatch):
         monkeypatch.setattr(plancache, "MAX_BYTES", 1)

@@ -179,8 +179,9 @@ class TestPruningSoundness:
         )
         for b, cells in enumerate(walk):
             missing = [key for key, n in cells.items() if n == 0]
-            got = result.synth_keys.get(b, np.empty((0, plan.extraction.rank)))
-            assert [tuple(row) for row in got.tolist()] == missing
+            got = result.synth_keys.get(b, np.empty(0, dtype=np.int64))
+            coords = np.unravel_index(got, plan.intermediate_space)
+            assert list(zip(*[c.tolist() for c in coords])) == missing
         # Empty blocks are exactly the all-synthesized ones.
         for b in result.empty_blocks:
             assert len(result.synth_keys[b]) == partition.blocks[b].num_keys
