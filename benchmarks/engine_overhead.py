@@ -16,7 +16,10 @@ no engine process:
 * ``calls`` — interpreter calls (``sys.setprofile`` ``call`` +
   ``c_call``) of one warm whole job;
 * ``block`` — the whole job's packed result block: its bytes and its
-  value column's tag (``docs/SERVICE.md``, "Wire format");
+  value column's tag (``docs/SERVICE.md``, "Wire format").  A
+  fixed-width class's block must be exactly ``fixed_block_nbytes`` of
+  its K'_T — header, shape, one run, one value per key — or the run
+  aborts: a per-key key section cannot come back unnoticed;
 * ``plan`` — the bytes the served plan pickles to: what the service
   sends each engine process that runs a part of it.
 
@@ -51,7 +54,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
 
 from harness import CLASSES, Inputs  # noqa: E402
 
-from repro.mapreduce.columnar import VALUE_TAG_NAMES, ResultBlock  # noqa: E402
+from repro.arrays.shape import volume  # noqa: E402
+from repro.mapreduce.columnar import (  # noqa: E402
+    VALUE_TAG_NAMES,
+    ResultBlock,
+    fixed_block_nbytes,
+)
 from repro.query.columnar import window_rows  # noqa: E402
 from repro.service.api import DONE  # noqa: E402
 from repro.service.engine_process import EngineConfig, run_job  # noqa: E402
@@ -103,6 +111,20 @@ class Served:
         if out.state != DONE:
             raise SystemExit(f"{self.cls}: {out.state} {out.error}")
         return out
+
+    def check_size(self, whole) -> None:
+        """A fixed-width class's whole block is a complete result's
+        length: no byte per key but its value."""
+        width = self.request.structural_operator().value_bytes
+        space = self.plan.query_plan.intermediate_space
+        if width is None:
+            return
+        want = fixed_block_nbytes(volume(space), len(space), width)
+        if len(whole.block) != want:
+            raise SystemExit(
+                f"{self.cls}: block of {len(whole.block)} bytes, a complete "
+                f"result over {space} is {want}"
+            )
 
     def check(self, whole, parts) -> None:
         """The whole job's block, and its parts' blocks spliced, are
@@ -174,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"{s.cls}: {out.counters['reduce.generic']} keyblocks "
                         "merged instead of taking the ordered reduce"
                     )
+                s.check_size(out)
                 blocks[s.cls] = (len(out.block), VALUE_TAG_NAMES[out.block[4]])
                 plans[s.cls] = len(pickle.dumps(s.plan))
                 calls[s.cls] = count_calls(s.run)

@@ -223,3 +223,24 @@ def count_index_runs(slab: Slab, space: Shape) -> int:
     for d in range(split):
         n *= slab.shape[d]
     return n
+
+
+def index_runs(indices: np.ndarray) -> np.ndarray:
+    """The ``(R, 2)`` int64 ``[start, stop)`` runs of consecutive values
+    in a strictly increasing 1-D index array, in order."""
+    if not indices.size:
+        return np.empty((0, 2), dtype=np.int64)
+    cuts = (indices[1:] != indices[:-1] + 1).nonzero()[0] + 1
+    runs = np.empty((cuts.size + 1, 2), dtype=np.int64)
+    runs[0, 0], runs[-1, 1] = indices[0], indices[-1] + 1
+    runs[1:, 0] = indices[cuts]
+    runs[:-1, 1] = indices[cuts - 1] + 1
+    return runs
+
+
+def expand_runs(runs: np.ndarray) -> np.ndarray:
+    """The int64 indices an ``(R, 2)`` table of ``[start, stop)`` runs
+    covers, run after run: the inverse of :func:`index_runs`."""
+    lengths = runs[:, 1] - runs[:, 0]
+    shift = runs[:, 0] - (np.cumsum(lengths) - lengths)
+    return np.repeat(shift, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)

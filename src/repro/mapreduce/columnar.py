@@ -28,8 +28,8 @@ module is the engine half of that plane:
   supersede-on-respill, consume-on-fetch, missing-input tracking — works
   unchanged in both planes.
 * :class:`ResultBlock` — what a columnar reduce returns: one
-  keyblock's finalized output as lexsorted ``(n, rank)`` int64 keys
-  (its linear keys unravelled, once per keyblock) plus
+  keyblock's finalized output as K'_T's shape, its keys' increasing
+  row-major indices (``[start, stop)`` runs in its byte form) and
   a value column — float64, int64, :class:`Ragged` rows or an
   :class:`ExceedsColumn` — with one binary byte form.  It is a
   read-only ``Sequence`` of ``(key, value)`` records, so every consumer of a reduce's record list keeps working,
@@ -61,6 +61,7 @@ that rounds as the scalar one does.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -69,13 +70,10 @@ from typing import Any, ClassVar, Protocol
 
 import numpy as np
 
+from repro.arrays.linearize import expand_runs, index_runs
 from repro.errors import InjectedFaultError, ShuffleError
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.shuffle import (
-    SPILL_CHECKS_ENABLED,
-    ShuffleStore,
-    payload_nbytes,
-)
+from repro.mapreduce.shuffle import ShuffleStore, payload_nbytes
 from repro.mapreduce.types import KeyValue, MapTaskId
 from repro.obs import COUNT_BUCKETS, JobObservability
 
@@ -156,36 +154,11 @@ class ChunkBatch:
         return self.values.shape[1]
 
 
-def lexsorted_rows(keys: np.ndarray) -> bool:
-    """True when the rows of an ``(n, rank)`` array are in non-descending
-    lexicographic order — the vectorized counterpart of the record
-    plane's adjacent-pair key scan."""
-    if keys.shape[0] < 2:
-        return True
-    a, b = keys[:-1], keys[1:]
-    neq = a != b
-    rows = np.flatnonzero(neq.any(axis=1))
-    if rows.size == 0:
-        return True
-    first = neq[rows].argmax(axis=1)
-    return bool((b[rows, first] >= a[rows, first]).all())
-
-
 def group_starts(keys: np.ndarray) -> np.ndarray:
     """Start offsets of each equal-key run in a sorted 1-D key array."""
     if keys.size == 0:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-
-
-def unravel_keys(keys: np.ndarray, space: tuple[int, ...]) -> np.ndarray:
-    """``(n, rank)`` int64 coordinates of row-major indices into
-    ``space``, C-ordered: blocks are laid end to end and serialized by
-    row."""
-    rows = np.empty((keys.size, len(space)), dtype=np.int64)
-    for d, column in enumerate(np.unravel_index(keys, space)):
-        rows[:, d] = column
-    return rows
 
 
 class _FieldColumn:
@@ -365,8 +338,7 @@ class ColumnarMapOutput:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "space", tuple(self.space))
         object.__setattr__(self, "source_counts", counts)
-        if SPILL_CHECKS_ENABLED:
-            self.check_sorted()
+        self.check_sorted()
 
     def check_sorted(self) -> None:
         """Validate the sort invariant (same gate as MapOutputFile):
@@ -397,9 +369,10 @@ class ColumnarMapOutput:
 
 
 #: :meth:`ResultBlock.to_bytes` header, little-endian: magic, value tag,
-#: pad byte, key rank, row count, byte length of the value column.
-_BLOCK_HEADER = struct.Struct("<4sBxHQQ")
-_BLOCK_MAGIC = b"RBK1"
+#: pad byte, rank of K'_T, row count, run count, byte length of the
+#: value column.  K'_T's shape, the runs and the value column follow.
+_BLOCK_HEADER = struct.Struct("<4sBxHQQQ")
+_BLOCK_MAGIC = b"RBK2"
 #: Value tags, one per value column (``docs/SERVICE.md``, "Wire
 #: format").  Tag 1 is unused: it named a JSON column once.
 _FLOAT64, _INT64, _RAGGED, _EXCEEDS = 0, 2, 3, 4
@@ -413,10 +386,10 @@ ValueColumn = np.ndarray | Ragged | ExceedsColumn
 
 
 def fixed_block_nbytes(rows: int, rank: int, value_bytes: int) -> int:
-    """Length of :meth:`ResultBlock.to_bytes` for ``rows`` keys of
-    ``rank`` and a value column of ``value_bytes`` per row: known before
-    any row exists."""
-    return _BLOCK_HEADER.size + rows * (rank * 8 + value_bytes)
+    """Length of :meth:`ResultBlock.to_bytes` for a complete result
+    (every key of a rank-``rank`` K'_T of ``rows`` keys: one run) of
+    ``value_bytes`` per row: known before any row exists."""
+    return _BLOCK_HEADER.size + 8 * rank + 16 + rows * value_bytes
 
 
 def _value_column(values: Any) -> ValueColumn:
@@ -512,12 +485,24 @@ def _read_only_view(
     return array
 
 
+def _joined_runs(runs: np.ndarray) -> np.ndarray:
+    """An ``(R, 2)`` run table with each run that starts where the one
+    before it stops joined to that one."""
+    new = np.concatenate(([True], runs[1:, 0] != runs[:-1, 1]))
+    joined = runs[new]
+    joined[:, 1] = runs[np.concatenate((new[1:], [True])), 1]
+    return joined
+
+
 class ResultBlock(Sequence):
     """One keyblock's finalized reduce output as parallel columns.
 
-    ``key_rows`` is an ``(n, rank)`` int64 array in lexicographic order
-    (not named ``keys``: ``dict(block)`` would take the block for a
-    mapping); ``values`` holds row ``i``'s output in one of four value
+    ``space`` is K'_T's 0-based shape; ``runs`` are the keys, their
+    increasing row-major indices in it, as an ``(R, 2)`` int64 table of
+    maximal ``[start, stop)`` runs: one for a complete result (SIDR's
+    output is K'_T, dense and contiguous), one per contiguous stretch of
+    keyblocks for a part or a partial result.  ``values`` holds row
+    ``i``'s output in one of four value
     columns: float64 (the scalar operators), int64 (``count``), a
     :class:`Ragged` column of sorted float64 rows (``sort``,
     ``filter_gt``) or an :class:`ExceedsColumn` (``range_exceeds``).
@@ -525,7 +510,9 @@ class ResultBlock(Sequence):
     above all — is mapped to one of those or refused
     (:func:`_value_column`).  As a ``Sequence`` the block reads as the
     ``[(key_tuple, value), ...]`` list a reduce used to return; those
-    records are materialized on access, never stored.
+    records, the index column ``key_index`` (not ``keys``: ``dict(block)``
+    would take the block for a mapping) and the ``(n, rank)``
+    ``key_rows`` are computed on access, never stored.
 
     Lists and dicts exist only in :meth:`value_list` (the JSON body, the
     CLI, :meth:`canonical_records`): every column's ``tolist()`` gives
@@ -534,116 +521,140 @@ class ResultBlock(Sequence):
     fuzzer holds it against the generic walk on every case.
 
     :meth:`to_bytes` / :meth:`from_bytes` are the block's one byte form
-    (``docs/SERVICE.md``, "Wire format"): equal canonical records give
-    equal bytes, whichever plane or operator produced the columns, and
-    the SHA-256 of those bytes is the result's digest
+    (``docs/SERVICE.md``, "Wire format"): equal records of one K'_T
+    give equal bytes, whichever plane or operator produced the columns,
+    and the SHA-256 of those bytes is the result's digest
     (:func:`repro.verify.oracle.records_digest`).
     """
 
-    __slots__ = ("key_rows", "values", "_packed")
+    __slots__ = ("space", "runs", "values", "_packed")
 
-    def __init__(self, keys: np.ndarray, values: Any) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 2:
-            raise ShuffleError(f"result keys must be (n, rank), got {keys.shape}")
+    def __init__(self, space: Sequence[int], runs: Any, values: Any) -> None:
+        """The block of the keys ``runs`` holds (:func:`index_runs` of a
+        key index column) and their ``values``."""
+        runs = np.asarray(runs, dtype=np.int64)
+        if runs.ndim != 2 or runs.shape[1] != 2:
+            raise ShuffleError(f"result key runs must be (R, 2), got {runs.shape}")
         values = _value_column(values)
-        if len(values) != keys.shape[0]:
-            raise ShuffleError(
-                f"result key/value row mismatch: {keys.shape[0]} != {len(values)}"
-            )
-        self.key_rows = keys
+        n = int((runs[:, 1] - runs[:, 0]).sum())
+        if len(values) != n:
+            raise ShuffleError(f"result key/value row mismatch: {n} != {len(values)}")
+        self.space = tuple(map(int, space))
+        self.runs = runs
         self.values: ValueColumn = values
         #: The bytes this block's arrays view, when :meth:`packed` built it.
         self._packed: bytes | None = None
 
+    @property
+    def key_index(self) -> np.ndarray:
+        """The keys' row-major indices in ``space``, strictly increasing."""
+        return expand_runs(self.runs)
+
+    @property
+    def key_rows(self) -> np.ndarray:
+        """The keys as ``(n, rank)`` int64 coordinates in ``space``."""
+        if not len(self):
+            return np.empty((0, len(self.space)), dtype=np.int64)
+        return np.stack(np.unravel_index(self.key_index, self.space), axis=1)
+
     @classmethod
     def empty(cls) -> "ResultBlock":
-        return cls(np.empty((0, 0), dtype=np.int64), np.empty(0))
+        return cls((), np.empty((0, 2), dtype=np.int64), np.empty(0))
 
     @classmethod
     def from_records(cls, records: Iterable[KeyValue]) -> "ResultBlock":
         """Block holding canonical ``records``, their values in the
         column they map to (:func:`_value_column`), so the oracle's
-        records and the engine's columns give the same bytes.  Keys
-        that are not integer coordinate tuples of one rank raise: a
-        cast would make ``(1.5,)``, ``1`` and ``(1,)`` the same row."""
+        records and the engine's columns give the same bytes, in the
+        keys' bounding shape: K'_T itself for a complete result.  Keys
+        that are not distinct, non-negative integer coordinate tuples
+        of one rank raise: a cast would make ``(1.5,)``, ``1`` and
+        ``(1,)`` the same row."""
         records = list(records)
         if not records:
             return cls.empty()
         try:
-            keys = np.asarray([key for key, _ in records])
-        except ValueError:  # ragged: numpy refuses mixed ranks
-            keys = None
-        if keys is None or keys.ndim != 2 or keys.dtype.kind != "i":
+            rows = np.asarray([key for key, _ in records])
+            if rows.ndim != 2 or rows.dtype.kind != "i":
+                raise ValueError("not integer tuples of one rank")
+            space = tuple((rows.max(axis=0) + 1).tolist())
+            # negative coordinates and spaces past int64 raise here
+            index = np.ravel_multi_index(tuple(rows.T), space)
+        except ValueError as exc:
             raise ShuffleError(
-                "record keys must be integer coordinate tuples of one rank"
-            )
-        return cls(keys, [v for _, v in records])._in_key_order()
+                f"record keys are not non-negative integer coordinate tuples "
+                f"of one rank and bounded volume: {exc}"
+            ) from None
+        values = _value_column([v for _, v in records])
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        if (index[1:] == index[:-1]).any():
+            raise ShuffleError("records repeat a key")
+        return cls(space, index_runs(index), values[order])
 
     @classmethod
     def concatenate(cls, blocks: Sequence["ResultBlock"]) -> "ResultBlock":
-        """All rows of ``blocks`` in key order: laid end to end, and
-        sorted only when that is not already key order.  Each block is
-        in key order, so only the seams between blocks are compared.
-        Packed blocks in key order are spliced (:meth:`_splice`): their
-        bytes are the result's, no array is rebuilt.  Blocks of
-        different value columns raise :class:`ShuffleError`."""
+        """All rows of ``blocks`` in key order: laid end to end, runs
+        joined, and sorted (one stable ``argsort`` of the key index)
+        only when a seam between blocks, compared as integers, is out
+        of order.  Packed blocks in key order are spliced
+        (:meth:`_splice`): no array is rebuilt.  Blocks of different
+        spaces or value columns raise :class:`ShuffleError`."""
         blocks = [b for b in blocks if len(b)]
         if not blocks:
             return cls.empty()
         if len(blocks) == 1:
             return blocks[0]
-        seams = all(
-            a.key_rows[-1].tolist() <= b.key_rows[0].tolist()
-            for a, b in zip(blocks, blocks[1:])
-        )
+        space = blocks[0].space
+        if {b.space for b in blocks} != {space}:
+            raise ShuffleError("cannot concatenate blocks of different key spaces")
+        seams = all(a.runs[-1, 1] <= b.runs[0, 0] for a, b in zip(blocks, blocks[1:]))
         if seams and all(b._packed is not None for b in blocks):
             spliced = cls._splice(blocks)
             if spliced is not None:
                 return spliced
         if len({_value_tag(b.values) for b in blocks}) > 1:
             raise ShuffleError("cannot concatenate blocks of different value columns")
-        block = cls(
-            np.concatenate([b.key_rows for b in blocks]),
-            np.concatenate([b.values for b in blocks]),
-        )
-        return block if seams else block._in_key_order()
+        values = np.concatenate([b.values for b in blocks])
+        if seams:
+            runs = _joined_runs(np.concatenate([b.runs for b in blocks]))
+            return cls(space, runs, values)
+        index = np.concatenate([b.key_index for b in blocks])
+        order = np.argsort(index, kind="stable")
+        return cls(space, index_runs(index[order]), values[order])
 
     @classmethod
     def _splice(cls, blocks: list["ResultBlock"]) -> "ResultBlock | None":
         """The packed block of ``blocks`` laid end to end — packed
-        blocks of one rank and one value tag, in key order across their
-        seams — built from their buffers alone: a header, every block's
-        key column, then section by section every block's value column
-        (:func:`_column_sections`), in one join.  The bytes are
+        blocks of one space and one value tag, in key order across
+        their seams — built from their buffers alone: a header, the
+        shape, their runs joined, then section by section every block's
+        value column (:func:`_column_sections`), in one join.  The bytes are
         :meth:`to_bytes` of the concatenated rows (each part's NaNs are
-        already the one quiet NaN).  ``None`` for mixed ranks or tags."""
-        rank = blocks[0].key_rows.shape[1]
+        already the one quiet NaN).  ``None`` for mixed tags."""
         tag = blocks[0]._packed[4]  # the value tag
-        if any(
-            b._packed[4] != tag or b.key_rows.shape[1] != rank for b in blocks
-        ):
+        if any(b._packed[4] != tag for b in blocks):
             return None
         n = column = 0
-        pieces = []  # per block: its key column, then its value sections
+        tables, pieces = [], []  # per block: its runs, its value sections
         for block in blocks:
             view = memoryview(block._packed)
-            _, _, _, rows, column_bytes = _BLOCK_HEADER.unpack_from(view)
+            _, _, rank, rows, runs, column_bytes = _BLOCK_HEADER.unpack_from(view)
             n, column = n + rows, column + column_bytes
-            bounds = [_BLOCK_HEADER.size, _BLOCK_HEADER.size + rows * rank * 8]
+            runs_at = _BLOCK_HEADER.size + 8 * rank
+            tables.append(np.frombuffer(view, "<i8", 2 * runs, runs_at))
+            bounds = [runs_at + 16 * runs]
             for size in _section_sizes(tag, rows, column_bytes):
                 bounds.append(bounds[-1] + size)
             pieces.append([view[a:b] for a, b in zip(bounds, bounds[1:])])
+        space = blocks[0].space
+        runs = _joined_runs(np.concatenate(tables).reshape(-1, 2))
         return cls.from_packed(b"".join([
-            _BLOCK_HEADER.pack(_BLOCK_MAGIC, tag, rank, n, column),
+            _BLOCK_HEADER.pack(_BLOCK_MAGIC, tag, len(space), n, len(runs), column),
+            np.asarray(space, dtype="<i8").tobytes(),
+            runs.astype("<i8", copy=False).tobytes(),
             *chain.from_iterable(zip(*pieces)),
         ]))
-
-    def _in_key_order(self) -> "ResultBlock":
-        if lexsorted_rows(self.key_rows):
-            return self
-        order = np.lexsort(self.key_rows.T[::-1])
-        return ResultBlock(self.key_rows[order], self.values[order])
 
     def value_list(self) -> list:
         """The value column as a list of plain Python values: floats,
@@ -657,43 +668,45 @@ class ResultBlock(Sequence):
         return list(zip(map(tuple, self.key_rows.tolist()), self.value_list()))
 
     def to_bytes(self) -> bytes:
-        """The block's byte form: header, ``key_rows`` as little-endian
-        int64 in C order, then the value column's sections
+        """The block's byte form: header, K'_T's shape and the key runs
+        as little-endian int64, then the value column's sections
         (:func:`_column_sections`; NaNs as the one quiet NaN, since
         every NaN has the same ``repr``).  An empty block is the bare
-        float64-tagged header, whatever rank and column its arrays
-        carry."""
+        float64-tagged header of rank 0, whatever space and column it
+        carries."""
         if self._packed is not None:
             return self._packed
         n = len(self)
         if n == 0:
-            return _BLOCK_HEADER.pack(_BLOCK_MAGIC, _FLOAT64, 0, 0, 0)
+            return _BLOCK_HEADER.pack(_BLOCK_MAGIC, _FLOAT64, 0, 0, 0, 0)
         sections = _column_sections(self.values)
         header = _BLOCK_HEADER.pack(
-            _BLOCK_MAGIC, _value_tag(self.values), self.key_rows.shape[1], n,
-            sum(map(len, sections)),
+            _BLOCK_MAGIC, _value_tag(self.values), len(self.space), n,
+            len(self.runs), sum(map(len, sections)),
         )
-        keys = self.key_rows.astype("<i8", copy=False).tobytes()
-        return b"".join((header, keys, *sections))
+        shape = np.asarray(self.space, dtype="<i8").tobytes()
+        return b"".join((header, shape, self.runs.astype("<i8").tobytes(), *sections))
 
     @classmethod
     def from_bytes(cls, data: bytes | bytearray | memoryview) -> "ResultBlock":
         """The block :meth:`to_bytes` wrote.  Its arrays are read-only
         views of ``data`` (no copy); a buffer that is not exactly one
-        well-formed block raises :class:`ShuffleError` — a ragged
-        column's lengths included: none negative, summing to its cells."""
+        well-formed block raises :class:`ShuffleError` — its shape and
+        runs, and a ragged column's lengths included: none negative,
+        summing to its cells."""
         view = memoryview(data)
         if view.nbytes < _BLOCK_HEADER.size:
             raise ShuffleError(
                 f"result block truncated: {view.nbytes} bytes, header needs "
                 f"{_BLOCK_HEADER.size}"
             )
-        magic, tag, rank, n, column_bytes = _BLOCK_HEADER.unpack_from(view)
+        magic, tag, rank, n, nruns, column_bytes = _BLOCK_HEADER.unpack_from(view)
         if magic != _BLOCK_MAGIC:
             raise ShuffleError(f"not a result block (magic {magic!r})")
         if tag not in VALUE_TAG_NAMES:
             raise ShuffleError(f"unknown result block value tag {tag}")
-        column_at = _BLOCK_HEADER.size + n * rank * 8
+        runs_at = _BLOCK_HEADER.size + 8 * rank
+        column_at = runs_at + 16 * nruns
         cell_bytes = column_bytes - 8 * n
         if tag == _RAGGED:
             malformed = cell_bytes < 0 or cell_bytes % 8
@@ -709,7 +722,20 @@ class ResultBlock(Sequence):
                 f"result block is {view.nbytes} bytes, its header says "
                 f"{column_at + column_bytes}"
             )
-        keys = _read_only_view(view, "<i8", n * rank, _BLOCK_HEADER.size)
+        space = tuple(_read_only_view(view, "<i8", rank, _BLOCK_HEADER.size).tolist())
+        runs = _read_only_view(view, "<i8", 2 * nruns, runs_at).reshape(nruns, 2)
+        # Bounds strictly increasing inside [0, volume]: runs non-empty,
+        # disjoint, not touching, and their lengths' sum cannot wrap.
+        bounds = runs.reshape(-1)
+        if (
+            (n and not space) or min(space, default=1) < 1
+            or (bounds.size and (bounds[0] < 0 or int(bounds[-1]) > math.prod(space)))
+            or not (bounds[1:] > bounds[:-1]).all()
+        ):
+            raise ShuffleError(
+                f"result block runs for {n} rows are not increasing keys of "
+                f"shape {space}"
+            )
         if tag in (_FLOAT64, _INT64):
             values = _read_only_view(
                 view, "<f8" if tag == _FLOAT64 else "<i8", n, column_at
@@ -733,7 +759,7 @@ class ResultBlock(Sequence):
             values = ExceedsColumn(
                 flags.view(np.bool_), _read_only_view(view, "<f8", n, column_at)
             )
-        return cls(keys.reshape(n, rank), values)
+        return cls(space, runs, values)
 
     def packed(self) -> "ResultBlock":
         """This block rebuilt over its own byte form: arrays that are
@@ -756,13 +782,18 @@ class ResultBlock(Sequence):
         return block
 
     def __len__(self) -> int:
-        return self.key_rows.shape[0]
+        return len(self.values)
 
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, slice):
-            return ResultBlock(self.key_rows[index], self.values[index])
+            runs = index_runs(self.key_index[index])
+            return ResultBlock(self.space, runs, self.values[index])
         i = range(len(self))[index]
-        return tuple(self.key_rows[i].tolist()), self.values[i:i + 1].tolist()[0]
+        # The run row i falls in, and its index there.
+        ends = np.cumsum(self.runs[:, 1] - self.runs[:, 0])
+        r = ends.searchsorted(i, side="right")
+        key = np.unravel_index(self.runs[r, 1] - (ends[r] - i), self.space)
+        return tuple(map(int, key)), self.values[i:i + 1].tolist()[0]
 
     def __iter__(self) -> Iterator[KeyValue]:
         return iter(self.canonical_records())
@@ -775,7 +806,7 @@ class ResultBlock(Sequence):
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"ResultBlock({len(self)} records, keys {self.key_rows.shape})"
+        return f"ResultBlock({len(self)} records, {len(self.runs)} runs, {self.space})"
 
 
 def run_columnar_map(
@@ -950,22 +981,24 @@ def run_columnar_map(
 
 def synthesized_keys(job: Any, partition: int | None) -> np.ndarray | None:
     """Keyblock ``partition``'s keys whose every producer the job's
-    SIDR plan pruned (``job.context["sidr_plan"]``), as row-major
-    indices in K'_T, or ``None``."""
+    SIDR plan pruned (``job.context["sidr_plan"]``), as an ``(R, 2)``
+    table of ``[start, stop)`` row-major runs in K'_T, or ``None``."""
     pruning = getattr(getattr(job, "context", {}).get("sidr_plan"), "pruning", None)
     return None if pruning is None else pruning.synth_keys.get(partition)
 
 
 def _fetched_rows(fetched: np.ndarray, synth: np.ndarray) -> np.ndarray | None:
     """Which rows of the ``fetched`` keys (distinct, in key order) and
-    the synthesized keys, merged in key order, are fetched ones: a mask
-    placed by one ``searchsorted``; ``None`` when a synthesized key was
-    fetched too."""
-    at = fetched.searchsorted(synth)
-    if (fetched[np.minimum(at, len(fetched) - 1)] == synth).any():
+    the synthesized runs' keys, merged in key order, are fetched ones:
+    a mask placed by one ``searchsorted`` of the runs' bounds; ``None``
+    when a synthesized key was fetched too."""
+    lo, hi = fetched.searchsorted(synth.T)
+    if (lo != hi).any():
         return None
-    rows = np.ones(len(fetched) + len(synth), dtype=bool)
-    rows[at + np.arange(len(at))] = False
+    lengths = synth[:, 1] - synth[:, 0]
+    at = lo + np.cumsum(lengths) - lengths
+    rows = np.ones(len(fetched) + int(lengths.sum()), dtype=bool)
+    rows[expand_runs(np.stack((at, at + lengths), axis=1))] = False
     return rows
 
 
@@ -985,9 +1018,9 @@ def run_columnar_reduce(
     keys, laid end to end, strictly increase (one comparison), each key
     arrives once and already in order: the body is *concatenate →
     finalize*, and counts ``reduce.planned``.  The keyblock's
-    synthesized keys join it as empty rows, placed by one
-    ``searchsorted`` (:func:`_fetched_rows`); a keyblock fetching
-    nothing is its synthesized keys.  Any other fetch merges, and so
+    synthesized runs join it as empty rows, placed by one
+    ``searchsorted`` of their bounds (:func:`_fetched_rows`); a keyblock
+    fetching nothing is its synthesized keys.  Any other fetch merges, and so
     does one that fetched a synthesized key: the synthesized keys enter
     first, as the operator's map of zero cells; one stable ``argsort``
     of the concatenated key column replaces the heap merge (ties keep
@@ -995,14 +1028,13 @@ def run_columnar_reduce(
     with one segmented fold per state column, and one
     ``finalize_columns`` call turns the combined columns into the
     keyblock's output; that counts ``reduce.generic``.  Both give the
-    same block, its keys unravelled to coordinates once.  Nothing here
-    runs once per key, so the cancellation/liveness checkpoint is
-    task-granular, like the map side's per-batch one.
+    same block, keyed by the linear column the keys already are.
+    Nothing here runs once per key, so the cancellation/liveness
+    checkpoint is task-granular, like the map side's per-batch one.
     """
     bop: BatchOperator = job.batch_operator
     partition = task[1] if task else files[0].partition if files else None
     synth = synthesized_keys(job, partition)
-    block = ResultBlock.empty()
     sizes: np.ndarray | None = None
     tally: dict[str, int] = {}
     try:
@@ -1019,6 +1051,7 @@ def run_columnar_reduce(
                 rows = _fetched_rows(grid, synth)
                 ordered = rows is not None
             if synth is not None and rows is None:
+                synth = expand_runs(synth)
                 n = len(synth)
                 grid = np.concatenate([synth, grid])
                 states = (bop.map_batch(np.empty((n, 0))), *states)
@@ -1036,7 +1069,7 @@ def run_columnar_reduce(
                     # rows are empty, so the fetched rows' lengths and
                     # counts scatter and no value moves.
                     merged = np.empty(rows.size, dtype=np.int64)
-                    merged[rows], merged[~rows] = grid, synth
+                    merged[rows], merged[~rows] = grid, expand_runs(synth)
                     lengths = np.zeros((len(cols) + 1, rows.size), dtype=np.int64)
                     lengths[:, rows] = [c.lengths for c in cols] + [count]
                     grid, count = merged, lengths[-1]
@@ -1044,9 +1077,8 @@ def run_columnar_reduce(
                         [Ragged(c.values, ln) for c, ln in zip(cols, lengths)]
                     )
                 sizes = np.ones(len(grid), dtype=np.int64)
-                block = ResultBlock(
-                    unravel_keys(grid, space), bop.finalize_columns(cols, count)
-                )
+                values = bop.finalize_columns(cols, count)
+                block = ResultBlock(space, index_runs(grid), values)
                 tally["reduce.planned"] = 1
             elif grid.size:
                 tally["reduce.generic"] = 1
@@ -1058,10 +1090,10 @@ def run_columnar_reduce(
                 merged = bop.combine_columns(cols, starts)
                 merged_counts = np.add.reduceat(count, starts)
                 sizes = np.diff(np.append(starts, grid.shape[0]))
-                block = ResultBlock(
-                    unravel_keys(grid[starts], space),
-                    bop.finalize_columns(merged, merged_counts),
-                )
+                values = bop.finalize_columns(merged, merged_counts)
+                block = ResultBlock(space, index_runs(grid[starts]), values)
+            else:
+                block = ResultBlock.empty()
         tally["reduce.input.groups"] = len(block)
         tally["reduce.input.records"] = sum([f.keys.shape[0] for f in files])
         tally["reduce.output.records"] = len(block)

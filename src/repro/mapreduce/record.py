@@ -12,6 +12,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.arrays.linearize import expand_runs
 from repro.errors import InjectedFaultError, ShuffleError
 from repro.mapreduce.columnar import synthesized_keys
 from repro.mapreduce.counters import Counters
@@ -159,7 +160,8 @@ def run_record_reduce(
         # One identity row: nothing writes a row's state.
         ((_, identity),) = job.mapper_factory().map(None, Chunk(np.empty(0), 0))
         space = job.context["sidr_plan"].partition.space
-        coords = zip(*[c.tolist() for c in np.unravel_index(synth, space)])
+        keys = np.unravel_index(expand_runs(synth), space)
+        coords = zip(*[c.tolist() for c in keys])
         segments.insert(0, [(k, identity) for k in coords])
     reducer = job.reducer_factory()
     reducer.setup()

@@ -18,7 +18,6 @@ are implemented here and selected by the engine.
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -31,25 +30,6 @@ from repro.errors import ShuffleError, StaleFetchError, TaskCancelledError
 from repro.mapreduce.types import KeyValue, MapTaskId
 from repro.obs.live.bus import EV_FETCH, EV_SPILL_COMMIT, EV_SPILL_REOPEN
 from repro.spec.cancel import REASON_SUPERSEDED, CancelToken
-
-
-def _spill_checks_enabled() -> bool:
-    """Whether spill files validate their sort invariant on construction.
-
-    The scan is O(n) per spill file — pure overhead on the hot path once
-    the sort code is trusted.  ``REPRO_CHECK_SPILLS`` (1/0, true/false)
-    overrides; otherwise the check follows ``__debug__`` (on normally,
-    off under ``python -O``).  The test suite pins it on so the invariant
-    stays enforced there.
-    """
-    env = os.environ.get("REPRO_CHECK_SPILLS")
-    if env is not None:
-        return env.strip().lower() not in ("", "0", "false", "no", "off")
-    return __debug__
-
-
-#: Resolved once at import: per-spill branchless read on the hot path.
-SPILL_CHECKS_ENABLED = _spill_checks_enabled()
 
 
 def estimate_serialized_bytes(records: tuple[KeyValue, ...]) -> int:
@@ -115,13 +95,11 @@ class MapOutputFile:
             raise ShuffleError(f"negative partition {self.partition}")
         if self.source_records < 0:
             raise ShuffleError("negative source record count")
-        if SPILL_CHECKS_ENABLED:
-            self.check_sorted()
+        self.check_sorted()
 
     def check_sorted(self) -> None:
-        """O(n) validation that the record run is key-sorted.  Gated at
-        construction by ``SPILL_CHECKS_ENABLED``; callable directly when
-        a one-off audit of an untrusted run is wanted."""
+        """O(n) validation that the record run is key-sorted, run at
+        construction: every spill is checked where it is made."""
         keys = [k for k, _ in self.records]
         if any(b < a for a, b in zip(keys, keys[1:])):
             raise ShuffleError(

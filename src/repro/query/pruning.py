@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.arrays.linearize import index_runs
 from repro.query.language import QueryPlan
 from repro.query.operators import PrunePredicate
 from repro.query.splits import CoordinateSplit
@@ -58,8 +59,8 @@ class PruneResult:
     pruned_indices: tuple[int, ...]
     #: Original split count before pruning.
     original_splits: int
-    #: keyblock index -> its synthesized keys, ``(n,)`` int64 row-major
-    #: indices in K'_T, in key order.
+    #: keyblock index -> its synthesized keys, an ``(R, 2)`` int64 table
+    #: of ``[start, stop)`` row-major runs in K'_T, in key order.
     synth_keys: dict[int, np.ndarray]
     #: Keyblocks whose every key is synthesized (empty I_l allowed).
     empty_blocks: frozenset[int]
@@ -72,7 +73,7 @@ class PruneResult:
 
     @property
     def num_synth_keys(self) -> int:
-        return sum(len(keys) for keys in self.synth_keys.values())
+        return sum(int(np.diff(runs).sum()) for runs in self.synth_keys.values())
 
 
 def split_prunable(
@@ -106,16 +107,16 @@ def _group_missing_keys(
     """Keys with no surviving producer, grouped by owning keyblock.
 
     ``np.flatnonzero`` yields row-major indices in order, so a
-    keyblock's keys are one contiguous run of them, sorted in row-major
-    key order — the order reduce outputs use — and kept as those
-    indices, the columnar plane's keys.
+    keyblock's keys are one contiguous stretch of them, sorted in
+    row-major key order — the order reduce outputs use — and kept as
+    the few ``[start, stop)`` runs they form (:func:`index_runs`).
     """
     lin = np.flatnonzero(~mask).astype(np.int64, copy=False)
     groups = {}
     for b, blk in enumerate(partition.blocks):
         lo, hi = np.searchsorted(lin, blk.cell_range)
         if hi > lo:
-            groups[b] = lin[lo:hi]
+            groups[b] = index_runs(lin[lo:hi])
     return groups
 
 
@@ -157,8 +158,8 @@ def prune_splits(
     delivered = plan.instance_cells(s for sp in surviving for s in sp.slabs)
     synth = _group_missing_keys(delivered > 0, partition)
     empty_blocks = frozenset(
-        b for b, keys in synth.items()
-        if len(keys) == partition.blocks[b].num_keys
+        b for b, runs in synth.items()
+        if np.diff(runs).sum() == partition.blocks[b].num_keys
     )
     return PruneResult(
         surviving=surviving,

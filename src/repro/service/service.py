@@ -531,26 +531,28 @@ class _Running(NamedTuple):
 def _assemble(running: _Running) -> tuple[ResultBlock | None, Outcome]:
     """A job's block and outcome from its parts' outcomes, in keyblock
     order, once every part has ended — one path for any number of
-    parts.  The first part that failed fails the job, and so do blocks
-    whose summed size is over the result cap (:func:`check_result_size`);
-    else their blocks laid end to end — their bytes spliced, not
-    repacked, and a lone part's passed through untouched
-    (:meth:`ResultBlock.concatenate`) — are its block, digested here,
-    once.  Counters add up, and ``run_seconds`` is the longest part's."""
+    parts.  The first part that failed fails the job.  Else their
+    blocks laid end to end — their bytes spliced, not repacked, and a
+    lone part's passed through untouched
+    (:meth:`ResultBlock.concatenate`) — are its block, failed over the
+    result cap (:func:`check_result_size`, on its own length) and else
+    digested here, once.  Counters add up, and ``run_seconds`` is the
+    longest part's."""
     outcomes = running.outcomes
     progress = running.snapshot()  # every part's last: no engine is asked
     write_errors = sum(o.event_write_errors for o in outcomes)
     out = next((o for o in outcomes if o.state != DONE), None)
     records = None
     if out is None:
+        block = ResultBlock.concatenate(
+            [ResultBlock.from_packed(o.block) for o in outcomes]
+        )
         try:
-            check_result_size(sum(len(o.block) for o in outcomes))
+            check_result_size(len(block.to_bytes()))
         except ResultTooLargeError as exc:
             out = failed_outcome(exc)
     if out is None:
-        digest, records = digest_and_block(ResultBlock.concatenate(
-            [ResultBlock.from_packed(o.block) for o in outcomes]
-        ))
+        digest, records = digest_and_block(block)
         counters: Counter[str] = Counter()
         for o in outcomes:
             counters.update(o.counters or {})

@@ -12,11 +12,12 @@ Outputs are compared in **canonical form**: numpy scalars/arrays are
 converted to plain Python values and records sorted by key.  A result's
 identity is its :func:`records_digest`: SHA-256 of the one byte form
 :meth:`ResultBlock.to_bytes <repro.mapreduce.columnar.ResultBlock.to_bytes>`
-gives those records (key rows as int64, the value column in one of four
-binary layouts: float64, int64 for ``count``, ragged for ``sort`` and
-``filter_gt``, the ``range_exceeds`` pair) — the same hex whether the
-result arrives as a block, as a packed block or as a canonical record
-list, and the hash of exactly the bytes the service stores and ships.  Equal digests mean equal bytes;
+gives those records (K'_T's shape and the keys' row-major runs as int64,
+the value column in one of four binary layouts: float64, int64 for
+``count``, ragged for ``sort`` and ``filter_gt``, the ``range_exceeds``
+pair) — for a complete result, the same hex whether it arrives as a
+block, as a packed block or as a canonical record list, and the hash of
+exactly the bytes the service stores and ships.  Equal digests mean equal bytes;
 that equal bytes mean ``repr``-identical canonical records is not taken
 on trust but shown on every output the differential fuzzer and the
 interleaving explorer compare (:func:`checked_digest`: the bytes are
@@ -74,10 +75,10 @@ def canonicalize_records(records: Any) -> CanonicalRecords:
 def records_digest(records: ResultBlock | CanonicalRecords) -> str:
     """SHA-256 of the result's byte form (:meth:`ResultBlock.to_bytes`)
     — equal digests mean byte-identical output.  A canonical record
-    list digests as the block holding it, so the hex does not depend on
-    the form the result arrives in; a list whose keys are not
-    coordinate tuples of one rank raises
-    :class:`~repro.errors.ShuffleError`."""
+    list digests as :meth:`ResultBlock.from_records` of it, in the
+    keys' bounding shape (K'_T for a complete result; a partial one's
+    can be smaller and digest differently); a list whose keys are not
+    coordinates raises :class:`~repro.errors.ShuffleError`."""
     if not isinstance(records, ResultBlock):
         records = ResultBlock.from_records(records)
     return hashlib.sha256(records.to_bytes()).hexdigest()

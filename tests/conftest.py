@@ -2,17 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
-
-# Spill-sort validation is debug-gated in production; the suite pins it
-# on so the sort invariant stays enforced (and fault-injection tests can
-# rely on corrupted spills being rejected).  Must run before any repro
-# import resolves the gate.
-os.environ.setdefault("REPRO_CHECK_SPILLS", "1")
 
 # Wall-clock deadlines make property tests flaky on loaded CI machines;
 # example counts already bound the work.

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.arrays.linearize import expand_runs, index_runs
 from repro.errors import ShuffleError
 from repro.mapreduce.columnar import (
     ColumnarMapOutput,
@@ -67,11 +68,21 @@ from repro.sidr.planner import build_plan
 from repro.verify.oracle import canonicalize_records, oracle_records, records_digest
 
 RECORDS = [((0, 1), 1.5), ((0, 2), -2.0), ((1, 0), 0.25)]
+#: The K'_T :func:`block_of` keys its blocks in.
+SPACE = (4, 4)
 
 
-def block_of(records):
-    keys = np.asarray([k for k, _ in records], dtype=np.int64)
-    return ResultBlock(keys, np.asarray([v for _, v in records]))
+def keyed(space, keys, values):
+    """The block of ``keys``, increasing row-major indices in ``space``,
+    and their ``values``."""
+    return ResultBlock(space, index_runs(np.asarray(keys, dtype=np.int64)), values)
+
+
+def block_of(records, space=SPACE):
+    """The block of ``records``, in key order, in ``space``."""
+    rows = np.asarray([k for k, _ in records], dtype=np.int64)
+    index = np.ravel_multi_index(tuple(rows.reshape(-1, len(space)).T), space)
+    return keyed(space, index, [v for _, v in records])
 
 
 class TestResultBlock:
@@ -95,16 +106,40 @@ class TestResultBlock:
         # out-of-order input is put in key order
         assert list(ResultBlock.from_records(RECORDS[::-1])) == RECORDS
 
+    def test_from_records_infers_the_bounding_space(self):
+        """A record list's space is its keys' per-axis maximum plus
+        one, its keys their row-major indices there, as runs."""
+        block = ResultBlock.from_records(RECORDS[::-1])
+        assert block.space == (2, 3)
+        assert block.key_index.tolist() == [1, 2, 3]
+        assert block.runs.tolist() == [[1, 4]]
+        np.testing.assert_array_equal(block.key_rows, [k for k, _ in RECORDS])
+        full = ResultBlock.from_records([((i, j), 1.0) for i, j in np.ndindex(3, 2)])
+        assert full.space == (3, 2) and full.runs.tolist() == [[0, 6]]
+
+    @pytest.mark.parametrize("keys,why", [
+        ([(0, -1), (0, 0)], "negative"),
+        ([(0, 1), (0, 1)], "repeat"),
+        ([(0.5,), (1,)], "integer"),
+        ([(0, 1), (1,)], "one rank"),
+        ([(True,), (False,)], "integer"),
+        ([(2**62, 2**62), (0, 0)], "bounded volume"),
+    ])
+    def test_from_records_refuses_bad_keys(self, keys, why):
+        with pytest.raises(ShuffleError, match=why):
+            ResultBlock.from_records([(k, 1.0) for k in keys])
+
     def test_list_valued_column(self):
         records = [((0,), [1.0, 2.0]), ((1,), []), ((2,), [3.0])]
-        block = ResultBlock(np.asarray([[0], [1], [2]]), [v for _, v in records])
+        block = keyed((3,), [0, 1, 2], [v for _, v in records])
         assert list(block) == records
         assert block.canonical_records() == canonicalize_records(records)
 
     def test_rank_one_keys(self):
-        block = ResultBlock(np.asarray([[3], [7]]), np.asarray([1, 2]))
+        block = keyed((8,), [3, 7], np.asarray([1, 2]))
         assert list(block) == [((3,), 1), ((7,), 2)]
         assert type(block[0][1]) is int
+        assert block.runs.tolist() == [[3, 4], [7, 8]]
 
     def test_empty_partition(self):
         block = ResultBlock.empty()
@@ -116,21 +151,22 @@ class TestResultBlock:
         assert list(ResultBlock.concatenate([block, block])) == []
 
     def test_shape_is_validated(self):
-        with pytest.raises(ShuffleError):
-            ResultBlock(np.asarray([1, 2]), np.asarray([1.0, 2.0]))
-        with pytest.raises(ShuffleError):
-            ResultBlock(np.asarray([[1], [2]]), np.asarray([1.0]))
+        with pytest.raises(ShuffleError, match=r"\(R, 2\)"):
+            ResultBlock((4,), np.asarray([1, 2]), np.asarray([1.0, 2.0]))
+        with pytest.raises(ShuffleError, match="mismatch"):
+            ResultBlock((4,), [[1, 3]], np.asarray([1.0]))
 
     def test_pickle_round_trip(self):
         for block in (
             block_of(RECORDS),
-            ResultBlock(np.asarray([[0], [1]]), [[1.0], []]),
+            keyed((2,), [0, 1], [[1.0], []]),
             ResultBlock.empty(),
+            block_of(RECORDS).packed(),
         ):
             clone = pickle.loads(pickle.dumps(block))
             assert isinstance(clone, ResultBlock)
-            assert list(clone) == list(block)
-            assert clone.key_rows.dtype == np.int64
+            assert list(clone) == list(block) and clone.space == block.space
+            assert clone.key_index.dtype == clone.key_rows.dtype == np.int64
 
     def test_concatenate_sorts_only_when_needed(self):
         a, b = block_of(RECORDS[:2]), block_of(RECORDS[2:])
@@ -145,6 +181,11 @@ class TestResultBlock:
         assert list(ResultBlock.concatenate([c, d])) == [
             ((0, 0), 1.0), ((1, 0), 3.0), ((2, 0), 2.0), ((3, 0), 4.0),
         ]
+
+    def test_blocks_of_different_spaces_do_not_concatenate(self):
+        a, b = block_of(RECORDS[:2]), block_of(RECORDS[2:], space=(2, 3))
+        with pytest.raises(ShuffleError, match="different key spaces"):
+            ResultBlock.concatenate([a, b])
 
     def test_canonical_records_equal_the_generic_walk(self):
         block = block_of(RECORDS)
@@ -195,19 +236,24 @@ _COLUMNS = {
 _TAGS = {"float": 0, "int": 2, "ragged": 3, "range_exceeds": 4}
 
 
+#: A K'_T of 1-4 axes: small extents, so keys fall into runs, or wide
+#: ones, so indices reach far into int64.
+_SPACES = st.lists(
+    st.integers(1, 6) | st.integers(1, 2**15), min_size=1, max_size=4
+).map(tuple)
+
+
 @st.composite
-def blocks(draw, kind=None, min_rows=1):
-    """A block in key order: 1-4 key columns, one of the value kinds."""
-    rank = draw(st.integers(1, 4))
-    rows = draw(
-        st.lists(
-            st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * rank),
-            min_size=min_rows, max_size=8, unique=True,
-        )
-    )
-    keys = np.asarray(sorted(rows), dtype=np.int64).reshape(len(rows), rank)
+def blocks(draw, kind=None, min_rows=1, max_rows=8):
+    """A block in key order: distinct keys of a 1-4-axis space, in as
+    many runs as they fall into, one of the value kinds."""
+    space = draw(_SPACES.filter(lambda space: math.prod(space) >= min_rows))
+    index = sorted(draw(st.sets(
+        st.integers(0, math.prod(space) - 1), min_size=min_rows,
+        max_size=min(max_rows, math.prod(space)),
+    )))
     kind = kind or draw(st.sampled_from(sorted(_COLUMNS)))
-    return ResultBlock(keys, draw(_COLUMNS[kind](len(rows))))
+    return keyed(space, index, draw(_COLUMNS[kind](len(index))))
 
 
 def _column_arrays(values):
@@ -228,10 +274,16 @@ def _float_bits(block):
     return floats.view(np.uint64).tolist()
 
 
+#: Where a packed block's header keeps its run count and its value
+#: bytes.
+_RUNS_AT, _VALUE_BYTES_AT = 16, 24
+
+
 def _ragged_bytes():
-    """A packed two-row ragged block and where its lengths start."""
-    block = ResultBlock(np.asarray([[0], [1]]), [[1.0, 2.0], [3.0]])
-    return bytearray(block.to_bytes()), 24 + 2 * 8
+    """A packed two-row ragged block and where its lengths start: past
+    the 32-byte header, the rank-1 shape and the one run."""
+    block = keyed((2,), [0, 1], [[1.0, 2.0], [3.0]])
+    return bytearray(block.to_bytes()), 32 + 8 + 16
 
 
 class TestByteForm:
@@ -241,12 +293,14 @@ class TestByteForm:
         clone = ResultBlock.from_bytes(data)
         assert repr(clone.canonical_records()) == repr(block.canonical_records())
         assert clone.to_bytes() == data
-        assert not clone.key_rows.flags.writeable
+        assert clone.space == (block.space if len(block) else ())
+        np.testing.assert_array_equal(clone.key_index, block.key_index)
+        assert not clone.runs.flags.writeable
         for array in _column_arrays(clone.values):
             assert not array.flags.writeable
         # a writable buffer does not make the views writable
         again = ResultBlock.from_bytes(bytearray(data))
-        assert not again.key_rows.flags.writeable
+        assert not again.runs.flags.writeable
         for array in _column_arrays(again.values):
             assert not array.flags.writeable
         assert again.to_bytes() == data
@@ -266,7 +320,7 @@ class TestByteForm:
 
     def test_special_floats_keep_their_repr(self):
         column = np.asarray([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324])
-        block = ResultBlock(np.arange(6).reshape(6, 1), column)
+        block = keyed((6,), np.arange(6), column)
         clone = ResultBlock.from_bytes(block.to_bytes())
         assert repr(clone.canonical_records()) == repr(block.canonical_records())
         assert repr(clone[3][1]) == "-0.0" and repr(clone[0][1]) == "nan"
@@ -286,7 +340,7 @@ class TestByteForm:
                 for i, v in enumerate(special)
             ],
         }[kind]
-        block = ResultBlock(np.arange(len(values)).reshape(-1, 1), values)
+        block = keyed((len(values),), np.arange(len(values)), values)
         bits = _float_bits(block)
         assert bits == [_QUIET_NAN] * 3 + [_NEGATIVE_ZERO]
         clone = ResultBlock.from_bytes(block.to_bytes())
@@ -298,31 +352,46 @@ class TestByteForm:
         block = ResultBlock.from_records([((k,), []) for k in range(3)])
         assert isinstance(block.values, Ragged) and block.values.values.size == 0
         data = block.to_bytes()
-        assert data[4] == _TAGS["ragged"] and len(data) == 24 + 3 * 8 + 3 * 8
+        # header, shape, one run, three lengths
+        assert data[4] == _TAGS["ragged"] and len(data) == 32 + 8 + 16 + 3 * 8
         clone = ResultBlock.from_bytes(data)
         assert clone.canonical_records() == [((0,), []), ((1,), []), ((2,), [])]
         assert clone.to_bytes() == data
 
     def test_empty_blocks_share_one_encoding(self):
         rank0 = ResultBlock.empty()
-        rank3 = ResultBlock(np.empty((0, 3), dtype=np.int64), [])
+        rank3 = keyed((2, 3, 4), np.empty(0, dtype=np.int64), [])
         assert rank0.to_bytes() == rank3.to_bytes()
         assert block_of(RECORDS)[:0].to_bytes() == rank0.to_bytes()
         clone = ResultBlock.from_bytes(rank3.to_bytes())
         assert len(clone) == 0 and clone.canonical_records() == []
-        ragged = ResultBlock(np.asarray([[0]]), [[1.0]])[:0]
+        ragged = keyed((1,), [0], [[1.0]])[:0]
         assert ragged.to_bytes() == rank0.to_bytes()
 
     @given(blocks(kind="float"))
     def test_equal_canonical_records_give_equal_bytes(self, block):
         """Whatever holds the column — float array, list of floats, the
-        record plane's ``from_records`` — and whichever NaN it holds."""
+        record plane's ``from_records`` in the block's space — and
+        whichever NaN it holds."""
         data = block.to_bytes()
-        as_list = ResultBlock(block.key_rows, block.values.tolist())
+        as_list = keyed(block.space, block.key_index, block.values.tolist())
         assert as_list.to_bytes() == data
-        assert ResultBlock.from_records(block.canonical_records()).to_bytes() == data
+        records = ResultBlock.from_records(block.canonical_records())
+        assert keyed(block.space, block.key_index, records.values).to_bytes() == data
         flipped = np.where(np.isnan(block.values), -block.values, block.values)
-        assert ResultBlock(block.key_rows, flipped).to_bytes() == data
+        assert keyed(block.space, block.key_index, flipped).to_bytes() == data
+
+    @given(_SPACES.filter(lambda space: math.prod(space) <= 64), st.data())
+    def test_a_complete_result_is_one_run_in_either_form(self, space, data):
+        """Keys that are all of K'_T are one run, and their record
+        list's bounding shape is K'_T: the block and the list give the
+        same bytes — why a complete result has one digest."""
+        n = math.prod(space)
+        block = keyed(space, np.arange(n), data.draw(_COLUMNS["float"](n)))
+        assert block.runs.tolist() == [[0, n]]
+        data = block.to_bytes()
+        assert ResultBlock.from_records(block.canonical_records()).to_bytes() == data
+        assert len(data) == fixed_block_nbytes(n, len(space), 8)
 
     def test_mixed_numbers_are_refused(self):
         """``1`` and ``1.0`` stay apart: a column is all ints or all
@@ -330,11 +399,11 @@ class TestByteForm:
         for values in ([1, 2.0], [[1.0], 2.0], [[1]], [True, False],
                        [{"variation": 1.0, "exceeds": True}], ["a"]):
             with pytest.raises(ShuffleError, match="not all floats"):
-                ResultBlock(np.arange(len(values)).reshape(-1, 1), values)
+                keyed((len(values),), np.arange(len(values)), values)
         with pytest.raises(ShuffleError, match="int64 range"):
             ResultBlock.from_records([((0,), 2**63)])
-        ints = ResultBlock(np.asarray([[0], [1]]), [1, 2])
-        floats = ResultBlock(np.asarray([[0], [1]]), [1.0, 2.0])
+        ints = keyed((2,), [0, 1], [1, 2])
+        floats = keyed((2,), [0, 1], [1.0, 2.0])
         assert ints.to_bytes() != floats.to_bytes()
         assert repr(ResultBlock.from_bytes(ints.to_bytes()).canonical_records()) == (
             "[((0,), 1), ((1,), 2)]"
@@ -358,12 +427,14 @@ class TestByteForm:
                 ResultBlock.from_bytes(good[:4] + bytes([tag]) + good[5:])
         with pytest.raises(ShuffleError, match="magic"):
             ResultBlock.from_bytes(b"NOPE" + good[4:])
-        # a row count the buffer cannot hold is refused, not allocated
-        huge = good[:8] + struct.pack("<Q", 2**62) + good[16:]
-        with pytest.raises(ShuffleError):
-            ResultBlock.from_bytes(huge)
-        exceeds = ResultBlock(
-            np.asarray([[0]]), [{"exceeds": True, "variation": 1.0}]
+        # a row or run count the buffer cannot hold is refused, not
+        # allocated
+        for at in (8, _RUNS_AT):
+            huge = good[:at] + struct.pack("<Q", 2**62) + good[at + 8:]
+            with pytest.raises(ShuffleError):
+                ResultBlock.from_bytes(huge)
+        exceeds = keyed(
+            (1,), [0], [{"exceeds": True, "variation": 1.0}]
         ).to_bytes()
         with pytest.raises(ShuffleError, match="not 0 or 1"):
             ResultBlock.from_bytes(exceeds[:-1] + b"\x02")
@@ -390,23 +461,75 @@ class TestByteForm:
         with pytest.raises(ShuffleError, match="header says"):
             ResultBlock.from_bytes(bytes(data[:-8]))
         short = bytearray(data[:-8])
-        struct.pack_into("<Q", short, 16, struct.unpack_from("<Q", data, 16)[0] - 8)
+        struct.pack_into(
+            "<Q", short, _VALUE_BYTES_AT,
+            struct.unpack_from("<Q", data, _VALUE_BYTES_AT)[0] - 8,
+        )
         with pytest.raises(ShuffleError, match="3 cells, values 2"):
             ResultBlock.from_bytes(bytes(short))
         # cell bytes that are not whole float64s
         odd = bytearray(data + b"\0")
-        struct.pack_into("<Q", odd, 16, struct.unpack_from("<Q", data, 16)[0] + 1)
+        struct.pack_into(
+            "<Q", odd, _VALUE_BYTES_AT,
+            struct.unpack_from("<Q", data, _VALUE_BYTES_AT)[0] + 1,
+        )
         with pytest.raises(ShuffleError, match="value bytes"):
             ResultBlock.from_bytes(bytes(odd))
 
+    def test_malformed_run_tables_raise(self):
+        """A run table is outside input too: runs that descend, overlap,
+        touch without joining or run past ``volume(space)``, runs whose
+        lengths do not sum to the rows, and a shape the rows cannot
+        have are each refused."""
+        block = keyed((3, 4), [1, 2, 5, 9, 10], [1.0, 2.0, 3.0, 4.0, 5.0])
+        data = block.to_bytes()
+        assert block.runs.tolist() == [[1, 3], [5, 6], [9, 11]]
+
+        def patched(runs=None, shape=None):
+            out = bytearray(data)
+            if runs is not None:
+                struct.pack_into("<6q", out, 32 + 2 * 8, *np.ravel(runs))
+            if shape is not None:
+                struct.pack_into("<2q", out, 32, *shape)
+            return bytes(out)
+
+        assert ResultBlock.from_bytes(patched([[1, 3], [5, 6], [9, 11]])) == block
+        for runs in ([[3, 1], [5, 6], [9, 13]],  # descending
+                     [[1, 3], [6, 5], [9, 12]],
+                     [[1, 3], [6, 6], [9, 12]],  # empty
+                     [[1, 4], [3, 4], [9, 11]],  # overlapping
+                     [[5, 6], [1, 3], [9, 11]],  # out of order
+                     [[1, 3], [3, 4], [9, 11]],  # touching, not joined
+                     [[1, 3], [5, 6], [11, 13]],  # past volume(space)
+                     [[-1, 1], [5, 6], [9, 11]]):
+            with pytest.raises(ShuffleError, match="are not increasing keys"):
+                ResultBlock.from_bytes(patched(runs))
+        for runs in ([[1, 3], [5, 6], [9, 10]],  # 4 keys, not 5
+                     [[0, 3], [5, 6], [9, 11]]):  # 6
+            with pytest.raises(ShuffleError, match="row mismatch"):
+                ResultBlock.from_bytes(patched(runs))
+        for shape in ((2, 4), (0, 12), (-3, -4)):  # volume 8 < 11; extents < 1
+            with pytest.raises(ShuffleError, match="are not increasing keys"):
+                ResultBlock.from_bytes(patched(shape=shape))
+        # the header's rank counts the shape: a rank the bytes do not
+        # hold fails the length check, and rank 0 has no rows
+        for rank in (1, 3):
+            wrong = data[:6] + struct.pack("<H", rank) + data[8:]
+            with pytest.raises(ShuffleError, match="header says"):
+                ResultBlock.from_bytes(wrong)
+        one = keyed((1,), [0], [1.0]).to_bytes()
+        rank0 = one[:6] + struct.pack("<H", 0) + one[8:32] + one[40:]
+        with pytest.raises(ShuffleError, match="are not increasing keys of shape"):
+            ResultBlock.from_bytes(rank0)
+
     def test_packed_block_owns_one_buffer(self):
         source = np.arange(12.0)
-        block = ResultBlock(np.arange(24).reshape(12, 2)[::2], source[::2])
+        block = keyed((24,), np.arange(24)[::4], source[::2])
         packed = block.packed()
         assert packed == block
         assert packed.to_bytes() is packed.to_bytes()
         assert packed.to_bytes() == block.to_bytes()
-        for array in (packed.key_rows, packed.values):
+        for array in (packed.runs, packed.values):
             assert not array.flags.writeable
             assert not np.shares_memory(array, source)
         # a slice of it is its own block, not the whole buffer again
@@ -417,12 +540,12 @@ class TestByteForm:
             lambda kind: blocks(kind=kind, min_rows=0)
         )
     )
-    @example(ResultBlock(
-        np.arange(3).reshape(3, 1),
+    @example(keyed(
+        (3,), np.arange(3),
         [[math.nan, math.inf, -math.inf, -0.0, 0.0], [], [-0.0]],
     ))
-    @example(ResultBlock(
-        np.arange(2).reshape(2, 1),
+    @example(keyed(
+        (2,), np.arange(2),
         [{"exceeds": True, "variation": -0.0},
          {"exceeds": False, "variation": math.nan}],
     ))
@@ -435,7 +558,7 @@ class TestByteForm:
         parsed = ResultBlock.from_bytes(block.to_bytes())
         assert repr(packed.canonical_records()) == repr(parsed.canonical_records())
         assert packed.to_bytes() == parsed.to_bytes() == block.to_bytes()
-        assert not packed.key_rows.flags.writeable
+        assert not packed.runs.flags.writeable
         for array, source in zip(
             _column_arrays(packed.values), _column_arrays(block.values)
         ):
@@ -451,7 +574,7 @@ class TestByteForm:
         assert got == doc
         assert isinstance(records, ResultBlock)
         assert repr(records.canonical_records()) == repr(block.canonical_records())
-        assert records.key_rows.flags.aligned
+        assert records.runs.flags.aligned
         for array in _column_arrays(records.values):
             assert array.flags.aligned
         assert decode_result_body(encode_result_body(doc, None)) == doc
@@ -482,7 +605,7 @@ def operator_blocks(draw):
     bop = batch_operator_for(op)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * inf
         column = bop.finalize_columns(bop.map_batch(values), np.full(n, cells))
-    return name, ResultBlock(np.arange(n).reshape(n, 1), column)
+    return name, keyed((n,), np.arange(n), column)
 
 
 class TestEngineAndOracleBytes:
@@ -531,22 +654,14 @@ class TestEngineAndOracleBytes:
 @st.composite
 def splits(draw, kind=None):
     """A block in key order (rank 1-4, any value column, NaN payloads,
-    -0.0) and its rows cut into 2-5 contiguous, non-empty parts."""
-    rank = draw(st.integers(1, 4))
-    rows = draw(
-        st.lists(
-            st.tuples(*[st.integers(-(2**40), 2**40)] * rank),
-            min_size=2, max_size=24, unique=True,
-        )
-    )
-    keys = np.asarray(sorted(rows), dtype=np.int64).reshape(len(rows), rank)
-    kind = kind or draw(st.sampled_from(sorted(_COLUMNS)))
-    values = draw(_COLUMNS[kind](len(rows)))
+    -0.0, keys in one run or many) and its rows cut into 2-5
+    contiguous, non-empty parts: a run may continue across a cut."""
+    block = draw(blocks(kind=kind, min_rows=2, max_rows=24))
+    rows = len(block)
     cuts = sorted(draw(st.sets(
-        st.integers(1, len(rows) - 1), min_size=1, max_size=min(4, len(rows) - 1)
+        st.integers(1, rows - 1), min_size=1, max_size=min(4, rows - 1)
     )))
-    bounds = [0, *cuts, len(rows)]
-    block = ResultBlock(keys, values)
+    bounds = [0, *cuts, rows]
     return block, [block[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
@@ -589,7 +704,9 @@ class TestSplice:
         beside a ragged one is a fault, not a column to convert."""
         whole, parts = split
         i = data.draw(st.integers(0, len(parts) - 1))
-        listed = ResultBlock(parts[i].key_rows, [[v] for v in parts[i].value_list()])
+        listed = keyed(
+            parts[i].space, parts[i].key_index, [[v] for v in parts[i].value_list()]
+        )
         parts = [*parts[:i], listed, *parts[i + 1:]]
         packed = [part.packed() for part in parts]
         assert packed[i].to_bytes()[4] == _TAGS["ragged"]
@@ -616,6 +733,32 @@ class TestJobResult:
         assert res.all_records() == [((0,), [1]), ((1,), 2.0)]
         assert repr(res.canonical_records()) == "[((0,), [1]), ((1,), 2.0)]"
 
+    def test_a_partial_result_is_a_run_per_stretch_of_keyblocks(self):
+        """A partial result — keyblocks 0, 1 and 3 of four committed —
+        is one run per contiguous stretch of committed keyblocks, in the
+        true K'_T; its bytes round-trip, its parts splice to them, and
+        its record list (whose bounding shape is not K'_T) digests
+        differently, as docs/SERVICE.md says."""
+        space = (4, 5)
+        blocks = {
+            b: keyed(space, np.arange(5 * b, 5 * b + 5), np.full(5, float(b)))
+            for b in (0, 1, 3)
+        }
+        out = self._result(blocks).all_records()
+        assert out.space == space and out.runs.tolist() == [[0, 10], [15, 20]]
+        data = out.to_bytes()
+        clone = ResultBlock.from_bytes(data)
+        assert clone == out and clone.to_bytes() == data
+        spliced = ResultBlock.concatenate([blocks[b].packed() for b in sorted(blocks)])
+        assert spliced._packed is not None and spliced.to_bytes() == data
+        digest, _ = digest_and_block(out)
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert records_digest(out.canonical_records()) == digest
+        # keyblock 3 missing: the list's bounding shape is (2, 5)
+        head = self._result({b: blocks[b] for b in (0, 1)}).all_records()
+        assert head.runs.tolist() == [[0, 10]]
+        assert records_digest(head.canonical_records()) != records_digest(head)
+
     def test_no_outputs(self):
         """No committed partition (a partial result whose deadline fired
         first) is the empty block, so the service can pack and digest it
@@ -631,11 +774,6 @@ class TestJobResult:
 def _coords(keys, plan):
     """``(n, rank)`` coordinates of ``plan``'s linear keys."""
     return np.stack(np.unravel_index(keys, plan.partition.space), axis=1)
-
-
-def _linear(rows, plan):
-    """Row-major indices in ``plan``'s K'_T of ``(n, rank)`` key rows."""
-    return np.ravel_multi_index(tuple(rows.T), plan.partition.space)
 
 
 def _rows_of(f, rows):
@@ -701,8 +839,8 @@ class TestSynthesizedKeys:
             ]
             out, paths = _paths_of(job, files, obs, block)
             assert paths == (1, 0)
-            synth = plan.pruning.synth_keys[block]
-            keys = _linear(out.key_rows, plan).tolist()
+            synth = expand_runs(plan.pruning.synth_keys[block])
+            keys = out.key_index.tolist()
             if block == 1:
                 assert files == [] and keys == synth.tolist()
                 continue
@@ -728,8 +866,8 @@ class TestSynthesizedKeys:
         counters = Counters()
         want = ResultBlock.from_records(oracle_records(qplan, data)).to_bytes()
         synth = {
-            tuple(k) for keys in plan.pruning.synth_keys.values()
-            for k in _coords(keys, plan).tolist()
+            tuple(k) for runs in plan.pruning.synth_keys.values()
+            for k in _coords(expand_runs(runs), plan).tolist()
         }
         values = []
         for attempt in range(2):
@@ -842,7 +980,7 @@ def _pruned_reduce_calls(lat: int, partition: int) -> tuple[int, int, ResultBloc
 
     reduce()  # warm: first-use caches
     calls, out = _count_calls(reduce)
-    return calls, len(plan.pruning.synth_keys[partition]), out
+    return calls, len(expand_runs(plan.pruning.synth_keys[partition])), out
 
 
 class TestNoPerKeyLoop:
@@ -921,13 +1059,13 @@ class TestDigestBuildsNoRecords:
     @staticmethod
     def _block():
         n = 8320
-        keys = np.stack(np.unravel_index(np.arange(n), (20, 26, 16)), axis=1)
-        return ResultBlock(keys, np.random.default_rng(0).random(n))
+        return keyed((20, 26, 16), np.arange(n), np.random.default_rng(0).random(n))
 
     def test_peak_memory_is_a_small_multiple_of_the_block(self):
         block = self._block()
         size = len(block.to_bytes())
-        assert size == 24 + 8320 * 3 * 8 + 8320 * 8
+        # header, shape, one run, the values: no key section
+        assert size == 32 + 3 * 8 + 16 + 8320 * 8 == 66_632
         gc.collect()
         tracemalloc.start()
         try:
@@ -1145,6 +1283,11 @@ class TestPlannedMap:
         assert res.all_records().to_bytes() == want
         for p, block in res.outputs.items():
             assert (hashed.partition_many(block.key_rows, 2) == p).all()
+            # a hash partition's keys are scattered: many runs, which
+            # round-trip
+            assert len(block.runs) > 1
+            clone = ResultBlock.from_bytes(block.to_bytes())
+            assert clone == block and clone.space == block.space
 
     def test_keys_that_repeat_within_a_map_are_combined(self):
         """A split of two slabs that cut the same instances: its keys
@@ -1438,8 +1581,8 @@ class TestPlannedReduce:
         assert [len(files) for files in fetches] == [1, 0, 1]
         ordered = [_paths_of(job, files, obs, b) for b, files in enumerate(fetches)]
         assert [paths for _, paths in ordered] == [(1, 0)] * 3
-        synth = plan.pruning.synth_keys[0]
-        both = np.sort(np.concatenate([synth, fetches[0][0].keys[:1]]))
+        synth = expand_runs(plan.pruning.synth_keys[0])
+        both = index_runs(np.sort(np.concatenate([synth, fetches[0][0].keys[:1]])))
         job.context["sidr_plan"] = SimpleNamespace(
             partition=plan.partition,
             pruning=SimpleNamespace(synth_keys={0: both}),
@@ -1475,10 +1618,10 @@ class TestPlannedReduce:
 class TestFixedBlockSize:
     @pytest.mark.parametrize("name", OPERATORS)
     def test_a_fixed_width_block_is_sized_before_it_is_made(self, name):
-        """Header plus, per key of K'_T, its coordinates and one value:
-        what :meth:`ResultBlock.to_bytes` gives, for every operator
-        whose rows are of one width (``sort`` and ``filter_gt`` rows
-        are not)."""
+        """Header, K'_T's shape, one run and, per key of K'_T, one
+        value: what :meth:`ResultBlock.to_bytes` gives, for every
+        operator whose rows are of one width (``sort`` and ``filter_gt``
+        rows are not)."""
         data = _matrix_data()
         qplan = _compile(data.shape, (4, 3, 2), operator=name,
                          threshold=THRESHOLD.get(name))

@@ -216,12 +216,13 @@ class TestSerialDependency:
         contract — maps in split order, each reduce fired (ready, then
         run to completion) right after the map that completes its I_l
         — and so is the explorer's serial baseline digest (SHA-256 of
-        the output's byte form: header, eight int64 keys, the int64
-        column ``[0, 10, ..., 70]``).  The digest pinned when that
-        column was the JSON of the list still holds for the same
-        records, through a copy of the old packer."""
+        the output's byte form: header, the shape ``(8,)``, one run
+        ``[0, 8)``, the int64 column ``[0, 10, ..., 70]``).  The digests
+        pinned when that column was the JSON of the list, and when the
+        keys were eight int64 rows, still hold for the same records,
+        through copies of the old packers."""
         from repro.verify import explore, records_digest
-        from tests.legacy_codec import json_tag_digest
+        from tests.legacy_codec import json_tag_digest, rbk1_digest
 
         job, deps = ranged_job()
         res = LocalEngine().run_serial(job, DependencyBarrier(deps))
@@ -250,9 +251,12 @@ class TestSerialDependency:
         report = explore(make_job, schedules=8)
         assert report.ok, report.summary()
         assert report.baseline_digest == (
-            "5929ead4c9825ef1225c04a254b3e6b6d1c18a20cf18e61b7a85d395fcefb5ea"
+            "2b78bef24334733e42191e3e614b2321a7aa562f5fd49816e665324fcc99bffa"
         )
         assert report.baseline_digest == records_digest(res.canonical_records())
+        assert rbk1_digest(res.canonical_records()) == (
+            "5929ead4c9825ef1225c04a254b3e6b6d1c18a20cf18e61b7a85d395fcefb5ea"
+        )
         assert json_tag_digest(res.canonical_records()) == (
             "7a77ce4fec43f0d0b5ade6aea3b563b54c216dd803e476d4cce960a9f7871aa9"
         )

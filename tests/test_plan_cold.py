@@ -5,9 +5,10 @@ server process, and every job of a cached plan runs ``configure_job``.
 The expected source cells per keyblock behind the §3.2.1 validator are
 per-axis products over K'_T, computed once per plan
 (:meth:`~repro.query.language.QueryPlan.instance_cells`), so neither
-walks keys in Python, and a plan holds no per-key array but a pruned
-plan's synthesized keys.  These tests hold the interpreter calls of
-both to written budgets, and a cold plan's pickled bytes to
+walks keys in Python, and a plan holds no per-key array: a pruned
+plan's synthesized keys are row-major runs.  These tests hold the
+interpreter calls of both to written budgets, and a cold plan's
+pickled bytes to
 :data:`MAX_PLAN_BYTES`, on the e2e harness's grids and query shapes
 (``benchmarks/e2e/harness.py``) and on a 1.31 M-key mean.
 """
@@ -45,8 +46,10 @@ COLD = {
 }
 #: Bytes a cold plan may pickle to: what it costs the cache, and every
 #: engine process it is sent to.  ``grid_fine``'s pickled to 94 367 025
-#: while the plan held each split's keys and spill layout.
-MAX_PLAN_BYTES = 1 << 20
+#: while the plan held each split's keys and spill layout, and the
+#: pruned ``grid_filter``'s to 426 911 while it held one int64 per
+#: synthesized key (runs since).
+MAX_PLAN_BYTES = 32 << 10
 #: Calls of a second ``configure_job`` of a cached
 #: ``keep_partial_instances`` mean plan on the larger grid: measured 22
 #: (9 210 416 when the validator walked K'_T on every call).

@@ -27,14 +27,9 @@ from repro.mapreduce.columnar import (
     ExceedsColumn,
     Ragged,
     group_starts,
-    lexsorted_rows,
 )
 from repro.mapreduce.job import JobConf
-from repro.mapreduce.shuffle import (
-    ShuffleStore,
-    _spill_checks_enabled,
-    payload_nbytes,
-)
+from repro.mapreduce.shuffle import ShuffleStore, payload_nbytes
 from repro.mapreduce.types import MapTaskId
 from repro.query.columnar import (
     ColumnarRecordReader,
@@ -775,13 +770,6 @@ class TestChunkBatch:
 
 
 class TestHelpers:
-    def test_lexsorted_rows(self):
-        assert lexsorted_rows(np.empty((0, 2), dtype=np.int64))
-        assert lexsorted_rows(np.array([[0, 5]]))
-        assert lexsorted_rows(np.array([[0, 1], [0, 1], [0, 2], [1, 0]]))
-        assert not lexsorted_rows(np.array([[0, 2], [0, 1]]))
-        assert not lexsorted_rows(np.array([[1, 0], [0, 9]]))
-
     def test_group_starts(self):
         keys = np.array([0, 0, 1, 6, 6])
         np.testing.assert_array_equal(group_starts(keys), [0, 2, 3])
@@ -841,7 +829,7 @@ class TestColumnarMapOutput:
         assert f.source_records == 12
 
     def test_unsorted_keys_rejected(self):
-        # conftest pins REPRO_CHECK_SPILLS=1, so construction validates.
+        # Every spill checks its key order where it is made.
         with pytest.raises(ShuffleError, match="not sorted"):
             _cmo(keys=np.array([3, 0, 1], dtype=np.int64))
 
@@ -954,14 +942,3 @@ class TestPlumbing:
         assert payload_nbytes(arr) == arr.nbytes
         # a ragged column is its cells, not its row lengths
         assert payload_nbytes(Ragged(np.zeros(20), [10, 10])) == 160
-
-    def test_spill_check_env_parsing(self, monkeypatch):
-        for raw, want in [
-            ("1", True), ("true", True), ("yes", True), ("on", True),
-            ("0", False), ("false", False), ("no", False),
-            ("off", False), ("", False),
-        ]:
-            monkeypatch.setenv("REPRO_CHECK_SPILLS", raw)
-            assert _spill_checks_enabled() is want
-        monkeypatch.delenv("REPRO_CHECK_SPILLS")
-        assert _spill_checks_enabled() is __debug__

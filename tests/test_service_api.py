@@ -455,7 +455,9 @@ class TestInProcessService:
             stored = svc.get_job(doc["id"]).records
             assert isinstance(stored, ResultBlock)
             assert stored.to_bytes() is stored.to_bytes()
-            assert not stored.key_rows.flags.writeable
+            # a complete result: K'_T's shape and one run, no key column
+            assert stored.runs.tolist() == [[0, len(stored)]]
+            assert not stored.runs.flags.writeable
             assert repr(stored.canonical_records()) == repr(records)
             assert doc["records"] == records_to_json(stored)
             assert doc["records"] == records_to_json(records)
@@ -576,29 +578,33 @@ class TestHttpServer:
     def test_an_oversized_fixed_width_request_is_a_413_and_runs_nothing(
         self, live_server, monkeypatch
     ):
-        """A mean's block is a header and one row per key of K'_T: one
-        byte over the cap, its request is refused at submit — 413,
-        typed, no job, no engine run, nothing billed — and at the cap it
-        runs, to a block of exactly that length."""
+        """A mean's block is a header, K'_T's shape, one run and one
+        value per key: one byte over the cap, its request is refused at
+        submit — 413, typed, no job, no engine run, nothing billed — and
+        at the cap it runs, to a block of exactly that length, whole or
+        in two parts: the service checks the spliced block's own length,
+        not its parts' summed headers."""
         from repro.mapreduce.columnar import fixed_block_nbytes
         from repro.service import engine_process
 
         client, service, path, data = live_server
         client.open_dataset("d", path)
-        req = mean_request(reduces=1)  # one part: its block is the job's
-        space = tuple(n // e for n, e in zip(data.shape, req.extract))
-        size = fixed_block_nbytes(int(np.prod(space)), len(space), 8)
-        monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", size - 1)
-        with pytest.raises(Exception, match="413.*ResultTooLargeError"):
-            client.submit(req)
-        stats = client.stats()
-        assert client.jobs() == [] and stats["tenants"] == {}
-        assert [e["jobs"] for e in stats["engines"]] == [0, 0]
-        monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", size)
-        doc = client.query(req)
-        assert doc["state"] == DONE
-        _, block = service.result_block(doc["id"], timeout=0)
-        assert len(block.to_bytes()) == size
+        for reduces, parts in ((1, 1), (2, 2)):
+            req = mean_request(reduces=reduces)
+            space = tuple(n // e for n, e in zip(data.shape, req.extract))
+            size = fixed_block_nbytes(int(np.prod(space)), len(space), 8)
+            monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", size - 1)
+            with pytest.raises(Exception, match="413.*ResultTooLargeError"):
+                client.submit(req)
+            if parts == 1:
+                stats = client.stats()
+                assert client.jobs() == [] and stats["tenants"] == {}
+                assert [e["jobs"] for e in stats["engines"]] == [0, 0]
+            monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", size)
+            doc = client.query(req)
+            assert doc["state"] == DONE and doc["parts"] == parts, doc
+            _, block = service.result_block(doc["id"], timeout=0)
+            assert len(block.to_bytes()) == size
 
     @pytest.mark.parametrize(
         "fields,fragment",
@@ -867,7 +873,7 @@ class TestHttpServer:
         doc = client.query(req)
         block = doc.pop("records")
         assert isinstance(block, ResultBlock)
-        assert not block.key_rows.flags.writeable
+        assert not block.runs.flags.writeable
 
         ctype, body = self._get_result(client, doc["id"])
         assert ctype == "application/json"

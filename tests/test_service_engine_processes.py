@@ -316,28 +316,29 @@ class TestResultSizeCap:
         with ``ResultTooLargeError``, and so does a split job whose
         parts fit only one by one; the same engines then serve a job
         under it."""
-        monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", 1024)
+        monkeypatch.setattr(engine_process, "MAX_RESULT_BYTES", 300)
+        # 8 keys: a 136-byte block
         small = request(**CLASSES["coarse_scan"])
-        # No cell passes: a row is its key and a zero length, the width
-        # of a mean's row.
+        # No cell passes: a row is a zero length, the width of a mean's
+        # row, behind a 72-byte header, shape and run.
         ragged = dict(operator="filter_gt", threshold=1000.0, prune=False)
         with service_fixture(workers=2) as client:
             svc = client.service
             svc.register_array("d", "v", field())
             _, digest = oracle_for_request(svc, small)
-            # fine_mean-shaped (320 keys, 10 264 bytes): one keyblock
+            # fine_mean-shaped (320 keys, 2 632 bytes): one keyblock
             # runs whole, four split in two
             whole = client.query(request(reduces=1, **ragged))
             split = client.query(request(**ragged))
-            # 32 keys: two parts of 536 bytes, 1 072 spliced
+            # 32 keys: two parts of 200 bytes, 328 spliced
             summed = client.query(request(extract=(7, 10, 10), **ragged))
             after = client.query(small)
             engines = svc.stats()["engines"]
         for doc, parts in ((whole, 1), (split, 2), (summed, 2)):
             assert doc["state"] == FAILED and doc["parts"] == parts, doc
             assert doc["error_types"] == ["ResultTooLargeError"]
-            assert "over the service's cap of 1024" in doc["error"]
-        assert "1072 bytes" in summed["error"]
+            assert "over the service's cap of 300" in doc["error"]
+        assert "328 bytes" in summed["error"]
         assert after["state"] == DONE and after["digest"] == digest
         assert [e["restarts"] for e in engines] == [0, 0]
 

@@ -289,8 +289,8 @@ class TestBoundedByBytes:
         """The byte bound counts what a plan costs where it is held or
         sent: ``nbytes`` is the served benchmark's plans' pickled
         length, and the cache counts it.  A plan holds no per-key
-        array but a pruned plan's synthesized keys: a few KB to a few
-        tens of KB."""
+        array, a pruned plan's synthesized keys included (they are
+        row-major runs): a few KB each."""
         name, shape, fields = cls
         session = _grid(tmp_path / "grid.nc", shape)
         req = QueryRequest(
@@ -303,7 +303,7 @@ class TestBoundedByBytes:
             session.close()
         size = len(pickle.dumps(plan))
         assert plan.nbytes == size
-        assert size <= (80 << 10 if name == "ragged_filter" else 32 << 10)
+        assert size <= 32 << 10
         cache = plancache.PlanCache()
         cache.insert(("grid", "digest", name), plan)
         assert cache.snapshot()["bytes"] == size

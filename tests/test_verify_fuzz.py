@@ -29,7 +29,7 @@ from repro.verify import (
     shrink_case,
     write_repro,
 )
-from tests.legacy_codec import json_tag_digest
+from tests.legacy_codec import json_tag_digest, rbk1_digest
 
 
 def base_case(operator, **kwargs):
@@ -59,6 +59,8 @@ _FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_
     [math.nan, _NEG_NAN, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
 )
 _INTS = st.integers(-(2**63), 2**63 - 1)
+#: A key coordinate: small, so keys fall into runs, or wide.
+_COORDS = st.integers(0, 6) | st.integers(0, 2**15)
 #: One row's value, by value column.
 _VALUES = {
     "float": _FLOATS,
@@ -74,12 +76,13 @@ _VALUES = {
 
 @st.composite
 def canonical_records(draw, min_rows=0, kind=None):
-    """A canonical record list: rank 1-4 keys in key order, 0-8 rows,
-    one value column (``kind``, or drawn)."""
+    """A canonical record list: rank 1-4 keys (non-negative
+    coordinates, as every key of K'_T is) in key order, 0-8 rows, one
+    value column (``kind``, or drawn)."""
     rank = draw(st.integers(1, 4))
     keys = draw(
         st.lists(
-            st.tuples(*[st.integers(-(2**63), 2**63 - 1)] * rank),
+            st.tuples(*[_COORDS] * rank),
             min_size=min_rows, max_size=8, unique=True,
         )
     )
@@ -109,9 +112,7 @@ def near_miss_pairs(draw):
     ]))
     if kind == "reshaped":
         # (2 rows, rank 3) and (3 rows, rank 2) over the same integers
-        k = sorted(draw(st.lists(
-            st.integers(-(2**63), 2**63 - 1), min_size=6, max_size=6, unique=True
-        )))
+        k = sorted(draw(st.lists(_COORDS, min_size=6, max_size=6, unique=True)))
         v = draw(_VALUES[draw(st.sampled_from(sorted(_VALUES)))])
         return (
             [(tuple(k[:3]), v), (tuple(k[3:]), v)],
@@ -181,12 +182,15 @@ class TestOracle:
         the operator table replaced them.  The classes are gone; their
         verdicts stay.
 
-        ``digest`` is of the byte form with a JSON value column, checked
-        through a copy of that packer (``tests/legacy_codec.py``):
-        the oracle's records have not changed.  ``binary_digest``,
-        pinned beside it, is today's :func:`records_digest`: equal to
-        ``digest`` for every float64 result, and different only for
-        the operators whose column is no longer JSON."""
+        ``digest`` is of the byte form with a JSON value column, and
+        ``binary_digest`` of the one with every value column binary and
+        every key an int64 row (``RBK1``), each checked through a copy
+        of its packer (``tests/legacy_codec.py``): the oracle's records
+        have not changed.  ``binary_digest`` equals ``digest`` for every
+        float64 result, and differs only for the operators whose column
+        is no longer JSON.  ``rbk2_digest``, pinned beside them, is
+        today's :func:`records_digest`: K'_T's shape and one run where
+        the key rows were."""
         corpus = json.loads(
             (Path(__file__).parent / "data" / "oracle_corpus.json").read_text()
         )
@@ -196,7 +200,8 @@ class TestOracle:
             plan, data = case.build()
             records = oracle_records(plan, data)
             assert json_tag_digest(records) == doc["digest"], case.describe()
-            assert records_digest(records) == doc["binary_digest"], case.describe()
+            assert rbk1_digest(records) == doc["binary_digest"], case.describe()
+            assert records_digest(records) == doc["rbk2_digest"], case.describe()
             repinned = case.operator in ("count", "sort", "filter_gt", "range_exceeds")
             assert (doc["binary_digest"] != doc["digest"]) == repinned
             seen.setdefault(case.operator, []).append(case)
@@ -256,7 +261,7 @@ class TestOracle:
 
     def test_empty_results_share_one_digest(self):
         rank0 = ResultBlock.empty()
-        rank3 = ResultBlock(np.empty((0, 3), dtype=np.int64), [])
+        rank3 = ResultBlock((1, 2, 3), np.empty((0, 2), dtype=np.int64), [])
         assert records_digest([]) == records_digest(rank0) == records_digest(rank3)
         assert records_digest([]) != records_digest([((0, 0, 0), 0.0)])
 
@@ -696,7 +701,9 @@ class TestServiceLeg:
         real = ResultBlock.to_bytes
         monkeypatch.setattr(
             ResultBlock, "to_bytes",
-            lambda self: real(ResultBlock(self.key_rows, np.zeros(len(self)))),
+            lambda self: real(
+                ResultBlock(self.space, self.runs, np.zeros(len(self)))
+            ),
         )
         result = run_case(base_case("mean"))
         assert not result.ok

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.arrays.linearize import expand_runs
 from repro.arrays.slab import Slab
 from repro.errors import FormatError
 from repro.mapreduce.engine import LocalEngine
@@ -179,12 +180,19 @@ class TestPruningSoundness:
         )
         for b, cells in enumerate(walk):
             missing = [key for key, n in cells.items() if n == 0]
-            got = result.synth_keys.get(b, np.empty(0, dtype=np.int64))
-            coords = np.unravel_index(got, plan.intermediate_space)
+            runs = result.synth_keys.get(b, np.empty((0, 2), dtype=np.int64))
+            # maximal runs: each starts past the last one's stop
+            assert (runs[:, 0] < runs[:, 1]).all()
+            assert (runs[1:, 0] > runs[:-1, 1]).all()
+            coords = np.unravel_index(expand_runs(runs), plan.intermediate_space)
             assert list(zip(*[c.tolist() for c in coords])) == missing
         # Empty blocks are exactly the all-synthesized ones.
         for b in result.empty_blocks:
-            assert len(result.synth_keys[b]) == partition.blocks[b].num_keys
+            runs = result.synth_keys[b]
+            assert int((runs[:, 1] - runs[:, 0]).sum()) == partition.blocks[b].num_keys
+        assert result.num_synth_keys == sum(
+            list(cells.values()).count(0) for cells in walk
+        )
 
     @given(case=prune_case())
     @settings(max_examples=120, **SETTINGS)
