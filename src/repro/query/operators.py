@@ -400,10 +400,6 @@ _SPECS: dict[str, _Spec] = {
 OPERATOR_NAMES: tuple[str, ...] = tuple(_SPECS)
 THRESHOLD_OPERATORS = tuple(n for n, s in _SPECS.items() if s.takes_threshold)
 PRUNABLE_OPERATORS = tuple(n for n, s in _SPECS.items() if s.prunable)
-# A pruned key's state is an empty ragged row, which the ordered reduce
-# places by inserting a zero row length; fixed-width state has no placement.
-if any(_SPECS[n].combine is not None for n in PRUNABLE_OPERATORS):
-    raise QueryError("a prunable operator's state must be ragged")
 
 
 class SpecOperator(StructuralOperator):

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.arrays.linearize import expand_runs
 from repro.arrays.slab import Slab
 from repro.errors import (
     JobConfigError,
@@ -26,7 +27,7 @@ from repro.mapreduce.columnar import (
     ColumnarMapOutput,
     ExceedsColumn,
     Ragged,
-    group_starts,
+    _key_order,
 )
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import ShuffleStore, payload_nbytes
@@ -98,7 +99,7 @@ def _plan(field, shape, **kw):
 
 def _coords(item):
     """A batch's keys as ``(n, rank)`` K' coordinates."""
-    return np.stack(np.unravel_index(item.keys, item.space), axis=1)
+    return np.stack(np.unravel_index(expand_runs(item.runs), item.space), axis=1)
 
 
 def _expand(reader):
@@ -755,25 +756,42 @@ class TestRaggedOperators:
 # --------------------------------------------------------------------- #
 class TestChunkBatch:
     def test_valid(self):
-        b = ChunkBatch(np.zeros(3, dtype=np.int64), np.ones((3, 5)), [4, 2])
+        b = ChunkBatch([[1, 3], [5, 6]], np.ones((3, 5)), [4, 2])
         assert b.num_instances == 3
         assert b.cells_per_instance == 5
         assert b.space == (4, 2)
 
-    def test_rejects_keys_that_are_not_1d(self):
-        with pytest.raises(ShuffleError, match="keys"):
-            ChunkBatch(np.zeros((3, 2), dtype=np.int64), np.ones((3, 5)), (4, 2))
+    def test_rejects_runs_that_are_not_a_run_table(self):
+        with pytest.raises(ShuffleError, match="runs"):
+            ChunkBatch(np.zeros(3, dtype=np.int64), np.ones((3, 5)), (4, 2))
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(ShuffleError, match="mismatch"):
-            ChunkBatch(np.zeros(4, dtype=np.int64), np.ones((3, 5)), (4, 2))
+            ChunkBatch([[0, 4]], np.ones((3, 5)), (4, 2))
 
 
 class TestHelpers:
-    def test_group_starts(self):
-        keys = np.array([0, 0, 1, 6, 6])
-        np.testing.assert_array_equal(group_starts(keys), [0, 2, 3])
-        assert group_starts(np.empty(0, dtype=np.int64)).size == 0
+    def test_key_order_combines_repeated_keys(self):
+        """Overlapping runs are the one case a map or a reduce spells
+        keys out: rows stably sorted by key, each key's rows combined
+        in input order, the distinct keys' runs rebuilt."""
+        bop = batch_operator_for(SumOp())
+        runs = np.array([[6, 7], [0, 2], [0, 1], [6, 7]])  # keys 6, 0, 1, 0, 6
+        cols = bop.map_batch(np.array([[1.0], [2.0], [3.0], [4.0], [5.0]]))
+        got, combined, counts, starts = _key_order(
+            bop, runs, cols, np.ones(5, dtype=np.int64)
+        )
+        assert got.tolist() == [[0, 2], [6, 7]]
+        assert starts.tolist() == [0, 2, 3]
+        assert [c.tolist() for c in combined] == [[6.0, 3.0, 6.0]]
+        assert counts.tolist() == [2, 1, 2]
+        # Disjoint runs out of order are only sorted: nothing combines.
+        got, combined, _, starts = _key_order(
+            bop, runs[:2], bop.map_batch(np.array([[1.0], [2.0], [3.0]])),
+            np.ones(3, dtype=np.int64),
+        )
+        assert got.tolist() == [[0, 2], [6, 7]] and starts is None
+        assert [c.tolist() for c in combined] == [[2.0, 3.0, 1.0]]
 
     def test_ragged_row_operations(self):
         """The row operations the engine applies to a state column:
@@ -812,7 +830,7 @@ def _cmo(**kw):
         map_id=MapTaskId(0),
         partition=1,
         # (0, 0), (0, 1), (1, 0) of a (2, 3) K'_T
-        keys=np.array([0, 1, 3], dtype=np.int64),
+        runs=np.array([[0, 2], [3, 4]], dtype=np.int64),
         space=(2, 3),
         states=(np.array([1.0, 2.0, 3.0]),),
         source_counts=np.array([4, 4, 4], dtype=np.int64),
@@ -829,9 +847,17 @@ class TestColumnarMapOutput:
         assert f.source_records == 12
 
     def test_unsorted_keys_rejected(self):
-        # Every spill checks its key order where it is made.
-        with pytest.raises(ShuffleError, match="not sorted"):
-            _cmo(keys=np.array([3, 0, 1], dtype=np.int64))
+        # Every spill checks its run table where it is made.
+        for runs in (
+            [[3, 4], [0, 2]],  # out of order
+            [[0, 2], [1, 2]],  # overlapping: a key twice
+            [[0, 2], [2, 3]],  # touching: not maximal
+            [[0, 1], [5, 7]],  # past K'_T's volume
+            [[-1, 1], [3, 4]],  # negative
+            [[0, 3], [4, 4]],  # empty run
+        ):
+            with pytest.raises(ShuffleError, match="not sorted"):
+                _cmo(runs=np.array(runs, dtype=np.int64))
 
     def test_state_column_length_mismatch(self):
         with pytest.raises(ShuffleError, match="length"):
@@ -845,7 +871,7 @@ class TestColumnarMapOutput:
         """A key is charged at the width of its coordinates: what it
         serializes to, and what the record plane charges."""
         f = _cmo()
-        want = (2 * f.keys.nbytes + f.states[0].nbytes
+        want = (2 * 8 * f.num_records + f.states[0].nbytes
                 + f.source_counts.nbytes)
         assert f.approx_serialized_bytes == want
 

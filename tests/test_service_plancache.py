@@ -29,6 +29,7 @@ from repro.service import (
     service_fixture,
 )
 from repro.service.api import DONE
+from repro.service.engine_process import EngineConfig, run_job
 from repro.service.service import build_served_plan
 from tests.test_plan_cold import _grid
 
@@ -290,7 +291,10 @@ class TestBoundedByBytes:
         sent: ``nbytes`` is the served benchmark's plans' pickled
         length, and the cache counts it.  A plan holds no per-key
         array, a pruned plan's synthesized keys included (they are
-        row-major runs): a few KB each."""
+        row-major runs): a few KB each.  What a job adds to the plan —
+        its parts, its partitioner — does not pickle: after ``parts(2)``
+        and a whole job, the plan an engine process is sent is still
+        the bytes the cache counted."""
         name, shape, fields = cls
         session = _grid(tmp_path / "grid.nc", shape)
         req = QueryRequest(
@@ -299,14 +303,27 @@ class TestBoundedByBytes:
         )
         try:
             plan = build_served_plan(req, session)
+            size = len(pickle.dumps(plan))
+            assert plan.nbytes == size
+            assert size <= 32 << 10
+            cache = plancache.PlanCache()
+            cache.insert(("grid", "digest", name), plan)
+            assert cache.snapshot()["bytes"] == size
+            plan.parts(2)
+            assert len(pickle.dumps(plan)) == size
+            out = run_job(
+                name, req, session.engine_source(), plan, EngineConfig(),
+                part=plan.parts(1)[0],
+            )
+            assert out.state == DONE
+            assert len(pickle.dumps(plan)) == size
+            clone = pickle.loads(pickle.dumps(plan))
+            assert clone.parts(2) == plan.parts(2)
+            assert clone.partitioner.boundaries.tolist() == (
+                plan.partitioner.boundaries.tolist()
+            )
         finally:
             session.close()
-        size = len(pickle.dumps(plan))
-        assert plan.nbytes == size
-        assert size <= 32 << 10
-        cache = plancache.PlanCache()
-        cache.insert(("grid", "digest", name), plan)
-        assert cache.snapshot()["bytes"] == size
 
     def test_a_plan_over_the_budget_is_served_uncached(self, monkeypatch):
         monkeypatch.setattr(plancache, "MAX_BYTES", 1)
