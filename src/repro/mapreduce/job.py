@@ -42,6 +42,7 @@ class JobConf:
     reducer_factory: Callable[[], Reducer]
     partitioner: Partitioner
     num_reduce_tasks: int
+    #: The record plane's; a columnar map always combines repeated keys.
     combiner_factory: Callable[[], Reducer] | None = None
     #: Stock Hadoop reduce tasks contact every completed map task (§4.6);
     #: engines running SIDR plans set this False to fetch only from the
