@@ -21,10 +21,13 @@ no engine process:
   its K'_T — header, shape, one run, one value per key — or the run
   aborts: a per-key key section cannot come back unnoticed;
 * ``plan`` — the bytes the served plan pickles to: what the service
-  sends each engine process that runs a part of it.
+  sends each engine process that runs a part of it;
+* ``loads`` — p50 of ``pickle.loads`` of those bytes, in µs, and its
+  share of ``part0``: what an engine process adds to each part it runs
+  before ``run_job`` starts.
 
 Every round measures every class, in reversed order on odd rounds, and
-alternates whole, part and floor runs within a class.  The digest of
+alternates whole, part, floor and loads runs within a class.  The digest of
 every whole job's block, and that of each round's parts spliced in
 keyblock order, must equal the oracle's, and no whole job may count a
 ``reduce.generic`` (every keyblock of every class takes the ordered
@@ -97,6 +100,7 @@ class Served:
         self.request = inputs.request(cls)
         self.digest = inputs.digests[cls]
         self.plan = build_served_plan(self.request, self.session)
+        self.data = pickle.dumps(self.plan)
         self.source = self.session.engine_source()
         self.config = EngineConfig()
         self.parts = self.plan.parts(2)
@@ -151,11 +155,14 @@ class Served:
 
 
 def one_round(served: Served, runs: int) -> dict[str, list[float]]:
-    times: dict[str, list[float]] = {"whole": [], "part0": [], "floor": []}
+    times: dict[str, list[float]] = {
+        "whole": [], "part0": [], "floor": [], "loads": [],
+    }
     steps = [
         ("whole", served.run),
         ("part0", lambda: served.run(served.parts[0])),
         ("floor", served.floor),
+        ("loads", lambda: pickle.loads(served.data)),
     ]
     for i in range(runs):
         for name, fn in steps if i % 2 == 0 else steps[::-1]:
@@ -198,10 +205,11 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 s.check_size(out)
                 blocks[s.cls] = (len(out.block), VALUE_TAG_NAMES[out.block[4]])
-                plans[s.cls] = len(pickle.dumps(s.plan))
+                plans[s.cls] = len(s.data)
                 calls[s.cls] = count_calls(s.run)
             rounds: dict[str, dict[str, list[float]]] = {
-                s.cls: {"whole": [], "part0": [], "floor": []} for s in served
+                s.cls: {"whole": [], "part0": [], "floor": [], "loads": []}
+                for s in served
             }
             for rnd in range(args.rounds):
                 for s in served if rnd % 2 == 0 else served[::-1]:
@@ -215,21 +223,26 @@ def main(argv: list[str] | None = None) -> int:
           f"cpu_count {os.cpu_count()}, Python {sys.version.split()[0]}")
     print(f"  {'class':16s} {'whole p50':>10s} {'part0 p50':>10s} "
           f"{'floor p50':>10s} {'floor/part0':>11s} {'calls/job':>10s} "
-          f"{'block bytes':>11s} {'plan bytes':>10s}  value tag")
+          f"{'block bytes':>11s} {'plan bytes':>10s} {'loads p50':>10s} "
+          f"{'loads/part0':>11s}  value tag")
     report = {}
     for cls, per in rounds.items():
         med = {name: statistics.median(v) for name, v in per.items()}
         share = med["floor"] / med["part0"] if med["part0"] else 0.0
+        loads = med["loads"] / med["part0"] if med["part0"] else 0.0
         size, tag = blocks[cls]
         print(f"  {cls:16s} {med['whole']:8.2f}ms {med['part0']:8.2f}ms "
               f"{med['floor']:8.2f}ms {share:11.2f} {calls[cls]:10d} "
-              f"{size:11d} {plans[cls]:10d}  {tag}")
+              f"{size:11d} {plans[cls]:10d} {med['loads'] * 1e3:8.0f}us "
+              f"{loads:11.3f}  {tag}")
         report[cls] = {
             "p50_ms": {k: round(v, 3) for k, v in med.items()},
             "rounds_ms": {k: [round(x, 3) for x in v] for k, v in per.items()},
             "calls_per_job": calls[cls],
             "block_bytes": size,
             "plan_bytes": plans[cls],
+            "loads_us": round(med["loads"] * 1e3, 1),
+            "loads_share_of_part0": round(loads, 4),
             "value_tag": tag,
         }
     if args.out:

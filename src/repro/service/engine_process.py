@@ -17,15 +17,16 @@ pipe, through :meth:`EngineProcess.send` and
 :meth:`EngineProcess.receive` — split so that the service's one event
 loop, whose reader each job pipe is, can have a part on every slot:
 
-* the service sends a :class:`Run`: job id, request, the session's
-  :class:`~repro.service.sessions.SessionRef` and the :class:`Part` to
-  run (a job of one part runs ``SIDRPlan.parts(1)``, the whole plan).
-  A process that lacks the job's plan (or an array session's data)
-  answers :class:`Need`, and :meth:`EngineProcess.receive` sends the
-  same :class:`Run` again with them attached.  The process keeps what
-  it is sent in a :class:`~repro.service.plancache.PlanCache` of the
-  service's cache's capacity; the service keeps no record of what a
-  process holds, so there is nothing to drift.
+* the service sends a :class:`Run`, the part complete: job id,
+  request, the session's :class:`~repro.service.sessions.SessionRef`,
+  the :class:`Part` to run (a job of one part runs
+  ``SIDRPlan.parts(1)``, the whole plan) and the plan's pickled bytes,
+  as the service's plan cache keeps them.  The process unpickles the
+  plan for the part and keeps nothing of it; of a session it keeps
+  one open handle per name, reopened (the old one closed) when the
+  session's path or digest moves.  Every session is a file, so the
+  service keeps no record of what a process holds, and there is
+  nothing to drift.
 * the process answers with an :class:`Outcome`: ``done`` with the
   packed block's bytes, counters and the final progress snapshot, or
   ``failed`` with the error and its types.  A block over
@@ -56,6 +57,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
+import pickle
 import signal
 import socket
 import stat
@@ -66,13 +68,10 @@ from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any, NamedTuple
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.mapreduce.columnar import ResultBlock
 from repro.mapreduce.engine import LocalEngine, Part, RetryPolicy
 from repro.obs import EventBus, JobObservability, JsonlEventWriter, ProgressTracker
-from repro.service import plancache
 from repro.service.api import (
     DONE,
     FAILED,
@@ -187,8 +186,6 @@ class EngineConfig(NamedTuple):
     reduce_workers: int = 3
     #: ``serve --events``: the JSONL file every job's events append to.
     events_path: str | None = None
-    #: Entries a process keeps at most (the plan cache's capacity).
-    capacity: int = 256
 
 
 class Run(NamedTuple):
@@ -198,16 +195,8 @@ class Run(NamedTuple):
     request: QueryRequest
     session: SessionRef
     part: Part
-    plan: SIDRPlan | None = None
-    #: An array session's data.
-    array: np.ndarray | None = None
-
-
-class Need(NamedTuple):
-    """Process to service: send the :class:`Run` again with these."""
-
-    plan: bool
-    array: bool
+    #: The job's plan, pickled (:class:`~repro.service.plancache.Cached`).
+    plan: bytes
 
 
 class Outcome(NamedTuple):
@@ -320,45 +309,30 @@ def failed_outcome(exc: Exception) -> Outcome:
 # --------------------------------------------------------------------- #
 def _handle(
     message: Run,
-    kept: plancache.PlanCache,
-    files: dict[str, tuple[str, DatasetSession]],
+    files: dict[str, tuple[str, str, DatasetSession]],
     config: EngineConfig,
     watch: Callable[[ProgressTracker], None],
-) -> Outcome | Need:
-    """Run ``message``'s part, or ask for what ``kept`` — the plans and
-    array sessions the process has been sent — lacks.  ``files`` holds
-    one handle per file session: path -> (the service's digest of it,
-    the handle), reopened when the digest moved (a write through the
-    service)."""
-    ref, request = message.session, message.request
-    plan_key = (ref.name, ref.digest, request.plan_key())
-    array_key = (ref.name, ref.digest, "")  # a plan key is never empty
-    if message.plan is not None:
-        kept.insert(plan_key, message.plan)
-    if message.array is not None:
-        kept.insert(array_key, message.array)
-    plan = kept.lookup(plan_key) if message.plan is None else message.plan
-    if ref.path is not None:
-        held = files.get(ref.path)
-        try:
-            if held is None or held[0] != ref.digest:
-                if held is not None:
-                    held[1].close()
-                held = files[ref.path] = (
-                    ref.digest, DatasetSession(ref.name, path=ref.path)
-                )
-            source = held[1].engine_source()
-        except (ReproError, OSError) as exc:  # fails the job, not the process
-            return failed_outcome(exc)
-    elif message.array is not None:
-        source = message.array
-    else:
-        source = kept.lookup(array_key)
-    if plan is None or source is None:
-        return Need(plan=plan is None, array=source is None)
+) -> Outcome:
+    """Run ``message``'s part on the plan it carries.  ``files`` holds
+    one handle per session: name -> (its path, the service's digest of
+    it, the handle), reopened and the old handle closed when the path
+    (a registration) or the digest (a write through the service)
+    moved."""
+    ref = message.session
+    held = files.get(ref.name)
+    try:
+        if held is None or held[:2] != (ref.path, ref.digest):
+            if held is not None:
+                held[2].close()
+            held = files[ref.name] = (
+                ref.path, ref.digest, DatasetSession(ref.name, path=ref.path)
+            )
+        source = held[2].engine_source()
+    except (ReproError, OSError) as exc:  # fails the job, not the process
+        return failed_outcome(exc)
     return run_job(
-        message.job_id, request, source, plan, config,
-        part=message.part, watch=watch,
+        message.job_id, message.request, source, pickle.loads(message.plan),
+        config, part=message.part, watch=watch,
     )
 
 
@@ -407,16 +381,16 @@ def _serve(
     jobs: Connection, control: Connection, config: EngineConfig,
     cpus: frozenset[int],
 ) -> None:
-    """An engine process's main loop: one :class:`Run` in, one answer
-    out, until the service sends ``None`` or goes away.  A process runs
-    at most one part of a job, so the job id names what it runs; it is
-    placed on its slot's ``cpus`` before it starts a thread."""
+    """An engine process's main loop: one :class:`Run` in, one
+    :class:`Outcome` out, until the service sends ``None`` or goes
+    away.  A process runs at most one part of a job, so the job id
+    names what it runs; it is placed on its slot's ``cpus`` before it
+    starts a thread."""
     _place(cpus)
     # Ctrl-C reaches the whole process group; the service stops us.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _sever_inherited_sockets({jobs.fileno(), control.fileno()})
-    kept = plancache.PlanCache(config.capacity)
-    files: dict[str, tuple[str, DatasetSession]] = {}
+    files: dict[str, tuple[str, str, DatasetSession]] = {}
     running: dict[str, ProgressTracker] = {}
     threading.Thread(
         target=_answer_progress, args=(control, running),
@@ -431,7 +405,7 @@ def _serve(
             return
         try:
             answer = _handle(
-                message, kept, files, config,
+                message, files, config,
                 lambda tracker: running.__setitem__(message.job_id, tracker),
             )
         finally:
@@ -456,9 +430,6 @@ class EngineProcess:
         #: Job parts sent, and processes started in place of a dead one.
         self.jobs = 0
         self.restarts = 0
-        #: The last :meth:`send`'s message, plan and session, for a
-        #: :class:`Need`.
-        self._sent: tuple[Run, SIDRPlan, DatasetSession] | None = None
         self._start()
 
     def _start(self) -> None:
@@ -482,38 +453,25 @@ class EngineProcess:
 
     def send(
         self, job_id: str, request: QueryRequest, session: DatasetSession,
-        plan: SIDRPlan, part: Part,
+        plan: bytes, part: Part,
     ) -> None:
-        """Start one ``part`` of a job in the process; :meth:`receive`
-        reads its answer.  :class:`EngineProcessError` if the process is
-        gone."""
+        """Start one ``part`` of a job, whose pickled ``plan`` it
+        carries, in the process; :meth:`receive` reads its answer.
+        :class:`EngineProcessError` if the process is gone."""
         self.jobs += 1
-        message = Run(job_id, request, session.ref(), part)
-        self._sent = (message, plan, session)
         try:
-            self._jobs.send(message)
+            self._jobs.send(Run(job_id, request, session.ref(), part, plan))
         except OSError:
             raise self._died() from None
 
-    def receive(self) -> Outcome | None:
-        """The answer to the last :meth:`send`, once
-        :attr:`connection` is readable: its :class:`Outcome`, or
-        ``None`` when the process asked for the plan or data and was
-        sent them (read again).  :class:`EngineProcessError` if the
-        process died first."""
+    def receive(self) -> Outcome:
+        """The :class:`Outcome` of the last :meth:`send`, once
+        :attr:`connection` is readable.  :class:`EngineProcessError` if
+        the process died first."""
         try:
-            answer = self._jobs.recv()
-            if isinstance(answer, Need):
-                assert self._sent is not None
-                message, plan, session = self._sent
-                self._jobs.send(message._replace(
-                    plan=plan if answer.plan else None,
-                    array=session.array if answer.array else None,
-                ))
-                return None
+            return self._jobs.recv()
         except (EOFError, OSError):
             raise self._died() from None
-        return answer
 
     @property
     def connection(self) -> Connection:
@@ -587,6 +545,7 @@ class EngineProcess:
             "rss_kb": _status_field(self.pid, "VmRSS"),
             "cpus": cpus,
             "policy": policy,
+            "fds": _open_fds(self.pid),
         }
 
 
@@ -682,11 +641,20 @@ def _status_field(pid: int | str, field: str) -> int | None:
     return None
 
 
+def _open_fds(pid: int | str) -> int | None:
+    """How many descriptors ``pid`` has open, from ``/proc/<pid>/fd``;
+    ``None`` once the process is gone."""
+    try:
+        return len(os.listdir(f"/proc/{pid}/fd"))
+    except OSError:
+        return None
+
+
 def own_process() -> dict[str, int | None]:
     """The service's own process as ``GET /stats`` shows it, read from
     ``/proc/self``: resident KiB, open descriptors and OS threads."""
     return {
         "rss_kb": _status_field("self", "VmRSS"),
-        "fds": len(os.listdir("/proc/self/fd")),
+        "fds": _open_fds("self"),
         "threads": _status_field("self", "Threads"),
     }

@@ -88,7 +88,7 @@ from repro.service.engine_process import (
     own_process,
 )
 from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
-from repro.service.plancache import PlanCache
+from repro.service.plancache import Cached, PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
 from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
 
@@ -172,7 +172,6 @@ class QueryService:
             map_workers=map_workers,
             reduce_workers=reduce_workers,
             events_path=events_path,
-            capacity=plan_cache_capacity,
         )
         self.engine_config = config
         # No CPUs to deal where the platform has no CPU affinity.
@@ -393,9 +392,9 @@ class QueryService:
     # ------------------------------------------------------------------ #
     def plan(
         self, req: QueryRequest, session: DatasetSession
-    ) -> tuple[SIDRPlan, bool]:
-        """``(plan, hit)``: the request's plan from the cache, built on
-        a miss."""
+    ) -> tuple[Cached, bool]:
+        """``(entry, hit)``: the request's plan and its pickled bytes
+        from the cache, built on a miss."""
         return self.plan_cache.get_or_build(
             session.name,
             session.digest,
@@ -423,7 +422,7 @@ class QueryService:
         try:
             session = self.registry.get(req.dataset)
             t0 = time.perf_counter()
-            plan, hit = self.plan(req, session)
+            (plan, data), hit = self.plan(req, session)
             plan_seconds = time.perf_counter() - t0
         except Exception as exc:  # fails the job, not the service
             self._end(job, failed_outcome(exc))
@@ -441,7 +440,7 @@ class QueryService:
             if not engine.alive():  # it died between jobs
                 self._respawn(slot)
             try:
-                engine.send(job.id, req, session, plan, part)
+                engine.send(job.id, req, session, data, part)
             except EngineProcessError as exc:
                 self._respawn(slot)
                 self._ended(running, i, failed_outcome(exc))
@@ -450,17 +449,13 @@ class QueryService:
 
     def _answer(self, slot: int) -> None:
         """The reader of ``slot``'s job pipe: its part's answer ends the
-        part, frees the slot and dispatches again (a
-        :class:`~repro.service.engine_process.Need` is answered inside
-        :meth:`EngineProcess.receive`; the slot stays busy).  A pipe at
-        EOF is a dead process, replaced here, busy or not."""
+        part, frees the slot and dispatches again.  A pipe at EOF is a
+        dead process, replaced here, busy or not."""
         try:
             out = self._engines[slot].receive()
         except EngineProcessError as exc:  # it died: failed typed, replaced
             self._respawn(slot)
             out = failed_outcome(exc)
-        if out is None:
-            return
         busy = self._busy.pop(slot, None)
         if busy is not None:
             self._ended(*busy, out)

@@ -4,8 +4,12 @@ A :class:`DatasetSession` keeps one NCLite file open for the life of
 the service — header (and therefore zone maps) parsed once, the
 read-only mmap established once — so every query served against it
 reads through the zero-copy path without per-query open/parse work.
-In-memory arrays register the same way (the fuzz harness and tests use
-this), with the array itself as the engine source.
+Every session is a file.  An in-memory array (the fuzz harness and
+tests register them) is written to an NCLite file of its own when it
+is registered, its zone map in the header when it is asked for — the
+load-time layout of "Only Aggressive Elephants are Fast Elephants" —
+in a directory the registry makes on first use and removes when it
+closes; the file of an array a registration replaces is deleted.
 
 Each session carries a **content digest** — the dataset half of the
 plan-cache key — over the canonical metadata JSON, the file identity
@@ -17,15 +21,18 @@ built against the old content or the old zone maps can ever be served
 again.
 
 An engine process (:mod:`repro.service.engine_process`) is sent a
-session as its :class:`SessionRef` and reads a file session through a
-handle of its own, opened by path (the page cache is shared).
+session as its :class:`SessionRef` and reads it through a handle of its
+own, opened by path (the page cache is shared).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import shutil
+import tempfile
 import threading
 from typing import Any, NamedTuple
 
@@ -34,8 +41,9 @@ import numpy as np
 from repro.arrays.slab import Slab
 from repro.scidata.dataset import Dataset, open_dataset
 from repro.scidata.metadata import DatasetMetadata, dtype_name, simple_metadata
+from repro.scidata.nclite import write_nclite
 from repro.scidata.zonemaps import build_zone_map
-from repro.service.api import ServiceError, UnknownDatasetError
+from repro.service.api import UnknownDatasetError
 
 
 def _metadata_fingerprint(metadata: DatasetMetadata) -> str:
@@ -44,46 +52,27 @@ def _metadata_fingerprint(metadata: DatasetMetadata) -> str:
 
 class SessionRef(NamedTuple):
     """A session as an engine process is sent it: its name, the digest
-    plans are keyed on, and the path a file session is opened by —
-    ``None`` for an array session, whose data goes along only when the
-    process asks for it."""
+    plans are keyed on, and the path it is opened by."""
 
     name: str
     digest: str
-    path: str | None
+    path: str
 
 
 class DatasetSession:
-    """One registered dataset: an open handle (or array) plus its digest."""
+    """One registered dataset: an open file handle plus its digest."""
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        path: str | None = None,
-        array: np.ndarray | None = None,
-        metadata: DatasetMetadata | None = None,
-    ) -> None:
-        if (path is None) == (array is None):
-            raise ServiceError(
-                "DatasetSession needs exactly one of path / array"
-            )
+    def __init__(self, name: str, path: str) -> None:
         self.name = name
         self.path = path
-        self.array = array
         self.generation = 0
         self._dataset: Dataset | None = None
         self._mapped = False
-        if path is not None:
-            self._open()
-        else:
-            assert metadata is not None
-            self.metadata = metadata
+        self._open()
         self.digest = self._compute_digest()
 
     # ------------------------------------------------------------------ #
     def _open(self) -> None:
-        assert self.path is not None
         self._dataset = open_dataset(self.path, mode="r")
         # Establishing the mmap up front removes the lazy-init race for
         # concurrent readers; if it fails (exotic fs), readers fall back
@@ -95,25 +84,16 @@ class DatasetSession:
         h = hashlib.sha256()
         h.update(_metadata_fingerprint(self.metadata).encode("utf-8"))
         h.update(f"|gen={self.generation}".encode())
-        if self.path is not None:
-            st = os.stat(self.path)
-            h.update(f"|file={st.st_size}:{st.st_mtime_ns}".encode())
-        else:
-            assert self.array is not None
-            h.update(np.ascontiguousarray(self.array).tobytes())
+        st = os.stat(self.path)
+        h.update(f"|file={st.st_size}:{st.st_mtime_ns}".encode())
         return h.hexdigest()
 
     # ------------------------------------------------------------------ #
     def engine_source(self) -> Any:
-        """What reader factories read from.
-
-        Arrays are passed through; file sessions hand out the shared
-        open handle when its zero-copy mmap is live (concurrency-safe:
-        reads are views of one immutable mapping), otherwise the *path*
-        — per-split opens are slower but safe under every engine.
-        """
-        if self.array is not None:
-            return self.array
+        """What reader factories read from: the shared open handle when
+        its zero-copy mmap is live (concurrency-safe: reads are views of
+        one immutable mapping), otherwise the *path* — per-split opens
+        are slower but safe under every engine."""
         if self._dataset is not None and self._mapped:
             return self._dataset
         return self.path
@@ -123,8 +103,6 @@ class DatasetSession:
 
     def full_data(self, variable: str) -> np.ndarray:
         """The whole variable (oracle/test scale)."""
-        if self.array is not None:
-            return self.array
         assert self._dataset is not None
         return self._dataset.read_all(variable)
 
@@ -136,11 +114,6 @@ class DatasetSession:
         write), then the read handle is reopened: the on-disk header
         changed (zone maps stripped) and the digest must change too.
         """
-        if self.path is None:
-            raise ServiceError(
-                f"dataset {self.name!r} is an in-memory array; "
-                "register a file-backed dataset to write through the service"
-            )
         with open_dataset(self.path, mode="r+") as ds:
             ds.write_slab(variable, slab, data)
         self.close()
@@ -157,7 +130,6 @@ class DatasetSession:
     def snapshot(self) -> dict[str, Any]:
         return {
             "name": self.name,
-            "kind": "file" if self.path is not None else "array",
             "path": self.path,
             "digest": self.digest,
             "generation": self.generation,
@@ -179,15 +151,29 @@ class SessionRegistry:
         self._lock = threading.Lock()
         self._sessions: dict[str, DatasetSession] = {}
         self._on_invalidate = on_invalidate
+        #: Where registered arrays are written, made on first use; the
+        #: paths of the array files in it still registered.
+        self._dir: str | None = None
+        self._arrays: set[str] = set()
+        self._files = itertools.count()
 
     # ------------------------------------------------------------------ #
     def open_file(self, name: str, path: str | os.PathLike) -> DatasetSession:
-        session = DatasetSession(name, path=os.fspath(path))
+        return self._register(DatasetSession(name, os.fspath(path)))
+
+    def _register(self, session: DatasetSession) -> DatasetSession:
+        """``session`` in place of its name's, whose handle is closed
+        and whose array file, if it had one, deleted."""
         with self._lock:
-            old = self._sessions.get(name)
-            self._sessions[name] = session
+            old = self._sessions.get(session.name)
+            self._sessions[session.name] = session
+            owned = old is not None and old.path in self._arrays
+            if owned:
+                self._arrays.discard(old.path)
         if old is not None:
             old.close()
+        if owned:
+            os.unlink(old.path)
         return session
 
     def register_array(
@@ -199,11 +185,13 @@ class SessionRegistry:
         tile: tuple[int, ...] | None = None,
         with_zone_map: bool = False,
     ) -> DatasetSession:
-        """Register an in-memory array (tests, fuzz harness).
+        """Register an in-memory array (tests, fuzz harness): written
+        to a new NCLite file, which is then opened like
+        :meth:`open_file`.
 
-        ``with_zone_map`` builds the array's zone map at registration so
-        prunable queries against the session behave like a zone-mapped
-        file.
+        ``with_zone_map`` builds the array's zone map at registration,
+        into the file's header, so prunable queries against the session
+        behave like a zone-mapped file; without it the file has none.
         """
         metadata = simple_metadata(
             variable, tuple(data.shape), dtype=dtype_name(data.dtype)
@@ -212,10 +200,13 @@ class SessionRegistry:
             metadata = metadata.with_zone_maps(
                 (build_zone_map(variable, data, tile_shape=tile),)
             )
-        session = DatasetSession(name, array=data, metadata=metadata)
         with self._lock:
-            self._sessions[name] = session
-        return session
+            if self._dir is None:
+                self._dir = tempfile.mkdtemp(prefix="repro-arrays-")
+            path = os.path.join(self._dir, f"{next(self._files)}.nc")
+            self._arrays.add(path)
+        write_nclite(path, metadata, {variable: data}, zone_maps=False)
+        return self._register(DatasetSession(name, path))
 
     def get(self, name: str) -> DatasetSession:
         with self._lock:
@@ -241,11 +232,16 @@ class SessionRegistry:
         return session
 
     def close_all(self) -> None:
+        """Close every session and remove the registered arrays' files."""
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
+            self._arrays.clear()
+            folder, self._dir = self._dir, None
         for s in sessions:
             s.close()
+        if folder is not None:
+            shutil.rmtree(folder, ignore_errors=True)
 
     def snapshot(self) -> list[dict[str, Any]]:
         with self._lock:

@@ -73,7 +73,7 @@ def run_in_engine(
     ``run_job``.  The outcome carries the part's packed block, not a
     digest: the service digests a job's assembled block."""
     session = service.registry.get(request.dataset)
-    plan, _ = service.plan(request, session)
+    (plan, _), _ = service.plan(request, session)
     return run_job(
         "inline", request, session.engine_source(), plan,
         service.engine_config, part=plan.parts(1)[0], **kwargs,

@@ -18,7 +18,6 @@ input metadata" (§3.1).  The resulting plan plugs into:
 from __future__ import annotations
 
 import os
-import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,7 +76,7 @@ class SIDRPlan:
 
     def __getstate__(self) -> dict[str, Any]:
         """Without the :meth:`parts` memo and :attr:`partitioner` a job
-        adds: a plan that ran pickles to its cached :attr:`nbytes`."""
+        adds: a plan that ran pickles to the bytes the plan cache took."""
         state = dict(self.__dict__, _parts={})
         state.pop("partitioner", None)
         return state
@@ -128,13 +127,6 @@ class SIDRPlan:
         for split in self.splits:
             self.map_geometry(split)
         return self
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes this plan pickles to, as it is now: what it costs
-        wherever it is held or sent (:class:`~repro.service.plancache.PlanCache`
-        takes it once, at insert)."""
-        return len(pickle.dumps(self))
 
     # ------------------------------------------------------------------ #
     # Independent keyblock ranges

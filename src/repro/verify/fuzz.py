@@ -138,8 +138,9 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     runs the serving split function on every case.  A fresh
     two-worker :class:`~repro.service.QueryService` per leg, whose one
     job runs alone and so in parts wherever its plan cuts
-    (``SIDRPlan.parts``): the case data registered as an array session
-    (with a zone map at the case's tile for the pruning legs), submitted
+    (``SIDRPlan.parts``): the case data registered as an array, which
+    the service writes to a file of its own (with a zone map at the
+    case's tile for the pruning legs), submitted
     via the in-process client path, and the *served* digest folded into
     the differential ladder.  Expected-failure cases must come back
     ``failed`` here too.  The job's block also crosses the wire codec, and the leg reads

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.service import (
 )
 from repro.service.api import DONE, FAILED, RUNNING
 from repro.service import engine_process
-from repro.service.engine_process import deal_cpus, run_job
+from repro.service.engine_process import Run, deal_cpus, run_job
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,7 +107,7 @@ class TestPlansPickle:
             svc.register_array("d", "v", field(), with_zone_map=True)
             req = request(**CLASSES[cls])
             session = svc.registry.get("d")
-            plan, _ = svc.plan(req, session)
+            (plan, _), _ = svc.plan(req, session)
             back = pickle.loads(pickle.dumps(plan))
             _, digest = oracle_for_request(svc, req)
             outs = [
@@ -126,6 +127,113 @@ class TestPlansPickle:
         assert served["digest"] == digest
 
 
+class TestOneMessage:
+    """A part crosses the pipe as one :class:`Run` in, carrying the
+    plan's bytes as the plan cache keeps them, and one ``Outcome``
+    out; an engine process keeps one handle per session name and
+    nothing else between parts."""
+
+    def test_what_each_part_is_sent_is_what_the_cache_counts(self, monkeypatch):
+        sent = []
+        send = Connection.send
+
+        def recording(conn, obj):
+            if isinstance(obj, Run):
+                sent.append(obj)
+            send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", recording)
+        with service_fixture(workers=2) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, request())
+            docs = [client.query(request()) for _ in range(3)]
+            cached = svc.stats()["plan_cache"]
+        assert [d["digest"] for d in docs] == [digest] * 3
+        assert sum(d["parts"] for d in docs) == len(sent) > 3
+        assert cached["size"] == 1
+        assert {len(run.plan) for run in sent} == {cached["bytes"]}
+        # pickled once, on the miss: every part of every job carries
+        # the cache's own bytes
+        assert all(run.plan is sent[0].plan for run in sent)
+
+    def test_a_one_plan_cache_serves_two_alternating_queries(self):
+        with service_fixture(workers=1, plan_cache_capacity=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            reqs = [request(), request(operator="max", extract=(14, 10, 4))]
+            digests = [oracle_for_request(svc, r)[1] for r in reqs]
+            for _ in range(2):
+                for req, digest in zip(reqs, digests):
+                    doc = client.query(req)
+                    assert doc["state"] == DONE and doc["digest"] == digest
+                    assert doc["plan_cache_hit"] is False
+            assert svc.stats()["plan_cache"]["evictions"] == 3
+
+    def test_a_replaced_engine_runs_a_warm_plan(self):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array("d", "v", field())
+            _, digest = oracle_for_request(svc, request())
+            assert client.query(request())["digest"] == digest
+            assert client.query(request())["plan_cache_hit"] is True
+            (engine,) = svc.stats()["engines"]
+            os.kill(engine["pid"], signal.SIGKILL)
+            deadline = time.monotonic() + 20
+            while svc.stats()["engines"][0]["restarts"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            doc = client.query(request())
+            assert doc["state"] == DONE and doc["digest"] == digest
+            assert doc["plan_cache_hit"] is True
+
+    def test_re_registered_data_is_served_from_its_own_file(self):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            old = svc.register_array("d", "v", field(seed=7))
+            first = client.query(request())
+            assert first["digest"] == oracle_for_request(svc, request())[1]
+            fds = svc.stats()["engines"][0]["fds"]
+            new = svc.register_array("d", "v", field(seed=8))
+            assert new.path != old.path and not os.path.exists(old.path)
+            _, digest = oracle_for_request(svc, request())
+            assert digest != first["digest"]
+            doc = client.query(request())
+            assert doc["state"] == DONE and doc["digest"] == digest
+            # the old file's handle was closed, not kept beside the new
+            assert svc.stats()["engines"][0]["fds"] == fds
+
+    def test_no_array_file_is_left_after_close(self):
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            paths = [
+                svc.register_array(name, "v", field()).path for name in "ab"
+            ]
+            assert client.query(request(dataset="b"))["state"] == DONE
+            folder = os.path.dirname(paths[0])
+            assert sorted(os.listdir(folder)) == sorted(
+                os.path.basename(p) for p in paths
+            )
+        assert not os.path.exists(folder)
+        assert svc.stats()["engines"][0]["fds"] is None  # stopped
+
+    def test_re_opening_a_name_does_not_grow_an_engines_fds(self, tmp_path):
+        """One name re-opened at 6 fresh copies of its file, with one
+        query each: the engine holds one handle for the name."""
+        path = tmp_path / "d.nc"
+        create_dataset(path, var_name="v", data=field()).close()
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            counts = []
+            for i in range(6):
+                copy = tmp_path / f"d{i}.nc"
+                copy.write_bytes(path.read_bytes())
+                svc.open_dataset("d", str(copy))
+                assert client.query(request())["state"] == DONE
+                counts.append(svc.stats()["engines"][0]["fds"])
+        assert counts == counts[:1] * 6, counts
+
+
 class TestCrashContainment:
     def test_a_killed_process_fails_its_job_typed_and_is_replaced(self):
         with service_fixture(workers=1) as client:
@@ -134,9 +242,10 @@ class TestCrashContainment:
             _, digest = oracle_for_request(svc, request())
             (engine,) = svc.stats()["engines"]
             assert set(engine) == {
-                "pid", "jobs", "restarts", "rss_kb", "cpus", "policy",
+                "pid", "jobs", "restarts", "rss_kb", "cpus", "policy", "fds",
             }
             assert alive(engine["pid"]) and engine["rss_kb"] > 0
+            assert engine["fds"] > 0
             assert children(os.getpid()) >= {engine["pid"]}
 
             job_id = client.submit(request(fault_rules=SLOW, tenant="t"))

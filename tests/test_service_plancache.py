@@ -42,15 +42,28 @@ def int_field(seed, shape):
 # --------------------------------------------------------------------- #
 # PlanCache unit behaviour
 # --------------------------------------------------------------------- #
+class Pickles:
+    """A stand-in plan that counts how often it is pickled."""
+
+    count = 0
+
+    def __init__(self, pad: int) -> None:
+        self.pad = "x" * pad
+
+    def __getstate__(self):
+        Pickles.count += 1
+        return self.__dict__
+
+
 class TestPlanCacheUnit:
     def test_lru_eviction_and_stats(self):
         cache = PlanCache(capacity=2)
         cache.insert(("d", "g1", "q1"), "plan1")
         cache.insert(("d", "g1", "q2"), "plan2")
-        assert cache.lookup(("d", "g1", "q1")) == "plan1"  # refresh q1
-        cache.insert(("d", "g1", "q3"), "plan3")           # evicts q2
+        assert cache.lookup(("d", "g1", "q1")).plan == "plan1"  # refresh q1
+        cache.insert(("d", "g1", "q3"), "plan3")                # evicts q2
         assert cache.lookup(("d", "g1", "q2")) is None
-        assert cache.lookup(("d", "g1", "q1")) == "plan1"
+        assert cache.lookup(("d", "g1", "q1")).plan == "plan1"
         snap = cache.snapshot()
         assert snap["size"] == 2
         assert snap["evictions"] == 1
@@ -62,7 +75,7 @@ class TestPlanCacheUnit:
         cache.insert(("b", "g", "q"), 2)
         assert cache.invalidate("a") == 1
         assert cache.lookup(("a", "g", "q")) is None
-        assert cache.lookup(("b", "g", "q")) == 2
+        assert cache.lookup(("b", "g", "q")).plan == 2
 
     def test_digest_change_is_a_miss(self):
         cache = PlanCache()
@@ -72,57 +85,68 @@ class TestPlanCacheUnit:
     def test_get_or_build_builds_once_then_hits(self):
         cache = PlanCache()
         calls = []
-        plan, hit = cache.get_or_build("d", "g", "q", lambda: calls.append(1) or "p")
-        assert (plan, hit) == ("p", False)
-        plan, hit = cache.get_or_build("d", "g", "q", lambda: calls.append(1) or "p")
-        assert (plan, hit) == ("p", True)
+        entry, hit = cache.get_or_build("d", "g", "q", lambda: calls.append(1) or "p")
+        assert (entry, hit) == (("p", pickle.dumps("p")), False)
+        again, hit = cache.get_or_build("d", "g", "q", lambda: calls.append(1) or "p")
+        assert (again, hit) == (entry, True)
+        assert again.data is entry.data  # a hit pickles nothing
         assert len(calls) == 1
 
     def test_eviction_by_bytes(self, monkeypatch):
-        """Plans carry map geometry: past ``MAX_BYTES`` the least
-        recently used go, however few entries there are."""
-        monkeypatch.setattr(plancache, "MAX_BYTES", 100)
+        """Plans carry map geometry: past ``MAX_BYTES`` of pickled bytes
+        the least recently used go, however few entries there are."""
+        plans = {q: f"plan-{q}" for q in ("q1", "q2", "q3")}
+        size = len(pickle.dumps(plans["q1"]))
+        monkeypatch.setattr(plancache, "MAX_BYTES", 2 * size + size // 2)
         cache = PlanCache(capacity=10)
-        plans = {q: SimpleNamespace(nbytes=40) for q in ("q1", "q2", "q3")}
         cache.insert(("d", "g", "q1"), plans["q1"])
         cache.insert(("d", "g", "q2"), plans["q2"])
-        assert cache.snapshot()["bytes"] == 80
-        assert cache.lookup(("d", "g", "q1")) is plans["q1"]  # refresh q1
-        cache.insert(("d", "g", "q3"), plans["q3"])            # evicts q2
+        assert cache.snapshot()["bytes"] == 2 * size
+        assert cache.lookup(("d", "g", "q1")).plan is plans["q1"]  # refresh q1
+        cache.insert(("d", "g", "q3"), plans["q3"])                 # evicts q2
         assert cache.lookup(("d", "g", "q2")) is None
         snap = cache.snapshot()
-        assert (snap["size"], snap["bytes"], snap["evictions"]) == (2, 80, 1)
+        assert (snap["size"], snap["bytes"], snap["evictions"]) == (2, 2 * size, 1)
         # re-inserting a key replaces its bytes, not adds to them
-        cache.insert(("d", "g", "q3"), SimpleNamespace(nbytes=10))
-        assert cache.snapshot()["bytes"] == 50
+        cache.insert(("d", "g", "q3"), "p")
+        assert cache.snapshot()["bytes"] == size + len(pickle.dumps("p"))
         assert cache.invalidate("d") == 2
         assert cache.snapshot()["bytes"] == 0
 
     def test_plan_larger_than_the_budget_is_still_served(self, monkeypatch):
+        """Refused, but pickled once for the job that built it: its
+        bytes come back with it."""
         monkeypatch.setattr(plancache, "MAX_BYTES", 100)
         cache = PlanCache()
-        cache.insert(("d", "g", "small"), SimpleNamespace(nbytes=10))
-        big = SimpleNamespace(nbytes=101)
-        assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
+        cache.insert(("d", "g", "small"), "s")
+        big = Pickles(200)
+        before = Pickles.count
+        entry, hit = cache.get_or_build("d", "g", "big", lambda: big)
+        assert (entry.plan, hit) == (big, False)
+        assert Pickles.count == before + 1
+        assert pickle.loads(entry.data).pad == big.pad
         snap = cache.snapshot()
-        assert (snap["size"], snap["bytes"]) == (1, 10)
-        assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
+        assert (snap["size"], snap["bytes"]) == (1, len(pickle.dumps("s")))
+        entry, hit = cache.get_or_build("d", "g", "big", lambda: big)
+        assert (entry.plan, hit) == (big, False)
 
     def test_an_oversized_plan_evicts_nothing(self, monkeypatch):
         """A plan over the whole byte budget is refused, not kept at
         the cost of every other entry."""
-        monkeypatch.setattr(plancache, "MAX_BYTES", 100)
+        small = {f"q{i}": f"p{i}" for i in range(5)}
+        size = len(pickle.dumps("p0"))
+        monkeypatch.setattr(plancache, "MAX_BYTES", 5 * size + 10)
         cache = PlanCache(capacity=10)
-        small = {f"q{i}": SimpleNamespace(nbytes=10) for i in range(5)}
         for q, plan in small.items():
             cache.insert(("d", "g", q), plan)
-        big = SimpleNamespace(nbytes=101)
+        big = "b" * (5 * size + 10)
         cache.insert(("d", "g", "big"), big)
         snap = cache.snapshot()
-        assert (snap["size"], snap["bytes"], snap["evictions"]) == (5, 50, 0)
+        assert (snap["size"], snap["bytes"], snap["evictions"]) == (5, 5 * size, 0)
         for q, plan in small.items():
-            assert cache.lookup(("d", "g", q)) is plan
-        assert cache.get_or_build("d", "g", "big", lambda: big) == (big, False)
+            assert cache.lookup(("d", "g", q)).plan is plan
+        entry, hit = cache.get_or_build("d", "g", "big", lambda: big)
+        assert (entry.plan, hit) == (big, False)
         assert len(cache) == 5
 
 
@@ -275,7 +299,7 @@ class TestBoundedByBytes:
             client.query(req)
             svc = client.service
             plan = build_served_plan(req, svc.registry.get("d"))
-            assert svc.stats()["plan_cache"]["bytes"] == plan.nbytes > 0
+            assert svc.stats()["plan_cache"]["bytes"] == len(pickle.dumps(plan)) > 0
 
     @pytest.mark.parametrize("cls", [
         ("fine_mean", (364, 40, 40), dict(operator="mean", extract=(7, 5, 2))),
@@ -288,8 +312,8 @@ class TestBoundedByBytes:
     ], ids=lambda cls: cls[0])
     def test_nbytes_is_most_of_the_pickled_plan(self, cls, tmp_path):
         """The byte bound counts what a plan costs where it is held or
-        sent: ``nbytes`` is the served benchmark's plans' pickled
-        length, and the cache counts it.  A plan holds no per-key
+        sent: the served benchmark's plans' pickled length, which the
+        cache counts.  A plan holds no per-key
         array, a pruned plan's synthesized keys included (they are
         row-major runs): a few KB each.  What a job adds to the plan —
         its parts, its partitioner — does not pickle: after ``parts(2)``
@@ -304,7 +328,6 @@ class TestBoundedByBytes:
         try:
             plan = build_served_plan(req, session)
             size = len(pickle.dumps(plan))
-            assert plan.nbytes == size
             assert size <= 32 << 10
             cache = plancache.PlanCache()
             cache.insert(("grid", "digest", name), plan)
