@@ -6,7 +6,8 @@ subset (corner + shape), the extraction shape (optionally strided), and
 the operator.  Compiling it against dataset metadata yields a
 :class:`QueryPlan` exposing everything SIDR derives "solely from
 information found in, or derived from, the query specification combined
-with the input metadata" (§3.1):
+with the input metadata" (§3.1) — the plan keeps what it derived, not
+the metadata:
 
 * ``input_space``     — K_T, the variable's full space
 * ``subset``          — the queried K region
@@ -29,7 +30,6 @@ from repro.arrays.shape import Coord, Shape, volume
 from repro.arrays.slab import Slab
 from repro.errors import QueryError
 from repro.query.operators import StructuralOperator
-from repro.scidata.metadata import DatasetMetadata
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,9 @@ class StructuralQuery:
     #: Keep clipped trailing instances instead of dropping them.
     keep_partial_instances: bool = False
 
-    def compile(self, metadata: DatasetMetadata) -> "QueryPlan":
-        """Validate against dataset metadata and build the plan."""
+    def compile(self, metadata: Any) -> "QueryPlan":
+        """Validate against dataset metadata (a ``DatasetMetadata``: the
+        variable's shape and dtype are all it reads) and build the plan."""
         var_shape = metadata.variable_shape(self.variable)
         rank = len(var_shape)
         if len(self.extraction_shape) != rank:
@@ -71,7 +72,7 @@ class StructuralQuery:
         inter = extraction.intermediate_space(subset.shape)
         return QueryPlan(
             query=self,
-            metadata=metadata,
+            item_bytes=metadata.variable(self.variable).numpy_dtype.itemsize,
             input_space=var_shape,
             subset=subset,
             extraction=extraction,
@@ -81,10 +82,13 @@ class StructuralQuery:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """Compiled query: geometry fully resolved against the metadata."""
+    """Compiled query: the variable's geometry and item size, read from
+    the metadata at compile time, with everything derived from them.
+    It holds nothing else of the dataset, so two datasets that agree on
+    the variable's shape and dtype compile a query to equal plans."""
 
     query: StructuralQuery
-    metadata: DatasetMetadata
+    item_bytes: int
     input_space: Shape
     subset: Slab
     extraction: ExtractionShape
@@ -120,10 +124,6 @@ class QueryPlan:
     @property
     def cells_per_instance(self) -> int:
         return self.extraction.cells_per_key
-
-    @property
-    def item_bytes(self) -> int:
-        return self.metadata.variable(self.variable).numpy_dtype.itemsize
 
     # ------------------------------------------------------------------ #
     # Key translation

@@ -49,8 +49,9 @@ from repro.sidr.planner import SIDRPlan
 
 CacheKey = tuple[str, str, str]  # (dataset name, dataset digest, plan key)
 
-#: Pickled plan bytes the cache keeps at most (``fine_mean``'s plan is
-#: a few KB).
+#: Pickled plan bytes the cache keeps at most (a served plan is the query
+#: and its routing, 2.9-4.4 KB on the seed-7 grids: it holds nothing of
+#: the dataset's header).
 MAX_BYTES = 64 << 20
 
 

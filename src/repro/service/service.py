@@ -90,7 +90,7 @@ from repro.service.engine_process import (
 from repro.service.jobs import RECENT_JOBS, JobQueue, ServiceJob
 from repro.service.plancache import Cached, PlanCache
 from repro.service.sessions import DatasetSession, SessionRegistry
-from repro.sidr.planner import SIDRPlan, build_plan, derive_zone_map
+from repro.sidr.planner import SIDRPlan, build_plan
 
 
 def compile_request(req: QueryRequest, session: DatasetSession) -> QueryPlan:
@@ -124,12 +124,13 @@ def build_served_plan(req: QueryRequest, session: DatasetSession) -> SIDRPlan:
     and every split's map geometry, so the cached plan is complete.
     Splits are cut on extraction-unit boundaries
     (:func:`~repro.query.splits.aligned_slice_splits`): no instance
-    spans two maps."""
+    spans two maps.  A prunable operator prunes with the zone map of
+    the header the session parsed when it opened."""
     qplan = compile_request(req, session)
     splits = aligned_slice_splits(qplan, num_splits=req.splits)
     zone_map = None
-    if req.prune:
-        zone_map = derive_zone_map(qplan, session.engine_source())
+    if req.prune and qplan.operator.prune_predicate() is not None:
+        zone_map = session.metadata.zone_map(qplan.variable)
     return build_plan(
         qplan, splits, req.reduces, zone_map=zone_map, prune=req.prune
     ).with_map_geometry()

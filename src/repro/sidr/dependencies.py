@@ -76,7 +76,6 @@ class DependencyMap:
         self,
         split_index: int,
         pending_blocks: "Sequence[int] | frozenset[int] | None" = None,
-        weights: "Sequence[float] | None" = None,
     ) -> float:
         """How many *pending* keyblocks split ``split_index`` blocks.
 
@@ -84,20 +83,12 @@ class DependencyMap:
         whose output feeds many unfinished I_l sets gates more reduces
         (and more early results) than one feeding a single block, so its
         backup attempt should launch first.  ``pending_blocks`` limits
-        the count to keyblocks still waiting (default: all); ``weights``
-        optionally scales each block's contribution (e.g. the planner's
-        per-keyblock priorities), with a floor of 1 per block so a
-        zero-weight block still counts as blocked.
+        the count to keyblocks still waiting (default: all).
         """
         blocks = self.producers[split_index]
         if pending_blocks is not None:
             blocks = blocks & frozenset(pending_blocks)
-        if weights is None:
-            return float(len(blocks))
-        return sum(
-            max(1.0, float(weights[l])) if l < len(weights) else 1.0
-            for l in blocks
-        )
+        return float(len(blocks))
 
     def mean_dependency_size(self) -> float:
         if not self.dependencies:

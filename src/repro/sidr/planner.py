@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.arrays.slab import Slab
-from repro.errors import FormatError, JobConfigError, PartitionError
+from repro.errors import FormatError, JobConfigError
 from repro.mapreduce.engine import DependencyBarrier, Part
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
@@ -60,10 +60,6 @@ class SIDRPlan:
     #: Source cells each keyblock's reduce must tally (§3.2.1): what
     #: ``splits`` deliver, pruned or not, computed once in build_plan.
     expected_counts: tuple[int, ...]
-    #: Per-keyblock output priority (§3.4): weights the speculation
-    #: runtime's backup ranking.  The engine fires reduces per
-    #: dependency barrier; reduce-first order lives in the simulator.
-    priorities: tuple[float, ...] | None = None
     #: Zone-map pruning decision; None when pruning was off or nothing
     #: pruned.  When set, ``splits`` are the re-indexed survivors.
     pruning: PruneResult | None = None
@@ -267,7 +263,6 @@ def build_plan(
     num_reduce_tasks: int,
     *,
     skew_bound: int | None = None,
-    priorities: Sequence[float] | None = None,
     zone_map: ZoneMap | None = None,
     prune: bool = True,
 ) -> SIDRPlan:
@@ -295,9 +290,6 @@ def build_plan(
         query_plan, splits, partition,
         allow_empty=pruning.empty_blocks if pruning else frozenset(),
     )
-    prio = tuple(priorities) if priorities is not None else None
-    if prio is not None and len(prio) != partition.num_blocks:
-        raise PartitionError("priorities length must equal keyblock count")
     return SIDRPlan(
         query_plan=query_plan,
         splits=tuple(splits),
@@ -307,7 +299,6 @@ def build_plan(
             pruning.expected_counts if pruning is not None
             else expected_source_cells(query_plan, partition)
         ),
-        priorities=prio,
         pruning=pruning,
     )
 
@@ -315,18 +306,15 @@ def build_plan(
 def derive_zone_map(query_plan: QueryPlan, source: Any) -> ZoneMap | None:
     """Find (or build) a zone map for the queried variable.
 
-    Checked in order: the metadata the query compiled against, an open
-    ``Dataset``'s header, an NCLite file's header (header read only — no
-    payload scan), or a one-pass build for an in-memory array.  Returns
-    None (→ no pruning) when the operator has no prune predicate or no
-    index can be found — stale/pre-index files degrade gracefully.
+    Checked in order: an open ``Dataset``'s header, an NCLite file's
+    header (header read only — no payload scan), or a one-pass build
+    for an in-memory array; the plan holds no header to look in.
+    Returns None (→ no pruning) when the operator has no prune predicate
+    or no index can be found — stale/pre-index files degrade gracefully.
     """
     if query_plan.operator.prune_predicate() is None:
         return None
     var = query_plan.variable
-    z = query_plan.metadata.zone_map(var)
-    if z is not None:
-        return z
     src_meta = getattr(source, "metadata", None)
     if src_meta is not None and hasattr(src_meta, "zone_map"):
         return src_meta.zone_map(var)
@@ -351,7 +339,6 @@ def build_sidr_job(
     data_plane: str = "columnar",
     prune: bool = True,
     zone_map: ZoneMap | None = None,
-    **plan_kwargs: Any,
 ) -> tuple[JobConf, DependencyBarrier, SIDRPlan]:
     """One-call convenience: plan + engine job.
 
@@ -363,7 +350,7 @@ def build_sidr_job(
         zone_map = derive_zone_map(query_plan, source)
     plan = build_plan(
         query_plan, splits, num_reduce_tasks,
-        zone_map=zone_map, prune=prune, **plan_kwargs,
+        zone_map=zone_map, prune=prune,
     )
     job, barrier = plan.configure_job(source, data_plane=data_plane)
     return job, barrier, plan

@@ -70,7 +70,6 @@ def structural_priority(
     *,
     pending: Sequence[int] | None = None,
     deps: Any | None = None,
-    weights: Sequence[float] | None = None,
     barrier: Any | None = None,
     total_maps: int = 0,
 ) -> float:
@@ -78,17 +77,15 @@ def structural_priority(
 
     ``deps`` (anything with a
     :meth:`~repro.sidr.dependencies.DependencyMap.criticality` method —
-    the SIDR dependency map) gives the exact producer-side count,
-    optionally weighted per keyblock.  Without one, the barrier's fetch
-    sets are probed per pending partition (under a
+    the SIDR dependency map) gives the exact producer-side count.
+    Without one, the barrier's fetch sets are probed per pending
+    partition (under a
     :class:`~repro.mapreduce.engine.GlobalBarrier` every map blocks
     every pending reduce, so all priorities tie — stock-Hadoop
     behaviour).  Returns 1.0 when nothing is known.
     """
     if deps is not None:
-        return float(
-            deps.criticality(index, pending_blocks=pending, weights=weights)
-        )
+        return deps.criticality(index, pending_blocks=pending)
     if barrier is not None and total_maps > 0 and pending is not None:
         score = 0.0
         for p in pending:

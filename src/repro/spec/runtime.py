@@ -58,7 +58,6 @@ class SpeculationRuntime:
         self.total_maps = job.num_map_tasks
         plan = job.context.get("sidr_plan")
         self.deps = getattr(plan, "deps", None)
-        self.weights = getattr(plan, "priorities", None)
         #: ``launch_backup(index, of_attempt, priority)`` submits a
         #: racing backup map attempt.  Installed by a run whose executor
         #: has a pool to race on; None = cancel-retry only.
@@ -85,7 +84,6 @@ class SpeculationRuntime:
             index,
             pending=self.pending_partitions(),
             deps=self.deps,
-            weights=self.weights,
             barrier=self.barrier,
             total_maps=self.total_maps,
         )

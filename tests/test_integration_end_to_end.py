@@ -123,21 +123,3 @@ class TestEarlyResultsIntegration:
         for ev in trace:
             if ev.kind == "reduce" and ev.event == "start":
                 assert ready_at_seq[ev.index] < ev.seq
-
-    def test_priorities_reorder_serial_reduces(self, workspace):
-        """§3.4: the plan carries its keyblock priorities, which the
-        simulator's reduce-first order reads (the engine fires reduces
-        per dependency barrier)."""
-        root, path, field = workspace
-        q = StructuralQuery(
-            variable="temperature",
-            extraction_shape=(7, 5, 1),
-            operator=MeanOp(),
-        )
-        with open_dataset(path) as ds:
-            plan = q.compile(ds.metadata)
-        splits = slice_splits(plan, num_splits=8)
-        from repro.sidr.planner import build_plan
-
-        sp = build_plan(plan, splits, 4, priorities=[3.0, 2.0, 1.0, 0.0])
-        assert sp.priorities == (3.0, 2.0, 1.0, 0.0)

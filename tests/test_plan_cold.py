@@ -47,11 +47,13 @@ COLD = {
     "grid_fine": ((364, 120, 120), dict(extract=(1, 2, 2), operator="mean"), 11200),
 }
 #: Bytes a cold plan may pickle to: what it costs the cache, and every
-#: engine process it is sent to.  ``grid_fine``'s pickled to 94 367 025
-#: while the plan held each split's keys and spill layout, and the
-#: pruned ``grid_filter``'s to 426 911 while it held one int64 per
-#: synthesized key (runs since).
-MAX_PLAN_BYTES = 32 << 10
+#: engine process it is sent to.  Measured: ``grid_fine`` 4 432,
+#: ``grid_filter`` 2 907, ``ragged_filter`` 2 898 (13 924, 12 230 and
+#: 12 221 while the plan held the dataset's header and its zone maps;
+#: ``grid_fine``'s 94 367 025 while it held each split's keys and spill
+#: layout, and the pruned ``grid_filter``'s 426 911 while it held one
+#: int64 per synthesized key).
+MAX_PLAN_BYTES = 8 << 10
 #: Calls of a second ``configure_job`` of a cached
 #: ``keep_partial_instances`` mean plan on the larger grid: measured 22
 #: (9 210 416 when the validator walked K'_T on every call).

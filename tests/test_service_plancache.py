@@ -328,7 +328,10 @@ class TestBoundedByBytes:
         try:
             plan = build_served_plan(req, session)
             size = len(pickle.dumps(plan))
-            assert size <= 32 << 10
+            # Measured: fine_mean 4 332, ragged_filter 2 898, coarse_scan
+            # 3 788, holistic_median 4 303 (12.2-13.8 KB while a plan
+            # held the dataset's header).
+            assert size <= 8 << 10
             cache = plancache.PlanCache()
             cache.insert(("grid", "digest", name), plan)
             assert cache.snapshot()["bytes"] == size

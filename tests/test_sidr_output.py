@@ -99,7 +99,9 @@ class TestContiguousCommit:
             commit_sidr_output(plan, res, tmp_path / "lists")
 
     @pytest.mark.parametrize("plane", ["columnar", "record"])
-    def test_pair_outputs_rejected(self, tmp_path, weekly_mean_plan, plane):
+    def test_pair_outputs_rejected(
+        self, tmp_path, temp_field, weekly_mean_plan, plane
+    ):
         """``range_exceeds`` produces ``{exceeds, variation}`` pairs —
         an ``ExceedsColumn`` on the columnar plane, dicts on the record
         plane — and the dense committer refuses them too."""
@@ -108,7 +110,7 @@ class TestContiguousCommit:
         from repro.query.operators import RangeExceedsOp
 
         query = replace(weekly_mean_plan.query, operator=RangeExceedsOp(2.0))
-        qplan = query.compile(weekly_mean_plan.metadata)
+        qplan = query.compile(temp_field.metadata)
         data = np.zeros(qplan.input_space)
         job, barrier, plan = build_sidr_job(
             qplan, slice_splits(qplan, num_splits=2), 2, data, data_plane=plane

@@ -1,16 +1,27 @@
 """Integration tests for the SIDR planner — the full §3 front-end."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.errors import PartitionError
 from repro.mapreduce.engine import GlobalBarrier, LocalEngine
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.mapper import ChunkAggregateMapper
 from repro.mapreduce.partitioner import HashPartitioner
 from repro.mapreduce.reducer import AggregateReducer
+from repro.query.language import StructuralQuery
+from repro.query.operators import MeanOp, ThresholdFilterOp
 from repro.query.recordreader import make_reader_factory
-from repro.query.splits import slice_splits
+from repro.query.splits import aligned_slice_splits, slice_splits
+from repro.scidata.metadata import (
+    Attribute,
+    DatasetMetadata,
+    Dimension,
+    Variable,
+    simple_metadata,
+)
+from repro.scidata.zonemaps import build_zone_map
 from repro.sidr.planner import build_plan, build_sidr_job
 
 
@@ -33,10 +44,37 @@ class TestPlanAssembly:
             Slab.whole(weekly_mean_plan.intermediate_space), slabs
         )
 
-    def test_priorities_length_checked(self, weekly_mean_plan):
-        splits = slice_splits(weekly_mean_plan, num_splits=4)
-        with pytest.raises(PartitionError):
-            build_plan(weekly_mean_plan, splits, 3, priorities=[1.0])
+    @pytest.mark.parametrize("op", [MeanOp(), ThresholdFilterOp(0.5)],
+                             ids=lambda op: op.name)
+    def test_a_plan_depends_on_nothing_but_its_variable(self, op):
+        """Two datasets that agree on the queried variable's shape and
+        dtype plan a query to the same bytes, though one also holds
+        another variable, attributes and zone maps: a plan is the query
+        and its routing, and it carries nothing else of the header."""
+        shape = (28, 10, 6)
+        bare = simple_metadata("v", shape, dim_names=("t", "y", "x"))
+        rng = np.random.default_rng(3)
+        full = DatasetMetadata(
+            dimensions=(Dimension("t", 28), Dimension("y", 10),
+                        Dimension("x", 6), Dimension("z", 4)),
+            variables=(Variable("v", "double", ("t", "y", "x")),
+                       Variable("w", "float", ("t", "z"))),
+            attributes=(Attribute("title", "with other variables"),),
+        ).with_zone_maps((
+            build_zone_map("v", rng.uniform(size=shape)),
+            build_zone_map("w", rng.uniform(size=(28, 4))),
+        ))
+        query = StructuralQuery(
+            variable="v", extraction_shape=(7, 5, 2), operator=op
+        )
+
+        def planned(metadata):
+            qplan = query.compile(metadata)
+            splits = aligned_slice_splits(qplan, num_splits=4)
+            plan = build_plan(qplan, splits, 3, prune=False)
+            return pickle.dumps(plan.with_map_geometry())
+
+        assert planned(bare) == planned(full)
 
     def test_configure_job_names_the_plane_once(self, weekly_mean_plan, temp_data):
         """``configure_job`` is where a plane is named and validated;
@@ -52,14 +90,6 @@ class TestPlanAssembly:
         assert record.data_plane == "record" and record.batch_operator is None
         with pytest.raises(JobConfigError, match="unknown data plane 'rowful'"):
             plan.configure_job(temp_data, data_plane="rowful")
-
-    def test_priorities_carried(self, weekly_mean_plan):
-        splits = slice_splits(weekly_mean_plan, num_splits=4)
-        plan = build_plan(
-            weekly_mean_plan, splits, 3, priorities=[2.0, 0.0, 1.0]
-        )
-        assert plan.priorities == (2.0, 0.0, 1.0)
-        assert build_plan(weekly_mean_plan, splits, 3).priorities is None
 
 
 class TestEquivalence:
