@@ -125,29 +125,23 @@ def _compile_query(args: argparse.Namespace):
     return plan, splits
 
 
-def _cmd_query_remote(args: argparse.Namespace) -> int:
-    """Client mode: submit the query to a running ``repro.cli serve``
-    instance instead of executing locally.  FILE is the *dataset name*
-    registered with the server."""
-    if args.data_plane == "record":
-        raise SystemExit(
-            "--data-plane record runs locally only: a server serves the "
-            "columnar plane (drop --server to run the reference engine)"
-        )
-    import json
+def _request(args: argparse.Namespace):
+    """The :class:`~repro.service.QueryRequest` of a ``query``: what a
+    ``--server`` run submits and what a local run builds its engine
+    from (:meth:`~repro.service.QueryRequest.local_engine`).  FILE is
+    the dataset — a path locally, a registered name on a server.  The
+    ``--inject-faults`` plan file is read here, and ``--fault-seed``
+    replaces its ``"seed"``."""
+    from pathlib import Path
 
-    from repro.service import HttpServiceClient, QueryRequest
+    from repro.faults import InjectionPlan
+    from repro.service.api import QueryRequest
 
-    client = HttpServiceClient(args.server)
-    rules, seed = (), args.fault_seed
+    faults = {"rules": (), "seed": 0}
     if args.inject_faults:
-        from pathlib import Path
-
-        plan_doc = json.loads(Path(args.inject_faults).read_text())
-        rules = tuple(plan_doc.get("rules", ()))
-        if seed is None:  # the plan file's, as a local run reads it
-            seed = int(plan_doc.get("seed", 0))
-    request = QueryRequest(
+        text = Path(args.inject_faults).read_text()
+        faults = InjectionPlan.from_json(text).to_json()
+    return QueryRequest(
         dataset=args.file,
         variable=args.variable,
         extract=_parse_shape(args.extract),
@@ -164,13 +158,26 @@ def _cmd_query_remote(args: argparse.Namespace) -> int:
         on_deadline=args.on_deadline,
         max_attempts=args.max_attempts,
         recovery=args.recovery,
-        fault_rules=rules,
-        fault_seed=seed or 0,
+        fault_rules=faults["rules"],
+        fault_seed=faults["seed"] if args.fault_seed is None else args.fault_seed,
         speculate=args.speculate,
         hang_timeout=args.hang_timeout,
     )
-    request.validate()
-    job_id = client.submit(request)
+
+
+def _cmd_query_remote(args: argparse.Namespace) -> int:
+    """Client mode: submit the query to a running ``repro.cli serve``
+    instance instead of executing locally.  FILE is the *dataset name*
+    registered with the server."""
+    if args.data_plane == "record":
+        raise SystemExit(
+            "--data-plane record runs locally only: a server serves the "
+            "columnar plane (drop --server to run the reference engine)"
+        )
+    from repro.service import HttpServiceClient
+
+    client = HttpServiceClient(args.server)
+    job_id = client.submit(args.request)
     print(f"# submitted as {job_id} to {args.server}", file=sys.stderr)
     doc = client.result(job_id, timeout=600.0)
     client.close()
@@ -209,80 +216,61 @@ def cmd_query(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.faults import InjectionPlan, RecoveryModel
-    from repro.mapreduce.engine import LocalEngine, RetryPolicy
     from repro.sidr.planner import build_sidr_job
 
     if args.server:
         return _cmd_query_remote(args)
 
-    fault_plan = None
-    if args.inject_faults:
-        fault_plan = InjectionPlan.from_json(
-            Path(args.inject_faults).read_text(),
-            seed_override=args.fault_seed,
-        )
-    speculation = None
-    if args.speculate:
-        from repro.spec import SpeculationPolicy
-
-        speculation = SpeculationPolicy(hang_timeout=args.hang_timeout)
-    engine = LocalEngine(
-        map_workers=args.map_workers,
-        reduce_workers=args.reduce_workers,
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        faults=fault_plan,
-        recovery=RecoveryModel.parse(args.recovery),
-        speculation=speculation,
-    )
+    request = args.request
+    engine = request.local_engine(args.map_workers, args.reduce_workers)
     plan, splits = _compile_query(args)
     print(f"# {plan.describe()}", file=sys.stderr)
     job, barrier, sidr = build_sidr_job(
         plan, splits, args.reduces, source=args.file,
         data_plane=args.data_plane, prune=not args.no_prune,
     )
-    if args.deadline is not None:
-        if args.deadline <= 0:
-            raise SystemExit(f"--deadline must be positive, got {args.deadline}")
-        job.deadline = args.deadline
-        job.on_deadline = args.on_deadline
+    job.deadline, job.on_deadline = request.deadline, request.on_deadline
 
-    # Live observability plane: any of --live/--events/--status attaches
-    # an event bus to the run (docs/OBSERVABILITY.md, "Live events").
+    # A run observes only when asked to: any of --trace/--metrics or
+    # the live flags.  Any of --live/--events/--status also reads the
+    # event bus as it runs (docs/OBSERVABILITY.md, "Live events").
     obs = progress = detector = writer = renderer = None
+    if args.live or args.events or args.status or args.trace or args.metrics:
+        from repro.obs import EventBus, JobObservability, MetricsRegistry
+
+        metrics = MetricsRegistry()
+        obs = JobObservability(
+            job.name, metrics=metrics, bus=EventBus(metrics=metrics)
+        )
     if args.live or args.events or args.status:
         from repro.obs import (
             CostModelEta,
-            EventBus,
-            JobObservability,
             JsonlEventWriter,
             LiveRenderer,
-            MetricsRegistry,
             ProgressTracker,
             StragglerDetector,
         )
 
-        metrics = MetricsRegistry()
-        bus = EventBus(metrics=metrics)
-        obs = JobObservability(job.name, metrics=metrics, bus=bus)
+        # A serial run has one worker a phase, whatever the pool sizes.
+        serial = request.engine == "serial"
         estimator = CostModelEta(
             sidr,
-            map_workers=engine.map_workers,
-            reduce_workers=engine.reduce_workers,
+            map_workers=1 if serial else engine.map_workers,
+            reduce_workers=1 if serial else engine.reduce_workers,
         )
-        progress = ProgressTracker(bus, estimator=estimator)
-        if speculation is None:
+        progress = ProgressTracker(obs.bus, estimator=estimator)
+        if not request.speculate:
             # A speculating run flags stragglers with its own detector;
             # a second one reading the record would flag every attempt
             # twice.
-            detector = StragglerDetector(bus).start_ticker()
+            detector = StragglerDetector(obs.bus).start_ticker()
         if args.events:
-            writer = JsonlEventWriter(bus, args.events)
+            writer = JsonlEventWriter(obs.bus, args.events)
         if args.live:
             renderer = LiveRenderer(progress).start()
 
     try:
-        res = engine.run(job, barrier, mode=args.engine, obs=obs)
+        res = engine.run(job, barrier, mode=request.engine, obs=obs)
     finally:
         if detector is not None:
             detector.stop_ticker()
@@ -314,7 +302,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{sidr.pruning.num_synth_keys} keys (--no-prune disables)",
             file=sys.stderr,
         )
-    if fault_plan is not None or args.max_attempts > 1:
+    if request.fault_rules or request.max_attempts > 1:
         print(
             f"# {res.counters.get('task.attempts')} attempts, "
             f"{res.counters.get('task.failures')} failures "
@@ -323,7 +311,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"{res.counters.get('recovery.maps_reexecuted')} maps re-executed",
             file=sys.stderr,
         )
-    if speculation is not None:
+    if request.speculate:
         print(
             f"# {res.counters.get('task.speculations')} speculative "
             f"launches, {res.counters.get('task.cancelled')} attempts "
@@ -983,17 +971,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.fn is cmd_query and args.speculate and args.engine == "serial"
-        and args.max_attempts < 2
-    ):
-        # QueryRequest.validate's refusal, before anything runs.
-        parser.error(
-            "query --engine serial --speculate retries a hung attempt in "
-            "place; add --max-attempts 2 or more (or use --engine "
-            "threaded, which hedges)"
-        )
     try:
+        if args.fn is cmd_query:
+            from repro.service.api import AdmissionError
+
+            args.request = _request(args)
+            try:
+                args.request.validate()
+            except AdmissionError as exc:
+                # What a server refuses at admission is a usage error
+                # of a local run too, refused before anything runs; an
+                # operator or policy the flags cannot build fails as
+                # that error (exit 1).
+                if exc.__cause__ is not None:
+                    raise
+                parser.error(str(exc))
         return args.fn(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,9 +194,7 @@ class InjectionPlan:
         return {"seed": self.seed, "rules": [r.to_json() for r in self.rules]}
 
     @classmethod
-    def from_json(
-        cls, doc: dict[str, Any] | str, *, seed_override: int | None = None
-    ) -> "InjectionPlan":
+    def from_json(cls, doc: dict[str, Any] | str) -> "InjectionPlan":
         if isinstance(doc, str):
             try:
                 doc = json.loads(doc)
@@ -207,10 +205,13 @@ class InjectionPlan:
         rules = doc.get("rules", [])
         if not isinstance(rules, list):
             raise FaultPlanError("plan 'rules' must be a list")
-        seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
-        return cls(
-            rules=tuple(FaultRule.from_json(r) for r in rules), seed=seed
-        )
+        try:
+            return cls(
+                rules=tuple(FaultRule.from_json(r) for r in rules),
+                seed=int(doc.get("seed", 0)),
+            )
+        except (TypeError, ValueError) as exc:  # a value of the wrong type
+            raise FaultPlanError(f"malformed plan: {exc}") from None
 
     def bind(self, num_maps: int, num_reduces: int) -> "BoundFaults":
         """Resolve selectors against a concrete job shape.

@@ -5,7 +5,9 @@ registered dataset and a structural query, plus the execution knobs the
 CLI exposes per invocation (engine mode, data plane, retries, faults,
 speculation, deadline) and the multi-tenant scheduling fields (tenant,
 priority).  It round-trips through JSON, so the in-process client and
-the HTTP server share one schema.
+the HTTP server share one schema, and every front end runs it on one
+engine (:meth:`QueryRequest.local_engine`): a served job's part, a
+local ``repro.cli query`` and the fuzzer's engine legs alike.
 
 The service serves one data plane, ``columnar``: :data:`DATA_PLANES`
 has that single value, and ``data_plane`` stays in the schema only as a
@@ -49,6 +51,7 @@ from typing import Any
 from repro.errors import ReproError, ShuffleError
 from repro.faults import FaultKind, InjectionPlan, RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
+from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.query.operators import StructuralOperator, get_operator
 from repro.spec import SpeculationPolicy
 
@@ -297,8 +300,28 @@ class QueryRequest:
 
     # ------------------------------------------------------------------ #
     # What the run is built from (validated at admission, built again
-    # by the service's runner)
+    # by whatever runs it: an engine process, a local ``query``, the
+    # fuzzer's engine legs)
     # ------------------------------------------------------------------ #
+    def local_engine(
+        self, map_workers: int = 4, reduce_workers: int = 3
+    ) -> LocalEngine:
+        """The engine a run of this request executes on: its retries
+        (with no backoff), faults, recovery and speculation, and pools
+        of ``map_workers`` and ``reduce_workers`` for a pooled mode.
+        It observes nothing of its own — a caller that observes passes
+        ``obs=`` to :meth:`~LocalEngine.run` — and the request's
+        deadline is the caller's to set on the job."""
+        return LocalEngine(
+            map_workers=map_workers,
+            reduce_workers=reduce_workers,
+            observability=False,
+            retry=RetryPolicy(max_attempts=self.max_attempts, backoff_base=0.0),
+            faults=self.injection_plan(),
+            recovery=self.recovery_model(),
+            speculation=self.speculation_policy(),
+        )
+
     def structural_operator(self) -> StructuralOperator:
         """The operator this request names, with its threshold."""
         return get_operator(self.operator, threshold=self.threshold)

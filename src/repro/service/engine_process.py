@@ -70,7 +70,7 @@ from typing import Any, NamedTuple
 
 from repro.errors import ReproError
 from repro.mapreduce.columnar import ResultBlock
-from repro.mapreduce.engine import LocalEngine, Part, RetryPolicy
+from repro.mapreduce.engine import Part
 from repro.obs import EventBus, JobObservability, JsonlEventWriter, ProgressTracker
 from repro.service.api import (
     DONE,
@@ -89,8 +89,8 @@ PROGRESS_TIMEOUT = 1.0
 #: Seconds a stopped process gets to exit before it is killed.
 STOP_TIMEOUT = 2.0
 #: Socket buffer asked for on each end of a job pipe: room for a whole
-#: result block (``fine_mean``'s is 266 KB), so a process's answer is
-#: written before the service starts reading it (the kernel caps it).
+#: result block (``fine_mean``'s is 66 632 bytes), so a process's answer
+#: is written before the service starts reading it (the kernel caps it).
 PIPE_BUFFER = 1 << 20
 #: Bytes a served job's packed result block may hold.  A process checks
 #: its part's block before the block crosses the pipe, and the service
@@ -243,9 +243,7 @@ def run_job(
     tracker = None
     try:
         job_conf, barrier = plan.configure_job(source, name=f"svc-{job_id}")
-        if request.deadline is not None:
-            job_conf.deadline = request.deadline
-            job_conf.on_deadline = request.on_deadline
+        job_conf.deadline, job_conf.on_deadline = request.deadline, request.on_deadline
 
         # Only what a request can observe: a job-tagged bus so
         # interleaved streams stay separable, a tracker for the status
@@ -261,14 +259,7 @@ def run_job(
         if config.events_path is not None:
             writer = JsonlEventWriter(bus, config.events_path, append=True)
 
-        engine = LocalEngine(
-            map_workers=config.map_workers,
-            reduce_workers=config.reduce_workers,
-            retry=RetryPolicy(max_attempts=request.max_attempts, backoff_base=0.0),
-            faults=request.injection_plan(),
-            recovery=request.recovery_model(),
-            speculation=request.speculation_policy(),
-        )
+        engine = request.local_engine(config.map_workers, config.reduce_workers)
         t0 = time.perf_counter()
         res = engine.run(
             job_conf, barrier,

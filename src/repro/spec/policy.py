@@ -36,16 +36,14 @@ class SpeculationPolicy:
     attempts (None = unlimited); candidates past the cap fall back to
     cancel-and-retry mitigation.  ``speculate_stragglers`` — also act
     on duration-based ``task.straggler`` flags (classic speculative
-    execution), not just hangs.  The remaining fields parameterize the
-    underlying straggler rule.
+    execution), not just hangs; the straggler rule is
+    :class:`~repro.obs.StragglerDetector`'s, at its defaults.  A
+    :class:`~repro.service.QueryRequest` sets ``hang_timeout`` alone.
     """
 
     hang_timeout: float = 0.5
     max_backups: int | None = None
     speculate_stragglers: bool = True
-    straggler_k: float = 3.0
-    min_samples: int = 3
-    min_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         if self.hang_timeout <= 0:

@@ -68,13 +68,7 @@ class SpeculationRuntime:
         self._lock = threading.Lock()
         self._backups = 0
         self._active_backup: set[int] = set()
-        self.detector = StragglerDetector(
-            obs.bus,
-            hang_timeout=policy.hang_timeout,
-            k=policy.straggler_k,
-            min_samples=policy.min_samples,
-            min_seconds=policy.min_seconds,
-        )
+        self.detector = StragglerDetector(obs.bus, hang_timeout=policy.hang_timeout)
 
     def priority_of(self, kind: str, index: int) -> float:
         """Structural criticality of a flagged task (maps only)."""

@@ -24,12 +24,11 @@ import json
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.errors import QueryError, ReproError
-from repro.faults import InjectionPlan
 from repro.query.language import QueryPlan, StructuralQuery
 from repro.query.operators import (
     OPERATOR_NAMES,
@@ -39,6 +38,9 @@ from repro.query.operators import (
 )
 from repro.query.splits import CoordinateSplit, aligned_slice_splits, slice_splits
 from repro.scidata.metadata import DatasetMetadata, Dimension, Variable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.api import QueryRequest
 
 #: Keep fuzz arrays tiny: differential coverage comes from case count,
 #: not case size.
@@ -100,11 +102,33 @@ class FuzzCase:
         every engine configuration alike."""
         return any(r.get("fault") == "crash" for r in self.fault_rules)
 
-    def injection_plan(self) -> InjectionPlan | None:
-        if not self.fault_rules:
-            return None
-        return InjectionPlan.from_json(
-            {"seed": self.seed, "rules": list(self.fault_rules)}
+    def request(self, plane: str, prune: bool = False) -> "QueryRequest":
+        """The case as the request the service leg submits, on data
+        plane ``plane`` with pruning ``prune``; the engine legs and the
+        explorer run on its :meth:`~QueryRequest.local_engine`, the
+        engine a served job runs on.  The case data is registered as
+        dataset ``fuzz``, variable ``v``."""
+        # Imported here: repro.service imports repro.verify.
+        from repro.service import api
+
+        return api.QueryRequest(
+            dataset="fuzz",
+            variable="v",
+            extract=self.extraction,
+            operator=self.operator,
+            threshold=self.threshold,
+            stride=self.stride,
+            splits=self.num_splits,
+            reduces=self.reduces,
+            data_plane=plane,
+            engine="threaded",
+            prune=prune,
+            max_attempts=self.max_attempts,
+            recovery=self.recovery,
+            fault_rules=self.fault_rules,
+            fault_seed=self.seed,
+            speculate=self.speculate,
+            hang_timeout=HANG_TIMEOUT,
         )
 
     # ------------------------------------------------------------------ #

@@ -8,9 +8,12 @@ the oracle) also decodes its own bytes back and reads ``diverged``
 unless the records come out ``repr``-identical, so the codec that
 defines the digest is shown lossless on each compared output.
 Expected-failure cases (crash faults) must instead fail in *every*
-configuration.  The engine legs cut a case's splits with its own split
-function (:attr:`~repro.verify.cases.FuzzCase.aligned`, about half the
-cases): aligned splits are what is served, and ``slice_splits``' cut
+configuration.  Every leg runs the case as one request
+(:meth:`~repro.verify.cases.FuzzCase.request`): the engine legs and
+the explorer on its :meth:`~repro.service.QueryRequest.local_engine`,
+the engine a served job runs on.  The engine legs cut a case's splits
+with its own split function (:attr:`~repro.verify.cases.FuzzCase.aligned`,
+about half the cases): aligned splits are what is served, and ``slice_splits``' cut
 instances are what keeps combine and the reduce-side merge covered.
 
 Prunable fault-free cases (``filter_gt``) additionally run a **predicate
@@ -46,14 +49,11 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import JobConfigError, ReproError
-from repro.faults import RecoveryModel
 from repro.mapreduce.columnar import ResultBlock
-from repro.mapreduce.engine import LocalEngine, RetryPolicy
 from repro.query.operators import PRUNABLE_OPERATORS
 from repro.scidata.zonemaps import build_zone_map
 from repro.sidr.planner import build_sidr_job
-from repro.spec import SpeculationPolicy
-from repro.verify.cases import HANG_TIMEOUT, FuzzCase, generate_case
+from repro.verify.cases import FuzzCase, generate_case
 from repro.verify.explorer import (
     ExplorationReport,
     explore,
@@ -105,18 +105,6 @@ def _engine_configs() -> tuple[tuple[str, str], ...]:
 ENGINE_CONFIGS = _ALL_ENGINE_CONFIGS
 
 
-def _make_engine(case: FuzzCase) -> LocalEngine:
-    return LocalEngine(
-        observability=False,
-        retry=RetryPolicy(max_attempts=case.max_attempts, backoff_base=0.0),
-        faults=case.injection_plan(),
-        recovery=RecoveryModel.parse(case.recovery),
-        speculation=(
-            SpeculationPolicy(hang_timeout=HANG_TIMEOUT) if case.speculate else None
-        ),
-    )
-
-
 def _make_job(case: FuzzCase, data_plane: str, prune: bool = False):
     plan, data = case.build()
     splits = case.splits(plan)
@@ -150,7 +138,7 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
     oracle's comes with decoded records ``repr``-identical to the
     oracle's.
     """
-    from repro.service import QueryRequest, QueryService
+    from repro.service import QueryService
     from repro.service.api import DONE
 
     plan, data = case.build()
@@ -159,26 +147,7 @@ def _run_service_leg(case: FuzzCase, plane: str, *, prune: bool = False) -> "Con
         service.register_array(
             "fuzz", "v", data, tile=case.tile, with_zone_map=prune
         )
-        request = QueryRequest(
-            dataset="fuzz",
-            variable="v",
-            extract=case.extraction,
-            operator=case.operator,
-            threshold=case.threshold,
-            stride=case.stride,
-            splits=case.num_splits,
-            reduces=case.reduces,
-            data_plane=plane,
-            engine="threaded",
-            prune=prune,
-            max_attempts=case.max_attempts,
-            recovery=case.recovery,
-            fault_rules=case.fault_rules,
-            fault_seed=case.seed,
-            speculate=case.speculate,
-            hang_timeout=HANG_TIMEOUT,
-        )
-        job_id = service.submit(request)
+        job_id = service.submit(case.request(plane, prune))
         try:
             doc, block = service.result_block(job_id, timeout=120.0)
         except TimeoutError:
@@ -280,7 +249,7 @@ def run_case(case: FuzzCase, *, metrics: Any | None = None) -> CaseResult:
             outcomes.append(_run_service_leg(case, plane, prune=prune))
             continue
         job, barrier = _make_job(case, plane, prune=prune)
-        engine = _make_engine(case)
+        engine = case.request(plane, prune).local_engine()
         try:
             res = engine.run(job, barrier, mode=mode)
         except ReproError as exc:
@@ -559,7 +528,7 @@ def fuzz(
                 lambda c=case: _make_job(c, "record"),
                 schedules=schedules,
                 seed=seed,
-                engine_factory=lambda c=case: _make_engine(c),
+                engine_factory=case.request("record").local_engine,
                 metrics=metrics,
             )
             violations += len(exploration.violations)

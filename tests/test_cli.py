@@ -113,8 +113,9 @@ class TestQuery:
 
     def test_serial_speculate_needs_a_retry(self, ncfile, capsys):
         """``--engine serial --speculate`` cancels a hung attempt and
-        retries it in place: with one attempt it is an argparse error
-        naming the fix, before anything runs."""
+        retries it in place: with one attempt the request is refused,
+        as a server refuses it — an argparse error naming the fix,
+        before anything runs."""
         args = [
             "query", ncfile, "--variable", "temperature",
             "--extract", "7,5,1", "--reduces", "4", "--limit", "1",
@@ -123,7 +124,50 @@ class TestQuery:
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
-        assert "--max-attempts 2" in capsys.readouterr().err
+        assert "set max_attempts >= 2" in capsys.readouterr().err
+
+    def test_unreleased_hang_is_refused(self, ncfile, tmp_path, capsys):
+        """A hang fault with neither ``--speculate`` nor ``--deadline``
+        would hold a local run forever: refused as a server refuses it."""
+        pf = tmp_path / "hang.json"
+        pf.write_text(json.dumps({"rules": [
+            {"task": "map", "fault": "hang", "indices": [0]}
+        ]}))
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "query", ncfile, "--variable", "temperature",
+                "--extract", "7,5,1", "--inject-faults", str(pf),
+            ])
+        assert exc.value.code == 2
+        assert "released only by speculation or a deadline" in (
+            capsys.readouterr().err
+        )
+
+    def test_serial_eta_prices_one_worker_a_phase(
+        self, ncfile, tmp_path, monkeypatch, capsys
+    ):
+        """A serial run's estimator divides the remaining work by one
+        worker a phase, not by the pool sizes it does not run."""
+        import repro.obs
+
+        made = []
+
+        class Eta(repro.obs.CostModelEta):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(repro.obs, "CostModelEta", Eta)
+        base = [
+            "query", ncfile, "--variable", "temperature",
+            "--extract", "7,5,1", "--reduces", "3", "--limit", "1",
+            "--status", str(tmp_path / "status.json"),
+        ]
+        assert main([*base, "--engine", "serial"]) == 0
+        assert main([*base, "--engine", "threaded"]) == 0
+        serial, threaded = made
+        assert (serial.map_workers, serial.reduce_workers) == (1, 1)
+        assert (threaded.map_workers, threaded.reduce_workers) == (4, 3)
 
     def test_record_plane_is_refused_with_a_server(self, capsys):
         """The record plane is the local reference engine: naming it
@@ -538,15 +582,12 @@ class TestFaultFlags:
         err = capsys.readouterr().err
         assert "2 retries" in err and "2 injected" in err
 
-    @pytest.mark.parametrize("flag", [[], ["--fault-seed", "3"]], ids=["file", "flag"])
-    def test_served_query_sends_the_seed_a_local_run_uses(
-        self, tmp_path, monkeypatch, flag
-    ):
-        """Regression: ``query --server --inject-faults`` sent seed 0
-        unless ``--fault-seed`` was given, so a fraction rule picked
-        other maps than the same plan file picked locally."""
+    @staticmethod
+    def _requests(monkeypatch, args):
+        """The request a ``query --server`` of ``args`` submits and the
+        one a local ``query`` of ``args`` builds its engine from."""
         import repro.service
-        from repro.faults import InjectionPlan
+        from repro.service.api import QueryRequest
 
         sent = []
 
@@ -564,26 +605,68 @@ class TestFaultFlags:
             def close(self):
                 pass
 
+        class Built(Exception):
+            pass
+
+        def local_engine(self, *sizes):
+            sent.append(self)
+            raise Built
+
         monkeypatch.setattr(repro.service, "HttpServiceClient", Client)
-        text = json.dumps({"seed": 5, "rules": [
-            {"task": "map", "fault": "transient", "fraction": 0.25, "times": 1}
-        ]})
+        monkeypatch.setattr(QueryRequest, "local_engine", local_engine)
+        assert main([*args, "--server", "http://127.0.0.1:9"]) == 1  # not run
+        with pytest.raises(Built):
+            main(args)
+        served, local = sent
+        return served, local
+
+    @pytest.mark.parametrize("flag", [[], ["--fault-seed", "3"]], ids=["file", "flag"])
+    def test_served_query_sends_the_seed_a_local_run_uses(
+        self, tmp_path, monkeypatch, flag
+    ):
+        """Regression: ``query --server --inject-faults`` sent seed 0
+        unless ``--fault-seed`` was given, so a fraction rule picked
+        other maps than the same plan file picked locally."""
         pf = tmp_path / "plan.json"
-        pf.write_text(text)
-        rc = main([
-            "query", "t", "--server", "http://127.0.0.1:9",
-            "--variable", "temperature", "--extract", "7,5,1",
+        pf.write_text(json.dumps({"seed": 5, "rules": [
+            {"task": "map", "fault": "transient", "fraction": 0.25, "times": 1}
+        ]}))
+        served, local = self._requests(monkeypatch, [
+            "query", "t", "--variable", "temperature", "--extract", "7,5,1",
             "--inject-faults", str(pf), *flag,
         ])
-        assert rc == 1  # the stub's job failed
-        (request,) = sent
-        override = int(flag[1]) if flag else None
-        local = InjectionPlan.from_json(text, seed_override=override)
-        assert request.fault_seed == local.seed == (override or 5)
+        assert served.fault_seed == local.fault_seed == (3 if flag else 5)
         assert (
-            request.injection_plan().bind(16, 4).selected(0)
-            == local.bind(16, 4).selected(0)
+            served.injection_plan().bind(16, 4).selected(0)
+            == local.injection_plan().bind(16, 4).selected(0)
         )
+
+    @pytest.mark.parametrize("flags", [
+        ["--inject-faults", "PLAN"],
+        ["--inject-faults", "PLAN", "--fault-seed", "9"],
+        ["--inject-faults", "PLAN", "--speculate", "--hang-timeout", "0.3"],
+        ["--inject-faults", "PLAN", "--deadline", "2.5",
+         "--on-deadline", "partial"],
+        ["--max-attempts", "4", "--recovery", "reexecute-deps",
+         "--engine", "serial", "--speculate"],
+    ], ids=["plan", "seed", "speculate", "deadline", "attempts"])
+    def test_local_and_served_runs_take_one_request(
+        self, tmp_path, monkeypatch, flags
+    ):
+        """A local ``query`` and a ``--server`` one of the same arguments
+        run the same request: its faults, seed, retries, recovery,
+        speculation and deadline."""
+        pf = tmp_path / "plan.json"
+        pf.write_text(json.dumps({"seed": 5, "rules": [
+            {"task": "map", "fault": "slow", "indices": [1], "delay": 0.1},
+            {"kind": "transient", "task": "reduce", "fraction": 0.5},
+        ]}))
+        served, local = self._requests(monkeypatch, [
+            "query", "t", "--variable", "temperature", "--extract", "7,5,1",
+            "--operator", "max", "--reduces", "3",
+            *(str(pf) if f == "PLAN" else f for f in flags),
+        ])
+        assert served == local
 
     def test_query_bad_plan_is_error(self, ncfile, tmp_path, capsys):
         pf = tmp_path / "bad.json"
@@ -598,6 +681,22 @@ class TestFaultFlags:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan", [
+        {"seed": "x", "rules": []},
+        {"rules": [{"task": "map", "fault": "transient", "indices": "x"}]},
+    ], ids=["seed", "indices"])
+    def test_query_plan_of_wrong_types_is_error(self, tmp_path, capsys, plan):
+        """A plan file's values of the wrong type are the plan's error
+        (exit 1), not a traceback."""
+        pf = tmp_path / "bad.json"
+        pf.write_text(json.dumps(plan))
+        rc = main([
+            "query", "t", "--variable", "temperature", "--extract", "7,5,1",
+            "--inject-faults", str(pf),
+        ])
+        assert rc == 1
+        assert "error: malformed plan" in capsys.readouterr().err
 
     def test_recovery_subcommand(self, ncfile, capsys):
         rc = main(
