@@ -97,7 +97,7 @@ def walked_counts(plan: SIDRPlan) -> tuple[int, ...]:
     read = np.zeros(qp.input_space, dtype=bool)
     for split in plan.splits:
         for slab in split.slabs:
-            read[slab.intersect(qp.subset).as_slices()] = True
+            read[slab.intersect(qp.whole).as_slices()] = True
     return tuple(
         sum(
             int(read[qp.instance_region(key).as_slices()].sum())

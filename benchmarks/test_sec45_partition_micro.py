@@ -18,11 +18,7 @@ import pytest
 
 from repro.bench.report import format_table
 from repro.bench.tables import sec45_partition_micro
-from repro.mapreduce.partitioner import (
-    HashPartitioner,
-    JavaStyleKeyHash,
-    RangePartitioner,
-)
+from repro.mapreduce.partitioner import HashPartitioner, RangePartitioner
 from repro.sidr.partition_plus import partition_plus
 
 NUM_KEYS = 6_480_000
@@ -40,7 +36,7 @@ def keys():
 def test_partition_micro_report(benchmark, record_report):
     res = benchmark.pedantic(
         sec45_partition_micro,
-        kwargs={"num_keys": NUM_KEYS, "num_reduces": 22, "space": SPACE},
+        kwargs={"num_keys": NUM_KEYS},
         rounds=1,
         iterations=1,
     )
@@ -62,7 +58,7 @@ def test_partition_micro_report(benchmark, record_report):
 
 
 def test_default_partitioner_throughput(benchmark, keys):
-    part = HashPartitioner(JavaStyleKeyHash())
+    part = HashPartitioner()
     benchmark(part.partition_many, keys, 22)
 
 

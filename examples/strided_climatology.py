@@ -41,7 +41,7 @@ def main() -> None:
     print("== Strided query ==")
     print(plan.describe())
     consumed = plan.num_intermediate_keys * plan.cells_per_instance
-    total = plan.subset.volume
+    total = plan.whole.volume
     print(f"cells consumed: {consumed:,} of {total:,} "
           f"({consumed / total:.0%}; the stride skips weekdays)")
 

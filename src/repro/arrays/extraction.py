@@ -7,7 +7,7 @@ intermediate key in K'.  SIDR leverages it to solve the paper's opaque
 Area 2 (Map input key -> Map output key) and Area 3 (exact intermediate
 keyspace K'_T) deterministically:
 
-* ``translate(k)``    — k' = (k - origin) // stride  (element-wise, §3)
+* ``translate(k)``    — k' = k // stride  (element-wise, §3)
 * ``image(slab)``     — the K' region a K region produces data for
 * ``preimage(k')``    — the K region that feeds one intermediate key
 * ``intermediate_space(input_shape)`` — the exact shape of K'_T
@@ -36,7 +36,6 @@ from repro.arrays.shape import (
     Shape,
     as_coord,
     ceil_div,
-    coord_sub,
 )
 from repro.arrays.slab import Slab
 from repro.errors import GeometryError, QueryError, RankMismatchError
@@ -44,18 +43,14 @@ from repro.errors import GeometryError, QueryError, RankMismatchError
 
 @dataclass(frozen=True)
 class ExtractionShape:
-    """Instances of ``shape`` placed every ``stride`` cells from
-    ``origin``.
+    """Instances of ``shape`` placed every ``stride`` cells from the
+    origin of the variable.
 
     Parameters
     ----------
     shape:
         Extents of one instance (e.g. ``{7, 5, 1}`` for weekly averages
         down-sampled 5x in latitude, §3 Area 2).
-    origin:
-        Global coordinate of the first instance's corner; defaults to the
-        zero vector.  Queries over a subset of a dataset set this to the
-        subset corner so translation stays in global coordinates.
     truncate:
         Drop trailing partial instances (paper default) or keep them.
     stride:
@@ -65,7 +60,6 @@ class ExtractionShape:
     """
 
     shape: Shape
-    origin: Coord | None = None
     truncate: bool = True
     stride: Shape | None = None
 
@@ -73,13 +67,6 @@ class ExtractionShape:
         shape = as_coord(self.shape)
         if any(s <= 0 for s in shape):
             raise GeometryError(f"extraction shape must be positive: {shape!r}")
-        origin = (
-            tuple(0 for _ in shape)
-            if self.origin is None
-            else as_coord(self.origin)
-        )
-        if len(origin) != len(shape):
-            raise RankMismatchError("extraction origin/shape rank mismatch")
         stride = shape if self.stride is None else as_coord(self.stride)
         if len(stride) != len(shape):
             raise RankMismatchError("extraction shape/stride rank mismatch")
@@ -88,7 +75,6 @@ class ExtractionShape:
                 f"stride {stride!r} smaller than shape {shape!r}"
             )
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "stride", stride)
 
     @property
@@ -104,17 +90,14 @@ class ExtractionShape:
             n *= s
         return n
 
-    def _relative(self, coord: Coord, what: str) -> Coord:
+    def _checked(self, coord: Coord, what: str) -> Coord:
         if len(coord) != self.rank:
             raise RankMismatchError(
                 f"{what} rank {len(coord)} != extraction rank {self.rank}"
             )
-        rel = coord_sub(coord, self.origin)
-        if any(x < 0 for x in rel):
-            raise GeometryError(
-                f"{what} {coord!r} precedes extraction origin {self.origin!r}"
-            )
-        return rel
+        if any(x < 0 for x in coord):
+            raise GeometryError(f"{what} {coord!r} is negative")
+        return coord
 
     # ------------------------------------------------------------------ #
     # Scalar translation
@@ -124,7 +107,7 @@ class ExtractionShape:
         the cell lies in a stride gap and is not consumed by the query
         (never, when ``stride == shape``)."""
         out = []
-        for x, st, sh in zip(self._relative(key, "key"), self.stride, self.shape):
+        for x, st, sh in zip(self._checked(key, "key"), self.stride, self.shape):
             q, r = divmod(x, st)
             if r >= sh:
                 return None
@@ -153,7 +136,7 @@ class ExtractionShape:
             return Slab(tuple(0 for _ in self.shape), tuple(0 for _ in self.shape))
         lo = []
         for x, st, sh in zip(
-            self._relative(region.corner, "region corner"), self.stride, self.shape
+            self._checked(region.corner, "region corner"), self.stride, self.shape
         ):
             q, r = divmod(x, st)
             # A region starting past the end of instance q in this
@@ -162,7 +145,7 @@ class ExtractionShape:
         # One past the last instance whose start precedes the region end.
         hi = [
             ceil_div(x, st)
-            for x, st in zip(coord_sub(region.end, self.origin), self.stride)
+            for x, st in zip(region.end, self.stride)
         ]
         img = Slab.from_extent(tuple(lo), tuple(hi))
         if intermediate_space is not None:
@@ -174,9 +157,7 @@ class ExtractionShape:
         key ``key``."""
         if len(key) != self.rank:
             raise RankMismatchError("key/extraction rank mismatch")
-        corner = tuple(
-            o + k * st for o, k, st in zip(self.origin, key, self.stride)
-        )
+        corner = tuple(k * st for k, st in zip(key, self.stride))
         return Slab(corner, self.shape)
 
     # ------------------------------------------------------------------ #
@@ -184,7 +165,7 @@ class ExtractionShape:
     # ------------------------------------------------------------------ #
     def intermediate_space(self, input_shape: Shape) -> Shape:
         """Exact K'_T shape for an input region of ``input_shape`` starting
-        at the extraction origin (paper §3 Area 3: "dividing the length of
+        at the origin (paper §3 Area 3: "dividing the length of
         each dimension in K_T by the entry in the corresponding dimension
         of the extraction shape"): the instances that fit whole under
         ``truncate``, else every instance holding at least one cell."""

@@ -31,7 +31,7 @@ from repro.bench.tables import (
     table2_reduce_write_scaling,
     table3_network_connections,
 )
-from repro.bench.report import format_curve, format_series, format_table
+from repro.bench.report import format_series, format_table
 
 __all__ = [
     "PAPER_NUM_SPLITS",
@@ -48,7 +48,6 @@ __all__ = [
     "sec45_partition_micro",
     "table2_reduce_write_scaling",
     "table3_network_connections",
-    "format_curve",
     "format_series",
     "format_table",
 ]

@@ -21,7 +21,6 @@ from repro.bench.workloads import (
     skew_workload,
 )
 from repro.sidr.early_results import CompletionCurve
-from repro.sim.cluster import ClusterConfig
 from repro.sim.costmodel import CostModel
 from repro.sim.jobsim import ExecutionMode, simulate_job
 from repro.sim.timeline import TaskTimeline
@@ -53,22 +52,18 @@ def _run(
     variant: SystemVariant,
     r: int,
     *,
-    cluster: ClusterConfig | None = None,
     cost: CostModel | None = None,
-    seed: int = 0,
     skewed: bool = False,
 ) -> TaskTimeline:
-    spec = sim_spec(workload, variant, r, cluster=cluster, seed=seed, skewed=skewed)
-    return simulate_job(
-        spec, cluster, cost, mode=_mode(variant), seed=seed
-    )
+    spec = sim_spec(workload, variant, r, skewed=skewed)
+    return simulate_job(spec, None, cost, mode=_mode(variant))
 
 
 # --------------------------------------------------------------------- #
 # Figure 9: Query 1, Hadoop vs SciHadoop vs SIDR, 22 reduce tasks
 # --------------------------------------------------------------------- #
 def fig09_task_completion(
-    *, num_reduces: int = 22, scale: int = 1, seed: int = 0
+    *, num_reduces: int = 22, scale: int = 1
 ) -> FigureResult:
     """Map and reduce completion over time for the three systems.
 
@@ -86,7 +81,7 @@ def fig09_task_completion(
         (SystemVariant.SCIHADOOP, "SH"),
         (SystemVariant.SIDR, "SS"),
     ]:
-        tl = _run(wl, variant, num_reduces, seed=seed)
+        tl = _run(wl, variant, num_reduces)
         curves[f"Map({label})"] = tl.map_completion_curve()
         curves[f"Reduce({label})"] = tl.reduce_completion_curve()
         summaries[label] = tl.summary()
@@ -101,7 +96,6 @@ def fig10_reduce_scaling(
     *,
     sidr_reduce_counts: tuple[int, ...] = (22, 66, 176, 528),
     scale: int = 1,
-    seed: int = 0,
 ) -> FigureResult:
     """Reduce completion as the SIDR reduce count scales.
 
@@ -114,13 +108,13 @@ def fig10_reduce_scaling(
     curves: dict[str, CompletionCurve] = {}
     summaries: dict[str, dict[str, float]] = {}
     timelines: dict[str, TaskTimeline] = {}
-    tl_sh = _run(wl, SystemVariant.SCIHADOOP, 22, seed=seed)
+    tl_sh = _run(wl, SystemVariant.SCIHADOOP, 22)
     curves["Map(SH,22)"] = tl_sh.map_completion_curve()
     curves["Reduce(SH,22)"] = tl_sh.reduce_completion_curve()
     summaries["SH-22"] = tl_sh.summary()
     timelines["SH-22"] = tl_sh
     for r in sidr_reduce_counts:
-        tl = _run(wl, SystemVariant.SIDR, r, seed=seed)
+        tl = _run(wl, SystemVariant.SIDR, r)
         curves[f"Reduce(SS,{r})"] = tl.reduce_completion_curve()
         summaries[f"SS-{r}"] = tl.summary()
         timelines[f"SS-{r}"] = tl
@@ -140,7 +134,6 @@ def fig11_filter_query(
     *,
     sidr_reduce_counts: tuple[int, ...] = (22, 66, 176),
     scale: int = 1,
-    seed: int = 0,
 ) -> FigureResult:
     """Query 2's reduce completion.
 
@@ -152,13 +145,13 @@ def fig11_filter_query(
     curves: dict[str, CompletionCurve] = {}
     summaries: dict[str, dict[str, float]] = {}
     timelines: dict[str, TaskTimeline] = {}
-    tl_sh = _run(wl, SystemVariant.SCIHADOOP, 22, seed=seed)
+    tl_sh = _run(wl, SystemVariant.SCIHADOOP, 22)
     curves["Map(SH,22)"] = tl_sh.map_completion_curve()
     curves["Reduce(SH,22)"] = tl_sh.reduce_completion_curve()
     summaries["SH-22"] = tl_sh.summary()
     timelines["SH-22"] = tl_sh
     for r in sidr_reduce_counts:
-        tl = _run(wl, SystemVariant.SIDR, r, seed=seed)
+        tl = _run(wl, SystemVariant.SIDR, r)
         curves[f"Reduce(SS,{r})"] = tl.reduce_completion_curve()
         summaries[f"SS-{r}"] = tl.summary()
         timelines[f"SS-{r}"] = tl
@@ -173,8 +166,6 @@ def fig12_variance(
     reduce_counts: tuple[int, ...] = (22, 88),
     runs: int = 10,
     scale: int = 1,
-    jitter_sigma: float = 0.12,
-    samples: int = 40,
 ) -> FigureResult:
     """Mean ± std of completion over repeated runs with task jitter.
 
@@ -183,7 +174,7 @@ def fig12_variance(
     dependency set and with it the spread.
     """
     wl = query1_workload(scale=scale)
-    cost = CostModel(jitter_sigma=jitter_sigma)
+    cost = CostModel(jitter_sigma=0.12)
     curves: dict[str, CompletionCurve] = {}
     summaries: dict[str, dict[str, float]] = {}
     notes: dict[str, float] = {}
@@ -201,7 +192,7 @@ def fig12_variance(
             for s in range(runs)
         ]
         t_max = max(tl.makespan for tl in timelines)
-        ts = np.linspace(0.0, t_max, samples)
+        ts = np.linspace(0.0, t_max, 40)
         mat = np.vstack([tl.sampled_reduce_curve(ts) for tl in timelines])
         mean = mat.mean(axis=0)
         std = mat.std(axis=0)
@@ -240,9 +231,7 @@ def fig12_variance(
 # --------------------------------------------------------------------- #
 # Figure 13: intermediate key skew
 # --------------------------------------------------------------------- #
-def fig13_skew(
-    *, num_reduces: int = 22, scale: int = 1, seed: int = 0
-) -> FigureResult:
+def fig13_skew(*, num_reduces: int = 22, scale: int = 1) -> FigureResult:
     """Patterned keys under Hadoop's partitioner vs partition+.
 
     Paper: the stock run assigns all data to one parity class of reduce
@@ -263,14 +252,13 @@ def fig13_skew(
     summaries: dict[str, dict[str, float]] = {}
     timelines: dict[str, TaskTimeline] = {}
     tl_stock = _run(
-        wl, SystemVariant.SCIHADOOP, num_reduces, seed=seed, skewed=True,
-        cost=cost,
+        wl, SystemVariant.SCIHADOOP, num_reduces, skewed=True, cost=cost
     )
     curves[f"Reduce(stock,{num_reduces})"] = tl_stock.reduce_completion_curve()
     curves["Map(stock)"] = tl_stock.map_completion_curve()
     summaries["stock"] = tl_stock.summary()
     timelines["stock"] = tl_stock
-    tl_sidr = _run(wl, SystemVariant.SIDR, num_reduces, seed=seed, cost=cost)
+    tl_sidr = _run(wl, SystemVariant.SIDR, num_reduces, cost=cost)
     curves[f"Reduce(SIDR,{num_reduces})"] = tl_sidr.reduce_completion_curve()
     summaries["SIDR"] = tl_sidr.summary()
     timelines["SIDR"] = tl_sidr

@@ -50,33 +50,15 @@ def _fmt(v: object) -> str:
     return str(v)
 
 
-def format_curve(
-    curve: CompletionCurve,
-    *,
-    label: str = "",
-    samples: int = 12,
-    t_max: float | None = None,
-) -> str:
-    """One curve as `time  fraction` sample rows."""
-    if not curve.times:
-        return f"{label}: (empty)"
-    hi = t_max if t_max is not None else curve.times[-1]
-    ts = np.linspace(0, hi, samples)
-    rows = [(float(t), curve.fraction_at(float(t))) for t in ts]
-    body = "\n".join(f"  {t:9.0f}s  {f:6.1%}" for t, f in rows)
-    return f"{label}\n{body}" if label else body
-
-
 def format_series(
     curves: Mapping[str, CompletionCurve],
     *,
     title: str,
-    samples: int = 10,
 ) -> str:
     """Several curves side by side on a shared time axis — the textual
     form of the paper's completion-over-time figures."""
     t_max = max((c.times[-1] for c in curves.values() if c.times), default=0.0)
-    ts = np.linspace(0, t_max, samples)
+    ts = np.linspace(0, t_max, 10)
     headers = ["time(s)"] + list(curves)
     rows = []
     for t in ts:

@@ -25,7 +25,7 @@ import numpy as np
 from repro.arrays.shape import volume
 from repro.arrays.slab import Slab
 from repro.bench.workloads import Workload, query1_workload
-from repro.mapreduce.partitioner import HashPartitioner, JavaStyleKeyHash
+from repro.mapreduce.partitioner import HashPartitioner
 from repro.scidata.sparse import (
     ContiguousWriter,
     CoordinatePairWriter,
@@ -121,13 +121,12 @@ def table2_reduce_write_scaling(
     return rows
 
 
-def coordinate_pair_overhead(
-    tmpdir: str, *, cells_per_task: int = 16_384
-) -> float:
+def coordinate_pair_overhead(tmpdir: str) -> float:
     """§4.4's alternative sparse layout: bytes written per useful byte of
-    a coordinate/value file (a constant scalar, the paper notes)."""
+    a coordinate/value file of 16 384 cells (a constant scalar, the
+    paper notes)."""
     rank_cols = 128
-    rows = cells_per_task // rank_cols
+    rows = 16_384 // rank_cols
     space = (rows * 4, rank_cols)
     cells = [
         (Slab((i * 4, 0), (1, rank_cols)), np.full(rank_cols, 1.0))
@@ -191,22 +190,21 @@ class PartitionMicroResult:
 def sec45_partition_micro(
     *,
     num_keys: int = 6_480_000,
-    num_reduces: int = 22,
-    space: tuple[int, ...] = (3600, 10, 20, 5),
     runs: int = 3,
-    seed: int = 0,
 ) -> PartitionMicroResult:
-    """Time partitioning ``num_keys`` intermediate keys both ways.
+    """Time partitioning ``num_keys`` intermediate keys both ways, over
+    22 reduces.
 
     The paper loads 6.48 M key/value pairs and measures 200 ms for the
     default partition function vs 223 ms for partition+ (~1.1x).  Keys
     here are uniform random coordinates in Query 1's K'_T space.
     """
-    rng = np.random.default_rng(seed)
+    space, num_reduces = (3600, 10, 20, 5), 22
+    rng = np.random.default_rng(0)
     keys = np.column_stack(
         [rng.integers(0, e, size=num_keys) for e in space]
     ).astype(np.int64)
-    default = HashPartitioner(JavaStyleKeyHash())
+    default = HashPartitioner()
     part = partition_plus(space, num_reduces)
     from repro.mapreduce.partitioner import RangePartitioner
 

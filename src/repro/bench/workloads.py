@@ -237,14 +237,12 @@ def sim_spec(
     variant: SystemVariant,
     num_reduces: int,
     *,
-    cluster: ClusterConfig | None = None,
     seed: int = 0,
     skewed: bool = False,
-    priorities: tuple[float, ...] | None = None,
 ) -> SimJobSpec:
-    """Build the simulator job spec for one (workload, system, r) cell."""
-    cluster = cluster or ClusterConfig()
-    splits = _sim_splits(workload, cluster, variant, seed=seed)
+    """Build the simulator job spec for one (workload, system, r) cell,
+    on the default cluster."""
+    splits = _sim_splits(workload, ClusterConfig(), variant, seed=seed)
     if variant is SystemVariant.SIDR:
         if skewed:
             raise QueryError("SIDR prevents key skew; skewed=True is stock-only")
@@ -260,7 +258,6 @@ def sim_spec(
             reduce_output_bytes=per_out,
             dense_output=True,
             reduce_weights=tuple(w / total_w for w in weights),
-            priorities=priorities,
         )
     dist = (
         ParitySkewDistribution(num_reduces)
@@ -289,22 +286,18 @@ def sim_spec(
     )
 
 
-def sim_spec_from_plan(
-    plan: SIDRPlan,
-    *,
-    name: str = "sidr-real-job",
-    intermediate_ratio: float = 1.0,
-) -> SimJobSpec:
+def sim_spec_from_plan(plan: SIDRPlan) -> SimJobSpec:
     """Translate a *real* engine job's :class:`SIDRPlan` into simulator
     cost terms, so the cost model can price the exact job the engine
-    runs (the live tracker's ETA, :mod:`repro.obs.live.progress`)."""
+    runs (the live tracker's ETA, :mod:`repro.obs.live.progress`); a
+    map writes as many intermediate bytes as it reads."""
     dist = DependencyDistribution.from_sidr_plan(plan)
     splits = tuple(
         SimSplit(
             index=sp.index,
             read_bytes=max(1, sp.length_bytes),
             cells=max(1, sp.cells),
-            output_bytes=max(1, int(sp.length_bytes * intermediate_ratio)),
+            output_bytes=max(1, sp.length_bytes),
         )
         for sp in plan.splits
     )
@@ -316,7 +309,7 @@ def sim_spec_from_plan(
     if total_keys <= 0:
         raise QueryError("plan has no intermediate keys")
     return SimJobSpec(
-        name=name,
+        name="sidr-real-job",
         splits=splits,
         distribution=dist,
         reduce_output_bytes=out_bytes,
@@ -334,19 +327,10 @@ def _sidr_output_bytes(plan: SIDRPlan, total: int) -> tuple[int, ...]:
 # --------------------------------------------------------------------- #
 # Laptop-scale workloads for the real engine
 # --------------------------------------------------------------------- #
-def small_query1(
-    *,
-    time: int = 24,
-    lat: int = 12,
-    lon: int = 12,
-    elevation: int = 10,
-    seed: int = 11,
-):
+def small_query1():
     """A shrunk Query 1 that the real engine executes in memory: median
     with extraction {2, 6, 6, 5}.  Returns (field, plan)."""
-    field = windspeed_dataset(
-        time=time, lat=lat, lon=lon, elevation=elevation, seed=seed
-    )
+    field = windspeed_dataset(time=24, lat=12, lon=12, elevation=10, seed=11)
     q = StructuralQuery(
         variable="windspeed",
         extraction_shape=(2, 6, 6, 5),

@@ -400,7 +400,7 @@ def cmd_recovery(args: argparse.Namespace) -> int:
     rows = []
     for model in RecoveryModel:
         engine = LocalEngine(
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=3),
             faults=fault,
             recovery=model,
         )
@@ -473,7 +473,7 @@ def cmd_speculation(args: argparse.Namespace) -> int:
         seed=args.fault_seed,
     )
     engine = LocalEngine(
-        retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+        retry=RetryPolicy(max_attempts=3),
         faults=fault,
         speculation=SpeculationPolicy(hang_timeout=args.hang_timeout),
     )

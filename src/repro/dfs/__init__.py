@@ -17,7 +17,7 @@ locality tree (§3.3) can place map tasks near their data.
 
 from repro.dfs.topology import ClusterTopology, Host, LocalityLevel, Rack
 from repro.dfs.block import Block, BlockId
-from repro.dfs.namenode import NameNode, PlacementPolicy, DefaultPlacement
+from repro.dfs.namenode import NameNode, DefaultPlacement
 from repro.dfs.filesystem import DfsFile, SimulatedDFS
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "Block",
     "BlockId",
     "NameNode",
-    "PlacementPolicy",
     "DefaultPlacement",
     "DfsFile",
     "SimulatedDFS",

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.dfs.block import DEFAULT_BLOCK_SIZE, Block
-from repro.dfs.namenode import NameNode, PlacementPolicy
+from repro.dfs.namenode import NameNode
 from repro.dfs.topology import ClusterTopology, LocalityLevel
 from repro.errors import DfsError
 
@@ -41,25 +41,14 @@ class SimulatedDFS:
 
     def __init__(
         self,
-        topology: ClusterTopology | None = None,
         *,
         num_hosts: int = 24,
-        hosts_per_rack: int = 8,
-        replication: int = 3,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        policy: PlacementPolicy | None = None,
         seed: int = 0,
     ) -> None:
-        self.topology = topology or ClusterTopology.uniform(
-            num_hosts, hosts_per_rack
-        )
-        self.namenode = NameNode(
-            self.topology,
-            replication=replication,
-            block_size=block_size,
-            policy=policy,
-            seed=seed,
-        )
+        """``num_hosts`` in racks of 8, each block on 3 of them."""
+        self.topology = ClusterTopology.uniform(num_hosts, 8)
+        self.namenode = NameNode(self.topology, block_size=block_size, seed=seed)
 
     # ------------------------------------------------------------------ #
     @property
@@ -70,8 +59,8 @@ class SimulatedDFS:
     def hosts(self) -> tuple[str, ...]:
         return self.topology.host_names
 
-    def add_file(self, path: str, size: int, writer: str | None = None) -> DfsFile:
-        entry = self.namenode.create_file(path, size, writer=writer)
+    def add_file(self, path: str, size: int) -> DfsFile:
+        entry = self.namenode.create_file(path, size)
         return DfsFile(
             path=path,
             size=size,

@@ -10,23 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.dfs.block import DEFAULT_BLOCK_SIZE, Block, BlockId
 from repro.dfs.topology import ClusterTopology
 from repro.errors import DfsError
-
-
-class PlacementPolicy(Protocol):
-    """Chooses replica hosts for one block."""
-
-    def place(
-        self,
-        topology: ClusterTopology,
-        writer: str,
-        replication: int,
-        rng: random.Random,
-    ) -> tuple[str, ...]: ...
 
 
 class DefaultPlacement:
@@ -73,22 +60,6 @@ class DefaultPlacement:
         return tuple(chosen)
 
 
-class RandomPlacement:
-    """Uniform random distinct hosts — a contrast policy for tests."""
-
-    def place(
-        self,
-        topology: ClusterTopology,
-        writer: str,
-        replication: int,
-        rng: random.Random,
-    ) -> tuple[str, ...]:
-        hosts = list(topology.host_names)
-        if replication > len(hosts):
-            raise DfsError("replication exceeds cluster size")
-        return tuple(rng.sample(hosts, replication))
-
-
 @dataclass
 class FileEntry:
     """Namespace record for one file."""
@@ -109,7 +80,6 @@ class NameNode:
         *,
         replication: int = 3,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        policy: PlacementPolicy | None = None,
         seed: int = 0,
     ) -> None:
         if replication <= 0:
@@ -119,36 +89,28 @@ class NameNode:
         self.topology = topology
         self.replication = min(replication, len(topology))
         self.block_size = block_size
-        self.policy = policy or DefaultPlacement()
         self._rng = random.Random(seed)
         self._files: dict[str, FileEntry] = {}
 
-    def create_file(
-        self,
-        path: str,
-        size: int,
-        *,
-        writer: str | None = None,
-        block_size: int | None = None,
-    ) -> FileEntry:
+    def create_file(self, path: str, size: int) -> FileEntry:
         """Register a file and place its blocks.
 
-        ``writer`` rotates round-robin per block when unspecified, the
-        steady state of a distributed ingest where many clients write.
+        Each block's writer is a host drawn at random, the steady state
+        of a distributed ingest where many clients write.
         """
         if path in self._files:
             raise DfsError(f"file {path!r} already exists")
         if size <= 0:
             raise DfsError("file size must be positive")
-        bs = block_size or self.block_size
+        bs = self.block_size
         blocks: list[Block] = []
         hosts = self.topology.host_names
         offset = 0
         idx = 0
         while offset < size:
             length = min(bs, size - offset)
-            w = writer or hosts[self._rng.randrange(len(hosts))]
-            replicas = self.policy.place(
+            w = hosts[self._rng.randrange(len(hosts))]
+            replicas = DefaultPlacement().place(
                 self.topology, w, self.replication, self._rng
             )
             blocks.append(

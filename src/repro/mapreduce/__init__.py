@@ -46,8 +46,6 @@ from repro.mapreduce.reducer import (
 )
 from repro.mapreduce.partitioner import (
     HashPartitioner,
-    JavaStyleKeyHash,
-    LinearIndexHash,
     Partitioner,
     RangePartitioner,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "ConcatReducer",
     "Reducer",
     "HashPartitioner",
-    "JavaStyleKeyHash",
-    "LinearIndexHash",
     "Partitioner",
     "RangePartitioner",
     "ChunkBatch",

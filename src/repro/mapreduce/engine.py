@@ -54,9 +54,8 @@ validator (§3.2.1 approach 2), every reduce start is additionally
 validated against the expected source-record tally.
 
 Fault tolerance (paper §6): every logical task runs as a sequence of
-**attempts** governed by a :class:`RetryPolicy` (per-task cap,
-exponential backoff with deterministic jitter, job-level failure
-budget).  Faults can be injected deterministically via an
+**attempts** governed by a :class:`RetryPolicy` (a per-task cap on
+attempts).  Faults can be injected deterministically via an
 :class:`~repro.faults.InjectionPlan`.  Under the no-persistence recovery
 modes (:class:`~repro.faults.RecoveryModel`), a reduce failure after
 fetch triggers re-execution of the producing maps — *only* its
@@ -84,7 +83,6 @@ results committed so far (``JobConf.on_deadline``).
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -227,41 +225,21 @@ class DependencyBarrier(BarrierPolicy):
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the engine retries failing task attempts.
-
-    Backoff for attempt ``n`` is ``min(base * 2**n, cap)`` shrunk by up
-    to ``jitter`` of itself; the jitter RNG is seeded from (seed, task,
-    attempt) so a given configuration backs off identically every run.
-    ``failure_budget`` caps *total* failed attempts across the whole job
-    (None = unlimited): once exceeded, the failing task stops retrying
-    and the job fails fast.
-    """
+    """How the engine retries failing task attempts: at most
+    ``max_attempts`` tries a task, a failed try waiting
+    ``backoff_base * 2**attempt`` seconds before the next."""
 
     max_attempts: int = 1
-    backoff_base: float = 0.01
-    backoff_cap: float = 1.0
-    jitter: float = 0.5
-    failure_budget: int | None = None
-    seed: int = 0
+    backoff_base: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise JobConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0 or self.backoff_cap < 0:
+        if self.backoff_base < 0:
             raise JobConfigError("backoff delays must be non-negative")
-        if not (0.0 <= self.jitter <= 1.0):
-            raise JobConfigError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.failure_budget is not None and self.failure_budget < 0:
-            raise JobConfigError("failure_budget must be non-negative")
 
-    def backoff(self, kind: str, index: int, attempt: int) -> float:
-        base = min(self.backoff_base * (2 ** attempt), self.backoff_cap)
-        if base <= 0 or self.jitter == 0:
-            return base
-        # String seeds hash deterministically across processes (unlike
-        # tuple hashes under PYTHONHASHSEED randomization).
-        rng = random.Random(f"{self.seed}:{kind}:{index}:{attempt}")
-        return base * (1.0 - self.jitter * rng.random())
+    def backoff(self, attempt: int) -> float:
+        return self.backoff_base * 2 ** attempt
 
 
 @dataclass(frozen=True)
@@ -308,7 +286,6 @@ class _RunState:
         #: a map continue its numbering, so injection plans keyed by
         #: attempt stay unambiguous.
         self.next_attempt: dict[tuple[str, int], int] = {}
-        self.failures = 0
         #: Live cancel token per in-flight attempt.  An entry exists
         #: exactly while the attempt body runs; mitigation and the
         #: deadline watchdog cancel through these.
@@ -327,12 +304,6 @@ class _RunState:
             n = self.next_attempt.get((kind, index), 0)
             self.next_attempt[(kind, index)] = n + 1
             return n
-
-    def count_failure(self, budget: int | None) -> bool:
-        """Register one failed attempt; True when the budget is blown."""
-        with self.lock:
-            self.failures += 1
-            return budget is not None and self.failures > budget
 
     # -------------------------- cancel tokens ------------------------- #
     def new_token(
@@ -410,11 +381,9 @@ class JobResult:
         job_name: str,
         outputs: dict[int, Sequence[KeyValue]],
         counters: Counters,
-        trace: EngineTrace | None = None,
         shuffle_connections: int = 0,
         empty_fetches: int = 0,
         obs: JobObservability | None = None,
-        attempts: tuple[TaskAttempt, ...] | None = None,
         partial: bool = False,
         *,
         events: Sequence[Event] = (),
@@ -437,11 +406,6 @@ class JobResult:
         #: The run's slice of its bus's record, ``trace`` and
         #: ``attempts`` are read from.
         self._events = events
-        # Given readings shadow the cached properties below.
-        if trace is not None:
-            self.trace = trace
-        if attempts is not None:
-            self.attempts = attempts
 
     @cached_property
     def trace(self) -> EngineTrace:
@@ -764,7 +728,7 @@ class LocalEngine:
                     raise
                 delay = 0.0
                 if status == "failed":
-                    delay = policy.backoff(kind, index, attempt)
+                    delay = policy.backoff(attempt)
                 else:
                     bus.publish(EV_TASK_CANCELLED, **ident, reason=reason)
                     if reason == REASON_SUPERSEDED:
@@ -775,8 +739,7 @@ class LocalEngine:
                             "job deadline expired"
                         ) from exc
                     # Hang mitigation: retry in place, no backoff.
-                over_budget = state.count_failure(policy.failure_budget)
-                if tries >= policy.max_attempts or over_budget:
+                if tries >= policy.max_attempts:
                     raise
                 bus.publish(EV_TASK_RETRY, **ident, backoff=delay, error=error)
                 if delay > 0 and not state.deadline_expired:
@@ -972,27 +935,13 @@ class LocalEngine:
             part,
         )
 
-    def run_serial(
-        self, job: JobConf, barrier: BarrierPolicy | None = None, *,
-        on_reduce_complete: ReduceCallback | None = None,
-        obs: JobObservability | None = None,
-    ) -> JobResult:
+    def run_serial(self, job: JobConf, *args: Any, **kwargs: Any) -> JobResult:
         """:meth:`run` with ``mode="serial"``."""
-        return self.run(
-            job, barrier, mode="serial",
-            on_reduce_complete=on_reduce_complete, obs=obs,
-        )
+        return self.run(job, *args, mode="serial", **kwargs)
 
-    def run_threaded(
-        self, job: JobConf, barrier: BarrierPolicy | None = None, *,
-        on_reduce_complete: ReduceCallback | None = None,
-        obs: JobObservability | None = None,
-    ) -> JobResult:
+    def run_threaded(self, job: JobConf, *args: Any, **kwargs: Any) -> JobResult:
         """:meth:`run` with ``mode="threaded"``."""
-        return self.run(
-            job, barrier, mode="threaded",
-            on_reduce_complete=on_reduce_complete, obs=obs,
-        )
+        return self.run(job, *args, mode="threaded", **kwargs)
 
     def _run_job(
         self,

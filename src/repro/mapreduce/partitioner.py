@@ -39,63 +39,6 @@ _MASK32 = 0xFFFFFFFF
 _MAX_INT = 0x7FFFFFFF
 
 
-class KeyHash(ABC):
-    """Hash of an intermediate key to a non-negative integer."""
-
-    @abstractmethod
-    def hash_key(self, key: Any) -> int: ...
-
-    @abstractmethod
-    def hash_many(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized hash of an (n, rank) int coordinate array."""
-
-
-class JavaStyleKeyHash(KeyHash):
-    """Java ``Arrays.hashCode`` over key components with 32-bit overflow.
-
-    This is the "binary representation" hash of §3.1/§4.3: patterned key
-    components produce patterned hashes.
-    """
-
-    def hash_key(self, key: Any) -> int:
-        if isinstance(key, int):
-            components = (key,)
-        else:
-            components = tuple(key)
-        h = 1
-        for x in components:
-            h = (31 * h + int(x)) & _MASK32
-        return h & _MAX_INT
-
-    def hash_many(self, keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim == 1:
-            keys = keys[:, None]
-        h = np.ones(keys.shape[0], dtype=np.int64)
-        for c in range(keys.shape[1]):
-            h = (31 * h + keys[:, c]) & _MASK32
-        return h & _MAX_INT
-
-
-class LinearIndexHash(KeyHash):
-    """Hash a coordinate key by its row-major linear index in a space.
-
-    The densest possible hash for in-bounds coordinate keys; useful as a
-    contrast case in tests and ablations.
-    """
-
-    def __init__(self, space: Shape) -> None:
-        if volume(space) <= 0:
-            raise PartitionError(f"invalid key space {space!r}")
-        self.space = tuple(space)
-
-    def hash_key(self, key: Any) -> int:
-        return coord_to_index(tuple(key), self.space)
-
-    def hash_many(self, keys: np.ndarray) -> np.ndarray:
-        return coords_to_indices(np.asarray(keys, dtype=np.int64), self.space)
-
-
 class Partitioner(ABC):
     """Deterministic assignment of intermediate keys to keyblocks."""
 
@@ -125,20 +68,41 @@ class Partitioner(ABC):
 
 
 class HashPartitioner(Partitioner):
-    """Hadoop's default: ``(hash(key) & MAX_INT) % numReduceTasks``."""
+    """Hadoop's default: ``(hash(key) & MAX_INT) % numReduceTasks``.
 
-    def __init__(self, key_hash: KeyHash | None = None) -> None:
-        self.key_hash = key_hash or JavaStyleKeyHash()
+    The hash is Java ``Arrays.hashCode`` over the key components with
+    32-bit overflow — the "binary representation" hash of §3.1/§4.3, so
+    patterned key components produce patterned hashes.
+    """
+
+    @staticmethod
+    def hash_key(key: Any) -> int:
+        components = (key,) if isinstance(key, int) else tuple(key)
+        h = 1
+        for x in components:
+            h = (31 * h + int(x)) & _MASK32
+        return h & _MAX_INT
+
+    @staticmethod
+    def hash_many(keys: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`hash_key` of an (n, rank) int coordinate array."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim == 1:
+            keys = keys[:, None]
+        h = np.ones(keys.shape[0], dtype=np.int64)
+        for c in range(keys.shape[1]):
+            h = (31 * h + keys[:, c]) & _MASK32
+        return h & _MAX_INT
 
     def partition(self, key: Any, num_partitions: int) -> int:
         if num_partitions <= 0:
             raise PartitionError("num_partitions must be positive")
-        return self.key_hash.hash_key(key) % num_partitions
+        return self.hash_key(key) % num_partitions
 
     def partition_many(self, keys: np.ndarray, num_partitions: int) -> np.ndarray:
         if num_partitions <= 0:
             raise PartitionError("num_partitions must be positive")
-        return self.key_hash.hash_many(keys) % num_partitions
+        return self.hash_many(keys) % num_partitions
 
 
 class RangePartitioner(Partitioner):

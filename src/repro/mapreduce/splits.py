@@ -59,18 +59,11 @@ class ByteRangeSplit:
         return f"{self.path}[{self.start}:{self.start + self.length}]"
 
 
-def generate_byte_splits(
-    dfs: SimulatedDFS,
-    path: str,
-    *,
-    split_size: int | None = None,
-) -> list[ByteRangeSplit]:
-    """FileInputFormat-style split generation: one split per block (or per
-    ``split_size`` bytes), preferred hosts from the block's replicas."""
+def generate_byte_splits(dfs: SimulatedDFS, path: str) -> list[ByteRangeSplit]:
+    """FileInputFormat-style split generation: one split per block,
+    preferred hosts from the block's replicas."""
     f = dfs.file(path)
-    size = split_size or f.block_size
-    if size <= 0:
-        raise JobConfigError("split size must be positive")
+    size = f.block_size
     splits: list[ByteRangeSplit] = []
     offset = 0
     idx = 0

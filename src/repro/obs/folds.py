@@ -72,8 +72,8 @@ class MetricsFold:
         if handler is not None:
             handler(ev)
 
-    def _inc(self, name: str, amount: int = 1) -> None:
-        self._m.counter(name).inc(amount)
+    def _inc(self, name: str) -> None:
+        self._m.counter(name).inc()
 
     def _observe(self, name: str, seconds: float) -> None:
         self._m.histogram(name, TIME_BUCKETS).observe(seconds)

@@ -55,13 +55,12 @@ class CostModelEta:
         *,
         map_workers: int = 4,
         reduce_workers: int = 3,
-        cost_model: Any | None = None,
     ) -> None:
         from repro.bench.workloads import sim_spec_from_plan
         from repro.sim.costmodel import CostModel
 
         spec = sim_spec_from_plan(sidr_plan)
-        cm = cost_model or CostModel(jitter_sigma=0.0)
+        cm = CostModel(jitter_sigma=0.0)
         rng = random.Random(0)
         self.map_workers = max(1, map_workers)
         self.reduce_workers = max(1, reduce_workers)

@@ -20,10 +20,10 @@ from repro.obs.live.progress import ProgressTracker
 _BAR_WIDTH = 28
 
 
-def _bar(fraction: float, width: int = _BAR_WIDTH) -> str:
+def _bar(fraction: float) -> str:
     fraction = min(1.0, max(0.0, fraction))
-    filled = int(round(fraction * width))
-    return "#" * filled + "-" * (width - filled)
+    filled = int(round(fraction * _BAR_WIDTH))
+    return "#" * filled + "-" * (_BAR_WIDTH - filled)
 
 
 def _fmt_eta(eta: float | None) -> str:
@@ -67,22 +67,13 @@ def format_live(snapshot: dict[str, Any]) -> str:
 class LiveRenderer:
     """Repaints the live status block until the job finishes."""
 
-    def __init__(
-        self,
-        progress: ProgressTracker,
-        *,
-        interval: float = 0.25,
-        out: TextIO | None = None,
-        ansi: bool | None = None,
-    ) -> None:
+    def __init__(self, progress: ProgressTracker) -> None:
         self._progress = progress
-        self._out = out if out is not None else sys.stderr
-        if ansi is None:
-            ansi = bool(getattr(self._out, "isatty", lambda: False)())
-        self._ansi = ansi
+        self._out: TextIO = sys.stderr
+        self._ansi = bool(getattr(self._out, "isatty", lambda: False)())
         # A pipe gets whole blocks appended, so slow the cadence down to
         # keep CI logs readable.
-        self._interval = interval if ansi else max(interval, 1.0)
+        self._interval = 0.25 if self._ansi else 1.0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._last_lines = 0

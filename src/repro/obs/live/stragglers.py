@@ -6,14 +6,15 @@ running per-kind duration statistics (median and MAD over *completed*
 attempts of the same kind) and flags any in-flight attempt whose
 elapsed time exceeds a robust threshold::
 
-    threshold = max(k * median,
-                    median + k * 1.4826 * MAD,
-                    min_seconds)
+    threshold = max(K * median,
+                    median + K * 1.4826 * MAD,
+                    MIN_SECONDS)
 
-The ``k * median`` arm is the classic Hadoop speculative-execution rule;
+once ``MIN_SAMPLES`` attempts of the kind have completed.  The
+``K * median`` arm is the classic Hadoop speculative-execution rule;
 the MAD arm keeps the detector honest when durations are tightly
 clustered (a tiny median would otherwise flag everything); the
-``min_seconds`` floor suppresses noise on sub-millisecond test tasks.
+``MIN_SECONDS`` floor suppresses noise on sub-millisecond test tasks.
 
 Given the run's cancel tokens, the same :meth:`StragglerDetector.check`
 also applies the **hang rule**: an in-flight attempt whose token has
@@ -52,6 +53,14 @@ from repro.obs.live.bus import (
 )
 
 
+#: The straggler rule: the multiple of the median (and of the MAD) an
+#: attempt must exceed, over at least ``MIN_SAMPLES`` completed peers,
+#: and never less than ``MIN_SECONDS``.
+K = 3.0
+MIN_SAMPLES = 3
+MIN_SECONDS = 0.05
+
+
 def _median(sorted_values: list[float]) -> float:
     n = len(sorted_values)
     mid = n // 2
@@ -64,25 +73,12 @@ class StragglerDetector:
     """Flags in-flight attempts running far beyond their peers, and —
     given the run's cancel tokens — attempts that stopped checkpointing."""
 
-    def __init__(
-        self,
-        bus: EventBus,
-        *,
-        k: float = 3.0,
-        min_samples: int = 3,
-        min_seconds: float = 0.05,
-        hang_timeout: float = 0.5,
-    ) -> None:
-        if k <= 1.0:
-            raise ValueError(f"straggler multiplier k must be > 1, got {k}")
+    def __init__(self, bus: EventBus, *, hang_timeout: float = 0.5) -> None:
         if hang_timeout <= 0:
             raise ValueError(
                 f"hang_timeout must be positive, got {hang_timeout}"
             )
         self._bus = bus
-        self.k = k
-        self.min_samples = min_samples
-        self.min_seconds = min_seconds
         self.hang_timeout = hang_timeout
         self._lock = Lock()
         #: ``seq`` of the first record event not yet read.
@@ -127,15 +123,15 @@ class StragglerDetector:
 
     def _threshold_locked(self, kind: str) -> float | None:
         durations = self._durations.get(kind)
-        if durations is None or len(durations) < self.min_samples:
+        if durations is None or len(durations) < MIN_SAMPLES:
             return None
         med = _median(durations)
         deviations = sorted(abs(d - med) for d in durations)
         mad = _median(deviations)
         return max(
-            self.k * med,
-            med + self.k * 1.4826 * mad,
-            self.min_seconds,
+            K * med,
+            med + K * 1.4826 * mad,
+            MIN_SECONDS,
         )
 
     def check(

@@ -42,7 +42,11 @@ def _index_of(span: dict[str, Any]) -> int:
         return -1
 
 
-def format_run_report(run: dict[str, Any], *, top: int = 5) -> str:
+#: Early-starting reduces a report lists by name.
+_TOP = 5
+
+
+def format_run_report(run: dict[str, Any]) -> str:
     """Report for one run: phases, barrier waits, early starts, skew."""
     spans = run.get("spans", [])
     lines: list[str] = []
@@ -121,7 +125,7 @@ def format_run_report(run: dict[str, Any], *, top: int = 5) -> str:
             f"early starts: {len(early)} of {len(reduce_spans)} reduces began "
             f"before the last map finished (t={_fmt_s(last_map_end - t0)})"
         )
-        for s in early[:top]:
+        for s in early[:_TOP]:
             done = sum(
                 1 for m in map_spans if m["start"] + m["dur"] <= s["start"]
             )
@@ -129,8 +133,8 @@ def format_run_report(run: dict[str, Any], *, top: int = 5) -> str:
                 f"  t={_fmt_s(s['start'] - t0)}  reduce {_index_of(s)} started "
                 f"({done}/{len(map_spans)} maps done)"
             )
-        if len(early) > top:
-            lines.append(f"  ... ({len(early) - top} more)")
+        if len(early) > _TOP:
+            lines.append(f"  ... ({len(early) - _TOP} more)")
 
     # ----------------------------------------------------------------- #
     # Skew summary
@@ -192,6 +196,6 @@ def format_run_report(run: dict[str, Any], *, top: int = 5) -> str:
     return "\n".join(lines)
 
 
-def format_report(runs: list[dict[str, Any]], *, top: int = 5) -> str:
+def format_report(runs: list[dict[str, Any]]) -> str:
     """Report for a whole trace file (one section per run)."""
-    return "\n\n".join(format_run_report(r, top=top) for r in runs)
+    return "\n\n".join(format_run_report(r) for r in runs)

@@ -46,7 +46,6 @@ from typing import Any
 import numpy as np
 
 from repro.arrays.linearize import row_major_strides
-from repro.arrays.shape import coord_sub
 from repro.arrays.slab import Slab
 from repro.errors import QueryError
 from repro.mapreduce.columnar import ChunkBatch
@@ -72,7 +71,7 @@ def _zone_segments(
     lo: int, hi: int, extent: int, stride: int
 ) -> list[tuple[int, int, int, int]]:
     """Decompose the half-open per-dimension work range ``[lo, hi)``
-    (relative to the extraction origin) into zones of uniform
+    (global cell coordinates) into zones of uniform
     per-instance extent; instance ``k`` occupies
     ``[k * stride, k * stride + extent)``.
 
@@ -133,23 +132,17 @@ def map_geometry(plan: QueryPlan, split: CoordinateSplit) -> MapGeometry:
     key_strides = row_major_strides(space)
     reads = []
     for slab in split.slabs:
-        # Clip to the subset: under keep_partial_instances the covering
-        # box can extend past it, and the record plane's
-        # instance_region() intersects with the subset too.
-        core = slab.intersect(plan.covered).intersect(plan.subset)
+        # ``covered`` is clipped to K_T, as the record plane's
+        # instance_region() is.
+        core = slab.intersect(plan.covered)
         if core.is_empty:
             continue
         per_dim = [
             _zone_segments(lo, hi, sh, st)
-            for lo, hi, sh, st in zip(
-                coord_sub(core.corner, ex.origin),
-                coord_sub(core.end, ex.origin),
-                ex.shape,
-                ex.stride,
-            )
+            for lo, hi, sh, st in zip(core.corner, core.end, ex.shape, ex.stride)
         ]
-        # origin-relative cell coordinate -> index into the slab's array
-        local = coord_sub(ex.origin, slab.corner)
+        # global cell coordinate -> index into the slab's array
+        local = tuple(-c for c in slab.corner)
         zones = []
         for combo in product(*per_dim):
             zones.append((

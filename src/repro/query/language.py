@@ -1,16 +1,15 @@
 """The structural query language and its compiled plan.
 
 A :class:`StructuralQuery` is SciHadoop's "simple, array-based query
-language including an extraction shape" (§2.4): a variable, an optional
-subset (corner + shape), the extraction shape (optionally strided), and
-the operator.  Compiling it against dataset metadata yields a
+language including an extraction shape" (§2.4): a variable, the
+extraction shape (optionally strided), and the operator; a query reads
+the whole variable.  Compiling it against dataset metadata yields a
 :class:`QueryPlan` exposing everything SIDR derives "solely from
 information found in, or derived from, the query specification combined
 with the input metadata" (§3.1) — the plan keeps what it derived, not
 the metadata:
 
 * ``input_space``     — K_T, the variable's full space
-* ``subset``          — the queried K region
 * ``covered``         — the K region actually consumed after truncation
 * ``intermediate_space`` — the exact K'_T shape
 * key translation in both directions.
@@ -39,7 +38,6 @@ class StructuralQuery:
     variable: str
     extraction_shape: Shape
     operator: StructuralOperator
-    subset: Slab | None = None
     stride: Shape | None = None
     #: Keep clipped trailing instances instead of dropping them.
     keep_partial_instances: bool = False
@@ -54,27 +52,16 @@ class StructuralQuery:
                 f"extraction shape rank {len(self.extraction_shape)} != "
                 f"variable {self.variable!r} rank {rank}"
             )
-        subset = self.subset or Slab.whole(var_shape)
-        if subset.rank != rank:
-            raise QueryError("subset rank mismatch")
-        if not Slab.whole(var_shape).contains_slab(subset):
-            raise QueryError(
-                f"subset {subset!r} outside variable space {var_shape!r}"
-            )
-        if subset.is_empty:
-            raise QueryError("empty query subset")
         extraction = ExtractionShape(
             shape=self.extraction_shape,
-            origin=subset.corner,
             truncate=not self.keep_partial_instances,
             stride=self.stride,
         )
-        inter = extraction.intermediate_space(subset.shape)
+        inter = extraction.intermediate_space(var_shape)
         return QueryPlan(
             query=self,
             item_bytes=metadata.variable(self.variable).numpy_dtype.itemsize,
             input_space=var_shape,
-            subset=subset,
             extraction=extraction,
             intermediate_space=inter,
         )
@@ -90,7 +77,6 @@ class QueryPlan:
     query: StructuralQuery
     item_bytes: int
     input_space: Shape
-    subset: Slab
     extraction: ExtractionShape
     intermediate_space: Shape
 
@@ -104,17 +90,21 @@ class QueryPlan:
         return self.query.operator
 
     @cached_property
+    def whole(self) -> Slab:
+        """K_T as a slab: every instance is clipped to it."""
+        return Slab.whole(self.input_space)
+
+    @cached_property
     def covered(self) -> Slab:
         """The box of K actually consumed (truncation drops the rest):
-        from the first instance's corner to the last instance's end,
-        clipped to the subset — a kept partial instance ends where the
-        subset does, not where its extraction shape would.  Under a
-        stride the instances' union is not a slab; the box includes the
-        gaps between them."""
+        from the origin to the last instance's end, clipped to K_T — a
+        kept partial instance ends where the variable does, not where
+        its extraction shape would.  Under a stride the instances' union
+        is not a slab; the box includes the gaps between them."""
         last = tuple(e - 1 for e in self.intermediate_space)
         return Slab.from_extent(
-            self.extraction.origin, self.extraction.preimage(last).end
-        ).intersect(self.subset)
+            self.whole.corner, self.extraction.preimage(last).end
+        ).intersect(self.whole)
 
     @property
     def num_intermediate_keys(self) -> int:
@@ -140,13 +130,13 @@ class QueryPlan:
 
     def instance_region(self, key: Coord) -> Slab:
         """K region (instance) feeding intermediate key ``key``, clipped
-        to the subset (edge instances clip when keep_partial_instances)."""
+        to K_T (edge instances clip when keep_partial_instances)."""
         slab = self.extraction.preimage(key)
-        return slab.intersect(self.subset)
+        return slab.intersect(self.whole)
 
     def instance_cells(self, boxes: Iterable[Slab] | None = None) -> np.ndarray:
         """Source cells per key: an int64 array of shape K'_T holding
-        each key's instance ∩ subset cells, or with ``boxes`` (disjoint,
+        each key's instance ∩ K_T cells, or with ``boxes`` (disjoint,
         e.g. splits' slabs) those of them inside the boxes — the ground
         truth behind the §3.2.1 count annotation.
 
@@ -156,12 +146,12 @@ class QueryPlan:
         edge instances enter only through those vectors."""
         ex = self.extraction
         starts = [
-            o + st * np.arange(n, dtype=np.int64)
-            for o, st, n in zip(ex.origin, ex.stride, self.intermediate_space)
+            st * np.arange(n, dtype=np.int64)
+            for st, n in zip(ex.stride, self.intermediate_space)
         ]
         out = np.zeros(self.intermediate_space, dtype=np.int64)
-        for box in (self.subset,) if boxes is None else boxes:
-            region = box.intersect(self.subset)
+        for box in (self.whole,) if boxes is None else boxes:
+            region = box.intersect(self.whole)
             index, vectors = [], []
             for start, sh, lo, hi in zip(starts, ex.shape, region.corner, region.end):
                 overlap = np.minimum(start + sh, hi) - np.maximum(start, lo)
@@ -206,9 +196,8 @@ class QueryPlan:
         ex = self.extraction
         stride = f", stride={list(ex.stride)}" if ex.stride != ex.shape else ""
         return (
-            f"{self.operator.name}({self.variable}) over subset "
-            f"corner={list(self.subset.corner)} shape={list(self.subset.shape)} "
-            f"with extraction shape {list(ex.shape)}{stride}; "
+            f"{self.operator.name}({self.variable}) over "
+            f"{list(self.input_space)} with extraction shape {list(ex.shape)}{stride}; "
             f"K'_T = {list(self.intermediate_space)} "
             f"({self.num_intermediate_keys} keys)"
         )

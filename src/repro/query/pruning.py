@@ -27,7 +27,7 @@ dropping splits:
   allow it (its barrier is trivially ready and it expects zero cells).
 
 Everything here is exact geometry: a key survives where a surviving
-split's reader emits it (an instance cell inside the subset and the
+split's reader emits it (an instance cell inside the variable and the
 split), so pruning cannot disagree with what the maps deliver.
 """
 

@@ -121,25 +121,16 @@ class CellToChunkMapper(Mapper):
 
 
 def make_reader_factory(
-    source: Any,
-    plan: QueryPlan,
-    *,
-    cell_level: bool = False,
+    source: Any, plan: QueryPlan
 ) -> Callable[[CoordinateSplit], Iterator[KeyValue]]:
-    """Reader factory for :class:`repro.mapreduce.job.JobConf`.
+    """Reader factory for :class:`repro.mapreduce.job.JobConf`: a
+    :class:`StructuralRecordReader` per split.
 
     ``source`` may be an NCLite path (each reader opens its own handle —
     thread-safe under the threaded engine) or an in-memory array.
     """
 
-    if cell_level:
-
-        def factory(split: CoordinateSplit) -> Iterator[KeyValue]:
-            return iter(CellRecordReader(source, plan, split))
-
-    else:
-
-        def factory(split: CoordinateSplit) -> Iterator[KeyValue]:
-            return iter(StructuralRecordReader(source, plan, split))
+    def factory(split: CoordinateSplit) -> Iterator[KeyValue]:
+        return iter(StructuralRecordReader(source, plan, split))
 
     return factory

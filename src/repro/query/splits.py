@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arrays.linearize import slab_to_index_runs
-from repro.arrays.shape import Shape, volume
+from repro.arrays.shape import Shape
 from repro.arrays.slab import Slab
 from repro.dfs.filesystem import SimulatedDFS
 from repro.errors import QueryError
@@ -93,27 +93,10 @@ def _balanced_boundaries(total_rows: int, groups: int) -> list[int]:
     return cuts
 
 
-def slice_splits(
-    plan: QueryPlan,
-    *,
-    num_splits: int | None = None,
-    split_bytes: int | None = None,
-) -> list[CoordinateSplit]:
-    """Slice the covered region into contiguous dim-0 row groups.
-
-    Exactly one of ``num_splits`` / ``split_bytes`` must be given; with
-    ``split_bytes`` (e.g. the HDFS block size) the count is derived from
-    the covered data volume, matching how SciHadoop sizes splits.
-    """
-    if (num_splits is None) == (split_bytes is None):
-        raise QueryError("pass exactly one of num_splits / split_bytes")
+def slice_splits(plan: QueryPlan, *, num_splits: int) -> list[CoordinateSplit]:
+    """Slice the covered region into ``num_splits`` contiguous dim-0 row
+    groups (at most one per row)."""
     covered = plan.covered
-    item = plan.item_bytes
-    if split_bytes is not None:
-        if split_bytes <= 0:
-            raise QueryError("split_bytes must be positive")
-        num_splits = max(1, -(-covered.volume * item // split_bytes))
-    assert num_splits is not None
     rows = covered.shape[0]
     groups = min(num_splits, rows)
     if groups <= 0:
@@ -128,7 +111,7 @@ def slice_splits(
                 index=i,
                 variable=plan.variable,
                 slabs=(Slab(corner, shape),),
-                item_bytes=item,
+                item_bytes=plan.item_bytes,
             )
         )
     return splits
@@ -176,11 +159,9 @@ def attach_locality(
     dfs: SimulatedDFS,
     path: str,
     input_space: Shape,
-    *,
-    data_offset: int = 0,
-    max_hosts: int = 3,
 ) -> list[CoordinateSplit]:
-    """Resolve each split's preferred hosts from DFS block placement.
+    """Resolve each split's preferred hosts — the three hosts holding
+    most of its bytes — from DFS block placement.
 
     A coordinate split's bytes are the row-major runs of its slabs within
     the variable payload; the hosts covering most of those bytes become
@@ -195,10 +176,10 @@ def attach_locality(
         weights: Counter[str] = Counter()
         for slab in sp.slabs:
             for lo, hi in slab_to_index_runs(slab, input_space):
-                start = data_offset + lo * sp.item_bytes
+                start = lo * sp.item_bytes
                 length = (hi - lo) * sp.item_bytes
                 for host in dfs.hosts_for_range(path, start, length):
                     weights[host] += length
-        ranked = tuple(h for h, _ in weights.most_common(max_hosts))
+        ranked = tuple(h for h, _ in weights.most_common(3))
         out.append(sp.with_hosts(ranked))
     return out

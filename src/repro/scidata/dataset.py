@@ -327,15 +327,13 @@ def create_dataset(
     *,
     var_name: str | None = None,
     data: np.ndarray | None = None,
-    fill: float | int | None = None,
-    mode: str = "r",
 ) -> Dataset:
-    """Create an NCLite file and open it.
+    """Create an NCLite file and open it read-only.
 
     Two convenience forms:
 
     * full form — pass ``metadata`` plus either ``arrays`` (payloads) or
-      ``fill`` (pre-allocated constant payloads);
+      none (pre-allocated zero payloads);
     * quick form — pass ``var_name`` + ``data`` and metadata is derived
       from the array (auto-named dimensions), matching how tests and the
       examples build small inputs.
@@ -354,5 +352,5 @@ def create_dataset(
     if arrays is not None:
         write_nclite(path, metadata, arrays)
     else:
-        write_nclite_empty(path, metadata, fill=0 if fill is None else fill)
-    return Dataset(path, mode=mode)
+        write_nclite_empty(path, metadata)
+    return Dataset(path)

@@ -45,8 +45,8 @@ class SyntheticField:
     def variable(self) -> str:
         return self.metadata.variables[0].name
 
-    def write(self, path: str | os.PathLike, mode: str = "r") -> Dataset:
-        return create_dataset(path, self.metadata, self.arrays, mode=mode)
+    def write(self, path: str | os.PathLike) -> Dataset:
+        return create_dataset(path, self.metadata, self.arrays)
 
 
 def _grids(shape: Shape) -> list[np.ndarray]:
@@ -89,10 +89,10 @@ def planar_wave_field(
     return field + offset
 
 
-def normal_field(shape: Shape, *, mean: float = 0.0, std: float = 1.0, seed: int = 0) -> np.ndarray:
-    """IID normal field (Query 2's value distribution)."""
+def normal_field(shape: Shape, *, seed: int = 0) -> np.ndarray:
+    """IID standard normal field (Query 2's value distribution)."""
     rng = np.random.default_rng(seed)
-    return rng.normal(mean, std, size=shape)
+    return rng.normal(0.0, 1.0, size=shape)
 
 
 def temperature_dataset(
@@ -101,9 +101,9 @@ def temperature_dataset(
     lon: int = 200,
     *,
     seed: int = 7,
-    dtype: str = "float",
 ) -> SyntheticField:
-    """The paper's Figure 1/2 dataset: ``temperature(time, lat, lon)``.
+    """The paper's Figure 1/2 dataset: ``temperature(time, lat, lon)``,
+    as 32-bit floats.
 
     Defaults to the exact paper dimensions {365, 250, 200}; pass smaller
     values for laptop-scale runs.  Temperatures carry an annual cycle in
@@ -125,16 +125,14 @@ def temperature_dataset(
         variables=(
             Variable(
                 "temperature",
-                dtype,
+                "float",
                 ("time", "lat", "lon"),
                 attributes=(Attribute("units", "degF"),),
             ),
         ),
         attributes=(Attribute("source", "repro synthetic temperature"),),
     )
-    from repro.scidata.metadata import DTYPES
-
-    return SyntheticField(meta, {"temperature": field.astype(DTYPES[dtype])})
+    return SyntheticField(meta, {"temperature": field.astype(np.float32)})
 
 
 def windspeed_dataset(
@@ -144,10 +142,10 @@ def windspeed_dataset(
     elevation: int = 50,
     *,
     seed: int = 11,
-    dtype: str = "float",
     generate_payload: bool = True,
 ) -> SyntheticField:
-    """Query 1's dataset: ``windspeed(time, lat, lon, elevation)``.
+    """Query 1's dataset: ``windspeed(time, lat, lon, elevation)``, as
+    32-bit floats.
 
     The paper-scale shape {7200, 360, 720, 50} is 93.3e9 cells; keep the
     defaults only with ``generate_payload=False`` (metadata-only, for the
@@ -164,7 +162,7 @@ def windspeed_dataset(
         variables=(
             Variable(
                 "windspeed",
-                dtype,
+                "float",
                 ("time", "lat", "lon", "elevation"),
                 attributes=(Attribute("units", "m/s"),),
             ),
@@ -187,24 +185,19 @@ def windspeed_dataset(
             offset=10.0, seed=seed,
         )
     )
-    from repro.scidata.metadata import DTYPES
-
-    return SyntheticField(meta, {"windspeed": field.astype(DTYPES[dtype])})
+    return SyntheticField(meta, {"windspeed": field.astype(np.float32)})
 
 
 def normal_dataset(
     shape: Shape,
     *,
     var_name: str = "reading",
-    mean: float = 0.0,
-    std: float = 1.0,
     seed: int = 13,
-    dtype: str = "float",
 ) -> SyntheticField:
     """Query 2's dataset: IID normal values where a mean+3*std threshold
     filter passes ~0.135% of cells (the paper reports ~0.1%)."""
-    from repro.scidata.metadata import DTYPES, simple_metadata
+    from repro.scidata.metadata import simple_metadata
 
-    field = normal_field(shape, mean=mean, std=std, seed=seed)
-    meta = simple_metadata(var_name, shape, dtype=dtype)
-    return SyntheticField(meta, {var_name: field.astype(DTYPES[dtype])})
+    field = normal_field(shape, seed=seed)
+    meta = simple_metadata(var_name, shape, dtype="float")
+    return SyntheticField(meta, {var_name: field.astype(np.float32)})

@@ -268,13 +268,9 @@ def simple_metadata(
     var_name: str,
     dim_sizes: Shape,
     dtype: str = "double",
-    dim_names: tuple[str, ...] | None = None,
 ) -> DatasetMetadata:
     """Single-variable metadata with auto-named dimensions (``dim0``...)."""
-    if dim_names is None:
-        dim_names = tuple(f"dim{i}" for i in range(len(dim_sizes)))
-    if len(dim_names) != len(dim_sizes):
-        raise DatasetError("dim_names/dim_sizes length mismatch")
+    dim_names = tuple(f"dim{i}" for i in range(len(dim_sizes)))
     dims = tuple(Dimension(n, s) for n, s in zip(dim_names, dim_sizes))
     return DatasetMetadata(
         dimensions=dims,

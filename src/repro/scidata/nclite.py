@@ -131,7 +131,6 @@ def write_nclite(
     arrays: dict[str, np.ndarray],
     *,
     zone_maps: bool = True,
-    tile_shape: tuple[int, ...] | None = None,
 ) -> None:
     """Write a complete NCLite file from in-memory arrays.
 
@@ -164,7 +163,7 @@ def write_nclite(
     }
     if zone_maps and not metadata.zone_maps:
         metadata = metadata.with_zone_maps(tuple(
-            build_zone_map(v.name, casted[v.name], tile_shape=tile_shape)
+            build_zone_map(v.name, casted[v.name])
             for v in metadata.variables
         ))
     header, _rel = encode_header(metadata)
@@ -179,29 +178,21 @@ def write_nclite(
 def write_nclite_empty(
     path: str | os.PathLike,
     metadata: DatasetMetadata,
-    fill: float | int = 0,
-    *,
-    zone_maps: bool = True,
-    tile_shape: tuple[int, ...] | None = None,
 ) -> None:
-    """Create an NCLite file with all variables filled with ``fill``.
+    """Create an NCLite file with all variables filled with zeros.
 
     Used to pre-allocate output files that reduce tasks then write slabs
-    into (the sentinel-file strategy of §4.4 pre-fills with a sentinel).
-    The fill is written in bounded chunks so creating a file much larger
-    than RAM stays safe.
+    into.  The zeros are written in bounded chunks so creating a file
+    much larger than RAM stays safe.
 
     Zone maps for a constant-fill variable need no scan: every tile's
     min and max are the fill value and every tile is flagged pure-fill.
     They are valid only while the file stays constant —
     ``Dataset.write_slab`` invalidates them in place on first mutation.
     """
-    if zone_maps and not metadata.zone_maps:
+    if not metadata.zone_maps:
         metadata = metadata.with_zone_maps(tuple(
-            constant_zone_map(
-                v.name, metadata.variable_shape(v.name), fill,
-                tile_shape=tile_shape,
-            )
+            constant_zone_map(v.name, metadata.variable_shape(v.name), 0)
             for v in metadata.variables
         ))
     header, _rel = encode_header(metadata)
@@ -212,7 +203,7 @@ def write_nclite_empty(
         for v in metadata.variables:
             dtype = v.numpy_dtype.newbyteorder("<")
             total = metadata.variable_cells(v.name)
-            block = np.full(min(chunk_cells, total), fill, dtype=dtype).tobytes()
+            block = np.zeros(min(chunk_cells, total), dtype=dtype).tobytes()
             remaining = total
             while remaining > 0:
                 n = min(chunk_cells, remaining)

@@ -41,6 +41,9 @@ from repro.scidata.metadata import (
 )
 from repro.scidata.nclite import encode_header
 
+#: Every sparse layout writes little-endian float64 values.
+_F64 = np.dtype("<f8")
+
 
 @dataclass(frozen=True)
 class WriteReport:
@@ -74,12 +77,13 @@ class SentinelFileWriter:
     drawback: seek cost grows as keys get sparser).
     """
 
-    def __init__(self, output_space: Shape, dtype: np.dtype = np.dtype("float64"), sentinel: float = np.nan) -> None:
+    def __init__(self, output_space: Shape) -> None:
         if any(e <= 0 for e in output_space):
             raise DatasetError(f"invalid output space {output_space!r}")
         self.output_space = tuple(output_space)
-        self.dtype = np.dtype(dtype).newbyteorder("<")
-        self.sentinel = sentinel
+        self.dtype = _F64
+        #: The value of every cell the reducer does not write.
+        self.sentinel = np.nan
 
     def write(self, path: str | os.PathLike, cells: list[tuple[Slab, np.ndarray]]) -> WriteReport:
         """Write the reducer's assigned slabs into a sentinel-filled file.
@@ -142,9 +146,9 @@ class CoordinatePairWriter:
     coordinates plus the value per record.
     """
 
-    def __init__(self, output_space: Shape, dtype: np.dtype = np.dtype("float64")) -> None:
+    def __init__(self, output_space: Shape) -> None:
         self.output_space = tuple(output_space)
-        self.dtype = np.dtype(dtype).newbyteorder("<")
+        self.dtype = _F64
 
     def write(self, path: str | os.PathLike, cells: list[tuple[Slab, np.ndarray]]) -> WriteReport:
         rank = len(self.output_space)
@@ -193,9 +197,9 @@ class ContiguousWriter:
     the bottom row of Table 2.
     """
 
-    def __init__(self, output_space: Shape, dtype: np.dtype = np.dtype("float64")) -> None:
+    def __init__(self, output_space: Shape) -> None:
         self.output_space = tuple(output_space)
-        self.dtype = np.dtype(dtype).newbyteorder("<")
+        self.dtype = _F64
 
     def write(self, path: str | os.PathLike, block: Slab, values: np.ndarray) -> WriteReport:
         values = np.ascontiguousarray(values, dtype=self.dtype)

@@ -38,8 +38,8 @@ from repro.errors import FormatError
 DEFAULT_TARGET_TILES = 1024
 
 
-def default_tile_shape(space: Shape, target_tiles: int = DEFAULT_TARGET_TILES) -> Shape:
-    """Tile shape covering ``space`` with about ``target_tiles`` tiles.
+def default_tile_shape(space: Shape) -> Shape:
+    """Tile shape covering ``space`` with about ``DEFAULT_TARGET_TILES`` tiles.
 
     Tiles only along dimension 0 (full extent elsewhere): input splits
     are row groups along dimension 0, so finer tiling of the other
@@ -48,7 +48,7 @@ def default_tile_shape(space: Shape, target_tiles: int = DEFAULT_TARGET_TILES) -
     """
     if not space:
         raise FormatError("zone map over a 0-dimensional space")
-    rows = max(1, -(-space[0] // max(1, target_tiles)))
+    rows = max(1, -(-space[0] // DEFAULT_TARGET_TILES))
     return (rows,) + tuple(space[1:])
 
 
@@ -193,13 +193,10 @@ def build_zone_map(
     variable: str,
     data: np.ndarray,
     tile_shape: Shape | None = None,
-    fill_value: float | None = None,
 ) -> ZoneMap:
-    """Scan ``data`` once and build its zone map.
+    """Scan ``data`` once and build its zone map (no fill value known).
 
-    ``tile_shape`` defaults to :func:`default_tile_shape`.  When a
-    ``fill_value`` is given, tiles consisting entirely of it are flagged
-    in ``fill_tiles``.
+    ``tile_shape`` defaults to :func:`default_tile_shape`.
     """
     space = tuple(int(s) for s in data.shape)
     if tile_shape is None:
@@ -214,7 +211,6 @@ def build_zone_map(
     mins = np.empty(grid, dtype=np.float64)
     maxs = np.empty(grid, dtype=np.float64)
     counts = np.empty(grid, dtype=np.int64)
-    fills = np.empty(grid, dtype=bool) if fill_value is not None else None
     for idx in np.ndindex(*grid):
         sl = tuple(
             slice(i * t, min((i + 1) * t, s))
@@ -224,8 +220,6 @@ def build_zone_map(
         mins[idx] = tile.min()
         maxs[idx] = tile.max()
         counts[idx] = tile.size
-        if fills is not None:
-            fills[idx] = bool((tile == fill_value).all())
     return ZoneMap(
         variable=variable,
         space=space,
@@ -233,8 +227,6 @@ def build_zone_map(
         mins=mins,
         maxs=maxs,
         counts=counts,
-        fill_value=fill_value,
-        fill_tiles=fills,
     )
 
 
@@ -242,17 +234,15 @@ def constant_zone_map(
     variable: str,
     space: Shape,
     fill: float,
-    tile_shape: Shape | None = None,
 ) -> ZoneMap:
-    """Zone map of a constant-fill variable, computed without a scan.
+    """Zone map of a constant-fill variable, computed without a scan,
+    over :func:`default_tile_shape` tiles.
 
     Used by ``write_nclite_empty``: every tile's min and max *are* the
     fill value, and every tile is pure fill.
     """
     space = tuple(int(s) for s in space)
-    if tile_shape is None:
-        tile_shape = default_tile_shape(space)
-    tile_shape = tuple(int(t) for t in tile_shape)
+    tile_shape = default_tile_shape(space)
     grid = tuple(-(-s // t) for s, t in zip(space, tile_shape))
     counts = np.empty(grid, dtype=np.int64)
     for idx in np.ndindex(*grid):

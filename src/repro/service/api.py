@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.errors import ReproError, ShuffleError
@@ -316,7 +316,7 @@ class QueryRequest:
             map_workers=map_workers,
             reduce_workers=reduce_workers,
             observability=False,
-            retry=RetryPolicy(max_attempts=self.max_attempts, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=self.max_attempts),
             faults=self.injection_plan(),
             recovery=self.recovery_model(),
             speculation=self.speculation_policy(),
@@ -407,44 +407,32 @@ class QueryRequest:
 
 @dataclass(frozen=True)
 class TenantQuota:
-    """Admission limits for one tenant.
+    """Admission limits, the same for every tenant.
 
-    ``max_active`` bounds queued+running jobs at once; ``max_jobs``
-    bounds lifetime submissions; ``failure_budget`` generalizes
-    :class:`~repro.mapreduce.engine.RetryPolicy`'s per-job budget to the
-    tenant: after that many *failed jobs*, further submissions are
-    refused until the operator resets the tenant.  ``None`` = unlimited.
+    ``max_active`` bounds a tenant's queued+running jobs at once;
+    ``failure_budget``: after that many of a tenant's jobs have *failed*,
+    its further submissions are refused for the life of the process.
+    ``None`` = unlimited.
     """
 
     max_active: int | None = None
-    max_jobs: int | None = None
     failure_budget: int | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass
 class TenantState:
     """Mutable accounting the service keeps per tenant (guarded by the
-    service lock)."""
+    service lock).  A tenant with nothing active and no failed job
+    admits as a fresh one would, so the service does not keep it."""
 
-    quota: TenantQuota = field(default_factory=TenantQuota)
-    submitted: int = 0
     active: int = 0
     failures: int = 0
 
-    def check_admission(self, tenant: str) -> None:
-        q = self.quota
+    def check_admission(self, tenant: str, q: TenantQuota) -> None:
         if q.failure_budget is not None and self.failures >= q.failure_budget:
             raise AdmissionError(
                 f"tenant {tenant!r} failure budget exhausted "
                 f"({self.failures}/{q.failure_budget} failed jobs)"
-            )
-        if q.max_jobs is not None and self.submitted >= q.max_jobs:
-            raise AdmissionError(
-                f"tenant {tenant!r} job quota exhausted "
-                f"({self.submitted}/{q.max_jobs} submissions)"
             )
         if q.max_active is not None and self.active >= q.max_active:
             raise AdmissionError(
@@ -453,9 +441,4 @@ class TenantState:
             )
 
     def snapshot(self) -> dict[str, Any]:
-        return {
-            "quota": self.quota.to_json(),
-            "submitted": self.submitted,
-            "active": self.active,
-            "failures": self.failures,
-        }
+        return {"active": self.active, "failures": self.failures}

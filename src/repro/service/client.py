@@ -52,11 +52,9 @@ class InProcessClient:
     def jobs(self) -> list[dict[str, Any]]:
         return self.service.list_jobs()
 
-    def query(
-        self, request: QueryRequest, timeout: float | None = 60.0
-    ) -> dict[str, Any]:
-        """Submit + wait, one call."""
-        return self.result(self.submit(request), timeout=timeout)
+    def query(self, request: QueryRequest) -> dict[str, Any]:
+        """Submit + wait (up to a minute), one call."""
+        return self.result(self.submit(request), timeout=60.0)
 
 
 #: Seconds a result wait's socket timeout allows beyond the wait itself.
@@ -192,10 +190,9 @@ class HttpServiceClient:
     def shutdown(self) -> None:
         self._call("POST", "/shutdown")
 
-    def query(
-        self, request: QueryRequest, timeout: float | None = 60.0
-    ) -> dict[str, Any]:
-        return self.result(self.submit(request), timeout=timeout)
+    def query(self, request: QueryRequest) -> dict[str, Any]:
+        """Submit + wait (up to a minute), one call."""
+        return self.result(self.submit(request), timeout=60.0)
 
 
 __all__ = [

@@ -188,14 +188,13 @@ class JobQueue:
 
     def __init__(
         self, loop: asyncio.AbstractEventLoop, dispatch: Callable[[], None],
-        *, start_paused: bool = False,
     ) -> None:
         self._loop = loop
         self._dispatch = dispatch
         self._cond = threading.Condition()
         self._heap: list[tuple[int, int, ServiceJob]] = []
         self._tick = itertools.count()
-        self._paused = start_paused
+        self._paused = False
         self._shutdown = False
         self._running: set[ServiceJob] = set()
         self._dispatched = 0
@@ -274,8 +273,9 @@ class JobQueue:
             self._cond.notify_all()
 
     # ------------------------------------------------------------------ #
-    def drain(self, timeout: float | None = None) -> bool:
-        """Block until the queue is empty and no job is running."""
+    def drain(self, timeout: float) -> bool:
+        """Block until the queue is empty and no job is running, or
+        ``timeout`` seconds pass; whether it emptied."""
         with self._cond:
             return self._cond.wait_for(
                 lambda: not (self._heap or self._running), timeout

@@ -158,9 +158,7 @@ class QueryService:
         reduce_workers: int = 3,
         plan_cache_capacity: int = 256,
         default_quota: TenantQuota | None = None,
-        quotas: dict[str, TenantQuota] | None = None,
         events_path: str | None = None,
-        start_paused: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError(f"service needs >= 1 worker, got {workers}")
@@ -186,12 +184,12 @@ class QueryService:
         self.loop = asyncio.new_event_loop()
         for slot, engine in enumerate(self._engines):
             self.loop.add_reader(engine.connection, self._answer, slot)
-        self.queue = JobQueue(self.loop, self._dispatch, start_paused=start_paused)
-        self._default_quota = default_quota or TenantQuota()
+        self.queue = JobQueue(self.loop, self._dispatch)
+        self._quota = default_quota or TenantQuota()
         self._lock = threading.Lock()
-        self._tenants = {
-            name: TenantState(quota=quota) for name, quota in (quotas or {}).items()
-        }
+        #: The tenants with a job active or a failed job; any other
+        #: tenant admits as a fresh one, so none is kept.
+        self._tenants: dict[str, TenantState] = {}
         self._jobs: dict[str, ServiceJob] = {}
         #: The finished jobs still holding their records, oldest first;
         #: at most ``RECENT_JOBS`` of them.
@@ -244,13 +242,10 @@ class QueryService:
         # so is a result that cannot be sent.
         check_fixed_result_size(request, self.registry.get(request.dataset))
         with self._lock:
-            tenant = self._tenants.get(request.tenant)
-            if tenant is None:
-                tenant = TenantState(quota=self._default_quota)
-                self._tenants[request.tenant] = tenant
-            tenant.check_admission(request.tenant)
-            tenant.submitted += 1
+            tenant = self._tenants.get(request.tenant) or TenantState()
+            tenant.check_admission(request.tenant, self._quota)
             tenant.active += 1
+            self._tenants[request.tenant] = tenant
             self._seq += 1
             job_id = f"j{self._seq:05d}"
             job = ServiceJob(job_id, request, self._seq, self.loop.create_future())
@@ -260,18 +255,20 @@ class QueryService:
         return job_id
 
     def _note_finished(self, job: ServiceJob) -> None:
-        self.queue.finished(job)
         evicted = None
+        # The tenant is billed before the queue lets ``drain`` return.
         with self._lock:
-            tenant = self._tenants.get(job.request.tenant)
-            if tenant is not None:
-                tenant.active -= 1
-                if job.state == FAILED:
-                    tenant.failures += 1
+            tenant = self._tenants[job.request.tenant]
+            tenant.active -= 1
+            if job.state == FAILED:
+                tenant.failures += 1
+            if not (tenant.active or tenant.failures):
+                del self._tenants[job.request.tenant]
             if job.records is not None:
                 self._with_records.append(job)
                 if len(self._with_records) > RECENT_JOBS:
                     evicted = self._with_records.popleft()
+        self.queue.finished(job)
         if evicted is not None:
             evicted.evict_records()
 

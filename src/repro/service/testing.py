@@ -121,9 +121,10 @@ class StressDriver:
         self.client = InProcessClient(service)
 
     def run_batch(
-        self, requests: list[QueryRequest], *, timeout: float = 120.0
+        self, requests: list[QueryRequest]
     ) -> StressOutcome:
-        """Pause, submit all, resume, wait all; oracle-diff every result."""
+        """Pause, submit all, resume, wait all (up to two minutes each);
+        oracle-diff every result."""
         oracle_digests = [
             oracle_for_request(self.service, r)[1] for r in requests
         ]
@@ -133,7 +134,7 @@ class StressDriver:
         finally:
             self.service.queue.resume()
         results = [
-            self.client.result(job_id, timeout=timeout) for job_id in job_ids
+            self.client.result(job_id, timeout=120.0) for job_id in job_ids
         ]
         return StressOutcome(
             job_ids=job_ids,

@@ -36,7 +36,7 @@ def expected_source_cells(
     """Expected number of source (input) cells feeding each keyblock:
     the per-keyblock sums of :meth:`QueryPlan.instance_cells`, so
     clipped edge instances (``keep_partial_instances``) count only
-    their cells inside the subset."""
+    their cells inside the variable."""
     if partition.space != plan.intermediate_space:
         raise PartitionError("partition/plan keyspace mismatch")
     return partition.sums(plan.instance_cells())

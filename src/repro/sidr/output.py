@@ -48,8 +48,6 @@ def commit_sidr_output(
     plan: SIDRPlan,
     result: JobResult,
     out_dir: str | os.PathLike,
-    *,
-    dtype: np.dtype = np.dtype("float64"),
 ) -> CommitReport:
     """Write each keyblock's output as a dense contiguous part file.
 
@@ -62,7 +60,7 @@ def commit_sidr_output(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     space = plan.query_plan.intermediate_space
-    writer = ContiguousWriter(space, dtype=dtype)
+    writer = ContiguousWriter(space)
     files: list[str] = []
     seconds = 0.0
     total = 0
@@ -114,15 +112,13 @@ def commit_stock_output(
     output_space: Shape,
     result: JobResult,
     out_dir: str | os.PathLike,
-    *,
-    sentinel: float = np.nan,
 ) -> CommitReport:
     """Sentinel-file commit for hash-partitioned jobs (§4.4): each reduce
-    task writes a file the size of the entire output space with its
-    scattered cells filled in."""
+    task writes a file the size of the entire output space, NaN-filled,
+    with its scattered cells filled in."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    writer = SentinelFileWriter(output_space, sentinel=sentinel)
+    writer = SentinelFileWriter(output_space)
     files: list[str] = []
     seconds = 0.0
     total = 0

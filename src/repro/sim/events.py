@@ -13,6 +13,9 @@ from collections.abc import Callable
 
 from repro.errors import SimulationError
 
+#: Events one run may process before it counts as a runaway.
+MAX_EVENTS = 50_000_000
+
 
 class Simulator:
     """Event loop with a monotone virtual clock."""
@@ -43,8 +46,9 @@ class Simulator:
         heapq.heappush(self._heap, (when, self._seq, fn))
         self._seq += 1
 
-    def run(self, *, max_events: int = 50_000_000) -> float:
-        """Drain the event queue; returns the final clock value."""
+    def run(self) -> float:
+        """Drain the event queue; returns the final clock value.  More
+        than ``MAX_EVENTS`` events is a runaway simulation."""
         if self._running:
             raise SimulationError("simulator already running")
         self._running = True
@@ -59,9 +63,9 @@ class Simulator:
                 self._now = t
                 fn()
                 n += 1
-                if n > max_events:
+                if n > MAX_EVENTS:
                     raise SimulationError(
-                        f"exceeded {max_events} events; runaway simulation"
+                        f"exceeded {MAX_EVENTS} events; runaway simulation"
                     )
         finally:
             self._running = False

@@ -89,7 +89,6 @@ def evaluate_recovery(
     spec: SimJobSpec,
     model: RecoveryModel,
     *,
-    cost: CostModel | None = None,
     reduce_failure_prob: float = 0.01,
 ) -> RecoveryCost:
     """Expected machine-seconds of failure-handling work for one design.
@@ -100,7 +99,7 @@ def evaluate_recovery(
     """
     if not (0.0 <= reduce_failure_prob <= 1.0):
         raise SimulationError("failure probability must be in [0, 1]")
-    cost = cost or CostModel()
+    cost = CostModel()
     p = reduce_failure_prob
 
     if model is RecoveryModel.PERSISTED:
@@ -134,16 +133,14 @@ def evaluate_recovery(
     raise SimulationError(f"unknown recovery model {model!r}")
 
 
-def breakeven_failure_prob(
-    spec: SimJobSpec, *, cost: CostModel | None = None
-) -> float:
+def breakeven_failure_prob(spec: SimJobSpec) -> float:
     """Failure probability at which SIDR's re-execute-deps stops paying
     off against persistence — the quantitative form of the paper's §6
     hypothesis.  Below this probability, skipping persistence wins.
     """
-    cost = cost or CostModel()
+    cost = CostModel()
     persisted = evaluate_recovery(
-        spec, RecoveryModel.PERSISTED, cost=cost, reduce_failure_prob=0.0
+        spec, RecoveryModel.PERSISTED, reduce_failure_prob=0.0
     )
     # persisted total(p) = overhead + p*refetch ; deps total(p) = p*rerun
     refetch = sum(

@@ -74,17 +74,15 @@ class UniformDistribution(IntermediateDistribution):
 
 
 class ParitySkewDistribution(IntermediateDistribution):
-    """Only reduces of one parity receive data (§4.3's observed case:
+    """Only the even reduces receive data (§4.3's observed case:
     "all odd-numbered Reduce tasks being assigned no data ... while their
     even-numbered counterparts receive twice as much")."""
 
-    def __init__(self, r: int, parity: int = 0) -> None:
+    def __init__(self, r: int) -> None:
         if r <= 1:
             raise SimulationError("parity skew needs at least 2 reduces")
-        if parity not in (0, 1):
-            raise SimulationError("parity must be 0 or 1")
         self._r = r
-        self._receivers = [l for l in range(r) if l % 2 == parity]
+        self._receivers = list(range(0, r, 2))
 
     def num_reduces(self) -> int:
         return self._r

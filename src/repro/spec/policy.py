@@ -4,9 +4,8 @@
 one to :class:`~repro.mapreduce.engine.LocalEngine` turns the flag-only
 straggler/hang plane into an *acting* mitigation layer.  The engine
 wires it up per run: a :class:`~repro.spec.SpeculationRuntime` ticks
-its detector every ``effective_tick`` and acts on the ``task.hang``
-(always) and ``task.straggler`` (when ``speculate_stragglers``) flags
-each check returns.
+its detector every ``effective_tick`` and acts on the ``task.hang`` and
+``task.straggler`` flags each check returns.
 
 :func:`structural_priority` is the SIDR twist on classic speculative
 execution: instead of hedging the *oldest* straggler first (stock
@@ -27,32 +26,22 @@ from repro.errors import JobConfigError
 
 @dataclass(frozen=True)
 class SpeculationPolicy:
-    """Knobs for hedged attempts, hang mitigation and cancellation.
+    """Hedged attempts, hang mitigation and cancellation, set by one knob.
 
     ``hang_timeout`` — seconds an in-flight attempt may pass no
     checkpoint (:meth:`~repro.spec.CancelToken.check`) before it is
     hang-flagged; it must exceed the longest gap between an attempt's
-    checkpoints.  ``max_backups`` — job-wide cap on racing backup
-    attempts (None = unlimited); candidates past the cap fall back to
-    cancel-and-retry mitigation.  ``speculate_stragglers`` — also act
-    on duration-based ``task.straggler`` flags (classic speculative
-    execution), not just hangs; the straggler rule is
-    :class:`~repro.obs.StragglerDetector`'s, at its defaults.  A
-    :class:`~repro.service.QueryRequest` sets ``hang_timeout`` alone.
+    checkpoints.  Duration-based ``task.straggler`` flags (classic
+    speculative execution, :class:`~repro.obs.StragglerDetector`'s rule)
+    are acted on too, and backups are not capped.
     """
 
     hang_timeout: float = 0.5
-    max_backups: int | None = None
-    speculate_stragglers: bool = True
 
     def __post_init__(self) -> None:
         if self.hang_timeout <= 0:
             raise JobConfigError(
                 f"hang_timeout must be positive, got {self.hang_timeout}"
-            )
-        if self.max_backups is not None and self.max_backups < 0:
-            raise JobConfigError(
-                f"max_backups must be non-negative, got {self.max_backups}"
             )
 
     @property

@@ -34,11 +34,11 @@ class SpeculationRuntime:
     reduces' I_l sets the flagged task blocks.  For a flagged **map**
     with a backup launcher available (threaded runs), it hedges:
     submits a backup attempt that races the flagged one for the map's
-    commit window, until ``max_backups`` are spent.  For everything
-    else — serial runs, reduce tasks, or a blown backup budget — a
-    *hang* is mitigated by cancelling the flagged attempt so the retry
-    loop re-runs it in place, while a mere straggler is left alone (it
-    is still making progress; cancelling it would lose work).
+    commit window, one racing backup per map at a time.  For everything
+    else — serial runs and reduce tasks — a *hang* is mitigated by
+    cancelling the flagged attempt so the retry loop re-runs it in
+    place, while a mere straggler is left alone (it is still making
+    progress; cancelling it would lose work).
     """
 
     def __init__(
@@ -51,7 +51,6 @@ class SpeculationRuntime:
         *,
         pending_partitions: Callable[[], tuple[int, ...]],
     ) -> None:
-        self.policy = policy
         self.state = state
         self.obs = obs
         self.barrier = barrier
@@ -66,7 +65,6 @@ class SpeculationRuntime:
         #: (drives structural priority).
         self.pending_partitions = pending_partitions
         self._lock = threading.Lock()
-        self._backups = 0
         self._active_backup: set[int] = set()
         self.detector = StragglerDetector(obs.bus, hang_timeout=policy.hang_timeout)
 
@@ -84,16 +82,10 @@ class SpeculationRuntime:
 
     def tick(self) -> None:
         """One detector check, then mitigation of what it flagged —
-        most critical first, so a blocking map gets the backup budget.
-        Acted on: every hang, and stragglers when
-        ``speculate_stragglers``."""
+        most critical first, so a blocking map's backup launches first."""
         flags = self.detector.check(tokens=self.state.live_tokens())
         ranked = sorted(
-            (
-                (self.priority_of(ev.kind, ev.index), ev)
-                for ev in flags
-                if ev.type == EV_TASK_HANG or self.policy.speculate_stragglers
-            ),
+            ((self.priority_of(ev.kind, ev.index), ev) for ev in flags),
             key=itemgetter(0),
             reverse=True,
         )
@@ -107,22 +99,11 @@ class SpeculationRuntime:
             return  # attempt already finished, or already being handled
         if kind == "map" and self.launch_backup is not None:
             with self._lock:
-                in_budget = (
-                    index not in self._active_backup
-                    and (
-                        self.policy.max_backups is None
-                        or self._backups < self.policy.max_backups
-                    )
-                )
-                if in_budget:
-                    self._backups += 1
-                    self._active_backup.add(index)
-                elif index in self._active_backup:
+                if index in self._active_backup:
                     return  # one racing backup per task at a time
-            if in_budget:
-                self.launch_backup(index, attempt, priority)
-                return
-            # Backup budget blown: hangs still need releasing below.
+                self._active_backup.add(index)
+            self.launch_backup(index, attempt, priority)
+            return
         if ev.type != EV_TASK_HANG:
             return  # slow but alive — leave it running
         if tok.cancel(REASON_HANG):

@@ -32,7 +32,7 @@ from repro.errors import JobFailedError, ReproError
 from repro.mapreduce.engine import BarrierPolicy, LocalEngine
 from repro.mapreduce.job import JobConf
 from repro.obs import JobObservability
-from repro.verify.hooks import ChaosHook
+from repro.verify.hooks import MAX_DELAY, ChaosHook
 from repro.verify.invariants import Violation, check_interleaving_invariants
 from repro.verify.oracle import checked_digest
 
@@ -109,7 +109,6 @@ def explore(
     schedules: int = 8,
     seed: int = 0,
     engine_factory: EngineFactory | None = None,
-    max_delay: float = 0.0015,
     metrics: Any | None = None,
 ) -> ExplorationReport:
     """Run the job serially once (reference), then under ``schedules``
@@ -127,7 +126,7 @@ def explore(
     for k in range(schedules):
         job, barrier = make_job()
         hook = ChaosHook(
-            seed=seed, schedule=k, max_delay=0.0 if k == 0 else max_delay
+            seed=seed, schedule=k, max_delay=0.0 if k == 0 else MAX_DELAY
         )
         status, digest, events, attempts, errors = _run(
             factory(), job, barrier, mode="threaded", hook=hook

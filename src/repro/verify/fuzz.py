@@ -359,17 +359,20 @@ def _still_fails(case: FuzzCase) -> CaseResult | None:
     return result if not result.ok else None
 
 
-def shrink_case(
-    case: FuzzCase, result: CaseResult, *, max_runs: int = 150
-) -> tuple[FuzzCase, CaseResult]:
-    """Greedily minimize a failing case while it keeps failing."""
+#: Candidate runs one shrink may spend.
+SHRINK_RUNS = 150
+
+
+def shrink_case(case: FuzzCase, result: CaseResult) -> tuple[FuzzCase, CaseResult]:
+    """Greedily minimize a failing case while it keeps failing, in at
+    most ``SHRINK_RUNS`` candidate runs."""
     best, best_result = case, result
     runs = 0
     progress = True
-    while progress and runs < max_runs:
+    while progress and runs < SHRINK_RUNS:
         progress = False
         for candidate in _shrink_candidates(best):
-            if runs >= max_runs:
+            if runs >= SHRINK_RUNS:
                 break
             runs += 1
             shrunk = _still_fails(candidate)

@@ -69,13 +69,18 @@ def _event_delay(
     return (r / density) * max_delay
 
 
+#: The fraction of event identities that stall at all, and the longest
+#: stall, in seconds.
+DENSITY = 0.6
+MAX_DELAY = 0.0015
+
+
 class ChaosHook:
     """Bus listener that deterministically perturbs the schedule.
 
-    ``density`` is the fraction of event identities that stall at all;
-    stalls are uniform in ``(0, max_delay]``.  Delays this small are
-    enough to reorder pool threads across claim/spill/fetch boundaries
-    without making exploration slow.
+    ``DENSITY`` of the event identities stall, uniformly in ``(0,
+    max_delay]``.  Delays this small are enough to reorder pool threads
+    across claim/spill/fetch boundaries without making exploration slow.
     """
 
     def __init__(
@@ -83,24 +88,20 @@ class ChaosHook:
         *,
         seed: int = 0,
         schedule: int = 0,
-        max_delay: float = 0.0015,
-        density: float = 0.6,
+        max_delay: float = MAX_DELAY,
     ) -> None:
         if max_delay < 0:
             raise ValueError(f"negative max_delay {max_delay}")
-        if not (0.0 < density <= 1.0):
-            raise ValueError(f"density must be in (0, 1], got {density}")
         self.seed = seed
         self.schedule = schedule
         self.max_delay = max_delay
-        self.density = density
 
     def __call__(self, ev: Event) -> None:
         if self.max_delay <= 0 or ev.type not in SCHEDULING_POINTS:
             return
         delay = _event_delay(
             self.seed, self.schedule, ev,
-            max_delay=self.max_delay, density=self.density,
+            max_delay=self.max_delay, density=DENSITY,
         )
         if delay > 0:
             time.sleep(delay)

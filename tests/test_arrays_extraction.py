@@ -37,24 +37,21 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             ExtractionShape((0, 1))
 
-    def test_origin_rank_mismatch(self):
-        with pytest.raises(RankMismatchError):
-            ExtractionShape((2, 2), origin=(0,))
-
     def test_cells_per_key(self):
         assert ExtractionShape((2, 3, 4)).cells_per_key == 24
 
 
 class TestTranslate:
     def test_with_origin(self):
-        ex = ExtractionShape((2, 2), origin=(10, 10))
-        assert ex.translate((10, 10)) == (0, 0)
-        assert ex.translate((13, 11)) == (1, 0)
+        """Instances are placed from the variable's origin."""
+        ex = ExtractionShape((2, 2))
+        assert ex.translate((0, 0)) == (0, 0)
+        assert ex.translate((3, 1)) == (1, 0)
 
     def test_before_origin_raises(self):
-        ex = ExtractionShape((2, 2), origin=(10, 10))
+        ex = ExtractionShape((2, 2))
         with pytest.raises(GeometryError):
-            ex.translate((9, 10))
+            ex.translate((-1, 0))
 
     @given(st.data())
     @settings(max_examples=150)
@@ -122,7 +119,7 @@ class TestIntermediateSpace:
         ex = ExtractionShape((7, 5, 1))
         inter = ex.intermediate_space((365, 250, 200))
         last = ex.preimage(tuple(e - 1 for e in inter))
-        assert Slab.from_extent(ex.origin, last.end) == Slab(
+        assert Slab.from_extent((0, 0, 0), last.end) == Slab(
             (0, 0, 0), (364, 250, 200)
         )
 
@@ -137,9 +134,9 @@ class TestStrided:
             ExtractionShape((3, 3), stride=(4,))
 
     def test_positional_arguments_still_construct(self):
-        ex = ExtractionShape((2, 2), (10, 10), False)
-        assert (ex.origin, ex.truncate, ex.stride) == ((10, 10), False, (2, 2))
-        assert ex == ExtractionShape((2, 2), (10, 10), False, (2, 2))
+        ex = ExtractionShape((2, 2), False)
+        assert (ex.truncate, ex.stride) == (False, (2, 2))
+        assert ex == ExtractionShape((2, 2), False, (2, 2))
 
     def test_translate_in_instance(self):
         ex = ExtractionShape((2,), stride=(4,))
@@ -207,10 +204,9 @@ class TestStrided:
         shape), for both ``truncate`` settings."""
         rank = data.draw(st.integers(1, 3))
         shape = tuple(data.draw(st.integers(1, 4)) for _ in range(rank))
-        origin = tuple(data.draw(st.integers(0, 3)) for _ in range(rank))
         truncate = data.draw(st.booleans())
         extent = tuple(data.draw(st.integers(s, s + 9)) for s in shape)
-        corner = tuple(o + data.draw(st.integers(0, 6)) for o in origin)
+        corner = tuple(data.draw(st.integers(0, 6)) for _ in range(rank))
         region = Slab(corner, tuple(data.draw(st.integers(1, 5)) for _ in shape))
         key = tuple(data.draw(st.integers(0, 8)) for _ in range(rank))
 
@@ -218,20 +214,18 @@ class TestStrided:
             d // s if truncate else -(-d // s) for d, s in zip(extent, shape)
         )
         image = Slab.from_extent(
-            tuple((c - o) // s for c, o, s in zip(region.corner, origin, shape)),
-            tuple(-(-(e - o) // s) for e, o, s in zip(region.end, origin, shape)),
+            tuple(c // s for c, s in zip(region.corner, shape)),
+            tuple(-(-e // s) for e, s in zip(region.end, shape)),
         )
-        dense = ExtractionShape(shape, origin, truncate)
-        strided = ExtractionShape(shape, origin, truncate, stride=shape)
+        dense = ExtractionShape(shape, truncate)
+        strided = ExtractionShape(shape, truncate, stride=shape)
         assert dense == strided
         for ex in (dense, strided):
             assert ex.intermediate_space(extent) == space
             assert ex.image(region) == image
             assert ex.image(region, space) == image.intersect(Slab.whole(space))
             for c in region.iter_coords():
-                assert ex.translate(c) == tuple(
-                    (x - o) // s for x, o, s in zip(c, origin, shape)
-                )
+                assert ex.translate(c) == tuple(x // s for x, s in zip(c, shape))
             assert ex.preimage(key) == Slab(
-                tuple(o + k * s for o, k, s in zip(origin, key, shape)), shape
+                tuple(k * s for k, s in zip(key, shape)), shape
             )

@@ -121,9 +121,7 @@ class TestFig11:
 class TestFig12:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig12_variance(
-            reduce_counts=(22, 88), runs=4, scale=SCALE, samples=12
-        )
+        return fig12_variance(reduce_counts=(22, 88), runs=4, scale=SCALE)
 
     def test_statistics_present(self, result):
         for r in (22, 88):

@@ -84,7 +84,6 @@ class TestAblations:
         )
         units = [r.unit_volume for r in rows]
         assert units == sorted(units)  # bigger bound -> bigger unit
-        skews = [r.max_skew_cells for r in rows]
         for r in rows:
             assert r.max_skew_cells <= max(r.unit_volume, r.skew_bound)
 
@@ -110,13 +109,5 @@ class TestReport:
         from repro.sidr.early_results import CompletionCurve
 
         c = CompletionCurve((1.0, 2.0), (0.5, 1.0))
-        text = format_series({"x": c}, title="curves", samples=4)
+        text = format_series({"x": c}, title="curves")
         assert "x" in text and "100.0%" in text
-
-    def test_format_curve(self):
-        from repro.bench.report import format_curve
-        from repro.sidr.early_results import CompletionCurve
-
-        c = CompletionCurve((1.0, 2.0), (0.5, 1.0))
-        assert "50.0%" in format_curve(c, samples=3)
-        assert "(empty)" in format_curve(CompletionCurve((), ()), label="e")

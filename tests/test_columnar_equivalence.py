@@ -42,7 +42,7 @@ from repro.query.operators import (
     SumOp,
     ThresholdFilterOp,
 )
-from repro.query.recordreader import CellToChunkMapper, make_reader_factory
+from repro.query.recordreader import CellRecordReader, CellToChunkMapper
 from repro.query.splits import aligned_slice_splits, slice_splits
 from repro.scidata.generators import temperature_dataset, windspeed_dataset
 from repro.sidr.planner import build_plan, build_sidr_job
@@ -56,7 +56,7 @@ _KNOWN = ("serial", "threaded")
 _env = os.environ.get("REPRO_ENGINE_MODE", "")
 MODES = (_env,) if _env in _KNOWN else _KNOWN
 
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
+FAST_RETRY = RetryPolicy(max_attempts=3)
 
 OPERATORS = [
     SumOp(),
@@ -102,7 +102,7 @@ def _records(plan, data, op, *, data_plane, num_splits=4, reduces=3,
     assert job.data_plane == data_plane
     if cell_level:
         assert data_plane == "record"
-        job.reader_factory = make_reader_factory(data, plan, cell_level=True)
+        job.reader_factory = lambda split: iter(CellRecordReader(data, plan, split))
         job.mapper_factory = lambda: CellToChunkMapper(plan)
     engine = LocalEngine(map_workers=4, reduce_workers=3)
     return run(engine, mode, job, barrier), job

@@ -51,7 +51,6 @@ from repro.mapreduce.reducer import AggregateReducer, CombinerAdapter
 from repro.mapreduce.shuffle import ShuffleStore
 from repro.mapreduce.types import MapTaskId
 from repro.obs import JobObservability
-from repro.obs.trace import EngineTrace
 from repro.query.columnar import (
     batch_operator_for,
     make_columnar_reader_factory,
@@ -723,7 +722,7 @@ class TestSplice:
 
 class TestJobResult:
     def _result(self, outputs):
-        return JobResult("j", outputs, Counters(), EngineTrace(), 0, 0)
+        return JobResult("j", outputs, Counters())
 
     def test_blocks_stay_a_block_in_key_order(self):
         # partition order is not key order here

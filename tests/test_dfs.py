@@ -6,7 +6,7 @@ import pytest
 
 from repro.dfs.block import Block, BlockId
 from repro.dfs.filesystem import SimulatedDFS
-from repro.dfs.namenode import DefaultPlacement, NameNode, RandomPlacement
+from repro.dfs.namenode import DefaultPlacement, NameNode
 from repro.dfs.topology import ClusterTopology, Host, LocalityLevel
 from repro.errors import DfsError
 
@@ -75,11 +75,6 @@ class TestPlacement:
         nn = NameNode(t, replication=5)
         entry = nn.create_file("/f", 10)
         assert len(entry.blocks[0].replicas) <= 2
-
-    def test_random_policy_distinct(self):
-        t = ClusterTopology.uniform(8)
-        got = RandomPlacement().place(t, t.host_names[0], 3, random.Random(1))
-        assert len(set(got)) == 3
 
 
 class TestNameNode:

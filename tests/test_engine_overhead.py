@@ -19,7 +19,6 @@ from typing import Any
 import numpy as np
 import pytest
 
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import EngineTrace, JobResult, LocalEngine, task_attempts
 from repro.obs import EventBus, JobObservability
 from repro.obs.live import read_events
@@ -202,11 +201,6 @@ class TestTheRecordIsUnchanged:
             == 3
         )
         assert first.attempts is first.attempts  # read once, then kept
-
-    def test_given_readings_are_kept(self):
-        trace = EngineTrace()
-        res = JobResult("j", {}, Counters(), trace, 0, 0)
-        assert res.trace is trace and res.attempts == ()
 
     def test_served_jsonl_lines_are_the_dataclass_records(self, tmp_path):
         """``serve --events`` lines of one job, split in two parts

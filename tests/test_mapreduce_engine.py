@@ -457,7 +457,7 @@ class TestShortTallyNonRetryable:
         job, deps = ranged_job()
         job.context["reduce_start_validator"] = validator
         eng = LocalEngine(
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
+            retry=RetryPolicy(max_attempts=3)
         )
         with pytest.raises(BarrierViolationError):
             eng.run_serial(job, DependencyBarrier(deps))
@@ -473,7 +473,7 @@ class TestShortTallyNonRetryable:
         job, deps = ranged_job()
         job.context["reduce_start_validator"] = validator
         eng = LocalEngine(
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0)
+            retry=RetryPolicy(max_attempts=3)
         )
         with pytest.raises(JobFailedError) as ei:
             eng.run_threaded(job, DependencyBarrier(deps))
@@ -505,7 +505,8 @@ class TestByteSplits:
         assert all(s.preferred_hosts for s in splits)
 
     def test_custom_split_size(self):
-        dfs = SimulatedDFS(num_hosts=4, block_size=128, seed=0)
+        """A split is one block: the DFS's block size sizes them."""
+        dfs = SimulatedDFS(num_hosts=4, block_size=250, seed=0)
         dfs.add_file("/data", 1000)
-        splits = generate_byte_splits(dfs, "/data", split_size=250)
+        splits = generate_byte_splits(dfs, "/data")
         assert [s.length for s in splits] == [250, 250, 250, 250]

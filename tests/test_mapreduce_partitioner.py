@@ -7,29 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.mapreduce.partitioner import (
-    HashPartitioner,
-    JavaStyleKeyHash,
-    LinearIndexHash,
-    RangePartitioner,
-)
+from repro.mapreduce.partitioner import HashPartitioner, RangePartitioner
 
 
 class TestJavaHash:
     def test_deterministic(self):
-        h = JavaStyleKeyHash()
+        h = HashPartitioner()
         assert h.hash_key((3, 4, 5)) == h.hash_key((3, 4, 5))
 
     def test_scalar_int_keys(self):
-        h = JavaStyleKeyHash()
+        h = HashPartitioner()
         assert h.hash_key(7) == h.hash_key((7,))
 
     def test_non_negative(self):
-        h = JavaStyleKeyHash()
+        h = HashPartitioner()
         assert h.hash_key((2**31 - 1, 2**31 - 1)) >= 0
 
     def test_vectorized_matches_scalar(self):
-        h = JavaStyleKeyHash()
+        h = HashPartitioner()
         keys = np.array([[0, 0], [1, 2], [1000, 2000], [7, 7]])
         got = h.hash_many(keys)
         assert got.tolist() == [h.hash_key(tuple(k)) for k in keys]
@@ -38,7 +33,7 @@ class TestJavaHash:
         """The §4.3 pathology: all-even key components give hashes of one
         parity, so modulo an even reducer count only half the reducers
         receive data."""
-        h = JavaStyleKeyHash()
+        h = HashPartitioner()
         parities = {
             h.hash_key((2 * a, 2 * b, 2 * c)) % 2
             for a in range(5)
@@ -49,7 +44,7 @@ class TestJavaHash:
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=4))
     def test_vectorized_agrees(self, key):
-        h = JavaStyleKeyHash()
+        h = HashPartitioner()
         arr = np.array([key])
         assert h.hash_many(arr)[0] == h.hash_key(tuple(key))
 
@@ -86,21 +81,6 @@ class TestHashPartitioner:
         got = p.partition_many(keys, 5)
         want = [p.partition(tuple(k), 5) for k in keys]
         assert got.tolist() == want
-
-
-class TestLinearIndexHash:
-    def test_matches_row_major(self):
-        h = LinearIndexHash((3, 4))
-        assert h.hash_key((1, 2)) == 6
-
-    def test_vectorized(self):
-        h = LinearIndexHash((3, 4))
-        got = h.hash_many(np.array([[0, 0], [2, 3]]))
-        assert got.tolist() == [0, 11]
-
-    def test_bad_space(self):
-        with pytest.raises(PartitionError):
-            LinearIndexHash((0, 4))
 
 
 class TestRangePartitioner:

@@ -26,6 +26,7 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.engine import GlobalBarrier, LocalEngine
 from repro.obs import JobObservability, MetricsRegistry
 from repro.obs.folds import MetricsFold
+from repro.obs.live.stragglers import MIN_SECONDS
 from repro.obs.live import (
     CostModelEta,
     EventBus,
@@ -448,7 +449,7 @@ class TestStragglerDetector:
 
     def test_threshold_floor_and_samples(self):
         bus = EventBus(clock=lambda: 0.0)
-        detector = StragglerDetector(bus, min_samples=3)
+        detector = StragglerDetector(bus)
         for i in range(2):
             bus.publish("task.start", kind="map", index=i, at=0.0)
             bus.publish(
@@ -462,25 +463,22 @@ class TestStragglerDetector:
             status="ok", seconds=0.001,
         )
         # Tightly clustered millisecond tasks: the floor dominates.
-        assert detector.threshold("map") == detector.min_seconds
+        assert detector.threshold("map") == MIN_SECONDS
 
     def test_flagged_once_per_attempt(self):
         bus = EventBus(clock=lambda: 0.0)
-        detector = StragglerDetector(bus, min_samples=1, min_seconds=0.0)
-        bus.publish("task.start", kind="map", index=0, at=0.0)
-        bus.publish(
-            "task.finish", kind="map", index=0, at=1.0,
-            status="ok", seconds=1.0,
-        )
+        detector = StragglerDetector(bus)
+        for i in range(3):  # MIN_SAMPLES peers, each over MIN_SECONDS
+            bus.publish("task.start", kind="map", index=i, at=0.0)
+            bus.publish(
+                "task.finish", kind="map", index=i, at=1.0,
+                status="ok", seconds=1.0,
+            )
         bus.publish("task.start", kind="map", index=9, at=1.0)
         first = detector.check(now=100.0)
         again = detector.check(now=200.0)
         assert [(e.kind, e.index) for e in first] == [("map", 9)]
         assert again == []
-
-    def test_rejects_non_amplifying_k(self):
-        with pytest.raises(ValueError):
-            StragglerDetector(EventBus(), k=1.0)
 
 
 # --------------------------------------------------------------------- #

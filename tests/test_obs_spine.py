@@ -45,7 +45,7 @@ from tests.test_mapreduce_engine import counting_job, ranged_job
 from tests.test_service_execution import watched_bus
 
 MODES = ("serial", "threaded")
-FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0)
+FAST_RETRY = RetryPolicy(max_attempts=3)
 LIFECYCLE = (
     "task.attempts", "task.failures", "task.retries", "task.cancelled",
     "task.speculations", "faults.injected", "recovery.maps_reexecuted",

@@ -1,7 +1,7 @@
 """Hypothesis-driven end-to-end equivalence over the whole stack.
 
 For randomly drawn dataset shapes, extraction shapes (dense or strided),
-subsets, operators, split counts and reducer counts, the full SIDR
+operators, split counts and reducer counts, the full SIDR
 pipeline — partition+, dependency analysis, dependency-barrier engine
 execution with count-annotation validation — must produce exactly the
 serial oracle's output.  This single property exercises every layer at
@@ -58,22 +58,11 @@ def random_query_case(draw):
         stride = tuple(
             e + draw(st.integers(0, 2)) for e in extraction
         )
-    # Optional subset: random corner, remaining shape.
-    use_subset = draw(st.booleans())
-    subset = None
-    if use_subset:
-        from repro.arrays.slab import Slab
-
-        corner = tuple(draw(st.integers(0, dims[d] - 1)) for d in range(rank))
-        shape = tuple(
-            draw(st.integers(1, dims[d] - corner[d])) for d in range(rank)
-        )
-        subset = Slab(corner, shape)
     op = draw(st.sampled_from(OPERATORS))
     num_splits = draw(st.integers(1, 6))
     num_reduces = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 10_000))
-    return dims, extraction, stride, subset, op, num_splits, num_reduces, seed
+    return dims, extraction, stride, op, num_splits, num_reduces, seed
 
 
 @given(case=random_query_case())
@@ -83,7 +72,7 @@ def random_query_case(draw):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_random_query_full_equivalence(case):
-    dims, extraction, stride, subset, op, num_splits, num_reduces, seed = case
+    dims, extraction, stride, op, num_splits, num_reduces, seed = case
     rng = np.random.default_rng(seed)
     data = rng.normal(0, 1, size=dims)
     meta = simple_metadata("v", dims, dtype="double")
@@ -91,7 +80,6 @@ def test_random_query_full_equivalence(case):
         variable="v",
         extraction_shape=extraction,
         operator=op,
-        subset=subset,
         stride=stride,
     )
     from repro.errors import QueryError
@@ -135,7 +123,7 @@ def test_random_query_stock_equals_sidr(case):
     """Hash-partitioned global-barrier execution and SIDR execution agree
     on every randomly drawn query (both equal the oracle individually,
     but this checks them against each other without the oracle loop)."""
-    dims, extraction, stride, subset, op, num_splits, num_reduces, seed = case
+    dims, extraction, stride, op, num_splits, num_reduces, seed = case
     rng = np.random.default_rng(seed)
     data = rng.normal(0, 1, size=dims)
     meta = simple_metadata("v", dims, dtype="double")
@@ -143,7 +131,6 @@ def test_random_query_stock_equals_sidr(case):
         variable="v",
         extraction_shape=extraction,
         operator=op,
-        subset=subset,
         stride=stride,
     )
     from repro.errors import QueryError

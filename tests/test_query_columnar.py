@@ -170,7 +170,7 @@ class TestColumnarReader:
         assert cut > 0  # slab edges really did cut instances
 
     def test_strided_clipped_split_is_all_batches(self, field, data):
-        """Strided, clipped by the subset edge (partial instances kept)
+        """Strided, clipped by the variable's edge (partial instances kept)
         and cut by slab boundaries inside stride gaps: still nothing but
         ChunkBatch items, and piece for piece the record reader's
         logical records — same keys, same cells in the same order."""
@@ -199,13 +199,6 @@ class TestColumnarReader:
             cols, _, _ = _expand(ColumnarRecordReader(data, plan, split))
             _assert_same_stream(cols, _oracle(data, plan, split))
 
-    def test_subset(self, field, data):
-        plan = _plan(field, (7, 5, 2),
-                     subset=Slab((2, 1, 1), (26, 9, 5)))
-        for split in slice_splits(plan, num_splits=3):
-            cols, _, _ = _expand(ColumnarRecordReader(data, plan, split))
-            _assert_same_stream(cols, _oracle(data, plan, split))
-
     def test_batch_rows_match_instance_flatten(self, field, data):
         """Row i of a batch is exactly instance i's C-order flatten."""
         plan = _plan(field, (7, 5, 2))
@@ -220,22 +213,18 @@ class TestColumnarReader:
 
     @given(st.data())
     def test_zone_stream_is_the_record_stream(self, data):
-        """Any rank <= 3, shape, stride >= shape, subset, either
-        truncation and 1..7 splits: the zone reader emits the record
-        reader's pieces — same keys, same cells in the same C order."""
+        """Any rank <= 3, shape, stride >= shape, either truncation and
+        1..7 splits: the zone reader emits the record reader's pieces —
+        same keys, same cells in the same C order."""
         rank = data.draw(st.integers(1, 3))
         space = tuple(data.draw(st.integers(4, 9)) for _ in range(rank))
-        corner = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
-        subset = Slab(corner, tuple(
-            data.draw(st.integers(2, s - c)) for s, c in zip(space, corner)
-        ))
-        shape = tuple(data.draw(st.integers(1, e)) for e in subset.shape)
+        shape = tuple(data.draw(st.integers(1, e)) for e in space)
         stride = data.draw(st.one_of(st.none(), st.tuples(
             *(st.integers(s, s + 2) for s in shape)
         )))
         plan = StructuralQuery(
             variable="v", extraction_shape=shape, operator=MeanOp(),
-            subset=subset, stride=stride,
+            stride=stride,
             keep_partial_instances=data.draw(st.booleans()),
         ).compile(simple_metadata("v", space))
         array = np.arange(np.prod(space), dtype=np.float64).reshape(space)
@@ -371,7 +360,7 @@ class TestWindowRows:
         assert got.tobytes() == _reshape_rows(block, exts, steps).tobytes()
 
     def test_clipped_strided_zones_regression(self, field, data):
-        """The zones of a strided query clipped by its subset and by slab
+        """The zones of a strided query clipped by its edge and by slab
         cuts (``test_strided_clipped_split_is_all_batches``) include
         single-window ones whose reshape is a view: each zone's rows are
         the reshape copy's bytes."""

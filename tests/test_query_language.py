@@ -37,28 +37,6 @@ class TestCompile:
         with pytest.raises(QueryError):
             q.compile(temp_field.metadata)
 
-    def test_subset_out_of_bounds(self, temp_field):
-        q = StructuralQuery(
-            variable="temperature",
-            extraction_shape=(7, 5, 1),
-            operator=MeanOp(),
-            subset=Slab((0, 0, 0), (100, 10, 6)),
-        )
-        with pytest.raises(QueryError):
-            q.compile(temp_field.metadata)
-
-    def test_subset_origin_shifts_translation(self, temp_field):
-        q = StructuralQuery(
-            variable="temperature",
-            extraction_shape=(7, 5, 1),
-            operator=MeanOp(),
-            subset=Slab((1, 0, 0), (28, 10, 6)),
-        )
-        plan = q.compile(temp_field.metadata)
-        assert plan.intermediate_space == (4, 2, 6)
-        assert plan.key_of((1, 0, 0)) == (0, 0, 0)
-        assert plan.key_of((8, 0, 0)) == (1, 0, 0)
-
     def test_extraction_too_large(self, temp_field):
         q = StructuralQuery(
             variable="temperature",
@@ -131,7 +109,7 @@ class TestPartialInstances:
         assert plan.intermediate_space == (5, 2, 6)
         cells = plan.instance_cells()
         assert cells[4, 0, 0] == 1 * 5 * 1
-        assert cells.sum() == plan.subset.volume
+        assert cells.sum() == plan.whole.volume
 
     def test_partial_oracle_consistent(self, temp_field, temp_data):
         q = StructuralQuery(

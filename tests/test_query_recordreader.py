@@ -118,9 +118,8 @@ class TestFactory:
         assert list(f(splits[0]))
 
     def test_cell_factory(self, weekly_mean_plan, temp_data):
-        f = make_reader_factory(temp_data, weekly_mean_plan, cell_level=True)
         splits = slice_splits(weekly_mean_plan, num_splits=2)
-        k, v = next(iter(f(splits[0])))
+        k, v = next(iter(CellRecordReader(temp_data, weekly_mean_plan, splits[0])))
         assert len(k) == 3 and np.isscalar(v) or hasattr(v, "dtype")
 
 

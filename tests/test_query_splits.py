@@ -40,21 +40,16 @@ class TestSliceSplits:
         assert max(rows) - min(rows) <= 1
         assert sum(rows) == 28
 
-    def test_split_bytes_derives_count(self, weekly_mean_plan):
-        item = weekly_mean_plan.item_bytes
-        row_bytes = 10 * 6 * item
-        splits = slice_splits(weekly_mean_plan, split_bytes=row_bytes * 7)
-        assert len(splits) == 4
-
     def test_more_splits_than_rows_capped(self, weekly_mean_plan):
         splits = slice_splits(weekly_mean_plan, num_splits=100)
         assert len(splits) == 28  # one per dim-0 row at most
 
     def test_exactly_one_arg_required(self, weekly_mean_plan):
-        with pytest.raises(QueryError):
+        """The split count is the one argument, and it must be positive."""
+        with pytest.raises(TypeError):
             slice_splits(weekly_mean_plan)
         with pytest.raises(QueryError):
-            slice_splits(weekly_mean_plan, num_splits=2, split_bytes=100)
+            slice_splits(weekly_mean_plan, num_splits=0)
 
     def test_indexes_sequential(self, weekly_mean_plan):
         splits = slice_splits(weekly_mean_plan, num_splits=5)
@@ -164,9 +159,9 @@ class TestLocality:
         dfs.add_file("/t.nc", max(total, 1))
         splits = slice_splits(weekly_mean_plan, num_splits=2)
         located = attach_locality(
-            splits, dfs, "/t.nc", weekly_mean_plan.input_space, max_hosts=2
+            splits, dfs, "/t.nc", weekly_mean_plan.input_space
         )
-        assert all(len(sp.preferred_hosts) <= 2 for sp in located)
+        assert all(len(sp.preferred_hosts) <= 3 for sp in located)
 
 
 class TestValidation:
@@ -191,7 +186,7 @@ class TestValidation:
 class TestKeptPartialInstances:
     """``keep_partial_instances`` on a 3×2 variable with extract
     ``(2, 1)``: the second instance row is clipped to one row.  ``covered``
-    ends where the subset does; it used to run to the unclipped
+    ends where the variable does; it used to run to the unclipped
     instance's end, row 4, and ``slice_splits`` cut a map over row 3,
     which does not exist."""
 

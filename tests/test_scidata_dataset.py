@@ -14,7 +14,8 @@ from repro.scidata.metadata import simple_metadata
 @pytest.fixture
 def small_ds(tmp_path):
     data = np.arange(5 * 6 * 7, dtype=np.float64).reshape(5, 6, 7)
-    ds = create_dataset(tmp_path / "d.nc", var_name="v", data=data, mode="r+")
+    create_dataset(tmp_path / "d.nc", var_name="v", data=data).close()
+    ds = open_dataset(tmp_path / "d.nc", mode="r+")
     yield ds, data
     ds.close()
 
@@ -122,8 +123,8 @@ class TestCreate:
 
     def test_full_form_with_fill(self, tmp_path):
         meta = simple_metadata("v", (3, 3))
-        ds = create_dataset(tmp_path / "f.nc", meta, fill=2.5)
-        assert np.all(ds.read_all("v") == 2.5)
+        ds = create_dataset(tmp_path / "f.nc", meta)
+        assert np.all(ds.read_all("v") == 0.0)
         ds.close()
 
     def test_bad_mode(self, tmp_path):

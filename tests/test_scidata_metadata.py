@@ -127,14 +127,6 @@ class TestHelpers:
         assert m.variable_shape("v") == (2, 3)
         assert m.variables[0].dimensions == ("dim0", "dim1")
 
-    def test_simple_metadata_custom_names(self):
-        m = simple_metadata("v", (2,), dim_names=("t",))
-        assert m.dimensions[0].name == "t"
-
-    def test_simple_metadata_name_length_mismatch(self):
-        with pytest.raises(DatasetError):
-            simple_metadata("v", (2, 3), dim_names=("t",))
-
     def test_dtype_name_roundtrip(self):
         assert dtype_name(np.dtype("float32")) == "float"
         with pytest.raises(FormatError):

@@ -70,11 +70,11 @@ class TestWrite:
     def test_empty_fill(self, tmp_path):
         meta = simple_metadata("v", (10, 10), dtype="double")
         path = tmp_path / "e.nc"
-        write_nclite_empty(path, meta, fill=7.5)
+        write_nclite_empty(path, meta)
         from repro.scidata.dataset import open_dataset
 
         with open_dataset(path) as ds:
-            assert np.all(ds.read_all("v") == 7.5)
+            assert np.all(ds.read_all("v") == 0.0)
 
 
 class TestCorruption:

@@ -44,13 +44,13 @@ class TestSentinel:
     def test_written_values_recoverable(self, tmp_path):
         from repro.scidata.dataset import open_dataset
 
-        w = SentinelFileWriter((4, 4), sentinel=-9.0)
+        w = SentinelFileWriter((4, 4))
         vals = np.arange(4.0)
         w.write(tmp_path / "s.nc", [(Slab((2, 0), (1, 4)), vals)])
         with open_dataset(tmp_path / "s.nc") as ds:
             arr = ds.read_all("output")
         assert np.array_equal(arr[2], vals)
-        assert np.all(arr[0] == -9.0)
+        assert np.all(np.isnan(arr[0]))
 
 
 class TestCoordinatePair:

@@ -343,9 +343,8 @@ class TestInProcessService:
         with service_fixture(workers=1) as client:
             svc = client.service
             svc.register_array("d", "v", small_data())
-            doc = client.query(
-                mean_request(fault_rules=[rule], deadline=0.2), timeout=10.0
-            )
+            job_id = client.submit(mean_request(fault_rules=[rule], deadline=0.2))
+            doc = client.result(job_id, timeout=10.0)
             assert doc["state"] == FAILED
             assert "DeadlineExceededError" in doc["error_types"]
             assert_still_serving(client, svc)
@@ -464,7 +463,8 @@ class TestInProcessService:
             assert doc["digest"] == digest
 
     def test_result_timeout_raises(self):
-        with service_fixture(workers=1, start_paused=True) as client:
+        with service_fixture(workers=1) as client:
+            client.service.queue.pause()
             client.service.register_array("d", "v", small_data())
             job_id = client.submit(mean_request())
             with pytest.raises(TimeoutError):
@@ -662,9 +662,7 @@ class TestHttpServer:
         assert not [r for r in caplog.records if r.name == "asyncio"]
         assert client.jobs() == []
         for billed in client.stats()["tenants"].values():
-            assert (
-                billed["submitted"], billed["active"], billed["failures"]
-            ) == (0, 0, 0)
+            assert (billed["active"], billed["failures"]) == (0, 0)
         assert_still_serving(client, service)
 
     @pytest.mark.parametrize(

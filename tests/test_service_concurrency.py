@@ -109,9 +109,9 @@ class TestQuotas:
     def test_max_active_refuses_excess_submissions(self):
         with service_fixture(
             workers=1,
-            start_paused=True,
             default_quota=TenantQuota(max_active=2),
         ) as client:
+            client.service.queue.pause()
             client.service.register_array("shared", "v", stress_data())
             client.submit(req())
             client.submit(req())
@@ -124,23 +124,13 @@ class TestQuotas:
             client.service.queue.drain(timeout=60)
             client.submit(req())
 
-    def test_max_jobs_is_a_lifetime_cap(self):
-        with service_fixture(
-            workers=1, default_quota=TenantQuota(max_jobs=2)
-        ) as client:
-            client.service.register_array("shared", "v", stress_data())
-            client.result(client.submit(req()))
-            client.result(client.submit(req()))
-            with pytest.raises(AdmissionError, match="job quota"):
-                client.submit(req())
-
     def test_failure_budget_locks_out_a_crashing_tenant(self):
         crash = dict(
             fault_rules=({"task": "map", "fault": "crash", "indices": [0]},),
         )
         with service_fixture(
             workers=1,
-            quotas={"flaky": TenantQuota(failure_budget=2)},
+            default_quota=TenantQuota(failure_budget=2),
         ) as client:
             client.service.register_array("shared", "v", stress_data())
             for _ in range(2):
@@ -153,13 +143,36 @@ class TestQuotas:
             stats = client.stats()["tenants"]["flaky"]
             assert stats["failures"] == 2
 
+    def test_idle_tenants_are_not_kept(self):
+        """Regression: every tenant name a client chose stayed in
+        ``/stats`` for good.  A tenant with nothing active and no failed
+        job admits as a fresh one would, so it is dropped; one with a
+        failed job is kept, to spend its failure budget."""
+        tiny = dict(extract=(2, 2), splits=1, reduces=1, engine="serial")
+        crash = ({"task": "map", "fault": "crash", "indices": [0]},)
+        with service_fixture(workers=1) as client:
+            svc = client.service
+            svc.register_array(
+                "shared", "v", np.arange(16, dtype=np.float64).reshape(4, 4)
+            )
+            for i in range(200):
+                client.submit(req(tenant=f"t{i}", **tiny))
+            assert svc.queue.drain(timeout=120)
+            assert client.stats()["tenants"] == {}
+            doc = client.query(req(tenant="flaky", fault_rules=crash, **tiny))
+            assert doc["state"] == FAILED
+            assert client.stats()["tenants"] == {
+                "flaky": {"active": 0, "failures": 1}
+            }
+
 
 class TestPriorityOrdering:
     def test_dispatch_order_is_priority_then_submission(self):
         """With the queue paused during submission and one worker,
         dispatch order is exactly (-priority, submission seq)."""
-        with service_fixture(workers=1, start_paused=True) as client:
+        with service_fixture(workers=1) as client:
             svc = client.service
+            svc.queue.pause()
             svc.register_array("shared", "v", stress_data())
             low1 = client.submit(req(priority=0))
             high = client.submit(req(priority=10))
@@ -173,7 +186,8 @@ class TestPriorityOrdering:
 
 class TestCancellation:
     def test_cancel_queued_job(self):
-        with service_fixture(workers=1, start_paused=True) as client:
+        with service_fixture(workers=1) as client:
+            client.service.queue.pause()
             client.service.register_array("shared", "v", stress_data())
             job_id = client.submit(req())
             assert client.status(job_id)["state"] == QUEUED
@@ -186,7 +200,8 @@ class TestCancellation:
             assert client.cancel(job_id) is False
 
     def test_close_cancels_still_queued_jobs(self):
-        service = QueryService(workers=1, start_paused=True)
+        service = QueryService(workers=1)
+        service.queue.pause()
         service.register_array("shared", "v", stress_data())
         job_id = service.submit(req())
         service.close()
@@ -240,8 +255,7 @@ class TestDeadlines:
         with service_fixture(workers=1) as client:
             client.service.register_array("shared", "v", stress_data())
             doc = client.query(
-                req(deadline=0.2, on_deadline="fail", **self.HANG),
-                timeout=60,
+                req(deadline=0.2, on_deadline="fail", **self.HANG)
             )
             assert doc["state"] == FAILED
             assert "DeadlineExceededError" in doc["error_types"]
@@ -250,8 +264,7 @@ class TestDeadlines:
         with service_fixture(workers=1) as client:
             client.service.register_array("shared", "v", stress_data())
             doc = client.query(
-                req(deadline=0.3, on_deadline="partial", **self.HANG),
-                timeout=60,
+                req(deadline=0.3, on_deadline="partial", **self.HANG)
             )
             assert doc["state"] == DONE
             assert doc["partial"] is True

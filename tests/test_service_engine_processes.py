@@ -304,7 +304,7 @@ class TestCrashContainment:
                     assert client.result(job_id, timeout=30)["state"] == FAILED
                     client.result(side, timeout=30)  # ran, or died with its process
                     for _ in range(2):
-                        doc = client.query(request(), timeout=30)
+                        doc = client.query(request())
                         assert doc["state"] == DONE and doc["digest"] == digest
             finally:
                 stop.set()

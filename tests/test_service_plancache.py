@@ -12,7 +12,6 @@ per-submission knobs (engine, speculation) share one.
 from __future__ import annotations
 
 import pickle
-from types import SimpleNamespace
 
 import numpy as np
 import pytest

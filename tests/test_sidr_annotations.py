@@ -34,7 +34,7 @@ class TestExpectedCounts:
         part = partition_plus(plan.intermediate_space, 3)
         counts = expected_source_cells(plan, part)
         # Clipped instances shrink totals below keys*cells_per_instance.
-        assert sum(counts) == plan.subset.volume
+        assert sum(counts) == plan.whole.volume
         assert any(
             c < b.num_keys * plan.cells_per_instance
             for b, c in zip(part.blocks, counts)
@@ -105,10 +105,7 @@ class TestEndToEndValidation:
         exactly why the annotation exists (§3.2.1).  Cell-level reading
         gives the combiner many records per key to collapse."""
         from repro.mapreduce.job import JobConf
-        from repro.query.recordreader import (
-            CellToChunkMapper,
-            make_reader_factory,
-        )
+        from repro.query.recordreader import CellRecordReader, CellToChunkMapper
         from repro.mapreduce.reducer import AggregateReducer, CombinerAdapter
 
         splits = slice_splits(weekly_mean_plan, num_splits=7)
@@ -117,8 +114,8 @@ class TestEndToEndValidation:
         job = JobConf(
             name="cells",
             splits=list(splits),
-            reader_factory=make_reader_factory(
-                temp_data, weekly_mean_plan, cell_level=True
+            reader_factory=lambda split: iter(
+                CellRecordReader(temp_data, weekly_mean_plan, split)
             ),
             mapper_factory=lambda: CellToChunkMapper(weekly_mean_plan),
             reducer_factory=lambda: AggregateReducer(op),

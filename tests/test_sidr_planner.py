@@ -52,7 +52,7 @@ class TestPlanAssembly:
         another variable, attributes and zone maps: a plan is the query
         and its routing, and it carries nothing else of the header."""
         shape = (28, 10, 6)
-        bare = simple_metadata("v", shape, dim_names=("t", "y", "x"))
+        bare = simple_metadata("v", shape)
         rng = np.random.default_rng(3)
         full = DatasetMetadata(
             dimensions=(Dimension("t", 28), Dimension("y", 10),

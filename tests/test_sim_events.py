@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import events
 from repro.sim.events import Simulator
 
 
@@ -58,7 +59,8 @@ class TestScheduling:
         sim.run()
         assert seen == [5.0]
 
-    def test_runaway_guard(self):
+    def test_runaway_guard(self, monkeypatch):
+        monkeypatch.setattr(events, "MAX_EVENTS", 100)
         sim = Simulator()
 
         def forever():
@@ -66,7 +68,7 @@ class TestScheduling:
 
         sim.schedule(0.0, forever)
         with pytest.raises(SimulationError):
-            sim.run(max_events=100)
+            sim.run()
 
     def test_clock_monotone(self):
         sim = Simulator()

@@ -37,13 +37,13 @@ class TestUniform:
 
 class TestParitySkew:
     def test_only_one_parity_receives(self):
-        d = ParitySkewDistribution(6, parity=0)
+        d = ParitySkewDistribution(6)
         s = d.shares(0)
         assert set(s) == {0, 2, 4}
         assert sum(s.values()) == pytest.approx(1.0)
 
     def test_starved_reducers_have_no_producers(self):
-        d = ParitySkewDistribution(6, parity=0)
+        d = ParitySkewDistribution(6)
         assert d.producers_of(1, 5) == frozenset()
         assert d.producers_of(2, 5) == frozenset(range(5))
 
@@ -55,8 +55,6 @@ class TestParitySkew:
     def test_validation(self):
         with pytest.raises(SimulationError):
             ParitySkewDistribution(1)
-        with pytest.raises(SimulationError):
-            ParitySkewDistribution(4, parity=2)
 
 
 class TestDependencyDistribution:

@@ -266,9 +266,8 @@ class TestHangDetector:
 class TestSpeculationRuntime:
     def test_simultaneous_flags_hedged_by_priority(self):
         """Flags one check raises together are acted on most critical
-        first: the map blocking the most pending reduces gets the one
-        backup ``max_backups`` allows, the others are cancel-retried in
-        descending priority."""
+        first: every flagged map gets a racing backup, and the map
+        blocking the most pending reduces launches its backup first."""
         from repro.mapreduce.engine import DependencyBarrier, _RunState
 
         job = counting_job(num_splits=3, num_reduces=3)
@@ -279,12 +278,13 @@ class TestSpeculationRuntime:
         obs = JobObservability(job.name, enabled=False)
         state = _RunState(LocalEngine(), job)
         runtime = SpeculationRuntime(
-            SpeculationPolicy(hang_timeout=0.01, max_backups=1),
+            SpeculationPolicy(hang_timeout=0.01),
             state, job, barrier, obs, pending_partitions=lambda: (0, 1, 2),
         )
-        launched = []
-        runtime.launch_backup = lambda i, of, priority: launched.append(
-            (i, of, priority)
+        # As the engine's launcher does, when the backup attempt starts.
+        runtime.launch_backup = lambda i, of, priority: obs.bus.publish(
+            EV_TASK_SPECULATE, kind="map", index=i, attempt=of + 1, of=of,
+            priority=round(priority, 4), mode="race",
         )
         for m in range(3):
             state.new_token("map", m, 0)
@@ -293,13 +293,12 @@ class TestSpeculationRuntime:
         runtime.tick()
         flagged = [e.index for e in obs.bus.events() if e.type == EV_TASK_HANG]
         assert flagged == [0, 1, 2]
-        assert launched == [(2, 0, 3.0)]
         hedged = [
             (e.index, e.data["mode"], e.data["priority"])
             for e in obs.bus.events() if e.type == EV_TASK_SPECULATE
         ]
-        assert hedged == [(1, "cancel-retry", 2.0), (0, "cancel-retry", 1.0)]
-        assert state.token_of("map", 2, 0).cancelled is False
+        assert hedged == [(2, "race", 3.0), (1, "race", 2.0), (0, "race", 1.0)]
+        assert not any(state.token_of("map", m, 0).cancelled for m in range(3))
 
 
 class TestLiveness:
@@ -391,7 +390,7 @@ class TestEngineSpeculation:
         oracle = LocalEngine().run_serial(counting_job())
         eng = LocalEngine(
             speculation=FAST,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=3),
             faults=hang_plan(index=1),
         )
         res = eng.run_threaded(counting_job())
@@ -405,7 +404,7 @@ class TestEngineSpeculation:
         oracle = LocalEngine().run_serial(counting_job())
         eng = LocalEngine(
             speculation=FAST,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=3),
             faults=hang_plan(index=1),
         )
         res = eng.run_serial(counting_job())
@@ -420,7 +419,7 @@ class TestEngineSpeculation:
         for run in ("run_serial", "run_threaded"):
             eng = LocalEngine(
                 speculation=FAST,
-                retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+                retry=RetryPolicy(max_attempts=3),
                 faults=hang_plan(task="reduce", index=0),
             )
             res = getattr(eng, run)(counting_job())
@@ -430,22 +429,20 @@ class TestEngineSpeculation:
     def test_hang_exhausts_retry_budget_serial(self):
         # Serial raises the raw task error (matching crash semantics).
         eng = LocalEngine(
-            speculation=SpeculationPolicy(
-                hang_timeout=0.05, max_backups=0
-            ),
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            speculation=SpeculationPolicy(hang_timeout=0.05),
+            retry=RetryPolicy(max_attempts=2),
             faults=hang_plan(index=1, times=5),
         )
         with pytest.raises(TaskCancelledError):
             eng.run_serial(counting_job())
 
     def test_hang_exhausts_retry_budget_threaded(self):
+        # A reduce is never raced: threaded too, a hung one is
+        # cancel-retried until its attempts run out.
         eng = LocalEngine(
-            speculation=SpeculationPolicy(
-                hang_timeout=0.05, max_backups=0
-            ),
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
-            faults=hang_plan(index=1, times=5),
+            speculation=SpeculationPolicy(hang_timeout=0.05),
+            retry=RetryPolicy(max_attempts=2),
+            faults=hang_plan(task="reduce", index=0, times=5),
         )
         with pytest.raises(JobFailedError):
             eng.run_threaded(counting_job())
@@ -454,7 +451,7 @@ class TestEngineSpeculation:
         eng = LocalEngine(
             observability=False,
             speculation=FAST,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=3),
             faults=hang_plan(index=1),
         )
         res = eng.run_threaded(counting_job())
@@ -494,7 +491,7 @@ class TestWeeklyMeanRoundTrip:
 
         eng = LocalEngine(
             speculation=FAST,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=3),
             faults=hang_plan(index=2),
         )
         job, barrier, _ = build_sidr_job(
@@ -523,7 +520,7 @@ class TestPrunedPlanSpeculation:
         assert sidr.pruning is not None and sidr.pruning.num_pruned == 4
         eng = LocalEngine(
             speculation=FAST,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=3),
             faults=hang_plan(index=1),
         )
         res = eng.run_threaded(job, barrier)
@@ -542,7 +539,7 @@ class TestPrunedPlanSpeculation:
         job, barrier, _ = pruned_filter_job(plane)
         eng = LocalEngine(
             speculation=FAST,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=3),
             faults=hang_plan(index=1),
         )
         res = eng.run_serial(job, barrier)
@@ -563,7 +560,7 @@ class TestDeadline:
     @pytest.mark.parametrize("run", ["run_serial", "run_threaded"])
     def test_fail_mode_raises(self, run):
         eng = LocalEngine(
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=2),
             faults=hang_plan(index=1, times=5),
         )
         job = counting_job(deadline=0.1, on_deadline="fail")
@@ -602,7 +599,7 @@ class TestDeadline:
         oracle = LocalEngine().run_threaded(make(), barrier)
 
         eng = LocalEngine(
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
+            retry=RetryPolicy(max_attempts=2),
             faults=hang_plan(index=0, times=5),
         )
         res = eng.run_threaded(
@@ -638,7 +635,7 @@ class TestAtMostOneWinner:
             eng = LocalEngine(
                 observability=False,
                 speculation=FAST,
-                retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
+                retry=RetryPolicy(max_attempts=4),
                 faults=hang_plan(index=1),
             )
             res = eng.run_threaded(job, obs=obs)
@@ -872,18 +869,15 @@ class TestLiveVocabulary:
         bus = EventBus()
         obs = JobObservability("spec", bus=bus)
         eng = LocalEngine(
-            # Straggler speculation off: mitigation must come from the
-            # staleness rule, so a task.hang event is guaranteed.
-            speculation=SpeculationPolicy(
-                hang_timeout=0.08,
-                speculate_stragglers=False,
-            ),
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+            speculation=FAST,
+            retry=RetryPolicy(max_attempts=3),
             faults=hang_plan(index=1),
         )
         res = eng.run_threaded(counting_job(), obs=obs)
         totals = phase_totals(bus.events())
-        assert totals["hangs"] >= 1
+        # The straggler rule (once three maps have finished) or the hang
+        # rule flags the hung map first; either way it is hedged once.
+        assert totals["stragglers"] + totals["hangs"] >= 1
         assert totals["speculations"] == 1
         assert totals["cancelled"] == 1
         assert totals["map"]["finished"] == 4

@@ -155,7 +155,7 @@ class TestExplorer:
         def factory():
             return LocalEngine(
                 observability=False,
-                retry=RetryPolicy(max_attempts=4, backoff_base=0.0),
+                retry=RetryPolicy(max_attempts=4),
                 faults=faults,
                 recovery=RecoveryModel.REEXECUTE_DEPS,
             )
@@ -453,5 +453,3 @@ class TestTraceDeterminism:
     def test_chaos_hook_rejects_bad_params(self):
         with pytest.raises(ValueError):
             ChaosHook(max_delay=-1.0)
-        with pytest.raises(ValueError):
-            ChaosHook(density=0.0)

@@ -50,18 +50,10 @@ def _meta(shape):
 @st.composite
 def prune_case(draw):
     """Geometry, data and thresholds: truncating or not, dense or
-    strided, over the whole variable or a subset with its own corner."""
+    strided, over the whole variable."""
     rank = draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(2, 9)) for _ in range(rank))
-    subset = None
-    if draw(st.booleans()):
-        corner = tuple(draw(st.integers(0, s - 1)) for s in shape)
-        subset = Slab(
-            corner,
-            tuple(draw(st.integers(1, s - c)) for s, c in zip(shape, corner)),
-        )
-    space = shape if subset is None else subset.shape
-    extraction = tuple(draw(st.integers(1, s)) for s in space)
+    extraction = tuple(draw(st.integers(1, s)) for s in shape)
     stride = None
     if draw(st.booleans()):
         stride = tuple(e + draw(st.integers(0, 2)) for e in extraction)
@@ -74,14 +66,14 @@ def prune_case(draw):
     reduces = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 100_000))
     return (
-        shape, subset, extraction, stride, partial, tile, threshold,
+        shape, extraction, stride, partial, tile, threshold,
         num_splits, reduces, seed,
     )
 
 
 def _build(case):
     (
-        shape, subset, extraction, stride, partial, tile, threshold,
+        shape, extraction, stride, partial, tile, threshold,
         num_splits, reduces, seed,
     ) = case
     rng = np.random.default_rng(seed)
@@ -90,7 +82,6 @@ def _build(case):
         variable="v",
         extraction_shape=extraction,
         operator=ThresholdFilterOp(threshold=threshold),
-        subset=subset,
         stride=stride,
         keep_partial_instances=partial,
     ).compile(_meta(shape))
@@ -198,7 +189,7 @@ class TestPruningSoundness:
     @settings(max_examples=120, **SETTINGS)
     def test_expected_source_cells_match_a_per_key_walk(self, case):
         """Unpruned, every keyblock expects its keys' instance cells
-        inside the subset — which is also what all the splits deliver."""
+        inside the variable — which is also what all the splits deliver."""
         plan, data, splits, zone_map, reduces = _build(case)
         partition = partition_plus(
             plan.intermediate_space, min(reduces, plan.num_intermediate_keys)
@@ -218,7 +209,7 @@ class TestPruningSoundness:
 
 def _walk(plan, partition, slabs=None):
     """Per keyblock, ``{key: cells}`` in key order: the brute-force
-    reference, one key at a time — each key's instance ∩ subset, or
+    reference, one key at a time — each key's instance ∩ K_T, or
     the part of it inside ``slabs``."""
     out = []
     for blk in partition.blocks:
@@ -379,11 +370,12 @@ class TestZoneMapStructure:
     def test_constant_zone_map_matches_built(self):
         space = (9, 5)
         fill = 2.5
-        analytic = constant_zone_map("v", space, fill, tile_shape=(4, 5))
-        built = build_zone_map(
-            "v", np.full(space, fill), tile_shape=(4, 5), fill_value=fill
-        )
-        assert analytic == built
+        analytic = constant_zone_map("v", space, fill)
+        built = build_zone_map("v", np.full(space, fill))
+        assert analytic.tile_shape == built.tile_shape
+        for stat in ("mins", "maxs", "counts"):
+            assert np.array_equal(getattr(analytic, stat), getattr(built, stat))
+        assert analytic.fill_value == fill and analytic.fill_tiles.all()
 
     def test_mismatched_grid_rejected(self):
         zm = build_zone_map("v", np.zeros((8, 4)))
